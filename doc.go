@@ -67,7 +67,7 @@
 // independently locked shards keyed by the first permutation element, with
 // searches fanned out over a bounded worker pool and merged by cell promise
 // — result sets are preserved (see DESIGN.md §Sharding). On the client,
-// EncryptedClient.InsertBatch and ApproxKNNBatch pipeline chunked frames so
+// EncryptedClient.InsertBatch and SearchBatch pipeline chunked frames so
 // many operations share one round trip.
 //
 // Beyond one process, NewCoordinator federates several encrypted servers

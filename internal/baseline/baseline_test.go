@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -383,7 +384,7 @@ func TestBaselineCostOrdering(t *testing.T) {
 	const queries = 10
 	for range queries {
 		q := env.ds.Objects[rng.IntN(len(env.ds.Objects))].Vec
-		_, mc, err := ec.ApproxKNN(q, 1, 40)
+		_, mc, err := ec.Search(context.Background(), core.Query{Kind: core.KindApproxKNN, Vec: q, K: 1, CandSize: 40})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,13 +7,13 @@
 // Placement follows the same rule the in-process engine uses for shards:
 // an entry whose pivot permutation starts with pivot p lives on node
 // p mod N (over the currently live nodes), so every first-level Voronoi
-// cell is wholly contained in exactly one node. Range queries are exact
-// per node and concatenate; approximate queries fan out as MsgBatchRanked
-// and the per-node candidate streams are merged by the shared
-// (promise, prefix, source) order of internal/merge — one merge
-// implementation, two call sites (engine across shards, coordinator across
-// nodes) — so a multi-node cluster reproduces the single-server candidate
-// list exactly (see DESIGN.md §Distribution for the preconditions).
+// cell is wholly contained in exactly one node. Every read fans out as a
+// ranked MsgBatchQuery and the per-node answers are folded by
+// merge.Combine — range results concatenate, approximate candidate streams
+// merge by the shared (promise, prefix, source) order: one combine rule,
+// two call sites (engine across shards, coordinator across nodes) — so a
+// multi-node cluster reproduces the single-server candidate list exactly
+// (see DESIGN.md §Distribution for the preconditions).
 //
 // At startup the coordinator hellos every node and refuses to federate
 // nodes that are unreachable or key-incompatible (different pivot count,
@@ -28,7 +28,7 @@
 // With Options.Replicas R > 1 every entry is stored on R nodes chosen by
 // its first-level cell (see replicate.go): writes fan to all owners with
 // missed writes journaled for re-admission replay, and reads assign each
-// cell to one live owner via pivot-filtered queries — so the cluster keeps
+// cell to one live owner via the request's allow-list — so the cluster keeps
 // answering exactly, with byte-identical candidate lists, while any R-1 of
 // a cell's owners are down.
 package cluster
@@ -264,6 +264,9 @@ func (c *Coordinator) admit(i int, info wire.HelloResp) error {
 // restarted with different parameters would not crash the cluster, it
 // would silently return wrong candidate sets.
 func (c *Coordinator) checkShape(addr string, info wire.HelloResp) error {
+	if err := info.CheckVersion(); err != nil {
+		return fmt.Errorf("cluster: node %s: %w", addr, err)
+	}
 	if info.Mode != wire.HelloModeEncrypted {
 		return fmt.Errorf("cluster: node %s runs the plain deployment; the coordinator federates encrypted nodes only", addr)
 	}

@@ -6,6 +6,8 @@ package cluster_test
 // node death mid-batch with retry-with-exclusion, key-mismatch rejection).
 
 import (
+	"context"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
 	"simcloud/internal/server"
+	"simcloud/internal/stats"
 	"simcloud/internal/wire"
 )
 
@@ -94,6 +97,21 @@ func dial(t *testing.T, addr string, key *simcloud.Key) *core.EncryptedClient {
 	return client
 }
 
+// search evaluates one query without a deadline — what the tests used the
+// removed per-kind convenience methods for.
+func search(s core.Searcher, q core.Query) ([]core.Result, stats.Costs, error) {
+	return s.Search(context.Background(), q)
+}
+
+// approxQueries builds one approximate k-NN query per vector.
+func approxQueries(qs []metric.Vector, k, candSize int) []core.Query {
+	out := make([]core.Query, len(qs))
+	for i, q := range qs {
+		out[i] = core.Query{Kind: core.KindApproxKNN, Vec: q, K: k, CandSize: candSize}
+	}
+	return out
+}
+
 // rawRoundTrip drives one frame exchange over a fresh connection — the
 // white-box view of a server's candidate responses, bypassing client-side
 // refinement so candidate order is observable.
@@ -120,17 +138,27 @@ func rawRoundTrip(t *testing.T, addr string, typ wire.MsgType, payload []byte) (
 func approxCandidateIDs(t *testing.T, addr string, w *testWorld, q metric.Vector, candSize int) []uint64 {
 	t.Helper()
 	perm := pivot.Permutation(w.key.Pivots().Distances(q))
-	respType, resp := rawRoundTrip(t, addr, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: perm, CandSize: uint32(candSize)}.Encode())
-	if respType != wire.MsgCandidates {
+	return candidateIDs(t, addr, wire.BatchQuery{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: uint32(candSize)})
+}
+
+// candidateIDs sends q alone in a batch and returns its candidate IDs in
+// served order.
+func candidateIDs(t *testing.T, addr string, q wire.BatchQuery) []uint64 {
+	t.Helper()
+	respType, resp := rawRoundTrip(t, addr, wire.MsgBatchQuery,
+		wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode())
+	if respType != wire.MsgBatchCandidates {
 		t.Fatalf("unexpected response %v", respType)
 	}
-	m, err := wire.DecodeCandidatesResp(resp)
+	m, err := wire.DecodeBatchQueryResp(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]uint64, len(m.Entries))
-	for i, e := range m.Entries {
+	if len(m.Results) != 1 {
+		t.Fatalf("%d results for one query", len(m.Results))
+	}
+	ids := make([]uint64, len(m.Results[0]))
+	for i, e := range m.Results[0] {
 		ids[i] = e.ID
 	}
 	return ids
@@ -140,18 +168,7 @@ func approxCandidateIDs(t *testing.T, addr string, w *testWorld, q metric.Vector
 func firstCellIDs(t *testing.T, addr string, w *testWorld, q metric.Vector) []uint64 {
 	t.Helper()
 	perm := pivot.Permutation(w.key.Pivots().Distances(q))
-	respType, resp := rawRoundTrip(t, addr, wire.MsgFirstCell, wire.FirstCellReq{Perm: perm}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("unexpected response %v", respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]uint64, len(m.Entries))
-	for i, e := range m.Entries {
-		ids[i] = e.ID
-	}
+	ids := candidateIDs(t, addr, wire.BatchQuery{Kind: wire.BatchFirstCell, Perm: perm})
 	slices.Sort(ids)
 	return ids
 }
@@ -196,11 +213,11 @@ func TestClusterEquivalence(t *testing.T) {
 			}
 
 			// Refined answers (through the unchanged client) match too.
-			wantRes, _, err := refClient.ApproxKNN(q, 10, 200)
+			wantRes, _, err := search(refClient, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRes, _, err := client.ApproxKNN(q, 10, 200)
+			gotRes, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,11 +232,11 @@ func TestClusterEquivalence(t *testing.T) {
 			}
 
 			// Precise range: same exact result set.
-			wantRange, _, err := refClient.Range(q, 2.5)
+			wantRange, _, err := search(refClient, core.Query{Kind: core.KindRange, Vec: q, Radius: 2.5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRange, _, err := client.Range(q, 2.5)
+			gotRange, _, err := search(client, core.Query{Kind: core.KindRange, Vec: q, Radius: 2.5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,11 +253,11 @@ func TestClusterEquivalence(t *testing.T) {
 		for _, qi := range queries {
 			qs = append(qs, w.data.Objects[qi].Vec)
 		}
-		wantBatch, _, err := refClient.ApproxKNNBatch(qs, 10, 200)
+		wantBatch, _, err := refClient.SearchBatch(context.Background(), approxQueries(qs, 10, 200))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBatch, _, err := client.ApproxKNNBatch(qs, 10, 200)
+		gotBatch, _, err := client.SearchBatch(context.Background(), approxQueries(qs, 10, 200))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +301,7 @@ func TestClusterDelete(t *testing.T) {
 		t.Fatalf("deleted %d of %d", deleted, len(victims))
 	}
 	q := victims[0].Vec
-	res, _, err := client.ApproxKNN(q, 5, 300)
+	res, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 5, CandSize: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +374,7 @@ func TestNodeDiesMidBatch(t *testing.T) {
 	}
 
 	// Queries keep working over the survivors.
-	res, _, err := client.ApproxKNN(second[0].Vec, 5, 200)
+	res, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: second[0].Vec, K: 5, CandSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +431,21 @@ func TestKeyMismatchRejection(t *testing.T) {
 		}
 	})
 
+	t.Run("protocol version", func(t *testing.T) {
+		// A node answering the hello in the version-1 shape (no trailing
+		// version field) is refused at admission, naming both versions —
+		// not mis-decoded and federated.
+		v2 := wire.HelloResp{
+			Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
+			MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
+		}.Encode()
+		v1 := stubNode(t, v2[:len(v2)-4])
+		_, err := cluster.New([]string{v1.Addr().String()}, cluster.Options{Logf: t.Logf})
+		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), "speaks v2") {
+			t.Fatalf("want a refusal naming protocol v1 and v2, got %v", err)
+		}
+	})
+
 	t.Run("missing eager root split", func(t *testing.T) {
 		a, b := startServer(t, nodeConfig(false)), startServer(t, nodeConfig(false))
 		_, err := cluster.New([]string{a.Addr(), b.Addr()}, cluster.Options{Logf: t.Logf})
@@ -423,17 +455,15 @@ func TestKeyMismatchRejection(t *testing.T) {
 	})
 }
 
-// TestCloseUnblocksHungNode: Close must terminate even while a request is
-// blocked mid-round-trip on a node that answers the hello and then goes
-// silent (with the default NodeTimeout of 0, only closing the node socket
-// can unblock that read).
-func TestCloseUnblocksHungNode(t *testing.T) {
+// stubNode listens as a node that answers hellos with the given raw payload
+// and swallows everything else forever.
+func stubNode(t *testing.T, hello []byte) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	// A stub node: answers hellos, swallows everything else forever.
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -450,18 +480,27 @@ func TestCloseUnblocksHungNode(t *testing.T) {
 					if typ != wire.MsgHello {
 						select {} // hang: never answer
 					}
-					resp := wire.HelloResp{
-						Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
-						MaxLevel: 8, BucketCapacity: testBucket,
-						Ranking: 1, EagerRootSplit: true, Shards: 1,
-					}
-					if err := wire.WriteFrame(conn, wire.MsgHelloAck, resp.Encode()); err != nil {
+					if err := wire.WriteFrame(conn, wire.MsgHelloAck, hello); err != nil {
 						return
 					}
 				}
 			}()
 		}
 	}()
+	return ln
+}
+
+// TestCloseUnblocksHungNode: Close must terminate even while a request is
+// blocked mid-round-trip on a node that answers the hello and then goes
+// silent (with the default NodeTimeout of 0, only closing the node socket
+// can unblock that read).
+func TestCloseUnblocksHungNode(t *testing.T) {
+	ln := stubNode(t, wire.HelloResp{
+		Version: wire.ProtocolVersion,
+		Mode:    wire.HelloModeEncrypted, NumPivots: testPivots,
+		MaxLevel: 8, BucketCapacity: testBucket,
+		Ranking: 1, EagerRootSplit: true, Shards: 1,
+	}.Encode())
 
 	coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
 	if err != nil {
@@ -476,8 +515,9 @@ func TestCloseUnblocksHungNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.MsgRangeDists,
-		(wire.RangeDistsReq{Dists: make([]float64, testPivots), Radius: 1}).Encode()); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1},
+	}}.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let the handler reach the node read
@@ -519,20 +559,53 @@ func TestCoordinatorHello(t *testing.T) {
 	}
 }
 
-// TestUnfederatedRequestRejected: baseline blob-store messages are not
-// federated and must fail loudly, not silently go to one node.
+// TestUnfederatedRequestRejected: requests the coordinator does not
+// federate must fail loudly, not silently go to one node — baseline
+// blob-store messages, the request types protocol version 2 retired (refused
+// naming the replacement), and client reads that set the node-hop fields the
+// coordinator itself owns (ranked replies, first-level allow-lists).
 func TestUnfederatedRequestRejected(t *testing.T) {
 	_, coord := startCluster(t, 2, true)
-	respType, resp := rawRoundTrip(t, coord.Addr(), wire.MsgGetRaw,
-		wire.GetRawReq{IDs: []uint64{1}}.Encode())
-	if respType != wire.MsgError {
-		t.Fatalf("unexpected response %v", respType)
+	lone := []wire.BatchQuery{{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1}}
+	for _, tc := range []struct {
+		typ     wire.MsgType
+		payload []byte
+		want    string
+	}{
+		{wire.MsgGetRaw, wire.GetRawReq{IDs: []uint64{1}}.Encode(), "not federated"},
+		{wire.MsgType(5), []byte{1}, "retired in protocol v2; send batch-query"},
+		{wire.MsgType(33), nil, "retired in protocol v2; send batch-query"},
+		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: lone, Ranked: true}.Encode(), "node-level"},
+		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: lone, Allow: []int32{0}}.Encode(), "node-level"},
+		{wire.MsgDownloadAll, wire.DownloadAllReq{Allow: []int32{0}}.Encode(), "node-level"},
+		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+			{Kind: wire.BatchApproxPerm, Perm: []int32{0, 0}, CandSize: 3}}}.Encode(), "batch query 0"},
+	} {
+		respType, resp := rawRoundTrip(t, coord.Addr(), tc.typ, tc.payload)
+		if respType != wire.MsgError {
+			t.Fatalf("%v: unexpected response %v", tc.typ, respType)
+		}
+		m, err := wire.DecodeErrorResp(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(m.Msg, tc.want) {
+			t.Fatalf("%v: error %q does not mention %q", tc.typ, m.Msg, tc.want)
+		}
 	}
-	m, err := wire.DecodeErrorResp(resp)
-	if err != nil {
+}
+
+// TestClusterHostileCandSize: a candidate size of 2^32-1 through the
+// coordinator returns what the nodes hold — it neither crashes a node nor
+// overflows the coordinator's trim.
+func TestClusterHostileCandSize(t *testing.T) {
+	w := newWorld(t, 300)
+	_, coord := startCluster(t, 3, true)
+	client := dial(t, coord.Addr(), w.key)
+	if _, err := client.InsertBatch(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(m.Msg, "not federated") {
-		t.Fatalf("unexpected error message %q", m.Msg)
+	if got := approxCandidateIDs(t, coord.Addr(), w, w.data.Objects[0].Vec, math.MaxUint32); len(got) != len(w.data.Objects) {
+		t.Fatalf("candSize 2^32-1 returned %d candidates, want all %d", len(got), len(w.data.Objects))
 	}
 }

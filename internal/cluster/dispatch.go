@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -89,57 +90,31 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) 
 			ServerNanos: c.serverNanos(start), Deleted: deleted,
 		}.Encode(), nil
 
-	case wire.MsgRangeDists:
-		entries, err := c.concatCandidates(c.ctx, wire.MsgRangeDists, payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, wire.CandidatesResp{
-			ServerNanos: c.serverNanos(start), Entries: entries,
-		}.Encode(), nil
-
-	case wire.MsgApproxPerm:
-		req, err := wire.DecodeApproxPermReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return c.singleQuery(wire.BatchQuery{
-			Kind: wire.BatchApproxPerm, Perm: req.Perm, CandSize: req.CandSize,
-		}, start)
-
-	case wire.MsgApproxDists:
-		req, err := wire.DecodeApproxDistsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return c.singleQuery(wire.BatchQuery{
-			Kind: wire.BatchApproxDists, Dists: req.Dists, CandSize: req.CandSize,
-		}, start)
-
-	case wire.MsgFirstCell:
-		req, err := wire.DecodeFirstCellReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return c.singleQuery(wire.BatchQuery{
-			Kind: wire.BatchFirstCell, Perm: req.Perm, Dists: req.Dists,
-		}, start)
-
 	case wire.MsgBatchQuery:
 		req, err := wire.DecodeBatchQueryReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		results, err := c.rankedFan(c.ctx, req)
+		if req.Ranked || req.Allow != nil {
+			return 0, nil, errNodeLevelRead
+		}
+		results, err := c.queryFan(c.ctx, req.Queries)
 		if err != nil {
 			return 0, nil, err
 		}
-		return wire.MsgBatchCandidates, wire.BatchQueryResp{
-			ServerNanos: c.serverNanos(start), Results: results,
-		}.Encode(), nil
+		var buf wire.Buffer
+		wire.BatchRankedResp{ServerNanos: c.serverNanos(start), Results: results}.AppendFlatTo(&buf)
+		return wire.MsgBatchCandidates, buf.B, nil
 
 	case wire.MsgDownloadAll:
-		entries, err := c.concatCandidates(c.ctx, wire.MsgDownloadAll, payload)
+		req, err := wire.DecodeDownloadAllReq(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		if req.Allow != nil {
+			return 0, nil, errNodeLevelRead
+		}
+		entries, err := c.downloadAll(c.ctx)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -147,21 +122,17 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) 
 			ServerNanos: c.serverNanos(start), Entries: entries,
 		}.Encode(), nil
 	}
+	if err := wire.RetiredError(typ); err != nil {
+		return 0, nil, err
+	}
 	return 0, nil, fmt.Errorf("cluster: request type %v is not federated; connect to a node directly", typ)
 }
 
-// singleQuery evaluates one approximate-flavor query through the ranked
-// fan-out and answers with a plain candidate set, exactly like a single
-// server's MsgCandidates response.
-func (c *Coordinator) singleQuery(q wire.BatchQuery, start time.Time) (wire.MsgType, []byte, error) {
-	results, err := c.rankedFan(c.ctx, wire.BatchQueryReq{Queries: []wire.BatchQuery{q}})
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.MsgCandidates, wire.CandidatesResp{
-		ServerNanos: c.serverNanos(start), Entries: results[0],
-	}.Encode(), nil
-}
+// errNodeLevelRead refuses a client read that sets the fields the
+// coordinator itself uses on the node hop: ranked replies and first-level
+// allow-lists are how it combines and de-duplicates node answers, not
+// something it can layer a second time.
+var errNodeLevelRead = errors.New("cluster: ranked and pivot-filtered reads are node-level; connect to a node directly")
 
 // routeNode maps an entry permutation onto one of the given live nodes:
 // closest pivot modulo the live-node count — the cross-process mirror of
@@ -422,23 +393,35 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 	}
 }
 
-// concatCandidates broadcasts a request whose per-node responses are exact
-// candidate sets (precise range, download-all) and concatenates them in
-// node order — the cross-node form of the engine's per-shard range
-// concatenation, exact because every first-level cell lives on one node.
-func (c *Coordinator) concatCandidates(ctx context.Context, t wire.MsgType, payload []byte) ([]mindex.Entry, error) {
-	fan := c.broadcast
+// readFan sends one read request to the nodes and collects the replies in
+// node-id order — the deterministic source order the per-kind combine
+// requires. encode builds the node-ward frame for a given first-level
+// allow-list: unreplicated, every live node gets the unrestricted request
+// (nil); replicated, each cell is assigned to exactly one live owner and
+// every owning node gets the request restricted to its cells (see
+// filteredFan).
+func (c *Coordinator) readFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte)) ([]nodeReply, error) {
 	if c.replicated() {
-		fan = c.filteredFan // each cell answered by exactly one replica
+		return c.filteredFan(ctx, encode)
 	}
-	replies, err := fan(ctx, t, payload)
+	t, payload := encode(nil)
+	return c.broadcast(ctx, t, payload)
+}
+
+// downloadAll concatenates every node's stored entries in node order — the
+// cross-node form of the engine's per-shard concatenation, exact because
+// every first-level cell is answered by one node.
+func (c *Coordinator) downloadAll(ctx context.Context) ([]mindex.Entry, error) {
+	replies, err := c.readFan(ctx, func(allow []int32) (wire.MsgType, []byte) {
+		return wire.MsgDownloadAll, wire.DownloadAllReq{Allow: allow}.Encode()
+	})
 	if err != nil {
 		return nil, err
 	}
 	var out []mindex.Entry
 	for _, rep := range replies {
 		if rep.typ != wire.MsgCandidates {
-			return nil, fmt.Errorf("cluster: unexpected node response %v to %v", rep.typ, t)
+			return nil, fmt.Errorf("cluster: unexpected node response %v to download-all", rep.typ)
 		}
 		m, err := wire.DecodeCandidatesResp(rep.payload)
 		if err != nil {
@@ -449,19 +432,23 @@ func (c *Coordinator) concatCandidates(ctx context.Context, t wire.MsgType, payl
 	return out, nil
 }
 
-// rankedFan fans a batch of queries out to every live node as
-// MsgBatchRanked and combines the per-node answers per query: range
-// results concatenate in node order, approximate results merge by the
-// shared (promise, prefix, source) order and trim to the query's candidate
-// size, and first-cell results keep only the globally most promising cell
-// — each the exact cross-node counterpart of what engine.ShardedIndex does
-// across shards, via the same internal/merge implementation.
-func (c *Coordinator) rankedFan(ctx context.Context, req wire.BatchQueryReq) ([][]mindex.Entry, error) {
-	fan := c.broadcast
-	if c.replicated() {
-		fan = c.filteredFan // each cell answered by exactly one replica
+// queryFan fans a batch of queries out to the nodes as one ranked
+// MsgBatchQuery and combines the per-node answers per query with
+// merge.Combine — the very rule engine.ShardedIndex applies across shards,
+// so a query answered by N nodes is ordered exactly like one answered by a
+// single server. Queries are validated here first: a hostile one is refused
+// before any node is bothered.
+func (c *Coordinator) queryFan(ctx context.Context, queries []wire.BatchQuery) ([][]mindex.RankedCandidate, error) {
+	iqs := make([]mindex.Query, len(queries))
+	for i, q := range queries {
+		var err error
+		if iqs[i], err = q.IndexQuery(int(c.info.NumPivots), nil); err != nil {
+			return nil, fmt.Errorf("cluster: batch query %d: %w", i, err)
+		}
 	}
-	replies, err := fan(ctx, wire.MsgBatchRanked, req.Encode())
+	replies, err := c.readFan(ctx, func(allow []int32) (wire.MsgType, []byte) {
+		return wire.MsgBatchQuery, wire.BatchQueryReq{Queries: queries, Ranked: true, Allow: allow}.Encode()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -474,43 +461,19 @@ func (c *Coordinator) rankedFan(ctx context.Context, req wire.BatchQueryReq) ([]
 		if err != nil {
 			return nil, err
 		}
-		if len(m.Results) != len(req.Queries) {
+		if len(m.Results) != len(queries) {
 			return nil, fmt.Errorf("cluster: node returned %d results for %d queries",
-				len(m.Results), len(req.Queries))
+				len(m.Results), len(queries))
 		}
 		perNode[i] = m.Results
 	}
-	out := make([][]mindex.Entry, len(req.Queries))
-	for qi, q := range req.Queries {
-		per := make([][]mindex.RankedCandidate, len(perNode))
+	out := make([][]mindex.RankedCandidate, len(queries))
+	per := make([][]mindex.RankedCandidate, len(perNode))
+	for qi, iq := range iqs {
 		for i := range perNode {
 			per[i] = perNode[i][qi]
 		}
-		switch q.Kind {
-		case wire.BatchRange:
-			var entries []mindex.Entry
-			for _, rcs := range per {
-				entries = append(entries, merge.Entries(rcs, -1)...)
-			}
-			out[qi] = entries
-		case wire.BatchFirstCell:
-			cells := make([]merge.Cell, len(per))
-			for i, rcs := range per {
-				if len(rcs) == 0 {
-					continue // node has no non-empty cell
-				}
-				cells[i] = merge.Cell{
-					Entries: merge.Entries(rcs, -1),
-					Promise: rcs[0].Promise,
-					Prefix:  rcs[0].Prefix,
-				}
-			}
-			if best := merge.BestCell(cells); best >= 0 {
-				out[qi] = cells[best].Entries
-			}
-		default:
-			out[qi] = merge.Entries(merge.Ranked(per), int(q.CandSize))
-		}
+		out[qi] = merge.Combine(iq, per)
 	}
 	return out, nil
 }

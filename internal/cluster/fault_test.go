@@ -127,11 +127,11 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 			}
 
 			// All four refined query kinds through the unchanged client.
-			wantRange, _, err := refClient.Range(q, 2.5)
+			wantRange, _, err := search(refClient, core.Query{Kind: core.KindRange, Vec: q, Radius: 2.5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRange, _, err := client.Range(q, 2.5)
+			gotRange, _, err := search(client, core.Query{Kind: core.KindRange, Vec: q, Radius: 2.5})
 			if err != nil {
 				t.Fatalf("%s: query %d: range: %v", label, qi, err)
 			}
@@ -139,33 +139,33 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 				t.Fatalf("%s: query %d: range result diverges (%d vs %d ids)",
 					label, qi, len(gotRange), len(wantRange))
 			}
-			wantKNN, _, err := refClient.KNN(q, 10, 200)
+			wantKNN, _, err := search(refClient, core.Query{Kind: core.KindKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotKNN, _, err := client.KNN(q, 10, 200)
+			gotKNN, _, err := search(client, core.Query{Kind: core.KindKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatalf("%s: query %d: knn: %v", label, qi, err)
 			}
 			if !resultsEqual(gotKNN, wantKNN) {
 				t.Fatalf("%s: query %d: knn diverges", label, qi)
 			}
-			wantApprox, _, err := refClient.ApproxKNN(q, 10, 200)
+			wantApprox, _, err := search(refClient, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotApprox, _, err := client.ApproxKNN(q, 10, 200)
+			gotApprox, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatalf("%s: query %d: approx knn: %v", label, qi, err)
 			}
 			if !resultsEqual(gotApprox, wantApprox) {
 				t.Fatalf("%s: query %d: approx knn diverges", label, qi)
 			}
-			wantCell, _, err := refClient.FirstCellKNN(q, 5)
+			wantCell, _, err := search(refClient, core.Query{Kind: core.KindFirstCell, Vec: q, K: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCell, _, err := client.FirstCellKNN(q, 5)
+			gotCell, _, err := search(client, core.Query{Kind: core.KindFirstCell, Vec: q, K: 5})
 			if err != nil {
 				t.Fatalf("%s: query %d: first-cell knn: %v", label, qi, err)
 			}
@@ -351,7 +351,7 @@ func TestReprobeReadmitsNode(t *testing.T) {
 	if deleted != len(victims) {
 		t.Fatalf("deleted %d of %d across placement epochs", deleted, len(victims))
 	}
-	res, _, err := client.ApproxKNN(w.data.Objects[250].Vec, 5, 200)
+	res, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: w.data.Objects[250].Vec, K: 5, CandSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestConcurrentQueriesDuringKill(t *testing.T) {
 			defer wg.Done()
 			for i := range perWorker {
 				q := w.data.Objects[(wkr*131+i*17)%len(w.data.Objects)].Vec
-				res, _, err := client.ApproxKNN(q, k, 200)
+				res, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: q, K: k, CandSize: 200})
 				if err != nil {
 					errc <- err
 					return

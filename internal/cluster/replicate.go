@@ -241,13 +241,11 @@ func (c *Coordinator) assignReadOwners() ([][]int32, error) {
 
 // filteredFan is the replicated read fan-out: every first-level cell is
 // assigned to one live owner and each owning node receives the request
-// wrapped in a MsgFilteredQuery envelope restricted to its cells, so the
-// union of the per-node answers covers every cell exactly once. A node
-// death mid-wave reassigns its cells to surviving owners and resends the
-// whole wave. Replies come back compacted in node-id order — the
-// deterministic source order the ranked merge and range concatenation
-// require.
-func (c *Coordinator) filteredFan(ctx context.Context, inner wire.MsgType, payload []byte) ([]nodeReply, error) {
+// encoded with its cells as the allow-list, so the union of the per-node
+// answers covers every cell exactly once. A node death mid-wave reassigns
+// its cells to surviving owners and resends the whole wave. Replies come
+// back compacted in node-id order.
+func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte)) ([]nodeReply, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: fan-out aborted: %w", err)
@@ -262,8 +260,8 @@ func (c *Coordinator) filteredFan(ctx context.Context, inner wire.MsgType, paylo
 			if len(allow[i]) == 0 {
 				return nil
 			}
-			req := wire.FilteredReq{Allow: allow[i], Inner: inner, Payload: payload}
-			respType, resp, err := c.nodes[i].roundTrip(ctx, wire.MsgFilteredQuery, req.Encode(), c.opts.NodeTimeout)
+			t, payload := encode(allow[i])
+			respType, resp, err := c.nodes[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout)
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; reassigning read owners", err)

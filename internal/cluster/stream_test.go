@@ -61,11 +61,11 @@ func TestClusterStreamIngest(t *testing.T) {
 				t.Fatalf("%d-node cluster: query %d: candidate list diverges after streamed ingest",
 					numNodes, qi)
 			}
-			wantRes, _, err := refClient.ApproxKNN(q, 10, 200)
+			wantRes, _, err := search(refClient, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRes, _, err := client.ApproxKNN(q, 10, 200)
+			gotRes, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,11 +125,11 @@ func TestClusterStreamIngestReplicated(t *testing.T) {
 
 	for _, qi := range []int{7, 250, 600} {
 		q := w.data.Objects[qi].Vec
-		wantRes, _, err := refClient.ApproxKNN(q, 10, 200)
+		wantRes, _, err := search(refClient, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, _, err := client.ApproxKNN(q, 10, 200)
+		gotRes, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200})
 		if err != nil {
 			t.Fatal(err)
 		}

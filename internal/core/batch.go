@@ -169,18 +169,3 @@ func (c *EncryptedClient) InsertBatchContext(ctx context.Context, objs []metric.
 	finish(&costs, start)
 	return costs, nil
 }
-
-// ApproxKNNBatch evaluates approximate k-NN for many queries at once.
-//
-// Deprecated: use SearchBatch with KindApproxKNN queries, which adds
-// context support and mixed query kinds.
-func (c *EncryptedClient) ApproxKNNBatch(qs []metric.Vector, k, candSize int) ([][]Result, stats.Costs, error) {
-	if k <= 0 || candSize <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k and candSize must be positive (k=%d, candSize=%d)", k, candSize)
-	}
-	queries := make([]Query, len(qs))
-	for i, q := range qs {
-		queries[i] = Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize}
-	}
-	return c.SearchBatch(context.Background(), queries)
-}

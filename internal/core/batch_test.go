@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -79,11 +80,11 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				shards, pipedSrv.Index().Size(), monoSrv.Index().Size())
 		}
 		q := ds.Objects[3].Vec
-		want, _, err := mono.ApproxKNN(q, 10, 120)
+		want, _, err := search(mono, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 120})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := piped.ApproxKNN(q, 10, 120)
+		got, _, err := search(piped, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 120})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestApproxKNNBatchMatchesSequential(t *testing.T) {
 				qs[i] = ds.Objects[i*31].Vec
 			}
 			const k, candSize = 10, 100
-			batched, costs, err := client.ApproxKNNBatch(qs, k, candSize)
+			batched, costs, err := client.SearchBatch(context.Background(), approxQueries(qs, k, candSize))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestApproxKNNBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("batch refined %d candidates, want %d", costs.Candidates, len(qs)*candSize)
 			}
 			for i, q := range qs {
-				want, _, err := client.ApproxKNN(q, k, candSize)
+				want, _, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +166,7 @@ func TestBatchErrorCarriesChunkContext(t *testing.T) {
 	}
 	t.Cleanup(func() { bad.Close() })
 	qs := []metric.Vector{ds.Objects[0].Vec, ds.Objects[1].Vec, ds.Objects[2].Vec}
-	_, _, err = bad.ApproxKNNBatch(qs, 3, 10)
+	_, _, err = bad.SearchBatch(context.Background(), approxQueries(qs, 3, 10))
 	if err == nil {
 		t.Fatal("mismatched ranking accepted")
 	}
@@ -202,13 +203,10 @@ func TestApproxKNNBatchValidation(t *testing.T) {
 	if _, err := client.Insert(ds.Objects[:50]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.ApproxKNNBatch([]metric.Vector{ds.Objects[0].Vec}, 0, 10); err == nil {
+	if _, _, err := client.SearchBatch(context.Background(), approxQueries([]metric.Vector{ds.Objects[0].Vec}, 0, 10)); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := client.ApproxKNNBatch([]metric.Vector{ds.Objects[0].Vec}, 1, 0); err == nil {
-		t.Fatal("candSize=0 accepted")
-	}
-	out, _, err := client.ApproxKNNBatch(nil, 5, 10)
+	out, _, err := client.SearchBatch(context.Background(), approxQueries(nil, 5, 10))
 	if err != nil || out != nil {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}

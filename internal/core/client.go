@@ -380,77 +380,6 @@ func (c *coder) refineLimited(q metric.Vector, cands []mindex.Entry, limit int, 
 	return refined, nil
 }
 
-// Legacy query surface. These methods predate the unified Query API and
-// remain as thin wrappers over Search so existing callers keep working;
-// new code should build a Query and call Search / SearchBatch, which add
-// context support (deadlines, cancellation) these entry points lack. See
-// DESIGN.md §API for the deprecation policy.
-
-// Range evaluates the precise range query R(q, r): the client reveals only
-// the query–pivot distance vector; the server returns pivot-filtered
-// candidates that the client decrypts and refines.
-//
-// Deprecated: use Search with KindRange.
-func (c *EncryptedClient) Range(q metric.Vector, r float64) ([]Result, stats.Costs, error) {
-	return c.Search(context.Background(), Query{Kind: KindRange, Vec: q, Radius: r})
-}
-
-// ApproxKNN evaluates the approximate k-NN query of Algorithm 2: the client
-// reveals the query permutation (footrule ranking) or distance vector
-// (distance-sum ranking) plus the requested candidate-set size, then refines
-// the returned pre-ranked candidates.
-//
-// Deprecated: use Search with KindApproxKNN.
-func (c *EncryptedClient) ApproxKNN(q metric.Vector, k, candSize int) ([]Result, stats.Costs, error) {
-	if k <= 0 || candSize <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k and candSize must be positive (k=%d, candSize=%d)", k, candSize)
-	}
-	return c.Search(context.Background(), Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize})
-}
-
-// ApproxKNNPartial is ApproxKNN with client-side partial refinement: the
-// candidate set arrives pre-ranked by cell promise, so the client "can
-// choose to decrypt and compute distances only for candidates with the
-// highest rank to speed up the search process" (Section 4.2). Only the
-// first refineLimit candidates are decrypted and refined; the remainder is
-// paid for in communication but not in decryption or distance time.
-//
-// Deprecated: use Search with KindApproxKNN and RefineLimit.
-func (c *EncryptedClient) ApproxKNNPartial(q metric.Vector, k, candSize, refineLimit int) ([]Result, stats.Costs, error) {
-	if k <= 0 || candSize <= 0 || refineLimit <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k, candSize and refineLimit must be positive (k=%d candSize=%d refineLimit=%d)",
-			k, candSize, refineLimit)
-	}
-	return c.Search(context.Background(),
-		Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize, RefineLimit: refineLimit})
-}
-
-// KNN evaluates the precise k-NN query as Section 4.2 prescribes: an
-// approximate k-NN determines ρk, the distance to the k-th candidate
-// neighbor (an upper bound on the true k-th neighbor distance), and the
-// precise range query R(q, ρk) then guarantees completeness. Two round
-// trips; candSize tunes the first phase.
-//
-// Deprecated: use Search with KindKNN.
-func (c *EncryptedClient) KNN(q metric.Vector, k, candSize int) ([]Result, stats.Costs, error) {
-	if k <= 0 || candSize <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k and candSize must be positive (k=%d, candSize=%d)", k, candSize)
-	}
-	return c.Search(context.Background(), Query{Kind: KindKNN, Vec: q, K: k, CandSize: candSize})
-}
-
-// FirstCellKNN evaluates the restricted 1-cell approximate k-NN of the
-// paper's Section 5.4 comparison: the server contributes exactly one
-// Voronoi cell as the candidate set.
-//
-// Deprecated: use Search with KindFirstCell.
-func (c *EncryptedClient) FirstCellKNN(q metric.Vector, k int) ([]Result, stats.Costs, error) {
-	if k <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	return c.Search(context.Background(), Query{Kind: KindFirstCell, Vec: q, K: k})
-}
-
 // maxRadius is an effectively unbounded query radius.
 const maxRadius = 1e300
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"simcloud/internal/pivot"
 	"simcloud/internal/secret"
 	"simcloud/internal/server"
+	"simcloud/internal/stats"
 	"simcloud/internal/wire"
 )
 
@@ -30,6 +32,21 @@ func testConfig() mindex.Config {
 		Storage:        mindex.StorageMemory,
 		Ranking:        mindex.RankFootrule,
 	}
+}
+
+// search evaluates one query without a deadline — what the tests used the
+// removed per-kind convenience methods for.
+func search(s Searcher, q Query) ([]Result, stats.Costs, error) {
+	return s.Search(context.Background(), q)
+}
+
+// approxQueries builds one approximate k-NN query per vector.
+func approxQueries(qs []metric.Vector, k, candSize int) []Query {
+	out := make([]Query, len(qs))
+	for i, q := range qs {
+		out[i] = Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize}
+	}
+	return out
 }
 
 // testCloud spins up an encrypted server + authorized client over loopback
@@ -97,7 +114,7 @@ func TestEncryptedRangeMatchesBruteForce(t *testing.T) {
 	for trial := range 10 {
 		q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
 		r := []float64{1, 4, 12}[trial%3]
-		got, costs, err := client.Range(q, r)
+		got, costs, err := search(client, Query{Kind: KindRange, Vec: q, Radius: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +147,7 @@ func TestEncryptedPreciseKNNMatchesBruteForce(t *testing.T) {
 	for range 8 {
 		q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
 		k := 1 + rng.IntN(10)
-		got, _, err := client.KNN(q, k, 64)
+		got, _, err := search(client, Query{Kind: KindKNN, Vec: q, K: k, CandSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +172,7 @@ func TestEncryptedApproxKNNRecall(t *testing.T) {
 		const queries = 15
 		for range queries {
 			q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
-			got, costs, err := client.ApproxKNN(q, k, candSize)
+			got, costs, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +264,7 @@ func TestPlainClientEndToEnd(t *testing.T) {
 
 	q := ds.Objects[5].Vec
 	// Precise KNN against brute force.
-	got, kcosts, err := client.KNN(q, 7)
+	got, kcosts, err := search(client, Query{Kind: KindKNN, Vec: q, K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +282,7 @@ func TestPlainClientEndToEnd(t *testing.T) {
 	}
 
 	// Range.
-	rres, _, err := client.Range(q, 5)
+	rres, _, err := search(client, Query{Kind: KindRange, Vec: q, Radius: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +293,11 @@ func TestPlainClientEndToEnd(t *testing.T) {
 	}
 
 	// Approximate: returns k results, comm cost independent of candSize.
-	a1, c1, err := client.ApproxKNN(q, 5, 50)
+	a1, c1, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: 5, CandSize: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, c2, err := client.ApproxKNN(q, 5, 400)
+	a2, c2, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: 5, CandSize: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +324,7 @@ func TestWrongKeyCannotDecrypt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer attacker.Close()
-	_, _, err = attacker.ApproxKNN(ds.Objects[0].Vec, 5, 50)
+	_, _, err = search(attacker, Query{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 5, CandSize: 50})
 	if err == nil {
 		t.Fatal("attacker refined candidates without the data key")
 	}
@@ -340,13 +357,10 @@ func TestModeMismatchIsRemoteError(t *testing.T) {
 func TestValidation(t *testing.T) {
 	client, ds, _ := testCloud(t, Options{}, true)
 	q := ds.Objects[0].Vec
-	if _, _, err := client.ApproxKNN(q, 0, 10); err == nil {
+	if _, _, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: 0, CandSize: 10}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := client.ApproxKNN(q, 5, 0); err == nil {
-		t.Error("candSize=0 accepted")
-	}
-	if _, _, err := client.FirstCellKNN(q, 0); err == nil {
+	if _, _, err := search(client, Query{Kind: KindFirstCell, Vec: q, K: 0}); err == nil {
 		t.Error("first-cell k=0 accepted")
 	}
 	if _, err := DialEncrypted("127.0.0.1:1", nil, Options{PrefixLen: 1, MaxLevel: 8}); err == nil {
@@ -361,7 +375,7 @@ func TestFirstCellKNN(t *testing.T) {
 	const queries = 30
 	for range queries {
 		q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
-		got, costs, err := client.FirstCellKNN(q, 1)
+		got, costs, err := search(client, Query{Kind: KindFirstCell, Vec: q, K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +416,7 @@ func TestConcurrentClients(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(w), 77))
 			for range 10 {
 				q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
-				if _, _, err := c.ApproxKNN(q, 5, 60); err != nil {
+				if _, _, err := search(c, Query{Kind: KindApproxKNN, Vec: q, K: 5, CandSize: 60}); err != nil {
 					errs <- err
 					return
 				}
@@ -456,11 +470,11 @@ func TestParallelInsertEquivalent(t *testing.T) {
 		t.Fatalf("tree stats differ: %+v vs %+v", st1, st4)
 	}
 	q := ds.Objects[11].Vec
-	r1, _, err := c1.Range(q, 6)
+	r1, _, err := search(c1, Query{Kind: KindRange, Vec: q, Radius: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, _, err := c4.Range(q, 6)
+	r4, _, err := search(c4, Query{Kind: KindRange, Vec: q, Radius: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +491,11 @@ func TestParallelInsertEquivalent(t *testing.T) {
 func TestApproxKNNPartialRefinement(t *testing.T) {
 	client, ds, _ := testCloud(t, Options{}, true)
 	q := ds.Objects[21].Vec
-	_, fullCosts, err := client.ApproxKNN(q, 10, 400)
+	_, fullCosts, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, partCosts, err := client.ApproxKNNPartial(q, 10, 400, 80)
+	partial, partCosts, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 400, RefineLimit: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,9 +516,5 @@ func TestApproxKNNPartialRefinement(t *testing.T) {
 	// partial refinement must find it.
 	if partial[0].Dist != 0 {
 		t.Fatalf("partial refinement missed the query object: nearest %g", partial[0].Dist)
-	}
-	// Validation.
-	if _, _, err := client.ApproxKNNPartial(q, 10, 400, 0); err == nil {
-		t.Fatal("refineLimit=0 accepted")
 	}
 }

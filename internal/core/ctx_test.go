@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,6 +43,14 @@ type stalledServer struct {
 
 func newStalledServer(t *testing.T, mode uint8, numPivots int) *stalledServer {
 	t.Helper()
+	return newStalledServerHello(t,
+		wire.HelloResp{Version: wire.ProtocolVersion, Mode: mode, NumPivots: uint32(numPivots)}.Encode())
+}
+
+// newStalledServerHello is newStalledServer answering hellos with the given
+// raw payload.
+func newStalledServerHello(t *testing.T, hello []byte) *stalledServer {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +75,7 @@ func newStalledServer(t *testing.T, mode uint8, numPivots int) *stalledServer {
 						return // client closed (or gave up)
 					}
 					if typ == wire.MsgHello {
-						resp := wire.HelloResp{Mode: mode, NumPivots: uint32(numPivots)}.Encode()
-						if err := wire.WriteFrame(conn, wire.MsgHelloAck, resp); err != nil {
+						if err := wire.WriteFrame(conn, wire.MsgHelloAck, hello); err != nil {
 							return
 						}
 						continue
@@ -79,6 +87,36 @@ func newStalledServer(t *testing.T, mode uint8, numPivots int) *stalledServer {
 		}
 	}()
 	return s
+}
+
+// TestDialRejectsProtocolMismatch: a server answering the hello in the
+// version-1 shape (no trailing version field) — or announcing any other
+// version — is refused at dial time with an error naming both versions, not
+// mis-decoded, and the socket is released.
+func TestDialRejectsProtocolMismatch(t *testing.T) {
+	key, _ := testKey(t)
+	v2 := wire.HelloResp{Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivotCount}
+	v3 := v2
+	v3.Version = wire.ProtocolVersion + 1
+	for name, tc := range map[string]struct {
+		hello []byte
+		peer  string
+	}{
+		"v1-shaped": {v2.Encode()[:len(v2.Encode())-4], "v1"},
+		"newer":     {v3.Encode(), fmt.Sprintf("v%d", v3.Version)},
+	} {
+		srv := newStalledServerHello(t, tc.hello)
+		client, err := DialEncrypted(srv.ln.Addr().String(), key, Options{MaxLevel: testMaxLevel})
+		if err == nil {
+			client.Close()
+			t.Fatalf("%s: dial succeeded against a mismatched peer", name)
+		}
+		if !strings.Contains(err.Error(), tc.peer) || !strings.Contains(err.Error(), fmt.Sprintf("v%d", wire.ProtocolVersion)) {
+			t.Fatalf("%s: error %q does not name both versions", name, err)
+		}
+		waitFor(t, name+": rejected dial to release its connection",
+			func() bool { return srv.opened.Load() > 0 && srv.closed.Load() == srv.opened.Load() })
+	}
 }
 
 // TestSearchDeadlineAgainstStalledServer is the acceptance criterion: a

@@ -51,7 +51,7 @@ func TestDeleteEndToEnd(t *testing.T) {
 			}
 
 			// Unbounded range: exactly the survivors come back, decryptable.
-			res, _, err := client.Range(ds.Objects[200].Vec, 1e18)
+			res, _, err := search(client, Query{Kind: KindRange, Vec: ds.Objects[200].Vec, Radius: 1e18})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestDeleteEndToEnd(t *testing.T) {
 			}
 
 			// Approximate search never surfaces deleted candidates either.
-			knn, _, err := client.ApproxKNN(victims[0].Vec, 10, 200)
+			knn, _, err := search(client, Query{Kind: KindApproxKNN, Vec: victims[0].Vec, K: 10, CandSize: 200})
 			if err != nil {
 				t.Fatal(err)
 			}

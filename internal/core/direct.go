@@ -8,7 +8,6 @@ import (
 	"simcloud/internal/engine"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
-	"simcloud/internal/pivot"
 	"simcloud/internal/secret"
 	"simcloud/internal/stats"
 	"simcloud/internal/wire"
@@ -91,38 +90,22 @@ func (c *DirectClient) Close() error {
 	return nil
 }
 
-// evalWire evaluates one wire-shaped query against the embedded engine —
-// the in-process mirror of the server's dispatch, so a DirectClient query
-// touches exactly the index code paths a remote one would.
-func (c *DirectClient) evalWire(wq wire.BatchQuery) ([]mindex.Entry, error) {
-	switch wq.Kind {
-	case wire.BatchRange:
-		return c.eng.RangeByDists(wq.Dists, wq.Radius)
-	case wire.BatchApproxPerm:
-		return c.eng.ApproxCandidates(mindex.ApproxQuery{Ranks: pivot.Ranks(wq.Perm)}, int(wq.CandSize))
-	case wire.BatchApproxDists:
-		return c.eng.ApproxCandidates(mindex.ApproxQuery{
-			Dists: wq.Dists,
-			Ranks: pivot.Ranks(pivot.Permutation(wq.Dists)),
-		}, int(wq.CandSize))
-	default: // wire.BatchFirstCell
-		aq := mindex.ApproxQuery{Dists: wq.Dists}
-		if len(wq.Perm) > 0 {
-			aq.Ranks = pivot.Ranks(wq.Perm)
-		}
-		return c.eng.FirstCellCandidates(aq)
-	}
-}
-
-// engineCandidates evaluates the wire query, charging the engine time to
-// ServerTime — the cost decomposition stays comparable with the networked
-// backends (CommTime and the byte counters are structurally zero here).
+// engineCandidates evaluates one wire-shaped query against the embedded
+// engine through wire.BatchQuery.IndexQuery — the translation the server's
+// dispatch uses, so a DirectClient query touches exactly the index code
+// paths a remote one would — charging the engine time to ServerTime: the
+// cost decomposition stays comparable with the networked backends (CommTime
+// and the byte counters are structurally zero here).
 func (c *DirectClient) engineCandidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs) ([]mindex.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: direct search aborted: %w", err)
 	}
 	engStart := time.Now()
-	cands, err := c.evalWire(wq)
+	iq, err := wq.IndexQuery(c.eng.Config().NumPivots, nil)
+	var cands []mindex.Entry
+	if err == nil {
+		cands, err = mindex.Flat(c.eng.Search(iq))
+	}
 	costs.ServerTime += time.Since(engStart)
 	return cands, err
 }

@@ -36,10 +36,11 @@
 //
 // For the same key, configuration and collection, all three return
 // identical result lists for every query kind (enforced by
-// TestSearcherBackendEquivalence). The per-kind legacy methods (Range,
-// KNN, ApproxKNN, ApproxKNNPartial, FirstCellKNN, ApproxKNNBatch) remain
-// as thin wrappers over Search; see DESIGN.md §API for the deprecation
-// policy.
+// TestSearcherBackendEquivalence). Search and SearchBatch are the only
+// query entry points; on the wire every encrypted query, alone or batched,
+// is one wire.MsgBatchQuery, and the in-process DirectClient evaluates the
+// same wire.BatchQuery through the same wire-to-index translation
+// (wire.BatchQuery.IndexQuery) the server's dispatch uses.
 //
 // # Contexts, deadlines, concurrency
 //
@@ -65,8 +66,9 @@
 // protocol and return identically ordered candidate sets, so deployments
 // scale from one process to many nodes without any client change — and
 // without the client revealing anything more. The dial handshake verifies
-// only what must hold for the conversation to be meaningful: deployment
-// mode, and (for encrypted clients) the pivot count of the key.
+// only what must hold for the conversation to be meaningful: the protocol
+// version, the deployment mode, and (for encrypted clients) the pivot
+// count of the key.
 //
 // Every operation returns a stats.Costs decomposition (client, server,
 // communication time; encryption, decryption, distance-computation time;

@@ -204,47 +204,6 @@ func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, 
 	return out, costs, nil
 }
 
-// Range evaluates the precise range query R(q, r) fully server-side.
-//
-// Deprecated: use Search with KindRange.
-func (c *PlainClient) Range(q metric.Vector, r float64) ([]Result, stats.Costs, error) {
-	return c.Search(context.Background(), Query{Kind: KindRange, Vec: q, Radius: r})
-}
-
-// KNN evaluates the precise k-NN query fully server-side.
-//
-// Deprecated: use Search with KindKNN.
-func (c *PlainClient) KNN(q metric.Vector, k int) ([]Result, stats.Costs, error) {
-	if k <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	return c.Search(context.Background(), Query{Kind: KindKNN, Vec: q, K: k})
-}
-
-// ApproxKNN evaluates the approximate k-NN query fully server-side; the
-// candidate set of candSize objects is collected and refined on the server,
-// which returns only the k best answers.
-//
-// Deprecated: use Search with KindApproxKNN.
-func (c *PlainClient) ApproxKNN(q metric.Vector, k, candSize int) ([]Result, stats.Costs, error) {
-	if k <= 0 || candSize <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k and candSize must be positive (k=%d, candSize=%d)", k, candSize)
-	}
-	return c.Search(context.Background(), Query{Kind: KindApproxKNN, Vec: q, K: k, CandSize: candSize})
-}
-
-// FirstCellKNN evaluates the restricted 1-cell approximate k-NN fully
-// server-side — the plain counterpart of the encrypted first-cell query,
-// completing kind parity between the deployments.
-//
-// Deprecated: use Search with KindFirstCell.
-func (c *PlainClient) FirstCellKNN(q metric.Vector, k int) ([]Result, stats.Costs, error) {
-	if k <= 0 {
-		return nil, stats.Costs{}, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	return c.Search(context.Background(), Query{Kind: KindFirstCell, Vec: q, K: k})
-}
-
 // Delete is DeleteContext without a deadline.
 func (c *PlainClient) Delete(objs []metric.Object) (int, stats.Costs, error) {
 	return c.DeleteContext(context.Background(), objs)

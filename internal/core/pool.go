@@ -255,10 +255,13 @@ func helloHandshake(ctx context.Context, conn *wire.CountingConn) (wire.HelloRes
 	return hello, nil
 }
 
-// checkHello validates the handshake: the deployment mode must match the
-// client flavor, and for encrypted clients the server's pivot count must
-// match the key's.
+// checkHello validates the handshake: the server must speak this build's
+// protocol version, the deployment mode must match the client flavor, and
+// for encrypted clients the server's pivot count must match the key's.
 func checkHello(hello wire.HelloResp, wantMode uint8, wantPivots int) error {
+	if err := hello.CheckVersion(); err != nil {
+		return fmt.Errorf("core: hello handshake: %w", err)
+	}
 	if hello.Mode != wantMode {
 		return fmt.Errorf("core: server runs the %s deployment, this client speaks the %s protocol",
 			helloModeName(hello.Mode), helloModeName(wantMode))

@@ -24,7 +24,7 @@ func TestRawDataRoundTrip(t *testing.T) {
 	}
 
 	// The complete outsourced flow: similarity search → IDs → raw fetch.
-	res, _, err := client.ApproxKNN(ds.Objects[7].Vec, 5, 100)
+	res, _, err := search(client, Query{Kind: KindApproxKNN, Vec: ds.Objects[7].Vec, K: 5, CandSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,9 @@ import (
 	"simcloud/internal/wire"
 )
 
-// The unified query path of the encrypted client: Search evaluates one
-// Query of any kind, SearchBatch pipelines many. Both reveal to the server
-// exactly what the corresponding legacy entry point revealed — a
-// permutation or a (transformed) distance vector per query, nothing else —
+// The query path of the encrypted client: Search evaluates one Query of
+// any kind, SearchBatch pipelines many. Both reveal to the server a
+// permutation or a (transformed) distance vector per query, nothing else,
 // and both honor ctx end to end: every round trip runs under
 // context-derived read/write deadlines, and the pipelined batch path
 // checks for cancellation between chunks.
@@ -33,7 +32,7 @@ func (c *coder) queryDists(q Query, costs *stats.Costs) []float64 {
 // phase of a KindKNN query) into its wire form. KindRange reveals the
 // transformed distance vector; the approximate kinds reveal the
 // permutation (footrule ranking) or transformed distances (distance-sum
-// ranking) — identical disclosure to the legacy single-query messages.
+// ranking).
 func (c *coder) wireQuery(nq Query, qDists []float64) wire.BatchQuery {
 	switch nq.Kind {
 	case KindRange:
@@ -63,45 +62,9 @@ func (c *coder) wireQuery(nq Query, qDists []float64) wire.BatchQuery {
 	}
 }
 
-// singleMessage maps a wire.BatchQuery onto the equivalent single-query
-// protocol message, so a lone Search costs one slim frame instead of a
-// batch envelope.
-func singleMessage(wq wire.BatchQuery) (wire.MsgType, []byte) {
-	switch wq.Kind {
-	case wire.BatchRange:
-		return wire.MsgRangeDists, wire.RangeDistsReq{Dists: wq.Dists, Radius: wq.Radius}.Encode()
-	case wire.BatchApproxDists:
-		return wire.MsgApproxDists, wire.ApproxDistsReq{Dists: wq.Dists, CandSize: wq.CandSize}.Encode()
-	case wire.BatchFirstCell:
-		return wire.MsgFirstCell, wire.FirstCellReq{Perm: wq.Perm, Dists: wq.Dists}.Encode()
-	default:
-		return wire.MsgApproxPerm, wire.ApproxPermReq{Perm: wq.Perm, CandSize: wq.CandSize}.Encode()
-	}
-}
-
-// candidates runs one candidate-producing round trip under ctx.
-func (c *EncryptedClient) candidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs) ([]mindex.Entry, error) {
-	reqType, payload := singleMessage(wq)
-	respType, resp, err := c.roundTrip(ctx, reqType, payload, costs)
-	if err != nil {
-		return nil, err
-	}
-	if respType != wire.MsgCandidates {
-		return nil, fmt.Errorf("core: unexpected %v response %v", reqType, respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		return nil, err
-	}
-	creditServer(costs, m.ServerNanos)
-	return m.Entries, nil
-}
-
-// Search evaluates one similarity query against the encrypted cloud. The
-// candidate exchange and refinement mirror the legacy per-kind entry
-// points exactly (identical disclosure, identical results); ctx adds what
-// they lacked — its deadline bounds every round trip, and cancelling it
-// interrupts an exchange blocked on a stalled server.
+// Search evaluates one similarity query against the encrypted cloud. ctx's
+// deadline bounds every round trip, and cancelling it interrupts an
+// exchange blocked on a stalled server.
 func (c *EncryptedClient) Search(ctx context.Context, q Query) ([]Result, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
@@ -121,12 +84,13 @@ func (c *EncryptedClient) searchOne(ctx context.Context, nq Query, costs *stats.
 	if nq.Kind == KindKNN {
 		return searchKNN(ctx, nq, costs, c.searchOne)
 	}
-	qDists := c.queryDists(nq, costs)
-	cands, err := c.candidates(ctx, c.wireQuery(nq, qDists), costs)
+	// A lone query rides the batch path as a batch of one.
+	wq := c.wireQuery(nq, c.queryDists(nq, costs))
+	cands, err := c.batchCandidates(ctx, []wire.BatchQuery{wq}, costs, func(i int) int { return i })
 	if err != nil {
 		return nil, err
 	}
-	return c.finishQuery(nq, cands, costs)
+	return c.finishQuery(nq, cands[0], costs)
 }
 
 // finishQuery applies the per-kind client-side epilogue to a candidate

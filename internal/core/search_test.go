@@ -168,50 +168,6 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesLegacyMethods: the legacy entry points are wrappers
-// over Search; both spellings must agree exactly.
-func TestSearchMatchesLegacyMethods(t *testing.T) {
-	enc, _, _, ds := threeBackends(t)
-	ctx := context.Background()
-	q := ds.Objects[11].Vec
-
-	legacy, _, err := enc.ApproxKNN(q, 5, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, _, err := enc.Search(ctx, Query{Kind: KindApproxKNN, Vec: q, K: 5, CandSize: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffResults(legacy, unified); d != "" {
-		t.Errorf("ApproxKNN vs Search: %s", d)
-	}
-
-	legacy, _, err = enc.ApproxKNNPartial(q, 5, 60, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, _, err = enc.Search(ctx, Query{Kind: KindApproxKNN, Vec: q, K: 5, CandSize: 60, RefineLimit: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffResults(legacy, unified); d != "" {
-		t.Errorf("ApproxKNNPartial vs Search: %s", d)
-	}
-
-	legacy, _, err = enc.Range(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, _, err = enc.Search(ctx, Query{Kind: KindRange, Vec: q, Radius: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffResults(legacy, unified); d != "" {
-		t.Errorf("Range vs Search: %s", d)
-	}
-}
-
 // TestQueryValidation: malformed queries fail identically on every
 // backend, before any IO.
 func TestQueryValidation(t *testing.T) {

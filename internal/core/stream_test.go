@@ -42,11 +42,11 @@ func TestInsertStreamMatchesInsert(t *testing.T) {
 				shards, streamedSrv.Index().Size(), monoSrv.Index().Size())
 		}
 		q := ds.Objects[3].Vec
-		want, _, err := mono.ApproxKNN(q, 10, 120)
+		want, _, err := search(mono, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 120})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := streamed.ApproxKNN(q, 10, 120)
+		got, _, err := search(streamed, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 120})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,13 +143,13 @@ func TestInsertStreamDuplicateFails(t *testing.T) {
 	// them before re-pooling the connection, so the next exchanges — a
 	// query and a fresh stream — see a cleanly framed connection, not a
 	// stale ingest ack.
-	if _, _, err := client.ApproxKNN(ds.Objects[0].Vec, 5, 60); err != nil {
+	if _, _, err := search(client, Query{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 5, CandSize: 60}); err != nil {
 		t.Fatalf("query after failed stream: %v", err)
 	}
 	if _, err := client.InsertStream(ds.Objects[100:200]); err != nil {
 		t.Fatalf("fresh stream after failed stream: %v", err)
 	}
-	if _, _, err := client.ApproxKNN(ds.Objects[150].Vec, 5, 60); err != nil {
+	if _, _, err := search(client, Query{Kind: KindApproxKNN, Vec: ds.Objects[150].Vec, K: 5, CandSize: 60}); err != nil {
 		t.Fatalf("query after recovered stream: %v", err)
 	}
 }
@@ -193,11 +193,11 @@ func TestInsertStreamPlain(t *testing.T) {
 			streamedSrv.PlainIndex().Idx.Size(), monoSrv.PlainIndex().Idx.Size())
 	}
 	q := ds.Objects[5].Vec
-	want, _, err := mono.KNN(q, 10)
+	want, _, err := search(mono, Query{Kind: KindKNN, Vec: q, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := streamed.KNN(q, 10)
+	got, _, err := search(streamed, Query{Kind: KindKNN, Vec: q, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestTransformedRangeStillExact(t *testing.T) {
 	for trial := range 10 {
 		q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
 		r := []float64{1, 4, 10}[trial%3]
-		got, _, err := client.Range(q, r)
+		got, _, err := search(client, Query{Kind: KindRange, Vec: q, Radius: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestTransformedPreciseKNNStillExact(t *testing.T) {
 	for range 6 {
 		q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
 		k := 1 + rng.IntN(8)
-		got, _, err := client.KNN(q, k, 50)
+		got, _, err := search(client, Query{Kind: KindKNN, Vec: q, K: k, CandSize: 50})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,14 @@
 // searches out across a bounded worker pool (internal/fanout), converting
 // the serving hot path from lock-serialized to core-parallel.
 //
+// # One read entry point
+//
+// Search(mindex.Query) is the only read path: one fan-out body sends the
+// query — whatever its kind, with or without a first-level allow-list — to
+// every shard, and merge.Combine folds the per-shard answers by kind. The
+// per-kind methods (RangeByDists, ApproxCandidates, ApproxCandidatesRanked,
+// FirstCellCandidates, AllEntries) are one-line adapters over it.
+//
 // # Key invariant: routing and merge order
 //
 // An entry whose pivot permutation starts with pivot p is routed to shard
@@ -18,9 +26,9 @@
 // merged by (promise, prefix, shard) via internal/merge — the one shared
 // implementation of Algorithm 4's "next promising Voronoi cell" discipline
 // across partitions, also used by the cluster coordinator
-// (internal/cluster) to merge whole servers. ApproxCandidatesRanked keeps
-// the per-candidate annotations so that outer aggregation layer can repeat
-// the identical merge.
+// (internal/cluster) to merge whole servers. Search keeps the
+// per-candidate annotations so that outer aggregation layer can repeat the
+// identical combine.
 //
 // With Shards <= 1 the engine is a transparent wrapper around a single
 // mindex.Index and reproduces its results byte for byte.

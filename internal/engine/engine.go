@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,32 +30,11 @@ type ShardedIndex struct {
 	readPool *fanout.Pool
 	closed   atomic.Bool
 
-	// Fan-out scratch pools: the per-shard result slices a query fans out
-	// into are recycled across queries (one pool per result shape), so the
-	// steady-state multi-shard hot path allocates no fan-out scaffolding.
-	// Pooled slices are cleared before reuse — a parked slice never pins a
+	// scratch recycles the per-shard result slices a search fans out into,
+	// so the steady-state multi-shard hot path allocates no fan-out
+	// scaffolding. A slice is cleared before it is parked — it never pins a
 	// previous query's results.
-	entriesScratch scratchPool[[]mindex.Entry]
-	rankedScratch  scratchPool[[]mindex.RankedCandidate]
-	cellScratch    scratchPool[merge.Cell]
-}
-
-// scratchPool recycles fixed-length fan-out slices (one element per shard).
-type scratchPool[T any] struct {
-	p sync.Pool
-}
-
-func (sp *scratchPool[T]) get(n int) *[]T {
-	if v := sp.p.Get(); v != nil {
-		return v.(*[]T)
-	}
-	s := make([]T, n)
-	return &s
-}
-
-func (sp *scratchPool[T]) put(s *[]T) {
-	clear(*s)
-	sp.p.Put(s)
+	scratch sync.Pool
 }
 
 // New creates an empty sharded index. cfg.Shards selects the partition
@@ -396,132 +374,67 @@ func (s *ShardedIndex) Dead() int {
 	return total
 }
 
-// RangeByDists fans the precise range query out to every shard and
-// concatenates the per-shard candidate sets (exact: each first-level cell
-// lives in exactly one shard, and all pruning bounds are per-cell).
+// Search is the engine's one read entry point: the query fans out to every
+// shard (each first-level cell lives in exactly one) and merge.Combine folds
+// the per-shard answers by the query's kind — concatenation for the exact
+// kinds, the (promise, prefix, shard) merge trimmed to the candidate size for
+// approximate candidates, the globally most promising cell for first-cell —
+// so the result is byte-identical to one unsharded index's. The annotations
+// stay on, letting a cluster coordinator repeat exactly this combine across
+// nodes.
+func (s *ShardedIndex) Search(q mindex.Query) ([]mindex.RankedCandidate, error) {
+	if len(s.shards) == 1 {
+		if s.closed.Load() {
+			return nil, errClosed
+		}
+		return s.shards[0].Search(q)
+	}
+	perp, _ := s.scratch.Get().(*[][]mindex.RankedCandidate)
+	if perp == nil {
+		per := make([][]mindex.RankedCandidate, len(s.shards))
+		perp = &per
+	}
+	defer func() {
+		clear(*perp)
+		s.scratch.Put(perp)
+	}()
+	per := *perp
+	err := s.fanOutRead(func(i int) error {
+		out, err := s.shards[i].Search(q)
+		per[i] = out
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return merge.Combine(q, per), nil
+}
+
+// RangeByDists is the flat form of a KindRange Search.
 func (s *ShardedIndex) RangeByDists(qDists []float64, r float64) ([]mindex.Entry, error) {
-	if len(s.shards) == 1 {
-		if s.closed.Load() {
-			return nil, errClosed
-		}
-		return s.shards[0].RangeByDists(qDists, r)
-	}
-	perp := s.entriesScratch.get(len(s.shards))
-	defer s.entriesScratch.put(perp)
-	per := *perp
-	err := s.fanOutRead(func(i int) error {
-		out, err := s.shards[i].RangeByDists(qDists, r)
-		per[i] = out
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return slices.Concat(per...), nil
+	return mindex.Flat(s.Search(mindex.Query{
+		Kind: mindex.KindRange, ApproxQuery: mindex.ApproxQuery{Dists: qDists}, Radius: r}))
 }
 
-// ApproxCandidates fans the approximate query out to every shard, each
-// collecting up to candSize promise-ranked candidates, and merges the
-// streams by (promise, prefix, shard) into one globally ranked list trimmed
-// to candSize — the cross-shard equivalent of Algorithm 4's cell ordering.
+// ApproxCandidates is the flat form of a KindApprox Search.
 func (s *ShardedIndex) ApproxCandidates(q mindex.ApproxQuery, candSize int) ([]mindex.Entry, error) {
-	if len(s.shards) == 1 {
-		// Hot path: serve the shard's entries directly instead of
-		// materializing ranking annotations just to strip them again.
-		if s.closed.Load() {
-			return nil, errClosed
-		}
-		return s.shards[0].ApproxCandidates(q, candSize)
-	}
-	rcs, err := s.ApproxCandidatesRanked(q, candSize)
-	if err != nil {
-		return nil, err
-	}
-	return merge.Entries(rcs, candSize), nil
+	return mindex.Flat(s.ApproxCandidatesRanked(q, candSize))
 }
 
-// ApproxCandidatesRanked is ApproxCandidates with the source-cell promise
-// and prefix kept on every candidate: per-shard ranked streams are merged
-// by internal/merge and trimmed to candSize. The annotations let a further
-// aggregation layer — the cluster coordinator fronting several servers —
-// repeat exactly this merge across nodes.
+// ApproxCandidatesRanked is a KindApprox Search over every cell.
 func (s *ShardedIndex) ApproxCandidatesRanked(q mindex.ApproxQuery, candSize int) ([]mindex.RankedCandidate, error) {
-	if len(s.shards) == 1 {
-		if s.closed.Load() {
-			return nil, errClosed
-		}
-		return s.shards[0].ApproxCandidatesRanked(q, candSize)
-	}
-	perp := s.rankedScratch.get(len(s.shards))
-	defer s.rankedScratch.put(perp)
-	per := *perp
-	err := s.fanOutRead(func(i int) error {
-		out, err := s.shards[i].ApproxCandidatesRanked(q, candSize)
-		per[i] = out
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := merge.Ranked(per)
-	if len(merged) > candSize {
-		merged = merged[:candSize]
-	}
-	return merged, nil
+	return s.Search(mindex.Query{Kind: mindex.KindApprox, ApproxQuery: q, CandSize: candSize})
 }
 
-// FirstCellCandidates returns the entries of the globally most promising
-// non-empty Voronoi cell: each shard nominates its best cell, and the
-// winner is chosen by (promise, prefix, shard).
+// FirstCellCandidates is the flat form of a KindFirstCell Search.
 func (s *ShardedIndex) FirstCellCandidates(q mindex.ApproxQuery) ([]mindex.Entry, error) {
-	entries, _, _, err := s.FirstCellRanked(q)
-	return entries, err
-}
-
-// FirstCellRanked is FirstCellCandidates with the winning cell's promise
-// and prefix, so a cluster coordinator can pick the globally best cell
-// among per-node winners with merge.BestCell — the same rule applied here
-// across shards. An empty engine yields nil entries.
-func (s *ShardedIndex) FirstCellRanked(q mindex.ApproxQuery) ([]mindex.Entry, float64, []int32, error) {
-	if len(s.shards) == 1 {
-		if s.closed.Load() {
-			return nil, 0, nil, errClosed
-		}
-		return s.shards[0].FirstCellRanked(q)
-	}
-	perp := s.cellScratch.get(len(s.shards))
-	defer s.cellScratch.put(perp)
-	per := *perp
-	err := s.fanOutRead(func(i int) error {
-		entries, promise, prefix, err := s.shards[i].FirstCellRanked(q)
-		per[i] = merge.Cell{Entries: entries, Promise: promise, Prefix: prefix}
-		return err
-	})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	best := merge.BestCell(per)
-	if best < 0 {
-		return nil, 0, nil, nil
-	}
-	return per[best].Entries, per[best].Promise, per[best].Prefix, nil
+	return mindex.Flat(s.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: q}))
 }
 
 // AllEntries returns every stored entry, shard by shard (the trivial
-// download-all baseline).
+// download-all baseline) — the flat form of a KindAll Search.
 func (s *ShardedIndex) AllEntries() ([]mindex.Entry, error) {
-	if s.closed.Load() {
-		return nil, errClosed
-	}
-	per := make([][]mindex.Entry, len(s.shards))
-	for i, sh := range s.shards {
-		out, err := sh.AllEntries()
-		if err != nil {
-			return nil, err
-		}
-		per[i] = out
-	}
-	return slices.Concat(per...), nil
+	return mindex.Flat(s.Search(mindex.Query{Kind: mindex.KindAll}))
 }
 
 // TreeStats aggregates the per-shard cell-tree statistics: counts sum,

@@ -1,0 +1,130 @@
+package engine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"simcloud/internal/mindex"
+	"simcloud/internal/pivot"
+)
+
+// TestSearchEquivalence is the engine-layer table on the single entry point:
+// ranking ∈ {footrule, distance-sum} × shards ∈ {1, 4} × allow ∈ {nil,
+// allow-all, half, empty} × kind. A filtered Search over the full engine
+// must return exactly what the unfiltered Search returns over an engine
+// holding only the allowed first-level cells — candidates, order and
+// annotations — the contract the replicated coordinator's per-owner read
+// assignment depends on; nil and allow-all are both compared against a full
+// copy, so they agree byte for byte; and the flat adapters are the Search
+// result with the annotations dropped.
+func TestSearchEquivalence(t *testing.T) {
+	w := newWorld(t, 31, 1500, 20)
+	all := make([]int32, testPivots)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	allows := map[string][]int32{"nil": nil, "all": all, "half": {0, 1, 4, 7, 9, 11}, "empty": {}}
+
+	build := func(cfg mindex.Config, allow mindex.PivotFilter) *ShardedIndex {
+		t.Helper()
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		var kept []mindex.Entry
+		for _, e := range w.entries {
+			if allow.Allows(e.Perm[0]) {
+				kept = append(kept, e)
+			}
+		}
+		if err := eng.InsertBulk(kept); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	for _, ranking := range []mindex.RankStrategy{mindex.RankFootrule, mindex.RankDistSum} {
+		for _, shards := range []int{1, 4} {
+			cfg := testCfg(shards)
+			cfg.Ranking = ranking
+			// Shards=1 must also pass: a federated single-shard node runs
+			// with the eager root split, matching the subset engine's shape.
+			cfg.EagerRootSplit = true
+			full := build(cfg, nil)
+			for allowName, allow := range allows {
+				filter, err := mindex.NewPivotFilter(testPivots, allow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				subset := build(cfg, filter)
+				for qi, qv := range w.queries {
+					qDists := w.pv.Distances(qv)
+					aq := mindex.ApproxQuery{Dists: qDists}
+					if ranking == mindex.RankFootrule {
+						aq.Ranks = pivot.Ranks(pivot.Permutation(qDists))
+					}
+					for kind, q := range map[string]mindex.Query{
+						"range":      {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0},
+						"approx":     {Kind: mindex.KindApprox, ApproxQuery: aq, CandSize: 200},
+						"first-cell": {Kind: mindex.KindFirstCell, ApproxQuery: aq},
+						"all":        {Kind: mindex.KindAll},
+					} {
+						name := fmt.Sprintf("%v/shards=%d/allow=%s/%s/q%d", ranking, shards, allowName, kind, qi)
+						want, err := subset.Search(q)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						q.Allow = filter
+						got, err := full.Search(q)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: filtered search over the full engine (%d) != search over the allowed cells only (%d)",
+								name, len(got), len(want))
+						}
+						if allowName == "empty" && len(got) != 0 {
+							t.Fatalf("%s: empty allow-list returned %d candidates", name, len(got))
+						}
+						if allowName == "nil" {
+							checkFlatAdapters(t, name, full, q, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkFlatAdapters asserts the per-kind convenience methods are the Search
+// result with the annotations dropped.
+func checkFlatAdapters(t *testing.T, name string, eng *ShardedIndex, q mindex.Query, ranked []mindex.RankedCandidate) {
+	t.Helper()
+	want, _ := mindex.Flat(ranked, nil)
+	var got []mindex.Entry
+	var err error
+	switch q.Kind {
+	case mindex.KindRange:
+		got, err = eng.RangeByDists(q.Dists, q.Radius)
+	case mindex.KindApprox:
+		got, err = eng.ApproxCandidates(q.ApproxQuery, q.CandSize)
+		if err == nil {
+			var rcs []mindex.RankedCandidate
+			if rcs, err = eng.ApproxCandidatesRanked(q.ApproxQuery, q.CandSize); !reflect.DeepEqual(rcs, ranked) {
+				t.Fatalf("%s: ApproxCandidatesRanked differs from Search", name)
+			}
+		}
+	case mindex.KindFirstCell:
+		got, err = eng.FirstCellCandidates(q.ApproxQuery)
+	case mindex.KindAll:
+		got, err = eng.AllEntries()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: flat adapter (%d entries) != Search with annotations dropped (%d)", name, len(got), len(want))
+	}
+}

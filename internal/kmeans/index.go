@@ -355,7 +355,9 @@ func (ix *Index) ApproxRanked(qDists []float64, candSize int) ([]mindex.RankedCa
 		return nil, fmt.Errorf("kmeans: candidate size must be positive, got %d", candSize)
 	}
 	st := ix.st.Load()
-	out := make([]mindex.RankedCandidate, 0, candSize)
+	// candSize is caller-supplied (ultimately a gateway's cand_size); the
+	// index cannot return more than it holds, so that bounds the allocation.
+	out := make([]mindex.RankedCandidate, 0, min(candSize, st.size))
 	visited := 0
 	for _, j := range rankedCells(qDists) {
 		if len(out) >= candSize {

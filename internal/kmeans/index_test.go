@@ -178,6 +178,12 @@ func TestApproxRankedOrderAndBudget(t *testing.T) {
 	if _, err := ix.ApproxRanked(qDists, 0); err == nil {
 		t.Fatal("zero candidate size accepted")
 	}
+	// A hostile candidate size (a gateway cand_size reaches this line) must
+	// return what the index holds, not size a 2^31-element allocation.
+	everything, err := ix.ApproxRanked(qDists, 1<<31)
+	if err != nil || len(everything) != len(d.Objects) {
+		t.Fatalf("candSize 2^31: got %d candidates, %v; want all %d", len(everything), err, len(d.Objects))
+	}
 }
 
 func TestApproxFanoutBound(t *testing.T) {

@@ -25,8 +25,7 @@ import (
 )
 
 // Ranked flattens per-source candidate lists (each already in promise
-// order, as produced by mindex.ApproxCandidatesRanked or
-// engine.ApproxCandidatesRanked) into one list ordered by
+// order, as produced by a KindApprox Search) into one list ordered by
 // (promise, prefix, source). The result is fully deterministic for any
 // interleaving of sources.
 func Ranked(per [][]mindex.RankedCandidate) []mindex.RankedCandidate {
@@ -74,36 +73,52 @@ func Entries(rcs []mindex.RankedCandidate, candSize int) []mindex.Entry {
 	return out
 }
 
-// Cell is one source's most promising non-empty Voronoi cell, as returned
-// by mindex.FirstCellRanked. A source with no non-empty cell contributes
-// nil Entries.
-type Cell struct {
-	Entries []mindex.Entry
-	Promise float64
-	Prefix  []int32
-}
-
 // BestCell returns the index of the globally most promising cell among the
-// per-source winners, ordered by (promise, prefix, source) exactly like
-// Ranked, or -1 when every source is empty.
-func BestCell(cells []Cell) int {
+// per-source first-cell answers (each one cell's entries, all carrying that
+// cell's promise and prefix; empty for a source with no non-empty cell),
+// ordered by (promise, prefix, source) exactly like Ranked, or -1 when every
+// source is empty.
+func BestCell(per [][]mindex.RankedCandidate) int {
 	best := -1
-	for i, c := range cells {
-		if c.Entries == nil {
+	for i, rcs := range per {
+		if len(rcs) == 0 {
 			continue
 		}
-		if best < 0 || less(c, cells[best]) {
+		// Strict less: the iteration order supplies the source tie-break.
+		if best < 0 || less(rcs[0], per[best][0]) {
 			best = i
 		}
 	}
 	return best
 }
 
-// less orders two cells by (promise, prefix); the caller's iteration order
-// supplies the source tie-break (first wins).
-func less(a, b Cell) bool {
+// less orders two candidates' source cells by (promise, prefix).
+func less(a, b mindex.RankedCandidate) bool {
 	if a.Promise != b.Promise {
 		return a.Promise < b.Promise
 	}
 	return mindex.PrefixLess(a.Prefix, b.Prefix)
+}
+
+// Combine folds the per-source answers to q into the answer one
+// unpartitioned index would give — the single combine rule behind the
+// engine's shard fan-out and the coordinator's node fan-out. The exact kinds
+// concatenate in source order (every first-level cell lives in exactly one
+// source, and all pruning bounds are per-cell); approximate candidates merge
+// by Ranked and trim to the candidate size; first-cell keeps BestCell.
+func Combine(q mindex.Query, per [][]mindex.RankedCandidate) []mindex.RankedCandidate {
+	switch q.Kind {
+	case mindex.KindApprox:
+		merged := Ranked(per)
+		if len(merged) > q.CandSize {
+			merged = merged[:q.CandSize]
+		}
+		return merged
+	case mindex.KindFirstCell:
+		if best := BestCell(per); best >= 0 {
+			return per[best]
+		}
+		return nil
+	}
+	return slices.Concat(per...)
 }

@@ -76,25 +76,49 @@ func TestEntriesTrims(t *testing.T) {
 }
 
 func TestBestCell(t *testing.T) {
-	e := []mindex.Entry{{ID: 1}}
-	cells := []Cell{
-		{}, // empty source
-		{Entries: e, Promise: 0.4, Prefix: []int32{1}},
-		{Entries: e, Promise: 0.4, Prefix: []int32{0}},
-		{Entries: e, Promise: 0.9, Prefix: []int32{}},
+	cells := [][]mindex.RankedCandidate{
+		nil, // empty source
+		{rc(1, 0.4, 1)},
+		{rc(2, 0.4, 0), rc(3, 0.4, 0)},
+		{rc(4, 0.9)},
 	}
 	if got := BestCell(cells); got != 2 {
 		t.Fatalf("best cell %d, want 2 (lowest promise, then prefix)", got)
 	}
-	if got := BestCell([]Cell{{}, {}}); got != -1 {
+	if got := BestCell([][]mindex.RankedCandidate{nil, {}}); got != -1 {
 		t.Fatalf("all-empty best cell %d, want -1", got)
 	}
 	// Equal (promise, prefix): first source wins.
-	tie := []Cell{
-		{Entries: e, Promise: 0.4, Prefix: []int32{2}},
-		{Entries: e, Promise: 0.4, Prefix: []int32{2}},
-	}
+	tie := [][]mindex.RankedCandidate{{rc(1, 0.4, 2)}, {rc(2, 0.4, 2)}}
 	if got := BestCell(tie); got != 0 {
 		t.Fatalf("tie best cell %d, want 0", got)
+	}
+}
+
+// TestCombine: the combine rule follows the query kind — exact kinds
+// concatenate in source order, approximate candidates merge and trim,
+// first-cell keeps the best source's cell.
+func TestCombine(t *testing.T) {
+	per := [][]mindex.RankedCandidate{
+		{rc(1, 0.5, 1), rc(2, 0.7, 1, 0)},
+		nil,
+		{rc(3, 0.2, 0), rc(4, 0.2, 0), rc(5, 0.6, 0, 1)},
+	}
+	for _, tc := range []struct {
+		q    mindex.Query
+		want []uint64
+	}{
+		{mindex.Query{Kind: mindex.KindRange}, []uint64{1, 2, 3, 4, 5}},
+		{mindex.Query{Kind: mindex.KindAll}, []uint64{1, 2, 3, 4, 5}},
+		{mindex.Query{Kind: mindex.KindApprox, CandSize: 4}, []uint64{3, 4, 1, 5}},
+		{mindex.Query{Kind: mindex.KindApprox, CandSize: 99}, []uint64{3, 4, 1, 5, 2}},
+		{mindex.Query{Kind: mindex.KindFirstCell}, []uint64{3, 4, 5}},
+	} {
+		if got := ids(Combine(tc.q, per)); !slices.Equal(got, tc.want) {
+			t.Errorf("kind %d candSize %d: got %v, want %v", tc.q.Kind, tc.q.CandSize, got, tc.want)
+		}
+	}
+	if got := Combine(mindex.Query{Kind: mindex.KindFirstCell}, [][]mindex.RankedCandidate{nil, nil}); got != nil {
+		t.Errorf("first cell over empty sources: got %v, want nil", got)
 	}
 }

@@ -17,10 +17,14 @@ import "fmt"
 type PivotFilter []bool
 
 // NewPivotFilter builds a filter over numPivots first-level cells allowing
-// exactly the listed pivots.
+// exactly the listed pivots. A nil list is the nil, allow-all filter; an
+// empty one allows nothing.
 func NewPivotFilter(numPivots int, allowed []int32) (PivotFilter, error) {
 	if numPivots <= 0 {
 		return nil, fmt.Errorf("mindex: pivot filter needs a positive pivot count, got %d", numPivots)
+	}
+	if allowed == nil {
+		return nil, nil
 	}
 	f := make(PivotFilter, numPivots)
 	for _, p := range allowed {
@@ -56,62 +60,4 @@ func (f PivotFilter) filterEntries(entries []Entry) []Entry {
 		}
 	}
 	return out
-}
-
-// RangeByDistsFiltered is RangeByDists restricted to the filter's
-// first-level cells.
-func (ix *Index) RangeByDistsFiltered(qDists []float64, r float64, filter PivotFilter) ([]Entry, error) {
-	return ix.rangeByDists(qDists, r, filter)
-}
-
-// ApproxCandidatesRankedFiltered is ApproxCandidatesRanked restricted to
-// the filter's first-level cells: cells are visited in the same promise
-// order, disallowed first-level subtrees simply never enter the queue, and
-// the candidate-size trim applies to the filtered stream.
-func (ix *Index) ApproxCandidatesRankedFiltered(q ApproxQuery, candSize int, filter PivotFilter) ([]RankedCandidate, error) {
-	if candSize <= 0 {
-		return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", candSize)
-	}
-	if err := ix.validateApprox(q); err != nil {
-		return nil, err
-	}
-	out := make([]RankedCandidate, 0, candSize)
-	err := ix.approxCollect(q, candSize, filter, func(entries []Entry, promise float64, prefix []int32) {
-		for _, e := range entries {
-			out = append(out, RankedCandidate{Entry: e, Promise: promise, Prefix: prefix})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > candSize {
-		out = out[:candSize]
-	}
-	return out, nil
-}
-
-// FirstCellRankedFiltered is FirstCellRanked restricted to the filter's
-// first-level cells.
-func (ix *Index) FirstCellRankedFiltered(q ApproxQuery, filter PivotFilter) ([]Entry, float64, []int32, error) {
-	return ix.firstCellRanked(q, filter)
-}
-
-// AllEntriesFiltered is AllEntries restricted to the filter's first-level
-// cells, in the same traversal order.
-func (ix *Index) AllEntriesFiltered(filter PivotFilter) ([]Entry, error) {
-	entries, err := ix.AllEntries()
-	if err != nil {
-		return nil, err
-	}
-	if filter == nil {
-		return entries, nil
-	}
-	// AllEntries already copied; filter in place.
-	out := entries[:0]
-	for _, e := range entries {
-		if filter.allowsEntry(e) {
-			out = append(out, e)
-		}
-	}
-	return out, nil
 }

@@ -379,7 +379,7 @@ func TestCacheEquivalenceUnderChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantCell, wantPromise, wantPrefix, err := ref.FirstCellRanked(queries[qi])
+			wantCell, err := ref.Search(Query{Kind: KindFirstCell, ApproxQuery: queries[qi]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,15 +413,17 @@ func TestCacheEquivalenceUnderChurn(t *testing.T) {
 						t.Fatalf("%s %s q%d: range candidate %d differs", phase, name, qi, i)
 					}
 				}
-				gotCell, gotPromise, gotPrefix, err := ix.FirstCellRanked(queries[qi])
+				gotCell, err := ix.Search(Query{Kind: KindFirstCell, ApproxQuery: queries[qi]})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(gotCell) != len(wantCell) || gotPromise != wantPromise || !slices.Equal(gotPrefix, wantPrefix) {
+				if len(gotCell) != len(wantCell) {
 					t.Fatalf("%s %s q%d: first cell differs", phase, name, qi)
 				}
 				for i := range wantCell {
-					if !entriesEqual(gotCell[i], wantCell[i]) {
+					if !entriesEqual(gotCell[i].Entry, wantCell[i].Entry) ||
+						gotCell[i].Promise != wantCell[i].Promise ||
+						!slices.Equal(gotCell[i].Prefix, wantCell[i].Prefix) {
 						t.Fatalf("%s %s q%d: first-cell entry %d differs", phase, name, qi, i)
 					}
 				}

@@ -157,17 +157,18 @@ func TestQuantizedPromiseEquivalence(t *testing.T) {
 								qi, i, got[i].Entry.ID, got[i].Promise, want[i].Entry.ID, want[i].Promise)
 						}
 					}
-					we, wp, wpre, err := base.FirstCellRanked(q)
+					we, err := base.Search(Query{Kind: KindFirstCell, ApproxQuery: q})
 					if err != nil {
 						t.Fatal(err)
 					}
-					ge, gp, gpre, err := quant.FirstCellRanked(q)
+					ge, err := quant.Search(Query{Kind: KindFirstCell, ApproxQuery: q})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if math.Float64bits(gp) != math.Float64bits(wp) || len(ge) != len(we) {
-						t.Fatalf("query %d first cell: got (%d entries, %x, %v), want (%d entries, %x, %v)",
-							qi, len(ge), gp, gpre, len(we), wp, wpre)
+					if len(ge) != len(we) || (len(ge) > 0 &&
+						math.Float64bits(ge[0].Promise) != math.Float64bits(we[0].Promise)) {
+						t.Fatalf("query %d first cell: got %d entries, want %d (first: %+v vs %+v)",
+							qi, len(ge), len(we), ge[:min(1, len(ge))], we[:min(1, len(we))])
 					}
 				}
 			})

@@ -3,12 +3,123 @@ package mindex
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"simcloud/internal/pivot"
 	"simcloud/internal/simd"
 )
 
-// RangeByDists evaluates the server side of a precise range query
+// QueryKind selects the search primitive a Query asks for.
+type QueryKind uint8
+
+// The index answers exactly these read primitives; everything else —
+// single or batched, ranked or flat, filtered or not — is a presentation of
+// one of them.
+const (
+	// KindRange collects precise range candidates (Algorithm 3 of the
+	// paper) from the query's pivot distances (Dists) and Radius.
+	KindRange QueryKind = iota + 1
+	// KindApprox collects promise-ordered approximate k-NN candidates
+	// (Algorithm 4), trimmed to CandSize.
+	KindApprox
+	// KindFirstCell returns the single most promising non-empty cell — the
+	// restricted strategy of the paper's 1-NN comparison (Section 5.4).
+	KindFirstCell
+	// KindAll returns every live entry (the trivial download-all baseline).
+	KindAll
+)
+
+// Query is the one read request an index answers. ApproxQuery carries the
+// pivot-space view of the query object: Dists for KindRange, and whatever
+// the configured ranking strategy needs for the two promise-ranked kinds.
+type Query struct {
+	Kind QueryKind
+	ApproxQuery
+	Radius   float64 // KindRange
+	CandSize int     // KindApprox
+	// Allow restricts the search to first-level cells; nil allows all.
+	Allow PivotFilter
+}
+
+// Search evaluates q against the last published snapshot, lock-free. Every
+// candidate carries its source cell's promise and prefix (zero for the
+// exact kinds, which have no cell ranking), so a sharded engine or a cluster
+// coordinator can combine per-partition answers with internal/merge; callers
+// that only want the entries drop the annotations with Flat.
+func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
+	switch q.Kind {
+	case KindRange:
+		return ix.rangeByDists(q.Dists, q.Radius, q.Allow)
+	case KindApprox:
+		if q.CandSize <= 0 {
+			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
+		}
+		return ix.collect(q.ApproxQuery, q.CandSize, true, q.Allow)
+	case KindFirstCell:
+		return ix.collect(q.ApproxQuery, 1, false, q.Allow)
+	case KindAll:
+		entries, err := ix.AllEntries()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]RankedCandidate, 0, len(entries))
+		for _, e := range entries {
+			if q.Allow.allowsEntry(e) {
+				out = append(out, RankedCandidate{Entry: e})
+			}
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("mindex: unknown query kind %d", q.Kind)
+}
+
+// RankedCandidate is one search candidate annotated with the promise value
+// and prefix of its source cell. The annotations let a sharded engine merge
+// per-shard candidate streams into one globally promise-ordered list (ties
+// broken by prefix, then shard), reproducing the cell-visit discipline of
+// Algorithm 4 across index partitions.
+type RankedCandidate struct {
+	Entry   Entry
+	Promise float64
+	Prefix  []int32
+}
+
+// Flat drops the ranking annotations of a Search result (passing its error
+// through) — the candidate set in the form a refining client consumes.
+func Flat(rcs []RankedCandidate, err error) ([]Entry, error) {
+	if rcs == nil || err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(rcs))
+	for i := range rcs {
+		out[i] = rcs[i].Entry
+	}
+	return out, nil
+}
+
+// RangeByDists is the flat form of a KindRange Search.
+func (ix *Index) RangeByDists(qDists []float64, r float64) ([]Entry, error) {
+	return Flat(ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists}, Radius: r}))
+}
+
+// ApproxCandidates is the flat form of a KindApprox Search: entries of more
+// promising cells come first, so a client may decrypt only a prefix.
+func (ix *Index) ApproxCandidates(q ApproxQuery, candSize int) ([]Entry, error) {
+	return Flat(ix.ApproxCandidatesRanked(q, candSize))
+}
+
+// ApproxCandidatesRanked is a KindApprox Search over the whole index.
+func (ix *Index) ApproxCandidatesRanked(q ApproxQuery, candSize int) ([]RankedCandidate, error) {
+	return ix.Search(Query{Kind: KindApprox, ApproxQuery: q, CandSize: candSize})
+}
+
+// FirstCellCandidates is the flat form of a KindFirstCell Search. An empty
+// index yields nil.
+func (ix *Index) FirstCellCandidates(q ApproxQuery) ([]Entry, error) {
+	return Flat(ix.Search(Query{Kind: KindFirstCell, ApproxQuery: q}))
+}
+
+// rangeByDists evaluates the server side of a precise range query
 // (Algorithm 3 of the paper): given only the query's pivot-distance vector
 // and the radius, it prunes the Voronoi cell tree with metric constraints
 // and pivot-filters the surviving entries, returning the candidate set.
@@ -17,13 +128,8 @@ import (
 // within the radius is guaranteed to be returned (no false dismissals — the
 // applied bounds are true metric lower bounds). The caller refines by
 // computing real distances: the server in the plain deployment, the
-// authorized client in the encrypted one. Like every search, the traversal
-// runs lock-free against the last published snapshot.
-func (ix *Index) RangeByDists(qDists []float64, r float64) ([]Entry, error) {
-	return ix.rangeByDists(qDists, r, nil)
-}
-
-func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) ([]Entry, error) {
+// authorized client in the encrypted one.
+func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) ([]RankedCandidate, error) {
 	if len(qDists) != ix.cfg.NumPivots {
 		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
 	}
@@ -31,7 +137,10 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 		return nil, fmt.Errorf("mindex: negative query radius %g", r)
 	}
 	st := ix.state.Load()
-	var out []Entry
+	// Survivors are gathered as pointers into the read-only bucket views and
+	// copied out once into an exactly sized result: growing a slice of whole
+	// candidate records by doubling copies several times the final set.
+	var hits []*Entry
 	var visit func(n *node) error
 	visit = func(n *node) error {
 		if n.isLeaf() {
@@ -42,13 +151,14 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 			if err != nil {
 				return err
 			}
-			for _, e := range entries {
+			for i := range entries {
+				e := &entries[i]
 				if _, gone := st.tombstones[e.ID]; gone {
 					continue
 				}
 				// Only an unsplit root leaf mixes first-level cells; deeper
 				// leaves were filtered at the root's child table.
-				if filter != nil && len(n.prefix) == 0 && !filter.allowsEntry(e) {
+				if filter != nil && len(n.prefix) == 0 && !filter.allowsEntry(*e) {
 					continue
 				}
 				// Pivot filtering (Algorithm 3, lines 5–7): discard when the
@@ -56,7 +166,7 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 				if e.Dists != nil && pivot.LowerBound(qDists, e.Dists) > r {
 					continue
 				}
-				out = append(out, e)
+				hits = append(hits, e)
 			}
 			return nil
 		}
@@ -77,8 +187,12 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 		}
 		return nil
 	}
-	if err := visit(st.root); err != nil {
+	if err := visit(st.root); err != nil || len(hits) == 0 {
 		return nil, err
+	}
+	out := make([]RankedCandidate, len(hits))
+	for i, e := range hits {
+		out[i].Entry = *e
 	}
 	return out, nil
 }
@@ -382,29 +496,42 @@ func (p *promiser) emitPromise(item rankedNode) float64 {
 	return item.promise
 }
 
-// approxCollect visits leaf cells in promise order and emits their live
-// entries (with the source cell's promise and prefix) until at least
-// candSize have been emitted — the traversal shared by ApproxCandidates and
-// ApproxCandidatesRanked. A non-nil filter restricts the visit to its
-// first-level cells before any counting, so the filtered stream is what an
-// index holding only those cells would emit. The emitted slice may be a
-// read-only snapshot view: callers copy out, never mutate or retain it.
-func (ix *Index) approxCollect(q ApproxQuery, candSize int, filter PivotFilter,
-	emit func(entries []Entry, promise float64, prefix []int32)) error {
+// collect is the promise-ordered traversal behind both ranked kinds
+// (Algorithm 4): leaf cells are visited in order of their promise value and
+// their live entries appended, annotated with the source cell's promise and
+// prefix, until at least want have been collected. With trim the last cell
+// is cut so exactly want remain — the approximate candidate set; without,
+// want = 1 yields the whole first non-empty cell. A non-nil filter restricts
+// the visit to its first-level cells before any counting, so the filtered
+// stream is what an index holding only those cells would emit.
+func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter) ([]RankedCandidate, error) {
+	// Validate up front: a query missing what the configured ranking needs
+	// (ranks for footrule, distances for distance-sum) must become an error,
+	// not an index-out-of-range panic inside the promise function.
+	if err := ix.validateApprox(q); err != nil {
+		return nil, err
+	}
 	st := ix.state.Load()
+	var out []RankedCandidate
+	if trim {
+		// want arrives straight off the wire; the index cannot return more
+		// than it holds, so that bounds the allocation.
+		out = make([]RankedCandidate, 0, min(want, st.size))
+	}
 	pr := ix.newPromiser(q)
 	pq := ix.getQueue(st.root, pr.useInt)
 	defer ix.putQueue(pq)
-	emitted := 0
-	for pq.Len() > 0 && emitted < candSize {
+	for pq.Len() > 0 && len(out) < want {
 		item := pq.pop()
 		if item.n.isLeaf() {
 			if item.n.live() == 0 {
 				continue
 			}
+			// The view may be a read-only snapshot: entries are copied out,
+			// never mutated or retained.
 			entries, err := ix.leafView(item.n)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			entries = st.liveOnly(entries)
 			// Only an unsplit root leaf mixes first-level cells; deeper
@@ -412,11 +539,14 @@ func (ix *Index) approxCollect(q ApproxQuery, candSize int, filter PivotFilter,
 			if len(item.n.prefix) == 0 {
 				entries = filter.filterEntries(entries)
 			}
-			if len(entries) == 0 {
-				continue
+			if trim {
+				entries = entries[:min(len(entries), want-len(out))]
 			}
-			emit(entries, pr.emitPromise(item), item.n.prefix)
-			emitted += len(entries)
+			promise := pr.emitPromise(item)
+			out = slices.Grow(out, len(entries))
+			for _, e := range entries {
+				out = append(out, RankedCandidate{Entry: e, Promise: promise, Prefix: item.n.prefix})
+			}
 			continue
 		}
 		level := item.n.level()
@@ -428,7 +558,7 @@ func (ix *Index) approxCollect(q ApproxQuery, candSize int, filter PivotFilter,
 			pq.push(pr.childItem(item, k.n, level, k.key))
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // liveOnly filters tombstoned entries out of a bucket view. With no
@@ -449,68 +579,6 @@ func (st *readState) liveOnly(entries []Entry) []Entry {
 	return out
 }
 
-// ApproxCandidates evaluates the server side of the approximate k-NN query
-// (Algorithm 4 of the paper): Voronoi cells are visited in order of their
-// promise value and their entries collected until the candidate set reaches
-// candSize; the set is then trimmed to exactly candSize. The returned
-// candidates are pre-ranked: entries of more promising cells come first, so
-// a client may choose to decrypt only a prefix.
-func (ix *Index) ApproxCandidates(q ApproxQuery, candSize int) ([]Entry, error) {
-	if candSize <= 0 {
-		return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", candSize)
-	}
-	if err := ix.validateApprox(q); err != nil {
-		return nil, err
-	}
-	out := make([]Entry, 0, candSize)
-	err := ix.approxCollect(q, candSize, nil, func(entries []Entry, _ float64, _ []int32) {
-		out = append(out, entries...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > candSize {
-		out = out[:candSize]
-	}
-	return out, nil
-}
-
-// RankedCandidate is one approximate-search candidate annotated with the
-// promise value and prefix of its source cell. The annotations let a
-// sharded engine merge per-shard candidate streams into one globally
-// promise-ordered list (ties broken by prefix, then shard), reproducing the
-// cell-visit discipline of Algorithm 4 across index partitions.
-type RankedCandidate struct {
-	Entry   Entry
-	Promise float64
-	Prefix  []int32
-}
-
-// ApproxCandidatesRanked is ApproxCandidates with the source-cell promise
-// and prefix attached to every candidate. The list is ordered exactly like
-// the ApproxCandidates result.
-func (ix *Index) ApproxCandidatesRanked(q ApproxQuery, candSize int) ([]RankedCandidate, error) {
-	if candSize <= 0 {
-		return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", candSize)
-	}
-	if err := ix.validateApprox(q); err != nil {
-		return nil, err
-	}
-	out := make([]RankedCandidate, 0, candSize)
-	err := ix.approxCollect(q, candSize, nil, func(entries []Entry, promise float64, prefix []int32) {
-		for _, e := range entries {
-			out = append(out, RankedCandidate{Entry: e, Promise: promise, Prefix: prefix})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > candSize {
-		out = out[:candSize]
-	}
-	return out, nil
-}
-
 // promise computes the cell-ordering key of Algorithm 4, line 3 ("next
 // promising Voronoi cell") under the configured strategy, from scratch in
 // O(prefix length). The traversals use the incremental promiser instead;
@@ -523,74 +591,4 @@ func (ix *Index) promise(n *node, q ApproxQuery) float64 {
 	default:
 		return pivot.FootrulePromise(q.Ranks, n.prefix, ix.weights)
 	}
-}
-
-// FirstCellCandidates returns the entries of the single most promising leaf
-// cell — the restricted strategy of the paper's 1-NN comparison experiment
-// (Section 5.4), where "the server-side M-Index was limited to access only
-// one M-Index Voronoi cell which then forms the candidate set".
-func (ix *Index) FirstCellCandidates(q ApproxQuery) ([]Entry, error) {
-	entries, _, _, err := ix.FirstCellRanked(q)
-	return entries, err
-}
-
-// FirstCellRanked returns the entries of the single most promising
-// non-empty leaf cell together with the cell's promise value and prefix, so
-// a sharded engine can pick the globally most promising first cell among
-// the per-shard winners. An empty index yields nil entries.
-func (ix *Index) FirstCellRanked(q ApproxQuery) ([]Entry, float64, []int32, error) {
-	return ix.firstCellRanked(q, nil)
-}
-
-func (ix *Index) firstCellRanked(q ApproxQuery, filter PivotFilter) ([]Entry, float64, []int32, error) {
-	// Validate like every other promise-ranked traversal: a query missing
-	// what the configured ranking needs (ranks for footrule, distances for
-	// distance-sum) must become an error, not an index-out-of-range panic
-	// inside the promise function.
-	if err := ix.validateApprox(q); err != nil {
-		return nil, 0, nil, err
-	}
-	st := ix.state.Load()
-	pr := ix.newPromiser(q)
-	pq := ix.getQueue(st.root, pr.useInt)
-	defer ix.putQueue(pq)
-	for pq.Len() > 0 {
-		item := pq.pop()
-		if item.n.isLeaf() {
-			if item.n.live() == 0 {
-				continue // skip empty cells; the experiment wants a non-empty one
-			}
-			entries, err := ix.leafView(item.n)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			// Copy out of the view: the winning cell's entries are handed
-			// to the caller, which owns its result.
-			out := make([]Entry, 0, item.n.live())
-			for _, e := range entries {
-				if _, gone := st.tombstones[e.ID]; gone {
-					continue
-				}
-				// Only an unsplit root leaf mixes first-level cells (see
-				// approxCollect).
-				if filter != nil && len(item.n.prefix) == 0 && !filter.allowsEntry(e) {
-					continue
-				}
-				out = append(out, e)
-			}
-			if filter != nil && len(out) == 0 {
-				continue // the cell's allowed slice is empty; keep looking
-			}
-			return out, pr.emitPromise(item), item.n.prefix, nil
-		}
-		level := item.n.level()
-		for i := range item.n.kids {
-			k := item.n.kids[i]
-			if filter != nil && level == 0 && !filter.Allows(k.key) {
-				continue
-			}
-			pq.push(pr.childItem(item, k.n, level, k.key))
-		}
-	}
-	return nil, 0, nil, nil
 }

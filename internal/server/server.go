@@ -313,15 +313,6 @@ func (s *Server) distNanos(before time.Duration) uint64 {
 var errNeedEncrypted = errors.New("server: request requires the encrypted deployment")
 var errNeedPlain = errors.New("server: request requires the plain deployment")
 
-// candidates encodes the hot candidate-set response into the connection's
-// reused buffer; the returned bytes are valid until the next request on the
-// same connection, which is exactly the WriteFrame lifetime.
-func candidates(buf *wire.Buffer, resp wire.CandidatesResp) []byte {
-	buf.Reset()
-	resp.AppendTo(buf)
-	return buf.B
-}
-
 func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distBefore time.Duration, buf *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
@@ -387,83 +378,6 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 			ServerNanos: s.serverNanos(start), Deleted: uint32(deleted),
 		}.Encode(), nil
 
-	case wire.MsgRangeDists:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeRangeDistsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.RangeByDists(req.Dists, req.Radius)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgApproxPerm:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeApproxPermReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !pivot.ValidPermutation(req.Perm, s.enc.Config().NumPivots) {
-			return 0, nil, fmt.Errorf("server: request permutation is not a permutation of %d pivots",
-				s.enc.Config().NumPivots)
-		}
-		cands, err := s.enc.ApproxCandidates(
-			mindex.ApproxQuery{Ranks: pivot.Ranks(req.Perm)}, int(req.CandSize))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgApproxDists:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeApproxDistsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.ApproxCandidates(
-			mindex.ApproxQuery{
-				Dists: req.Dists,
-				Ranks: pivot.Ranks(pivot.Permutation(req.Dists)),
-			}, int(req.CandSize))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgFirstCell:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeFirstCellReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		aq, err := firstCellQuery(req.Perm, req.Dists, s.enc.Config().NumPivots)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.FirstCellCandidates(aq)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
 	case wire.MsgBatchQuery:
 		if s.enc == nil {
 			return 0, nil, errNeedEncrypted
@@ -472,39 +386,29 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		results := make([][]mindex.Entry, len(req.Queries))
-		for i, q := range req.Queries {
-			results[i], err = s.evalBatchQuery(q)
-			if err != nil {
-				return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
-			}
-		}
-		buf.Reset()
-		wire.BatchQueryResp{
-			ServerNanos: s.serverNanos(start), Results: results,
-		}.AppendTo(buf)
-		return wire.MsgBatchCandidates, buf.B, nil
-
-	case wire.MsgBatchRanked:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeBatchQueryReq(payload)
+		numPivots := s.enc.Config().NumPivots
+		filter, err := mindex.NewPivotFilter(numPivots, req.Allow)
 		if err != nil {
 			return 0, nil, err
 		}
 		results := make([][]mindex.RankedCandidate, len(req.Queries))
 		for i, q := range req.Queries {
-			results[i], err = s.evalBatchRanked(q, nil)
+			iq, err := q.IndexQuery(numPivots, filter)
+			if err == nil {
+				results[i], err = s.enc.Search(iq)
+			}
 			if err != nil {
 				return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
 			}
 		}
 		buf.Reset()
-		wire.BatchRankedResp{
-			ServerNanos: s.serverNanos(start), Results: results,
-		}.AppendTo(buf)
-		return wire.MsgBatchRankedCandidates, buf.B, nil
+		resp := wire.BatchRankedResp{ServerNanos: s.serverNanos(start), Results: results}
+		if req.Ranked {
+			resp.AppendTo(buf)
+			return wire.MsgBatchRankedCandidates, buf.B, nil
+		}
+		resp.AppendFlatTo(buf)
+		return wire.MsgBatchCandidates, buf.B, nil
 
 	case wire.MsgRangePlain:
 		if s.plain == nil {
@@ -687,19 +591,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if s.enc == nil {
 			return 0, nil, errNeedEncrypted
 		}
-		entries, err := s.enc.AllEntries()
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: entries,
-		}.Encode(), nil
-
-	case wire.MsgFilteredQuery:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeFilteredReq(payload)
+		req, err := wire.DecodeDownloadAllReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -707,7 +599,13 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		return s.handleFiltered(req, filter, start, buf)
+		entries, err := mindex.Flat(s.enc.Search(mindex.Query{Kind: mindex.KindAll, Allow: filter}))
+		if err != nil {
+			return 0, nil, err
+		}
+		buf.Reset()
+		wire.CandidatesResp{ServerNanos: s.serverNanos(start), Entries: entries}.AppendTo(buf)
+		return wire.MsgCandidates, buf.B, nil
 
 	case wire.MsgResyncOps:
 		if s.enc == nil {
@@ -772,55 +670,10 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		}
 		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
 	}
-	return 0, nil, fmt.Errorf("server: unsupported request type %v", typ)
-}
-
-// handleFiltered evaluates the inner request of a MsgFilteredQuery envelope
-// restricted to the filter's first-level cells, answering with the inner
-// request's natural response type.
-func (s *Server) handleFiltered(req wire.FilteredReq, filter mindex.PivotFilter, start time.Time, buf *wire.Buffer) (wire.MsgType, []byte, error) {
-	switch req.Inner {
-	case wire.MsgBatchRanked:
-		inner, err := wire.DecodeBatchQueryReq(req.Payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		results := make([][]mindex.RankedCandidate, len(inner.Queries))
-		for i, q := range inner.Queries {
-			results[i], err = s.evalBatchRanked(q, filter)
-			if err != nil {
-				return 0, nil, fmt.Errorf("server: filtered batch query %d: %w", i, err)
-			}
-		}
-		buf.Reset()
-		wire.BatchRankedResp{
-			ServerNanos: s.serverNanos(start), Results: results,
-		}.AppendTo(buf)
-		return wire.MsgBatchRankedCandidates, buf.B, nil
-
-	case wire.MsgRangeDists:
-		inner, err := wire.DecodeRangeDistsReq(req.Payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.RangeByDistsFiltered(inner.Dists, inner.Radius, filter)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgDownloadAll:
-		entries, err := s.enc.AllEntriesFiltered(filter)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: entries,
-		}), nil
+	if err := wire.RetiredError(typ); err != nil {
+		return 0, nil, err
 	}
-	return 0, nil, fmt.Errorf("server: filtered query cannot wrap %v", req.Inner)
+	return 0, nil, fmt.Errorf("server: unsupported request type %v", typ)
 }
 
 // applyResyncOp applies one missed write from the coordinator's re-admission
@@ -852,105 +705,6 @@ func (s *Server) applyResyncOp(op wire.ResyncOp) error {
 	return fmt.Errorf("unknown resync op %d", op.Op)
 }
 
-// evalBatchQuery evaluates one query of a batched request against the index
-// engine — the same evaluations the single-query messages perform. Each
-// query fans out across all index shards internally.
-func (s *Server) evalBatchQuery(q wire.BatchQuery) ([]mindex.Entry, error) {
-	switch q.Kind {
-	case wire.BatchRange:
-		return s.enc.RangeByDists(q.Dists, q.Radius)
-	case wire.BatchApproxPerm:
-		if !pivot.ValidPermutation(q.Perm, s.enc.Config().NumPivots) {
-			return nil, fmt.Errorf("request permutation is not a permutation of %d pivots",
-				s.enc.Config().NumPivots)
-		}
-		return s.enc.ApproxCandidates(
-			mindex.ApproxQuery{Ranks: pivot.Ranks(q.Perm)}, int(q.CandSize))
-	case wire.BatchApproxDists:
-		return s.enc.ApproxCandidates(
-			mindex.ApproxQuery{
-				Dists: q.Dists,
-				Ranks: pivot.Ranks(pivot.Permutation(q.Dists)),
-			}, int(q.CandSize))
-	case wire.BatchFirstCell:
-		aq, err := firstCellQuery(q.Perm, q.Dists, s.enc.Config().NumPivots)
-		if err != nil {
-			return nil, err
-		}
-		return s.enc.FirstCellCandidates(aq)
-	}
-	return nil, fmt.Errorf("unknown batch query kind %d", q.Kind)
-}
-
-// firstCellQuery assembles the ApproxQuery of a first-cell request. The
-// footrule form carries the query permutation, the distance-sum form the
-// (transformed) distance vector; a non-empty permutation is validated
-// here, and the index itself validates that whatever arrived matches what
-// its configured ranking strategy needs — so a request missing the needed
-// field becomes an error response, never a panic inside the promise
-// function.
-func firstCellQuery(perm []int32, dists []float64, numPivots int) (mindex.ApproxQuery, error) {
-	aq := mindex.ApproxQuery{Dists: dists}
-	if len(perm) > 0 {
-		if !pivot.ValidPermutation(perm, numPivots) {
-			return aq, fmt.Errorf("server: request permutation is not a permutation of %d pivots", numPivots)
-		}
-		aq.Ranks = pivot.Ranks(perm)
-	}
-	return aq, nil
-}
-
-// evalBatchRanked evaluates one query of a MsgBatchRanked request, keeping
-// the source-cell promise annotations that let the cluster coordinator
-// merge per-node candidate streams exactly like the engine merges shards.
-// Range queries are exact and carry no ranking: their candidates return
-// with promise 0 and a nil prefix (the coordinator concatenates them
-// instead of merging). A non-nil filter restricts the evaluation to the
-// allowed first-level cells (the MsgFilteredQuery envelope); nil evaluates
-// the whole index.
-func (s *Server) evalBatchRanked(q wire.BatchQuery, filter mindex.PivotFilter) ([]mindex.RankedCandidate, error) {
-	switch q.Kind {
-	case wire.BatchRange:
-		entries, err := s.enc.RangeByDistsFiltered(q.Dists, q.Radius, filter)
-		if err != nil {
-			return nil, err
-		}
-		rcs := make([]mindex.RankedCandidate, len(entries))
-		for i, e := range entries {
-			rcs[i] = mindex.RankedCandidate{Entry: e}
-		}
-		return rcs, nil
-	case wire.BatchApproxPerm:
-		if !pivot.ValidPermutation(q.Perm, s.enc.Config().NumPivots) {
-			return nil, fmt.Errorf("request permutation is not a permutation of %d pivots",
-				s.enc.Config().NumPivots)
-		}
-		return s.enc.ApproxCandidatesRankedFiltered(
-			mindex.ApproxQuery{Ranks: pivot.Ranks(q.Perm)}, int(q.CandSize), filter)
-	case wire.BatchApproxDists:
-		return s.enc.ApproxCandidatesRankedFiltered(
-			mindex.ApproxQuery{
-				Dists: q.Dists,
-				Ranks: pivot.Ranks(pivot.Permutation(q.Dists)),
-			}, int(q.CandSize), filter)
-	case wire.BatchFirstCell:
-		aq, err := firstCellQuery(q.Perm, q.Dists, s.enc.Config().NumPivots)
-		if err != nil {
-			return nil, err
-		}
-		entries, promise, prefix, err := s.enc.FirstCellRankedFiltered(aq, filter)
-		if err != nil {
-			return nil, err
-		}
-		rcs := make([]mindex.RankedCandidate, len(entries))
-		for i, e := range entries {
-			rcs[i] = mindex.RankedCandidate{Entry: e, Promise: promise, Prefix: prefix}
-		}
-		return rcs, nil
-	}
-	return nil, fmt.Errorf("unknown batch query kind %d", q.Kind)
-}
-
 // helloResp summarizes this server for the hello handshake: deployment
 // mode, index shape, and the live entry count as a health signal.
 func (s *Server) helloResp() wire.HelloResp {
@@ -964,6 +718,7 @@ func (s *Server) helloResp() wire.HelloResp {
 	}
 	shards := max(1, cfg.Shards)
 	return wire.HelloResp{
+		Version:        wire.ProtocolVersion,
 		Mode:           mode,
 		NumPivots:      uint32(cfg.NumPivots),
 		MaxLevel:       uint32(cfg.MaxLevel),

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -135,12 +138,69 @@ func TestInvalidPermutationRejected(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// Duplicate elements: not a permutation.
-	expectError(t, conn, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: []int32{0, 0, 1, 2, 3, 4}, CandSize: 5}.Encode(),
-		"permutation")
-	expectError(t, conn, wire.MsgFirstCell,
-		wire.FirstCellReq{Perm: []int32{0, 1}}.Encode(),
-		"permutation")
+	expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchApproxPerm, Perm: []int32{0, 0, 1, 2, 3, 4}, CandSize: 5},
+	}}.Encode(), "permutation")
+	expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchFirstCell, Perm: []int32{0, 1}},
+	}}.Encode(), "permutation")
+}
+
+// TestRetiredMessagesRefused: the request types protocol version 2 retired
+// keep their numbers reserved and are answered with an error naming the
+// replacement — never mis-decoded as something else, and the connection
+// stays usable.
+func TestRetiredMessagesRefused(t *testing.T) {
+	srv := startEncrypted(t)
+	conn := dial(t, srv)
+	for _, typ := range []wire.MsgType{4, 5, 6, 7, 29, 33} {
+		expectError(t, conn, typ, []byte{1, 2, 3}, "retired in protocol v2; send batch-query")
+	}
+	if respType, _ := request(t, conn, wire.MsgHello, nil); respType != wire.MsgHelloAck {
+		t.Fatalf("connection unusable after refused requests: %v", respType)
+	}
+}
+
+// batchQuery sends one MsgBatchQuery and decodes the answer in the form the
+// request asked for; flat answers come back as ranked candidates with zero
+// annotations, so both forms compare with one helper.
+func batchQuery(t *testing.T, conn net.Conn, req wire.BatchQueryReq) [][]mindex.RankedCandidate {
+	t.Helper()
+	respType, resp := request(t, conn, wire.MsgBatchQuery, req.Encode())
+	if req.Ranked {
+		if respType != wire.MsgBatchRankedCandidates {
+			t.Fatalf("ranked batch query: got %v", respType)
+		}
+		m, err := wire.DecodeBatchRankedResp(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Results
+	}
+	if respType != wire.MsgBatchCandidates {
+		t.Fatalf("batch query: got %v", respType)
+	}
+	m, err := wire.DecodeBatchQueryResp(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]mindex.RankedCandidate, len(m.Results))
+	for i, entries := range m.Results {
+		out[i] = make([]mindex.RankedCandidate, len(entries))
+		for j, e := range entries {
+			out[i][j] = mindex.RankedCandidate{Entry: e}
+		}
+	}
+	return out
+}
+
+// dropAnnotations is the flat form of a ranked answer.
+func dropAnnotations(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
+	out := make([]mindex.RankedCandidate, len(rcs))
+	for i, rc := range rcs {
+		out[i] = mindex.RankedCandidate{Entry: rc.Entry}
+	}
+	return out
 }
 
 // TestDeleteDispatch drives the delete path over the wire: insert entries,
@@ -184,21 +244,15 @@ func TestDeleteDispatch(t *testing.T) {
 	}
 
 	// The tombstoned entries are gone from query responses.
-	respType, resp = request(t, conn, wire.MsgRangeDists,
-		wire.RangeDistsReq{Dists: make([]float64, 6), Radius: 1e18}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("range response = %v", respType)
+	cands := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1e18},
+	}})[0]
+	if len(cands) != 2 {
+		t.Fatalf("range returned %d candidates, want 2", len(cands))
 	}
-	cands, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands.Entries) != 2 {
-		t.Fatalf("range returned %d candidates, want 2", len(cands.Entries))
-	}
-	for _, e := range cands.Entries {
-		if e.ID == 2 || e.ID == 3 {
-			t.Fatalf("deleted entry %d still served", e.ID)
+	for _, c := range cands {
+		if c.Entry.ID == 2 || c.Entry.ID == 3 {
+			t.Fatalf("deleted entry %d still served", c.Entry.ID)
 		}
 	}
 
@@ -340,8 +394,7 @@ func TestAddrBeforeStart(t *testing.T) {
 	}
 }
 
-func insertTestEntries(t *testing.T, conn net.Conn, n int) {
-	t.Helper()
+func testEntries(n int) []mindex.Entry {
 	entries := make([]mindex.Entry, n)
 	for i := range entries {
 		perm := []int32{0, 1, 2, 3, 4, 5}
@@ -352,6 +405,11 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 		}
 		entries[i] = mindex.Entry{ID: uint64(i + 1), Perm: perm, Dists: dists, Payload: []byte{byte(i)}}
 	}
+	return entries
+}
+
+func insertEntries(t *testing.T, conn net.Conn, entries []mindex.Entry) {
+	t.Helper()
 	respType, _ := request(t, conn, wire.MsgInsertEntries,
 		wire.InsertEntriesReq{Entries: entries}.Encode())
 	if respType != wire.MsgAck {
@@ -359,64 +417,230 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 	}
 }
 
-// TestBatchQuery: one frame carrying a range, an approx-perm and an
-// approx-dists query must return three candidate sets matching the
-// single-query responses.
-func TestBatchQuery(t *testing.T) {
-	srv := startEncrypted(t)
-	conn := dial(t, srv)
-	insertTestEntries(t, conn, 60)
+func insertTestEntries(t *testing.T, conn net.Conn, n int) {
+	t.Helper()
+	insertEntries(t, conn, testEntries(n))
+}
 
+// TestBatchQueryEquivalence is the server-layer table on the one read
+// request: ranking ∈ {footrule, distance-sum} (so all four wire kinds
+// appear) × shards ∈ {1, 4} × allow ∈ {nil, allow-all, half, empty} × form
+// ∈ {flat, ranked}. Over the socket it asserts
+//
+//   - the answer equals the engine's Search of the same query;
+//   - flat ≡ ranked with the annotations dropped;
+//   - a query alone in its frame ≡ the same query inside a mixed batch;
+//   - nil allow-list ≡ allow-all, byte for byte;
+//   - filtered ≡ a server holding only the allowed first-level cells;
+//   - download-all obeys the same allow-list.
+func TestBatchQueryEquivalence(t *testing.T) {
+	start := func(cfg mindex.Config, entries []mindex.Entry) (*Server, net.Conn) {
+		t.Helper()
+		srv, err := NewEncrypted(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Logf = func(string, ...any) {}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		conn := dial(t, srv)
+		insertEntries(t, conn, entries)
+		return srv, conn
+	}
+	entries := testEntries(120)
 	qDists := []float64{1, 2, 3, 4, 5, 6}
 	perm := []int32{2, 0, 1, 3, 4, 5}
-	batch := wire.BatchQueryReq{Queries: []wire.BatchQuery{
-		{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
-		{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 15},
-		{Kind: wire.BatchApproxDists, Dists: qDists, CandSize: 10},
-	}}
-	respType, resp := request(t, conn, wire.MsgBatchQuery, batch.Encode())
-	if respType != wire.MsgBatchCandidates {
-		t.Fatalf("batch query: got %v", respType)
+	queriesFor := map[mindex.RankStrategy][]wire.BatchQuery{
+		mindex.RankFootrule: {
+			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
+			{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 15},
+			{Kind: wire.BatchFirstCell, Perm: perm},
+		},
+		mindex.RankDistSum: {
+			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
+			{Kind: wire.BatchApproxDists, Dists: qDists, CandSize: 10},
+			{Kind: wire.BatchFirstCell, Dists: qDists},
+		},
 	}
-	m, err := wire.DecodeBatchQueryResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Results) != 3 {
-		t.Fatalf("batch returned %d results, want 3", len(m.Results))
-	}
+	allows := []struct {
+		name  string
+		allow []int32
+	}{{"nil", nil}, {"all", []int32{0, 1, 2, 3, 4, 5}}, {"half", []int32{0, 2, 5}}, {"empty", []int32{}}}
 
-	// Each batched result must equal its single-query counterpart.
-	respType, resp = request(t, conn, wire.MsgRangeDists,
-		wire.RangeDistsReq{Dists: qDists, Radius: 5}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("range: got %v", respType)
-	}
-	single, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Results[0]) != len(single.Entries) {
-		t.Fatalf("batched range returned %d entries, single %d", len(m.Results[0]), len(single.Entries))
-	}
-	respType, resp = request(t, conn, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: perm, CandSize: 15}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("approx: got %v", respType)
-	}
-	single, err = wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Results[1]) != len(single.Entries) {
-		t.Fatalf("batched approx returned %d entries, single %d", len(m.Results[1]), len(single.Entries))
-	}
-	for i := range single.Entries {
-		if m.Results[1][i].ID != single.Entries[i].ID {
-			t.Fatalf("batched approx candidate %d = id %d, single = id %d",
-				i, m.Results[1][i].ID, single.Entries[i].ID)
+	for ranking, queries := range queriesFor {
+		for _, shards := range []int{1, 4} {
+			cfg := testCfg()
+			cfg.Ranking = ranking
+			cfg.Shards = shards
+			cfg.EagerRootSplit = true // the shape every federated node has
+			srv, conn := start(cfg, entries)
+			var unfiltered [][]mindex.RankedCandidate
+			for _, ac := range allows {
+				name := fmt.Sprintf("%v/shards=%d/allow=%s", ranking, shards, ac.name)
+				ranked := batchQuery(t, conn, wire.BatchQueryReq{Queries: queries, Ranked: true, Allow: ac.allow})
+				flat := batchQuery(t, conn, wire.BatchQueryReq{Queries: queries, Allow: ac.allow})
+				if len(ranked) != len(queries) || len(flat) != len(queries) {
+					t.Fatalf("%s: %d ranked / %d flat results for %d queries", name, len(ranked), len(flat), len(queries))
+				}
+				filter, err := mindex.NewPivotFilter(cfg.NumPivots, ac.allow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var kept []mindex.Entry
+				for _, e := range entries {
+					if filter.Allows(e.Perm[0]) {
+						kept = append(kept, e)
+					}
+				}
+				_, subsetConn := start(cfg, kept)
+				subset := batchQuery(t, subsetConn, wire.BatchQueryReq{Queries: queries, Ranked: true})
+				for qi, q := range queries {
+					qname := fmt.Sprintf("%s/kind=%d", name, q.Kind)
+					iq, err := q.IndexQuery(cfg.NumPivots, filter)
+					if err != nil {
+						t.Fatal(err)
+					}
+					direct, err := srv.Index().Search(iq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRanked(ranked[qi], direct) {
+						t.Fatalf("%s: wire answer (%d) != engine Search (%d)", qname, len(ranked[qi]), len(direct))
+					}
+					if !sameRanked(flat[qi], dropAnnotations(ranked[qi])) {
+						t.Fatalf("%s: flat answer is not the ranked one with annotations dropped", qname)
+					}
+					for _, form := range []bool{false, true} {
+						alone := batchQuery(t, conn, wire.BatchQueryReq{
+							Queries: []wire.BatchQuery{q}, Ranked: form, Allow: ac.allow})
+						want := ranked[qi]
+						if !form {
+							want = flat[qi]
+						}
+						if len(alone) != 1 || !sameRanked(alone[0], want) {
+							t.Fatalf("%s ranked=%v: batch-of-one differs from the same query in a mixed batch", qname, form)
+						}
+					}
+					if !sameRanked(ranked[qi], subset[qi]) {
+						t.Fatalf("%s: filtered answer (%d) != answer of a server holding only the allowed cells (%d)",
+							qname, len(ranked[qi]), len(subset[qi]))
+					}
+					if ac.name == "empty" && len(ranked[qi]) != 0 {
+						t.Fatalf("%s: empty allow-list returned %d candidates", qname, len(ranked[qi]))
+					}
+				}
+				switch ac.name {
+				case "nil":
+					unfiltered = ranked
+				case "all":
+					if !reflect.DeepEqual(ranked, unfiltered) {
+						t.Fatalf("%s: allow-all differs from the nil allow-list", name)
+					}
+				}
+
+				respType, resp := request(t, conn, wire.MsgDownloadAll, wire.DownloadAllReq{Allow: ac.allow}.Encode())
+				if respType != wire.MsgCandidates {
+					t.Fatalf("%s: download-all: got %v", name, respType)
+				}
+				got, err := wire.DecodeCandidatesResp(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				respType, resp = request(t, subsetConn, wire.MsgDownloadAll, nil)
+				if respType != wire.MsgCandidates {
+					t.Fatalf("%s: subset download-all: got %v", name, respType)
+				}
+				want, err := wire.DecodeCandidatesResp(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Entries) != len(kept) || !reflect.DeepEqual(got.Entries, want.Entries) {
+					t.Fatalf("%s: filtered download (%d entries) != download of the allowed cells only (%d of %d kept)",
+						name, len(got.Entries), len(want.Entries), len(kept))
+				}
+			}
 		}
 	}
+}
+
+// sameRanked compares candidate lists up to nil-versus-empty, which the
+// wire does not distinguish.
+func sameRanked(a, b []mindex.RankedCandidate) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(normalize(a), normalize(b)))
+}
+
+// normalize maps empty slices inside candidates to nil (the codec decodes a
+// zero-length list as nil).
+func normalize(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
+	out := make([]mindex.RankedCandidate, len(rcs))
+	for i, rc := range rcs {
+		if len(rc.Prefix) == 0 {
+			rc.Prefix = nil
+		}
+		if len(rc.Entry.Dists) == 0 {
+			rc.Entry.Dists = nil
+		}
+		if len(rc.Entry.Vec) == 0 {
+			rc.Entry.Vec = nil
+		}
+		out[i] = rc
+	}
+	return out
+}
+
+// TestHostileCandSize is the regression test for the one-frame kill: a
+// candidate size straight off the wire used to size an allocation, so a
+// 29-byte request asking for 2^31 candidates ended the process with an
+// unrecoverable out-of-memory fault. The server must answer with an ordinary
+// candidate set — everything it holds, at most — on an empty and a populated
+// index, for a lone query and inside a batch.
+func TestHostileCandSize(t *testing.T) {
+	for _, populated := range []bool{false, true} {
+		srv := startEncrypted(t)
+		conn := dial(t, srv)
+		held := 0
+		if populated {
+			held = 60
+			insertTestEntries(t, conn, held)
+		}
+		perm := []int32{0, 1, 2, 3, 4, 5}
+		for _, candSize := range []uint32{1 << 31, math.MaxUint32} {
+			hostile := wire.BatchQuery{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: candSize}
+			for _, ranked := range []bool{false, true} {
+				lone := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{hostile}, Ranked: ranked})
+				if len(lone) != 1 || len(lone[0]) != held {
+					t.Fatalf("populated=%v candSize=%d: lone query returned %d candidates, want %d",
+						populated, candSize, len(lone[0]), held)
+				}
+				mixed := batchQuery(t, conn, wire.BatchQueryReq{Ranked: ranked, Queries: []wire.BatchQuery{
+					{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1},
+					hostile,
+					{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 5},
+				}})
+				if len(mixed) != 3 || len(mixed[1]) != held || len(mixed[2]) != min(5, held) {
+					t.Fatalf("populated=%v candSize=%d: batch returned %d results (hostile: %d candidates)",
+						populated, candSize, len(mixed), len(mixed[1]))
+				}
+			}
+		}
+	}
+}
+
+// TestHostileAllowList: an allow-list naming a pivot the index does not
+// have is refused with an error response on both read requests.
+func TestHostileAllowList(t *testing.T) {
+	srv := startEncrypted(t)
+	conn := dial(t, srv)
+	for _, allow := range [][]int32{{6}, {-1}, {0, 1 << 20}} {
+		expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{
+			Queries: []wire.BatchQuery{{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1}},
+			Allow:   allow,
+		}.Encode(), "out of range")
+		expectError(t, conn, wire.MsgDownloadAll, wire.DownloadAllReq{Allow: allow}.Encode(), "out of range")
+	}
+	expectError(t, conn, wire.MsgDownloadAll, []byte{2, 0, 0, 0, 1}, "") // truncated allow-list
 }
 
 // TestBatchQueryErrors: invalid sub-queries fail the whole batch with an
@@ -453,17 +677,11 @@ func TestShardedServer(t *testing.T) {
 	if got := srv.Index().Size(); got != 80 {
 		t.Fatalf("Size = %d", got)
 	}
-	respType, resp := request(t, conn, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: []int32{1, 0, 2, 3, 4, 5}, CandSize: 20}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("approx on sharded server: got %v", respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Entries) != 20 {
-		t.Fatalf("sharded approx returned %d candidates, want 20", len(m.Entries))
+	cands := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchApproxPerm, Perm: []int32{1, 0, 2, 3, 4, 5}, CandSize: 20},
+	}})[0]
+	if len(cands) != 20 {
+		t.Fatalf("sharded approx returned %d candidates, want 20", len(cands))
 	}
 }
 

@@ -1,13 +1,17 @@
 package wire
 
-import "simcloud/internal/mindex"
+import (
+	"fmt"
+
+	"simcloud/internal/mindex"
+)
 
 // This file defines the messages the cluster coordinator exchanges with
-// simserver nodes: the hello handshake that verifies key-compatibility
-// before a node joins a federation, and the ranked batch query whose
-// replies keep per-candidate promise annotations so per-node streams can be
+// simserver nodes: the hello handshake that verifies protocol version and
+// key-compatibility before a node joins a federation, and the ranked batch
+// reply whose per-candidate promise annotations let per-node streams be
 // merged by the shared (promise, prefix, source) order (internal/merge).
-// Both messages are ordinary protocol citizens — any client may send them.
+// Both are ordinary protocol citizens — any client may ask for them.
 
 // HelloReq asks a server to identify itself. It carries no fields; the
 // message type alone is the request.
@@ -34,6 +38,10 @@ const (
 // entries indexed under one pivot set are garbage under another, and the
 // mismatch is otherwise invisible until recall silently collapses.
 type HelloResp struct {
+	// Version is the protocol generation the server speaks
+	// (ProtocolVersion). It travels last on the wire; a reply that ends
+	// before it is a version-1 server's.
+	Version uint32
 	// Mode is the deployment mode (HelloModeEncrypted / HelloModePlain).
 	Mode uint8
 	// NumPivots, MaxLevel, BucketCapacity and Ranking echo the server's
@@ -71,6 +79,7 @@ func (m HelloResp) Encode() []byte {
 	}
 	b.U32(m.Shards)
 	b.U64(m.Entries)
+	b.U32(m.Version)
 	return b.B
 }
 
@@ -86,8 +95,22 @@ func DecodeHelloResp(p []byte) (HelloResp, error) {
 		EagerRootSplit: r.U8() != 0,
 		Shards:         r.U32(),
 		Entries:        r.U64(),
+		Version:        1,
+	}
+	if len(r.b) > 0 {
+		m.Version = r.U32()
 	}
 	return m, r.Err()
+}
+
+// CheckVersion refuses a peer speaking another protocol generation: message
+// payloads changed shape between versions, so talking on would mis-decode
+// rather than fail.
+func (m HelloResp) CheckVersion() error {
+	if m.Version != ProtocolVersion {
+		return fmt.Errorf("wire: peer speaks protocol v%d, this build speaks v%d", m.Version, ProtocolVersion)
+	}
+	return nil
 }
 
 // appendRanked writes a count-prefixed ranked-candidate list: per
@@ -131,11 +154,13 @@ func readRanked(r *Reader) []mindex.RankedCandidate {
 	return out
 }
 
-// BatchRankedResp returns the ranked candidate sets of a MsgBatchRanked
-// request, parallel to the request's query list. Range queries (exact, no
-// cell ranking) return their candidates with promise 0 and a nil prefix;
-// first-cell queries return the winning cell's entries, every one annotated
-// with that cell's promise and prefix.
+// BatchRankedResp is the answer to a BatchQueryReq as the server holds it:
+// one ranked candidate set per query, parallel to the request's query list.
+// Range queries (exact, no cell ranking) return their candidates with
+// promise 0 and a nil prefix; first-cell queries return the winning cell's
+// entries, every one annotated with that cell's promise and prefix. AppendTo
+// keeps the annotations (MsgBatchRankedCandidates, for a Ranked request);
+// AppendFlatTo drops them (MsgBatchCandidates).
 type BatchRankedResp struct {
 	ServerNanos uint64
 	Results     [][]mindex.RankedCandidate
@@ -147,6 +172,19 @@ func (m BatchRankedResp) AppendTo(b *Buffer) {
 	b.U32(uint32(len(m.Results)))
 	for _, rcs := range m.Results {
 		appendRanked(b, rcs)
+	}
+}
+
+// AppendFlatTo appends the response in BatchQueryResp form: the same
+// candidates with the annotations dropped.
+func (m BatchRankedResp) AppendFlatTo(b *Buffer) {
+	b.U64(m.ServerNanos)
+	b.U32(uint32(len(m.Results)))
+	for _, rcs := range m.Results {
+		b.U32(uint32(len(rcs)))
+		for i := range rcs {
+			b.B = mindex.AppendEntry(b.B, rcs[i].Entry)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"simcloud/internal/mindex"
@@ -11,9 +13,9 @@ import (
 func TestHelloRespRoundTrip(t *testing.T) {
 	cases := []HelloResp{
 		{},
-		{Mode: HelloModeEncrypted, NumPivots: 30, MaxLevel: 8, BucketCapacity: 200,
+		{Version: ProtocolVersion, Mode: HelloModeEncrypted, NumPivots: 30, MaxLevel: 8, BucketCapacity: 200,
 			Ranking: 1, EagerRootSplit: true, Shards: 16, Entries: math.MaxUint64},
-		{Mode: HelloModePlain, NumPivots: 1, MaxLevel: 1, BucketCapacity: 1, Ranking: 2},
+		{Version: 9, Mode: HelloModePlain, NumPivots: 1, MaxLevel: 1, BucketCapacity: 1, Ranking: 2},
 	}
 	for _, want := range cases {
 		got, err := DecodeHelloResp(want.Encode())
@@ -27,11 +29,36 @@ func TestHelloRespRoundTrip(t *testing.T) {
 }
 
 func TestHelloRespTruncated(t *testing.T) {
-	full := HelloResp{Mode: 1, NumPivots: 4, MaxLevel: 2, BucketCapacity: 8, Shards: 1}.Encode()
+	full := HelloResp{Version: ProtocolVersion, Mode: 1, NumPivots: 4, MaxLevel: 2, BucketCapacity: 8, Shards: 1}.Encode()
+	v1 := len(full) - 4 // a version-1 reply ends where the version field starts
 	for n := range len(full) {
-		if _, err := DecodeHelloResp(full[:n]); err == nil {
+		if _, err := DecodeHelloResp(full[:n]); err == nil && n != v1 {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}
+	}
+}
+
+// TestHelloRespVersion1: a reply shaped like protocol version 1 (no trailing
+// version field) must decode as version 1 — not be mis-read as something
+// else — so the handshake can refuse it naming both versions.
+func TestHelloRespVersion1(t *testing.T) {
+	v2 := HelloResp{Version: ProtocolVersion, Mode: HelloModeEncrypted, NumPivots: 16, Entries: 3}
+	full := v2.Encode()
+	got, err := DecodeHelloResp(full[:len(full)-4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := v2
+	want.Version = 1
+	if got != want {
+		t.Fatalf("v1-shaped reply decoded as %+v, want %+v", got, want)
+	}
+	err = got.CheckVersion()
+	if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", ProtocolVersion)) {
+		t.Fatalf("version check on a v1 reply: %v (want an error naming both versions)", err)
+	}
+	if err := v2.CheckVersion(); err != nil {
+		t.Fatalf("current version refused: %v", err)
 	}
 }
 

@@ -11,6 +11,26 @@
 // variants directly visible on the wire, where the benchmark harness
 // measures communication cost.
 //
+// # One read request, stable numbers, a version
+//
+// The encrypted deployment has exactly one read request: MsgBatchQuery
+// carrying a BatchQueryReq — one or more BatchQuery values (range,
+// approximate by permutation or by distances, first cell), plus two
+// optional trailer fields the cluster coordinator uses on the node hop:
+// Ranked (keep each candidate's source-cell promise and prefix on the
+// reply) and Allow (restrict evaluation to listed first-level cells; nil =
+// all). BatchQuery.IndexQuery is the single translation of a wire query
+// into the index's mindex.Query; the flat reply is the ranked one with the
+// annotations dropped. MsgDownloadAll takes the same allow-list as its
+// optional payload.
+//
+// Message numbers are explicit constants that never change; numbers of
+// retired messages stay reserved and are refused by name (RetiredError).
+// ProtocolVersion travels in HelloResp.Version, and both ends of a
+// handshake refuse a mismatched peer (HelloResp.CheckVersion) — payload
+// shapes differ between versions, so talking on would mis-decode rather
+// than fail.
+//
 // # Key invariant: hostile-input safety and frame limits
 //
 // Every byte of a frame is untrusted until decoded. A frame is a uint32

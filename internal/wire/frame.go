@@ -11,152 +11,148 @@ import (
 // MsgType identifies a protocol message.
 type MsgType uint8
 
+// ProtocolVersion is the wire protocol generation this build speaks. Peers
+// exchange it in the hello handshake (HelloResp.Version) and refuse each
+// other on mismatch. Version 2 retired the per-kind single-query, ranked-
+// batch and filtered-envelope requests in favor of one read request,
+// MsgBatchQuery.
+const ProtocolVersion = 2
+
 // Protocol messages. Requests flow client→server, responses server→client.
+// The numbers are the wire encoding and never change; a retired message's
+// number stays reserved so it can be refused by name (see RetiredError).
 const (
 	// MsgError carries a server-side error string.
-	MsgError MsgType = iota + 1
+	MsgError MsgType = 1
 
 	// MsgInsertEntries inserts pre-computed index entries (encrypted
 	// deployment: the client computed permutations/distances and encrypted
 	// the payloads; the server sees no plaintext).
-	MsgInsertEntries
+	MsgInsertEntries MsgType = 2
 	// MsgInsertObjects inserts raw objects (plain deployment: the server
 	// computes pivot distances itself).
-	MsgInsertObjects
+	MsgInsertObjects MsgType = 3
 
-	// MsgRangeDists asks for range-query candidates given only the query's
-	// pivot-distance vector (encrypted precise range, Algorithm 3).
-	MsgRangeDists
-	// MsgApproxPerm asks for a pre-ranked candidate set given only the
-	// query's pivot permutation (encrypted approximate k-NN, Algorithm 4).
-	MsgApproxPerm
-	// MsgApproxDists is MsgApproxPerm with a distance vector instead of a
-	// permutation (the distance-sum ranking strategy).
-	MsgApproxDists
-	// MsgFirstCell asks for the single most promising Voronoi cell — the
-	// restricted candidate strategy of the paper's 1-NN comparison.
-	MsgFirstCell
+	// 4–7 reserved: the v1 single-query requests (range by distances,
+	// approximate by permutation / by distances, first cell).
 
 	// MsgRangePlain evaluates a full range query server-side (plain).
-	MsgRangePlain
+	MsgRangePlain MsgType = 8
 	// MsgKNNPlain evaluates a precise k-NN query server-side (plain).
-	MsgKNNPlain
+	MsgKNNPlain MsgType = 9
 	// MsgApproxPlain evaluates an approximate k-NN server-side (plain).
-	MsgApproxPlain
+	MsgApproxPlain MsgType = 10
 
 	// MsgCandidates returns a candidate set of entries plus server time.
-	MsgCandidates
+	MsgCandidates MsgType = 11
 	// MsgResults returns refined results (plain deployment) plus server time.
-	MsgResults
+	MsgResults MsgType = 12
 	// MsgAck acknowledges an insert, carrying server time.
-	MsgAck
+	MsgAck MsgType = 13
 
 	// MsgGetNode fetches one encrypted node blob by ID (EHI baseline).
-	MsgGetNode
+	MsgGetNode MsgType = 14
 	// MsgNodeBlob returns an encrypted node blob (EHI baseline).
-	MsgNodeBlob
+	MsgNodeBlob MsgType = 15
 	// MsgPutNodes uploads encrypted node blobs (EHI construction).
-	MsgPutNodes
+	MsgPutNodes MsgType = 16
 
 	// MsgFDHQuery fetches the encrypted objects of the given hash buckets
 	// (FDH baseline).
-	MsgFDHQuery
+	MsgFDHQuery MsgType = 17
 	// MsgPutFDH uploads the FDH bucket table (FDH construction).
-	MsgPutFDH
+	MsgPutFDH MsgType = 18
 
-	// MsgDownloadAll fetches every stored entry (trivial baseline).
-	MsgDownloadAll
+	// MsgDownloadAll fetches every stored entry (trivial baseline). The
+	// payload is a DownloadAllReq: empty for everything, or a first-level
+	// allow-list restricting the download (the replicated coordinator's
+	// form). Answered with MsgCandidates.
+	MsgDownloadAll MsgType = 19
 
 	// MsgPutRaw uploads encrypted raw-data blobs keyed by object ID (the
 	// raw-data storage of the paper's Figure 1).
-	MsgPutRaw
+	MsgPutRaw MsgType = 20
 	// MsgGetRaw fetches encrypted raw-data blobs by object ID.
-	MsgGetRaw
+	MsgGetRaw MsgType = 21
 	// MsgRawItems returns raw-data blobs plus server time.
-	MsgRawItems
+	MsgRawItems MsgType = 22
 
-	// MsgBatchQuery carries several encrypted queries (range and/or
-	// approximate) in one frame, so one round trip amortizes framing and
-	// latency across k queries.
-	MsgBatchQuery
+	// MsgBatchQuery is the one encrypted read request: a BatchQueryReq
+	// carrying one or more queries (range, approximate, first-cell) in one
+	// frame, optionally restricted to a first-level allow-list and
+	// optionally asking for ranked replies. Answered with
+	// MsgBatchCandidates, or MsgBatchRankedCandidates when ranked.
+	MsgBatchQuery MsgType = 23
 	// MsgBatchCandidates returns one candidate set per batched query.
-	MsgBatchCandidates
+	MsgBatchCandidates MsgType = 24
 
 	// MsgDeleteEntries tombstones indexed entries. Each reference carries
 	// an entry ID plus its permutation prefix (the same pivot-space routing
 	// metadata an insert reveals); batchable like MsgInsertEntries.
-	MsgDeleteEntries
+	MsgDeleteEntries MsgType = 25
 	// MsgDeleteAck acknowledges a delete, carrying the count of entries
 	// actually tombstoned plus server time.
-	MsgDeleteAck
+	MsgDeleteAck MsgType = 26
 
-	// MsgHello asks a server to identify itself: deployment mode and the
-	// index shape (pivot count, depth, ranking strategy). The cluster
-	// coordinator hellos every node at startup to verify the nodes are
-	// key-compatible before it federates them; it doubles as a health
-	// check (the reply carries the live entry count).
-	MsgHello
+	// MsgHello asks a server to identify itself: protocol version,
+	// deployment mode and the index shape (pivot count, depth, ranking
+	// strategy). The cluster coordinator hellos every node at startup to
+	// verify the nodes are key-compatible before it federates them; it
+	// doubles as a health check (the reply carries the live entry count).
+	MsgHello MsgType = 27
 	// MsgHelloAck answers MsgHello with a HelloResp.
-	MsgHelloAck
+	MsgHelloAck MsgType = 28
 
-	// MsgBatchRanked is MsgBatchQuery with ranking annotations kept on the
-	// reply: the payload is a BatchQueryReq, but every candidate returns
-	// with its source cell's promise value and permutation prefix, so an
-	// aggregation layer (the cluster coordinator) can merge per-node
-	// streams by the same (promise, prefix, source) order the in-server
-	// shard merge uses.
-	MsgBatchRanked
-	// MsgBatchRankedCandidates returns one ranked candidate set per query
-	// of a MsgBatchRanked request.
-	MsgBatchRankedCandidates
+	// 29 reserved: the v1 ranked batch request (now BatchQueryReq.Ranked).
+
+	// MsgBatchRankedCandidates answers a ranked MsgBatchQuery: every
+	// candidate returns with its source cell's promise value and
+	// permutation prefix, so an aggregation layer (the cluster coordinator)
+	// can merge per-node streams by the same (promise, prefix, source)
+	// order the in-server shard merge uses.
+	MsgBatchRankedCandidates MsgType = 30
 
 	// MsgDeleteObjects tombstones plain-deployment objects by ID (the plain
 	// server owns the pivots, so no routing metadata is needed); answered
 	// with MsgDeleteAck, batchable like MsgDeleteEntries.
-	MsgDeleteObjects
+	MsgDeleteObjects MsgType = 31
 	// MsgFirstCellPlain evaluates the restricted 1-cell approximate k-NN
 	// fully server-side (plain deployment), the non-encrypted counterpart
-	// of MsgFirstCell; answered with MsgResults.
-	MsgFirstCellPlain
+	// of a first-cell batch query; answered with MsgResults.
+	MsgFirstCellPlain MsgType = 32
 
-	// MsgFilteredQuery wraps an inner read request (MsgBatchRanked,
-	// MsgRangeDists or MsgDownloadAll) with a first-level pivot restriction:
-	// the server evaluates the inner request as if its index held only the
-	// entries whose Perm[0] is in the allowed set, and answers with the
-	// inner request's natural response type. A replicated coordinator uses
-	// it to assign each first-level Voronoi cell to exactly one live owner,
-	// so every entry is counted once no matter how many replicas hold it.
-	MsgFilteredQuery
+	// 33 reserved: the v1 pivot-filter envelope (now BatchQueryReq.Allow
+	// and DownloadAllReq.Allow).
+
 	// MsgResyncOps re-delivers the ordered write operations a node missed
 	// while it was down (coordinator re-admission). The node applies them
 	// idempotently — inserts of IDs it already holds are skipped — and
 	// answers MsgAck when its state has caught up.
-	MsgResyncOps
+	MsgResyncOps MsgType = 34
 
 	// MsgIngestChunk streams one sequence-numbered chunk of pre-computed
 	// entries during a bulk load (encrypted deployment). The client keeps a
 	// window of unacknowledged chunks in flight, preparing the next chunk
 	// (pivot distances, encryption) while earlier ones cross the wire and
 	// build server-side; each chunk is answered by MsgIngestChunkAck.
-	MsgIngestChunk
+	MsgIngestChunk MsgType = 35
 	// MsgIngestObjChunk is MsgIngestChunk for raw objects (plain
 	// deployment): the server computes pivot distances itself.
-	MsgIngestObjChunk
+	MsgIngestObjChunk MsgType = 36
 	// MsgIngestChunkAck acknowledges one streamed chunk, echoing its
 	// sequence number. Under WAL policy "always" the ack additionally
 	// promises the chunk's log record is on stable storage; under "group"
 	// durability is deferred to the end-of-stream flush.
-	MsgIngestChunkAck
+	MsgIngestChunkAck MsgType = 37
 	// MsgIngestEnd closes a streamed ingest: the server flushes its WAL
 	// (a no-op without one) and answers MsgAck, so the final ack promises
 	// every streamed chunk is applied and durable.
-	MsgIngestEnd
+	MsgIngestEnd MsgType = 38
 )
 
 var msgNames = map[MsgType]string{
 	MsgError: "error", MsgInsertEntries: "insert-entries", MsgInsertObjects: "insert-objects",
-	MsgRangeDists: "range-dists", MsgApproxPerm: "approx-perm", MsgApproxDists: "approx-dists",
-	MsgFirstCell: "first-cell", MsgRangePlain: "range-plain", MsgKNNPlain: "knn-plain",
+	MsgRangePlain: "range-plain", MsgKNNPlain: "knn-plain",
 	MsgApproxPlain: "approx-plain", MsgCandidates: "candidates", MsgResults: "results",
 	MsgAck: "ack", MsgGetNode: "get-node", MsgNodeBlob: "node-blob", MsgPutNodes: "put-nodes",
 	MsgFDHQuery: "fdh-query", MsgPutFDH: "put-fdh", MsgDownloadAll: "download-all",
@@ -164,11 +160,30 @@ var msgNames = map[MsgType]string{
 	MsgBatchQuery: "batch-query", MsgBatchCandidates: "batch-candidates",
 	MsgDeleteEntries: "delete-entries", MsgDeleteAck: "delete-ack",
 	MsgHello: "hello", MsgHelloAck: "hello-ack",
-	MsgBatchRanked: "batch-ranked", MsgBatchRankedCandidates: "batch-ranked-candidates",
+	MsgBatchRankedCandidates: "batch-ranked-candidates", MsgResyncOps: "resync-ops",
 	MsgDeleteObjects: "delete-objects", MsgFirstCellPlain: "first-cell-plain",
-	MsgFilteredQuery: "filtered-query", MsgResyncOps: "resync-ops",
 	MsgIngestChunk: "ingest-chunk", MsgIngestObjChunk: "ingest-obj-chunk",
 	MsgIngestChunkAck: "ingest-chunk-ack", MsgIngestEnd: "ingest-end",
+}
+
+// retired names the v1 requests protocol version 2 withdrew, by their
+// reserved numbers.
+var retired = map[MsgType]string{
+	4: "range-dists", 5: "approx-perm", 6: "approx-dists", 7: "first-cell",
+	29: "batch-ranked", 33: "filtered-query",
+}
+
+// RetiredError returns the refusal for a request type that protocol version
+// 2 retired, naming its replacement, or nil for any other type. Servers
+// answer it instead of a bare "unsupported" so a v1 peer learns what to
+// send.
+func RetiredError(t MsgType) error {
+	name, ok := retired[t]
+	if !ok {
+		return nil
+	}
+	return fmt.Errorf("wire: request %s (type %d) was retired in protocol v%d; send %v instead",
+		name, uint8(t), ProtocolVersion, MsgBatchQuery)
 }
 
 // String implements fmt.Stringer.

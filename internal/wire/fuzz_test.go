@@ -57,8 +57,6 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func FuzzDecodeRequests(f *testing.F) {
-	f.Add(RangeDistsReq{Dists: []float64{1, 2}, Radius: 3}.Encode())
-	f.Add(ApproxPermReq{Perm: []int32{1, 0}, CandSize: 5}.Encode())
 	f.Add(InsertEntriesReq{Entries: []mindex.Entry{{ID: 1, Perm: []int32{0}}}}.Encode())
 	f.Add(PutNodesReq{RootID: 1, Nodes: []EHINode{{ID: 1, Blob: []byte{2}}}}.Encode())
 	f.Add(PutFDHReq{Items: []FDHItem{{Key: 3, Payload: []byte{4}}}}.Encode())
@@ -66,7 +64,23 @@ func FuzzDecodeRequests(f *testing.F) {
 		{Kind: BatchRange, Dists: []float64{1}, Radius: 2},
 		{Kind: BatchApproxPerm, Perm: []int32{0, 1}, CandSize: 3},
 	}}.Encode())
-	f.Add(BatchQueryResp{ServerNanos: 1, Results: [][]mindex.Entry{{{ID: 1, Perm: []int32{0}}}}}.Encode())
+	// The unified read request under hostile trailers: an allow-list naming
+	// an out-of-range and a negative pivot (decodes; the server's filter
+	// construction must refuse it), one whose count exceeds the payload, an
+	// unknown query kind, and a download-all payload that is a truncated
+	// allow-list.
+	lone := []BatchQuery{{Kind: BatchApproxPerm, Perm: []int32{1, 0}, CandSize: 1 << 31}}
+	f.Add(BatchQueryReq{Queries: lone, Ranked: true, Allow: []int32{0, 3, 5}}.Encode())
+	f.Add(BatchQueryReq{Queries: lone, Allow: []int32{1 << 20, -1}}.Encode())
+	f.Add(BatchQueryReq{Queries: lone, Allow: []int32{}}.Encode())
+	f.Add(append(BatchQueryReq{Queries: lone}.Encode(), 2, 0xFF, 0xFF, 0xFF, 0x7F, 1, 0, 0, 0))
+	f.Add([]byte{1, 0, 0, 0, 99})
+	f.Add(DownloadAllReq{Allow: []int32{2, 4}}.Encode()[:7])
+	var flat Buffer
+	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
+		{{Entry: mindex.Entry{ID: 1, Perm: []int32{0}}}},
+	}}.AppendFlatTo(&flat)
+	f.Add(flat.B)
 	f.Add(DeleteEntriesReq{Refs: []mindex.Entry{
 		{ID: 7, Perm: []int32{1, 0, 2}},
 		{ID: 8, Perm: []int32{2, 1, 0}},
@@ -80,8 +94,6 @@ func FuzzDecodeRequests(f *testing.F) {
 	}}}.Encode())
 	f.Add(DeleteObjectsReq{IDs: []uint64{1, 2, 3}}.Encode())
 	f.Add(FirstCellPlainReq{Q: metric.Vector{1, 2}, K: 4}.Encode())
-	f.Add(FilteredReq{Allow: []int32{0, 3, 5}, Inner: MsgBatchRanked,
-		Payload: BatchQueryReq{Queries: []BatchQuery{{Kind: BatchRange, Dists: []float64{1}, Radius: 2}}}.Encode()}.Encode())
 	f.Add(ResyncReq{Ops: []ResyncOp{
 		{Op: ResyncInsert, Entries: []mindex.Entry{{ID: 1, Perm: []int32{0, 1}, Payload: []byte{9}}}},
 		{Op: ResyncDelete, Entries: []mindex.Entry{{ID: 2, Perm: []int32{1}}}},
@@ -95,10 +107,6 @@ func FuzzDecodeRequests(f *testing.F) {
 		// None of these may panic; errors are fine.
 		_, _ = DecodeInsertEntriesReq(data)
 		_, _ = DecodeInsertObjectsReq(data)
-		_, _ = DecodeRangeDistsReq(data)
-		_, _ = DecodeApproxPermReq(data)
-		_, _ = DecodeApproxDistsReq(data)
-		_, _ = DecodeFirstCellReq(data)
 		_, _ = DecodeRangePlainReq(data)
 		_, _ = DecodeKNNPlainReq(data)
 		_, _ = DecodeApproxPlainReq(data)
@@ -111,7 +119,21 @@ func FuzzDecodeRequests(f *testing.F) {
 		_, _ = DecodeNodeBlobResp(data)
 		_, _ = DecodePutFDHReq(data)
 		_, _ = DecodeFDHQueryReq(data)
-		_, _ = DecodeBatchQueryReq(data)
+		if req, err := DecodeBatchQueryReq(data); err == nil {
+			// The one read request: what decodes must re-encode to the same
+			// bytes, and giving it its index meaning must not panic either —
+			// hostile pivots and permutations become errors.
+			if !bytes.Equal(req.Encode(), data) {
+				t.Fatal("batch query request re-encoding mismatch")
+			}
+			filter, _ := mindex.NewPivotFilter(8, req.Allow)
+			for _, q := range req.Queries {
+				_, _ = q.IndexQuery(8, filter)
+			}
+		}
+		if req, err := DecodeDownloadAllReq(data); err == nil {
+			_, _ = mindex.NewPivotFilter(8, req.Allow)
+		}
 		_, _ = DecodeBatchQueryResp(data)
 		_, _ = DecodeDeleteEntriesReq(data)
 		_, _ = DecodeDeleteAckResp(data)
@@ -119,7 +141,6 @@ func FuzzDecodeRequests(f *testing.F) {
 		_, _ = DecodeBatchRankedResp(data)
 		_, _ = DecodeDeleteObjectsReq(data)
 		_, _ = DecodeFirstCellPlainReq(data)
-		_, _ = DecodeFilteredReq(data)
 		_, _ = DecodeResyncReq(data)
 		_, _ = DecodeIngestChunkReq(data)
 		_, _ = DecodeIngestObjChunkReq(data)

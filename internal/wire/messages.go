@@ -5,12 +5,14 @@ import (
 
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
+	"simcloud/internal/pivot"
 )
 
 // This file defines the typed payloads of each protocol message. Every type
-// has Encode() []byte and a package-level Decode function; both sides of the
-// protocol share them, so the byte counts measured by the benchmark are the
-// exact bytes a real deployment would ship.
+// has Encode() []byte (the flat batch reply is encoded from ranked results,
+// see BatchRankedResp.AppendFlatTo) and a package-level Decode function; both
+// sides of the protocol share them, so the byte counts measured by the
+// benchmark are the exact bytes a real deployment would ship.
 
 // appendEntries writes a count-prefixed entry list.
 func appendEntries(b *Buffer, entries []mindex.Entry) {
@@ -140,97 +142,6 @@ func (m DeleteAckResp) Encode() []byte {
 func DecodeDeleteAckResp(p []byte) (DeleteAckResp, error) {
 	r := NewReader(p)
 	m := DeleteAckResp{ServerNanos: r.U64(), Deleted: r.U32()}
-	return m, r.Err()
-}
-
-// RangeDistsReq is the encrypted precise range query: pivot distances and
-// radius only — the query object never leaves the client.
-type RangeDistsReq struct {
-	Dists  []float64
-	Radius float64
-}
-
-// Encode serializes the request payload.
-func (m RangeDistsReq) Encode() []byte {
-	var b Buffer
-	b.F64Slice(m.Dists)
-	b.F64(m.Radius)
-	return b.B
-}
-
-// DecodeRangeDistsReq parses a RangeDistsReq payload.
-func DecodeRangeDistsReq(p []byte) (RangeDistsReq, error) {
-	r := NewReader(p)
-	m := RangeDistsReq{Dists: r.F64Slice(), Radius: r.F64()}
-	return m, r.Err()
-}
-
-// ApproxPermReq is the encrypted approximate k-NN query under the footrule
-// ranking: the query's pivot permutation and the requested candidate size.
-type ApproxPermReq struct {
-	Perm     []int32
-	CandSize uint32
-}
-
-// Encode serializes the request payload.
-func (m ApproxPermReq) Encode() []byte {
-	var b Buffer
-	b.I32Slice(m.Perm)
-	b.U32(m.CandSize)
-	return b.B
-}
-
-// DecodeApproxPermReq parses an ApproxPermReq payload.
-func DecodeApproxPermReq(p []byte) (ApproxPermReq, error) {
-	r := NewReader(p)
-	m := ApproxPermReq{Perm: r.I32Slice(), CandSize: r.U32()}
-	return m, r.Err()
-}
-
-// ApproxDistsReq is the encrypted approximate k-NN query under the
-// distance-sum ranking: the query's pivot distances and candidate size.
-type ApproxDistsReq struct {
-	Dists    []float64
-	CandSize uint32
-}
-
-// Encode serializes the request payload.
-func (m ApproxDistsReq) Encode() []byte {
-	var b Buffer
-	b.F64Slice(m.Dists)
-	b.U32(m.CandSize)
-	return b.B
-}
-
-// DecodeApproxDistsReq parses an ApproxDistsReq payload.
-func DecodeApproxDistsReq(p []byte) (ApproxDistsReq, error) {
-	r := NewReader(p)
-	m := ApproxDistsReq{Dists: r.F64Slice(), CandSize: r.U32()}
-	return m, r.Err()
-}
-
-// FirstCellReq asks for the single most promising Voronoi cell.
-type FirstCellReq struct {
-	// Perm carries the query permutation (footrule ranking); Dists carries
-	// the (transformed) query distance vector (distance-sum ranking) —
-	// exactly the per-strategy disclosure split of the approximate k-NN
-	// request pair. Exactly one of the two is non-empty.
-	Perm  []int32
-	Dists []float64
-}
-
-// Encode serializes the request payload.
-func (m FirstCellReq) Encode() []byte {
-	var b Buffer
-	b.I32Slice(m.Perm)
-	b.F64Slice(m.Dists)
-	return b.B
-}
-
-// DecodeFirstCellReq parses a FirstCellReq payload.
-func DecodeFirstCellReq(p []byte) (FirstCellReq, error) {
-	r := NewReader(p)
-	m := FirstCellReq{Perm: r.I32Slice(), Dists: r.F64Slice()}
 	return m, r.Err()
 }
 
@@ -719,9 +630,9 @@ func DecodeRawItemsResp(p []byte) (RawItemsResp, error) {
 	return m, r.Err()
 }
 
-// Batch query kinds carried by a BatchQueryReq. Each kind mirrors one of
-// the single-query encrypted requests and reveals exactly the same
-// information per query.
+// Query kinds carried by a BatchQueryReq. Each reveals exactly what its
+// fields carry — a pivot permutation or a (transformed) pivot-distance
+// vector — and never the query object.
 const (
 	// BatchRange is a precise range query (pivot distances + radius).
 	BatchRange uint8 = iota + 1
@@ -731,13 +642,14 @@ const (
 	// BatchApproxDists is an approximate k-NN candidate request under the
 	// distance-sum ranking (pivot distances + candidate size).
 	BatchApproxDists
-	// BatchFirstCell asks for the single most promising Voronoi cell
-	// (pivot permutation only), the batched form of MsgFirstCell.
+	// BatchFirstCell asks for the single most promising Voronoi cell: the
+	// permutation under the footrule ranking, the distance vector under
+	// distance-sum — exactly one of the two is non-empty.
 	BatchFirstCell
 )
 
-// BatchQuery is one query of a batched request: a tagged union over the
-// three encrypted query shapes.
+// BatchQuery is one encrypted read query: a tagged union over the query
+// shapes above.
 type BatchQuery struct {
 	Kind     uint8
 	Perm     []int32   // BatchApproxPerm, BatchFirstCell (footrule)
@@ -746,15 +658,72 @@ type BatchQuery struct {
 	CandSize uint32    // BatchApproxPerm, BatchApproxDists
 }
 
-// BatchQueryReq carries k encrypted queries in one frame, amortizing one
-// round trip (and one frame header) over the whole batch. The server
-// answers with a BatchQueryResp holding one candidate set per query, in
-// request order.
-type BatchQueryReq struct {
-	Queries []BatchQuery
+// IndexQuery validates q against an index over numPivots pivots and
+// translates it into the index's query form, restricted to allow. It is the
+// one place a wire query kind is given its index meaning: the server's
+// dispatch, the coordinator's per-kind combine and the in-process
+// DirectClient all evaluate whatever this returns.
+func (q BatchQuery) IndexQuery(numPivots int, allow mindex.PivotFilter) (mindex.Query, error) {
+	out := mindex.Query{
+		ApproxQuery: mindex.ApproxQuery{Dists: q.Dists},
+		Radius:      q.Radius,
+		CandSize:    int(q.CandSize),
+		Allow:       allow,
+	}
+	switch q.Kind {
+	case BatchRange:
+		out.Kind = mindex.KindRange
+	case BatchApproxPerm, BatchApproxDists:
+		out.Kind = mindex.KindApprox
+	case BatchFirstCell:
+		out.Kind = mindex.KindFirstCell
+	default:
+		return out, fmt.Errorf("unknown batch query kind %d", q.Kind)
+	}
+	switch {
+	case q.Kind == BatchApproxDists:
+		out.Ranks = pivot.Ranks(pivot.Permutation(q.Dists))
+	case q.Kind == BatchApproxPerm, q.Kind == BatchFirstCell && len(q.Perm) > 0:
+		// A permutation off the wire indexes the promise tables: anything
+		// but a true permutation must become an error response, never a
+		// panic. (A first-cell query without one is the distance-sum form;
+		// the index rejects a query missing what its ranking needs.)
+		if !pivot.ValidPermutation(q.Perm, numPivots) {
+			return out, fmt.Errorf("request permutation is not a permutation of %d pivots", numPivots)
+		}
+		out.Ranks = pivot.Ranks(q.Perm)
+	}
+	return out, nil
 }
 
-// Encode serializes the request payload.
+// BatchQueryReq is the encrypted read request (MsgBatchQuery): k queries in
+// one frame, amortizing one round trip and one frame header over the batch —
+// a lone query is a batch of one. The server answers with one candidate set
+// per query, in request order.
+type BatchQueryReq struct {
+	Queries []BatchQuery
+	// Ranked keeps each candidate's source-cell promise and prefix on the
+	// reply (MsgBatchRankedCandidates carrying a BatchRankedResp instead of
+	// MsgBatchCandidates carrying a BatchQueryResp). The cluster
+	// coordinator sets it to merge per-node streams.
+	Ranked bool
+	// Allow restricts every query to the entries whose first permutation
+	// element is listed, evaluated as if the index held nothing else; nil
+	// allows everything. A replicated coordinator uses it to assign each
+	// first-level Voronoi cell to exactly one live owner, so every entry is
+	// counted once no matter how many replicas hold it.
+	Allow []int32
+}
+
+// Trailer flags of an encoded BatchQueryReq.
+const (
+	batchRanked   uint8 = 1 << 0
+	batchFiltered uint8 = 1 << 1
+)
+
+// Encode serializes the request payload: the query list, then — only when
+// Ranked or Allow is set — a trailer of a flags byte and the allow-list. A
+// plain client query therefore costs no trailer bytes.
 func (m BatchQueryReq) Encode() []byte {
 	var b Buffer
 	b.U32(uint32(len(m.Queries)))
@@ -775,7 +744,29 @@ func (m BatchQueryReq) Encode() []byte {
 			b.F64Slice(q.Dists)
 		}
 	}
+	var flags uint8
+	if m.Ranked {
+		flags |= batchRanked
+	}
+	if m.Allow != nil {
+		flags |= batchFiltered
+	}
+	if flags != 0 {
+		b.U8(flags)
+		if m.Allow != nil {
+			b.I32Slice(m.Allow)
+		}
+	}
 	return b.B
+}
+
+// readAllow reads an allow-list that is present on the wire: never nil, so
+// an empty list keeps meaning "allow nothing".
+func readAllow(r *Reader) []int32 {
+	if allow := r.I32Slice(); allow != nil {
+		return allow
+	}
+	return []int32{}
 }
 
 // DecodeBatchQueryReq parses a BatchQueryReq payload.
@@ -806,34 +797,57 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 			return BatchQueryReq{}, ErrCodec
 		}
 		if r.err != nil {
-			break
+			return BatchQueryReq{}, r.err
 		}
 		m.Queries = append(m.Queries, q)
+	}
+	if len(r.b) > 0 {
+		flags := r.U8()
+		if flags == 0 || flags&^(batchRanked|batchFiltered) != 0 {
+			return BatchQueryReq{}, ErrCodec
+		}
+		m.Ranked = flags&batchRanked != 0
+		if flags&batchFiltered != 0 {
+			m.Allow = readAllow(r)
+		}
 	}
 	return m, r.Err()
 }
 
-// BatchQueryResp returns the candidate sets of a batched query, parallel to
-// the request's query list. ServerNanos covers the whole batch.
+// DownloadAllReq is the MsgDownloadAll payload: empty for every stored
+// entry, or a first-level allow-list (see BatchQueryReq.Allow).
+type DownloadAllReq struct {
+	Allow []int32
+}
+
+// Encode serializes the request payload.
+func (m DownloadAllReq) Encode() []byte {
+	if m.Allow == nil {
+		return nil
+	}
+	var b Buffer
+	b.I32Slice(m.Allow)
+	return b.B
+}
+
+// DecodeDownloadAllReq parses a DownloadAllReq payload.
+func DecodeDownloadAllReq(p []byte) (DownloadAllReq, error) {
+	if len(p) == 0 {
+		return DownloadAllReq{}, nil
+	}
+	r := NewReader(p)
+	m := DownloadAllReq{Allow: readAllow(r)}
+	return m, r.Err()
+}
+
+// BatchQueryResp is the flat answer to a BatchQueryReq (MsgBatchCandidates):
+// one candidate set per query, parallel to the request's query list.
+// ServerNanos covers the whole batch. Servers hold ranked results and encode
+// this form with BatchRankedResp.AppendFlatTo; this type is what the
+// receiving side decodes into.
 type BatchQueryResp struct {
 	ServerNanos uint64
 	Results     [][]mindex.Entry
-}
-
-// AppendTo appends the encoded response to b (see CandidatesResp.AppendTo).
-func (m BatchQueryResp) AppendTo(b *Buffer) {
-	b.U64(m.ServerNanos)
-	b.U32(uint32(len(m.Results)))
-	for _, entries := range m.Results {
-		appendEntries(b, entries)
-	}
-}
-
-// Encode serializes the response payload.
-func (m BatchQueryResp) Encode() []byte {
-	var b Buffer
-	m.AppendTo(&b)
-	return b.B
 }
 
 // DecodeBatchQueryResp parses a BatchQueryResp payload.

@@ -2,45 +2,9 @@ package wire
 
 import "simcloud/internal/mindex"
 
-// This file defines the replication messages: the pivot-filtered read
-// envelope a replicated coordinator fans queries out with, and the re-sync
-// operation stream it replays into a re-admitted node. See DESIGN.md
-// §Replication for the ownership rule and recovery invariants these carry.
-
-// FilteredReq wraps an inner read request with a first-level pivot
-// restriction (MsgFilteredQuery). The server decodes Payload as an Inner
-// request, evaluates it over only the entries whose Perm[0] is in Allow,
-// and answers with Inner's natural response type.
-type FilteredReq struct {
-	// Allow lists the permitted first-level pivots (each in
-	// [0, NumPivots)).
-	Allow []int32
-	// Inner is the wrapped request type: MsgBatchRanked, MsgRangeDists or
-	// MsgDownloadAll.
-	Inner MsgType
-	// Payload is the wrapped request's encoded payload.
-	Payload []byte
-}
-
-// Encode serializes the request payload.
-func (m FilteredReq) Encode() []byte {
-	var b Buffer
-	b.I32Slice(m.Allow)
-	b.U8(uint8(m.Inner))
-	b.Bytes(m.Payload)
-	return b.B
-}
-
-// DecodeFilteredReq parses a FilteredReq payload.
-func DecodeFilteredReq(p []byte) (FilteredReq, error) {
-	r := NewReader(p)
-	m := FilteredReq{
-		Allow:   r.I32Slice(),
-		Inner:   MsgType(r.U8()),
-		Payload: r.BytesField(),
-	}
-	return m, r.Err()
-}
+// This file defines the re-sync operation stream a replicated coordinator
+// replays into a re-admitted node. See DESIGN.md §Replication for the
+// ownership rule and recovery invariants it carries.
 
 // Re-sync operation kinds (ResyncOp.Op).
 const (

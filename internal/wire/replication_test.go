@@ -7,53 +7,6 @@ import (
 	"simcloud/internal/mindex"
 )
 
-func TestFilteredReqRoundTrip(t *testing.T) {
-	cases := []FilteredReq{
-		{Inner: MsgDownloadAll},
-		{Allow: []int32{0}, Inner: MsgRangeDists,
-			Payload: RangeDistsReq{Dists: []float64{1, 2}, Radius: 3}.Encode()},
-		{Allow: []int32{7, 0, 3, 5}, Inner: MsgBatchRanked,
-			Payload: BatchQueryReq{Queries: []BatchQuery{
-				{Kind: BatchApproxPerm, Perm: []int32{3, 0}, CandSize: 10},
-			}}.Encode()},
-	}
-	for _, want := range cases {
-		got, err := DecodeFilteredReq(want.Encode())
-		if err != nil {
-			t.Fatalf("%+v: %v", want, err)
-		}
-		if !reflect.DeepEqual(normalizeFiltered(got), normalizeFiltered(want)) {
-			t.Fatalf("round trip: got %+v, want %+v", got, want)
-		}
-	}
-}
-
-// normalizeFiltered maps empty and nil slices together: the codec does not
-// distinguish them.
-func normalizeFiltered(m FilteredReq) FilteredReq {
-	if len(m.Allow) == 0 {
-		m.Allow = nil
-	}
-	if len(m.Payload) == 0 {
-		m.Payload = nil
-	}
-	return m
-}
-
-func TestFilteredReqTruncated(t *testing.T) {
-	full := FilteredReq{Allow: []int32{1, 2}, Inner: MsgBatchRanked,
-		Payload: []byte{1, 2, 3}}.Encode()
-	for n := range len(full) {
-		if _, err := DecodeFilteredReq(full[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded without error", n)
-		}
-	}
-	// Trailing garbage must be rejected too.
-	if _, err := DecodeFilteredReq(append(full, 0)); err == nil {
-		t.Fatal("trailing byte decoded without error")
-	}
-}
-
 func TestResyncReqRoundTrip(t *testing.T) {
 	want := ResyncReq{Ops: []ResyncOp{
 		{Op: ResyncInsert, Entries: []mindex.Entry{

@@ -187,34 +187,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
 	})
-	t.Run("range-dists", func(t *testing.T) {
-		in := RangeDistsReq{Dists: []float64{1, 2, 3}, Radius: 4.5}
-		out, err := DecodeRangeDistsReq(in.Encode())
-		if err != nil || out.Radius != 4.5 || len(out.Dists) != 3 {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("approx-perm", func(t *testing.T) {
-		in := ApproxPermReq{Perm: []int32{3, 1, 0, 2}, CandSize: 600}
-		out, err := DecodeApproxPermReq(in.Encode())
-		if err != nil || out.CandSize != 600 || !reflect.DeepEqual(out.Perm, in.Perm) {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("approx-dists", func(t *testing.T) {
-		in := ApproxDistsReq{Dists: []float64{0.5}, CandSize: 10}
-		out, err := DecodeApproxDistsReq(in.Encode())
-		if err != nil || out.CandSize != 10 || out.Dists[0] != 0.5 {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("first-cell", func(t *testing.T) {
-		in := FirstCellReq{Perm: []int32{1, 0}}
-		out, err := DecodeFirstCellReq(in.Encode())
-		if err != nil || !reflect.DeepEqual(out.Perm, in.Perm) {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
 	t.Run("range-plain", func(t *testing.T) {
 		in := RangePlainReq{Q: metric.Vector{7, 8}, Radius: 1}
 		out, err := DecodeRangePlainReq(in.Encode())
@@ -256,6 +228,63 @@ func TestMessageRoundTrips(t *testing.T) {
 		if !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip: %+v", out)
 		}
+		// A lone unranked, unfiltered query costs exactly count + kind over
+		// its fields — no trailer bytes.
+		lone := BatchQueryReq{Queries: in.Queries[1:2]}.Encode()
+		if want := 4 + 1 + (4 + 3*4) + 4; len(lone) != want {
+			t.Fatalf("batch-of-one encodes to %d bytes, want %d", len(lone), want)
+		}
+	})
+	t.Run("batch-query-ranked-filtered", func(t *testing.T) {
+		qs := []BatchQuery{{Kind: BatchFirstCell, Dists: []float64{1, 2}}}
+		for _, in := range []BatchQueryReq{
+			{Queries: qs, Ranked: true},
+			{Queries: qs, Allow: []int32{7, 0, 3}},
+			{Queries: qs, Ranked: true, Allow: []int32{}}, // empty ≠ nil: allow nothing
+			{Ranked: true, Allow: []int32{1}},
+		} {
+			out, err := DecodeBatchQueryReq(in.Encode())
+			if err != nil {
+				t.Fatalf("%+v: %v", in, err)
+			}
+			if len(in.Queries) == 0 {
+				in.Queries = []BatchQuery{}
+			}
+			if !reflect.DeepEqual(out, in) {
+				t.Fatalf("round trip: got %+v, want %+v", out, in)
+			}
+		}
+		// Every strict prefix of a trailer-carrying request that cuts into
+		// the trailer must fail, as must unknown or zero flag bits.
+		full := BatchQueryReq{Queries: qs, Ranked: true, Allow: []int32{1, 2}}.Encode()
+		bare := len(BatchQueryReq{Queries: qs}.Encode())
+		for n := bare + 1; n < len(full); n++ {
+			if _, err := DecodeBatchQueryReq(full[:n]); err == nil {
+				t.Fatalf("truncation to %d of %d bytes decoded without error", n, len(full))
+			}
+		}
+		for _, flags := range []byte{0, 4, 0xFF} {
+			if _, err := DecodeBatchQueryReq(append(full[:bare:bare], flags)); err == nil {
+				t.Fatalf("trailer flags %#x accepted", flags)
+			}
+		}
+		if _, err := DecodeBatchQueryReq(append(full, 0)); err == nil {
+			t.Fatal("trailing byte decoded without error")
+		}
+	})
+	t.Run("download-all", func(t *testing.T) {
+		for _, in := range []DownloadAllReq{{}, {Allow: []int32{}}, {Allow: []int32{4, 1}}} {
+			out, err := DecodeDownloadAllReq(in.Encode())
+			if err != nil || !reflect.DeepEqual(out, in) {
+				t.Fatalf("round trip: got %+v, %v; want %+v", out, err, in)
+			}
+		}
+		full := DownloadAllReq{Allow: []int32{4, 1}}.Encode()
+		for n := 1; n < len(full); n++ {
+			if _, err := DecodeDownloadAllReq(full[:n]); err == nil {
+				t.Fatalf("truncation to %d bytes decoded without error", n)
+			}
+		}
 	})
 	t.Run("batch-query-unknown-kind", func(t *testing.T) {
 		var b Buffer
@@ -266,12 +295,21 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("batch-candidates", func(t *testing.T) {
-		in := BatchQueryResp{ServerNanos: 77, Results: [][]mindex.Entry{
-			sampleEntries(),
+		// The flat form is the ranked one with the annotations dropped.
+		ranked := func(entries []mindex.Entry) []mindex.RankedCandidate {
+			rcs := make([]mindex.RankedCandidate, len(entries))
+			for i, e := range entries {
+				rcs[i] = mindex.RankedCandidate{Entry: e, Promise: 0.5, Prefix: []int32{1}}
+			}
+			return rcs
+		}
+		var b Buffer
+		BatchRankedResp{ServerNanos: 77, Results: [][]mindex.RankedCandidate{
+			ranked(sampleEntries()),
 			nil,
-			{{ID: 9, Perm: []int32{1}}},
-		}}
-		out, err := DecodeBatchQueryResp(in.Encode())
+			ranked([]mindex.Entry{{ID: 9, Perm: []int32{1}}}),
+		}}.AppendFlatTo(&b)
+		out, err := DecodeBatchQueryResp(b.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,8 +389,8 @@ func TestQuickDecodersRobust(t *testing.T) {
 		_, _ = DecodeInsertEntriesReq(p)
 		_, _ = DecodeDeleteEntriesReq(p)
 		_, _ = DecodeDeleteAckResp(p)
-		_, _ = DecodeRangeDistsReq(p)
-		_, _ = DecodeApproxPermReq(p)
+		_, _ = DecodeBatchQueryReq(p)
+		_, _ = DecodeDownloadAllReq(p)
 		_, _ = DecodeCandidatesResp(p)
 		_, _ = DecodeResultsResp(p)
 		_, _ = DecodePutNodesReq(p)
@@ -363,8 +401,8 @@ func TestQuickDecodersRobust(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	valid := RangeDistsReq{Dists: []float64{1}, Radius: 2}.Encode()
-	if _, err := DecodeRangeDistsReq(append(valid, 0xFF)); err == nil {
+	valid := DeleteAckResp{ServerNanos: 1, Deleted: 2}.Encode()
+	if _, err := DecodeDeleteAckResp(append(valid, 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }

@@ -1,8 +1,15 @@
 package simcloud
 
 import (
+	"context"
 	"testing"
 )
+
+// search evaluates one query without a deadline — what the tests used the
+// removed per-kind convenience methods for.
+func search(s Searcher, q Query) ([]Result, Costs, error) {
+	return s.Search(context.Background(), q)
+}
 
 // TestFacadeEndToEnd exercises the documented public API exactly as the
 // package comment advertises it.
@@ -34,7 +41,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	q := ds.Objects[7].Vec
-	results, costs, err := client.ApproxKNN(q, 5, 100)
+	results, costs, err := search(client, Query{Kind: KindApproxKNN, Vec: q, K: 5, CandSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +56,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Precise search through the facade.
-	precise, _, err := client.KNN(q, 3, 50)
+	precise, _, err := search(client, Query{Kind: KindKNN, Vec: q, K: 3, CandSize: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +64,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("precise kNN: %+v", precise)
 	}
 
-	within, _, err := client.Range(q, precise[2].Dist)
+	within, _, err := search(client, Query{Kind: KindRange, Vec: q, Radius: precise[2].Dist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +159,7 @@ func TestFacadeEqualizingTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Objects[3].Vec
-	got, _, err := client.Range(q, 6)
+	got, _, err := search(client, Query{Kind: KindRange, Vec: q, Radius: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +193,7 @@ func TestFacadePlainDeployment(t *testing.T) {
 	if _, err := client.Insert(ds.Objects); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := client.KNN(ds.Objects[0].Vec, 4)
+	res, _, err := search(client, Query{Kind: KindKNN, Vec: ds.Objects[0].Vec, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
