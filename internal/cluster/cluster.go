@@ -13,7 +13,11 @@
 // merge by the shared (promise, prefix, source) order: one combine rule,
 // two call sites (engine across shards, coordinator across nodes) — so a
 // multi-node cluster reproduces the single-server candidate list exactly
-// (see DESIGN.md §Distribution for the preconditions).
+// (see DESIGN.md §Distribution for the preconditions). The coordinator is a
+// merger of small keys, not a second copy of every ciphertext: node replies
+// land in pooled frames, are decoded by reference, and each winner's encoded
+// record is appended to the client-ward reply straight out of its frame
+// (combine.go; the frames are leased and released within one function).
 //
 // At startup the coordinator hellos every node and refuses to federate
 // nodes that are unreachable or key-incompatible (different pivot count,
@@ -287,15 +291,23 @@ func (c *Coordinator) checkShape(addr string, info wire.HelloResp) error {
 	return nil
 }
 
-// roundTrip performs one request/response exchange with the node,
+// roundTrip performs one request/response exchange with the node and
+// returns the reply in a payload slice of its own (see roundTripInto).
+func (n *node) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+	return n.roundTripInto(ctx, t, payload, timeout, new(wire.Buffer))
+}
+
+// roundTripInto performs one request/response exchange with the node,
 // serialized on the node's connection, under ctx plus the per-round-trip
 // timeout (whichever fires first): the effective deadline becomes the
 // connection's read/write deadline via wire.ArmContext, so a node that
-// stalls mid-response cannot hang the coordinator past its bound. Any
-// transport failure closes the connection, marks the node down and returns
-// a nodeDownError; an error frame from the node is returned as a
-// wire.RemoteError with the node still up.
-func (n *node) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
+// stalls mid-response cannot hang the coordinator past its bound. The reply
+// is read into frame and the returned payload aliases it: it lives as long
+// as the caller's lease on frame does. Any transport failure closes the
+// connection, marks the node down and returns a nodeDownError; an error
+// frame from the node is returned as a wire.RemoteError with the node still
+// up.
+func (n *node) roundTripInto(ctx context.Context, t wire.MsgType, payload []byte, timeout time.Duration, frame *wire.Buffer) (wire.MsgType, []byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	conn := n.getConn()
@@ -320,7 +332,7 @@ func (n *node) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, ti
 		if err := wire.WriteFrame(conn, t, payload); err != nil {
 			return 0, nil, err
 		}
-		return wire.ReadFrame(conn)
+		return wire.ReadFrameInto(conn, frame)
 	}()
 	if err = disarm(err); err != nil {
 		return fail(err)
@@ -476,10 +488,20 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		if err != nil {
 			return // client disconnected or sent garbage framing
 		}
-		respType, respPayload := c.dispatch(typ, payload)
-		if err := wire.WriteFrame(conn, respType, respPayload); err != nil {
+		if err := c.serve(conn, typ, payload); err != nil {
 			c.opts.Logf("simcoord: writing response to %s: %v", conn.RemoteAddr(), err)
 			return
 		}
 	}
+}
+
+// serve answers one request. Candidate replies are assembled in a pooled
+// buffer that goes back to the pool once the client-ward write is done, so
+// an idle connection pins nothing and an outsized reply (a download-all) is
+// dropped rather than kept.
+func (c *Coordinator) serve(conn net.Conn, typ wire.MsgType, payload []byte) error {
+	out := wire.GetBuffer()
+	defer wire.PutBuffer(out)
+	respType, respPayload := c.dispatch(typ, payload, out)
+	return wire.WriteFrame(conn, respType, respPayload)
 }

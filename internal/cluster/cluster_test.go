@@ -179,6 +179,10 @@ func firstCellIDs(t *testing.T, addr string, w *testWorld, q metric.Vector) []ui
 // Range queries must return the same result set, and refined k-NN answers
 // must match exactly.
 func TestClusterEquivalence(t *testing.T) {
+	// Every pooled buffer is overwritten the moment it is released: a
+	// candidate view that outlived its frame would corrupt an answer here
+	// every time, not once in a while.
+	wire.PoisonBuffers(t)
 	w := newWorld(t, 1500)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"simcloud/internal/merge"
 	"simcloud/internal/mindex"
 	"simcloud/internal/wire"
 )
@@ -17,9 +16,9 @@ import (
 // of the client's connection — coordinator processing plus the node round
 // trips — matching what "server time" means to a client that cannot see
 // past its own socket.
-func (c *Coordinator) dispatch(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+func (c *Coordinator) dispatch(typ wire.MsgType, payload []byte, out *wire.Buffer) (wire.MsgType, []byte) {
 	start := time.Now()
-	respType, resp, err := c.handle(typ, payload, start)
+	respType, resp, err := c.handle(typ, payload, start, out)
 	if err != nil {
 		return wire.MsgError, wire.ErrorResp{Msg: err.Error()}.Encode()
 	}
@@ -30,7 +29,11 @@ func (c *Coordinator) serverNanos(start time.Time) uint64 {
 	return uint64(time.Since(start))
 }
 
-func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) (wire.MsgType, []byte, error) {
+// handle serves one request. The candidate replies (batch query, download-
+// all) are assembled in out — the request's pooled response buffer (see
+// serve) — and the returned payload aliases it; every other reply is a small
+// slice of its own.
+func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, out *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
 		if _, err := wire.DecodeHelloReq(payload); err != nil {
@@ -98,13 +101,11 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) 
 		if req.Ranked || req.Allow != nil {
 			return 0, nil, errNodeLevelRead
 		}
-		results, err := c.queryFan(c.ctx, req.Queries)
-		if err != nil {
+		if err := c.queryFan(c.ctx, req.Queries, out); err != nil {
 			return 0, nil, err
 		}
-		var buf wire.Buffer
-		wire.BatchRankedResp{ServerNanos: c.serverNanos(start), Results: results}.AppendFlatTo(&buf)
-		return wire.MsgBatchCandidates, buf.B, nil
+		setServerNanos(out, c.serverNanos(start))
+		return wire.MsgBatchCandidates, out.B, nil
 
 	case wire.MsgDownloadAll:
 		req, err := wire.DecodeDownloadAllReq(payload)
@@ -114,13 +115,11 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) 
 		if req.Allow != nil {
 			return 0, nil, errNodeLevelRead
 		}
-		entries, err := c.downloadAll(c.ctx)
-		if err != nil {
+		if err := c.downloadAll(c.ctx, out); err != nil {
 			return 0, nil, err
 		}
-		return wire.MsgCandidates, wire.CandidatesResp{
-			ServerNanos: c.serverNanos(start), Entries: entries,
-		}.Encode(), nil
+		setServerNanos(out, c.serverNanos(start))
+		return wire.MsgCandidates, out.B, nil
 	}
 	if err := wire.RetiredError(typ); err != nil {
 		return 0, nil, err
@@ -258,7 +257,7 @@ func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry,
 // reach it during re-admission, with the node's own WAL policy governing
 // their durability — the same window the SyncNever tail already has.
 func (c *Coordinator) flushIngest(ctx context.Context) error {
-	replies, err := c.broadcast(ctx, wire.MsgIngestEnd, wire.IngestEndReq{}.Encode())
+	replies, err := c.broadcast(ctx, wire.MsgIngestEnd, wire.IngestEndReq{}.Encode(), nil)
 	if err != nil {
 		return err
 	}
@@ -345,7 +344,8 @@ func (c *Coordinator) deleteRefs(ctx context.Context, refs []mindex.Entry) (uint
 	return deleted.Load(), nil
 }
 
-// nodeReply is one node's response frame within a broadcast.
+// nodeReply is one node's response frame within a broadcast. The payload
+// aliases the node's leased frame when the fan-out was given frames.
 type nodeReply struct {
 	typ     wire.MsgType
 	payload []byte
@@ -355,8 +355,10 @@ type nodeReply struct {
 // pool and collects the replies in node order. A node that fails at the
 // transport level is marked down and the whole broadcast retries over the
 // survivors — queries stay transparent across a node death, serving
-// whatever the surviving nodes hold. Application errors propagate.
-func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []byte) ([]nodeReply, error) {
+// whatever the surviving nodes hold. Application errors propagate. Replies
+// are read into the caller's leased frames (see replyFrames) when given, and
+// into slices of their own when frames is nil.
+func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []byte, frames replyFrames) ([]nodeReply, error) {
 	for {
 		// Cancellation check between fan-out waves: a node death triggers a
 		// full retry over the survivors, and that loop must not outlive the
@@ -371,7 +373,7 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 		replies := make([]nodeReply, len(targets))
 		var anyDown atomic.Bool
 		err := c.pool.Run(len(targets), func(i int) error {
-			respType, resp, err := targets[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout)
+			respType, resp, err := targets[i].roundTripInto(ctx, t, payload, c.opts.NodeTimeout, frames.of(targets[i]))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; retrying over surviving nodes", err)
@@ -400,89 +402,19 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 // (nil); replicated, each cell is assigned to exactly one live owner and
 // every owning node gets the request restricted to its cells (see
 // filteredFan).
-func (c *Coordinator) readFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte)) ([]nodeReply, error) {
+func (c *Coordinator) readFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte), frames replyFrames) ([]nodeReply, error) {
 	if c.replicated() {
-		return c.filteredFan(ctx, encode)
+		return c.filteredFan(ctx, encode, frames)
 	}
 	t, payload := encode(nil)
-	return c.broadcast(ctx, t, payload)
-}
-
-// downloadAll concatenates every node's stored entries in node order — the
-// cross-node form of the engine's per-shard concatenation, exact because
-// every first-level cell is answered by one node.
-func (c *Coordinator) downloadAll(ctx context.Context) ([]mindex.Entry, error) {
-	replies, err := c.readFan(ctx, func(allow []int32) (wire.MsgType, []byte) {
-		return wire.MsgDownloadAll, wire.DownloadAllReq{Allow: allow}.Encode()
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []mindex.Entry
-	for _, rep := range replies {
-		if rep.typ != wire.MsgCandidates {
-			return nil, fmt.Errorf("cluster: unexpected node response %v to download-all", rep.typ)
-		}
-		m, err := wire.DecodeCandidatesResp(rep.payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m.Entries...)
-	}
-	return out, nil
-}
-
-// queryFan fans a batch of queries out to the nodes as one ranked
-// MsgBatchQuery and combines the per-node answers per query with
-// merge.Combine — the very rule engine.ShardedIndex applies across shards,
-// so a query answered by N nodes is ordered exactly like one answered by a
-// single server. Queries are validated here first: a hostile one is refused
-// before any node is bothered.
-func (c *Coordinator) queryFan(ctx context.Context, queries []wire.BatchQuery) ([][]mindex.RankedCandidate, error) {
-	iqs := make([]mindex.Query, len(queries))
-	for i, q := range queries {
-		var err error
-		if iqs[i], err = q.IndexQuery(int(c.info.NumPivots), nil); err != nil {
-			return nil, fmt.Errorf("cluster: batch query %d: %w", i, err)
-		}
-	}
-	replies, err := c.readFan(ctx, func(allow []int32) (wire.MsgType, []byte) {
-		return wire.MsgBatchQuery, wire.BatchQueryReq{Queries: queries, Ranked: true, Allow: allow}.Encode()
-	})
-	if err != nil {
-		return nil, err
-	}
-	perNode := make([][][]mindex.RankedCandidate, len(replies))
-	for i, rep := range replies {
-		if rep.typ != wire.MsgBatchRankedCandidates {
-			return nil, fmt.Errorf("cluster: unexpected node response %v to batch query", rep.typ)
-		}
-		m, err := wire.DecodeBatchRankedResp(rep.payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(m.Results) != len(queries) {
-			return nil, fmt.Errorf("cluster: node returned %d results for %d queries",
-				len(m.Results), len(queries))
-		}
-		perNode[i] = m.Results
-	}
-	out := make([][]mindex.RankedCandidate, len(queries))
-	per := make([][]mindex.RankedCandidate, len(perNode))
-	for qi, iq := range iqs {
-		for i := range perNode {
-			per[i] = perNode[i][qi]
-		}
-		out[qi] = merge.Combine(iq, per)
-	}
-	return out, nil
+	return c.broadcast(ctx, t, payload, frames)
 }
 
 // aggregateHello answers a client hello with the cluster-wide view: the
 // agreed index shape plus entry and shard counts summed over the live
 // nodes.
 func (c *Coordinator) aggregateHello(ctx context.Context) (wire.HelloResp, error) {
-	replies, err := c.broadcast(ctx, wire.MsgHello, wire.HelloReq{}.Encode())
+	replies, err := c.broadcast(ctx, wire.MsgHello, wire.HelloReq{}.Encode(), nil)
 	if err != nil {
 		return wire.HelloResp{}, err
 	}

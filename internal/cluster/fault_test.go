@@ -20,6 +20,7 @@ import (
 	"simcloud/internal/faultnet"
 	"simcloud/internal/server"
 	"simcloud/internal/wal"
+	"simcloud/internal/wire"
 )
 
 // startWALServer boots (or re-boots) an encrypted node whose entry store is
@@ -83,6 +84,10 @@ func resultsEqual(a, b []core.Result) bool {
 // all four query kinds stay byte-identical to a healthy single server over
 // the same logical collection.
 func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
+	// Every pooled buffer is overwritten the moment it is released: a
+	// candidate view that outlived its frame would corrupt an answer here
+	// every time, not once in a while.
+	wire.PoisonBuffers(t)
 	w := newWorld(t, 1500)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
@@ -365,6 +370,10 @@ func TestReprobeReadmitsNode(t *testing.T) {
 // replica, and the coordinator reassigns read ownership mid-flight. Run
 // under -race in CI, this also exercises the journal/readmission locking.
 func TestConcurrentQueriesDuringKill(t *testing.T) {
+	// Every pooled buffer is overwritten the moment it is released: a
+	// candidate view that outlived its frame would corrupt an answer here
+	// every time, not once in a while.
+	wire.PoisonBuffers(t)
 	w := newWorld(t, 1000)
 	srvs := make([]*server.Server, 3)
 	addrs := make([]string, 3)

@@ -244,8 +244,8 @@ func (c *Coordinator) assignReadOwners() ([][]int32, error) {
 // encoded with its cells as the allow-list, so the union of the per-node
 // answers covers every cell exactly once. A node death mid-wave reassigns
 // its cells to surviving owners and resends the whole wave. Replies come
-// back compacted in node-id order.
-func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte)) ([]nodeReply, error) {
+// back compacted in node-id order, read into frames as in broadcast.
+func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte), frames replyFrames) ([]nodeReply, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: fan-out aborted: %w", err)
@@ -261,7 +261,7 @@ func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32
 				return nil
 			}
 			t, payload := encode(allow[i])
-			respType, resp, err := c.nodes[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout)
+			respType, resp, err := c.nodes[i].roundTripInto(ctx, t, payload, c.opts.NodeTimeout, frames.of(c.nodes[i]))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; reassigning read owners", err)

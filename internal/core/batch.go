@@ -23,16 +23,30 @@ import (
 // flight that dies mid-pipeline leaves its connection with unread frames
 // in transit, so the lease is discarded, never pooled.
 
-// frame is one protocol frame of a pipelined exchange.
+// frame is one protocol frame of a pipelined exchange. A response frame's
+// payload sits in buf, a pooled buffer the receiver of the exchange holds
+// until it is done with everything decoded out of the payload — by
+// reference, on the query path — and then gives back with releaseFrames.
 type frame struct {
 	typ     wire.MsgType
 	payload []byte
+	buf     *wire.Buffer
+}
+
+// releaseFrames returns the response frames of an exchange to wire's pool.
+func releaseFrames(resps []frame) {
+	for _, r := range resps {
+		if r.buf != nil {
+			wire.PutBuffer(r.buf)
+		}
+	}
 }
 
 // exchange leases a connection, pipelines the request frames over it under
-// ctx, and returns the matching response frames in order. Wire time and
-// bytes for the whole flight are accounted to costs as a single round trip
-// (the chunks share the connection; latency is paid once).
+// ctx, and returns the matching response frames in order; the caller
+// releases them (releaseFrames). Wire time and bytes for the whole flight
+// are accounted to costs as a single round trip (the chunks share the
+// connection; latency is paid once).
 func (c *EncryptedClient) exchange(ctx context.Context, reqs []frame, costs *stats.Costs) ([]frame, error) {
 	var resps []frame
 	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
@@ -55,12 +69,14 @@ func exchange(ctx context.Context, conn *wire.CountingConn, reqs []frame, costs 
 	readDone := make(chan error, 1)
 	go func() {
 		for i := range resps {
-			typ, payload, err := wire.ReadFrame(conn)
+			buf := wire.GetBuffer()
+			resps[i].buf = buf
+			typ, payload, err := wire.ReadFrameInto(conn, buf)
 			if err != nil {
 				readDone <- err
 				return
 			}
-			resps[i] = frame{typ: typ, payload: payload}
+			resps[i].typ, resps[i].payload = typ, payload
 		}
 		readDone <- nil
 	}()
@@ -93,6 +109,7 @@ func exchange(ctx context.Context, conn *wire.CountingConn, reqs []frame, costs 
 		err = readErr
 	}
 	if err = disarm(err); err != nil {
+		releaseFrames(resps)
 		return nil, err
 	}
 	return resps, nil
@@ -151,6 +168,7 @@ func (c *EncryptedClient) InsertBatchContext(ctx context.Context, objs []metric.
 	if err != nil {
 		return costs, err
 	}
+	defer releaseFrames(resps)
 	for ci, r := range resps {
 		if err := respError(r); err != nil {
 			lo := ci * chunk

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -331,63 +330,4 @@ func finish(costs *stats.Costs, start time.Time) {
 	if costs.ClientTime < 0 {
 		costs.ClientTime = 0
 	}
-}
-
-// refine decrypts candidate entries and computes their true distances to
-// the query (Algorithm 2, lines 11–16). The two phases run batched —
-// decrypt everything, then compute all distances — so the cost
-// decomposition pays one clock read per phase instead of two per candidate:
-// at the paper's candidate-set sizes the per-candidate clock calls were
-// themselves a measurable distortion of exactly the client-side times the
-// Tables report.
-func (c *coder) refine(q metric.Vector, cands []mindex.Entry, costs *stats.Costs) ([]Result, error) {
-	dist := c.key.Pivots().Dist
-	out := make([]Result, 0, len(cands))
-	decStart := time.Now()
-	for _, e := range cands {
-		o, err := c.key.DecryptObject(e.Payload)
-		if err != nil {
-			costs.DecryptTime += time.Since(decStart)
-			return nil, fmt.Errorf("core: decrypting candidate %d: %w", e.ID, err)
-		}
-		out = append(out, Result{ID: o.ID, Object: o})
-	}
-	costs.DecryptTime += time.Since(decStart)
-	distStart := time.Now()
-	for i := range out {
-		out[i].Dist = dist.Dist(q, out[i].Object.Vec)
-	}
-	costs.DistCompTime += time.Since(distStart)
-	costs.DistComps += int64(len(out))
-	costs.Candidates += int64(len(cands))
-	return out, nil
-}
-
-// refineLimited refines at most limit candidates (0 = everything), keeping
-// the pre-ranked most promising prefix; Candidates is accounted as the
-// number transferred, not merely refined, matching the paper's
-// communication-cost measure.
-func (c *coder) refineLimited(q metric.Vector, cands []mindex.Entry, limit int, costs *stats.Costs) ([]Result, error) {
-	received := len(cands)
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit] // pre-ranked: keep the most promising prefix
-	}
-	refined, err := c.refine(q, cands, costs)
-	if err != nil {
-		return nil, err
-	}
-	costs.Candidates += int64(received - len(cands))
-	return refined, nil
-}
-
-// maxRadius is an effectively unbounded query radius.
-const maxRadius = 1e300
-
-func sortByDist(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
-		}
-		return rs[i].ID < rs[j].ID
-	})
 }

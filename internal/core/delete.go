@@ -98,6 +98,7 @@ func (c *EncryptedClient) DeleteBatchContext(ctx context.Context, objs []metric.
 	if err != nil {
 		return 0, costs, err
 	}
+	defer releaseFrames(resps)
 	deleted := 0
 	for ci, r := range resps {
 		if err := respError(r); err != nil {

@@ -139,7 +139,7 @@ func (c *DirectClient) searchOne(ctx context.Context, nq Query, costs *stats.Cos
 	if err != nil {
 		return nil, err
 	}
-	return c.finishQuery(nq, cands, costs)
+	return c.finishQuery(nq, entryCands(cands), costs)
 }
 
 // SearchBatch evaluates the queries sequentially (there is no round trip

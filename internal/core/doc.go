@@ -42,6 +42,20 @@
 // same wire.BatchQuery through the same wire-to-index translation
 // (wire.BatchQuery.IndexQuery) the server's dispatch uses.
 //
+// # Refinement reads candidates where they lie
+//
+// The networked client reads each response frame into a pooled buffer and
+// decodes the candidates by reference (wire.CandidateRefs): no permutation,
+// distance vector or ciphertext is copied out of the frame. Refinement
+// decrypts a chunk of candidates into reused scratch, computes their
+// distances there and gives an Object memory of its own only if it is still
+// among the K nearest — or within the radius — at the end, so the results a
+// caller receives never alias a frame. The frames of an exchange are
+// released in the scope that declared them (a flight, released by defer:
+// searchOne after its finishQuery, SearchBatch after its last one); nothing
+// decoded by reference leaves that scope. DecryptTime and DistCompTime are
+// still timed as two phases, alternating chunk by chunk.
+//
 // # Contexts, deadlines, concurrency
 //
 // Every operation takes (or has a ...Context variant taking) a

@@ -177,7 +177,7 @@ func (c *KMeansDirect) searchOne(ctx context.Context, nq Query, costs *stats.Cos
 	if err != nil {
 		return nil, err
 	}
-	return c.finishQuery(nq, cands, costs)
+	return c.finishQuery(nq, entryCands(cands), costs)
 }
 
 // SearchBatch evaluates the queries sequentially (no round trip to

@@ -189,6 +189,7 @@ func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, 
 	}); err != nil {
 		return nil, costs, err
 	}
+	defer releaseFrames(resps) // decodeResults copies what it keeps
 	out := make([][]Result, len(qs))
 	for i, r := range resps {
 		if err := respError(r); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"simcloud/internal/mindex"
@@ -86,42 +87,24 @@ func (c *EncryptedClient) searchOne(ctx context.Context, nq Query, costs *stats.
 	}
 	// A lone query rides the batch path as a batch of one.
 	wq := c.wireQuery(nq, c.queryDists(nq, costs))
-	cands, err := c.batchCandidates(ctx, []wire.BatchQuery{wq}, costs, func(i int) int { return i })
-	if err != nil {
+	var fl flight
+	defer fl.release()
+	if err := c.batchCandidates(ctx, []wire.BatchQuery{wq}, costs, func(i int) int { return i }, &fl); err != nil {
 		return nil, err
 	}
-	return c.finishQuery(nq, cands[0], costs)
+	return c.finishQuery(nq, refCands(fl.perQuery[0]), costs)
 }
 
 // finishQuery applies the per-kind client-side epilogue to a candidate
-// set: refinement (partial when RefineLimit is set), the radius filter for
-// range queries, distance-sorting, and the K trim.
-func (c *coder) finishQuery(nq Query, cands []mindex.Entry, costs *stats.Costs) ([]Result, error) {
-	switch nq.Kind {
-	case KindRange:
-		refined, err := c.refine(nq.Vec, cands, costs)
-		if err != nil {
-			return nil, err
-		}
-		out := refined[:0]
-		for _, res := range refined {
-			if res.Dist <= nq.Radius {
-				out = append(out, res)
-			}
-		}
-		sortByDist(out)
-		return out, nil
-	default: // KindApproxKNN, KindFirstCell
-		refined, err := c.refineLimited(nq.Vec, cands, nq.RefineLimit, costs)
-		if err != nil {
-			return nil, err
-		}
-		sortByDist(refined)
-		if len(refined) > nq.K {
-			refined = refined[:nq.K]
-		}
-		return refined, nil
+// set: refinement (partial when RefineLimit is set) down to the answer —
+// everything within the radius for range queries, the K nearest otherwise —
+// in distance order.
+func (c *coder) finishQuery(nq Query, cands candidates, costs *stats.Costs) ([]Result, error) {
+	if nq.Kind == KindRange {
+		return c.refine(nq.Vec, cands, 0, 0, nq.Radius, costs)
 	}
+	// KindApproxKNN, KindFirstCell
+	return c.refine(nq.Vec, cands, nq.RefineLimit, nq.K, 0, costs)
 }
 
 // knnRadius derives the phase-2 range radius ρk from the refined
@@ -151,7 +134,6 @@ func searchKNN(ctx context.Context, nq Query, costs *stats.Costs,
 	if err != nil {
 		return nil, err
 	}
-	sortByDist(within)
 	if len(within) > nq.K {
 		within = within[:nq.K]
 	}
@@ -184,10 +166,15 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	for i, nq := range norm {
 		wqs[i] = c.wireQuery(nq, c.queryDists(nq, &costs))
 	}
-	perQuery, err := c.batchCandidates(ctx, wqs, &costs, func(i int) int { return i })
-	if err != nil {
+	// Both waves' response frames stay leased until the last finishQuery
+	// over them has returned: candidates are read out of the frames.
+	var wave1, wave2 flight
+	defer wave1.release()
+	defer wave2.release()
+	if err := c.batchCandidates(ctx, wqs, &costs, func(i int) int { return i }, &wave1); err != nil {
 		return nil, costs, err
 	}
+	perQuery := wave1.perQuery
 
 	out := make([][]Result, len(qs))
 	var knnIdx []int     // queries needing the phase-2 range wave
@@ -196,13 +183,9 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	for i, nq := range norm {
 		if nq.Kind == KindKNN {
 			// Phase 1 is refined like an approximate query; ρk feeds wave 2.
-			approx, err := c.refine(nq.Vec, perQuery[i], &costs)
+			approx, err := c.finishQuery(Query{Kind: KindApproxKNN, Vec: nq.Vec, K: nq.K}, refCands(perQuery[i]), &costs)
 			if err != nil {
 				return nil, costs, err
-			}
-			sortByDist(approx)
-			if len(approx) > nq.K {
-				approx = approx[:nq.K]
 			}
 			rangeQ := Query{Kind: KindRange, Vec: nq.Vec, Radius: knnRadius(approx, nq.K)}
 			knnIdx = append(knnIdx, i)
@@ -210,22 +193,22 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 			knnWave = append(knnWave, c.wireQuery(rangeQ, c.queryDists(rangeQ, &costs)))
 			continue
 		}
-		res, err := c.finishQuery(nq, perQuery[i], &costs)
+		res, err := c.finishQuery(nq, refCands(perQuery[i]), &costs)
 		if err != nil {
 			return nil, costs, err
 		}
 		out[i] = res
 	}
 	if len(knnIdx) > 0 {
-		perKNN, err := c.batchCandidates(ctx, knnWave, &costs, func(i int) int { return knnIdx[i] })
-		if err != nil {
+		if err := c.batchCandidates(ctx, knnWave, &costs, func(i int) int { return knnIdx[i] }, &wave2); err != nil {
 			return nil, costs, err
 		}
+		perKNN := wave2.perQuery
 		for j, i := range knnIdx {
 			// The range epilogue filters by the true ρk (the server pruned
 			// conservatively in transformed space), then the K cut applies —
 			// exactly the single-query KNN composition.
-			within, err := c.finishQuery(knnRange[j], perKNN[j], &costs)
+			within, err := c.finishQuery(knnRange[j], refCands(perKNN[j]), &costs)
 			if err != nil {
 				return nil, costs, err
 			}
@@ -239,12 +222,37 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	return out, costs, nil
 }
 
+// flight is the answer to one batchCandidates exchange, held by reference:
+// perQuery's candidates alias the response frames, so whoever declares a
+// flight defers its release in the same scope and reads perQuery only
+// before that.
+type flight struct {
+	frames   []frame
+	refs     []*wire.CandidateRefs // one by-reference decoding per frame
+	perQuery [][]wire.CandidateRef // one candidate set per wire query
+}
+
+// candidateRefs recycles the by-reference decodings of response frames.
+var candidateRefs = sync.Pool{New: func() any { return new(wire.CandidateRefs) }}
+
+// release returns the flight's frames and decodings to their pools. It is
+// safe on a flight that was never filled.
+func (f *flight) release() {
+	releaseFrames(f.frames)
+	for _, m := range f.refs {
+		m.Reset()
+		candidateRefs.Put(m)
+	}
+	*f = flight{}
+}
+
 // batchCandidates ships the wire queries as pipelined MsgBatchQuery chunks
-// over one leased connection and returns the per-query candidate sets.
+// over one leased connection and fills fl with the per-query candidate
+// sets, decoded by reference out of the response frames fl holds on to.
 // queryIndex maps a position in wqs back to the caller's query index — the
 // identity for the first wave, the KNN subset mapping for the second — so
 // a server error always names queries by the indices the caller knows.
-func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQuery, costs *stats.Costs, queryIndex func(int) int) ([][]mindex.Entry, error) {
+func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQuery, costs *stats.Costs, queryIndex func(int) int, fl *flight) error {
 	chunk := c.opts.BatchChunk
 	reqs := make([]frame, 0, c.chunkCount(len(wqs)))
 	for at := 0; at < len(wqs); at += chunk {
@@ -253,36 +261,35 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 			payload: wire.BatchQueryReq{Queries: wqs[at:min(at+chunk, len(wqs))]}.Encode(),
 		})
 	}
-	resps, err := c.exchange(ctx, reqs, costs)
-	if err != nil {
-		return nil, err
+	var err error
+	if fl.frames, err = c.exchange(ctx, reqs, costs); err != nil {
+		return err
 	}
-	out := make([][]mindex.Entry, 0, len(wqs))
-	for ci, r := range resps {
+	fl.perQuery = make([][]wire.CandidateRef, 0, len(wqs))
+	for ci, r := range fl.frames {
 		if err := respError(r); err != nil {
 			lo := ci * chunk
 			// The server's "batch query N" counts within this chunk; the
 			// wrapped range rebases it onto the caller's query indices.
-			return nil, fmt.Errorf("core: query chunk %d (queries %d..%d): %w",
+			return fmt.Errorf("core: query chunk %d (queries %d..%d): %w",
 				ci, queryIndex(lo), queryIndex(min(lo+chunk, len(wqs))-1), err)
 		}
 		if r.typ != wire.MsgBatchCandidates {
-			return nil, fmt.Errorf("core: unexpected batch query response %v", r.typ)
+			return fmt.Errorf("core: unexpected batch query response %v", r.typ)
 		}
-		m, err := wire.DecodeBatchQueryResp(r.payload)
-		if err != nil {
-			return nil, err
+		m := candidateRefs.Get().(*wire.CandidateRefs)
+		fl.refs = append(fl.refs, m)
+		if err := m.DecodeFlat(r.payload); err != nil {
+			return err
 		}
 		creditServer(costs, m.ServerNanos)
-		for _, cands := range m.Results {
-			if len(out) >= len(wqs) {
-				return nil, fmt.Errorf("core: server returned more batch results than queries")
-			}
-			out = append(out, cands)
+		if len(fl.perQuery)+len(m.Results) > len(wqs) {
+			return fmt.Errorf("core: server returned more batch results than queries")
 		}
+		fl.perQuery = append(fl.perQuery, m.Results...)
 	}
-	if len(out) != len(wqs) {
-		return nil, fmt.Errorf("core: server returned %d batch results for %d queries", len(out), len(wqs))
+	if len(fl.perQuery) != len(wqs) {
+		return fmt.Errorf("core: server returned %d batch results for %d queries", len(fl.perQuery), len(wqs))
 	}
-	return out, nil
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"simcloud/internal/pivot"
 	"simcloud/internal/secret"
 	"simcloud/internal/server"
+	"simcloud/internal/wire"
 )
 
 // threeBackends builds the same seeded collection behind all three
@@ -140,6 +141,10 @@ func TestSearcherBackendEquivalence(t *testing.T) {
 // TestSearchBatchMatchesSearch: on every backend, a mixed-kind SearchBatch
 // returns exactly what per-query Search calls return.
 func TestSearchBatchMatchesSearch(t *testing.T) {
+	// Every pooled buffer is overwritten the moment it is released: a
+	// candidate view that outlived its frame would corrupt an answer here
+	// every time, not once in a while.
+	wire.PoisonBuffers(t)
 	enc, plain, direct, ds := threeBackends(t)
 	ctx := context.Background()
 	qs := equivalenceQueries(ds)

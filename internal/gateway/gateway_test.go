@@ -15,6 +15,7 @@ import (
 
 	"simcloud/internal/core"
 	"simcloud/internal/stats"
+	"simcloud/internal/wire"
 )
 
 // postJSON sends one request and decodes the response body into out.
@@ -77,6 +78,10 @@ func queryVec(dim int, seed float32) []float32 {
 // identical — IDs, distances, vectors — to what the tenant's backend
 // returns for the same Query through the Go Search API.
 func TestGatewayEquivalence(t *testing.T) {
+	// Every pooled buffer is overwritten the moment it is released: a
+	// candidate view that outlived its frame would corrupt an answer here
+	// every time, not once in a while.
+	wire.PoisonBuffers(t)
 	srv, backend := demoGateway(t, Admission{})
 	vec := queryVec(6, 1.5)
 

@@ -13,49 +13,111 @@
 // partition index, a final tie-break that can only matter for cells that
 // are bytewise identical across partitions (impossible under first-level
 // Voronoi routing, where every cell lives in exactly one partition, but
-// kept so the order is total no matter how callers partition). Because the
-// sort is stable, entries of one cell stay in bucket order.
+// kept so the order is total no matter how callers partition). The merge is
+// stable: entries of one cell stay in bucket order.
 package merge
 
 import (
 	"slices"
-	"sort"
 
 	"simcloud/internal/mindex"
 )
 
+// Keyed is an element the merge can order: it reports the promise and the
+// prefix of its source cell. mindex.RankedCandidate is the engine's element;
+// the coordinator merges by-reference candidates (wire.CandidateRef) that
+// carry the same two annotations and a span of the frame instead of a copy
+// of the entry.
+//
+// The method is declared on the pointer (P is *T) so that reading a key
+// never copies the element it belongs to.
+type Keyed[T any] interface {
+	*T
+	Rank() (promise float64, prefix []int32)
+}
+
+// compare is the (promise, prefix) order of two candidates' source cells —
+// the one implementation of it; callers add the source tie-break.
+func compare[T any, P Keyed[T]](a, b *T) int {
+	pa, xa := P(a).Rank()
+	pb, xb := P(b).Rank()
+	switch {
+	case pa < pb:
+		return -1
+	case pa != pb: // greater — or unordered: a NaN is less than nothing
+		return 1
+	case mindex.PrefixLess(xa, xb):
+		return -1
+	case mindex.PrefixLess(xb, xa):
+		return 1
+	}
+	return 0
+}
+
 // Ranked flattens per-source candidate lists (each already in promise
 // order, as produced by a KindApprox Search) into one list ordered by
 // (promise, prefix, source). The result is fully deterministic for any
-// interleaving of sources.
-func Ranked(per [][]mindex.RankedCandidate) []mindex.RankedCandidate {
-	type tagged struct {
-		rc     mindex.RankedCandidate
-		source int
-	}
+// interleaving of sources, and for any input it is what a stable sort of the
+// concatenated lists by that key gives.
+func Ranked[T any, P Keyed[T]](per [][]T) []T { return ranked[T, P](per, -1) }
+
+// ranked is Ranked cut to the first limit elements (limit < 0 keeps all).
+// Sources that arrive sorted — every well-formed answer — are merged head by
+// head, so only the elements kept are ever moved and the merge stops at the
+// limit. An unsorted source or a NaN promise (a buggy node) falls back to a
+// stable sort of positions by the same key; elements are never swapped,
+// whatever their size.
+func ranked[T any, P Keyed[T]](per [][]T, limit int) []T {
 	total := 0
+	sorted := true
 	for _, p := range per {
 		total += len(p)
-	}
-	all := make([]tagged, 0, total)
-	for i, p := range per {
-		for _, rc := range p {
-			all = append(all, tagged{rc: rc, source: i})
+		for i := 0; sorted && i < len(p); i++ {
+			promise, _ := P(&p[i]).Rank()
+			sorted = promise == promise && (i == 0 || compare[T, P](&p[i-1], &p[i]) <= 0)
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		x, y := all[a], all[b]
-		if x.rc.Promise != y.rc.Promise {
-			return x.rc.Promise < y.rc.Promise
+	if limit < 0 || limit > total {
+		limit = total
+	}
+	out := make([]T, 0, limit)
+	if !sorted {
+		type pos struct{ source, index int }
+		order := make([]pos, 0, total)
+		for s, p := range per {
+			for i := range p {
+				order = append(order, pos{s, i})
+			}
 		}
-		if !slices.Equal(x.rc.Prefix, y.rc.Prefix) {
-			return mindex.PrefixLess(x.rc.Prefix, y.rc.Prefix)
+		slices.SortStableFunc(order, func(a, b pos) int {
+			if c := compare[T, P](&per[a.source][a.index], &per[b.source][b.index]); c != 0 {
+				return c
+			}
+			return a.source - b.source
+		})
+		for _, o := range order[:limit] {
+			out = append(out, per[o.source][o.index])
 		}
-		return x.source < y.source
-	})
-	out := make([]mindex.RankedCandidate, len(all))
-	for i, t := range all {
-		out[i] = t.rc
+		return out
+	}
+	heads := make([]int, len(per))
+	for len(out) < limit {
+		best := -1
+		for s, p := range per {
+			// Strict less: the iteration order supplies the source tie-break.
+			if heads[s] < len(p) && (best < 0 || compare[T, P](&p[heads[s]], &per[best][heads[best]]) < 0) {
+				best = s
+			}
+		}
+		// Everything of the cell at the winning head precedes the other
+		// heads as well: take the whole run in one go.
+		p, at := per[best], heads[best]
+		end := at + 1
+		for end < len(p) && len(out)+end-at < limit && compare[T, P](&p[at], &p[end]) == 0 {
+			end++
+		}
+		out = append(out, p[at:end]...)
+		heads[best] = end
 	}
 	return out
 }
@@ -78,26 +140,18 @@ func Entries(rcs []mindex.RankedCandidate, candSize int) []mindex.Entry {
 // cell's promise and prefix; empty for a source with no non-empty cell),
 // ordered by (promise, prefix, source) exactly like Ranked, or -1 when every
 // source is empty.
-func BestCell(per [][]mindex.RankedCandidate) int {
+func BestCell[T any, P Keyed[T]](per [][]T) int {
 	best := -1
 	for i, rcs := range per {
 		if len(rcs) == 0 {
 			continue
 		}
 		// Strict less: the iteration order supplies the source tie-break.
-		if best < 0 || less(rcs[0], per[best][0]) {
+		if best < 0 || compare[T, P](&rcs[0], &per[best][0]) < 0 {
 			best = i
 		}
 	}
 	return best
-}
-
-// less orders two candidates' source cells by (promise, prefix).
-func less(a, b mindex.RankedCandidate) bool {
-	if a.Promise != b.Promise {
-		return a.Promise < b.Promise
-	}
-	return mindex.PrefixLess(a.Prefix, b.Prefix)
 }
 
 // Combine folds the per-source answers to q into the answer one
@@ -106,16 +160,12 @@ func less(a, b mindex.RankedCandidate) bool {
 // concatenate in source order (every first-level cell lives in exactly one
 // source, and all pruning bounds are per-cell); approximate candidates merge
 // by Ranked and trim to the candidate size; first-cell keeps BestCell.
-func Combine(q mindex.Query, per [][]mindex.RankedCandidate) []mindex.RankedCandidate {
+func Combine[T any, P Keyed[T]](q mindex.Query, per [][]T) []T {
 	switch q.Kind {
 	case mindex.KindApprox:
-		merged := Ranked(per)
-		if len(merged) > q.CandSize {
-			merged = merged[:q.CandSize]
-		}
-		return merged
+		return ranked[T, P](per, max(q.CandSize, 0))
 	case mindex.KindFirstCell:
-		if best := BestCell(per); best >= 0 {
+		if best := BestCell[T, P](per); best >= 0 {
 			return per[best]
 		}
 		return nil

@@ -1,7 +1,11 @@
 package merge
 
 import (
+	"cmp"
+	"math"
+	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 
 	"simcloud/internal/mindex"
@@ -120,5 +124,86 @@ func TestCombine(t *testing.T) {
 	}
 	if got := Combine(mindex.Query{Kind: mindex.KindFirstCell}, [][]mindex.RankedCandidate{nil, nil}); got != nil {
 		t.Errorf("first cell over empty sources: got %v, want nil", got)
+	}
+}
+
+// stableSortReference is the definition Ranked must keep meeting for any
+// input: tag every candidate with its source, sort.SliceStable the
+// concatenation by (promise, prefix, source). It is how Ranked used to be
+// implemented, fat structs and all.
+func stableSortReference(per [][]mindex.RankedCandidate) []mindex.RankedCandidate {
+	type tagged struct {
+		rc     mindex.RankedCandidate
+		source int
+	}
+	var all []tagged
+	for i, p := range per {
+		for _, rc := range p {
+			all = append(all, tagged{rc: rc, source: i})
+		}
+	}
+	sort.SliceStable(all, func(a, b int) bool {
+		x, y := all[a], all[b]
+		if x.rc.Promise != y.rc.Promise {
+			return x.rc.Promise < y.rc.Promise
+		}
+		if !slices.Equal(x.rc.Prefix, y.rc.Prefix) {
+			return mindex.PrefixLess(x.rc.Prefix, y.rc.Prefix)
+		}
+		return x.source < y.source
+	})
+	out := make([]mindex.RankedCandidate, len(all))
+	for i, t := range all {
+		out[i] = t.rc
+	}
+	return out
+}
+
+// TestRankedMatchesStableSort: on well-formed (sorted) sources, on sources a
+// buggy node left unsorted, and on NaN promises, the merge returns exactly
+// what the stable sort returns — and Combine's trimmed merge is its prefix.
+func TestRankedMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 2012))
+	promises := []float64{0, 0.1, 0.1, 0.25, 0.5, 0.5, 0.75, 1}
+	for round := range 600 {
+		malformed := round%3 == 1 // unsorted sources
+		withNaN := round%3 == 2
+		per := make([][]mindex.RankedCandidate, 1+rng.IntN(5))
+		var id uint64
+		for s := range per {
+			n := rng.IntN(60)
+			if rng.IntN(4) == 0 {
+				n = 0
+			}
+			for range n {
+				id++
+				prefix := make([]int32, rng.IntN(3))
+				for k := range prefix {
+					prefix[k] = int32(rng.IntN(3))
+				}
+				p := promises[rng.IntN(len(promises))]
+				if withNaN && rng.IntN(20) == 0 {
+					p = math.NaN()
+				}
+				per[s] = append(per[s], rc(id, p, prefix...))
+			}
+			if !malformed && !withNaN {
+				slices.SortStableFunc(per[s], func(a, b mindex.RankedCandidate) int {
+					if a.Promise != b.Promise {
+						return cmp.Compare(a.Promise, b.Promise)
+					}
+					return slices.Compare(a.Prefix, b.Prefix)
+				})
+			}
+		}
+		want := ids(stableSortReference(per))
+		if got := ids(Ranked(per)); !slices.Equal(got, want) {
+			t.Fatalf("round %d (malformed %v, NaN %v): got %v, want %v", round, malformed, withNaN, got, want)
+		}
+		limit := rng.IntN(len(want) + 2)
+		got := ids(Combine(mindex.Query{Kind: mindex.KindApprox, CandSize: limit}, per))
+		if !slices.Equal(got, want[:min(limit, len(want))]) {
+			t.Fatalf("round %d: Combine at %d got %v, want %v", round, limit, got, want[:min(limit, len(want))])
+		}
 	}
 }

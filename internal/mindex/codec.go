@@ -1,6 +1,7 @@
 package mindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -53,64 +54,92 @@ func EncodeEntry(e Entry) []byte {
 	return AppendEntry(make([]byte, 0, EncodedEntrySize(e)), e)
 }
 
-// DecodeEntry decodes one entry from the front of buf, returning the entry
-// and the remaining bytes.
-func DecodeEntry(buf []byte) (Entry, []byte, error) {
-	var e Entry
+// EntryView is one encoded entry record located by ScanEntry: the record's
+// span plus where its variable-length fields end, so each field is a slice
+// expression away. Everything aliases the scanned buffer — a view is valid
+// only as long as that buffer is. The read path uses views to move a
+// ciphertext without copying it; anything that stores an entry decodes it
+// with DecodeEntry.
+type EntryView struct {
+	ID     uint64
+	Record []byte // the whole record, as AppendEntry wrote it
+
+	permEnd, distsEnd, payloadEnd int // offsets into Record
+}
+
+// Perm is the permutation prefix: int32 × len/4, little endian.
+func (v *EntryView) Perm() []byte { return v.Record[10:v.permEnd:v.permEnd] }
+
+// Dists is the pivot-distance vector: float64 × len/8.
+func (v *EntryView) Dists() []byte { return v.Record[v.permEnd+2 : v.distsEnd : v.distsEnd] }
+
+// Payload is the ciphertext.
+func (v *EntryView) Payload() []byte { return v.Record[v.distsEnd+4 : v.payloadEnd : v.payloadEnd] }
+
+// Vec is the plaintext vector of a plain-deployment entry: float32 × len/4.
+func (v *EntryView) Vec() []byte { return v.Record[v.payloadEnd+4:] }
+
+// ScanEntry locates one entry record at the front of buf without allocating
+// or copying, returning its view and the remaining bytes. It is the only
+// parser of the record layout: DecodeEntry is built on it.
+func ScanEntry(buf []byte) (EntryView, []byte, error) {
 	if len(buf) < 10 {
-		return e, nil, ErrCodec
+		return EntryView{}, nil, ErrCodec
 	}
-	e.ID = binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
+	permEnd := 10 + 4*int(binary.LittleEndian.Uint16(buf[8:]))
+	if len(buf) < permEnd+2 {
+		return EntryView{}, nil, ErrCodec
+	}
+	distsEnd := permEnd + 2 + 8*int(binary.LittleEndian.Uint16(buf[permEnd:]))
+	if len(buf) < distsEnd+4 {
+		return EntryView{}, nil, ErrCodec
+	}
+	payloadEnd := distsEnd + 4 + int(binary.LittleEndian.Uint32(buf[distsEnd:]))
+	if len(buf) < payloadEnd+4 {
+		return EntryView{}, nil, ErrCodec
+	}
+	end := payloadEnd + 4 + 4*int(binary.LittleEndian.Uint32(buf[payloadEnd:]))
+	if len(buf) < end {
+		return EntryView{}, nil, ErrCodec
+	}
+	return EntryView{
+		ID:      binary.LittleEndian.Uint64(buf),
+		Record:  buf[:end:end],
+		permEnd: permEnd, distsEnd: distsEnd, payloadEnd: payloadEnd,
+	}, buf[end:], nil
+}
 
-	permLen := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < 4*permLen+2 {
-		return e, nil, ErrCodec
+// DecodeEntry decodes one entry from the front of buf, returning the entry
+// and the remaining bytes. The entry owns its memory (every field is
+// copied out of buf), which is what every write, ingest, log and disk path
+// needs: a stored entry must not pin, or be overwritten with, the frame or
+// file buffer it arrived in.
+func DecodeEntry(buf []byte) (Entry, []byte, error) {
+	v, rest, err := ScanEntry(buf)
+	if err != nil {
+		return Entry{}, nil, err
 	}
-	if permLen > 0 {
-		e.Perm = make([]int32, permLen)
+	e := Entry{ID: v.ID}
+	if perm := v.Perm(); len(perm) > 0 {
+		e.Perm = make([]int32, len(perm)/4)
 		for i := range e.Perm {
-			e.Perm[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+			e.Perm[i] = int32(binary.LittleEndian.Uint32(perm[4*i:]))
 		}
-		buf = buf[4*permLen:]
 	}
-
-	distsLen := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < 8*distsLen+4 {
-		return e, nil, ErrCodec
-	}
-	if distsLen > 0 {
-		e.Dists = make([]float64, distsLen)
+	if dists := v.Dists(); len(dists) > 0 {
+		e.Dists = make([]float64, len(dists)/8)
 		for i := range e.Dists {
-			e.Dists[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+			e.Dists[i] = math.Float64frombits(binary.LittleEndian.Uint64(dists[8*i:]))
 		}
-		buf = buf[8*distsLen:]
 	}
-
-	payLen := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if len(buf) < payLen+4 {
-		return e, nil, ErrCodec
+	if payload := v.Payload(); len(payload) > 0 {
+		e.Payload = bytes.Clone(payload)
 	}
-	if payLen > 0 {
-		e.Payload = make([]byte, payLen)
-		copy(e.Payload, buf[:payLen])
-		buf = buf[payLen:]
-	}
-
-	vecLen := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if len(buf) < 4*vecLen {
-		return e, nil, ErrCodec
-	}
-	if vecLen > 0 {
-		e.Vec = make(metric.Vector, vecLen)
+	if vec := v.Vec(); len(vec) > 0 {
+		e.Vec = make(metric.Vector, len(vec)/4)
 		for i := range e.Vec {
-			e.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+			e.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(vec[4*i:]))
 		}
-		buf = buf[4*vecLen:]
 	}
-	return e, buf, nil
+	return e, rest, nil
 }

@@ -84,6 +84,10 @@ type RankedCandidate struct {
 	Prefix  []int32
 }
 
+// Rank reports the source cell's promise and prefix — what the shared merge
+// order reads off a candidate (merge.Keyed).
+func (rc *RankedCandidate) Rank() (float64, []int32) { return rc.Promise, rc.Prefix }
+
 // Flat drops the ranking annotations of a Search result (passing its error
 // through) — the candidate set in the form a refining client consumes.
 func Flat(rcs []RankedCandidate, err error) ([]Entry, error) {

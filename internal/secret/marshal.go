@@ -159,11 +159,5 @@ func Unmarshal(buf []byte) (*Key, error) {
 	if mode == ModeCTRHMAC && len(macKey) != macKeyLen {
 		return nil, fmt.Errorf("secret: MAC key length %d, want %d", len(macKey), macKeyLen)
 	}
-	return &Key{
-		pivots:        pivot.NewSet(dist, vecs),
-		mode:          mode,
-		aesKey:        aesKey,
-		macKey:        macKey,
-		distTransform: distTransform,
-	}, nil
+	return newKey(pivot.NewSet(dist, vecs), mode, aesKey, macKey, distTransform)
 }

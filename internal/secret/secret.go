@@ -27,8 +27,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
@@ -78,6 +81,53 @@ type Key struct {
 	aesKey        []byte
 	macKey        []byte
 	distTransform *transform.Monotone
+
+	// Cipher state derived from the key material once, in newKey: a
+	// candidate set is hundreds of ciphertexts, and expanding the AES key or
+	// keying an HMAC per ciphertext cost more than the cryptography itself.
+	block cipher.Block // AES over aesKey
+	aead  cipher.AEAD  // GCM over block (ModeGCM)
+	macs  sync.Pool    // *macState keyed with macKey (ModeCTRHMAC)
+}
+
+// macState is one keyed HMAC-SHA256 with the scratch its tag is summed
+// into; Reset brings the hash back to its keyed state without re-deriving
+// the pads.
+type macState struct {
+	hash.Hash
+	sum [sha256.Size]byte
+}
+
+// newKey assembles a key and derives its cipher state; every constructor
+// ends here.
+func newKey(pivots *pivot.Set, mode Mode, aesKey, macKey []byte, t *transform.Monotone) (*Key, error) {
+	k := &Key{pivots: pivots, mode: mode, aesKey: aesKey, macKey: macKey, distTransform: t}
+	var err error
+	if k.block, err = aes.NewCipher(aesKey); err != nil {
+		return nil, err
+	}
+	switch mode {
+	case ModeCTRHMAC:
+		k.macs.New = func() any { return &macState{Hash: hmac.New(sha256.New, macKey)} }
+	case ModeGCM:
+		if k.aead, err = cipher.NewGCM(k.block); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("secret: unknown cipher mode %d", mode)
+	}
+	return k, nil
+}
+
+// tag computes the truncated encrypt-then-MAC tag over data.
+func (k *Key) tag(data []byte) [macTagLen]byte {
+	m := k.macs.Get().(*macState)
+	m.Reset()
+	m.Write(data)
+	var tag [macTagLen]byte
+	copy(tag[:], m.Sum(m.sum[:0]))
+	k.macs.Put(m)
+	return tag
 }
 
 // Generate creates a fresh secret key for the given pivot set, drawing
@@ -95,17 +145,18 @@ func GenerateFrom(random io.Reader, pivots *pivot.Set, mode Mode) (*Key, error) 
 	if mode != ModeCTRHMAC && mode != ModeGCM {
 		return nil, fmt.Errorf("secret: unknown cipher mode %d", mode)
 	}
-	k := &Key{pivots: pivots, mode: mode, aesKey: make([]byte, aesKeyLen)}
-	if _, err := io.ReadFull(random, k.aesKey); err != nil {
+	aesKey := make([]byte, aesKeyLen)
+	if _, err := io.ReadFull(random, aesKey); err != nil {
 		return nil, fmt.Errorf("secret: generating AES key: %w", err)
 	}
+	var macKey []byte
 	if mode == ModeCTRHMAC {
-		k.macKey = make([]byte, macKeyLen)
-		if _, err := io.ReadFull(random, k.macKey); err != nil {
+		macKey = make([]byte, macKeyLen)
+		if _, err := io.ReadFull(random, macKey); err != nil {
 			return nil, fmt.Errorf("secret: generating MAC key: %w", err)
 		}
 	}
-	return k, nil
+	return newKey(pivots, mode, aesKey, macKey, nil)
 }
 
 // Pivots exposes the pivot set (client-side use only).
@@ -128,21 +179,32 @@ func EncodeObject(o metric.Object) []byte {
 
 // DecodeObject reverses EncodeObject.
 func DecodeObject(buf []byte) (metric.Object, error) {
+	id, vec, err := AppendObjectVec(metric.Vector{}, buf)
+	if err != nil {
+		return metric.Object{}, err
+	}
+	return metric.Object{ID: id, Vec: vec}, nil
+}
+
+// AppendObjectVec decodes an EncodeObject plaintext, appending the object's
+// vector to dst — the form a refinement loop uses to decode candidate after
+// candidate into one scratch slab. It returns the object's ID and the
+// extended slice; the vector is its last (len(result) − len(dst)) elements.
+func AppendObjectVec(dst metric.Vector, buf []byte) (uint64, metric.Vector, error) {
 	if len(buf) < 12 {
-		return metric.Object{}, ErrFormat
+		return 0, dst, ErrFormat
 	}
 	dim := binary.LittleEndian.Uint32(buf[8:])
 	if uint64(len(buf)) != 12+4*uint64(dim) {
-		return metric.Object{}, ErrFormat
+		return 0, dst, ErrFormat
 	}
-	o := metric.Object{
-		ID:  binary.LittleEndian.Uint64(buf[0:]),
-		Vec: make(metric.Vector, dim),
+	at := len(dst)
+	dst = slices.Grow(dst, int(dim))[:at+int(dim)]
+	vec, src := dst[at:], buf[12:]
+	for i := range vec {
+		vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
-	for i := range o.Vec {
-		o.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[12+4*i:]))
-	}
-	return o, nil
+	return binary.LittleEndian.Uint64(buf), dst, nil
 }
 
 // Seal encrypts an arbitrary plaintext under the key, producing a
@@ -159,96 +221,78 @@ func (k *Key) Seal(plaintext []byte) ([]byte, error) {
 
 // Open decrypts a ciphertext produced by Seal, verifying integrity.
 func (k *Key) Open(ct []byte) ([]byte, error) {
+	return k.OpenAppend(nil, ct)
+}
+
+// OpenAppend is Open appending the plaintext to dst (which must not overlap
+// ct) and returning the extended slice: with a reused dst, opening a
+// ciphertext allocates nothing beyond what the cipher itself does.
+func (k *Key) OpenAppend(dst, ct []byte) ([]byte, error) {
 	if len(ct) < 1 {
-		return nil, ErrFormat
+		return dst, ErrFormat
 	}
 	if Mode(ct[0]) != k.mode {
-		return nil, fmt.Errorf("%w: ciphertext mode %d, key mode %d", ErrFormat, ct[0], k.mode)
+		return dst, fmt.Errorf("%w: ciphertext mode %d, key mode %d", ErrFormat, ct[0], k.mode)
 	}
 	switch k.mode {
 	case ModeCTRHMAC:
-		return k.openCTR(ct[1:])
+		return k.openCTR(dst, ct)
 	case ModeGCM:
-		return k.openGCM(ct[1:])
+		return k.openGCM(dst, ct[1:])
 	}
-	return nil, fmt.Errorf("secret: unknown cipher mode %d", k.mode)
+	return dst, fmt.Errorf("secret: unknown cipher mode %d", k.mode)
 }
 
 func (k *Key) sealCTR(plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(k.aesKey)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]byte, 1+ctrIVLen+len(plaintext)+macTagLen)
 	out[0] = byte(ModeCTRHMAC)
 	iv := out[1 : 1+ctrIVLen]
 	if _, err := io.ReadFull(rand.Reader, iv); err != nil {
 		return nil, err
 	}
-	body := out[1+ctrIVLen : 1+ctrIVLen+len(plaintext)]
-	cipher.NewCTR(block, iv).XORKeyStream(body, plaintext)
-	mac := hmac.New(sha256.New, k.macKey)
-	mac.Write(out[:1+ctrIVLen+len(plaintext)])
-	copy(out[1+ctrIVLen+len(plaintext):], mac.Sum(nil)[:macTagLen])
+	bodyEnd := 1 + ctrIVLen + len(plaintext)
+	cipher.NewCTR(k.block, iv).XORKeyStream(out[1+ctrIVLen:bodyEnd], plaintext)
+	tag := k.tag(out[:bodyEnd])
+	copy(out[bodyEnd:], tag[:])
 	return out, nil
 }
 
-func (k *Key) openCTR(ct []byte) ([]byte, error) {
-	if len(ct) < ctrIVLen+macTagLen {
-		return nil, ErrFormat
+// openCTR takes the whole ciphertext, mode byte included: the tag covers it.
+func (k *Key) openCTR(dst, ct []byte) ([]byte, error) {
+	if len(ct) < 1+ctrIVLen+macTagLen {
+		return dst, ErrFormat
 	}
 	bodyEnd := len(ct) - macTagLen
-	mac := hmac.New(sha256.New, k.macKey)
-	mac.Write([]byte{byte(ModeCTRHMAC)})
-	mac.Write(ct[:bodyEnd])
-	if !hmac.Equal(mac.Sum(nil)[:macTagLen], ct[bodyEnd:]) {
-		return nil, ErrAuth
+	tag := k.tag(ct[:bodyEnd])
+	if !hmac.Equal(tag[:], ct[bodyEnd:]) {
+		return dst, ErrAuth
 	}
-	block, err := aes.NewCipher(k.aesKey)
-	if err != nil {
-		return nil, err
-	}
-	iv := ct[:ctrIVLen]
-	body := ct[ctrIVLen:bodyEnd]
-	pt := make([]byte, len(body))
-	cipher.NewCTR(block, iv).XORKeyStream(pt, body)
-	return pt, nil
+	iv := ct[1 : 1+ctrIVLen]
+	body := ct[1+ctrIVLen : bodyEnd]
+	at := len(dst)
+	dst = slices.Grow(dst, len(body))[:at+len(body)]
+	cipher.NewCTR(k.block, iv).XORKeyStream(dst[at:], body)
+	return dst, nil
 }
 
 func (k *Key) sealGCM(plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(k.aesKey)
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
 	nonce := make([]byte, gcmNonceLn)
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, 1+gcmNonceLn+len(plaintext)+aead.Overhead())
+	out := make([]byte, 0, 1+gcmNonceLn+len(plaintext)+k.aead.Overhead())
 	out = append(out, byte(ModeGCM))
 	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, nil), nil
+	return k.aead.Seal(out, nonce, plaintext, nil), nil
 }
 
-func (k *Key) openGCM(ct []byte) ([]byte, error) {
+func (k *Key) openGCM(dst, ct []byte) ([]byte, error) {
 	if len(ct) < gcmNonceLn {
-		return nil, ErrFormat
+		return dst, ErrFormat
 	}
-	block, err := aes.NewCipher(k.aesKey)
+	pt, err := k.aead.Open(dst, ct[:gcmNonceLn], ct[gcmNonceLn:], nil)
 	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := aead.Open(nil, ct[:gcmNonceLn], ct[gcmNonceLn:], nil)
-	if err != nil {
-		return nil, ErrAuth
+		return dst, ErrAuth
 	}
 	return pt, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"simcloud/internal/metric"
 )
@@ -37,12 +38,39 @@ func GetBuffer() *Buffer {
 }
 
 // PutBuffer returns a buffer to the pool once its bytes have been written
-// out. The caller must not touch b.B afterwards.
+// out. The caller must not touch b.B — or anything decoded by reference out
+// of it — afterwards.
 func PutBuffer(b *Buffer) {
+	if poisonOnPut.Load() {
+		poison(b.B[:cap(b.B)])
+	}
 	if cap(b.B) > maxPooledBuffer {
 		return
 	}
 	bufferPool.Put(b)
+}
+
+// poisonOnPut makes PutBuffer overwrite what it takes back (tests only).
+var poisonOnPut atomic.Bool
+
+// PoisonBuffers makes PutBuffer overwrite every buffer it takes back until
+// the test ends, so a view decoded by reference that outlives its frame
+// reads garbage every time instead of stale-but-plausible bytes some of the
+// time. It exists for the lifetime tests of the packages that lease frames
+// (cluster, core, gateway); nothing outside a test may call it.
+func PoisonBuffers(t interface{ Cleanup(func()) }) {
+	poisonOnPut.Store(true)
+	t.Cleanup(func() { poisonOnPut.Store(false) })
+}
+
+func poison(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = 0xDB
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // U8 appends a byte.

@@ -195,7 +195,10 @@ func (m BatchRankedResp) Encode() []byte {
 	return b.B
 }
 
-// DecodeBatchRankedResp parses a BatchRankedResp payload.
+// DecodeBatchRankedResp parses a BatchRankedResp payload into candidates that
+// own their memory. The coordinator decodes the same payload by reference
+// (CandidateRefs.DecodeRanked); this form is the definition that one is
+// fuzzed against.
 func DecodeBatchRankedResp(p []byte) (BatchRankedResp, error) {
 	r := NewReader(p)
 	m := BatchRankedResp{ServerNanos: r.U64()}

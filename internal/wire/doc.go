@@ -35,16 +35,42 @@
 //
 // Every byte of a frame is untrusted until decoded. A frame is a uint32
 // length prefix (covering type byte + payload) followed by the type byte
-// and payload; ReadFrame rejects frames larger than MaxFrameSize (1 GiB)
-// so a corrupted or hostile length prefix cannot make the receiver
-// allocate unboundedly. Within a payload, every count-prefixed list bounds
-// its claimed element count by the payload bytes actually present before
-// allocating, and every decoder returns ErrCodec (never panics, never
-// over-reads) on malformed input — properties exercised continuously by
-// the fuzz targets in this package and by the CI fuzz-smoke job.
+// and payload; the frame reader (ReadFrameInto, and ReadFrame on top of it)
+// rejects frames larger than MaxFrameSize (1 GiB) and, below that, grows its
+// buffer only as payload bytes actually arrive, so a corrupted or hostile
+// length prefix costs the receiver what was sent plus one bounded step —
+// never the claimed size up front. Within a payload, every count-prefixed
+// list bounds its claimed element count by the payload bytes actually
+// present before allocating, and every decoder returns ErrCodec (never
+// panics, never over-reads) on malformed input — properties exercised
+// continuously by the fuzz targets in this package and by the CI fuzz-smoke
+// job.
 //
 // Decoders accept exactly what the encoders produce, so the byte counts
 // measured by the benchmarks are the exact bytes a real deployment ships.
+//
+// # Copying decoders, by-reference decoders, and who may use which
+//
+// Every Decode function copies what it returns out of the payload, and
+// mindex.DecodeEntry — the decoder of every entry that is inserted,
+// ingested, re-synced, logged or stored — does too: what a server keeps must
+// not pin, or be overwritten with, the frame it arrived in. The read path
+// has a second form for the candidate replies, the bulkiest frames there
+// are: CandidateRefs (DecodeRanked, DecodeFlat) and ScanCandidatesResp
+// locate each candidate's fields as spans of the payload, on top of
+// mindex.ScanEntry, the one parser of the entry record. They accept exactly
+// what the copying decoders accept (FuzzScanEntry, FuzzDecodeRankedRefs)
+// and allocate nothing per candidate.
+//
+// The lifetime rule: a frame read with ReadFrameInto lives in a pooled
+// Buffer (GetBuffer / PutBuffer), and whoever leases that buffer releases it
+// by defer in the same function; nothing decoded by reference may be
+// returned past that function, and a pooled CandidateRefs is Reset before it
+// is put back. PoisonBuffers turns a violation from an occasional wrong byte
+// into a certain one for the tests that exercise the leasing packages.
+//
+// WriteFrame sends a small frame (any request, ack or error) as a single
+// Write; larger payloads go out as header, then payload, uncopied.
 //
 // # Context-derived deadlines
 //

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -198,13 +200,36 @@ func (m MsgType) String() string {
 // length prefixes.
 const MaxFrameSize = 1 << 30
 
+// frameHeader is the fixed frame prefix: length uint32 + type byte.
+const frameHeader = 5
+
+// smallFrame is the largest payload WriteFrame sends together with its
+// header in a single Write. Requests, acks and errors are a few hundred
+// bytes: one write is one syscall and, under TCP_NODELAY, one segment
+// instead of a 5-byte header segment followed by the payload. Above it the
+// copy would cost more than the second write saves.
+const smallFrame = 4 << 10
+
+// smallFrames recycles the header+payload staging arrays of small frames.
+var smallFrames = sync.Pool{New: func() any { return new([frameHeader + smallFrame]byte) }}
+
 // WriteFrame writes one frame: length uint32 (big endian, covering type +
-// payload), type byte, payload.
+// payload), type byte, payload. A small payload goes out with its header in
+// one Write; a large one as header, then payload.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if len(payload)+1 > MaxFrameSize {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload)+1)
 	}
-	var hdr [5]byte
+	if len(payload) <= smallFrame {
+		f := smallFrames.Get().(*[frameHeader + smallFrame]byte)
+		defer smallFrames.Put(f)
+		binary.BigEndian.PutUint32(f[:4], uint32(len(payload)+1))
+		f[4] = byte(t)
+		n := frameHeader + copy(f[frameHeader:], payload)
+		_, err := w.Write(f[:n])
+		return err
+	}
+	var hdr [frameHeader]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
 	hdr[4] = byte(t)
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -214,9 +239,20 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame written by WriteFrame.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
+// frameStep is the most ReadFrameInto extends its buffer by ahead of the
+// bytes that have actually arrived, unless doubling what has arrived is
+// more.
+const frameStep = 1 << 20
+
+// ReadFrameInto reads one frame written by WriteFrame into buf, reusing
+// buf's capacity, and returns the payload as a slice of buf.B — valid until
+// the buffer is reset, reused or returned to the pool. The length prefix is
+// untrusted: the buffer grows only as payload bytes arrive (by frameStep,
+// or by doubling once more than that has been received), so a peer that
+// claims a MaxFrameSize frame and then stalls or hangs up costs the
+// receiver what it sent plus one step, never a gigabyte up front.
+func ReadFrameInto(r io.Reader, buf *Buffer) (MsgType, []byte, error) {
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -224,11 +260,24 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if size == 0 || size > MaxFrameSize {
 		return 0, nil, fmt.Errorf("wire: implausible frame size %d", size)
 	}
-	payload := make([]byte, size-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
+	n := int(size - 1)
+	buf.B = buf.B[:0]
+	for have := 0; have < n; {
+		end := min(n, max(cap(buf.B), have+frameStep, 2*have))
+		buf.B = slices.Grow(buf.B, end-have)[:end]
+		if _, err := io.ReadFull(r, buf.B[have:]); err != nil {
+			return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
+		}
+		have = end
 	}
-	return MsgType(hdr[4]), payload, nil
+	return MsgType(hdr[4]), buf.B, nil
+}
+
+// ReadFrame reads one frame written by WriteFrame into a payload slice of
+// its own, which the caller may keep.
+func ReadFrame(r io.Reader) (MsgType, []byte, error) {
+	var buf Buffer
+	return ReadFrameInto(r, &buf)
 }
 
 // CountingConn wraps a net.Conn and counts bytes in both directions — the

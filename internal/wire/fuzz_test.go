@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"simcloud/internal/metric"
@@ -34,12 +35,191 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
+// FuzzScanEntry: the by-reference scanner accepts exactly the inputs the
+// copying decoder accepts and reports the same record — field for field, and
+// as a span that is byte for byte what AppendEntry writes for the decoded
+// entry.
+func FuzzScanEntry(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(mindex.EncodeEntry(mindex.Entry{ID: 1, Perm: []int32{0, 1}, Payload: []byte{9}}))
+	f.Add(mindex.EncodeEntry(mindex.Entry{ID: 2, Dists: []float64{1, 2}, Vec: metric.Vector{3}}))
+	full := mindex.EncodeEntry(mindex.Entry{ID: 3, Perm: []int32{2, 0, 1}, Dists: []float64{0.5}, Payload: []byte{7, 8}, Vec: metric.Vector{1, 2}})
+	f.Add(append(full, 0xAA, 0xBB)) // trailing bytes stay in rest
+	f.Add(full[:len(full)-1])       // truncated record
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, rest, err := mindex.DecodeEntry(data)
+		v, vrest, verr := mindex.ScanEntry(data)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("DecodeEntry err %v, ScanEntry err %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		if len(rest) != len(vrest) {
+			t.Fatalf("DecodeEntry left %d bytes, ScanEntry %d", len(rest), len(vrest))
+		}
+		if !bytes.Equal(v.Record, mindex.AppendEntry(nil, e)) {
+			t.Fatal("record span differs from the re-encoded entry")
+		}
+		// The fields, read through the view, are the decoded entry's.
+		if v.ID != e.ID {
+			t.Fatalf("view ID %d, entry ID %d", v.ID, e.ID)
+		}
+		perm, dists, payload, vec := v.Perm(), v.Dists(), v.Payload(), v.Vec()
+		if len(perm) != 4*len(e.Perm) || len(dists) != 8*len(e.Dists) || len(vec) != 4*len(e.Vec) {
+			t.Fatalf("view field lengths %d/%d/%d for %d perm, %d dists, %d vec",
+				len(perm), len(dists), len(vec), len(e.Perm), len(e.Dists), len(e.Vec))
+		}
+		if !bytes.Equal(payload, e.Payload) {
+			t.Fatal("view payload differs")
+		}
+		// Each field, re-encoded on its own, is the span the view reports.
+		only := func(e mindex.Entry) mindex.EntryView {
+			v, _, err := mindex.ScanEntry(mindex.AppendEntry(nil, e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		if p := only(mindex.Entry{Perm: e.Perm}); !bytes.Equal(perm, p.Perm()) {
+			t.Fatal("view permutation differs")
+		}
+		if d := only(mindex.Entry{Dists: e.Dists}); !bytes.Equal(dists, d.Dists()) {
+			t.Fatal("view distances differ")
+		}
+		if x := only(mindex.Entry{Vec: e.Vec}); !bytes.Equal(vec, x.Vec()) {
+			t.Fatal("view vector differs")
+		}
+	})
+}
+
+// FuzzDecodeRankedRefs: the by-reference reply decoders agree with the
+// copying ones on every input — both refuse it, or both report the same
+// candidates.
+func FuzzDecodeRankedRefs(f *testing.F) {
+	ranked := BatchRankedResp{ServerNanos: 2, Results: [][]mindex.RankedCandidate{
+		{
+			{Entry: mindex.Entry{ID: 3, Perm: []int32{1, 0}, Payload: []byte{1, 2, 3}}, Promise: 0.5, Prefix: []int32{1}},
+			{Entry: mindex.Entry{ID: 4, Perm: []int32{1, 0}, Payload: []byte{4}}, Promise: 0.5, Prefix: []int32{1}},
+			{Entry: mindex.Entry{ID: 5, Perm: []int32{0, 1}, Dists: []float64{1, 2}}, Promise: 0.75, Prefix: []int32{0, 1}},
+		},
+		nil,
+		{{Entry: mindex.Entry{ID: 6}}}, // a range candidate: promise 0, nil prefix
+	}}
+	f.Add(ranked.Encode())
+	var flat Buffer
+	ranked.AppendFlatTo(&flat)
+	f.Add(flat.B)
+	f.Add(CandidatesResp{ServerNanos: 1, DistNanos: 2, Entries: []mindex.Entry{{ID: 9, Perm: []int32{0}, Payload: []byte{5}}}}.Encode())
+	// TestBatchRankedRespHostileCount's payload: an absurd result count.
+	var hostile Buffer
+	hostile.U64(0)
+	hostile.U32(0xFFFFFFFF)
+	f.Add(hostile.B)
+	// A candidate count larger than the payload could hold.
+	var lying Buffer
+	lying.U64(0)
+	lying.U32(1)
+	lying.U32(1 << 20)
+	f.Add(lying.B)
+	// A truncated record, and a prefix length pointing past the end.
+	enc := ranked.Encode()
+	f.Add(enc[:len(enc)-3])
+	var prefix Buffer
+	prefix.U64(0)
+	prefix.U32(1)
+	prefix.U32(1)
+	prefix.F64(0.5)
+	prefix.U32(1 << 16) // prefix length
+	prefix.B = append(prefix.B, make([]byte, 40)...)
+	f.Add(prefix.B)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var refs CandidateRefs
+
+		want, err := DecodeBatchRankedResp(data)
+		rerr := refs.DecodeRanked(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("ranked: copying decoder err %v, by-reference err %v", err, rerr)
+		}
+		if err == nil {
+			if refs.ServerNanos != want.ServerNanos || len(refs.Results) != len(want.Results) {
+				t.Fatalf("ranked: header %d/%d results, want %d/%d",
+					refs.ServerNanos, len(refs.Results), want.ServerNanos, len(want.Results))
+			}
+			for qi, rcs := range want.Results {
+				if len(refs.Results[qi]) != len(rcs) {
+					t.Fatalf("ranked result %d: %d candidates, want %d", qi, len(refs.Results[qi]), len(rcs))
+				}
+				for i, rc := range rcs {
+					ref := refs.Results[qi][i]
+					sameFloat := ref.Promise == rc.Promise || (ref.Promise != ref.Promise && rc.Promise != rc.Promise)
+					if !sameFloat || !slices.Equal(ref.Prefix, rc.Prefix) || (ref.Prefix == nil) != (rc.Prefix == nil) {
+						t.Fatalf("ranked result %d candidate %d: annotations (%v, %v), want (%v, %v)",
+							qi, i, ref.Promise, ref.Prefix, rc.Promise, rc.Prefix)
+					}
+					checkRef(t, ref, rc.Entry)
+				}
+			}
+		}
+
+		flatWant, err := DecodeBatchQueryResp(data)
+		rerr = refs.DecodeFlat(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("flat: copying decoder err %v, by-reference err %v", err, rerr)
+		}
+		if err == nil {
+			if refs.ServerNanos != flatWant.ServerNanos || len(refs.Results) != len(flatWant.Results) {
+				t.Fatal("flat: header differs")
+			}
+			for qi, entries := range flatWant.Results {
+				if len(refs.Results[qi]) != len(entries) {
+					t.Fatalf("flat result %d: %d candidates, want %d", qi, len(refs.Results[qi]), len(entries))
+				}
+				for i, e := range entries {
+					checkRef(t, refs.Results[qi][i], e)
+				}
+			}
+		}
+
+		all, err := DecodeCandidatesResp(data)
+		n, records, rerr := ScanCandidatesResp(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("candidates: copying decoder err %v, scan err %v", err, rerr)
+		}
+		if err == nil {
+			var enc []byte
+			for _, e := range all.Entries {
+				enc = mindex.AppendEntry(enc, e)
+			}
+			if n != len(all.Entries) || !bytes.Equal(records, enc) {
+				t.Fatalf("candidates: scan reports %d entries in %d bytes, want %d in %d",
+					n, len(records), len(all.Entries), len(enc))
+			}
+		}
+	})
+}
+
+// checkRef compares one by-reference candidate with the entry the copying
+// decoder produced for the same bytes.
+func checkRef(t *testing.T, ref CandidateRef, e mindex.Entry) {
+	t.Helper()
+	if ref.ID != e.ID || !bytes.Equal(ref.Payload, e.Payload) || !bytes.Equal(ref.Record, mindex.AppendEntry(nil, e)) {
+		t.Fatalf("candidate %d: by-reference form differs from decoded entry %d", ref.ID, e.ID)
+	}
+}
+
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
 	_ = WriteFrame(&buf, MsgAck, []byte{1, 2, 3})
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 1, 5})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
+	// A header claiming (almost) MaxFrameSize with nothing behind it: must
+	// fail on the missing body, not allocate it (TestReadFrameLyingLength).
+	f.Add([]byte{0x3F, 0xFF, 0xFF, 0xFF, 0x17})
+	f.Add(append([]byte{0x3F, 0xFF, 0xFF, 0xFF, 0x17}, 1, 2, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {

@@ -850,7 +850,10 @@ type BatchQueryResp struct {
 	Results     [][]mindex.Entry
 }
 
-// DecodeBatchQueryResp parses a BatchQueryResp payload.
+// DecodeBatchQueryResp parses a BatchQueryResp payload into entries that own
+// their memory. The client's read path decodes the same payload by reference
+// (CandidateRefs.DecodeFlat); this form is the definition that one is fuzzed
+// against, and what tools and tests that keep the entries use.
 func DecodeBatchQueryResp(p []byte) (BatchQueryResp, error) {
 	r := NewReader(p)
 	m := BatchQueryResp{ServerNanos: r.U64()}
