@@ -18,14 +18,13 @@ package mindex
 // Invariants (pinned by TestBulkBuildEquivalence):
 //
 //   - Byte identity. The published snapshot — tree shape, per-node counts,
-//     dead counts and ball bounds, leaf bucket IDs, the store's allocation
+//     dead counts and cell boxes, leaf bucket IDs, the store's allocation
 //     cursor, and every bucket's content order — is byte-identical (snapshot
 //     codec output) to what the incremental path produces for the same batch
 //     in the same arrival order. Bucket IDs match because the simulation
 //     records the exact sequence of Create calls the incremental path would
 //     issue and the apply phase replays it against the store's monotone
-//     cursor; bounds match because count++/updateBounds are replayed
-//     per-entry in the same order (the count==1 case is order-sensitive).
+//     cursor; boxes match because they are the min/max over the same entries.
 //   - RCU discipline. Readers of previously published snapshots are
 //     untouched: appends to surviving pre-existing buckets strictly extend
 //     them (published counts cover a prefix), and a pre-existing leaf the
@@ -337,13 +336,10 @@ func (b *bulkTxn) insert(idx int) error {
 		c := n.child(key)
 		if c == nil {
 			c = t.fresh(&node{
-				prefix:      appendPrefix(n.prefix, key),
-				pin:         &pinCell{},
-				boundsValid: true,
+				prefix: appendPrefix(n.prefix, key),
+				pin:    &pinCell{},
+				box:    emptyBox(t.ix.cfg.NumPivots),
 			})
-			if e.Dists != nil {
-				c.rmin, c.rmax = e.Dists[key], e.Dists[key]
-			}
 			n.addKid(key, c)
 			bl := &bulkLeaf{n: c, isNew: true}
 			b.pend[c] = bl
@@ -428,9 +424,9 @@ func (b *bulkTxn) split(n *node) error {
 			}
 		}
 		c := t.fresh(&node{
-			prefix:      appendPrefix(n.prefix, key),
-			pin:         &pinCell{},
-			boundsValid: true,
+			prefix: appendPrefix(n.prefix, key),
+			pin:    &pinCell{},
+			box:    emptyBox(t.ix.cfg.NumPivots),
 		})
 		cb := &bulkLeaf{n: c, isNew: true}
 		b.pend[c] = cb

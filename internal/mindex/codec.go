@@ -111,9 +111,10 @@ func ScanEntry(buf []byte) (EntryView, []byte, error) {
 
 // DecodeEntry decodes one entry from the front of buf, returning the entry
 // and the remaining bytes. The entry owns its memory (every field is
-// copied out of buf), which is what every write, ingest, log and disk path
-// needs: a stored entry must not pin, or be overwritten with, the frame or
-// file buffer it arrived in.
+// copied out of buf), which is what every write, ingest and log path needs:
+// a stored entry must not pin, or be overwritten with, the frame it arrived
+// in. (A bucket file read back for a search is decoded whole instead, into
+// blocks that live and die with the bucket image: decodeBucket.)
 func DecodeEntry(buf []byte) (Entry, []byte, error) {
 	v, rest, err := ScanEntry(buf)
 	if err != nil {
@@ -122,24 +123,38 @@ func DecodeEntry(buf []byte) (Entry, []byte, error) {
 	e := Entry{ID: v.ID}
 	if perm := v.Perm(); len(perm) > 0 {
 		e.Perm = make([]int32, len(perm)/4)
-		for i := range e.Perm {
-			e.Perm[i] = int32(binary.LittleEndian.Uint32(perm[4*i:]))
-		}
+		getInt32s(e.Perm, perm)
 	}
 	if dists := v.Dists(); len(dists) > 0 {
 		e.Dists = make([]float64, len(dists)/8)
-		for i := range e.Dists {
-			e.Dists[i] = math.Float64frombits(binary.LittleEndian.Uint64(dists[8*i:]))
-		}
+		getFloat64s(e.Dists, dists)
 	}
 	if payload := v.Payload(); len(payload) > 0 {
 		e.Payload = bytes.Clone(payload)
 	}
 	if vec := v.Vec(); len(vec) > 0 {
 		e.Vec = make(metric.Vector, len(vec)/4)
-		for i := range e.Vec {
-			e.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(vec[4*i:]))
-		}
+		getFloat32s(e.Vec, vec)
 	}
 	return e, rest, nil
+}
+
+// getInt32s, getFloat64s and getFloat32s fill dst from its little-endian
+// encoding in b — the field decoders DecodeEntry and decodeBucket share.
+func getInt32s(dst []int32, b []byte) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+func getFloat64s(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+func getFloat32s(dst []float32, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
 }

@@ -6,10 +6,11 @@
 // cells exceeding a capacity limit are recursively re-partitioned by the
 // next-closest pivot, producing a dynamic cell tree addressed by permutation
 // prefixes (Figures 2 and 3 of the paper). Range queries prune the tree with
-// metric constraints (generalized-hyperplane and ball bounds) and filter
-// individual objects with the pivot-distance lower bound; approximate k-NN
-// queries rank cells by a promise value and collect a candidate set of a
-// requested size (Algorithms 3 and 4).
+// metric constraints (the generalized-hyperplane bound, and each cell's box
+// of minimum and maximum distances to every pivot) and filter individual
+// objects with the pivot-distance lower bound; approximate k-NN queries rank
+// cells by a promise value and collect a candidate set of a requested size
+// (Algorithms 3 and 4).
 //
 // # Key invariant: pivot-space-only operation
 //
@@ -20,6 +21,18 @@
 // property the paper exploits. The Plain wrapper in plain.go adds the
 // server-side refinement used by the non-encrypted baseline, which does
 // hold the pivots and raw vectors.
+//
+// # Key invariant: a cell's box never out-prunes the per-entry filter
+//
+// A cell's box (box.go) is the componentwise minimum and maximum of the
+// distance vectors stored below it, kept only while every such entry has
+// one. Its bound on a query, max_p max(q_p − hi_p, lo_p − q_p), is at most
+// pivot.LowerBound of each of those entries, so skipping a cell on it skips
+// only entries the filter of Algorithm 3 (lines 5–7) would drop one by one:
+// candidate lists are identical with and without boxes, and what changes is
+// the number of buckets read. It is derived from Entry.Dists, which the
+// server stores anyway. Snapshot versions 1 and 2 recorded one dimension of
+// it; such a tree prunes as it did until a Compact rebuilds the boxes.
 //
 // # Key invariant: tombstones and compaction
 //

@@ -281,13 +281,16 @@ type node struct {
 	count int
 	dead  int
 
-	// Ball bounds: min/max distance from subtree objects to the cell's
-	// defining pivot (the last prefix element). Valid only while every
-	// inserted entry carried a distance vector. Deletions leave the bounds
-	// untouched — they then cover a superset of the live entries, which
-	// keeps pruning correct (conservative) until Compact recomputes them.
-	rmin, rmax  float64
-	boundsValid bool
+	// box bounds the distance of every entry stored below the cell to every
+	// pivot. Nil once an entry without a distance vector arrived (and on the
+	// root, which is never pruned). Deletions leave it untouched — it then
+	// covers a superset of the live entries, which keeps pruning correct
+	// (conservative) until Compact recomputes it.
+	box box
+	// boxShared marks a box this node version still shares with the published
+	// one it was path-copied from; updateBounds copies it before the first
+	// write. Meaningful only while a transaction owns the node.
+	boxShared bool
 
 	// gen is the ownership stamp of the transaction that created or cloned
 	// this node version (see txn.gen). Runtime-only — never serialized.
@@ -373,7 +376,7 @@ func New(cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := &node{bucket: rootBucket, pin: &pinCell{}, rmin: 0, rmax: 0, boundsValid: true}
+	root := &node{bucket: rootBucket, pin: &pinCell{}}
 	idx.state.Store(&readState{root: root, tombstones: make(map[uint64]struct{})})
 	return idx, nil
 }

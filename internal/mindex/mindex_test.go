@@ -101,7 +101,7 @@ func TestTreeInvariants(t *testing.T) {
 
 	// Walk the tree: every entry in every leaf must carry a permutation
 	// prefix equal to the leaf's prefix, non-max-level leaves must respect
-	// capacity, counts must match bucket sizes, and ball bounds must cover
+	// capacity, counts must match bucket sizes, and cell boxes must cover
 	// every stored distance.
 	seen := 0
 	var walk func(n *node)
@@ -117,6 +117,9 @@ func TestTreeInvariants(t *testing.T) {
 			if n.level() < ix.cfg.MaxLevel && n.count > ix.cfg.BucketCapacity {
 				t.Fatalf("leaf %v over capacity: %d > %d", n.prefix, n.count, ix.cfg.BucketCapacity)
 			}
+			if n.level() > 0 && n.box == nil {
+				t.Fatalf("leaf %v lost its box although every entry carries distances", n.prefix)
+			}
 			for _, e := range entries {
 				seen++
 				for i, want := range n.prefix {
@@ -124,10 +127,10 @@ func TestTreeInvariants(t *testing.T) {
 						t.Fatalf("entry %d perm %v does not match leaf prefix %v", e.ID, e.Perm, n.prefix)
 					}
 				}
-				if lp := n.lastPivot(); lp >= 0 && n.boundsValid {
-					d := e.Dists[lp]
-					if d < n.rmin-1e-9 || d > n.rmax+1e-9 {
-						t.Fatalf("entry %d dist %g outside bounds [%g,%g]", e.ID, d, n.rmin, n.rmax)
+				for p := range n.box.lo() {
+					if d := e.Dists[p]; d < n.box.lo()[p] || d > n.box.hi()[p] {
+						t.Fatalf("entry %d dist %g to pivot %d outside box [%g,%g]",
+							e.ID, d, p, n.box.lo()[p], n.box.hi()[p])
 					}
 				}
 			}

@@ -84,16 +84,18 @@ func (t *txn) mutable(n *node) *node {
 		return n
 	}
 	c := &node{
-		prefix:      n.prefix,
-		bucket:      n.bucket,
-		era:         n.era,
-		pin:         n.pin,
-		count:       n.count,
-		dead:        n.dead,
-		rmin:        n.rmin,
-		rmax:        n.rmax,
-		boundsValid: n.boundsValid,
-		gen:         t.gen,
+		prefix: n.prefix,
+		bucket: n.bucket,
+		era:    n.era,
+		pin:    n.pin,
+		count:  n.count,
+		dead:   n.dead,
+		box:    n.box,
+		gen:    t.gen,
+		// Most entries fall inside the boxes of the cells above them, and a
+		// delete changes none: the clone keeps the published box until an
+		// entry actually grows it.
+		boxShared: true,
 	}
 	if n.kids != nil {
 		c.kids = slices.Clone(n.kids)
@@ -145,29 +147,24 @@ func (t *txn) refreshPin(n *node) {
 	n.pin.v.Store(&v)
 }
 
-// updateBounds maintains the node's ball bounds from the entry's distance
-// vector; entries without distances invalidate the bounds (the cell can then
-// no longer be ball-pruned, but remains correct).
+// updateBounds grows the node's box over the entry's distance vector; an
+// entry without distances drops the box (the cell can then no longer be
+// box-pruned, but remains correct).
 func (n *node) updateBounds(e *Entry) {
-	p := n.lastPivot()
-	if p < 0 {
+	if n.box == nil {
 		return
 	}
 	if e.Dists == nil {
-		n.boundsValid = false
+		n.box = nil
 		return
 	}
-	d := e.Dists[p]
-	if n.count == 1 {
-		n.rmin, n.rmax = d, d
-		return
+	if n.boxShared {
+		if n.box.covers(e.Dists) {
+			return
+		}
+		n.box, n.boxShared = slices.Clone(n.box), false
 	}
-	if d < n.rmin {
-		n.rmin = d
-	}
-	if d > n.rmax {
-		n.rmax = d
-	}
+	n.box.extend(e.Dists)
 }
 
 // insertEntry is the full insert protocol: reject live duplicates, purge a
@@ -203,14 +200,11 @@ func (t *txn) insert(e Entry) error {
 				return err
 			}
 			c = t.fresh(&node{
-				prefix:      appendPrefix(n.prefix, key),
-				bucket:      b,
-				pin:         &pinCell{},
-				boundsValid: true,
+				prefix: appendPrefix(n.prefix, key),
+				bucket: b,
+				pin:    &pinCell{},
+				box:    emptyBox(t.ix.cfg.NumPivots),
 			})
-			if e.Dists != nil {
-				c.rmin, c.rmax = e.Dists[key], e.Dists[key]
-			}
 			n.addKid(key, c)
 		} else {
 			c = t.mutable(c)
@@ -270,10 +264,10 @@ func (t *txn) split(n *node) error {
 		}
 		created = append(created, b)
 		c := t.fresh(&node{
-			prefix:      appendPrefix(n.prefix, key),
-			bucket:      b,
-			pin:         &pinCell{},
-			boundsValid: true,
+			prefix: appendPrefix(n.prefix, key),
+			bucket: b,
+			pin:    &pinCell{},
+			box:    emptyBox(t.ix.cfg.NumPivots),
 		})
 		i := len(kids)
 		kids = append(kids, child{key: key, n: c})
@@ -607,7 +601,7 @@ func (ix *Index) ensureLoc() error {
 // Compact physically drops every tombstoned entry and merges underfull
 // cells back into their parents by rebuilding the cell tree from the
 // surviving entries in arrival order. The post-compaction index is
-// byte-identical — tree shape, ball bounds, bucket order, and therefore
+// byte-identical — tree shape, cell boxes, bucket order, and therefore
 // every range candidate set and ranked approximate candidate list — to a
 // fresh index into which only the survivors were inserted (in their
 // original arrival order). A no-op on an index untouched by deletions.
@@ -683,7 +677,7 @@ func (ix *Index) Compact() error {
 		gen:  ix.txnGen,
 	}
 	b.tombOwned = true
-	b.root = b.fresh(&node{bucket: rootBucket, pin: &pinCell{}, boundsValid: true})
+	b.root = b.fresh(&node{bucket: rootBucket, pin: &pinCell{}})
 	for _, se := range live {
 		if err := b.insert(se.e); err != nil {
 			ix.freeSubtreeBuckets(b.root)

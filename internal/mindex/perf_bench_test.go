@@ -176,6 +176,29 @@ func BenchmarkDiskRangeRepeated(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskRangeCold is the precise range query with the bucket cache
+// off — the regime of a collection far larger than the cache, where every
+// leaf the traversal does not prune is a file read and a decode. misses/op
+// counts those reads (the cell boxes exist to lower it), allocs/op prices
+// each one (decodeBucket keeps it at a few blocks per bucket).
+func BenchmarkDiskRangeCold(b *testing.B) {
+	cfg := benchMemConfig()
+	cfg.Storage = StorageDisk
+	cfg.DiskPath = b.TempDir()
+	cfg.DiskCacheBytes = -1
+	ix, _, qDists := benchIndex(b, cfg, 8000)
+	_, before, _ := ix.CacheStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ix.RangeByDists(qDists[i%len(qDists)], 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_, after, _ := ix.CacheStats()
+	b.ReportMetric(float64(after-before)/float64(b.N), "misses/op")
+}
+
 // diskBenchVariant tunes the disk-backed config for one sub-benchmark.
 // "default" is whatever a plain Config gets — before PR 4 that meant a full
 // file read + decode per leaf visit, after it the read-through bucket cache;

@@ -538,3 +538,40 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestDiskMissAllocs pins the cost of a cache miss: a bucket file is decoded
+// into one block per field kind (decodeBucket), so a cold View of a 45-entry
+// bucket costs a dozen allocations — open, read, the blocks — where one
+// DecodeEntry per entry cost 143.
+func TestDiskMissAllocs(t *testing.T) {
+	s, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetCacheBudget(-1) // every View is a miss
+	id, err := s.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, _ := perfEntries(45, 24)
+	for i := range entries {
+		entries[i].Perm = entries[i].Perm[:8]
+		entries[i].Payload = make([]byte, 76)
+	}
+	if err := appendAll(s, id, entries); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		v, err := s.View(id)
+		if err != nil || len(v) != len(entries) {
+			t.Fatalf("view: %d entries, %v", len(v), err)
+		}
+	})
+	if got > 12 {
+		t.Errorf("cold View of a %d-entry bucket: %.1f allocs, want <= 12", len(entries), got)
+	}
+	if _, misses, _ := s.CacheStats(); misses < 50 {
+		t.Fatalf("only %d misses: the Views were not cold", misses)
+	}
+}

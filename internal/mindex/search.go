@@ -157,7 +157,11 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 			}
 			for i := range entries {
 				e := &entries[i]
-				if _, gone := st.tombstones[e.ID]; gone {
+				// Pivot filtering (Algorithm 3, lines 5–7): discard when the
+				// triangle-inequality lower bound exceeds the radius. It comes
+				// first because it drops most entries; the tombstone probe is
+				// a map lookup only the survivors pay.
+				if e.Dists != nil && pivot.LowerBound(qDists, e.Dists) > r {
 					continue
 				}
 				// Only an unsplit root leaf mixes first-level cells; deeper
@@ -165,9 +169,7 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 				if filter != nil && len(n.prefix) == 0 && !filter.allowsEntry(*e) {
 					continue
 				}
-				// Pivot filtering (Algorithm 3, lines 5–7): discard when the
-				// triangle-inequality lower bound exceeds the radius.
-				if e.Dists != nil && pivot.LowerBound(qDists, e.Dists) > r {
+				if _, gone := st.tombstones[e.ID]; gone {
 					continue
 				}
 				hits = append(hits, e)
@@ -208,9 +210,12 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 //   - Generalized-hyperplane: every object o in the cell has pivot p_key
 //     among its nearest pivots outside the parent prefix, so
 //     d(q,o) ≥ (d(q,p_key) − min_{m∉prefix} d(q,p_m)) / 2.
-//   - Ball (range-pivot): subtree objects satisfy
-//     rmin ≤ d(o,p_key) ≤ rmax, so d(q,o) ≥ d(q,p_key) − rmax and
-//     d(q,o) ≥ rmin − d(q,p_key).
+//   - Box (range-pivot, over every pivot p): subtree objects satisfy
+//     lo_p ≤ d(o,p) ≤ hi_p, so d(q,o) ≥ d(q,p) − hi_p and
+//     d(q,o) ≥ lo_p − d(q,p). Its p = key term is the classic M-Index ball
+//     bound. Unlike the hyperplane bound it only prunes cells whose every
+//     entry the per-entry pivot filter would drop (see box.lowerBound), so
+//     it saves bucket reads and never changes a candidate list.
 func (ix *Index) pruneCell(child *node, key int32, parent *node, qDists []float64, r float64) bool {
 	return ix.cellLowerBound(child, key, parent, qDists) > r
 }
@@ -233,7 +238,7 @@ func onPath(prefix []int32, key, m int32) bool {
 }
 
 // cellLowerBound returns a lower bound on the distance from the query to any
-// object in the cell, combining the hyperplane and ball constraints.
+// object in the cell, combining the hyperplane and box constraints.
 func (ix *Index) cellLowerBound(child *node, key int32, parent *node, qDists []float64) float64 {
 	dq := qDists[key]
 	lb := 0.0
@@ -253,11 +258,8 @@ func (ix *Index) cellLowerBound(child *node, key int32, parent *node, qDists []f
 			lb = hb
 		}
 	}
-	if child.boundsValid && child.count > 0 {
-		if bb := dq - child.rmax; bb > lb {
-			lb = bb
-		}
-		if bb := child.rmin - dq; bb > lb {
+	if child.box != nil {
+		if bb := child.box.lowerBound(qDists); bb > lb {
 			lb = bb
 		}
 	}

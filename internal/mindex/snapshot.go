@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"simcloud/internal/pivot"
@@ -24,18 +25,25 @@ import (
 // Snapshot file format (little endian):
 //
 //	magic    [8]byte "SIMCSNAP"
-//	version  uint8 (1 or 2)
+//	version  uint8 (1, 2 or 3; 3 is written)
 //	numPivots, maxLevel, bucketCapacity uint32
 //	ranking  uint8
 //	size     uint64  (live entries)
 //	nextBkt  uint64  (DiskStore allocation cursor)
-//	v2 only: dirty uint8 | deadCount uint64 | tombstoned IDs uint64 × deadCount
+//	v2 on:   dirty uint8 | deadCount uint64 | tombstoned IDs uint64 × deadCount
 //	tree     preorder node records (see writeNode)
 //
 // Version 1 files (written before the index became mutable) load as
-// tombstone-free indexes.
+// tombstone-free indexes. Versions 1 and 2 recorded one interval per node —
+// the distances to the cell's defining pivot — where version 3 records the
+// whole box: their nodes load with that one dimension bounded and the rest
+// unbounded, prune as they did when they were written, and get full boxes
+// from the next Compact.
 
 var snapMagic = [8]byte{'S', 'I', 'M', 'C', 'S', 'N', 'A', 'P'}
+
+// snapVersion is the codec version SaveSnapshot writes.
+const snapVersion = 3
 
 // ErrSnapshot reports a malformed or mismatched snapshot file.
 var ErrSnapshot = errors.New("mindex: invalid snapshot")
@@ -88,7 +96,7 @@ func (ix *Index) writeSnapshot(path string, ds *DiskStore, st *readState) error 
 		return err
 	}
 	hdr := make([]byte, 0, 64+8*len(st.tombstones))
-	hdr = append(hdr, 2) // version
+	hdr = append(hdr, snapVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ix.cfg.NumPivots))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ix.cfg.MaxLevel))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ix.cfg.BucketCapacity))
@@ -137,12 +145,14 @@ func (ix *Index) writeSnapshot(path string, ds *DiskStore, st *readState) error 
 //	prefixLen uint16 | prefix int32s
 //	kind      uint8  (0 internal, 1 leaf)
 //	count     uint32
-//	dead      uint32 (version 2 only)
-//	rmin, rmax float64 | boundsValid uint8
+//	dead      uint32 (version 2 on)
+//	v1, v2:   rmin, rmax float64 | boundsValid uint8
+//	v3:       hasBox uint8 | lo float64 × numPivots | hi float64 × numPivots
+//	          (the two runs only when hasBox is 1)
 //	leaf:     bucket uint64
 //	internal: childCount uint16 | children...
 func writeNode(w io.Writer, n *node) error {
-	buf := make([]byte, 0, 64)
+	buf := make([]byte, 0, 64+8*len(n.box))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.prefix)))
 	for _, p := range n.prefix {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
@@ -154,13 +164,14 @@ func writeNode(w io.Writer, n *node) error {
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.count))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.dead))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.rmin))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.rmax))
-	valid := byte(0)
-	if n.boundsValid {
-		valid = 1
+	hasBox := byte(0)
+	if n.box != nil {
+		hasBox = 1
 	}
-	buf = append(buf, valid)
+	buf = append(buf, hasBox)
+	for _, v := range n.box {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
 	if n.isLeaf() {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(n.bucket))
 		_, err := w.Write(buf)
@@ -200,7 +211,7 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshot)
 	}
 	version := r.u8()
-	if version != 1 && version != 2 {
+	if version < 1 || version > snapVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrSnapshot, version)
 	}
 	numPivots := int(r.u32())
@@ -211,7 +222,7 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 	next := BucketID(r.u64())
 	dirty := false
 	tombstones := make(map[uint64]struct{})
-	if version == 2 {
+	if version >= 2 {
 		dirty = r.u8() == 1
 		deadCount := int(r.u64())
 		if r.err != nil || deadCount < 0 || deadCount > len(r.buf)/8 {
@@ -232,9 +243,12 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 		return nil, fmt.Errorf("%w: snapshot parameters (pivots=%d level=%d bucket=%d ranking=%v) do not match config",
 			ErrSnapshot, numPivots, maxLevel, bucketCap, ranking)
 	}
-	root, counts, err := readNode(r, 0, int(version))
+	root, counts, err := readNode(r, int(version), cfg)
 	if err != nil {
 		return nil, err
+	}
+	if len(root.prefix) != 0 {
+		return nil, fmt.Errorf("%w: root cell with prefix %v", ErrSnapshot, root.prefix)
 	}
 	if r.err != nil || len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: trailing or missing bytes", ErrSnapshot)
@@ -296,19 +310,36 @@ func (r *snapReader) f64() float64 {
 	return math.Float64frombits(r.u64())
 }
 
-const maxSnapshotDepth = 1 << 10
-
-func readNode(r *snapReader, depth, version int) (*node, map[BucketID]int, error) {
-	if depth > maxSnapshotDepth {
-		return nil, nil, fmt.Errorf("%w: tree deeper than %d", ErrSnapshot, maxSnapshotDepth)
+// ballBox is the box of a version-1 or -2 snapshot node holding entries:
+// those versions recorded the interval of distances to the cell's defining
+// pivot only, so that dimension is bounded and every other is not.
+func ballBox(numPivots int, key int32, rmin, rmax float64) box {
+	b := make(box, 2*numPivots)
+	lo, hi := b.lo(), b.hi()
+	for p := range lo {
+		lo[p], hi[p] = math.Inf(-1), math.Inf(1)
 	}
+	lo[key], hi[key] = rmin, rmax
+	return b
+}
+
+// readNode decodes one subtree. Traversals index per-pivot and per-level
+// tables with what it reads, so it holds the tree to the shape the writer
+// produces: every prefix element a pivot, a child one level below its parent
+// and inside it, no cell deeper than MaxLevel (which also bounds the
+// recursion).
+func readNode(r *snapReader, version int, cfg Config) (*node, map[BucketID]int, error) {
+	numPivots := cfg.NumPivots
 	prefixLen := int(r.u16())
-	if r.err != nil || prefixLen > maxSnapshotDepth {
+	if r.err != nil || prefixLen > cfg.MaxLevel {
 		return nil, nil, fmt.Errorf("%w: implausible prefix length", ErrSnapshot)
 	}
 	prefix := make([]int32, prefixLen)
 	for i := range prefix {
 		prefix[i] = int32(r.u32())
+		if r.err == nil && (prefix[i] < 0 || int(prefix[i]) >= numPivots) {
+			return nil, nil, fmt.Errorf("%w: prefix element %d out of range", ErrSnapshot, prefix[i])
+		}
 	}
 	kind := r.u8()
 	count := int(r.u32())
@@ -316,16 +347,30 @@ func readNode(r *snapReader, depth, version int) (*node, map[BucketID]int, error
 	if version >= 2 {
 		dead = int(r.u32())
 	}
-	rmin := r.f64()
-	rmax := r.f64()
-	valid := r.u8() == 1
+	n := &node{prefix: prefix, count: count, dead: dead}
+	if version >= 3 {
+		if r.u8() == 1 {
+			raw := r.take(16 * numPivots)
+			n.box = make(box, 2*numPivots)
+			for i := range n.box {
+				n.box[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+	} else {
+		rmin, rmax := r.f64(), r.f64()
+		if key := n.lastPivot(); r.u8() == 1 && key >= 0 {
+			n.box = emptyBox(numPivots) // an empty cell's interval meant nothing
+			if count > 0 {
+				n.box = ballBox(numPivots, key, rmin, rmax)
+			}
+		}
+	}
 	if r.err != nil {
 		return nil, nil, fmt.Errorf("%w: truncated node", ErrSnapshot)
 	}
 	if dead > count {
 		return nil, nil, fmt.Errorf("%w: node with %d dead of %d entries", ErrSnapshot, dead, count)
 	}
-	n := &node{prefix: prefix, count: count, dead: dead, rmin: rmin, rmax: rmax, boundsValid: valid}
 	counts := make(map[BucketID]int)
 	switch kind {
 	case 1:
@@ -338,7 +383,8 @@ func readNode(r *snapReader, depth, version int) (*node, map[BucketID]int, error
 		return n, counts, nil
 	case 0:
 		childCount := int(r.u16())
-		if r.err != nil || childCount > 1<<16 {
+		// Children carry distinct pivot keys.
+		if r.err != nil || childCount > numPivots {
 			return nil, nil, fmt.Errorf("%w: implausible child count", ErrSnapshot)
 		}
 		if childCount == 0 {
@@ -348,12 +394,12 @@ func readNode(r *snapReader, depth, version int) (*node, map[BucketID]int, error
 		}
 		n.kids = make([]child, 0, childCount)
 		for range childCount {
-			c, childCounts, err := readNode(r, depth+1, version)
+			c, childCounts, err := readNode(r, version, cfg)
 			if err != nil {
 				return nil, nil, err
 			}
-			if len(c.prefix) != len(prefix)+1 {
-				return nil, nil, fmt.Errorf("%w: child depth mismatch", ErrSnapshot)
+			if len(c.prefix) != len(prefix)+1 || !slices.Equal(c.prefix[:len(prefix)], prefix) {
+				return nil, nil, fmt.Errorf("%w: cell %v is not a child of cell %v", ErrSnapshot, c.prefix, prefix)
 			}
 			// Children are written in strictly ascending key order; appending
 			// under that check rebuilds the sorted child table in O(1) each.

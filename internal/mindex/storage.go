@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // BucketID identifies a bucket within a BucketStore.
@@ -26,7 +27,11 @@ type BucketStore interface {
 	Create() (BucketID, error)
 	// Append adds an entry to a bucket.
 	Append(id BucketID, e Entry) error
-	// Load returns all entries of a bucket as a caller-owned copy.
+	// Load returns all entries of a bucket in a slice the caller owns and
+	// may reorder, truncate or append to. The entries' field slices (Perm,
+	// Dists, Payload, Vec) stay shared with the store and are read-only,
+	// exactly as in a View: a disk bucket's fields are windows into a few
+	// per-bucket blocks.
 	Load(id BucketID) ([]Entry, error)
 	// View returns all entries of a bucket without copying. The returned
 	// slice is a read-only snapshot owned by the store: callers must not
@@ -188,8 +193,8 @@ func (s *MemStore) Close() error {
 const DefaultDiskCacheBytes = 32 << 20
 
 // cachedBucketOverhead approximates the per-bucket bookkeeping cost charged
-// against the cache budget on top of the entries' encoded size (slice
-// headers, map entry, LRU element).
+// against the cache budget on top of the memory the decoded bucket retains
+// (map entry, LRU element, allocation headers).
 const cachedBucketOverhead = 128
 
 // DiskStore keeps each bucket as an append-only file of encoded entries in
@@ -618,35 +623,84 @@ func (s *DiskStore) readLocked(id BucketID) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]Entry, 0, count)
-	for len(raw) > 0 {
-		e, rest, err := DecodeEntry(raw)
-		if err != nil {
-			return nil, fmt.Errorf("mindex: bucket %d corrupted: %w", id, err)
-		}
-		entries = append(entries, e)
-		raw = rest
+	entries, retained, err := decodeBucket(raw)
+	if err != nil {
+		return nil, fmt.Errorf("mindex: bucket %d corrupted: %w", id, err)
 	}
 	if len(entries) != count {
 		return nil, fmt.Errorf("mindex: bucket %d holds %d entries, expected %d", id, len(entries), count)
 	}
-	s.insertCacheLocked(id, entries, true)
+	s.insertCacheLocked(id, entries, retained, true)
 	return entries, nil
 }
 
+// decodeBucket decodes a bucket file into one block per field kind instead
+// of three allocations per entry: a first ScanEntry pass sizes the blocks, a
+// second fills them, and every payload stays where it is — a window into
+// raw. The result is read-only and keeps raw alive; retained is the memory
+// it pins, which is what the cache must charge for it. (DecodeEntry remains
+// the decoder of everything that is stored: its entries own their bytes.)
+func decodeBucket(raw []byte) (entries []Entry, retained int, err error) {
+	var n, perms, dists, vecs int
+	for rest := raw; len(rest) > 0; n++ {
+		var v EntryView
+		if v, rest, err = ScanEntry(rest); err != nil {
+			return nil, 0, err
+		}
+		perms += len(v.Perm()) / 4
+		dists += len(v.Dists()) / 8
+		vecs += len(v.Vec()) / 4
+	}
+	entries = make([]Entry, n)
+	permBlock := make([]int32, perms)
+	distBlock := make([]float64, dists)
+	var vecBlock []float32
+	if vecs > 0 {
+		vecBlock = make([]float32, vecs)
+	}
+	rest := raw
+	for i := range entries {
+		var v EntryView
+		v, rest, _ = ScanEntry(rest)
+		e := &entries[i]
+		e.ID = v.ID
+		// An empty field decodes to nil, as DecodeEntry has it: searches
+		// read "Dists == nil" as "stored without distances".
+		if b := v.Perm(); len(b) > 0 {
+			e.Perm, permBlock = permBlock[:len(b)/4:len(b)/4], permBlock[len(b)/4:]
+			getInt32s(e.Perm, b)
+		}
+		if b := v.Dists(); len(b) > 0 {
+			e.Dists, distBlock = distBlock[:len(b)/8:len(b)/8], distBlock[len(b)/8:]
+			getFloat64s(e.Dists, b)
+		}
+		if b := v.Payload(); len(b) > 0 {
+			e.Payload = b
+		}
+		if b := v.Vec(); len(b) > 0 {
+			e.Vec, vecBlock = vecBlock[:len(b)/4:len(b)/4], vecBlock[len(b)/4:]
+			getFloat32s(e.Vec, b)
+		}
+	}
+	return entries, cap(raw) + decodedSize(n, perms, dists, vecs), nil
+}
+
+// decodedSize is the memory the decoded form of n entries occupies beside
+// their encoded bytes: the Entry headers and the perm, dists and vec blocks.
+func decodedSize(n, perms, dists, vecs int) int {
+	return n*int(unsafe.Sizeof(Entry{})) + 4*perms + 8*dists + 4*vecs
+}
+
 // insertCacheLocked admits a decoded bucket to the cache, evicting least
-// recently used buckets until the byte budget holds. Buckets larger than
-// the whole budget are served but never cached. owned marks a slice the
-// store may keep as-is; a caller-owned slice is cloned, and only once the
-// bucket has actually been admitted.
-func (s *DiskStore) insertCacheLocked(id BucketID, entries []Entry, owned bool) {
+// recently used buckets until the byte budget holds. retained is the memory
+// the entries pin; buckets larger than the whole budget are served but
+// never cached. owned marks a slice the store may keep as-is; a caller-owned
+// slice is cloned, and only once the bucket has actually been admitted.
+func (s *DiskStore) insertCacheLocked(id BucketID, entries []Entry, retained int, owned bool) {
 	if s.cacheBudget <= 0 {
 		return
 	}
-	size := cachedBucketOverhead
-	for i := range entries {
-		size += EncodedEntrySize(entries[i])
-	}
+	size := cachedBucketOverhead + retained
 	if size > s.cacheBudget {
 		return
 	}
@@ -702,8 +756,13 @@ func (s *DiskStore) Replace(id BucketID, entries []Entry) error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<14)
+	// The entries are windows into the bucket image they were read from, so
+	// caching them write-through pins an image of about their own size.
+	retained := 0
 	for i := range entries {
-		s.scratch = AppendEntry(s.scratch[:0], entries[i])
+		e := &entries[i]
+		s.scratch = AppendEntry(s.scratch[:0], *e)
+		retained += len(s.scratch) + decodedSize(1, len(e.Perm), len(e.Dists), len(e.Vec))
 		if _, err := w.Write(s.scratch); err != nil {
 			f.Close()
 			os.Remove(tmp)
@@ -745,7 +804,7 @@ func (s *DiskStore) Replace(id BucketID, entries []Entry) error {
 	}
 	s.counts[id] = len(entries)
 	s.eras[id]++
-	s.insertCacheLocked(id, entries, false)
+	s.insertCacheLocked(id, entries, retained, false)
 	return nil
 }
 

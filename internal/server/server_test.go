@@ -194,6 +194,17 @@ func batchQuery(t *testing.T, conn net.Conn, req wire.BatchQueryReq) [][]mindex.
 	return out
 }
 
+// asShipped is a Search result as a query reply carries it: each candidate's
+// ID and payload, without its perm, dists and vec (wire.BatchRankedResp).
+func asShipped(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
+	out := make([]mindex.RankedCandidate, len(rcs))
+	for i, rc := range rcs {
+		rc.Entry = mindex.Entry{ID: rc.Entry.ID, Payload: rc.Entry.Payload}
+		out[i] = rc
+	}
+	return out
+}
+
 // dropAnnotations is the flat form of a ranked answer.
 func dropAnnotations(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
 	out := make([]mindex.RankedCandidate, len(rcs))
@@ -506,7 +517,7 @@ func TestBatchQueryEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameRanked(ranked[qi], direct) {
+					if !sameRanked(ranked[qi], asShipped(direct)) {
 						t.Fatalf("%s: wire answer (%d) != engine Search (%d)", qname, len(ranked[qi]), len(direct))
 					}
 					if !sameRanked(flat[qi], dropAnnotations(ranked[qi])) {
@@ -559,6 +570,16 @@ func TestBatchQueryEquivalence(t *testing.T) {
 				if len(got.Entries) != len(kept) || !reflect.DeepEqual(got.Entries, want.Entries) {
 					t.Fatalf("%s: filtered download (%d entries) != download of the allowed cells only (%d of %d kept)",
 						name, len(got.Entries), len(want.Entries), len(kept))
+				}
+				// The export path ships whole entries, unlike a query reply.
+				stored := make(map[uint64]mindex.Entry, len(kept))
+				for _, e := range kept {
+					stored[e.ID] = e
+				}
+				for _, e := range got.Entries {
+					if !reflect.DeepEqual(e, stored[e.ID]) {
+						t.Fatalf("%s: download-all returned %+v, stored %+v", name, e, stored[e.ID])
+					}
 				}
 			}
 		}

@@ -113,15 +113,26 @@ func (m HelloResp) CheckVersion() error {
 	return nil
 }
 
+// appendCandidate writes a query candidate's entry record: the ID and the
+// payload, with perm, dists and vec left empty. The index metadata has done
+// its work by the time an entry is a candidate — the server filtered and
+// ranked with it, the refining client reads the ciphertext alone — so it
+// stays on the server. The layout is mindex.AppendEntry's, which is what
+// lets every parser of whole records (ScanEntry, CandidateRefs, the
+// coordinator's span relay, an older client) read it unchanged.
+func appendCandidate(b *Buffer, e *mindex.Entry) {
+	b.B = mindex.AppendEntry(b.B, mindex.Entry{ID: e.ID, Payload: e.Payload})
+}
+
 // appendRanked writes a count-prefixed ranked-candidate list: per
-// candidate, the source cell's promise and prefix followed by the entry
-// record.
+// candidate, the source cell's promise and prefix followed by the
+// candidate record.
 func appendRanked(b *Buffer, rcs []mindex.RankedCandidate) {
 	b.U32(uint32(len(rcs)))
 	for i := range rcs {
 		b.F64(rcs[i].Promise)
 		b.I32Slice(rcs[i].Prefix)
-		b.B = mindex.AppendEntry(b.B, rcs[i].Entry)
+		appendCandidate(b, &rcs[i].Entry)
 	}
 }
 
@@ -183,7 +194,7 @@ func (m BatchRankedResp) AppendFlatTo(b *Buffer) {
 	for _, rcs := range m.Results {
 		b.U32(uint32(len(rcs)))
 		for i := range rcs {
-			b.B = mindex.AppendEntry(b.B, rcs[i].Entry)
+			appendCandidate(b, &rcs[i].Entry)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 )
 
@@ -62,6 +63,9 @@ func TestHelloRespVersion1(t *testing.T) {
 	}
 }
 
+// TestBatchRankedRespRoundTrip also pins the candidate-record shape: a query
+// reply carries each candidate's ID and payload and none of its index
+// metadata, ranked or flat.
 func TestBatchRankedRespRoundTrip(t *testing.T) {
 	want := BatchRankedResp{
 		ServerNanos: 42,
@@ -70,7 +74,7 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 			{
 				{Entry: mindex.Entry{ID: 1, Perm: []int32{2, 0, 1}, Payload: []byte{9, 9}},
 					Promise: 0.25, Prefix: []int32{2}},
-				{Entry: mindex.Entry{ID: 2, Perm: []int32{2, 1, 0}, Dists: []float64{1, 2, 3}},
+				{Entry: mindex.Entry{ID: 2, Perm: []int32{2, 1, 0}, Dists: []float64{1, 2, 3}, Vec: metric.Vector{4}},
 					Promise: 0.5, Prefix: []int32{2, 1}},
 			},
 		},
@@ -85,11 +89,22 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 	if len(got.Results[0]) != 0 {
 		t.Fatalf("empty result came back with %d candidates", len(got.Results[0]))
 	}
+	var flat Buffer
+	want.AppendFlatTo(&flat)
+	gotFlat, err := DecodeBatchQueryResp(flat.B)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, rc := range want.Results[1] {
 		g := got.Results[1][i]
-		if g.Promise != rc.Promise || !reflect.DeepEqual(g.Prefix, rc.Prefix) ||
-			!reflect.DeepEqual(g.Entry, rc.Entry) {
-			t.Fatalf("candidate %d mismatch: got %+v, want %+v", i, g, rc)
+		if g.Promise != rc.Promise || !reflect.DeepEqual(g.Prefix, rc.Prefix) {
+			t.Fatalf("candidate %d annotations: got %+v, want %+v", i, g, rc)
+		}
+		shipped := mindex.Entry{ID: rc.Entry.ID, Payload: rc.Entry.Payload}
+		for form, e := range map[string]mindex.Entry{"ranked": g.Entry, "flat": gotFlat.Results[1][i]} {
+			if !reflect.DeepEqual(e, shipped) {
+				t.Fatalf("%s candidate %d: got %+v, want the ID and the payload alone: %+v", form, i, e, shipped)
+			}
 		}
 	}
 }

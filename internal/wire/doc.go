@@ -24,6 +24,16 @@
 // annotations dropped. MsgDownloadAll takes the same allow-list as its
 // optional payload.
 //
+// A candidate of a query reply is an entry record holding the ID and the
+// payload and nothing else: perm, dists and vec are written with length
+// zero (appendCandidate). The index metadata has been used by the time an
+// entry is a candidate — the server pruned, filtered and ranked with it, and
+// the refining client reads the ciphertext alone — so it is not shipped. The
+// layout is still mindex.AppendEntry's, so ScanEntry, CandidateRefs, the
+// coordinator's span relay and a client built before the change all parse
+// it unchanged and the protocol version stands. MsgDownloadAll, the export
+// path, returns whole entries (CandidatesResp).
+//
 // Message numbers are explicit constants that never change; numbers of
 // retired messages stay reserved and are refused by name (RetiredError).
 // ProtocolVersion travels in HelloResp.Version, and both ends of a
@@ -53,8 +63,8 @@
 //
 // Every Decode function copies what it returns out of the payload, and
 // mindex.DecodeEntry — the decoder of every entry that is inserted,
-// ingested, re-synced, logged or stored — does too: what a server keeps must
-// not pin, or be overwritten with, the frame it arrived in. The read path
+// ingested, re-synced or logged — does too: what a server keeps must not
+// pin, or be overwritten with, the frame it arrived in. The read path
 // has a second form for the candidate replies, the bulkiest frames there
 // are: CandidateRefs (DecodeRanked, DecodeFlat) and ScanCandidatesResp
 // locate each candidate's fields as spans of the payload, on top of
