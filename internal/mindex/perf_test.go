@@ -122,8 +122,8 @@ func TestDiskCacheInvalidation(t *testing.T) {
 
 	expect := func(step string, want []Entry) {
 		t.Helper()
-		for _, read := range []func(BucketID) ([]Entry, error){s.View, s.Load} {
-			got, err := read(id)
+		for range 2 { // the second is the cached re-read
+			got, err := s.View(id)
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
@@ -176,7 +176,11 @@ func TestDiskCacheInvalidation(t *testing.T) {
 
 // TestDiskCacheBudget verifies the byte budget: a tiny budget forces
 // eviction, the charged bytes never exceed it, disabling drops everything,
-// and correctness is unaffected throughout.
+// and correctness is unaffected throughout. A cached bucket is charged the
+// bookkeeping overhead plus the memory its decode occupies — payload bytes
+// plus decodedSize, nothing for the file image, which no longer outlives the
+// read — whether a miss or Replace's write-through admitted it
+// (checkCacheCharges recomputes every charge from the cached entries).
 func TestDiskCacheBudget(t *testing.T) {
 	s, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -219,7 +223,18 @@ func TestDiskCacheBudget(t *testing.T) {
 			if _, _, bytes := s.CacheStats(); bytes > budget {
 				t.Fatalf("cache charged %d bytes, budget %d", bytes, budget)
 			}
+			checkCacheCharges(t, s)
 		}
+		// A rewritten bucket is cached write-through under the same formula.
+		id := ids[round]
+		want[id] = want[id][:len(want[id])-1]
+		if err := s.Replace(id, want[id]); err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := s.cache[id]; !cached {
+			t.Fatalf("round %d: Replace did not cache bucket %d write-through", round, id)
+		}
+		checkCacheCharges(t, s)
 	}
 	_, misses, _ := s.CacheStats()
 	if misses == 0 {
@@ -247,11 +262,11 @@ func TestDiskCacheBudget(t *testing.T) {
 	}
 }
 
-// TestDiskLoadKeepsAppendHandle pins the dirty-flag fix: a Load between
+// TestDiskViewKeepsAppendHandle pins the dirty-flag fix: a View between
 // appends flushes the buffered bytes but must keep the append handle open,
 // so the next append does not pay a file-open syscall (the seed closed the
-// handle on every load). White-box: the handle registry is inspected.
-func TestDiskLoadKeepsAppendHandle(t *testing.T) {
+// handle on every read). White-box: the handle registry is inspected.
+func TestDiskViewKeepsAppendHandle(t *testing.T) {
 	s, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +280,7 @@ func TestDiskLoadKeepsAppendHandle(t *testing.T) {
 	if err := s.Append(id, randomEntry(rng, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Load(id); err != nil {
+	if _, err := s.View(id); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
@@ -273,22 +288,25 @@ func TestDiskLoadKeepsAppendHandle(t *testing.T) {
 	dirty := open && h.dirty
 	s.mu.Unlock()
 	if !open {
-		t.Fatal("load closed the append handle")
+		t.Fatal("view closed the append handle")
 	}
 	if dirty {
-		t.Fatal("load left the handle dirty after flushing")
+		t.Fatal("view left the handle dirty after flushing")
 	}
 	// A clean handle means a second read must not flush again, and a
 	// subsequent append must reuse the same writer.
 	if err := s.Append(id, randomEntry(rng, 2)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Load(id)
+	if h2 := s.open[id]; h2 != h {
+		t.Fatal("the append after a view opened a new handle")
+	}
+	got, err := s.View(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("loaded %d entries, want 2", len(got))
+		t.Fatalf("viewed %d entries, want 2", len(got))
 	}
 }
 
@@ -539,10 +557,13 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDiskMissAllocs pins the cost of a cache miss: a bucket file is decoded
-// into one block per field kind (decodeBucket), so a cold View of a 45-entry
-// bucket costs a dozen allocations — open, read, the blocks — where one
-// DecodeEntry per entry cost 143.
+// TestDiskMissAllocs pins the cost of a cache miss, in allocations and in
+// bytes. The file is read into a pooled buffer and decoded into one block
+// per field kind, payloads included, so a cold View of a 45-entry bucket
+// allocates the file name, what os.Open allocates, and the four blocks —
+// where one DecodeEntry per entry cost 143 — and its bytes are the decoded
+// bucket's: a read buffer allocated per miss (19 KB for such a file) would
+// more than double them.
 func TestDiskMissAllocs(t *testing.T) {
 	s, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -555,23 +576,32 @@ func TestDiskMissAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries, _, _ := perfEntries(45, 24)
+	decoded := 0
 	for i := range entries {
 		entries[i].Perm = entries[i].Perm[:8]
 		entries[i].Payload = make([]byte, 76)
+		decoded += len(entries[i].Payload) + decodedSize(1, len(entries[i].Perm), len(entries[i].Dists), 0)
 	}
 	if err := appendAll(s, id, entries); err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(50, func() {
-		v, err := s.View(id)
-		if err != nil || len(v) != len(entries) {
-			t.Fatalf("view: %d entries, %v", len(v), err)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			v, err := s.View(id)
+			if err != nil || len(v) != len(entries) {
+				b.Fatalf("view: %d entries, %v", len(v), err)
+			}
 		}
 	})
-	if got > 12 {
-		t.Errorf("cold View of a %d-entry bucket: %.1f allocs, want <= 12", len(entries), got)
+	t.Logf("%d allocs, %d B per cold View (decoded %d B)", res.AllocsPerOp(), res.AllocedBytesPerOp(), decoded)
+	if got := res.AllocsPerOp(); got > 9 {
+		t.Errorf("cold View of a %d-entry bucket: %d allocs, want <= 9", len(entries), got)
 	}
-	if _, misses, _ := s.CacheStats(); misses < 50 {
-		t.Fatalf("only %d misses: the Views were not cold", misses)
+	if got, limit := res.AllocedBytesPerOp(), int64(decoded*3/2); got > limit && !raceEnabled {
+		t.Errorf("cold View of a %d-entry bucket: %d B allocated, want <= %d (1.5 x the decoded %d)", len(entries), got, limit, decoded)
+	}
+	if _, misses, _ := s.CacheStats(); misses < uint64(res.N) {
+		t.Fatalf("%d misses in %d Views: they were not cold", misses, res.N)
 	}
 }

@@ -2,12 +2,15 @@ package mindex
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"unsafe"
 )
@@ -27,20 +30,15 @@ type BucketStore interface {
 	Create() (BucketID, error)
 	// Append adds an entry to a bucket.
 	Append(id BucketID, e Entry) error
-	// Load returns all entries of a bucket in a slice the caller owns and
-	// may reorder, truncate or append to. The entries' field slices (Perm,
-	// Dists, Payload, Vec) stay shared with the store and are read-only,
-	// exactly as in a View: a disk bucket's fields are windows into a few
-	// per-bucket blocks.
-	Load(id BucketID) ([]Entry, error)
 	// View returns all entries of a bucket without copying. The returned
 	// slice is a read-only snapshot owned by the store: callers must not
-	// modify it (in particular not compact it in place), but may hold it
-	// across later store mutations — an Append never rewrites the elements
-	// a previously returned snapshot covers, and a Replace or Free swaps
-	// the backing rather than mutating it. This is the query hot path:
-	// searches that only scan and copy out should View, mutators that need
-	// ownership should Load.
+	// modify it (in particular not compact it in place; one that wants to
+	// reorder or truncate clones it first), but may hold it across later
+	// store mutations — an Append never rewrites the elements a previously
+	// returned snapshot covers, and a Replace or Free swaps the backing
+	// rather than mutating it. The entries' field slices (Perm, Dists,
+	// Payload, Vec) are read-only too: a disk bucket's fields are windows
+	// into a few per-bucket blocks.
 	View(id BucketID) ([]Entry, error)
 	// Replace overwrites a bucket's contents (compaction and update purges
 	// rewrite buckets after dropping dead entries).
@@ -131,19 +129,6 @@ func (s *MemStore) appendIndexed(id BucketID, arena []Entry, idx []int32) error 
 	return nil
 }
 
-// Load implements BucketStore.
-func (s *MemStore) Load(id BucketID) ([]Entry, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries, ok := s.buckets[id]
-	if !ok {
-		return nil, fmt.Errorf("mindex: load of unknown bucket %d", id)
-	}
-	out := make([]Entry, len(entries))
-	copy(out, entries)
-	return out, nil
-}
-
 // View implements BucketStore: the bucket slice itself, zero-copy.
 func (s *MemStore) View(id BucketID) ([]Entry, error) {
 	s.mu.RLock()
@@ -202,22 +187,31 @@ const cachedBucketOverhead = 128
 //
 //   - a cache of open append handles (bufio.Writer over an O_APPEND file),
 //     so bulk loading does not pay an open/close syscall pair per insert;
-//   - a byte-budget LRU cache of decoded buckets, read-through on Load and
-//     View and invalidated by Append/Replace/Free, so a repeated-query
-//     workload against a static-or-slowly-churning index stops re-reading
-//     and re-decoding the same bucket files (the dominant cost of the
-//     paper's Tables 5–9 workload shape on disk storage).
+//   - a byte-budget LRU cache of decoded buckets, read-through on View and
+//     invalidated by Append/Replace/Free, so a repeated-query workload
+//     against a static-or-slowly-churning index stops re-reading and
+//     re-decoding the same bucket files (the dominant cost of the paper's
+//     Tables 5–9 workload shape on disk storage).
+//
+// mu guards the maps, the caches and every write to a bucket file. A read
+// that misses the cache holds it only for the map work on either side of
+// the file read and the decode (see ViewVersioned).
 type DiskStore struct {
-	mu     sync.Mutex
-	dir    string
-	next   BucketID
-	counts map[BucketID]int
+	mu  sync.Mutex
+	dir string
+	// filePrefix is dir + "/bucket-": path builds a name with one
+	// concatenation, a miss's only allocation before the open.
+	filePrefix string
+	next       BucketID
+	counts     map[BucketID]int
 	// virgin tracks allocated buckets whose file does not exist yet: Create
 	// only reserves the ID and the count, and the file materializes on the
 	// first write (an open/close syscall pair per bucket saved — the
 	// dominant cost of a bulk build's allocation replay). A virgin bucket
 	// reads as empty, frees without touching the file system, and loses its
-	// virginity on the first Append/Replace.
+	// virginity on the first Append/Replace. Whatever file a previous store
+	// on the same directory left under a virgin ID is not this bucket's
+	// content: the first write truncates it.
 	virgin map[BucketID]struct{}
 	// eras counts content-destroying rewrites (Replace) per bucket. Bucket
 	// IDs are never reused, so a (bucket, era) pair names one content
@@ -255,9 +249,9 @@ type DiskStore struct {
 type appendHandle struct {
 	w *bufio.Writer
 	f *os.File
-	// dirty marks buffered bytes not yet flushed to the OS. A Load/View
-	// only needs a Flush (not a close-and-reopen) to observe them, and a
-	// clean handle needs nothing at all.
+	// dirty marks buffered bytes not yet flushed to the OS. A View only
+	// needs a Flush (not a close-and-reopen) to observe them, and a clean
+	// handle needs nothing at all.
 	dirty bool
 	elem  *list.Element
 }
@@ -269,13 +263,26 @@ type cachedBucket struct {
 }
 
 // NewDiskStore creates a bucket store rooted at dir (created if missing)
-// with the default entry-cache budget.
+// with the default entry-cache budget. Temporary files a crash left between
+// Replace's create and its rename are removed: nothing else ever names them.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mindex: creating bucket directory: %w", err)
 	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("mindex: scanning bucket directory: %w", err)
+	}
+	for _, f := range files {
+		if name := f.Name(); strings.HasPrefix(name, bucketPrefix) && strings.HasSuffix(name, bucketExt+tmpExt) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("mindex: removing interrupted bucket rewrite: %w", err)
+			}
+		}
+	}
 	return &DiskStore{
 		dir:         dir,
+		filePrefix:  filepath.Join(dir, bucketPrefix),
 		counts:      make(map[BucketID]int),
 		virgin:      make(map[BucketID]struct{}),
 		eras:        make(map[BucketID]uint64),
@@ -363,8 +370,17 @@ func (s *DiskStore) NextID() BucketID {
 	return s.next
 }
 
+const (
+	bucketPrefix = "bucket-"
+	bucketExt    = ".bin"
+	tmpExt       = ".tmp" // Replace writes path(id)+tmpExt and renames it into place
+)
+
+// path names a bucket's file: bucket-<id, zero-padded to nine digits>.bin.
 func (s *DiskStore) path(id BucketID) string {
-	return filepath.Join(s.dir, fmt.Sprintf("bucket-%09d.bin", id))
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], uint64(id), 10)
+	return s.filePrefix + "000000000"[min(len(digits), 9):] + string(digits) + bucketExt
 }
 
 // Create implements BucketStore. Allocation is lazy: no file is created
@@ -484,7 +500,11 @@ func (s *DiskStore) writer(id BucketID) (*appendHandle, error) {
 			return nil, err
 		}
 	}
-	f, err := os.OpenFile(s.path(id), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	flags := os.O_WRONLY | os.O_APPEND | os.O_CREATE
+	if _, ok := s.virgin[id]; ok {
+		flags |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(s.path(id), flags, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -561,87 +581,158 @@ func (s *DiskStore) Append(id BucketID, e Entry) error {
 	return nil
 }
 
-// Load implements BucketStore (read-through: a hit copies out of the cache,
-// a miss reads and decodes the file and caches the result).
-func (s *DiskStore) Load(id BucketID) ([]Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := s.readLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(entries), nil
-}
-
 // View implements BucketStore (read-through, zero-copy: the returned slice
 // is the cached decode itself and must not be modified).
 func (s *DiskStore) View(id BucketID) ([]Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readLocked(id)
+	entries, _, err := s.ViewVersioned(id)
+	return entries, err
 }
 
-// ViewVersioned is View plus the bucket's content era, read atomically with
-// the view under the store mutex. Snapshot readers compare the era against
-// the one recorded in their node version: a match proves the first n entries
-// of the view are exactly that version's content (appends only extend).
-func (s *DiskStore) ViewVersioned(id BucketID) ([]Entry, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := s.readLocked(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	return entries, s.eras[id], nil
+// bucketVersion names one state of a bucket's content. Every mutator
+// changes it under the mutex — an append raises count, a Replace raises era,
+// neither ever falls back within a lineage — so a version that reads the
+// same at two lock acquisitions proves no mutation touched the bucket in
+// between.
+type bucketVersion struct {
+	count int
+	era   uint64
 }
 
-// readLocked returns the bucket's decoded entries, serving from the cache
-// when possible. The returned slice is shared with the cache — callers copy
-// if they need ownership.
-func (s *DiskStore) readLocked(id BucketID) ([]Entry, error) {
+func (s *DiskStore) versionLocked(id BucketID) (bucketVersion, error) {
 	if s.closed {
-		return nil, errors.New("mindex: disk store closed")
+		return bucketVersion{}, errors.New("mindex: disk store closed")
 	}
 	count, ok := s.counts[id]
 	if !ok {
-		return nil, fmt.Errorf("mindex: load of unknown bucket %d", id)
+		return bucketVersion{}, fmt.Errorf("mindex: view of unknown bucket %d", id)
+	}
+	return bucketVersion{count, s.eras[id]}, nil
+}
+
+// ViewVersioned is View plus the bucket's content era, the two read
+// atomically. Snapshot readers compare the era against the one recorded in
+// their node version: a match proves the first n entries of the view are
+// exactly that version's content (appends only extend).
+//
+// A cache miss does its I/O and its decode outside the mutex, so readers of
+// one store do not queue behind each other's system calls. Under the mutex:
+// the closed / unknown / virgin checks, the cache probe, the flush of
+// buffered appends, and a note of the bucket's version. Outside: open, read,
+// close, decode. Under it again: the result is admitted only if the store
+// is still open and the version unchanged, which makes it the bucket's
+// content as of that second acquisition. Anything else — an append, a
+// Replace, a Free, a tail torn by a concurrent append's buffer spilling, a
+// decode error — is settled by readLocked, where an error is final.
+func (s *DiskStore) ViewVersioned(id BucketID) ([]Entry, uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, err := s.versionLocked(id)
+	if err != nil {
+		return nil, 0, err
 	}
 	if _, ok := s.virgin[id]; ok {
-		return nil, nil // allocated, never written: empty, no file yet
+		return nil, v.era, nil // allocated, never written: empty, no file yet
 	}
-	if cb, ok := s.cache[id]; ok {
+	if entries, ok := s.cachedLocked(id); ok {
 		s.hits++
-		s.cacheLRU.MoveToBack(cb.elem)
-		return cb.entries, nil
+		return entries, v.era, nil
 	}
-	s.misses++
+	s.misses++ // one per read, however it ends
 	// Any buffered appends must be visible before reading the file back.
 	if err := s.flushHandleLocked(id); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	raw, err := os.ReadFile(s.path(id))
-	if err != nil {
-		return nil, err
+	path := s.path(id)
+	s.mu.Unlock()
+	entries, size, err := readBucketFile(path, v.count)
+	s.mu.Lock()
+	if now, verr := s.versionLocked(id); err != nil || verr != nil || now != v {
+		return s.readLocked(id)
 	}
-	entries, retained, err := decodeBucket(raw)
+	// Another reader may have missed on the same bucket and got here first:
+	// its slice is the cached one, ours is dropped, the charge made once.
+	if winner, ok := s.cachedLocked(id); ok {
+		return winner, v.era, nil
+	}
+	s.insertCacheLocked(id, entries, size, true)
+	return entries, v.era, nil
+}
+
+// readLocked is the read with the mutex held throughout: the retry of a
+// ViewVersioned whose unlocked read could not be admitted. Nothing can move
+// under it, so what it finds is the bucket, and an error is the bucket's.
+func (s *DiskStore) readLocked(id BucketID) ([]Entry, uint64, error) {
+	v, err := s.versionLocked(id)
 	if err != nil {
-		return nil, fmt.Errorf("mindex: bucket %d corrupted: %w", id, err)
+		return nil, 0, err
+	}
+	if entries, ok := s.cachedLocked(id); ok {
+		return entries, v.era, nil
+	}
+	if err := s.flushHandleLocked(id); err != nil {
+		return nil, 0, err
+	}
+	entries, size, err := readBucketFile(s.path(id), v.count)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.insertCacheLocked(id, entries, size, true)
+	return entries, v.era, nil
+}
+
+// cachedLocked probes the decoded-bucket cache. The returned slice is shared
+// with the cache — callers copy if they need ownership.
+func (s *DiskStore) cachedLocked(id BucketID) ([]Entry, bool) {
+	cb, ok := s.cache[id]
+	if !ok {
+		return nil, false
+	}
+	s.cacheLRU.MoveToBack(cb.elem)
+	return cb.entries, true
+}
+
+// readBufs recycles the buffers bucket files are read into, sized so a
+// bucket of a few hundred entries is one read. decodeBucket copies everything
+// out, so a buffer is back here before its reader returns.
+var readBufs = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, 32<<10)) }}
+
+// readBucketFile reads and decodes the bucket file at path, which must hold
+// exactly count entries. It touches no store state and runs without the
+// store mutex: open, read to end of file, close — no stat, and no buffer
+// allocated once the pool is warm. size is what the cache charges for the
+// result (see decodeBucket).
+func readBucketFile(path string, count int) (entries []Entry, size int, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	f.Close()
+	if err != nil {
+		return nil, 0, err
+	}
+	if entries, size, err = decodeBucket(buf.Bytes()); err != nil {
+		return nil, 0, fmt.Errorf("mindex: bucket file %s corrupted: %w", path, err)
 	}
 	if len(entries) != count {
-		return nil, fmt.Errorf("mindex: bucket %d holds %d entries, expected %d", id, len(entries), count)
+		return nil, 0, fmt.Errorf("mindex: bucket file %s holds %d entries, expected %d", path, len(entries), count)
 	}
-	s.insertCacheLocked(id, entries, retained, true)
-	return entries, nil
+	return entries, size, nil
 }
 
 // decodeBucket decodes a bucket file into one block per field kind instead
 // of three allocations per entry: a first ScanEntry pass sizes the blocks, a
-// second fills them, and every payload stays where it is — a window into
-// raw. The result is read-only and keeps raw alive; retained is the memory
-// it pins, which is what the cache must charge for it. (DecodeEntry remains
-// the decoder of everything that is stored: its entries own their bytes.)
-func decodeBucket(raw []byte) (entries []Entry, retained int, err error) {
-	var n, perms, dists, vecs int
+// second fills them. Nothing in the result aliases raw — payloads are copied
+// into a block of their own — so the caller may reuse raw at once, and size,
+// the memory the result occupies, is all the cache has to charge for it:
+// the payload bytes plus decodedSize. The result is read-only. (DecodeEntry
+// remains the decoder of everything that is stored: its entries own their
+// bytes one by one.)
+func decodeBucket(raw []byte) (entries []Entry, size int, err error) {
+	var n, perms, dists, payloads, vecs int
 	for rest := raw; len(rest) > 0; n++ {
 		var v EntryView
 		if v, rest, err = ScanEntry(rest); err != nil {
@@ -649,11 +740,13 @@ func decodeBucket(raw []byte) (entries []Entry, retained int, err error) {
 		}
 		perms += len(v.Perm()) / 4
 		dists += len(v.Dists()) / 8
+		payloads += len(v.Payload())
 		vecs += len(v.Vec()) / 4
 	}
 	entries = make([]Entry, n)
 	permBlock := make([]int32, perms)
 	distBlock := make([]float64, dists)
+	payloadBlock := make([]byte, payloads)
 	var vecBlock []float32
 	if vecs > 0 {
 		vecBlock = make([]float32, vecs)
@@ -675,25 +768,26 @@ func decodeBucket(raw []byte) (entries []Entry, retained int, err error) {
 			getFloat64s(e.Dists, b)
 		}
 		if b := v.Payload(); len(b) > 0 {
-			e.Payload = b
+			e.Payload, payloadBlock = payloadBlock[:len(b):len(b)], payloadBlock[len(b):]
+			copy(e.Payload, b)
 		}
 		if b := v.Vec(); len(b) > 0 {
 			e.Vec, vecBlock = vecBlock[:len(b)/4:len(b)/4], vecBlock[len(b)/4:]
 			getFloat32s(e.Vec, b)
 		}
 	}
-	return entries, cap(raw) + decodedSize(n, perms, dists, vecs), nil
+	return entries, payloads + decodedSize(n, perms, dists, vecs), nil
 }
 
 // decodedSize is the memory the decoded form of n entries occupies beside
-// their encoded bytes: the Entry headers and the perm, dists and vec blocks.
+// their payloads: the Entry headers and the perm, dists and vec blocks.
 func decodedSize(n, perms, dists, vecs int) int {
 	return n*int(unsafe.Sizeof(Entry{})) + 4*perms + 8*dists + 4*vecs
 }
 
 // insertCacheLocked admits a decoded bucket to the cache, evicting least
 // recently used buckets until the byte budget holds. retained is the memory
-// the entries pin; buckets larger than the whole budget are served but
+// the entries occupy; buckets larger than the whole budget are served but
 // never cached. owned marks a slice the store may keep as-is; a caller-owned
 // slice is cloned, and only once the bucket has actually been admitted.
 func (s *DiskStore) insertCacheLocked(id BucketID, entries []Entry, retained int, owned bool) {
@@ -750,19 +844,19 @@ func (s *DiskStore) Replace(id BucketID, entries []Entry) error {
 		return err
 	}
 	s.dropCacheLocked(id)
-	tmp := s.path(id) + ".tmp"
+	tmp := s.path(id) + tmpExt
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<14)
-	// The entries are windows into the bucket image they were read from, so
-	// caching them write-through pins an image of about their own size.
+	// Cached write-through, the entries are charged what a decode of the
+	// new file would be charged.
 	retained := 0
 	for i := range entries {
 		e := &entries[i]
 		s.scratch = AppendEntry(s.scratch[:0], *e)
-		retained += len(s.scratch) + decodedSize(1, len(e.Perm), len(e.Dists), len(e.Vec))
+		retained += len(e.Payload) + decodedSize(1, len(e.Perm), len(e.Dists), len(e.Vec))
 		if _, err := w.Write(s.scratch); err != nil {
 			f.Close()
 			os.Remove(tmp)

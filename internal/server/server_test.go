@@ -15,6 +15,7 @@ import (
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 	"simcloud/internal/pivot"
+	"simcloud/internal/wal"
 	"simcloud/internal/wire"
 )
 
@@ -581,6 +582,94 @@ func TestBatchQueryEquivalence(t *testing.T) {
 						t.Fatalf("%s: download-all returned %+v, stored %+v", name, e, stored[e.ID])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestDiskServerRestartBeforeSnapshot is `simserver -storage disk -wal-dir`
+// killed and restarted before its first snapshot: the new process replays
+// the log into the bucket directory the old one filled. The fresh store hands
+// out the same bucket IDs, and used to append the replayed entries to the old
+// files (the next read failed with "holds N entries, expected M"). All four
+// wire query kinds must answer as a server that never restarted.
+func TestDiskServerRestartBeforeSnapshot(t *testing.T) {
+	entries := testEntries(120)
+	qDists := []float64{1, 2, 3, 4, 5, 6}
+	perm := []int32{2, 0, 1, 3, 4, 5}
+	for ranking, queries := range map[mindex.RankStrategy][]wire.BatchQuery{
+		mindex.RankFootrule: {
+			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
+			{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 15},
+			{Kind: wire.BatchFirstCell, Perm: perm},
+		},
+		mindex.RankDistSum: {
+			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
+			{Kind: wire.BatchApproxDists, Dists: qDists, CandSize: 10},
+			{Kind: wire.BatchFirstCell, Dists: qDists},
+		},
+	} {
+		cfg := testCfg()
+		cfg.Ranking = ranking
+		cfg.Storage = mindex.StorageDisk
+		// start opens the log in walDir, replays it into a new server on
+		// diskPath — no snapshot is ever taken — and attaches it.
+		start := func(diskPath, walDir string) (*Server, *wal.Log, net.Conn) {
+			t.Helper()
+			c := cfg
+			c.DiskPath = diskPath
+			l, recs, err := wal.Open(walDir, wal.SyncNever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewEncrypted(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Logf = func(string, ...any) {}
+			if err := wal.Replay(recs, srv.Index()); err != nil {
+				t.Fatal(err)
+			}
+			srv.AttachWAL(l)
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close(); l.Close() })
+			return srv, l, dial(t, srv)
+		}
+		load := func(conn net.Conn) {
+			t.Helper()
+			for at := 0; at < len(entries); at += 40 {
+				insertEntries(t, conn, entries[at:at+40])
+			}
+			refs := []mindex.Entry{{ID: entries[3].ID, Perm: entries[3].Perm}, {ID: entries[77].ID, Perm: entries[77].Perm}}
+			if respType, _ := request(t, conn, wire.MsgDeleteEntries, wire.DeleteEntriesReq{Refs: refs}.Encode()); respType != wire.MsgDeleteAck {
+				t.Fatalf("delete: got %v", respType)
+			}
+		}
+
+		_, _, steady := start(t.TempDir(), t.TempDir())
+		load(steady)
+		want := batchQuery(t, steady, wire.BatchQueryReq{Queries: queries, Ranked: true})
+
+		diskPath, walDir := t.TempDir(), t.TempDir()
+		first, l, conn := start(diskPath, walDir)
+		load(conn)
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, conn = start(diskPath, walDir)
+		got := batchQuery(t, conn, wire.BatchQueryReq{Queries: queries, Ranked: true})
+		for qi, q := range queries {
+			if len(want[qi]) == 0 {
+				t.Fatalf("%v kind=%d: the reference server returned nothing", ranking, q.Kind)
+			}
+			if !sameRanked(got[qi], want[qi]) {
+				t.Fatalf("%v kind=%d: restarted server returned %d candidates, a never-restarted one %d",
+					ranking, q.Kind, len(got[qi]), len(want[qi]))
 			}
 		}
 	}
