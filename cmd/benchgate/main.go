@@ -261,7 +261,7 @@ func speedupGate(current map[key][]run, baseRE, newRE *regexp.Regexp, minRatio f
 	line := fmt.Sprintf("speedup: %s (%.0f ns/op) / %s (%.0f ns/op) = %.2fx (min %.2fx)",
 		strings.Join(baseNames, ","), baseNs, strings.Join(newNames, ","), newNs, ratio, minRatio)
 	if ratio < minRatio {
-		fail("%s — the bulk path lost its edge over the baseline", line)
+		fail("%s — below the floor", line)
 	} else {
 		pass("%s", line)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -211,16 +212,35 @@ func creditServer(costs *stats.Costs, serverNanos uint64) {
 	}
 }
 
-// prepareEntry performs the per-object client work of Algorithm 1: pivot
-// distances, permutation prefix, encryption.
-func (c *coder) prepareEntry(o metric.Object, costs *stats.Costs) (mindex.Entry, error) {
+// pivotScratch is the pivot-distance row and the full permutation of one
+// object, reused from object to object within a call (one per worker): of
+// the per-object pivot work only the routing prefix outlives the object.
+type pivotScratch struct {
+	dists []float64
+	perm  []int32
+}
+
+func (c *coder) newPivotScratch() *pivotScratch {
+	n := c.key.Pivots().N()
+	return &pivotScratch{dists: make([]float64, n), perm: make([]int32, n)}
+}
+
+// routingPrefix computes v's pivot distances (Alg. 1 line 1) into sc.dists
+// and returns its permutation prefix (line 6) as a slice of its own — the
+// client work an insert and a delete share.
+func (c *coder) routingPrefix(sc *pivotScratch, v metric.Vector, costs *stats.Costs) []int32 {
 	pv := c.key.Pivots()
 	distStart := time.Now()
-	dists := pv.Distances(o.Vec) // Alg. 1 line 1
+	pv.DistancesInto(sc.dists, v)
 	costs.DistCompTime += time.Since(distStart)
 	costs.DistComps += int64(pv.N())
+	return pivot.Prefix(pivot.PermutationInto(sc.perm, sc.dists), c.opts.PrefixLen)
+}
 
-	perm := pivot.Permutation(dists) // Alg. 1 line 6
+// prepareEntry performs the per-object client work of Algorithm 1: pivot
+// distances, permutation prefix, encryption.
+func (c *coder) prepareEntry(o metric.Object, sc *pivotScratch, costs *stats.Costs) (mindex.Entry, error) {
+	e := mindex.Entry{ID: o.ID, Perm: c.routingPrefix(sc, o.Vec, costs)}
 
 	encStart := time.Now()
 	payload, err := c.key.EncryptObject(o) // Alg. 1 line 8
@@ -228,16 +248,18 @@ func (c *coder) prepareEntry(o metric.Object, costs *stats.Costs) (mindex.Entry,
 	if err != nil {
 		return mindex.Entry{}, fmt.Errorf("core: encrypting object %d: %w", o.ID, err)
 	}
-	e := mindex.Entry{
-		ID:      o.ID,
-		Perm:    pivot.Prefix(perm, c.opts.PrefixLen),
-		Payload: payload,
-	}
+	e.Payload = payload
 	if c.opts.StoreDists {
 		// Alg. 1 line 4 (precise strategy). When the key carries a
 		// distribution-hiding transformation, the server receives only
 		// transformed distances (privacy level 4; see internal/transform).
-		e.Dists = c.key.TransformDists(dists)
+		// Without one TransformDists returns its argument, the scratch row
+		// the next object overwrites: the entry keeps a copy.
+		if c.key.Transform() == nil {
+			e.Dists = slices.Clone(sc.dists)
+		} else {
+			e.Dists = c.key.TransformDists(sc.dists)
+		}
 	}
 	return e, nil
 }
@@ -247,8 +269,9 @@ func (c *coder) prepareEntry(o metric.Object, costs *stats.Costs) (mindex.Entry,
 func (c *coder) prepareEntries(objs []metric.Object, costs *stats.Costs) ([]mindex.Entry, error) {
 	entries := make([]mindex.Entry, len(objs))
 	if c.opts.Workers <= 1 || len(objs) < 2 {
+		sc := c.newPivotScratch()
 		for i, o := range objs {
-			e, err := c.prepareEntry(o, costs)
+			e, err := c.prepareEntry(o, sc, costs)
 			if err != nil {
 				return nil, err
 			}
@@ -268,8 +291,9 @@ func (c *coder) prepareEntries(objs []metric.Object, costs *stats.Costs) ([]mind
 		go func() {
 			defer wg.Done()
 			r := &results[w]
+			sc := c.newPivotScratch()
 			for i := w; i < len(objs); i += workers {
-				e, err := c.prepareEntry(objs[i], &r.costs)
+				e, err := c.prepareEntry(objs[i], sc, &r.costs)
 				if err != nil {
 					r.err = err
 					return

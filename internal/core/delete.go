@@ -7,7 +7,6 @@ import (
 
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
-	"simcloud/internal/pivot"
 	"simcloud/internal/stats"
 	"simcloud/internal/wire"
 )
@@ -23,14 +22,10 @@ import (
 // distances (for the permutation) and the routing prefix. No encryption is
 // involved — only the reference leaves the client.
 func (c *coder) deleteRefs(objs []metric.Object, costs *stats.Costs) []mindex.Entry {
-	pv := c.key.Pivots()
+	sc := c.newPivotScratch()
 	refs := make([]mindex.Entry, len(objs))
 	for i, o := range objs {
-		distStart := time.Now()
-		dists := pv.Distances(o.Vec)
-		costs.DistCompTime += time.Since(distStart)
-		costs.DistComps += int64(pv.N())
-		refs[i] = mindex.Entry{ID: o.ID, Perm: pivot.Prefix(pivot.Permutation(dists), c.opts.PrefixLen)}
+		refs[i] = mindex.Entry{ID: o.ID, Perm: c.routingPrefix(sc, o.Vec, costs)}
 	}
 	return refs
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"simcloud/internal/metric"
+	"simcloud/internal/simd"
 )
 
 // Entry wire/disk encoding (little endian):
@@ -123,38 +124,18 @@ func DecodeEntry(buf []byte) (Entry, []byte, error) {
 	e := Entry{ID: v.ID}
 	if perm := v.Perm(); len(perm) > 0 {
 		e.Perm = make([]int32, len(perm)/4)
-		getInt32s(e.Perm, perm)
+		simd.DecodeI32LE(e.Perm, perm)
 	}
 	if dists := v.Dists(); len(dists) > 0 {
 		e.Dists = make([]float64, len(dists)/8)
-		getFloat64s(e.Dists, dists)
+		simd.DecodeF64LE(e.Dists, dists)
 	}
 	if payload := v.Payload(); len(payload) > 0 {
 		e.Payload = bytes.Clone(payload)
 	}
 	if vec := v.Vec(); len(vec) > 0 {
 		e.Vec = make(metric.Vector, len(vec)/4)
-		getFloat32s(e.Vec, vec)
+		simd.DecodeF32LE(e.Vec, vec)
 	}
 	return e, rest, nil
-}
-
-// getInt32s, getFloat64s and getFloat32s fill dst from its little-endian
-// encoding in b — the field decoders DecodeEntry and decodeBucket share.
-func getInt32s(dst []int32, b []byte) {
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-}
-
-func getFloat64s(dst []float64, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
-
-func getFloat32s(dst []float32, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
 }

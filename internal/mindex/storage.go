@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"unsafe"
+
+	"simcloud/internal/simd"
 )
 
 // BucketID identifies a bucket within a BucketStore.
@@ -761,11 +763,11 @@ func decodeBucket(raw []byte) (entries []Entry, size int, err error) {
 		// read "Dists == nil" as "stored without distances".
 		if b := v.Perm(); len(b) > 0 {
 			e.Perm, permBlock = permBlock[:len(b)/4:len(b)/4], permBlock[len(b)/4:]
-			getInt32s(e.Perm, b)
+			simd.DecodeI32LE(e.Perm, b)
 		}
 		if b := v.Dists(); len(b) > 0 {
 			e.Dists, distBlock = distBlock[:len(b)/8:len(b)/8], distBlock[len(b)/8:]
-			getFloat64s(e.Dists, b)
+			simd.DecodeF64LE(e.Dists, b)
 		}
 		if b := v.Payload(); len(b) > 0 {
 			e.Payload, payloadBlock = payloadBlock[:len(b):len(b)], payloadBlock[len(b):]
@@ -773,7 +775,7 @@ func decodeBucket(raw []byte) (entries []Entry, size int, err error) {
 		}
 		if b := v.Vec(); len(b) > 0 {
 			e.Vec, vecBlock = vecBlock[:len(b)/4:len(b)/4], vecBlock[len(b)/4:]
-			getFloat32s(e.Vec, b)
+			simd.DecodeF32LE(e.Vec, b)
 		}
 	}
 	return entries, payloads + decodedSize(n, perms, dists, vecs), nil

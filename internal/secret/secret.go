@@ -35,6 +35,7 @@ import (
 
 	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
+	"simcloud/internal/simd"
 	"simcloud/internal/transform"
 )
 
@@ -200,10 +201,7 @@ func AppendObjectVec(dst metric.Vector, buf []byte) (uint64, metric.Vector, erro
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, int(dim))[:at+int(dim)]
-	vec, src := dst[at:], buf[12:]
-	for i := range vec {
-		vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
+	simd.DecodeF32LE(dst[at:], buf[12:])
 	return binary.LittleEndian.Uint64(buf), dst, nil
 }
 

@@ -1,27 +1,44 @@
 // Package simd holds the unrolled hot-loop kernels behind the metric
 // distance functions and the pivot machinery: float32→float64 accumulation
-// for L1/L2/Lp/Chebyshev, the float64 Chebyshev used by pivot filtering, and
-// the uint16 quantization gate of the fixed-point promise path.
+// for L1/L2/Lp/Chebyshev, the float64 Chebyshev used by pivot filtering, the
+// uint16 quantization gate of the fixed-point promise path, and the
+// little-endian vector decoders behind refine and bucket decode.
 //
-// The package is pure Go — no assembly, no build tags — written so the
-// compiler's autovectorizer and scheduler get straight-line unrolled bodies
-// with the bounds checks hoisted. The contract every kernel obeys, enforced
-// by the property tests in simd_test.go, is bit-for-bit equivalence with the
-// scalar reference loop:
+// The package is pure Go — no assembly, no build tags, no unsafe — and
+// despite its name nothing here is vectorised: gc has no autovectorizer.
+// What the unroll buys is loop control paid once per 4–8 elements and
+// straight-line bodies whose independent convert/subtract/abs work the CPU
+// overlaps; gc still emits the per-element bounds checks of the float
+// kernels (-gcflags=-d=ssa/check_bce), which predict perfectly and hide
+// under the accumulator's add latency, while the decoders, whose loops are
+// bounded by the slice lengths themselves, carry none. The contract every
+// kernel obeys, enforced by the property tests in simd_test.go, is
+// bit-for-bit equivalence with the scalar reference loop:
 //
 //   - Sum kernels (L1, SqL2, PowSum) keep a single accumulator and add the
-//     per-element terms in index order, exactly like the scalar loop —
-//     unrolling only removes loop overhead and lets the independent
-//     subtract/abs/multiply work of 4–8 elements overlap. Reassociating the
-//     sum into lanes would be faster but would change results in the last
-//     bit, and equal distances must stay equal across every code path (the
-//     ranked-list equivalence suites compare them exactly).
+//     per-element terms in index order, exactly like the scalar loop.
+//     Reassociating the sum into lanes would be faster but would change
+//     results in the last bit, and equal distances must stay equal across
+//     every code path (the ranked-list equivalence suites compare them
+//     exactly).
+//   - No data-dependent branch in a sum kernel: |d| is math.Abs (an AND on
+//     amd64/arm64), never `if d < 0 { d = -d }`. The sign of a coordinate
+//     difference is a coin toss the branch predictor loses half the time on
+//     rows it has not seen before, and a benchmark that loops over a few
+//     rows hides it (the /repeat and /stream benchmarks in bench_test.go
+//     differ by 4–6× on the branchy loop).
 //   - Max kernels (Chebyshev, AbsMaxDiff64) may use multiple accumulator
 //     lanes: max over non-NaN floats is associative and commutative, so the
-//     lane split cannot change the result.
+//     lane split cannot change the result. They keep their `if d > m`
+//     compare: it ignores a NaN term where the builtin max would propagate
+//     it, and range filtering over stored distances relies on that
+//     (mindex's TestBoxBoundsAndRangeEquivalence).
 package simd
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // L1 returns Σ|a[i]−b[i]| accumulated in float64. Both slices must have the
 // same length (callers check dimensions; see metric.dimCheck).
@@ -31,33 +48,13 @@ func L1(a, b []float32) float64 {
 	var s float64
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		d0 := float64(a[i]) - float64(b[i])
-		d1 := float64(a[i+1]) - float64(b[i+1])
-		d2 := float64(a[i+2]) - float64(b[i+2])
-		d3 := float64(a[i+3]) - float64(b[i+3])
-		if d0 < 0 {
-			d0 = -d0
-		}
-		if d1 < 0 {
-			d1 = -d1
-		}
-		if d2 < 0 {
-			d2 = -d2
-		}
-		if d3 < 0 {
-			d3 = -d3
-		}
-		s += d0
-		s += d1
-		s += d2
-		s += d3
+		s += math.Abs(float64(a[i]) - float64(b[i]))
+		s += math.Abs(float64(a[i+1]) - float64(b[i+1]))
+		s += math.Abs(float64(a[i+2]) - float64(b[i+2]))
+		s += math.Abs(float64(a[i+3]) - float64(b[i+3]))
 	}
 	for ; i < n; i++ {
-		d := float64(a[i]) - float64(b[i])
-		if d < 0 {
-			d = -d
-		}
-		s += d
+		s += math.Abs(float64(a[i]) - float64(b[i]))
 	}
 	return s
 }
@@ -269,4 +266,59 @@ func QuantizeDistsU16(dst []uint16, dists []float64) ([]uint16, bool) {
 		dst = append(dst, uint16(d))
 	}
 	return dst, true
+}
+
+// DecodeF32LE fills dst with len(dst) little-endian float32 values read from
+// the front of src. Both slices advance a whole block per iteration and the
+// loop condition bounds both, so the body compiles to plain loads and stores
+// with no bounds check, where a binary.LittleEndian.Uint32(src[4*i:]) loop
+// pays a check and an index multiply per element. Object vectors are long
+// (17–768 dimensions), hence eight per block; the pivot-row decoders below
+// take four because their rows are 8–30 long and the tail is per element.
+// It panics when src holds fewer than 4·len(dst) bytes, like the loop it
+// replaces (callers validate lengths first).
+func DecodeF32LE(dst []float32, src []byte) {
+	for len(dst) >= 8 && len(src) >= 32 {
+		dst[0] = math.Float32frombits(binary.LittleEndian.Uint32(src[0:4]))
+		dst[1] = math.Float32frombits(binary.LittleEndian.Uint32(src[4:8]))
+		dst[2] = math.Float32frombits(binary.LittleEndian.Uint32(src[8:12]))
+		dst[3] = math.Float32frombits(binary.LittleEndian.Uint32(src[12:16]))
+		dst[4] = math.Float32frombits(binary.LittleEndian.Uint32(src[16:20]))
+		dst[5] = math.Float32frombits(binary.LittleEndian.Uint32(src[20:24]))
+		dst[6] = math.Float32frombits(binary.LittleEndian.Uint32(src[24:28]))
+		dst[7] = math.Float32frombits(binary.LittleEndian.Uint32(src[28:32]))
+		dst, src = dst[8:], src[32:]
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// DecodeI32LE is DecodeF32LE for little-endian int32 values (permutations).
+func DecodeI32LE(dst []int32, src []byte) {
+	for len(dst) >= 4 && len(src) >= 16 {
+		dst[0] = int32(binary.LittleEndian.Uint32(src[0:4]))
+		dst[1] = int32(binary.LittleEndian.Uint32(src[4:8]))
+		dst[2] = int32(binary.LittleEndian.Uint32(src[8:12]))
+		dst[3] = int32(binary.LittleEndian.Uint32(src[12:16]))
+		dst, src = dst[4:], src[16:]
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// DecodeF64LE is DecodeF32LE for little-endian float64 values (object–pivot
+// distance rows).
+func DecodeF64LE(dst []float64, src []byte) {
+	for len(dst) >= 4 && len(src) >= 32 {
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+		dst, src = dst[4:], src[32:]
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }

@@ -103,15 +103,37 @@ func randVec(rng *rand.Rand, dim int) []float32 {
 	return v
 }
 
+// edgeVec draws components from the values where a branch-free |d| could
+// part from the compare-and-negate reference: signed zeros (so d = −0),
+// subnormals, ±MaxFloat32, and small magnitudes of both signs so that
+// differences tie in size with opposite signs.
+func edgeVec(rng *rand.Rand, dim int) []float32 {
+	negZero := float32(math.Copysign(0, -1))
+	palette := []float32{
+		0, negZero,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32,
+		1, -1, 1.5, -1.5,
+	}
+	v := make([]float32, dim)
+	for i := range v {
+		v[i] = palette[rng.IntN(len(palette))]
+	}
+	return v
+}
+
 // TestKernelsMatchScalar sweeps every dimension 1..130 — crossing every
 // unroll-width boundary (4, 8) with every remainder — with many random
-// vector pairs per dimension, asserting bitwise agreement of all float32
-// kernels with the scalar references.
+// and edge-value vector pairs per dimension, asserting bitwise agreement of
+// all float32 kernels with the scalar references.
 func TestKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for dim := 1; dim <= 130; dim++ {
-		for range 20 {
+		for trial := range 30 {
 			a, b := randVec(rng, dim), randVec(rng, dim)
+			if trial >= 20 {
+				a, b = edgeVec(rng, dim), edgeVec(rng, dim)
+			}
 			if got, want := L1(a, b), scalarL1(a, b); !sameBits(got, want) {
 				t.Fatalf("L1 dim %d: got %x, want %x", dim, got, want)
 			}
@@ -197,6 +219,7 @@ func TestCanQuantizeU16(t *testing.T) {
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(make([]byte, 130*8))
+	f.Add([]byte{0, 0, 0x80, 0x7f, 0, 0, 0x80, 0x7f}) // +Inf − +Inf
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		n := len(raw) / 8 // bytes per element pair
 		if n == 0 {
@@ -209,7 +232,11 @@ func FuzzKernels(f *testing.F) {
 			b[i] = math.Float32frombits(le32(raw[i*8+4:]))
 		}
 		// NaN payloads can legally differ between code paths; the metric
-		// domain is finite vectors, so normalize them away.
+		// domain is finite vectors, so normalize NaN inputs away. Infinite
+		// inputs still make NaN terms (+Inf − +Inf), whose sign the
+		// reference's negate keeps and math.Abs clears: results compare by
+		// bits, or by both being NaN.
+		same := func(x, y float64) bool { return sameBits(x, y) || (x != x && y != y) }
 		for i := range n {
 			if a[i] != a[i] {
 				a[i] = 0
@@ -218,21 +245,119 @@ func FuzzKernels(f *testing.F) {
 				b[i] = 0
 			}
 		}
-		if got, want := L1(a, b), scalarL1(a, b); !sameBits(got, want) {
+		if got, want := L1(a, b), scalarL1(a, b); !same(got, want) {
 			t.Fatalf("L1: got %x, want %x", got, want)
 		}
-		if got, want := SqL2(a, b), scalarSqL2(a, b); !sameBits(got, want) {
+		if got, want := SqL2(a, b), scalarSqL2(a, b); !same(got, want) {
 			t.Fatalf("SqL2: got %x, want %x", got, want)
 		}
-		if got, want := Chebyshev(a, b), scalarChebyshev(a, b); !sameBits(got, want) {
+		if got, want := Chebyshev(a, b), scalarChebyshev(a, b); !same(got, want) {
 			t.Fatalf("Chebyshev: got %x, want %x", got, want)
 		}
-		if got, want := PowSum(a, b, 2.5), scalarPowSum(a, b, 2.5); !sameBits(got, want) {
+		if got, want := PowSum(a, b, 2.5), scalarPowSum(a, b, 2.5); !same(got, want) {
 			t.Fatalf("PowSum: got %x, want %x", got, want)
 		}
 	})
 }
 
+// The decoders' specification is the per-element binary.LittleEndian loop
+// they replaced; le32 and le64 spell the byte order out by hand so the
+// reference shares no code with the kernels.
+
+func refDecodeF32(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(le32(src[4*i:]))
+	}
+}
+
+func refDecodeI32(dst []int32, src []byte) {
+	for i := range dst {
+		dst[i] = int32(le32(src[4*i:]))
+	}
+}
+
+func refDecodeF64(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(le64(src[8*i:]))
+	}
+}
+
+// checkDecoders decodes n elements of each width from raw (which must hold
+// at least 8n bytes) with every decoder and its reference, comparing bits —
+// NaN payloads included, a decode moves bytes and must not canonicalise.
+func checkDecoders(t *testing.T, n int, raw []byte) {
+	t.Helper()
+	f32, wantF32 := make([]float32, n), make([]float32, n)
+	DecodeF32LE(f32, raw)
+	refDecodeF32(wantF32, raw)
+	i32, wantI32 := make([]int32, n), make([]int32, n)
+	DecodeI32LE(i32, raw)
+	refDecodeI32(wantI32, raw)
+	f64, wantF64 := make([]float64, n), make([]float64, n)
+	DecodeF64LE(f64, raw)
+	refDecodeF64(wantF64, raw)
+	for i := range n {
+		if math.Float32bits(f32[i]) != math.Float32bits(wantF32[i]) {
+			t.Fatalf("DecodeF32LE n=%d [%d]: got %x, want %x", n, i, f32[i], wantF32[i])
+		}
+		if i32[i] != wantI32[i] {
+			t.Fatalf("DecodeI32LE n=%d [%d]: got %d, want %d", n, i, i32[i], wantI32[i])
+		}
+		if !sameBits(f64[i], wantF64[i]) {
+			t.Fatalf("DecodeF64LE n=%d [%d]: got %x, want %x", n, i, f64[i], wantF64[i])
+		}
+	}
+}
+
+// panics reports whether fn panicked.
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestDecodersMatchLoop covers every length 0..67 — every block count and
+// every tail of the 4- and 8-wide loops — on random bytes, with the source
+// exact and with bytes to spare, and pins the short-source failure: a panic,
+// as the indexing loop had it, never a partial silent decode.
+func TestDecodersMatchLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for n := 0; n <= 67; n++ {
+		for _, spare := range []int{0, 3} {
+			raw := make([]byte, 8*n+spare)
+			for i := range raw {
+				raw[i] = byte(rng.Uint32())
+			}
+			checkDecoders(t, n, raw)
+		}
+		if n == 0 {
+			continue
+		}
+		// Capacity to spare beyond the short length: a decoder that
+		// re-slices src up to what it needs would read on unnoticed.
+		short := make([]byte, 8*n)
+		if !panics(func() { DecodeF32LE(make([]float32, n), short[:4*n-1]) }) ||
+			!panics(func() { DecodeI32LE(make([]int32, n), short[:4*n-1]) }) ||
+			!panics(func() { DecodeF64LE(make([]float64, n), short[:8*n-1]) }) {
+			t.Fatalf("n=%d: a decoder accepted a source one byte short", n)
+		}
+	}
+}
+
+// FuzzDecoders reinterprets the corpus as n = len/8 elements of each width.
+func FuzzDecoders(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0x80, 0x7f, 1, 0, 0xc0, 0xff}) // +Inf, a NaN payload
+	f.Add(make([]byte, 67*8))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkDecoders(t, len(raw)/8, raw)
+	})
+}
+
 func le32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+func le64(b []byte) uint64 {
+	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
 }
