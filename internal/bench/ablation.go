@@ -296,7 +296,7 @@ func Ablation(o Options, spec AblationSpec, backend string) (*AblationResult, er
 			})
 			return r, err
 		}
-		lo, hi := o.K, km.Index().Size()
+		lo, hi := o.K, km.Engine().Size()
 		for lo < hi {
 			mid := (lo + hi) / 2
 			r, err := recallAt(mid)

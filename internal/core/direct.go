@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 	"time"
 
 	"simcloud/internal/engine"
+	"simcloud/internal/kmeans"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 	"simcloud/internal/secret"
@@ -24,11 +27,13 @@ import (
 //
 // DirectClient implements Searcher, so examples and benchmarks written
 // against the unified query API run unchanged in-process. It is safe for
-// concurrent use (the engine locks per shard).
+// concurrent use (the engine locks per shard). It serves both routing
+// families: NewKMeansDirect builds one over the k-means configuration.
 type DirectClient struct {
 	coder
 	eng       *engine.ShardedIndex
 	ownEngine bool
+	pred      atomic.Pointer[kmeans.Predictor]
 }
 
 var _ Searcher = (*DirectClient)(nil)
@@ -75,6 +80,11 @@ func NewDirectWithEngine(eng *engine.ShardedIndex, key *secret.Key, opts Options
 		return nil, fmt.Errorf("core: PrefixLen %d below engine index MaxLevel %d (set Options.MaxLevel to match the engine)",
 			o.PrefixLen, eng.Config().MaxLevel)
 	}
+	// Likewise the ranking: a mismatch would fail every approximate query.
+	if o.Ranking != eng.Config().Ranking {
+		return nil, fmt.Errorf("core: Options.Ranking %v does not match engine index ranking %v (set Options.Ranking to match the engine)",
+			o.Ranking, eng.Config().Ranking)
+	}
 	return &DirectClient{coder: coder{key: key, opts: o}, eng: eng}, nil
 }
 
@@ -90,22 +100,36 @@ func (c *DirectClient) Close() error {
 	return nil
 }
 
-// engineCandidates evaluates one wire-shaped query against the embedded
+// SetPredictor installs (or, with nil, removes) the learned candidate-size
+// predictor consulted by TargetRecall queries. Safe to call concurrently
+// with searches; each query reads the predictor once.
+func (c *DirectClient) SetPredictor(p *kmeans.Predictor) { c.pred.Store(p) }
+
+// Predictor returns the installed predictor, or nil.
+func (c *DirectClient) Predictor() *kmeans.Predictor { return c.pred.Load() }
+
+// rankedCandidates evaluates one wire-shaped query against the embedded
 // engine through wire.BatchQuery.IndexQuery — the translation the server's
 // dispatch uses, so a DirectClient query touches exactly the index code
-// paths a remote one would — charging the engine time to ServerTime: the
-// cost decomposition stays comparable with the networked backends (CommTime
-// and the byte counters are structurally zero here).
+// paths a remote one would.
+func (c *DirectClient) rankedCandidates(wq wire.BatchQuery) ([]mindex.RankedCandidate, error) {
+	iq, err := wq.IndexQuery(c.eng.Config().NumPivots, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.eng.Search(iq)
+}
+
+// engineCandidates is rankedCandidates stripped to bare entries, charging
+// the engine time to ServerTime: the cost decomposition stays comparable
+// with the networked backends (CommTime and the byte counters are
+// structurally zero here).
 func (c *DirectClient) engineCandidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs) ([]mindex.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: direct search aborted: %w", err)
 	}
 	engStart := time.Now()
-	iq, err := wq.IndexQuery(c.eng.Config().NumPivots, nil)
-	var cands []mindex.Entry
-	if err == nil {
-		cands, err = mindex.Flat(c.eng.Search(iq))
-	}
+	cands, err := mindex.Flat(c.rankedCandidates(wq))
 	costs.ServerTime += time.Since(engStart)
 	return cands, err
 }
@@ -135,11 +159,88 @@ func (c *DirectClient) searchOne(ctx context.Context, nq Query, costs *stats.Cos
 		return searchKNN(ctx, nq, costs, c.searchOne)
 	}
 	qDists := c.queryDists(nq, costs)
+	if nq.TargetRecall > 0 {
+		// Normalization left CandSize 0 for the predictor to fill in from
+		// the query's transformed distance to its nearest pivot; without
+		// one, wireQuery falls back to the global default.
+		if p := c.pred.Load(); p != nil {
+			nq.CandSize = p.CandSize(nq.TargetRecall, nearestDist(c.key.TransformDists(qDists)))
+		}
+	}
 	cands, err := c.engineCandidates(ctx, c.wireQuery(nq, qDists), costs)
 	if err != nil {
 		return nil, err
 	}
 	return c.finishQuery(nq, entryCands(cands), costs)
+}
+
+// nearestDist is the predictor's feature: the smallest (transformed)
+// query–pivot distance, for the k-means family the distance d1 to the
+// nearest centroid.
+func nearestDist(tDists []float64) float64 {
+	d1 := math.Inf(1)
+	for _, d := range tDists {
+		if d < d1 {
+			d1 = d
+		}
+	}
+	return d1
+}
+
+// Calibrate profiles the given queries against the backend's own exact
+// k-NN ground truth and fits a candidate-size predictor (one curve per
+// target recall level, over bins equal-mass feature bins). The profile
+// records, per query, the minimal candidate budget at which the
+// promise-ranked candidate stream — the engine's answer to the client's own
+// approximate query over the whole collection — covers each of the true k
+// neighbors. Install the result with SetPredictor (and persist it with
+// kmeans.Predictor.Marshal).
+func (c *DirectClient) Calibrate(ctx context.Context, queries []metric.Vector, k int, levels []float64, bins int) (*kmeans.Predictor, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("core: calibration k must be positive, got %d", k)
+	}
+	size := c.eng.Size()
+	if size < k {
+		return nil, fmt.Errorf("core: cannot calibrate k=%d against %d indexed objects", k, size)
+	}
+	samples := make([]kmeans.CalSample, 0, len(queries))
+	for qi, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: calibration aborted at query %d: %w", qi, err)
+		}
+		truthRes, _, err := c.Search(ctx, Query{Kind: KindKNN, Vec: q, K: k})
+		if err != nil {
+			return nil, fmt.Errorf("core: calibration query %d: %w", qi, err)
+		}
+		if len(truthRes) < k {
+			return nil, fmt.Errorf("core: calibration query %d found only %d exact neighbors", qi, len(truthRes))
+		}
+		truth := make(map[uint64]struct{}, k)
+		for _, r := range truthRes {
+			truth[r.ID] = struct{}{}
+		}
+		qDists := c.key.Pivots().Distances(q)
+		stream, err := c.rankedCandidates(c.wireQuery(Query{Kind: KindApproxKNN, CandSize: size}, qDists))
+		if err != nil {
+			return nil, fmt.Errorf("core: calibration query %d: %w", qi, err)
+		}
+		need := make([]int, k)
+		for j := range need {
+			need[j] = math.MaxInt
+		}
+		covered := 0
+		for pos, rc := range stream {
+			if _, hit := truth[rc.Entry.ID]; hit {
+				need[covered] = pos + 1
+				covered++
+				if covered == k {
+					break
+				}
+			}
+		}
+		samples = append(samples, kmeans.CalSample{D1: nearestDist(c.key.TransformDists(qDists)), Need: need})
+	}
+	return kmeans.FitPredictor(samples, k, levels, bins)
 }
 
 // SearchBatch evaluates the queries sequentially (there is no round trip

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"simcloud/internal/dataset"
+	"simcloud/internal/engine"
 	"simcloud/internal/kmeans"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
@@ -16,9 +17,9 @@ import (
 )
 
 // kmeansBackend trains centroids on the collection, folds them into a
-// secret key, and loads a KMeansDirect over the data — the fourth Searcher
-// backend, built the way a client deployment would build it.
-func kmeansBackend(t *testing.T, ds *dataset.Dataset, k int, insert bool) (*KMeansDirect, *kmeans.Model) {
+// secret key, and loads a k-means DirectClient over the data — the family
+// built the way a client deployment would build it.
+func kmeansBackend(t *testing.T, ds *dataset.Dataset, k int, insert bool) (*DirectClient, *kmeans.Model) {
 	t.Helper()
 	m, err := kmeans.Train(kmeans.TrainConfig{K: k, Seed: 2026, Dist: ds.Dist}, ds.Objects)
 	if err != nil {
@@ -301,8 +302,8 @@ func TestKMeansTargetRecallValidation(t *testing.T) {
 	}
 }
 
-// TestKMeansCollectStats: the unified stats facade reports the cell index
-// through the backendStatser hook.
+// TestKMeansCollectStats: the unified stats facade reports the family's
+// engine like any other: one inner node (the root) over one leaf per cell.
 func TestKMeansCollectStats(t *testing.T) {
 	ds := dataset.Clustered(2033, 300, 6, 4, metric.L2{})
 	c, _ := kmeansBackend(t, ds, 6, true)
@@ -310,7 +311,7 @@ func TestKMeansCollectStats(t *testing.T) {
 	if st.Engine.Shards != 1 || st.Engine.Live != 300 || st.Engine.Dead != 0 {
 		t.Fatalf("engine stats = %+v", st.Engine)
 	}
-	if st.Tree.Leaves != 6 || st.Tree.MaxDepth != 1 || st.Tree.TotalBucket != 300 {
+	if st.Tree.Leaves != 6 || st.Tree.InnerNodes != 1 || st.Tree.MaxDepth != 1 || st.Tree.TotalBucket != 300 {
 		t.Fatalf("tree stats = %+v", st.Tree)
 	}
 	if st.Ingest.Entries != 300 || st.Ingest.Bytes == 0 {
@@ -342,8 +343,8 @@ func TestKMeansWrongKeyRejected(t *testing.T) {
 	}
 }
 
-// TestKMeansSnapshotRoundTripThroughBackend: snapshot the cell index, wrap
-// the restored index in a new client, and get identical exact answers.
+// TestKMeansSnapshotRoundTripThroughBackend: snapshot the family's engine,
+// wrap the restored engine in a new client, and get identical exact answers.
 func TestKMeansSnapshotRoundTripThroughBackend(t *testing.T) {
 	ds := dataset.Clustered(2035, 300, 6, 4, metric.L2{})
 	m, err := kmeans.Train(kmeans.TrainConfig{K: 6, Seed: 2026, Dist: ds.Dist}, ds.Objects)
@@ -370,18 +371,18 @@ func TestKMeansSnapshotRoundTripThroughBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := dir + "/kmeans.snap"
-	if err := c.Index().SaveSnapshot(snap); err != nil {
+	if err := c.Engine().SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	idx, err := kmeans.LoadSnapshot(cfg, snap)
+	eng, err := engine.LoadSnapshot(cfg.IndexConfig(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { idx.Close() })
+	t.Cleanup(func() { eng.Close() })
 	// The model codec carries the centroids across the restart; the cipher
 	// key itself is persisted client-side (regenerating it could never
 	// decrypt the stored payloads), so the restored client reuses it.
@@ -396,7 +397,7 @@ func TestKMeansSnapshotRoundTripThroughBackend(t *testing.T) {
 	if m2.K() != 6 || !m2.Centroids[0].Equal(m.Centroids[0]) {
 		t.Fatal("model codec lost the centroids")
 	}
-	c2, err := NewKMeansDirectWithIndex(idx, key, Options{})
+	c2, err := NewKMeansDirectWithEngine(eng, key, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,7 @@ type kmeansEvalProfile struct {
 	need []int
 }
 
-func kmeansProfiles(t *testing.T, c *KMeansDirect, queries []metric.Object, k int) []kmeansEvalProfile {
+func kmeansProfiles(t *testing.T, c *DirectClient, queries []metric.Object, k int) []kmeansEvalProfile {
 	t.Helper()
 	ctx := context.Background()
 	out := make([]kmeansEvalProfile, 0, len(queries))
@@ -451,8 +452,9 @@ func kmeansProfiles(t *testing.T, c *KMeansDirect, queries []metric.Object, k in
 		for _, r := range truthRes {
 			truth[r.ID] = struct{}{}
 		}
-		tDists := c.Key().TransformDists(c.Key().Pivots().Distances(q.Vec))
-		stream, err := c.Index().ApproxRanked(tDists, c.Index().Size())
+		qDists := c.Key().Pivots().Distances(q.Vec)
+		tDists := c.Key().TransformDists(qDists)
+		stream, err := c.rankedCandidates(c.wireQuery(Query{Kind: KindApproxKNN, CandSize: c.Engine().Size()}, qDists))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,9 +79,10 @@ type Query struct {
 	// candidate-set size per query so the expected recall hits this level
 	// (KindApproxKNN, and the phase-1 tuning of KindKNN — where it trades
 	// phase-2 work, never correctness). It must lie in (0, 1) and excludes
-	// an explicit CandSize. Backends with a fitted candidate-size predictor
-	// (KMeansDirect, see SetPredictor) resolve it per query from the
-	// query's routing features; all others fall back to DefaultCandSize.
+	// an explicit CandSize. A DirectClient with a fitted candidate-size
+	// predictor (see DirectClient.SetPredictor) resolves it per query from
+	// the query's nearest-pivot distance; without one, and on networked
+	// backends, it falls back to DefaultCandSize.
 	TargetRecall float64
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"simcloud/internal/dataset"
@@ -284,6 +285,28 @@ func TestFirstCellDistSum(t *testing.T) {
 	}
 	if d := diffResults(want, gotDirect); d != "" {
 		t.Errorf("direct differs from encrypted under distsum: %s", d)
+	}
+}
+
+// TestDirectRejectsRankingMismatch: options whose ranking disagrees with
+// the engine's fail at construction, naming both rankings, instead of
+// failing every approximate query later.
+func TestDirectRejectsRankingMismatch(t *testing.T) {
+	key, _ := testKey(t)
+	for _, engRanking := range []mindex.RankStrategy{mindex.RankFootrule, mindex.RankDistSum} {
+		cfg := testConfig()
+		cfg.Ranking = engRanking
+		optRanking := mindex.RankDistSum
+		if engRanking == mindex.RankDistSum {
+			optRanking = 0 // the default, footrule
+		}
+		_, err := NewDirect(cfg, key, Options{MaxLevel: testMaxLevel, Ranking: optRanking, StoreDists: true})
+		if err == nil {
+			t.Fatalf("engine ranking %v: mismatched Options.Ranking accepted", engRanking)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "footrule") || !strings.Contains(msg, "distsum") {
+			t.Fatalf("engine ranking %v: error does not name both rankings: %v", engRanking, err)
+		}
 	}
 }
 

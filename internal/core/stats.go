@@ -81,12 +81,6 @@ type poolStatser interface {
 	PoolStats() PoolStats
 }
 
-// backendStatser is satisfied by backends that render the unified shape
-// themselves (KMeansDirect — its flat cell index is not a ShardedIndex).
-type backendStatser interface {
-	backendStats() Stats
-}
-
 // CollectStats gathers the unified stats a Searcher backend can report:
 // engine-side sections when the backend embeds the engine in-process,
 // lease-pool depth when it is networked. Unknown backends yield a zero
@@ -95,9 +89,6 @@ func CollectStats(s Searcher) Stats {
 	var out Stats
 	if es, ok := s.(engineStatser); ok {
 		out.Merge(EngineStatsOf(es.Engine()))
-	}
-	if bs, ok := s.(backendStatser); ok {
-		out.Merge(bs.backendStats())
 	}
 	if ps, ok := s.(poolStatser); ok {
 		out.Pool = ps.PoolStats()

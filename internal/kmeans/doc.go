@@ -1,48 +1,31 @@
-// Package kmeans is the second index family of the similarity cloud: a
-// k-means clustered routing layer under the same Searcher contract as the
-// M-Index (see core.NewKMeansDirect). Where the M-Index partitions the
-// metric space by pivot-permutation prefixes, this family partitions it by
-// proximity to K Lloyd-iterated centroids: every object routes to its
-// nearest centroid's cell, and a query fans out to the nearest centroids in
-// ascending centroid-distance order.
+// Package kmeans is what the second routing family of the similarity cloud
+// learns: a k-means clustered partitioning of the metric space (Train,
+// Model) and a per-query candidate-size predictor (FitPredictor,
+// Predictor). It holds no index. Where the M-Index partitions the space by
+// pivot-permutation prefixes, this family partitions it by proximity to K
+// Lloyd-iterated centroids — and that partitioning is an M-Index
+// configuration: with the centroids as the pivots, MaxLevel 1 and the
+// distance-sum ranking (Config.IndexConfig), every level-1 cell of the
+// M-Index is one centroid's Voronoi cell, an object routes to its nearest
+// centroid (the first element of its permutation), and a query visits cells
+// in ascending query–centroid distance. core.NewKMeansDirect serves the
+// family through the ordinary DirectClient over that engine; simserver and
+// simcoord serve it remotely with the matching flags.
 //
 // The centroids play exactly the role the M-Index pivots play in the
 // encrypted deployment. They are client-side secrets: the client wraps them
-// in a pivot.Set inside its secret.Key, and the per-object work of
-// Algorithm 1 (distances to the reference points, routing prefix,
+// in a pivot.Set inside its secret.Key (Model.PivotSet), and the per-object
+// work of Algorithm 1 (distances to the reference points, routing prefix,
 // encryption) is performed by the same shared coder the other backends use
-// — with a one-element prefix, whose single element is the index of the
-// nearest centroid. The server-side Index in this package therefore stores
-// the same Entry records an encrypted M-Index server would: a ciphertext
-// payload, a routing prefix (here: the cell number), and a transformed
-// distance vector. It never sees a plaintext vector or a raw distance.
+// — with a one-element prefix, the cell number. The server stores the same
+// Entry records as for any encrypted M-Index: a ciphertext payload, the
+// routing prefix and a transformed distance vector. It never sees a
+// plaintext vector, a centroid or a raw distance.
 //
-// Three query paths mirror the M-Index surface:
-//
-//   - RangeByDists prunes whole cells with a covering-radius ball bound and
-//     the surviving entries with pivot.LowerBound — both true lower bounds
-//     (conservative under the key's monotone distance transform, whose
-//     radius is scaled by the Lipschitz constant), so exact queries return
-//     supersets the client refines to exactness.
-//   - ApproxRanked visits cells in ascending (transformed) query–centroid
-//     distance and emits their entries as mindex.RankedCandidates — promise
-//     is the cell's centroid distance, prefix is the one-element cell path —
-//     so the internal/merge (promise, prefix, source) discipline applies
-//     unchanged.
-//   - FirstCellRanked restricts the candidate set to the single nearest
-//     non-empty cell, the analogue of the paper's 1-cell experiment.
-//
-// Cells reuse the mindex.BucketStore backends (memory and disk) with the
-// same zero-copy View protocol; because this index never splits, replaces or
-// frees a bucket, a published snapshot's per-cell entry counts pin immutable
-// view prefixes with no era machinery at all. Concurrency is the same RCU
-// discipline as the M-Index: searches run lock-free against the last
-// published state, mutators serialize on a writer mutex and publish
-// copy-on-write cell tables atomically.
-//
-// On top of the routing layer, predict.go provides the learned
-// candidate-size predictor: a small monotone model mapping a query's
-// distance to its nearest centroid to the candidate count needed to hit a
-// target recall, fit on a calibration sample (see FitPredictor). It replaces
-// the global CandSize constant per query via Query.TargetRecall.
+// predict.go provides the learned candidate-size predictor: a small model
+// mapping a query's distance to its nearest centroid to the candidate count
+// needed to hit a target recall, fit on a calibration sample (see
+// FitPredictor). It replaces the global CandSize constant per query via
+// Query.TargetRecall. The model (SIMKMODL) and the predictor (SIMKPRED)
+// each persist through a versioned codec; both are client-side state.
 package kmeans

@@ -1,42 +1,56 @@
 package kmeans
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"simcloud/internal/dataset"
+	"simcloud/internal/engine"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 )
 
-// buildPlain trains a model on the collection and loads an in-memory index
-// with untransformed centroid distances — the plain-space fixture every
-// correctness test here shares. The entries keep their plaintext vectors so
+// The family has no index of its own: these tests pin the contract of the
+// M-Index configuration Config.IndexConfig returns — one level of centroid
+// cells — over entries shaped like the client coder ships them.
+
+// familyEntries shapes the collection the way the family's coder does: the
+// one-element prefix names the nearest centroid, the distance vector holds
+// every centroid distance. The entries keep their plaintext vectors so
 // tests can refine candidate sets to exact answers.
-func buildPlain(t *testing.T, d *dataset.Dataset, k, fanout int) (*Index, *Model) {
-	t.Helper()
-	m, err := Train(TrainConfig{K: k, Seed: 77, Dist: d.Dist}, d.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := New(Config{NumCentroids: k, Storage: mindex.StorageMemory, Fanout: fanout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ix.Close() })
+func familyEntries(m *Model, objs []metric.Object) []mindex.Entry {
 	ps := m.PivotSet()
-	entries := make([]mindex.Entry, len(d.Objects))
-	for i, o := range d.Objects {
-		dists := ps.Distances(o.Vec)
+	entries := make([]mindex.Entry, len(objs))
+	for i, o := range objs {
 		j, _ := nearest(m.Dist, m.Centroids, o.Vec)
-		entries[i] = mindex.Entry{ID: o.ID, Perm: []int32{int32(j)}, Dists: dists, Vec: o.Vec.Clone()}
+		entries[i] = mindex.Entry{ID: o.ID, Perm: []int32{int32(j)}, Dists: ps.Distances(o.Vec), Vec: o.Vec.Clone()}
 	}
-	if err := ix.Insert(entries); err != nil {
+	return entries
+}
+
+// buildPlain trains a model on the collection and loads the family's index
+// with untransformed centroid distances — the plain-space fixture every
+// correctness test here shares.
+func buildPlain(t *testing.T, d *dataset.Dataset, cfg Config) (*engine.ShardedIndex, *Model) {
+	t.Helper()
+	m, err := Train(TrainConfig{K: cfg.NumCentroids, Seed: 77, Dist: d.Dist}, d.Objects)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ix, m
+	eng, err := engine.New(cfg.IndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if err := eng.InsertBulk(familyEntries(m, d.Objects)); err != nil {
+		t.Fatal(err)
+	}
+	return eng, m
 }
+
+func memConfig(k int) Config { return Config{NumCentroids: k, Storage: mindex.StorageMemory} }
 
 func bruteRange(d *dataset.Dataset, q metric.Vector, r float64) map[uint64]bool {
 	out := make(map[uint64]bool)
@@ -53,62 +67,65 @@ func TestNewValidatesConfig(t *testing.T) {
 		{NumCentroids: 0, Storage: mindex.StorageMemory},
 		{NumCentroids: 4, Storage: mindex.StorageDisk}, // no path
 		{NumCentroids: 4, Storage: mindex.StorageKind(99)},
-		{NumCentroids: 4, Storage: mindex.StorageMemory, Fanout: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if eng, err := engine.New(cfg.IndexConfig()); err == nil {
+			eng.Close()
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
 	}
 }
 
+// TestInsertValidation: the family's index enforces the M-Index entry rules
+// — a routing prefix naming a cell, a full distance vector, no live
+// duplicate — and re-inserting a deleted ID purges its dead twin.
 func TestInsertValidation(t *testing.T) {
-	ix, err := New(Config{NumCentroids: 3, Storage: mindex.StorageMemory})
+	eng, err := engine.New(memConfig(3).IndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	defer eng.Close()
 	good := func(id uint64, cell int32) mindex.Entry {
 		return mindex.Entry{ID: id, Perm: []int32{cell}, Dists: []float64{1, 2, 3}}
 	}
-	if err := ix.Insert([]mindex.Entry{{ID: 1, Dists: []float64{1, 2, 3}}}); err == nil {
-		t.Fatal("entry without routing prefix accepted")
+	for name, e := range map[string]mindex.Entry{
+		"no routing prefix":     {ID: 1, Dists: []float64{1, 2, 3}},
+		"out-of-range cell":     {ID: 1, Perm: []int32{3}, Dists: []float64{1, 2, 3}},
+		"short distance vector": {ID: 1, Perm: []int32{0}, Dists: []float64{1, 2}},
+	} {
+		if err := eng.InsertBulk([]mindex.Entry{e}); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	if err := ix.Insert([]mindex.Entry{{ID: 1, Perm: []int32{3}, Dists: []float64{1, 2, 3}}}); err == nil {
-		t.Fatal("out-of-range cell accepted")
+	if eng.Size() != 0 {
+		t.Fatalf("rejected entries changed size to %d", eng.Size())
 	}
-	if err := ix.Insert([]mindex.Entry{{ID: 1, Perm: []int32{0}, Dists: []float64{1, 2}}}); err == nil {
-		t.Fatal("short distance vector accepted")
-	}
-	if err := ix.Insert([]mindex.Entry{good(1, 0), good(1, 1)}); err == nil {
-		t.Fatal("in-batch duplicate accepted")
-	}
-	if ix.Size() != 0 {
-		t.Fatalf("rejected batches changed size to %d", ix.Size())
-	}
-	if err := ix.Insert([]mindex.Entry{good(1, 0)}); err != nil {
+	if err := eng.InsertBulk([]mindex.Entry{good(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert([]mindex.Entry{good(1, 2)}); err == nil {
-		t.Fatal("live duplicate accepted")
+	if err := eng.InsertBulk([]mindex.Entry{good(1, 2)}); !errors.Is(err, mindex.ErrDuplicateID) {
+		t.Fatalf("live duplicate: err = %v, want ErrDuplicateID", err)
 	}
-	if n, err := ix.Delete([]mindex.Entry{{ID: 1}}); err != nil || n != 1 {
+	if n, err := eng.Delete([]mindex.Entry{good(1, 0)}); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
-	if err := ix.Insert([]mindex.Entry{good(1, 0)}); err == nil {
-		t.Fatal("tombstoned duplicate accepted")
+	if err := eng.InsertBulk([]mindex.Entry{good(1, 2)}); err != nil {
+		t.Fatalf("re-insert of a deleted ID: %v", err)
+	}
+	if eng.Size() != 1 || eng.Dead() != 0 {
+		t.Fatalf("after purge-and-insert size/dead = %d/%d, want 1/0", eng.Size(), eng.Dead())
 	}
 }
 
 func TestRangeMatchesBruteForce(t *testing.T) {
 	d := dataset.Clustered(11, 400, 10, 8, metric.L2{})
-	ix, m := buildPlain(t, d, 8, 0)
+	eng, m := buildPlain(t, d, memConfig(8))
 	ps := m.PivotSet()
 	for qi := 0; qi < 25; qi++ {
 		q := d.Objects[qi*7].Vec
 		for _, r := range []float64{0.5, 2, 5, 12} {
 			want := bruteRange(d, q, r)
-			cands, err := ix.RangeByDists(ps.Distances(q), r)
+			cands, err := eng.RangeByDists(ps.Distances(q), r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,20 +149,23 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 
 func TestRangeRejectsBadArgs(t *testing.T) {
 	d := dataset.Clustered(12, 50, 4, 2, metric.L2{})
-	ix, m := buildPlain(t, d, 2, 0)
-	if _, err := ix.RangeByDists([]float64{1}, 1); err == nil {
+	eng, m := buildPlain(t, d, memConfig(2))
+	if _, err := eng.RangeByDists([]float64{1}, 1); err == nil {
 		t.Fatal("short query vector accepted")
 	}
-	if _, err := ix.RangeByDists(m.PivotSet().Distances(d.Objects[0].Vec), -1); err == nil {
+	if _, err := eng.RangeByDists(m.PivotSet().Distances(d.Objects[0].Vec), -1); err == nil {
 		t.Fatal("negative radius accepted")
 	}
 }
 
+// TestApproxRankedOrderAndBudget: the approximate stream is promise-ordered,
+// every candidate's promise is its cell's centroid distance and its prefix
+// the one-element cell path, and the list is trimmed to the budget.
 func TestApproxRankedOrderAndBudget(t *testing.T) {
 	d := dataset.Clustered(13, 300, 8, 6, metric.L2{})
-	ix, m := buildPlain(t, d, 6, 0)
+	eng, m := buildPlain(t, d, memConfig(6))
 	qDists := m.PivotSet().Distances(d.Objects[5].Vec)
-	rcs, err := ix.ApproxRanked(qDists, 40)
+	rcs, err := eng.ApproxCandidatesRanked(mindex.ApproxQuery{Dists: qDists}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +186,7 @@ func TestApproxRankedOrderAndBudget(t *testing.T) {
 		}
 	}
 	// Determinism.
-	again, err := ix.ApproxRanked(qDists, 40)
+	again, err := eng.ApproxCandidatesRanked(mindex.ApproxQuery{Dists: qDists}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,106 +195,61 @@ func TestApproxRankedOrderAndBudget(t *testing.T) {
 			t.Fatalf("candidate order not deterministic at %d", i)
 		}
 	}
-	if _, err := ix.ApproxRanked(qDists, 0); err == nil {
+	if _, err := eng.ApproxCandidatesRanked(mindex.ApproxQuery{Dists: qDists}, 0); err == nil {
 		t.Fatal("zero candidate size accepted")
-	}
-	// A hostile candidate size (a gateway cand_size reaches this line) must
-	// return what the index holds, not size a 2^31-element allocation.
-	everything, err := ix.ApproxRanked(qDists, 1<<31)
-	if err != nil || len(everything) != len(d.Objects) {
-		t.Fatalf("candSize 2^31: got %d candidates, %v; want all %d", len(everything), err, len(d.Objects))
-	}
-}
-
-func TestApproxFanoutBound(t *testing.T) {
-	d := dataset.Clustered(14, 300, 8, 6, metric.L2{})
-	ix, m := buildPlain(t, d, 6, 1) // may visit only the single nearest cell
-	qDists := m.PivotSet().Distances(d.Objects[0].Vec)
-	rcs, err := ix.ApproxRanked(qDists, len(d.Objects))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rcs) == 0 {
-		t.Fatal("no candidates from the nearest cell")
-	}
-	first := rcs[0].Prefix[0]
-	for _, rc := range rcs {
-		if rc.Prefix[0] != first {
-			t.Fatalf("fanout 1 visited a second cell %d", rc.Prefix[0])
-		}
-	}
-	got, _, prefix, err := ix.FirstCellRanked(qDists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prefix) != 1 || prefix[0] != first {
-		t.Fatalf("FirstCellRanked picked cell %v, fanout-1 approx picked %d", prefix, first)
-	}
-	if len(got) != len(rcs) {
-		t.Fatalf("FirstCellRanked returned %d entries, fanout-1 approx %d", len(got), len(rcs))
 	}
 }
 
 func TestDeleteHidesEverywhere(t *testing.T) {
 	d := dataset.Clustered(15, 200, 6, 4, metric.L2{})
-	ix, m := buildPlain(t, d, 4, 0)
-	ps := m.PivotSet()
-	victim := d.Objects[17]
-	if n, err := ix.Delete([]mindex.Entry{{ID: victim.ID}}); err != nil || n != 1 {
+	eng, m := buildPlain(t, d, memConfig(4))
+	ref := familyEntries(m, d.Objects[17:18])
+	victim := ref[0]
+	if n, err := eng.Delete(ref); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
-	if ix.Size() != len(d.Objects)-1 || ix.Dead() != 1 {
-		t.Fatalf("size/dead = %d/%d", ix.Size(), ix.Dead())
+	if eng.Size() != len(d.Objects)-1 || eng.Dead() != 1 {
+		t.Fatalf("size/dead = %d/%d", eng.Size(), eng.Dead())
 	}
 	// Unknown and repeated deletes are no-ops.
-	if n, err := ix.Delete([]mindex.Entry{{ID: victim.ID}, {ID: 999999}}); err != nil || n != 0 {
+	if n, err := eng.Delete([]mindex.Entry{victim, {ID: 999999, Perm: []int32{0}}}); err != nil || n != 0 {
 		t.Fatalf("repeat delete = %d, %v", n, err)
 	}
-	qDists := ps.Distances(victim.Vec)
-	cands, err := ix.RangeByDists(qDists, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range cands {
-		if e.ID == victim.ID {
-			t.Fatal("tombstoned entry surfaced in range search")
+	q := mindex.ApproxQuery{Dists: victim.Dists}
+	for _, mq := range []mindex.Query{
+		{Kind: mindex.KindRange, ApproxQuery: q, Radius: 0.1},
+		{Kind: mindex.KindApprox, ApproxQuery: q, CandSize: len(d.Objects)},
+		{Kind: mindex.KindFirstCell, ApproxQuery: q},
+	} {
+		cands, err := eng.Search(mq)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rcs, err := ix.ApproxRanked(qDists, len(d.Objects))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rc := range rcs {
-		if rc.Entry.ID == victim.ID {
-			t.Fatal("tombstoned entry surfaced in approx search")
-		}
-	}
-	entries, _, _, err := ix.FirstCellRanked(qDists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.ID == victim.ID {
-			t.Fatal("tombstoned entry surfaced in first-cell search")
+		for _, rc := range cands {
+			if rc.Entry.ID == victim.ID {
+				t.Fatalf("deleted entry surfaced in kind %d search", mq.Kind)
+			}
 		}
 	}
 }
 
+// TestStatsShape: one inner node (the root, split on the first insert)
+// over one leaf per centroid cell.
 func TestStatsShape(t *testing.T) {
 	d := dataset.Clustered(16, 120, 6, 3, metric.L2{})
-	ix, _ := buildPlain(t, d, 3, 0)
-	s := ix.Stats()
-	if s.Cells != 3 || s.Live != 120 || s.Dead != 0 || s.TotalStored != 120 {
+	eng, _ := buildPlain(t, d, memConfig(3))
+	es := eng.Stats()
+	s := es.Total
+	if s.Leaves != 3 || s.InnerNodes != 1 || s.MaxDepth != 1 || s.Entries != 120 || s.Dead != 0 || s.TotalBucket != 120 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.MaxCell < (120+2)/3 {
-		t.Fatalf("max cell %d below the pigeonhole floor", s.MaxCell)
+	if s.MaxBucket < (120+2)/3 {
+		t.Fatalf("max cell %d below the pigeonhole floor", s.MaxBucket)
 	}
-	entries, bytes := ix.IngestStats()
-	if entries != 120 || bytes == 0 {
-		t.Fatalf("ingest stats = %d entries, %d bytes", entries, bytes)
+	if es.Ingest.Entries != 120 || es.Ingest.Bytes == 0 {
+		t.Fatalf("ingest stats = %+v", es.Ingest)
 	}
-	if _, _, ok := ix.CacheStats(); ok {
+	if es.CacheHits != 0 || es.CacheMisses != 0 {
 		t.Fatal("memory store reported a disk cache")
 	}
 }
@@ -285,27 +260,19 @@ func TestConcurrentInsertSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New(Config{NumCentroids: 5, Storage: mindex.StorageMemory})
+	eng, err := engine.New(memConfig(5).IndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	defer eng.Close()
 	ps := m.PivotSet()
-	mkEntry := func(o metric.Object) mindex.Entry {
-		j, _ := nearest(m.Dist, m.Centroids, o.Vec)
-		return mindex.Entry{ID: o.ID, Perm: []int32{int32(j)}, Dists: ps.Distances(o.Vec), Vec: o.Vec.Clone()}
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w * 150; i < (w+1)*150; i += 10 {
-				batch := make([]mindex.Entry, 0, 10)
-				for _, o := range d.Objects[i : i+10] {
-					batch = append(batch, mkEntry(o))
-				}
-				if err := ix.Insert(batch); err != nil {
+				if err := eng.InsertBulk(familyEntries(m, d.Objects[i:i+10])); err != nil {
 					panic(fmt.Sprintf("insert: %v", err))
 				}
 			}
@@ -317,18 +284,18 @@ func TestConcurrentInsertSearch(t *testing.T) {
 			defer wg.Done()
 			qDists := ps.Distances(d.Objects[r].Vec)
 			for i := 0; i < 50; i++ {
-				if _, err := ix.RangeByDists(qDists, 3); err != nil {
+				if _, err := eng.RangeByDists(qDists, 3); err != nil {
 					panic(fmt.Sprintf("range: %v", err))
 				}
-				if _, err := ix.ApproxRanked(qDists, 64); err != nil {
+				if _, err := eng.ApproxCandidatesRanked(mindex.ApproxQuery{Dists: qDists}, 64); err != nil {
 					panic(fmt.Sprintf("approx: %v", err))
 				}
-				ix.Stats()
+				eng.Stats()
 			}
 		}(r)
 	}
 	wg.Wait()
-	if ix.Size() != 600 {
-		t.Fatalf("size = %d after concurrent load", ix.Size())
+	if eng.Size() != 600 {
+		t.Fatalf("size = %d after concurrent load", eng.Size())
 	}
 }

@@ -36,8 +36,7 @@ import (
 // CalSample is one calibration query's ground-truth profile: Need[j] is the
 // minimal candidate-set size whose promise-ranked candidate stream covers
 // j+1 of the query's true k nearest neighbors (math.MaxInt when the stream
-// never covers that many — possible under a Fanout bound). Need is
-// non-decreasing in j.
+// never covers that many). Need is non-decreasing in j.
 type CalSample struct {
 	D1   float64
 	Need []int
@@ -60,8 +59,8 @@ type Predictor struct {
 }
 
 // FitPredictor fits the binned model described above. samples is the
-// calibration profile (see CalSample and, for producing one, the Calibrate
-// helper of the core kmeans backend), k the neighbor count the profiles
+// calibration profile (see CalSample and, for producing one,
+// core.DirectClient.Calibrate), k the neighbor count the profiles
 // were built for, levels the target recalls to fit (each in (0,1),
 // strictly ascending), bins the number of equal-mass d1 bins.
 func FitPredictor(samples []CalSample, k int, levels []float64, bins int) (*Predictor, error) {
@@ -138,8 +137,8 @@ func FitPredictor(samples []CalSample, k int, levels []float64, bins int) (*Pred
 	// useful), flattened and sorted. The number of values ≤ c is exactly the
 	// summed neighbor coverage of the bin's queries at budget c, so the
 	// whole calibration objective reduces to rank lookups in these arrays.
-	// MaxInt needs (coverage unreachable under the deployed Fanout bound)
-	// carry no breakpoint: no budget buys them.
+	// MaxInt needs (coverage the stream never reaches) carry no breakpoint:
+	// no budget buys them.
 	flat := make([][]int, bins)
 	for b, idxs := range binned {
 		for _, i := range idxs {

@@ -6,64 +6,53 @@ import (
 	"testing"
 
 	"simcloud/internal/dataset"
+	"simcloud/internal/engine"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 )
 
-func buildDisk(t *testing.T, d *dataset.Dataset, k int) (*Index, *Model, Config) {
+// The family snapshots through the engine's (mindex codec v3) snapshot of
+// its index configuration; these tests pin that the round trip carries the
+// family's cells.
+
+func buildDisk(t *testing.T, d *dataset.Dataset, k int) (*engine.ShardedIndex, *Model, Config) {
 	t.Helper()
 	cfg := Config{NumCentroids: k, Storage: mindex.StorageDisk, DiskPath: filepath.Join(t.TempDir(), "cells")}
-	m, err := Train(TrainConfig{K: k, Seed: 21, Dist: d.Dist}, d.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := m.PivotSet()
-	entries := make([]mindex.Entry, len(d.Objects))
-	for i, o := range d.Objects {
-		j, _ := nearest(m.Dist, m.Centroids, o.Vec)
-		entries[i] = mindex.Entry{ID: o.ID, Perm: []int32{int32(j)}, Dists: ps.Distances(o.Vec), Vec: o.Vec.Clone()}
-	}
-	if err := ix.Insert(entries); err != nil {
-		t.Fatal(err)
-	}
-	return ix, m, cfg
+	eng, m := buildPlain(t, d, cfg)
+	return eng, m, cfg
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	d := dataset.Clustered(31, 180, 6, 4, metric.L2{})
-	ix, m, cfg := buildDisk(t, d, 4)
-	if n, err := ix.Delete([]mindex.Entry{{ID: 3}, {ID: 44}}); err != nil || n != 2 {
+	eng, m, cfg := buildDisk(t, d, 4)
+	refs := familyEntries(m, []metric.Object{d.Objects[3], d.Objects[44]})
+	if n, err := eng.Delete(refs); err != nil || n != 2 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
 	snap := filepath.Join(filepath.Dir(cfg.DiskPath), "kmeans.snap")
-	if err := ix.SaveSnapshot(snap); err != nil {
+	if err := eng.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	ps := m.PivotSet()
-	qDists := ps.Distances(d.Objects[9].Vec)
-	wantRange, err := ix.RangeByDists(qDists, 4)
+	qDists := m.PivotSet().Distances(d.Objects[9].Vec)
+	wantRange, err := eng.RangeByDists(qDists, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantApprox, err := ix.ApproxRanked(qDists, 60)
+	wantApprox, err := eng.ApproxCandidatesRanked(mindex.ApproxQuery{Dists: qDists}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats := ix.Stats()
-	if err := ix.Close(); err != nil {
+	wantStats := eng.TreeStats()
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := LoadSnapshot(cfg, snap)
+	got, err := engine.LoadSnapshot(cfg.IndexConfig(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if s := got.Stats(); s != wantStats {
+	if s := got.TreeStats(); s != wantStats {
 		t.Fatalf("stats after restore = %+v, want %+v", s, wantStats)
 	}
 	gotRange, err := got.RangeByDists(qDists, 4)
@@ -78,56 +67,57 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("range order diverged at %d", i)
 		}
 	}
-	gotApprox, err := got.ApproxRanked(qDists, 60)
+	gotApprox, err := got.ApproxCandidatesRanked(mindex.ApproxQuery{Dists: qDists}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range wantApprox {
-		if gotApprox[i].Entry.ID != wantApprox[i].Entry.ID {
+		if gotApprox[i].Entry.ID != wantApprox[i].Entry.ID || gotApprox[i].Promise != wantApprox[i].Promise {
 			t.Fatalf("approx order diverged at %d", i)
 		}
 	}
 
-	// The restored index keeps working: tombstoned IDs stay rejected, fresh
-	// inserts and deletes proceed.
-	if err := got.Insert([]mindex.Entry{{ID: 3, Perm: []int32{0}, Dists: make([]float64, 4)}}); err == nil {
-		t.Fatal("tombstoned ID re-accepted after restore")
+	// The restored index keeps working: a deleted ID re-inserts (purging its
+	// dead twin), fresh inserts and deletes proceed.
+	if err := got.InsertBulk(refs[:1]); err != nil {
+		t.Fatalf("re-insert of a deleted ID after restore: %v", err)
 	}
-	if err := got.Insert([]mindex.Entry{{ID: 100000, Perm: []int32{1}, Dists: make([]float64, 4)}}); err != nil {
+	fresh := mindex.Entry{ID: 100000, Perm: []int32{1}, Dists: make([]float64, 4)}
+	if err := got.InsertBulk([]mindex.Entry{fresh}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := got.Delete([]mindex.Entry{{ID: 100000}}); err != nil || n != 1 {
+	if n, err := got.Delete([]mindex.Entry{fresh}); err != nil || n != 1 {
 		t.Fatalf("post-restore delete = %d, %v", n, err)
 	}
 }
 
 func TestSnapshotRequiresDisk(t *testing.T) {
-	ix, err := New(Config{NumCentroids: 2, Storage: mindex.StorageMemory})
+	eng, err := engine.New(memConfig(2).IndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-	if err := ix.SaveSnapshot(filepath.Join(t.TempDir(), "x.snap")); err == nil {
+	defer eng.Close()
+	if err := eng.SaveSnapshot(filepath.Join(t.TempDir(), "x.snap")); err == nil {
 		t.Fatal("memory index snapshotted")
 	}
-	if _, err := LoadSnapshot(Config{NumCentroids: 2, Storage: mindex.StorageMemory}, "nope"); err == nil {
+	if _, err := engine.LoadSnapshot(memConfig(2).IndexConfig(), "nope"); err == nil {
 		t.Fatal("memory config loaded a snapshot")
 	}
 }
 
 func TestSnapshotRejectsMismatchAndCorruption(t *testing.T) {
 	d := dataset.Clustered(32, 90, 5, 3, metric.L2{})
-	ix, _, cfg := buildDisk(t, d, 3)
+	eng, _, cfg := buildDisk(t, d, 3)
 	snap := filepath.Join(filepath.Dir(cfg.DiskPath), "kmeans.snap")
-	if err := ix.SaveSnapshot(snap); err != nil {
+	if err := eng.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Close(); err != nil {
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wrongK := cfg
 	wrongK.NumCentroids = 4
-	if _, err := LoadSnapshot(wrongK, snap); err == nil {
+	if _, err := engine.LoadSnapshot(wrongK.IndexConfig(), snap); err == nil {
 		t.Fatal("centroid-count mismatch accepted")
 	}
 	raw, err := os.ReadFile(snap)
@@ -135,19 +125,15 @@ func TestSnapshotRejectsMismatchAndCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mut := range map[string]func([]byte) []byte{
-		"bad magic":  func(b []byte) []byte { b[0] ^= 0xff; return b },
-		"bad ver":    func(b []byte) []byte { b[8] = 9; return b },
-		"truncated":  func(b []byte) []byte { return b[:len(b)-4] },
-		"trailing":   func(b []byte) []byte { return append(b, 0) },
-		"size lie":   func(b []byte) []byte { b[13]++; return b },      // size u64 at offset 13
-		"dead bloat": func(b []byte) []byte { b[29] = 0xff; return b }, // deadCount at offset 29
+		"bad magic": func(b []byte) []byte { b[0] ^= 0xff; return b },
+		"truncated": func(b []byte) []byte { return b[:len(b)-4] },
+		"trailing":  func(b []byte) []byte { return append(b, 0) },
 	} {
-		mutated := mut(append([]byte{}, raw...))
 		bad := snap + ".bad"
-		if err := os.WriteFile(bad, mutated, 0o644); err != nil {
+		if err := os.WriteFile(bad, mut(append([]byte{}, raw...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSnapshot(cfg, bad); err == nil {
+		if _, err := engine.LoadSnapshot(cfg.IndexConfig(), bad); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

@@ -281,7 +281,9 @@ func UnmarshalModel(buf []byte) (*Model, error) {
 	k := int(binary.LittleEndian.Uint32(buf))
 	dim := int(binary.LittleEndian.Uint32(buf[4:]))
 	buf = buf[8:]
-	if k <= 0 || dim <= 0 || len(buf) != 4*k*dim {
+	// Checked by division: 4·k·dim of two hostile uint32 header fields can
+	// wrap int and let an empty block through to a k-sized allocation.
+	if n := len(buf) / 4; k <= 0 || dim <= 0 || len(buf)%4 != 0 || n%k != 0 || n/k != dim {
 		return nil, fmt.Errorf("%w: centroid block size mismatch", ErrModel)
 	}
 	m := &Model{Dist: dist, Centroids: make([]metric.Vector, k)}

@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -202,5 +204,19 @@ func TestModelCodecRejectsCorruption(t *testing.T) {
 		if _, err := UnmarshalModel(raw); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
+	}
+}
+
+// overflowModelBlob is a 21-byte model header claiming k = dim = 2^31: the
+// centroid block size 4·k·dim wraps int to 0, matching its empty block.
+func overflowModelBlob() []byte {
+	b := append(modelMagic[:], 1, 2, 0, 'L', '2')
+	b = binary.LittleEndian.AppendUint32(b, 1<<31)
+	return binary.LittleEndian.AppendUint32(b, 1<<31)
+}
+
+func TestModelCodecRejectsOverflowingHeader(t *testing.T) {
+	if _, err := UnmarshalModel(overflowModelBlob()); !errors.Is(err, ErrModel) {
+		t.Fatalf("k = dim = 2^31 with no centroid block: err = %v, want ErrModel", err)
 	}
 }

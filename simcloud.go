@@ -79,11 +79,9 @@ type (
 	// PoolStats is the Stats section with the connection-lease-pool depth
 	// and lifetime dial/discard counters of a networked client.
 	PoolStats = core.PoolStats
-	// KMeansDirect is the in-process client of the k-means routing family:
-	// centroid cells instead of pivot permutations, same Searcher contract
-	// and encrypted-bucket storage (see DESIGN.md §Routing Families).
-	KMeansDirect = core.KMeansDirect
-	// KMeansConfig parametrizes the server-side k-means cell index.
+	// KMeansConfig parametrizes the k-means routing family's index — an
+	// M-Index configuration (centroids as pivots, one level of cells; see
+	// DESIGN.md §Routing Families and KMeansConfig.IndexConfig).
 	KMeansConfig = kmeans.Config
 	// KMeansModel is a trained set of centroids — the client secret of the
 	// k-means family, fed to GenerateKey via its PivotSet.
@@ -92,7 +90,7 @@ type (
 	// bound, training-sample cap, metric — spherical update under Cosine).
 	KMeansTrainConfig = kmeans.TrainConfig
 	// CandSizePredictor is the learned per-query candidate-size model
-	// selected by Query.TargetRecall (fit it with KMeansDirect.Calibrate).
+	// selected by Query.TargetRecall (fit it with DirectClient.Calibrate).
 	CandSizePredictor = kmeans.Predictor
 )
 
@@ -337,12 +335,13 @@ func TrainKMeans(cfg KMeansTrainConfig, data []Object) (*KMeansModel, error) {
 	return kmeans.Train(cfg, data)
 }
 
-// NewKMeansDirect creates an in-process client over a fresh k-means cell
-// index — the second index family behind the same Searcher interface:
-// objects route to their nearest centroid's cell, approximate queries fan
-// out to the Config.Fanout nearest centroids and merge promise-ranked,
-// range/KNN answers are equivalence-tested against the M-Index backends.
-// The key must be generated from the trained model's PivotSet.
-func NewKMeansDirect(cfg KMeansConfig, key *Key, opts ClientOptions) (*KMeansDirect, error) {
+// NewKMeansDirect creates an in-process DirectClient of the k-means routing
+// family over a fresh engine built from cfg.IndexConfig(): objects route
+// to their nearest centroid's cell, approximate queries visit cells in
+// ascending centroid distance, range/KNN answers are equivalence-tested
+// against the M-Index backends. The key must be generated from the trained
+// model's PivotSet; the family fixes the prefix length, MaxLevel,
+// StoreDists and Ranking of opts.
+func NewKMeansDirect(cfg KMeansConfig, key *Key, opts ClientOptions) (*DirectClient, error) {
 	return core.NewKMeansDirect(cfg, key, opts)
 }
