@@ -9,7 +9,7 @@
 //	# Precise range query:
 //	simclient -addr :4040 -key yeast.key -op range -data yeast.simcdat -query 5 -radius 120
 //
-//	# Precise k-NN (approximate pass + range ρk):
+//	# Precise k-NN (a first pass that learns ρk, then the range ρk):
 //	simclient -addr :4040 -key yeast.key -op knn -data yeast.simcdat -query 5 -k 10
 //
 //	# Restricted 1-cell approximate k-NN (the paper's Section 5.4 baseline):

@@ -37,7 +37,8 @@
 //	})
 //
 // One Query value describes every query kind — precise range (KindRange),
-// precise k-NN (KindKNN: approximate pass + range ρk), approximate k-NN
+// precise k-NN (KindKNN: a first pass that learns ρk, then the range ρk),
+// approximate k-NN
 // with a tunable candidate-set size (KindApproxKNN), and the restricted
 // 1-cell search (KindFirstCell) — all with the paper's cost decomposition
 // (client / server / communication time, encryption / decryption time,

@@ -71,7 +71,8 @@ func main() {
 	}
 	fmt.Printf("  %s\n", costs)
 
-	// Precise 5-NN: approximate pass + range ρk, guaranteed exact.
+	// Precise 5-NN: a first pass that learns ρk, then the range ρk,
+	// guaranteed exact.
 	precise, costs, err := client.Search(ctx, simcloud.Query{
 		Kind: simcloud.KindKNN, Vec: q, K: 5, CandSize: 100,
 	})

@@ -263,9 +263,10 @@ func TestPreciseSweepStrategies(t *testing.T) {
 	if r := byName["PreciseRange(rk)"]; r.Recall != 100 {
 		t.Fatalf("precise range recall = %g", r.Recall)
 	}
-	// Precise kNN pays two round trips (approximate pass + range ρk).
-	if byName["PreciseKNN"].Costs.RoundTrips != 2 {
-		t.Fatalf("precise kNN used %d round trips", byName["PreciseKNN"].Costs.RoundTrips)
+	// Precise kNN pays one or two round trips: the bound-ordered first page,
+	// then the range ρk after it unless the first page settled the query.
+	if rt := byName["PreciseKNN"].RoundTrips; rt < 1 || rt > 2 {
+		t.Fatalf("precise kNN used %.2f round trips per query", rt)
 	}
 	if byName["ApproxKNN(300)"].Costs.RoundTrips != 1 {
 		t.Fatalf("approx kNN used %d round trips", byName["ApproxKNN(300)"].Costs.RoundTrips)

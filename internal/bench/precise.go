@@ -14,15 +14,18 @@ import (
 // approximate strategy" as future work. This experiment performs that
 // analysis: the same queries are evaluated with the approximate k-NN
 // (single round trip, tunable candidate set, recall < 100%), the precise
-// k-NN (approximate pass + range ρk — two round trips, exact), and the
-// precise range query at the true k-th neighbor radius (one round trip,
-// exact, needs stored distance vectors for server-side pivot filtering).
+// k-NN (a bound-ordered first page + the range ρk resumed after it — one or
+// two round trips, exact), and the precise range query at the true k-th
+// neighbor radius (one round trip, exact, needs stored distance vectors for
+// server-side pivot filtering).
 
 // PreciseResult is the measured outcome of one evaluation strategy.
 type PreciseResult struct {
 	Strategy string
 	Costs    stats.Costs
 	Recall   float64
+	// RoundTrips is the mean per query; Costs.RoundTrips truncates it.
+	RoundTrips float64
 }
 
 // PreciseSweep compares the three evaluation strategies on one data set.
@@ -100,9 +103,10 @@ func PreciseSweep(o Options, specName string, candSize int) ([]PreciseResult, er
 			sum.Accumulate(costs)
 		}
 		out = append(out, PreciseResult{
-			Strategy: st.name,
-			Costs:    sum.DividedBy(len(queries)),
-			Recall:   recallSum / float64(len(queries)),
+			Strategy:   st.name,
+			Costs:      sum.DividedBy(len(queries)),
+			Recall:     recallSum / float64(len(queries)),
+			RoundTrips: float64(sum.RoundTrips) / float64(len(queries)),
 		})
 	}
 	return out, nil
@@ -138,7 +142,7 @@ func PreciseTable(o Options, specName string, candSize int) (*Table, error) {
 	t.AddRow("Overall time [ms]", cells(func(r PreciseResult) string { return millis(r.Costs.Overall) })...)
 	t.AddRow("Recall [%]", cells(func(r PreciseResult) string { return pct(r.Recall) })...)
 	t.AddRow("Communication cost [kB]", cells(func(r PreciseResult) string { return kb(r.Costs.CommBytes()) })...)
-	t.AddRow("Round trips", cells(func(r PreciseResult) string { return fmt.Sprintf("%d", r.Costs.RoundTrips) })...)
+	t.AddRow("Round trips", cells(func(r PreciseResult) string { return fmt.Sprintf("%.2f", r.RoundTrips) })...)
 	t.AddRow("Candidates", cells(func(r PreciseResult) string { return fmt.Sprintf("%d", r.Costs.Candidates) })...)
 	return t, nil
 }

@@ -7,6 +7,7 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -18,6 +19,7 @@ import (
 	"simcloud/internal/cluster"
 	"simcloud/internal/core"
 	"simcloud/internal/metric"
+	"simcloud/internal/mindex"
 	"simcloud/internal/pivot"
 	"simcloud/internal/server"
 	"simcloud/internal/stats"
@@ -150,7 +152,7 @@ func candidateIDs(t *testing.T, addr string, q wire.BatchQuery) []uint64 {
 	if respType != wire.MsgBatchCandidates {
 		t.Fatalf("unexpected response %v", respType)
 	}
-	m, err := wire.DecodeBatchQueryResp(resp)
+	m, err := wire.DecodeBatchQueryResp(resp, []wire.BatchQuery{q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,14 +441,15 @@ func TestKeyMismatchRejection(t *testing.T) {
 		// A node answering the hello in the version-1 shape (no trailing
 		// version field) is refused at admission, naming both versions —
 		// not mis-decoded and federated.
-		v2 := wire.HelloResp{
+		current := wire.HelloResp{
 			Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
 			MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
 		}.Encode()
-		v1 := stubNode(t, v2[:len(v2)-4])
+		v1 := stubNode(t, current[:len(current)-4])
 		_, err := cluster.New([]string{v1.Addr().String()}, cluster.Options{Logf: t.Logf})
-		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), "speaks v2") {
-			t.Fatalf("want a refusal naming protocol v1 and v2, got %v", err)
+		speaks := fmt.Sprintf("speaks v%d", wire.ProtocolVersion)
+		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), speaks) {
+			t.Fatalf("want a refusal naming protocol v1 and %q, got %v", speaks, err)
 		}
 	})
 
@@ -599,9 +602,88 @@ func TestUnfederatedRequestRejected(t *testing.T) {
 	}
 }
 
-// TestClusterHostileCandSize: a candidate size of 2^32-1 through the
-// coordinator returns what the nodes hold — it neither crashes a node nor
-// overflows the coordinator's trim.
+// TestClusterBoundOrder: with stored pivot distances a precise k-NN's first
+// page is merged across nodes by (bound, ID) — under R=1 and under R=2's
+// one-owner-per-cell allow-lists — into exactly the single server's page,
+// last bound included, and the precise answers match it result for result.
+func TestClusterBoundOrder(t *testing.T) {
+	wire.PoisonBuffers(t)
+	w := newWorld(t, 1200)
+	opts := core.Options{StoreDists: true}
+	ref := startServer(t, nodeConfig(false))
+	refClient, err := core.DialEncrypted(ref.Addr(), w.key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { refClient.Close() })
+	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+		t.Fatal(err)
+	}
+	page := func(addr string, q wire.BatchQuery) ([]uint64, float64) {
+		respType, resp := rawRoundTrip(t, addr, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode())
+		if respType != wire.MsgBatchCandidates {
+			t.Fatalf("unexpected response %v", respType)
+		}
+		m, err := wire.DecodeBatchQueryResp(resp, []wire.BatchQuery{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]uint64, len(m.Results[0]))
+		for i, e := range m.Results[0] {
+			ids[i] = e.ID
+		}
+		return ids, m.Bounds[0]
+	}
+	for _, replicas := range []int{1, 2} {
+		addrs := make([]string, 3)
+		for i := range addrs {
+			addrs[i] = startServer(t, nodeConfig(true)).Addr()
+		}
+		coord, err := cluster.New(addrs, cluster.Options{Replicas: replicas, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		client, err := core.DialEncrypted(coord.Addr(), w.key, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		if _, err := client.InsertBatch(w.data.Objects); err != nil {
+			t.Fatal(err)
+		}
+		for _, qi := range []int{3, 456, 1011} {
+			q := w.data.Objects[qi].Vec
+			bound := wire.BatchQuery{Kind: wire.BatchBound, Dists: w.key.Pivots().Distances(q), CandSize: 150}
+			gotIDs, gotLB := page(coord.Addr(), bound)
+			wantIDs, wantLB := page(ref.Addr(), bound)
+			if !slices.Equal(gotIDs, wantIDs) || gotLB != wantLB {
+				t.Fatalf("R=%d query %d: bound page (%d, last bound %g) diverges from the single server's (%d, %g)",
+					replicas, qi, len(gotIDs), gotLB, len(wantIDs), wantLB)
+			}
+			knn := core.Query{Kind: core.KindKNN, Vec: q, K: 10}
+			want, _, err := search(refClient, knn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := search(client, knn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(resultIDList(got), resultIDList(want)) || len(want) != 10 {
+				t.Fatalf("R=%d query %d: precise k-NN %v, single server %v", replicas, qi, resultIDList(got), resultIDList(want))
+			}
+		}
+	}
+}
+
+// TestClusterHostileCandSize: a candidate size of 2^31 or 2^32-1 through the
+// coordinator, in promise or in bound order, returns what the nodes hold —
+// it neither crashes a node nor overflows the coordinator's trim. A cursor
+// the coordinator cannot have sent is refused before any node sees it.
 func TestClusterHostileCandSize(t *testing.T) {
 	w := newWorld(t, 300)
 	_, coord := startCluster(t, 3, true)
@@ -609,7 +691,24 @@ func TestClusterHostileCandSize(t *testing.T) {
 	if _, err := client.InsertBatch(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
-	if got := approxCandidateIDs(t, coord.Addr(), w, w.data.Objects[0].Vec, math.MaxUint32); len(got) != len(w.data.Objects) {
-		t.Fatalf("candSize 2^32-1 returned %d candidates, want all %d", len(got), len(w.data.Objects))
+	qDists := w.key.Pivots().Distances(w.data.Objects[0].Vec)
+	for _, candSize := range []uint32{1 << 31, math.MaxUint32} {
+		if got := approxCandidateIDs(t, coord.Addr(), w, w.data.Objects[0].Vec, int(candSize)); len(got) != len(w.data.Objects) {
+			t.Fatalf("candSize %d returned %d candidates, want all %d", candSize, len(got), len(w.data.Objects))
+		}
+		bound := wire.BatchQuery{Kind: wire.BatchBound, Dists: qDists, CandSize: candSize}
+		if got := candidateIDs(t, coord.Addr(), bound); len(got) != len(w.data.Objects) {
+			t.Fatalf("bound-ordered candSize %d returned %d candidates, want all %d", candSize, len(got), len(w.data.Objects))
+		}
+	}
+	for _, after := range []mindex.BoundKey{{LB: math.NaN()}, {LB: math.Inf(1)}, {LB: -1}} {
+		q := wire.BatchQuery{Kind: wire.BatchRange, Dists: qDists, Radius: 1, After: &after}
+		respType, resp := rawRoundTrip(t, coord.Addr(), wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode())
+		if respType != wire.MsgError {
+			t.Fatalf("cursor %v: got %v, want an error", after, respType)
+		}
+		if m, err := wire.DecodeErrorResp(resp); err != nil || !strings.Contains(m.Msg, "cursor bound") {
+			t.Fatalf("cursor %v: error %q (%v) does not name the cursor", after, m.Msg, err)
+		}
 	}
 }

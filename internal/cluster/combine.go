@@ -132,7 +132,7 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 			cb.per[i] = cb.refs[i].Results[qi]
 		}
 		winners := merge.Combine(iq, cb.per)
-		size := 4
+		size := 12 // count and a bound trailer
 		for i := range winners {
 			size += len(winners[i].Record)
 		}
@@ -140,6 +140,15 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 		out.U32(uint32(len(winners)))
 		for i := range winners {
 			out.B = append(out.B, winners[i].Record...)
+		}
+		if iq.Kind == mindex.KindBound {
+			// The flat reply's trailer (wire.BatchRankedResp.AppendFlatTo):
+			// the merged order's last bound, which the nodes sent as promises.
+			var lb float64
+			if len(winners) > 0 {
+				lb = winners[len(winners)-1].Promise
+			}
+			out.F64(lb)
 		}
 	}
 	return nil

@@ -55,7 +55,7 @@ func encodeReplies(perSource [][][]mindex.RankedCandidate) []nodeReply {
 // referenceCombine is the coordinator's former route, kept here as the
 // definition of the client-ward bytes: decode every reply with the copying
 // decoder, fold with merge.Combine, encode with AppendFlatTo.
-func referenceCombine(t *testing.T, iqs []mindex.Query, replies []nodeReply) []byte {
+func referenceCombine(t *testing.T, wqs []wire.BatchQuery, iqs []mindex.Query, replies []nodeReply) []byte {
 	t.Helper()
 	perNode := make([][][]mindex.RankedCandidate, len(replies))
 	for i, rep := range replies {
@@ -74,7 +74,7 @@ func referenceCombine(t *testing.T, iqs []mindex.Query, replies []nodeReply) []b
 		results[qi] = merge.Combine(iq, per)
 	}
 	var buf wire.Buffer
-	wire.BatchRankedResp{Results: results}.AppendFlatTo(&buf)
+	wire.BatchRankedResp{Results: results}.AppendFlatTo(&buf, wqs)
 	return buf.B
 }
 
@@ -101,6 +101,8 @@ func TestCombineBytesMatchReference(t *testing.T) {
 		"approx-perm":  {Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 5},
 		"approx-dists": {Kind: wire.BatchApproxDists, Dists: dists, CandSize: 5},
 		"first-cell":   {Kind: wire.BatchFirstCell, Perm: perm},
+		"bound":        {Kind: wire.BatchBound, Dists: dists, CandSize: 5},
+		"range-after":  {Kind: wire.BatchRange, Dists: dists, Radius: 1, After: &mindex.BoundKey{LB: 0.2, ID: 3}},
 	}
 	// Three sources' answers to one query, by shape. Each is sorted the way
 	// a node sorts; "unsorted" is what a buggy node might send.
@@ -158,7 +160,7 @@ func TestCombineBytesMatchReference(t *testing.T) {
 						if err := new(combiner).combine(iqs, replies, &out); err != nil {
 							t.Fatal(err)
 						}
-						if want := referenceCombine(t, iqs, replies); !bytes.Equal(out.B, want) {
+						if want := referenceCombine(t, wqs, iqs, replies); !bytes.Equal(out.B, want) {
 							t.Fatalf("client-ward bytes differ from the reference\n got %x\nwant %x", out.B, want)
 						}
 					})
@@ -176,12 +178,13 @@ func TestCombineUnsortedSourceKeepsStableSortOrder(t *testing.T) {
 		{{cand(1, 0.9, 0), cand(2, 0.1, 0), cand(3, 0.5, 0, 2)}},
 		{{cand(4, 0.5, 0, 2), cand(5, 0.1, 0)}},
 	}
-	iqs := indexQueries(t, []wire.BatchQuery{{Kind: wire.BatchApproxPerm, Perm: []int32{0, 1, 2, 3}, CandSize: 4}})
+	wqs := []wire.BatchQuery{{Kind: wire.BatchApproxPerm, Perm: []int32{0, 1, 2, 3}, CandSize: 4}}
+	iqs := indexQueries(t, wqs)
 	var out wire.Buffer
 	if err := new(combiner).combine(iqs, encodeReplies(perSource), &out); err != nil {
 		t.Fatal(err)
 	}
-	m, err := wire.DecodeBatchQueryResp(out.B)
+	m, err := wire.DecodeBatchQueryResp(out.B, wqs)
 	if err != nil {
 		t.Fatal(err)
 	}

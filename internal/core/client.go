@@ -31,8 +31,10 @@ type Options struct {
 	PrefixLen int
 	// StoreDists ships the full object–pivot distance vector with every
 	// insert (the paper's "precise strategy", Algorithm 1 line 4). It
-	// enables server-side pivot filtering for range queries at the price of
-	// larger records. Default: permutations only (Algorithm 1 line 7).
+	// enables server-side pivot filtering for range queries, and lets a
+	// precise k-NN rank its first pass by the server's pivot lower bound, at
+	// the price of larger records. Default: permutations only (Algorithm 1
+	// line 7).
 	StoreDists bool
 	// Ranking must match the server's configured cell-ranking strategy: it
 	// decides whether approximate queries send the query permutation

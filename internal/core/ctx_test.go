@@ -91,19 +91,24 @@ func newStalledServerHello(t *testing.T, hello []byte) *stalledServer {
 
 // TestDialRejectsProtocolMismatch: a server answering the hello in the
 // version-1 shape (no trailing version field) — or announcing any other
-// version — is refused at dial time with an error naming both versions, not
+// version, among them version 2, which has no bound-ordered query and no
+// cursor — is refused at dial time with an error naming both versions, not
 // mis-decoded, and the socket is released.
 func TestDialRejectsProtocolMismatch(t *testing.T) {
 	key, _ := testKey(t)
-	v2 := wire.HelloResp{Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivotCount}
-	v3 := v2
-	v3.Version = wire.ProtocolVersion + 1
+	current := wire.HelloResp{Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivotCount}
+	if current.Version != 3 {
+		t.Fatalf("protocol version %d, want 3", current.Version)
+	}
+	older, newer := current, current
+	older.Version, newer.Version = 2, wire.ProtocolVersion+1
 	for name, tc := range map[string]struct {
 		hello []byte
 		peer  string
 	}{
-		"v1-shaped": {v2.Encode()[:len(v2.Encode())-4], "v1"},
-		"newer":     {v3.Encode(), fmt.Sprintf("v%d", v3.Version)},
+		"v1-shaped": {current.Encode()[:len(current.Encode())-4], "v1"},
+		"v2":        {older.Encode(), "v2"},
+		"newer":     {newer.Encode(), fmt.Sprintf("v%d", newer.Version)},
 	} {
 		srv := newStalledServerHello(t, tc.hello)
 		client, err := DialEncrypted(srv.ln.Addr().String(), key, Options{MaxLevel: testMaxLevel})

@@ -120,16 +120,15 @@ func (c *DirectClient) rankedCandidates(wq wire.BatchQuery) ([]mindex.RankedCand
 	return c.eng.Search(iq)
 }
 
-// engineCandidates is rankedCandidates stripped to bare entries, charging
-// the engine time to ServerTime: the cost decomposition stays comparable
-// with the networked backends (CommTime and the byte counters are
-// structurally zero here).
-func (c *DirectClient) engineCandidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs) ([]mindex.Entry, error) {
+// engineCandidates is rankedCandidates charging the engine time to
+// ServerTime: the cost decomposition stays comparable with the networked
+// backends (CommTime and the byte counters are structurally zero here).
+func (c *DirectClient) engineCandidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs) (rankedCands, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: direct search aborted: %w", err)
 	}
 	engStart := time.Now()
-	cands, err := mindex.Flat(c.rankedCandidates(wq))
+	cands, err := c.rankedCandidates(wq)
 	costs.ServerTime += time.Since(engStart)
 	return cands, err
 }
@@ -155,23 +154,42 @@ func (c *DirectClient) Search(ctx context.Context, q Query) ([]Result, stats.Cos
 }
 
 func (c *DirectClient) searchOne(ctx context.Context, nq Query, costs *stats.Costs) ([]Result, error) {
-	if nq.Kind == KindKNN {
-		return searchKNN(ctx, nq, costs, c.searchOne)
-	}
 	qDists := c.queryDists(nq, costs)
 	if nq.TargetRecall > 0 {
 		// Normalization left CandSize 0 for the predictor to fill in from
 		// the query's transformed distance to its nearest pivot; without
-		// one, wireQuery falls back to the global default.
+		// one, effCandSize falls back to the global default.
 		if p := c.pred.Load(); p != nil {
 			nq.CandSize = p.CandSize(nq.TargetRecall, nearestDist(c.key.TransformDists(qDists)))
 		}
 	}
-	cands, err := c.engineCandidates(ctx, c.wireQuery(nq, qDists), costs)
+	if nq.Kind != KindKNN {
+		cands, err := c.engineCandidates(ctx, c.wireQuery(nq, qDists), costs)
+		if err != nil {
+			return nil, err
+		}
+		return c.finishQuery(nq, cands, costs)
+	}
+	k := c.startKNN(0, nq, qDists)
+	first, err := c.engineCandidates(ctx, k.first, costs)
 	if err != nil {
 		return nil, err
 	}
-	return c.finishQuery(nq, entryCands(cands), costs)
+	var last float64
+	if len(first) > 0 {
+		last = first[len(first)-1].Promise
+	}
+	next, more, err := c.nextKNN(&k, first, last, costs)
+	if err != nil {
+		return nil, err
+	}
+	var second rankedCands
+	if more {
+		if second, err = c.engineCandidates(ctx, next, costs); err != nil {
+			return nil, err
+		}
+	}
+	return c.finishKNN(&k, second, costs)
 }
 
 // nearestDist is the predictor's feature: the smallest (transformed)

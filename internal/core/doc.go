@@ -15,9 +15,17 @@
 //     (precise range) to the server, receives a pre-ranked candidate set of
 //     encrypted objects, decrypts them, and refines by computing true
 //     query–object distances.
-//   - Precise k-NN: an approximate k-NN provides an upper bound ρk on the
-//     k-th neighbor distance; the subsequent precise range query R(q, ρk)
-//     guarantees the exact answer.
+//   - Precise k-NN: a first pass provides an upper bound ρk on the k-th
+//     neighbor distance; the subsequent precise range query R(q, ρk)
+//     guarantees the exact answer. With stored distances the first pass
+//     is the server's first CandSize entries in bound order — its own pivot
+//     lower bound max_p |d(q,p) − d(o,p)|, ties by ID — and the range
+//     resumes that order after the last of them (a keyset cursor), so no
+//     candidate is shipped twice and a first pass whose last bound exceeds
+//     the range radius settles the query alone. Without distances the first
+//     pass is the footrule-ordered approximate k-NN. One composition (knn:
+//     startKNN, nextKNN, finishKNN) serves Search, SearchBatch's second
+//     wave and DirectClient.
 //
 // # The unified query surface
 //
@@ -51,8 +59,8 @@
 // distances there and gives an Object memory of its own only if it is still
 // among the K nearest — or within the radius — at the end, so the results a
 // caller receives never alias a frame. The frames of an exchange are
-// released in the scope that declared them (a flight, released by defer:
-// searchOne after its finishQuery, SearchBatch after its last one); nothing
+// released in the scope that declared them (a flight per wave, released by
+// defer in search after the last refinement over it); nothing
 // decoded by reference leaves that scope. DecryptTime and DistCompTime are
 // still timed as two phases, alternating chunk by chunk.
 //

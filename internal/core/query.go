@@ -17,9 +17,11 @@ const (
 	// KindRange is the precise range query R(q, r): every object within
 	// Radius of Vec, exactly.
 	KindRange QueryKind = iota + 1
-	// KindKNN is the precise k-NN query: an approximate pass determines the
+	// KindKNN is the precise k-NN query: a first pass determines the
 	// candidate radius ρk and a range query R(q, ρk) guarantees
-	// completeness (two round trips on networked backends).
+	// completeness (at most two round trips on networked backends; with
+	// stored distances the two never ship a candidate twice, and the first
+	// often settles the query alone).
 	KindKNN
 	// KindApproxKNN is the approximate k-NN query: the K best of a
 	// promise-ranked candidate set of CandSize objects.

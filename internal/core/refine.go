@@ -27,11 +27,11 @@ type candidates interface {
 	at(i int) (id uint64, payload []byte)
 }
 
-// entryCands are candidates the embedded engine returned.
-type entryCands []mindex.Entry
+// rankedCands are candidates the embedded engine returned.
+type rankedCands []mindex.RankedCandidate
 
-func (c entryCands) count() int                { return len(c) }
-func (c entryCands) at(i int) (uint64, []byte) { return c[i].ID, c[i].Payload }
+func (c rankedCands) count() int                { return len(c) }
+func (c rankedCands) at(i int) (uint64, []byte) { return c[i].Entry.ID, c[i].Entry.Payload }
 
 // refCands are candidates decoded by reference out of a response frame;
 // they are valid until the frame is released.

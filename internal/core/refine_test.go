@@ -16,7 +16,7 @@ import (
 
 // refineFixture is a coder over CoPhIR-shaped data (280 dimensions, the
 // paper's image descriptors) with n encrypted candidates to refine.
-func refineFixture(t testing.TB, mode secret.Mode, n int) (*coder, metric.Vector, entryCands, []metric.Object) {
+func refineFixture(t testing.TB, mode secret.Mode, n int) (*coder, metric.Vector, rankedCands, []metric.Object) {
 	t.Helper()
 	ds := dataset.CoPhIR(n + 1)
 	rng := rand.New(rand.NewPCG(15, 280))
@@ -25,13 +25,13 @@ func refineFixture(t testing.TB, mode secret.Mode, n int) (*coder, metric.Vector
 		t.Fatal(err)
 	}
 	objs := ds.Objects[1:]
-	cands := make(entryCands, len(objs))
+	cands := make(rankedCands, len(objs))
 	for i, o := range objs {
 		payload, err := key.EncryptObject(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands[i] = mindex.Entry{ID: o.ID, Payload: payload}
+		cands[i] = mindex.RankedCandidate{Entry: mindex.Entry{ID: o.ID, Payload: payload}}
 	}
 	return &coder{key: key}, ds.Objects[0].Vec, cands, objs
 }

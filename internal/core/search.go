@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,10 +31,10 @@ func (c *coder) queryDists(q Query, costs *stats.Costs) []float64 {
 }
 
 // wireQuery translates one normalized Query (or the approximate first
-// phase of a KindKNN query) into its wire form. KindRange reveals the
-// transformed distance vector; the approximate kinds reveal the
-// permutation (footrule ranking) or transformed distances (distance-sum
-// ranking).
+// phase of a KindKNN query without stored distances) into its wire form.
+// KindRange reveals the transformed distance vector; the approximate kinds
+// reveal the permutation (footrule ranking) or transformed distances
+// (distance-sum ranking).
 func (c *coder) wireQuery(nq Query, qDists []float64) wire.BatchQuery {
 	switch nq.Kind {
 	case KindRange:
@@ -65,7 +66,8 @@ func (c *coder) wireQuery(nq Query, qDists []float64) wire.BatchQuery {
 
 // Search evaluates one similarity query against the encrypted cloud. ctx's
 // deadline bounds every round trip, and cancelling it interrupts an
-// exchange blocked on a stalled server.
+// exchange blocked on a stalled server. A lone query rides the batch path
+// as a batch of one.
 func (c *EncryptedClient) Search(ctx context.Context, q Query) ([]Result, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
@@ -73,26 +75,12 @@ func (c *EncryptedClient) Search(ctx context.Context, q Query) ([]Result, stats.
 	if err != nil {
 		return nil, costs, err
 	}
-	out, err := c.searchOne(ctx, nq, &costs)
+	out, err := c.search(ctx, []Query{nq}, &costs)
 	if err != nil {
 		return nil, costs, err
 	}
 	finish(&costs, start)
-	return out, costs, nil
-}
-
-func (c *EncryptedClient) searchOne(ctx context.Context, nq Query, costs *stats.Costs) ([]Result, error) {
-	if nq.Kind == KindKNN {
-		return searchKNN(ctx, nq, costs, c.searchOne)
-	}
-	// A lone query rides the batch path as a batch of one.
-	wq := c.wireQuery(nq, c.queryDists(nq, costs))
-	var fl flight
-	defer fl.release()
-	if err := c.batchCandidates(ctx, []wire.BatchQuery{wq}, costs, func(i int) int { return i }, &fl); err != nil {
-		return nil, err
-	}
-	return c.finishQuery(nq, refCands(fl.perQuery[0]), costs)
+	return out[0], costs, nil
 }
 
 // finishQuery applies the per-kind client-side epilogue to a candidate
@@ -107,46 +95,100 @@ func (c *coder) finishQuery(nq Query, cands candidates, costs *stats.Costs) ([]R
 	return c.refine(nq.Vec, cands, nq.RefineLimit, nq.K, 0, costs)
 }
 
-// knnRadius derives the phase-2 range radius ρk from the refined
-// approximate answer: the k-th candidate distance upper-bounds the true
-// k-th neighbor distance; fewer than k candidates fall back to everything.
-func knnRadius(approx []Result, k int) float64 {
-	if len(approx) >= k {
-		return approx[len(approx)-1].Dist
-	}
-	return maxRadius
+// knn is one precise k-NN query of Section 4.2 between its two phases —
+// the one composition every client backend runs, so the precision
+// guarantee cannot diverge between them. Phase one learns ρk, the K-th
+// smallest distance among its candidates, an upper bound on the true K-th
+// neighbor distance; phase two is the range query R(q, ρk).
+//
+// When entries carry pivot distances (Options.StoreDists) phase one asks
+// for the first CandSize entries in the server's bound order
+// (wire.BatchBound), so ρk comes from the entries the server itself deems
+// nearest, and phase two resumes that order after the last of them (a keyset
+// cursor, wire.BatchQuery.After): the two phases never share a candidate,
+// and phase one's K nearest are part of the answer. Phase two is skipped
+// when phase one returned all the server holds or its last bound already
+// exceeds the phase-two radius. Without distances a bound carries no
+// information, and phase one is the footrule-ordered approximate pass whose
+// candidates phase two ships again.
+type knn struct {
+	at     int // the query's index in its batch
+	nq     Query
+	qDists []float64
+	first  wire.BatchQuery // phase one, as sent
+	kept   []Result        // phase one's share of the answer
+	rho    float64         // ρk
 }
 
-// searchKNN composes the two-phase precise k-NN of Section 4.2 —
-// approximate pass for ρk, then the exact range query R(q, ρk), both under
-// ctx — over any single-kind evaluator. The networked and in-process
-// backends share this one composition, so the precision guarantee cannot
-// silently diverge between them.
-func searchKNN(ctx context.Context, nq Query, costs *stats.Costs,
-	searchOne func(ctx context.Context, nq Query, costs *stats.Costs) ([]Result, error)) ([]Result, error) {
-	approxQ := Query{Kind: KindApproxKNN, Vec: nq.Vec, K: nq.K, CandSize: nq.CandSize, TargetRecall: nq.TargetRecall}
-	approx, err := searchOne(ctx, approxQ, costs)
+// startKNN prepares a precise k-NN query and its phase one.
+func (c *coder) startKNN(at int, nq Query, qDists []float64) knn {
+	k := knn{at: at, nq: nq, qDists: qDists}
+	if c.opts.StoreDists {
+		k.first = wire.BatchQuery{
+			Kind:     wire.BatchBound,
+			Dists:    c.key.TransformDists(qDists),
+			CandSize: uint32(effCandSize(nq)),
+		}
+	} else {
+		k.first = c.wireQuery(Query{Kind: KindApproxKNN, K: nq.K, CandSize: nq.CandSize}, qDists)
+	}
+	return k
+}
+
+// nextKNN refines phase one's candidates — served in bound order, the last
+// with bound last — and returns phase two's query, or false when phase one
+// settled the answer.
+func (c *coder) nextKNN(k *knn, cands candidates, last float64, costs *stats.Costs) (wire.BatchQuery, bool, error) {
+	approx, err := c.refine(k.nq.Vec, cands, 0, k.nq.K, 0, costs)
+	if err != nil {
+		return wire.BatchQuery{}, false, err
+	}
+	k.rho = maxRadius // fewer than K candidates: everything qualifies
+	if len(approx) >= k.nq.K {
+		k.rho = approx[len(approx)-1].Dist
+	}
+	if k.first.Kind != wire.BatchBound {
+		return c.wireQuery(Query{Kind: KindRange, Radius: k.rho}, k.qDists), true, nil
+	}
+	k.kept = approx
+	// The cursor and the radius both live in the server's (transformed)
+	// space, and phase one's entries were all those keyed up to the cursor.
+	next := wire.BatchQuery{Kind: wire.BatchRange, Dists: k.first.Dists, Radius: c.key.TransformRadius(k.rho)}
+	n := cands.count()
+	if n < int(k.first.CandSize) || last > next.Radius {
+		return wire.BatchQuery{}, false, nil
+	}
+	id, _ := cands.at(n - 1)
+	next.After = &mindex.BoundKey{LB: last, ID: id}
+	return next, true, nil
+}
+
+// finishKNN refines phase two's candidates against ρk and returns the K
+// nearest of them and of phase one's share, by (distance, ID). An ID phase
+// one already holds is dropped: only an update between the phases can
+// send one twice, and the answer stays phase one's snapshot.
+func (c *coder) finishKNN(k *knn, cands candidates, costs *stats.Costs) ([]Result, error) {
+	within, err := c.refine(k.nq.Vec, cands, 0, 0, k.rho, costs)
 	if err != nil {
 		return nil, err
 	}
-	rho := knnRadius(approx, nq.K)
-	within, err := searchOne(ctx, Query{Kind: KindRange, Vec: nq.Vec, Radius: rho}, costs)
-	if err != nil {
-		return nil, err
+	out := k.kept
+	for _, r := range within {
+		if !slices.ContainsFunc(k.kept, func(o Result) bool { return o.ID == r.ID }) {
+			out = append(out, r)
+		}
 	}
-	if len(within) > nq.K {
-		within = within[:nq.K]
-	}
-	return within, nil
+	slices.SortFunc(out, compareResults)
+	return out[:min(len(out), k.nq.K)], nil
 }
 
 // SearchBatch evaluates many queries in pipelined chunks of
 // Options.BatchChunk queries each, so the whole workload pays one
 // round-trip latency plus streaming instead of one round trip per query.
-// Kinds may be mixed freely; precise k-NN queries add one extra pipelined
-// wave (their range phase, which needs the first wave's ρk). Results are
-// per-query, in input order, refined exactly like Search. ctx cancellation
-// is checked between chunks and interrupts blocked IO within one.
+// Kinds may be mixed freely; precise k-NN queries whose first phase does not
+// settle them add one extra pipelined wave. Results are per-query, in input
+// order, refined exactly like Search. ctx cancellation is checked between
+// chunks and interrupts blocked IO within one.
 func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
@@ -162,64 +204,76 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 		}
 		norm[i] = nq
 	}
-	wqs := make([]wire.BatchQuery, len(norm))
-	for i, nq := range norm {
-		wqs[i] = c.wireQuery(nq, c.queryDists(nq, &costs))
+	out, err := c.search(ctx, norm, &costs)
+	if err != nil {
+		return nil, costs, err
 	}
-	// Both waves' response frames stay leased until the last finishQuery
+	finish(&costs, start)
+	return out, costs, nil
+}
+
+// search evaluates normalized queries in one pipelined wave of every
+// query's (first) phase, then one of the precise k-NN phase twos still
+// needed.
+func (c *EncryptedClient) search(ctx context.Context, norm []Query, costs *stats.Costs) ([][]Result, error) {
+	wqs := make([]wire.BatchQuery, len(norm))
+	var knns []knn
+	for i, nq := range norm {
+		qDists := c.queryDists(nq, costs)
+		if nq.Kind == KindKNN {
+			knns = append(knns, c.startKNN(i, nq, qDists))
+			wqs[i] = knns[len(knns)-1].first
+			continue
+		}
+		wqs[i] = c.wireQuery(nq, qDists)
+	}
+	// Both waves' response frames stay leased until the last refinement
 	// over them has returned: candidates are read out of the frames.
 	var wave1, wave2 flight
 	defer wave1.release()
 	defer wave2.release()
-	if err := c.batchCandidates(ctx, wqs, &costs, func(i int) int { return i }, &wave1); err != nil {
-		return nil, costs, err
+	if err := c.batchCandidates(ctx, wqs, costs, func(i int) int { return i }, &wave1); err != nil {
+		return nil, err
 	}
-	perQuery := wave1.perQuery
-
-	out := make([][]Result, len(qs))
-	var knnIdx []int     // queries needing the phase-2 range wave
-	var knnRange []Query // their range queries, radius in original space
-	var knnWave []wire.BatchQuery
+	out := make([][]Result, len(norm))
 	for i, nq := range norm {
 		if nq.Kind == KindKNN {
-			// Phase 1 is refined like an approximate query; ρk feeds wave 2.
-			approx, err := c.finishQuery(Query{Kind: KindApproxKNN, Vec: nq.Vec, K: nq.K}, refCands(perQuery[i]), &costs)
-			if err != nil {
-				return nil, costs, err
-			}
-			rangeQ := Query{Kind: KindRange, Vec: nq.Vec, Radius: knnRadius(approx, nq.K)}
-			knnIdx = append(knnIdx, i)
-			knnRange = append(knnRange, rangeQ)
-			knnWave = append(knnWave, c.wireQuery(rangeQ, c.queryDists(rangeQ, &costs)))
 			continue
 		}
-		res, err := c.finishQuery(nq, refCands(perQuery[i]), &costs)
+		var err error
+		if out[i], err = c.finishQuery(nq, refCands(wave1.perQuery[i]), costs); err != nil {
+			return nil, err
+		}
+	}
+	pending := knns[:0] // the k-NN queries phase one did not settle
+	var second []wire.BatchQuery
+	for _, k := range knns {
+		next, more, err := c.nextKNN(&k, refCands(wave1.perQuery[k.at]), wave1.bounds[k.at], costs)
 		if err != nil {
-			return nil, costs, err
+			return nil, err
 		}
-		out[i] = res
-	}
-	if len(knnIdx) > 0 {
-		if err := c.batchCandidates(ctx, knnWave, &costs, func(i int) int { return knnIdx[i] }, &wave2); err != nil {
-			return nil, costs, err
-		}
-		perKNN := wave2.perQuery
-		for j, i := range knnIdx {
-			// The range epilogue filters by the true ρk (the server pruned
-			// conservatively in transformed space), then the K cut applies —
-			// exactly the single-query KNN composition.
-			within, err := c.finishQuery(knnRange[j], refCands(perKNN[j]), &costs)
-			if err != nil {
-				return nil, costs, err
+		if !more {
+			if out[k.at], err = c.finishKNN(&k, refCands(nil), costs); err != nil {
+				return nil, err
 			}
-			if len(within) > norm[i].K {
-				within = within[:norm[i].K]
-			}
-			out[i] = within
+			continue
+		}
+		pending = append(pending, k)
+		second = append(second, next)
+	}
+	if len(second) == 0 {
+		return out, nil
+	}
+	if err := c.batchCandidates(ctx, second, costs, func(j int) int { return pending[j].at }, &wave2); err != nil {
+		return nil, err
+	}
+	for j := range pending {
+		var err error
+		if out[pending[j].at], err = c.finishKNN(&pending[j], refCands(wave2.perQuery[j]), costs); err != nil {
+			return nil, err
 		}
 	}
-	finish(&costs, start)
-	return out, costs, nil
+	return out, nil
 }
 
 // flight is the answer to one batchCandidates exchange, held by reference:
@@ -230,6 +284,7 @@ type flight struct {
 	frames   []frame
 	refs     []*wire.CandidateRefs // one by-reference decoding per frame
 	perQuery [][]wire.CandidateRef // one candidate set per wire query
+	bounds   []float64             // per wire query, its reply's bound trailer
 }
 
 // candidateRefs recycles the by-reference decodings of response frames.
@@ -267,19 +322,19 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 	}
 	fl.perQuery = make([][]wire.CandidateRef, 0, len(wqs))
 	for ci, r := range fl.frames {
+		lo, hi := ci*chunk, min((ci+1)*chunk, len(wqs))
 		if err := respError(r); err != nil {
-			lo := ci * chunk
 			// The server's "batch query N" counts within this chunk; the
 			// wrapped range rebases it onto the caller's query indices.
 			return fmt.Errorf("core: query chunk %d (queries %d..%d): %w",
-				ci, queryIndex(lo), queryIndex(min(lo+chunk, len(wqs))-1), err)
+				ci, queryIndex(lo), queryIndex(hi-1), err)
 		}
 		if r.typ != wire.MsgBatchCandidates {
 			return fmt.Errorf("core: unexpected batch query response %v", r.typ)
 		}
 		m := candidateRefs.Get().(*wire.CandidateRefs)
 		fl.refs = append(fl.refs, m)
-		if err := m.DecodeFlat(r.payload); err != nil {
+		if err := m.DecodeFlat(r.payload, wqs[lo:hi]); err != nil {
 			return err
 		}
 		creditServer(costs, m.ServerNanos)
@@ -287,6 +342,7 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 			return fmt.Errorf("core: server returned more batch results than queries")
 		}
 		fl.perQuery = append(fl.perQuery, m.Results...)
+		fl.bounds = append(fl.bounds, m.Bounds...)
 	}
 	if len(fl.perQuery) != len(wqs) {
 		return fmt.Errorf("core: server returned %d batch results for %d queries", len(fl.perQuery), len(wqs))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,6 +142,69 @@ func TestSearcherBackendEquivalence(t *testing.T) {
 
 // TestSearchBatchMatchesSearch: on every backend, a mixed-kind SearchBatch
 // returns exactly what per-query Search calls return.
+// TestPreciseKNNShipsEachCandidateOnce: with stored distances a precise
+// k-NN ships the server's first CandSize entries in bound order, then —
+// unless they settle the query — exactly the entries of R(q, ρk) the first
+// page did not hold, in one more round trip. The expected count is derived
+// here from the engine's own pages, for the networked and the in-process
+// client alike.
+func TestPreciseKNNShipsEachCandidateOnce(t *testing.T) {
+	enc, _, direct, ds := threeBackends(t)
+	key, eng := direct.Key(), direct.Engine()
+	ctx := context.Background()
+	settled := 0
+	for qi := 0; qi < 40; qi++ {
+		q := ds.Objects[qi*23%len(ds.Objects)].Vec
+		tq := key.TransformDists(key.Pivots().Distances(q))
+		for _, candSize := range []int{15, 60, 400} {
+			const k = 8
+			page1, err := eng.Search(mindex.Query{Kind: mindex.KindBound, ApproxQuery: mindex.ApproxQuery{Dists: tq}, CandSize: candSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dists []float64
+			shipped := map[uint64]bool{}
+			for _, rc := range page1 {
+				o, err := key.DecryptObject(rc.Entry.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dists = append(dists, key.Pivots().Dist.Dist(q, o.Vec))
+				shipped[rc.Entry.ID] = true
+			}
+			slices.Sort(dists)
+			want, trips := len(page1), int64(1)
+			if rho := dists[k-1]; len(page1) == candSize && page1[len(page1)-1].Promise <= key.TransformRadius(rho) {
+				rest, err := eng.Search(mindex.Query{Kind: mindex.KindRange, ApproxQuery: mindex.ApproxQuery{Dists: tq}, Radius: key.TransformRadius(rho)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rc := range rest {
+					if !shipped[rc.Entry.ID] {
+						want++
+					}
+				}
+				trips = 2
+			} else {
+				settled++
+			}
+			for _, backend := range []Searcher{enc, direct} {
+				_, costs, err := backend.Search(ctx, Query{Kind: KindKNN, Vec: q, K: k, CandSize: candSize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if costs.Candidates != int64(want) || (backend == enc && costs.RoundTrips != trips) {
+					t.Fatalf("query %d candSize %d (%T): shipped %d candidates in %d round trips, want %d in %d",
+						qi, candSize, backend, costs.Candidates, costs.RoundTrips, want, trips)
+				}
+			}
+		}
+	}
+	if settled == 0 {
+		t.Fatal("no query was settled by its first page")
+	}
+}
+
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	// Every pooled buffer is overwritten the moment it is released: a
 	// candidate view that outlived its frame would corrupt an answer here

@@ -378,7 +378,8 @@ func (s *ShardedIndex) Dead() int {
 // shard (each first-level cell lives in exactly one) and merge.Combine folds
 // the per-shard answers by the query's kind — concatenation for the exact
 // kinds, the (promise, prefix, shard) merge trimmed to the candidate size for
-// approximate candidates, the globally most promising cell for first-cell —
+// approximate candidates, the (bound, ID) merge trimmed to the candidate size
+// for bound-ordered ones, the globally most promising cell for first-cell —
 // so the result is byte-identical to one unsharded index's. The annotations
 // stay on, letting a cluster coordinator repeat exactly this combine across
 // nodes.
@@ -399,6 +400,11 @@ func (s *ShardedIndex) Search(q mindex.Query) ([]mindex.RankedCandidate, error) 
 		s.scratch.Put(perp)
 	}()
 	per := *perp
+	if q.Kind == mindex.KindBound && q.CandSize > 0 {
+		// The shards pool the threshold of their bound-ordered walks, so
+		// together they read about the cells one unsharded index would.
+		q.Share = mindex.NewBoundShare(q.CandSize, s.Size())
+	}
 	err := s.fanOutRead(func(i int) error {
 		out, err := s.shards[i].Search(q)
 		per[i] = out

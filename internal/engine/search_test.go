@@ -11,7 +11,8 @@ import (
 
 // TestSearchEquivalence is the engine-layer table on the single entry point:
 // ranking ∈ {footrule, distance-sum} × shards ∈ {1, 4} × allow ∈ {nil,
-// allow-all, half, empty} × kind. A filtered Search over the full engine
+// allow-all, half, empty} × kind (the bound-ordered kind and a range resumed
+// after a cursor included). A filtered Search over the full engine
 // must return exactly what the unfiltered Search returns over an engine
 // holding only the allowed first-level cells — candidates, order and
 // annotations — the contract the replicated coordinator's per-owner read
@@ -66,10 +67,12 @@ func TestSearchEquivalence(t *testing.T) {
 						aq.Ranks = pivot.Ranks(pivot.Permutation(qDists))
 					}
 					for kind, q := range map[string]mindex.Query{
-						"range":      {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0},
-						"approx":     {Kind: mindex.KindApprox, ApproxQuery: aq, CandSize: 200},
-						"first-cell": {Kind: mindex.KindFirstCell, ApproxQuery: aq},
-						"all":        {Kind: mindex.KindAll},
+						"range":       {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0},
+						"range-after": {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0, After: &mindex.BoundKey{LB: 1, ID: 700}},
+						"approx":      {Kind: mindex.KindApprox, ApproxQuery: aq, CandSize: 200},
+						"bound":       {Kind: mindex.KindBound, ApproxQuery: aq, CandSize: 200},
+						"first-cell":  {Kind: mindex.KindFirstCell, ApproxQuery: aq},
+						"all":         {Kind: mindex.KindAll},
 					} {
 						name := fmt.Sprintf("%v/shards=%d/allow=%s/%s/q%d", ranking, shards, allowName, kind, qi)
 						want, err := subset.Search(q)
@@ -102,6 +105,9 @@ func TestSearchEquivalence(t *testing.T) {
 // result with the annotations dropped.
 func checkFlatAdapters(t *testing.T, name string, eng *ShardedIndex, q mindex.Query, ranked []mindex.RankedCandidate) {
 	t.Helper()
+	if q.Kind == mindex.KindBound || q.After != nil {
+		return // the two pages of a precise k-NN have no flat adapter
+	}
 	want, _ := mindex.Flat(ranked, nil)
 	var got []mindex.Entry
 	var err error

@@ -14,7 +14,9 @@
 // are bytewise identical across partitions (impossible under first-level
 // Voronoi routing, where every cell lives in exactly one partition, but
 // kept so the order is total no matter how callers partition). The merge is
-// stable: entries of one cell stay in bucket order.
+// stable: entries of one cell stay in bucket order. Bound-ordered
+// candidates (mindex.KindBound) carry their own pivot lower bound as the
+// promise and are ordered by (bound, ID) — mindex.BoundKey's order.
 package merge
 
 import (
@@ -24,23 +26,23 @@ import (
 )
 
 // Keyed is an element the merge can order: it reports the promise and the
-// prefix of its source cell. mindex.RankedCandidate is the engine's element;
-// the coordinator merges by-reference candidates (wire.CandidateRef) that
-// carry the same two annotations and a span of the frame instead of a copy
-// of the entry.
+// prefix of its source cell, and its own ID. mindex.RankedCandidate is the
+// engine's element; the coordinator merges by-reference candidates
+// (wire.CandidateRef) that carry the same annotations and a span of the
+// frame instead of a copy of the entry.
 //
 // The method is declared on the pointer (P is *T) so that reading a key
 // never copies the element it belongs to.
 type Keyed[T any] interface {
 	*T
-	Rank() (promise float64, prefix []int32)
+	Rank() (promise float64, prefix []int32, id uint64)
 }
 
-// compare is the (promise, prefix) order of two candidates' source cells —
-// the one implementation of it; callers add the source tie-break.
-func compare[T any, P Keyed[T]](a, b *T) int {
-	pa, xa := P(a).Rank()
-	pb, xb := P(b).Rank()
+// compareCells is the (promise, prefix) order of two candidates' source
+// cells — the one implementation of it; callers add the source tie-break.
+func compareCells[T any, P Keyed[T]](a, b *T) int {
+	pa, xa, _ := P(a).Rank()
+	pb, xb, _ := P(b).Rank()
 	switch {
 	case pa < pb:
 		return -1
@@ -54,27 +56,34 @@ func compare[T any, P Keyed[T]](a, b *T) int {
 	return 0
 }
 
+// compareBounds is the (bound, ID) order of two bound-ordered candidates.
+func compareBounds[T any, P Keyed[T]](a, b *T) int {
+	la, _, ia := P(a).Rank()
+	lb, _, ib := P(b).Rank()
+	return mindex.BoundKey{LB: la, ID: ia}.Compare(mindex.BoundKey{LB: lb, ID: ib})
+}
+
 // Ranked flattens per-source candidate lists (each already in promise
 // order, as produced by a KindApprox Search) into one list ordered by
 // (promise, prefix, source). The result is fully deterministic for any
 // interleaving of sources, and for any input it is what a stable sort of the
 // concatenated lists by that key gives.
-func Ranked[T any, P Keyed[T]](per [][]T) []T { return ranked[T, P](per, -1) }
+func Ranked[T any, P Keyed[T]](per [][]T) []T { return ranked[T, P](per, -1, compareCells[T, P]) }
 
-// ranked is Ranked cut to the first limit elements (limit < 0 keeps all).
-// Sources that arrive sorted — every well-formed answer — are merged head by
-// head, so only the elements kept are ever moved and the merge stops at the
-// limit. An unsorted source or a NaN promise (a buggy node) falls back to a
-// stable sort of positions by the same key; elements are never swapped,
-// whatever their size.
-func ranked[T any, P Keyed[T]](per [][]T, limit int) []T {
+// ranked is the merge of per by compare (then source), cut to the first
+// limit elements (limit < 0 keeps all). Sources that arrive sorted — every
+// well-formed answer — are merged head by head, so only the elements kept
+// are ever moved and the merge stops at the limit. An unsorted source or a
+// NaN promise (a buggy node) falls back to a stable sort of positions by the
+// same key; elements are never swapped, whatever their size.
+func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) []T {
 	total := 0
 	sorted := true
 	for _, p := range per {
 		total += len(p)
 		for i := 0; sorted && i < len(p); i++ {
-			promise, _ := P(&p[i]).Rank()
-			sorted = promise == promise && (i == 0 || compare[T, P](&p[i-1], &p[i]) <= 0)
+			promise, _, _ := P(&p[i]).Rank()
+			sorted = promise == promise && (i == 0 || compare(&p[i-1], &p[i]) <= 0)
 		}
 	}
 	if limit < 0 || limit > total {
@@ -90,7 +99,7 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int) []T {
 			}
 		}
 		slices.SortStableFunc(order, func(a, b pos) int {
-			if c := compare[T, P](&per[a.source][a.index], &per[b.source][b.index]); c != 0 {
+			if c := compare(&per[a.source][a.index], &per[b.source][b.index]); c != 0 {
 				return c
 			}
 			return a.source - b.source
@@ -105,7 +114,7 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int) []T {
 		best := -1
 		for s, p := range per {
 			// Strict less: the iteration order supplies the source tie-break.
-			if heads[s] < len(p) && (best < 0 || compare[T, P](&p[heads[s]], &per[best][heads[best]]) < 0) {
+			if heads[s] < len(p) && (best < 0 || compare(&p[heads[s]], &per[best][heads[best]]) < 0) {
 				best = s
 			}
 		}
@@ -113,7 +122,7 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int) []T {
 		// heads as well: take the whole run in one go.
 		p, at := per[best], heads[best]
 		end := at + 1
-		for end < len(p) && len(out)+end-at < limit && compare[T, P](&p[at], &p[end]) == 0 {
+		for end < len(p) && len(out)+end-at < limit && compare(&p[at], &p[end]) == 0 {
 			end++
 		}
 		out = append(out, p[at:end]...)
@@ -147,7 +156,7 @@ func BestCell[T any, P Keyed[T]](per [][]T) int {
 			continue
 		}
 		// Strict less: the iteration order supplies the source tie-break.
-		if best < 0 || compare[T, P](&rcs[0], &per[best][0]) < 0 {
+		if best < 0 || compareCells[T, P](&rcs[0], &per[best][0]) < 0 {
 			best = i
 		}
 	}
@@ -158,12 +167,18 @@ func BestCell[T any, P Keyed[T]](per [][]T) int {
 // unpartitioned index would give — the single combine rule behind the
 // engine's shard fan-out and the coordinator's node fan-out. The exact kinds
 // concatenate in source order (every first-level cell lives in exactly one
-// source, and all pruning bounds are per-cell); approximate candidates merge
-// by Ranked and trim to the candidate size; first-cell keeps BestCell.
+// source, and all pruning bounds are per-cell), a range resumed after a
+// cursor included; approximate candidates merge by Ranked and trim to the
+// candidate size; bound-ordered candidates merge by (bound, ID) and trim to
+// the candidate size — each source sent every entry of its own that is
+// among the union's first CandSize, so the cut is exactly those; first-cell
+// keeps BestCell.
 func Combine[T any, P Keyed[T]](q mindex.Query, per [][]T) []T {
 	switch q.Kind {
 	case mindex.KindApprox:
-		return ranked[T, P](per, max(q.CandSize, 0))
+		return ranked[T, P](per, max(q.CandSize, 0), compareCells[T, P])
+	case mindex.KindBound:
+		return ranked[T, P](per, max(q.CandSize, 0), compareBounds[T, P])
 	case mindex.KindFirstCell:
 		if best := BestCell[T, P](per); best >= 0 {
 			return per[best]

@@ -40,16 +40,20 @@ func TestPivotFilterValidation(t *testing.T) {
 
 // searchCases is the kind axis of the equivalence tables: one Query per
 // search primitive for a given pivot-space view of a query object. The
-// approximate kind appears at several candidate sizes — 1 trims inside the
-// first cell, 300 spans many.
+// approximate and bound-ordered kinds appear at several candidate sizes — 1
+// trims inside the first cell, 300 spans many — and the range kind also
+// resumed after a cursor.
 func searchCases(aq ApproxQuery, radius float64) map[string]Query {
 	return map[string]Query{
-		"range":      {Kind: KindRange, ApproxQuery: aq, Radius: radius},
-		"approx-1":   {Kind: KindApprox, ApproxQuery: aq, CandSize: 1},
-		"approx-40":  {Kind: KindApprox, ApproxQuery: aq, CandSize: 40},
-		"approx-300": {Kind: KindApprox, ApproxQuery: aq, CandSize: 300},
-		"first-cell": {Kind: KindFirstCell, ApproxQuery: aq},
-		"all":        {Kind: KindAll},
+		"range":       {Kind: KindRange, ApproxQuery: aq, Radius: radius},
+		"range-after": {Kind: KindRange, ApproxQuery: aq, Radius: radius, After: &BoundKey{LB: radius / 2, ID: 600}},
+		"approx-1":    {Kind: KindApprox, ApproxQuery: aq, CandSize: 1},
+		"approx-40":   {Kind: KindApprox, ApproxQuery: aq, CandSize: 40},
+		"approx-300":  {Kind: KindApprox, ApproxQuery: aq, CandSize: 300},
+		"bound-1":     {Kind: KindBound, ApproxQuery: aq, CandSize: 1},
+		"bound-300":   {Kind: KindBound, ApproxQuery: aq, CandSize: 300},
+		"first-cell":  {Kind: KindFirstCell, ApproxQuery: aq},
+		"all":         {Kind: KindAll},
 	}
 }
 
@@ -165,6 +169,9 @@ func TestSearchEquivalence(t *testing.T) {
 // result with the annotations dropped.
 func checkFlatAdapters(t *testing.T, name string, ix *Index, q Query, ranked []RankedCandidate) {
 	t.Helper()
+	if q.Kind == KindBound || q.After != nil {
+		return // the two pages of a precise k-NN have no flat adapter
+	}
 	want, _ := Flat(ranked, nil)
 	var got []Entry
 	var err error

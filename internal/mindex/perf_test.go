@@ -85,6 +85,15 @@ func TestQueryPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"bound-collect", 4, func(i int) {
+			// The bound-ordered first page of a precise k-NN at the
+			// client's default candidate size: the entry heap and the
+			// result (2 allocations), nothing per visited cell or entry —
+			// the cell queue is pooled.
+			if _, err := ix.Search(Query{Kind: KindBound, ApproxQuery: queries[i%len(queries)], CandSize: 200}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"range-pruned", 8, func(i int) {
 			// A tiny radius exercises the pruning machinery (cellLowerBound
 			// per child) with almost no leaf visits.

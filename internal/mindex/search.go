@@ -1,9 +1,12 @@
 package mindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"simcloud/internal/pivot"
 	"simcloud/internal/simd"
@@ -27,18 +30,63 @@ const (
 	KindFirstCell
 	// KindAll returns every live entry (the trivial download-all baseline).
 	KindAll
+	// KindBound collects the first CandSize live entries in bound order
+	// (see BoundKey) from the query's pivot distances (Dists) — the first
+	// page of a precise k-NN whose second page is a KindRange query resumed
+	// After the last of them.
+	KindBound
 )
 
 // Query is the one read request an index answers. ApproxQuery carries the
-// pivot-space view of the query object: Dists for KindRange, and whatever
-// the configured ranking strategy needs for the two promise-ranked kinds.
+// pivot-space view of the query object: Dists for KindRange and KindBound,
+// and whatever the configured ranking strategy needs for the two
+// promise-ranked kinds.
 type Query struct {
 	Kind QueryKind
 	ApproxQuery
 	Radius   float64 // KindRange
-	CandSize int     // KindApprox
+	CandSize int     // KindApprox, KindBound
+	// After, on a KindRange query, keeps only the entries whose bound key
+	// sorts after it: the keyset cursor that resumes a KindBound page. Nil
+	// keeps every entry.
+	After *BoundKey
 	// Allow restricts the search to first-level cells; nil allows all.
 	Allow PivotFilter
+	// Share pools a KindBound search's threshold across the indexes that
+	// answer one query together (see BoundShare); nil for a lone index.
+	Share *BoundShare
+}
+
+// BoundKey is an entry's place in bound order: first LB, the entry's pivot
+// lower bound max_p |q_p − o_p| to the query (0 for an entry without
+// distances), then its ID. The key is a function of the entry and the query
+// alone — not of the cell holding the entry, whose bounds a split or a
+// Compact may change — so a cursor taken from one snapshot divides the
+// entries of any later one the same way.
+type BoundKey struct {
+	LB float64
+	ID uint64
+}
+
+// Compare orders two keys by LB, then ID.
+func (k BoundKey) Compare(o BoundKey) int {
+	switch {
+	case k.LB < o.LB:
+		return -1
+	case k.LB > o.LB:
+		return 1
+	}
+	return cmp.Compare(k.ID, o.ID)
+}
+
+// entryBound reports whether the LB of e's bound key exceeds limit and,
+// when it does not, returns it — pivot.LowerBound(qDists, e.Dists), 0 for an
+// entry without distances.
+func entryBound(qDists []float64, e *Entry, limit float64) (float64, bool) {
+	if e.Dists == nil {
+		return 0, 0 > limit
+	}
+	return simd.AbsMaxDiff64Above(qDists, e.Dists, limit)
 }
 
 // Search evaluates q against the last published snapshot, lock-free. Every
@@ -49,7 +97,9 @@ type Query struct {
 func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 	switch q.Kind {
 	case KindRange:
-		return ix.rangeByDists(q.Dists, q.Radius, q.Allow)
+		return ix.rangeByDists(q.Dists, q.Radius, q.After, q.Allow)
+	case KindBound:
+		return ix.collectBound(q.Dists, q.CandSize, q.Allow, q.Share)
 	case KindApprox:
 		if q.CandSize <= 0 {
 			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
@@ -77,16 +127,19 @@ func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 // and prefix of its source cell. The annotations let a sharded engine merge
 // per-shard candidate streams into one globally promise-ordered list (ties
 // broken by prefix, then shard), reproducing the cell-visit discipline of
-// Algorithm 4 across index partitions.
+// Algorithm 4 across index partitions. A KindBound candidate carries its
+// own bound key's LB as the promise and no prefix.
 type RankedCandidate struct {
 	Entry   Entry
 	Promise float64
 	Prefix  []int32
 }
 
-// Rank reports the source cell's promise and prefix — what the shared merge
-// order reads off a candidate (merge.Keyed).
-func (rc *RankedCandidate) Rank() (float64, []int32) { return rc.Promise, rc.Prefix }
+// Rank reports the source cell's promise and prefix and the entry's ID —
+// what the shared merge orders read off a candidate (merge.Keyed).
+func (rc *RankedCandidate) Rank() (float64, []int32, uint64) {
+	return rc.Promise, rc.Prefix, rc.Entry.ID
+}
 
 // Flat drops the ranking annotations of a Search result (passing its error
 // through) — the candidate set in the form a refining client consumes.
@@ -133,7 +186,11 @@ func (ix *Index) FirstCellCandidates(q ApproxQuery) ([]Entry, error) {
 // applied bounds are true metric lower bounds). The caller refines by
 // computing real distances: the server in the plain deployment, the
 // authorized client in the encrypted one.
-func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) ([]RankedCandidate, error) {
+//
+// A non-nil after restricts the answer to entries whose bound key sorts
+// after it, so that a KindBound page plus this range covers R(q, r) with
+// no entry in both.
+func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filter PivotFilter) ([]RankedCandidate, error) {
 	if len(qDists) != ix.cfg.NumPivots {
 		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
 	}
@@ -161,7 +218,8 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, filter PivotFilter) (
 				// triangle-inequality lower bound exceeds the radius. It comes
 				// first because it drops most entries; the tombstone probe is
 				// a map lookup only the survivors pay.
-				if e.Dists != nil && pivot.LowerBound(qDists, e.Dists) > r {
+				lb, above := entryBound(qDists, e, r)
+				if above || (after != nil && (BoundKey{LB: lb, ID: e.ID}).Compare(*after) <= 0) {
 					continue
 				}
 				// Only an unsplit root leaf mixes first-level cells; deeper
@@ -565,6 +623,204 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 		}
 	}
 	return out, nil
+}
+
+// collectBound is the best-first traversal behind KindBound (pivot-based
+// k-NN, arXiv:2005.03468): cells leave a queue keyed by their box bound,
+// which never exceeds the bound of an entry below them (see box.lowerBound),
+// and entries enter a heap keeping the want smallest bound keys. Once the
+// heap is full and the next cell's bound exceeds the largest key kept, no
+// entry still queued can displace one, so the result is exactly the first
+// want live entries of a sort of all of them by bound key. A cell without a
+// box (the root, or one holding an entry without distances) is keyed 0.
+func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, share *BoundShare) ([]RankedCandidate, error) {
+	if len(qDists) != ix.cfg.NumPivots {
+		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
+	}
+	if want <= 0 {
+		return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", want)
+	}
+	st := ix.state.Load()
+	// want arrives straight off the wire; the index cannot return more than
+	// it holds, so that bounds the allocation.
+	want = min(want, st.size)
+	if want == 0 {
+		return nil, nil
+	}
+	best := make(boundHeap, 0, want)
+	// limit is the bound above which nothing collected from here on can
+	// make the answer: the worst bound kept once best is full, lowered by
+	// what the other indexes of the query have found.
+	limit := func() float64 {
+		l := share.threshold()
+		if len(best) == want {
+			l = min(l, best[0].key.LB)
+		}
+		return l
+	}
+	var fresh []BoundKey // a leaf's newly kept entries, for the share
+	pq := ix.getQueue(st.root, false)
+	defer ix.putQueue(pq)
+	for pq.Len() > 0 {
+		item := pq.pop()
+		if item.promise > limit() {
+			break
+		}
+		if item.n.isLeaf() {
+			if item.n.live() == 0 {
+				continue
+			}
+			entries, err := ix.leafView(item.n)
+			if err != nil {
+				return nil, err
+			}
+			l := limit()
+			fresh = fresh[:0]
+			for i := range entries {
+				e := &entries[i]
+				// Only an unsplit root leaf mixes first-level cells.
+				if filter != nil && len(item.n.prefix) == 0 && !filter.allowsEntry(*e) {
+					continue
+				}
+				if _, gone := st.tombstones[e.ID]; gone {
+					continue
+				}
+				lb, above := entryBound(qDists, e, l)
+				if above {
+					continue
+				}
+				key := BoundKey{LB: lb, ID: e.ID}
+				if len(best) < want {
+					best.push(boundItem{key: key, e: e})
+				} else if key.Compare(best[0].key) < 0 {
+					best.replaceTop(boundItem{key: key, e: e})
+				} else {
+					continue
+				}
+				if share != nil {
+					fresh = append(fresh, key)
+				}
+			}
+			if len(fresh) > 0 {
+				share.offer(fresh)
+			}
+			continue
+		}
+		for i := range item.n.kids {
+			kid := item.n.kids[i]
+			if filter != nil && item.n.level() == 0 && !filter.Allows(kid.key) {
+				continue
+			}
+			lb := 0.0
+			if kid.n.box != nil {
+				lb = kid.n.box.lowerBound(qDists)
+			}
+			if lb > limit() {
+				continue
+			}
+			pq.push(rankedNode{n: kid.n, promise: lb})
+		}
+	}
+	if len(best) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(best, func(a, b boundItem) int { return a.key.Compare(b.key) })
+	out := make([]RankedCandidate, len(best))
+	for i, b := range best {
+		out[i] = RankedCandidate{Entry: *b.e, Promise: b.key.LB}
+	}
+	return out, nil
+}
+
+// boundItem is one entry kept by collectBound, pointing into a read-only
+// bucket view of the traversal's snapshot.
+type boundItem struct {
+	key BoundKey
+	e   *Entry
+}
+
+// boundHeap is a max-heap by bound key: its root is the worst entry kept.
+type boundHeap []boundItem
+
+func (h *boundHeap) push(it boundItem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[i].key.Compare(s[parent].key) <= 0 {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// replaceTop overwrites the worst entry kept with it and restores the heap.
+func (h boundHeap) replaceTop(it boundItem) {
+	h[0] = it
+	for i := 0; ; {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[c].key.Compare(h[worst].key) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// BoundShare tracks the CandSize smallest bound keys that the indexes
+// answering one KindBound query together have collected so far. Once it
+// holds CandSize keys their largest bound is a threshold no entry of the
+// union's first CandSize exceeds, and it only falls as better keys arrive,
+// so each index may skip any cell or entry bounded above it. With it every
+// shard of an engine stops about where one index holding all their entries
+// would, rather than where its own first CandSize end; each index still
+// returns its own first CandSize among what it did not skip, and the merge
+// of those is exactly the union's first CandSize.
+type BoundShare struct {
+	limit atomic.Uint64 // float64 bits of the threshold, +Inf until top is full
+	mu    sync.Mutex
+	top   boundHeap // keys only
+	want  int
+}
+
+// NewBoundShare returns the share of a KindBound query asking for want
+// entries of indexes holding live entries between them.
+func NewBoundShare(want, live int) *BoundShare {
+	want = max(min(want, live), 0)
+	s := &BoundShare{top: make(boundHeap, 0, want), want: want}
+	s.limit.Store(math.Float64bits(math.Inf(1)))
+	return s
+}
+
+// threshold is the bound above which an entry cannot be among the union's
+// first CandSize (+Inf for a nil share).
+func (s *BoundShare) threshold() float64 {
+	if s == nil {
+		return math.Inf(1)
+	}
+	return math.Float64frombits(s.limit.Load())
+}
+
+// offer adds the keys one index has just collected.
+func (s *BoundShare) offer(keys []BoundKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range keys {
+		if len(s.top) < s.want {
+			s.top.push(boundItem{key: k})
+		} else if k.Compare(s.top[0].key) < 0 {
+			s.top.replaceTop(boundItem{key: k})
+		}
+	}
+	if len(s.top) == s.want && s.want > 0 {
+		s.limit.Store(math.Float64bits(s.top[0].key.LB))
+	}
 }
 
 // liveOnly filters tombstoned entries out of a bucket view. With no

@@ -407,7 +407,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 			resp.AppendTo(buf)
 			return wire.MsgBatchRankedCandidates, buf.B, nil
 		}
-		resp.AppendFlatTo(buf)
+		resp.AppendFlatTo(buf, req.Queries)
 		return wire.MsgBatchCandidates, buf.B, nil
 
 	case wire.MsgRangePlain:

@@ -181,7 +181,7 @@ func batchQuery(t *testing.T, conn net.Conn, req wire.BatchQueryReq) [][]mindex.
 	if respType != wire.MsgBatchCandidates {
 		t.Fatalf("batch query: got %v", respType)
 	}
-	m, err := wire.DecodeBatchQueryResp(resp)
+	m, err := wire.DecodeBatchQueryResp(resp, req.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,21 @@ func batchQuery(t *testing.T, conn net.Conn, req wire.BatchQueryReq) [][]mindex.
 		}
 	}
 	return out
+}
+
+// flatBounds sends req (flat) and returns its reply's per-query bound
+// trailers (0 for the queries that are not bound-ordered).
+func flatBounds(t *testing.T, conn net.Conn, req wire.BatchQueryReq) []float64 {
+	t.Helper()
+	respType, resp := request(t, conn, wire.MsgBatchQuery, req.Encode())
+	if respType != wire.MsgBatchCandidates {
+		t.Fatalf("batch query: got %v", respType)
+	}
+	m, err := wire.DecodeBatchQueryResp(resp, req.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Bounds
 }
 
 // asShipped is a Search result as a query reply carries it: each candidate's
@@ -435,12 +450,14 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 }
 
 // TestBatchQueryEquivalence is the server-layer table on the one read
-// request: ranking ∈ {footrule, distance-sum} (so all four wire kinds
-// appear) × shards ∈ {1, 4} × allow ∈ {nil, allow-all, half, empty} × form
-// ∈ {flat, ranked}. Over the socket it asserts
+// request: ranking ∈ {footrule, distance-sum} (so all five wire kinds
+// appear, and a range resumed after a cursor) × shards ∈ {1, 4} × allow ∈
+// {nil, allow-all, half, empty} × form ∈ {flat, ranked}. Over the socket it
+// asserts
 //
 //   - the answer equals the engine's Search of the same query;
-//   - flat ≡ ranked with the annotations dropped;
+//   - flat ≡ ranked with the annotations dropped, but for a bound query's
+//     trailer: the ranked answer's last bound;
 //   - a query alone in its frame ≡ the same query inside a mixed batch;
 //   - nil allow-list ≡ allow-all, byte for byte;
 //   - filtered ≡ a server holding only the allowed first-level cells;
@@ -464,16 +481,21 @@ func TestBatchQueryEquivalence(t *testing.T) {
 	entries := testEntries(120)
 	qDists := []float64{1, 2, 3, 4, 5, 6}
 	perm := []int32{2, 0, 1, 3, 4, 5}
+	cursor := &mindex.BoundKey{LB: 3.5, ID: 40}
 	queriesFor := map[mindex.RankStrategy][]wire.BatchQuery{
 		mindex.RankFootrule: {
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
 			{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 15},
 			{Kind: wire.BatchFirstCell, Perm: perm},
+			{Kind: wire.BatchBound, Dists: qDists, CandSize: 12},
+			{Kind: wire.BatchRange, Dists: qDists, Radius: 5, After: cursor},
 		},
 		mindex.RankDistSum: {
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
 			{Kind: wire.BatchApproxDists, Dists: qDists, CandSize: 10},
 			{Kind: wire.BatchFirstCell, Dists: qDists},
+			{Kind: wire.BatchBound, Dists: qDists, CandSize: 200},
+			{Kind: wire.BatchRange, Dists: qDists, Radius: 5, After: cursor},
 		},
 	}
 	allows := []struct {
@@ -495,6 +517,15 @@ func TestBatchQueryEquivalence(t *testing.T) {
 				flat := batchQuery(t, conn, wire.BatchQueryReq{Queries: queries, Allow: ac.allow})
 				if len(ranked) != len(queries) || len(flat) != len(queries) {
 					t.Fatalf("%s: %d ranked / %d flat results for %d queries", name, len(ranked), len(flat), len(queries))
+				}
+				for qi, lb := range flatBounds(t, conn, wire.BatchQueryReq{Queries: queries, Allow: ac.allow}) {
+					var want float64
+					if n := len(ranked[qi]); n > 0 && queries[qi].Kind == wire.BatchBound {
+						want = ranked[qi][n-1].Promise
+					}
+					if lb != want {
+						t.Fatalf("%s: flat reply %d carries bound %g, want %g", name, qi, lb, want)
+					}
 				}
 				filter, err := mindex.NewPivotFilter(cfg.NumPivots, ac.allow)
 				if err != nil {
@@ -705,7 +736,8 @@ func normalize(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
 // 29-byte request asking for 2^31 candidates ended the process with an
 // unrecoverable out-of-memory fault. The server must answer with an ordinary
 // candidate set — everything it holds, at most — on an empty and a populated
-// index, for a lone query and inside a batch.
+// index, for a lone query and inside a batch, asked in promise order or in
+// bound order.
 func TestHostileCandSize(t *testing.T) {
 	for _, populated := range []bool{false, true} {
 		srv := startEncrypted(t)
@@ -717,24 +749,59 @@ func TestHostileCandSize(t *testing.T) {
 		}
 		perm := []int32{0, 1, 2, 3, 4, 5}
 		for _, candSize := range []uint32{1 << 31, math.MaxUint32} {
-			hostile := wire.BatchQuery{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: candSize}
-			for _, ranked := range []bool{false, true} {
-				lone := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{hostile}, Ranked: ranked})
-				if len(lone) != 1 || len(lone[0]) != held {
-					t.Fatalf("populated=%v candSize=%d: lone query returned %d candidates, want %d",
-						populated, candSize, len(lone[0]), held)
-				}
-				mixed := batchQuery(t, conn, wire.BatchQueryReq{Ranked: ranked, Queries: []wire.BatchQuery{
-					{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1},
-					hostile,
-					{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 5},
-				}})
-				if len(mixed) != 3 || len(mixed[1]) != held || len(mixed[2]) != min(5, held) {
-					t.Fatalf("populated=%v candSize=%d: batch returned %d results (hostile: %d candidates)",
-						populated, candSize, len(mixed), len(mixed[1]))
+			for _, hostile := range []wire.BatchQuery{
+				{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: candSize},
+				{Kind: wire.BatchBound, Dists: make([]float64, 6), CandSize: candSize},
+			} {
+				for _, ranked := range []bool{false, true} {
+					lone := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{hostile}, Ranked: ranked})
+					if len(lone) != 1 || len(lone[0]) != held {
+						t.Fatalf("populated=%v candSize=%d: lone query returned %d candidates, want %d",
+							populated, candSize, len(lone[0]), held)
+					}
+					mixed := batchQuery(t, conn, wire.BatchQueryReq{Ranked: ranked, Queries: []wire.BatchQuery{
+						{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1},
+						hostile,
+						{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 5},
+					}})
+					if len(mixed) != 3 || len(mixed[1]) != held || len(mixed[2]) != min(5, held) {
+						t.Fatalf("populated=%v candSize=%d: batch returned %d results (hostile: %d candidates)",
+							populated, candSize, len(mixed), len(mixed[1]))
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestHostileCursor: a range query's cursor must be what a server can have
+// sent — a finite, non-negative bound — and only a range query resumes
+// after one. Anything else is an error response naming the query, and the
+// connection stays usable.
+func TestHostileCursor(t *testing.T) {
+	srv := startEncrypted(t)
+	conn := dial(t, srv)
+	insertTestEntries(t, conn, 30)
+	dists := make([]float64, 6)
+	for _, lb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+			{Kind: wire.BatchRange, Dists: dists, Radius: 1},
+			{Kind: wire.BatchRange, Dists: dists, Radius: 1, After: &mindex.BoundKey{LB: lb, ID: 3}},
+		}}.Encode(), "batch query 1: cursor bound")
+	}
+	for _, q := range []wire.BatchQuery{
+		{Kind: wire.BatchBound, Dists: dists, CandSize: 4},
+		{Kind: wire.BatchApproxPerm, Perm: []int32{0, 1, 2, 3, 4, 5}, CandSize: 4},
+		{Kind: wire.BatchFirstCell, Perm: []int32{0, 1, 2, 3, 4, 5}},
+	} {
+		q.After = &mindex.BoundKey{LB: 1, ID: 3}
+		expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode(),
+			"cursor on a non-range query")
+	}
+	if got := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchRange, Dists: dists, Radius: 100, After: &mindex.BoundKey{LB: 0, ID: 0}},
+	}}); len(got) != 1 || len(got[0]) != 30 {
+		t.Fatalf("connection unusable after refused cursors, or a zero cursor dropped entries: %v", got)
 	}
 }
 

@@ -27,12 +27,12 @@
 //     rows it has not seen before, and a benchmark that loops over a few
 //     rows hides it (the /repeat and /stream benchmarks in bench_test.go
 //     differ by 4–6× on the branchy loop).
-//   - Max kernels (Chebyshev, AbsMaxDiff64) may use multiple accumulator
-//     lanes: max over non-NaN floats is associative and commutative, so the
-//     lane split cannot change the result. They keep their `if d > m`
-//     compare: it ignores a NaN term where the builtin max would propagate
-//     it, and range filtering over stored distances relies on that
-//     (mindex's TestBoxBoundsAndRangeEquivalence).
+//   - Max kernels (Chebyshev, AbsMaxDiff64, AbsMaxDiff64Above) may use
+//     multiple accumulator lanes: max over non-NaN floats is associative
+//     and commutative, so the lane split cannot change the result. They
+//     keep their `if d > m` compare: it ignores a NaN term where the
+//     builtin max would propagate it, and range filtering over stored
+//     distances relies on that (mindex's TestBoxBoundsAndRangeEquivalence).
 package simd
 
 import (
@@ -237,6 +237,55 @@ func AbsMaxDiff64(a, b []float64) float64 {
 		m0 = m3
 	}
 	return m0
+}
+
+// AbsMaxDiff64Above reports whether AbsMaxDiff64(a, b) exceeds limit and,
+// when it does not, returns it exactly. It gives up at the first block of
+// four elements that takes a lane above limit — most of the entries a pivot
+// filter sees are rejected within a few pivots — so when it reports true the
+// value is only some partial maximum above limit. A NaN limit is exceeded by
+// nothing, as in the comparison it replaces.
+func AbsMaxDiff64Above(a, b []float64, limit float64) (float64, bool) {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	var m0, m1, m2, m3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d0 := math.Abs(a[i] - b[i])
+		d1 := math.Abs(a[i+1] - b[i+1])
+		d2 := math.Abs(a[i+2] - b[i+2])
+		d3 := math.Abs(a[i+3] - b[i+3])
+		if d0 > m0 {
+			m0 = d0
+		}
+		if d1 > m1 {
+			m1 = d1
+		}
+		if d2 > m2 {
+			m2 = d2
+		}
+		if d3 > m3 {
+			m3 = d3
+		}
+		if m0 > limit || m1 > limit || m2 > limit || m3 > limit {
+			return max(m0, m1, m2, m3), true
+		}
+	}
+	for ; i < n; i++ {
+		if d := math.Abs(a[i] - b[i]); d > m0 {
+			m0 = d
+		}
+	}
+	if m1 > m0 {
+		m0 = m1
+	}
+	if m2 > m0 {
+		m0 = m2
+	}
+	if m3 > m0 {
+		m0 = m3
+	}
+	return m0, m0 > limit
 }
 
 // CanQuantizeU16 reports whether every distance lies exactly on the

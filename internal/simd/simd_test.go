@@ -157,8 +157,9 @@ func TestKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestAbsMaxDiff64MatchesScalar covers the float64 pivot-filter kernel,
-// including mismatched lengths (LowerBound truncates to the shorter vector).
+// TestAbsMaxDiff64MatchesScalar covers the float64 pivot-filter kernels,
+// including mismatched lengths (LowerBound truncates to the shorter vector)
+// and NaN distances, which both ignore.
 func TestAbsMaxDiff64MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for dim := 1; dim <= 130; dim++ {
@@ -170,10 +171,29 @@ func TestAbsMaxDiff64MatchesScalar(t *testing.T) {
 			}
 			for i := range b {
 				b[i] = rng.NormFloat64() * 50
+				if rng.IntN(20) == 0 {
+					b[i] = math.NaN()
+				}
 			}
-			if got, want := AbsMaxDiff64(a, b), scalarAbsMaxDiff64(a, b); !sameBits(got, want) {
+			want := scalarAbsMaxDiff64(a, b)
+			if got := AbsMaxDiff64(a, b); !sameBits(got, want) {
 				t.Fatalf("AbsMaxDiff64 %d/%d: got %x, want %x", len(a), len(b), got, want)
 			}
+			checkAbove(t, a, b, want, rng.Float64()*want*1.5)
+		}
+	}
+}
+
+// checkAbove holds AbsMaxDiff64Above to its contract against the exact
+// maximum want: at limit and at the limits around want, above is exactly
+// want > limit, and a maximum not above the limit comes back bit for bit.
+func checkAbove(t *testing.T, a, b []float64, want, limit float64) {
+	t.Helper()
+	for _, l := range []float64{limit, want, math.Nextafter(want, math.Inf(-1)), math.Nextafter(want, math.Inf(1)),
+		0, -1, math.Inf(1), math.NaN()} {
+		got, above := AbsMaxDiff64Above(a, b, l)
+		if above != (want > l) || (!above && !sameBits(got, want)) || (above && !(got > l)) {
+			t.Fatalf("AbsMaxDiff64Above %d/%d limit %g: got (%g, %v), want max %g", len(a), len(b), l, got, above, want)
 		}
 	}
 }
@@ -257,6 +277,17 @@ func FuzzKernels(f *testing.F) {
 		if got, want := PowSum(a, b, 2.5), scalarPowSum(a, b, 2.5); !same(got, want) {
 			t.Fatalf("PowSum: got %x, want %x", got, want)
 		}
+		// The float64 pivot-filter kernels over the same values, with a
+		// limit taken from the input.
+		a64, b64 := make([]float64, n), make([]float64, n)
+		for i := range n {
+			a64[i], b64[i] = float64(a[i]), float64(b[i])
+		}
+		want := scalarAbsMaxDiff64(a64, b64)
+		if got := AbsMaxDiff64(a64, b64); !sameBits(got, want) {
+			t.Fatalf("AbsMaxDiff64: got %x, want %x", got, want)
+		}
+		checkAbove(t, a64, b64, want, math.Abs(a64[0]))
 	})
 }
 

@@ -186,15 +186,24 @@ func (m BatchRankedResp) AppendTo(b *Buffer) {
 	}
 }
 
-// AppendFlatTo appends the response in BatchQueryResp form: the same
-// candidates with the annotations dropped.
-func (m BatchRankedResp) AppendFlatTo(b *Buffer) {
+// AppendFlatTo appends the response to queries in BatchQueryResp form: the
+// same candidates with the annotations dropped, and after a BatchBound
+// result the bound of its last candidate (0 when it has none) — the one
+// annotation the client needs, to resume the bound order after it.
+func (m BatchRankedResp) AppendFlatTo(b *Buffer, queries []BatchQuery) {
 	b.U64(m.ServerNanos)
 	b.U32(uint32(len(m.Results)))
-	for _, rcs := range m.Results {
+	for qi, rcs := range m.Results {
 		b.U32(uint32(len(rcs)))
 		for i := range rcs {
 			appendCandidate(b, &rcs[i].Entry)
+		}
+		if boundTrailer(queries, qi) {
+			var lb float64
+			if len(rcs) > 0 {
+				lb = rcs[len(rcs)-1].Promise
+			}
+			b.F64(lb)
 		}
 	}
 }

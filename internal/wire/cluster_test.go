@@ -90,8 +90,8 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 		t.Fatalf("empty result came back with %d candidates", len(got.Results[0]))
 	}
 	var flat Buffer
-	want.AppendFlatTo(&flat)
-	gotFlat, err := DecodeBatchQueryResp(flat.B)
+	want.AppendFlatTo(&flat, nil)
+	gotFlat, err := DecodeBatchQueryResp(flat.B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

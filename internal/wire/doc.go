@@ -15,14 +15,27 @@
 //
 // The encrypted deployment has exactly one read request: MsgBatchQuery
 // carrying a BatchQueryReq — one or more BatchQuery values (range,
-// approximate by permutation or by distances, first cell), plus two
-// optional trailer fields the cluster coordinator uses on the node hop:
-// Ranked (keep each candidate's source-cell promise and prefix on the
-// reply) and Allow (restrict evaluation to listed first-level cells; nil =
-// all). BatchQuery.IndexQuery is the single translation of a wire query
-// into the index's mindex.Query; the flat reply is the ranked one with the
-// annotations dropped. MsgDownloadAll takes the same allow-list as its
-// optional payload.
+// approximate by permutation or by distances, first cell, bound-ordered),
+// plus optional trailer fields: Ranked (keep each candidate's source-cell
+// promise and prefix on the reply) and Allow (restrict evaluation to listed
+// first-level cells; nil = all), which the cluster coordinator uses on the
+// node hop, and the range queries' keyset cursors (BatchQuery.After, as
+// query index, bound, ID). BatchQuery.IndexQuery is the single translation
+// of a wire query into the index's mindex.Query, and the one place a cursor
+// is checked: finite, non-negative, on a range query only. The flat reply
+// is the ranked one with the annotations dropped, except that a BatchBound
+// result carries its last candidate's bound after its candidates — the
+// cursor's bound, which the client cannot compute — so the flat decoders
+// take the request's query list. MsgDownloadAll takes the same allow-list
+// as its optional payload.
+//
+// The precise k-NN's two requests (protocol version 3) are the two pages of
+// one stateless order: BatchBound asks for the first CandSize entries by
+// (pivot lower bound, ID), computed in the server's own (transformed)
+// space; a BatchRange with After resumes that order past the last of them.
+// The first page sends the same transformed distance vector the second has
+// always sent, and the cursor is a value the server computed itself, so the
+// pair reveals nothing the range query alone did not.
 //
 // A candidate of a query reply is an entry record holding the ID and the
 // payload and nothing else: perm, dists and vec are written with length

@@ -17,8 +17,10 @@ type MsgType uint8
 // exchange it in the hello handshake (HelloResp.Version) and refuse each
 // other on mismatch. Version 2 retired the per-kind single-query, ranked-
 // batch and filtered-envelope requests in favor of one read request,
-// MsgBatchQuery.
-const ProtocolVersion = 2
+// MsgBatchQuery. Version 3 added the bound-ordered query (BatchBound, whose
+// flat reply carries a bound after its candidates) and the range query's
+// keyset cursor (BatchQuery.After).
+const ProtocolVersion = 3
 
 // Protocol messages. Requests flow client→server, responses server→client.
 // The numbers are the wire encoding and never change; a retired message's
@@ -184,8 +186,8 @@ func RetiredError(t MsgType) error {
 	if !ok {
 		return nil
 	}
-	return fmt.Errorf("wire: request %s (type %d) was retired in protocol v%d; send %v instead",
-		name, uint8(t), ProtocolVersion, MsgBatchQuery)
+	return fmt.Errorf("wire: request %s (type %d) was retired in protocol v2; send %v instead",
+		name, uint8(t), MsgBatchQuery)
 }
 
 // String implements fmt.Stringer.

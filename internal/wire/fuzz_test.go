@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
@@ -94,9 +95,24 @@ func FuzzScanEntry(f *testing.F) {
 	})
 }
 
+// boundQueries is a request of eight queries whose i-th is a BatchBound
+// query when bit i of mask is set (its flat reply result then carries a
+// bound trailer) and a range query otherwise.
+func boundQueries(mask uint8) []BatchQuery {
+	qs := make([]BatchQuery, 8)
+	for i := range qs {
+		qs[i].Kind = BatchRange
+		if mask&(1<<i) != 0 {
+			qs[i].Kind = BatchBound
+		}
+	}
+	return qs
+}
+
 // FuzzDecodeRankedRefs: the by-reference reply decoders agree with the
 // copying ones on every input — both refuse it, or both report the same
-// candidates.
+// candidates (and, on a flat reply to the bound queries mask names, the same
+// bounds).
 func FuzzDecodeRankedRefs(f *testing.F) {
 	ranked := BatchRankedResp{ServerNanos: 2, Results: [][]mindex.RankedCandidate{
 		{
@@ -107,25 +123,31 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 		nil,
 		{{Entry: mindex.Entry{ID: 6}}}, // a range candidate: promise 0, nil prefix
 	}}
-	f.Add(ranked.Encode())
+	f.Add(ranked.Encode(), uint8(0))
 	var flat Buffer
-	ranked.AppendFlatTo(&flat)
-	f.Add(flat.B)
-	f.Add(CandidatesResp{ServerNanos: 1, DistNanos: 2, Entries: []mindex.Entry{{ID: 9, Perm: []int32{0}, Payload: []byte{5}}}}.Encode())
+	ranked.AppendFlatTo(&flat, nil)
+	f.Add(flat.B, uint8(0))
+	// The flat reply with a bound trailer after results 0 and 1 — the second
+	// an empty bound result — and a truncated trailer.
+	var bounded Buffer
+	ranked.AppendFlatTo(&bounded, boundQueries(0b011))
+	f.Add(bounded.B, uint8(0b011))
+	f.Add(bounded.B[:len(bounded.B)-3], uint8(0b111))
+	f.Add(CandidatesResp{ServerNanos: 1, DistNanos: 2, Entries: []mindex.Entry{{ID: 9, Perm: []int32{0}, Payload: []byte{5}}}}.Encode(), uint8(0))
 	// TestBatchRankedRespHostileCount's payload: an absurd result count.
 	var hostile Buffer
 	hostile.U64(0)
 	hostile.U32(0xFFFFFFFF)
-	f.Add(hostile.B)
+	f.Add(hostile.B, uint8(0xFF))
 	// A candidate count larger than the payload could hold.
 	var lying Buffer
 	lying.U64(0)
 	lying.U32(1)
 	lying.U32(1 << 20)
-	f.Add(lying.B)
+	f.Add(lying.B, uint8(1))
 	// A truncated record, and a prefix length pointing past the end.
 	enc := ranked.Encode()
-	f.Add(enc[:len(enc)-3])
+	f.Add(enc[:len(enc)-3], uint8(0))
 	var prefix Buffer
 	prefix.U64(0)
 	prefix.U32(1)
@@ -133,10 +155,11 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 	prefix.F64(0.5)
 	prefix.U32(1 << 16) // prefix length
 	prefix.B = append(prefix.B, make([]byte, 40)...)
-	f.Add(prefix.B)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(prefix.B, uint8(0))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint8) {
 		var refs CandidateRefs
+		sameFloat := func(a, b float64) bool { return a == b || (a != a && b != b) }
 
 		want, err := DecodeBatchRankedResp(data)
 		rerr := refs.DecodeRanked(data)
@@ -154,8 +177,7 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 				}
 				for i, rc := range rcs {
 					ref := refs.Results[qi][i]
-					sameFloat := ref.Promise == rc.Promise || (ref.Promise != ref.Promise && rc.Promise != rc.Promise)
-					if !sameFloat || !slices.Equal(ref.Prefix, rc.Prefix) || (ref.Prefix == nil) != (rc.Prefix == nil) {
+					if !sameFloat(ref.Promise, rc.Promise) || !slices.Equal(ref.Prefix, rc.Prefix) || (ref.Prefix == nil) != (rc.Prefix == nil) {
 						t.Fatalf("ranked result %d candidate %d: annotations (%v, %v), want (%v, %v)",
 							qi, i, ref.Promise, ref.Prefix, rc.Promise, rc.Prefix)
 					}
@@ -164,18 +186,23 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 			}
 		}
 
-		flatWant, err := DecodeBatchQueryResp(data)
-		rerr = refs.DecodeFlat(data)
+		queries := boundQueries(mask)
+		flatWant, err := DecodeBatchQueryResp(data, queries)
+		rerr = refs.DecodeFlat(data, queries)
 		if (err == nil) != (rerr == nil) {
 			t.Fatalf("flat: copying decoder err %v, by-reference err %v", err, rerr)
 		}
 		if err == nil {
-			if refs.ServerNanos != flatWant.ServerNanos || len(refs.Results) != len(flatWant.Results) {
+			if refs.ServerNanos != flatWant.ServerNanos || len(refs.Results) != len(flatWant.Results) ||
+				len(refs.Bounds) != len(flatWant.Bounds) {
 				t.Fatal("flat: header differs")
 			}
 			for qi, entries := range flatWant.Results {
 				if len(refs.Results[qi]) != len(entries) {
 					t.Fatalf("flat result %d: %d candidates, want %d", qi, len(refs.Results[qi]), len(entries))
+				}
+				if !sameFloat(refs.Bounds[qi], flatWant.Bounds[qi]) {
+					t.Fatalf("flat result %d: bound %v, want %v", qi, refs.Bounds[qi], flatWant.Bounds[qi])
 				}
 				for i, e := range entries {
 					checkRef(t, refs.Results[qi][i], e)
@@ -244,6 +271,29 @@ func FuzzDecodeRequests(f *testing.F) {
 		{Kind: BatchRange, Dists: []float64{1}, Radius: 2},
 		{Kind: BatchApproxPerm, Perm: []int32{0, 1}, CandSize: 3},
 	}}.Encode())
+	// The two phases of a precise k-NN: a bound query (with a hostile
+	// candidate size), then a range query resumed after a cursor — and
+	// cursors the index must refuse: on a non-range query, with a NaN, an
+	// infinite or a negative bound, and a trailer naming a query twice or
+	// one past the end.
+	f.Add(BatchQueryReq{Queries: []BatchQuery{
+		{Kind: BatchBound, Dists: []float64{1, 2}, CandSize: 1 << 31},
+	}}.Encode())
+	after := BatchQueryReq{Ranked: true, Queries: []BatchQuery{
+		{Kind: BatchApproxPerm, Perm: []int32{1, 0}, CandSize: 2},
+		{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3, After: &mindex.BoundKey{LB: 0.5, ID: 7}},
+	}}.Encode()
+	f.Add(after)
+	for _, lb := range []float64{math.NaN(), math.Inf(1), -1} {
+		f.Add(BatchQueryReq{Queries: []BatchQuery{
+			{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3, After: &mindex.BoundKey{LB: lb, ID: 1}},
+		}}.Encode())
+	}
+	f.Add(BatchQueryReq{Queries: []BatchQuery{
+		{Kind: BatchBound, Dists: []float64{1, 2}, CandSize: 4, After: &mindex.BoundKey{LB: 1, ID: 1}},
+	}}.Encode())
+	f.Add(append(after[:len(after)-20], 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16))
+	f.Add(append(after[:len(after)-20], 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16))
 	// The unified read request under hostile trailers: an allow-list naming
 	// an out-of-range and a negative pivot (decodes; the server's filter
 	// construction must refuse it), one whose count exceeds the payload, an
@@ -259,8 +309,13 @@ func FuzzDecodeRequests(f *testing.F) {
 	var flat Buffer
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
 		{{Entry: mindex.Entry{ID: 1, Perm: []int32{0}}}},
-	}}.AppendFlatTo(&flat)
+	}}.AppendFlatTo(&flat, nil)
 	f.Add(flat.B)
+	var boundFlat Buffer
+	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
+		{{Entry: mindex.Entry{ID: 1, Perm: []int32{0}}, Promise: 0.25}}, nil,
+	}}.AppendFlatTo(&boundFlat, boundQueries(0xFF))
+	f.Add(boundFlat.B)
 	f.Add(DeleteEntriesReq{Refs: []mindex.Entry{
 		{ID: 7, Perm: []int32{1, 0, 2}},
 		{ID: 8, Perm: []int32{2, 1, 0}},
@@ -314,7 +369,8 @@ func FuzzDecodeRequests(f *testing.F) {
 		if req, err := DecodeDownloadAllReq(data); err == nil {
 			_, _ = mindex.NewPivotFilter(8, req.Allow)
 		}
-		_, _ = DecodeBatchQueryResp(data)
+		_, _ = DecodeBatchQueryResp(data, nil)
+		_, _ = DecodeBatchQueryResp(data, boundQueries(0xFF))
 		_, _ = DecodeDeleteEntriesReq(data)
 		_, _ = DecodeDeleteAckResp(data)
 		_, _ = DecodeHelloResp(data)

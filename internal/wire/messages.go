@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
@@ -646,6 +647,11 @@ const (
 	// permutation under the footrule ranking, the distance vector under
 	// distance-sum — exactly one of the two is non-empty.
 	BatchFirstCell
+	// BatchBound asks for the first CandSize entries in bound order (pivot
+	// distances + candidate size; mindex.KindBound) — the first page of a
+	// precise k-NN. Its flat reply carries the last candidate's bound after
+	// the candidates, the LB of the cursor that resumes it.
+	BatchBound
 )
 
 // BatchQuery is one encrypted read query: a tagged union over the query
@@ -653,9 +659,12 @@ const (
 type BatchQuery struct {
 	Kind     uint8
 	Perm     []int32   // BatchApproxPerm, BatchFirstCell (footrule)
-	Dists    []float64 // BatchRange, BatchApproxDists, BatchFirstCell (distsum)
+	Dists    []float64 // BatchRange, BatchApproxDists, BatchFirstCell (distsum), BatchBound
 	Radius   float64   // BatchRange
-	CandSize uint32    // BatchApproxPerm, BatchApproxDists
+	CandSize uint32    // BatchApproxPerm, BatchApproxDists, BatchBound
+	// After is a BatchRange's optional keyset cursor: only entries whose
+	// bound key sorts after it qualify (mindex.Query.After).
+	After *mindex.BoundKey
 }
 
 // IndexQuery validates q against an index over numPivots pivots and
@@ -677,8 +686,21 @@ func (q BatchQuery) IndexQuery(numPivots int, allow mindex.PivotFilter) (mindex.
 		out.Kind = mindex.KindApprox
 	case BatchFirstCell:
 		out.Kind = mindex.KindFirstCell
+	case BatchBound:
+		out.Kind = mindex.KindBound
 	default:
 		return out, fmt.Errorf("unknown batch query kind %d", q.Kind)
+	}
+	if q.After != nil {
+		// The cursor is the bound of an entry the server itself returned:
+		// finite and non-negative, and only a range resumes after one.
+		if q.Kind != BatchRange {
+			return out, fmt.Errorf("cursor on a non-range query (kind %d)", q.Kind)
+		}
+		if lb := q.After.LB; !(lb >= 0 && lb <= math.MaxFloat64) {
+			return out, fmt.Errorf("cursor bound %g is not finite and non-negative", lb)
+		}
+		out.After = q.After
 	}
 	switch {
 	case q.Kind == BatchApproxDists:
@@ -719,14 +741,17 @@ type BatchQueryReq struct {
 const (
 	batchRanked   uint8 = 1 << 0
 	batchFiltered uint8 = 1 << 1
+	batchCursors  uint8 = 1 << 2
 )
 
 // Encode serializes the request payload: the query list, then — only when
-// Ranked or Allow is set — a trailer of a flags byte and the allow-list. A
+// Ranked, Allow or a query's After is set — a trailer of a flags byte, the
+// allow-list, and the cursors as (query index, LB, ID) in query order. A
 // plain client query therefore costs no trailer bytes.
 func (m BatchQueryReq) Encode() []byte {
 	var b Buffer
 	b.U32(uint32(len(m.Queries)))
+	cursors := 0
 	for _, q := range m.Queries {
 		b.U8(q.Kind)
 		switch q.Kind {
@@ -736,12 +761,15 @@ func (m BatchQueryReq) Encode() []byte {
 		case BatchApproxPerm:
 			b.I32Slice(q.Perm)
 			b.U32(q.CandSize)
-		case BatchApproxDists:
+		case BatchApproxDists, BatchBound:
 			b.F64Slice(q.Dists)
 			b.U32(q.CandSize)
 		case BatchFirstCell:
 			b.I32Slice(q.Perm)
 			b.F64Slice(q.Dists)
+		}
+		if q.After != nil {
+			cursors++
 		}
 	}
 	var flags uint8
@@ -751,10 +779,23 @@ func (m BatchQueryReq) Encode() []byte {
 	if m.Allow != nil {
 		flags |= batchFiltered
 	}
+	if cursors > 0 {
+		flags |= batchCursors
+	}
 	if flags != 0 {
 		b.U8(flags)
 		if m.Allow != nil {
 			b.I32Slice(m.Allow)
+		}
+		if cursors > 0 {
+			b.U32(uint32(cursors))
+			for i, q := range m.Queries {
+				if q.After != nil {
+					b.U32(uint32(i))
+					b.F64(q.After.LB)
+					b.U64(q.After.ID)
+				}
+			}
 		}
 	}
 	return b.B
@@ -787,7 +828,7 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 		case BatchApproxPerm:
 			q.Perm = r.I32Slice()
 			q.CandSize = r.U32()
-		case BatchApproxDists:
+		case BatchApproxDists, BatchBound:
 			q.Dists = r.F64Slice()
 			q.CandSize = r.U32()
 		case BatchFirstCell:
@@ -803,15 +844,42 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 	}
 	if len(r.b) > 0 {
 		flags := r.U8()
-		if flags == 0 || flags&^(batchRanked|batchFiltered) != 0 {
+		if flags == 0 || flags&^(batchRanked|batchFiltered|batchCursors) != 0 {
 			return BatchQueryReq{}, ErrCodec
 		}
 		m.Ranked = flags&batchRanked != 0
 		if flags&batchFiltered != 0 {
 			m.Allow = readAllow(r)
 		}
+		if flags&batchCursors != 0 {
+			readCursors(r, m.Queries)
+		}
 	}
 	return m, r.Err()
+}
+
+// readCursors attaches a request trailer's cursors to their queries. Each
+// cursor occupies 20 bytes; the query indices must rise strictly, so that
+// there is one encoding of a request and no query gets two cursors.
+func readCursors(r *Reader, queries []BatchQuery) {
+	n := int(r.U32())
+	if r.err == nil && (n <= 0 || n > len(queries) || n > len(r.b)/20) {
+		r.err = ErrCodec
+	}
+	prev := -1
+	for range n {
+		at := int(r.U32())
+		k := mindex.BoundKey{LB: r.F64(), ID: r.U64()}
+		if r.err != nil {
+			return
+		}
+		if at <= prev || at >= len(queries) {
+			r.err = ErrCodec
+			return
+		}
+		queries[at].After = &k
+		prev = at
+	}
 }
 
 // DownloadAllReq is the MsgDownloadAll payload: empty for every stored
@@ -848,13 +916,23 @@ func DecodeDownloadAllReq(p []byte) (DownloadAllReq, error) {
 type BatchQueryResp struct {
 	ServerNanos uint64
 	Results     [][]mindex.Entry
+	// Bounds holds, parallel to Results, the bound of a BatchBound
+	// result's last candidate (0 for an empty result and for other kinds).
+	Bounds []float64
 }
 
-// DecodeBatchQueryResp parses a BatchQueryResp payload into entries that own
-// their memory. The client's read path decodes the same payload by reference
-// (CandidateRefs.DecodeFlat); this form is the definition that one is fuzzed
-// against, and what tools and tests that keep the entries use.
-func DecodeBatchQueryResp(p []byte) (BatchQueryResp, error) {
+// boundTrailer reports whether the flat reply's result i carries a bound
+// after its candidates: exactly when query i of the request is BatchBound.
+func boundTrailer(queries []BatchQuery, i int) bool {
+	return i < len(queries) && queries[i].Kind == BatchBound
+}
+
+// DecodeBatchQueryResp parses a BatchQueryResp payload, the answer to
+// queries, into entries that own their memory. The client's read path
+// decodes the same payload by reference (CandidateRefs.DecodeFlat); this
+// form is the definition that one is fuzzed against, and what tools and
+// tests that keep the entries use.
+func DecodeBatchQueryResp(p []byte, queries []BatchQuery) (BatchQueryResp, error) {
 	r := NewReader(p)
 	m := BatchQueryResp{ServerNanos: r.U64()}
 	n := int(r.U32())
@@ -863,12 +941,18 @@ func DecodeBatchQueryResp(p []byte) (BatchQueryResp, error) {
 		return m, ErrCodec
 	}
 	m.Results = make([][]mindex.Entry, 0, n)
-	for range n {
+	m.Bounds = make([]float64, 0, n)
+	for i := range n {
 		entries := readEntries(r)
+		var bound float64
+		if boundTrailer(queries, i) {
+			bound = r.F64()
+		}
 		if r.err != nil {
 			break
 		}
 		m.Results = append(m.Results, entries)
+		m.Bounds = append(m.Bounds, bound)
 	}
 	return m, r.Err()
 }

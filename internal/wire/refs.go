@@ -26,8 +26,9 @@ type CandidateRef struct {
 	Prefix  []int32
 }
 
-// Rank reports the source cell's promise and prefix (merge.Keyed).
-func (c *CandidateRef) Rank() (float64, []int32) { return c.Promise, c.Prefix }
+// Rank reports the source cell's promise and prefix and the candidate's ID
+// (merge.Keyed).
+func (c *CandidateRef) Rank() (float64, []int32, uint64) { return c.Promise, c.Prefix, c.ID }
 
 // CandidateRefs is a candidate reply decoded by reference: one candidate
 // list per query, parallel to the request's query list. Decoding reuses the
@@ -36,6 +37,9 @@ func (c *CandidateRef) Rank() (float64, []int32) { return c.Promise, c.Prefix }
 type CandidateRefs struct {
 	ServerNanos uint64
 	Results     [][]CandidateRef
+	// Bounds is BatchQueryResp.Bounds of a flat reply; empty on a ranked
+	// one, whose candidates carry their bounds as promises.
+	Bounds []float64
 
 	refs     []CandidateRef
 	ends     []int   // refs[ends[i-1]:ends[i]] is result i
@@ -43,20 +47,23 @@ type CandidateRefs struct {
 }
 
 // DecodeRanked parses a BatchRankedResp payload (MsgBatchRankedCandidates).
-func (m *CandidateRefs) DecodeRanked(p []byte) error { return m.decode(p, true) }
+func (m *CandidateRefs) DecodeRanked(p []byte) error { return m.decode(p, true, nil) }
 
-// DecodeFlat parses a BatchQueryResp payload (MsgBatchCandidates).
-func (m *CandidateRefs) DecodeFlat(p []byte) error { return m.decode(p, false) }
+// DecodeFlat parses a BatchQueryResp payload (MsgBatchCandidates), the
+// answer to queries.
+func (m *CandidateRefs) DecodeFlat(p []byte, queries []BatchQuery) error {
+	return m.decode(p, false, queries)
+}
 
 // Reset drops every reference into the payload last decoded, keeping the
 // storage. A value is Reset before it is pooled: refs left behind would pin
 // the frame they point into for as long as the value sits in the pool.
 func (m *CandidateRefs) Reset() {
 	clear(m.refs)
-	m.Results, m.refs, m.ends, m.prefixes = m.Results[:0], m.refs[:0], m.ends[:0], m.prefixes[:0]
+	m.Results, m.Bounds, m.refs, m.ends, m.prefixes = m.Results[:0], m.Bounds[:0], m.refs[:0], m.ends[:0], m.prefixes[:0]
 }
 
-func (m *CandidateRefs) decode(p []byte, ranked bool) error {
+func (m *CandidateRefs) decode(p []byte, ranked bool, queries []BatchQuery) error {
 	m.Reset()
 	r := Reader{b: p}
 	m.ServerNanos = r.U64()
@@ -73,7 +80,7 @@ func (m *CandidateRefs) decode(p []byte, ranked bool) error {
 	}
 	var prefixBytes []byte // the wire form of the current prefix run
 	var prefix []int32
-	for range n {
+	for qi := range n {
 		count := int(r.U32())
 		if r.err == nil && (count < 0 || count > len(r.b)/minSize+1) {
 			r.err = ErrCodec
@@ -109,6 +116,13 @@ func (m *CandidateRefs) decode(p []byte, ranked bool) error {
 			r.b = rest
 			c.ID, c.Payload, c.Record = v.ID, v.Payload(), v.Record
 			m.refs = append(m.refs, c)
+		}
+		if !ranked {
+			var bound float64
+			if boundTrailer(queries, qi) {
+				bound = r.F64()
+			}
+			m.Bounds = append(m.Bounds, bound)
 		}
 		m.ends = append(m.ends, len(m.refs))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -295,27 +296,44 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("batch-candidates", func(t *testing.T) {
-		// The flat form is the ranked one with the annotations dropped.
+		// The flat form is the ranked one with the annotations dropped —
+		// but for a bound query's last bound, which trails its candidates.
 		ranked := func(entries []mindex.Entry) []mindex.RankedCandidate {
 			rcs := make([]mindex.RankedCandidate, len(entries))
 			for i, e := range entries {
-				rcs[i] = mindex.RankedCandidate{Entry: e, Promise: 0.5, Prefix: []int32{1}}
+				rcs[i] = mindex.RankedCandidate{Entry: e, Promise: 0.5 + float64(i), Prefix: []int32{1}}
 			}
 			return rcs
 		}
-		var b Buffer
-		BatchRankedResp{ServerNanos: 77, Results: [][]mindex.RankedCandidate{
-			ranked(sampleEntries()),
-			nil,
-			ranked([]mindex.Entry{{ID: 9, Perm: []int32{1}}}),
-		}}.AppendFlatTo(&b)
-		out, err := DecodeBatchQueryResp(b.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.ServerNanos != 77 || len(out.Results) != 3 ||
-			len(out.Results[0]) != 2 || len(out.Results[1]) != 0 || out.Results[2][0].ID != 9 {
-			t.Fatalf("round trip: %+v", out)
+		for name, queries := range map[string][]BatchQuery{
+			"approx": nil,
+			"bound":  {{Kind: BatchBound}, {Kind: BatchBound}, {Kind: BatchApproxPerm}},
+		} {
+			var b Buffer
+			BatchRankedResp{ServerNanos: 77, Results: [][]mindex.RankedCandidate{
+				ranked(sampleEntries()),
+				nil,
+				ranked([]mindex.Entry{{ID: 9, Perm: []int32{1}}}),
+			}}.AppendFlatTo(&b, queries)
+			out, err := DecodeBatchQueryResp(b.B, queries)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if out.ServerNanos != 77 || len(out.Results) != 3 ||
+				len(out.Results[0]) != 2 || len(out.Results[1]) != 0 || out.Results[2][0].ID != 9 {
+				t.Fatalf("%s: round trip: %+v", name, out)
+			}
+			wantBounds := []float64{0, 0, 0}
+			if name == "bound" {
+				wantBounds[0] = 1.5 // the last of the two candidates; an empty result says 0
+			}
+			if !slices.Equal(out.Bounds, wantBounds) {
+				t.Fatalf("%s: bounds %v, want %v", name, out.Bounds, wantBounds)
+			}
+			var refs CandidateRefs
+			if err := refs.DecodeFlat(b.B, queries); err != nil || !slices.Equal(refs.Bounds, wantBounds) {
+				t.Fatalf("%s: by-reference bounds %v (%v), want %v", name, refs.Bounds, err, wantBounds)
+			}
 		}
 	})
 	t.Run("results", func(t *testing.T) {

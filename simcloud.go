@@ -115,7 +115,8 @@ const (
 )
 
 // Query kinds for Query.Kind: the precise range query R(q, r), the precise
-// k-NN query (approximate pass + range ρk), the approximate k-NN over a
+// k-NN query (a first pass that learns ρk, then the range ρk), the
+// approximate k-NN over a
 // promise-ranked candidate set, and the restricted 1-cell approximate k-NN
 // of the paper's Section 5.4 comparison.
 const (
