@@ -21,12 +21,12 @@ const combinePivots = 4
 // misplaced record shows in the bytes.
 func cand(id uint64, promise float64, prefix ...int32) mindex.RankedCandidate {
 	return mindex.RankedCandidate{
-		Entry: mindex.Entry{
+		Entry: mindex.ViewOf(mindex.Entry{
 			ID:      id,
 			Perm:    []int32{int32(id % combinePivots), 1, 2},
 			Dists:   []float64{float64(id), 0.5},
 			Payload: bytes.Repeat([]byte{byte(id)}, 5+int(id%7)),
-		},
+		}),
 		Promise: promise,
 		Prefix:  prefix,
 	}
@@ -242,7 +242,7 @@ func cannedReplies(sources, perSource int) ([]mindex.Query, []nodeReply) {
 		for i := range rcs {
 			cell := i / 20
 			rcs[i] = mindex.RankedCandidate{
-				Entry:   mindex.Entry{ID: uint64(s*perSource + i), Perm: []int32{int32(s), 1, 2, 3, 4, 5, 6, 7}, Payload: payload},
+				Entry:   mindex.ViewOf(mindex.Entry{ID: uint64(s*perSource + i), Perm: []int32{int32(s), 1, 2, 3, 4, 5, 6, 7}, Payload: payload}),
 				Promise: float64(cell*sources+s) / 100,
 				Prefix:  []int32{int32(s), int32(cell), 3},
 			}

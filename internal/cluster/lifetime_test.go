@@ -59,7 +59,7 @@ func scriptedNode(t *testing.T, hello wire.HelloResp, answer func(wire.MsgType) 
 // a partial answer, and it keeps serving.
 func TestHostileNodeReplyIsAnErrorFrame(t *testing.T) {
 	good := wire.BatchRankedResp{Results: [][]mindex.RankedCandidate{{
-		{Entry: mindex.Entry{ID: 1, Perm: []int32{0, 1}, Payload: []byte{1, 2, 3}}, Promise: 0.5, Prefix: []int32{0}},
+		{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0, 1}, Payload: []byte{1, 2, 3}}), Promise: 0.5, Prefix: []int32{0}},
 	}}}.Encode()
 	var lying wire.Buffer
 	lying.U64(0)

@@ -63,7 +63,7 @@ func (f *flatCells) stream(q metric.Vector, candSize int, firstCell bool) []mind
 	var out []mindex.RankedCandidate
 	for _, j := range order {
 		for _, id := range f.cells[j] {
-			out = append(out, mindex.RankedCandidate{Entry: mindex.Entry{ID: id}, Promise: tq[j], Prefix: []int32{j}})
+			out = append(out, mindex.RankedCandidate{Entry: mindex.ViewOf(mindex.Entry{ID: id}), Promise: tq[j], Prefix: []int32{j}})
 		}
 		if firstCell && len(out) > 0 {
 			return out

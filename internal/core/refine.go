@@ -16,7 +16,7 @@ import (
 
 // Refinement (Algorithm 2, lines 11–16) reads each candidate's ciphertext
 // where it lies — in the response frame for the networked client, in the
-// engine's entry for the in-process ones — decrypts and decodes it into
+// engine's bucket image for the in-process ones — decrypts and decodes it into
 // scratch, computes the true distance there, and gives an Object memory of
 // its own only if the candidate survives into the answer.
 
@@ -31,7 +31,7 @@ type candidates interface {
 type rankedCands []mindex.RankedCandidate
 
 func (c rankedCands) count() int                { return len(c) }
-func (c rankedCands) at(i int) (uint64, []byte) { return c[i].Entry.ID, c[i].Entry.Payload }
+func (c rankedCands) at(i int) (uint64, []byte) { return c[i].Entry.ID, c[i].Entry.Payload() }
 
 // refCands are candidates decoded by reference out of a response frame;
 // they are valid until the frame is released.

@@ -31,7 +31,7 @@ func refineFixture(t testing.TB, mode secret.Mode, n int) (*coder, metric.Vector
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands[i] = mindex.RankedCandidate{Entry: mindex.Entry{ID: o.ID, Payload: payload}}
+		cands[i] = mindex.RankedCandidate{Entry: mindex.ViewOf(mindex.Entry{ID: o.ID, Payload: payload})}
 	}
 	return &coder{key: key}, ds.Objects[0].Vec, cands, objs
 }

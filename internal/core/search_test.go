@@ -165,7 +165,7 @@ func TestPreciseKNNShipsEachCandidateOnce(t *testing.T) {
 			var dists []float64
 			shipped := map[uint64]bool{}
 			for _, rc := range page1 {
-				o, err := key.DecryptObject(rc.Entry.Payload)
+				o, err := key.DecryptObject(rc.Entry.Payload())
 				if err != nil {
 					t.Fatal(err)
 				}

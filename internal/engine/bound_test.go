@@ -109,12 +109,12 @@ func TestBoundOrderCursorCoversRange(t *testing.T) {
 									// crowd into the deepest cells).
 									var burst []mindex.Entry
 									for _, rc := range page1 {
-										if rc.Entry.Dists == nil || len(burst) == 75 {
+										if len(rc.Entry.Dists()) == 0 || len(burst) == 75 {
 											continue
 										}
 										for range 25 {
 											nextID++
-											burst = append(burst, mindex.Entry{ID: nextID, Perm: rc.Entry.Perm,
+											burst = append(burst, mindex.Entry{ID: nextID, Perm: rc.Entry.Decode().Perm,
 												Dists: slices.Repeat([]float64{1e9}, testPivots)})
 										}
 									}

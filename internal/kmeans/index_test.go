@@ -178,8 +178,8 @@ func TestApproxRankedOrderAndBudget(t *testing.T) {
 		}
 	}
 	for _, rc := range rcs {
-		if len(rc.Prefix) != 1 || rc.Prefix[0] != rc.Entry.Perm[0] {
-			t.Fatalf("candidate prefix %v does not name its cell %d", rc.Prefix, rc.Entry.Perm[0])
+		if len(rc.Prefix) != 1 || rc.Prefix[0] != rc.Entry.Decode().Perm[0] {
+			t.Fatalf("candidate prefix %v does not name its cell %d", rc.Prefix, rc.Entry.Decode().Perm[0])
 		}
 		if rc.Promise != qDists[rc.Prefix[0]] {
 			t.Fatalf("promise %g is not the cell distance %g", rc.Promise, qDists[rc.Prefix[0]])

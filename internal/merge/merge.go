@@ -133,13 +133,15 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) 
 
 // Entries strips the ranking annotations off a merged candidate list,
 // trimming it to at most candSize entries (candSize < 0 keeps everything).
+// Each entry is what a candidate reply carries of it — the ID and the
+// payload, aliasing the candidate's record; nothing is decoded.
 func Entries(rcs []mindex.RankedCandidate, candSize int) []mindex.Entry {
 	if candSize >= 0 && len(rcs) > candSize {
 		rcs = rcs[:candSize]
 	}
 	out := make([]mindex.Entry, len(rcs))
-	for i, rc := range rcs {
-		out[i] = rc.Entry
+	for i := range rcs {
+		out[i] = mindex.Entry{ID: rcs[i].Entry.ID, Payload: rcs[i].Entry.Payload()}
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func rc(id uint64, promise float64, prefix ...int32) mindex.RankedCandidate {
-	return mindex.RankedCandidate{Entry: mindex.Entry{ID: id, Perm: prefix}, Promise: promise, Prefix: prefix}
+	return mindex.RankedCandidate{Entry: mindex.ViewOf(mindex.Entry{ID: id, Perm: prefix}), Promise: promise, Prefix: prefix}
 }
 
 func ids(rcs []mindex.RankedCandidate) []uint64 {

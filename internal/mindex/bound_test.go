@@ -152,14 +152,14 @@ func checkBoundCursor(ix boundSearcher, qDists []float64, candSize int, r float6
 func boundMutations(numPivots int, splittable func(Entry) bool, insert func([]Entry) error, del func([]uint64) error, compact func() error) map[string]func([]RankedCandidate) error {
 	nextID := uint64(1 << 40)
 	far := func(page1 []RankedCandidate) error {
-		at := slices.IndexFunc(page1, func(rc RankedCandidate) bool { return splittable(rc.Entry) })
+		at := slices.IndexFunc(page1, func(rc RankedCandidate) bool { return splittable(rc.Entry.Decode()) })
 		if at < 0 {
 			return nil
 		}
 		batch := make([]Entry, 25)
 		for i := range batch {
 			nextID++
-			batch[i] = Entry{ID: nextID, Perm: page1[at].Entry.Perm, Dists: slices.Repeat([]float64{1e9}, numPivots)}
+			batch[i] = Entry{ID: nextID, Perm: page1[at].Entry.Decode().Perm, Dists: slices.Repeat([]float64{1e9}, numPivots)}
 		}
 		return insert(batch)
 	}

@@ -46,15 +46,15 @@ func referenceRange(t *testing.T, ix *Index, q []float64, r float64, filter Pivo
 	var visit func(n *node)
 	visit = func(n *node) {
 		if n.isLeaf() {
-			entries, err := ix.leafView(n)
+			b, err := ix.leafView(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range entries {
+			for _, e := range entriesOf(b) {
 				if _, gone := st.tombstones[e.ID]; gone {
 					continue
 				}
-				if filter != nil && len(n.prefix) == 0 && !filter.allowsEntry(e) {
+				if filter != nil && len(n.prefix) == 0 && !(len(e.Perm) > 0 && filter.Allows(e.Perm[0])) {
 					continue
 				}
 				if e.Dists != nil && pivot.LowerBound(q, e.Dists) > r {
@@ -94,7 +94,7 @@ func checkBoxes(t *testing.T, phase string, ix *Index, queries [][]float64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			below = v
+			below = entriesOf(v)
 		} else {
 			for _, k := range n.kids {
 				below = append(below, walk(k.n)...)
@@ -405,7 +405,7 @@ func TestLegacySnapshotLoads(t *testing.T) {
 			}
 			for i, w := range want.ranked[qi] {
 				g := got.ranked[qi][i]
-				if !entriesEqual(g.Entry, w.Entry) || g.Promise != w.Promise || !slices.Equal(g.Prefix, w.Prefix) {
+				if !sameRecord(g.Entry, w.Entry) || g.Promise != w.Promise || !slices.Equal(g.Prefix, w.Prefix) {
 					t.Fatalf("%s q%d: ranked candidate %d differs", phase, qi, i)
 				}
 			}

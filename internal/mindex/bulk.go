@@ -60,18 +60,6 @@ type ghostAllocator interface {
 	createGhost() error
 }
 
-// batchAppender is implemented by stores that can append a batch of entries
-// atomically (all-or-nothing) under one lock acquisition.
-type batchAppender interface {
-	appendBatch(id BucketID, entries []Entry) error
-}
-
-// indexedAppender is implemented by stores that can append straight from
-// the builder's arena by index, skipping the contiguous scratch copy.
-type indexedAppender interface {
-	appendIndexed(id BucketID, arena []Entry, idx []int32) error
-}
-
 // bulkLeaf is the deferred store work for one leaf the build touches.
 type bulkLeaf struct {
 	n *node
@@ -82,12 +70,11 @@ type bulkLeaf struct {
 	// oldN is a pre-existing leaf's pre-batch entry count — what the store
 	// actually holds until the apply phase runs.
 	oldN int
-	// items are the entries destined for this leaf as indices into the
-	// build's entry arena, in bucket content order after any pre-existing
-	// content. Indices, not Entry values: an entry a deep tree re-files
-	// once per split costs four bytes per hop instead of a struct copy,
-	// which keeps the plan's allocation footprint (and GC share) flat in
-	// the tree depth.
+	// items are the entries destined for this leaf as arena indices (see
+	// bulkTxn.batch), in bucket content order after any pre-existing
+	// content. Indices, not entries: an entry a deep tree re-files once per
+	// split costs four bytes per hop instead of a struct copy, which keeps
+	// the plan's allocation footprint (and GC share) flat in the tree depth.
 	items []int32
 }
 
@@ -101,7 +88,7 @@ const noLocSeq = ^uint64(0)
 // incremental split uses.
 type bulkFree struct {
 	pin    *pinCell
-	view   []Entry
+	view   Bucket
 	bucket BucketID
 }
 
@@ -162,23 +149,25 @@ type bulkTxn struct {
 	frees  []bulkFree
 	seq0   uint64
 	path   []*node
-	// arena holds every entry the build moves: the caller's batch first
-	// (aliased, never mutated — the first split-content append reallocates
-	// thanks to the three-index slice), then the pre-batch content of each
-	// leaf the build splits, appended as it is first read. Leaf item lists
-	// index into it.
-	arena  []Entry
-	nBatch int
-	// oldSeqs carries the loc sequence numbers of arena[nBatch:] (noLocSeq
-	// for a tombstoned pre-existing entry, which has no loc record); a
-	// batch entry's seq is derived from its arena index instead. The
+	// The arena is every entry the build moves, indexed batch first: index
+	// i < len(batch) is the caller's entry i (aliased, never mutated, and
+	// encoded once, when the apply phase writes it), the rest the pre-batch
+	// content of each leaf the build splits, old[i-len(batch)] — a view of
+	// the record where it lies, read as it is first needed and never
+	// decoded: the apply phase copies its span. Leaf item lists index into
+	// it. (Encoding the batch up front, so that the arena would hold views
+	// only, costs an image the size of the batch and a second copy of every
+	// record: it made BenchmarkBulkLoad's one-shot memory build a third
+	// slower, 17.0 → 22.7 ms on a 2-CPU Xeon container.)
+	batch []Entry
+	old   []EntryView
+	// oldSeqs carries the loc sequence numbers of old (noLocSeq for a
+	// tombstoned pre-existing entry, which has no loc record); a batch
+	// entry's seq is derived from its arena index instead. The
 	// simulation never writes loc — every filed entry's record lands in
 	// one sweep after the apply phase succeeds, so per-split re-filing
 	// never rewrites loc and an abort has nothing to undo there.
 	oldSeqs []uint64
-	// scratch is the apply-phase materialization buffer, reused across
-	// leaves (stores copy or encode what they append, never retain it).
-	scratch []Entry
 	// lastLeaf memoizes the most recent leafState result; invalidated when
 	// its node splits.
 	lastLeaf *bulkLeaf
@@ -191,10 +180,43 @@ type bulkTxn struct {
 // the i-th insert of the build, so its seq is derived; split content carries
 // its seq (or the tombstone sentinel) in oldSeqs.
 func (b *bulkTxn) seqAt(i int32) uint64 {
-	if int(i) < b.nBatch {
+	if int(i) < len(b.batch) {
 		return b.seq0 + uint64(i)
 	}
-	return b.oldSeqs[int(i)-b.nBatch]
+	return b.oldSeqs[int(i)-len(b.batch)]
+}
+
+// id, key and dists read arena entry i's ID, its permutation element at a
+// level and its distances (nil for none) — off the entry for a batch entry,
+// off the stored record for a pre-batch one.
+func (b *bulkTxn) id(i int32) uint64 {
+	if int(i) < len(b.batch) {
+		return b.batch[i].ID
+	}
+	return b.old[int(i)-len(b.batch)].ID
+}
+
+func (b *bulkTxn) key(i int32, level int) int32 {
+	if int(i) < len(b.batch) {
+		return b.batch[i].Perm[level]
+	}
+	return b.old[int(i)-len(b.batch)].permAt(level)
+}
+
+func (b *bulkTxn) dists(i int32) []float64 {
+	if int(i) < len(b.batch) {
+		return b.batch[i].Dists
+	}
+	return b.t.ix.scratch.dists.of(&b.old[int(i)-len(b.batch)])
+}
+
+// appendRecord appends arena entry i's record to dst: a batch entry is
+// encoded, a pre-batch entry's span copied.
+func (b *bulkTxn) appendRecord(dst Bucket, i int32) Bucket {
+	if int(i) < len(b.batch) {
+		return dst.appendEntry(&b.batch[i])
+	}
+	return dst.appendView(&b.old[int(i)-len(b.batch)])
 }
 
 // bulkEligible reports whether the batch may take the builder path. Callers
@@ -233,12 +255,11 @@ func (ix *Index) insertBulkBuilt(entries []Entry) error {
 	}
 	seen := newIDSet(len(entries))
 	b := &bulkTxn{
-		t:      t,
-		pend:   make(map[*node]*bulkLeaf, len(entries)/4),
-		seq0:   ix.nextSeq,
-		path:   make([]*node, 0, ix.cfg.MaxLevel+1),
-		arena:  entries[:len(entries):len(entries)],
-		nBatch: len(entries),
+		t:     t,
+		pend:  make(map[*node]*bulkLeaf, len(entries)/4),
+		seq0:  ix.nextSeq,
+		path:  make([]*node, 0, ix.cfg.MaxLevel+1),
+		batch: entries,
 	}
 	t.root = t.mutable(t.root)
 	var simErr error
@@ -263,7 +284,7 @@ func (ix *Index) insertBulkBuilt(entries []Entry) error {
 			}
 		}
 		if err == nil {
-			err = b.insert(i)
+			err = b.insert(int32(i))
 		}
 		if err != nil {
 			// Stop the plan here; the entries before i still build and
@@ -289,7 +310,7 @@ func (ix *Index) insertBulkBuilt(entries []Entry) error {
 			if seq == noLocSeq {
 				continue
 			}
-			t.loc[b.arena[idx].ID] = entryLoc{prefix: bl.n.prefix, seq: seq}
+			t.loc[b.id(idx)] = entryLoc{prefix: bl.n.prefix, seq: seq}
 		}
 	}
 	t.commit()
@@ -325,14 +346,13 @@ func (b *bulkTxn) leafState(n *node) *bulkLeaf {
 // bounds, seq, size) is applied in exactly the incremental order, so the
 // resulting node fields are bit-identical; loc writes wait for the
 // post-apply sweep.
-func (b *bulkTxn) insert(idx int) error {
+func (b *bulkTxn) insert(idx int32) error {
 	t := b.t
-	e := &b.arena[idx]
 	n := t.root
 	b.path = b.path[:0]
 	b.path = append(b.path, n)
 	for !n.isLeaf() {
-		key := e.Perm[n.level()]
+		key := b.key(idx, n.level())
 		c := n.child(key)
 		if c == nil {
 			c = t.fresh(&node{
@@ -355,10 +375,11 @@ func (b *bulkTxn) insert(idx int) error {
 		b.path = append(b.path, n)
 	}
 	bl := b.leafState(n)
-	bl.items = append(bl.items, int32(idx))
+	bl.items = append(bl.items, idx)
+	dists := b.dists(idx)
 	for _, pn := range b.path {
 		pn.count++
-		pn.updateBounds(e)
+		pn.updateBounds(dists)
 	}
 	t.ix.nextSeq++
 	t.size++
@@ -378,7 +399,7 @@ func (b *bulkTxn) insert(idx int) error {
 func (b *bulkTxn) split(n *node) error {
 	t := b.t
 	bl := b.pend[n]
-	oldIdx0, nOld := int32(len(b.arena)), 0
+	oldIdx0, nOld := int32(len(b.batch)+len(b.old)), 0
 	if !bl.isNew {
 		old, err := t.ix.leafViewN(n, bl.oldN)
 		if err != nil {
@@ -386,16 +407,17 @@ func (b *bulkTxn) split(n *node) error {
 			// failed incremental split.
 			return err
 		}
-		nOld = len(old)
-		// Move the pre-batch content into the arena, capturing each entry's
-		// seq once. A live pre-existing entry's seq comes from its loc
+		nOld = old.Len()
+		// Add views of the pre-batch content to the arena, capturing each
+		// entry's seq once. A live pre-existing entry's seq comes from its loc
 		// record; a tombstoned one has no record and carries the sentinel
 		// (the loc sweep skips it, exactly like the incremental re-file
 		// loop does).
-		b.arena = append(b.arena, old...)
-		for i := range old {
+		for i := range nOld {
+			v := old.At(i)
+			b.old = append(b.old, v)
 			seq := noLocSeq
-			if l, ok := t.loc[old[i].ID]; ok {
+			if l, ok := t.loc[v.ID]; ok {
 				seq = l.seq
 			}
 			b.oldSeqs = append(b.oldSeqs, seq)
@@ -445,16 +467,15 @@ func (b *bulkTxn) split(n *node) error {
 	}
 	anyTomb := len(t.tomb) > 0
 	file := func(idx int32) {
-		e := &b.arena[idx]
-		cb := childFor(e.Perm[level])
+		cb := childFor(b.key(idx, level))
 		cb.items = append(cb.items, idx)
 		cb.n.count++
 		if anyTomb {
-			if _, gone := t.tomb[e.ID]; gone {
+			if _, gone := t.tomb[b.id(idx)]; gone {
 				cb.n.dead++
 			}
 		}
-		cb.n.updateBounds(e)
+		cb.n.updateBounds(b.dists(idx))
 	}
 	// Old content first, then batch items — bucket content order.
 	for i := 0; i < nOld; i++ {
@@ -507,12 +528,8 @@ func (b *bulkTxn) apply() (fatal, freeErr error) {
 	}
 
 	// 2. Content: new leaves get their full content, surviving pre-existing
-	// leaves their batch suffix — each entry written exactly once. Stores
-	// that can read the arena by index copy/encode each entry straight from
-	// it; otherwise a scratch buffer materializes each leaf's indices back
-	// into entries (stores copy or encode what they are handed, so one
-	// buffer serves every leaf).
-	ia, hasIA := store.(indexedAppender)
+	// leaves their batch suffix — each entry written exactly once, as the
+	// span of its record, in one append per leaf.
 	var dirty []*bulkLeaf // pre-existing buckets needing rollback on abort
 	for _, bl := range b.leaves {
 		if !bl.n.isLeaf() {
@@ -525,17 +542,12 @@ func (b *bulkTxn) apply() (fatal, freeErr error) {
 		if !bl.isNew {
 			dirty = append(dirty, bl)
 		}
-		var err error
-		if hasIA {
-			err = ia.appendIndexed(bl.n.bucket, b.arena, bl.items)
-		} else {
-			b.scratch = b.scratch[:0]
-			for _, idx := range bl.items {
-				b.scratch = append(b.scratch, b.arena[idx])
-			}
-			err = appendAll(store, bl.n.bucket, b.scratch)
+		sc := &t.ix.scratch
+		sc.content = sc.content.reset()
+		for _, idx := range bl.items {
+			sc.content = b.appendRecord(sc.content, idx)
 		}
-		if err != nil {
+		if err := store.Append(bl.n.bucket, sc.content); err != nil {
 			return b.abort(err, dirty), nil
 		}
 		t.refreshPin(bl.n)
@@ -572,10 +584,10 @@ func (b *bulkTxn) abort(cause error, dirty []*bulkLeaf) error {
 		// to exactly that; the Replace bumps the content era, which sends
 		// published node versions to the pin.
 		v, err := store.View(bl.n.bucket)
-		if err != nil || len(v) < bl.oldN {
+		if err != nil || v.Len() < bl.oldN {
 			continue // best effort; the store is already failing
 		}
-		old := v[:bl.oldN]
+		old := v.prefix(bl.oldN)
 		bl.n.pin.v.Store(&old)
 		store.Replace(bl.n.bucket, old)
 	}
@@ -594,20 +606,4 @@ func ghostCreate(s BucketStore) error {
 		return err
 	}
 	return s.Free(id)
-}
-
-// appendAll appends entries to one bucket, batching when the store can.
-func appendAll(s BucketStore, id BucketID, entries []Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	if ba, ok := s.(batchAppender); ok {
-		return ba.appendBatch(id, entries)
-	}
-	for i := range entries {
-		if err := s.Append(id, entries[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -41,9 +41,7 @@ func fingerprint(t *testing.T, ix *Index) string {
 				t.Fatalf("view bucket %d: %v", n.bucket, err)
 			}
 			fmt.Fprintf(&buckets, "bucket %d:", n.bucket)
-			for _, e := range v {
-				buckets.Write(EncodeEntry(e))
-			}
+			buckets.Write(v.Bytes())
 			return
 		}
 		for i := range n.kids {
@@ -291,12 +289,12 @@ func (s *failStore) Create() (BucketID, error) {
 	return s.BucketStore.Create()
 }
 
-func (s *failStore) Append(id BucketID, e Entry) error {
+func (s *failStore) Append(id BucketID, recs Bucket) error {
 	s.ops++
 	if s.ops == s.failAt {
 		return errInjected
 	}
-	return s.BucketStore.Append(id, e)
+	return s.BucketStore.Append(id, recs)
 }
 
 // stripCursor drops the store allocation cursor from a fingerprint. An

@@ -76,7 +76,7 @@ func BenchmarkConcurrentReadApprox(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			cands, err := ix.ApproxCandidates(queries[i%len(queries)], 600)
+			cands, err := ix.ApproxCandidatesRanked(queries[i%len(queries)], 600)
 			if err != nil {
 				b.Error(err)
 				return
@@ -99,7 +99,7 @@ func BenchmarkConcurrentReadRange(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := ix.RangeByDists(qDists[i%len(qDists)], 3); err != nil {
+			if _, err := rangeSearch(ix, qDists[i%len(qDists)], 3); err != nil {
 				b.Error(err)
 				return
 			}
@@ -110,7 +110,7 @@ func BenchmarkConcurrentReadRange(b *testing.B) {
 
 // BenchmarkConcurrentDiskRangeCold is BenchmarkDiskRangeCold from several
 // goroutines: every reader's every leaf is a cache miss on the one DiskStore.
-// With the store mutex held across the file read and the decode, readers
+// With the store mutex held across the file read, readers
 // queue behind each other's system calls and two procs run slower per
 // operation than one (1.3–1.6x); with the miss's I/O outside the mutex they
 // share only the map work. The bench job's -scale-limit covers it with the
@@ -126,7 +126,7 @@ func BenchmarkConcurrentDiskRangeCold(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := ix.RangeByDists(qDists[i%len(qDists)], 3); err != nil {
+			if _, err := rangeSearch(ix, qDists[i%len(qDists)], 3); err != nil {
 				b.Error(err)
 				return
 			}
@@ -180,7 +180,7 @@ func BenchmarkConcurrentSearchUnderChurn(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			cands, err := ix.ApproxCandidates(queries[i%len(queries)], 600)
+			cands, err := ix.ApproxCandidatesRanked(queries[i%len(queries)], 600)
 			if err != nil {
 				b.Error(err)
 				return

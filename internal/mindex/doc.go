@@ -47,6 +47,19 @@
 // in arrival order (see DESIGN.md §Mutability), so churn never degrades
 // search semantics.
 //
+// # Key invariant: a bucket is its bytes
+//
+// A bucket exists in one form only, its image: the records AppendEntry
+// writes, back to back, with a table of where each starts (Bucket). It is
+// byte for byte the DiskStore bucket file, and the same records are the
+// write-ahead log's and the wire's. MemStore grows an image per bucket, the
+// DiskStore cache holds images, pins hold images, and every reader walks
+// EntryViews over them — the pivot filter reads the stored distances in
+// their little-endian form, a candidate is its record's view. Mutations
+// move record spans and decode nothing; whole entries are decoded only by
+// callers that keep them (EntryView.Decode, Flat) and on ingest
+// (DecodeEntry).
+//
 // # Key invariant: deterministic tree shape and candidate order
 //
 // The cell tree's shape depends only on the final entry multiset (a cell

@@ -41,23 +41,7 @@ func (f PivotFilter) Allows(p int32) bool {
 	return f == nil || (p >= 0 && int(p) < len(f) && f[p])
 }
 
-// allowsEntry reports whether e's first-level cell passes the filter.
-func (f PivotFilter) allowsEntry(e Entry) bool {
-	return f == nil || (len(e.Perm) > 0 && f.Allows(e.Perm[0]))
-}
-
-// filterEntries returns the entries passing the filter. With a nil filter
-// the input is returned untouched; otherwise survivors are copied — the
-// input may be a read-only snapshot view.
-func (f PivotFilter) filterEntries(entries []Entry) []Entry {
-	if f == nil {
-		return entries
-	}
-	out := make([]Entry, 0, len(entries))
-	for _, e := range entries {
-		if f.allowsEntry(e) {
-			out = append(out, e)
-		}
-	}
-	return out
+// allowsView reports whether the entry's first-level cell passes the filter.
+func (f PivotFilter) allowsView(v *EntryView) bool {
+	return f == nil || (len(v.Perm()) > 0 && f.Allows(v.permAt(0)))
 }

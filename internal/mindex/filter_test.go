@@ -98,7 +98,7 @@ func TestSearchEquivalence(t *testing.T) {
 		t.Cleanup(func() { ix.Close() })
 		var kept []Entry
 		for _, e := range src {
-			if allow.allowsEntry(e) {
+			if v := ViewOf(e); allow.allowsView(&v) {
 				kept = append(kept, e)
 			}
 		}

@@ -3,6 +3,7 @@ package mindex
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -71,8 +72,8 @@ type Config struct {
 	// DiskPath is the bucket directory for StorageDisk.
 	DiskPath string
 	// DiskCacheBytes bounds the DiskStore read-through bucket cache (the
-	// decoded-entry LRU that lets repeated queries skip re-reading and
-	// re-decoding bucket files): positive values set the budget in bytes,
+	// LRU of bucket images that lets repeated queries skip re-reading bucket
+	// files): positive values set the budget in bytes,
 	// 0 means DefaultDiskCacheBytes, negative disables the cache. Ignored
 	// for memory storage. internal/engine treats the budget as a
 	// whole-engine figure and divides it across shards. The cache never
@@ -206,6 +207,8 @@ type Index struct {
 	// from the canonical shape a fresh build of the surviving entries would
 	// have; Compact restores it.
 	dirty bool
+	// scratch is the mutators' reusable buffers.
+	scratch writeScratch
 
 	// Ingest counters: entries accepted through the insert paths, builder-
 	// path batches, and the encoded bytes those entries occupy. Written by
@@ -246,10 +249,10 @@ type entryLoc struct {
 // operations — Replace and Free; appends extend an era). Before a mutator
 // destroys a bucket's content it stores the full pre-destruction view here,
 // so readers of any previously published node version — all of which share
-// this cell and slice the view to their own count — keep a consistent
-// bucket image without locks. See Index.leafView.
+// this cell and cut the view to their own count — keep a consistent bucket
+// image without locks. See Index.leafView.
 type pinCell struct {
-	v atomic.Pointer[[]Entry]
+	v atomic.Pointer[Bucket]
 }
 
 // child is one entry of a node's sorted child table.
@@ -429,6 +432,11 @@ func (ix *Index) checkEntry(e *Entry) error {
 	if e.Dists != nil && len(e.Dists) != ix.cfg.NumPivots {
 		return fmt.Errorf("mindex: entry has %d pivot distances, want %d", len(e.Dists), ix.cfg.NumPivots)
 	}
+	// The record counts both in 16 bits (see AppendEntry).
+	if len(e.Perm) > math.MaxUint16 || len(e.Dists) > math.MaxUint16 {
+		return fmt.Errorf("mindex: entry has %d permutation elements and %d distances, the record holds at most %d of each",
+			len(e.Perm), len(e.Dists), math.MaxUint16)
+	}
 	return nil
 }
 
@@ -447,7 +455,7 @@ func (ix *Index) checkEntry(e *Entry) error {
 //     destroying mutator is guaranteed to have pinned the old content into
 //     the shared cell before touching the store, so a re-check of the pin
 //     must succeed.
-func (ix *Index) leafView(n *node) ([]Entry, error) {
+func (ix *Index) leafView(n *node) (Bucket, error) {
 	return ix.leafViewN(n, n.count)
 }
 
@@ -455,34 +463,34 @@ func (ix *Index) leafView(n *node) ([]Entry, error) {
 // bulk builder reads a touched leaf's pre-batch content with it: the node
 // clone's count already includes the batch entries the build has routed
 // here, but the store still holds only the pre-batch prefix.
-func (ix *Index) leafViewN(n *node, count int) ([]Entry, error) {
+func (ix *Index) leafViewN(n *node, count int) (Bucket, error) {
 	if p := n.pin.v.Load(); p != nil {
-		return (*p)[:count], nil
+		return p.prefix(count), nil
 	}
-	v, era, err := viewVersioned(ix.store, n.bucket)
-	if err == nil && era == n.era && len(v) >= count {
-		return v[:count], nil
+	b, era, err := viewVersioned(ix.store, n.bucket)
+	if err == nil && era == n.era && b.Len() >= count {
+		return b.prefix(count), nil
 	}
 	if p := n.pin.v.Load(); p != nil {
-		return (*p)[:count], nil
+		return p.prefix(count), nil
 	}
 	if err != nil {
-		return nil, err
+		return Bucket{}, err
 	}
-	return nil, fmt.Errorf("mindex: bucket %d content superseded with no pinned view", n.bucket)
+	return Bucket{}, fmt.Errorf("mindex: bucket %d content superseded with no pinned view", n.bucket)
 }
 
 // viewVersioned reads a bucket view together with its content era. Stores
 // without era tracking (MemStore — its leaves are eagerly pinned, so lazy
 // reads never reach it) report era 0.
-func viewVersioned(s BucketStore, id BucketID) ([]Entry, uint64, error) {
+func viewVersioned(s BucketStore, id BucketID) (Bucket, uint64, error) {
 	if vv, ok := s.(interface {
-		ViewVersioned(BucketID) ([]Entry, uint64, error)
+		ViewVersioned(BucketID) (Bucket, uint64, error)
 	}); ok {
 		return vv.ViewVersioned(id)
 	}
-	v, err := s.View(id)
-	return v, 0, err
+	b, err := s.View(id)
+	return b, 0, err
 }
 
 // Stats summarizes the tree shape, used by tooling and tests. Entries

@@ -107,7 +107,7 @@ func TestTreeInvariants(t *testing.T) {
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.isLeaf() {
-			entries, err := ix.store.View(n.bucket)
+			entries, err := viewEntries(ix.store.View(n.bucket))
 			if err != nil {
 				t.Fatal(err)
 			}

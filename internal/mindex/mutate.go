@@ -9,9 +9,12 @@ package mindex
 // failed split leaves a consistent overfull leaf behind.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+
+	"simcloud/internal/simd"
 )
 
 // txn is one mutation transaction: a private, mutable view of the index
@@ -147,29 +150,56 @@ func (t *txn) refreshPin(n *node) {
 	n.pin.v.Store(&v)
 }
 
-// updateBounds grows the node's box over the entry's distance vector; an
+// updateBounds grows the node's box over an entry's distance vector; an
 // entry without distances drops the box (the cell can then no longer be
 // box-pruned, but remains correct).
-func (n *node) updateBounds(e *Entry) {
+func (n *node) updateBounds(dists []float64) {
 	if n.box == nil {
 		return
 	}
-	if e.Dists == nil {
+	if len(dists) == 0 {
 		n.box = nil
 		return
 	}
 	if n.boxShared {
-		if n.box.covers(e.Dists) {
+		if n.box.covers(dists) {
 			return
 		}
 		n.box, n.boxShared = slices.Clone(n.box), false
 	}
-	n.box.extend(e.Dists)
+	n.box.extend(dists)
+}
+
+// writeScratch is the buffers the mutators reuse from call to call, all
+// guarded by Index.wmu: the record of the entry being inserted (see
+// encode), the content of a bucket being written — a split child, a purged
+// leaf's survivors, a bulk-built leaf — and the distances of the record
+// being filed. The stores copy what they keep.
+type writeScratch struct {
+	rec, content Bucket
+	dists        distScratch
+}
+
+// distScratch reads the distances a record stores for the box updates of a
+// mutation, into one buffer reused from record to record: a record is
+// filed along a whole path, and its distances are read once for it.
+type distScratch []float64
+
+// of returns v's distances, nil for a record stored without them; valid
+// until the next call.
+func (s *distScratch) of(v *EntryView) []float64 {
+	raw := v.Dists()
+	if len(raw) == 0 {
+		return nil
+	}
+	*s = slices.Grow((*s)[:0], len(raw)/8)[:len(raw)/8]
+	simd.DecodeF64LE(*s, raw)
+	return *s
 }
 
 // insertEntry is the full insert protocol: reject live duplicates, purge a
 // tombstoned twin, then file the entry.
-func (t *txn) insertEntry(e Entry) error {
+func (t *txn) insertEntry(e *Entry) error {
 	if _, ok := t.loc[e.ID]; ok {
 		if _, gone := t.tomb[e.ID]; !gone {
 			return fmt.Errorf("%w: %d", ErrDuplicateID, e.ID)
@@ -178,21 +208,36 @@ func (t *txn) insertEntry(e Entry) error {
 			return err
 		}
 	}
-	return t.insert(e)
+	return t.insert(t.encode(e))
 }
 
-// insert files e into its leaf cell (the server side of the paper's insert
-// operation, Figure 4): descend by the permutation prefix cloning the path,
-// append to the leaf bucket, split on overflow. Bookkeeping (counts,
-// bounds, loc, size) is only touched after the append succeeded, so a
-// failed insert leaves the transaction state unchanged.
-func (t *txn) insert(e Entry) error {
+// encode returns e's record as a one-record bucket, in the scratch.
+func (t *txn) encode(e *Entry) Bucket {
+	sc := &t.ix.scratch
+	sc.rec = sc.rec.reset().appendEntry(e)
+	return sc.rec
+}
+
+// firstRecord is the offset table of every one-record bucket made by
+// recordBucket; nothing writes to it.
+var firstRecord = [1]uint32{}
+
+// recordBucket is the one-record bucket of v's record, aliasing it.
+func recordBucket(v *EntryView) Bucket { return Bucket{img: v.Record, offs: firstRecord[:]} }
+
+// insert files the one record of rec into its leaf cell (the server side
+// of the paper's insert operation, Figure 4): descend by the permutation
+// prefix cloning the path, append to the leaf bucket, split on overflow.
+// Bookkeeping (counts, bounds, loc, size) is only touched after the append
+// succeeded, so a failed insert leaves the transaction state unchanged.
+func (t *txn) insert(rec Bucket) error {
+	e := rec.At(0)
 	t.root = t.mutable(t.root)
 	n := t.root
 	path := make([]*node, 0, t.ix.cfg.MaxLevel+1)
 	path = append(path, n)
 	for !n.isLeaf() {
-		key := e.Perm[n.level()]
+		key := e.permAt(n.level())
 		c := n.child(key)
 		if c == nil {
 			b, err := t.ix.store.Create()
@@ -213,12 +258,13 @@ func (t *txn) insert(e Entry) error {
 		n = c
 		path = append(path, n)
 	}
-	if err := t.ix.store.Append(n.bucket, e); err != nil {
+	if err := t.ix.store.Append(n.bucket, rec); err != nil {
 		return err
 	}
+	dists := t.ix.scratch.dists.of(&e)
 	for _, pn := range path {
 		pn.count++
-		pn.updateBounds(&e)
+		pn.updateBounds(dists)
 	}
 	t.refreshPin(n)
 	t.loc[e.ID] = entryLoc{prefix: n.prefix, seq: t.ix.nextSeq}
@@ -233,64 +279,82 @@ func (t *txn) insert(e Entry) error {
 }
 
 // split turns an overflowing leaf into an internal node, redistributing its
-// bucket by the next permutation element — the recursive Voronoi step. The
-// children are fully built beside the leaf first; only once they are
-// complete is the old content pinned for published readers, the old bucket
-// freed and the leaf converted. A failure before that point frees the
-// half-built children and leaves a consistent overfull leaf.
+// bucket by the next permutation element — the recursive Voronoi step. Each
+// record's span is copied to its child unread: the key comes from the
+// stored permutation, the box from the stored distances. The children are
+// fully built beside the leaf first, each written with one append; only
+// once they are complete is the old content pinned for published readers,
+// the old bucket freed and the leaf converted. A failure before that point
+// frees the half-built children and leaves a consistent overfull leaf.
 func (t *txn) split(n *node) error {
 	view, err := t.ix.leafView(n)
 	if err != nil {
 		return err
 	}
 	level := n.level()
-	var kids []child
-	var created []BucketID
+	// made lists the children in creation order — the order of their first
+	// entries, which is the order the store allocates their buckets in —
+	// and owner[i] is the child record i goes to.
+	type madeChild struct {
+		key int32
+		n   *node
+	}
+	var made []madeChild
+	owner := make([]int32, view.Len())
 	fail := func(err error) error {
-		for _, b := range created {
-			t.ix.store.Free(b)
+		for _, m := range made {
+			t.ix.store.Free(m.n.bucket)
 		}
 		return err
 	}
-	childFor := func(key int32) (*node, error) {
-		for i := range kids {
-			if kids[i].key == key {
-				return kids[i].n, nil
+	childFor := func(key int32) (int, error) {
+		for i := range made {
+			if made[i].key == key {
+				return i, nil
 			}
 		}
 		b, err := t.ix.store.Create()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		created = append(created, b)
-		c := t.fresh(&node{
+		made = append(made, madeChild{key: key, n: t.fresh(&node{
 			prefix: appendPrefix(n.prefix, key),
 			bucket: b,
 			pin:    &pinCell{},
 			box:    emptyBox(t.ix.cfg.NumPivots),
-		})
-		i := len(kids)
-		kids = append(kids, child{key: key, n: c})
-		for ; i > 0 && key < kids[i-1].key; i-- {
-			kids[i] = kids[i-1]
-		}
-		kids[i] = child{key: key, n: c}
-		return c, nil
+		})})
+		return len(made) - 1, nil
 	}
-	for _, e := range view {
-		c, err := childFor(e.Perm[level])
+	for i := range view.Len() {
+		v := view.At(i)
+		ci, err := childFor(v.permAt(level))
 		if err != nil {
 			return fail(err)
 		}
-		if err := t.ix.store.Append(c.bucket, e); err != nil {
-			return fail(err)
-		}
+		owner[i] = int32(ci)
+		c := made[ci].n
 		c.count++
-		if _, gone := t.tomb[e.ID]; gone {
+		if _, gone := t.tomb[v.ID]; gone {
 			c.dead++
 		}
-		c.updateBounds(&e)
+		c.updateBounds(t.ix.scratch.dists.of(&v))
 	}
+	kids := make([]child, len(made))
+	sc := &t.ix.scratch
+	for ci, m := range made {
+		sc.content = sc.content.reset()
+		for i, o := range owner {
+			if o == int32(ci) {
+				v := view.At(i)
+				sc.content = sc.content.appendView(&v)
+			}
+		}
+		if err := t.ix.store.Append(m.n.bucket, sc.content); err != nil {
+			return fail(err)
+		}
+		kids[ci] = child{key: m.key, n: m.n}
+	}
+	slices.SortFunc(kids, func(a, b child) int { return cmp.Compare(a.key, b.key) })
 	// Point of no return: pin the old content for readers of previously
 	// published versions of this leaf (they share the cell), then retire
 	// the bucket and convert the leaf.
@@ -304,10 +368,11 @@ func (t *txn) split(n *node) error {
 	for i := range n.kids {
 		t.refreshPin(n.kids[i].n)
 	}
-	for _, e := range view {
-		if l, ok := t.loc[e.ID]; ok {
-			l.prefix = n.child(e.Perm[level]).prefix
-			t.loc[e.ID] = l
+	for i := range view.Len() {
+		v := view.At(i)
+		if l, ok := t.loc[v.ID]; ok {
+			l.prefix = n.child(v.permAt(level)).prefix
+			t.loc[v.ID] = l
 		}
 	}
 	if freeErr != nil {
@@ -349,17 +414,19 @@ func (t *txn) purge(id uint64) error {
 	if err != nil {
 		return err
 	}
-	// The view is read-only — survivors are gathered into a fresh slice
-	// instead of compacting in place.
-	kept := make([]Entry, 0, len(view))
+	// The view is read-only — the survivors' spans are copied into the
+	// scratch instead of compacting in place.
+	kept := t.ix.scratch.content.reset()
 	removed := 0
-	for _, e := range view {
-		if e.ID == id {
+	for i := range view.Len() {
+		v := view.At(i)
+		if v.ID == id {
 			removed++
 			continue
 		}
-		kept = append(kept, e)
+		kept = kept.appendView(&v)
 	}
+	t.ix.scratch.content = kept
 	if removed > 0 {
 		full := view
 		n.pin.v.Store(&full)
@@ -444,7 +511,7 @@ func (ix *Index) Insert(e Entry) error {
 		return err
 	}
 	t := ix.begin()
-	err := t.insertEntry(e)
+	err := t.insertEntry(&e)
 	// Publish even on error: the transaction is consistent after every
 	// store operation (a failed split, for instance, leaves a valid
 	// overfull leaf that the entry was appended to).
@@ -491,7 +558,7 @@ func (ix *Index) insertBulkIncremental(entries []Entry) error {
 	for i := range entries {
 		err := ix.CheckEntry(entries[i])
 		if err == nil {
-			err = t.insertEntry(entries[i])
+			err = t.insertEntry(&entries[i])
 		}
 		if err != nil {
 			t.commit()
@@ -544,7 +611,7 @@ func (ix *Index) Update(e Entry) error {
 		t.commit()
 		return err
 	}
-	if err := t.insertEntry(e); err != nil {
+	if err := t.insertEntry(&e); err != nil {
 		// Resurrect the old record when it is still physically present
 		// (the tombstone is pure bookkeeping until a purge or compaction
 		// touches the bucket), so a failed insert does not destroy the
@@ -574,12 +641,12 @@ func (ix *Index) ensureLoc() error {
 	var walk func(n *node) error
 	walk = func(n *node) error {
 		if n.isLeaf() {
-			entries, err := ix.leafView(n)
+			b, err := ix.leafView(n)
 			if err != nil {
 				return err
 			}
-			for _, e := range entries {
-				loc[e.ID] = entryLoc{prefix: n.prefix, seq: ix.nextSeq}
+			for i := range b.Len() {
+				loc[b.At(i).ID] = entryLoc{prefix: n.prefix, seq: ix.nextSeq}
 				ix.nextSeq++
 			}
 			return nil
@@ -624,12 +691,12 @@ func (ix *Index) Compact() error {
 	// Gather the survivors without touching the live tree, so any error
 	// up to the final publication leaves the pre-compact index intact.
 	type seqEntry struct {
-		e   Entry
+		v   EntryView
 		seq uint64
 	}
 	type oldLeaf struct {
 		n    *node
-		view []Entry
+		view Bucket
 	}
 	live := make([]seqEntry, 0, st.size)
 	var olds []oldLeaf
@@ -641,11 +708,12 @@ func (ix *Index) Compact() error {
 				return err
 			}
 			olds = append(olds, oldLeaf{n: n, view: view})
-			for _, e := range view {
-				if _, gone := st.tombstones[e.ID]; gone {
+			for i := range view.Len() {
+				v := view.At(i)
+				if _, gone := st.tombstones[v.ID]; gone {
 					continue
 				}
-				live = append(live, seqEntry{e: e, seq: ix.loc[e.ID].seq})
+				live = append(live, seqEntry{v: v, seq: ix.loc[v.ID].seq})
 			}
 			return nil
 		}
@@ -678,8 +746,8 @@ func (ix *Index) Compact() error {
 	}
 	b.tombOwned = true
 	b.root = b.fresh(&node{bucket: rootBucket, pin: &pinCell{}})
-	for _, se := range live {
-		if err := b.insert(se.e); err != nil {
+	for i := range live {
+		if err := b.insert(recordBucket(&live[i].v)); err != nil {
 			ix.freeSubtreeBuckets(b.root)
 			return err
 		}

@@ -5,7 +5,9 @@ package mindex
 // baseline in bench/BENCH_BASELINE_4.txt (recorded before the
 // allocation-discipline pass of PR 4), tracking the perf trajectory of the
 // serving hot path: promise-ranked approximate collection, range pruning,
-// first-cell selection, and repeated disk-backed queries.
+// first-cell selection, and repeated disk-backed queries. They run the
+// ranked forms the server answers with; a flat form (ApproxCandidates,
+// RangeByDists, ...) decodes each candidate into an Entry on top.
 
 import (
 	"math/rand/v2"
@@ -50,6 +52,11 @@ func benchIndex(b *testing.B, cfg Config, n int) (*Index, []ApproxQuery, [][]flo
 	return ix, queries, qDists
 }
 
+// rangeSearch is a KindRange Search: the range query as the server runs it.
+func rangeSearch(ix *Index, qDists []float64, r float64) ([]RankedCandidate, error) {
+	return ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists}, Radius: r})
+}
+
 func benchMemConfig() Config {
 	return Config{
 		NumPivots: 16, MaxLevel: 5, BucketCapacity: 50,
@@ -65,7 +72,7 @@ func BenchmarkQueryPathApprox(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands, err := ix.ApproxCandidates(queries[i%len(queries)], 600)
+		cands, err := ix.ApproxCandidatesRanked(queries[i%len(queries)], 600)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +89,7 @@ func BenchmarkQueryPathRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.RangeByDists(qDists[i%len(qDists)], 3); err != nil {
+		if _, err := rangeSearch(ix, qDists[i%len(qDists)], 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +103,7 @@ func BenchmarkQueryPathRangePruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.RangeByDists(qDists[i%len(qDists)], 1e-9); err != nil {
+		if _, err := rangeSearch(ix, qDists[i%len(qDists)], 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +116,7 @@ func BenchmarkQueryPathFirstCell(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands, err := ix.FirstCellCandidates(queries[i%len(queries)])
+		cands, err := ix.Search(Query{Kind: KindFirstCell, ApproxQuery: queries[i%len(queries)]})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,13 +140,13 @@ func BenchmarkDiskRepeatedQuery(b *testing.B) {
 			sub.tune(&c)
 			ix, queries, _ := benchIndex(b, c, 8000)
 			// Warm once so the steady state (not first-touch IO) is measured.
-			if _, err := ix.ApproxCandidates(queries[0], 600); err != nil {
+			if _, err := ix.ApproxCandidatesRanked(queries[0], 600); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cands, err := ix.ApproxCandidates(queries[i%len(queries)], 600)
+				cands, err := ix.ApproxCandidatesRanked(queries[i%len(queries)], 600)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -162,13 +169,13 @@ func BenchmarkDiskRangeRepeated(b *testing.B) {
 			c.DiskPath = b.TempDir()
 			sub.tune(&c)
 			ix, _, qDists := benchIndex(b, c, 8000)
-			if _, err := ix.RangeByDists(qDists[0], 3); err != nil {
+			if _, err := rangeSearch(ix, qDists[0], 3); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.RangeByDists(qDists[i%len(qDists)], 3); err != nil {
+				if _, err := rangeSearch(ix, qDists[i%len(qDists)], 3); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,9 +185,9 @@ func BenchmarkDiskRangeRepeated(b *testing.B) {
 
 // BenchmarkDiskRangeCold is the precise range query with the bucket cache
 // off — the regime of a collection far larger than the cache, where every
-// leaf the traversal does not prune is a file read and a decode. misses/op
-// counts those reads (the cell boxes exist to lower it), allocs/op prices
-// each one (decodeBucket keeps it at a few blocks per bucket).
+// leaf the traversal does not prune is a file read. misses/op counts those
+// reads (the cell boxes exist to lower it), allocs/op prices each one (the
+// file name, the open, the image and its offset table; nothing is decoded).
 func BenchmarkDiskRangeCold(b *testing.B) {
 	cfg := benchMemConfig()
 	cfg.Storage = StorageDisk
@@ -191,7 +198,7 @@ func BenchmarkDiskRangeCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.RangeByDists(qDists[i%len(qDists)], 3); err != nil {
+		if _, err := rangeSearch(ix, qDists[i%len(qDists)], 3); err != nil {
 			b.Fatal(err)
 		}
 	}

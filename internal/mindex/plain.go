@@ -1,13 +1,15 @@
 package mindex
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
+	"simcloud/internal/simd"
 )
 
 // Result is one answer of a refined similarity query.
@@ -20,16 +22,22 @@ type Result struct {
 // sortResults orders results by distance, ties by ID, and trims to k (k <= 0
 // keeps everything).
 func sortResults(rs []Result, k int) []Result {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
-		}
-		return rs[i].ID < rs[j].ID
-	})
+	slices.SortFunc(rs, func(a, b Result) int { return compareResults(&a, &b) })
 	if k > 0 && len(rs) > k {
 		rs = rs[:k]
 	}
 	return rs
+}
+
+// compareResults orders results by distance, ties by ID.
+func compareResults(a, b *Result) int {
+	switch {
+	case a.Dist < b.Dist:
+		return -1
+	case a.Dist > b.Dist:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Plain couples an M-Index with the pivot set and raw vectors, forming the
@@ -76,22 +84,53 @@ func (p *Plain) InsertBulk(objs []metric.Object) error {
 }
 
 // Range evaluates the precise range query R(q, r) entirely on the server:
-// candidate collection via RangeByDists followed by refinement with real
-// distances.
+// candidate collection by a KindRange search followed by refinement with
+// real distances.
 func (p *Plain) Range(q metric.Vector, r float64) ([]Result, error) {
 	qDists := p.Pivots.Distances(q)
-	cands, err := p.Idx.RangeByDists(qDists, r)
+	cands, err := p.Idx.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists}, Radius: r})
 	if err != nil {
 		return nil, err
 	}
-	var out []Result
-	for _, e := range cands {
-		d := p.Pivots.Dist.Dist(q, e.Vec)
-		if d <= r {
-			out = append(out, Result{ID: e.ID, Dist: d, Vec: e.Vec})
+	return p.refine(q, cands, 0, func(d float64) bool { return d <= r }), nil
+}
+
+// refine computes the real distance from q to every candidate, keeps those
+// within (nil keeps all), and returns the k closest (k <= 0: all of them) by
+// distance, ties by ID. The vectors are read from the candidates' records
+// into one reused buffer; only the results returned get theirs copied out,
+// into one block.
+func (p *Plain) refine(q metric.Vector, cands []RankedCandidate, k int, within func(float64) bool) []Result {
+	type scored struct {
+		Result
+		v *EntryView
+	}
+	kept := make([]scored, 0, len(cands))
+	var vec metric.Vector
+	for i := range cands {
+		v := &cands[i].Entry
+		vec = decodeVec(vec, v)
+		if d := p.Pivots.Dist.Dist(q, vec); within == nil || within(d) {
+			kept = append(kept, scored{Result{ID: v.ID, Dist: d}, v})
 		}
 	}
-	return sortResults(out, 0), nil
+	slices.SortFunc(kept, func(a, b scored) int { return compareResults(&a.Result, &b.Result) })
+	if k > 0 && len(kept) > k {
+		kept = kept[:k]
+	}
+	n := 0
+	for i := range kept {
+		n += len(kept[i].v.Vec()) / 4
+	}
+	block := make(metric.Vector, n)
+	out := make([]Result, len(kept))
+	for i := range kept {
+		m := len(kept[i].v.Vec()) / 4
+		out[i] = kept[i].Result
+		out[i].Vec, block = block[:m:m], block[m:]
+		simd.DecodeF32LE(out[i].Vec, kept[i].v.Vec())
+	}
+	return out
 }
 
 // knnHeap is a bounded max-heap of the k best results found so far.
@@ -141,6 +180,7 @@ func (p *Plain) KNN(q metric.Vector, k int) ([]Result, error) {
 	radius := math.Inf(1)
 	pq := ix.getQueue(st.root, false) // promise reused as lower bound
 	defer ix.putQueue(pq)
+	var vec metric.Vector // the entry being refined, decoded
 	for pq.Len() > 0 {
 		item := pq.pop()
 		if item.promise > radius {
@@ -150,20 +190,22 @@ func (p *Plain) KNN(q metric.Vector, k int) ([]Result, error) {
 			if item.n.live() == 0 {
 				continue
 			}
-			entries, err := ix.leafView(item.n)
+			b, err := ix.leafView(item.n)
 			if err != nil {
 				return nil, err
 			}
-			for _, e := range entries {
-				if _, gone := st.tombstones[e.ID]; gone {
+			for i := range b.Len() {
+				v := b.At(i)
+				if _, gone := st.tombstones[v.ID]; gone {
 					continue
 				}
-				if e.Dists != nil && pivot.LowerBound(qDists, e.Dists) > radius {
+				if _, above := entryBound(qDists, v.Dists(), radius); above {
 					continue
 				}
-				d := p.Pivots.Dist.Dist(q, e.Vec)
+				vec = decodeVec(vec, &v)
+				d := p.Pivots.Dist.Dist(q, vec)
 				if d <= radius || best.Len() < k {
-					radius = best.offer(Result{ID: e.ID, Dist: d, Vec: e.Vec}, k)
+					radius = best.offer(Result{ID: v.ID, Dist: d, Vec: slices.Clone(vec)}, k)
 				}
 			}
 			continue
@@ -220,15 +262,11 @@ func (p *Plain) ApproxKNN(q metric.Vector, k, candSize int) ([]Result, error) {
 	}
 	qDists := p.Pivots.Distances(q)
 	aq := ApproxQuery{Dists: qDists, Ranks: pivot.Ranks(pivot.Permutation(qDists))}
-	cands, err := p.Idx.ApproxCandidates(aq, candSize)
+	cands, err := p.Idx.ApproxCandidatesRanked(aq, candSize)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(cands))
-	for _, e := range cands {
-		out = append(out, Result{ID: e.ID, Dist: p.Pivots.Dist.Dist(q, e.Vec), Vec: e.Vec})
-	}
-	return sortResults(out, k), nil
+	return p.refine(q, cands, k, nil), nil
 }
 
 // FirstCellKNN evaluates the restricted 1-cell approximate k-NN fully on
@@ -241,15 +279,11 @@ func (p *Plain) FirstCellKNN(q metric.Vector, k int) ([]Result, error) {
 	}
 	qDists := p.Pivots.Distances(q)
 	aq := ApproxQuery{Dists: qDists, Ranks: pivot.Ranks(pivot.Permutation(qDists))}
-	cands, err := p.Idx.FirstCellCandidates(aq)
+	cands, err := p.Idx.Search(Query{Kind: KindFirstCell, ApproxQuery: aq})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(cands))
-	for _, e := range cands {
-		out = append(out, Result{ID: e.ID, Dist: p.Pivots.Dist.Dist(q, e.Vec), Vec: e.Vec})
-	}
-	return sortResults(out, k), nil
+	return p.refine(q, cands, k, nil), nil
 }
 
 // Delete tombstones the objects with the given IDs (the plain server holds
@@ -259,35 +293,14 @@ func (p *Plain) Delete(ids []uint64) (int, error) {
 	return p.Idx.Delete(ids)
 }
 
-// AllEntries returns every live stored entry (used by the trivial
-// download-all baseline and diagnostics). The order is unspecified.
-func (ix *Index) AllEntries() ([]Entry, error) {
-	st := ix.state.Load()
-	out := make([]Entry, 0, st.size)
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n.isLeaf() {
-			if n.count == 0 {
-				return nil
-			}
-			entries, err := ix.leafView(n)
-			if err != nil {
-				return err
-			}
-			out = append(out, st.liveOnly(entries)...)
-			return nil
-		}
-		for i := range n.kids {
-			if err := walk(n.kids[i].n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(st.root); err != nil {
-		return nil, err
-	}
-	return out, nil
+// decodeVec decodes v's plaintext vector into dst's memory (a new vector
+// when it is too small) — the plain deployment's one read of an entry's
+// object, at the edge where the server refines.
+func decodeVec(dst metric.Vector, v *EntryView) metric.Vector {
+	raw := v.Vec()
+	dst = slices.Grow(dst[:0], len(raw)/4)[:len(raw)/4]
+	simd.DecodeF32LE(dst, raw)
+	return dst
 }
 
 // BruteForceKNN scans all entries — the reference answer generator used by
@@ -302,15 +315,17 @@ func (p *Plain) BruteForceKNN(q metric.Vector, k int) ([]Result, error) {
 			if n.count == 0 {
 				return nil
 			}
-			entries, err := ix.leafView(n)
+			b, err := ix.leafView(n)
 			if err != nil {
 				return err
 			}
-			for _, e := range entries {
-				if _, gone := st.tombstones[e.ID]; gone {
+			for i := range b.Len() {
+				v := b.At(i)
+				if _, gone := st.tombstones[v.ID]; gone {
 					continue
 				}
-				out = append(out, Result{ID: e.ID, Dist: p.Pivots.Dist.Dist(q, e.Vec), Vec: e.Vec})
+				vec := decodeVec(nil, &v)
+				out = append(out, Result{ID: v.ID, Dist: p.Pivots.Dist.Dist(q, vec), Vec: vec})
 			}
 			return nil
 		}

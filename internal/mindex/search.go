@@ -79,14 +79,14 @@ func (k BoundKey) Compare(o BoundKey) int {
 	return cmp.Compare(k.ID, o.ID)
 }
 
-// entryBound reports whether the LB of e's bound key exceeds limit and,
-// when it does not, returns it — pivot.LowerBound(qDists, e.Dists), 0 for an
-// entry without distances.
-func entryBound(qDists []float64, e *Entry, limit float64) (float64, bool) {
-	if e.Dists == nil {
+// entryBound reports whether the LB of an entry's bound key exceeds limit
+// and, when it does not, returns it — pivot.LowerBound(qDists, dists) read
+// straight from the stored distances, 0 for an entry without them.
+func entryBound(qDists []float64, dists []byte, limit float64) (float64, bool) {
+	if len(dists) == 0 {
 		return 0, 0 > limit
 	}
-	return simd.AbsMaxDiff64Above(qDists, e.Dists, limit)
+	return simd.AbsMaxDiff64AboveLE(qDists, dists, limit)
 }
 
 // Search evaluates q against the last published snapshot, lock-free. Every
@@ -108,17 +108,7 @@ func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 	case KindFirstCell:
 		return ix.collect(q.ApproxQuery, 1, false, q.Allow)
 	case KindAll:
-		entries, err := ix.AllEntries()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]RankedCandidate, 0, len(entries))
-		for _, e := range entries {
-			if q.Allow.allowsEntry(e) {
-				out = append(out, RankedCandidate{Entry: e})
-			}
-		}
-		return out, nil
+		return ix.all(q.Allow)
 	}
 	return nil, fmt.Errorf("mindex: unknown query kind %d", q.Kind)
 }
@@ -130,7 +120,10 @@ func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 // Algorithm 4 across index partitions. A KindBound candidate carries its
 // own bound key's LB as the promise and no prefix.
 type RankedCandidate struct {
-	Entry   Entry
+	// Entry is the candidate's stored record as a view. Out of an index it
+	// aliases the immutable bucket image the search read: nothing is
+	// decoded or copied to make a candidate.
+	Entry   EntryView
 	Promise float64
 	Prefix  []int32
 }
@@ -142,16 +135,25 @@ func (rc *RankedCandidate) Rank() (float64, []int32, uint64) {
 }
 
 // Flat drops the ranking annotations of a Search result (passing its error
-// through) — the candidate set in the form a refining client consumes.
+// through) and decodes the candidates into whole entries, each field in an
+// allocation of its own — the edge of the callers that keep entries: the
+// download-all answer, tooling and tests. A query path reads the candidates'
+// views instead (the plain deployment refines from them).
 func Flat(rcs []RankedCandidate, err error) ([]Entry, error) {
 	if rcs == nil || err != nil {
 		return nil, err
 	}
 	out := make([]Entry, len(rcs))
 	for i := range rcs {
-		out[i] = rcs[i].Entry
+		out[i] = rcs[i].Entry.Decode()
 	}
 	return out, nil
+}
+
+// AllEntries returns every live stored entry, decoded (used by the trivial
+// download-all baseline and diagnostics): the flat form of a KindAll Search.
+func (ix *Index) AllEntries() ([]Entry, error) {
+	return Flat(ix.Search(Query{Kind: KindAll}))
 }
 
 // RangeByDists is the flat form of a KindRange Search.
@@ -198,39 +200,39 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 		return nil, fmt.Errorf("mindex: negative query radius %g", r)
 	}
 	st := ix.state.Load()
-	// Survivors are gathered as pointers into the read-only bucket views and
-	// copied out once into an exactly sized result: growing a slice of whole
-	// candidate records by doubling copies several times the final set.
-	var hits []*Entry
+	var out []RankedCandidate
 	var visit func(n *node) error
 	visit = func(n *node) error {
 		if n.isLeaf() {
 			if n.live() == 0 {
 				return nil
 			}
-			entries, err := ix.leafView(n)
+			b, err := ix.leafView(n)
 			if err != nil {
 				return err
 			}
-			for i := range entries {
-				e := &entries[i]
+			for i := range b.Len() {
 				// Pivot filtering (Algorithm 3, lines 5–7): discard when the
 				// triangle-inequality lower bound exceeds the radius. It comes
-				// first because it drops most entries; the tombstone probe is
-				// a map lookup only the survivors pay.
-				lb, above := entryBound(qDists, e, r)
-				if above || (after != nil && (BoundKey{LB: lb, ID: e.ID}).Compare(*after) <= 0) {
+				// first because it drops most entries, and reads only the
+				// ID and the distances; the tombstone probe is a map lookup
+				// only the survivors pay.
+				id, dists := b.filterFields(i)
+				lb, above := entryBound(qDists, dists, r)
+				if above || (after != nil && (BoundKey{LB: lb, ID: id}).Compare(*after) <= 0) {
 					continue
 				}
 				// Only an unsplit root leaf mixes first-level cells; deeper
 				// leaves were filtered at the root's child table.
-				if filter != nil && len(n.prefix) == 0 && !filter.allowsEntry(*e) {
+				if filter != nil && len(n.prefix) == 0 {
+					if v := b.At(i); !filter.allowsView(&v) {
+						continue
+					}
+				}
+				if _, gone := st.tombstones[id]; gone {
 					continue
 				}
-				if _, gone := st.tombstones[e.ID]; gone {
-					continue
-				}
-				hits = append(hits, e)
+				out = append(out, RankedCandidate{Entry: b.At(i)})
 			}
 			return nil
 		}
@@ -251,12 +253,8 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 		}
 		return nil
 	}
-	if err := visit(st.root); err != nil || len(hits) == 0 {
+	if err := visit(st.root); err != nil {
 		return nil, err
-	}
-	out := make([]RankedCandidate, len(hits))
-	for i, e := range hits {
-		out[i].Entry = *e
 	}
 	return out, nil
 }
@@ -591,25 +589,26 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 			if item.n.live() == 0 {
 				continue
 			}
-			// The view may be a read-only snapshot: entries are copied out,
-			// never mutated or retained.
-			entries, err := ix.leafView(item.n)
+			b, err := ix.leafView(item.n)
 			if err != nil {
 				return nil, err
 			}
-			entries = st.liveOnly(entries)
+			promise := pr.emitPromise(item)
 			// Only an unsplit root leaf mixes first-level cells; deeper
 			// leaves were filtered when the root's children were queued.
-			if len(item.n.prefix) == 0 {
-				entries = filter.filterEntries(entries)
-			}
-			if trim {
-				entries = entries[:min(len(entries), want-len(out))]
-			}
-			promise := pr.emitPromise(item)
-			out = slices.Grow(out, len(entries))
-			for _, e := range entries {
-				out = append(out, RankedCandidate{Entry: e, Promise: promise, Prefix: item.n.prefix})
+			root := len(item.n.prefix) == 0
+			for i := 0; i < b.Len() && !(trim && len(out) == want); i++ {
+				v := b.At(i)
+				if _, gone := st.tombstones[v.ID]; gone {
+					continue
+				}
+				if root && !filter.allowsView(&v) {
+					continue
+				}
+				if len(out) == cap(out) {
+					out = slices.Grow(out, b.Len()-i) // room for the rest of the cell at once
+				}
+				out = append(out, RankedCandidate{Entry: v, Promise: promise, Prefix: item.n.prefix})
 			}
 			continue
 		}
@@ -670,35 +669,36 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 			if item.n.live() == 0 {
 				continue
 			}
-			entries, err := ix.leafView(item.n)
+			b, err := ix.leafView(item.n)
 			if err != nil {
 				return nil, err
 			}
 			l := limit()
 			fresh = fresh[:0]
-			for i := range entries {
-				e := &entries[i]
-				// Only an unsplit root leaf mixes first-level cells.
-				if filter != nil && len(item.n.prefix) == 0 && !filter.allowsEntry(*e) {
-					continue
-				}
-				if _, gone := st.tombstones[e.ID]; gone {
-					continue
-				}
-				lb, above := entryBound(qDists, e, l)
+			for i := range b.Len() {
+				id, dists := b.filterFields(i)
+				lb, above := entryBound(qDists, dists, l)
 				if above {
 					continue
 				}
-				key := BoundKey{LB: lb, ID: e.ID}
+				if _, gone := st.tombstones[id]; gone {
+					continue
+				}
+				v := b.At(i)
+				// Only an unsplit root leaf mixes first-level cells.
+				if filter != nil && len(item.n.prefix) == 0 && !filter.allowsView(&v) {
+					continue
+				}
+				it := boundItem{key: BoundKey{LB: lb, ID: id}, v: v}
 				if len(best) < want {
-					best.push(boundItem{key: key, e: e})
-				} else if key.Compare(best[0].key) < 0 {
-					best.replaceTop(boundItem{key: key, e: e})
+					best.push(it)
+				} else if it.key.Compare(best[0].key) < 0 {
+					best.replaceTop(it)
 				} else {
 					continue
 				}
 				if share != nil {
-					fresh = append(fresh, key)
+					fresh = append(fresh, it.key)
 				}
 			}
 			if len(fresh) > 0 {
@@ -727,16 +727,15 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 	slices.SortFunc(best, func(a, b boundItem) int { return a.key.Compare(b.key) })
 	out := make([]RankedCandidate, len(best))
 	for i, b := range best {
-		out[i] = RankedCandidate{Entry: *b.e, Promise: b.key.LB}
+		out[i] = RankedCandidate{Entry: b.v, Promise: b.key.LB}
 	}
 	return out, nil
 }
 
-// boundItem is one entry kept by collectBound, pointing into a read-only
-// bucket view of the traversal's snapshot.
+// boundItem is one entry kept by collectBound: its key and its record.
 type boundItem struct {
 	key BoundKey
-	e   *Entry
+	v   EntryView
 }
 
 // boundHeap is a max-heap by bound key: its root is the worst entry kept.
@@ -823,22 +822,41 @@ func (s *BoundShare) offer(keys []BoundKey) {
 	}
 }
 
-// liveOnly filters tombstoned entries out of a bucket view. With no
-// tombstones pending it returns the view untouched (the common case);
-// otherwise the survivors are copied into a fresh slice — views are
-// read-only and must never be compacted in place.
-func (st *readState) liveOnly(entries []Entry) []Entry {
-	if len(st.tombstones) == 0 {
-		return entries
-	}
-	out := make([]Entry, 0, len(entries))
-	for _, e := range entries {
-		if _, gone := st.tombstones[e.ID]; gone {
-			continue
+// all is the KindAll search: every live entry the filter allows, leaf by
+// leaf.
+func (ix *Index) all(filter PivotFilter) ([]RankedCandidate, error) {
+	st := ix.state.Load()
+	out := make([]RankedCandidate, 0, st.size)
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		if n.isLeaf() {
+			if n.live() == 0 {
+				return nil
+			}
+			b, err := ix.leafView(n)
+			if err != nil {
+				return err
+			}
+			for i := range b.Len() {
+				v := b.At(i)
+				if _, gone := st.tombstones[v.ID]; gone || !filter.allowsView(&v) {
+					continue
+				}
+				out = append(out, RankedCandidate{Entry: v})
+			}
+			return nil
 		}
-		out = append(out, e)
+		for i := range n.kids {
+			if err := walk(n.kids[i].n); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return out
+	if err := walk(st.root); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // promise computes the cell-ordering key of Algorithm 4, line 3 ("next

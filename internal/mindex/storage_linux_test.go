@@ -25,7 +25,7 @@ func TestDiskStoreDoubleMiss(t *testing.T) {
 	id, _ := s.Create()
 	const entries, readers = 12, 6
 	for pos := range entries {
-		if err := s.Append(id, versionedEntry(id, 0, pos)); err != nil {
+		if err := s.Append(id, bucketOf(versionedEntry(id, 0, pos))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestDiskStoreDoubleMiss(t *testing.T) {
 		t.Skipf("no FIFO in the test directory: %v", err)
 	}
 
-	views := make([][]Entry, readers)
+	views := make([]Bucket, readers)
 	var wg sync.WaitGroup
 	for r := range readers {
 		wg.Add(1)
@@ -78,11 +78,11 @@ func TestDiskStoreDoubleMiss(t *testing.T) {
 	wg.Wait()
 
 	for r, v := range views {
-		if len(v) != entries {
-			t.Fatalf("reader %d: %d entries, want %d", r, len(v), entries)
+		if v.Len() != entries {
+			t.Fatalf("reader %d: %d entries, want %d", r, v.Len(), entries)
 		}
-		if &v[0] != &views[0][0] {
-			t.Fatalf("reader %d holds a decode of its own, not the cached one", r)
+		if &v.img[0] != &views[0].img[0] {
+			t.Fatalf("reader %d holds an image of its own, not the cached one", r)
 		}
 	}
 	if hits, misses, _ := s.CacheStats(); hits != 0 || misses != readers {

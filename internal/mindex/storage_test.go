@@ -1,6 +1,7 @@
 package mindex
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -57,6 +58,32 @@ func entriesEqual(a, b Entry) bool {
 	}
 	return a.Vec.Equal(b.Vec) || len(a.Vec) == 0
 }
+
+// sameRecord reports whether two candidates carry the same stored record:
+// ID, payload and index metadata alike.
+func sameRecord(a, b EntryView) bool { return a.ID == b.ID && bytes.Equal(a.Record, b.Record) }
+
+// bucketOf is the bucket holding entries, in order.
+func bucketOf(entries ...Entry) Bucket {
+	var b Bucket
+	for i := range entries {
+		b = b.appendEntry(&entries[i])
+	}
+	return b
+}
+
+// entriesOf decodes every record of b.
+func entriesOf(b Bucket) []Entry {
+	out := make([]Entry, b.Len())
+	for i := range out {
+		v := b.At(i)
+		out[i] = v.Decode()
+	}
+	return out
+}
+
+// viewEntries is entriesOf for a store read, passing its error through.
+func viewEntries(b Bucket, err error) ([]Entry, error) { return entriesOf(b), err }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -150,11 +177,11 @@ func storeSuite(t *testing.T, mk func(t *testing.T) BucketStore) {
 		for i := range 25 {
 			e := randomEntry(rng, uint64(i))
 			want = append(want, e)
-			if err := s.Append(id, e); err != nil {
+			if err := s.Append(id, bucketOf(e)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, err := s.View(id)
+		got, err := viewEntries(s.View(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,15 +200,15 @@ func storeSuite(t *testing.T, mk func(t *testing.T) BucketStore) {
 		id, _ := s.Create()
 		rng := rand.New(rand.NewPCG(5, 5))
 		for i := range 10 {
-			if err := s.Append(id, randomEntry(rng, uint64(i))); err != nil {
+			if err := s.Append(id, bucketOf(randomEntry(rng, uint64(i)))); err != nil {
 				t.Fatal(err)
 			}
 			got, err := s.View(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != i+1 {
-				t.Fatalf("after %d appends viewed %d", i+1, len(got))
+			if got.Len() != i+1 {
+				t.Fatalf("after %d appends viewed %d", i+1, got.Len())
 			}
 		}
 	})
@@ -195,7 +222,7 @@ func storeSuite(t *testing.T, mk func(t *testing.T) BucketStore) {
 		if _, err := s.View(id); err == nil {
 			t.Fatal("view of freed bucket succeeded")
 		}
-		if err := s.Append(id, Entry{}); err == nil {
+		if err := s.Append(id, bucketOf(Entry{})); err == nil {
 			t.Fatal("append to freed bucket succeeded")
 		}
 		if err := s.Free(id); err == nil {
@@ -228,7 +255,7 @@ func storeSuite(t *testing.T, mk func(t *testing.T) BucketStore) {
 				rng := rand.New(rand.NewPCG(uint64(w), 6))
 				for i := range 50 {
 					id := ids[rng.IntN(len(ids))]
-					if err := s.Append(id, randomEntry(rng, uint64(i))); err != nil {
+					if err := s.Append(id, bucketOf(randomEntry(rng, uint64(i)))); err != nil {
 						t.Error(err)
 						return
 					}
@@ -275,7 +302,7 @@ func TestDiskStoreManyBucketsExceedFDCache(t *testing.T) {
 	counts := make(map[BucketID]int)
 	for i := range 300 {
 		id := ids[rng.IntN(len(ids))]
-		if err := s.Append(id, randomEntry(rng, uint64(i))); err != nil {
+		if err := s.Append(id, bucketOf(randomEntry(rng, uint64(i)))); err != nil {
 			t.Fatal(err)
 		}
 		counts[id]++
@@ -285,8 +312,8 @@ func TestDiskStoreManyBucketsExceedFDCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != counts[id] {
-			t.Fatalf("bucket %d holds %d, want %d", id, len(got), counts[id])
+		if got.Len() != counts[id] {
+			t.Fatalf("bucket %d holds %d, want %d", id, got.Len(), counts[id])
 		}
 	}
 }
@@ -303,7 +330,7 @@ func TestDiskStoreClosedOps(t *testing.T) {
 	if _, err := s.Create(); err == nil {
 		t.Error("create after close succeeded")
 	}
-	if err := s.Append(id, Entry{}); err == nil {
+	if err := s.Append(id, bucketOf(Entry{})); err == nil {
 		t.Error("append after close succeeded")
 	}
 	if _, err := s.View(id); err == nil {
@@ -393,7 +420,7 @@ func TestDiskStoreFreshOnUsedDirectory(t *testing.T) {
 	for b := range 3 {
 		id, _ := old.Create()
 		for i := range 3 + b {
-			if err := old.Append(id, randomEntry(rng, uint64(100*b+i))); err != nil {
+			if err := old.Append(id, bucketOf(randomEntry(rng, uint64(100*b+i)))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -407,24 +434,24 @@ func TestDiskStoreFreshOnUsedDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	single, _ := s.Create()  // first write: Append
-	batch, _ := s.Create()   // first write: appendBatch
+	single, _ := s.Create()  // first write: one record
+	batch, _ := s.Create()   // first write: three records
 	untouch, _ := s.Create() // never written: reads empty beside the old file
 	want := []Entry{randomEntry(rng, 1), randomEntry(rng, 2), randomEntry(rng, 3)}
-	if err := s.Append(single, want[0]); err != nil {
+	if err := s.Append(single, bucketOf(want[0])); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.appendBatch(batch, want); err != nil {
+	if err := s.Append(batch, bucketOf(want...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(batch, want[0]); err != nil {
+	if err := s.Append(batch, bucketOf(want[0])); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		id   BucketID
 		want []Entry
 	}{{single, want[:1]}, {batch, append(slices.Clone(want), want[0])}, {untouch, nil}} {
-		got, err := s.View(tc.id)
+		got, err := viewEntries(s.View(tc.id))
 		if err != nil {
 			t.Fatalf("bucket %d: %v", tc.id, err)
 		}
@@ -450,7 +477,7 @@ func TestDiskStoreRemovesInterruptedReplace(t *testing.T) {
 	}
 	id, _ := s.Create()
 	e := randomEntry(rand.New(rand.NewPCG(32, 32)), 7)
-	if err := s.Append(id, e); err != nil {
+	if err := s.Append(id, bucketOf(e)); err != nil {
 		t.Fatal(err)
 	}
 	next := s.NextID()
@@ -469,7 +496,7 @@ func TestDiskStoreRemovesInterruptedReplace(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("%s survived the reopen (stat: %v)", filepath.Base(tmp), err)
 	}
-	got, err := re.View(id)
+	got, err := viewEntries(re.View(id))
 	if err != nil || len(got) != 1 || !entriesEqual(got[0], e) {
 		t.Fatalf("bucket beside the removed temporary file: %d entries, %v", len(got), err)
 	}
@@ -494,7 +521,7 @@ func TestDiskStoreDamagedFile(t *testing.T) {
 			defer s.Close()
 			id, _ := s.Create()
 			for pos := range 2 {
-				if err := s.Append(id, versionedEntry(id, 0, pos)); err != nil {
+				if err := s.Append(id, bucketOf(versionedEntry(id, 0, pos))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -510,7 +537,7 @@ func TestDiskStoreDamagedFile(t *testing.T) {
 			}
 			for range 2 {
 				if v, err := s.View(id); err == nil {
-					t.Fatalf("view of a damaged bucket file returned %d entries", len(v))
+					t.Fatalf("view of a damaged bucket file returned %d entries", v.Len())
 				}
 			}
 			if _, misses, bytes := s.CacheStats(); misses != 2 || bytes != 0 {
@@ -552,7 +579,7 @@ func versionedEntry(bucket BucketID, era uint64, pos int) Entry {
 
 // TestDiskStoreViewsBesideMutation is the store-level test of the read
 // protocol: readers loop ViewVersioned over a few buckets while one writer
-// appends (singly, batched, indexed), replaces, frees and resizes the cache.
+// appends (one record or several), replaces, frees and resizes the cache.
 // Every view must be a whole-entry prefix of the content sequence of the era
 // it is labelled with — never torn, never another era's — and at least as
 // long as the bucket was when the read began and at most as long as it was
@@ -625,18 +652,18 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 							t.Errorf("view of live bucket %d: %v", id, err)
 							return
 						}
-						for pos := range v {
-							if !entriesEqual(v[pos], versionedEntry(id, era, pos)) {
-								t.Errorf("bucket %d era %d: entry %d of a %d-entry view is not that era's", id, era, pos, len(v))
+						for pos, e := range entriesOf(v) {
+							if !entriesEqual(e, versionedEntry(id, era, pos)) {
+								t.Errorf("bucket %d era %d: entry %d of a %d-entry view is not that era's", id, era, pos, v.Len())
 								return
 							}
 						}
-						if lo>>32 == era && len(v) < int(uint32(lo)) {
-							t.Errorf("bucket %d era %d: view of %d entries, %d were stored before the read", id, era, len(v), uint32(lo))
+						if lo>>32 == era && v.Len() < int(uint32(lo)) {
+							t.Errorf("bucket %d era %d: view of %d entries, %d were stored before the read", id, era, v.Len(), uint32(lo))
 							return
 						}
-						if hi>>32 == era && len(v) > int(uint32(hi)) {
-							t.Errorf("bucket %d era %d: view of %d entries, only %d stored after the read", id, era, len(v), uint32(hi))
+						if hi>>32 == era && v.Len() > int(uint32(hi)) {
+							t.Errorf("bucket %d era %d: view of %d entries, only %d stored after the read", id, era, v.Len(), uint32(hi))
 							return
 						}
 						if lo>>32 > era || hi>>32 < era {
@@ -670,22 +697,14 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 				}
 				switch k := rng.IntN(100); {
 				case k < 50:
-					grow(1, func(b []Entry) error { return s.Append(c.id, b[0]) })
-				case k < 65:
-					grow(1+rng.IntN(6), func(b []Entry) error { return s.appendBatch(c.id, b) })
+					grow(1, func(b []Entry) error { return s.Append(c.id, bucketOf(b[0])) })
 				case k < 80:
-					grow(1+rng.IntN(6), func(b []Entry) error {
-						idx := make([]int32, len(b))
-						for j := range idx {
-							idx[j] = int32(j)
-						}
-						return s.appendIndexed(c.id, b, idx)
-					})
+					grow(1+rng.IntN(6), func(b []Entry) error { return s.Append(c.id, bucketOf(b...)) })
 				case k < 88:
 					next := content{id: c.id, era: c.era + 1}
 					keep := seq(next, rng.IntN(8))
 					sl.begun.Store(pack(next.era, len(keep)))
-					if err := s.Replace(c.id, keep); err != nil {
+					if err := s.Replace(c.id, bucketOf(keep...)); err != nil {
 						t.Fatal(err)
 					}
 					next.count = len(keep)
@@ -723,8 +742,8 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 
 			for i, c := range state {
 				v, era, err := s.ViewVersioned(c.id)
-				if err != nil || era != c.era || len(v) != c.count {
-					t.Fatalf("slot %d at rest: %d entries era %d (%v), want %d entries era %d", i, len(v), era, err, c.count, c.era)
+				if err != nil || era != c.era || v.Len() != c.count {
+					t.Fatalf("slot %d at rest: %d entries era %d (%v), want %d entries era %d", i, v.Len(), era, err, c.count, c.era)
 				}
 			}
 			checkCacheCharges(t, s)
@@ -733,9 +752,10 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 }
 
 // checkCacheCharges verifies the cache's books: the map and the LRU list
-// agree, every cached bucket is charged the overhead plus its payload bytes
-// plus the decoded size of its other fields, and the charges add up to the
-// byte count the budget is held against.
+// agree, every cached bucket is charged the overhead plus its image plus
+// four bytes an offset — exactly the memory it holds, its slices being
+// exactly sized — and the charges add up to the byte count the budget is
+// held against.
 func checkCacheCharges(t *testing.T, s *DiskStore) {
 	t.Helper()
 	s.mu.Lock()
@@ -745,11 +765,11 @@ func checkCacheCharges(t *testing.T, s *DiskStore) {
 	}
 	sum := 0
 	for id, cb := range s.cache {
-		var perms, dists, payloads, vecs int
-		for _, e := range cb.entries {
-			perms, dists, payloads, vecs = perms+len(e.Perm), dists+len(e.Dists), payloads+len(e.Payload), vecs+len(e.Vec)
+		img, offs := cb.b.img, cb.b.offs
+		if cap(img) != len(img) || cap(offs) != len(offs) {
+			t.Fatalf("cached bucket %d holds %d+%d bytes of capacity beyond its image and offsets", id, cap(img)-len(img), 4*(cap(offs)-len(offs)))
 		}
-		if want := cachedBucketOverhead + payloads + decodedSize(len(cb.entries), perms, dists, vecs); cb.bytes != want {
+		if want := cachedBucketOverhead + len(img) + 4*len(offs); cb.bytes != want {
 			t.Fatalf("cached bucket %d charged %d bytes, occupies %d", id, cb.bytes, want)
 		}
 		sum += cb.bytes
@@ -762,7 +782,7 @@ func checkCacheCharges(t *testing.T, s *DiskStore) {
 // TestDiskStoreConcurrentColdViews: several goroutines View one cold bucket
 // at once. However their reads interleave, each is a hit or a miss, all get
 // the same content, and the bucket ends up cached once and charged once (the
-// loser of a double miss returns the winner's slice and drops its own).
+// loser of a double miss returns the winner's image and drops its own).
 func TestDiskStoreConcurrentColdViews(t *testing.T) {
 	s, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -774,7 +794,7 @@ func TestDiskStoreConcurrentColdViews(t *testing.T) {
 	want := make([]Entry, entries)
 	for pos := range want {
 		want[pos] = versionedEntry(id, 0, pos)
-		if err := s.Append(id, want[pos]); err != nil {
+		if err := s.Append(id, bucketOf(want[pos])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -791,7 +811,7 @@ func TestDiskStoreConcurrentColdViews(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				v, err := s.View(id)
+				v, err := viewEntries(s.View(id))
 				if err != nil {
 					t.Error(err)
 				}
@@ -864,7 +884,7 @@ func TestDiskStoreCloseRacingViews(t *testing.T) {
 			for pos := range 30 {
 				want[i] = append(want[i], versionedEntry(ids[i], 0, pos))
 			}
-			if err := s.appendBatch(ids[i], want[i]); err != nil {
+			if err := s.Append(ids[i], bucketOf(want[i]...)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -876,7 +896,7 @@ func TestDiskStoreCloseRacingViews(t *testing.T) {
 				defer wg.Done()
 				for i := r; ; i++ {
 					b := i % len(ids)
-					v, err := s.View(ids[b])
+					v, err := viewEntries(s.View(ids[b]))
 					if err != nil {
 						refused.Add(1)
 						return // closed: every later read fails the same way

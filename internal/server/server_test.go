@@ -189,7 +189,7 @@ func batchQuery(t *testing.T, conn net.Conn, req wire.BatchQueryReq) [][]mindex.
 	for i, entries := range m.Results {
 		out[i] = make([]mindex.RankedCandidate, len(entries))
 		for j, e := range entries {
-			out[i][j] = mindex.RankedCandidate{Entry: e}
+			out[i][j] = mindex.RankedCandidate{Entry: mindex.ViewOf(e)}
 		}
 	}
 	return out
@@ -215,7 +215,7 @@ func flatBounds(t *testing.T, conn net.Conn, req wire.BatchQueryReq) []float64 {
 func asShipped(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
 	out := make([]mindex.RankedCandidate, len(rcs))
 	for i, rc := range rcs {
-		rc.Entry = mindex.Entry{ID: rc.Entry.ID, Payload: rc.Entry.Payload}
+		rc.Entry = mindex.ViewOf(mindex.Entry{ID: rc.Entry.ID, Payload: rc.Entry.Payload()})
 		out[i] = rc
 	}
 	return out
@@ -712,19 +712,13 @@ func sameRanked(a, b []mindex.RankedCandidate) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(normalize(a), normalize(b)))
 }
 
-// normalize maps empty slices inside candidates to nil (the codec decodes a
-// zero-length list as nil).
+// normalize maps an empty prefix to nil (the codec decodes a zero-length
+// list as nil); candidates compare by their record bytes.
 func normalize(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
 	out := make([]mindex.RankedCandidate, len(rcs))
 	for i, rc := range rcs {
 		if len(rc.Prefix) == 0 {
 			rc.Prefix = nil
-		}
-		if len(rc.Entry.Dists) == 0 {
-			rc.Entry.Dists = nil
-		}
-		if len(rc.Entry.Vec) == 0 {
-			rc.Entry.Vec = nil
 		}
 		out[i] = rc
 	}

@@ -63,6 +63,45 @@ func BenchmarkAbsMaxDiff64(b *testing.B) {
 	benchRows(b, rows, simd.AbsMaxDiff64)
 }
 
+// BenchmarkAbsMaxDiff64AboveLE is the same bound as a search takes it from a
+// bucket image: each row in its stored little-endian form and no limit, so
+// every pivot is read, beside the decode-then-filter it replaced (/decode).
+func BenchmarkAbsMaxDiff64AboveLE(b *testing.B) {
+	vecs := cophirRows(513 + 30)
+	q := make([]float64, 30)
+	raws := make([][]byte, 512)
+	for i := range 513 {
+		raw := make([]byte, 0, 8*30)
+		for p := range 30 {
+			d := simd.L1(vecs[i], vecs[513+p])
+			if i == 512 {
+				q[p] = d
+			}
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(d))
+		}
+		if i < 512 {
+			raws[i] = raw
+		}
+	}
+	inf := math.Inf(1)
+	for _, rs := range rowSets {
+		b.Run(rs.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lb, _ := simd.AbsMaxDiff64AboveLE(q, raws[i&(rs.rows-1)], inf)
+				sink += lb
+			}
+		})
+	}
+	b.Run("decode", func(b *testing.B) {
+		row := make([]float64, 30)
+		for i := 0; i < b.N; i++ {
+			simd.DecodeF64LE(row, raws[i&511])
+			lb, _ := simd.AbsMaxDiff64Above(q, row, inf)
+			sink += lb
+		}
+	})
+}
+
 // benchDecode measures one decoder over 280-element records (the length of a
 // CoPhIR plaintext; a decode has no data-dependent work, so the bytes are
 // arbitrary) beside the per-element binary.LittleEndian loop it replaced

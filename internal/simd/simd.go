@@ -1,8 +1,9 @@
 // Package simd holds the unrolled hot-loop kernels behind the metric
 // distance functions and the pivot machinery: float32→float64 accumulation
 // for L1/L2/Lp/Chebyshev, the float64 Chebyshev used by pivot filtering, the
-// uint16 quantization gate of the fixed-point promise path, and the
-// little-endian vector decoders behind refine and bucket decode.
+// uint16 quantization gate of the fixed-point promise path, the
+// little-endian vector decoders behind refine and ingest, and the pivot
+// filter that reads stored distances in their little-endian form.
 //
 // The package is pure Go — no assembly, no build tags, no unsafe — and
 // despite its name nothing here is vectorised: gc has no autovectorizer.
@@ -27,7 +28,7 @@
 //     rows it has not seen before, and a benchmark that loops over a few
 //     rows hides it (the /repeat and /stream benchmarks in bench_test.go
 //     differ by 4–6× on the branchy loop).
-//   - Max kernels (Chebyshev, AbsMaxDiff64, AbsMaxDiff64Above) may use
+//   - Max kernels (Chebyshev, AbsMaxDiff64, AbsMaxDiff64Above[LE]) may use
 //     multiple accumulator lanes: max over non-NaN floats is associative
 //     and commutative, so the lane split cannot change the result. They
 //     keep their `if d > m` compare: it ignores a NaN term where the
@@ -273,6 +274,55 @@ func AbsMaxDiff64Above(a, b []float64, limit float64) (float64, bool) {
 	}
 	for ; i < n; i++ {
 		if d := math.Abs(a[i] - b[i]); d > m0 {
+			m0 = d
+		}
+	}
+	if m1 > m0 {
+		m0 = m1
+	}
+	if m2 > m0 {
+		m0 = m2
+	}
+	if m3 > m0 {
+		m0 = m3
+	}
+	return m0, m0 > limit
+}
+
+// AbsMaxDiff64AboveLE is AbsMaxDiff64Above with b read straight from its
+// little-endian encoding — float64 × len(b)/8, the stored form of an entry's
+// pivot distances — so a pivot filter over a bucket image decodes nothing.
+// The result is bit-identical to DecodeF64LE into a slice followed by
+// AbsMaxDiff64Above, early exit included: the same lanes see the same values
+// in the same order.
+func AbsMaxDiff64AboveLE(a []float64, b []byte, limit float64) (float64, bool) {
+	n := min(len(a), len(b)/8)
+	a, b = a[:n], b[:8*n]
+	var m0, m1, m2, m3 float64
+	for len(a) >= 4 && len(b) >= 32 {
+		d0 := math.Abs(a[0] - math.Float64frombits(binary.LittleEndian.Uint64(b[0:8])))
+		d1 := math.Abs(a[1] - math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])))
+		d2 := math.Abs(a[2] - math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])))
+		d3 := math.Abs(a[3] - math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])))
+		if d0 > m0 {
+			m0 = d0
+		}
+		if d1 > m1 {
+			m1 = d1
+		}
+		if d2 > m2 {
+			m2 = d2
+		}
+		if d3 > m3 {
+			m3 = d3
+		}
+		if m0 > limit || m1 > limit || m2 > limit || m3 > limit {
+			return max(m0, m1, m2, m3), true
+		}
+		a, b = a[4:], b[32:]
+	}
+	for i := range a {
+		if d := math.Abs(a[i] - math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))); d > m0 {
 			m0 = d
 		}
 	}

@@ -155,6 +155,58 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 		}
 	}
+	// The little-endian bound kernel over every length 0..67 — every block
+	// count and tail of its 4-wide loop — against a shorter, equal and longer
+	// stored row, with a ragged byte tail, and over the values its compares
+	// are sensitive to (NaN, ±0, ±Inf beside ordinary distances).
+	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1, 2.5}
+	for n := 0; n <= 67; n++ {
+		for trial := range 12 {
+			a := make([]float64, n)
+			b := make([]float64, max(n+rng.IntN(5)-2, 0))
+			for _, v := range [][]float64{a, b} {
+				for i := range v {
+					v[i] = rng.NormFloat64() * 50
+					if trial >= 6 {
+						v[i] = edges[rng.IntN(len(edges))]
+					}
+				}
+			}
+			raw := encodeF64(b)
+			if trial%3 == 0 {
+				raw = append(raw, 1, 2, 3) // not a whole element: ignored
+			}
+			for _, l := range []float64{0, 1, 25, 100, math.Inf(1), math.NaN(), -1} {
+				checkAboveLE(t, a, raw, l)
+			}
+		}
+	}
+}
+
+// encodeF64 is the stored little-endian form of v.
+func encodeF64(v []float64) []byte {
+	raw := make([]byte, 8*len(v))
+	for i, x := range v {
+		u := math.Float64bits(x)
+		for k := range 8 {
+			raw[8*i+k] = byte(u >> (8 * k))
+		}
+	}
+	return raw
+}
+
+// checkAboveLE holds AbsMaxDiff64AboveLE to its definition: DecodeF64LE of
+// the stored row, then AbsMaxDiff64Above, with the same result bits and the
+// same verdict whether or not the early exit fires.
+func checkAboveLE(t *testing.T, a []float64, raw []byte, limit float64) {
+	t.Helper()
+	b := make([]float64, len(raw)/8)
+	DecodeF64LE(b, raw)
+	want, wantAbove := AbsMaxDiff64Above(a, b, limit)
+	got, above := AbsMaxDiff64AboveLE(a, raw, limit)
+	if above != wantAbove || !sameBits(got, want) {
+		t.Fatalf("AbsMaxDiff64AboveLE %d/%d limit %g: got (%x, %v), want (%x, %v)", len(a), len(raw), limit, got, above, want, wantAbove)
+	}
 }
 
 // TestAbsMaxDiff64MatchesScalar covers the float64 pivot-filter kernels,
@@ -288,6 +340,10 @@ func FuzzKernels(f *testing.F) {
 			t.Fatalf("AbsMaxDiff64: got %x, want %x", got, want)
 		}
 		checkAbove(t, a64, b64, want, math.Abs(a64[0]))
+		// The little-endian form reads the raw bytes themselves as the stored
+		// row, NaN payloads and all, against the row decoded from them.
+		checkAboveLE(t, a64, raw, math.Abs(a64[0]))
+		checkAboveLE(t, a64, raw, math.Inf(1))
 	})
 }
 

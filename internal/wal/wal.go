@@ -138,7 +138,12 @@ func Open(dir string, policy SyncPolicy) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	recs, good, err := scan(f)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	recs, good, err := scan(f, fi.Size())
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -156,9 +161,11 @@ func Open(dir string, policy SyncPolicy) (*Log, []Record, error) {
 	return &Log{f: f, path: path, policy: policy, size: good}, recs, nil
 }
 
-// scan reads every intact record from the start of f, returning the records
-// and the offset just past the last intact one.
-func scan(f *os.File) ([]Record, int64, error) {
+// scan reads every intact record from the start of f, a file of size bytes,
+// returning the records and the offset just past the last intact one. A
+// record body is allocated only once the file is known to hold it: a torn
+// header claiming up to maxRecordSize bytes costs nothing.
+func scan(f *os.File, size int64) ([]Record, int64, error) {
 	var recs []Record
 	var good int64
 	r := make([]byte, 8)
@@ -170,8 +177,8 @@ func scan(f *os.File) ([]Record, int64, error) {
 		}
 		length := binary.LittleEndian.Uint32(r[:4])
 		sum := binary.LittleEndian.Uint32(r[4:])
-		if length == 0 || length > maxRecordSize {
-			return recs, good, nil // corrupt length: torn tail
+		if length == 0 || length > maxRecordSize || int64(length) > size-good-8 {
+			return recs, good, nil // corrupt length or short body: torn tail
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(f, payload); err != nil {

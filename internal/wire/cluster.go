@@ -120,8 +120,8 @@ func (m HelloResp) CheckVersion() error {
 // stays on the server. The layout is mindex.AppendEntry's, which is what
 // lets every parser of whole records (ScanEntry, CandidateRefs, the
 // coordinator's span relay, an older client) read it unchanged.
-func appendCandidate(b *Buffer, e *mindex.Entry) {
-	b.B = mindex.AppendEntry(b.B, mindex.Entry{ID: e.ID, Payload: e.Payload})
+func appendCandidate(b *Buffer, v *mindex.EntryView) {
+	b.B = mindex.AppendEntry(b.B, mindex.Entry{ID: v.ID, Payload: v.Payload()})
 }
 
 // appendRanked writes a count-prefixed ranked-candidate list: per
@@ -154,13 +154,13 @@ func readRanked(r *Reader) []mindex.RankedCandidate {
 		if r.err != nil {
 			return nil
 		}
-		e, rest, err := mindex.DecodeEntry(r.b)
+		v, rest, err := mindex.ScanEntry(r.b)
 		if err != nil {
 			r.err = err
 			return nil
 		}
 		r.b = rest
-		out = append(out, mindex.RankedCandidate{Entry: e, Promise: promise, Prefix: prefix})
+		out = append(out, mindex.RankedCandidate{Entry: v.Clone(), Promise: promise, Prefix: prefix})
 	}
 	return out
 }

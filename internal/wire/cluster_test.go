@@ -72,9 +72,9 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 		Results: [][]mindex.RankedCandidate{
 			nil,
 			{
-				{Entry: mindex.Entry{ID: 1, Perm: []int32{2, 0, 1}, Payload: []byte{9, 9}},
+				{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{2, 0, 1}, Payload: []byte{9, 9}}),
 					Promise: 0.25, Prefix: []int32{2}},
-				{Entry: mindex.Entry{ID: 2, Perm: []int32{2, 1, 0}, Dists: []float64{1, 2, 3}, Vec: metric.Vector{4}},
+				{Entry: mindex.ViewOf(mindex.Entry{ID: 2, Perm: []int32{2, 1, 0}, Dists: []float64{1, 2, 3}, Vec: metric.Vector{4}}),
 					Promise: 0.5, Prefix: []int32{2, 1}},
 			},
 		},
@@ -100,8 +100,8 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 		if g.Promise != rc.Promise || !reflect.DeepEqual(g.Prefix, rc.Prefix) {
 			t.Fatalf("candidate %d annotations: got %+v, want %+v", i, g, rc)
 		}
-		shipped := mindex.Entry{ID: rc.Entry.ID, Payload: rc.Entry.Payload}
-		for form, e := range map[string]mindex.Entry{"ranked": g.Entry, "flat": gotFlat.Results[1][i]} {
+		shipped := mindex.Entry{ID: rc.Entry.ID, Payload: rc.Entry.Decode().Payload}
+		for form, e := range map[string]mindex.Entry{"ranked": g.Entry.Decode(), "flat": gotFlat.Results[1][i]} {
 			if !reflect.DeepEqual(e, shipped) {
 				t.Fatalf("%s candidate %d: got %+v, want the ID and the payload alone: %+v", form, i, e, shipped)
 			}

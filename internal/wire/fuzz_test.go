@@ -116,12 +116,12 @@ func boundQueries(mask uint8) []BatchQuery {
 func FuzzDecodeRankedRefs(f *testing.F) {
 	ranked := BatchRankedResp{ServerNanos: 2, Results: [][]mindex.RankedCandidate{
 		{
-			{Entry: mindex.Entry{ID: 3, Perm: []int32{1, 0}, Payload: []byte{1, 2, 3}}, Promise: 0.5, Prefix: []int32{1}},
-			{Entry: mindex.Entry{ID: 4, Perm: []int32{1, 0}, Payload: []byte{4}}, Promise: 0.5, Prefix: []int32{1}},
-			{Entry: mindex.Entry{ID: 5, Perm: []int32{0, 1}, Dists: []float64{1, 2}}, Promise: 0.75, Prefix: []int32{0, 1}},
+			{Entry: mindex.ViewOf(mindex.Entry{ID: 3, Perm: []int32{1, 0}, Payload: []byte{1, 2, 3}}), Promise: 0.5, Prefix: []int32{1}},
+			{Entry: mindex.ViewOf(mindex.Entry{ID: 4, Perm: []int32{1, 0}, Payload: []byte{4}}), Promise: 0.5, Prefix: []int32{1}},
+			{Entry: mindex.ViewOf(mindex.Entry{ID: 5, Perm: []int32{0, 1}, Dists: []float64{1, 2}}), Promise: 0.75, Prefix: []int32{0, 1}},
 		},
 		nil,
-		{{Entry: mindex.Entry{ID: 6}}}, // a range candidate: promise 0, nil prefix
+		{{Entry: mindex.ViewOf(mindex.Entry{ID: 6})}}, // a range candidate: promise 0, nil prefix
 	}}
 	f.Add(ranked.Encode(), uint8(0))
 	var flat Buffer
@@ -181,7 +181,7 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 						t.Fatalf("ranked result %d candidate %d: annotations (%v, %v), want (%v, %v)",
 							qi, i, ref.Promise, ref.Prefix, rc.Promise, rc.Prefix)
 					}
-					checkRef(t, ref, rc.Entry)
+					checkRef(t, ref, rc.Entry.Decode())
 				}
 			}
 		}
@@ -308,12 +308,12 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(DownloadAllReq{Allow: []int32{2, 4}}.Encode()[:7])
 	var flat Buffer
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
-		{{Entry: mindex.Entry{ID: 1, Perm: []int32{0}}}},
+		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}})}},
 	}}.AppendFlatTo(&flat, nil)
 	f.Add(flat.B)
 	var boundFlat Buffer
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
-		{{Entry: mindex.Entry{ID: 1, Perm: []int32{0}}, Promise: 0.25}}, nil,
+		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}}), Promise: 0.25}}, nil,
 	}}.AppendFlatTo(&boundFlat, boundQueries(0xFF))
 	f.Add(boundFlat.B)
 	f.Add(DeleteEntriesReq{Refs: []mindex.Entry{
@@ -325,7 +325,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		BucketCapacity: 200, Ranking: 1, EagerRootSplit: true, Shards: 4, Entries: 12}.Encode())
 	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchFirstCell, Perm: []int32{1, 0}}}}.Encode())
 	f.Add(BatchRankedResp{ServerNanos: 2, Results: [][]mindex.RankedCandidate{{
-		{Entry: mindex.Entry{ID: 3, Perm: []int32{1, 0}}, Promise: 0.5, Prefix: []int32{1}},
+		{Entry: mindex.ViewOf(mindex.Entry{ID: 3, Perm: []int32{1, 0}}), Promise: 0.5, Prefix: []int32{1}},
 	}}}.Encode())
 	f.Add(DeleteObjectsReq{IDs: []uint64{1, 2, 3}}.Encode())
 	f.Add(FirstCellPlainReq{Q: metric.Vector{1, 2}, K: 4}.Encode())

@@ -301,7 +301,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		ranked := func(entries []mindex.Entry) []mindex.RankedCandidate {
 			rcs := make([]mindex.RankedCandidate, len(entries))
 			for i, e := range entries {
-				rcs[i] = mindex.RankedCandidate{Entry: e, Promise: 0.5 + float64(i), Prefix: []int32{1}}
+				rcs[i] = mindex.RankedCandidate{Entry: mindex.ViewOf(e), Promise: 0.5 + float64(i), Prefix: []int32{1}}
 			}
 			return rcs
 		}
