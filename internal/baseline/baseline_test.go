@@ -187,10 +187,10 @@ func TestEHIServerStoresOnlyCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range nodes {
-		if _, err := other.Open(n.Blob); err == nil {
+		if _, err := other.Open(n.Data); err == nil {
 			t.Fatal("EHI node decrypts under a foreign key")
 		}
-		if _, err := env.key.Open(n.Blob); err != nil {
+		if _, err := env.key.Open(n.Data); err != nil {
 			t.Fatalf("EHI node fails under its own key: %v", err)
 		}
 	}

@@ -16,7 +16,10 @@
 // The referenced implementations are not available; these are re-built from
 // the published descriptions and run over the same wire protocol, server
 // and cipher as the Encrypted M-Index, so the Table 9 comparison measures
-// algorithmic differences rather than implementation accidents.
+// algorithmic differences rather than implementation accidents. EHI and FDH
+// keep their encrypted index in the server's keyed blob store (MsgPutBlobs,
+// MsgGetBlobs); the trivial client downloads the encrypted M-Index's own
+// entries with a BatchAll query. All three share one connection type, link.
 package baseline
 
 import (
@@ -24,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"net"
 	"sort"
 	"time"
 
@@ -103,22 +105,23 @@ func decodeEHINode(p []byte) (*ehiNode, error) {
 // EHIBuild bulk-loads an encrypted hierarchical index: objects are
 // recursively clustered around randomly sampled centers (fanout per node,
 // at most leafCap objects per leaf) and every node is encrypted under key.
-// Returns the root node ID and the encrypted node blobs for upload.
+// Returns the root node ID and the encrypted node blobs for upload, each
+// keyed by its node ID.
 func EHIBuild(rng *rand.Rand, dist metric.Distance, objs []metric.Object,
-	key *secret.Key, fanout, leafCap int) (uint64, []wire.EHINode, error) {
+	key *secret.Key, fanout, leafCap int) (uint64, []wire.Blob, error) {
 	if fanout < 2 {
 		return 0, nil, fmt.Errorf("baseline: EHI fanout must be >= 2, got %d", fanout)
 	}
 	if leafCap < 1 {
 		return 0, nil, fmt.Errorf("baseline: EHI leaf capacity must be >= 1, got %d", leafCap)
 	}
-	var nodes []wire.EHINode
+	var nodes []wire.Blob
 	nextID := uint64(0)
 	var build func(subset []metric.Object) (uint64, error)
 	build = func(subset []metric.Object) (uint64, error) {
 		id := nextID
 		nextID++
-		nodes = append(nodes, wire.EHINode{ID: id}) // reserve slot
+		nodes = append(nodes, wire.Blob{Key: id}) // reserve slot
 		slot := len(nodes) - 1
 		var n ehiNode
 		if len(subset) <= leafCap {
@@ -160,7 +163,7 @@ func EHIBuild(rng *rand.Rand, dist metric.Distance, objs []metric.Object,
 					if serr != nil {
 						return 0, serr
 					}
-					nodes = append(nodes, wire.EHINode{ID: childID, Blob: blob})
+					nodes = append(nodes, wire.Blob{Key: childID, Data: blob})
 				} else {
 					childID, err = build(g)
 					if err != nil {
@@ -176,7 +179,7 @@ func EHIBuild(rng *rand.Rand, dist metric.Distance, objs []metric.Object,
 		if err != nil {
 			return 0, err
 		}
-		nodes[slot].Blob = blob
+		nodes[slot].Data = blob
 		return id, nil
 	}
 	root, err := build(objs)
@@ -190,7 +193,7 @@ func EHIBuild(rng *rand.Rand, dist metric.Distance, objs []metric.Object,
 // traversal logic, decryption and distance computation happen here; the
 // server only serves blobs.
 type EHIClient struct {
-	conn *wire.CountingConn
+	link
 	key  *secret.Key
 	dist metric.Distance
 	root uint64
@@ -198,78 +201,33 @@ type EHIClient struct {
 
 // DialEHI connects an EHI client to the blob server at addr.
 func DialEHI(addr string, key *secret.Key, dist metric.Distance) (*EHIClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	l, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &EHIClient{conn: wire.NewCountingConn(conn), key: key, dist: dist}, nil
+	return &EHIClient{link: l, key: key, dist: dist}, nil
 }
-
-// Close releases the connection.
-func (c *EHIClient) Close() error { return c.conn.Close() }
 
 // Upload ships the encrypted nodes to the server and records the root.
-func (c *EHIClient) Upload(rootID uint64, nodes []wire.EHINode) (stats.Costs, error) {
-	var costs stats.Costs
-	start := time.Now()
-	respType, resp, err := c.roundTrip(wire.MsgPutNodes,
-		wire.PutNodesReq{RootID: rootID, Nodes: nodes}.Encode(), &costs)
-	if err != nil {
-		return costs, err
+func (c *EHIClient) Upload(rootID uint64, nodes []wire.Blob) (stats.Costs, error) {
+	costs, err := c.upload(wire.SpaceEHI, nodes)
+	if err == nil {
+		c.root = rootID
 	}
-	if respType != wire.MsgAck {
-		return costs, fmt.Errorf("baseline: unexpected upload response %v", respType)
-	}
-	ack, err := wire.DecodeAckResp(resp)
-	if err != nil {
-		return costs, err
-	}
-	c.root = rootID
-	creditServer(&costs, ack.ServerNanos)
-	finishCosts(&costs, start)
-	return costs, nil
-}
-
-func (c *EHIClient) roundTrip(t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
-	sentBefore, recvBefore := c.conn.BytesWritten(), c.conn.BytesRead()
-	ioStart := time.Now()
-	if err := wire.WriteFrame(c.conn, t, payload); err != nil {
-		return 0, nil, err
-	}
-	respType, resp, err := wire.ReadFrame(c.conn)
-	costs.CommTime += time.Since(ioStart)
-	costs.BytesSent += c.conn.BytesWritten() - sentBefore
-	costs.BytesReceived += c.conn.BytesRead() - recvBefore
-	costs.RoundTrips++
-	if err != nil {
-		return 0, nil, err
-	}
-	if respType == wire.MsgError {
-		m, derr := wire.DecodeErrorResp(resp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &wire.RemoteError{Msg: m.Msg}
-	}
-	return respType, resp, nil
+	return costs, err
 }
 
 // fetchNode retrieves and decrypts one node (one round trip).
 func (c *EHIClient) fetchNode(id uint64, costs *stats.Costs) (*ehiNode, error) {
-	respType, resp, err := c.roundTrip(wire.MsgGetNode, wire.GetNodeReq{ID: id}.Encode(), costs)
+	lists, err := c.fetch(wire.SpaceEHI, []uint64{id}, costs)
 	if err != nil {
 		return nil, err
 	}
-	if respType != wire.MsgNodeBlob {
-		return nil, fmt.Errorf("baseline: unexpected node response %v", respType)
+	if len(lists[0]) != 1 {
+		return nil, fmt.Errorf("baseline: the server holds no EHI node %d", id)
 	}
-	m, err := wire.DecodeNodeBlobResp(resp)
-	if err != nil {
-		return nil, err
-	}
-	creditServer(costs, m.ServerNanos)
 	decStart := time.Now()
-	pt, err := c.key.Open(m.Blob)
+	pt, err := c.key.Open(lists[0][0])
 	costs.DecryptTime += time.Since(decStart)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: decrypting node %d: %w", id, err)
@@ -398,21 +356,4 @@ func (c *EHIClient) Range(q metric.Vector, r float64) ([]core.Result, stats.Cost
 	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
 	finishCosts(&costs, start)
 	return out, costs, nil
-}
-
-func creditServer(costs *stats.Costs, serverNanos uint64) {
-	st := time.Duration(serverNanos)
-	costs.ServerTime += st
-	costs.CommTime -= st
-	if costs.CommTime < 0 {
-		costs.CommTime = 0
-	}
-}
-
-func finishCosts(costs *stats.Costs, start time.Time) {
-	costs.Overall = time.Since(start)
-	costs.ClientTime = costs.Overall - costs.ServerTime - costs.CommTime
-	if costs.ClientTime < 0 {
-		costs.ClientTime = 0
-	}
 }

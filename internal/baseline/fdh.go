@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"net"
 	"sort"
 	"time"
 
@@ -66,14 +65,14 @@ func (p *FDHParams) Signature(v metric.Vector) uint64 {
 }
 
 // FDHBuild encrypts every object and files it under its signature bucket.
-func FDHBuild(p *FDHParams, key *secret.Key, objs []metric.Object) ([]wire.FDHItem, error) {
-	items := make([]wire.FDHItem, 0, len(objs))
+func FDHBuild(p *FDHParams, key *secret.Key, objs []metric.Object) ([]wire.Blob, error) {
+	items := make([]wire.Blob, 0, len(objs))
 	for _, o := range objs {
 		payload, err := key.EncryptObject(o)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: encrypting object %d: %w", o.ID, err)
 		}
-		items = append(items, wire.FDHItem{Key: p.Signature(o.Vec), Payload: payload})
+		items = append(items, wire.Blob{Key: p.Signature(o.Vec), Data: payload})
 	}
 	return items, nil
 }
@@ -83,65 +82,24 @@ func FDHBuild(p *FDHParams, key *secret.Key, objs []metric.Object) ([]wire.FDHIt
 // locally. The scheme is approximate — objects whose signature differs in
 // many bits are never retrieved.
 type FDHClient struct {
-	conn   *wire.CountingConn
+	link
 	key    *secret.Key
 	params *FDHParams
 }
 
 // DialFDH connects an FDH client to the bucket server at addr.
 func DialFDH(addr string, key *secret.Key, params *FDHParams) (*FDHClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	l, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &FDHClient{conn: wire.NewCountingConn(conn), key: key, params: params}, nil
+	return &FDHClient{link: l, key: key, params: params}, nil
 }
 
-// Close releases the connection.
-func (c *FDHClient) Close() error { return c.conn.Close() }
-
-// Upload ships the encrypted bucket table to the server.
-func (c *FDHClient) Upload(items []wire.FDHItem) (stats.Costs, error) {
-	var costs stats.Costs
-	start := time.Now()
-	respType, resp, err := c.roundTrip(wire.MsgPutFDH, wire.PutFDHReq{Items: items}.Encode(), &costs)
-	if err != nil {
-		return costs, err
-	}
-	if respType != wire.MsgAck {
-		return costs, fmt.Errorf("baseline: unexpected upload response %v", respType)
-	}
-	ack, err := wire.DecodeAckResp(resp)
-	if err != nil {
-		return costs, err
-	}
-	creditServer(&costs, ack.ServerNanos)
-	finishCosts(&costs, start)
-	return costs, nil
-}
-
-func (c *FDHClient) roundTrip(t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
-	sentBefore, recvBefore := c.conn.BytesWritten(), c.conn.BytesRead()
-	ioStart := time.Now()
-	if err := wire.WriteFrame(c.conn, t, payload); err != nil {
-		return 0, nil, err
-	}
-	respType, resp, err := wire.ReadFrame(c.conn)
-	costs.CommTime += time.Since(ioStart)
-	costs.BytesSent += c.conn.BytesWritten() - sentBefore
-	costs.BytesReceived += c.conn.BytesRead() - recvBefore
-	costs.RoundTrips++
-	if err != nil {
-		return 0, nil, err
-	}
-	if respType == wire.MsgError {
-		m, derr := wire.DecodeErrorResp(resp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &wire.RemoteError{Msg: m.Msg}
-	}
-	return respType, resp, nil
+// Upload ships the encrypted bucket table to the server. A bucket holds
+// exactly the blobs one upload files under its signature.
+func (c *FDHClient) Upload(items []wire.Blob) (stats.Costs, error) {
+	return c.upload(wire.SpaceFDH, items)
 }
 
 // keysAtHamming enumerates all signatures at exactly Hamming distance h from
@@ -188,33 +146,27 @@ func (c *FDHClient) KNN(q metric.Vector, k, candTarget, maxHamming int) ([]core.
 	retrieved := 0
 	for h := 0; h <= maxHamming && retrieved < candTarget; h++ {
 		keys := keysAtHamming(sig, m, h)
-		respType, resp, err := c.roundTrip(wire.MsgFDHQuery, wire.FDHQueryReq{Keys: keys}.Encode(), &costs)
+		buckets, err := c.fetch(wire.SpaceFDH, keys, &costs)
 		if err != nil {
 			return nil, costs, err
 		}
-		if respType != wire.MsgCandidates {
-			return nil, costs, fmt.Errorf("baseline: unexpected FDH response %v", respType)
-		}
-		mres, err := wire.DecodeCandidatesResp(resp)
-		if err != nil {
-			return nil, costs, err
-		}
-		creditServer(&costs, mres.ServerNanos)
-		for _, e := range mres.Entries {
-			decStart := time.Now()
-			o, err := c.key.DecryptObject(e.Payload)
-			costs.DecryptTime += time.Since(decStart)
-			if err != nil {
-				return nil, costs, fmt.Errorf("baseline: decrypting FDH candidate: %w", err)
+		for _, bucket := range buckets {
+			for _, payload := range bucket {
+				decStart := time.Now()
+				o, err := c.key.DecryptObject(payload)
+				costs.DecryptTime += time.Since(decStart)
+				if err != nil {
+					return nil, costs, fmt.Errorf("baseline: decrypting FDH candidate: %w", err)
+				}
+				distStart := time.Now()
+				d := c.params.Dist.Dist(q, o.Vec)
+				costs.DistCompTime += time.Since(distStart)
+				costs.DistComps++
+				results = append(results, core.Result{ID: o.ID, Dist: d, Object: o})
 			}
-			distStart := time.Now()
-			d := c.params.Dist.Dist(q, o.Vec)
-			costs.DistCompTime += time.Since(distStart)
-			costs.DistComps++
-			results = append(results, core.Result{ID: o.ID, Dist: d, Object: o})
+			retrieved += len(bucket)
+			costs.Candidates += int64(len(bucket))
 		}
-		retrieved += len(mres.Entries)
-		costs.Candidates += int64(len(mres.Entries))
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Dist < results[j].Dist })
 	if len(results) > k {

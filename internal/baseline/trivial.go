@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -20,56 +19,43 @@ import (
 // cannot be used in real applications".
 //
 // It runs against the encrypted-deployment server: the collection is the
-// same encrypted M-Index store, fetched via MsgDownloadAll.
+// same encrypted M-Index store, fetched as one BatchAll query whose flat
+// reply carries each entry's ID and ciphertext.
 type TrivialClient struct {
-	conn *wire.CountingConn
-	key  *secret.Key
+	link
+	key *secret.Key
 }
 
 // DialTrivial connects a trivial client to the encrypted server at addr.
 func DialTrivial(addr string, key *secret.Key) (*TrivialClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	l, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &TrivialClient{conn: wire.NewCountingConn(conn), key: key}, nil
+	return &TrivialClient{link: l, key: key}, nil
 }
-
-// Close releases the connection.
-func (c *TrivialClient) Close() error { return c.conn.Close() }
 
 // download fetches and decrypts the full collection.
 func (c *TrivialClient) download(costs *stats.Costs) ([]metric.Object, error) {
-	sentBefore, recvBefore := c.conn.BytesWritten(), c.conn.BytesRead()
-	ioStart := time.Now()
-	if err := wire.WriteFrame(c.conn, wire.MsgDownloadAll, nil); err != nil {
-		return nil, err
-	}
-	respType, resp, err := wire.ReadFrame(c.conn)
-	costs.CommTime += time.Since(ioStart)
-	costs.BytesSent += c.conn.BytesWritten() - sentBefore
-	costs.BytesReceived += c.conn.BytesRead() - recvBefore
-	costs.RoundTrips++
+	all := []wire.BatchQuery{{Kind: wire.BatchAll}}
+	respType, resp, err := c.roundTrip(wire.MsgBatchQuery, wire.BatchQueryReq{Queries: all}.Encode(), costs)
 	if err != nil {
 		return nil, err
 	}
-	if respType == wire.MsgError {
-		m, derr := wire.DecodeErrorResp(resp)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, &wire.RemoteError{Msg: m.Msg}
-	}
-	if respType != wire.MsgCandidates {
+	if respType != wire.MsgBatchCandidates {
 		return nil, fmt.Errorf("baseline: unexpected download response %v", respType)
 	}
-	m, err := wire.DecodeCandidatesResp(resp)
+	m, err := wire.DecodeBatchQueryResp(resp, all)
 	if err != nil {
 		return nil, err
 	}
+	if len(m.Results) != 1 {
+		return nil, fmt.Errorf("baseline: download answered with %d results", len(m.Results))
+	}
 	creditServer(costs, m.ServerNanos)
-	objs := make([]metric.Object, 0, len(m.Entries))
-	for _, e := range m.Entries {
+	entries := m.Results[0]
+	objs := make([]metric.Object, 0, len(entries))
+	for _, e := range entries {
 		decStart := time.Now()
 		o, err := c.key.DecryptObject(e.Payload)
 		costs.DecryptTime += time.Since(decStart)
@@ -78,7 +64,7 @@ func (c *TrivialClient) download(costs *stats.Costs) ([]metric.Object, error) {
 		}
 		objs = append(objs, o)
 	}
-	costs.Candidates += int64(len(m.Entries))
+	costs.Candidates += int64(len(entries))
 	return objs, nil
 }
 

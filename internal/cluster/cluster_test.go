@@ -166,6 +166,48 @@ func candidateIDs(t *testing.T, addr string, q wire.BatchQuery) []uint64 {
 	return ids
 }
 
+// downloadAll reads every entry the server at addr holds with a BatchAll
+// query and returns them decrypted, by ID, failing on an entry that arrives
+// twice — under R=2 each must still come from exactly one replica.
+func downloadAll(t *testing.T, addr string, w *testWorld) map[uint64]metric.Vector {
+	t.Helper()
+	all := []wire.BatchQuery{{Kind: wire.BatchAll}}
+	respType, resp := rawRoundTrip(t, addr, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: all}.Encode())
+	if respType != wire.MsgBatchCandidates {
+		t.Fatalf("download-all: unexpected response %v", respType)
+	}
+	m, err := wire.DecodeBatchQueryResp(resp, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[uint64]metric.Vector, len(m.Results[0]))
+	for _, e := range m.Results[0] {
+		o, err := w.key.DecryptObject(e.Payload)
+		if err != nil || o.ID != e.ID {
+			t.Fatalf("download-all: entry %d decrypts to object %d (%v)", e.ID, o.ID, err)
+		}
+		if _, dup := out[e.ID]; dup {
+			t.Fatalf("download-all: entry %d arrived twice", e.ID)
+		}
+		out[e.ID] = o.Vec
+	}
+	return out
+}
+
+// sameCollection compares two downloads: the same IDs holding the same
+// vectors.
+func sameCollection(a, b map[uint64]metric.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id, v := range a {
+		if w, ok := b[id]; !ok || !slices.Equal(v, w) {
+			return false
+		}
+	}
+	return true
+}
+
 // firstCellIDs returns the most promising cell's entry IDs as a sorted set.
 func firstCellIDs(t *testing.T, addr string, w *testWorld, q metric.Vector) []uint64 {
 	t.Helper()
@@ -567,28 +609,66 @@ func TestCoordinatorHello(t *testing.T) {
 }
 
 // TestUnfederatedRequestRejected: requests the coordinator does not
-// federate must fail loudly, not silently go to one node — baseline
-// blob-store messages, the request types protocol version 2 retired (refused
-// naming the replacement), and client reads that set the node-hop fields the
-// coordinator itself owns (ranked replies, first-level allow-lists).
+// federate must fail loudly, not silently go to one node — the blob store,
+// every reserved message number (refused naming the version that retired it
+// and the replacement), and client reads that set the node-hop fields the
+// coordinator itself owns (ranked replies, first-level allow-lists). One
+// connection carries every refusal and stays usable after each.
 func TestUnfederatedRequestRejected(t *testing.T) {
 	_, coord := startCluster(t, 2, true)
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		respType, resp, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return respType, resp
+	}
 	lone := []wire.BatchQuery{{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1}}
-	for _, tc := range []struct {
+	all := []wire.BatchQuery{{Kind: wire.BatchAll}}
+	type refusal struct {
 		typ     wire.MsgType
 		payload []byte
 		want    string
-	}{
-		{wire.MsgGetRaw, wire.GetRawReq{IDs: []uint64{1}}.Encode(), "not federated"},
-		{wire.MsgType(5), []byte{1}, "retired in protocol v2; send batch-query"},
-		{wire.MsgType(33), nil, "retired in protocol v2; send batch-query"},
+	}
+	cases := []refusal{
+		{wire.MsgGetBlobs, wire.GetBlobsReq{Space: wire.SpaceRaw, Keys: []uint64{1}}.Encode(), "not federated"},
+		{wire.MsgPutBlobs, wire.PutBlobsReq{Space: wire.SpaceRaw}.Encode(), "not federated"},
 		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: lone, Ranked: true}.Encode(), "node-level"},
 		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: lone, Allow: []int32{0}}.Encode(), "node-level"},
-		{wire.MsgDownloadAll, wire.DownloadAllReq{Allow: []int32{0}}.Encode(), "node-level"},
+		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: all, Allow: []int32{0}}.Encode(), "node-level"},
 		{wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
 			{Kind: wire.BatchApproxPerm, Perm: []int32{0, 0}, CandSize: 3}}}.Encode(), "batch query 0"},
+	}
+	reserved := 0
+	for _, r := range []struct {
+		typs []wire.MsgType
+		want string
+	}{
+		{[]wire.MsgType{4, 5, 6, 7, 29, 33}, "retired in protocol v2; send batch-query"},
+		{[]wire.MsgType{11, 19}, "retired in protocol v4; send batch-query"},
+		{[]wire.MsgType{8, 9, 10, 32}, "retired in protocol v4; send plain-query"},
+		{[]wire.MsgType{16, 18, 20}, "retired in protocol v4; send put-blobs"},
+		{[]wire.MsgType{14, 15, 17, 21, 22}, "retired in protocol v4; send get-blobs"},
 	} {
-		respType, resp := rawRoundTrip(t, coord.Addr(), tc.typ, tc.payload)
+		for _, typ := range r.typs {
+			cases = append(cases, refusal{typ, []byte{1}, r.want})
+			reserved++
+		}
+	}
+	if reserved != 20 {
+		t.Fatalf("%d reserved numbers listed, want 20", reserved)
+	}
+	for _, tc := range cases {
+		respType, resp := exchange(tc.typ, tc.payload)
 		if respType != wire.MsgError {
 			t.Fatalf("%v: unexpected response %v", tc.typ, respType)
 		}
@@ -598,6 +678,59 @@ func TestUnfederatedRequestRejected(t *testing.T) {
 		}
 		if !strings.Contains(m.Msg, tc.want) {
 			t.Fatalf("%v: error %q does not mention %q", tc.typ, m.Msg, tc.want)
+		}
+		if respType, _ := exchange(wire.MsgHello, nil); respType != wire.MsgHelloAck {
+			t.Fatalf("connection unusable after refusing %v: %v", tc.typ, respType)
+		}
+	}
+}
+
+// TestClusterAllKind: download-all through the coordinator is a BatchAll
+// query fanned out like any other kind. Under R=1 and under R=2's
+// one-owner-per-cell allow-lists it returns exactly the collection a single
+// server holding the same objects returns, each entry once — after inserts
+// and after deletes.
+func TestClusterAllKind(t *testing.T) {
+	wire.PoisonBuffers(t)
+	w := newWorld(t, 900)
+	ref := startServer(t, nodeConfig(false))
+	refClient := dial(t, ref.Addr(), w.key)
+	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+		t.Fatal(err)
+	}
+	victims := w.data.Objects[200:260]
+	if _, _, err := refClient.DeleteBatch(victims); err != nil {
+		t.Fatal(err)
+	}
+	want := downloadAll(t, ref.Addr(), w)
+	if len(want) != len(w.data.Objects)-len(victims) {
+		t.Fatalf("reference server downloads %d entries, want %d", len(want), len(w.data.Objects)-len(victims))
+	}
+	for _, replicas := range []int{1, 2} {
+		addrs := make([]string, 3)
+		for i := range addrs {
+			addrs[i] = startServer(t, nodeConfig(true)).Addr()
+		}
+		coord, err := cluster.New(addrs, cluster.Options{Replicas: replicas, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		client := dial(t, coord.Addr(), w.key)
+		if _, err := client.InsertBatch(w.data.Objects); err != nil {
+			t.Fatal(err)
+		}
+		if got := downloadAll(t, coord.Addr(), w); len(got) != len(w.data.Objects) {
+			t.Fatalf("R=%d: cluster downloads %d entries before the deletes, want %d", replicas, len(got), len(w.data.Objects))
+		}
+		if _, _, err := client.DeleteBatch(victims); err != nil {
+			t.Fatal(err)
+		}
+		if got := downloadAll(t, coord.Addr(), w); !sameCollection(got, want) {
+			t.Fatalf("R=%d: cluster download (%d entries) differs from the single server's (%d)", replicas, len(got), len(want))
 		}
 	}
 }

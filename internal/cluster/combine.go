@@ -153,41 +153,3 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 	}
 	return nil
 }
-
-// downloadAll concatenates every node's stored entries in node order — the
-// cross-node form of the engine's per-shard concatenation, exact because
-// every first-level cell is answered by one node — into out as one
-// CandidatesResp (ServerNanos left zero). Each reply is validated record by
-// record and then moved as one span.
-func (c *Coordinator) downloadAll(ctx context.Context, out *wire.Buffer) error {
-	frames := c.leaseFrames()
-	defer frames.release()
-	replies, err := c.readFan(ctx, func(allow []int32) (wire.MsgType, []byte) {
-		return wire.MsgDownloadAll, wire.DownloadAllReq{Allow: allow}.Encode()
-	}, frames)
-	if err != nil {
-		return err
-	}
-	total, size := 0, 0
-	records := make([][]byte, len(replies))
-	for i, rep := range replies {
-		if rep.typ != wire.MsgCandidates {
-			return fmt.Errorf("cluster: unexpected node response %v to download-all", rep.typ)
-		}
-		var n int
-		if n, records[i], err = wire.ScanCandidatesResp(rep.payload); err != nil {
-			return err
-		}
-		total += n
-		size += len(records[i])
-	}
-	out.Reset()
-	out.B = slices.Grow(out.B, 20+size)
-	out.U64(0) // ServerNanos
-	out.U64(0) // DistNanos: an encrypted node computes no distances
-	out.U32(uint32(total))
-	for _, r := range records {
-		out.B = append(out.B, r...)
-	}
-	return nil
-}

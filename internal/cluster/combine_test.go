@@ -217,7 +217,7 @@ func TestCombineHostileReplies(t *testing.T) {
 		"lying-count":   {typ: good.typ, payload: lyingCount.B},
 		"empty":         {typ: good.typ},
 		"extra-results": twoResults,
-		"wrong-message": {typ: wire.MsgCandidates, payload: good.payload},
+		"wrong-message": {typ: wire.MsgBatchCandidates, payload: good.payload},
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, replies := range [][]nodeReply{{bad}, {good, bad}, {bad, good}} {

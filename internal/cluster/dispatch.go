@@ -29,10 +29,10 @@ func (c *Coordinator) serverNanos(start time.Time) uint64 {
 	return uint64(time.Since(start))
 }
 
-// handle serves one request. The candidate replies (batch query, download-
-// all) are assembled in out — the request's pooled response buffer (see
-// serve) — and the returned payload aliases it; every other reply is a small
-// slice of its own.
+// handle serves one request. The candidate reply of a batch query is
+// assembled in out — the request's pooled response buffer (see serve) — and
+// the returned payload aliases it; every other reply is a small slice of its
+// own.
 func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, out *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
@@ -106,20 +106,6 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		}
 		setServerNanos(out, c.serverNanos(start))
 		return wire.MsgBatchCandidates, out.B, nil
-
-	case wire.MsgDownloadAll:
-		req, err := wire.DecodeDownloadAllReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if req.Allow != nil {
-			return 0, nil, errNodeLevelRead
-		}
-		if err := c.downloadAll(c.ctx, out); err != nil {
-			return 0, nil, err
-		}
-		setServerNanos(out, c.serverNanos(start))
-		return wire.MsgCandidates, out.B, nil
 	}
 	if err := wire.RetiredError(typ); err != nil {
 		return 0, nil, err

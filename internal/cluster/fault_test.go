@@ -81,8 +81,8 @@ func resultsEqual(a, b []core.Result) bool {
 // 3-node cluster of WAL-backed servers behind seeded fault proxies is
 // driven through node kills, WAL restarts, journal re-syncs and a network
 // partition, and after (and during) every fault the cluster's answers to
-// all four query kinds stay byte-identical to a healthy single server over
-// the same logical collection.
+// all four query kinds, and its download of everything, stay identical to a
+// healthy single server over the same logical collection.
 func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 	// Every pooled buffer is overwritten the moment it is released: a
 	// candidate view that outlived its frame would corrupt an answer here
@@ -117,6 +117,9 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 	queries := []int{3, 123, 456, 789, 1011, 1313}
 	check := func(label string) {
 		t.Helper()
+		if got, want := downloadAll(t, coord.Addr(), w), downloadAll(t, ref.Addr(), w); !sameCollection(got, want) {
+			t.Fatalf("%s: download-all (%d entries) diverges from single server (%d)", label, len(got), len(want))
+		}
 		for _, qi := range queries {
 			q := w.data.Objects[qi].Vec
 

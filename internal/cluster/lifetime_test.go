@@ -78,10 +78,7 @@ func TestHostileNodeReplyIsAnErrorFrame(t *testing.T) {
 				Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
 				MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
 			}
-			ln := scriptedNode(t, hello, func(typ wire.MsgType) (wire.MsgType, []byte) {
-				if typ == wire.MsgDownloadAll {
-					return wire.MsgCandidates, reply
-				}
+			ln := scriptedNode(t, hello, func(wire.MsgType) (wire.MsgType, []byte) {
 				return wire.MsgBatchRankedCandidates, reply
 			})
 			coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
@@ -97,24 +94,23 @@ func TestHostileNodeReplyIsAnErrorFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			query := wire.BatchQueryReq{Queries: []wire.BatchQuery{
-				{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1},
-			}}.Encode()
-			// Twice each: the connection, and the coordinator, survive.
+			// A range query and a download of everything, twice each: the
+			// connection, and the coordinator, survive.
 			for round := range 2 {
-				for _, req := range []struct {
-					typ     wire.MsgType
-					payload []byte
-				}{{wire.MsgBatchQuery, query}, {wire.MsgDownloadAll, nil}} {
-					if err := wire.WriteFrame(conn, req.typ, req.payload); err != nil {
+				for _, q := range []wire.BatchQuery{
+					{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1},
+					{Kind: wire.BatchAll},
+				} {
+					query := wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode()
+					if err := wire.WriteFrame(conn, wire.MsgBatchQuery, query); err != nil {
 						t.Fatal(err)
 					}
 					typ, _, err := wire.ReadFrame(conn)
 					if err != nil {
-						t.Fatalf("round %d, %v: %v", round, req.typ, err)
+						t.Fatalf("round %d, kind %d: %v", round, q.Kind, err)
 					}
 					if typ != wire.MsgError {
-						t.Fatalf("round %d, %v: hostile node reply answered with %v, want an error frame", round, req.typ, typ)
+						t.Fatalf("round %d, kind %d: hostile node reply answered with %v, want an error frame", round, q.Kind, typ)
 					}
 				}
 			}

@@ -100,21 +100,20 @@ func (c *PlainClient) InsertContext(ctx context.Context, objs []metric.Object) (
 	return costs, nil
 }
 
-// plainMessage maps a normalized Query onto its plain-protocol frame. The
-// raw query vector travels to the server — the defining disclosure of the
+// plainKinds maps a query kind onto its plain-protocol kind.
+var plainKinds = [...]uint8{
+	KindRange: wire.PlainRange, KindKNN: wire.PlainKNN,
+	KindApproxKNN: wire.PlainApprox, KindFirstCell: wire.PlainFirstCell,
+}
+
+// plainQuery encodes a normalized Query as a MsgPlainQuery payload. The raw
+// query vector travels to the server — the defining disclosure of the
 // non-encrypted baseline.
-func plainMessage(nq Query) (wire.MsgType, []byte) {
-	switch nq.Kind {
-	case KindRange:
-		return wire.MsgRangePlain, wire.RangePlainReq{Q: nq.Vec, Radius: nq.Radius}.Encode()
-	case KindKNN:
-		return wire.MsgKNNPlain, wire.KNNPlainReq{Q: nq.Vec, K: uint32(nq.K)}.Encode()
-	case KindFirstCell:
-		return wire.MsgFirstCellPlain, wire.FirstCellPlainReq{Q: nq.Vec, K: uint32(nq.K)}.Encode()
-	default: // KindApproxKNN
-		return wire.MsgApproxPlain,
-			wire.ApproxPlainReq{Q: nq.Vec, K: uint32(nq.K), CandSize: uint32(effCandSize(nq))}.Encode()
-	}
+func plainQuery(nq Query) []byte {
+	return wire.PlainQueryReq{
+		Kind: plainKinds[nq.Kind], Q: nq.Vec, Radius: nq.Radius,
+		K: uint32(nq.K), CandSize: uint32(effCandSize(nq)),
+	}.Encode()
 }
 
 // decodeResults interprets one MsgResults response frame.
@@ -146,8 +145,7 @@ func (c *PlainClient) Search(ctx context.Context, q Query) ([]Result, stats.Cost
 	if err != nil {
 		return nil, costs, err
 	}
-	reqType, payload := plainMessage(nq)
-	respType, resp, err := c.roundTrip(ctx, reqType, payload, &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgPlainQuery, plainQuery(nq), &costs)
 	if err != nil {
 		return nil, costs, err
 	}
@@ -178,8 +176,7 @@ func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, 
 		if err != nil {
 			return nil, costs, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
-		typ, payload := plainMessage(nq)
-		reqs[i] = frame{typ: typ, payload: payload}
+		reqs[i] = frame{typ: wire.MsgPlainQuery, payload: plainQuery(nq)}
 	}
 	var resps []frame
 	if err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {

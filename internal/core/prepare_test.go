@@ -43,12 +43,13 @@ func TestPrepareEntriesOwnTheirRows(t *testing.T) {
 // ciphertext and the cipher's own objects (the parent also allocated a
 // distance row, a full permutation and a second prefix for each).
 func TestPrepareAndDeleteAllocs(t *testing.T) {
+	enforce := allocCeilings(t)
 	c, _, _, objs := refineFixture(t, secret.ModeCTRHMAC, 64)
 	const fixed = 4 // the result slice, the scratch and its two rows
 	for _, n := range []int{8, 64} {
 		if got := testing.AllocsPerRun(20, func() {
 			c.deleteRefs(objs[:n], new(stats.Costs))
-		}); got > float64(fixed+n) {
+		}); enforce && got > float64(fixed+n) {
 			t.Errorf("deleteRefs, %d objects: %.1f allocs, want <= %d", n, got, fixed+n)
 		}
 	}
@@ -65,7 +66,7 @@ func TestPrepareAndDeleteAllocs(t *testing.T) {
 			if _, err := c.prepareEntries(objs[:n], new(stats.Costs)); err != nil {
 				t.Fatal(err)
 			}
-		}); got > ceiling {
+		}); enforce && got > ceiling {
 			t.Errorf("prepareEntries, %d objects: %.1f allocs, want <= %.0f", n, got, ceiling)
 		}
 	}

@@ -14,7 +14,9 @@ import (
 // the metric index; similarity search yields object IDs, which the
 // authorized client then resolves against the raw-data storage and decrypts
 // locally. The same AES key protects both stores, so "the raw data is
-// always encrypted" (paper, note at the end of Section 2.3).
+// always encrypted" (paper, note at the end of Section 2.3). The server
+// keeps the blobs in its keyed blob store, one per object ID in
+// wire.SpaceRaw.
 
 // UploadRaw is UploadRawContext without a deadline.
 func (c *EncryptedClient) UploadRaw(items map[uint64][]byte) (stats.Costs, error) {
@@ -25,7 +27,7 @@ func (c *EncryptedClient) UploadRaw(items map[uint64][]byte) (stats.Costs, error
 func (c *EncryptedClient) UploadRawContext(ctx context.Context, items map[uint64][]byte) (stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	wireItems := make([]wire.RawItem, 0, len(items))
+	blobs := make([]wire.Blob, 0, len(items))
 	for id, blob := range items {
 		encStart := time.Now()
 		ct, err := c.key.Seal(blob)
@@ -33,9 +35,10 @@ func (c *EncryptedClient) UploadRawContext(ctx context.Context, items map[uint64
 		if err != nil {
 			return costs, fmt.Errorf("core: encrypting raw data %d: %w", id, err)
 		}
-		wireItems = append(wireItems, wire.RawItem{ID: id, Blob: ct})
+		blobs = append(blobs, wire.Blob{Key: id, Data: ct})
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgPutRaw, wire.PutRawReq{Items: wireItems}.Encode(), &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgPutBlobs,
+		wire.PutBlobsReq{Space: wire.SpaceRaw, Items: blobs}.Encode(), &costs)
 	if err != nil {
 		return costs, err
 	}
@@ -58,31 +61,35 @@ func (c *EncryptedClient) FetchRaw(ids []uint64) (map[uint64][]byte, stats.Costs
 
 // FetchRawContext retrieves and decrypts the raw data of the given object
 // IDs — the final step of the outsourced search flow after a similarity
-// query has produced its answer set.
+// query has produced its answer set. An ID without raw data is an error.
 func (c *EncryptedClient) FetchRawContext(ctx context.Context, ids []uint64) (map[uint64][]byte, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	respType, resp, err := c.roundTrip(ctx, wire.MsgGetRaw, wire.GetRawReq{IDs: ids}.Encode(), &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgGetBlobs,
+		wire.GetBlobsReq{Space: wire.SpaceRaw, Keys: ids}.Encode(), &costs)
 	if err != nil {
 		return nil, costs, err
 	}
-	if respType != wire.MsgRawItems {
+	if respType != wire.MsgBlobs {
 		return nil, costs, fmt.Errorf("core: unexpected raw fetch response %v", respType)
 	}
-	m, err := wire.DecodeRawItemsResp(resp)
+	m, err := wire.DecodeBlobsResp(resp, len(ids))
 	if err != nil {
 		return nil, costs, err
 	}
 	creditServer(&costs, m.ServerNanos)
-	out := make(map[uint64][]byte, len(m.Items))
-	for _, it := range m.Items {
+	out := make(map[uint64][]byte, len(ids))
+	for i, id := range ids {
+		if len(m.Lists[i]) != 1 {
+			return nil, costs, fmt.Errorf("core: no raw data for object %d", id)
+		}
 		decStart := time.Now()
-		pt, err := c.key.Open(it.Blob)
+		pt, err := c.key.Open(m.Lists[i][0])
 		costs.DecryptTime += time.Since(decStart)
 		if err != nil {
-			return nil, costs, fmt.Errorf("core: decrypting raw data %d: %w", it.ID, err)
+			return nil, costs, fmt.Errorf("core: decrypting raw data %d: %w", id, err)
 		}
-		out[it.ID] = pt
+		out[id] = pt
 	}
 	finish(&costs, start)
 	return out, costs, nil

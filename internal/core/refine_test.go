@@ -118,14 +118,13 @@ func TestRefineMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestRefineAllocs: refining allocates for the answer — the result slice
-// and one vector per survivor — plus a small constant, and one cipher
-// stream per candidate that crypto/cipher offers no way to reuse (see
-// below); ten times the candidates must not cost one allocation more than
-// that.
-func TestRefineAllocs(t *testing.T) {
-	// Under the race detector sync.Pool drops a quarter of what is put into
-	// it, on purpose; the scratch this test counts on being recycled is not.
+// allocCeilings reports whether this build can hold code to an allocation
+// ceiling. Under the race detector sync.Pool drops a share of what is put
+// into it, on purpose, and the scratch a ceiling counts on being recycled —
+// secret.Key's HMAC states among it — is not; the callers then still run
+// and check everything else, but enforce no ceiling.
+func allocCeilings(t *testing.T) bool {
+	t.Helper()
 	var pool sync.Pool
 	pool.New = func() any { return new([64]byte) }
 	if testing.AllocsPerRun(10, func() {
@@ -133,8 +132,19 @@ func TestRefineAllocs(t *testing.T) {
 			pool.Put(pool.Get())
 		}
 	}) > 0 {
-		t.Skip("sync.Pool does not recycle in this build (-race); allocation counts mean nothing")
+		t.Log("sync.Pool does not recycle in this build (-race): allocation ceilings not enforced")
+		return false
 	}
+	return true
+}
+
+// TestRefineAllocs: refining allocates for the answer — the result slice
+// and one vector per survivor — plus a small constant, and one cipher
+// stream per candidate that crypto/cipher offers no way to reuse (see
+// below); ten times the candidates must not cost one allocation more than
+// that.
+func TestRefineAllocs(t *testing.T) {
+	enforce := allocCeilings(t)
 	const k = 10
 	// Per call: the []Result, k vectors, the candidates interface value,
 	// and slack for a pool refill after a GC.
@@ -160,7 +170,7 @@ func TestRefineAllocs(t *testing.T) {
 			}
 			run() // size the scratch once
 			ceiling := float64(fixed + tc.perCandidate*n)
-			if got := testing.AllocsPerRun(20, run); got > ceiling {
+			if got := testing.AllocsPerRun(20, run); enforce && got > ceiling {
 				t.Errorf("%v, %d candidates: %.1f allocs per refinement, want <= %.0f", tc.mode, n, got, ceiling)
 			}
 		}

@@ -437,8 +437,8 @@ func (s *ShardedIndex) FirstCellCandidates(q mindex.ApproxQuery) ([]mindex.Entry
 	return mindex.Flat(s.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: q}))
 }
 
-// AllEntries returns every stored entry, shard by shard (the trivial
-// download-all baseline) — the flat form of a KindAll Search.
+// AllEntries returns every stored entry, shard by shard, decoded — the flat
+// form of a KindAll Search, for tooling and tests.
 func (s *ShardedIndex) AllEntries() ([]mindex.Entry, error) {
 	return mindex.Flat(s.Search(mindex.Query{Kind: mindex.KindAll}))
 }

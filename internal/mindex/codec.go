@@ -161,9 +161,9 @@ func DecodeEntry(buf []byte) (Entry, []byte, error) {
 
 // Decode returns the entry the record encodes. The entry owns its memory
 // (every field is copied out of the record): whatever keeps a whole entry —
-// an ingest path, a download-all answer — must not pin, or be overwritten with, the buffer the record lies in. An
-// empty field decodes to nil, so "Dists == nil" keeps meaning "stored without
-// distances".
+// an ingest path, a tool — must not pin, or be overwritten with, the buffer
+// the record lies in. An empty field decodes to nil, so "Dists == nil" keeps
+// meaning "stored without distances".
 func (v *EntryView) Decode() Entry {
 	e := Entry{ID: v.ID}
 	if perm := v.Perm(); len(perm) > 0 {

@@ -233,33 +233,6 @@ func TestKNNEqualsBruteForce(t *testing.T) {
 	}
 }
 
-// The paper's two-phase precise k-NN (approximate then range ρk) must also
-// be exact.
-func TestKNNApproxRangeEqualsBruteForce(t *testing.T) {
-	p, objs := buildPlain(t, 5, 800, 4, 8)
-	rng := rand.New(rand.NewPCG(7, 7))
-	for range 15 {
-		q := objs[rng.IntN(len(objs))].Vec
-		k := 1 + rng.IntN(10)
-		got, err := p.KNNApproxRange(q, k, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := p.BruteForceKNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Dist != want[i].Dist {
-				t.Fatalf("k=%d rank %d: %g vs %g", k, i, got[i].Dist, want[i].Dist)
-			}
-		}
-	}
-}
-
 func TestKNNValidation(t *testing.T) {
 	p, _ := buildPlain(t, 6, 100, 4, 6)
 	q := make(metric.Vector, 4)
@@ -269,7 +242,7 @@ func TestKNNValidation(t *testing.T) {
 	if _, err := p.ApproxKNN(q, 0, 10); err == nil {
 		t.Error("k=0 accepted by ApproxKNN")
 	}
-	if _, err := p.KNNApproxRange(q, -1, 10); err == nil {
+	if _, err := p.KNN(q, -1); err == nil {
 		t.Error("negative k accepted")
 	}
 }

@@ -166,8 +166,7 @@ func (h *knnHeap) offer(r Result, k int) float64 {
 // KNN evaluates the precise k-NN query with an optimal best-first traversal
 // of the cell tree: nodes are visited in order of their metric lower bound
 // and the traversal stops as soon as no remaining cell can improve the k-th
-// best distance. This is the library's exact search; KNNApproxRange mirrors
-// the two-phase strategy the paper describes.
+// best distance. This is the library's exact search.
 func (p *Plain) KNN(q metric.Vector, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("mindex: k must be positive, got %d", k)
@@ -222,35 +221,6 @@ func (p *Plain) KNN(q metric.Vector, k int) ([]Result, error) {
 		}
 	}
 	return sortResults(*best, k), nil
-}
-
-// KNNApproxRange evaluates the precise k-NN query the way Section 4.2
-// describes: run an approximate k-NN to obtain an upper bound ρk on the k-th
-// nearest-neighbor distance, then execute the precise range query R(q, ρk)
-// and keep the k closest answers. candSize controls the first phase (it only
-// affects cost, not correctness, as long as at least k candidates exist).
-func (p *Plain) KNNApproxRange(q metric.Vector, k, candSize int) ([]Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("mindex: k must be positive, got %d", k)
-	}
-	if candSize < k {
-		candSize = k
-	}
-	approx, err := p.ApproxKNN(q, k, candSize)
-	if err != nil {
-		return nil, err
-	}
-	if len(approx) < k {
-		// Fewer than k objects indexed in promising cells; fall back to the
-		// whole data set radius.
-		return p.KNN(q, k)
-	}
-	rho := approx[len(approx)-1].Dist
-	within, err := p.Range(q, rho)
-	if err != nil {
-		return nil, err
-	}
-	return sortResults(within, k), nil
 }
 
 // ApproxKNN evaluates the approximate k-NN query entirely on the server:

@@ -28,7 +28,8 @@ const (
 	// KindFirstCell returns the single most promising non-empty cell — the
 	// restricted strategy of the paper's 1-NN comparison (Section 5.4).
 	KindFirstCell
-	// KindAll returns every live entry (the trivial download-all baseline).
+	// KindAll returns every live entry (the trivial baseline's download,
+	// wire.BatchAll).
 	KindAll
 	// KindBound collects the first CandSize live entries in bound order
 	// (see BoundKey) from the query's pivot distances (Dists) — the first
@@ -136,9 +137,9 @@ func (rc *RankedCandidate) Rank() (float64, []int32, uint64) {
 
 // Flat drops the ranking annotations of a Search result (passing its error
 // through) and decodes the candidates into whole entries, each field in an
-// allocation of its own — the edge of the callers that keep entries: the
-// download-all answer, tooling and tests. A query path reads the candidates'
-// views instead (the plain deployment refines from them).
+// allocation of its own — the edge of the callers that keep entries:
+// tooling and tests. A query path reads the candidates' views instead (the
+// plain deployment refines from them).
 func Flat(rcs []RankedCandidate, err error) ([]Entry, error) {
 	if rcs == nil || err != nil {
 		return nil, err
@@ -150,8 +151,8 @@ func Flat(rcs []RankedCandidate, err error) ([]Entry, error) {
 	return out, nil
 }
 
-// AllEntries returns every live stored entry, decoded (used by the trivial
-// download-all baseline and diagnostics): the flat form of a KindAll Search.
+// AllEntries returns every live stored entry, decoded (tooling and tests):
+// the flat form of a KindAll Search.
 func (ix *Index) AllEntries() ([]Entry, error) {
 	return Flat(ix.Search(Query{Kind: KindAll}))
 }

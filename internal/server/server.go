@@ -10,15 +10,18 @@
 //     queries completely, returning final answers (the non-encrypted
 //     baseline of Tables 4, 7 and 8).
 //
-// The same server also provides the blob stores used by the baseline
-// protocols (EHI encrypted nodes, FDH buckets, trivial download-all), so
-// every compared technique runs over an identical network substrate.
+// Beside the index, either mode keeps a keyed blob store of ciphertexts: the
+// encrypted raw data of the paper's Figure 1, and the encrypted indexes of
+// the compared techniques (EHI nodes, FDH buckets), so every technique of
+// Table 9 runs over one network substrate. The trivial baseline needs no
+// store of its own: its download is a BatchAll query.
 package server
 
 import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -51,6 +54,12 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
+// blobKey files a blob list under its space and key.
+type blobKey struct {
+	space uint8
+	key   uint64
+}
+
 // Server is a similarity-cloud server instance.
 type Server struct {
 	mode  Mode
@@ -59,11 +68,8 @@ type Server struct {
 	timed *metric.Timed // instruments the plain server's distance function
 	wal   *wal.Log      // optional mutation log; see AttachWAL
 
-	mu       sync.Mutex
-	ehiRoot  uint64
-	ehiNodes map[uint64][]byte
-	fdh      map[uint64][][]byte
-	raw      map[uint64][]byte
+	mu    sync.Mutex
+	blobs map[blobKey][][]byte // guarded by mu
 
 	// connMu guards the listener, the connection registry and the closed
 	// flag: Start, acceptLoop registration, serveConn deregistration and
@@ -101,12 +107,10 @@ func NewEncryptedWithIndex(idx *mindex.Index) *Server {
 // existing sharded engine.
 func NewEncryptedWithEngine(eng *engine.ShardedIndex) *Server {
 	return &Server{
-		mode:     ModeEncrypted,
-		enc:      eng,
-		ehiNodes: make(map[uint64][]byte),
-		fdh:      make(map[uint64][][]byte),
-		raw:      make(map[uint64][]byte),
-		Logf:     log.Printf,
+		mode:  ModeEncrypted,
+		enc:   eng,
+		blobs: make(map[blobKey][][]byte),
+		Logf:  log.Printf,
 	}
 }
 
@@ -122,13 +126,11 @@ func NewPlain(cfg mindex.Config, pivots *pivot.Set) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		mode:     ModePlain,
-		plain:    p,
-		timed:    timed,
-		ehiNodes: make(map[uint64][]byte),
-		fdh:      make(map[uint64][][]byte),
-		raw:      make(map[uint64][]byte),
-		Logf:     log.Printf,
+		mode:  ModePlain,
+		plain: p,
+		timed: timed,
+		blobs: make(map[blobKey][][]byte),
+		Logf:  log.Printf,
 	}, nil
 }
 
@@ -410,51 +412,15 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		resp.AppendFlatTo(buf, req.Queries)
 		return wire.MsgBatchCandidates, buf.B, nil
 
-	case wire.MsgRangePlain:
+	case wire.MsgPlainQuery:
 		if s.plain == nil {
 			return 0, nil, errNeedPlain
 		}
-		req, err := wire.DecodeRangePlainReq(payload)
+		req, err := wire.DecodePlainQueryReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, err := s.plain.Range(req.Q, req.Radius)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
-			Results:     res,
-		}.Encode(), nil
-
-	case wire.MsgKNNPlain:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
-		}
-		req, err := wire.DecodeKNNPlainReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := s.plain.KNN(req.Q, int(req.K))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
-			Results:     res,
-		}.Encode(), nil
-
-	case wire.MsgFirstCellPlain:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
-		}
-		req, err := wire.DecodeFirstCellPlainReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := s.plain.FirstCellKNN(req.Q, int(req.K))
+		res, err := s.plainQuery(req)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -480,132 +446,26 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 			ServerNanos: s.serverNanos(start), Deleted: uint32(deleted),
 		}.Encode(), nil
 
-	case wire.MsgApproxPlain:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
-		}
-		req, err := wire.DecodeApproxPlainReq(payload)
+	case wire.MsgPutBlobs:
+		req, err := wire.DecodePutBlobsReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, err := s.plain.ApproxKNN(req.Q, int(req.K), int(req.CandSize))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
-			Results:     res,
-		}.Encode(), nil
-
-	case wire.MsgPutNodes:
-		req, err := wire.DecodePutNodesReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.mu.Lock()
-		s.ehiRoot = req.RootID
-		for _, n := range req.Nodes {
-			s.ehiNodes[n.ID] = n.Blob
-		}
-		s.mu.Unlock()
+		s.putBlobs(req)
 		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
 
-	case wire.MsgGetNode:
-		req, err := wire.DecodeGetNodeReq(payload)
+	case wire.MsgGetBlobs:
+		req, err := wire.DecodeGetBlobsReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
+		lists := make([][][]byte, len(req.Keys))
 		s.mu.Lock()
-		blob, ok := s.ehiNodes[req.ID]
-		s.mu.Unlock()
-		if !ok {
-			return 0, nil, fmt.Errorf("server: unknown EHI node %d", req.ID)
-		}
-		return wire.MsgNodeBlob, wire.NodeBlobResp{
-			ServerNanos: s.serverNanos(start), Blob: blob,
-		}.Encode(), nil
-
-	case wire.MsgPutFDH:
-		req, err := wire.DecodePutFDHReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.mu.Lock()
-		for _, it := range req.Items {
-			s.fdh[it.Key] = append(s.fdh[it.Key], it.Payload)
+		for i, key := range req.Keys {
+			lists[i] = s.blobs[blobKey{req.Space, key}]
 		}
 		s.mu.Unlock()
-		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
-
-	case wire.MsgFDHQuery:
-		req, err := wire.DecodeFDHQueryReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		var entries []mindex.Entry
-		s.mu.Lock()
-		for _, key := range req.Keys {
-			for _, payload := range s.fdh[key] {
-				entries = append(entries, mindex.Entry{Payload: payload})
-			}
-		}
-		s.mu.Unlock()
-		return wire.MsgCandidates, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: entries,
-		}.Encode(), nil
-
-	case wire.MsgPutRaw:
-		req, err := wire.DecodePutRawReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.mu.Lock()
-		for _, it := range req.Items {
-			s.raw[it.ID] = it.Blob
-		}
-		s.mu.Unlock()
-		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
-
-	case wire.MsgGetRaw:
-		req, err := wire.DecodeGetRawReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		items := make([]wire.RawItem, 0, len(req.IDs))
-		s.mu.Lock()
-		for _, id := range req.IDs {
-			blob, ok := s.raw[id]
-			if !ok {
-				s.mu.Unlock()
-				return 0, nil, fmt.Errorf("server: no raw data for object %d", id)
-			}
-			items = append(items, wire.RawItem{ID: id, Blob: blob})
-		}
-		s.mu.Unlock()
-		return wire.MsgRawItems, wire.RawItemsResp{
-			ServerNanos: s.serverNanos(start), Items: items,
-		}.Encode(), nil
-
-	case wire.MsgDownloadAll:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeDownloadAllReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		filter, err := mindex.NewPivotFilter(s.enc.Config().NumPivots, req.Allow)
-		if err != nil {
-			return 0, nil, err
-		}
-		entries, err := mindex.Flat(s.enc.Search(mindex.Query{Kind: mindex.KindAll, Allow: filter}))
-		if err != nil {
-			return 0, nil, err
-		}
-		buf.Reset()
-		wire.CandidatesResp{ServerNanos: s.serverNanos(start), Entries: entries}.AppendTo(buf)
-		return wire.MsgCandidates, buf.B, nil
+		return wire.MsgBlobs, wire.BlobsResp{ServerNanos: s.serverNanos(start), Lists: lists}.Encode(), nil
 
 	case wire.MsgResyncOps:
 		if s.enc == nil {
@@ -674,6 +534,32 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		return 0, nil, err
 	}
 	return 0, nil, fmt.Errorf("server: unsupported request type %v", typ)
+}
+
+// plainQuery evaluates one plain-deployment query.
+func (s *Server) plainQuery(req wire.PlainQueryReq) ([]mindex.Result, error) {
+	switch req.Kind {
+	case wire.PlainRange:
+		return s.plain.Range(req.Q, req.Radius)
+	case wire.PlainKNN:
+		return s.plain.KNN(req.Q, int(req.K))
+	case wire.PlainApprox:
+		return s.plain.ApproxKNN(req.Q, int(req.K), int(req.CandSize))
+	}
+	return s.plain.FirstCellKNN(req.Q, int(req.K))
+}
+
+// putBlobs replaces the blob list of every key req lists with req's blobs
+// for that key, in request order.
+func (s *Server) putBlobs(req wire.PutBlobsReq) {
+	lists := make(map[blobKey][][]byte)
+	for _, b := range req.Items {
+		k := blobKey{req.Space, b.Key}
+		lists[k] = append(lists[k], b.Data)
+	}
+	s.mu.Lock()
+	maps.Copy(s.blobs, lists)
+	s.mu.Unlock()
 }
 
 // applyResyncOp applies one missed write from the coordinator's re-admission

@@ -40,6 +40,20 @@ func startEncrypted(t *testing.T) *Server {
 	return srv
 }
 
+func startPlain(t *testing.T) *Server {
+	t.Helper()
+	ds := dataset.Clustered(1, 50, 2, 2, metric.L1{})
+	srv, err := NewPlain(testCfg(), pivot.SelectRandom(rand.New(rand.NewPCG(1, 1)), ds.Dist, ds.Objects, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
 func dial(t *testing.T, srv *Server) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -78,6 +92,9 @@ func expectError(t *testing.T, conn net.Conn, typ wire.MsgType, payload []byte, 
 	}
 }
 
+// downloadAll is the trivial baseline's request: every stored entry.
+var downloadAll = wire.BatchQueryReq{Queries: []wire.BatchQuery{{Kind: wire.BatchAll}}}.Encode()
+
 func TestUnknownMessageType(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
@@ -90,8 +107,8 @@ func TestGarbagePayloadIsError(t *testing.T) {
 	// A malformed insert payload must produce an error, not kill the server.
 	expectError(t, conn, wire.MsgInsertEntries, []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}, "")
 	// The connection must still be usable afterwards.
-	respType, _ := request(t, conn, wire.MsgDownloadAll, nil)
-	if respType != wire.MsgCandidates {
+	respType, _ := request(t, conn, wire.MsgBatchQuery, downloadAll)
+	if respType != wire.MsgBatchCandidates {
 		t.Fatalf("connection dead after error: got %v", respType)
 	}
 }
@@ -102,37 +119,12 @@ func TestModeGuards(t *testing.T) {
 	expectError(t, conn, wire.MsgInsertObjects,
 		wire.InsertObjectsReq{Objects: []metric.Object{{ID: 1, Vec: metric.Vector{1}}}}.Encode(),
 		"plain")
-	expectError(t, conn, wire.MsgKNNPlain,
-		wire.KNNPlainReq{Q: metric.Vector{1}, K: 1}.Encode(),
+	expectError(t, conn, wire.MsgPlainQuery,
+		wire.PlainQueryReq{Kind: wire.PlainKNN, Q: metric.Vector{1}, K: 1}.Encode(),
 		"plain")
 
 	// And the reverse on a plain server.
-	ds := dataset.Clustered(1, 50, 2, 2, metric.L1{})
-	rng := rand.New(rand.NewPCG(1, 1))
-	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, 6)
-	psrv, err := NewPlain(testCfg(), pv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := psrv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer psrv.Close()
-	pconn, err := net.Dial("tcp", psrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pconn.Close()
-	if err := wire.WriteFrame(pconn, wire.MsgDownloadAll, nil); err != nil {
-		t.Fatal(err)
-	}
-	respType, _, err := wire.ReadFrame(pconn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respType != wire.MsgError {
-		t.Fatalf("encrypted-only request on plain server: got %v", respType)
-	}
+	expectError(t, dial(t, startPlain(t)), wire.MsgBatchQuery, downloadAll, "encrypted")
 }
 
 func TestInvalidPermutationRejected(t *testing.T) {
@@ -147,18 +139,35 @@ func TestInvalidPermutationRejected(t *testing.T) {
 	}}.Encode(), "permutation")
 }
 
-// TestRetiredMessagesRefused: the request types protocol version 2 retired
-// keep their numbers reserved and are answered with an error naming the
-// replacement — never mis-decoded as something else, and the connection
-// stays usable.
+// TestRetiredMessagesRefused: every reserved message number — the requests
+// protocol version 2 retired and the side doors version 4 folded into one
+// request per concept — is answered with an error naming the version that
+// retired it and its replacement, never mis-decoded as something else, and
+// the connection stays usable after each refusal.
 func TestRetiredMessagesRefused(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
-	for _, typ := range []wire.MsgType{4, 5, 6, 7, 29, 33} {
-		expectError(t, conn, typ, []byte{1, 2, 3}, "retired in protocol v2; send batch-query")
+	refused := 0
+	for _, tc := range []struct {
+		typs []wire.MsgType
+		want string
+	}{
+		{[]wire.MsgType{4, 5, 6, 7, 29, 33}, "retired in protocol v2; send batch-query"},
+		{[]wire.MsgType{11, 19}, "retired in protocol v4; send batch-query"},
+		{[]wire.MsgType{8, 9, 10, 32}, "retired in protocol v4; send plain-query"},
+		{[]wire.MsgType{16, 18, 20}, "retired in protocol v4; send put-blobs"},
+		{[]wire.MsgType{14, 15, 17, 21, 22}, "retired in protocol v4; send get-blobs"},
+	} {
+		for _, typ := range tc.typs {
+			expectError(t, conn, typ, []byte{1, 2, 3}, tc.want)
+			if respType, _ := request(t, conn, wire.MsgHello, nil); respType != wire.MsgHelloAck {
+				t.Fatalf("connection unusable after refusing type %d: %v", typ, respType)
+			}
+			refused++
+		}
 	}
-	if respType, _ := request(t, conn, wire.MsgHello, nil); respType != wire.MsgHelloAck {
-		t.Fatalf("connection unusable after refused requests: %v", respType)
+	if refused != 20 {
+		t.Fatalf("refused %d reserved numbers, want 20", refused)
 	}
 }
 
@@ -298,55 +307,100 @@ func TestDeleteDispatch(t *testing.T) {
 	}
 }
 
-func TestEHIBlobStore(t *testing.T) {
-	srv := startEncrypted(t)
-	conn := dial(t, srv)
-	respType, _ := request(t, conn, wire.MsgPutNodes, wire.PutNodesReq{
-		RootID: 7,
-		Nodes:  []wire.EHINode{{ID: 7, Blob: []byte{1, 2, 3}}, {ID: 8, Blob: []byte{4}}},
-	}.Encode())
-	if respType != wire.MsgAck {
-		t.Fatalf("put-nodes: got %v", respType)
+// TestBlobStore: the keyed blob store behind raw data and the compared
+// techniques. A put replaces the list of each key it names with its blobs
+// for that key, in order, and leaves other keys alone; a get answers one
+// list per key in request order, empty for an absent key; spaces are
+// disjoint; both deployments serve it.
+func TestBlobStore(t *testing.T) {
+	for _, srv := range []*Server{startEncrypted(t), startPlain(t)} {
+		conn := dial(t, srv)
+		put := func(space uint8, items ...wire.Blob) {
+			t.Helper()
+			if respType, _ := request(t, conn, wire.MsgPutBlobs,
+				wire.PutBlobsReq{Space: space, Items: items}.Encode()); respType != wire.MsgAck {
+				t.Fatalf("%v put-blobs: got %v", srv.Mode(), respType)
+			}
+		}
+		get := func(space uint8, keys ...uint64) [][][]byte {
+			t.Helper()
+			respType, resp := request(t, conn, wire.MsgGetBlobs, wire.GetBlobsReq{Space: space, Keys: keys}.Encode())
+			if respType != wire.MsgBlobs {
+				t.Fatalf("%v get-blobs: got %v", srv.Mode(), respType)
+			}
+			m, err := wire.DecodeBlobsResp(resp, len(keys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.Lists
+		}
+		put(wire.SpaceFDH, wire.Blob{Key: 1, Data: []byte{10}}, wire.Blob{Key: 2, Data: []byte{20}},
+			wire.Blob{Key: 1, Data: []byte{11}})
+		put(wire.SpaceEHI, wire.Blob{Key: 1, Data: []byte{1, 2, 3}})
+		want := [][][]byte{{{11}, {10}}, nil, {{11}, {10}}}
+		if got := get(wire.SpaceFDH, 3, 2, 1); !reflect.DeepEqual(got, [][][]byte{nil, {{20}}, {{10}, {11}}}) {
+			t.Fatalf("%v: lists %v", srv.Mode(), got)
+		}
+		// Replacing key 1 keeps key 2; the EHI space never saw the FDH blobs.
+		put(wire.SpaceFDH, wire.Blob{Key: 1, Data: []byte{11}}, wire.Blob{Key: 1, Data: []byte{10}})
+		if got := get(wire.SpaceFDH, 1, 4, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: lists after replace %v, want %v", srv.Mode(), got, want)
+		}
+		if got := get(wire.SpaceFDH, 2); !reflect.DeepEqual(got, [][][]byte{{{20}}}) {
+			t.Fatalf("%v: unlisted key changed: %v", srv.Mode(), got)
+		}
+		if got := get(wire.SpaceEHI, 1, 2); !reflect.DeepEqual(got, [][][]byte{{{1, 2, 3}}, nil}) {
+			t.Fatalf("%v: EHI space %v", srv.Mode(), got)
+		}
+		if got := get(wire.SpaceRaw); len(got) != 0 {
+			t.Fatalf("%v: a get of no keys returned %d lists", srv.Mode(), len(got))
+		}
+		expectError(t, conn, wire.MsgPutBlobs, []byte{wire.SpaceRaw, 0xFF, 0xFF, 0xFF, 0x7F}, "")
+		expectError(t, conn, wire.MsgGetBlobs, []byte{wire.SpaceRaw, 2, 0, 0, 0, 1}, "")
 	}
-	respType, resp := request(t, conn, wire.MsgGetNode, wire.GetNodeReq{ID: 8}.Encode())
-	if respType != wire.MsgNodeBlob {
-		t.Fatalf("get-node: got %v", respType)
-	}
-	m, err := wire.DecodeNodeBlobResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Blob) != 1 || m.Blob[0] != 4 {
-		t.Fatalf("blob = %v", m.Blob)
-	}
-	expectError(t, conn, wire.MsgGetNode, wire.GetNodeReq{ID: 99}.Encode(), "unknown EHI node")
-}
 
-func TestFDHBucketStore(t *testing.T) {
+	// Connections replacing and reading one key at once: every get sees one
+	// put's list whole — two equal blobs — never a mix of two.
 	srv := startEncrypted(t)
-	conn := dial(t, srv)
-	respType, _ := request(t, conn, wire.MsgPutFDH, wire.PutFDHReq{
-		Items: []wire.FDHItem{
-			{Key: 1, Payload: []byte{10}},
-			{Key: 1, Payload: []byte{11}},
-			{Key: 2, Payload: []byte{20}},
-		},
-	}.Encode())
-	if respType != wire.MsgAck {
-		t.Fatalf("put-fdh: got %v", respType)
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			exchange := func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
+				if err := wire.WriteFrame(conn, typ, payload); err != nil {
+					return 0, nil, err
+				}
+				return wire.ReadFrame(conn)
+			}
+			get := wire.GetBlobsReq{Space: wire.SpaceRaw, Keys: []uint64{1}}.Encode()
+			for i := range 50 {
+				blob := []byte{byte(w), byte(i)}
+				put := wire.PutBlobsReq{Space: wire.SpaceRaw, Items: []wire.Blob{{Key: 1, Data: blob}, {Key: 1, Data: blob}}}
+				if respType, _, err := exchange(wire.MsgPutBlobs, put.Encode()); err != nil || respType != wire.MsgAck {
+					t.Errorf("concurrent put: %v (%v)", respType, err)
+					return
+				}
+				_, resp, err := exchange(wire.MsgGetBlobs, get)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m, err := wire.DecodeBlobsResp(resp, 1)
+				if err != nil || len(m.Lists[0]) != 2 || !reflect.DeepEqual(m.Lists[0][0], m.Lists[0][1]) {
+					t.Errorf("concurrent get: %v (%v)", m.Lists, err)
+					return
+				}
+			}
+		}()
 	}
-	respType, resp := request(t, conn, wire.MsgFDHQuery,
-		wire.FDHQueryReq{Keys: []uint64{1, 3}}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("fdh-query: got %v", respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Entries) != 2 {
-		t.Fatalf("bucket 1 returned %d payloads", len(m.Entries))
-	}
+	wg.Wait()
 }
 
 func TestServerTimeReported(t *testing.T) {
@@ -378,8 +432,8 @@ func TestDroppedConnectionDoesNotKillServer(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	// Server still answers new connections.
 	conn2 := dial(t, srv)
-	respType, _ := request(t, conn2, wire.MsgDownloadAll, nil)
-	if respType != wire.MsgCandidates {
+	respType, _ := request(t, conn2, wire.MsgBatchQuery, downloadAll)
+	if respType != wire.MsgBatchCandidates {
 		t.Fatalf("server unhealthy after dropped connection: %v", respType)
 	}
 }
@@ -451,7 +505,8 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 
 // TestBatchQueryEquivalence is the server-layer table on the one read
 // request: ranking ∈ {footrule, distance-sum} (so all five wire kinds
-// appear, and a range resumed after a cursor) × shards ∈ {1, 4} × allow ∈
+// appear with download-all, and a range resumed after a cursor) × shards ∈
+// {1, 4} × allow ∈
 // {nil, allow-all, half, empty} × form ∈ {flat, ranked}. Over the socket it
 // asserts
 //
@@ -461,7 +516,7 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 //   - a query alone in its frame ≡ the same query inside a mixed batch;
 //   - nil allow-list ≡ allow-all, byte for byte;
 //   - filtered ≡ a server holding only the allowed first-level cells;
-//   - download-all obeys the same allow-list.
+//   - download-all returns each allowed entry once, as ID and payload.
 func TestBatchQueryEquivalence(t *testing.T) {
 	start := func(cfg mindex.Config, entries []mindex.Entry) (*Server, net.Conn) {
 		t.Helper()
@@ -489,6 +544,7 @@ func TestBatchQueryEquivalence(t *testing.T) {
 			{Kind: wire.BatchFirstCell, Perm: perm},
 			{Kind: wire.BatchBound, Dists: qDists, CandSize: 12},
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5, After: cursor},
+			{Kind: wire.BatchAll},
 		},
 		mindex.RankDistSum: {
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
@@ -496,6 +552,7 @@ func TestBatchQueryEquivalence(t *testing.T) {
 			{Kind: wire.BatchFirstCell, Dists: qDists},
 			{Kind: wire.BatchBound, Dists: qDists, CandSize: 200},
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5, After: cursor},
+			{Kind: wire.BatchAll},
 		},
 	}
 	allows := []struct {
@@ -583,34 +640,19 @@ func TestBatchQueryEquivalence(t *testing.T) {
 					}
 				}
 
-				respType, resp := request(t, conn, wire.MsgDownloadAll, wire.DownloadAllReq{Allow: ac.allow}.Encode())
-				if respType != wire.MsgCandidates {
-					t.Fatalf("%s: download-all: got %v", name, respType)
+				// The download holds every allowed entry once, as the entry's
+				// ID and payload.
+				all := ranked[len(queries)-1]
+				got := make(map[uint64][]byte, len(all))
+				for _, rc := range all {
+					got[rc.Entry.ID] = rc.Entry.Payload()
 				}
-				got, err := wire.DecodeCandidatesResp(resp)
-				if err != nil {
-					t.Fatal(err)
+				if len(all) != len(kept) || len(got) != len(kept) {
+					t.Fatalf("%s: download-all returned %d entries (%d distinct), want %d", name, len(all), len(got), len(kept))
 				}
-				respType, resp = request(t, subsetConn, wire.MsgDownloadAll, nil)
-				if respType != wire.MsgCandidates {
-					t.Fatalf("%s: subset download-all: got %v", name, respType)
-				}
-				want, err := wire.DecodeCandidatesResp(resp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got.Entries) != len(kept) || !reflect.DeepEqual(got.Entries, want.Entries) {
-					t.Fatalf("%s: filtered download (%d entries) != download of the allowed cells only (%d of %d kept)",
-						name, len(got.Entries), len(want.Entries), len(kept))
-				}
-				// The export path ships whole entries, unlike a query reply.
-				stored := make(map[uint64]mindex.Entry, len(kept))
 				for _, e := range kept {
-					stored[e.ID] = e
-				}
-				for _, e := range got.Entries {
-					if !reflect.DeepEqual(e, stored[e.ID]) {
-						t.Fatalf("%s: download-all returned %+v, stored %+v", name, e, stored[e.ID])
+					if p, ok := got[e.ID]; !ok || !reflect.DeepEqual(p, e.Payload) {
+						t.Fatalf("%s: download-all returned entry %d as %v, stored %v", name, e.ID, p, e.Payload)
 					}
 				}
 			}
@@ -800,7 +842,7 @@ func TestHostileCursor(t *testing.T) {
 }
 
 // TestHostileAllowList: an allow-list naming a pivot the index does not
-// have is refused with an error response on both read requests.
+// have is refused with an error response, whatever the query kind.
 func TestHostileAllowList(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
@@ -809,9 +851,12 @@ func TestHostileAllowList(t *testing.T) {
 			Queries: []wire.BatchQuery{{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1}},
 			Allow:   allow,
 		}.Encode(), "out of range")
-		expectError(t, conn, wire.MsgDownloadAll, wire.DownloadAllReq{Allow: allow}.Encode(), "out of range")
+		expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{
+			Queries: []wire.BatchQuery{{Kind: wire.BatchAll}}, Allow: allow,
+		}.Encode(), "out of range")
 	}
-	expectError(t, conn, wire.MsgDownloadAll, []byte{2, 0, 0, 0, 1}, "") // truncated allow-list
+	full := wire.BatchQueryReq{Queries: []wire.BatchQuery{{Kind: wire.BatchAll}}, Allow: []int32{1, 2}}.Encode()
+	expectError(t, conn, wire.MsgBatchQuery, full[:len(full)-3], "") // truncated allow-list
 }
 
 // TestBatchQueryErrors: invalid sub-queries fail the whole batch with an
@@ -910,7 +955,7 @@ func TestCloseRacingConnections(t *testing.T) {
 				// Fire a request; the response may be an answer, a reset or
 				// nothing depending on how far Close got. All are fine — only
 				// leaks and races are not.
-				_ = wire.WriteFrame(conn, wire.MsgDownloadAll, nil)
+				_ = wire.WriteFrame(conn, wire.MsgBatchQuery, downloadAll)
 				_, _, _ = wire.ReadFrame(conn)
 			}()
 		}
@@ -958,8 +1003,8 @@ func TestStartTwiceRefused(t *testing.T) {
 	}
 	// The original listener still serves.
 	conn := dial(t, srv)
-	respType, _ := request(t, conn, wire.MsgDownloadAll, nil)
-	if respType != wire.MsgCandidates {
+	respType, _ := request(t, conn, wire.MsgBatchQuery, downloadAll)
+	if respType != wire.MsgBatchCandidates {
 		t.Fatalf("server unhealthy after refused second start: %v", respType)
 	}
 }
@@ -970,7 +1015,7 @@ func TestPipelinedRequests(t *testing.T) {
 	// Send several requests back to back before reading any response; the
 	// server must answer them in order.
 	for range 5 {
-		if err := wire.WriteFrame(conn, wire.MsgDownloadAll, nil); err != nil {
+		if err := wire.WriteFrame(conn, wire.MsgBatchQuery, downloadAll); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -979,7 +1024,7 @@ func TestPipelinedRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if respType != wire.MsgCandidates {
+		if respType != wire.MsgBatchCandidates {
 			t.Fatalf("pipelined response = %v", respType)
 		}
 	}

@@ -11,11 +11,12 @@
 // variants directly visible on the wire, where the benchmark harness
 // measures communication cost.
 //
-// # One read request, stable numbers, a version
+// # One request per concept, stable numbers, a version
 //
 // The encrypted deployment has exactly one read request: MsgBatchQuery
 // carrying a BatchQueryReq — one or more BatchQuery values (range,
-// approximate by permutation or by distances, first cell, bound-ordered),
+// approximate by permutation or by distances, first cell, bound-ordered, and
+// all: the trivial baseline's download of every entry),
 // plus optional trailer fields: Ranked (keep each candidate's source-cell
 // promise and prefix on the reply) and Allow (restrict evaluation to listed
 // first-level cells; nil = all), which the cluster coordinator uses on the
@@ -26,8 +27,17 @@
 // is the ranked one with the annotations dropped, except that a BatchBound
 // result carries its last candidate's bound after its candidates — the
 // cursor's bound, which the client cannot compute — so the flat decoders
-// take the request's query list. MsgDownloadAll takes the same allow-list
-// as its optional payload.
+// take the request's query list.
+//
+// Protocol version 4 left one request per concept. Download-all became the
+// BatchAll kind, so a replicated coordinator restricts it with the same
+// allow-list and combines it with the same rule as every other kind. The
+// raw data of the paper's Figure 1 and the encrypted indexes of the
+// compared techniques (EHI nodes, FDH buckets) share one keyed blob store:
+// MsgPutBlobs replaces the blob lists of the keys it names in one space,
+// MsgGetBlobs answers one list per requested key (MsgBlobs), and the server
+// sees keys and ciphertexts only. The plain deployment's four queries are
+// one MsgPlainQuery whose kind selects the fields that travel.
 //
 // The precise k-NN's two requests (protocol version 3) are the two pages of
 // one stateless order: BatchBound asks for the first CandSize entries by
@@ -42,10 +52,9 @@
 // zero (appendCandidate). The index metadata has been used by the time an
 // entry is a candidate — the server pruned, filtered and ranked with it, and
 // the refining client reads the ciphertext alone — so it is not shipped. The
-// layout is still mindex.AppendEntry's, so ScanEntry, CandidateRefs, the
-// coordinator's span relay and a client built before the change all parse
-// it unchanged and the protocol version stands. MsgDownloadAll, the export
-// path, returns whole entries (CandidatesResp).
+// layout is still mindex.AppendEntry's, so ScanEntry, CandidateRefs and the
+// coordinator's span relay all parse it unchanged. A BatchAll answer, the export path, is such records too: the
+// ID and the ciphertext of every entry, and no index metadata.
 //
 // Message numbers are explicit constants that never change; numbers of
 // retired messages stay reserved and are refused by name (RetiredError).
@@ -79,11 +88,10 @@
 // ingested, re-synced or logged — does too: what a server keeps must not
 // pin, or be overwritten with, the frame it arrived in. The read path
 // has a second form for the candidate replies, the bulkiest frames there
-// are: CandidateRefs (DecodeRanked, DecodeFlat) and ScanCandidatesResp
-// locate each candidate's fields as spans of the payload, on top of
-// mindex.ScanEntry, the one parser of the entry record. They accept exactly
-// what the copying decoders accept (FuzzScanEntry, FuzzDecodeRankedRefs)
-// and allocate nothing per candidate.
+// are: CandidateRefs (DecodeRanked, DecodeFlat) locates each candidate's
+// fields as spans of the payload, on top of mindex.ScanEntry, the one parser
+// of the entry record. It accepts exactly what the copying decoders accept
+// (FuzzScanEntry, FuzzDecodeRankedRefs) and allocates nothing per candidate.
 //
 // The lifetime rule: a frame read with ReadFrameInto lives in a pooled
 // Buffer (GetBuffer / PutBuffer), and whoever leases that buffer releases it

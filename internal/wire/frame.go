@@ -19,8 +19,11 @@ type MsgType uint8
 // batch and filtered-envelope requests in favor of one read request,
 // MsgBatchQuery. Version 3 added the bound-ordered query (BatchBound, whose
 // flat reply carries a bound after its candidates) and the range query's
-// keyset cursor (BatchQuery.After).
-const ProtocolVersion = 3
+// keyset cursor (BatchQuery.After). Version 4 left one request per concept:
+// download-all became a batch query kind (BatchAll), the EHI, FDH and
+// raw-data stores one keyed blob store (MsgPutBlobs, MsgGetBlobs), and the
+// four plain queries one message (MsgPlainQuery).
+const ProtocolVersion = 4
 
 // Protocol messages. Requests flow client→server, responses server→client.
 // The numbers are the wire encoding and never change; a retired message's
@@ -37,54 +40,22 @@ const (
 	// computes pivot distances itself).
 	MsgInsertObjects MsgType = 3
 
-	// 4–7 reserved: the v1 single-query requests (range by distances,
-	// approximate by permutation / by distances, first cell).
+	// 4–11 reserved: the v1 single-query requests (range by distances,
+	// approximate by permutation / by distances, first cell), the v3 plain
+	// range, k-NN and approximate queries, and the v3 candidate reply.
 
-	// MsgRangePlain evaluates a full range query server-side (plain).
-	MsgRangePlain MsgType = 8
-	// MsgKNNPlain evaluates a precise k-NN query server-side (plain).
-	MsgKNNPlain MsgType = 9
-	// MsgApproxPlain evaluates an approximate k-NN server-side (plain).
-	MsgApproxPlain MsgType = 10
-
-	// MsgCandidates returns a candidate set of entries plus server time.
-	MsgCandidates MsgType = 11
 	// MsgResults returns refined results (plain deployment) plus server time.
 	MsgResults MsgType = 12
 	// MsgAck acknowledges an insert, carrying server time.
 	MsgAck MsgType = 13
 
-	// MsgGetNode fetches one encrypted node blob by ID (EHI baseline).
-	MsgGetNode MsgType = 14
-	// MsgNodeBlob returns an encrypted node blob (EHI baseline).
-	MsgNodeBlob MsgType = 15
-	// MsgPutNodes uploads encrypted node blobs (EHI construction).
-	MsgPutNodes MsgType = 16
-
-	// MsgFDHQuery fetches the encrypted objects of the given hash buckets
-	// (FDH baseline).
-	MsgFDHQuery MsgType = 17
-	// MsgPutFDH uploads the FDH bucket table (FDH construction).
-	MsgPutFDH MsgType = 18
-
-	// MsgDownloadAll fetches every stored entry (trivial baseline). The
-	// payload is a DownloadAllReq: empty for everything, or a first-level
-	// allow-list restricting the download (the replicated coordinator's
-	// form). Answered with MsgCandidates.
-	MsgDownloadAll MsgType = 19
-
-	// MsgPutRaw uploads encrypted raw-data blobs keyed by object ID (the
-	// raw-data storage of the paper's Figure 1).
-	MsgPutRaw MsgType = 20
-	// MsgGetRaw fetches encrypted raw-data blobs by object ID.
-	MsgGetRaw MsgType = 21
-	// MsgRawItems returns raw-data blobs plus server time.
-	MsgRawItems MsgType = 22
+	// 14–22 reserved: the v3 EHI node, FDH bucket and raw-data stores and
+	// download-all.
 
 	// MsgBatchQuery is the one encrypted read request: a BatchQueryReq
-	// carrying one or more queries (range, approximate, first-cell) in one
-	// frame, optionally restricted to a first-level allow-list and
-	// optionally asking for ranked replies. Answered with
+	// carrying one or more queries (range, approximate, first-cell, bound,
+	// all) in one frame, optionally restricted to a first-level allow-list
+	// and optionally asking for ranked replies. Answered with
 	// MsgBatchCandidates, or MsgBatchRankedCandidates when ranked.
 	MsgBatchQuery MsgType = 23
 	// MsgBatchCandidates returns one candidate set per batched query.
@@ -120,13 +91,9 @@ const (
 	// server owns the pivots, so no routing metadata is needed); answered
 	// with MsgDeleteAck, batchable like MsgDeleteEntries.
 	MsgDeleteObjects MsgType = 31
-	// MsgFirstCellPlain evaluates the restricted 1-cell approximate k-NN
-	// fully server-side (plain deployment), the non-encrypted counterpart
-	// of a first-cell batch query; answered with MsgResults.
-	MsgFirstCellPlain MsgType = 32
 
-	// 33 reserved: the v1 pivot-filter envelope (now BatchQueryReq.Allow
-	// and DownloadAllReq.Allow).
+	// 32 reserved: the v3 plain first-cell query. 33 reserved: the v1
+	// pivot-filter envelope (now BatchQueryReq.Allow).
 
 	// MsgResyncOps re-delivers the ordered write operations a node missed
 	// while it was down (coordinator re-admission). The node applies them
@@ -152,42 +119,66 @@ const (
 	// (a no-op without one) and answers MsgAck, so the final ack promises
 	// every streamed chunk is applied and durable.
 	MsgIngestEnd MsgType = 38
+
+	// MsgPlainQuery evaluates one query fully server-side (plain
+	// deployment): a PlainQueryReq carrying the raw query vector, answered
+	// with MsgResults.
+	MsgPlainQuery MsgType = 39
+
+	// MsgPutBlobs stores ciphertext blobs under keys of a blob space (a
+	// PutBlobsReq; answered with MsgAck): the raw-data store of the paper's
+	// Figure 1, and the EHI nodes and FDH buckets of the compared
+	// techniques.
+	MsgPutBlobs MsgType = 40
+	// MsgGetBlobs fetches the blob lists of keys of a blob space (a
+	// GetBlobsReq), answered with MsgBlobs.
+	MsgGetBlobs MsgType = 41
+	// MsgBlobs returns one blob list per requested key plus server time.
+	MsgBlobs MsgType = 42
 )
 
 var msgNames = map[MsgType]string{
 	MsgError: "error", MsgInsertEntries: "insert-entries", MsgInsertObjects: "insert-objects",
-	MsgRangePlain: "range-plain", MsgKNNPlain: "knn-plain",
-	MsgApproxPlain: "approx-plain", MsgCandidates: "candidates", MsgResults: "results",
-	MsgAck: "ack", MsgGetNode: "get-node", MsgNodeBlob: "node-blob", MsgPutNodes: "put-nodes",
-	MsgFDHQuery: "fdh-query", MsgPutFDH: "put-fdh", MsgDownloadAll: "download-all",
-	MsgPutRaw: "put-raw", MsgGetRaw: "get-raw", MsgRawItems: "raw-items",
-	MsgBatchQuery: "batch-query", MsgBatchCandidates: "batch-candidates",
-	MsgDeleteEntries: "delete-entries", MsgDeleteAck: "delete-ack",
-	MsgHello: "hello", MsgHelloAck: "hello-ack",
-	MsgBatchRankedCandidates: "batch-ranked-candidates", MsgResyncOps: "resync-ops",
-	MsgDeleteObjects: "delete-objects", MsgFirstCellPlain: "first-cell-plain",
-	MsgIngestChunk: "ingest-chunk", MsgIngestObjChunk: "ingest-obj-chunk",
+	MsgResults: "results", MsgAck: "ack", MsgBatchQuery: "batch-query", MsgBatchCandidates: "batch-candidates",
+	MsgDeleteEntries: "delete-entries", MsgDeleteAck: "delete-ack", MsgHello: "hello", MsgHelloAck: "hello-ack",
+	MsgBatchRankedCandidates: "batch-ranked-candidates", MsgDeleteObjects: "delete-objects",
+	MsgResyncOps: "resync-ops", MsgIngestChunk: "ingest-chunk", MsgIngestObjChunk: "ingest-obj-chunk",
 	MsgIngestChunkAck: "ingest-chunk-ack", MsgIngestEnd: "ingest-end",
+	MsgPlainQuery: "plain-query", MsgPutBlobs: "put-blobs", MsgGetBlobs: "get-blobs", MsgBlobs: "blobs",
 }
 
-// retired names the v1 requests protocol version 2 withdrew, by their
-// reserved numbers.
-var retired = map[MsgType]string{
-	4: "range-dists", 5: "approx-perm", 6: "approx-dists", 7: "first-cell",
-	29: "batch-ranked", 33: "filtered-query",
+// retiredMsg is a reserved message number: the name it had, the protocol
+// version that retired it, and the message that replaces it.
+type retiredMsg struct {
+	name    string
+	version int
+	instead MsgType
 }
 
-// RetiredError returns the refusal for a request type that protocol version
-// 2 retired, naming its replacement, or nil for any other type. Servers
-// answer it instead of a bare "unsupported" so a v1 peer learns what to
-// send.
+// retired lists every reserved number.
+var retired = map[MsgType]retiredMsg{
+	4: {"range-dists", 2, MsgBatchQuery}, 5: {"approx-perm", 2, MsgBatchQuery},
+	6: {"approx-dists", 2, MsgBatchQuery}, 7: {"first-cell", 2, MsgBatchQuery},
+	29: {"batch-ranked", 2, MsgBatchQuery}, 33: {"filtered-query", 2, MsgBatchQuery},
+	8: {"range-plain", 4, MsgPlainQuery}, 9: {"knn-plain", 4, MsgPlainQuery},
+	10: {"approx-plain", 4, MsgPlainQuery}, 32: {"first-cell-plain", 4, MsgPlainQuery},
+	11: {"candidates", 4, MsgBatchQuery}, 19: {"download-all", 4, MsgBatchQuery},
+	16: {"put-nodes", 4, MsgPutBlobs}, 18: {"put-fdh", 4, MsgPutBlobs}, 20: {"put-raw", 4, MsgPutBlobs},
+	14: {"get-node", 4, MsgGetBlobs}, 15: {"node-blob", 4, MsgGetBlobs}, 17: {"fdh-query", 4, MsgGetBlobs},
+	21: {"get-raw", 4, MsgGetBlobs}, 22: {"raw-items", 4, MsgGetBlobs},
+}
+
+// RetiredError returns the refusal for a reserved message number, naming
+// the protocol version that retired it and its replacement, or nil for any
+// other type. Servers answer it instead of a bare "unsupported" so an older
+// peer learns what to send.
 func RetiredError(t MsgType) error {
-	name, ok := retired[t]
+	r, ok := retired[t]
 	if !ok {
 		return nil
 	}
-	return fmt.Errorf("wire: request %s (type %d) was retired in protocol v2; send %v instead",
-		name, uint8(t), MsgBatchQuery)
+	return fmt.Errorf("wire: request %s (type %d) was retired in protocol v%d; send %v instead",
+		r.name, uint8(t), r.version, r.instead)
 }
 
 // String implements fmt.Stringer.

@@ -78,7 +78,7 @@ func TestReadFrameIntoReuses(t *testing.T) {
 		big[i] = byte(i * 31)
 	}
 	var stream bytes.Buffer
-	if err := WriteFrame(&stream, MsgCandidates, big); err != nil {
+	if err := WriteFrame(&stream, MsgBatchCandidates, big); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrame(&stream, MsgAck, []byte{1, 2, 3}); err != nil {
@@ -86,7 +86,7 @@ func TestReadFrameIntoReuses(t *testing.T) {
 	}
 	var buf Buffer
 	typ, payload, err := ReadFrameInto(&stream, &buf)
-	if err != nil || typ != MsgCandidates || !bytes.Equal(payload, big) {
+	if err != nil || typ != MsgBatchCandidates || !bytes.Equal(payload, big) {
 		t.Fatalf("large frame: type %v, %d bytes, err %v", typ, len(payload), err)
 	}
 	held := &payload[0]

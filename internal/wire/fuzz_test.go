@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -133,7 +134,6 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 	ranked.AppendFlatTo(&bounded, boundQueries(0b011))
 	f.Add(bounded.B, uint8(0b011))
 	f.Add(bounded.B[:len(bounded.B)-3], uint8(0b111))
-	f.Add(CandidatesResp{ServerNanos: 1, DistNanos: 2, Entries: []mindex.Entry{{ID: 9, Perm: []int32{0}, Payload: []byte{5}}}}.Encode(), uint8(0))
 	// TestBatchRankedRespHostileCount's payload: an absurd result count.
 	var hostile Buffer
 	hostile.U64(0)
@@ -209,22 +209,6 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 				}
 			}
 		}
-
-		all, err := DecodeCandidatesResp(data)
-		n, records, rerr := ScanCandidatesResp(data)
-		if (err == nil) != (rerr == nil) {
-			t.Fatalf("candidates: copying decoder err %v, scan err %v", err, rerr)
-		}
-		if err == nil {
-			var enc []byte
-			for _, e := range all.Entries {
-				enc = mindex.AppendEntry(enc, e)
-			}
-			if n != len(all.Entries) || !bytes.Equal(records, enc) {
-				t.Fatalf("candidates: scan reports %d entries in %d bytes, want %d in %d",
-					n, len(records), len(all.Entries), len(enc))
-			}
-		}
 	})
 }
 
@@ -265,8 +249,22 @@ func FuzzReadFrame(f *testing.F) {
 
 func FuzzDecodeRequests(f *testing.F) {
 	f.Add(InsertEntriesReq{Entries: []mindex.Entry{{ID: 1, Perm: []int32{0}}}}.Encode())
-	f.Add(PutNodesReq{RootID: 1, Nodes: []EHINode{{ID: 1, Blob: []byte{2}}}}.Encode())
-	f.Add(PutFDHReq{Items: []FDHItem{{Key: 3, Payload: []byte{4}}}}.Encode())
+	// The keyed blob store: a put, a get, a reply, and hostile forms — a blob
+	// count larger than the payload, a reply claiming more lists than it
+	// carries (the fuzz body also refuses every reply against a key count
+	// other than its own).
+	puts := PutBlobsReq{Space: SpaceFDH, Items: []Blob{{Key: 3, Data: []byte{4}}, {Key: 3}, {Key: 5, Data: []byte{6, 7}}}}.Encode()
+	f.Add(puts)
+	f.Add(append([]byte{SpaceRaw, 0, 0, 0x10, 0}, puts[5:]...))
+	f.Add(GetBlobsReq{Space: SpaceEHI, Keys: []uint64{1, 2}}.Encode())
+	blobs := BlobsResp{ServerNanos: 3, Lists: [][][]byte{{{1, 2}}, nil}}.Encode()
+	f.Add(blobs)
+	f.Add(append(append(bytes.Clone(blobs[:8]), 3, 0, 0, 0), blobs[12:]...))
+	f.Add(append(bytes.Clone(blobs[:12]), 0xFF, 0xFF, 0xFF, 0x7F))
+	// The plain query, one kind after another, and a kind nobody defined.
+	for kind := range uint8(6) {
+		f.Add(PlainQueryReq{Kind: kind, Q: metric.Vector{1, 2}, Radius: 3, K: 4, CandSize: 5}.Encode())
+	}
 	f.Add(BatchQueryReq{Queries: []BatchQuery{
 		{Kind: BatchRange, Dists: []float64{1}, Radius: 2},
 		{Kind: BatchApproxPerm, Perm: []int32{0, 1}, CandSize: 3},
@@ -305,7 +303,13 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(BatchQueryReq{Queries: lone, Allow: []int32{}}.Encode())
 	f.Add(append(BatchQueryReq{Queries: lone}.Encode(), 2, 0xFF, 0xFF, 0xFF, 0x7F, 1, 0, 0, 0))
 	f.Add([]byte{1, 0, 0, 0, 99})
-	f.Add(DownloadAllReq{Allow: []int32{2, 4}}.Encode()[:7])
+	// Download-all is a query kind: alone, filtered, beside other kinds —
+	// and carrying a cursor, which IndexQuery must refuse.
+	all := []BatchQuery{{Kind: BatchAll}}
+	f.Add(BatchQueryReq{Queries: all}.Encode())
+	f.Add(BatchQueryReq{Queries: all, Ranked: true, Allow: []int32{2, 4}}.Encode())
+	f.Add(BatchQueryReq{Queries: append(lone, all[0], all[0])}.Encode())
+	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchAll, After: &mindex.BoundKey{LB: 1, ID: 2}}}}.Encode())
 	var flat Buffer
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
 		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}})}},
@@ -328,7 +332,6 @@ func FuzzDecodeRequests(f *testing.F) {
 		{Entry: mindex.ViewOf(mindex.Entry{ID: 3, Perm: []int32{1, 0}}), Promise: 0.5, Prefix: []int32{1}},
 	}}}.Encode())
 	f.Add(DeleteObjectsReq{IDs: []uint64{1, 2, 3}}.Encode())
-	f.Add(FirstCellPlainReq{Q: metric.Vector{1, 2}, K: 4}.Encode())
 	f.Add(ResyncReq{Ops: []ResyncOp{
 		{Op: ResyncInsert, Entries: []mindex.Entry{{ID: 1, Perm: []int32{0, 1}, Payload: []byte{9}}}},
 		{Op: ResyncDelete, Entries: []mindex.Entry{{ID: 2, Perm: []int32{1}}}},
@@ -342,18 +345,33 @@ func FuzzDecodeRequests(f *testing.F) {
 		// None of these may panic; errors are fine.
 		_, _ = DecodeInsertEntriesReq(data)
 		_, _ = DecodeInsertObjectsReq(data)
-		_, _ = DecodeRangePlainReq(data)
-		_, _ = DecodeKNNPlainReq(data)
-		_, _ = DecodeApproxPlainReq(data)
 		_, _ = DecodeCandidatesResp(data)
 		_, _ = DecodeResultsResp(data)
 		_, _ = DecodeAckResp(data)
 		_, _ = DecodeErrorResp(data)
-		_, _ = DecodePutNodesReq(data)
-		_, _ = DecodeGetNodeReq(data)
-		_, _ = DecodeNodeBlobResp(data)
-		_, _ = DecodePutFDHReq(data)
-		_, _ = DecodeFDHQueryReq(data)
+		// The blob store's and the plain query's messages: what decodes
+		// re-encodes to the same bytes, and a reply decodes only against the
+		// number of keys it answers.
+		if req, err := DecodePutBlobsReq(data); err == nil && !bytes.Equal(req.Encode(), data) {
+			t.Fatal("put-blobs request re-encoding mismatch")
+		}
+		if req, err := DecodeGetBlobsReq(data); err == nil && !bytes.Equal(req.Encode(), data) {
+			t.Fatal("get-blobs request re-encoding mismatch")
+		}
+		if len(data) >= 12 {
+			lists := int(binary.LittleEndian.Uint32(data[8:]))
+			if resp, err := DecodeBlobsResp(data, lists); err == nil {
+				if !bytes.Equal(resp.Encode(), data) {
+					t.Fatal("blobs reply re-encoding mismatch")
+				}
+				if _, err := DecodeBlobsResp(data, lists+1); err == nil {
+					t.Fatalf("a reply of %d lists decoded as the answer to %d keys", lists, lists+1)
+				}
+			}
+		}
+		if req, err := DecodePlainQueryReq(data); err == nil && !bytes.Equal(req.Encode(), data) {
+			t.Fatal("plain query request re-encoding mismatch")
+		}
 		if req, err := DecodeBatchQueryReq(data); err == nil {
 			// The one read request: what decodes must re-encode to the same
 			// bytes, and giving it its index meaning must not panic either —
@@ -361,13 +379,13 @@ func FuzzDecodeRequests(f *testing.F) {
 			if !bytes.Equal(req.Encode(), data) {
 				t.Fatal("batch query request re-encoding mismatch")
 			}
+			// Only a range query resumes after a cursor.
 			filter, _ := mindex.NewPivotFilter(8, req.Allow)
-			for _, q := range req.Queries {
-				_, _ = q.IndexQuery(8, filter)
+			for i, q := range req.Queries {
+				if _, err := q.IndexQuery(8, filter); err == nil && q.After != nil && q.Kind != BatchRange {
+					t.Fatalf("query %d of kind %d accepted a cursor", i, q.Kind)
+				}
 			}
-		}
-		if req, err := DecodeDownloadAllReq(data); err == nil {
-			_, _ = mindex.NewPivotFilter(8, req.Allow)
 		}
 		_, _ = DecodeBatchQueryResp(data, nil)
 		_, _ = DecodeBatchQueryResp(data, boundQueries(0xFF))
@@ -376,7 +394,6 @@ func FuzzDecodeRequests(f *testing.F) {
 		_, _ = DecodeHelloResp(data)
 		_, _ = DecodeBatchRankedResp(data)
 		_, _ = DecodeDeleteObjectsReq(data)
-		_, _ = DecodeFirstCellPlainReq(data)
 		_, _ = DecodeResyncReq(data)
 		_, _ = DecodeIngestChunkReq(data)
 		_, _ = DecodeIngestObjChunkReq(data)

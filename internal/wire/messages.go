@@ -146,69 +146,62 @@ func DecodeDeleteAckResp(p []byte) (DeleteAckResp, error) {
 	return m, r.Err()
 }
 
-// RangePlainReq is the plain precise range query carrying the raw query.
-type RangePlainReq struct {
-	Q      metric.Vector
-	Radius float64
+// Plain query kinds carried by a PlainQueryReq.
+const (
+	// PlainRange is the precise range query (Q, Radius).
+	PlainRange uint8 = iota + 1
+	// PlainKNN is the precise k-NN query (Q, K).
+	PlainKNN
+	// PlainApprox is the approximate k-NN query (Q, K, CandSize).
+	PlainApprox
+	// PlainFirstCell is the restricted 1-cell approximate k-NN of the
+	// paper's Section 5.4 comparison (Q, K): the server ranks its Voronoi
+	// cells against the raw query and refines the single most promising one.
+	PlainFirstCell
+)
+
+// PlainQueryReq is the plain deployment's query (MsgPlainQuery): the raw
+// query vector plus the fields its kind needs, evaluated fully server-side.
+// Only the kind's fields travel.
+type PlainQueryReq struct {
+	Kind     uint8
+	Q        metric.Vector
+	Radius   float64 // PlainRange
+	K        uint32  // PlainKNN, PlainApprox, PlainFirstCell
+	CandSize uint32  // PlainApprox
 }
 
 // Encode serializes the request payload.
-func (m RangePlainReq) Encode() []byte {
+func (m PlainQueryReq) Encode() []byte {
 	var b Buffer
+	b.U8(m.Kind)
 	b.Vec(m.Q)
-	b.F64(m.Radius)
+	switch m.Kind {
+	case PlainRange:
+		b.F64(m.Radius)
+	case PlainApprox:
+		b.U32(m.K)
+		b.U32(m.CandSize)
+	default:
+		b.U32(m.K)
+	}
 	return b.B
 }
 
-// DecodeRangePlainReq parses a RangePlainReq payload.
-func DecodeRangePlainReq(p []byte) (RangePlainReq, error) {
+// DecodePlainQueryReq parses a PlainQueryReq payload.
+func DecodePlainQueryReq(p []byte) (PlainQueryReq, error) {
 	r := NewReader(p)
-	m := RangePlainReq{Q: r.VecField(), Radius: r.F64()}
-	return m, r.Err()
-}
-
-// KNNPlainReq is the plain precise k-NN query.
-type KNNPlainReq struct {
-	Q metric.Vector
-	K uint32
-}
-
-// Encode serializes the request payload.
-func (m KNNPlainReq) Encode() []byte {
-	var b Buffer
-	b.Vec(m.Q)
-	b.U32(m.K)
-	return b.B
-}
-
-// DecodeKNNPlainReq parses a KNNPlainReq payload.
-func DecodeKNNPlainReq(p []byte) (KNNPlainReq, error) {
-	r := NewReader(p)
-	m := KNNPlainReq{Q: r.VecField(), K: r.U32()}
-	return m, r.Err()
-}
-
-// FirstCellPlainReq is the restricted 1-cell approximate k-NN of the
-// paper's Section 5.4 comparison, evaluated fully server-side (plain
-// deployment): the server ranks its Voronoi cells against the raw query,
-// refines the single most promising cell and returns the k best answers.
-type FirstCellPlainReq struct {
-	Q metric.Vector
-	K uint32
-}
-
-// Encode serializes the request payload.
-func (m FirstCellPlainReq) Encode() []byte {
-	var b Buffer
-	b.Vec(m.Q)
-	b.U32(m.K)
-	return b.B
-}
-
-// DecodeFirstCellPlainReq parses a FirstCellPlainReq payload.
-func DecodeFirstCellPlainReq(p []byte) (FirstCellPlainReq, error) {
-	r := NewReader(p)
-	m := FirstCellPlainReq{Q: r.VecField(), K: r.U32()}
+	m := PlainQueryReq{Kind: r.U8(), Q: r.VecField()}
+	switch m.Kind {
+	case PlainRange:
+		m.Radius = r.F64()
+	case PlainKNN, PlainFirstCell:
+		m.K = r.U32()
+	case PlainApprox:
+		m.K, m.CandSize = r.U32(), r.U32()
+	default:
+		return PlainQueryReq{}, ErrCodec
+	}
 	return m, r.Err()
 }
 
@@ -249,54 +242,21 @@ func DecodeDeleteObjectsReq(p []byte) (DeleteObjectsReq, error) {
 	return m, r.Err()
 }
 
-// ApproxPlainReq is the plain approximate k-NN query.
-type ApproxPlainReq struct {
-	Q        metric.Vector
-	K        uint32
-	CandSize uint32
-}
-
-// Encode serializes the request payload.
-func (m ApproxPlainReq) Encode() []byte {
-	var b Buffer
-	b.Vec(m.Q)
-	b.U32(m.K)
-	b.U32(m.CandSize)
-	return b.B
-}
-
-// DecodeApproxPlainReq parses an ApproxPlainReq payload.
-func DecodeApproxPlainReq(p []byte) (ApproxPlainReq, error) {
-	r := NewReader(p)
-	m := ApproxPlainReq{Q: r.VecField(), K: r.U32(), CandSize: r.U32()}
-	return m, r.Err()
-}
-
-// CandidatesResp returns a candidate set of entries; ServerNanos is the time
-// the server spent preparing it (DistNanos of which went into distance
-// computations — zero for encrypted deployments, where the server cannot
-// compute distances at all).
+// CandidatesResp is a candidate set of whole entries. No message carries it
+// since protocol version 4; it stays because the benchmark's per-layer
+// trace (benchmark/layers.go) measures the encode and decode of a candidate
+// set with it.
 type CandidatesResp struct {
 	ServerNanos uint64
 	DistNanos   uint64
 	Entries     []mindex.Entry
 }
 
-// AppendTo appends the encoded response to b — the allocation-free variant
-// a serving loop uses with a reused (or pooled) buffer. Candidate responses
-// are the bulkiest frames the server emits, so this is the payload path
-// worth keeping off the per-request allocator.
+// AppendTo appends the encoded response to b.
 func (m CandidatesResp) AppendTo(b *Buffer) {
 	b.U64(m.ServerNanos)
 	b.U64(m.DistNanos)
 	appendEntries(b, m.Entries)
-}
-
-// Encode serializes the response payload.
-func (m CandidatesResp) Encode() []byte {
-	var b Buffer
-	m.AppendTo(&b)
-	return b.B
 }
 
 // DecodeCandidatesResp parses a CandidatesResp payload.
@@ -396,241 +356,6 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return fmt.Sprintf("wire: server error: %s", e.Msg) }
 
-// EHINode is one encrypted node blob of the EHI baseline index.
-type EHINode struct {
-	ID   uint64
-	Blob []byte
-}
-
-// PutNodesReq uploads encrypted EHI nodes during construction.
-type PutNodesReq struct {
-	RootID uint64
-	Nodes  []EHINode
-}
-
-// Encode serializes the request payload.
-func (m PutNodesReq) Encode() []byte {
-	var b Buffer
-	b.U64(m.RootID)
-	b.U32(uint32(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		b.U64(n.ID)
-		b.Bytes(n.Blob)
-	}
-	return b.B
-}
-
-// DecodePutNodesReq parses a PutNodesReq payload.
-func DecodePutNodesReq(p []byte) (PutNodesReq, error) {
-	r := NewReader(p)
-	m := PutNodesReq{RootID: r.U64()}
-	n := int(r.U32())
-	if n < 0 || n > len(p)/12+1 {
-		return m, ErrCodec
-	}
-	m.Nodes = make([]EHINode, 0, n)
-	for range n {
-		id := r.U64()
-		blob := r.BytesField()
-		if r.err != nil {
-			break
-		}
-		m.Nodes = append(m.Nodes, EHINode{ID: id, Blob: blob})
-	}
-	return m, r.Err()
-}
-
-// GetNodeReq fetches one encrypted EHI node.
-type GetNodeReq struct {
-	ID uint64
-}
-
-// Encode serializes the request payload.
-func (m GetNodeReq) Encode() []byte {
-	var b Buffer
-	b.U64(m.ID)
-	return b.B
-}
-
-// DecodeGetNodeReq parses a GetNodeReq payload.
-func DecodeGetNodeReq(p []byte) (GetNodeReq, error) {
-	r := NewReader(p)
-	m := GetNodeReq{ID: r.U64()}
-	return m, r.Err()
-}
-
-// NodeBlobResp returns one encrypted EHI node.
-type NodeBlobResp struct {
-	ServerNanos uint64
-	Blob        []byte
-}
-
-// Encode serializes the response payload.
-func (m NodeBlobResp) Encode() []byte {
-	var b Buffer
-	b.U64(m.ServerNanos)
-	b.Bytes(m.Blob)
-	return b.B
-}
-
-// DecodeNodeBlobResp parses a NodeBlobResp payload.
-func DecodeNodeBlobResp(p []byte) (NodeBlobResp, error) {
-	r := NewReader(p)
-	m := NodeBlobResp{ServerNanos: r.U64(), Blob: r.BytesField()}
-	return m, r.Err()
-}
-
-// FDHItem is one encrypted object filed under an FDH bucket key.
-type FDHItem struct {
-	Key     uint64
-	Payload []byte
-}
-
-// PutFDHReq uploads the FDH bucket table during construction.
-type PutFDHReq struct {
-	Items []FDHItem
-}
-
-// Encode serializes the request payload.
-func (m PutFDHReq) Encode() []byte {
-	var b Buffer
-	b.U32(uint32(len(m.Items)))
-	for _, it := range m.Items {
-		b.U64(it.Key)
-		b.Bytes(it.Payload)
-	}
-	return b.B
-}
-
-// DecodePutFDHReq parses a PutFDHReq payload.
-func DecodePutFDHReq(p []byte) (PutFDHReq, error) {
-	r := NewReader(p)
-	n := int(r.U32())
-	if n < 0 || n > len(p)/12+1 {
-		return PutFDHReq{}, ErrCodec
-	}
-	m := PutFDHReq{Items: make([]FDHItem, 0, n)}
-	for range n {
-		key := r.U64()
-		payload := r.BytesField()
-		if r.err != nil {
-			break
-		}
-		m.Items = append(m.Items, FDHItem{Key: key, Payload: payload})
-	}
-	return m, r.Err()
-}
-
-// RawItem is one encrypted raw-data blob keyed by its object ID — the
-// raw-data storage of the paper's Figure 1, where metric-space search
-// returns object IDs that the client resolves into the original data.
-type RawItem struct {
-	ID   uint64
-	Blob []byte
-}
-
-// PutRawReq uploads encrypted raw-data blobs.
-type PutRawReq struct {
-	Items []RawItem
-}
-
-// Encode serializes the request payload.
-func (m PutRawReq) Encode() []byte {
-	var b Buffer
-	b.U32(uint32(len(m.Items)))
-	for _, it := range m.Items {
-		b.U64(it.ID)
-		b.Bytes(it.Blob)
-	}
-	return b.B
-}
-
-// DecodePutRawReq parses a PutRawReq payload.
-func DecodePutRawReq(p []byte) (PutRawReq, error) {
-	r := NewReader(p)
-	n := int(r.U32())
-	if n < 0 || n > len(p)/12+1 {
-		return PutRawReq{}, ErrCodec
-	}
-	m := PutRawReq{Items: make([]RawItem, 0, n)}
-	for range n {
-		id := r.U64()
-		blob := r.BytesField()
-		if r.err != nil {
-			break
-		}
-		m.Items = append(m.Items, RawItem{ID: id, Blob: blob})
-	}
-	return m, r.Err()
-}
-
-// GetRawReq fetches raw-data blobs by object ID.
-type GetRawReq struct {
-	IDs []uint64
-}
-
-// Encode serializes the request payload.
-func (m GetRawReq) Encode() []byte {
-	var b Buffer
-	b.U32(uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		b.U64(id)
-	}
-	return b.B
-}
-
-// DecodeGetRawReq parses a GetRawReq payload.
-func DecodeGetRawReq(p []byte) (GetRawReq, error) {
-	r := NewReader(p)
-	n := int(r.U32())
-	if n < 0 || n > len(p)/8+1 {
-		return GetRawReq{}, ErrCodec
-	}
-	m := GetRawReq{IDs: make([]uint64, 0, n)}
-	for range n {
-		m.IDs = append(m.IDs, r.U64())
-	}
-	return m, r.Err()
-}
-
-// RawItemsResp returns fetched raw-data blobs.
-type RawItemsResp struct {
-	ServerNanos uint64
-	Items       []RawItem
-}
-
-// Encode serializes the response payload.
-func (m RawItemsResp) Encode() []byte {
-	var b Buffer
-	b.U64(m.ServerNanos)
-	b.U32(uint32(len(m.Items)))
-	for _, it := range m.Items {
-		b.U64(it.ID)
-		b.Bytes(it.Blob)
-	}
-	return b.B
-}
-
-// DecodeRawItemsResp parses a RawItemsResp payload.
-func DecodeRawItemsResp(p []byte) (RawItemsResp, error) {
-	r := NewReader(p)
-	m := RawItemsResp{ServerNanos: r.U64()}
-	n := int(r.U32())
-	if n < 0 || n > len(p)/12+1 {
-		return m, ErrCodec
-	}
-	m.Items = make([]RawItem, 0, n)
-	for range n {
-		id := r.U64()
-		blob := r.BytesField()
-		if r.err != nil {
-			break
-		}
-		m.Items = append(m.Items, RawItem{ID: id, Blob: blob})
-	}
-	return m, r.Err()
-}
-
 // Query kinds carried by a BatchQueryReq. Each reveals exactly what its
 // fields carry — a pivot permutation or a (transformed) pivot-distance
 // vector — and never the query object.
@@ -652,6 +377,9 @@ const (
 	// precise k-NN. Its flat reply carries the last candidate's bound after
 	// the candidates, the LB of the cursor that resumes it.
 	BatchBound
+	// BatchAll asks for every stored entry (mindex.KindAll) and carries no
+	// fields: the trivial baseline's download, and the export path.
+	BatchAll
 )
 
 // BatchQuery is one encrypted read query: a tagged union over the query
@@ -688,6 +416,8 @@ func (q BatchQuery) IndexQuery(numPivots int, allow mindex.PivotFilter) (mindex.
 		out.Kind = mindex.KindFirstCell
 	case BatchBound:
 		out.Kind = mindex.KindBound
+	case BatchAll:
+		out.Kind = mindex.KindAll
 	default:
 		return out, fmt.Errorf("unknown batch query kind %d", q.Kind)
 	}
@@ -814,8 +544,8 @@ func readAllow(r *Reader) []int32 {
 func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 	r := NewReader(p)
 	n := int(r.U32())
-	// Each query occupies at least 5 bytes (kind + one length prefix).
-	if n < 0 || n > len(p)/5+1 {
+	// Each query occupies at least its kind byte.
+	if n < 0 || n > len(p) {
 		return BatchQueryReq{}, ErrCodec
 	}
 	m := BatchQueryReq{Queries: make([]BatchQuery, 0, n)}
@@ -834,6 +564,7 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 		case BatchFirstCell:
 			q.Perm = r.I32Slice()
 			q.Dists = r.F64Slice()
+		case BatchAll: // no fields
 		default:
 			return BatchQueryReq{}, ErrCodec
 		}
@@ -882,32 +613,6 @@ func readCursors(r *Reader, queries []BatchQuery) {
 	}
 }
 
-// DownloadAllReq is the MsgDownloadAll payload: empty for every stored
-// entry, or a first-level allow-list (see BatchQueryReq.Allow).
-type DownloadAllReq struct {
-	Allow []int32
-}
-
-// Encode serializes the request payload.
-func (m DownloadAllReq) Encode() []byte {
-	if m.Allow == nil {
-		return nil
-	}
-	var b Buffer
-	b.I32Slice(m.Allow)
-	return b.B
-}
-
-// DecodeDownloadAllReq parses a DownloadAllReq payload.
-func DecodeDownloadAllReq(p []byte) (DownloadAllReq, error) {
-	if len(p) == 0 {
-		return DownloadAllReq{}, nil
-	}
-	r := NewReader(p)
-	m := DownloadAllReq{Allow: readAllow(r)}
-	return m, r.Err()
-}
-
 // BatchQueryResp is the flat answer to a BatchQueryReq (MsgBatchCandidates):
 // one candidate set per query, parallel to the request's query list.
 // ServerNanos covers the whole batch. Servers hold ranked results and encode
@@ -953,35 +658,6 @@ func DecodeBatchQueryResp(p []byte, queries []BatchQuery) (BatchQueryResp, error
 		}
 		m.Results = append(m.Results, entries)
 		m.Bounds = append(m.Bounds, bound)
-	}
-	return m, r.Err()
-}
-
-// FDHQueryReq fetches the encrypted objects stored under the given keys.
-type FDHQueryReq struct {
-	Keys []uint64
-}
-
-// Encode serializes the request payload.
-func (m FDHQueryReq) Encode() []byte {
-	var b Buffer
-	b.U32(uint32(len(m.Keys)))
-	for _, k := range m.Keys {
-		b.U64(k)
-	}
-	return b.B
-}
-
-// DecodeFDHQueryReq parses an FDHQueryReq payload.
-func DecodeFDHQueryReq(p []byte) (FDHQueryReq, error) {
-	r := NewReader(p)
-	n := int(r.U32())
-	if n < 0 || n > len(p)/8+1 {
-		return FDHQueryReq{}, ErrCodec
-	}
-	m := FDHQueryReq{Keys: make([]uint64, 0, n)}
-	for range n {
-		m.Keys = append(m.Keys, r.U64())
 	}
 	return m, r.Err()
 }

@@ -136,30 +136,3 @@ func (m *CandidateRefs) decode(p []byte, ranked bool, queries []BatchQuery) erro
 	}
 	return nil
 }
-
-// ScanCandidatesResp validates a CandidatesResp payload (MsgCandidates)
-// without decoding it and returns its entry count and the span holding the
-// entry records back to back — what a relay needs to concatenate several
-// such replies into one.
-func ScanCandidatesResp(p []byte) (count int, records []byte, err error) {
-	r := Reader{b: p}
-	r.U64() // ServerNanos
-	r.U64() // DistNanos
-	count = int(r.U32())
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	// Each entry occupies at least 20 bytes on the wire.
-	if count < 0 || count > len(r.b)/20+1 {
-		return 0, nil, ErrCodec
-	}
-	records = r.b
-	for range count {
-		_, rest, err := mindex.ScanEntry(r.b)
-		if err != nil {
-			return 0, nil, err
-		}
-		r.b = rest
-	}
-	return count, records, r.Err()
-}

@@ -132,8 +132,8 @@ func TestReadFrameRejectsCorruptHeader(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	if MsgCandidates.String() != "candidates" {
-		t.Fatalf("got %q", MsgCandidates.String())
+	if MsgBlobs.String() != "blobs" {
+		t.Fatalf("got %q", MsgBlobs.String())
 	}
 	if MsgType(200).String() == "" {
 		t.Fatal("unknown type renders empty")
@@ -188,30 +188,33 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
 	})
-	t.Run("range-plain", func(t *testing.T) {
-		in := RangePlainReq{Q: metric.Vector{7, 8}, Radius: 1}
-		out, err := DecodeRangePlainReq(in.Encode())
-		if err != nil || !out.Q.Equal(in.Q) || out.Radius != 1 {
-			t.Fatalf("round trip: %+v, %v", out, err)
+	t.Run("plain-query", func(t *testing.T) {
+		// Each kind carries its kind byte, the vector and its own fields only.
+		for _, in := range []PlainQueryReq{
+			{Kind: PlainRange, Q: metric.Vector{7, 8}, Radius: 1},
+			{Kind: PlainKNN, Q: metric.Vector{1}, K: 30},
+			{Kind: PlainApprox, Q: metric.Vector{1, 2, 3}, K: 30, CandSize: 1500},
+			{Kind: PlainFirstCell, Q: metric.Vector{1, 2}, K: 4},
+		} {
+			enc := in.Encode()
+			out, err := DecodePlainQueryReq(enc)
+			if err != nil || !reflect.DeepEqual(out, in) {
+				t.Fatalf("round trip: %+v, %v; want %+v", out, err, in)
+			}
+			fields := map[uint8]int{PlainRange: 8, PlainKNN: 4, PlainApprox: 8, PlainFirstCell: 4}[in.Kind]
+			if want := 1 + 4 + 4*len(in.Q) + fields; len(enc) != want {
+				t.Fatalf("kind %d encodes to %d bytes, want %d", in.Kind, len(enc), want)
+			}
 		}
-	})
-	t.Run("knn-plain", func(t *testing.T) {
-		in := KNNPlainReq{Q: metric.Vector{1}, K: 30}
-		out, err := DecodeKNNPlainReq(in.Encode())
-		if err != nil || out.K != 30 || !out.Q.Equal(in.Q) {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("approx-plain", func(t *testing.T) {
-		in := ApproxPlainReq{Q: metric.Vector{1, 2, 3}, K: 30, CandSize: 1500}
-		out, err := DecodeApproxPlainReq(in.Encode())
-		if err != nil || out.K != 30 || out.CandSize != 1500 {
-			t.Fatalf("round trip: %+v, %v", out, err)
+		if _, err := DecodePlainQueryReq(PlainQueryReq{Kind: 9, Q: metric.Vector{1}, K: 1}.Encode()); err == nil {
+			t.Fatal("unknown plain kind accepted")
 		}
 	})
 	t.Run("candidates", func(t *testing.T) {
 		in := CandidatesResp{ServerNanos: 12345, Entries: sampleEntries()}
-		out, err := DecodeCandidatesResp(in.Encode())
+		var b Buffer
+		in.AppendTo(&b)
+		out, err := DecodeCandidatesResp(b.B)
 		if err != nil || out.ServerNanos != 12345 || len(out.Entries) != 2 {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
@@ -221,6 +224,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 0.5},
 			{Kind: BatchApproxPerm, Perm: []int32{1, 0, 2}, CandSize: 40},
 			{Kind: BatchApproxDists, Dists: []float64{3}, CandSize: 7},
+			{Kind: BatchAll},
 		}}
 		out, err := DecodeBatchQueryReq(in.Encode())
 		if err != nil {
@@ -234,6 +238,10 @@ func TestMessageRoundTrips(t *testing.T) {
 		lone := BatchQueryReq{Queries: in.Queries[1:2]}.Encode()
 		if want := 4 + 1 + (4 + 3*4) + 4; len(lone) != want {
 			t.Fatalf("batch-of-one encodes to %d bytes, want %d", len(lone), want)
+		}
+		// A download of everything is a count and a kind byte.
+		if all := (BatchQueryReq{Queries: in.Queries[3:]}).Encode(); len(all) != 5 {
+			t.Fatalf("lone BatchAll encodes to %d bytes, want 5", len(all))
 		}
 	})
 	t.Run("batch-query-ranked-filtered", func(t *testing.T) {
@@ -271,20 +279,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 		if _, err := DecodeBatchQueryReq(append(full, 0)); err == nil {
 			t.Fatal("trailing byte decoded without error")
-		}
-	})
-	t.Run("download-all", func(t *testing.T) {
-		for _, in := range []DownloadAllReq{{}, {Allow: []int32{}}, {Allow: []int32{4, 1}}} {
-			out, err := DecodeDownloadAllReq(in.Encode())
-			if err != nil || !reflect.DeepEqual(out, in) {
-				t.Fatalf("round trip: got %+v, %v; want %+v", out, err, in)
-			}
-		}
-		full := DownloadAllReq{Allow: []int32{4, 1}}.Encode()
-		for n := 1; n < len(full); n++ {
-			if _, err := DecodeDownloadAllReq(full[:n]); err == nil {
-				t.Fatalf("truncation to %d bytes decoded without error", n)
-			}
 		}
 	})
 	t.Run("batch-query-unknown-kind", func(t *testing.T) {
@@ -362,37 +356,36 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatal("empty remote error text")
 		}
 	})
-	t.Run("put-nodes", func(t *testing.T) {
-		in := PutNodesReq{RootID: 3, Nodes: []EHINode{{ID: 3, Blob: []byte{1}}, {ID: 4, Blob: nil}}}
-		out, err := DecodePutNodesReq(in.Encode())
-		if err != nil || out.RootID != 3 || len(out.Nodes) != 2 {
+	t.Run("put-blobs", func(t *testing.T) {
+		in := PutBlobsReq{Space: SpaceFDH, Items: []Blob{{Key: 1, Data: []byte{1}}, {Key: 1, Data: []byte{2, 3}}, {Key: 4, Data: []byte{}}}}
+		out, err := DecodePutBlobsReq(in.Encode())
+		if err != nil || !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
 	})
-	t.Run("get-node", func(t *testing.T) {
-		out, err := DecodeGetNodeReq(GetNodeReq{ID: 77}.Encode())
-		if err != nil || out.ID != 77 {
+	t.Run("get-blobs", func(t *testing.T) {
+		in := GetBlobsReq{Space: SpaceEHI, Keys: []uint64{9, 10, 11}}
+		enc := in.Encode()
+		out, err := DecodeGetBlobsReq(enc)
+		if err != nil || !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
-	})
-	t.Run("node-blob", func(t *testing.T) {
-		out, err := DecodeNodeBlobResp(NodeBlobResp{ServerNanos: 4, Blob: []byte{5, 6}}.Encode())
-		if err != nil || out.ServerNanos != 4 || !bytes.Equal(out.Blob, []byte{5, 6}) {
-			t.Fatalf("round trip: %+v, %v", out, err)
+		if len(enc) != 1+4+8*3 {
+			t.Fatalf("get-blobs of 3 keys encodes to %d bytes", len(enc))
 		}
 	})
-	t.Run("put-fdh", func(t *testing.T) {
-		in := PutFDHReq{Items: []FDHItem{{Key: 1, Payload: []byte{1}}, {Key: 2, Payload: []byte{2, 3}}}}
-		out, err := DecodePutFDHReq(in.Encode())
-		if err != nil || len(out.Items) != 2 || out.Items[1].Key != 2 {
+	t.Run("blobs", func(t *testing.T) {
+		in := BlobsResp{ServerNanos: 4, Lists: [][][]byte{{{5, 6}}, nil, {{7}, {8, 9}}}}
+		enc := in.Encode()
+		out, err := DecodeBlobsResp(enc, 3)
+		if err != nil || !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
-	})
-	t.Run("fdh-query", func(t *testing.T) {
-		in := FDHQueryReq{Keys: []uint64{9, 10, 11}}
-		out, err := DecodeFDHQueryReq(in.Encode())
-		if err != nil || !reflect.DeepEqual(out.Keys, in.Keys) {
-			t.Fatalf("round trip: %+v, %v", out, err)
+		// The reply must answer exactly the keys asked for.
+		for _, keys := range []int{2, 4} {
+			if _, err := DecodeBlobsResp(enc, keys); err == nil {
+				t.Fatalf("3 lists accepted as the answer to %d keys", keys)
+			}
 		}
 	})
 }
@@ -408,12 +401,12 @@ func TestQuickDecodersRobust(t *testing.T) {
 		_, _ = DecodeDeleteEntriesReq(p)
 		_, _ = DecodeDeleteAckResp(p)
 		_, _ = DecodeBatchQueryReq(p)
-		_, _ = DecodeDownloadAllReq(p)
 		_, _ = DecodeCandidatesResp(p)
 		_, _ = DecodeResultsResp(p)
-		_, _ = DecodePutNodesReq(p)
-		_, _ = DecodePutFDHReq(p)
-		_, _ = DecodeFDHQueryReq(p)
+		_, _ = DecodePutBlobsReq(p)
+		_, _ = DecodeGetBlobsReq(p)
+		_, _ = DecodeBlobsResp(p, 1)
+		_, _ = DecodePlainQueryReq(p)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -442,7 +435,7 @@ func TestCountingConn(t *testing.T) {
 	}()
 
 	payload := bytes.Repeat([]byte{1}, 1000)
-	if err := WriteFrame(cc, MsgDownloadAll, payload); err != nil {
+	if err := WriteFrame(cc, MsgPutBlobs, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadFrame(cc); err != nil {
