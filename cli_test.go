@@ -133,6 +133,8 @@ func TestCommandLinePipeline(t *testing.T) {
 	}
 }
 
+// TestCommandLinePlainPipeline drives the plain deployment through the
+// binaries, its index split across two shards like an encrypted one.
 func TestCommandLinePlainPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped with -short")
@@ -149,7 +151,7 @@ func TestCommandLinePlainPipeline(t *testing.T) {
 
 	addr := freePort(t)
 	srv := exec.Command(filepath.Join(bins, "simserver"),
-		"-mode", "plain", "-addr", addr, "-key", keyFile, "-max-level", "4")
+		"-mode", "plain", "-addr", addr, "-key", keyFile, "-max-level", "4", "-shards", "2")
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

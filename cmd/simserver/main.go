@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"simcloud/internal/core"
 	"simcloud/internal/engine"
 	"simcloud/internal/mindex"
 	"simcloud/internal/secret"
@@ -53,7 +54,7 @@ func main() {
 		ranking  = flag.String("ranking", "footrule", "cell ranking: footrule or distsum")
 		keyFile  = flag.String("key", "", "key file (plain mode only: supplies the pivots)")
 		snapshot = flag.String("snapshot", "", "snapshot file: restore on start if present, save on shutdown (encrypted mode with -storage disk)")
-		shards   = flag.Int("shards", 1, "index shard count (encrypted mode): >1 partitions the M-Index across independently locked shards")
+		shards   = flag.Int("shards", 1, "index shard count: >1 partitions the M-Index across independently locked shards")
 		autoComp = flag.Float64("auto-compact", 0, "compact a shard when its tombstoned fraction reaches this value in [0,1); 0 leaves compaction to restarts")
 		eager    = flag.Bool("eager-root-split", false, "split the root cell on the first insert; required when this server joins a multi-node simcoord cluster (implied by -shards > 1)")
 		walDir   = flag.String("wal-dir", "", "write-ahead log directory (encrypted mode): every mutation is logged before it is acknowledged, and a restart replays the log")
@@ -156,7 +157,10 @@ func main() {
 		if cfg.MaxLevel > cfg.NumPivots {
 			cfg.MaxLevel = cfg.NumPivots
 		}
-		srv, err = server.NewPlain(cfg, key.Pivots())
+		var b *core.PlainBackend
+		if b, err = core.NewPlainBackend(cfg, key.Pivots()); err == nil {
+			srv = server.NewPlain(b)
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "simserver: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -206,7 +210,7 @@ func main() {
 		os.Exit(1)
 	}()
 	exitCode := 0
-	if *snapshot != "" && srv.Index() != nil {
+	if *snapshot != "" {
 		if err := srv.Index().SaveSnapshot(*snapshot); err != nil {
 			fmt.Fprintf(os.Stderr, "simserver: saving snapshot: %v\n", err)
 			exitCode = 1

@@ -16,6 +16,7 @@ import (
 
 	"simcloud"
 	"simcloud/internal/core"
+	"simcloud/internal/engine"
 	"simcloud/internal/mindex"
 	"simcloud/internal/secret"
 	"simcloud/internal/server"
@@ -32,7 +33,7 @@ func main() {
 	cfg.BucketCapacity = 50
 
 	fmt.Println("=== Level 1: no encryption (plain deployment) ===")
-	plainSrv, err := server.NewPlain(cfg, pivots)
+	plainSrv, err := simcloud.NewPlainServer(cfg, pivots)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,9 +50,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("the server stores raw descriptors, pivots, and can compute all distances:")
-	e := firstEntry(plainSrv.PlainIndex().Idx)
+	e := firstEntry(plainSrv.Index())
+	o, err := secret.DecodeObject(e.Payload) // no key needed: the payload is the object
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  entry id=%d perm=%v dists[0..2]=%.1f vec[0..3]=%.2f  <- plaintext!\n",
-		e.ID, e.Perm[:3], e.Dists[:3], e.Vec[:4])
+		e.ID, e.Perm[:3], e.Dists[:3], o.Vec[:4])
 
 	fmt.Println("\n=== Level 3: MS objects encrypted (Encrypted M-Index) ===")
 	encSrv, err := server.NewEncrypted(cfg)
@@ -110,24 +115,16 @@ func main() {
 	// 4. What leaks: the cell structure, i.e. WHICH objects cluster
 	// together — but not WHERE they are or HOW similar. This is the gap to
 	// privacy level 4 the paper leaves as future work.
-	st := indexStats(encSrv.Index())
+	st := encSrv.Index().TreeStats()
 	fmt.Printf("4. what does leak: the cell tree shape (%d cells, depth <= %d) —\n", st.Leaves, st.MaxDepth)
 	fmt.Println("   encrypted objects sharing cells are likely similar; distances stay hidden.")
 }
 
-// entrySource is what both deployments expose for inspection: the bare
-// index of the plain server and the sharded engine of the encrypted one.
-type entrySource interface {
-	AllEntries() ([]mindex.Entry, error)
-	TreeStats() mindex.Stats
-}
-
-func firstEntry(idx entrySource) mindex.Entry {
+// firstEntry is one stored entry, as the server holds it.
+func firstEntry(idx *engine.ShardedIndex) mindex.Entry {
 	entries, err := idx.AllEntries()
 	if err != nil || len(entries) == 0 {
 		log.Fatal("no entries on server")
 	}
 	return entries[0]
 }
-
-func indexStats(idx entrySource) mindex.Stats { return idx.TreeStats() }

@@ -233,11 +233,12 @@ func NewPlainCloud(ds *dataset.Dataset, cfg mindex.Config, seed uint64) (*Cloud,
 		return nil, err
 	}
 	pv := selectPivots(ds, cfg.NumPivots, seed)
-	srv, err := server.NewPlain(cfg, pv)
+	b, err := core.NewPlainBackend(cfg, pv)
 	if err != nil {
 		os.RemoveAll(tmp)
 		return nil, err
 	}
+	srv := server.NewPlain(b)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		srv.Close()
 		os.RemoveAll(tmp)

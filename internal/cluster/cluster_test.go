@@ -465,7 +465,7 @@ func TestKeyMismatchRejection(t *testing.T) {
 	t.Run("plain node", func(t *testing.T) {
 		data := simcloud.ClusteredData(3, 100, 12, 4, simcloud.L2())
 		pivots := simcloud.SelectPivots(3, data.Dist, data.Objects, testPivots)
-		plain, err := server.NewPlain(nodeConfig(false), pivots)
+		plain, err := simcloud.NewPlainServer(nodeConfig(false), pivots)
 		if err != nil {
 			t.Fatal(err)
 		}

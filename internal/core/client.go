@@ -88,14 +88,40 @@ func (o *Options) withDefaults() Options {
 // distances on the way out. It is what makes a client "authorized": the
 // networked EncryptedClient and the in-process DirectClient share it
 // verbatim, so the two backends produce bit-identical entries and
-// refinements.
+// refinements. The plain server runs it too, over the raw codec.
 type coder struct {
-	key  *secret.Key
+	key  objectCodec
 	opts Options
 }
 
-// Key returns the client's secret key.
-func (c *coder) Key() *secret.Key { return c.key }
+// objectCodec is the secret a coder works under: the pivot set with its
+// optional distance transformation, and the seal that turns an object into
+// the payload an entry stores — opened back into secret.EncodeObject's
+// plaintext. *secret.Key is the encrypted deployments'; rawCodec is the plain
+// server's.
+type objectCodec interface {
+	Pivots() *pivot.Set
+	TransformDists(dists []float64) []float64
+	TransformRadius(r float64) float64
+	EncryptObject(o metric.Object) ([]byte, error)
+	OpenAppend(dst, payload []byte) ([]byte, error)
+}
+
+// rawCodec is the plain deployment's objectCodec: a payload is the object's
+// plaintext encoding, opened by copying it, and distances are untransformed.
+type rawCodec struct{ pivots *pivot.Set }
+
+func (r rawCodec) Pivots() *pivot.Set                           { return r.pivots }
+func (rawCodec) TransformDists(dists []float64) []float64       { return dists }
+func (rawCodec) TransformRadius(r float64) float64              { return r }
+func (rawCodec) EncryptObject(o metric.Object) ([]byte, error)  { return secret.EncodeObject(o), nil }
+func (rawCodec) OpenAppend(dst, payload []byte) ([]byte, error) { return append(dst, payload...), nil }
+
+// Key returns the client's secret key (nil over the raw codec).
+func (c *coder) Key() *secret.Key {
+	k, _ := c.key.(*secret.Key)
+	return k
+}
 
 // EncryptedClient is an authorized client of the encrypted similarity
 // cloud. It is safe for concurrent use: operations lease connections from
@@ -257,10 +283,10 @@ func (c *coder) prepareEntry(o metric.Object, sc *pivotScratch, costs *stats.Cos
 		// transformed distances (privacy level 4; see internal/transform).
 		// Without one TransformDists returns its argument, the scratch row
 		// the next object overwrites: the entry keeps a copy.
-		if c.key.Transform() == nil {
-			e.Dists = slices.Clone(sc.dists)
+		if k := c.Key(); k != nil && k.Transform() != nil {
+			e.Dists = k.TransformDists(sc.dists)
 		} else {
-			e.Dists = c.key.TransformDists(sc.dists)
+			e.Dists = slices.Clone(sc.dists)
 		}
 	}
 	return e, nil

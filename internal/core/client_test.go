@@ -91,6 +91,21 @@ func testCloudSrv(t *testing.T, opts Options, insert bool) (*EncryptedClient, *d
 	return client, ds, key, srv
 }
 
+// startPlain starts a plain-deployment server over pv on a loopback port.
+func startPlain(t *testing.T, cfg mindex.Config, pv *pivot.Set) *server.Server {
+	t.Helper()
+	b, err := NewPlainBackend(cfg, pv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewPlain(b)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
 func bruteKNN(ds *dataset.Dataset, q metric.Vector, k int) []Result {
 	out := make([]Result, 0, len(ds.Objects))
 	for _, o := range ds.Objects {
@@ -218,8 +233,8 @@ func TestEncryptedServerSeesNoPlaintext(t *testing.T) {
 		t.Fatalf("server holds %d entries, want %d", len(entries), len(ds.Objects))
 	}
 	for _, e := range entries {
-		if e.Vec != nil {
-			t.Fatal("server stores a raw vector")
+		if o, err := secret.DecodeObject(e.Payload); err == nil && o.ID == e.ID {
+			t.Fatal("server stores an object's plaintext")
 		}
 		if e.Dists != nil {
 			t.Fatal("server stores pivot distances despite approximate strategy")
@@ -237,14 +252,7 @@ func TestPlainClientEndToEnd(t *testing.T) {
 	ds := dataset.Clustered(43, 600, 6, 8, metric.L2{})
 	rng := rand.New(rand.NewPCG(43, 1))
 	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, testPivotCount)
-	srv, err := server.NewPlain(testConfig(), pv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := startPlain(t, testConfig(), pv)
 	client, err := DialPlain(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -59,6 +59,12 @@ func NewDirect(cfg mindex.Config, key *secret.Key, opts Options) (*DirectClient,
 // from a snapshot — without taking ownership of it: closing the client
 // does not close the engine.
 func NewDirectWithEngine(eng *engine.ShardedIndex, key *secret.Key, opts Options) (*DirectClient, error) {
+	return newDirect(eng, key, opts)
+}
+
+// newDirect wraps eng in a client working under key, which is either a
+// *secret.Key or the plain server's raw codec.
+func newDirect(eng *engine.ShardedIndex, key objectCodec, opts Options) (*DirectClient, error) {
 	// Validate exactly like DialEncryptedContext, so the same Options are
 	// accepted or rejected identically across the backends — code validated
 	// against the embedded backend must not fail when pointed at a server.

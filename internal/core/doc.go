@@ -38,7 +38,11 @@
 //   - EncryptedClient: the paper's deployment. Client-side transform and
 //     refinement; the server sees only pivot-space metadata.
 //   - PlainClient: the non-encrypted baseline. The raw query travels to
-//     the server, which refines everything itself.
+//     the server, which refines everything itself — by running this
+//     package's pipeline: the plain server drives a DirectClient over its
+//     own engine whose object codec is raw (PlainBackend, rawCodec) instead
+//     of the secret key, so the baseline's entries, searches, refinement
+//     and precise k-NN are the encrypted deployment's.
 //   - DirectClient: the index engine embedded in-process — the same coder
 //     (transform + refinement) as EncryptedClient, no network.
 //

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"simcloud/internal/pivot"
-	"simcloud/internal/secret"
 	"simcloud/internal/stats"
 )
 
@@ -14,7 +13,7 @@ import (
 // its own — above all under StoreDists without a transform, where
 // Key.TransformDists hands back its argument.
 func TestPrepareEntriesOwnTheirRows(t *testing.T) {
-	c, _, _, objs := refineFixture(t, secret.ModeCTRHMAC, 24)
+	c, _, _, objs := refineFixture(t, ctrCodec, 24)
 	c.opts = Options{StoreDists: true, PrefixLen: 4}
 	pv := c.key.Pivots()
 	for _, workers := range []int{1, 3} {
@@ -44,7 +43,7 @@ func TestPrepareEntriesOwnTheirRows(t *testing.T) {
 // distance row, a full permutation and a second prefix for each).
 func TestPrepareAndDeleteAllocs(t *testing.T) {
 	enforce := allocCeilings(t)
-	c, _, _, objs := refineFixture(t, secret.ModeCTRHMAC, 64)
+	c, _, _, objs := refineFixture(t, ctrCodec, 64)
 	const fixed = 4 // the result slice, the scratch and its two rows
 	for _, n := range []int{8, 64} {
 		if got := testing.AllocsPerRun(20, func() {

@@ -30,7 +30,7 @@ func (c *EncryptedClient) UploadRawContext(ctx context.Context, items map[uint64
 	blobs := make([]wire.Blob, 0, len(items))
 	for id, blob := range items {
 		encStart := time.Now()
-		ct, err := c.key.Seal(blob)
+		ct, err := c.Key().Seal(blob)
 		costs.EncryptTime += time.Since(encStart)
 		if err != nil {
 			return costs, fmt.Errorf("core: encrypting raw data %d: %w", id, err)
@@ -84,7 +84,7 @@ func (c *EncryptedClient) FetchRawContext(ctx context.Context, ids []uint64) (ma
 			return nil, costs, fmt.Errorf("core: no raw data for object %d", id)
 		}
 		decStart := time.Now()
-		pt, err := c.key.Open(m.Lists[i][0])
+		pt, err := c.Key().Open(m.Lists[i][0])
 		costs.DecryptTime += time.Since(decStart)
 		if err != nil {
 			return nil, costs, fmt.Errorf("core: decrypting raw data %d: %w", id, err)

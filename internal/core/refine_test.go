@@ -14,13 +14,36 @@ import (
 	"simcloud/internal/stats"
 )
 
+// refineCodec names a codec candidates are sealed with and builds it over
+// the fixture's pivots.
+type refineCodec struct {
+	name string
+	new  func(pv *pivot.Set) (objectCodec, error)
+}
+
+func keyCodec(mode secret.Mode) refineCodec {
+	return refineCodec{mode.String(), func(pv *pivot.Set) (objectCodec, error) {
+		k, err := secret.Generate(pv, mode)
+		return k, err
+	}}
+}
+
+// The codecs a refinement opens candidates with: both ciphers and the plain
+// server's raw codec.
+var (
+	ctrCodec     = keyCodec(secret.ModeCTRHMAC)
+	gcmCodec     = keyCodec(secret.ModeGCM)
+	plainCodec   = refineCodec{"raw", func(pv *pivot.Set) (objectCodec, error) { return rawCodec{pv}, nil }}
+	refineCodecs = []refineCodec{ctrCodec, gcmCodec, plainCodec}
+)
+
 // refineFixture is a coder over CoPhIR-shaped data (280 dimensions, the
-// paper's image descriptors) with n encrypted candidates to refine.
-func refineFixture(t testing.TB, mode secret.Mode, n int) (*coder, metric.Vector, rankedCands, []metric.Object) {
+// paper's image descriptors) with n candidates sealed by codec to refine.
+func refineFixture(t testing.TB, codec refineCodec, n int) (*coder, metric.Vector, rankedCands, []metric.Object) {
 	t.Helper()
 	ds := dataset.CoPhIR(n + 1)
 	rng := rand.New(rand.NewPCG(15, 280))
-	key, err := secret.Generate(pivot.SelectRandom(rng, ds.Dist, ds.Objects, 8), mode)
+	key, err := codec.new(pivot.SelectRandom(rng, ds.Dist, ds.Objects, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +81,12 @@ func bruteForce(c *coder, q metric.Vector, objs []metric.Object, limit, k int, r
 
 // TestRefineMatchesBruteForce: the chunked, scratch-decoding, top-k
 // refinement returns what decrypt-all / sort / cut returns — for both
-// ciphers, every shape of (limit, k, radius), candidate counts on both sides
+// ciphers and the raw codec, every shape of (limit, k, radius), candidate counts on both sides
 // of a chunk boundary — owns the vectors it returns, and charges the costs
 // the paper's tables count.
 func TestRefineMatchesBruteForce(t *testing.T) {
-	for _, mode := range []secret.Mode{secret.ModeCTRHMAC, secret.ModeGCM} {
-		c, q, cands, objs := refineFixture(t, mode, 3*refineChunk+5)
+	for _, codec := range refineCodecs {
+		c, q, cands, objs := refineFixture(t, codec, 3*refineChunk+5)
 		far := c.key.Pivots().Dist.Dist(q, objs[len(objs)/2].Vec)
 		for _, n := range []int{0, 1, refineChunk - 1, refineChunk, refineChunk + 1, len(cands)} {
 			for _, tc := range []struct {
@@ -86,13 +109,13 @@ func TestRefineMatchesBruteForce(t *testing.T) {
 				}
 				want := bruteForce(c, q, objs[:n], tc.limit, tc.k, tc.radius)
 				if len(got) != len(want) {
-					t.Fatalf("%v n=%d %s: %d results, want %d", mode, n, tc.name, len(got), len(want))
+					t.Fatalf("%s n=%d %s: %d results, want %d", codec.name, n, tc.name, len(got), len(want))
 				}
 				for i := range want {
 					if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist ||
 						got[i].Object.ID != want[i].ID || !slices.Equal(got[i].Object.Vec, want[i].Object.Vec) {
-						t.Fatalf("%v n=%d %s: result %d is object %d at %g, want %d at %g",
-							mode, n, tc.name, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
+						t.Fatalf("%s n=%d %s: result %d is object %d at %g, want %d at %g",
+							codec.name, n, tc.name, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
 					}
 				}
 				refined := n
@@ -100,8 +123,8 @@ func TestRefineMatchesBruteForce(t *testing.T) {
 					refined = min(n, tc.limit)
 				}
 				if costs.Candidates != int64(n) || costs.DistComps != int64(refined) {
-					t.Fatalf("%v n=%d %s: %d candidates / %d distance computations charged, want %d / %d",
-						mode, n, tc.name, costs.Candidates, costs.DistComps, n, refined)
+					t.Fatalf("%s n=%d %s: %d candidates / %d distance computations charged, want %d / %d",
+						codec.name, n, tc.name, costs.Candidates, costs.DistComps, n, refined)
 				}
 				// The next refinement reuses the scratch; the results above
 				// must not change under it.
@@ -110,7 +133,7 @@ func TestRefineMatchesBruteForce(t *testing.T) {
 				}
 				for i := range want {
 					if !slices.Equal(got[i].Object.Vec, want[i].Object.Vec) {
-						t.Fatalf("%v n=%d %s: result %d's vector changed under a later refinement", mode, n, tc.name, i)
+						t.Fatalf("%s n=%d %s: result %d's vector changed under a later refinement", codec.name, n, tc.name, i)
 					}
 				}
 			}
@@ -150,7 +173,7 @@ func TestRefineAllocs(t *testing.T) {
 	// and slack for a pool refill after a GC.
 	const fixed = k + 6
 	for _, tc := range []struct {
-		mode         secret.Mode
+		codec        refineCodec
 		perCandidate int
 	}{
 		// AES-CTR: cipher.NewCTR copies the expanded key into a fresh
@@ -158,10 +181,13 @@ func TestRefineAllocs(t *testing.T) {
 		// nor a seek. Counter mode over Block.Encrypt, block by block, is
 		// allocation-free and three times slower (1.5 µs against 0.46 µs
 		// per 1.1 KB candidate) — the allocation is the cheaper of the two.
-		{secret.ModeCTRHMAC, 1},
-		{secret.ModeGCM, 0},
+		{ctrCodec, 1},
+		{gcmCodec, 0},
+		// The plain server's raw codec opens a payload by copying it into
+		// the same reused plaintext scratch: nothing per candidate.
+		{plainCodec, 0},
 	} {
-		c, q, cands, _ := refineFixture(t, tc.mode, 400)
+		c, q, cands, _ := refineFixture(t, tc.codec, 400)
 		for _, n := range []int{40, 400} {
 			run := func() {
 				if _, err := c.refine(q, cands[:n], 0, k, 0, new(stats.Costs)); err != nil {
@@ -171,7 +197,7 @@ func TestRefineAllocs(t *testing.T) {
 			run() // size the scratch once
 			ceiling := float64(fixed + tc.perCandidate*n)
 			if got := testing.AllocsPerRun(20, run); enforce && got > ceiling {
-				t.Errorf("%v, %d candidates: %.1f allocs per refinement, want <= %.0f", tc.mode, n, got, ceiling)
+				t.Errorf("%s, %d candidates: %.1f allocs per refinement, want <= %.0f", tc.codec.name, n, got, ceiling)
 			}
 		}
 	}
@@ -181,7 +207,7 @@ func TestRefineAllocs(t *testing.T) {
 // to the 10 nearest — the client-side half of the benchmark's chain_refine
 // query.
 func BenchmarkRefine(b *testing.B) {
-	c, q, cands, _ := refineFixture(b, secret.ModeCTRHMAC, 400)
+	c, q, cands, _ := refineFixture(b, ctrCodec, 400)
 	var costs stats.Costs
 	b.ReportAllocs()
 	b.ResetTimer()

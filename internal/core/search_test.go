@@ -17,10 +17,28 @@ import (
 	"simcloud/internal/wire"
 )
 
-// threeBackends builds the same seeded collection behind all three
-// Searcher implementations: an encrypted server + client, a plain server +
-// client over the same pivots, and an in-process DirectClient over the
-// same key and configuration.
+// dupStride spaces the objects threeBackends indexes twice.
+const dupStride = 45
+
+// withDuplicates is ds's objects with every dupStride-th one preceded by a
+// copy of itself under an ID above every original — about 20 duplicates,
+// each inserted before its original, so every query kind meets ties at the
+// k-th distance that only the ID can break.
+func withDuplicates(ds *dataset.Dataset) []metric.Object {
+	var objs []metric.Object
+	for i, o := range ds.Objects {
+		if i%dupStride == 0 {
+			objs = append(objs, metric.Object{ID: uint64(len(ds.Objects) + i/dupStride), Vec: o.Vec})
+		}
+		objs = append(objs, o)
+	}
+	return objs
+}
+
+// threeBackends builds the same seeded collection (with duplicates) behind
+// all three Searcher implementations: an encrypted server + client, a plain
+// server + client over the same pivots, and an in-process DirectClient over
+// the same key and configuration.
 func threeBackends(t *testing.T) (*EncryptedClient, *PlainClient, *DirectClient, *dataset.Dataset) {
 	t.Helper()
 	ds := dataset.Clustered(2026, 900, 6, 7, metric.L2{})
@@ -47,14 +65,7 @@ func threeBackends(t *testing.T) (*EncryptedClient, *PlainClient, *DirectClient,
 	}
 	t.Cleanup(func() { enc.Close() })
 
-	plainSrv, err := server.NewPlain(cfg, pv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plainSrv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { plainSrv.Close() })
+	plainSrv := startPlain(t, cfg, pv)
 	plain, err := DialPlain(plainSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +78,14 @@ func threeBackends(t *testing.T) (*EncryptedClient, *PlainClient, *DirectClient,
 	}
 	t.Cleanup(func() { direct.Close() })
 
-	if _, err := enc.Insert(ds.Objects); err != nil {
+	objs := withDuplicates(ds)
+	if _, err := enc.Insert(objs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.Insert(ds.Objects); err != nil {
+	if _, err := plain.Insert(objs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.Insert(ds.Objects); err != nil {
+	if _, err := direct.Insert(objs); err != nil {
 		t.Fatal(err)
 	}
 	return enc, plain, direct, ds
@@ -94,6 +106,9 @@ func equivalenceQueries(ds *dataset.Dataset) []Query {
 	}
 	// A query vector that is not a member of the collection.
 	qs = append(qs, Query{Kind: KindKNN, Vec: metric.Vector{1, 2, 3, 4, 5, 6}, K: 7, CandSize: 70})
+	// The nearest neighbor of a duplicated object: two at distance 0, the
+	// original's lower ID first.
+	qs = append(qs, Query{Kind: KindKNN, Vec: ds.Objects[dupStride].Vec, K: 1})
 	return qs
 }
 
@@ -251,6 +266,8 @@ func TestQueryValidation(t *testing.T) {
 		{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 3, CandSize: -1},
 		{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 3, RefineLimit: -1},
 		{Kind: KindKNN, Vec: ds.Objects[0].Vec, K: 3, RefineLimit: 5}, // breaks precision
+		{Kind: KindKNN, Vec: ds.Objects[0].Vec, K: -1},
+		{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, CandSize: 10}, // k missing
 		{Kind: QueryKind(99), Vec: ds.Objects[0].Vec, K: 3},
 	}
 	for i, q := range bad {
@@ -297,14 +314,7 @@ func TestFirstCellDistSum(t *testing.T) {
 	}
 	t.Cleanup(func() { enc.Close() })
 
-	plainSrv, err := server.NewPlain(cfg, pv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plainSrv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { plainSrv.Close() })
+	plainSrv := startPlain(t, cfg, pv)
 	plain, err := DialPlain(plainSrv.Addr())
 	if err != nil {
 		t.Fatal(err)

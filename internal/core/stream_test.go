@@ -161,14 +161,7 @@ func TestInsertStreamPlain(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 1))
 	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, testPivotCount)
 	newClient := func() (*PlainClient, *server.Server) {
-		srv, err := server.NewPlain(testConfig(), pv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
+		srv := startPlain(t, testConfig(), pv)
 		client, err := DialPlain(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -188,9 +181,9 @@ func TestInsertStreamPlain(t *testing.T) {
 	if costs.RoundTrips != 1 || costs.ServerTime <= 0 {
 		t.Fatalf("implausible plain stream costs: %+v", costs)
 	}
-	if streamedSrv.PlainIndex().Idx.Size() != monoSrv.PlainIndex().Idx.Size() {
+	if streamedSrv.Index().Size() != monoSrv.Index().Size() {
 		t.Fatalf("streamed plain ingest left %d entries, monolithic %d",
-			streamedSrv.PlainIndex().Idx.Size(), monoSrv.PlainIndex().Idx.Size())
+			streamedSrv.Index().Size(), monoSrv.Index().Size())
 	}
 	q := ds.Objects[5].Vec
 	want, _, err := search(mono, Query{Kind: KindKNN, Vec: q, K: 10})

@@ -10,6 +10,7 @@ import (
 	"simcloud/internal/engine"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
+	"simcloud/internal/secret"
 )
 
 // The family has no index of its own: these tests pin the contract of the
@@ -18,14 +19,14 @@ import (
 
 // familyEntries shapes the collection the way the family's coder does: the
 // one-element prefix names the nearest centroid, the distance vector holds
-// every centroid distance. The entries keep their plaintext vectors so
-// tests can refine candidate sets to exact answers.
+// every centroid distance. The payloads are the objects' plaintext
+// encodings, so tests can refine candidate sets to exact answers.
 func familyEntries(m *Model, objs []metric.Object) []mindex.Entry {
 	ps := m.PivotSet()
 	entries := make([]mindex.Entry, len(objs))
 	for i, o := range objs {
 		j, _ := nearest(m.Dist, m.Centroids, o.Vec)
-		entries[i] = mindex.Entry{ID: o.ID, Perm: []int32{int32(j)}, Dists: ps.Distances(o.Vec), Vec: o.Vec.Clone()}
+		entries[i] = mindex.Entry{ID: o.ID, Perm: []int32{int32(j)}, Dists: ps.Distances(o.Vec), Payload: secret.EncodeObject(o)}
 	}
 	return entries
 }
@@ -131,7 +132,11 @@ func TestRangeMatchesBruteForce(t *testing.T) {
 			}
 			got := make(map[uint64]bool)
 			for _, e := range cands {
-				if d.Dist.Dist(q, e.Vec) <= r { // client-side refine
+				o, err := secret.DecodeObject(e.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Dist.Dist(q, o.Vec) <= r { // client-side refine
 					got[e.ID] = true
 				}
 			}

@@ -1,10 +1,6 @@
 package metric
 
-import (
-	"time"
-
-	"simcloud/internal/stats"
-)
+import "simcloud/internal/stats"
 
 // Counting wraps a Distance and counts every evaluation. It is the hook the
 // benchmark harness uses to attribute distance computations to the client or
@@ -34,41 +30,3 @@ func (c *Counting) Count() int64 { return c.N.Value() }
 
 // Reset zeroes the evaluation counter.
 func (c *Counting) Reset() { c.N.Reset() }
-
-// Timed wraps a Distance and accumulates the wall-clock time spent in
-// distance evaluations ("Dist. comp. time" in the paper's tables) as well as
-// the number of evaluations.
-type Timed struct {
-	Inner Distance
-	T     stats.Timer
-	N     stats.Counter
-}
-
-// NewTimed wraps inner in a timing Distance.
-func NewTimed(inner Distance) *Timed {
-	return &Timed{Inner: inner}
-}
-
-// Name implements Distance.
-func (t *Timed) Name() string { return t.Inner.Name() }
-
-// Dist implements Distance.
-func (t *Timed) Dist(a, b Vector) float64 {
-	start := time.Now()
-	d := t.Inner.Dist(a, b)
-	t.T.Add(time.Since(start))
-	t.N.Add(1)
-	return d
-}
-
-// Elapsed returns the accumulated distance-computation time.
-func (t *Timed) Elapsed() time.Duration { return t.T.Value() }
-
-// Count returns the number of distance evaluations so far.
-func (t *Timed) Count() int64 { return t.N.Value() }
-
-// Reset zeroes the timer and counter.
-func (t *Timed) Reset() {
-	t.T.Reset()
-	t.N.Reset()
-}

@@ -279,26 +279,3 @@ func TestCountingWrapper(t *testing.T) {
 		t.Fatal("reset did not zero the counter")
 	}
 }
-
-func TestTimedWrapper(t *testing.T) {
-	w := NewTimed(L2{})
-	a, b := Vector{0, 0}, Vector{3, 4}
-	for range 10 {
-		if got := w.Dist(a, b); got != 5 {
-			t.Fatalf("timed changed value: %g", got)
-		}
-	}
-	if w.Count() != 10 {
-		t.Fatalf("count = %d, want 10", w.Count())
-	}
-	if w.Elapsed() <= 0 {
-		t.Fatal("no elapsed time recorded")
-	}
-	if w.Name() != "L2" {
-		t.Fatalf("name = %q", w.Name())
-	}
-	w.Reset()
-	if w.Count() != 0 || w.Elapsed() != 0 {
-		t.Fatal("reset did not zero")
-	}
-}

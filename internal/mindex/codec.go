@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 
-	"simcloud/internal/metric"
 	"simcloud/internal/simd"
 )
 
@@ -16,7 +15,11 @@ import (
 //	permLen  uint16 | perm int32 × permLen
 //	distsLen uint16 | dists float64 × distsLen
 //	payLen   uint32 | payload bytes
-//	vecLen   uint32 | vec float32 × vecLen
+//	vecLen   uint32, always 0
+//
+// The trailing count is what is left of a plaintext vector the plain
+// deployment used to store beside the payload; it keeps the record at codec
+// v3 until a format bump drops it, and ScanEntry rejects any other value.
 //
 // The same encoding is a bucket's form in both stores (see Bucket), the
 // write-ahead log's and the client–server protocol's, so the measured
@@ -27,7 +30,7 @@ var ErrCodec = errors.New("mindex: malformed entry encoding")
 
 // EncodedEntrySize returns the exact encoded size of e in bytes.
 func EncodedEntrySize(e Entry) int {
-	return 8 + 2 + 4*len(e.Perm) + 2 + 8*len(e.Dists) + 4 + len(e.Payload) + 4 + 4*len(e.Vec)
+	return 8 + 2 + 4*len(e.Perm) + 2 + 8*len(e.Dists) + 4 + len(e.Payload) + 4
 }
 
 // AppendEntry appends the encoding of e to dst and returns the result.
@@ -43,11 +46,7 @@ func AppendEntry(dst []byte, e Entry) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Payload)))
 	dst = append(dst, e.Payload...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Vec)))
-	for _, f := range e.Vec {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-	}
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, 0) // the empty vector
 }
 
 // EncodeEntry returns the binary encoding of e.
@@ -76,9 +75,6 @@ func (v *EntryView) Dists() []byte { return v.Record[v.permEnd+2 : v.distsEnd : 
 
 // Payload is the ciphertext.
 func (v *EntryView) Payload() []byte { return v.Record[v.distsEnd+4 : v.payloadEnd : v.payloadEnd] }
-
-// Vec is the plaintext vector of a plain-deployment entry: float32 × len/4.
-func (v *EntryView) Vec() []byte { return v.Record[v.payloadEnd+4:] }
 
 // permEndOf and distsEndOf locate the end of a record's permutation and of
 // its distances from the counts in front of them: the record layout up to
@@ -116,11 +112,8 @@ func ScanEntry(buf []byte) (EntryView, []byte, error) {
 		return EntryView{}, nil, ErrCodec
 	}
 	payloadEnd := distsEnd + 4 + int(binary.LittleEndian.Uint32(buf[distsEnd:]))
-	if len(buf) < payloadEnd+4 {
-		return EntryView{}, nil, ErrCodec
-	}
-	end := payloadEnd + 4 + 4*int(binary.LittleEndian.Uint32(buf[payloadEnd:]))
-	if len(buf) < end {
+	end := payloadEnd + 4
+	if len(buf) < end || binary.LittleEndian.Uint32(buf[payloadEnd:]) != 0 {
 		return EntryView{}, nil, ErrCodec
 	}
 	return EntryView{
@@ -176,10 +169,6 @@ func (v *EntryView) Decode() Entry {
 	}
 	if payload := v.Payload(); len(payload) > 0 {
 		e.Payload = bytes.Clone(payload)
-	}
-	if vec := v.Vec(); len(vec) > 0 {
-		e.Vec = make(metric.Vector, len(vec)/4)
-		simd.DecodeF32LE(e.Vec, vec)
 	}
 	return e
 }

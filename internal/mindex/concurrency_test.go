@@ -11,10 +11,11 @@ import (
 )
 
 // Random-config property test: for arbitrary (sane) index parameters, the
-// fundamental invariants must hold — range ≡ linear scan, kNN ≡ brute
-// force, tree bounded by MaxLevel. This catches interactions between
-// bucket capacity, pivot count and split depth that fixed-config tests
-// would miss.
+// fundamental invariants must hold — range ≡ linear scan, tree bounded by
+// MaxLevel. This catches interactions between bucket capacity, pivot count
+// and split depth that fixed-config tests would miss. (core's
+// TestExactKNNRandomConfigs holds the precise k-NN to brute force over
+// configurations drawn the same way.)
 func TestQuickRandomConfigs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xC0FFEE, 1))
 	for trial := range 12 {
@@ -30,15 +31,15 @@ func TestQuickRandomConfigs(t *testing.T) {
 		dim := 2 + rng.IntN(8)
 		ds := dataset.Clustered(uint64(trial)+100, n, dim, 1+rng.IntN(6), metric.L2{})
 		pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, nPivots)
-		p, err := NewPlain(cfg, pv)
+		p, err := newTestIndex(cfg, pv)
 		if err != nil {
 			t.Fatalf("trial %d cfg %+v: %v", trial, cfg, err)
 		}
-		if err := p.InsertBulk(ds.Objects); err != nil {
+		if err := p.insert(ds.Objects...); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 
-		st := p.Idx.TreeStats()
+		st := p.idx.TreeStats()
 		if st.Entries != n || st.TotalBucket != n {
 			t.Fatalf("trial %d: stats %+v for %d objects", trial, st, n)
 		}
@@ -48,7 +49,7 @@ func TestQuickRandomConfigs(t *testing.T) {
 
 		q := ds.Objects[rng.IntN(n)].Vec
 		r := 1 + rng.Float64()*15
-		got, err := p.Range(q, r)
+		got, err := p.rangeQuery(q, r)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -61,37 +62,22 @@ func TestQuickRandomConfigs(t *testing.T) {
 		if len(got) != want {
 			t.Fatalf("trial %d cfg %+v: range %d results, scan %d", trial, cfg, len(got), want)
 		}
-
-		k := 1 + rng.IntN(12)
-		knn, err := p.KNN(q, k)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		brute, err := p.BruteForceKNN(q, k)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := range knn {
-			if knn[i].Dist != brute[i].Dist {
-				t.Fatalf("trial %d cfg %+v: kNN rank %d dist %g vs %g",
-					trial, cfg, i, knn[i].Dist, brute[i].Dist)
-			}
-		}
-		p.Idx.Close()
+		p.idx.Close()
 	}
 }
 
 // Concurrent inserts and searches must not corrupt the index (run under
 // -race in CI). Readers may see a prefix of the inserts, never torn state.
+// core's TestExactKNNBesideInserts runs the precise k-NN the same way.
 func TestConcurrentInsertAndSearch(t *testing.T) {
 	ds := dataset.Clustered(321, 2000, 4, 6, metric.L2{})
 	rng := rand.New(rand.NewPCG(321, 1))
 	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, 8)
-	p, err := NewPlain(testConfig(8), pv)
+	p, err := newTestIndex(testConfig(8), pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Idx.Close()
+	defer p.idx.Close()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -101,7 +87,7 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for _, o := range ds.Objects {
-			if err := p.Insert(o); err != nil {
+			if err := p.insert(o); err != nil {
 				t.Error(err)
 				return
 			}
@@ -120,11 +106,11 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 				default:
 				}
 				q := ds.Objects[qrng.IntN(len(ds.Objects))].Vec
-				if _, err := p.Range(q, 5); err != nil {
+				if _, err := p.rangeQuery(q, 5); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := p.ApproxKNN(q, 5, 50); err != nil {
+				if _, err := p.approxKNN(q, 5, 50); err != nil {
 					t.Error(err)
 					return
 				}
@@ -134,22 +120,22 @@ func TestConcurrentInsertAndSearch(t *testing.T) {
 	wg.Wait()
 
 	// Afterwards the index must hold everything and answer exactly.
-	if p.Idx.Size() != len(ds.Objects) {
-		t.Fatalf("size = %d, want %d", p.Idx.Size(), len(ds.Objects))
+	if p.idx.Size() != len(ds.Objects) {
+		t.Fatalf("size = %d, want %d", p.idx.Size(), len(ds.Objects))
 	}
 	q := ds.Objects[0].Vec
-	got, err := p.KNN(q, 5)
+	got, err := p.rangeQuery(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	brute, err := p.BruteForceKNN(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i].Dist != brute[i].Dist {
-			t.Fatalf("post-concurrency kNN mismatch at %d", i)
+	want := 0
+	for _, o := range ds.Objects {
+		if ds.Dist.Dist(q, o.Vec) <= 5 {
+			want++
 		}
+	}
+	if len(got) != want {
+		t.Fatalf("post-concurrency range: %d results, scan %d", len(got), want)
 	}
 }
 
@@ -171,18 +157,18 @@ func TestDuplicateObjects(t *testing.T) {
 		objs = append(objs, metric.Object{ID: uint64(i), Vec: vecs[i%len(vecs)].Clone()})
 	}
 	pv := pivot.NewSet(metric.L2{}, vecs)
-	p, err := NewPlain(Config{
+	p, err := newTestIndex(Config{
 		NumPivots: 5, MaxLevel: 3, BucketCapacity: 4,
 		Storage: StorageMemory, Ranking: RankFootrule,
 	}, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Idx.Close()
-	if err := p.InsertBulk(objs); err != nil {
+	defer p.idx.Close()
+	if err := p.insert(objs...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Range(vecs[0], 0)
+	got, err := p.rangeQuery(vecs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,11 @@
 // distances (or the permutations derived from them) — never the objects or
 // pivots themselves. The index therefore runs unmodified on an untrusted
 // server that stores opaque encrypted payloads: this is precisely the
-// property the paper exploits. The Plain wrapper in plain.go adds the
-// server-side refinement used by the non-encrypted baseline, which does
-// hold the pivots and raw vectors.
+// property the paper exploits. An entry's payload is opaque here whatever it
+// holds; the non-encrypted baseline stores the object's plaintext encoding
+// in it and refines through internal/core like an authorized client, so
+// this package has no search that reads objects and no exact k-NN of its
+// own (the precise k-NN is core's bound page + range).
 //
 // # Key invariant: a cell's box never out-prunes the per-entry filter
 //

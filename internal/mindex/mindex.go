@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
 )
 
@@ -147,16 +146,14 @@ const MaxShards = 1 << 10
 
 // Entry is one indexed record as stored on the (possibly untrusted) server.
 //
-// Exactly one of Payload (encrypted deployments) or Vec (plain deployments)
-// is normally set; Perm always is. Dists is present when the data owner uses
+// Perm is always set. Dists is present when the data owner uses
 // the precise strategy (Algorithm 1, line 4) and enables server-side pivot
 // filtering; without it only the approximate strategy is available.
 type Entry struct {
 	ID      uint64
 	Perm    []int32   // permutation prefix, at least Config.MaxLevel long
 	Dists   []float64 // object–pivot distances (optional, precise strategy)
-	Payload []byte    // opaque encrypted object (encrypted deployments)
-	Vec     metric.Vector
+	Payload []byte    // the sealed object: a ciphertext, or the plain deployment's plaintext encoding
 }
 
 // Index is a thread-safe M-Index over Entries. All operations use only

@@ -1,12 +1,16 @@
 package mindex
 
 import (
+	"cmp"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"simcloud/internal/dataset"
 	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
+	"simcloud/internal/secret"
 )
 
 func testConfig(nPivots int) Config {
@@ -19,18 +23,104 @@ func testConfig(nPivots int) Config {
 	}
 }
 
-// buildPlain indexes a clustered data set and returns the index plus data.
-func buildPlain(t *testing.T, seed uint64, n, dim, nPivots int) (*Plain, []metric.Object) {
+// testIndex is an index over raw objects, the fixture of the tests that
+// check answers against true distances: every entry carries its pivot
+// distances and, as its payload, the object's plaintext encoding — what the
+// plain deployment stores.
+type testIndex struct {
+	idx    *Index
+	pivots *pivot.Set
+}
+
+// hit is one refined answer: an object and its true distance to the query.
+type hit struct {
+	ID   uint64
+	Dist float64
+}
+
+func newTestIndex(cfg Config, pv *pivot.Set) (*testIndex, error) {
+	idx, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &testIndex{idx: idx, pivots: pv}, nil
+}
+
+// insert indexes the objects one by one.
+func (ti *testIndex) insert(objs ...metric.Object) error {
+	for _, o := range objs {
+		dists := ti.pivots.Distances(o.Vec)
+		e := Entry{ID: o.ID, Perm: pivot.Permutation(dists), Dists: dists, Payload: secret.EncodeObject(o)}
+		if err := ti.idx.Insert(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refine computes the true distance from q to every candidate and returns
+// those within r, by (distance, ID), cut to k (k <= 0 keeps all).
+func (ti *testIndex) refine(q metric.Vector, cands []RankedCandidate, k int, r float64) ([]hit, error) {
+	var out []hit
+	for i := range cands {
+		o, err := secret.DecodeObject(cands[i].Entry.Payload())
+		if err != nil {
+			return nil, err
+		}
+		if d := ti.pivots.Dist.Dist(q, o.Vec); d <= r {
+			out = append(out, hit{o.ID, d})
+		}
+	}
+	slices.SortFunc(out, func(a, b hit) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out, nil
+}
+
+// rangeQuery is the precise range query R(q, r): a KindRange search refined.
+func (ti *testIndex) rangeQuery(q metric.Vector, r float64) ([]hit, error) {
+	cands, err := ti.idx.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: ti.pivots.Distances(q)}, Radius: r})
+	if err != nil {
+		return nil, err
+	}
+	return ti.refine(q, cands, 0, r)
+}
+
+// approxKNN is the approximate k-NN query: the k nearest of the candSize
+// most promising candidates.
+func (ti *testIndex) approxKNN(q metric.Vector, k, candSize int) ([]hit, error) {
+	qd := ti.pivots.Distances(q)
+	cands, err := ti.idx.ApproxCandidatesRanked(ApproxQuery{Dists: qd, Ranks: pivot.Ranks(pivot.Permutation(qd))}, candSize)
+	if err != nil {
+		return nil, err
+	}
+	return ti.refine(q, cands, k, math.Inf(1))
+}
+
+// bruteForceKNN is the reference answer: the k nearest of every live entry.
+func (ti *testIndex) bruteForceKNN(q metric.Vector, k int) ([]hit, error) {
+	cands, err := ti.idx.Search(Query{Kind: KindAll})
+	if err != nil {
+		return nil, err
+	}
+	return ti.refine(q, cands, k, math.Inf(1))
+}
+
+// buildIndex indexes a clustered data set and returns the index plus data.
+func buildIndex(t *testing.T, seed uint64, n, dim, nPivots int) (*testIndex, []metric.Object) {
 	t.Helper()
 	ds := dataset.Clustered(seed, n, dim, 8, metric.L2{})
 	rng := rand.New(rand.NewPCG(seed, 99))
 	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, nPivots)
-	p, err := NewPlain(testConfig(nPivots), pv)
+	p, err := newTestIndex(testConfig(nPivots), pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Idx.Close() })
-	if err := p.InsertBulk(ds.Objects); err != nil {
+	t.Cleanup(func() { p.idx.Close() })
+	if err := p.insert(ds.Objects...); err != nil {
 		t.Fatal(err)
 	}
 	return p, ds.Objects
@@ -83,8 +173,8 @@ func TestInsertValidation(t *testing.T) {
 }
 
 func TestTreeInvariants(t *testing.T) {
-	p, objs := buildPlain(t, 1, 2000, 8, 10)
-	ix := p.Idx
+	p, objs := buildIndex(t, 1, 2000, 8, 10)
+	ix := p.idx
 	st := ix.TreeStats()
 	if st.Entries != len(objs) {
 		t.Fatalf("stats entries = %d, want %d", st.Entries, len(objs))
@@ -164,14 +254,14 @@ func TestTreeInvariants(t *testing.T) {
 // Range query must be exactly equivalent to a linear scan — the fundamental
 // no-false-dismissal invariant of the metric pruning rules.
 func TestRangeEqualsLinearScan(t *testing.T) {
-	p, objs := buildPlain(t, 2, 1500, 6, 12)
+	p, objs := buildIndex(t, 2, 1500, 6, 12)
 	rng := rand.New(rand.NewPCG(5, 5))
-	d := p.Pivots.Dist
+	d := p.pivots.Dist
 	for trial := range 30 {
 		q := objs[rng.IntN(len(objs))].Vec
 		// Radii spanning empty to large result sets.
 		r := []float64{0.1, 1, 3, 8, 20}[trial%5]
-		got, err := p.Range(q, r)
+		got, err := p.rangeQuery(q, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,73 +287,32 @@ func TestRangeEqualsLinearScan(t *testing.T) {
 }
 
 func TestRangeValidation(t *testing.T) {
-	p, _ := buildPlain(t, 3, 100, 4, 6)
-	if _, err := p.Idx.RangeByDists([]float64{1, 2}, 1); err == nil {
+	p, _ := buildIndex(t, 3, 100, 4, 6)
+	if _, err := p.idx.RangeByDists([]float64{1, 2}, 1); err == nil {
 		t.Error("wrong-length query distances accepted")
 	}
-	if _, err := p.Idx.RangeByDists(make([]float64, 6), -1); err == nil {
+	if _, err := p.idx.RangeByDists(make([]float64, 6), -1); err == nil {
 		t.Error("negative radius accepted")
-	}
-}
-
-// Precise k-NN (best-first) must equal brute force.
-func TestKNNEqualsBruteForce(t *testing.T) {
-	p, objs := buildPlain(t, 4, 1200, 5, 10)
-	rng := rand.New(rand.NewPCG(6, 6))
-	for range 25 {
-		q := objs[rng.IntN(len(objs))].Vec
-		k := 1 + rng.IntN(20)
-		got, err := p.KNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := p.BruteForceKNN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			// Tied distances may legitimately swap objects; distances must match.
-			if got[i].Dist != want[i].Dist {
-				t.Fatalf("k=%d rank %d: dist %g, want %g", k, i, got[i].Dist, want[i].Dist)
-			}
-		}
-	}
-}
-
-func TestKNNValidation(t *testing.T) {
-	p, _ := buildPlain(t, 6, 100, 4, 6)
-	q := make(metric.Vector, 4)
-	if _, err := p.KNN(q, 0); err == nil {
-		t.Error("k=0 accepted by KNN")
-	}
-	if _, err := p.ApproxKNN(q, 0, 10); err == nil {
-		t.Error("k=0 accepted by ApproxKNN")
-	}
-	if _, err := p.KNN(q, -1); err == nil {
-		t.Error("negative k accepted")
 	}
 }
 
 // Approximate k-NN recall must grow with the candidate-set size and reach
 // 100% when the candidate set covers the whole collection.
 func TestApproxRecallMonotoneInCandSize(t *testing.T) {
-	p, objs := buildPlain(t, 7, 1000, 6, 10)
+	p, objs := buildIndex(t, 7, 1000, 6, 10)
 	rng := rand.New(rand.NewPCG(8, 8))
 	const k = 10
 	sizes := []int{25, 100, 400, 1000}
 	sumRecall := make([]float64, len(sizes))
 	for range 20 {
 		q := objs[rng.IntN(len(objs))].Vec
-		exact, err := p.BruteForceKNN(q, k)
+		exact, err := p.bruteForceKNN(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exactIDs := resultIDs(exact)
 		for i, cs := range sizes {
-			approx, err := p.ApproxKNN(q, k, cs)
+			approx, err := p.approxKNN(q, k, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +329,7 @@ func TestApproxRecallMonotoneInCandSize(t *testing.T) {
 	}
 }
 
-func resultIDs(rs []Result) []uint64 {
+func resultIDs(rs []hit) []uint64 {
 	ids := make([]uint64, len(rs))
 	for i, r := range rs {
 		ids[i] = r.ID
@@ -303,12 +352,12 @@ func recallOf(got, want []uint64) float64 {
 }
 
 func TestApproxCandidatesExactSizeAndPreRanked(t *testing.T) {
-	p, objs := buildPlain(t, 8, 900, 5, 10)
+	p, objs := buildIndex(t, 8, 900, 5, 10)
 	q := objs[3].Vec
-	qd := p.Pivots.Distances(q)
+	qd := p.pivots.Distances(q)
 	aq := ApproxQuery{Ranks: pivot.Ranks(pivot.Permutation(qd)), Dists: qd}
 	for _, cs := range []int{1, 10, 150, 899, 5000} {
-		cands, err := p.Idx.ApproxCandidates(aq, cs)
+		cands, err := p.idx.ApproxCandidates(aq, cs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,10 +366,10 @@ func TestApproxCandidatesExactSizeAndPreRanked(t *testing.T) {
 			t.Fatalf("candSize %d: got %d candidates, want %d", cs, len(cands), wantLen)
 		}
 	}
-	if _, err := p.Idx.ApproxCandidates(aq, 0); err == nil {
+	if _, err := p.idx.ApproxCandidates(aq, 0); err == nil {
 		t.Error("candSize 0 accepted")
 	}
-	if _, err := p.Idx.ApproxCandidates(ApproxQuery{Ranks: []int32{0}}, 5); err == nil {
+	if _, err := p.idx.ApproxCandidates(ApproxQuery{Ranks: []int32{0}}, 5); err == nil {
 		t.Error("short rank vector accepted")
 	}
 }
@@ -331,16 +380,16 @@ func TestApproxDistSumStrategy(t *testing.T) {
 	ds := dataset.Clustered(9, 600, 5, 6, metric.L2{})
 	rng := rand.New(rand.NewPCG(9, 9))
 	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, 10)
-	p, err := NewPlain(cfg, pv)
+	p, err := newTestIndex(cfg, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Idx.Close()
-	if err := p.InsertBulk(ds.Objects); err != nil {
+	defer p.idx.Close()
+	if err := p.insert(ds.Objects...); err != nil {
 		t.Fatal(err)
 	}
 	q := ds.Objects[0].Vec
-	res, err := p.ApproxKNN(q, 5, 200)
+	res, err := p.approxKNN(q, 5, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +402,17 @@ func TestApproxDistSumStrategy(t *testing.T) {
 		t.Fatalf("query object not found: nearest dist %g", res[0].Dist)
 	}
 	// Strategy validation: distsum without distances must fail.
-	if _, err := p.Idx.ApproxCandidates(ApproxQuery{Ranks: make([]int32, 10)}, 5); err == nil {
+	if _, err := p.idx.ApproxCandidates(ApproxQuery{Ranks: make([]int32, 10)}, 5); err == nil {
 		t.Error("distsum ranking accepted a query without distances")
 	}
 }
 
 func TestFirstCellCandidates(t *testing.T) {
-	p, objs := buildPlain(t, 10, 700, 5, 8)
+	p, objs := buildIndex(t, 10, 700, 5, 8)
 	q := objs[10].Vec
-	qd := p.Pivots.Distances(q)
+	qd := p.pivots.Distances(q)
 	aq := ApproxQuery{Ranks: pivot.Ranks(pivot.Permutation(qd)), Dists: qd}
-	cands, err := p.Idx.FirstCellCandidates(aq)
+	cands, err := p.idx.FirstCellCandidates(aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +422,8 @@ func TestFirstCellCandidates(t *testing.T) {
 	// A single cell is a small fraction of the collection (cells at depth
 	// below MaxLevel respect the bucket capacity; max-depth cells may exceed
 	// it but still hold far less than everything).
-	if len(cands) >= p.Idx.Size()/2 {
-		t.Fatalf("first cell returned %d of %d objects — not a single cell", len(cands), p.Idx.Size())
+	if len(cands) >= p.idx.Size()/2 {
+		t.Fatalf("first cell returned %d of %d objects — not a single cell", len(cands), p.idx.Size())
 	}
 	// All candidates must share the permutation prefix of one cell.
 	first := cands[0].Perm
@@ -402,15 +451,6 @@ func TestEmptyIndexSearches(t *testing.T) {
 	first, err := idx.FirstCellCandidates(ApproxQuery{Ranks: make([]int32, 6)})
 	if err != nil || first != nil {
 		t.Fatalf("empty first cell: %v, %v", err, first)
-	}
-}
-
-func TestPlainPivotMismatch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 11))
-	ds := dataset.Clustered(11, 50, 3, 2, metric.L1{})
-	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, 5)
-	if _, err := NewPlain(testConfig(8), pv); err == nil {
-		t.Fatal("pivot-count mismatch accepted")
 	}
 }
 

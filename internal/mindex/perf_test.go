@@ -115,46 +115,6 @@ func TestQueryPathAllocs(t *testing.T) {
 	}
 }
 
-// TestPlainQueryAllocs pins the plain deployment's query paths, which refine
-// on the server: they read each candidate's vector straight from its record
-// into one reused buffer and copy out only the vectors of the results they
-// return, in one block — no candidate is decoded into an Entry. Decoding
-// every candidate would cost several allocations per candidate (a
-// 400-candidate approximate query over a thousand). They cost 8, 8 and 14
-// allocations here, no more than when they shared stored entries (9, 9,
-// 20); the ceilings leave room for the pooled traversal queue, which the
-// race detector's sync.Pool sometimes drops.
-func TestPlainQueryAllocs(t *testing.T) {
-	p, objs := buildPlain(t, 12, 3000, 8, 12)
-	qs := objs[:16]
-	if hits, err := p.Range(qs[0].Vec, 5); err != nil || len(hits) < 20 {
-		t.Fatalf("range of radius 5: %d hits, %v — too few to exercise the refinement", len(hits), err)
-	}
-	cases := []struct {
-		name string
-		max  float64
-		run  func(q []float32) error
-	}{
-		{"approx-knn", 12, func(q []float32) error { _, err := p.ApproxKNN(q, 10, 400); return err }},
-		{"first-cell", 12, func(q []float32) error { _, err := p.FirstCellKNN(q, 10); return err }},
-		{"range", 24, func(q []float32) error { _, err := p.Range(q, 5); return err }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			i := 0
-			got := testing.AllocsPerRun(50, func() {
-				if err := tc.run(qs[i%len(qs)].Vec); err != nil {
-					t.Fatal(err)
-				}
-				i++
-			})
-			if got > tc.max {
-				t.Errorf("%s: %.1f allocs/op, want <= %.0f", tc.name, got, tc.max)
-			}
-		})
-	}
-}
-
 // TestDiskCacheInvalidation drives the DiskStore read-through cache through
 // every invalidation edge: append, replace and free after a cached read
 // must serve fresh data, and the hit/miss counters must tick accordingly.

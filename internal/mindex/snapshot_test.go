@@ -14,8 +14,8 @@ import (
 	"simcloud/internal/pivot"
 )
 
-// buildDisk creates a disk-backed plain index over a clustered collection.
-func buildDisk(t *testing.T, dir string, seed uint64, n int) (*Plain, *dataset.Dataset) {
+// buildDisk creates a disk-backed index over a clustered collection.
+func buildDisk(t *testing.T, dir string, seed uint64, n int) (*testIndex, *dataset.Dataset) {
 	t.Helper()
 	ds := dataset.Clustered(seed, n, 5, 6, metric.L2{})
 	rng := rand.New(rand.NewPCG(seed, 9))
@@ -23,11 +23,11 @@ func buildDisk(t *testing.T, dir string, seed uint64, n int) (*Plain, *dataset.D
 	cfg := testConfig(8)
 	cfg.Storage = StorageDisk
 	cfg.DiskPath = dir
-	p, err := NewPlain(cfg, pv)
+	p, err := newTestIndex(cfg, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.InsertBulk(ds.Objects); err != nil {
+	if err := p.insert(ds.Objects...); err != nil {
 		t.Fatal(err)
 	}
 	return p, ds
@@ -37,18 +37,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
 	p, ds := buildDisk(t, dir, 61, 900)
-	origStats := p.Idx.TreeStats()
+	origStats := p.idx.TreeStats()
 
 	// Reference answers before shutdown.
 	q := ds.Objects[17].Vec
-	wantRange, err := p.Idx.RangeByDists(p.Pivots.Distances(q), 8)
+	wantRange, err := p.idx.RangeByDists(p.pivots.Distances(q), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Idx.SaveSnapshot(snap); err != nil {
+	if err := p.idx.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Idx.Close(); err != nil {
+	if err := p.idx.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +68,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if st != origStats {
 		t.Fatalf("restored stats %+v != original %+v", st, origStats)
 	}
-	gotRange, err := idx.RangeByDists(p.Pivots.Distances(q), 8)
+	gotRange, err := idx.RangeByDists(p.pivots.Distances(q), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +90,10 @@ func TestSnapshotSupportsFurtherInserts(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
 	p, ds := buildDisk(t, dir, 62, 400)
-	if err := p.Idx.SaveSnapshot(snap); err != nil {
+	if err := p.idx.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Idx.Close(); err != nil {
+	if err := p.idx.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,7 +108,7 @@ func TestSnapshotSupportsFurtherInserts(t *testing.T) {
 
 	// Insert more objects through the restored index; splits must work
 	// (fresh bucket IDs must not collide with pre-restart buckets).
-	pv := p.Pivots
+	pv := p.pivots
 	more := dataset.Clustered(63, 400, 5, 6, metric.L2{})
 	for _, o := range more.Objects {
 		dists := pv.Distances(o.Vec)
@@ -116,7 +116,6 @@ func TestSnapshotSupportsFurtherInserts(t *testing.T) {
 			ID:    o.ID + 10000,
 			Perm:  pivot.Permutation(dists),
 			Dists: dists,
-			Vec:   o.Vec,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +147,7 @@ func TestSnapshotTombstoneRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
 	p, ds := buildDisk(t, dir, 68, 700)
-	pv := p.Pivots
+	pv := p.pivots
 
 	gone := map[uint64]bool{}
 	var victims []uint64
@@ -156,14 +155,14 @@ func TestSnapshotTombstoneRoundTrip(t *testing.T) {
 		victims = append(victims, ds.Objects[i].ID)
 		gone[ds.Objects[i].ID] = true
 	}
-	if _, err := p.Idx.Delete(victims); err != nil {
+	if _, err := p.idx.Delete(victims); err != nil {
 		t.Fatal(err)
 	}
-	origStats := p.Idx.TreeStats()
-	if err := p.Idx.SaveSnapshot(snap); err != nil {
+	origStats := p.idx.TreeStats()
+	if err := p.idx.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Idx.Close(); err != nil {
+	if err := p.idx.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -272,10 +271,10 @@ func TestSnapshotRejectsConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
 	p, _ := buildDisk(t, dir, 64, 200)
-	if err := p.Idx.SaveSnapshot(snap); err != nil {
+	if err := p.idx.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	p.Idx.Close()
+	p.idx.Close()
 
 	cfg := testConfig(8)
 	cfg.Storage = StorageDisk
@@ -290,10 +289,10 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
 	p, _ := buildDisk(t, dir, 65, 300)
-	if err := p.Idx.SaveSnapshot(snap); err != nil {
+	if err := p.idx.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	p.Idx.Close()
+	p.idx.Close()
 
 	cfg := testConfig(8)
 	cfg.Storage = StorageDisk
@@ -327,10 +326,10 @@ func TestSnapshotRejectsMissingBucketFiles(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
 	p, _ := buildDisk(t, dir, 66, 300)
-	if err := p.Idx.SaveSnapshot(snap); err != nil {
+	if err := p.idx.SaveSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	p.Idx.Close()
+	p.idx.Close()
 
 	// Delete one bucket file behind the snapshot's back.
 	files, err := filepath.Glob(filepath.Join(dir, "bucket-*.bin"))
@@ -350,16 +349,16 @@ func TestSnapshotRejectsMissingBucketFiles(t *testing.T) {
 
 func TestWriteDot(t *testing.T) {
 	p, _ := buildDisk(t, t.TempDir(), 67, 300)
-	defer p.Idx.Close()
+	defer p.idx.Close()
 	var b strings.Builder
-	if err := p.Idx.WriteDot(&b); err != nil {
+	if err := p.idx.WriteDot(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	if !strings.HasPrefix(out, "digraph mindex {") || !strings.HasSuffix(out, "}\n") {
 		t.Fatalf("not a digraph:\n%.120s", out)
 	}
-	st := p.Idx.TreeStats()
+	st := p.idx.TreeStats()
 	if got := strings.Count(out, "shape=box"); got != st.Leaves {
 		t.Fatalf("dot shows %d leaves, tree has %d", got, st.Leaves)
 	}

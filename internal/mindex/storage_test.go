@@ -25,20 +25,16 @@ func randomEntry(rng *rand.Rand, id uint64) Entry {
 	if rng.IntN(2) == 0 {
 		e.Dists = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	if rng.IntN(2) == 0 {
-		e.Payload = make([]byte, rng.IntN(64))
-		for i := range e.Payload {
-			e.Payload[i] = byte(rng.IntN(256))
-		}
-	} else {
-		e.Vec = metric.Vector{float32(rng.NormFloat64()), float32(rng.NormFloat64())}
+	e.Payload = make([]byte, rng.IntN(64))
+	for i := range e.Payload {
+		e.Payload[i] = byte(rng.IntN(256))
 	}
 	return e
 }
 
 func entriesEqual(a, b Entry) bool {
 	if a.ID != b.ID || len(a.Perm) != len(b.Perm) || len(a.Dists) != len(b.Dists) ||
-		len(a.Payload) != len(b.Payload) || len(a.Vec) != len(b.Vec) {
+		len(a.Payload) != len(b.Payload) {
 		return false
 	}
 	for i := range a.Perm {
@@ -56,7 +52,7 @@ func entriesEqual(a, b Entry) bool {
 			return false
 		}
 	}
-	return a.Vec.Equal(b.Vec) || len(a.Vec) == 0
+	return true
 }
 
 // sameRecord reports whether two candidates carry the same stored record:
@@ -161,6 +157,20 @@ func TestDecodeEntryRejectsTruncations(t *testing.T) {
 			// impossible here because the total length is checked per field.
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestScanEntryRejectsVector: a record's trailing vector count is always
+// zero — codec v3 keeps the field until a format bump drops it — and a
+// record claiming a vector is malformed, not a vector to skip.
+func TestScanEntryRejectsVector(t *testing.T) {
+	buf := EncodeEntry(Entry{ID: 7, Perm: []int32{0, 1}, Payload: []byte{1, 2}})
+	if tail := buf[len(buf)-4:]; !bytes.Equal(tail, []byte{0, 0, 0, 0}) {
+		t.Fatalf("record ends in % x, want an empty vector count", tail)
+	}
+	withVec := append(buf[:len(buf)-4:len(buf)-4], 1, 0, 0, 0, 0, 0, 0x80, 0x3f) // one float32 1.0
+	if _, _, err := ScanEntry(withVec); err == nil {
+		t.Fatal("record with a vector accepted")
 	}
 }
 
@@ -341,7 +351,8 @@ func TestDiskStoreClosedOps(t *testing.T) {
 	}
 }
 
-// A disk-backed index must behave identically to the memory-backed one.
+// A disk-backed index must behave identically to the memory-backed one
+// (core's TestExactKNNEqualsBruteForce runs the precise k-NN over both).
 func TestDiskIndexEqualsMemoryIndex(t *testing.T) {
 	ds := dataset.Clustered(20, 800, 5, 6, metric.L2{})
 	rng := rand.New(rand.NewPCG(20, 20))
@@ -352,55 +363,37 @@ func TestDiskIndexEqualsMemoryIndex(t *testing.T) {
 	diskCfg.Storage = StorageDisk
 	diskCfg.DiskPath = t.TempDir()
 
-	mem, err := NewPlain(memCfg, pv)
+	mem, err := newTestIndex(memCfg, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mem.Idx.Close()
-	disk, err := NewPlain(diskCfg, pv)
+	defer mem.idx.Close()
+	disk, err := newTestIndex(diskCfg, pv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer disk.Idx.Close()
+	defer disk.idx.Close()
 
-	if err := mem.InsertBulk(ds.Objects); err != nil {
+	if err := mem.insert(ds.Objects...); err != nil {
 		t.Fatal(err)
 	}
-	if err := disk.InsertBulk(ds.Objects); err != nil {
+	if err := disk.insert(ds.Objects...); err != nil {
 		t.Fatal(err)
 	}
 
 	for trial := range 10 {
 		q := ds.Objects[rng.IntN(len(ds.Objects))].Vec
 		r := []float64{1, 5, 15}[trial%3]
-		a, err := mem.Range(q, r)
+		a, err := mem.rangeQuery(q, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := disk.Range(q, r)
+		b, err := disk.rangeQuery(q, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("range results differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-				t.Fatalf("result %d differs: %+v vs %+v", i, a[i], b[i])
-			}
-		}
-		ka, err := mem.KNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kb, err := disk.KNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ka {
-			if ka[i].Dist != kb[i].Dist {
-				t.Fatalf("kNN rank %d differs: %g vs %g", i, ka[i].Dist, kb[i].Dist)
-			}
+		if !slices.Equal(a, b) {
+			t.Fatalf("range results differ: %v vs %v", a, b)
 		}
 	}
 }
@@ -570,9 +563,6 @@ func versionedEntry(bucket BucketID, era uint64, pos int) Entry {
 		for i := range e.Payload {
 			e.Payload[i] = byte(id>>(i%8*8)) ^ byte(i)
 		}
-	}
-	if pos%3 == 0 {
-		e.Vec = metric.Vector{float32(pos), float32(era)}
 	}
 	return e
 }

@@ -6,9 +6,12 @@
 //     permutations / distance vectors. It can prune, rank and filter — but
 //     it cannot compute the metric distance function (it has no pivots and
 //     no plaintext), so it returns candidate sets for client refinement.
-//   - Plain: the server holds the pivots and raw vectors and evaluates
-//     queries completely, returning final answers (the non-encrypted
-//     baseline of Tables 4, 7 and 8).
+//   - Plain: the server holds the pivots and the objects' plaintext and
+//     evaluates queries completely, returning final answers (the
+//     non-encrypted baseline of Tables 4, 7 and 8). It runs the encrypted
+//     pipeline itself — an authorized client's insert, search and refinement
+//     over the same engine, with a raw codec for the cipher — supplied as a
+//     PlainBackend (core.PlainBackend).
 //
 // Beside the index, either mode keeps a keyed blob store of ciphertexts: the
 // encrypted raw data of the paper's Figure 1, and the encrypted indexes of
@@ -29,7 +32,7 @@ import (
 	"simcloud/internal/engine"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
-	"simcloud/internal/pivot"
+	"simcloud/internal/stats"
 	"simcloud/internal/wal"
 	"simcloud/internal/wire"
 )
@@ -60,13 +63,22 @@ type blobKey struct {
 	key   uint64
 }
 
+// PlainBackend is the index the plain deployment's server drives: it owns
+// the pivots, indexes raw objects into Engine and answers plain queries to
+// the end, reporting the distance time in its costs. The server takes
+// ownership of Engine. core.NewPlainBackend builds one.
+type PlainBackend interface {
+	Engine() *engine.ShardedIndex
+	Insert(objs []metric.Object) (stats.Costs, error)
+	Query(req wire.PlainQueryReq) ([]wire.Result, stats.Costs, error)
+}
+
 // Server is a similarity-cloud server instance.
 type Server struct {
 	mode  Mode
-	enc   *engine.ShardedIndex
-	plain *mindex.Plain
-	timed *metric.Timed // instruments the plain server's distance function
-	wal   *wal.Log      // optional mutation log; see AttachWAL
+	eng   *engine.ShardedIndex
+	plain PlainBackend // nil in encrypted mode
+	wal   *wal.Log     // optional mutation log; see AttachWAL
 
 	mu    sync.Mutex
 	blobs map[blobKey][][]byte // guarded by mu
@@ -108,30 +120,23 @@ func NewEncryptedWithIndex(idx *mindex.Index) *Server {
 func NewEncryptedWithEngine(eng *engine.ShardedIndex) *Server {
 	return &Server{
 		mode:  ModeEncrypted,
-		enc:   eng,
+		eng:   eng,
 		blobs: make(map[blobKey][][]byte),
 		Logf:  log.Printf,
 	}
 }
 
-// NewPlain creates a server hosting a plain-deployment M-Index: it owns the
-// pivot set and computes all distances itself. The distance function is
-// wrapped for timing so responses can report the server-side
-// distance-computation cost.
-func NewPlain(cfg mindex.Config, pivots *pivot.Set) (*Server, error) {
-	timed := metric.NewTimed(pivots.Dist)
-	instrumented := pivot.NewSet(timed, pivots.Pivots)
-	p, err := mindex.NewPlain(cfg, instrumented)
-	if err != nil {
-		return nil, err
-	}
+// NewPlain creates a plain-deployment server around b: it owns the pivot
+// set and computes all distances itself, and its responses report the
+// distance-computation time b measured.
+func NewPlain(b PlainBackend) *Server {
 	return &Server{
 		mode:  ModePlain,
-		plain: p,
-		timed: timed,
+		eng:   b.Engine(),
+		plain: b,
 		blobs: make(map[blobKey][][]byte),
 		Logf:  log.Printf,
-	}, nil
+	}
 }
 
 // AttachWAL attaches a write-ahead log to an encrypted-deployment server:
@@ -155,13 +160,9 @@ func (s *Server) walAppend(op wal.Op, entries []mindex.Entry) error {
 // Mode returns the deployment mode.
 func (s *Server) Mode() Mode { return s.mode }
 
-// Index exposes the underlying encrypted-deployment index engine (nil in
-// plain mode) for white-box inspection by tools and tests.
-func (s *Server) Index() *engine.ShardedIndex { return s.enc }
-
-// PlainIndex exposes the underlying plain-deployment index (nil in
-// encrypted mode).
-func (s *Server) PlainIndex() *mindex.Plain { return s.plain }
+// Index exposes the underlying index engine, of either deployment, for
+// white-box inspection by tools and tests.
+func (s *Server) Index() *engine.ShardedIndex { return s.eng }
 
 // Start begins listening on addr (use "127.0.0.1:0" for an ephemeral
 // loopback port, the paper's measurement setup).
@@ -246,15 +247,8 @@ func (s *Server) Close() error {
 		err = ln.Close()
 	}
 	s.wg.Wait()
-	if s.enc != nil {
-		if cerr := s.enc.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if s.plain != nil {
-		if cerr := s.plain.Idx.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := s.eng.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -289,12 +283,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // is measured around the handler body only — framing and socket IO count as
 // communication time, matching the paper's decomposition.
 func (s *Server) dispatch(typ wire.MsgType, payload []byte, buf *wire.Buffer) (wire.MsgType, []byte) {
-	start := time.Now()
-	var distBefore time.Duration
-	if s.timed != nil {
-		distBefore = s.timed.Elapsed()
-	}
-	respType, resp, err := s.handle(typ, payload, start, distBefore, buf)
+	respType, resp, err := s.handle(typ, payload, time.Now(), buf)
 	if err != nil {
 		return wire.MsgError, wire.ErrorResp{Msg: err.Error()}.Encode()
 	}
@@ -305,17 +294,10 @@ func (s *Server) serverNanos(start time.Time) uint64 {
 	return uint64(time.Since(start))
 }
 
-func (s *Server) distNanos(before time.Duration) uint64 {
-	if s.timed == nil {
-		return 0
-	}
-	return uint64(s.timed.Elapsed() - before)
-}
-
 var errNeedEncrypted = errors.New("server: request requires the encrypted deployment")
 var errNeedPlain = errors.New("server: request requires the plain deployment")
 
-func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distBefore time.Duration, buf *wire.Buffer) (wire.MsgType, []byte, error) {
+func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
 		if _, err := wire.DecodeHelloReq(payload); err != nil {
@@ -324,14 +306,14 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		return wire.MsgHelloAck, s.helloResp().Encode(), nil
 
 	case wire.MsgInsertEntries:
-		if s.enc == nil {
+		if s.plain != nil {
 			return 0, nil, errNeedEncrypted
 		}
 		req, err := wire.DecodeInsertEntriesReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.enc.InsertBulk(req.Entries); err != nil {
+		if err := s.eng.InsertBulk(req.Entries); err != nil {
 			return 0, nil, err
 		}
 		if err := s.walAppend(wal.OpInsert, req.Entries); err != nil {
@@ -347,16 +329,17 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.plain.InsertBulk(req.Objects); err != nil {
+		costs, err := s.plain.Insert(req.Objects)
+		if err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgAck, wire.AckResp{
 			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
+			DistNanos:   uint64(costs.DistCompTime),
 		}.Encode(), nil
 
 	case wire.MsgDeleteEntries:
-		if s.enc == nil {
+		if s.plain != nil {
 			return 0, nil, errNeedEncrypted
 		}
 		req, err := wire.DecodeDeleteEntriesReq(payload)
@@ -366,7 +349,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		// The engine validates each reference's routing prefix; hostile
 		// permutation elements become an error response, never a panic or a
 		// misrouted tombstone.
-		deleted, err := s.enc.Delete(req.Refs)
+		deleted, err := s.eng.Delete(req.Refs)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -381,14 +364,14 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		}.Encode(), nil
 
 	case wire.MsgBatchQuery:
-		if s.enc == nil {
+		if s.plain != nil {
 			return 0, nil, errNeedEncrypted
 		}
 		req, err := wire.DecodeBatchQueryReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		numPivots := s.enc.Config().NumPivots
+		numPivots := s.eng.Config().NumPivots
 		filter, err := mindex.NewPivotFilter(numPivots, req.Allow)
 		if err != nil {
 			return 0, nil, err
@@ -397,7 +380,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		for i, q := range req.Queries {
 			iq, err := q.IndexQuery(numPivots, filter)
 			if err == nil {
-				results[i], err = s.enc.Search(iq)
+				results[i], err = s.eng.Search(iq)
 			}
 			if err != nil {
 				return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
@@ -420,13 +403,13 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		res, err := s.plainQuery(req)
+		res, costs, err := s.plain.Query(req)
 		if err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgResults, wire.ResultsResp{
 			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
+			DistNanos:   uint64(costs.DistCompTime),
 			Results:     res,
 		}.Encode(), nil
 
@@ -438,7 +421,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		deleted, err := s.plain.Delete(req.IDs)
+		deleted, err := s.eng.DeleteIDs(req.IDs)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -468,7 +451,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		return wire.MsgBlobs, wire.BlobsResp{ServerNanos: s.serverNanos(start), Lists: lists}.Encode(), nil
 
 	case wire.MsgResyncOps:
-		if s.enc == nil {
+		if s.plain != nil {
 			return 0, nil, errNeedEncrypted
 		}
 		req, err := wire.DecodeResyncReq(payload)
@@ -483,14 +466,14 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
 
 	case wire.MsgIngestChunk:
-		if s.enc == nil {
+		if s.plain != nil {
 			return 0, nil, errNeedEncrypted
 		}
 		req, err := wire.DecodeIngestChunkReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.enc.InsertBulk(req.Entries); err != nil {
+		if err := s.eng.InsertBulk(req.Entries); err != nil {
 			return 0, nil, err
 		}
 		if err := s.walAppend(wal.OpInsert, req.Entries); err != nil {
@@ -508,7 +491,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.plain.InsertBulk(req.Objects); err != nil {
+		if _, err := s.plain.Insert(req.Objects); err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
@@ -536,19 +519,6 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 	return 0, nil, fmt.Errorf("server: unsupported request type %v", typ)
 }
 
-// plainQuery evaluates one plain-deployment query.
-func (s *Server) plainQuery(req wire.PlainQueryReq) ([]mindex.Result, error) {
-	switch req.Kind {
-	case wire.PlainRange:
-		return s.plain.Range(req.Q, req.Radius)
-	case wire.PlainKNN:
-		return s.plain.KNN(req.Q, int(req.K))
-	case wire.PlainApprox:
-		return s.plain.ApproxKNN(req.Q, int(req.K), int(req.CandSize))
-	}
-	return s.plain.FirstCellKNN(req.Q, int(req.K))
-}
-
 // putBlobs replaces the blob list of every key req lists with req's blobs
 // for that key, in request order.
 func (s *Server) putBlobs(req wire.PutBlobsReq) {
@@ -572,7 +542,7 @@ func (s *Server) applyResyncOp(op wire.ResyncOp) error {
 	case wire.ResyncInsert:
 		applied := make([]mindex.Entry, 0, len(op.Entries))
 		for _, e := range op.Entries {
-			switch err := s.enc.InsertBulk([]mindex.Entry{e}); {
+			switch err := s.eng.InsertBulk([]mindex.Entry{e}); {
 			case err == nil:
 				applied = append(applied, e)
 			case errors.Is(err, mindex.ErrDuplicateID):
@@ -583,7 +553,7 @@ func (s *Server) applyResyncOp(op wire.ResyncOp) error {
 		}
 		return s.walAppend(wal.OpInsert, applied)
 	case wire.ResyncDelete:
-		if _, err := s.enc.Delete(op.Entries); err != nil {
+		if _, err := s.eng.Delete(op.Entries); err != nil {
 			return err
 		}
 		return s.walAppend(wal.OpDelete, op.Entries)
@@ -594,13 +564,10 @@ func (s *Server) applyResyncOp(op wire.ResyncOp) error {
 // helloResp summarizes this server for the hello handshake: deployment
 // mode, index shape, and the live entry count as a health signal.
 func (s *Server) helloResp() wire.HelloResp {
-	var cfg mindex.Config
-	var mode uint8
-	var entries int
-	if s.enc != nil {
-		cfg, mode, entries = s.enc.Config(), wire.HelloModeEncrypted, s.enc.Size()
-	} else {
-		cfg, mode, entries = s.plain.Idx.Config(), wire.HelloModePlain, s.plain.Idx.Size()
+	cfg := s.eng.Config()
+	mode := wire.HelloModeEncrypted
+	if s.plain != nil {
+		mode = wire.HelloModePlain
 	}
 	shards := max(1, cfg.Shards)
 	return wire.HelloResp{
@@ -615,6 +582,6 @@ func (s *Server) helloResp() wire.HelloResp {
 		// engine-level flag.
 		EagerRootSplit: cfg.EagerRootSplit || shards > 1,
 		Shards:         uint32(shards),
-		Entries:        uint64(entries),
+		Entries:        uint64(s.eng.Size()),
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"simcloud/internal/core"
 	"simcloud/internal/dataset"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
@@ -42,11 +43,18 @@ func startEncrypted(t *testing.T) *Server {
 
 func startPlain(t *testing.T) *Server {
 	t.Helper()
-	ds := dataset.Clustered(1, 50, 2, 2, metric.L1{})
-	srv, err := NewPlain(testCfg(), pivot.SelectRandom(rand.New(rand.NewPCG(1, 1)), ds.Dist, ds.Objects, 6))
+	return startPlainDim(t, 2)
+}
+
+// startPlainDim starts a plain server over pivots of dim dimensions.
+func startPlainDim(t *testing.T, dim int) *Server {
+	t.Helper()
+	ds := dataset.Clustered(1, 50, dim, 2, metric.L1{})
+	b, err := core.NewPlainBackend(testCfg(), pivot.SelectRandom(rand.New(rand.NewPCG(1, 1)), ds.Dist, ds.Objects, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := NewPlain(b)
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +133,38 @@ func TestModeGuards(t *testing.T) {
 
 	// And the reverse on a plain server.
 	expectError(t, dial(t, startPlain(t)), wire.MsgBatchQuery, downloadAll, "encrypted")
+}
+
+// TestPlainWrongDimensionIsError: a plain server measures every object and
+// query against its pivots, so a vector of another dimension must be an
+// error reply — one 13-byte query used to panic in the distance function
+// and take the whole process down — and the connection must stay usable.
+func TestPlainWrongDimensionIsError(t *testing.T) {
+	srv := startPlainDim(t, 6)
+	conn := dial(t, srv)
+	short := metric.Vector{1}
+	objs := []metric.Object{{ID: 1, Vec: make(metric.Vector, 6)}, {ID: 2, Vec: short}}
+	for _, req := range []struct {
+		typ     wire.MsgType
+		payload []byte
+	}{
+		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainKNN, Q: short, K: 1}.Encode()},
+		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainRange, Q: short, Radius: 1}.Encode()},
+		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainApprox, Q: short, K: 1, CandSize: 5}.Encode()},
+		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainFirstCell, Q: short, K: 1}.Encode()},
+		{wire.MsgInsertObjects, wire.InsertObjectsReq{Objects: objs}.Encode()},
+		{wire.MsgIngestObjChunk, wire.IngestObjChunkReq{Seq: 1, Objects: objs}.Encode()},
+	} {
+		expectError(t, conn, req.typ, req.payload, "dimensions")
+		respType, _ := request(t, conn, wire.MsgPlainQuery,
+			wire.PlainQueryReq{Kind: wire.PlainKNN, Q: make(metric.Vector, 6), K: 1}.Encode())
+		if respType != wire.MsgResults {
+			t.Fatalf("%v: connection unusable after the error: got %v", req.typ, respType)
+		}
+	}
+	if n := srv.Index().Size(); n != 0 {
+		t.Fatalf("refused inserts left %d entries", n)
+	}
 }
 
 func TestInvalidPermutationRejected(t *testing.T) {

@@ -17,7 +17,6 @@ func testEntry(id uint64) mindex.Entry {
 		Perm:    []int32{int32(id % 8), int32((id + 3) % 8), int32((id + 5) % 8)},
 		Dists:   []float64{float64(id) * 0.25, float64(id) * 0.5},
 		Payload: []byte{byte(id), byte(id >> 8), 0xAB},
-		Vec:     []float32{float32(id), float32(id) + 0.5},
 	}
 }
 

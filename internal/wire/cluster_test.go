@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 )
 
@@ -74,7 +73,7 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 			{
 				{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{2, 0, 1}, Payload: []byte{9, 9}}),
 					Promise: 0.25, Prefix: []int32{2}},
-				{Entry: mindex.ViewOf(mindex.Entry{ID: 2, Perm: []int32{2, 1, 0}, Dists: []float64{1, 2, 3}, Vec: metric.Vector{4}}),
+				{Entry: mindex.ViewOf(mindex.Entry{ID: 2, Perm: []int32{2, 1, 0}, Dists: []float64{1, 2, 3}, Payload: []byte{4}}),
 					Promise: 0.5, Prefix: []int32{2, 1}},
 			},
 		},

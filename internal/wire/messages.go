@@ -266,11 +266,19 @@ func DecodeCandidatesResp(p []byte) (CandidatesResp, error) {
 	return m, r.Err()
 }
 
+// Result is one final answer of a plain query: the object and its distance
+// to the query.
+type Result struct {
+	ID   uint64
+	Dist float64
+	Vec  metric.Vector
+}
+
 // ResultsResp returns refined results (plain deployment).
 type ResultsResp struct {
 	ServerNanos uint64
 	DistNanos   uint64
-	Results     []mindex.Result
+	Results     []Result
 }
 
 // Encode serializes the response payload.
@@ -295,7 +303,7 @@ func DecodeResultsResp(p []byte) (ResultsResp, error) {
 	if n < 0 || n > len(p)/20+1 {
 		return m, ErrCodec
 	}
-	m.Results = make([]mindex.Result, 0, n)
+	m.Results = make([]Result, 0, n)
 	for range n {
 		id := r.U64()
 		d := r.F64()
@@ -303,7 +311,7 @@ func DecodeResultsResp(p []byte) (ResultsResp, error) {
 		if r.err != nil {
 			break
 		}
-		m.Results = append(m.Results, mindex.Result{ID: id, Dist: d, Vec: vec})
+		m.Results = append(m.Results, Result{ID: id, Dist: d, Vec: vec})
 	}
 	return m, r.Err()
 }

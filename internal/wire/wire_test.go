@@ -143,7 +143,7 @@ func TestMsgTypeStrings(t *testing.T) {
 func sampleEntries() []mindex.Entry {
 	return []mindex.Entry{
 		{ID: 1, Perm: []int32{2, 0, 1}, Dists: []float64{1, 2, 3}, Payload: []byte{9, 8}},
-		{ID: 2, Perm: []int32{0, 1, 2}, Vec: metric.Vector{1.5, 2.5}},
+		{ID: 2, Perm: []int32{0, 1, 2}, Payload: []byte{1, 5, 2, 5}},
 	}
 }
 
@@ -154,7 +154,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out.Entries) != 2 || out.Entries[0].ID != 1 || out.Entries[1].Vec[1] != 2.5 {
+		if len(out.Entries) != 2 || out.Entries[0].ID != 1 || out.Entries[1].Payload[2] != 2 {
 			t.Fatalf("round trip: %+v", out)
 		}
 	})
@@ -331,7 +331,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("results", func(t *testing.T) {
-		in := ResultsResp{ServerNanos: 1, DistNanos: 2, Results: []mindex.Result{
+		in := ResultsResp{ServerNanos: 1, DistNanos: 2, Results: []Result{
 			{ID: 1, Dist: 0.5, Vec: metric.Vector{1}},
 			{ID: 2, Dist: 1.5},
 		}}

@@ -250,7 +250,11 @@ func NewEncryptedServer(cfg Config) (*Server, error) { return server.NewEncrypte
 // NewPlainServer creates the non-encrypted baseline server: it owns the
 // pivots and raw data and answers queries completely.
 func NewPlainServer(cfg Config, pivots *PivotSet) (*Server, error) {
-	return server.NewPlain(cfg, pivots)
+	b, err := core.NewPlainBackend(cfg, pivots)
+	if err != nil {
+		return nil, err
+	}
+	return server.NewPlain(b), nil
 }
 
 // NewCoordinator connects to the encrypted servers at the given addresses,
