@@ -19,7 +19,7 @@
 // algorithmic differences rather than implementation accidents. EHI and FDH
 // keep their encrypted index in the server's keyed blob store (MsgPutBlobs,
 // MsgGetBlobs); the trivial client downloads the encrypted M-Index's own
-// entries with a BatchAll query. All three share one connection type, link.
+// entries with a BatchAll query. All three run over a wire.Link, like the encrypted client.
 package baseline
 
 import (
@@ -193,7 +193,7 @@ func EHIBuild(rng *rand.Rand, dist metric.Distance, objs []metric.Object,
 // traversal logic, decryption and distance computation happen here; the
 // server only serves blobs.
 type EHIClient struct {
-	link
+	link *wire.Link
 	key  *secret.Key
 	dist metric.Distance
 	root uint64
@@ -208,9 +208,12 @@ func DialEHI(addr string, key *secret.Key, dist metric.Distance) (*EHIClient, er
 	return &EHIClient{link: l, key: key, dist: dist}, nil
 }
 
+// Close releases the client's connections.
+func (c *EHIClient) Close() error { return c.link.Close() }
+
 // Upload ships the encrypted nodes to the server and records the root.
 func (c *EHIClient) Upload(rootID uint64, nodes []wire.Blob) (stats.Costs, error) {
-	costs, err := c.upload(wire.SpaceEHI, nodes)
+	costs, err := upload(c.link, wire.SpaceEHI, nodes)
 	if err == nil {
 		c.root = rootID
 	}
@@ -219,7 +222,7 @@ func (c *EHIClient) Upload(rootID uint64, nodes []wire.Blob) (stats.Costs, error
 
 // fetchNode retrieves and decrypts one node (one round trip).
 func (c *EHIClient) fetchNode(id uint64, costs *stats.Costs) (*ehiNode, error) {
-	lists, err := c.fetch(wire.SpaceEHI, []uint64{id}, costs)
+	lists, err := fetch(c.link, wire.SpaceEHI, []uint64{id}, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +312,7 @@ func (c *EHIClient) KNN(q metric.Vector, k int) ([]core.Result, stats.Costs, err
 			}
 		}
 	}
-	finishCosts(&costs, start)
+	costs.Finish(start)
 	return best, costs, nil
 }
 
@@ -354,6 +357,6 @@ func (c *EHIClient) Range(q metric.Vector, r float64) ([]core.Result, stats.Cost
 		return nil, costs, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	finishCosts(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }

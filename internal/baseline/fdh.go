@@ -82,7 +82,7 @@ func FDHBuild(p *FDHParams, key *secret.Key, objs []metric.Object) ([]wire.Blob,
 // locally. The scheme is approximate — objects whose signature differs in
 // many bits are never retrieved.
 type FDHClient struct {
-	link
+	link   *wire.Link
 	key    *secret.Key
 	params *FDHParams
 }
@@ -96,10 +96,13 @@ func DialFDH(addr string, key *secret.Key, params *FDHParams) (*FDHClient, error
 	return &FDHClient{link: l, key: key, params: params}, nil
 }
 
+// Close releases the client's connections.
+func (c *FDHClient) Close() error { return c.link.Close() }
+
 // Upload ships the encrypted bucket table to the server. A bucket holds
 // exactly the blobs one upload files under its signature.
 func (c *FDHClient) Upload(items []wire.Blob) (stats.Costs, error) {
-	return c.upload(wire.SpaceFDH, items)
+	return upload(c.link, wire.SpaceFDH, items)
 }
 
 // keysAtHamming enumerates all signatures at exactly Hamming distance h from
@@ -146,7 +149,7 @@ func (c *FDHClient) KNN(q metric.Vector, k, candTarget, maxHamming int) ([]core.
 	retrieved := 0
 	for h := 0; h <= maxHamming && retrieved < candTarget; h++ {
 		keys := keysAtHamming(sig, m, h)
-		buckets, err := c.fetch(wire.SpaceFDH, keys, &costs)
+		buckets, err := fetch(c.link, wire.SpaceFDH, keys, &costs)
 		if err != nil {
 			return nil, costs, err
 		}
@@ -172,7 +175,7 @@ func (c *FDHClient) KNN(q metric.Vector, k, candTarget, maxHamming int) ([]core.
 	if len(results) > k {
 		results = results[:k]
 	}
-	finishCosts(&costs, start)
+	costs.Finish(start)
 	return results, costs, nil
 }
 

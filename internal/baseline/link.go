@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -9,56 +10,33 @@ import (
 	"simcloud/internal/wire"
 )
 
-// link is a baseline client's connection to the server: one counted socket,
-// and the round trip and blob-store requests every baseline protocol runs
-// over it.
-type link struct {
-	conn *wire.CountingConn
-}
-
-func dial(addr string) (link, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return link{}, err
-	}
-	return link{conn: wire.NewCountingConn(conn)}, nil
-}
-
-// Close releases the connection.
-func (l link) Close() error { return l.conn.Close() }
-
-// roundTrip sends one request and reads its reply, charging the exchange to
-// costs; an error reply becomes a *wire.RemoteError.
-func (l link) roundTrip(t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
-	sentBefore, recvBefore := l.conn.BytesWritten(), l.conn.BytesRead()
-	ioStart := time.Now()
-	if err := wire.WriteFrame(l.conn, t, payload); err != nil {
-		return 0, nil, err
-	}
-	respType, resp, err := wire.ReadFrame(l.conn)
-	costs.CommTime += time.Since(ioStart)
-	costs.BytesSent += l.conn.BytesWritten() - sentBefore
-	costs.BytesReceived += l.conn.BytesRead() - recvBefore
-	costs.RoundTrips++
-	if err != nil {
-		return 0, nil, err
-	}
-	if respType == wire.MsgError {
-		m, derr := wire.DecodeErrorResp(resp)
-		if derr != nil {
-			return 0, nil, derr
+// dial connects a baseline client to the server at addr. Every baseline
+// protocol runs over a wire.Link like the encrypted client's, but its dial
+// skips the hello: the compared techniques run against whichever deployment
+// serves their blobs. The first connection is dialed here, so an
+// unreachable server fails the dial.
+func dial(addr string) (*wire.Link, error) {
+	l := wire.NewLink(func(ctx context.Context) (*wire.CountingConn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
 		}
-		return 0, nil, &wire.RemoteError{Msg: m.Msg}
+		return wire.NewCountingConn(conn), nil
+	})
+	if err := l.Warm(context.Background()); err != nil {
+		return nil, err
 	}
-	return respType, resp, nil
+	return l, nil
 }
 
 // upload stores blobs in one space of the server's blob store, in one round
 // trip.
-func (l link) upload(space uint8, blobs []wire.Blob) (stats.Costs, error) {
+func upload(l *wire.Link, space uint8, blobs []wire.Blob) (stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	respType, resp, err := l.roundTrip(wire.MsgPutBlobs, wire.PutBlobsReq{Space: space, Items: blobs}.Encode(), &costs)
+	respType, resp, err := l.RoundTrip(context.Background(), wire.MsgPutBlobs,
+		wire.PutBlobsReq{Space: space, Items: blobs}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return costs, err
 	}
@@ -69,15 +47,16 @@ func (l link) upload(space uint8, blobs []wire.Blob) (stats.Costs, error) {
 	if err != nil {
 		return costs, err
 	}
-	creditServer(&costs, ack.ServerNanos)
-	finishCosts(&costs, start)
+	costs.CreditServer(ack.ServerNanos)
+	costs.Finish(start)
 	return costs, nil
 }
 
 // fetch reads the blob lists of keys from one space, in one round trip: one
 // list per key, in order, empty for a key the space does not hold.
-func (l link) fetch(space uint8, keys []uint64, costs *stats.Costs) ([][][]byte, error) {
-	respType, resp, err := l.roundTrip(wire.MsgGetBlobs, wire.GetBlobsReq{Space: space, Keys: keys}.Encode(), costs)
+func fetch(l *wire.Link, space uint8, keys []uint64, costs *stats.Costs) ([][][]byte, error) {
+	respType, resp, err := l.RoundTrip(context.Background(), wire.MsgGetBlobs,
+		wire.GetBlobsReq{Space: space, Keys: keys}.Encode(), new(wire.Buffer), costs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,23 +67,6 @@ func (l link) fetch(space uint8, keys []uint64, costs *stats.Costs) ([][][]byte,
 	if err != nil {
 		return nil, err
 	}
-	creditServer(costs, m.ServerNanos)
+	costs.CreditServer(m.ServerNanos)
 	return m.Lists, nil
-}
-
-func creditServer(costs *stats.Costs, serverNanos uint64) {
-	st := time.Duration(serverNanos)
-	costs.ServerTime += st
-	costs.CommTime -= st
-	if costs.CommTime < 0 {
-		costs.CommTime = 0
-	}
-}
-
-func finishCosts(costs *stats.Costs, start time.Time) {
-	costs.Overall = time.Since(start)
-	costs.ClientTime = costs.Overall - costs.ServerTime - costs.CommTime
-	if costs.ClientTime < 0 {
-		costs.ClientTime = 0
-	}
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -22,8 +23,8 @@ import (
 // same encrypted M-Index store, fetched as one BatchAll query whose flat
 // reply carries each entry's ID and ciphertext.
 type TrivialClient struct {
-	link
-	key *secret.Key
+	link *wire.Link
+	key  *secret.Key
 }
 
 // DialTrivial connects a trivial client to the encrypted server at addr.
@@ -35,10 +36,14 @@ func DialTrivial(addr string, key *secret.Key) (*TrivialClient, error) {
 	return &TrivialClient{link: l, key: key}, nil
 }
 
+// Close releases the client's connections.
+func (c *TrivialClient) Close() error { return c.link.Close() }
+
 // download fetches and decrypts the full collection.
 func (c *TrivialClient) download(costs *stats.Costs) ([]metric.Object, error) {
 	all := []wire.BatchQuery{{Kind: wire.BatchAll}}
-	respType, resp, err := c.roundTrip(wire.MsgBatchQuery, wire.BatchQueryReq{Queries: all}.Encode(), costs)
+	respType, resp, err := c.link.RoundTrip(context.Background(), wire.MsgBatchQuery,
+		wire.BatchQueryReq{Queries: all}.Encode(), new(wire.Buffer), costs)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +57,7 @@ func (c *TrivialClient) download(costs *stats.Costs) ([]metric.Object, error) {
 	if len(m.Results) != 1 {
 		return nil, fmt.Errorf("baseline: download answered with %d results", len(m.Results))
 	}
-	creditServer(costs, m.ServerNanos)
+	costs.CreditServer(m.ServerNanos)
 	entries := m.Results[0]
 	objs := make([]metric.Object, 0, len(entries))
 	for _, e := range entries {
@@ -90,7 +95,7 @@ func (c *TrivialClient) KNN(q metric.Vector, dist metric.Distance, k int) ([]cor
 	if len(results) > k {
 		results = results[:k]
 	}
-	finishCosts(&costs, start)
+	costs.Finish(start)
 	return results, costs, nil
 }
 
@@ -112,6 +117,6 @@ func (c *TrivialClient) Range(q metric.Vector, dist metric.Distance, r float64) 
 	costs.DistCompTime += time.Since(distStart)
 	costs.DistComps += int64(len(objs))
 	sort.Slice(results, func(i, j int) bool { return results[i].Dist < results[j].Dist })
-	finishCosts(&costs, start)
+	costs.Finish(start)
 	return results, costs, nil
 }

@@ -19,15 +19,18 @@
 // record is appended to the client-ward reply straight out of its frame
 // (combine.go; the frames are leased and released within one function).
 //
-// At startup the coordinator hellos every node and refuses to federate
-// nodes that are unreachable or key-incompatible (different pivot count,
-// tree depth, bucket capacity or ranking strategy — entries indexed under
-// one pivot set are garbage under another). Node failure at runtime is
-// handled with retry-with-exclusion: a node whose connection fails is
-// marked down, and the failed portion of the operation is re-routed over
-// the surviving nodes. Down nodes are periodically re-probed
-// (Options.ReprobeInterval, or ProbeDownNodes directly) and re-admitted
-// after a fresh shape check.
+// Each node is reached over one wire.Link, the connection type every hop
+// uses: every connection it dials is hello'd, and the coordinator refuses to
+// federate nodes that are unreachable or key-incompatible (different pivot
+// count, tree depth, bucket capacity or ranking strategy — entries indexed
+// under one pivot set are garbage under another). Reads lease the link's
+// connections concurrently; writes keep per-node order on a write lane.
+// Node failure at runtime is handled with retry-with-exclusion: a node whose
+// connection fails is marked down and its link closed, and the failed
+// portion of every operation in flight on it is re-routed over the surviving
+// nodes. Down nodes are periodically re-probed (Options.ReprobeInterval, or
+// ProbeDownNodes directly) and re-admitted on a fresh link after a fresh
+// shape check.
 //
 // With Options.Replicas R > 1 every entry is stored on R nodes chosen by
 // its first-level cell (see replicate.go): writes fan to all owners with
@@ -43,7 +46,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +56,11 @@ import (
 
 // Options configures a Coordinator.
 type Options struct {
-	// DialTimeout bounds each node dial + hello at startup. Default 5s.
+	// DialTimeout bounds each node dial + hello: at startup, at re-admission,
+	// and whenever a request finds no idle connection to the node and its
+	// link dials one. A runtime dial that fails or times out counts as a
+	// node failure: the node is marked down and the request re-routed.
+	// Default 5s.
 	DialTimeout time.Duration
 	// NodeTimeout bounds each request round trip to a node; a node that
 	// exceeds it is treated as failed (marked down, operation re-routed).
@@ -95,6 +101,9 @@ type Coordinator struct {
 	pool     *fanout.Pool
 	replicas int
 
+	// probeMu makes re-admission single-flight (see ProbeDownNodes).
+	probeMu sync.Mutex
+
 	// journalMu guards the per-node re-sync journals and serializes the
 	// down→live transition of re-admission against concurrent replica
 	// writes (see deliverOrJournal / readmit in replicate.go).
@@ -123,49 +132,23 @@ type Coordinator struct {
 	wg     sync.WaitGroup
 }
 
-// node is one federated simserver: its address, its (mutex-serialized)
-// coordinator connection, and its liveness flag. A node marked down stays
-// down until a probe re-dials it and re-admission succeeds — including the
-// shape re-check and (when replicated) the journal replay that brings its
-// data back in sync.
+// node is one federated simserver: its address, its link — the pooled
+// coordinator connections every request to the node leases one of — and its
+// liveness flag. Reads lease connections concurrently; writes additionally
+// hold the node's write lane, so they reach the node in the order the
+// coordinator issued them. A node marked down stays down until a probe
+// re-dials it and re-admission succeeds — including the shape re-check and
+// (when replicated) the journal replay that brings its data back in sync —
+// and installs a fresh link.
 type node struct {
 	id   int
 	addr string
-	// mu serializes round trips; connMu guards only the conn pointer, so
-	// Coordinator.Close can close the socket of a round trip that is
-	// blocked mid-read (NodeTimeout 0) without waiting behind mu.
-	mu     sync.Mutex
-	connMu sync.Mutex
-	conn   net.Conn
-	down   atomic.Bool
-}
-
-func (n *node) getConn() net.Conn {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	return n.conn
-}
-
-// setConn installs a fresh connection (re-admission), closing any stale one.
-func (n *node) setConn(conn net.Conn) {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	if n.conn != nil {
-		n.conn.Close()
-	}
-	n.conn = conn
-}
-
-// closeConn closes and clears the connection; safe to call concurrently
-// with an in-flight roundTrip (whose blocked read then fails over to the
-// node-down path).
-func (n *node) closeConn() {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	if n.conn != nil {
-		n.conn.Close()
-		n.conn = nil
-	}
+	link atomic.Pointer[wire.Link]
+	// write is the node's write lane: inserts, ingest chunks and ends,
+	// deletes and re-syncs hold it across their round trip, because journal
+	// replay and the node's WAL depend on per-node write order.
+	write sync.Mutex
+	down  atomic.Bool
 }
 
 // nodeDownError marks a transport-level node failure, as opposed to an
@@ -215,23 +198,33 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 			c.closeNodes()
 		}
 	}()
+	// Node 0's hello sets the agreed shape; every connection to any node,
+	// node 0's own included, is then checked against it.
+	conn, err := wire.Dialer(addrs[0], o.DialTimeout, func(info wire.HelloResp) error {
+		c.info = info
+		return nil
+	})(c.ctx)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: node %s: %w", addrs[0], err)
+	}
+	conn.Close()
 	for i, addr := range addrs {
-		conn, err := net.DialTimeout("tcp", addr, o.DialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %s: %w", addr, err)
-		}
-		c.nodes = append(c.nodes, &node{id: i, addr: addr, conn: conn})
+		n := &node{id: i, addr: addr}
+		n.link.Store(c.dialNode(addr))
+		c.nodes = append(c.nodes, n)
 	}
-	for i, n := range c.nodes {
-		info, err := c.hello(n)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.admit(i, info); err != nil {
+	for _, n := range c.nodes {
+		if err := n.link.Load().Warm(c.ctx); err != nil {
 			return nil, err
 		}
 	}
-	c.pool = fanout.New(min(len(c.nodes), max(2, runtime.GOMAXPROCS(0))))
+	// The fan-out workers bound the coordinator's node round trips in flight.
+	// Nodes serve reads side by side, so two per node lets two client
+	// requests reach every node at once. Two is also what the load asks for:
+	// over a chain_refine run (two senders, three nodes, R=2) every node's
+	// link peaked at two leases and dialed two connections (NodeLinks), far
+	// under the wire.MaxIdle a link keeps warm, so no lease dials twice.
+	c.pool = fanout.New(2 * len(c.nodes))
 	if o.ReprobeInterval > 0 {
 		c.wg.Add(1)
 		go c.probeLoop(o.ReprobeInterval)
@@ -240,27 +233,15 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// hello performs the identification round trip with one node. It runs at
-// assembly time only, so it is bounded by DialTimeout: a node that accepts
-// the connection but never answers must fail New loudly, not hang it.
-func (c *Coordinator) hello(n *node) (wire.HelloResp, error) {
-	respType, payload, err := n.roundTrip(c.ctx, wire.MsgHello, wire.HelloReq{}.Encode(), c.opts.DialTimeout)
-	if err != nil {
-		return wire.HelloResp{}, err
-	}
-	if respType != wire.MsgHelloAck {
-		return wire.HelloResp{}, fmt.Errorf("cluster: node %s: unexpected hello response %v", n.addr, respType)
-	}
-	return wire.DecodeHelloResp(payload)
-}
-
-// admit checks node i's hello against the cluster's agreed shape (set by
-// node 0) and rejects any mismatch.
-func (c *Coordinator) admit(i int, info wire.HelloResp) error {
-	if i == 0 {
-		c.info = info
-	}
-	return c.checkShape(c.nodes[i].addr, info)
+// dialNode returns the link to the node at addr. Every connection it dials
+// passes the hello handshake and the shape check, bounded by DialTimeout: a
+// node that accepts connections but never answers must fail loudly, not
+// hang, and a node restarted with different parameters is refused on its
+// first new connection.
+func (c *Coordinator) dialNode(addr string) *wire.Link {
+	return wire.NewLink(wire.Dialer(addr, c.opts.DialTimeout, func(info wire.HelloResp) error {
+		return c.checkShape(addr, info)
+	}))
 }
 
 // checkShape validates one node's hello against the cluster's agreed index
@@ -291,60 +272,39 @@ func (c *Coordinator) checkShape(addr string, info wire.HelloResp) error {
 	return nil
 }
 
-// roundTrip performs one request/response exchange with the node and
-// returns the reply in a payload slice of its own (see roundTripInto).
-func (n *node) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, timeout time.Duration) (wire.MsgType, []byte, error) {
-	return n.roundTripInto(ctx, t, payload, timeout, new(wire.Buffer))
-}
-
-// roundTripInto performs one request/response exchange with the node,
-// serialized on the node's connection, under ctx plus the per-round-trip
-// timeout (whichever fires first): the effective deadline becomes the
-// connection's read/write deadline via wire.ArmContext, so a node that
-// stalls mid-response cannot hang the coordinator past its bound. The reply
-// is read into frame and the returned payload aliases it: it lives as long
-// as the caller's lease on frame does. Any transport failure closes the
-// connection, marks the node down and returns a nodeDownError; an error
-// frame from the node is returned as a wire.RemoteError with the node still
-// up.
-func (n *node) roundTripInto(ctx context.Context, t wire.MsgType, payload []byte, timeout time.Duration, frame *wire.Buffer) (wire.MsgType, []byte, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	conn := n.getConn()
-	if conn == nil {
-		return 0, nil, &nodeDownError{addr: n.addr, err: errors.New("connection closed")}
+// roundTrip performs one request/response exchange with the node on a
+// leased connection of its link, under ctx plus the per-round-trip timeout
+// (whichever fires first), so a node that stalls mid-response cannot hang
+// the coordinator past its bound. The reply is read into frame and the
+// returned payload aliases it: it lives as long as the caller's lease on
+// frame does. Reads (batch queries and hellos) run side by side; every other
+// request is a write and holds the node's write lane. Any transport failure
+// marks the node down and closes its whole link — so the node's other
+// requests in flight fail over at once — and returns a nodeDownError; an
+// error frame from the node is returned as a wire.RemoteError with the node
+// still up.
+func (n *node) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, timeout time.Duration, frame *wire.Buffer) (wire.MsgType, []byte, error) {
+	if t != wire.MsgBatchQuery && t != wire.MsgHello {
+		n.write.Lock()
+		defer n.write.Unlock()
 	}
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	disarm, err := wire.ArmContext(ctx, conn)
-	if err != nil {
-		return 0, nil, err // coordinator shutting down; not the node's fault
+	link := n.link.Load()
+	respType, resp, err := link.RoundTrip(ctx, t, payload, frame, nil)
+	var remote *wire.RemoteError
+	if err == nil || errors.As(err, &remote) || errors.Is(err, wire.ErrNotStarted) {
+		return respType, resp, err // an ErrNotStarted is the coordinator shutting down, not the node's fault
 	}
-	fail := func(err error) (wire.MsgType, []byte, error) {
-		n.closeConn()
+	link.Close()
+	// A link re-admission has replaced since belongs to an earlier outage.
+	if n.link.Load() == link {
 		n.down.Store(true)
-		return 0, nil, &nodeDownError{addr: n.addr, err: err}
 	}
-	respType, resp, err := func() (wire.MsgType, []byte, error) {
-		if err := wire.WriteFrame(conn, t, payload); err != nil {
-			return 0, nil, err
-		}
-		return wire.ReadFrameInto(conn, frame)
-	}()
-	if err = disarm(err); err != nil {
-		return fail(err)
-	}
-	if respType == wire.MsgError {
-		m, derr := wire.DecodeErrorResp(resp)
-		if derr != nil {
-			return fail(derr)
-		}
-		return 0, nil, &wire.RemoteError{Msg: m.Msg}
-	}
-	return respType, resp, nil
+	return 0, nil, &nodeDownError{addr: n.addr, err: err}
 }
 
 // alive returns the currently live nodes, in node-id order. The order
@@ -368,6 +328,17 @@ func (c *Coordinator) LiveNodes() []string {
 	var out []string
 	for _, n := range c.alive() {
 		out = append(out, n.addr)
+	}
+	return out
+}
+
+// NodeLinks reports each node's link (in node-id order): the coordinator
+// connections leased and idle right now, the most ever leased at once, and
+// the dial and discard counts since the node's last (re-)admission.
+func (c *Coordinator) NodeLinks() []wire.LinkStats {
+	out := make([]wire.LinkStats, len(c.nodes))
+	for i, n := range c.nodes {
+		out[i] = n.link.Load().Stats()
 	}
 	return out
 }
@@ -453,15 +424,14 @@ func (c *Coordinator) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Close node connections BEFORE waiting for the serve goroutines: a
-	// handler blocked mid-round-trip on a hung node (NodeTimeout 0) only
-	// unblocks when its node socket dies; waiting first would deadlock
-	// shutdown.
+	// Close node links BEFORE waiting for the serve goroutines: a handler
+	// blocked mid-round-trip on a hung node (NodeTimeout 0) only unblocks
+	// when its node socket dies; waiting first would deadlock shutdown.
 	c.closeNodes()
 	c.wg.Wait()
 	// A probe racing the first closeNodes may have installed a fresh node
-	// connection before observing the cancelled context; now that every
-	// goroutine has exited, close whatever is left.
+	// link before observing the cancelled context; now that every goroutine
+	// has exited, close whatever is left.
 	c.closeNodes()
 	if c.pool != nil {
 		c.pool.Close()
@@ -471,7 +441,7 @@ func (c *Coordinator) Close() error {
 
 func (c *Coordinator) closeNodes() {
 	for _, n := range c.nodes {
-		n.closeConn()
+		n.link.Load().Close()
 	}
 }
 

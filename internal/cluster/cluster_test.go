@@ -8,6 +8,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"slices"
@@ -505,7 +506,8 @@ func TestKeyMismatchRejection(t *testing.T) {
 }
 
 // stubNode listens as a node that answers hellos with the given raw payload
-// and swallows everything else forever.
+// and, from the first other request on, never answers again: it swallows
+// everything until the peer hangs up.
 func stubNode(t *testing.T, hello []byte) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -527,7 +529,8 @@ func stubNode(t *testing.T, hello []byte) net.Listener {
 						return
 					}
 					if typ != wire.MsgHello {
-						select {} // hang: never answer
+						io.Copy(io.Discard, conn) // hang: never answer
+						return
 					}
 					if err := wire.WriteFrame(conn, wire.MsgHelloAck, hello); err != nil {
 						return
@@ -544,6 +547,7 @@ func stubNode(t *testing.T, hello []byte) net.Listener {
 // silent (with the default NodeTimeout of 0, only closing the node socket
 // can unblock that read).
 func TestCloseUnblocksHungNode(t *testing.T) {
+	checkLeaks(t)
 	ln := stubNode(t, wire.HelloResp{
 		Version: wire.ProtocolVersion,
 		Mode:    wire.HelloModeEncrypted, NumPivots: testPivots,

@@ -166,8 +166,8 @@ func (c *Coordinator) fanInsert(ctx context.Context, entries []mindex.Entry, str
 
 // insertFrame builds the node-ward frame of one insert delivery: request
 // type, expected ack type and payload, in the bulk or streamed form. The
-// streamed form carries sequence number 0 — node connections are shared
-// round-trip-serialized pipes multiplexing every client, so the coordinator
+// streamed form carries sequence number 0 — every client's writes to a node
+// share its write lane, one leased round trip at a time, so the coordinator
 // forwards each chunk as its own one-chunk stream and the nodes (by design)
 // ignore chunk numbering.
 func insertFrame(entries []mindex.Entry, stream bool) (t, want wire.MsgType, payload []byte) {
@@ -206,7 +206,7 @@ func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry,
 				return nil
 			}
 			t, want, payload := insertFrame(groups[i], stream)
-			respType, resp, err := targets[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout)
+			respType, resp, err := targets[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout, new(wire.Buffer))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; re-routing %d entries", err, len(groups[i]))
@@ -300,7 +300,7 @@ func (c *Coordinator) deleteRefs(ctx context.Context, refs []mindex.Entry) (uint
 				return nil
 			}
 			respType, resp, err := targets[i].roundTrip(ctx, wire.MsgDeleteEntries,
-				wire.DeleteEntriesReq{Refs: groups[i]}.Encode(), c.opts.NodeTimeout)
+				wire.DeleteEntriesReq{Refs: groups[i]}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; re-routing %d delete refs", err, len(groups[i]))
@@ -359,7 +359,7 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 		replies := make([]nodeReply, len(targets))
 		var anyDown atomic.Bool
 		err := c.pool.Run(len(targets), func(i int) error {
-			respType, resp, err := targets[i].roundTripInto(ctx, t, payload, c.opts.NodeTimeout, frames.of(targets[i]))
+			respType, resp, err := targets[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout, frames.of(targets[i]))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; retrying over surviving nodes", err)

@@ -294,6 +294,7 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 // intervention, and the coordinator switches deletes to broadcast because
 // placement epochs are now mixed.
 func TestReprobeReadmitsNode(t *testing.T) {
+	checkLeaks(t)
 	w := newWorld(t, 400)
 	cfg := nodeConfig(true)
 	dirs := []string{t.TempDir(), t.TempDir()}
@@ -373,6 +374,7 @@ func TestReprobeReadmitsNode(t *testing.T) {
 // replica, and the coordinator reassigns read ownership mid-flight. Run
 // under -race in CI, this also exercises the journal/readmission locking.
 func TestConcurrentQueriesDuringKill(t *testing.T) {
+	checkLeaks(t)
 	// Every pooled buffer is overwritten the moment it is released: a
 	// candidate view that outlived its frame would corrupt an answer here
 	// every time, not once in a while.
@@ -430,5 +432,214 @@ func TestConcurrentQueriesDuringKill(t *testing.T) {
 	}
 	if live := coord.LiveNodes(); len(live) != 2 {
 		t.Fatalf("after kill: %d live nodes, want 2 (%v)", len(live), live)
+	}
+}
+
+// delayAll is a faultnet schedule slowing every connection by the same
+// forwarding delay.
+type delayAll time.Duration
+
+func (d delayAll) RuleFor(int) faultnet.Rule { return faultnet.Rule{Delay: time.Duration(d)} }
+
+// TestInFlightReadsDuringKill holds several reads in flight on one node
+// while it dies. With R=2 and the victim's traffic slowed by a faultnet
+// delay, at least four coordinator reads are leased on the victim's link at
+// once when it is killed; every query must still come back byte-identical
+// to a healthy single server's answer — straight from the nodes or after the
+// fail-over — and none may fail. The healthy nodes' links must not have
+// dialed past their idle cap.
+func TestInFlightReadsDuringKill(t *testing.T) {
+	checkLeaks(t)
+	wire.PoisonBuffers(t)
+	w := newWorld(t, 1000)
+	ref := startServer(t, nodeConfig(false))
+	refClient := dial(t, ref.Addr(), w.key)
+	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+		t.Fatal(err)
+	}
+	const victim = 1
+	srvs := make([]*server.Server, 3)
+	addrs := make([]string, 3)
+	for i := range srvs {
+		srvs[i] = startServer(t, nodeConfig(true))
+		addrs[i] = srvs[i].Addr()
+	}
+	addrs[victim] = startFaultProxy(t, srvs[victim].Addr(), delayAll(20*time.Millisecond)).Addr()
+	coord, err := cluster.New(addrs, cluster.Options{Replicas: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	client := dial(t, coord.Addr(), w.key)
+	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 8
+	const perWorker = 12
+	probe := func(wkr, i int) core.Query {
+		q := w.data.Objects[(wkr*131+i*17)%len(w.data.Objects)].Vec
+		return core.Query{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200}
+	}
+	want := make([][][]core.Result, workers)
+	for wkr := range want {
+		want[wkr] = make([][]core.Result, perWorker)
+		for i := range perWorker {
+			if want[wkr][i], _, err = search(refClient, probe(wkr, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	errc := make(chan error, workers)
+	var wg sync.WaitGroup
+	for wkr := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWorker {
+				got, _, err := search(client, probe(wkr, i))
+				if err != nil {
+					errc <- fmt.Errorf("worker %d query %d: %w", wkr, i, err)
+					return
+				}
+				if !resultsEqual(got, want[wkr][i]) || !vectorsEqual(got, want[wkr][i]) {
+					errc <- fmt.Errorf("worker %d query %d: answer differs from the single server's", wkr, i)
+					return
+				}
+			}
+		}()
+	}
+	// Kill the victim only once four reads are leased on it at once.
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.NodeLinks()[victim].Leased < 4 {
+		if time.Now().After(deadline) {
+			t.Errorf("never saw 4 reads in flight on the victim: %+v", coord.NodeLinks()[victim])
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srvs[victim].Close()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if s := coord.NodeLinks()[victim]; s.Peak < 4 {
+		t.Errorf("victim link peaked at %d leases, want at least 4", s.Peak)
+	}
+	// The fan-out's six workers (two per node) never lease more of a node's
+	// connections than its link keeps idle, so a healthy node's link never
+	// dials past wire.MaxIdle: released connections are reused, not redialed.
+	for i, s := range coord.NodeLinks() {
+		if i != victim && s.Dialed > wire.MaxIdle {
+			t.Errorf("node %d link dialed %d connections, more than the %d it keeps idle: %+v", i, s.Dialed, wire.MaxIdle, s)
+		}
+	}
+	if live := coord.LiveNodes(); len(live) != 2 {
+		t.Fatalf("after kill: %d live nodes, want 2 (%v)", len(live), live)
+	}
+}
+
+// TestConcurrentProbesKeepJournal: two ProbeDownNodes calls racing each
+// other and a stream of writes must re-admit a restarted replica with every
+// journaled write delivered. Afterwards the node's co-owner is killed, so
+// the re-admitted node alone serves the cells they share: the cluster's
+// answers must stay byte-identical to a single server's. Run it with -race
+// -count=20.
+func TestConcurrentProbesKeepJournal(t *testing.T) {
+	w := newWorld(t, 600)
+	ref := startServer(t, nodeConfig(false))
+	refClient := dial(t, ref.Addr(), w.key)
+	cfg := nodeConfig(true)
+	const victim, coOwner = 1, 0 // node 1 backs up node 0's cells
+	dir := t.TempDir()
+	srvs := make([]*server.Server, 3)
+	addrs := make([]string, 3)
+	for i := range srvs {
+		if i != victim {
+			srvs[i] = startServer(t, cfg)
+			addrs[i] = srvs[i].Addr()
+		}
+	}
+	srvs[victim] = startWALServer(t, cfg, dir)
+	proxy := startFaultProxy(t, srvs[victim].Addr(), faultnet.Clean())
+	addrs[victim] = proxy.Addr()
+	coord, err := cluster.New(addrs, cluster.Options{Replicas: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	client := dial(t, coord.Addr(), w.key)
+	insertBoth := func(objs []simcloud.Object) error {
+		if _, err := refClient.InsertBatch(objs); err != nil {
+			return err
+		}
+		_, err := client.InsertBatch(objs)
+		return err
+	}
+	deleteBoth := func(objs []simcloud.Object) error {
+		if _, _, err := refClient.DeleteBatch(objs); err != nil {
+			return err
+		}
+		_, _, err := client.DeleteBatch(objs)
+		return err
+	}
+	objs := w.data.Objects
+	if err := insertBoth(objs[:300]); err != nil {
+		t.Fatal(err)
+	}
+	// Kill the victim and write through the outage: its share journals.
+	srvs[victim].Close()
+	if err := insertBoth(objs[300:400]); err != nil {
+		t.Fatal(err)
+	}
+	if err := deleteBoth(objs[:20]); err != nil {
+		t.Fatal(err)
+	}
+	srvs[victim] = startWALServer(t, cfg, dir)
+	proxy.SetBackend(srvs[victim].Addr())
+
+	// Two probes race each other and the writes that keep coming.
+	var wg sync.WaitGroup
+	readmitted := make([]int, 2)
+	for i := range readmitted {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			readmitted[i] = coord.ProbeDownNodes(context.Background())
+		}()
+	}
+	for at := 400; at < len(objs); at += 25 {
+		if err := insertBoth(objs[at : at+25]); err != nil {
+			t.Fatal(err)
+		}
+		if err := deleteBoth(objs[at-380 : at-375]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if readmitted[0]+readmitted[1] != 1 {
+		t.Fatalf("probes re-admitted %v nodes, want 1 in all", readmitted)
+	}
+	if live := coord.LiveNodes(); len(live) != 3 {
+		t.Fatalf("after the probes: %d live nodes, want 3 (%v)", len(live), live)
+	}
+
+	// The victim now serves the co-owner's cells alone.
+	srvs[coOwner].Close()
+	if got, want := downloadAll(t, coord.Addr(), w), downloadAll(t, ref.Addr(), w); !sameCollection(got, want) {
+		t.Fatalf("download-all (%d entries) diverges from single server (%d)", len(got), len(want))
+	}
+	for _, qi := range []int{3, 123, 456, 589} {
+		q := objs[qi].Vec
+		if got, want := approxCandidateIDs(t, coord.Addr(), w, q, 200), approxCandidateIDs(t, ref.Addr(), w, q, 200); !slices.Equal(got, want) {
+			t.Fatalf("query %d: candidate list diverges from single server\n got %v\nwant %v", qi, got, want)
+		}
 	}
 }

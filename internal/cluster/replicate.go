@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -93,7 +92,7 @@ func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.Res
 			return nil
 		}
 		c.journalMu.Unlock()
-		respType, _, err := n.roundTrip(ctx, t, payload, c.opts.NodeTimeout)
+		respType, _, err := n.roundTrip(ctx, t, payload, c.opts.NodeTimeout, new(wire.Buffer))
 		if err != nil {
 			if isNodeDown(err) {
 				c.opts.Logf("simcoord: %v; journaling %d entries for re-sync", err, len(op.Entries))
@@ -172,7 +171,7 @@ func (c *Coordinator) deleteReplicated(ctx context.Context, refs []mindex.Entry)
 				return nil
 			}
 			respType, resp, err := c.nodes[i].roundTrip(ctx, wire.MsgDeleteEntries,
-				wire.DeleteEntriesReq{Refs: g}.Encode(), c.opts.NodeTimeout)
+				wire.DeleteEntriesReq{Refs: g}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; retrying %d delete refs", err, len(g))
@@ -261,7 +260,7 @@ func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32
 				return nil
 			}
 			t, payload := encode(allow[i])
-			respType, resp, err := c.nodes[i].roundTripInto(ctx, t, payload, c.opts.NodeTimeout, frames.of(c.nodes[i]))
+			respType, resp, err := c.nodes[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout, frames.of(c.nodes[i]))
 			if err != nil {
 				if isNodeDown(err) {
 					c.opts.Logf("simcoord: %v; reassigning read owners", err)
@@ -294,8 +293,11 @@ func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32
 // its index shape via the hello handshake, replays the journaled writes it
 // missed, and only then marks it live. The background loop (Options.
 // ReprobeInterval) calls this periodically; tests call it directly for a
-// deterministic probe.
+// deterministic probe. Probes are single-flight: a call made while another
+// runs waits for it, so two re-admissions of one node never interleave.
 func (c *Coordinator) ProbeDownNodes(ctx context.Context) int {
+	c.probeMu.Lock()
+	defer c.probeMu.Unlock()
 	readmitted := 0
 	for _, n := range c.nodes {
 		if !n.down.Load() {
@@ -311,31 +313,24 @@ func (c *Coordinator) ProbeDownNodes(ctx context.Context) int {
 	return readmitted
 }
 
-// readmit brings one down node back: dial, shape-check, journal replay,
-// then (under journalMu, with the journal observed empty) the live mark.
-// Writes racing the replay serialize on journalMu: they either journal
-// while the node is still down — the drain loop picks them up — or run
-// after the node is live and deliver directly.
+// readmit brings one down node back: a fresh link whose first connection
+// passes the hello shape check, journal replay, then (under journalMu, with
+// the journal observed empty) the live mark. Writes racing the replay
+// serialize on journalMu: they either journal while the node is still down —
+// the drain loop picks them up — or run after the node is live and deliver
+// directly.
 func (c *Coordinator) readmit(ctx context.Context, n *node) error {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", n.addr)
-	if err != nil {
+	link := c.dialNode(n.addr)
+	if err := link.Warm(ctx); err != nil {
 		return err
 	}
-	n.setConn(conn)
+	n.link.Swap(link).Close()
 	ok := false
 	defer func() {
 		if !ok {
-			n.closeConn()
+			link.Close()
 		}
 	}()
-	info, err := c.hello(n)
-	if err != nil {
-		return err
-	}
-	if err := c.checkShape(n.addr, info); err != nil {
-		return err
-	}
 	if !c.replicated() {
 		// Unreplicated placement is mod the live-node count, so entries
 		// inserted during the outage live where this node's cells "should"
@@ -360,7 +355,7 @@ func (c *Coordinator) readmit(ctx context.Context, n *node) error {
 		}
 		c.journals[n.id] = nil
 		c.journalMu.Unlock()
-		respType, _, err := n.roundTrip(ctx, wire.MsgResyncOps, wire.ResyncReq{Ops: ops}.Encode(), c.opts.NodeTimeout)
+		respType, _, err := n.roundTrip(ctx, wire.MsgResyncOps, wire.ResyncReq{Ops: ops}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
 		if err == nil && respType != wire.MsgAck {
 			err = fmt.Errorf("cluster: node %s: unexpected re-sync response %v", n.addr, respType)
 		}

@@ -125,13 +125,13 @@ func (c *coder) Key() *secret.Key {
 
 // EncryptedClient is an authorized client of the encrypted similarity
 // cloud. It is safe for concurrent use: operations lease connections from
-// an internal pool (dialed on demand, reused when idle), so N goroutines
+// its wire.Link (dialed on demand, reused when idle), so N goroutines
 // sharing one client run N concurrent exchanges instead of racing on one
 // socket.
 type EncryptedClient struct {
 	coder
 	addr string
-	pool *connPool
+	link *wire.Link
 }
 
 var _ Searcher = (*EncryptedClient)(nil)
@@ -158,87 +158,61 @@ func DialEncryptedContext(ctx context.Context, addr string, key *secret.Key, opt
 		o.PrefixLen = key.Pivots().N()
 	}
 	c := &EncryptedClient{coder: coder{key: key, opts: o}, addr: addr}
-	c.pool = newConnPool(func(ctx context.Context) (*wire.CountingConn, error) {
-		return dialAndHello(ctx, addr, wire.HelloModeEncrypted, key.Pivots().N())
-	})
-	conn, err := c.pool.dial(ctx)
-	if err != nil {
+	c.link = dialLink(addr, wire.HelloModeEncrypted, key.Pivots().N())
+	if err := c.link.Warm(ctx); err != nil {
 		return nil, err
 	}
-	c.pool.putIdle(conn)
 	return c, nil
+}
+
+// PoolStats is a point-in-time view of a networked client's link (see
+// wire.LinkStats), surfaced per backend through CollectStats and the
+// gateway's /metrics endpoint.
+type PoolStats = wire.LinkStats
+
+// dialLink returns the link to the server at addr: every connection it
+// dials passes the hello handshake, which verifies the server speaks this
+// build's protocol version and runs the deployment the client flavor talks
+// to. wantPivots > 0 additionally requires the server's index to be built
+// over exactly that many pivots (the client key's pivot count — entries
+// indexed under one pivot set are garbage under another).
+func dialLink(addr string, wantMode uint8, wantPivots int) *wire.Link {
+	return wire.NewLink(wire.Dialer(addr, 0, func(hello wire.HelloResp) error {
+		if err := hello.CheckVersion(); err != nil {
+			return fmt.Errorf("core: hello handshake: %w", err)
+		}
+		if hello.Mode != wantMode {
+			return fmt.Errorf("core: server runs the %s deployment, this client speaks the %s protocol",
+				helloModeName(hello.Mode), helloModeName(wantMode))
+		}
+		if wantPivots > 0 && int(hello.NumPivots) != wantPivots {
+			return fmt.Errorf("core: server index uses %d pivots, client key has %d — wrong key for this cloud",
+				hello.NumPivots, wantPivots)
+		}
+		return nil
+	}))
+}
+
+func helloModeName(mode uint8) string {
+	switch mode {
+	case wire.HelloModeEncrypted:
+		return "encrypted"
+	case wire.HelloModePlain:
+		return "plain"
+	}
+	return fmt.Sprintf("mode(%d)", mode)
 }
 
 // Addr returns the server address the client dials.
 func (c *EncryptedClient) Addr() string { return c.addr }
 
-// PoolStats reports the connection-lease pool's current depth and lifetime
-// dial/discard counters (see PoolStats; surfaced per backend through
-// CollectStats and the gateway's /metrics endpoint).
-func (c *EncryptedClient) PoolStats() PoolStats { return c.pool.stats() }
+// PoolStats reports the link's current depth and lifetime dial/discard
+// counters.
+func (c *EncryptedClient) PoolStats() PoolStats { return c.link.Stats() }
 
 // Close releases every pooled connection, interrupting in-flight
 // operations.
-func (c *EncryptedClient) Close() error { return c.pool.close() }
-
-// roundTrip sends one request and reads one response on a pooled
-// connection, measuring the time spent on the wire and the bytes in both
-// directions. ctx bounds the whole exchange.
-func (c *EncryptedClient) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
-	var respType wire.MsgType
-	var resp []byte
-	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
-		var err error
-		respType, resp, err = roundTrip(ctx, conn, t, payload, costs)
-		return err
-	})
-	return respType, resp, err
-}
-
-// roundTrip is one request/response exchange on conn under ctx: the
-// context's deadline becomes the connection's read/write deadline for this
-// round trip, and cancellation interrupts a blocked read.
-func roundTrip(ctx context.Context, conn *wire.CountingConn, t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
-	disarm, err := wire.ArmContext(ctx, conn)
-	if err != nil {
-		return 0, nil, err
-	}
-	sentBefore, recvBefore := conn.BytesWritten(), conn.BytesRead()
-	ioStart := time.Now()
-	respType, resp, err := func() (wire.MsgType, []byte, error) {
-		if err := wire.WriteFrame(conn, t, payload); err != nil {
-			return 0, nil, err
-		}
-		return wire.ReadFrame(conn)
-	}()
-	ioTime := time.Since(ioStart)
-	costs.CommTime += ioTime // server time is subtracted by the caller
-	costs.BytesSent += conn.BytesWritten() - sentBefore
-	costs.BytesReceived += conn.BytesRead() - recvBefore
-	costs.RoundTrips++
-	if err = disarm(err); err != nil {
-		return 0, nil, err
-	}
-	if respType == wire.MsgError {
-		m, derr := wire.DecodeErrorResp(resp)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &wire.RemoteError{Msg: m.Msg}
-	}
-	return respType, resp, nil
-}
-
-// creditServer moves the server-reported processing time out of the
-// measured wire time.
-func creditServer(costs *stats.Costs, serverNanos uint64) {
-	st := time.Duration(serverNanos)
-	costs.ServerTime += st
-	costs.CommTime -= st
-	if costs.CommTime < 0 {
-		costs.CommTime = 0
-	}
-}
+func (c *EncryptedClient) Close() error { return c.link.Close() }
 
 // pivotScratch is the pivot-distance row and the full permutation of one
 // object, reused from object to object within a call (one per worker): of
@@ -357,7 +331,8 @@ func (c *EncryptedClient) InsertContext(ctx context.Context, objs []metric.Objec
 	if err != nil {
 		return costs, err
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgInsertEntries, wire.InsertEntriesReq{Entries: entries}.Encode(), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgInsertEntries,
+		wire.InsertEntriesReq{Entries: entries}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return costs, err
 	}
@@ -368,18 +343,7 @@ func (c *EncryptedClient) InsertContext(ctx context.Context, objs []metric.Objec
 	if err != nil {
 		return costs, err
 	}
-	creditServer(&costs, ack.ServerNanos)
-	finish(&costs, start)
+	costs.CreditServer(ack.ServerNanos)
+	costs.Finish(start)
 	return costs, nil
-}
-
-// finish completes the cost decomposition: client time is everything not
-// spent on the wire, matching the paper's "data encryption/decryption,
-// distance computations, and processing overhead".
-func finish(costs *stats.Costs, start time.Time) {
-	costs.Overall = time.Since(start)
-	costs.ClientTime = costs.Overall - costs.ServerTime - costs.CommTime
-	if costs.ClientTime < 0 {
-		costs.ClientTime = 0
-	}
 }

@@ -347,15 +347,17 @@ func TestModeMismatchIsRemoteError(t *testing.T) {
 	// Speak the plain protocol to the encrypted server.
 	// A plain client wired straight onto the encrypted server's address,
 	// skipping the dial handshake (which would catch the mismatch early):
-	// the pool leases raw connections without a hello.
-	raw, err := net.Dial("tcp", client.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := &PlainClient{addr: client.Addr(), pool: newConnPool(nil)}
-	pc.pool.putIdle(wire.NewCountingConn(raw))
+	// the link leases raw connections without a hello.
+	pc := &PlainClient{addr: client.Addr(), link: wire.NewLink(func(ctx context.Context) (*wire.CountingConn, error) {
+		var d net.Dialer
+		raw, err := d.DialContext(ctx, "tcp", client.Addr())
+		if err != nil {
+			return nil, err
+		}
+		return wire.NewCountingConn(raw), nil
+	})}
 	defer pc.Close()
-	_, err = pc.Insert([]metric.Object{{ID: 1, Vec: metric.Vector{1, 2, 3, 4, 5, 6}}})
+	_, err := pc.Insert([]metric.Object{{ID: 1, Vec: metric.Vector{1, 2, 3, 4, 5, 6}}})
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("expected remote error, got %v", err)

@@ -288,44 +288,6 @@ func TestConcurrentSearchSharedClient(t *testing.T) {
 	}
 }
 
-// TestPoolHygiene: a pre-cancelled context must not condemn a healthy
-// idle connection, and a concurrency burst must not pin one socket per
-// peak goroutine after it drains.
-func TestPoolHygiene(t *testing.T) {
-	client, ds, _ := testCloud(t, Options{}, true)
-	idleCount := func() int {
-		client.pool.mu.Lock()
-		defer client.pool.mu.Unlock()
-		return len(client.pool.idle)
-	}
-	probe := Query{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 2, CandSize: 20}
-
-	before := idleCount()
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := client.Search(cancelled, probe); !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context.Canceled, got %v", err)
-	}
-	if got := idleCount(); got != before {
-		t.Errorf("pre-cancelled Search changed the idle pool: %d -> %d", before, got)
-	}
-
-	var wg sync.WaitGroup
-	for range 4 * maxIdle {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := client.Search(context.Background(), probe); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := idleCount(); got > maxIdle {
-		t.Errorf("idle pool holds %d connections after the burst, cap is %d", got, maxIdle)
-	}
-}
-
 // TestDialFailureClosesConn audits the connection-leak fix: a dial that
 // fails after the TCP connect — here a handshake pivot-count mismatch —
 // must close the raw connection, observed through the wrapped listener's

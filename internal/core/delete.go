@@ -42,12 +42,12 @@ func (c *EncryptedClient) DeleteContext(ctx context.Context, objs []metric.Objec
 	var costs stats.Costs
 	start := time.Now()
 	if len(objs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return 0, costs, nil
 	}
 	refs := c.deleteRefs(objs, &costs)
-	respType, resp, err := c.roundTrip(ctx, wire.MsgDeleteEntries,
-		wire.DeleteEntriesReq{Refs: refs}.Encode(), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgDeleteEntries,
+		wire.DeleteEntriesReq{Refs: refs}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return 0, costs, err
 	}
@@ -58,8 +58,8 @@ func (c *EncryptedClient) DeleteContext(ctx context.Context, objs []metric.Objec
 	if err != nil {
 		return 0, costs, err
 	}
-	creditServer(&costs, ack.ServerNanos)
-	finish(&costs, start)
+	costs.CreditServer(ack.ServerNanos)
+	costs.Finish(start)
 	return int(ack.Deleted), costs, nil
 }
 
@@ -77,40 +77,40 @@ func (c *EncryptedClient) DeleteBatchContext(ctx context.Context, objs []metric.
 	var costs stats.Costs
 	start := time.Now()
 	if len(objs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return 0, costs, nil
 	}
 	refs := c.deleteRefs(objs, &costs)
 	chunk := c.opts.BatchChunk
-	reqs := make([]frame, 0, c.chunkCount(len(refs)))
+	reqs := make([]wire.Frame, 0, c.chunkCount(len(refs)))
 	for at := 0; at < len(refs); at += chunk {
-		reqs = append(reqs, frame{
-			typ:     wire.MsgDeleteEntries,
-			payload: wire.DeleteEntriesReq{Refs: refs[at:min(at+chunk, len(refs))]}.Encode(),
+		reqs = append(reqs, wire.Frame{
+			Type:    wire.MsgDeleteEntries,
+			Payload: wire.DeleteEntriesReq{Refs: refs[at:min(at+chunk, len(refs))]}.Encode(),
 		})
 	}
-	resps, err := c.exchange(ctx, reqs, &costs)
+	resps, err := c.link.Exchange(ctx, reqs, &costs)
 	if err != nil {
 		return 0, costs, err
 	}
-	defer releaseFrames(resps)
+	defer wire.ReleaseFrames(resps)
 	deleted := 0
 	for ci, r := range resps {
-		if err := respError(r); err != nil {
+		if err := r.Err(); err != nil {
 			lo := ci * chunk
 			return deleted, costs, fmt.Errorf("core: delete chunk %d (objects %d..%d): %w",
 				ci, lo, min(lo+chunk, len(refs))-1, err)
 		}
-		if r.typ != wire.MsgDeleteAck {
-			return deleted, costs, fmt.Errorf("core: unexpected batch delete response %v", r.typ)
+		if r.Type != wire.MsgDeleteAck {
+			return deleted, costs, fmt.Errorf("core: unexpected batch delete response %v", r.Type)
 		}
-		ack, err := wire.DecodeDeleteAckResp(r.payload)
+		ack, err := wire.DecodeDeleteAckResp(r.Payload)
 		if err != nil {
 			return deleted, costs, err
 		}
 		deleted += int(ack.Deleted)
-		creditServer(&costs, ack.ServerNanos)
+		costs.CreditServer(ack.ServerNanos)
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return deleted, costs, nil
 }

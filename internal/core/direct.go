@@ -155,7 +155,7 @@ func (c *DirectClient) Search(ctx context.Context, q Query) ([]Result, stats.Cos
 	if err != nil {
 		return nil, costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }
 
@@ -274,7 +274,7 @@ func (c *DirectClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result,
 	var costs stats.Costs
 	start := time.Now()
 	if len(qs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return nil, costs, nil
 	}
 	out := make([][]Result, len(qs))
@@ -292,7 +292,7 @@ func (c *DirectClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result,
 		}
 		out[i] = res
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }
 
@@ -321,7 +321,7 @@ func (c *DirectClient) InsertContext(ctx context.Context, objs []metric.Object) 
 	if err != nil {
 		return costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return costs, nil
 }
 
@@ -343,7 +343,7 @@ func (c *DirectClient) DeleteContext(ctx context.Context, objs []metric.Object) 
 	var costs stats.Costs
 	start := time.Now()
 	if len(objs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return 0, costs, nil
 	}
 	refs := c.deleteRefs(objs, &costs)
@@ -356,7 +356,7 @@ func (c *DirectClient) DeleteContext(ctx context.Context, objs []metric.Object) 
 	if err != nil {
 		return 0, costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return deleted, costs, nil
 }
 

@@ -79,10 +79,11 @@
 // errors.Is(err, context.DeadlineExceeded) works.
 //
 // The networked clients are safe for concurrent use: operations lease
-// connections from an internal pool (dialed on demand through the hello
-// handshake, reused while healthy, discarded the moment an exchange on
-// them fails), so goroutines sharing one client never interleave frames on
-// one socket.
+// connections from a wire.Link — the one connection type of every hop, the
+// coordinator's and the baseline clients' included — dialed on demand
+// through the hello handshake, reused while healthy, discarded the moment
+// an exchange on them fails, so goroutines sharing one client never
+// interleave frames on one socket.
 //
 // # Key invariant: the server address is just an address
 //

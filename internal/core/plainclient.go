@@ -16,12 +16,12 @@ import (
 // answers, so "the amount of work on the client is negligible".
 //
 // Like EncryptedClient it is safe for concurrent use: operations lease
-// connections from an internal pool, and it implements the same Searcher
+// connections from its wire.Link, and it implements the same Searcher
 // interface, so baseline-vs-encrypted experiments run the identical query
 // code against both deployments.
 type PlainClient struct {
 	addr string
-	pool *connPool
+	link *wire.Link
 }
 
 var _ Searcher = (*PlainClient)(nil)
@@ -37,40 +37,23 @@ func DialPlain(addr string) (*PlainClient, error) {
 // handshake verifying the server really runs the plain deployment — so a
 // wrong address fails here, not on the first query.
 func DialPlainContext(ctx context.Context, addr string) (*PlainClient, error) {
-	c := &PlainClient{addr: addr}
-	c.pool = newConnPool(func(ctx context.Context) (*wire.CountingConn, error) {
-		return dialAndHello(ctx, addr, wire.HelloModePlain, 0)
-	})
-	conn, err := c.pool.dial(ctx)
-	if err != nil {
+	c := &PlainClient{addr: addr, link: dialLink(addr, wire.HelloModePlain, 0)}
+	if err := c.link.Warm(ctx); err != nil {
 		return nil, err
 	}
-	c.pool.putIdle(conn)
 	return c, nil
 }
 
 // Addr returns the server address the client dials.
 func (c *PlainClient) Addr() string { return c.addr }
 
-// PoolStats reports the connection-lease pool's current depth and lifetime
-// dial/discard counters (see PoolStats).
-func (c *PlainClient) PoolStats() PoolStats { return c.pool.stats() }
+// PoolStats reports the link's current depth and lifetime dial/discard
+// counters.
+func (c *PlainClient) PoolStats() PoolStats { return c.link.Stats() }
 
 // Close releases every pooled connection, interrupting in-flight
 // operations.
-func (c *PlainClient) Close() error { return c.pool.close() }
-
-// roundTrip runs one exchange on a pooled connection under ctx.
-func (c *PlainClient) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
-	var respType wire.MsgType
-	var resp []byte
-	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
-		var err error
-		respType, resp, err = roundTrip(ctx, conn, t, payload, costs)
-		return err
-	})
-	return respType, resp, err
-}
+func (c *PlainClient) Close() error { return c.link.Close() }
 
 // Insert is InsertContext without a deadline.
 func (c *PlainClient) Insert(objs []metric.Object) (stats.Costs, error) {
@@ -82,8 +65,8 @@ func (c *PlainClient) Insert(objs []metric.Object) (stats.Costs, error) {
 func (c *PlainClient) InsertContext(ctx context.Context, objs []metric.Object) (stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	respType, resp, err := c.roundTrip(ctx, wire.MsgInsertObjects,
-		wire.InsertObjectsReq{Objects: objs}.Encode(), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgInsertObjects,
+		wire.InsertObjectsReq{Objects: objs}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return costs, err
 	}
@@ -94,9 +77,9 @@ func (c *PlainClient) InsertContext(ctx context.Context, objs []metric.Object) (
 	if err != nil {
 		return costs, err
 	}
-	creditServer(&costs, ack.ServerNanos)
+	costs.CreditServer(ack.ServerNanos)
 	costs.DistCompTime = time.Duration(ack.DistNanos) // server-side distance time
-	finish(&costs, start)
+	costs.Finish(start)
 	return costs, nil
 }
 
@@ -125,7 +108,7 @@ func decodeResults(respType wire.MsgType, resp []byte, costs *stats.Costs) ([]Re
 	if err != nil {
 		return nil, err
 	}
-	creditServer(costs, m.ServerNanos)
+	costs.CreditServer(m.ServerNanos)
 	costs.DistCompTime += time.Duration(m.DistNanos) // server-side distance time
 	out := make([]Result, len(m.Results))
 	for i, r := range m.Results {
@@ -145,7 +128,7 @@ func (c *PlainClient) Search(ctx context.Context, q Query) ([]Result, stats.Cost
 	if err != nil {
 		return nil, costs, err
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgPlainQuery, plainQuery(nq), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgPlainQuery, plainQuery(nq), new(wire.Buffer), &costs)
 	if err != nil {
 		return nil, costs, err
 	}
@@ -153,7 +136,7 @@ func (c *PlainClient) Search(ctx context.Context, q Query) ([]Result, stats.Cost
 	if err != nil {
 		return nil, costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }
 
@@ -167,38 +150,34 @@ func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, 
 	var costs stats.Costs
 	start := time.Now()
 	if len(qs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return nil, costs, nil
 	}
-	reqs := make([]frame, len(qs))
+	reqs := make([]wire.Frame, len(qs))
 	for i, q := range qs {
 		nq, err := q.normalized()
 		if err != nil {
 			return nil, costs, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
-		reqs[i] = frame{typ: wire.MsgPlainQuery, payload: plainQuery(nq)}
+		reqs[i] = wire.Frame{Type: wire.MsgPlainQuery, Payload: plainQuery(nq)}
 	}
-	var resps []frame
-	if err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
-		var err error
-		resps, err = exchange(ctx, conn, reqs, &costs)
-		return err
-	}); err != nil {
+	resps, err := c.link.Exchange(ctx, reqs, &costs)
+	if err != nil {
 		return nil, costs, err
 	}
-	defer releaseFrames(resps) // decodeResults copies what it keeps
+	defer wire.ReleaseFrames(resps) // decodeResults copies what it keeps
 	out := make([][]Result, len(qs))
 	for i, r := range resps {
-		if err := respError(r); err != nil {
+		if err := r.Err(); err != nil {
 			return nil, costs, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
-		res, err := decodeResults(r.typ, r.payload, &costs)
+		res, err := decodeResults(r.Type, r.Payload, &costs)
 		if err != nil {
 			return nil, costs, err
 		}
 		out[i] = res
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }
 
@@ -217,15 +196,15 @@ func (c *PlainClient) DeleteContext(ctx context.Context, objs []metric.Object) (
 	var costs stats.Costs
 	start := time.Now()
 	if len(objs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return 0, costs, nil
 	}
 	ids := make([]uint64, len(objs))
 	for i, o := range objs {
 		ids[i] = o.ID
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgDeleteObjects,
-		wire.DeleteObjectsReq{IDs: ids}.Encode(), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgDeleteObjects,
+		wire.DeleteObjectsReq{IDs: ids}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return 0, costs, err
 	}
@@ -236,7 +215,7 @@ func (c *PlainClient) DeleteContext(ctx context.Context, objs []metric.Object) (
 	if err != nil {
 		return 0, costs, err
 	}
-	creditServer(&costs, ack.ServerNanos)
-	finish(&costs, start)
+	costs.CreditServer(ack.ServerNanos)
+	costs.Finish(start)
 	return int(ack.Deleted), costs, nil
 }

@@ -37,8 +37,8 @@ func (c *EncryptedClient) UploadRawContext(ctx context.Context, items map[uint64
 		}
 		blobs = append(blobs, wire.Blob{Key: id, Data: ct})
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgPutBlobs,
-		wire.PutBlobsReq{Space: wire.SpaceRaw, Items: blobs}.Encode(), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgPutBlobs,
+		wire.PutBlobsReq{Space: wire.SpaceRaw, Items: blobs}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return costs, err
 	}
@@ -49,8 +49,8 @@ func (c *EncryptedClient) UploadRawContext(ctx context.Context, items map[uint64
 	if err != nil {
 		return costs, err
 	}
-	creditServer(&costs, ack.ServerNanos)
-	finish(&costs, start)
+	costs.CreditServer(ack.ServerNanos)
+	costs.Finish(start)
 	return costs, nil
 }
 
@@ -65,8 +65,8 @@ func (c *EncryptedClient) FetchRaw(ids []uint64) (map[uint64][]byte, stats.Costs
 func (c *EncryptedClient) FetchRawContext(ctx context.Context, ids []uint64) (map[uint64][]byte, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	respType, resp, err := c.roundTrip(ctx, wire.MsgGetBlobs,
-		wire.GetBlobsReq{Space: wire.SpaceRaw, Keys: ids}.Encode(), &costs)
+	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgGetBlobs,
+		wire.GetBlobsReq{Space: wire.SpaceRaw, Keys: ids}.Encode(), new(wire.Buffer), &costs)
 	if err != nil {
 		return nil, costs, err
 	}
@@ -77,7 +77,7 @@ func (c *EncryptedClient) FetchRawContext(ctx context.Context, ids []uint64) (ma
 	if err != nil {
 		return nil, costs, err
 	}
-	creditServer(&costs, m.ServerNanos)
+	costs.CreditServer(m.ServerNanos)
 	out := make(map[uint64][]byte, len(ids))
 	for i, id := range ids {
 		if len(m.Lists[i]) != 1 {
@@ -91,6 +91,6 @@ func (c *EncryptedClient) FetchRawContext(ctx context.Context, ids []uint64) (ma
 		}
 		out[id] = pt
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }

@@ -79,7 +79,7 @@ func (c *EncryptedClient) Search(ctx context.Context, q Query) ([]Result, stats.
 	if err != nil {
 		return nil, costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out[0], costs, nil
 }
 
@@ -193,7 +193,7 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	var costs stats.Costs
 	start := time.Now()
 	if len(qs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return nil, costs, nil
 	}
 	norm := make([]Query, len(qs))
@@ -208,7 +208,7 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	if err != nil {
 		return nil, costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return out, costs, nil
 }
 
@@ -281,7 +281,7 @@ func (c *EncryptedClient) search(ctx context.Context, norm []Query, costs *stats
 // flight defers its release in the same scope and reads perQuery only
 // before that.
 type flight struct {
-	frames   []frame
+	frames   []wire.Frame
 	refs     []*wire.CandidateRefs // one by-reference decoding per frame
 	perQuery [][]wire.CandidateRef // one candidate set per wire query
 	bounds   []float64             // per wire query, its reply's bound trailer
@@ -293,7 +293,7 @@ var candidateRefs = sync.Pool{New: func() any { return new(wire.CandidateRefs) }
 // release returns the flight's frames and decodings to their pools. It is
 // safe on a flight that was never filled.
 func (f *flight) release() {
-	releaseFrames(f.frames)
+	wire.ReleaseFrames(f.frames)
 	for _, m := range f.refs {
 		m.Reset()
 		candidateRefs.Put(m)
@@ -309,35 +309,35 @@ func (f *flight) release() {
 // a server error always names queries by the indices the caller knows.
 func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQuery, costs *stats.Costs, queryIndex func(int) int, fl *flight) error {
 	chunk := c.opts.BatchChunk
-	reqs := make([]frame, 0, c.chunkCount(len(wqs)))
+	reqs := make([]wire.Frame, 0, c.chunkCount(len(wqs)))
 	for at := 0; at < len(wqs); at += chunk {
-		reqs = append(reqs, frame{
-			typ:     wire.MsgBatchQuery,
-			payload: wire.BatchQueryReq{Queries: wqs[at:min(at+chunk, len(wqs))]}.Encode(),
+		reqs = append(reqs, wire.Frame{
+			Type:    wire.MsgBatchQuery,
+			Payload: wire.BatchQueryReq{Queries: wqs[at:min(at+chunk, len(wqs))]}.Encode(),
 		})
 	}
 	var err error
-	if fl.frames, err = c.exchange(ctx, reqs, costs); err != nil {
+	if fl.frames, err = c.link.Exchange(ctx, reqs, costs); err != nil {
 		return err
 	}
 	fl.perQuery = make([][]wire.CandidateRef, 0, len(wqs))
 	for ci, r := range fl.frames {
 		lo, hi := ci*chunk, min((ci+1)*chunk, len(wqs))
-		if err := respError(r); err != nil {
+		if err := r.Err(); err != nil {
 			// The server's "batch query N" counts within this chunk; the
 			// wrapped range rebases it onto the caller's query indices.
 			return fmt.Errorf("core: query chunk %d (queries %d..%d): %w",
 				ci, queryIndex(lo), queryIndex(hi-1), err)
 		}
-		if r.typ != wire.MsgBatchCandidates {
-			return fmt.Errorf("core: unexpected batch query response %v", r.typ)
+		if r.Type != wire.MsgBatchCandidates {
+			return fmt.Errorf("core: unexpected batch query response %v", r.Type)
 		}
 		m := candidateRefs.Get().(*wire.CandidateRefs)
 		fl.refs = append(fl.refs, m)
-		if err := m.DecodeFlat(r.payload, wqs[lo:hi]); err != nil {
+		if err := m.DecodeFlat(r.Payload, wqs[lo:hi]); err != nil {
 			return err
 		}
-		creditServer(costs, m.ServerNanos)
+		costs.CreditServer(m.ServerNanos)
 		if len(fl.perQuery)+len(m.Results) > len(wqs) {
 			return fmt.Errorf("core: server returned more batch results than queries")
 		}

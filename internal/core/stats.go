@@ -153,6 +153,7 @@ func (s *Stats) Merge(other Stats) {
 	s.Ingest.Bytes += other.Ingest.Bytes
 	s.Pool.Idle += other.Pool.Idle
 	s.Pool.Leased += other.Pool.Leased
+	s.Pool.Peak += other.Pool.Peak
 	s.Pool.Dialed += other.Pool.Dialed
 	s.Pool.Discarded += other.Pool.Discarded
 }

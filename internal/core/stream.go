@@ -26,160 +26,60 @@ import (
 // while DistCompTime/EncryptTime still report the summed CPU time of the
 // preparation that ran inside it.
 
-// streamIngest pipelines nChunks sequence-numbered ingest frames of the
-// given type over conn under ctx, then closes the stream with
-// MsgIngestEnd. encode is called just before chunk seq is written, from
-// the writing goroutine. A reader goroutine drains the acks — verifying
-// each echoes the expected sequence number — and refills the window; wire
-// time and bytes are accounted like one pipelined exchange.
-func streamIngest(ctx context.Context, conn *wire.CountingConn, typ wire.MsgType,
-	nChunks, window int, encode func(seq int) ([]byte, error), costs *stats.Costs) error {
-	disarm, err := wire.ArmContext(ctx, conn)
-	if err != nil {
-		return err
-	}
-	sentBefore, recvBefore := conn.BytesWritten(), conn.BytesRead()
-	ioStart := time.Now()
-
-	credits := make(chan struct{}, window)
-	for range window {
-		credits <- struct{}{}
-	}
-	// serverNanos and consumed are written by the reader goroutine and read
-	// by the caller only after the readDone receive below (a happens-before
-	// edge), so the shared costs are mutated from one goroutine at a time.
+// ingest streams nChunks sequence-numbered ingest frames of type typ over
+// one flight of link, at most window of them unacknowledged, and closes the
+// stream with MsgIngestEnd, which is written without waiting for the window.
+// encode builds chunk seq just before it is written; every ack must echo its
+// chunk's sequence number. The flight is charged to costs like one pipelined
+// exchange.
+func ingest(ctx context.Context, link *wire.Link, typ wire.MsgType, nChunks, window int,
+	encode func(seq int) ([]byte, error), costs *stats.Costs) error {
+	// serverNanos is summed on the flight's reading goroutine and read once
+	// Fly has returned.
 	var serverNanos uint64
-	var consumed int
-	readFailed := make(chan struct{})
-	readDone := make(chan error, 1)
-	go func() {
-		err := func() error {
-			for seq := 0; seq < nChunks; seq++ {
-				typ, payload, err := wire.ReadFrame(conn)
-				if err != nil {
-					return err
+	_, err := link.Fly(ctx, wire.Flight{
+		N:      nChunks + 1,
+		Window: window,
+		Request: func(seq int) (wire.MsgType, []byte, error) {
+			if seq == nChunks {
+				return wire.MsgIngestEnd, wire.IngestEndReq{}.Encode(), nil
+			}
+			payload, err := encode(seq)
+			return typ, payload, err
+		},
+		Reply: func(seq int, f wire.Frame) error {
+			if seq == nChunks {
+				if err := f.Err(); err != nil {
+					return fmt.Errorf("core: ingest end: %w", err)
 				}
-				consumed++
-				if err := respError(frame{typ: typ, payload: payload}); err != nil {
-					return fmt.Errorf("core: ingest chunk %d: %w", seq, err)
+				if f.Type != wire.MsgAck {
+					return fmt.Errorf("core: unexpected ingest end response %v", f.Type)
 				}
-				if typ != wire.MsgIngestChunkAck {
-					return fmt.Errorf("core: unexpected ingest response %v", typ)
-				}
-				ack, err := wire.DecodeIngestChunkAckResp(payload)
-				if err != nil {
-					return err
-				}
-				if ack.Seq != uint32(seq) {
-					return fmt.Errorf("core: ingest ack out of order: got %d, want %d", ack.Seq, seq)
-				}
+				ack, err := wire.DecodeAckResp(f.Payload)
 				serverNanos += ack.ServerNanos
-				credits <- struct{}{}
+				return err
 			}
-			typ, payload, err := wire.ReadFrame(conn)
+			if err := f.Err(); err != nil {
+				return fmt.Errorf("core: ingest chunk %d: %w", seq, err)
+			}
+			if f.Type != wire.MsgIngestChunkAck {
+				return fmt.Errorf("core: unexpected ingest response %v", f.Type)
+			}
+			ack, err := wire.DecodeIngestChunkAckResp(f.Payload)
 			if err != nil {
 				return err
 			}
-			consumed++
-			if err := respError(frame{typ: typ, payload: payload}); err != nil {
-				return fmt.Errorf("core: ingest end: %w", err)
-			}
-			if typ != wire.MsgAck {
-				return fmt.Errorf("core: unexpected ingest end response %v", typ)
-			}
-			ack, err := wire.DecodeAckResp(payload)
-			if err != nil {
-				return err
+			if ack.Seq != uint32(seq) {
+				return fmt.Errorf("core: ingest ack out of order: got %d, want %d", ack.Seq, seq)
 			}
 			serverNanos += ack.ServerNanos
 			return nil
-		}()
-		if err != nil {
-			// Unblock a writer waiting for window credit; the error itself
-			// travels through readDone.
-			close(readFailed)
-		}
-		readDone <- err
-	}()
-
-	var wrote int
-	writeErr := func() error {
-		for seq := 0; seq < nChunks; seq++ {
-			select {
-			case <-credits:
-			case <-readFailed:
-				return nil // the reader's error carries the cause
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			payload, err := encode(seq)
-			if err != nil {
-				return err
-			}
-			if err := wire.WriteFrame(conn, typ, payload); err != nil {
-				return err
-			}
-			wrote++
-		}
-		if err := wire.WriteFrame(conn, wire.MsgIngestEnd, wire.IngestEndReq{}.Encode()); err != nil {
-			return err
-		}
-		wrote++
-		return nil
-	}()
-	if writeErr != nil {
-		// The reader may be waiting for acks that will never come; force its
-		// pending read to fail. disarm restores the deadline below.
-		conn.SetReadDeadline(time.Now())
-	}
-	readErr := <-readDone
-	costs.CommTime += time.Since(ioStart)
-	costs.BytesSent += conn.BytesWritten() - sentBefore
-	costs.BytesReceived += conn.BytesRead() - recvBefore
-	costs.RoundTrips++
-	err = writeErr
-	if err == nil {
-		err = readErr
-	}
-	// A flight that failed on a server-answered error frame still has one
-	// response in flight for every written-but-unconsumed frame (the server
-	// answers each chunk independently). Drain them so the connection is left
-	// perfectly framed for the next exchange — that is what lets the pool's
-	// reusable-on-RemoteError classification stay true for pipelined streams.
-	// If the drain itself fails, hide the remote error from the unwrap chain
-	// (%v, not %w) so the lease is classified broken instead of re-pooled
-	// with unknown bytes in flight.
-	if err != nil && writeErr == nil && consumed < wrote {
-		if derr := drainResponses(conn, wrote-consumed); derr != nil {
-			err = fmt.Errorf("core: stream failed: %v (draining %d in-flight responses: %w)",
-				err, wrote-consumed, derr)
-		}
-	}
-	if err = disarm(err); err != nil {
+		},
+	}, costs)
+	if err != nil {
 		return err
 	}
-	creditServer(costs, serverNanos)
-	return nil
-}
-
-// streamDrainTimeout bounds the post-failure response drain. At most
-// StreamWindow+1 responses are outstanding and the server answers each
-// frame as it processes it, so a healthy connection drains in
-// milliseconds; a stalled one is handed back as broken instead.
-const streamDrainTimeout = 10 * time.Second
-
-// drainResponses reads and discards n response frames. The caller's
-// context deadline (if armed) still interrupts the reads; the local
-// deadline bounds the drain when there is none.
-func drainResponses(conn *wire.CountingConn, n int) error {
-	conn.SetReadDeadline(time.Now().Add(streamDrainTimeout))
-	defer conn.SetReadDeadline(time.Time{})
-	for range n {
-		if _, _, err := wire.ReadFrame(conn); err != nil {
-			return err
-		}
-	}
+	costs.CreditServer(serverNanos)
 	return nil
 }
 
@@ -201,25 +101,23 @@ func (c *EncryptedClient) InsertStreamContext(ctx context.Context, objs []metric
 	var costs stats.Costs
 	start := time.Now()
 	if len(objs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return costs, nil
 	}
 	chunk := c.opts.BatchChunk
-	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
-		return streamIngest(ctx, conn, wire.MsgIngestChunk, c.chunkCount(len(objs)), c.opts.StreamWindow,
-			func(seq int) ([]byte, error) {
-				sub := objs[seq*chunk : min((seq+1)*chunk, len(objs))]
-				entries, err := c.prepareEntries(sub, &costs)
-				if err != nil {
-					return nil, err
-				}
-				return wire.IngestChunkReq{Seq: uint32(seq), Entries: entries}.Encode(), nil
-			}, &costs)
-	})
+	err := ingest(ctx, c.link, wire.MsgIngestChunk, c.chunkCount(len(objs)), c.opts.StreamWindow,
+		func(seq int) ([]byte, error) {
+			sub := objs[seq*chunk : min((seq+1)*chunk, len(objs))]
+			entries, err := c.prepareEntries(sub, &costs)
+			if err != nil {
+				return nil, err
+			}
+			return wire.IngestChunkReq{Seq: uint32(seq), Entries: entries}.Encode(), nil
+		}, &costs)
 	if err != nil {
 		return costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return costs, nil
 }
 
@@ -239,23 +137,21 @@ func (c *PlainClient) InsertStreamContext(ctx context.Context, objs []metric.Obj
 	var costs stats.Costs
 	start := time.Now()
 	if len(objs) == 0 {
-		finish(&costs, start)
+		costs.Finish(start)
 		return costs, nil
 	}
 	const chunk = 64 // Options.BatchChunk default
 	const window = 4 // Options.StreamWindow default
 	nChunks := (len(objs) + chunk - 1) / chunk
-	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
-		return streamIngest(ctx, conn, wire.MsgIngestObjChunk, nChunks, window,
-			func(seq int) ([]byte, error) {
-				sub := objs[seq*chunk : min((seq+1)*chunk, len(objs))]
-				return wire.IngestObjChunkReq{Seq: uint32(seq), Objects: sub}.Encode(), nil
-			}, &costs)
-	})
+	err := ingest(ctx, c.link, wire.MsgIngestObjChunk, nChunks, window,
+		func(seq int) ([]byte, error) {
+			sub := objs[seq*chunk : min((seq+1)*chunk, len(objs))]
+			return wire.IngestObjChunkReq{Seq: uint32(seq), Objects: sub}.Encode(), nil
+		}, &costs)
 	if err != nil {
 		return costs, err
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return costs, nil
 }
 
@@ -290,6 +186,6 @@ func (c *DirectClient) InsertStreamContext(ctx context.Context, objs []metric.Ob
 			return costs, err
 		}
 	}
-	finish(&costs, start)
+	costs.Finish(start)
 	return costs, nil
 }

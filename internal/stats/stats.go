@@ -54,7 +54,8 @@ func (t *Timer) Reset() { t.ns.Store(0) }
 // a search), mirroring the measures of the paper's Section 5:
 //
 //   - ClientTime: total client-side computation (encryption/decryption,
-//     distance computations, processing overhead).
+//     distance computations, processing overhead): Overall − ServerTime −
+//     CommTime, clamped at zero (Finish).
 //   - EncryptTime / DecryptTime: the cipher-related share of ClientTime.
 //     DecryptTime includes deserialization of candidate objects, as in the
 //     paper.
@@ -62,8 +63,9 @@ func (t *Timer) Reset() { t.ns.Store(0) }
 //     distances on insert, query–candidate distances on refinement).
 //   - ServerTime: time spent inside the server handler, as reported by the
 //     server in the response frame.
-//   - CommTime: time attributable to client–server communication
-//     (Overall − ClientTime − ServerTime, clamped at zero).
+//   - CommTime: time attributable to client–server communication: the
+//     measured wire time of the exchanges minus the server time credited
+//     out of it (CreditServer), clamped at zero.
 //   - Overall: end-to-end wall-clock time of the operation.
 //   - BytesSent / BytesReceived: communication cost on the wire, as seen by
 //     the client.
@@ -88,16 +90,21 @@ type Costs struct {
 // CommBytes returns the total communication cost (both directions).
 func (c Costs) CommBytes() int64 { return c.BytesSent + c.BytesReceived }
 
-// FinishDerived fills Overall from the operation start time and derives
-// CommTime as the remainder not attributed to client or server computation.
-// This mirrors the paper's decomposition where overall time is the sum of
-// client, server and communication times.
-func (c *Costs) FinishDerived(start time.Time) {
+// CreditServer moves server-reported processing time out of the measured
+// wire time: the exchange's clock covered it, but the server spent it.
+func (c *Costs) CreditServer(nanos uint64) {
+	st := time.Duration(nanos)
+	c.ServerTime += st
+	c.CommTime = max(c.CommTime-st, 0)
+}
+
+// Finish fills Overall from the operation start time and derives ClientTime
+// as everything not spent on the wire or in the server — the paper's "data
+// encryption/decryption, distance computations, and processing overhead" —
+// so overall time is the sum of client, server and communication times.
+func (c *Costs) Finish(start time.Time) {
 	c.Overall = time.Since(start)
-	c.CommTime = c.Overall - c.ClientTime - c.ServerTime
-	if c.CommTime < 0 {
-		c.CommTime = 0
-	}
+	c.ClientTime = max(c.Overall-c.ServerTime-c.CommTime, 0)
 }
 
 // Accumulate adds other's fields into c (used to sum costs over a batch of

@@ -46,23 +46,31 @@ func TestTimerAccumulates(t *testing.T) {
 	}
 }
 
-func TestCostsFinishDerived(t *testing.T) {
-	c := Costs{ClientTime: time.Millisecond, ServerTime: time.Millisecond}
+func TestCostsFinishDerivesClientTime(t *testing.T) {
+	c := Costs{CommTime: 3 * time.Millisecond}
+	c.CreditServer(uint64(time.Millisecond))
+	if c.ServerTime != time.Millisecond || c.CommTime != 2*time.Millisecond {
+		t.Fatalf("server = %v, comm = %v after crediting 1ms of 3ms wire time", c.ServerTime, c.CommTime)
+	}
 	start := time.Now().Add(-10 * time.Millisecond)
-	c.FinishDerived(start)
+	c.Finish(start)
 	if c.Overall < 10*time.Millisecond {
 		t.Fatalf("overall = %v", c.Overall)
 	}
-	if c.CommTime != c.Overall-c.ClientTime-c.ServerTime {
-		t.Fatalf("comm = %v, want remainder", c.CommTime)
+	if c.ClientTime != c.Overall-c.ServerTime-c.CommTime {
+		t.Fatalf("client = %v, want remainder", c.ClientTime)
 	}
 }
 
-func TestCostsFinishDerivedClampsNegative(t *testing.T) {
-	c := Costs{ClientTime: time.Hour}
-	c.FinishDerived(time.Now())
+func TestCostsFinishClampsNegative(t *testing.T) {
+	c := Costs{CommTime: time.Millisecond}
+	c.CreditServer(uint64(time.Hour))
 	if c.CommTime != 0 {
 		t.Fatalf("comm = %v, want 0 (clamped)", c.CommTime)
+	}
+	c.Finish(time.Now())
+	if c.ClientTime != 0 {
+		t.Fatalf("client = %v, want 0 (clamped)", c.ClientTime)
 	}
 }
 

@@ -32,10 +32,11 @@ var ErrNotStarted = errors.New("wire: exchange not started")
 //   - If ctx already carries an error, it is returned and the connection is
 //     left untouched.
 //   - If ctx has a deadline, it becomes the connection's read+write deadline.
-//   - If ctx is cancellable, a watcher interrupts blocked IO on cancellation.
+//   - If ctx is cancellable, a context.AfterFunc callback interrupts blocked
+//     IO on cancellation; no goroutine waits for it in the meantime.
 //
 // The returned disarm function must be called exactly once with the
-// exchange's outcome. It stops the watcher, clears the connection deadline,
+// exchange's outcome. It stops the callback, clears the connection deadline,
 // and — when the exchange failed because the context fired — replaces the
 // raw net timeout error with one wrapping ctx.Err(), so callers observe
 // errors.Is(err, context.DeadlineExceeded) / context.Canceled rather than a
@@ -48,30 +49,23 @@ func ArmContext(ctx context.Context, conn net.Conn) (disarm func(error) error, e
 		return nil, fmt.Errorf("%w: %w", ErrNotStarted, err)
 	}
 	deadline, hasDeadline := ctx.Deadline()
-	done := ctx.Done()
-	if !hasDeadline && done == nil {
+	if !hasDeadline && ctx.Done() == nil {
 		return func(opErr error) error { return opErr }, nil
 	}
 	if hasDeadline {
 		conn.SetDeadline(deadline)
 	}
-	var stop, stopped chan struct{}
-	if done != nil {
-		stop = make(chan struct{})
-		stopped = make(chan struct{})
-		go func() {
-			defer close(stopped)
-			select {
-			case <-done:
-				conn.SetDeadline(aLongTimeAgo)
-			case <-stop:
-			}
-		}()
-	}
+	interrupted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(aLongTimeAgo)
+		close(interrupted)
+	})
 	return func(opErr error) error {
-		if stop != nil {
-			close(stop)
-			<-stopped
+		if !stop() {
+			// The callback has started: let it set its past deadline before
+			// the deadline is cleared, or an exchange that succeeded anyway
+			// would hand its connection back with a dead deadline.
+			<-interrupted
 		}
 		conn.SetDeadline(time.Time{})
 		if opErr == nil {
