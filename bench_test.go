@@ -471,8 +471,8 @@ func BenchmarkShardedVsSingle(b *testing.B) {
 //
 // The pipeline group is end to end over loopback TCP with a WAL attached:
 // "batch" is the pre-PR ingest pipeline — stop-and-wait InsertContext
-// chunks of the paper's bulk size with -wal-sync always, one fsync per
-// chunk — while "stream" is the new one — pipelined ingest-chunk frames
+// bulks of the paper's bulk size, each a flight of 64-entry chunk frames,
+// with -wal-sync always, one fsync per chunk frame — while "stream" is the new one — pipelined ingest-chunk frames
 // under windowed acks with WAL group commit, one fsync per window plus the
 // end-of-stream flush, so both runs end with the same durability. The
 // stream/batch ratio at shards=1 is the PR's ingest speedup, gated in CI

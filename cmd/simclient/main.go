@@ -206,7 +206,7 @@ func main() {
 	case "delete":
 		r := deleteRange()
 		ctx, cancel := opCtx()
-		deleted, costs, err := client.DeleteBatchContext(ctx, ds.Objects[r[0]:r[1]])
+		deleted, costs, err := client.DeleteContext(ctx, ds.Objects[r[0]:r[1]])
 		cancel()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simclient: delete: %v\n", err)

@@ -53,10 +53,10 @@
 //
 // # Mutability
 //
-// The index is mutable: EncryptedClient.Delete and DeleteBatch tombstone
-// entries by {ID, permutation prefix} — the same pivot-space metadata an
-// insert reveals — and the server compacts tombstones away either on
-// demand or automatically (Config.AutoCompactFraction). After compaction
+// The index is mutable: EncryptedClient.Delete tombstones entries by {ID,
+// permutation prefix} — the same pivot-space metadata an insert reveals —
+// and the server compacts tombstones away either on demand or
+// automatically (Config.AutoCompactFraction). After compaction
 // the index is byte-identical to one freshly built from the surviving
 // entries (see DESIGN.md §Mutability), so churn workloads (sustained
 // insert/delete at steady state) preserve exact search semantics.
@@ -68,7 +68,7 @@
 // independently locked shards keyed by the first permutation element, with
 // searches fanned out over a bounded worker pool and merged by cell promise
 // — result sets are preserved (see DESIGN.md §Sharding). On the client,
-// EncryptedClient.InsertBatch and SearchBatch pipeline chunked frames so
+// EncryptedClient.Insert, Delete and SearchBatch pipeline chunked frames so
 // many operations share one round trip.
 //
 // Beyond one process, NewCoordinator federates several encrypted servers

@@ -107,10 +107,10 @@ func main() {
 	}
 	defer single.Close()
 
-	if _, err := cluster.InsertBatch(data.Objects); err != nil {
+	if _, err := cluster.Insert(data.Objects); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := single.InsertBatch(data.Objects); err != nil {
+	if _, err := single.Insert(data.Objects); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("indexed %d encrypted objects into both deployments\n\n", data.Size())

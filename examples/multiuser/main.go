@@ -128,7 +128,7 @@ func main() {
 	}
 	before := recallB()
 
-	deleted, _, err := owner.DeleteBatch(tenantA)
+	deleted, _, err := owner.Delete(tenantA)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func TestClusterEquivalence(t *testing.T) {
 	w := newWorld(t, 1500)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 
@@ -240,7 +240,7 @@ func TestClusterEquivalence(t *testing.T) {
 		// cross-node merge); multi-node clusters require it.
 		_, coord := startCluster(t, nodes, nodes > 1)
 		client := dial(t, coord.Addr(), w.key)
-		if _, err := client.InsertBatch(w.data.Objects); err != nil {
+		if _, err := client.Insert(w.data.Objects); err != nil {
 			t.Fatal(err)
 		}
 
@@ -338,11 +338,11 @@ func TestClusterDelete(t *testing.T) {
 	w := newWorld(t, 600)
 	_, coord := startCluster(t, 3, true)
 	client := dial(t, coord.Addr(), w.key)
-	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+	if _, err := client.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	victims := w.data.Objects[100:150]
-	deleted, _, err := client.DeleteBatch(victims)
+	deleted, _, err := client.Delete(victims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestNodeDiesMidBatch(t *testing.T) {
 	client := dial(t, coord.Addr(), w.key)
 
 	first, second := w.data.Objects[:600], w.data.Objects[600:]
-	if _, err := client.InsertBatch(first); err != nil {
+	if _, err := client.Insert(first); err != nil {
 		t.Fatal(err)
 	}
 	sizes := make([]int, 3)
@@ -409,7 +409,7 @@ func TestNodeDiesMidBatch(t *testing.T) {
 	// coordinator discovers the death on the failing round trip and
 	// re-routes every affected entry to the survivors.
 	nodes[1].Close()
-	if _, err := client.InsertBatch(second); err != nil {
+	if _, err := client.Insert(second); err != nil {
 		t.Fatalf("insert after node death: %v", err)
 	}
 	live := coord.LiveNodes()
@@ -435,7 +435,7 @@ func TestNodeDiesMidBatch(t *testing.T) {
 	// the survivors: placement is a mix of mod-3 (pre-death) and mod-2
 	// (re-routed) routing, so refs are broadcast. Every second-batch entry
 	// is on a survivor by construction and must actually die.
-	deleted, _, err := client.DeleteBatch(second[:50])
+	deleted, _, err := client.Delete(second[:50])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func TestCoordinatorHello(t *testing.T) {
 	w := newWorld(t, 300)
 	_, coord := startCluster(t, 3, true)
 	client := dial(t, coord.Addr(), w.key)
-	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+	if _, err := client.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	respType, resp := rawRoundTrip(t, coord.Addr(), wire.MsgHello, wire.HelloReq{}.Encode())
@@ -662,14 +662,16 @@ func TestUnfederatedRequestRejected(t *testing.T) {
 		{[]wire.MsgType{8, 9, 10, 32}, "retired in protocol v4; send plain-query"},
 		{[]wire.MsgType{16, 18, 20}, "retired in protocol v4; send put-blobs"},
 		{[]wire.MsgType{14, 15, 17, 21, 22}, "retired in protocol v4; send get-blobs"},
+		{[]wire.MsgType{2}, "retired in protocol v5; send ingest-chunk"},
+		{[]wire.MsgType{3}, "retired in protocol v5; send ingest-obj-chunk"},
 	} {
 		for _, typ := range r.typs {
 			cases = append(cases, refusal{typ, []byte{1}, r.want})
 			reserved++
 		}
 	}
-	if reserved != 20 {
-		t.Fatalf("%d reserved numbers listed, want 20", reserved)
+	if reserved != 22 {
+		t.Fatalf("%d reserved numbers listed, want 22", reserved)
 	}
 	for _, tc := range cases {
 		respType, resp := exchange(tc.typ, tc.payload)
@@ -699,11 +701,11 @@ func TestClusterAllKind(t *testing.T) {
 	w := newWorld(t, 900)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	victims := w.data.Objects[200:260]
-	if _, _, err := refClient.DeleteBatch(victims); err != nil {
+	if _, _, err := refClient.Delete(victims); err != nil {
 		t.Fatal(err)
 	}
 	want := downloadAll(t, ref.Addr(), w)
@@ -724,13 +726,13 @@ func TestClusterAllKind(t *testing.T) {
 		}
 		t.Cleanup(func() { coord.Close() })
 		client := dial(t, coord.Addr(), w.key)
-		if _, err := client.InsertBatch(w.data.Objects); err != nil {
+		if _, err := client.Insert(w.data.Objects); err != nil {
 			t.Fatal(err)
 		}
 		if got := downloadAll(t, coord.Addr(), w); len(got) != len(w.data.Objects) {
 			t.Fatalf("R=%d: cluster downloads %d entries before the deletes, want %d", replicas, len(got), len(w.data.Objects))
 		}
-		if _, _, err := client.DeleteBatch(victims); err != nil {
+		if _, _, err := client.Delete(victims); err != nil {
 			t.Fatal(err)
 		}
 		if got := downloadAll(t, coord.Addr(), w); !sameCollection(got, want) {
@@ -753,7 +755,7 @@ func TestClusterBoundOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { refClient.Close() })
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	page := func(addr string, q wire.BatchQuery) ([]uint64, float64) {
@@ -789,7 +791,7 @@ func TestClusterBoundOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { client.Close() })
-		if _, err := client.InsertBatch(w.data.Objects); err != nil {
+		if _, err := client.Insert(w.data.Objects); err != nil {
 			t.Fatal(err)
 		}
 		for _, qi := range []int{3, 456, 1011} {
@@ -825,7 +827,7 @@ func TestClusterHostileCandSize(t *testing.T) {
 	w := newWorld(t, 300)
 	_, coord := startCluster(t, 3, true)
 	client := dial(t, coord.Addr(), w.key)
-	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+	if _, err := client.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	qDists := w.key.Pivots().Distances(w.data.Objects[0].Vec)

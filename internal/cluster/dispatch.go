@@ -45,22 +45,12 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		}
 		return wire.MsgHelloAck, info.Encode(), nil
 
-	case wire.MsgInsertEntries:
-		req, err := wire.DecodeInsertEntriesReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := c.fanInsert(c.ctx, req.Entries, false); err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgAck, wire.AckResp{ServerNanos: c.serverNanos(start)}.Encode(), nil
-
 	case wire.MsgIngestChunk:
 		req, err := wire.DecodeIngestChunkReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := c.fanInsert(c.ctx, req.Entries, true); err != nil {
+		if err := c.fanInsert(c.ctx, req.Entries); err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
@@ -151,30 +141,54 @@ func (c *Coordinator) group(entries []mindex.Entry, targets []*node) ([][]mindex
 	return groups, nil
 }
 
-// fanInsert routes one insert batch to the nodes, replicated or not.
-// stream selects the node-ward frame: false ships the plain bulk form
-// (MsgInsertEntries), true ships the same entries as a MsgIngestChunk —
-// so a streamed client ingest stays streamed on the node hop, where a
-// group-commit WAL amortizes fsyncs until the forwarded end-of-stream
-// flush (see flushIngest).
-func (c *Coordinator) fanInsert(ctx context.Context, entries []mindex.Entry, stream bool) error {
+// fanInsert routes one insert chunk to the nodes, replicated or not. Every
+// node-ward delivery is one MsgIngestChunk (sendChunk), so a client's chunk
+// flight stays a chunk flight on the node hop, where a group-commit WAL
+// amortizes fsyncs until a forwarded end-of-stream flush (see flushIngest).
+func (c *Coordinator) fanInsert(ctx context.Context, entries []mindex.Entry) error {
 	if c.replicated() {
-		return c.insertReplicated(ctx, entries, stream)
+		return c.insertReplicated(ctx, entries)
 	}
-	return c.insertEntries(ctx, entries, stream)
+	return c.insertEntries(ctx, entries)
 }
 
-// insertFrame builds the node-ward frame of one insert delivery: request
-// type, expected ack type and payload, in the bulk or streamed form. The
-// streamed form carries sequence number 0 — every client's writes to a node
-// share its write lane, one leased round trip at a time, so the coordinator
-// forwards each chunk as its own one-chunk stream and the nodes (by design)
-// ignore chunk numbering.
-func insertFrame(entries []mindex.Entry, stream bool) (t, want wire.MsgType, payload []byte) {
-	if stream {
-		return wire.MsgIngestChunk, wire.MsgIngestChunkAck, wire.IngestChunkReq{Entries: entries}.Encode()
+// sendChunk delivers entries to n as one MsgIngestChunk and decodes its
+// ack, so a node's malformed ack is an error on every insert path. The chunk
+// carries sequence number 0: every client's writes to a node share its write
+// lane, one leased round trip at a time, so the coordinator forwards each
+// chunk as its own one-chunk stream and the nodes (by design) ignore chunk
+// numbering.
+func (c *Coordinator) sendChunk(ctx context.Context, n *node, entries []mindex.Entry) error {
+	respType, resp, err := n.roundTrip(ctx, wire.MsgIngestChunk,
+		wire.IngestChunkReq{Entries: entries}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
+	if err != nil {
+		return err
 	}
-	return wire.MsgInsertEntries, wire.MsgAck, wire.InsertEntriesReq{Entries: entries}.Encode()
+	if respType != wire.MsgIngestChunkAck {
+		return fmt.Errorf("cluster: node %s: unexpected insert response %v", n.addr, respType)
+	}
+	if _, err := wire.DecodeIngestChunkAckResp(resp); err != nil {
+		return fmt.Errorf("cluster: node %s: insert ack: %w", n.addr, err)
+	}
+	return nil
+}
+
+// sendDelete delivers refs to n as one MsgDeleteEntries and returns the
+// count its decoded ack reports.
+func (c *Coordinator) sendDelete(ctx context.Context, n *node, refs []mindex.Entry) (uint32, error) {
+	respType, resp, err := n.roundTrip(ctx, wire.MsgDeleteEntries,
+		wire.DeleteEntriesReq{Refs: refs}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
+	if err != nil {
+		return 0, err
+	}
+	if respType != wire.MsgDeleteAck {
+		return 0, fmt.Errorf("cluster: node %s: unexpected delete response %v", n.addr, respType)
+	}
+	ack, err := wire.DecodeDeleteAckResp(resp)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: node %s: delete ack: %w", n.addr, err)
+	}
+	return ack.Deleted, nil
 }
 
 // insertEntries routes the batch over the live nodes and retries with
@@ -183,7 +197,7 @@ func insertFrame(entries []mindex.Entry, stream bool) (t, want wire.MsgType, pay
 // is left. A node that died after applying its group but before
 // acknowledging leaves those entries inserted twice (on the dead node and
 // on a survivor) — at-least-once semantics; see DESIGN.md §Distribution.
-func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry, stream bool) error {
+func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry) error {
 	remaining := entries
 	for len(remaining) > 0 {
 		// Cancellation check between re-routing waves: a shutdown (or a
@@ -205,25 +219,13 @@ func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry,
 			if len(groups[i]) == 0 {
 				return nil
 			}
-			t, want, payload := insertFrame(groups[i], stream)
-			respType, resp, err := targets[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout, new(wire.Buffer))
-			if err != nil {
-				if isNodeDown(err) {
-					c.opts.Logf("simcoord: %v; re-routing %d entries", err, len(groups[i]))
-					failed[i] = groups[i]
-					return nil
-				}
-				return err
+			err := c.sendChunk(ctx, targets[i], groups[i])
+			if isNodeDown(err) {
+				c.opts.Logf("simcoord: %v; re-routing %d entries", err, len(groups[i]))
+				failed[i] = groups[i]
+				return nil
 			}
-			if respType != want {
-				return fmt.Errorf("cluster: node %s: unexpected insert response %v", targets[i].addr, respType)
-			}
-			if stream {
-				_, aerr := wire.DecodeIngestChunkAckResp(resp)
-				return aerr
-			}
-			_, aerr := wire.DecodeAckResp(resp)
-			return aerr
+			return err
 		})
 		if err != nil {
 			return err
@@ -299,25 +301,14 @@ func (c *Coordinator) deleteRefs(ctx context.Context, refs []mindex.Entry) (uint
 			if len(groups[i]) == 0 {
 				return nil
 			}
-			respType, resp, err := targets[i].roundTrip(ctx, wire.MsgDeleteEntries,
-				wire.DeleteEntriesReq{Refs: groups[i]}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
-			if err != nil {
-				if isNodeDown(err) {
-					c.opts.Logf("simcoord: %v; re-routing %d delete refs", err, len(groups[i]))
-					failed[i] = groups[i]
-					return nil
-				}
-				return err
+			n, err := c.sendDelete(ctx, targets[i], groups[i])
+			if isNodeDown(err) {
+				c.opts.Logf("simcoord: %v; re-routing %d delete refs", err, len(groups[i]))
+				failed[i] = groups[i]
+				return nil
 			}
-			if respType != wire.MsgDeleteAck {
-				return fmt.Errorf("cluster: node %s: unexpected delete response %v", targets[i].addr, respType)
-			}
-			ack, aerr := wire.DecodeDeleteAckResp(resp)
-			if aerr != nil {
-				return aerr
-			}
-			deleted.Add(ack.Deleted)
-			return nil
+			deleted.Add(n)
+			return err
 		})
 		if err != nil {
 			return deleted.Load(), err

@@ -184,10 +184,10 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 	}
 	insertBoth := func(objs []simcloud.Object) {
 		t.Helper()
-		if _, err := refClient.InsertBatch(objs); err != nil {
+		if _, err := refClient.Insert(objs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.InsertBatch(objs); err != nil {
+		if _, err := client.Insert(objs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,11 +207,11 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 	}
 	deleteBoth := func(objs []simcloud.Object) {
 		t.Helper()
-		wantDel, _, err := refClient.DeleteBatch(objs)
+		wantDel, _, err := refClient.Delete(objs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotDel, _, err := client.DeleteBatch(objs)
+		gotDel, _, err := client.Delete(objs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,13 +318,13 @@ func TestReprobeReadmitsNode(t *testing.T) {
 	client := dial(t, coord.Addr(), w.key)
 
 	first, second := w.data.Objects[:300], w.data.Objects[300:]
-	if _, err := client.InsertBatch(first); err != nil {
+	if _, err := client.Insert(first); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill node 1; the next insert discovers the death and re-routes.
 	srvs[1].Close()
-	if _, err := client.InsertBatch(second); err != nil {
+	if _, err := client.Insert(second); err != nil {
 		t.Fatal(err)
 	}
 	if live := coord.LiveNodes(); len(live) != 1 {
@@ -353,7 +353,7 @@ func TestReprobeReadmitsNode(t *testing.T) {
 	// deletes must broadcast even though both nodes are live again — refs
 	// from both epochs must actually die.
 	victims := append(append([]simcloud.Object{}, first[:20]...), second[:20]...)
-	deleted, _, err := client.DeleteBatch(victims)
+	deleted, _, err := client.Delete(victims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestConcurrentQueriesDuringKill(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 	client := dial(t, coord.Addr(), w.key)
-	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+	if _, err := client.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 
@@ -454,7 +454,7 @@ func TestInFlightReadsDuringKill(t *testing.T) {
 	w := newWorld(t, 1000)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	const victim = 1
@@ -474,7 +474,7 @@ func TestInFlightReadsDuringKill(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 	client := dial(t, coord.Addr(), w.key)
-	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+	if _, err := client.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 
@@ -577,17 +577,17 @@ func TestConcurrentProbesKeepJournal(t *testing.T) {
 	t.Cleanup(func() { coord.Close() })
 	client := dial(t, coord.Addr(), w.key)
 	insertBoth := func(objs []simcloud.Object) error {
-		if _, err := refClient.InsertBatch(objs); err != nil {
+		if _, err := refClient.Insert(objs); err != nil {
 			return err
 		}
-		_, err := client.InsertBatch(objs)
+		_, err := client.Insert(objs)
 		return err
 	}
 	deleteBoth := func(objs []simcloud.Object) error {
-		if _, _, err := refClient.DeleteBatch(objs); err != nil {
+		if _, _, err := refClient.Delete(objs); err != nil {
 			return err
 		}
-		_, _, err := client.DeleteBatch(objs)
+		_, _, err := client.Delete(objs)
 		return err
 	}
 	objs := w.data.Objects

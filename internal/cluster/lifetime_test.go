@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -118,6 +119,70 @@ func TestHostileNodeReplyIsAnErrorFrame(t *testing.T) {
 	}
 }
 
+// TestHostileNodeAckIsAnError: a node whose write acks are cut short — the
+// chunk ack of protocol v4, which carried no distance time, or a delete ack
+// missing its count — fails the client's write with an error frame, on the
+// unreplicated and the replicated path alike: every node-ward write decodes
+// its ack.
+func TestHostileNodeAckIsAnError(t *testing.T) {
+	hello := wire.HelloResp{
+		Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
+		MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
+	}
+	short := func(typ wire.MsgType) (wire.MsgType, []byte) {
+		switch typ {
+		case wire.MsgIngestChunk:
+			return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{ServerNanos: 1}.Encode()[:12]
+		case wire.MsgDeleteEntries:
+			return wire.MsgDeleteAck, wire.DeleteAckResp{ServerNanos: 1, Deleted: 1}.Encode()[:8]
+		}
+		return wire.MsgError, wire.ErrorResp{Msg: "unexpected"}.Encode()
+	}
+	entries := []mindex.Entry{{ID: 1, Perm: []int32{0, 1}, Payload: []byte{1}}}
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			addrs := make([]string, replicas)
+			for i := range addrs {
+				addrs[i] = scriptedNode(t, hello, short).Addr().String()
+			}
+			coord, err := cluster.New(addrs, cluster.Options{Replicas: replicas, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			conn, err := net.Dial("tcp", coord.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for _, req := range []struct {
+				typ     wire.MsgType
+				payload []byte
+			}{
+				{wire.MsgIngestChunk, wire.IngestChunkReq{Entries: entries}.Encode()},
+				{wire.MsgDeleteEntries, wire.DeleteEntriesReq{Refs: entries}.Encode()},
+			} {
+				if err := wire.WriteFrame(conn, req.typ, req.payload); err != nil {
+					t.Fatal(err)
+				}
+				typ, resp, err := wire.ReadFrame(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if typ != wire.MsgError {
+					t.Fatalf("%v: a short node ack answered with %v, want an error frame", req.typ, typ)
+				}
+				if m, _ := wire.DecodeErrorResp(resp); !strings.Contains(m.Msg, "ack") {
+					t.Fatalf("%v: error %q does not name the ack", req.typ, m.Msg)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentSearchesThroughPooledFrames: eight goroutines query a
 // 3-node R=2 cluster through one client at once, every kind, with every
 // pooled buffer poisoned on release. Frames, decodings and scratch are all
@@ -128,7 +193,7 @@ func TestConcurrentSearchesThroughPooledFrames(t *testing.T) {
 	w := newWorld(t, 1200)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 	addrs := make([]string, 3)
@@ -144,7 +209,7 @@ func TestConcurrentSearchesThroughPooledFrames(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 	client := dial(t, coord.Addr(), w.key)
-	if _, err := client.InsertBatch(w.data.Objects); err != nil {
+	if _, err := client.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 

@@ -65,19 +65,20 @@ func (c *Coordinator) liveOwner(p int32) (*node, error) {
 // under journalMu — the same lock readmit holds when it drains the journal
 // and marks the node live — so an operation is either journaled while the
 // node is still down (the drain loop picks it up) or sent to a node whose
-// journal is already empty; it can never fall between. stream forwards an
-// insert in the streamed ingest form (see insertFrame); the journaled form
-// is the same ResyncOp either way, since re-admission replays through
-// MsgResyncOps regardless of how the live delivery would have framed it.
-func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.ResyncOp, stream bool) error {
-	var t, want wire.MsgType
-	var payload []byte
+// journal is already empty; it can never fall between. A live insert is one
+// chunk (sendChunk), a live delete one delete request (sendDelete); the
+// journaled form is the same ResyncOp either way, since re-admission replays
+// through MsgResyncOps.
+func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.ResyncOp) error {
+	var send func() error
 	switch op.Op {
 	case wire.ResyncInsert:
-		t, want, payload = insertFrame(op.Entries, stream)
+		send = func() error { return c.sendChunk(ctx, n, op.Entries) }
 	case wire.ResyncDelete:
-		t, want = wire.MsgDeleteEntries, wire.MsgDeleteAck
-		payload = wire.DeleteEntriesReq{Refs: op.Entries}.Encode()
+		send = func() error {
+			_, err := c.sendDelete(ctx, n, op.Entries)
+			return err
+		}
 	default:
 		return fmt.Errorf("cluster: unknown journal op %d", op.Op)
 	}
@@ -92,18 +93,12 @@ func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.Res
 			return nil
 		}
 		c.journalMu.Unlock()
-		respType, _, err := n.roundTrip(ctx, t, payload, c.opts.NodeTimeout, new(wire.Buffer))
-		if err != nil {
-			if isNodeDown(err) {
-				c.opts.Logf("simcoord: %v; journaling %d entries for re-sync", err, len(op.Entries))
-				continue // the down check now journals
-			}
-			return err
+		err := send()
+		if isNodeDown(err) {
+			c.opts.Logf("simcoord: %v; journaling %d entries for re-sync", err, len(op.Entries))
+			continue // the down check now journals
 		}
-		if respType != want {
-			return fmt.Errorf("cluster: node %s: unexpected replica write response %v", n.addr, respType)
-		}
-		return nil
+		return err
 	}
 }
 
@@ -112,7 +107,7 @@ func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.Res
 // is rejected up front if any entry has no live owner at all — an
 // acknowledgment must always be backed by at least one applied-and-logged
 // copy, not by journal entries alone.
-func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Entry, stream bool) error {
+func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Entry) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("cluster: insert aborted: %w", err)
 	}
@@ -132,7 +127,7 @@ func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Ent
 		if len(groups[i]) == 0 {
 			return nil
 		}
-		return c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncInsert, Entries: groups[i]}, stream)
+		return c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncInsert, Entries: groups[i]})
 	})
 }
 
@@ -170,24 +165,16 @@ func (c *Coordinator) deleteReplicated(ctx context.Context, refs []mindex.Entry)
 			if len(g) == 0 {
 				return nil
 			}
-			respType, resp, err := c.nodes[i].roundTrip(ctx, wire.MsgDeleteEntries,
-				wire.DeleteEntriesReq{Refs: g}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
+			n, err := c.sendDelete(ctx, c.nodes[i], g)
+			if isNodeDown(err) {
+				c.opts.Logf("simcoord: %v; retrying %d delete refs", err, len(g))
+				failed[i] = g
+				return nil
+			}
 			if err != nil {
-				if isNodeDown(err) {
-					c.opts.Logf("simcoord: %v; retrying %d delete refs", err, len(g))
-					failed[i] = g
-					return nil
-				}
 				return err
 			}
-			if respType != wire.MsgDeleteAck {
-				return fmt.Errorf("cluster: node %s: unexpected delete response %v", c.nodes[i].addr, respType)
-			}
-			ack, aerr := wire.DecodeDeleteAckResp(resp)
-			if aerr != nil {
-				return aerr
-			}
-			deleted.Add(ack.Deleted)
+			deleted.Add(n)
 			acked[i] = g
 			return nil
 		})
@@ -208,7 +195,7 @@ func (c *Coordinator) deleteReplicated(ctx context.Context, refs []mindex.Entry)
 			if len(repGroups[i]) == 0 {
 				return nil
 			}
-			return c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncDelete, Entries: repGroups[i]}, false)
+			return c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncDelete, Entries: repGroups[i]})
 		})
 		if err != nil {
 			return deleted.Load(), err

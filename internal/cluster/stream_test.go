@@ -5,7 +5,7 @@ package cluster_test
 // (node-ward they stay streaming frames, so node WALs under group-commit
 // policies amortise fsyncs until the forwarded end-of-stream flush) and
 // leave the cluster answering queries exactly like a single server fed the
-// same data monolithically.
+// same data by Insert.
 
 import (
 	"slices"
@@ -23,7 +23,7 @@ func TestClusterStreamIngest(t *testing.T) {
 	w := newWorld(t, 1200)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,7 +84,7 @@ func TestClusterStreamIngestReplicated(t *testing.T) {
 	w := newWorld(t, 900)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
-	if _, err := refClient.InsertBatch(w.data.Objects); err != nil {
+	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math/rand/v2"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +17,8 @@ import (
 	"simcloud/internal/pivot"
 	"simcloud/internal/secret"
 	"simcloud/internal/server"
+	"simcloud/internal/stats"
+	"simcloud/internal/wire"
 )
 
 // batchCloud builds an encrypted cloud over an explicit server config, so
@@ -56,40 +62,236 @@ func sameResults(a, b []Result) bool {
 	return true
 }
 
-// TestInsertBatchMatchesInsert: pipelined chunked ingest must leave the
-// server in the same state as one monolithic insert.
-func TestInsertBatchMatchesInsert(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := testConfig()
-		cfg.Shards = shards
-		mono, ds, monoSrv := batchCloud(t, cfg, Options{})
-		if _, err := mono.Insert(ds.Objects); err != nil {
-			t.Fatal(err)
+// frameCounter is a TCP proxy in front of a server that counts the request
+// frames it forwards, by message type. A frame is counted before it is
+// forwarded, so once its reply has arrived the count includes it.
+type frameCounter struct {
+	ln      net.Listener
+	backend string
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	counts  map[wire.MsgType]int
+	conns   []net.Conn
+}
+
+func countFrames(t *testing.T, backend string) *frameCounter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := &frameCounter{ln: ln, backend: backend, counts: map[wire.MsgType]int{}}
+	fc.wg.Add(1)
+	go fc.accept()
+	t.Cleanup(fc.close)
+	return fc
+}
+
+func (fc *frameCounter) Addr() string { return fc.ln.Addr().String() }
+
+func (fc *frameCounter) accept() {
+	defer fc.wg.Done()
+	for {
+		client, err := fc.ln.Accept()
+		if err != nil {
+			return
 		}
-		// Small chunk forces many in-flight frames.
-		piped, _, pipedSrv := batchCloud(t, cfg, Options{BatchChunk: 50})
-		costs, err := piped.InsertBatch(ds.Objects)
+		srv, err := net.Dial("tcp", fc.backend)
+		if err != nil {
+			client.Close()
+			continue
+		}
+		fc.mu.Lock()
+		fc.conns = append(fc.conns, client, srv)
+		fc.mu.Unlock()
+		fc.wg.Add(2)
+		go func() {
+			defer fc.wg.Done()
+			io.Copy(client, srv)
+			client.Close()
+		}()
+		go func() {
+			defer fc.wg.Done()
+			defer srv.Close()
+			for {
+				typ, payload, err := wire.ReadFrame(client)
+				if err != nil {
+					return
+				}
+				fc.mu.Lock()
+				fc.counts[typ]++
+				fc.mu.Unlock()
+				if err := wire.WriteFrame(srv, typ, payload); err != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// take returns the number of typ frames forwarded since the last take.
+func (fc *frameCounter) take(typ wire.MsgType) int {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	n := fc.counts[typ]
+	delete(fc.counts, typ)
+	return n
+}
+
+func (fc *frameCounter) close() {
+	fc.ln.Close()
+	fc.mu.Lock()
+	for _, c := range fc.conns {
+		c.Close()
+	}
+	fc.mu.Unlock()
+	fc.wg.Wait()
+}
+
+// writer is the write surface every backend shares.
+type writer interface {
+	Searcher
+	Insert(objs []metric.Object) (stats.Costs, error)
+	Delete(objs []metric.Object) (int, stats.Costs, error)
+}
+
+// TestWriteChunkFrames: on every backend an insert and a delete of n objects
+// ship ⌈n/BatchChunk⌉ chunk frames as one pipelined flight, and leave the
+// index in the state one in-process InsertBulk / Delete of the batch leaves:
+// the same size and the same answers.
+func TestWriteChunkFrames(t *testing.T) {
+	const chunk = 64 // the BatchChunk default, and the plain client's chunk
+	const base = 40  // objects indexed before the measured writes
+	ds := dataset.Clustered(78, 3*chunk+1+base, 6, 5, metric.L2{})
+	rng := rand.New(rand.NewPCG(78, 1))
+	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, testPivotCount)
+	key, err := secret.Generate(pv, secret.ModeCTRHMAC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxLevel: testMaxLevel}
+	rest := ds.Objects[3*chunk+1:]
+
+	type deployment struct {
+		client         writer
+		size           func() int
+		frames         *frameCounter // nil in-process
+		insert, delete wire.MsgType
+	}
+	deploy := func(t *testing.T, kind string, cfg mindex.Config) deployment {
+		switch kind {
+		case "encrypted":
+			srv, err := server.NewEncrypted(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			fc := countFrames(t, srv.Addr())
+			c, err := DialEncrypted(fc.Addr(), key, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return deployment{c, srv.Index().Size, fc, wire.MsgIngestChunk, wire.MsgDeleteEntries}
+		case "plain":
+			srv := startPlain(t, cfg, pv)
+			fc := countFrames(t, srv.Addr())
+			c, err := DialPlain(fc.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return deployment{c, srv.Index().Size, fc, wire.MsgIngestObjChunk, wire.MsgDeleteObjects}
+		}
+		c, err := NewDirect(cfg, key, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if costs.RoundTrips != 1 {
-			t.Fatalf("pipelined insert reported %d round trips, want 1", costs.RoundTrips)
+		t.Cleanup(func() { c.Close() })
+		return deployment{client: c, size: c.Engine().Size}
+	}
+	sameAnswers := func(t *testing.T, what string, got, want Searcher) {
+		t.Helper()
+		for _, q := range []Query{
+			{Kind: KindApproxKNN, Vec: ds.Objects[3].Vec, K: 10, CandSize: 60},
+			{Kind: KindKNN, Vec: ds.Objects[100].Vec, K: 10},
+		} {
+			w, _, err := search(want, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := search(got, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResults(g, w) {
+				t.Fatalf("after %s: %v answers %v, reference %v", what, q.Kind, g, w)
+			}
 		}
-		if pipedSrv.Index().Size() != monoSrv.Index().Size() {
-			t.Fatalf("shards=%d: batch ingest left %d entries, monolithic %d",
-				shards, pipedSrv.Index().Size(), monoSrv.Index().Size())
-		}
-		q := ds.Objects[3].Vec
-		want, _, err := search(mono, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 120})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := search(piped, Query{Kind: KindApproxKNN, Vec: q, K: 10, CandSize: 120})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameResults(got, want) {
-			t.Fatalf("shards=%d: post-ingest results differ", shards)
+	}
+
+	for _, tc := range []struct {
+		kind   string
+		shards int
+	}{{"encrypted", 1}, {"encrypted", 4}, {"plain", 1}, {"direct", 1}} {
+		for _, n := range []int{0, 1, chunk, chunk + 1, 3*chunk + 1} {
+			t.Run(fmt.Sprintf("%s/shards=%d/n=%d", tc.kind, tc.shards, n), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Shards = tc.shards
+				d := deploy(t, tc.kind, cfg)
+				ref := deploy(t, "direct", cfg)
+				objs := ds.Objects[:n]
+				for _, c := range []writer{d.client, ref.client} {
+					if _, err := c.Insert(rest); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wantFrames := (n + chunk - 1) / chunk
+				checkFrames := func(what string, typ wire.MsgType, costs stats.Costs) {
+					t.Helper()
+					if d.frames == nil {
+						return
+					}
+					if got := d.frames.take(typ); got != wantFrames {
+						t.Fatalf("%s of %d objects sent %d %v frames, want %d", what, n, got, typ, wantFrames)
+					}
+					if want := int64(min(n, 1)); costs.RoundTrips != want {
+						t.Fatalf("%s of %d objects reported %d round trips, want %d", what, n, costs.RoundTrips, want)
+					}
+				}
+				if d.frames != nil {
+					d.frames.take(d.insert)
+				}
+
+				costs, err := d.client.Insert(objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFrames("insert", d.insert, costs)
+				if _, err := ref.client.Insert(objs); err != nil {
+					t.Fatal(err)
+				}
+				if got := d.size(); got != base+n {
+					t.Fatalf("insert of %d objects left %d entries, want %d", n, got, base+n)
+				}
+				sameAnswers(t, "insert", d.client, ref.client)
+
+				deleted, costs, err := d.client.Delete(objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFrames("delete", d.delete, costs)
+				if _, _, err := ref.client.Delete(objs); err != nil {
+					t.Fatal(err)
+				}
+				if deleted != n || d.size() != base {
+					t.Fatalf("delete of %d objects deleted %d, left %d entries, want %d", n, deleted, d.size(), base)
+				}
+				sameAnswers(t, "delete", d.client, ref.client)
+			})
 		}
 	}
 }
@@ -184,16 +386,16 @@ func TestBatchOnDeadConnection(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.InsertBatch(ds.Objects[:100])
+		_, err := client.Insert(ds.Objects[:100])
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("InsertBatch on closed connection succeeded")
+			t.Fatal("Insert on closed connection succeeded")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("InsertBatch on closed connection hung")
+		t.Fatal("Insert on closed connection hung")
 	}
 }
 
@@ -210,7 +412,7 @@ func TestApproxKNNBatchValidation(t *testing.T) {
 	if err != nil || out != nil {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
-	if costs, err := client.InsertBatch(nil); err != nil || costs.RoundTrips != 0 {
-		t.Fatalf("empty insert batch: %+v, %v", costs, err)
+	if costs, err := client.Insert(nil); err != nil || costs.RoundTrips != 0 {
+		t.Fatalf("empty insert: %+v, %v", costs, err)
 	}
 }

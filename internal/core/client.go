@@ -48,10 +48,10 @@ type Options struct {
 	// summed CPU time across workers. Default 1 (the paper's single-client
 	// measurement setup).
 	Workers int
-	// BatchChunk is the number of queries (SearchBatch) or entries
-	// (InsertBatch) carried per pipelined frame. Smaller chunks let the
-	// server start answering earlier; larger chunks amortize more framing.
-	// Default 64.
+	// BatchChunk is the number of queries (SearchBatch), entries (Insert,
+	// InsertStream) or delete references (Delete) carried per pipelined
+	// frame. Smaller chunks let the server start answering earlier; larger
+	// chunks amortize more framing. Default 64.
 	BatchChunk int
 	// StreamWindow is the maximum number of unacknowledged chunks a
 	// streamed ingest (InsertStream) keeps in flight. A deeper window hides
@@ -322,8 +322,13 @@ func (c *EncryptedClient) Insert(objs []metric.Object) (stats.Costs, error) {
 
 // InsertContext performs the encrypted bulk insert of Algorithm 1: per
 // object, the client computes pivot distances, derives the permutation
-// prefix, encrypts the object, and ships the entries to the server. ctx
-// bounds the round trip.
+// prefix and encrypts the object; then it ships the entries as one
+// pipelined flight of MsgIngestChunk frames of Options.BatchChunk entries
+// each (see ingest), under ctx. A batch larger than BatchChunk is applied
+// chunk by chunk, in order, so a failure leaves whole chunks applied: a
+// broken connection a prefix of them, and a chunk the server rejects does
+// not stop the chunks already in flight behind it. Re-running a partly
+// applied batch reports a duplicate-ID error, as InsertStream does.
 func (c *EncryptedClient) InsertContext(ctx context.Context, objs []metric.Object) (stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
@@ -331,19 +336,15 @@ func (c *EncryptedClient) InsertContext(ctx context.Context, objs []metric.Objec
 	if err != nil {
 		return costs, err
 	}
-	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgInsertEntries,
-		wire.InsertEntriesReq{Entries: entries}.Encode(), new(wire.Buffer), &costs)
+	chunk := c.opts.BatchChunk
+	err = ingest(ctx, c.link, wire.MsgIngestChunk, c.chunkCount(len(entries)), 0,
+		func(seq int) ([]byte, error) {
+			sub := entries[seq*chunk : min((seq+1)*chunk, len(entries))]
+			return wire.IngestChunkReq{Seq: uint32(seq), Entries: sub}.Encode(), nil
+		}, &costs)
 	if err != nil {
 		return costs, err
 	}
-	if respType != wire.MsgAck {
-		return costs, fmt.Errorf("core: unexpected insert response %v", respType)
-	}
-	ack, err := wire.DecodeAckResp(resp)
-	if err != nil {
-		return costs, err
-	}
-	costs.CreditServer(ack.ServerNanos)
 	costs.Finish(start)
 	return costs, nil
 }

@@ -91,23 +91,23 @@ func newStalledServerHello(t *testing.T, hello []byte) *stalledServer {
 
 // TestDialRejectsProtocolMismatch: a server answering the hello in the
 // version-1 shape (no trailing version field) — or announcing any other
-// version, among them version 3, which still has the per-store and per-kind
-// side-door messages and no BatchAll — is refused at dial time with an error
+// version, among them version 4, which still has the one-frame insert
+// messages and a shorter chunk ack — is refused at dial time with an error
 // naming both versions, not mis-decoded, and the socket is released.
 func TestDialRejectsProtocolMismatch(t *testing.T) {
 	key, _ := testKey(t)
 	current := wire.HelloResp{Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivotCount}
-	if current.Version != 4 {
-		t.Fatalf("protocol version %d, want 4", current.Version)
+	if current.Version != 5 {
+		t.Fatalf("protocol version %d, want 5", current.Version)
 	}
 	older, newer := current, current
-	older.Version, newer.Version = 3, wire.ProtocolVersion+1
+	older.Version, newer.Version = 4, wire.ProtocolVersion+1
 	for name, tc := range map[string]struct {
 		hello []byte
 		peer  string
 	}{
 		"v1-shaped": {current.Encode()[:len(current.Encode())-4], "v1"},
-		"v3":        {older.Encode(), "v3"},
+		"v4":        {older.Encode(), "v4"},
 		"newer":     {newer.Encode(), fmt.Sprintf("v%d", newer.Version)},
 	} {
 		srv := newStalledServerHello(t, tc.hello)

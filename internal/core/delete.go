@@ -35,82 +35,61 @@ func (c *EncryptedClient) Delete(objs []metric.Object) (int, stats.Costs, error)
 	return c.DeleteContext(context.Background(), objs)
 }
 
-// DeleteContext removes the given objects from the encrypted index in one
-// round trip under ctx. Objects the server does not know (or already
-// deleted) are skipped; the count of entries actually deleted is returned.
+// DeleteContext removes the given objects from the encrypted index under
+// ctx: the references ship as one pipelined flight of MsgDeleteEntries
+// frames of Options.BatchChunk references each (see deleteFlight). Objects
+// the server does not know (or already deleted) are skipped; the count of
+// entries actually deleted is returned.
 func (c *EncryptedClient) DeleteContext(ctx context.Context, objs []metric.Object) (int, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	if len(objs) == 0 {
-		costs.Finish(start)
-		return 0, costs, nil
-	}
 	refs := c.deleteRefs(objs, &costs)
-	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgDeleteEntries,
-		wire.DeleteEntriesReq{Refs: refs}.Encode(), new(wire.Buffer), &costs)
+	deleted, err := deleteFlight(ctx, c.link, len(refs), c.opts.BatchChunk, func(lo, hi int) (wire.MsgType, []byte) {
+		return wire.MsgDeleteEntries, wire.DeleteEntriesReq{Refs: refs[lo:hi]}.Encode()
+	}, &costs)
 	if err != nil {
-		return 0, costs, err
+		return deleted, costs, err
 	}
-	if respType != wire.MsgDeleteAck {
-		return 0, costs, fmt.Errorf("core: unexpected delete response %v", respType)
-	}
-	ack, err := wire.DecodeDeleteAckResp(resp)
-	if err != nil {
-		return 0, costs, err
-	}
-	costs.CreditServer(ack.ServerNanos)
 	costs.Finish(start)
-	return int(ack.Deleted), costs, nil
+	return deleted, costs, nil
 }
 
-// DeleteBatch is DeleteBatchContext without a deadline.
-func (c *EncryptedClient) DeleteBatch(objs []metric.Object) (int, stats.Costs, error) {
-	return c.DeleteBatchContext(context.Background(), objs)
-}
-
-// DeleteBatchContext is Delete with chunked pipelining: the references are
-// shipped as a sequence of MsgDeleteEntries frames of Options.BatchChunk
-// references each, all in flight at once — the mutation mirror of
-// InsertBatch, sharing its cost accounting (one round trip for the whole
-// flight) and its context semantics.
-func (c *EncryptedClient) DeleteBatchContext(ctx context.Context, objs []metric.Object) (int, stats.Costs, error) {
-	var costs stats.Costs
-	start := time.Now()
-	if len(objs) == 0 {
-		costs.Finish(start)
-		return 0, costs, nil
+// deleteFlight ships n delete items as one pipelined flight of frames of
+// chunk items each, all encoded before the flight (encode builds the frame
+// of items [lo, hi)) — the mutation mirror of an insert, charged to costs
+// as one round trip — and sums the deleted counts of their MsgDeleteAck
+// replies. Chunks are applied in order; the count returned with an error is
+// the part acknowledged before it.
+func deleteFlight(ctx context.Context, link *wire.Link, n, chunk int,
+	encode func(lo, hi int) (wire.MsgType, []byte), costs *stats.Costs) (int, error) {
+	if n == 0 {
+		return 0, nil
 	}
-	refs := c.deleteRefs(objs, &costs)
-	chunk := c.opts.BatchChunk
-	reqs := make([]wire.Frame, 0, c.chunkCount(len(refs)))
-	for at := 0; at < len(refs); at += chunk {
-		reqs = append(reqs, wire.Frame{
-			Type:    wire.MsgDeleteEntries,
-			Payload: wire.DeleteEntriesReq{Refs: refs[at:min(at+chunk, len(refs))]}.Encode(),
-		})
+	reqs := make([]wire.Frame, 0, (n+chunk-1)/chunk)
+	for lo := 0; lo < n; lo += chunk {
+		t, payload := encode(lo, min(lo+chunk, n))
+		reqs = append(reqs, wire.Frame{Type: t, Payload: payload})
 	}
-	resps, err := c.link.Exchange(ctx, reqs, &costs)
+	resps, err := link.Exchange(ctx, reqs, costs)
 	if err != nil {
-		return 0, costs, err
+		return 0, err
 	}
 	defer wire.ReleaseFrames(resps)
 	deleted := 0
 	for ci, r := range resps {
 		if err := r.Err(); err != nil {
 			lo := ci * chunk
-			return deleted, costs, fmt.Errorf("core: delete chunk %d (objects %d..%d): %w",
-				ci, lo, min(lo+chunk, len(refs))-1, err)
+			return deleted, fmt.Errorf("core: delete chunk %d (objects %d..%d): %w", ci, lo, min(lo+chunk, n)-1, err)
 		}
 		if r.Type != wire.MsgDeleteAck {
-			return deleted, costs, fmt.Errorf("core: unexpected batch delete response %v", r.Type)
+			return deleted, fmt.Errorf("core: unexpected delete response %v", r.Type)
 		}
 		ack, err := wire.DecodeDeleteAckResp(r.Payload)
 		if err != nil {
-			return deleted, costs, err
+			return deleted, err
 		}
 		deleted += int(ack.Deleted)
 		costs.CreditServer(ack.ServerNanos)
 	}
-	costs.Finish(start)
-	return deleted, costs, nil
+	return deleted, nil
 }

@@ -325,13 +325,6 @@ func (c *DirectClient) InsertContext(ctx context.Context, objs []metric.Object) 
 	return costs, nil
 }
 
-// InsertBatch aliases InsertContext: in-process there are no frames to
-// pipeline, but the method keeps DirectClient drop-in compatible with code
-// written against the networked client's batch surface.
-func (c *DirectClient) InsertBatch(objs []metric.Object) (stats.Costs, error) {
-	return c.InsertContext(context.Background(), objs)
-}
-
 // Delete is DeleteContext without a deadline.
 func (c *DirectClient) Delete(objs []metric.Object) (int, stats.Costs, error) {
 	return c.DeleteContext(context.Background(), objs)
@@ -358,9 +351,4 @@ func (c *DirectClient) DeleteContext(ctx context.Context, objs []metric.Object) 
 	}
 	costs.Finish(start)
 	return deleted, costs, nil
-}
-
-// DeleteBatch aliases DeleteContext (see InsertBatch).
-func (c *DirectClient) DeleteBatch(objs []metric.Object) (int, stats.Costs, error) {
-	return c.DeleteContext(context.Background(), objs)
 }

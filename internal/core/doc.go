@@ -9,7 +9,11 @@
 //   - Insert (Algorithm 1): the client computes object–pivot distances,
 //     derives the pivot permutation, encrypts the object, and ships
 //     {permutation [, distances], ciphertext} to the server, which files it
-//     into the M-Index cell tree.
+//     into the M-Index cell tree. Every networked write is one pipelined
+//     flight of Options.BatchChunk-item frames (ingest, deleteFlight):
+//     Insert prepares every entry and then ships its chunks, InsertStream
+//     prepares each chunk inside a window of unacknowledged ones and closes
+//     with a WAL flush, and Delete ships its references the same way.
 //   - Search (Algorithm 2): the client computes query–pivot distances,
 //     sends only the permutation (approximate k-NN) or the distance vector
 //     (precise range) to the server, receives a pre-ranked candidate set of

@@ -60,25 +60,25 @@ func (c *PlainClient) Insert(objs []metric.Object) (stats.Costs, error) {
 	return c.InsertContext(context.Background(), objs)
 }
 
-// InsertContext uploads a bulk of raw objects; the server computes pivot
-// distances and builds the index.
+// The plain client takes no Options: its chunk size and stream window are
+// the encrypted client's defaults.
+const plainChunk, plainWindow = 64, 4
+
+// plainChunks returns the number of plainChunk-sized chunks covering n.
+func plainChunks(n int) int { return (n + plainChunk - 1) / plainChunk }
+
+// InsertContext uploads a bulk of raw objects as one pipelined flight of
+// MsgIngestObjChunk frames; the server computes pivot distances and builds
+// the index, and its distance time is reported as DistCompTime. Chunks are
+// applied in order, as an encrypted Insert's are.
 func (c *PlainClient) InsertContext(ctx context.Context, objs []metric.Object) (stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgInsertObjects,
-		wire.InsertObjectsReq{Objects: objs}.Encode(), new(wire.Buffer), &costs)
+	err := ingest(ctx, c.link, wire.MsgIngestObjChunk, plainChunks(len(objs)), 0,
+		objChunks(objs, plainChunk), &costs)
 	if err != nil {
 		return costs, err
 	}
-	if respType != wire.MsgAck {
-		return costs, fmt.Errorf("core: unexpected insert response %v", respType)
-	}
-	ack, err := wire.DecodeAckResp(resp)
-	if err != nil {
-		return costs, err
-	}
-	costs.CreditServer(ack.ServerNanos)
-	costs.DistCompTime = time.Duration(ack.DistNanos) // server-side distance time
 	costs.Finish(start)
 	return costs, nil
 }
@@ -186,36 +186,25 @@ func (c *PlainClient) Delete(objs []metric.Object) (int, stats.Costs, error) {
 	return c.DeleteContext(context.Background(), objs)
 }
 
-// DeleteContext removes the given objects from the plain index in one
-// round trip: the server owns the location map, so bare IDs suffice (no
-// routing metadata travels, unlike the encrypted delete). Unknown or
-// already-deleted IDs are skipped; the count actually deleted is returned
-// — signature-compatible with EncryptedClient.Delete so baseline
-// experiments mutate like for like.
+// DeleteContext removes the given objects from the plain index as one
+// pipelined flight of MsgDeleteObjects frames (see deleteFlight): the server
+// owns the location map, so bare IDs suffice (no routing metadata travels,
+// unlike the encrypted delete). Unknown or already-deleted IDs are skipped;
+// the count actually deleted is returned — signature-compatible with
+// EncryptedClient.Delete so baseline experiments mutate like for like.
 func (c *PlainClient) DeleteContext(ctx context.Context, objs []metric.Object) (int, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	if len(objs) == 0 {
-		costs.Finish(start)
-		return 0, costs, nil
-	}
-	ids := make([]uint64, len(objs))
-	for i, o := range objs {
-		ids[i] = o.ID
-	}
-	respType, resp, err := c.link.RoundTrip(ctx, wire.MsgDeleteObjects,
-		wire.DeleteObjectsReq{IDs: ids}.Encode(), new(wire.Buffer), &costs)
+	deleted, err := deleteFlight(ctx, c.link, len(objs), plainChunk, func(lo, hi int) (wire.MsgType, []byte) {
+		ids := make([]uint64, hi-lo)
+		for i, o := range objs[lo:hi] {
+			ids[i] = o.ID
+		}
+		return wire.MsgDeleteObjects, wire.DeleteObjectsReq{IDs: ids}.Encode()
+	}, &costs)
 	if err != nil {
-		return 0, costs, err
+		return deleted, costs, err
 	}
-	if respType != wire.MsgDeleteAck {
-		return 0, costs, fmt.Errorf("core: unexpected delete response %v", respType)
-	}
-	ack, err := wire.DecodeDeleteAckResp(resp)
-	if err != nil {
-		return 0, costs, err
-	}
-	costs.CreditServer(ack.ServerNanos)
 	costs.Finish(start)
-	return int(ack.Deleted), costs, nil
+	return deleted, costs, nil
 }

@@ -11,13 +11,14 @@ import (
 	"simcloud/internal/pivot"
 	"simcloud/internal/secret"
 	"simcloud/internal/server"
+	"simcloud/internal/stats"
 	"simcloud/internal/wal"
 )
 
 // TestInsertStreamMatchesInsert: the streamed ingest must leave the server
-// in the same state as one monolithic insert, across shard counts and with
-// a chunk/window combination small enough to exercise the ack window many
-// times over.
+// in the same state as an Insert of the same batch, across shard counts and
+// with a chunk/window combination small enough to exercise the ack window
+// many times over.
 func TestInsertStreamMatchesInsert(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := testConfig()
@@ -155,7 +156,7 @@ func TestInsertStreamDuplicateFails(t *testing.T) {
 }
 
 // TestInsertStreamPlain: the plain deployment's streamed upload must match
-// a monolithic upload.
+// an Insert, and both must report the server's distance time.
 func TestInsertStreamPlain(t *testing.T) {
 	ds := dataset.Clustered(43, 600, 6, 8, metric.L2{})
 	rng := rand.New(rand.NewPCG(43, 1))
@@ -170,7 +171,8 @@ func TestInsertStreamPlain(t *testing.T) {
 		return client, srv
 	}
 	mono, monoSrv := newClient()
-	if _, err := mono.Insert(ds.Objects); err != nil {
+	monoCosts, err := mono.Insert(ds.Objects)
+	if err != nil {
 		t.Fatal(err)
 	}
 	streamed, streamedSrv := newClient()
@@ -178,8 +180,12 @@ func TestInsertStreamPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if costs.RoundTrips != 1 || costs.ServerTime <= 0 {
-		t.Fatalf("implausible plain stream costs: %+v", costs)
+	// The plain server computes the pivot distances; both forms report
+	// that time, carried on the chunk acks.
+	for _, c := range []stats.Costs{monoCosts, costs} {
+		if c.RoundTrips != 1 || c.ServerTime <= 0 || c.DistCompTime <= 0 {
+			t.Fatalf("implausible plain ingest costs: %+v", c)
+		}
 	}
 	if streamedSrv.Index().Size() != monoSrv.Index().Size() {
 		t.Fatalf("streamed plain ingest left %d entries, monolithic %d",

@@ -97,17 +97,6 @@ type Config struct {
 	// stored (live + dead) entries. A bare Index never compacts on its own;
 	// 0 disables the policy everywhere.
 	AutoCompactFraction float64
-	// QuantizedPromise enables the fixed-point promise kernel for the
-	// approximate traversal: when the query-side promise terms are exactly
-	// representable on an integer grid (always true for the footrule
-	// ranking, true for distance-sum when every query–pivot distance is a
-	// non-negative integer below 65536 — the uint16 grid), cell promises
-	// are accumulated and compared as integers instead of floats. The
-	// emitted promise values and the ranked candidate lists are bit-for-bit
-	// identical to the float path (see DESIGN.md §Performance); whenever
-	// exactness cannot be proven the traversal silently falls back to the
-	// float path, so enabling this never changes any result.
-	QuantizedPromise bool
 }
 
 func (c Config) validate() error {

@@ -9,14 +9,13 @@ import (
 )
 
 // The approximate traversal computes cell promises incrementally (one
-// weighted term per tree level) and, under Config.QuantizedPromise, as
-// scaled integers. Both paths claim bit-for-bit identity with the
+// weighted term per tree level) and claims bit-for-bit identity with the
 // from-scratch pivot.FootrulePromise/DistSumPromise reference — these tests
 // enforce the claim on the emitted candidate streams.
 
 // intDistEntries builds entries whose pivot distances lie on the integer
-// grid [0,200) — the regime where the distance-sum fixed-point path
-// qualifies — with permutations derived from the distances like a real
+// grid [0,200) — where many cells tie on promise, so the prefix tie-break
+// is exercised — with permutations derived from the distances like a real
 // ingest would.
 func intDistEntries(rng *rand.Rand, n, numPivots int) []Entry {
 	entries := make([]Entry, 0, n)
@@ -95,83 +94,5 @@ func TestPromiseIncrementalMatchesReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestQuantizedPromiseEquivalence runs the same data and queries through a
-// float-promise index and a quantized-promise index and requires the full
-// ranked candidate streams — IDs, order, promises, prefixes — to be
-// identical. Integral distance-sum queries take the fixed-point path;
-// fractional ones exercise the per-query fallback, which must also be
-// invisible in the results.
-func TestQuantizedPromiseEquivalence(t *testing.T) {
-	for _, ranking := range []RankStrategy{RankFootrule, RankDistSum} {
-		for _, integral := range []bool{true, false} {
-			name := ranking.String()
-			if integral {
-				name += "/integral"
-			} else {
-				name += "/fractional"
-			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(7, uint64(ranking)))
-				entries := intDistEntries(rng, 1500, 10)
-				cfg := Config{
-					NumPivots: 10, MaxLevel: 4, BucketCapacity: 10,
-					Storage: StorageMemory, Ranking: ranking,
-				}
-				base, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer base.Close()
-				qcfg := cfg
-				qcfg.QuantizedPromise = true
-				quant, err := New(qcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer quant.Close()
-				if err := base.InsertBulk(entries); err != nil {
-					t.Fatal(err)
-				}
-				if err := quant.InsertBulk(entries); err != nil {
-					t.Fatal(err)
-				}
-				for qi, q := range promiseTestQueries(rng, 25, 10, integral) {
-					want, err := base.ApproxCandidatesRanked(q, 500)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := quant.ApproxCandidatesRanked(q, 500)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("query %d: %d candidates vs %d", qi, len(got), len(want))
-					}
-					for i := range got {
-						if got[i].Entry.ID != want[i].Entry.ID ||
-							math.Float64bits(got[i].Promise) != math.Float64bits(want[i].Promise) {
-							t.Fatalf("query %d cand %d: got (%d, %x), want (%d, %x)",
-								qi, i, got[i].Entry.ID, got[i].Promise, want[i].Entry.ID, want[i].Promise)
-						}
-					}
-					we, err := base.Search(Query{Kind: KindFirstCell, ApproxQuery: q})
-					if err != nil {
-						t.Fatal(err)
-					}
-					ge, err := quant.Search(Query{Kind: KindFirstCell, ApproxQuery: q})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(ge) != len(we) || (len(ge) > 0 &&
-						math.Float64bits(ge[0].Promise) != math.Float64bits(we[0].Promise)) {
-						t.Fatalf("query %d first cell: got %d entries, want %d (first: %+v vs %+v)",
-							qi, len(ge), len(we), ge[:min(1, len(ge))], we[:min(1, len(we))])
-					}
-				}
-			})
-		}
 	}
 }

@@ -324,13 +324,10 @@ func (ix *Index) cellLowerBound(child *node, key int32, parent *node, qDists []f
 }
 
 // rankedNode is a cell-tree node queued by its promise value during the
-// approximate search (lower promise = more promising). In the fixed-point
-// traversal (see promiser) ikey carries the promise scaled to an integer;
-// the float promise is only materialized when a cell is emitted.
+// approximate search (lower promise = more promising).
 type rankedNode struct {
 	n       *node
 	promise float64
-	ikey    uint64
 }
 
 // rankedQueue is a typed min-heap of rankedNodes. It is hand-rolled rather
@@ -342,11 +339,6 @@ type rankedNode struct {
 // byte-identical to container/heap's.
 type rankedQueue struct {
 	items []rankedNode
-	// useInt orders by the integer promise key instead of the float
-	// promise. The fixed-point path only runs when the integer order
-	// provably equals the float order (see promiser), so the pop sequence
-	// is identical either way.
-	useInt bool
 }
 
 // Len returns the number of queued nodes.
@@ -356,11 +348,7 @@ func (q *rankedQueue) Len() int { return len(q.items) }
 // and therefore every candidate set — is fully deterministic.
 func (q *rankedQueue) less(i, j int) bool {
 	h := q.items
-	if q.useInt {
-		if h[i].ikey != h[j].ikey {
-			return h[i].ikey < h[j].ikey
-		}
-	} else if h[i].promise != h[j].promise {
+	if h[i].promise != h[j].promise {
 		return h[i].promise < h[j].promise
 	}
 	return PrefixLess(h[i].n.prefix, h[j].n.prefix)
@@ -407,14 +395,13 @@ func (q *rankedQueue) pop() rankedNode {
 // getQueue hands out a promise queue seeded with the given snapshot root,
 // recycling backing arrays across searches; putQueue returns it.
 // Steady-state searches therefore allocate no traversal state.
-func (ix *Index) getQueue(root *node, useInt bool) *rankedQueue {
+func (ix *Index) getQueue(root *node) *rankedQueue {
 	var q *rankedQueue
 	if v := ix.pqPool.Get(); v != nil {
 		q = v.(*rankedQueue)
 	} else {
 		q = new(rankedQueue)
 	}
-	q.useInt = useInt
 	q.push(rankedNode{n: root})
 	return q
 }
@@ -475,69 +462,20 @@ func (ix *Index) validateApprox(q ApproxQuery) error {
 // added in ascending level order along every root→leaf path — exactly the
 // summation order of the from-scratch functions — so the accumulated floats
 // are bit-for-bit identical to theirs (enforced by TestPromiseIncremental*).
-//
-// When Config.QuantizedPromise is set and exactness is provable, promises
-// are instead accumulated and compared as integers scaled by 2^(MaxLevel-1)
-// (useInt): footrule terms |rank−level| are integers by construction;
-// distance-sum terms qualify when every query–pivot distance lies on the
-// non-negative uint16 integer grid (simd.CanQuantizeU16). Every such
-// promise is a dyadic rational whose partial sums are exactly representable
-// in float64, so the integer order equals the float order and the emitted
-// float promises (materialized via Ldexp) are bit-identical — otherwise the
-// promiser silently falls back to the float path.
 type promiser struct {
 	ranking RankStrategy
 	weights []float64
 	ranks   []int32
 	dists   []float64
-	useInt  bool
-	lm1     int // MaxLevel-1: the fixed-point scale is 2^lm1
 }
 
-// quantizedMaxLevel bounds MaxLevel for the fixed-point path: with terms
-// below 2^17 and shifts up to MaxLevel-1, integer keys stay far below 2^53,
-// keeping the float64 materialization exact.
-const quantizedMaxLevel = 32
-
-// quantizedMaxPivots bounds the footrule term magnitude (|rank−level| <
-// NumPivots) for the same exactness argument.
-const quantizedMaxPivots = 1 << 20
-
 func (ix *Index) newPromiser(q ApproxQuery) promiser {
-	p := promiser{
-		ranking: ix.cfg.Ranking,
-		weights: ix.weights,
-		ranks:   q.Ranks,
-		dists:   q.Dists,
-		lm1:     ix.cfg.MaxLevel - 1,
-	}
-	if ix.cfg.QuantizedPromise && ix.cfg.MaxLevel <= quantizedMaxLevel {
-		switch p.ranking {
-		case RankFootrule:
-			p.useInt = ix.cfg.NumPivots <= quantizedMaxPivots
-		case RankDistSum:
-			p.useInt = simd.CanQuantizeU16(q.Dists)
-		}
-	}
-	return p
+	return promiser{ranking: ix.cfg.Ranking, weights: ix.weights, ranks: q.Ranks, dists: q.Dists}
 }
 
 // childItem derives the queue item of child c (reached from item's node via
 // permutation element key at the given level) from its parent's item.
 func (p *promiser) childItem(item rankedNode, c *node, level int, key int32) rankedNode {
-	if p.useInt {
-		var t uint64
-		if p.ranking == RankDistSum {
-			t = uint64(p.dists[key])
-		} else {
-			d := p.ranks[key] - int32(level)
-			if d < 0 {
-				d = -d
-			}
-			t = uint64(d)
-		}
-		return rankedNode{n: c, ikey: item.ikey + t<<(p.lm1-level)}
-	}
 	var term float64
 	if p.ranking == RankDistSum {
 		term = p.weights[level] * p.dists[key]
@@ -549,14 +487,6 @@ func (p *promiser) childItem(item rankedNode, c *node, level int, key int32) ran
 		term = p.weights[level] * d
 	}
 	return rankedNode{n: c, promise: item.promise + term}
-}
-
-// emitPromise materializes the float promise of a queue item.
-func (p *promiser) emitPromise(item rankedNode) float64 {
-	if p.useInt {
-		return math.Ldexp(float64(item.ikey), -p.lm1)
-	}
-	return item.promise
 }
 
 // collect is the promise-ordered traversal behind both ranked kinds
@@ -582,7 +512,7 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 		out = make([]RankedCandidate, 0, min(want, st.size))
 	}
 	pr := ix.newPromiser(q)
-	pq := ix.getQueue(st.root, pr.useInt)
+	pq := ix.getQueue(st.root)
 	defer ix.putQueue(pq)
 	for pq.Len() > 0 && len(out) < want {
 		item := pq.pop()
@@ -594,7 +524,6 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 			if err != nil {
 				return nil, err
 			}
-			promise := pr.emitPromise(item)
 			// Only an unsplit root leaf mixes first-level cells; deeper
 			// leaves were filtered when the root's children were queued.
 			root := len(item.n.prefix) == 0
@@ -609,7 +538,7 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 				if len(out) == cap(out) {
 					out = slices.Grow(out, b.Len()-i) // room for the rest of the cell at once
 				}
-				out = append(out, RankedCandidate{Entry: v, Promise: promise, Prefix: item.n.prefix})
+				out = append(out, RankedCandidate{Entry: v, Promise: item.promise, Prefix: item.n.prefix})
 			}
 			continue
 		}
@@ -659,7 +588,7 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 		return l
 	}
 	var fresh []BoundKey // a leaf's newly kept entries, for the share
-	pq := ix.getQueue(st.root, false)
+	pq := ix.getQueue(st.root)
 	defer ix.putQueue(pq)
 	for pq.Len() > 0 {
 		item := pq.pop()

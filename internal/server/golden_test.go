@@ -68,7 +68,7 @@ func TestDiskFilesGolden(t *testing.T) {
 	}
 	for at, i := 0, 0; at < len(entries); i++ {
 		n := min([]int{40, 3, 1, 64, 17, 5}[i%6], len(entries)-at)
-		do(wire.MsgInsertEntries, wire.InsertEntriesReq{Entries: entries[at : at+n]}.Encode())
+		do(wire.MsgIngestChunk, wire.IngestChunkReq{Seq: uint32(i), Entries: entries[at : at+n]}.Encode())
 		at += n
 	}
 	var refs []mindex.Entry
@@ -77,7 +77,7 @@ func TestDiskFilesGolden(t *testing.T) {
 	}
 	do(wire.MsgDeleteEntries, wire.DeleteEntriesReq{Refs: refs}.Encode())
 	for i := 0; i < 45; i += 9 {
-		do(wire.MsgInsertEntries, wire.InsertEntriesReq{Entries: entries[i : i+1]}.Encode())
+		do(wire.MsgIngestChunk, wire.IngestChunkReq{Entries: entries[i : i+1]}.Encode())
 	}
 	eng := srv.Index()
 	for i := 1; i < 60; i += 11 {

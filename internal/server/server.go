@@ -305,39 +305,6 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 		}
 		return wire.MsgHelloAck, s.helloResp().Encode(), nil
 
-	case wire.MsgInsertEntries:
-		if s.plain != nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeInsertEntriesReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := s.eng.InsertBulk(req.Entries); err != nil {
-			return 0, nil, err
-		}
-		if err := s.walAppend(wal.OpInsert, req.Entries); err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
-
-	case wire.MsgInsertObjects:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
-		}
-		req, err := wire.DecodeInsertObjectsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		costs, err := s.plain.Insert(req.Objects)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgAck, wire.AckResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   uint64(costs.DistCompTime),
-		}.Encode(), nil
-
 	case wire.MsgDeleteEntries:
 		if s.plain != nil {
 			return 0, nil, errNeedEncrypted
@@ -491,11 +458,12 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 		if err != nil {
 			return 0, nil, err
 		}
-		if _, err := s.plain.Insert(req.Objects); err != nil {
+		costs, err := s.plain.Insert(req.Objects)
+		if err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
-			Seq: req.Seq, ServerNanos: s.serverNanos(start),
+			Seq: req.Seq, ServerNanos: s.serverNanos(start), DistNanos: uint64(costs.DistCompTime),
 		}.Encode(), nil
 
 	case wire.MsgIngestEnd:

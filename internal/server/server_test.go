@@ -113,7 +113,7 @@ func TestGarbagePayloadIsError(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// A malformed insert payload must produce an error, not kill the server.
-	expectError(t, conn, wire.MsgInsertEntries, []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}, "")
+	expectError(t, conn, wire.MsgIngestChunk, []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 2}, "")
 	// The connection must still be usable afterwards.
 	respType, _ := request(t, conn, wire.MsgBatchQuery, downloadAll)
 	if respType != wire.MsgBatchCandidates {
@@ -124,8 +124,8 @@ func TestGarbagePayloadIsError(t *testing.T) {
 func TestModeGuards(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
-	expectError(t, conn, wire.MsgInsertObjects,
-		wire.InsertObjectsReq{Objects: []metric.Object{{ID: 1, Vec: metric.Vector{1}}}}.Encode(),
+	expectError(t, conn, wire.MsgIngestObjChunk,
+		wire.IngestObjChunkReq{Objects: []metric.Object{{ID: 1, Vec: metric.Vector{1}}}}.Encode(),
 		"plain")
 	expectError(t, conn, wire.MsgPlainQuery,
 		wire.PlainQueryReq{Kind: wire.PlainKNN, Q: metric.Vector{1}, K: 1}.Encode(),
@@ -152,7 +152,6 @@ func TestPlainWrongDimensionIsError(t *testing.T) {
 		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainRange, Q: short, Radius: 1}.Encode()},
 		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainApprox, Q: short, K: 1, CandSize: 5}.Encode()},
 		{wire.MsgPlainQuery, wire.PlainQueryReq{Kind: wire.PlainFirstCell, Q: short, K: 1}.Encode()},
-		{wire.MsgInsertObjects, wire.InsertObjectsReq{Objects: objs}.Encode()},
 		{wire.MsgIngestObjChunk, wire.IngestObjChunkReq{Seq: 1, Objects: objs}.Encode()},
 	} {
 		expectError(t, conn, req.typ, req.payload, "dimensions")
@@ -180,8 +179,9 @@ func TestInvalidPermutationRejected(t *testing.T) {
 }
 
 // TestRetiredMessagesRefused: every reserved message number — the requests
-// protocol version 2 retired and the side doors version 4 folded into one
-// request per concept — is answered with an error naming the version that
+// protocol version 2 retired, the side doors version 4 folded into one
+// request per concept and the one-frame inserts version 5 folded into the
+// chunk messages — is answered with an error naming the version that
 // retired it and its replacement, never mis-decoded as something else, and
 // the connection stays usable after each refusal.
 func TestRetiredMessagesRefused(t *testing.T) {
@@ -197,6 +197,8 @@ func TestRetiredMessagesRefused(t *testing.T) {
 		{[]wire.MsgType{8, 9, 10, 32}, "retired in protocol v4; send plain-query"},
 		{[]wire.MsgType{16, 18, 20}, "retired in protocol v4; send put-blobs"},
 		{[]wire.MsgType{14, 15, 17, 21, 22}, "retired in protocol v4; send get-blobs"},
+		{[]wire.MsgType{2}, "retired in protocol v5; send ingest-chunk"},
+		{[]wire.MsgType{3}, "retired in protocol v5; send ingest-obj-chunk"},
 	} {
 		for _, typ := range tc.typs {
 			expectError(t, conn, typ, []byte{1, 2, 3}, tc.want)
@@ -206,8 +208,8 @@ func TestRetiredMessagesRefused(t *testing.T) {
 			refused++
 		}
 	}
-	if refused != 20 {
-		t.Fatalf("refused %d reserved numbers, want 20", refused)
+	if refused != 22 {
+		t.Fatalf("refused %d reserved numbers, want 22", refused)
 	}
 }
 
@@ -293,10 +295,7 @@ func TestDeleteDispatch(t *testing.T) {
 		{ID: 3, Perm: []int32{2, 3, 4}, Payload: []byte("c")},
 		{ID: 4, Perm: []int32{3, 4, 5}, Payload: []byte("d")},
 	}
-	respType, _ := request(t, conn, wire.MsgInsertEntries, wire.InsertEntriesReq{Entries: entries}.Encode())
-	if respType != wire.MsgAck {
-		t.Fatalf("insert response = %v", respType)
-	}
+	insertEntries(t, conn, entries)
 
 	// Delete entries 2 and 3, plus an unknown reference (skipped).
 	refs := []mindex.Entry{
@@ -447,12 +446,12 @@ func TestServerTimeReported(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	entry := mindex.Entry{ID: 1, Perm: []int32{0, 1, 2, 3, 4, 5}, Payload: []byte{1}}
-	respType, resp := request(t, conn, wire.MsgInsertEntries,
-		wire.InsertEntriesReq{Entries: []mindex.Entry{entry}}.Encode())
-	if respType != wire.MsgAck {
+	respType, resp := request(t, conn, wire.MsgIngestChunk,
+		wire.IngestChunkReq{Entries: []mindex.Entry{entry}}.Encode())
+	if respType != wire.MsgIngestChunkAck {
 		t.Fatalf("insert: got %v", respType)
 	}
-	ack, err := wire.DecodeAckResp(resp)
+	ack, err := wire.DecodeIngestChunkAckResp(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,10 +530,10 @@ func testEntries(n int) []mindex.Entry {
 
 func insertEntries(t *testing.T, conn net.Conn, entries []mindex.Entry) {
 	t.Helper()
-	respType, _ := request(t, conn, wire.MsgInsertEntries,
-		wire.InsertEntriesReq{Entries: entries}.Encode())
-	if respType != wire.MsgAck {
-		t.Fatalf("insert: got %v", respType)
+	respType, resp := request(t, conn, wire.MsgIngestChunk,
+		wire.IngestChunkReq{Entries: entries}.Encode())
+	if respType != wire.MsgIngestChunkAck {
+		t.Fatalf("insert: got %v: %s", respType, resp)
 	}
 }
 
@@ -958,7 +957,7 @@ func TestHostilePermutationInsert(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	conn := dial(t, srv)
-	expectError(t, conn, wire.MsgInsertEntries, wire.InsertEntriesReq{
+	expectError(t, conn, wire.MsgIngestChunk, wire.IngestChunkReq{
 		Entries: []mindex.Entry{{ID: 1, Perm: []int32{-1, 0, 1, 2, 3}}},
 	}.Encode(), "out of range")
 	// Server must still be alive and serving.

@@ -338,35 +338,6 @@ func AbsMaxDiff64AboveLE(a []float64, b []byte, limit float64) (float64, bool) {
 	return m0, m0 > limit
 }
 
-// CanQuantizeU16 reports whether every distance lies exactly on the
-// non-negative uint16 integer grid — the gate of the fixed-point promise
-// path: when it holds, each distance is exactly representable as an integer
-// below 2^16 and promise sums over such terms are exact dyadic rationals in
-// float64 (see mindex's promiser). The check rejects NaN, negatives,
-// fractional values and anything ≥ 65536.
-func CanQuantizeU16(dists []float64) bool {
-	for _, d := range dists {
-		if !(d >= 0) || d >= 65536 || d != math.Trunc(d) {
-			return false
-		}
-	}
-	return true
-}
-
-// QuantizeDistsU16 converts a distance vector that passed CanQuantizeU16
-// into its exact uint16 representation, appending to dst (pass dst[:0] to
-// reuse a buffer). It returns false without writing when the vector does not
-// qualify.
-func QuantizeDistsU16(dst []uint16, dists []float64) ([]uint16, bool) {
-	if !CanQuantizeU16(dists) {
-		return dst, false
-	}
-	for _, d := range dists {
-		dst = append(dst, uint16(d))
-	}
-	return dst, true
-}
-
 // DecodeF32LE fills dst with len(dst) little-endian float32 values read from
 // the front of src. Both slices advance a whole block per iteration and the
 // loop condition bounds both, so the body compiles to plain loads and stores

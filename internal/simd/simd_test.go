@@ -250,41 +250,6 @@ func checkAbove(t *testing.T, a, b []float64, want, limit float64) {
 	}
 }
 
-// TestCanQuantizeU16 pins the quantization gate to exactly the non-negative
-// uint16 integer grid.
-func TestCanQuantizeU16(t *testing.T) {
-	cases := []struct {
-		dists []float64
-		want  bool
-	}{
-		{nil, true},
-		{[]float64{0, 1, 2, 65535}, true},
-		{[]float64{math.Copysign(0, -1)}, true}, // -0 is on the grid
-		{[]float64{65536}, false},
-		{[]float64{-1}, false},
-		{[]float64{0.5}, false},
-		{[]float64{math.NaN()}, false},
-		{[]float64{math.Inf(1)}, false},
-		{[]float64{3, 4, 4.000001}, false},
-	}
-	for _, c := range cases {
-		if got := CanQuantizeU16(c.dists); got != c.want {
-			t.Errorf("CanQuantizeU16(%v) = %v, want %v", c.dists, got, c.want)
-		}
-		q, ok := QuantizeDistsU16(nil, c.dists)
-		if ok != c.want {
-			t.Errorf("QuantizeDistsU16(%v) ok = %v, want %v", c.dists, ok, c.want)
-		}
-		if ok {
-			for i, u := range q {
-				if float64(u) != math.Abs(c.dists[i]) {
-					t.Errorf("QuantizeDistsU16(%v)[%d] = %d", c.dists, i, u)
-				}
-			}
-		}
-	}
-}
-
 // FuzzKernels lets the fuzzer hunt for inputs where any kernel diverges from
 // its scalar reference; the byte corpus is reinterpreted as two float32
 // vectors of equal, arbitrary length.

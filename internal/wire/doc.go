@@ -39,6 +39,13 @@
 // sees keys and ciphertexts only. The plain deployment's four queries are
 // one MsgPlainQuery whose kind selects the fields that travel.
 //
+// Protocol version 5 left one insert request. An insert of entries is a
+// pipelined flight of sequence-numbered MsgIngestChunk frames (raw objects:
+// MsgIngestObjChunk), each answered by MsgIngestChunkAck with the server's
+// time and distance time; a streamed ingest windows the same frames and
+// closes with MsgIngestEnd, whose MsgAck follows the WAL flush. Only one
+// chunk, never a whole collection, has to fit in MaxFrameSize.
+//
 // The precise k-NN's two requests (protocol version 3) are the two pages of
 // one stateless order: BatchBound asks for the first CandSize entries by
 // (pivot lower bound, ID), computed in the server's own (transformed)

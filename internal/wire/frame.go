@@ -22,8 +22,10 @@ type MsgType uint8
 // keyset cursor (BatchQuery.After). Version 4 left one request per concept:
 // download-all became a batch query kind (BatchAll), the EHI, FDH and
 // raw-data stores one keyed blob store (MsgPutBlobs, MsgGetBlobs), and the
-// four plain queries one message (MsgPlainQuery).
-const ProtocolVersion = 4
+// four plain queries one message (MsgPlainQuery). Version 5 left one insert
+// request: every write ships as chunk frames (MsgIngestChunk,
+// MsgIngestObjChunk), whose ack carries the server's distance time.
+const ProtocolVersion = 5
 
 // Protocol messages. Requests flow client→server, responses server→client.
 // The numbers are the wire encoding and never change; a retired message's
@@ -32,21 +34,15 @@ const (
 	// MsgError carries a server-side error string.
 	MsgError MsgType = 1
 
-	// MsgInsertEntries inserts pre-computed index entries (encrypted
-	// deployment: the client computed permutations/distances and encrypted
-	// the payloads; the server sees no plaintext).
-	MsgInsertEntries MsgType = 2
-	// MsgInsertObjects inserts raw objects (plain deployment: the server
-	// computes pivot distances itself).
-	MsgInsertObjects MsgType = 3
-
-	// 4–11 reserved: the v1 single-query requests (range by distances,
+	// 2–11 reserved: the v4 one-frame inserts of entries and raw objects,
+	// the v1 single-query requests (range by distances,
 	// approximate by permutation / by distances, first cell), the v3 plain
 	// range, k-NN and approximate queries, and the v3 candidate reply.
 
 	// MsgResults returns refined results (plain deployment) plus server time.
 	MsgResults MsgType = 12
-	// MsgAck acknowledges an insert, carrying server time.
+	// MsgAck acknowledges an end of ingest, a blob put or a re-sync,
+	// carrying server time.
 	MsgAck MsgType = 13
 
 	// 14–22 reserved: the v3 EHI node, FDH bucket and raw-data stores and
@@ -63,7 +59,8 @@ const (
 
 	// MsgDeleteEntries tombstones indexed entries. Each reference carries
 	// an entry ID plus its permutation prefix (the same pivot-space routing
-	// metadata an insert reveals); batchable like MsgInsertEntries.
+	// metadata an insert reveals); a delete is a flight of them, like an
+	// insert's chunks.
 	MsgDeleteEntries MsgType = 25
 	// MsgDeleteAck acknowledges a delete, carrying the count of entries
 	// actually tombstoned plus server time.
@@ -101,19 +98,23 @@ const (
 	// answers MsgAck when its state has caught up.
 	MsgResyncOps MsgType = 34
 
-	// MsgIngestChunk streams one sequence-numbered chunk of pre-computed
-	// entries during a bulk load (encrypted deployment). The client keeps a
-	// window of unacknowledged chunks in flight, preparing the next chunk
-	// (pivot distances, encryption) while earlier ones cross the wire and
-	// build server-side; each chunk is answered by MsgIngestChunkAck.
+	// MsgIngestChunk is the one insert request of the encrypted
+	// deployment: one sequence-numbered chunk of pre-computed entries (the
+	// client computed permutations and distances and encrypted the
+	// payloads; the server sees no plaintext). An insert is a pipelined
+	// flight of them; a streamed ingest keeps a window of unacknowledged
+	// chunks in flight, preparing the next chunk while earlier ones cross
+	// the wire and build server-side. Each chunk is answered by
+	// MsgIngestChunkAck.
 	MsgIngestChunk MsgType = 35
 	// MsgIngestObjChunk is MsgIngestChunk for raw objects (plain
 	// deployment): the server computes pivot distances itself.
 	MsgIngestObjChunk MsgType = 36
-	// MsgIngestChunkAck acknowledges one streamed chunk, echoing its
-	// sequence number. Under WAL policy "always" the ack additionally
-	// promises the chunk's log record is on stable storage; under "group"
-	// durability is deferred to the end-of-stream flush.
+	// MsgIngestChunkAck acknowledges one chunk, echoing its sequence number
+	// and carrying the server's time (and, for raw objects, its distance
+	// time). Under WAL policy "always" the ack additionally promises the
+	// chunk's log record is on stable storage; under "group" durability is
+	// deferred to the end-of-stream flush.
 	MsgIngestChunkAck MsgType = 37
 	// MsgIngestEnd closes a streamed ingest: the server flushes its WAL
 	// (a no-op without one) and answers MsgAck, so the final ack promises
@@ -138,8 +139,7 @@ const (
 )
 
 var msgNames = map[MsgType]string{
-	MsgError: "error", MsgInsertEntries: "insert-entries", MsgInsertObjects: "insert-objects",
-	MsgResults: "results", MsgAck: "ack", MsgBatchQuery: "batch-query", MsgBatchCandidates: "batch-candidates",
+	MsgError: "error", MsgResults: "results", MsgAck: "ack", MsgBatchQuery: "batch-query", MsgBatchCandidates: "batch-candidates",
 	MsgDeleteEntries: "delete-entries", MsgDeleteAck: "delete-ack", MsgHello: "hello", MsgHelloAck: "hello-ack",
 	MsgBatchRankedCandidates: "batch-ranked-candidates", MsgDeleteObjects: "delete-objects",
 	MsgResyncOps: "resync-ops", MsgIngestChunk: "ingest-chunk", MsgIngestObjChunk: "ingest-obj-chunk",
@@ -157,6 +157,7 @@ type retiredMsg struct {
 
 // retired lists every reserved number.
 var retired = map[MsgType]retiredMsg{
+	2: {"insert-entries", 5, MsgIngestChunk}, 3: {"insert-objects", 5, MsgIngestObjChunk},
 	4: {"range-dists", 2, MsgBatchQuery}, 5: {"approx-perm", 2, MsgBatchQuery},
 	6: {"approx-dists", 2, MsgBatchQuery}, 7: {"first-cell", 2, MsgBatchQuery},
 	29: {"batch-ranked", 2, MsgBatchQuery}, 33: {"filtered-query", 2, MsgBatchQuery},

@@ -252,7 +252,6 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func FuzzDecodeRequests(f *testing.F) {
-	f.Add(InsertEntriesReq{Entries: []mindex.Entry{{ID: 1, Perm: []int32{0}}}}.Encode())
 	// The keyed blob store: a put, a get, a reply, and hostile forms — a blob
 	// count larger than the payload, a reply claiming more lists than it
 	// carries (the fuzz body also refuses every reply against a key count
@@ -342,13 +341,15 @@ func FuzzDecodeRequests(f *testing.F) {
 	}}.Encode())
 	f.Add(IngestChunkReq{Seq: 1, Entries: []mindex.Entry{{ID: 4, Perm: []int32{1, 0}, Payload: []byte{8}}}}.Encode())
 	f.Add(IngestObjChunkReq{Seq: 2, Objects: []metric.Object{{ID: 5, Vec: metric.Vector{1, 2}}}}.Encode())
-	f.Add(IngestChunkAckResp{Seq: 3, ServerNanos: 77}.Encode())
+	// A chunk ack with the server's distance time, and the same ack cut to
+	// the protocol-v4 length (no distance time), which must not decode.
+	ack := IngestChunkAckResp{Seq: 3, ServerNanos: 77, DistNanos: 5}.Encode()
+	f.Add(ack)
+	f.Add(ack[:12])
 	f.Add(IngestEndReq{}.Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// None of these may panic; errors are fine.
-		_, _ = DecodeInsertEntriesReq(data)
-		_, _ = DecodeInsertObjectsReq(data)
 		_, _ = DecodeCandidatesResp(data)
 		_, _ = DecodeResultsResp(data)
 		_, _ = DecodeAckResp(data)

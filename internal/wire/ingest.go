@@ -5,16 +5,16 @@ import (
 	"simcloud/internal/mindex"
 )
 
-// Streaming bulk-ingest payloads. A streamed ingest is a sequence of
-// numbered chunk frames followed by one MsgIngestEnd, all pipelined over a
-// single connection: the server applies chunks in arrival order and answers
-// each with an ack echoing its sequence number, so the client can bound the
-// number of unacknowledged chunks in flight (the ack window) while it
-// prepares the next chunk. Sequence numbers exist for the client's window
-// bookkeeping — the transport already guarantees ordering — and to make a
-// server that answered out of order detectable.
+// Insert payloads. Every insert is a sequence of numbered chunk frames,
+// pipelined over a single connection: the server applies chunks in arrival
+// order and answers each with an ack echoing its sequence number. A
+// streamed ingest bounds the number of unacknowledged chunks in flight (the
+// ack window) while it prepares the next chunk, and closes with one
+// MsgIngestEnd. Sequence numbers exist for the client's window bookkeeping
+// — the transport already guarantees ordering — and to make a server that
+// answered out of order detectable.
 
-// IngestChunkReq is one streamed chunk of pre-computed entries (encrypted
+// IngestChunkReq is one chunk of pre-computed entries (encrypted
 // deployment).
 type IngestChunkReq struct {
 	Seq     uint32
@@ -36,8 +36,7 @@ func DecodeIngestChunkReq(p []byte) (IngestChunkReq, error) {
 	return m, r.Err()
 }
 
-// IngestObjChunkReq is one streamed chunk of raw objects (plain
-// deployment).
+// IngestObjChunkReq is one chunk of raw objects (plain deployment).
 type IngestObjChunkReq struct {
 	Seq     uint32
 	Objects []metric.Object
@@ -76,10 +75,13 @@ func DecodeIngestObjChunkReq(p []byte) (IngestObjChunkReq, error) {
 	return m, r.Err()
 }
 
-// IngestChunkAckResp acknowledges one streamed chunk.
+// IngestChunkAckResp acknowledges one chunk. DistNanos is the server's
+// pivot-distance time: non-zero only for raw objects (plain deployment),
+// whose distances the server computes.
 type IngestChunkAckResp struct {
 	Seq         uint32
 	ServerNanos uint64
+	DistNanos   uint64
 }
 
 // Encode serializes the response payload.
@@ -87,13 +89,14 @@ func (m IngestChunkAckResp) Encode() []byte {
 	var b Buffer
 	b.U32(m.Seq)
 	b.U64(m.ServerNanos)
+	b.U64(m.DistNanos)
 	return b.B
 }
 
 // DecodeIngestChunkAckResp parses an IngestChunkAckResp payload.
 func DecodeIngestChunkAckResp(p []byte) (IngestChunkAckResp, error) {
 	r := NewReader(p)
-	m := IngestChunkAckResp{Seq: r.U32(), ServerNanos: r.U64()}
+	m := IngestChunkAckResp{Seq: r.U32(), ServerNanos: r.U64(), DistNanos: r.U64()}
 	return m, r.Err()
 }
 

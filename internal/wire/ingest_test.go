@@ -89,7 +89,7 @@ func TestIngestObjChunkReqHostileCount(t *testing.T) {
 func mustErr[T any](_ T, err error) error { return err }
 
 func TestIngestChunkAckRespRoundTrip(t *testing.T) {
-	want := IngestChunkAckResp{Seq: 11, ServerNanos: 12345}
+	want := IngestChunkAckResp{Seq: 11, ServerNanos: 12345, DistNanos: 678}
 	got, err := DecodeIngestChunkAckResp(want.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +99,9 @@ func TestIngestChunkAckRespRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeIngestChunkAckResp([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated ack decoded without error")
+	}
+	if _, err := DecodeIngestChunkAckResp(want.Encode()[:12]); err == nil {
+		t.Fatal("a protocol-v4 ack (no distance time) decoded without error")
 	}
 	if _, err := DecodeIngestChunkAckResp(append(want.Encode(), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")

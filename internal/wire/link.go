@@ -383,7 +383,8 @@ const flightDrainTimeout = 10 * time.Second
 
 // Fly runs a flight on one leased connection under ctx: the context's
 // deadline bounds it, cancellation interrupts the blocked reader, and the
-// writer checks for cancellation between requests. The whole flight is
+// writer checks for cancellation between requests. A flight of one request
+// is written and then read on the calling goroutine, as a RoundTrip is. The whole flight is
 // charged to costs as one round trip. A flight that dies mid-pipeline leaves
 // frames in transit, so its lease is discarded — except when a reply check
 // failed on an error frame: the replies still owed are then drained, and the
@@ -420,11 +421,14 @@ func fly(ctx context.Context, conn *CountingConn, f Flight, costs *stats.Costs) 
 		}
 		readFailed = make(chan struct{})
 	}
-	// consumed is written by the reader and read only after the readDone
-	// receive below, which orders the two.
+	// read takes the replies in order. It runs on a goroutine of its own
+	// while the writer pipelines, and after the write for a lone request,
+	// where there is nothing to overlap and the hand-off between two
+	// goroutines would be the flight's only extra cost over a round trip.
+	// consumed is written by the reader and read only after it has returned
+	// (the readDone receive below orders the two).
 	var consumed int
-	readDone := make(chan error, 1)
-	go func() {
+	read := func() error {
 		var scratch *Buffer
 		if kept == nil {
 			scratch = GetBuffer()
@@ -456,8 +460,14 @@ func fly(ctx context.Context, conn *CountingConn, f Flight, costs *stats.Costs) 
 		if err != nil && readFailed != nil {
 			close(readFailed)
 		}
-		readDone <- err
-	}()
+		return err
+	}
+	pipelined := f.N > 1
+	var readDone chan error
+	if pipelined {
+		readDone = make(chan error, 1)
+		go func() { readDone <- read() }()
+	}
 
 	var wrote int
 	writeErr := func() error {
@@ -486,12 +496,18 @@ func fly(ctx context.Context, conn *CountingConn, f Flight, costs *stats.Costs) 
 		}
 		return nil
 	}()
-	if writeErr != nil {
+	var readErr error
+	switch {
+	case pipelined && writeErr != nil:
 		// The reader may be waiting for replies that will never come; force
 		// its pending read to fail. disarm clears the deadline below.
 		conn.SetReadDeadline(aLongTimeAgo)
+		readErr = <-readDone
+	case pipelined:
+		readErr = <-readDone
+	case writeErr == nil:
+		readErr = read()
 	}
-	readErr := <-readDone
 	m.charge(conn, costs)
 	err = writeErr
 	if err == nil {

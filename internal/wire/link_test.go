@@ -136,7 +136,7 @@ func TestArmContextCancelRacesDisarm(t *testing.T) {
 func TestRoundTripChargesCosts(t *testing.T) {
 	l := echoLink(t)
 	var costs stats.Costs
-	typ, resp, err := l.RoundTrip(context.Background(), MsgInsertEntries, []byte("payload"), new(Buffer), &costs)
+	typ, resp, err := l.RoundTrip(context.Background(), MsgIngestChunk, []byte("payload"), new(Buffer), &costs)
 	if err != nil || typ != MsgAck || string(resp) != "payload" {
 		t.Fatalf("round trip: %v %q %v", typ, resp, err)
 	}
@@ -203,6 +203,38 @@ func TestFlightDrainsAfterRemoteError(t *testing.T) {
 		t.Fatalf("expected the check's error, got %v", err)
 	}
 	if s := l.Stats(); s.Discarded != 1 || s.Idle != 0 {
+		t.Fatalf("a failed check left its connection pooled: %+v", s)
+	}
+}
+
+// TestLoneRequestFlight: a one-request flight reads its reply after the
+// write, with no reader goroutine, and keeps the flight's contract: a kept
+// reply comes back, a checked error frame is a *RemoteError that leaves the
+// connection pooled, and a failed check discards it.
+func TestLoneRequestFlight(t *testing.T) {
+	l := echoLink(t)
+	lone := func(t MsgType, reply func(int, Frame) error) ([]Frame, error) {
+		return l.Fly(context.Background(), Flight{N: 1, Request: func(int) (MsgType, []byte, error) {
+			return t, []byte{9}, nil
+		}, Reply: reply}, nil)
+	}
+	kept, err := lone(MsgAck, nil)
+	if err != nil || len(kept) != 1 || kept[0].Type != MsgAck || kept[0].Payload[0] != 9 {
+		t.Fatalf("lone flight: %v %v", kept, err)
+	}
+	ReleaseFrames(kept)
+	var remote *RemoteError
+	if _, err := lone(MsgDeleteObjects, func(_ int, f Frame) error { return f.Err() }); !errors.As(err, &remote) {
+		t.Fatalf("expected the error frame's remote error, got %v", err)
+	}
+	if s := l.Stats(); s.Dialed != 1 || s.Discarded != 0 {
+		t.Fatalf("a remote error discarded the connection: %+v", s)
+	}
+	errOdd := errors.New("odd reply")
+	if _, err := lone(MsgAck, func(int, Frame) error { return errOdd }); !errors.Is(err, errOdd) {
+		t.Fatalf("expected the check's error, got %v", err)
+	}
+	if s := l.Stats(); s.Discarded != 1 {
 		t.Fatalf("a failed check left its connection pooled: %+v", s)
 	}
 }

@@ -46,66 +46,13 @@ func readEntries(r *Reader) []mindex.Entry {
 	return out
 }
 
-// InsertEntriesReq uploads pre-computed entries (encrypted deployment).
-type InsertEntriesReq struct {
-	Entries []mindex.Entry
-}
-
-// Encode serializes the request payload.
-func (m InsertEntriesReq) Encode() []byte {
-	var b Buffer
-	appendEntries(&b, m.Entries)
-	return b.B
-}
-
-// DecodeInsertEntriesReq parses an InsertEntriesReq payload.
-func DecodeInsertEntriesReq(p []byte) (InsertEntriesReq, error) {
-	r := NewReader(p)
-	m := InsertEntriesReq{Entries: readEntries(r)}
-	return m, r.Err()
-}
-
-// InsertObjectsReq uploads raw objects (plain deployment).
-type InsertObjectsReq struct {
-	Objects []metric.Object
-}
-
-// Encode serializes the request payload.
-func (m InsertObjectsReq) Encode() []byte {
-	var b Buffer
-	b.U32(uint32(len(m.Objects)))
-	for _, o := range m.Objects {
-		b.U64(o.ID)
-		b.Vec(o.Vec)
-	}
-	return b.B
-}
-
-// DecodeInsertObjectsReq parses an InsertObjectsReq payload.
-func DecodeInsertObjectsReq(p []byte) (InsertObjectsReq, error) {
-	r := NewReader(p)
-	n := int(r.U32())
-	if n < 0 || n > len(p)/12+1 {
-		return InsertObjectsReq{}, ErrCodec
-	}
-	m := InsertObjectsReq{Objects: make([]metric.Object, 0, n)}
-	for range n {
-		id := r.U64()
-		vec := r.VecField()
-		if r.err != nil {
-			break
-		}
-		m.Objects = append(m.Objects, metric.Object{ID: id, Vec: vec})
-	}
-	return m, r.Err()
-}
-
 // DeleteEntriesReq tombstones the referenced entries (encrypted
 // deployment). Each reference is an entry record carrying only the ID and
 // the permutation prefix — the prefix's first element routes the delete to
 // the owning index shard, so a delete reveals exactly the pivot-space
 // metadata the original insert already revealed. The request reuses the
-// entry codec and is batchable exactly like InsertEntriesReq.
+// entry codec, and a delete ships as a flight of such frames, like an
+// insert's chunks.
 type DeleteEntriesReq struct {
 	Refs []mindex.Entry
 }
@@ -316,7 +263,9 @@ func DecodeResultsResp(p []byte) (ResultsResp, error) {
 	return m, r.Err()
 }
 
-// AckResp acknowledges an insert.
+// AckResp acknowledges an end of ingest, a blob put or a re-sync. DistNanos
+// is always 0 since protocol v5 (a chunk ack carries the server's distance
+// time); the field keeps the reply's shape.
 type AckResp struct {
 	ServerNanos uint64
 	DistNanos   uint64

@@ -148,26 +148,6 @@ func sampleEntries() []mindex.Entry {
 }
 
 func TestMessageRoundTrips(t *testing.T) {
-	t.Run("insert-entries", func(t *testing.T) {
-		in := InsertEntriesReq{Entries: sampleEntries()}
-		out, err := DecodeInsertEntriesReq(in.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Entries) != 2 || out.Entries[0].ID != 1 || out.Entries[1].Payload[2] != 2 {
-			t.Fatalf("round trip: %+v", out)
-		}
-	})
-	t.Run("insert-objects", func(t *testing.T) {
-		in := InsertObjectsReq{Objects: []metric.Object{{ID: 5, Vec: metric.Vector{1, 2}}}}
-		out, err := DecodeInsertObjectsReq(in.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Objects) != 1 || out.Objects[0].ID != 5 {
-			t.Fatalf("round trip: %+v", out)
-		}
-	})
 	t.Run("delete-entries", func(t *testing.T) {
 		in := DeleteEntriesReq{Refs: []mindex.Entry{
 			{ID: 9, Perm: []int32{2, 0, 1}},
@@ -397,7 +377,7 @@ func TestQuickDecodersRobust(t *testing.T) {
 		if len(p) > 2048 {
 			p = p[:2048]
 		}
-		_, _ = DecodeInsertEntriesReq(p)
+		_, _ = DecodeIngestChunkReq(p)
 		_, _ = DecodeDeleteEntriesReq(p)
 		_, _ = DecodeDeleteAckResp(p)
 		_, _ = DecodeBatchQueryReq(p)
