@@ -13,8 +13,10 @@
 // merge by the shared (promise, prefix, source) order: one combine rule,
 // two call sites (engine across shards, coordinator across nodes) — so a
 // multi-node cluster reproduces the single-server candidate list exactly
-// (see DESIGN.md §Distribution for the preconditions). The coordinator is a
-// merger of small keys, not a second copy of every ciphertext: node replies
+// (see DESIGN.md §Distribution for the preconditions). An approximate read
+// answered by several nodes asks them for per-cell counts first, and then
+// fetches from each only its share of the merge's winners. The coordinator
+// is a merger of small keys, not a second copy of every ciphertext: node replies
 // land in pooled frames, are decoded by reference, and each winner's encoded
 // record is appended to the client-ward reply straight out of its frame
 // (combine.go; the frames are leased and released within one function).

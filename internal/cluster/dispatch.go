@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,7 +89,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		if err != nil {
 			return 0, nil, err
 		}
-		if req.Ranked || req.Allow != nil {
+		if req.Ranked || req.Counts || req.Allow != nil {
 			return 0, nil, errNodeLevelRead
 		}
 		if err := c.queryFan(c.ctx, req.Queries, out); err != nil {
@@ -104,10 +105,10 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 }
 
 // errNodeLevelRead refuses a client read that sets the fields the
-// coordinator itself uses on the node hop: ranked replies and first-level
-// allow-lists are how it combines and de-duplicates node answers, not
-// something it can layer a second time.
-var errNodeLevelRead = errors.New("cluster: ranked and pivot-filtered reads are node-level; connect to a node directly")
+// coordinator itself uses on the node hop: ranked and counted replies and
+// first-level allow-lists are how it combines and de-duplicates node
+// answers, not something it can layer a second time.
+var errNodeLevelRead = errors.New("cluster: ranked, counted and pivot-filtered reads are node-level; connect to a node directly")
 
 // routeNode maps an entry permutation onto one of the given live nodes:
 // closest pivot modulo the live-node count — the cross-process mirror of
@@ -245,7 +246,7 @@ func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry)
 // reach it during re-admission, with the node's own WAL policy governing
 // their durability — the same window the SyncNever tail already has.
 func (c *Coordinator) flushIngest(ctx context.Context) error {
-	replies, err := c.broadcast(ctx, wire.MsgIngestEnd, wire.IngestEndReq{}.Encode(), nil)
+	replies, err := c.broadcast(ctx, wire.MsgIngestEnd, wire.IngestEndReq{}.Encode())
 	if err != nil {
 		return err
 	}
@@ -321,77 +322,120 @@ func (c *Coordinator) deleteRefs(ctx context.Context, refs []mindex.Entry) (uint
 	return deleted.Load(), nil
 }
 
-// nodeReply is one node's response frame within a broadcast. The payload
+// nodeReply is one node's response frame within a fan-out. The payload
 // aliases the node's leased frame when the fan-out was given frames.
 type nodeReply struct {
 	typ     wire.MsgType
 	payload []byte
+	// shares is set on the fetch wave of a two-wave read (see queryFan): per
+	// query of the batch, how many candidates of an approximate query the
+	// node was asked for, 0 for one it was not sent. Nil when the node was
+	// sent the batch as the client asked it.
+	shares []int
 }
 
-// broadcast sends the same request to every live node through the bounded
-// pool and collects the replies in node order. A node that fails at the
-// transport level is marked down and the whole broadcast retries over the
-// survivors — queries stay transparent across a node death, serving
-// whatever the surviving nodes hold. Application errors propagate. Replies
-// are read into the caller's leased frames (see replyFrames) when given, and
-// into slices of their own when frames is nil.
-func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []byte, frames replyFrames) ([]nodeReply, error) {
+// attempts runs attempt until it completes without a node going down. A
+// node that fails at the transport level in any wave of an attempt is marked
+// down (node.roundTrip), and the next attempt plans afresh over the
+// survivors — reads stay transparent across a node death, serving whatever
+// the surviving nodes hold. Application errors end the loop.
+func (c *Coordinator) attempts(ctx context.Context, attempt func() (down bool, err error)) error {
 	for {
-		// Cancellation check between fan-out waves: a node death triggers a
-		// full retry over the survivors, and that loop must not outlive the
-		// coordinator (or a future per-request deadline).
+		// Cancellation check between attempts: a node death triggers a full
+		// retry, and that loop must not outlive the coordinator (or a future
+		// per-request deadline).
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: fan-out aborted: %w", err)
+			return fmt.Errorf("cluster: fan-out aborted: %w", err)
 		}
+		down, err := attempt()
+		if err != nil || !down {
+			return err
+		}
+	}
+}
+
+// wave sends target i payloads[i] through the bounded pool and collects
+// the replies parallel to targets. Replies are read into the caller's leased
+// frames (see replyFrames) when given, and into slices of their own when
+// frames is nil. down reports that some target failed at the transport
+// level; the caller retries the attempt.
+func (c *Coordinator) wave(ctx context.Context, t wire.MsgType, targets []*node, payloads [][]byte, frames replyFrames) (replies []nodeReply, down bool, err error) {
+	replies = make([]nodeReply, len(targets))
+	var anyDown atomic.Bool
+	err = c.pool.Run(len(targets), func(i int) error {
+		respType, resp, err := targets[i].roundTrip(ctx, t, payloads[i], c.opts.NodeTimeout, frames.of(targets[i]))
+		if err != nil {
+			if isNodeDown(err) {
+				c.opts.Logf("simcoord: %v; retrying over surviving nodes", err)
+				anyDown.Store(true)
+				return nil
+			}
+			return err
+		}
+		replies[i] = nodeReply{typ: respType, payload: resp}
+		return nil
+	})
+	return replies, anyDown.Load(), err
+}
+
+// broadcast sends the same request to every live node and collects the
+// replies, each in a slice of its own, in node order, retrying over the
+// survivors when a node dies.
+func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []byte) ([]nodeReply, error) {
+	var replies []nodeReply
+	err := c.attempts(ctx, func() (bool, error) {
 		targets := c.alive()
 		if len(targets) == 0 {
-			return nil, errNoLiveNodes
+			return false, errNoLiveNodes
 		}
-		replies := make([]nodeReply, len(targets))
-		var anyDown atomic.Bool
-		err := c.pool.Run(len(targets), func(i int) error {
-			respType, resp, err := targets[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout, frames.of(targets[i]))
-			if err != nil {
-				if isNodeDown(err) {
-					c.opts.Logf("simcoord: %v; retrying over surviving nodes", err)
-					anyDown.Store(true)
-					return nil
-				}
-				return err
-			}
-			replies[i] = nodeReply{typ: respType, payload: resp}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if anyDown.Load() {
-			continue
-		}
-		return replies, nil
-	}
+		var down bool
+		var err error
+		replies, down, err = c.wave(ctx, t, targets, slices.Repeat([][]byte{payload}, len(targets)), nil)
+		return down, err
+	})
+	return replies, err
 }
 
-// readFan sends one read request to the nodes and collects the replies in
-// node-id order — the deterministic source order the per-kind combine
-// requires. encode builds the node-ward frame for a given first-level
-// allow-list: unreplicated, every live node gets the unrestricted request
-// (nil); replicated, each cell is assigned to exactly one live owner and
-// every owning node gets the request restricted to its cells (see
-// filteredFan).
-func (c *Coordinator) readFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte), frames replyFrames) ([]nodeReply, error) {
-	if c.replicated() {
-		return c.filteredFan(ctx, encode, frames)
+// readPlan is one read attempt's assignment: the nodes that answer it, in
+// node-id order — the concatenation order of exact results and the source
+// order of the ranked merge — and, replicated, the first-level cells each
+// one serves (nil allow-lists unreplicated: every live node answers for
+// everything it holds).
+type readPlan struct {
+	targets []*node
+	allow   [][]int32
+}
+
+// plan assigns a read attempt: unreplicated, every live node; replicated,
+// every first-level cell to its first live owner (assignReadOwners), so the
+// union of the answers covers every cell exactly once.
+func (c *Coordinator) plan() (readPlan, error) {
+	if !c.replicated() {
+		targets := c.alive()
+		if len(targets) == 0 {
+			return readPlan{}, errNoLiveNodes
+		}
+		return readPlan{targets: targets, allow: make([][]int32, len(targets))}, nil
 	}
-	t, payload := encode(nil)
-	return c.broadcast(ctx, t, payload, frames)
+	allow, err := c.assignReadOwners()
+	if err != nil {
+		return readPlan{}, err
+	}
+	var p readPlan
+	for i, cells := range allow {
+		if len(cells) > 0 {
+			p.targets = append(p.targets, c.nodes[i])
+			p.allow = append(p.allow, cells)
+		}
+	}
+	return p, nil
 }
 
 // aggregateHello answers a client hello with the cluster-wide view: the
 // agreed index shape plus entry and shard counts summed over the live
 // nodes.
 func (c *Coordinator) aggregateHello(ctx context.Context) (wire.HelloResp, error) {
-	replies, err := c.broadcast(ctx, wire.MsgHello, wire.HelloReq{}.Encode(), nil)
+	replies, err := c.broadcast(ctx, wire.MsgHello, wire.HelloReq{}.Encode())
 	if err != nil {
 		return wire.HelloResp{}, err
 	}

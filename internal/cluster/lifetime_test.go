@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -20,7 +21,7 @@ import (
 
 // scriptedNode listens as a node that answers hellos with the given shape
 // and every other request with whatever answer returns for it.
-func scriptedNode(t *testing.T, hello wire.HelloResp, answer func(wire.MsgType) (wire.MsgType, []byte)) net.Listener {
+func scriptedNode(t *testing.T, hello wire.HelloResp, answer func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte)) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -36,13 +37,13 @@ func scriptedNode(t *testing.T, hello wire.HelloResp, answer func(wire.MsgType) 
 			go func() {
 				defer conn.Close()
 				for {
-					typ, _, err := wire.ReadFrame(conn)
+					typ, payload, err := wire.ReadFrame(conn)
 					if err != nil {
 						return
 					}
 					respType, resp := wire.MsgHelloAck, hello.Encode()
 					if typ != wire.MsgHello {
-						respType, resp = answer(typ)
+						respType, resp = answer(typ, payload)
 					}
 					if err := wire.WriteFrame(conn, respType, resp); err != nil {
 						return
@@ -79,7 +80,7 @@ func TestHostileNodeReplyIsAnErrorFrame(t *testing.T) {
 				Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
 				MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
 			}
-			ln := scriptedNode(t, hello, func(wire.MsgType) (wire.MsgType, []byte) {
+			ln := scriptedNode(t, hello, func(wire.MsgType, []byte) (wire.MsgType, []byte) {
 				return wire.MsgBatchRankedCandidates, reply
 			})
 			coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
@@ -129,7 +130,7 @@ func TestHostileNodeAckIsAnError(t *testing.T) {
 		Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
 		MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
 	}
-	short := func(typ wire.MsgType) (wire.MsgType, []byte) {
+	short := func(typ wire.MsgType, _ []byte) (wire.MsgType, []byte) {
 		switch typ {
 		case wire.MsgIngestChunk:
 			return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{ServerNanos: 1}.Encode()[:12]
@@ -178,6 +179,94 @@ func TestHostileNodeAckIsAnError(t *testing.T) {
 				if m, _ := wire.DecodeErrorResp(resp); !strings.Contains(m.Msg, "ack") {
 					t.Fatalf("%v: error %q does not name the ack", req.typ, m.Msg)
 				}
+			}
+		})
+	}
+}
+
+// TestHostileNodeTwoWaveRead: in a two-node approximate read, a count reply
+// no honest node sends — runs out of (promise, prefix) order, a NaN promise,
+// counts past the candidate size or overflowing it, more runs than its bytes
+// hold — and a fetch reply with more candidates than the node was asked for
+// each cost the client an error frame, and the coordinator keeps serving.
+func TestHostileNodeTwoWaveRead(t *testing.T) {
+	hello := wire.HelloResp{
+		Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
+		MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
+	}
+	counts := func(runs ...mindex.CellRun) []byte {
+		return wire.BatchCellCountsResp{Results: [][]mindex.CellRun{runs}}.Encode()
+	}
+	cand := func(id uint64) mindex.RankedCandidate {
+		return mindex.RankedCandidate{Entry: mindex.ViewOf(mindex.Entry{ID: id, Perm: []int32{0, 1}, Payload: []byte{1}}), Promise: 0.5, Prefix: []int32{0}}
+	}
+	honestCounts := counts(mindex.CellRun{Promise: 0.5, Prefix: []int32{0}, Count: 2})
+	honestFetch := wire.BatchRankedResp{Results: [][]mindex.RankedCandidate{{cand(1), cand(2)}}}.Encode()
+	var lying wire.Buffer // a billion runs in a few bytes
+	lying.U64(0)
+	lying.U32(1)
+	lying.U32(1 << 30)
+	lying.F64(0.5)
+	for name, tc := range map[string]struct {
+		counts, fetch []byte
+		want          string // in the error the client gets
+	}{
+		"runs-out-of-order": {counts(
+			mindex.CellRun{Promise: 0.5, Prefix: []int32{1}, Count: 1},
+			mindex.CellRun{Promise: 0.25, Prefix: []int32{2}, Count: 1}), honestFetch, "out of (promise, prefix) order"},
+		"prefixes-out-of-order": {counts(
+			mindex.CellRun{Promise: 0.5, Prefix: []int32{2}, Count: 1},
+			mindex.CellRun{Promise: 0.5, Prefix: []int32{1}, Count: 1}), honestFetch, "out of (promise, prefix) order"},
+		"nan-promise":     {counts(mindex.CellRun{Promise: math.NaN(), Prefix: []int32{0}, Count: 2}), honestFetch, "NaN"},
+		"count-past-cand": {counts(mindex.CellRun{Promise: 0.5, Prefix: []int32{0}, Count: 5}), honestFetch, "over the candidate size"},
+		"count-overflow": {counts(
+			mindex.CellRun{Promise: 0.5, Prefix: []int32{0}, Count: math.MaxUint32},
+			mindex.CellRun{Promise: 0.75, Prefix: []int32{0}, Count: 2}), honestFetch, "over the candidate size"},
+		"lying-run-count": {lying.B, honestFetch, "cell counts"},
+		"fetch-over-share": {honestCounts,
+			wire.BatchRankedResp{Results: [][]mindex.RankedCandidate{{cand(1), cand(2), cand(3)}}}.Encode(), "asked for 2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkLeaks(t)
+			script := func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+				if req, err := wire.DecodeBatchQueryReq(payload); typ == wire.MsgBatchQuery && err == nil && req.Counts {
+					return wire.MsgBatchCellCounts, tc.counts
+				}
+				return wire.MsgBatchRankedCandidates, tc.fetch
+			}
+			addrs := []string{scriptedNode(t, hello, script).Addr().String(), scriptedNode(t, hello, script).Addr().String()}
+			coord, err := cluster.New(addrs, cluster.Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			conn, err := net.Dial("tcp", coord.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			perm := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+			query := wire.BatchQueryReq{Queries: []wire.BatchQuery{{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 4}}}.Encode()
+			for round := range 2 {
+				if err := wire.WriteFrame(conn, wire.MsgBatchQuery, query); err != nil {
+					t.Fatal(err)
+				}
+				typ, resp, err := wire.ReadFrame(conn)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if typ != wire.MsgError {
+					t.Fatalf("round %d: hostile node answered with %v, want an error frame", round, typ)
+				}
+				if m, _ := wire.DecodeErrorResp(resp); !strings.Contains(m.Msg, tc.want) {
+					t.Fatalf("round %d: error %q does not say %q", round, m.Msg, tc.want)
+				}
+			}
+			if live := coord.LiveNodes(); len(live) != 2 {
+				t.Fatalf("a hostile reply marked a node down: live %v", live)
 			}
 		})
 	}

@@ -225,56 +225,6 @@ func (c *Coordinator) assignReadOwners() ([][]int32, error) {
 	return allow, nil
 }
 
-// filteredFan is the replicated read fan-out: every first-level cell is
-// assigned to one live owner and each owning node receives the request
-// encoded with its cells as the allow-list, so the union of the per-node
-// answers covers every cell exactly once. A node death mid-wave reassigns
-// its cells to surviving owners and resends the whole wave. Replies come
-// back compacted in node-id order, read into frames as in broadcast.
-func (c *Coordinator) filteredFan(ctx context.Context, encode func(allow []int32) (wire.MsgType, []byte), frames replyFrames) ([]nodeReply, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: fan-out aborted: %w", err)
-		}
-		allow, err := c.assignReadOwners()
-		if err != nil {
-			return nil, err
-		}
-		replies := make([]nodeReply, len(c.nodes))
-		var anyDown atomic.Bool
-		err = c.pool.Run(len(c.nodes), func(i int) error {
-			if len(allow[i]) == 0 {
-				return nil
-			}
-			t, payload := encode(allow[i])
-			respType, resp, err := c.nodes[i].roundTrip(ctx, t, payload, c.opts.NodeTimeout, frames.of(c.nodes[i]))
-			if err != nil {
-				if isNodeDown(err) {
-					c.opts.Logf("simcoord: %v; reassigning read owners", err)
-					anyDown.Store(true)
-					return nil
-				}
-				return err
-			}
-			replies[i] = nodeReply{typ: respType, payload: resp}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if anyDown.Load() {
-			continue
-		}
-		out := replies[:0]
-		for _, r := range replies {
-			if r.typ != 0 {
-				out = append(out, r)
-			}
-		}
-		return out, nil
-	}
-}
-
 // ProbeDownNodes attempts to re-admit every node currently marked down and
 // returns how many came back. Re-admission re-dials the node, re-validates
 // its index shape via the hello handshake, replays the journaled writes it

@@ -91,23 +91,23 @@ func newStalledServerHello(t *testing.T, hello []byte) *stalledServer {
 
 // TestDialRejectsProtocolMismatch: a server answering the hello in the
 // version-1 shape (no trailing version field) — or announcing any other
-// version, among them version 4, which still has the one-frame insert
-// messages and a shorter chunk ack — is refused at dial time with an error
+// version, among them version 5, whose acks still carry a distance time and
+// whose nodes know no count request — is refused at dial time with an error
 // naming both versions, not mis-decoded, and the socket is released.
 func TestDialRejectsProtocolMismatch(t *testing.T) {
 	key, _ := testKey(t)
 	current := wire.HelloResp{Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivotCount}
-	if current.Version != 5 {
-		t.Fatalf("protocol version %d, want 5", current.Version)
+	if current.Version != 6 {
+		t.Fatalf("protocol version %d, want 6", current.Version)
 	}
 	older, newer := current, current
-	older.Version, newer.Version = 4, wire.ProtocolVersion+1
+	older.Version, newer.Version = 5, wire.ProtocolVersion+1
 	for name, tc := range map[string]struct {
 		hello []byte
 		peer  string
 	}{
 		"v1-shaped": {current.Encode()[:len(current.Encode())-4], "v1"},
-		"v4":        {older.Encode(), "v4"},
+		"v5":        {older.Encode(), "v5"},
 		"newer":     {newer.Encode(), fmt.Sprintf("v%d", newer.Version)},
 	} {
 		srv := newStalledServerHello(t, tc.hello)

@@ -416,6 +416,30 @@ func (s *ShardedIndex) Search(q mindex.Query) ([]mindex.RankedCandidate, error) 
 	return merge.Combine(q, per), nil
 }
 
+// CellCounts is Search's count form for a KindApprox query: every shard
+// counts its own stream (mindex.Index.CellCounts) and merge.Runs merges the
+// runs by the rule Search merges the candidates with, so the result is the
+// engine's Search answer as cell runs.
+func (s *ShardedIndex) CellCounts(q mindex.Query) ([]mindex.CellRun, error) {
+	if len(s.shards) == 1 {
+		if s.closed.Load() {
+			return nil, errClosed
+		}
+		return s.shards[0].CellCounts(q)
+	}
+	per := make([][]mindex.CellRun, len(s.shards))
+	err := s.fanOutRead(func(i int) error {
+		out, err := s.shards[i].CellCounts(q)
+		per[i] = out
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	runs, _ := merge.Runs(per, q.CandSize)
+	return runs, nil
+}
+
 // RangeByDists is the flat form of a KindRange Search.
 func (s *ShardedIndex) RangeByDists(qDists []float64, r float64) ([]mindex.Entry, error) {
 	return mindex.Flat(s.Search(mindex.Query{

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"simcloud/internal/mindex"
@@ -94,6 +95,9 @@ func TestSearchEquivalence(t *testing.T) {
 						if allowName == "nil" {
 							checkFlatAdapters(t, name, full, q, got)
 						}
+						if q.Kind == mindex.KindApprox {
+							checkCellCounts(t, name, full, q, got)
+						}
 					}
 				}
 			}
@@ -132,5 +136,26 @@ func checkFlatAdapters(t *testing.T, name string, eng *ShardedIndex, q mindex.Qu
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: flat adapter (%d entries) != Search with annotations dropped (%d)", name, len(got), len(want))
+	}
+}
+
+// checkCellCounts asserts that an approximate query's cell counts — the
+// shards' runs merged — are its Search result counted cell by cell.
+func checkCellCounts(t *testing.T, name string, eng *ShardedIndex, q mindex.Query, ranked []mindex.RankedCandidate) {
+	t.Helper()
+	got, err := eng.CellCounts(q)
+	if err != nil {
+		t.Fatalf("%s: cell counts: %v", name, err)
+	}
+	var want []mindex.CellRun
+	for _, rc := range ranked {
+		if n := len(want); n > 0 && want[n-1].Promise == rc.Promise && slices.Equal(want[n-1].Prefix, rc.Prefix) {
+			want[n-1].Count++
+			continue
+		}
+		want = append(want, mindex.CellRun{Promise: rc.Promise, Prefix: rc.Prefix, Count: 1})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: cell counts %v != the Search result's runs %v", name, got, want)
 	}
 }

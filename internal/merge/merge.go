@@ -131,6 +131,37 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) 
 	return out
 }
 
+// Runs merges per-source cell runs (each source's mindex.CellCounts, in
+// stream order) by the order Ranked gives their candidates — (promise,
+// prefix, source) — cut once the counts reach limit, the last run taken
+// trimmed. It returns the merged runs and each source's share: how many of
+// the first limit candidates Combine would keep come from that source. A
+// source's share is a prefix of its own stream, since the merge takes each
+// source's candidates in their own order.
+func Runs(per [][]mindex.CellRun, limit int) (runs []mindex.CellRun, shares []int) {
+	shares = make([]int, len(per))
+	heads := make([]int, len(per))
+	for have := 0; have < limit; {
+		best := -1
+		for s, p := range per {
+			// Strict less: the iteration order supplies the source tie-break.
+			if heads[s] < len(p) && (best < 0 || compareCells[mindex.CellRun](&p[heads[s]], &per[best][heads[best]]) < 0) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		r := per[best][heads[best]]
+		heads[best]++
+		r.Count = min(r.Count, limit-have)
+		runs = append(runs, r)
+		shares[best] += r.Count
+		have += r.Count
+	}
+	return runs, shares
+}
+
 // Entries strips the ranking annotations off a merged candidate list,
 // trimming it to at most candSize entries (candSize < 0 keeps everything).
 // Each entry is what a candidate reply carries of it — the ID and the

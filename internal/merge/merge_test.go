@@ -207,3 +207,63 @@ func TestRankedMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestRunsMatchCombine: merging the sources' cell runs gives, candidate for
+// candidate, the cells of Combine's trimmed merge of the candidates, and
+// each source's share is the number of its candidates Combine keeps.
+func TestRunsMatchCombine(t *testing.T) {
+	rng := rand.New(rand.NewPCG(34, 2012))
+	promises := []float64{0, 0.1, 0.25, 0.5, 0.75}
+	for round := range 400 {
+		per := make([][]mindex.RankedCandidate, 1+rng.IntN(4))
+		perRuns := make([][]mindex.CellRun, len(per))
+		source := map[uint64]int{}
+		var id uint64
+		for s := range per {
+			for range rng.IntN(50) {
+				id++
+				source[id] = s
+				// Cells are shared across sources now and then, so the
+				// source tie-break is exercised.
+				per[s] = append(per[s], rc(id, promises[rng.IntN(len(promises))], int32(rng.IntN(3))))
+			}
+			slices.SortStableFunc(per[s], func(a, b mindex.RankedCandidate) int {
+				if a.Promise != b.Promise {
+					return cmp.Compare(a.Promise, b.Promise)
+				}
+				return slices.Compare(a.Prefix, b.Prefix)
+			})
+			for _, c := range per[s] {
+				if n := len(perRuns[s]); n > 0 && perRuns[s][n-1].Promise == c.Promise && slices.Equal(perRuns[s][n-1].Prefix, c.Prefix) {
+					perRuns[s][n-1].Count++
+					continue
+				}
+				perRuns[s] = append(perRuns[s], mindex.CellRun{Promise: c.Promise, Prefix: c.Prefix, Count: 1})
+			}
+		}
+		limit := rng.IntN(int(id) + 3)
+		merged := Combine(mindex.Query{Kind: mindex.KindApprox, CandSize: limit}, per)
+		runs, shares := Runs(perRuns, limit)
+		want := make([]int, len(per))
+		for _, c := range merged {
+			want[source[c.Entry.ID]]++
+		}
+		if !slices.Equal(shares, want) {
+			t.Fatalf("round %d, limit %d: shares %v, want %v", round, limit, shares, want)
+		}
+		var cells []mindex.CellRun
+		for _, r := range runs {
+			for range r.Count {
+				cells = append(cells, mindex.CellRun{Promise: r.Promise, Prefix: r.Prefix})
+			}
+		}
+		if len(cells) != len(merged) {
+			t.Fatalf("round %d: runs count %d candidates, Combine keeps %d", round, len(cells), len(merged))
+		}
+		for i, c := range merged {
+			if cells[i].Promise != c.Promise || !slices.Equal(cells[i].Prefix, c.Prefix) {
+				t.Fatalf("round %d: candidate %d from cell (%g, %v), runs say (%g, %v)", round, i, c.Promise, c.Prefix, cells[i].Promise, cells[i].Prefix)
+			}
+		}
+	}
+}

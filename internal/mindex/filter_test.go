@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"simcloud/internal/dataset"
@@ -158,6 +159,7 @@ func TestSearchEquivalence(t *testing.T) {
 						if allowName == "nil" {
 							checkFlatAdapters(t, name, full, q, got)
 						}
+						checkCellCounts(t, name, full.CellCounts, q, got)
 					}
 				}
 			}
@@ -209,4 +211,99 @@ func sameEntries(a, b []Entry) bool {
 		}
 	}
 	return true
+}
+
+// runsOf is the reference count form of a ranked candidate list: one run
+// per maximal stretch of candidates from one cell.
+func runsOf(rcs []RankedCandidate) []CellRun {
+	var out []CellRun
+	for _, rc := range rcs {
+		if n := len(out); n > 0 && out[n-1].Promise == rc.Promise && slices.Equal(out[n-1].Prefix, rc.Prefix) {
+			out[n-1].Count++
+			continue
+		}
+		out = append(out, CellRun{Promise: rc.Promise, Prefix: rc.Prefix, Count: 1})
+	}
+	return out
+}
+
+// checkCellCounts asserts that an approximate query's cell counts are its
+// Search result counted cell by cell, and that the other kinds have none.
+func checkCellCounts(t *testing.T, name string, counts func(Query) ([]CellRun, error), q Query, ranked []RankedCandidate) {
+	t.Helper()
+	got, err := counts(q)
+	if q.Kind != KindApprox {
+		if err == nil {
+			t.Fatalf("%s: cell counts of a non-approximate query", name)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: cell counts: %v", name, err)
+	}
+	if want := runsOf(ranked); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: cell counts %v != the Search result's runs %v", name, got, want)
+	}
+}
+
+// TestCellCountsUnderChurn: after deletes and updates the counts still come
+// from the tree's live bookkeeping alone, and still equal the Search result
+// cell by cell — tombstoned entries, moved entries and the unsplit root leaf
+// (whose filtered entries are counted one by one) included.
+func TestCellCountsUnderChurn(t *testing.T) {
+	const nPivots = 8
+	ds := dataset.Clustered(5, 900, 6, 7, metric.L2{})
+	rng := rand.New(rand.NewPCG(5, 6))
+	pv := pivot.SelectRandom(rng, ds.Dist, ds.Objects, nPivots)
+	entry := func(id uint64, v metric.Vector) Entry {
+		dists := pv.Distances(v)
+		return Entry{ID: id, Perm: pivot.Permutation(dists), Dists: dists}
+	}
+	for _, shape := range []struct {
+		name  string
+		n     int
+		eager bool
+	}{{"split", len(ds.Objects), true}, {"root-leaf", 16, false}} {
+		cfg := testConfig(nPivots)
+		cfg.EagerRootSplit = shape.eager
+		ix, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+		for i, o := range ds.Objects[:shape.n] {
+			if err := ix.Insert(entry(uint64(i+1), o.Vec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var gone []uint64
+		for i := range shape.n / 4 {
+			gone = append(gone, uint64(rng.IntN(shape.n)+1))
+			// An update moves an entry to the cell of another object.
+			if err := ix.Update(entry(uint64(i*3+1), ds.Objects[rng.IntN(len(ds.Objects))].Vec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ix.Delete(gone); err != nil {
+			t.Fatal(err)
+		}
+		for _, allow := range [][]int32{nil, {1, 3, 4, 6}} {
+			filter, err := NewPivotFilter(nPivots, allow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := range 10 {
+				qd := pv.Distances(ds.Objects[qi*71%len(ds.Objects)].Vec)
+				for _, candSize := range []int{1, 17, 250, 5000} {
+					q := Query{Kind: KindApprox, CandSize: candSize, Allow: filter,
+						ApproxQuery: ApproxQuery{Ranks: pivot.Ranks(pivot.Permutation(qd)), Dists: qd}}
+					got, err := ix.Search(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkCellCounts(t, fmt.Sprintf("%s/allow=%v/q%d/cand=%d", shape.name, allow, qi, candSize), ix.CellCounts, q, got)
+				}
+			}
+		}
+	}
 }

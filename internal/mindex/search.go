@@ -105,14 +105,46 @@ func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 		if q.CandSize <= 0 {
 			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
 		}
-		return ix.collect(q.ApproxQuery, q.CandSize, true, q.Allow)
+		return ix.collect(q.ApproxQuery, q.CandSize, true, q.Allow, nil)
 	case KindFirstCell:
-		return ix.collect(q.ApproxQuery, 1, false, q.Allow)
+		return ix.collect(q.ApproxQuery, 1, false, q.Allow, nil)
 	case KindAll:
 		return ix.all(q.Allow)
 	}
 	return nil, fmt.Errorf("mindex: unknown query kind %d", q.Kind)
 }
+
+// CellCounts is a KindApprox query's stream as counts: one CellRun per leaf
+// cell its Search draws candidates from, in the same order, whose counts sum
+// to the Search's length. It reads no bucket (see collect), so a caller can
+// learn how many candidates each partition would contribute to a merge, and
+// then fetch exactly those: a partition's share of the merged stream is
+// always a prefix of its own stream, which is a Search with CandSize set to
+// the share.
+func (ix *Index) CellCounts(q Query) ([]CellRun, error) {
+	if q.Kind != KindApprox {
+		return nil, fmt.Errorf("mindex: cell counts need an approximate query, got kind %d", q.Kind)
+	}
+	if q.CandSize <= 0 {
+		return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
+	}
+	var runs []CellRun
+	_, err := ix.collect(q.ApproxQuery, q.CandSize, true, q.Allow, &runs)
+	return runs, err
+}
+
+// CellRun is one cell of a promise-ordered candidate stream, counted: the
+// cell's promise and prefix, and how many of the stream's candidates come
+// from it.
+type CellRun struct {
+	Promise float64
+	Prefix  []int32
+	Count   int
+}
+
+// Rank reports the cell's promise and prefix (merge.Keyed); a run of
+// candidates has no ID of its own.
+func (r *CellRun) Rank() (float64, []int32, uint64) { return r.Promise, r.Prefix, 0 }
 
 // RankedCandidate is one search candidate annotated with the promise value
 // and prefix of its source cell. The annotations let a sharded engine merge
@@ -497,7 +529,13 @@ func (p *promiser) childItem(item rankedNode, c *node, level int, key int32) ran
 // want = 1 yields the whole first non-empty cell. A non-nil filter restricts
 // the visit to its first-level cells before any counting, so the filtered
 // stream is what an index holding only those cells would emit.
-func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter) ([]RankedCandidate, error) {
+//
+// With runs non-nil the same traversal counts instead of collecting: each
+// cell the stream would draw from becomes one CellRun appended to *runs, and
+// no candidate is returned. A cell's count is its live() bookkeeping, so no
+// bucket is read — except on an unsplit root leaf under a filter, whose
+// entries belong to different first-level cells and are counted one by one.
+func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter, runs *[]CellRun) ([]RankedCandidate, error) {
 	// Validate up front: a query missing what the configured ranking needs
 	// (ranks for footrule, distances for distance-sum) must become an error,
 	// not an index-out-of-range panic inside the promise function.
@@ -506,7 +544,7 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 	}
 	st := ix.state.Load()
 	var out []RankedCandidate
-	if trim {
+	if trim && runs == nil {
 		// want arrives straight off the wire; the index cannot return more
 		// than it holds, so that bounds the allocation.
 		out = make([]RankedCandidate, 0, min(want, st.size))
@@ -514,20 +552,31 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 	pr := ix.newPromiser(q)
 	pq := ix.getQueue(st.root)
 	defer ix.putQueue(pq)
-	for pq.Len() > 0 && len(out) < want {
+	have := 0 // candidates collected, or counted
+	for pq.Len() > 0 && have < want {
 		item := pq.pop()
 		if item.n.isLeaf() {
-			if item.n.live() == 0 {
+			live := item.n.live()
+			if live == 0 {
+				continue
+			}
+			// Only an unsplit root leaf mixes first-level cells; deeper
+			// leaves were filtered when the root's children were queued.
+			root := len(item.n.prefix) == 0
+			if runs != nil && !(root && filter != nil) {
+				if trim {
+					live = min(live, want-have)
+				}
+				*runs = append(*runs, CellRun{Promise: item.promise, Prefix: item.n.prefix, Count: live})
+				have += live
 				continue
 			}
 			b, err := ix.leafView(item.n)
 			if err != nil {
 				return nil, err
 			}
-			// Only an unsplit root leaf mixes first-level cells; deeper
-			// leaves were filtered when the root's children were queued.
-			root := len(item.n.prefix) == 0
-			for i := 0; i < b.Len() && !(trim && len(out) == want); i++ {
+			counted := 0
+			for i := 0; i < b.Len() && !(trim && have == want); i++ {
 				v := b.At(i)
 				if _, gone := st.tombstones[v.ID]; gone {
 					continue
@@ -535,10 +584,18 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter)
 				if root && !filter.allowsView(&v) {
 					continue
 				}
+				have++
+				if runs != nil {
+					counted++
+					continue
+				}
 				if len(out) == cap(out) {
 					out = slices.Grow(out, b.Len()-i) // room for the rest of the cell at once
 				}
 				out = append(out, RankedCandidate{Entry: v, Promise: item.promise, Prefix: item.n.prefix})
+			}
+			if counted > 0 {
+				*runs = append(*runs, CellRun{Promise: item.promise, Prefix: item.n.prefix, Count: counted})
 			}
 			continue
 		}

@@ -343,6 +343,9 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 		if err != nil {
 			return 0, nil, err
 		}
+		if req.Counts {
+			return s.cellCounts(req.Queries, filter, start, buf)
+		}
 		results := make([][]mindex.RankedCandidate, len(req.Queries))
 		for i, q := range req.Queries {
 			iq, err := q.IndexQuery(numPivots, filter)
@@ -485,6 +488,27 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 		return 0, nil, err
 	}
 	return 0, nil, fmt.Errorf("server: unsupported request type %v", typ)
+}
+
+// cellCounts answers a batch query asking for counts: per query, the cell
+// runs of the candidate stream a ranked request would return
+// (engine.CellCounts), encoded into buf. Only approximate queries trim to a
+// candidate size, so only they have counts to ask for.
+func (s *Server) cellCounts(queries []wire.BatchQuery, filter mindex.PivotFilter, start time.Time, buf *wire.Buffer) (wire.MsgType, []byte, error) {
+	numPivots := s.eng.Config().NumPivots
+	results := make([][]mindex.CellRun, len(queries))
+	for i, q := range queries {
+		iq, err := q.IndexQuery(numPivots, filter)
+		if err == nil {
+			results[i], err = s.eng.CellCounts(iq)
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
+		}
+	}
+	buf.Reset()
+	wire.BatchCellCountsResp{ServerNanos: s.serverNanos(start), Results: results}.AppendTo(buf)
+	return wire.MsgBatchCellCounts, buf.B, nil
 }
 
 // putBlobs replaces the blob list of every key req lists with req's blobs

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -908,6 +909,55 @@ func TestBatchQueryErrors(t *testing.T) {
 	}}.Encode(), "batch query 0")
 	// Malformed payload bytes are a codec error, not a crash.
 	expectError(t, conn, wire.MsgBatchQuery, []byte{0xFF, 0xFF, 0xFF, 0xFF}, "")
+}
+
+// TestCellCountsDispatch: a count request is answered with the cell runs
+// of the ranked reply the same request would get — hostile candidate sizes
+// included, which count what the index holds — and a count request for a
+// kind that does not trim to a candidate size is an error naming the query.
+func TestCellCountsDispatch(t *testing.T) {
+	srv := startEncrypted(t)
+	conn := dial(t, srv)
+	insertTestEntries(t, conn, 60)
+	perm := []int32{3, 1, 0, 2, 5, 4}
+	queries := []wire.BatchQuery{
+		{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 25},
+		{Kind: wire.BatchApproxDists, Dists: []float64{1, 2, 3, 4, 5, 6}, CandSize: math.MaxUint32},
+	}
+	for _, allow := range [][]int32{nil, {0, 2, 3}} {
+		ranked := batchQuery(t, conn, wire.BatchQueryReq{Queries: queries, Ranked: true, Allow: allow})
+		respType, resp := request(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: queries, Counts: true, Allow: allow}.Encode())
+		if respType != wire.MsgBatchCellCounts {
+			t.Fatalf("count request answered with %v", respType)
+		}
+		m, err := wire.DecodeBatchCellCountsResp(resp, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, runs := range m.Results {
+			at := 0
+			for _, r := range runs {
+				for _, rc := range ranked[qi][at : at+r.Count] {
+					if rc.Promise != r.Promise || !slices.Equal(rc.Prefix, r.Prefix) {
+						t.Fatalf("allow %v, query %d: candidate %d is not from the run's cell", allow, qi, at)
+					}
+				}
+				at += r.Count
+			}
+			if at != len(ranked[qi]) {
+				t.Fatalf("allow %v, query %d: runs count %d candidates, the ranked reply has %d", allow, qi, at, len(ranked[qi]))
+			}
+		}
+	}
+	for _, q := range []wire.BatchQuery{
+		{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1},
+		{Kind: wire.BatchFirstCell, Perm: perm},
+		{Kind: wire.BatchBound, Dists: make([]float64, 6), CandSize: 4},
+		{Kind: wire.BatchAll},
+	} {
+		expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{queries[0], q}, Counts: true}.Encode(),
+			"batch query 1: mindex: cell counts need an approximate query")
+	}
 }
 
 // TestShardedServer: a server over a sharded engine answers the protocol

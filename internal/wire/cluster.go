@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"simcloud/internal/mindex"
@@ -236,4 +237,133 @@ func DecodeBatchRankedResp(p []byte) (BatchRankedResp, error) {
 		m.Results = append(m.Results, rcs)
 	}
 	return m, r.Err()
+}
+
+// BatchCellCountsResp is the answer to a Counts request
+// (MsgBatchCellCounts): per query, parallel to the request's query list, the
+// cell runs of the ranked candidate stream the request would otherwise
+// return — each cell's promise and prefix and how many candidates it gives,
+// cut once the counts reach the query's CandSize (mindex.CellCounts). It
+// carries the annotations a ranked reply carries and no candidate.
+//
+// Decode reuses the value's storage, so the coordinator keeps one per node
+// and allocates nothing per reply once it has seen a reply of the usual
+// size. The decoded runs own their memory: the frame may be reused at once.
+type BatchCellCountsResp struct {
+	ServerNanos uint64
+	Results     [][]mindex.CellRun
+
+	runs     []mindex.CellRun
+	ends     []int
+	prefixes []int32
+}
+
+// AppendTo appends the encoded response to b: per run, the promise, the
+// prefix and the count.
+func (m BatchCellCountsResp) AppendTo(b *Buffer) {
+	b.U64(m.ServerNanos)
+	b.U32(uint32(len(m.Results)))
+	for _, runs := range m.Results {
+		b.U32(uint32(len(runs)))
+		for _, r := range runs {
+			b.F64(r.Promise)
+			b.I32Slice(r.Prefix)
+			b.U32(uint32(r.Count))
+		}
+	}
+}
+
+// Encode serializes the response payload.
+func (m BatchCellCountsResp) Encode() []byte {
+	var b Buffer
+	m.AppendTo(&b)
+	return b.B
+}
+
+// DecodeBatchCellCountsResp parses a BatchCellCountsResp payload, the answer
+// to queries, into a value of its own.
+func DecodeBatchCellCountsResp(p []byte, queries []BatchQuery) (BatchCellCountsResp, error) {
+	var m BatchCellCountsResp
+	err := m.Decode(p, queries)
+	return m, err
+}
+
+// Decode parses a BatchCellCountsResp payload, the answer to queries, into
+// m. The caller merges the runs to decide how many candidates to fetch from
+// whom, so a reply no honest server sends is an error, not a merge input:
+// one result per query, runs in (promise, prefix) order — the order of the
+// stream they count — with a number for a promise, and every count positive
+// with the counts of a query summing to at most its CandSize. Allocation is
+// bounded by the payload: a run occupies at least 16 bytes.
+func (m *BatchCellCountsResp) Decode(p []byte, queries []BatchQuery) error {
+	m.ServerNanos = 0
+	m.Results, m.runs, m.ends, m.prefixes = m.Results[:0], m.runs[:0], m.ends[:0], m.prefixes[:0]
+	r := Reader{b: p}
+	m.ServerNanos = r.U64()
+	if n := int(r.U32()); r.err == nil && n != len(queries) {
+		return fmt.Errorf("%w: %d results for %d queries", ErrCodec, n, len(queries))
+	}
+	for _, q := range queries {
+		count := int(r.U32())
+		if r.err == nil && (count < 0 || count > len(r.b)/16) {
+			r.err = ErrCodec
+		}
+		if r.err != nil {
+			break
+		}
+		first := len(m.runs)
+		total := uint64(0)
+		for range count {
+			run := mindex.CellRun{Promise: r.F64()}
+			pb := r.take(4 * r.len32(4))
+			n := r.U32()
+			if r.err != nil {
+				break
+			}
+			at := len(m.prefixes)
+			for i := 0; i < len(pb); i += 4 {
+				m.prefixes = append(m.prefixes, int32(binary.LittleEndian.Uint32(pb[i:])))
+			}
+			if len(pb) > 0 {
+				run.Prefix = m.prefixes[at:len(m.prefixes):len(m.prefixes)]
+			}
+			run.Count = int(n)
+			total += uint64(n)
+			if err := checkRun(m.runs[first:], &run, total, q.CandSize); err != nil {
+				return err
+			}
+			m.runs = append(m.runs, run)
+		}
+		m.ends = append(m.ends, len(m.runs))
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	at := 0
+	for _, end := range m.ends {
+		m.Results = append(m.Results, m.runs[at:end:end])
+		at = end
+	}
+	return nil
+}
+
+// checkRun refuses a run that no honest server sends after prev: a NaN
+// promise, an empty run, a cell out of (promise, prefix) order, or counts
+// past the query's candidate size (total includes the run).
+func checkRun(prev []mindex.CellRun, run *mindex.CellRun, total uint64, candSize uint32) error {
+	switch {
+	case run.Promise != run.Promise:
+		return fmt.Errorf("%w: cell run with a NaN promise", ErrCodec)
+	case run.Count == 0:
+		return fmt.Errorf("%w: empty cell run", ErrCodec)
+	case total > uint64(candSize):
+		return fmt.Errorf("%w: cell runs count %d candidates, over the candidate size %d", ErrCodec, total, candSize)
+	}
+	if len(prev) > 0 {
+		last := &prev[len(prev)-1]
+		if run.Promise < last.Promise || run.Promise == last.Promise && mindex.PrefixLess(run.Prefix, last.Prefix) {
+			return fmt.Errorf("%w: cell runs out of (promise, prefix) order", ErrCodec)
+		}
+	}
+	return nil
 }

@@ -130,3 +130,33 @@ func TestBatchQueryFirstCellRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
 }
+
+// TestCellCountsRoundTrip: the count request flag and its reply survive the
+// wire, and one value decodes reply after reply into its own storage — runs
+// of an earlier reply are not disturbed by a later decode into another value.
+func TestCellCountsRoundTrip(t *testing.T) {
+	queries := []BatchQuery{
+		{Kind: BatchApproxPerm, Perm: []int32{1, 0}, CandSize: 10},
+		{Kind: BatchApproxDists, Dists: []float64{1, 2}, CandSize: 3},
+	}
+	req, err := DecodeBatchQueryReq(BatchQueryReq{Queries: queries, Counts: true, Allow: []int32{1}}.Encode())
+	if err != nil || !req.Counts || req.Ranked || !reflect.DeepEqual(req.Allow, []int32{1}) {
+		t.Fatalf("count request round trip: %+v, %v", req, err)
+	}
+	in := BatchCellCountsResp{ServerNanos: 7, Results: [][]mindex.CellRun{
+		{{Promise: 0.5, Prefix: []int32{1}, Count: 4}, {Promise: 0.5, Prefix: []int32{1, 0}, Count: 6}},
+		{{Promise: 2, Count: 3}},
+	}}
+	var m BatchCellCountsResp
+	for range 2 {
+		if err := m.Decode(in.Encode(), queries); err != nil {
+			t.Fatal(err)
+		}
+		if m.ServerNanos != 7 || !reflect.DeepEqual(m.Results, in.Results) {
+			t.Fatalf("round trip: %+v", m.Results)
+		}
+	}
+	if _, err := DecodeBatchCellCountsResp(in.Encode(), queries[:1]); err == nil {
+		t.Fatal("a reply of two results decoded as the answer to one query")
+	}
+}

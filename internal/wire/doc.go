@@ -46,6 +46,13 @@
 // closes with MsgIngestEnd, whose MsgAck follows the WAL flush. Only one
 // chunk, never a whole collection, has to fit in MaxFrameSize.
 //
+// Protocol version 6 added the count form of a ranked read: a
+// BatchQueryReq with Counts set is answered by MsgBatchCellCounts, per
+// approximate query the (promise, prefix, count) runs of the candidate
+// stream and no candidate, so the cluster coordinator learns each node's
+// share of the cross-node merge before it fetches the winners. AckResp lost
+// its distance time, which nothing produced any more.
+//
 // The precise k-NN's two requests (protocol version 3) are the two pages of
 // one stateless order: BatchBound asks for the first CandSize entries by
 // (pivot lower bound, ID), computed in the server's own (transformed)

@@ -25,7 +25,9 @@ type MsgType uint8
 // four plain queries one message (MsgPlainQuery). Version 5 left one insert
 // request: every write ships as chunk frames (MsgIngestChunk,
 // MsgIngestObjChunk), whose ack carries the server's distance time.
-const ProtocolVersion = 5
+// Version 6 added the count form of a ranked read (BatchQueryReq.Counts,
+// answered by MsgBatchCellCounts) and dropped AckResp's distance time.
+const ProtocolVersion = 6
 
 // Protocol messages. Requests flow client→server, responses server→client.
 // The numbers are the wire encoding and never change; a retired message's
@@ -136,6 +138,12 @@ const (
 	MsgGetBlobs MsgType = 41
 	// MsgBlobs returns one blob list per requested key plus server time.
 	MsgBlobs MsgType = 42
+
+	// MsgBatchCellCounts answers a MsgBatchQuery that asks for counts
+	// (BatchQueryReq.Counts) with a BatchCellCountsResp: per query, the
+	// (promise, prefix, count) runs of the ranked candidate stream the
+	// request would otherwise return, and no candidate.
+	MsgBatchCellCounts MsgType = 43
 )
 
 var msgNames = map[MsgType]string{
@@ -145,6 +153,7 @@ var msgNames = map[MsgType]string{
 	MsgResyncOps: "resync-ops", MsgIngestChunk: "ingest-chunk", MsgIngestObjChunk: "ingest-obj-chunk",
 	MsgIngestChunkAck: "ingest-chunk-ack", MsgIngestEnd: "ingest-end",
 	MsgPlainQuery: "plain-query", MsgPutBlobs: "put-blobs", MsgGetBlobs: "get-blobs", MsgBlobs: "blobs",
+	MsgBatchCellCounts: "batch-cell-counts",
 }
 
 // retiredMsg is a reserved message number: the name it had, the protocol

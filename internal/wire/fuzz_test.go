@@ -313,6 +313,15 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(BatchQueryReq{Queries: all, Ranked: true, Allow: []int32{2, 4}}.Encode())
 	f.Add(BatchQueryReq{Queries: append(lone, all[0], all[0])}.Encode())
 	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchAll, After: &mindex.BoundKey{LB: 1, ID: 2}}}}.Encode())
+	// The count wave of a cluster read: approximate queries asking for cell
+	// runs, filtered as a replicated coordinator sends them, and the flag
+	// beside a range query, which the server must refuse.
+	f.Add(BatchQueryReq{Queries: lone, Counts: true}.Encode())
+	f.Add(BatchQueryReq{Queries: lone, Counts: true, Allow: []int32{0, 2}}.Encode())
+	f.Add(BatchQueryReq{Queries: []BatchQuery{
+		{Kind: BatchApproxDists, Dists: []float64{1, 2}, CandSize: 400},
+		{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3},
+	}, Counts: true}.Encode())
 	var flat Buffer
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
 		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}})}},
@@ -347,6 +356,10 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(ack)
 	f.Add(ack[:12])
 	f.Add(IngestEndReq{}.Encode())
+	// An end-of-ingest ack, and one in the protocol-v5 shape that still
+	// carried a distance time, which must not decode.
+	f.Add(AckResp{ServerNanos: 4}.Encode())
+	f.Add(append(AckResp{ServerNanos: 4}.Encode(), 5, 0, 0, 0, 0, 0, 0, 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// None of these may panic; errors are fine.
@@ -404,5 +417,71 @@ func FuzzDecodeRequests(f *testing.F) {
 		_, _ = DecodeIngestObjChunkReq(data)
 		_, _ = DecodeIngestChunkAckResp(data)
 		_, _ = DecodeIngestEndReq(data)
+	})
+}
+
+// FuzzDecodeCellCounts: the count reply's decoder never panics, allocates
+// only what the payload's bytes can hold, and accepts nothing a merge could
+// be misled by — whatever decodes holds one result per query, positive
+// counts within the candidate size, numbers for promises and runs in
+// (promise, prefix) order, and re-encodes to the same bytes.
+func FuzzDecodeCellCounts(f *testing.F) {
+	good := BatchCellCountsResp{ServerNanos: 5, Results: [][]mindex.CellRun{
+		{{Promise: 0.5, Prefix: []int32{1}, Count: 3}, {Promise: 0.5, Prefix: []int32{1, 2}, Count: 4}, {Promise: 1.5, Prefix: []int32{0, 3}, Count: 2}},
+		nil,
+	}}.Encode()
+	f.Add(good, uint32(9))
+	f.Add(good, uint32(8)) // counts past the candidate size
+	for _, bad := range [][]mindex.CellRun{
+		{{Promise: 1, Prefix: []int32{1}, Count: 1}, {Promise: 0.5, Prefix: []int32{2}, Count: 1}}, // promise order
+		{{Promise: 1, Prefix: []int32{2}, Count: 1}, {Promise: 1, Prefix: []int32{1}, Count: 1}},   // prefix order
+		{{Promise: math.NaN(), Prefix: []int32{1}, Count: 1}},
+		{{Promise: 1, Prefix: []int32{1}, Count: 0}},
+		{{Promise: 1, Prefix: []int32{1}, Count: math.MaxUint32}, {Promise: 2, Prefix: []int32{1}, Count: 2}},
+	} {
+		f.Add(BatchCellCountsResp{Results: [][]mindex.CellRun{bad}}.Encode(), uint32(math.MaxUint32))
+	}
+	var lying Buffer // a billion runs in a few bytes
+	lying.U64(0)
+	lying.U32(1)
+	lying.U32(1 << 30)
+	lying.F64(1)
+	f.Add(lying.B, uint32(10))
+	f.Add([]byte{}, uint32(1))
+	f.Fuzz(func(t *testing.T, data []byte, candSize uint32) {
+		queries := make([]BatchQuery, 0, 2)
+		if len(data) >= 12 {
+			for range min(binary.LittleEndian.Uint32(data[8:]), 2) {
+				queries = append(queries, BatchQuery{Kind: BatchApproxPerm, CandSize: candSize})
+			}
+		}
+		var m BatchCellCountsResp
+		if err := m.Decode(data, queries); err != nil {
+			return
+		}
+		if len(m.runs) > len(data)/16 || len(m.prefixes) > len(data)/4 {
+			t.Fatalf("%d runs and %d prefix elements out of %d bytes", len(m.runs), len(m.prefixes), len(data))
+		}
+		if len(m.Results) != len(queries) {
+			t.Fatalf("%d results for %d queries", len(m.Results), len(queries))
+		}
+		for qi, runs := range m.Results {
+			total := 0
+			for i, r := range runs {
+				total += r.Count
+				if r.Count <= 0 || r.Promise != r.Promise {
+					t.Fatalf("query %d run %d: %+v", qi, i, r)
+				}
+				if i > 0 && (r.Promise < runs[i-1].Promise || r.Promise == runs[i-1].Promise && mindex.PrefixLess(r.Prefix, runs[i-1].Prefix)) {
+					t.Fatalf("query %d: run %d out of order", qi, i)
+				}
+			}
+			if total > int(candSize) {
+				t.Fatalf("query %d: %d candidates counted, candidate size %d", qi, total, candSize)
+			}
+		}
+		if !bytes.Equal(m.Encode(), data) {
+			t.Fatal("cell counts re-encoding mismatch")
+		}
 	})
 }

@@ -263,26 +263,23 @@ func DecodeResultsResp(p []byte) (ResultsResp, error) {
 	return m, r.Err()
 }
 
-// AckResp acknowledges an end of ingest, a blob put or a re-sync. DistNanos
-// is always 0 since protocol v5 (a chunk ack carries the server's distance
-// time); the field keeps the reply's shape.
+// AckResp acknowledges an end of ingest, a blob put or a re-sync, carrying
+// the server's time.
 type AckResp struct {
 	ServerNanos uint64
-	DistNanos   uint64
 }
 
 // Encode serializes the response payload.
 func (m AckResp) Encode() []byte {
 	var b Buffer
 	b.U64(m.ServerNanos)
-	b.U64(m.DistNanos)
 	return b.B
 }
 
 // DecodeAckResp parses an AckResp payload.
 func DecodeAckResp(p []byte) (AckResp, error) {
 	r := NewReader(p)
-	m := AckResp{ServerNanos: r.U64(), DistNanos: r.U64()}
+	m := AckResp{ServerNanos: r.U64()}
 	return m, r.Err()
 }
 
@@ -422,6 +419,13 @@ type BatchQueryReq struct {
 	// first-level Voronoi cell to exactly one live owner, so every entry is
 	// counted once no matter how many replicas hold it.
 	Allow []int32
+	// Counts asks for the ranked reply as counts (MsgBatchCellCounts
+	// carrying a BatchCellCountsResp): per query, the cells its candidate
+	// stream draws from and how many candidates each gives, and no
+	// candidate. Only approximate queries may ask for it. The cluster
+	// coordinator sends it first, to learn how many candidates each node
+	// contributes to the merge before it fetches them.
+	Counts bool
 }
 
 // Trailer flags of an encoded BatchQueryReq.
@@ -429,12 +433,13 @@ const (
 	batchRanked   uint8 = 1 << 0
 	batchFiltered uint8 = 1 << 1
 	batchCursors  uint8 = 1 << 2
+	batchCounts   uint8 = 1 << 3
 )
 
 // Encode serializes the request payload: the query list, then — only when
-// Ranked, Allow or a query's After is set — a trailer of a flags byte, the
-// allow-list, and the cursors as (query index, LB, ID) in query order. A
-// plain client query therefore costs no trailer bytes.
+// Ranked, Counts, Allow or a query's After is set — a trailer of a flags
+// byte, the allow-list, and the cursors as (query index, LB, ID) in query
+// order. A plain client query therefore costs no trailer bytes.
 func (m BatchQueryReq) Encode() []byte {
 	var b Buffer
 	b.U32(uint32(len(m.Queries)))
@@ -462,6 +467,9 @@ func (m BatchQueryReq) Encode() []byte {
 	var flags uint8
 	if m.Ranked {
 		flags |= batchRanked
+	}
+	if m.Counts {
+		flags |= batchCounts
 	}
 	if m.Allow != nil {
 		flags |= batchFiltered
@@ -532,10 +540,11 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 	}
 	if len(r.b) > 0 {
 		flags := r.U8()
-		if flags == 0 || flags&^(batchRanked|batchFiltered|batchCursors) != 0 {
+		if flags == 0 || flags&^(batchRanked|batchFiltered|batchCursors|batchCounts) != 0 {
 			return BatchQueryReq{}, ErrCodec
 		}
 		m.Ranked = flags&batchRanked != 0
+		m.Counts = flags&batchCounts != 0
 		if flags&batchFiltered != 0 {
 			m.Allow = readAllow(r)
 		}
