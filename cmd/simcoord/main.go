@@ -19,18 +19,21 @@
 // all nodes are reachable, run the encrypted deployment, and agree on the
 // index shape (pivot count, max level, bucket capacity, ranking) — a
 // mismatched node would not fail loudly later, it would silently corrupt
-// results. Inserts and deletes route by the entry permutation's first
-// element over the live nodes; queries fan out to every node and combine
-// by the same merge order a single sharded server uses, so a 1-node
-// cluster behaves exactly like that node served directly.
+// results. Every entry is stored on the R nodes (-replicas, default 1)
+// that own its first-level cell — the entry permutation's first element p
+// picks nodes p mod N onward, whatever the cluster's failure history.
+// Queries fan out to one live owner per cell and combine by the same merge
+// order a single sharded server uses, so a 1-node cluster behaves exactly
+// like that node served directly.
 //
-// With -replicas R > 1 every entry is stored on R nodes: writes fan to all
-// owners (journaling for nodes that are down), reads fail over to a live
-// replica, and the cluster keeps answering exactly while any R-1 replicas
-// of a cell are down. Down nodes are re-dialed every -reprobe interval and
-// re-admitted after a shape check and re-sync of the writes they missed;
-// pair the nodes with -wal-dir so a restarted node recovers its pre-crash
-// state.
+// Writes fan to all owners (journaling for nodes that are down) and are
+// acknowledged only once an owner applied every entry; reads fail over to
+// a live owner. The cluster keeps answering exactly while any R-1 owners
+// of a cell are down, and refuses the cell, naming it, while all R are: at
+// the default R=1, a dead node's cells are unavailable until it returns.
+// Down nodes are re-dialed every -reprobe interval and re-admitted after a
+// shape check and re-sync of the writes they missed; pair the nodes with
+// -wal-dir so a restarted node recovers its pre-crash state.
 package main
 
 import (

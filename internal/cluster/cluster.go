@@ -4,15 +4,18 @@
 // EncryptedClient points at a coordinator exactly as it would at a single
 // server — no client change, no key change.
 //
-// Placement follows the same rule the in-process engine uses for shards:
-// an entry whose pivot permutation starts with pivot p lives on node
-// p mod N (over the currently live nodes), so every first-level Voronoi
-// cell is wholly contained in exactly one node. Every read fans out as a
-// ranked MsgBatchQuery and the per-node answers are folded by
-// merge.Combine — range results concatenate, approximate candidate streams
-// merge by the shared (promise, prefix, source) order: one combine rule,
-// two call sites (engine across shards, coordinator across nodes) — so a
-// multi-node cluster reproduces the single-server candidate list exactly
+// Placement is static and has one rule for every replica count R
+// (Options.Replicas, default 1; see replicate.go): an entry whose pivot
+// permutation starts with pivot p lives on the R nodes (p mod N + j) mod N,
+// j < R, of the configured node list, so every first-level Voronoi cell is
+// wholly contained in each of its owners — at R = 1 the same cell-to-node
+// map the in-process engine uses for shards. Every read assigns each cell to
+// one live owner and fans out as a ranked, pivot-filtered MsgBatchQuery, and
+// the per-node answers are folded by merge.Combine — range results
+// concatenate, approximate candidate streams merge by the shared (promise,
+// prefix, source) order: one combine rule, two call sites (engine across
+// shards, coordinator across nodes) — so a multi-node cluster reproduces
+// the single-server candidate list exactly
 // (see DESIGN.md §Distribution for the preconditions). An approximate read
 // answered by several nodes asks them for per-cell counts first, and then
 // fetches from each only its share of the merge's winners. The coordinator
@@ -27,19 +30,16 @@
 // count, tree depth, bucket capacity or ranking strategy — entries indexed
 // under one pivot set are garbage under another). Reads lease the link's
 // connections concurrently; writes keep per-node order on a write lane.
-// Node failure at runtime is handled with retry-with-exclusion: a node whose
-// connection fails is marked down and its link closed, and the failed
-// portion of every operation in flight on it is re-routed over the surviving
-// nodes. Down nodes are periodically re-probed (Options.ReprobeInterval, or
-// ProbeDownNodes directly) and re-admitted on a fresh link after a fresh
-// shape check.
-//
-// With Options.Replicas R > 1 every entry is stored on R nodes chosen by
-// its first-level cell (see replicate.go): writes fan to all owners with
-// missed writes journaled for re-admission replay, and reads assign each
-// cell to one live owner via the request's allow-list — so the cluster keeps
-// answering exactly, with byte-identical candidate lists, while any R-1 of
-// a cell's owners are down.
+// A node whose connection fails at runtime is marked down and its link
+// closed. Writes fan to every owner of a cell, with a down owner's share
+// journaled for re-admission replay, and are acknowledged only once some
+// owner applied each entry; reads retry over a fresh owner assignment. So
+// the cluster keeps answering exactly, with byte-identical candidate lists,
+// while any R-1 of a cell's owners are down, and refuses the cell, naming
+// it, while all R are — at R = 1, while its one owner is. Down nodes are
+// periodically re-probed (Options.ReprobeInterval, or ProbeDownNodes
+// directly) and re-admitted on a fresh link after a fresh shape check and
+// the replay of the writes they missed.
 package cluster
 
 import (
@@ -61,21 +61,21 @@ type Options struct {
 	// DialTimeout bounds each node dial + hello: at startup, at re-admission,
 	// and whenever a request finds no idle connection to the node and its
 	// link dials one. A runtime dial that fails or times out counts as a
-	// node failure: the node is marked down and the request re-routed.
-	// Default 5s.
+	// node failure: the node is marked down, its share of a write journaled
+	// and a read re-planned over the live owners. Default 5s.
 	DialTimeout time.Duration
 	// NodeTimeout bounds each request round trip to a node; a node that
-	// exceeds it is treated as failed (marked down, operation re-routed).
-	// 0 (the default) waits indefinitely.
+	// exceeds it is treated as failed, as a failed dial is. 0 (the default)
+	// waits indefinitely.
 	NodeTimeout time.Duration
-	// Replicas is the number of nodes storing each entry (R). Must be at
-	// most the node count; 0 or 1 keeps one copy per entry (the
-	// unreplicated placement). See replicate.go for the R > 1 semantics.
+	// Replicas is the number of nodes storing each entry (R), at most the
+	// node count; 0 means 1. Every R places by the same static rule (see
+	// replicate.go): a cell stays readable and writable while one of its R
+	// owners is live.
 	Replicas int
 	// ReprobeInterval is how often down nodes are re-dialed and, if healthy
-	// and shape-compatible, re-admitted (after journal replay when
-	// replicated). 0 disables the background loop; ProbeDownNodes still
-	// probes on demand.
+	// and shape-compatible, re-admitted after journal replay. 0 disables the
+	// background loop; ProbeDownNodes still probes on demand.
 	ReprobeInterval time.Duration
 	// Logf receives connection-level failures; defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -112,11 +112,6 @@ type Coordinator struct {
 	journalMu sync.Mutex
 	journals  [][]wire.ResyncOp
 
-	// mixed records that an unreplicated cluster re-admitted a node, mixing
-	// placement epochs: deletes must broadcast from then on even when every
-	// node is live.
-	mixed atomic.Bool
-
 	// ctx is the coordinator's lifetime context: Close cancels it, which
 	// aborts fan-out retry loops between waves and interrupts node round
 	// trips blocked mid-read (NodeTimeout 0), so shutdown never waits on a
@@ -140,8 +135,8 @@ type Coordinator struct {
 // hold the node's write lane, so they reach the node in the order the
 // coordinator issued them. A node marked down stays down until a probe
 // re-dials it and re-admission succeeds — including the shape re-check and
-// (when replicated) the journal replay that brings its data back in sync —
-// and installs a fresh link.
+// the journal replay that brings its data back in sync — and installs a
+// fresh link.
 type node struct {
 	id   int
 	addr string
@@ -155,7 +150,8 @@ type node struct {
 
 // nodeDownError marks a transport-level node failure, as opposed to an
 // application error the node itself reported (wire.RemoteError). Transport
-// failures trigger re-routing; application errors propagate to the client.
+// failures mark the node down, so a write journals the node's share and a
+// read re-plans; application errors propagate to the client.
 type nodeDownError struct {
 	addr string
 	err  error
@@ -185,7 +181,10 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 		return nil, errors.New("cluster: at least one node address is required")
 	}
 	o := opts.withDefaults()
-	if o.Replicas < 0 || o.Replicas > len(addrs) {
+	if o.Replicas < 0 {
+		return nil, fmt.Errorf("cluster: replica count %d is negative", o.Replicas)
+	}
+	if o.Replicas > len(addrs) {
 		return nil, fmt.Errorf("cluster: %d replicas need %d nodes, got %d", o.Replicas, o.Replicas, len(addrs))
 	}
 	c := &Coordinator{

@@ -3,7 +3,8 @@ package cluster_test
 // End-to-end tests of the multi-node coordinator, run in-process over
 // loopback TCP: equivalence of a federated cluster with a single server,
 // and the failure paths the coordinator must handle (node down at connect,
-// node death mid-batch with retry-with-exclusion, key-mismatch rejection).
+// node death mid-batch refusing the dead node's cells, key-mismatch
+// rejection).
 
 import (
 	"context"
@@ -383,67 +384,135 @@ func TestNodeDownAtConnect(t *testing.T) {
 	}
 }
 
-// TestNodeDiesMidBatch: when a node dies during a batch insert, the
-// coordinator re-routes the failed portion to the survivors and the whole
-// batch lands.
-func TestNodeDiesMidBatch(t *testing.T) {
+// cellOf returns o's first-level cell — its closest pivot — which the
+// coordinator places on nodes cellOf mod N onward.
+func cellOf(w *testWorld, o simcloud.Object) int32 {
+	return pivot.Permutation(w.key.Pivots().Distances(o.Vec))[0]
+}
+
+// splitByHome splits objs, keeping their order, into those whose cell an
+// n-node cluster homes on node home and the rest.
+func splitByHome(w *testWorld, objs []simcloud.Object, n, home int) (on, off []simcloud.Object) {
+	for _, o := range objs {
+		if int(cellOf(w, o))%n == home {
+			on = append(on, o)
+		} else {
+			off = append(off, o)
+		}
+	}
+	return on, off
+}
+
+// wantNoLiveReplica fails unless err is the coordinator's refusal of a cell
+// that has no live owner.
+func wantNoLiveReplica(t *testing.T, label string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "no live replica for pivot") {
+		t.Fatalf("%s: want a refusal naming a cell without a live replica, got %v", label, err)
+	}
+}
+
+// TestNodeDeathRefusesItsCells: when a node of an unreplicated cluster dies
+// under a batch insert, the batch is not acknowledged, and from then on the
+// dead node's cells are refused — to reads, which fail rather than come back
+// short, and to writes, which are refused whole before any delivery — while
+// inserts and deletes that touch only live cells land exactly.
+func TestNodeDeathRefusesItsCells(t *testing.T) {
+	checkLeaks(t)
 	w := newWorld(t, 1200)
 	nodes, coord := startCluster(t, 3, true)
 	client := dial(t, coord.Addr(), w.key)
 
-	first, second := w.data.Objects[:600], w.data.Objects[600:]
+	first, second, third := w.data.Objects[:600], w.data.Objects[600:900], w.data.Objects[900:]
 	if _, err := client.Insert(first); err != nil {
 		t.Fatal(err)
 	}
-	sizes := make([]int, 3)
-	total0 := 0
-	for i, n := range nodes {
-		sizes[i] = n.Index().Size()
-		total0 += sizes[i]
+	if got := nodes[0].Index().Size() + nodes[1].Index().Size() + nodes[2].Index().Size(); got != len(first) {
+		t.Fatalf("first batch: %d entries landed, want %d", got, len(first))
 	}
-	if total0 != len(first) {
-		t.Fatalf("first batch: %d entries landed, want %d", total0, len(first))
-	}
+	survivors := func() int { return nodes[0].Index().Size() + nodes[2].Index().Size() }
 
-	// Kill node 1 under the coordinator, then keep inserting. The
-	// coordinator discovers the death on the failing round trip and
-	// re-routes every affected entry to the survivors.
+	// Kill node 1 under the coordinator. The batch that discovers the death
+	// cannot be acknowledged: node 1's share of it has no other owner.
 	nodes[1].Close()
-	if _, err := client.Insert(second); err != nil {
-		t.Fatalf("insert after node death: %v", err)
-	}
-	live := coord.LiveNodes()
-	if len(live) != 2 {
+	_, err := client.Insert(second)
+	wantNoLiveReplica(t, "insert after node death", err)
+	if live := coord.LiveNodes(); len(live) != 2 {
 		t.Fatalf("coordinator sees %d live nodes, want 2 (%v)", len(live), live)
 	}
-	got := nodes[0].Index().Size() + nodes[2].Index().Size()
-	want := sizes[0] + sizes[2] + len(second)
-	if got != want {
-		t.Fatalf("survivors hold %d entries, want %d", got, want)
+	for _, query := range []core.Query{
+		{Kind: core.KindApproxKNN, Vec: first[0].Vec, K: 5, CandSize: 200},
+		{Kind: core.KindRange, Vec: first[0].Vec, Radius: 2.5},
+	} {
+		_, _, err := search(client, query)
+		wantNoLiveReplica(t, "read of a degraded cluster", err)
 	}
 
-	// Queries keep working over the survivors.
-	res, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: second[0].Vec, K: 5, CandSize: 200})
-	if err != nil {
-		t.Fatal(err)
+	dead, live := splitByHome(w, third, 3, 1)
+	if len(dead) < 5 || len(live) < 60 {
+		t.Fatalf("third batch: %d entries on the dead node's cells, %d on live ones", len(dead), len(live))
 	}
-	if len(res) == 0 {
-		t.Fatal("no results from surviving nodes")
+	// One chunk (at most 64 entries) touching a dead cell is refused whole;
+	// one touching only live cells lands.
+	before := survivors()
+	_, err = client.Insert(append(slices.Clone(live[:20]), dead[:5]...))
+	wantNoLiveReplica(t, "insert touching a dead cell", err)
+	if got := survivors(); got != before {
+		t.Fatalf("a refused insert changed the survivors: %d entries, want %d", got, before)
+	}
+	if _, err := client.Insert(live[:60]); err != nil {
+		t.Fatalf("insert of live cells only: %v", err)
+	}
+	if got := survivors(); got != before+60 {
+		t.Fatalf("survivors hold %d entries, want %d", got, before+60)
 	}
 
-	// Deletes on a degraded cluster must still reach entries that live on
-	// the survivors: placement is a mix of mod-3 (pre-death) and mod-2
-	// (re-routed) routing, so refs are broadcast. Every second-batch entry
-	// is on a survivor by construction and must actually die.
-	deleted, _, err := client.Delete(second[:50])
+	// Deletes the same way: refused whole when a ref's cell is dead, exact
+	// when every ref's cell is live.
+	firstDead, firstLive := splitByHome(w, first, 3, 1)
+	_, _, err = client.Delete(append(slices.Clone(firstLive[:10]), firstDead[:2]...))
+	wantNoLiveReplica(t, "delete touching a dead cell", err)
+	if got := survivors(); got != before+60 {
+		t.Fatalf("a refused delete changed the survivors: %d entries, want %d", got, before+60)
+	}
+	deleted, _, err := client.Delete(append(slices.Clone(firstLive[:40]), live[:10]...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if deleted != 50 {
-		t.Fatalf("degraded delete removed %d of 50 surviving-node entries", deleted)
+		t.Fatalf("degraded delete removed %d of 50 live-cell entries", deleted)
 	}
-	if got := nodes[0].Index().Size() + nodes[2].Index().Size(); got != want-50 {
-		t.Fatalf("survivors hold %d entries after delete, want %d", got, want-50)
+	if got := survivors(); got != before+60-50 {
+		t.Fatalf("survivors hold %d entries after delete, want %d", got, before+60-50)
+	}
+}
+
+// TestReplicaCountValidated: New refuses a negative replica count and one
+// above the node count, each with a message of its own, and accepts 0 (one
+// copy), 1 and the node count.
+func TestReplicaCountValidated(t *testing.T) {
+	addrs := []string{startServer(t, nodeConfig(true)).Addr(), startServer(t, nodeConfig(true)).Addr()}
+	for _, tc := range []struct {
+		replicas int
+		want     string // "" when New must succeed
+	}{
+		{-1, "replica count -1 is negative"},
+		{3, "3 replicas need 3 nodes, got 2"},
+		{0, ""},
+		{1, ""},
+		{2, ""},
+	} {
+		coord, err := cluster.New(addrs, cluster.Options{Replicas: tc.replicas, Logf: t.Logf})
+		if tc.want == "" {
+			if err != nil {
+				t.Fatalf("Replicas %d over 2 nodes: %v", tc.replicas, err)
+			}
+			coord.Close()
+			continue
+		}
+		if err == nil || err.Error() != "cluster: "+tc.want {
+			t.Fatalf("Replicas %d over 2 nodes: got %v, want %q", tc.replicas, err, tc.want)
+		}
 	}
 }
 

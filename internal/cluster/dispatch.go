@@ -51,7 +51,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := c.fanInsert(c.ctx, req.Entries); err != nil {
+		if err := c.insertReplicated(c.ctx, req.Entries); err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
@@ -72,11 +72,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		if err != nil {
 			return 0, nil, err
 		}
-		del := c.deleteRefs
-		if c.replicated() {
-			del = c.deleteReplicated
-		}
-		deleted, err := del(c.ctx, req.Refs)
+		deleted, err := c.deleteReplicated(c.ctx, req.Refs)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -110,52 +106,11 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 // answers, not something it can layer a second time.
 var errNodeLevelRead = errors.New("cluster: ranked, counted and pivot-filtered reads are node-level; connect to a node directly")
 
-// routeNode maps an entry permutation onto one of the given live nodes:
-// closest pivot modulo the live-node count — the cross-process mirror of
-// engine.ShardedIndex routing, so a 1-node cluster places every entry
-// exactly where a bare server would (the replicated path routes statically
-// instead; see replicate.go).
-func (c *Coordinator) routeNode(perm []int32, targets []*node) (*node, error) {
-	if err := c.validatePerm(perm); err != nil {
-		return nil, err
-	}
-	return targets[int(perm[0])%len(targets)], nil
-}
-
-// group partitions entries over the targets by routeNode, preserving
-// arrival order within each group (bucket order inside a cell is arrival
-// order, so this keeps multi-node candidate lists identical to a
-// single-server build).
-func (c *Coordinator) group(entries []mindex.Entry, targets []*node) ([][]mindex.Entry, error) {
-	groups := make([][]mindex.Entry, len(targets))
-	index := make(map[*node]int, len(targets))
-	for i, n := range targets {
-		index[n] = i
-	}
-	for _, e := range entries {
-		n, err := c.routeNode(e.Perm, targets)
-		if err != nil {
-			return nil, err
-		}
-		groups[index[n]] = append(groups[index[n]], e)
-	}
-	return groups, nil
-}
-
-// fanInsert routes one insert chunk to the nodes, replicated or not. Every
-// node-ward delivery is one MsgIngestChunk (sendChunk), so a client's chunk
-// flight stays a chunk flight on the node hop, where a group-commit WAL
-// amortizes fsyncs until a forwarded end-of-stream flush (see flushIngest).
-func (c *Coordinator) fanInsert(ctx context.Context, entries []mindex.Entry) error {
-	if c.replicated() {
-		return c.insertReplicated(ctx, entries)
-	}
-	return c.insertEntries(ctx, entries)
-}
-
 // sendChunk delivers entries to n as one MsgIngestChunk and decodes its
-// ack, so a node's malformed ack is an error on every insert path. The chunk
-// carries sequence number 0: every client's writes to a node share its write
+// ack, so a node's malformed ack is an error. Every node-ward insert is one
+// chunk, so a client's chunk flight stays a chunk flight on the node hop,
+// where a group-commit WAL amortizes fsyncs until a forwarded end-of-stream
+// flush (see flushIngest). The chunk carries sequence number 0: every client's writes to a node share its write
 // lane, one leased round trip at a time, so the coordinator forwards each
 // chunk as its own one-chunk stream and the nodes (by design) ignore chunk
 // numbering.
@@ -192,53 +147,6 @@ func (c *Coordinator) sendDelete(ctx context.Context, n *node, refs []mindex.Ent
 	return ack.Deleted, nil
 }
 
-// insertEntries routes the batch over the live nodes and retries with
-// exclusion on node failure: entries whose node died mid-operation are
-// re-routed over the surviving nodes until every entry landed or no node
-// is left. A node that died after applying its group but before
-// acknowledging leaves those entries inserted twice (on the dead node and
-// on a survivor) — at-least-once semantics; see DESIGN.md §Distribution.
-func (c *Coordinator) insertEntries(ctx context.Context, entries []mindex.Entry) error {
-	remaining := entries
-	for len(remaining) > 0 {
-		// Cancellation check between re-routing waves: a shutdown (or a
-		// future per-request deadline) stops the retry loop instead of
-		// hammering the surviving nodes.
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cluster: insert aborted: %w", err)
-		}
-		targets := c.alive()
-		if len(targets) == 0 {
-			return errNoLiveNodes
-		}
-		groups, err := c.group(remaining, targets)
-		if err != nil {
-			return err
-		}
-		failed := make([][]mindex.Entry, len(targets))
-		err = c.pool.Run(len(targets), func(i int) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			err := c.sendChunk(ctx, targets[i], groups[i])
-			if isNodeDown(err) {
-				c.opts.Logf("simcoord: %v; re-routing %d entries", err, len(groups[i]))
-				failed[i] = groups[i]
-				return nil
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		remaining = remaining[:0:0]
-		for _, g := range failed {
-			remaining = append(remaining, g...)
-		}
-	}
-	return nil
-}
-
 // flushIngest forwards a client's end-of-stream frame to every live node,
 // so the final ack the coordinator returns carries the same durability
 // promise a single server gives: every streamed chunk applied and
@@ -261,67 +169,6 @@ func (c *Coordinator) flushIngest(ctx context.Context) error {
 	return nil
 }
 
-// deleteRefs routes delete references like inserts (the permutation prefix
-// carries the routing pivot) while every node is live, summing the
-// per-node deleted counts. On a degraded cluster — or one that has ever
-// re-admitted a node (c.mixed) — routing is no longer reconstructible:
-// entries placed before a death sit at Perm[0] mod N while re-routed ones
-// sit at Perm[0] mod |live| — so each ref is instead broadcast to every
-// live node, where non-owners skip the unknown ID; a mid-operation death
-// retries the affected refs the same way.
-func (c *Coordinator) deleteRefs(ctx context.Context, refs []mindex.Entry) (uint32, error) {
-	var deleted atomic.Uint32
-	remaining := refs
-	for len(remaining) > 0 {
-		if err := ctx.Err(); err != nil {
-			return deleted.Load(), fmt.Errorf("cluster: delete aborted: %w", err)
-		}
-		targets := c.alive()
-		if len(targets) == 0 {
-			return deleted.Load(), errNoLiveNodes
-		}
-		var groups [][]mindex.Entry
-		if len(targets) == len(c.nodes) && !c.mixed.Load() {
-			var err error
-			if groups, err = c.group(remaining, targets); err != nil {
-				return deleted.Load(), err
-			}
-		} else {
-			// Still validate the routing prefixes — hostile refs must fail
-			// loudly even on the broadcast path.
-			if _, err := c.group(remaining, targets); err != nil {
-				return deleted.Load(), err
-			}
-			groups = make([][]mindex.Entry, len(targets))
-			for i := range groups {
-				groups[i] = remaining
-			}
-		}
-		failed := make([][]mindex.Entry, len(targets))
-		err := c.pool.Run(len(targets), func(i int) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			n, err := c.sendDelete(ctx, targets[i], groups[i])
-			if isNodeDown(err) {
-				c.opts.Logf("simcoord: %v; re-routing %d delete refs", err, len(groups[i]))
-				failed[i] = groups[i]
-				return nil
-			}
-			deleted.Add(n)
-			return err
-		})
-		if err != nil {
-			return deleted.Load(), err
-		}
-		remaining = remaining[:0:0]
-		for _, g := range failed {
-			remaining = append(remaining, g...)
-		}
-	}
-	return deleted.Load(), nil
-}
-
 // nodeReply is one node's response frame within a fan-out. The payload
 // aliases the node's leased frame when the fan-out was given frames.
 type nodeReply struct {
@@ -337,8 +184,9 @@ type nodeReply struct {
 // attempts runs attempt until it completes without a node going down. A
 // node that fails at the transport level in any wave of an attempt is marked
 // down (node.roundTrip), and the next attempt plans afresh over the
-// survivors — reads stay transparent across a node death, serving whatever
-// the surviving nodes hold. Application errors end the loop.
+// survivors — a read stays exact across a node death while every cell keeps
+// a live owner, and fails naming the first cell that has none (plan).
+// Application errors end the loop.
 func (c *Coordinator) attempts(ctx context.Context, attempt func() (down bool, err error)) error {
 	for {
 		// Cancellation check between attempts: a node death triggers a full
@@ -398,25 +246,16 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 
 // readPlan is one read attempt's assignment: the nodes that answer it, in
 // node-id order — the concatenation order of exact results and the source
-// order of the ranked merge — and, replicated, the first-level cells each
-// one serves (nil allow-lists unreplicated: every live node answers for
-// everything it holds).
+// order of the ranked merge — and the first-level cells each one serves.
 type readPlan struct {
 	targets []*node
 	allow   [][]int32
 }
 
-// plan assigns a read attempt: unreplicated, every live node; replicated,
-// every first-level cell to its first live owner (assignReadOwners), so the
-// union of the answers covers every cell exactly once.
+// plan assigns a read attempt: every first-level cell to its first live
+// owner (assignReadOwners), so the union of the answers covers every cell
+// exactly once.
 func (c *Coordinator) plan() (readPlan, error) {
-	if !c.replicated() {
-		targets := c.alive()
-		if len(targets) == 0 {
-			return readPlan{}, errNoLiveNodes
-		}
-		return readPlan{targets: targets, allow: make([][]int32, len(targets))}, nil
-	}
 	allow, err := c.assignReadOwners()
 	if err != nil {
 		return readPlan{}, err

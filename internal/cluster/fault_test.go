@@ -1,14 +1,15 @@
 package cluster_test
 
-// Deterministic fault-injection tests of the replicated cluster: WAL-backed
-// nodes behind faultnet proxies, killed and restarted mid-run, with every
-// answer compared byte-for-byte against a healthy single server. The fault
+// Deterministic fault-injection tests of the cluster, at R=1 and R=2:
+// WAL-backed nodes behind faultnet proxies, killed and restarted mid-run,
+// with every answer compared byte-for-byte against a healthy single server. The fault
 // schedule is seeded, so the whole suite is reproducible under -race.
 
 import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -289,13 +290,58 @@ func TestReplicatedEquivalenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestReprobeReadmitsNode covers the unreplicated (R=1) sticky-down fix:
-// the background re-probe loop re-admits a restarted node without operator
-// intervention, and the coordinator switches deletes to broadcast because
-// placement epochs are now mixed.
+// checkFourKinds fails unless got answers all four refined query kinds for
+// every vector of qs exactly as want does, and the ranked candidate list and
+// download-all of the server at gotAddr equal those at wantAddr.
+func checkFourKinds(t *testing.T, label string, w *testWorld, got, want core.Searcher, gotAddr, wantAddr string, qs []int) {
+	t.Helper()
+	if g, wa := downloadAll(t, gotAddr, w), downloadAll(t, wantAddr, w); !sameCollection(g, wa) {
+		t.Fatalf("%s: download-all (%d entries) diverges from single server (%d)", label, len(g), len(wa))
+	}
+	for _, qi := range qs {
+		q := w.data.Objects[qi].Vec
+		if g, wa := approxCandidateIDs(t, gotAddr, w, q, 200), approxCandidateIDs(t, wantAddr, w, q, 200); !slices.Equal(g, wa) {
+			t.Fatalf("%s: query %d: candidate list diverges from single server\n got %v\nwant %v", label, qi, g, wa)
+		}
+		for _, query := range []core.Query{
+			{Kind: core.KindRange, Vec: q, Radius: 2.5},
+			{Kind: core.KindKNN, Vec: q, K: 10, CandSize: 200},
+			{Kind: core.KindApproxKNN, Vec: q, K: 10, CandSize: 200},
+			{Kind: core.KindFirstCell, Vec: q, K: 5},
+		} {
+			wantRes, _, err := search(want, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRes, _, err := search(got, query)
+			if err != nil {
+				t.Fatalf("%s: query %d kind %v: %v", label, qi, query.Kind, err)
+			}
+			same := resultsEqual(gotRes, wantRes)
+			if query.Kind == core.KindRange {
+				same = slices.Equal(resultIDs(gotRes), resultIDs(wantRes))
+			}
+			if !same {
+				t.Fatalf("%s: query %d kind %v: %d results diverge from the single server's %d",
+					label, qi, query.Kind, len(gotRes), len(wantRes))
+			}
+		}
+	}
+}
+
+// TestReprobeReadmitsNode: an unreplicated (R=1) cluster of WAL-backed
+// nodes loses node 1. Reads then fail rather than come back short, a write
+// touching node 1's cells is refused whole before any delivery, and one
+// touching only node 0's cells lands. The background re-probe loop re-admits
+// the node restarted from its WAL without operator intervention, after which
+// all four query kinds equal a healthy single server holding the
+// acknowledged writes, and deletes of entries written before and after the
+// kill are exact.
 func TestReprobeReadmitsNode(t *testing.T) {
 	checkLeaks(t)
 	w := newWorld(t, 400)
+	ref := startServer(t, nodeConfig(false))
+	refClient := dial(t, ref.Addr(), w.key)
 	cfg := nodeConfig(true)
 	dirs := []string{t.TempDir(), t.TempDir()}
 	srvs := []*server.Server{
@@ -316,20 +362,41 @@ func TestReprobeReadmitsNode(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 	client := dial(t, coord.Addr(), w.key)
-
-	first, second := w.data.Objects[:300], w.data.Objects[300:]
-	if _, err := client.Insert(first); err != nil {
-		t.Fatal(err)
+	insertBoth := func(objs []simcloud.Object) {
+		t.Helper()
+		if _, err := refClient.Insert(objs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Insert(objs); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Kill node 1; the next insert discovers the death and re-routes.
+	first := w.data.Objects[:300]
+	insertBoth(first)
+
+	// Kill node 1. The next read discovers the death and fails: node 1's
+	// cells have no other owner, and a short answer would be a silent one.
 	srvs[1].Close()
-	if _, err := client.Insert(second); err != nil {
-		t.Fatal(err)
-	}
+	_, _, err = search(client, core.Query{Kind: core.KindApproxKNN, Vec: first[0].Vec, K: 5, CandSize: 200})
+	wantNoLiveReplica(t, "read after kill", err)
 	if live := coord.LiveNodes(); len(live) != 1 {
 		t.Fatalf("after kill: %d live nodes, want 1 (%v)", len(live), live)
 	}
+
+	// A write of one chunk touching node 1's cells is refused whole, before
+	// any delivery; one touching only node 0's cells lands.
+	dead, live := splitByHome(w, w.data.Objects[300:], 2, 1)
+	if len(dead) < 10 || len(live) < 40 {
+		t.Fatalf("second batch: %d entries on the dead node's cells, %d on live ones", len(dead), len(live))
+	}
+	size0 := srvs[0].Index().Size()
+	_, err = client.Insert(append(slices.Clone(live[:10]), dead[:10]...))
+	wantNoLiveReplica(t, "insert touching a dead cell", err)
+	if got := srvs[0].Index().Size(); got != size0 {
+		t.Fatalf("a refused insert changed node 0: %d entries, want %d", got, size0)
+	}
+	insertBoth(live[:40])
 
 	// Restart from WAL behind the same proxy address; the background probe
 	// loop must re-admit it without any call from here.
@@ -342,30 +409,79 @@ func TestReprobeReadmitsNode(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	queries := []int{3, 123, 250, 321}
+	checkFourKinds(t, "re-admitted", w, client, refClient, coord.Addr(), ref.Addr(), queries)
 
-	// Every entry is somewhere: pre-kill placement on node 1 survived via
-	// the WAL, re-routed entries live on node 0.
-	if got := srvs[0].Index().Size() + srvs[1].Index().Size(); got != len(w.data.Objects) {
-		t.Fatalf("nodes hold %d entries, want %d", got, len(w.data.Objects))
-	}
-
-	// Placement is now mixed (mod-2 before the kill, mod-1 during it), so
-	// deletes must broadcast even though both nodes are live again — refs
-	// from both epochs must actually die.
-	victims := append(append([]simcloud.Object{}, first[:20]...), second[:20]...)
-	deleted, _, err := client.Delete(victims)
+	// Deletes of entries written before the kill (on both nodes) and during
+	// the outage are exact.
+	victims := append(slices.Clone(first[:20]), live[:20]...)
+	wantDel, _, err := refClient.Delete(victims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deleted != len(victims) {
-		t.Fatalf("deleted %d of %d across placement epochs", deleted, len(victims))
-	}
-	res, _, err := search(client, core.Query{Kind: core.KindApproxKNN, Vec: w.data.Objects[250].Vec, K: 5, CandSize: 200})
+	gotDel, _, err := client.Delete(victims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) == 0 {
-		t.Fatal("no results after re-admission")
+	if gotDel != wantDel || gotDel != len(victims) {
+		t.Fatalf("cluster deleted %d, single server %d, want %d", gotDel, wantDel, len(victims))
+	}
+	checkFourKinds(t, "after deletes", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+}
+
+// TestInsertAckNeedsAppliedCopy: an insert is acknowledged only once every
+// entry of it was applied by at least one owner. With every owner of cell 1
+// dead but not yet noticed by the coordinator, a one-chunk insert holding
+// entries of that cell finds each owner down only as it delivers, so its
+// share can only be journaled: the chunk must be refused, not acknowledged
+// on the strength of the coordinator's in-memory journal, at R=1 and at R=2
+// alike. The next read refuses cell 1 too.
+func TestInsertAckNeedsAppliedCopy(t *testing.T) {
+	for _, tc := range []struct {
+		replicas int
+		dead     []int // every owner of cell 1: nodes 1 and (R=2) 2
+	}{
+		{1, []int{1}},
+		{2, []int{1, 2}},
+	} {
+		t.Run(fmt.Sprintf("R=%d", tc.replicas), func(t *testing.T) {
+			checkLeaks(t)
+			w := newWorld(t, 200)
+			srvs := make([]*server.Server, 3)
+			addrs := make([]string, 3)
+			for i := range srvs {
+				srvs[i] = startServer(t, nodeConfig(true))
+				addrs[i] = srvs[i].Addr()
+			}
+			coord, err := cluster.New(addrs, cluster.Options{Replicas: tc.replicas, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { coord.Close() })
+			client := dial(t, coord.Addr(), w.key)
+
+			chunk := w.data.Objects[:30]
+			if !slices.ContainsFunc(chunk, func(o simcloud.Object) bool { return cellOf(w, o)%3 == 1 }) {
+				t.Fatal("the chunk holds no entry of a cell homed on node 1")
+			}
+			// The coordinator learns of the deaths only on its next round trip
+			// to each node.
+			for _, i := range tc.dead {
+				srvs[i].Close()
+			}
+			_, err = client.Insert(chunk)
+			wantNoLiveReplica(t, "insert with every owner of a cell dead", err)
+			if live := coord.LiveNodes(); len(live) != 3-len(tc.dead) {
+				t.Fatalf("%d live nodes, want %d (%v)", len(live), 3-len(tc.dead), live)
+			}
+			_, _, err = search(client, core.Query{Kind: core.KindApproxKNN, Vec: chunk[0].Vec, K: 5, CandSize: 100})
+			if err == nil || !strings.Contains(err.Error(), "no live replica for pivot 1") {
+				t.Fatalf("read with cell 1 unowned: got %v, want a refusal naming pivot 1", err)
+			}
+		})
 	}
 }
 

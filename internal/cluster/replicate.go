@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -10,8 +11,8 @@ import (
 	"simcloud/internal/wire"
 )
 
-// Replicated operation (Options.Replicas R > 1). Ownership is static: the
-// entry permutation's first pivot p places its R copies on nodes
+// Placement (Options.Replicas R ≥ 1, one rule for every R). Ownership is
+// static: the entry permutation's first pivot p places its R copies on nodes
 // (p mod N + j) mod N for j < R, over the CONFIGURED node list — never the
 // live subset, so ownership is reconstructible across node deaths and
 // re-admissions. Writes fan to every owner; an owner that is down (or dies
@@ -19,11 +20,9 @@ import (
 // during re-admission, before the node is marked live again. Reads assign
 // every first-level cell to its first live owner and fan out as
 // pivot-filtered queries, so each entry is served by exactly one node no
-// matter how many replicas store it (see DESIGN.md §Replication).
-
-// replicated reports whether the coordinator keeps multiple copies per
-// entry (and therefore must filter reads and journal missed writes).
-func (c *Coordinator) replicated() bool { return c.replicas > 1 }
+// matter how many replicas store it. A cell whose every owner is down is
+// refused, to reads and writes alike, until one is re-admitted (see
+// DESIGN.md §Replication).
 
 // validatePerm rejects entry permutations that cannot be routed. Entries
 // arrive straight off the wire, so a hostile first element must become an
@@ -57,19 +56,24 @@ func (c *Coordinator) liveOwner(p int32) (*node, error) {
 			return n, nil
 		}
 	}
-	return nil, fmt.Errorf("cluster: no live replica for pivot %d: %w", p, errNoLiveNodes)
+	return nil, noLiveReplica(p)
+}
+
+// noLiveReplica refuses a read or write that needs cell p, which has no live owner.
+func noLiveReplica(p int32) error {
+	return fmt.Errorf("cluster: no live replica for pivot %d: %w", p, errNoLiveNodes)
 }
 
 // deliverOrJournal delivers one write operation to a replica, or journals
-// it for re-admission replay if the replica is down. The down check happens
-// under journalMu — the same lock readmit holds when it drains the journal
-// and marks the node live — so an operation is either journaled while the
-// node is still down (the drain loop picks it up) or sent to a node whose
-// journal is already empty; it can never fall between. A live insert is one
-// chunk (sendChunk), a live delete one delete request (sendDelete); the
-// journaled form is the same ResyncOp either way, since re-admission replays
-// through MsgResyncOps.
-func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.ResyncOp) error {
+// it for re-admission replay if the replica is down, and reports whether it
+// journaled. The down check happens under journalMu — the same lock readmit
+// holds when it drains the journal and marks the node live — so an
+// operation is either journaled while the node is still down (the drain
+// loop picks it up) or sent to a node whose journal is already empty; it can
+// never fall between. A live insert is one chunk (sendChunk), a live delete
+// one delete request (sendDelete); the journaled form is the same ResyncOp
+// either way, since re-admission replays through MsgResyncOps.
+func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.ResyncOp) (journaled bool, err error) {
 	var send func() error
 	switch op.Op {
 	case wire.ResyncInsert:
@@ -80,17 +84,17 @@ func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.Res
 			return err
 		}
 	default:
-		return fmt.Errorf("cluster: unknown journal op %d", op.Op)
+		return false, fmt.Errorf("cluster: unknown journal op %d", op.Op)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cluster: replica delivery aborted: %w", err)
+			return false, fmt.Errorf("cluster: replica delivery aborted: %w", err)
 		}
 		c.journalMu.Lock()
 		if n.down.Load() {
 			c.journals[n.id] = append(c.journals[n.id], op)
 			c.journalMu.Unlock()
-			return nil
+			return true, nil
 		}
 		c.journalMu.Unlock()
 		err := send()
@@ -98,15 +102,16 @@ func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.Res
 			c.opts.Logf("simcoord: %v; journaling %d entries for re-sync", err, len(op.Entries))
 			continue // the down check now journals
 		}
-		return err
+		return false, err
 	}
 }
 
 // insertReplicated fans each entry to all R owners of its first-level cell:
-// live owners synchronously, down owners via the re-sync journal. The batch
-// is rejected up front if any entry has no live owner at all — an
-// acknowledgment must always be backed by at least one applied-and-logged
-// copy, not by journal entries alone.
+// live owners synchronously, down owners via the re-sync journal. The chunk
+// is refused before any delivery if some entry has no live owner, and
+// acknowledged only once some owner applied every entry — never on journal
+// entries alone. A refused chunk's journaled ops stay: like a single
+// server's dropped connection, an unacknowledged write has an unknown outcome.
 func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Entry) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("cluster: insert aborted: %w", err)
@@ -123,12 +128,24 @@ func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Ent
 			groups[n.id] = append(groups[n.id], e)
 		}
 	}
-	return c.pool.Run(len(c.nodes), func(i int) error {
+	applied := make([]bool, len(c.nodes))
+	err := c.pool.Run(len(c.nodes), func(i int) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
-		return c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncInsert, Entries: groups[i]})
+		journaled, err := c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncInsert, Entries: groups[i]})
+		applied[i] = !journaled && err == nil
+		return err
 	})
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !slices.ContainsFunc(c.owners(e.Perm[0]), func(n *node) bool { return applied[n.id] }) {
+			return noLiveReplica(e.Perm[0])
+		}
+	}
+	return nil
 }
 
 // deleteReplicated removes each reference from all R owners in two waves
@@ -195,7 +212,8 @@ func (c *Coordinator) deleteReplicated(ctx context.Context, refs []mindex.Entry)
 			if len(repGroups[i]) == 0 {
 				return nil
 			}
-			return c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncDelete, Entries: repGroups[i]})
+			_, err := c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncDelete, Entries: repGroups[i]})
+			return err
 		})
 		if err != nil {
 			return deleted.Load(), err
@@ -268,16 +286,6 @@ func (c *Coordinator) readmit(ctx context.Context, n *node) error {
 			link.Close()
 		}
 	}()
-	if !c.replicated() {
-		// Unreplicated placement is mod the live-node count, so entries
-		// inserted during the outage live where this node's cells "should"
-		// be. From here on cell-to-node placement is mixed and deletes must
-		// broadcast even with every node live.
-		c.mixed.Store(true)
-		n.down.Store(false)
-		ok = true
-		return nil
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("cluster: re-sync aborted: %w", err)
