@@ -6,15 +6,6 @@
 //	go test -run '^$' -bench . -benchmem ./internal/mindex | benchjson -o BENCH_4.json
 //	benchjson bench-output.txt
 //
-// The history mode accumulates runs under a directory, one JSON file per
-// commit label, so the perf trajectory lives in-repo with a stable schema:
-//
-//	go test -run '^$' -bench . | benchjson -history bench/history -label BENCH_9
-//
-// appends this run's results into bench/history/BENCH_9.json (creating the
-// directory and file on first use; re-runs under the same label merge their
-// results into the same document).
-//
 // Lines that are not benchmark results (headers, PASS/ok, logs) are ignored;
 // context lines (goos/goarch/pkg/cpu) are captured into the header.
 package main
@@ -26,8 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,7 +33,6 @@ type Result struct {
 
 // Document is the emitted artifact.
 type Document struct {
-	Label   string   `json:"label,omitempty"`
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
 	Pkg     []string `json:"pkg,omitempty"`
@@ -54,13 +42,7 @@ type Document struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	history := flag.String("history", "", "accumulate the run under this directory, one JSON per -label")
-	label := flag.String("label", "", "history document name (file becomes <history>/<label>.json)")
 	flag.Parse()
-	if *history != "" && *label == "" {
-		fmt.Fprintln(os.Stderr, "benchjson: -history needs -label")
-		os.Exit(2)
-	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 1 {
@@ -86,15 +68,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results in input")
 		os.Exit(1)
 	}
-	if *history != "" {
-		if err := appendHistory(*history, *label, doc); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		if *out == "" {
-			return
-		}
-	}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
@@ -109,39 +82,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// appendHistory merges the run into <dir>/<label>.json: a fresh label gets
-// the whole document; an existing one accumulates the new results (its
-// header context wins — one commit, one machine).
-func appendHistory(dir, label string, doc *Document) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, label+".json")
-	merged := *doc
-	merged.Label = label
-	if blob, err := os.ReadFile(path); err == nil {
-		var prev Document
-		if err := json.Unmarshal(blob, &prev); err != nil {
-			return fmt.Errorf("existing %s: %w", path, err)
-		}
-		prev.Label = label
-		prev.Results = append(prev.Results, doc.Results...)
-		for _, pkg := range doc.Pkg {
-			if !slices.Contains(prev.Pkg, pkg) {
-				prev.Pkg = append(prev.Pkg, pkg)
-			}
-		}
-		merged = prev
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	blob, err := json.MarshalIndent(&merged, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 func parse(in io.Reader) (*Document, error) {

@@ -17,25 +17,15 @@
 //	simbench -ablation -k 10
 //	simbench -ablation -backend kmeans -dataset clustered -queries 20 -k 10
 //
-// With -workers N it instead runs a closed-loop concurrent load test — N
-// workers issuing approximate k-NN queries back-to-back against one cloud —
-// and reports per-worker and aggregate QPS:
-//
-//	simbench -workers 8 -dataset YEAST -duration 10s
-//	simbench -workers 4 -dataset CoPhIR -encrypted -candsize 2000
-//
 // With -openloop it becomes a multi-connection open-loop load generator
-// against an HTTP gateway (cmd/simgate): arrivals are offered at -qps
-// whether or not earlier requests finished, and the report gives achieved
-// throughput plus p50/p99/p999 latency measured from each request's
-// scheduled arrival (queueing included — no coordinated omission). With no
-// -gateway it self-hosts a demo gateway in-process:
+// against a running HTTP gateway (cmd/simgate), named by -gateway: arrivals
+// are offered at -qps whether or not earlier requests finished, and the
+// report gives achieved throughput plus p50/p99/p999 latency measured from
+// each request's scheduled arrival (queueing included — no coordinated
+// omission). -json FILE also writes the report machine-readably (same
+// document shape as cmd/benchjson; "-" for stdout):
 //
-//	simbench -openloop -qps 500 -conns 8 -duration 10s
 //	simbench -openloop -gateway http://127.0.0.1:8080 -apikey alice-key -qps 2000 -conns 16
-//
-// Both load modes also emit the report as machine-readable JSON with
-// -json FILE (same document shape as cmd/benchjson; "-" for stdout).
 //
 // The absolute milliseconds depend on hardware; the shapes — who wins, by
 // what factor, where recall saturates — are the reproduction target (see
@@ -45,41 +35,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"simcloud/internal/bench"
-	"simcloud/internal/gateway"
 )
-
-// selfHostKey is the API key of the self-hosted open-loop demo gateway.
-const selfHostKey = "bench-key"
-
-// selfHostGateway serves a single-tenant demo gateway on a loopback port
-// for -openloop runs without an external simgate. It returns a stop
-// function and the listen address.
-func selfHostGateway(dim int) (stop func(), addr string, err error) {
-	tenant, err := gateway.DemoTenant("bench", selfHostKey, 1, 2000, dim, 16, 8)
-	if err != nil {
-		return nil, "", err
-	}
-	gw, err := gateway.New(gateway.Config{Tenants: []gateway.Tenant{tenant}})
-	if err != nil {
-		return nil, "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		gw.Close()
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: gw}
-	go srv.Serve(ln)
-	return func() { srv.Close(); gw.Close() }, ln.Addr().String(), nil
-}
 
 func main() {
 	// All work happens in run so deferred cleanups — most importantly the
@@ -102,29 +64,27 @@ func run() int {
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		timeout = flag.Duration("timeout", 0, "per-query deadline through the context-aware Search API (0 = no deadline)")
 
-		load   = flag.Bool("load", false, "measure the bulk-ingest pipelines (batch vs stream) on -dataset instead of tables")
-		shards = flag.Int("shards", 1, "bulk load: engine shard count")
-
-		workers   = flag.Int("workers", 0, "run a closed-loop concurrent load test with this many workers instead of tables")
-		dataset   = flag.String("dataset", "YEAST", "load test data set: YEAST, HUMAN or CoPhIR")
-		duration  = flag.Duration("duration", 10*time.Second, "load test measurement window")
-		candSize  = flag.Int("candsize", 0, "load test candidate set size (0 = the data set's middle evaluated size)")
-		encrypted = flag.Bool("encrypted", false, "load test the encrypted deployment instead of the plain one")
-
 		ablation = flag.Bool("ablation", false, "run the routing-family ablation (recall vs candidate size: M-Index and k-means vs the EHI/FDH brackets) instead of tables")
 		backend  = flag.String("backend", "all", "ablation: index families to sweep (all, mindex, kmeans)")
+		dataset  = flag.String("dataset", "all", "ablation: data set to sweep (all, clustered, embed768)")
 
-		openloop = flag.Bool("openloop", false, "run an open-loop HTTP load test against a gateway instead of tables")
+		openloop = flag.Bool("openloop", false, "run an open-loop HTTP load test against the -gateway instead of tables")
 		qps      = flag.Float64("qps", 100, "open loop: offered arrival rate in queries/s")
 		conns    = flag.Int("conns", 4, "open loop: concurrent sender connections")
-		gate     = flag.String("gateway", "", "open loop: gateway base URL (empty self-hosts a demo gateway in-process)")
+		duration = flag.Duration("duration", 10*time.Second, "open loop: offered-load window")
+		candSize = flag.Int("candsize", 0, "open loop: candidate set size per query (0 = the gateway's default for -k)")
+		gate     = flag.String("gateway", "", "open loop: gateway base URL (required with -openloop)")
 		apiKey   = flag.String("apikey", "", "open loop: tenant API key for -gateway")
 		dim      = flag.Int("dim", 8, "open loop: query vector dimensionality (must match the target's data)")
-		jsonOut  = flag.String("json", "", "also write the load report as JSON to this file (\"-\" for stdout)")
+		jsonOut  = flag.String("json", "", "open loop: also write the report as JSON to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "simbench: unknown format %q\n", *format)
+		return 2
+	}
+	if *openloop && *gate == "" {
+		fmt.Fprintln(os.Stderr, "simbench: -openloop needs -gateway (the base URL of a running simgate)")
 		return 2
 	}
 	if *cpuProf != "" {
@@ -170,42 +130,11 @@ func run() int {
 		opts.Log = os.Stderr
 	}
 
-	// writeJSON emits a load report's machine-readable document per -json.
-	writeJSON := func(doc *bench.JSONDocument) error {
-		if *jsonOut == "" {
-			return nil
-		}
-		if *jsonOut == "-" {
-			return doc.Write(os.Stdout)
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return doc.Write(f)
-	}
-
 	if *openloop {
 		start := time.Now()
-		target, apikey := *gate, *apiKey
-		if target == "" {
-			// No gateway given: self-host a demo gateway over an in-process
-			// index, so one command measures the whole HTTP serving stack.
-			stop, addr, err := selfHostGateway(*dim)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-				return 1
-			}
-			defer stop()
-			target, apikey = "http://"+addr, selfHostKey
-			if opts.Log != nil {
-				fmt.Fprintf(opts.Log, "openloop: self-hosted demo gateway on %s\n", target)
-			}
-		}
 		rep, err := bench.OpenLoop(bench.OpenLoopOptions{
-			Target:   target,
-			APIKey:   apikey,
+			Target:   *gate,
+			APIKey:   *apiKey,
 			QPS:      *qps,
 			Conns:    *conns,
 			Duration: *duration,
@@ -220,63 +149,7 @@ func run() int {
 			return 1
 		}
 		rep.Render(os.Stdout)
-		if err := writeJSON(rep.JSONDocument()); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "simbench: done in %s\n", bench.Elapsed(start))
-		return 0
-	}
-
-	if *ablation {
-		start := time.Now()
-		names := []string{"clustered", "embed768"}
-		if *dataset != "YEAST" && *dataset != "all" {
-			// -dataset left at its load-test default means every ablation set.
-			names = []string{*dataset}
-		}
-		for _, name := range names {
-			t, err := bench.AblationTable(opts, name, *backend)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-				return 1
-			}
-			if *format == "csv" {
-				t.RenderCSV(os.Stdout)
-			} else {
-				t.Render(os.Stdout)
-			}
-			fmt.Println()
-		}
-		fmt.Fprintf(os.Stderr, "simbench: done in %s\n", bench.Elapsed(start))
-		return 0
-	}
-
-	if *load {
-		start := time.Now()
-		rep, err := bench.BulkLoad(opts, *dataset, *shards)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			return 1
-		}
-		rep.Render(os.Stdout)
-		if err := writeJSON(rep.JSONDocument()); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "simbench: done in %s\n", bench.Elapsed(start))
-		return 0
-	}
-
-	if *workers > 0 {
-		start := time.Now()
-		rep, err := bench.LoadTest(opts, *dataset, *encrypted, *workers, *duration, *candSize)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			return 1
-		}
-		rep.Render(os.Stdout)
-		if err := writeJSON(rep.JSONDocument()); err != nil {
+		if err := writeJSON(*jsonOut, rep.JSONDocument()); err != nil {
 			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 			return 1
 		}
@@ -291,6 +164,26 @@ func run() int {
 			t.Render(os.Stdout)
 		}
 	}
+
+	if *ablation {
+		start := time.Now()
+		names := []string{"clustered", "embed768"}
+		if *dataset != "all" {
+			names = []string{*dataset}
+		}
+		for _, name := range names {
+			t, err := bench.AblationTable(opts, name, *backend)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
+				return 1
+			}
+			render(t)
+			fmt.Println()
+		}
+		fmt.Fprintf(os.Stderr, "simbench: done in %s\n", bench.Elapsed(start))
+		return 0
+	}
+
 	start := time.Now()
 	if *table == "all" {
 		tables, err := bench.AllTables(opts)
@@ -312,4 +205,21 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "simbench: done in %s\n", bench.Elapsed(start))
 	return 0
+}
+
+// writeJSON writes the open-loop report's machine-readable document to
+// path ("-" for stdout; empty writes nothing).
+func writeJSON(path string, doc *bench.JSONDocument) error {
+	switch path {
+	case "":
+		return nil
+	case "-":
+		return doc.Write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return doc.Write(f)
 }

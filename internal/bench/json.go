@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Machine-readable load-test artifacts, in the same document shape
+// The machine-readable open-loop artifact, in the same document shape
 // cmd/benchjson emits for `go test -bench` runs (goos/goarch header plus a
 // results list of name + iterations + metrics map), so CI uploads both
 // kinds of artifact through one downstream pipeline.
@@ -38,43 +38,11 @@ func (d *JSONDocument) Write(w io.Writer) error {
 	return err
 }
 
-func newJSONDocument() *JSONDocument {
-	return &JSONDocument{Goos: runtime.GOOS, Goarch: runtime.GOARCH}
-}
-
-// JSONDocument renders the closed-loop report machine-readably: one result
-// per worker plus the aggregate, throughput in q/s.
-func (r *LoadReport) JSONDocument() *JSONDocument {
-	doc := newJSONDocument()
-	base := fmt.Sprintf("LoadTest/%s/%s/workers=%d", r.Spec, mode(r.Encrypted), r.Workers)
-	for _, wl := range r.PerWorker {
-		doc.Results = append(doc.Results, JSONResult{
-			Name:       fmt.Sprintf("%s/worker=%d", base, wl.Worker),
-			Iterations: wl.Queries,
-			Metrics:    map[string]float64{"qps": wl.QPS},
-		})
-	}
-	doc.Results = append(doc.Results, JSONResult{
-		Name:       base,
-		Iterations: r.Total,
-		Metrics: map[string]float64{
-			"qps":        r.QPS,
-			"workers":    float64(r.Workers),
-			"k":          float64(r.K),
-			"cand_size":  float64(r.CandSize),
-			"indexed":    float64(r.Indexed),
-			"elapsed_ms": float64(r.Elapsed.Milliseconds()),
-		},
-	})
-	return doc
-}
-
 // JSONDocument renders the open-loop report machine-readably: offered and
 // achieved rates, the outcome counts, and the latency percentiles in
 // milliseconds.
 func (r *OpenLoopReport) JSONDocument() *JSONDocument {
-	doc := newJSONDocument()
-	doc.Results = append(doc.Results, JSONResult{
+	return &JSONDocument{Goos: runtime.GOOS, Goarch: runtime.GOARCH, Results: []JSONResult{{
 		Name:       fmt.Sprintf("OpenLoop/qps=%.0f/conns=%d", r.OfferedQPS, r.Conns),
 		Iterations: r.Sent,
 		Metrics: map[string]float64{
@@ -90,8 +58,7 @@ func (r *OpenLoopReport) JSONDocument() *JSONDocument {
 			"max_ms":       ms(r.Max),
 			"elapsed_ms":   ms(r.Duration),
 		},
-	})
-	return doc
+	}}}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

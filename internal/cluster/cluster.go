@@ -109,8 +109,11 @@ type Coordinator struct {
 	// journalMu guards the per-node re-sync journals and serializes the
 	// down→live transition of re-admission against concurrent replica
 	// writes (see deliverOrJournal / readmit in replicate.go).
-	journalMu sync.Mutex
-	journals  [][]wire.ResyncOp
+	// journalSettled, on journalMu, signals that inserts filled their
+	// pending journal placeholders.
+	journalMu      sync.Mutex
+	journalSettled sync.Cond
+	journals       [][]*journalOp
 
 	// ctx is the coordinator's lifetime context: Close cancels it, which
 	// aborts fan-out retry loops between waves and interrupts node round
@@ -190,8 +193,9 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:     o,
 		replicas: o.Replicas,
-		journals: make([][]wire.ResyncOp, len(addrs)),
+		journals: make([][]*journalOp, len(addrs)),
 	}
+	c.journalSettled.L = &c.journalMu
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	ok := false
 	defer func() {

@@ -20,6 +20,7 @@ import (
 	"simcloud"
 	"simcloud/internal/cluster"
 	"simcloud/internal/core"
+	"simcloud/internal/leaktest"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 	"simcloud/internal/pivot"
@@ -418,7 +419,7 @@ func wantNoLiveReplica(t *testing.T, label string, err error) {
 // short, and to writes, which are refused whole before any delivery — while
 // inserts and deletes that touch only live cells land exactly.
 func TestNodeDeathRefusesItsCells(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	w := newWorld(t, 1200)
 	nodes, coord := startCluster(t, 3, true)
 	client := dial(t, coord.Addr(), w.key)
@@ -616,7 +617,7 @@ func stubNode(t *testing.T, hello []byte) net.Listener {
 // silent (with the default NodeTimeout of 0, only closing the node socket
 // can unblock that read).
 func TestCloseUnblocksHungNode(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	ln := stubNode(t, wire.HelloResp{
 		Version: wire.ProtocolVersion,
 		Mode:    wire.HelloModeEncrypted, NumPivots: testPivots,

@@ -19,6 +19,7 @@ import (
 	"simcloud/internal/core"
 	"simcloud/internal/engine"
 	"simcloud/internal/faultnet"
+	"simcloud/internal/leaktest"
 	"simcloud/internal/server"
 	"simcloud/internal/wal"
 	"simcloud/internal/wire"
@@ -338,7 +339,7 @@ func checkFourKinds(t *testing.T, label string, w *testWorld, got, want core.Sea
 // acknowledged writes, and deletes of entries written before and after the
 // kill are exact.
 func TestReprobeReadmitsNode(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	w := newWorld(t, 400)
 	ref := startServer(t, nodeConfig(false))
 	refClient := dial(t, ref.Addr(), w.key)
@@ -445,7 +446,7 @@ func TestInsertAckNeedsAppliedCopy(t *testing.T) {
 		{2, []int{1, 2}},
 	} {
 		t.Run(fmt.Sprintf("R=%d", tc.replicas), func(t *testing.T) {
-			checkLeaks(t)
+			leaktest.Check(t)
 			w := newWorld(t, 200)
 			srvs := make([]*server.Server, 3)
 			addrs := make([]string, 3)
@@ -485,12 +486,259 @@ func TestInsertAckNeedsAppliedCopy(t *testing.T) {
 	}
 }
 
+// TestRefusedChunkIsNotJournaled: at R=2, node 1 is down when a chunk
+// arrives that a live owner refuses (one of its entries is already stored).
+// The client gets the refusal, and no entry the refusing owner would have
+// stored may be journaled for node 1: re-admission would replay on node 1 a
+// write its co-owner never took, and from then on an answer would depend on
+// which owner served the cell.
+//
+// N=2: node 0 refuses the whole chunk. A chunk written during the same
+// outage that nobody refuses is still journaled and replayed. After
+// re-admission both nodes hold the same number of entries, and all four
+// query kinds equal a single server that got the same writes — with both
+// nodes live and again with only node 1.
+//
+// N=3: each node gets only its own share. The chunk holds the stored entry
+// and new entries of a cell owned by nodes 0 and 1, which node 0 refuses,
+// and new entries of a cell owned by nodes 1 and 2, which node 2 applies.
+// Node 1 must replay exactly the applied ones: its size after re-admission
+// counts them and not the refused ones, and with node 2 killed (node 1 now
+// serves node 2's applied entries) the cluster equals a single server that
+// got the applied entries.
+func TestRefusedChunkIsNotJournaled(t *testing.T) {
+	t.Run("N=2", func(t *testing.T) {
+		leaktest.Check(t)
+		w := newWorld(t, 300)
+		ref := startServer(t, nodeConfig(false))
+		refClient := dial(t, ref.Addr(), w.key)
+		cfg := nodeConfig(true)
+		dirs := []string{t.TempDir(), t.TempDir()}
+		srvs := []*server.Server{
+			startWALServer(t, cfg, dirs[0]),
+			startWALServer(t, cfg, dirs[1]),
+		}
+		proxies := []*faultnet.Proxy{
+			startFaultProxy(t, srvs[0].Addr(), faultnet.Clean()),
+			startFaultProxy(t, srvs[1].Addr(), faultnet.Clean()),
+		}
+		coord, err := cluster.New([]string{proxies[0].Addr(), proxies[1].Addr()},
+			cluster.Options{Replicas: 2, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		client := dial(t, coord.Addr(), w.key)
+		for _, c := range []*core.EncryptedClient{refClient, client} {
+			if _, err := c.Insert(w.data.Objects[:200]); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Kill node 1; the next read notices and fails over to node 0.
+		srvs[1].Close()
+		queries := []int{3, 123, 199}
+		checkFourKinds(t, "node 1 down", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+		if live := coord.LiveNodes(); len(live) != 1 {
+			t.Fatalf("after kill: %d live nodes, want 1 (%v)", len(live), live)
+		}
+
+		// One chunk: an entry both nodes already hold, then 20 new ones. The
+		// single server and node 0 refuse it whole.
+		refused := append([]simcloud.Object{w.data.Objects[7]}, w.data.Objects[200:220]...)
+		for _, c := range []*core.EncryptedClient{refClient, client} {
+			if _, err := c.Insert(refused); err == nil || !strings.Contains(err.Error(), "already indexed") {
+				t.Fatalf("insert of an already-stored entry: got %v, want a duplicate refusal", err)
+			}
+		}
+		if got := ref.Index().Size(); got != 200 {
+			t.Fatalf("the single server holds %d entries after the refused chunk, want 200", got)
+		}
+		for _, c := range []*core.EncryptedClient{refClient, client} {
+			if _, err := c.Insert(w.data.Objects[220:260]); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		srvs[1] = startWALServer(t, cfg, dirs[1])
+		proxies[1].SetBackend(srvs[1].Addr())
+		if n := coord.ProbeDownNodes(context.Background()); n != 1 {
+			t.Fatalf("probe re-admitted %d nodes, want 1", n)
+		}
+		if s0, s1 := srvs[0].Index().Size(), srvs[1].Index().Size(); s0 != 240 || s1 != 240 {
+			t.Fatalf("replicas diverge after re-admission: node 0 holds %d entries, node 1 %d, want 240 each", s0, s1)
+		}
+		checkFourKinds(t, "re-admitted", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+
+		// Only node 1 answers now, so every cell is served from its replay.
+		srvs[0].Close()
+		checkFourKinds(t, "node 0 down", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+		if live := coord.LiveNodes(); len(live) != 1 {
+			t.Fatalf("after killing node 0: %d live nodes, want 1 (%v)", len(live), live)
+		}
+	})
+	t.Run("N=3", func(t *testing.T) {
+		leaktest.Check(t)
+		w := newWorld(t, 400)
+		ref := startServer(t, nodeConfig(false))
+		refClient := dial(t, ref.Addr(), w.key)
+		cfg := nodeConfig(true)
+		dir := t.TempDir()
+		srvs := []*server.Server{startServer(t, cfg), startWALServer(t, cfg, dir), startServer(t, cfg)}
+		proxy := startFaultProxy(t, srvs[1].Addr(), faultnet.Clean())
+		coord, err := cluster.New([]string{srvs[0].Addr(), proxy.Addr(), srvs[2].Addr()},
+			cluster.Options{Replicas: 2, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		client := dial(t, coord.Addr(), w.key)
+		stored := w.data.Objects[:200]
+		for _, c := range []*core.EncryptedClient{refClient, client} {
+			if _, err := c.Insert(stored); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srvs[1].Close()
+		queries := []int{3, 123, 199}
+		checkFourKinds(t, "node 1 down", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+		if live := coord.LiveNodes(); len(live) != 2 {
+			t.Fatalf("after kill: %d live nodes, want 2 (%v)", len(live), live)
+		}
+
+		// Cell p is owned by nodes p mod 3 and p+1 mod 3.
+		onNode0, _ := splitByHome(w, stored, 3, 0)
+		onNode1, _ := splitByHome(w, stored, 3, 1)
+		refused, _ := splitByHome(w, w.data.Objects[200:], 3, 0)
+		applied, _ := splitByHome(w, w.data.Objects[200:], 3, 1)
+		if len(onNode0) == 0 || len(refused) < 5 || len(applied) < 5 {
+			t.Fatalf("too few entries per cell: %d stored on node 0, %d and %d new", len(onNode0), len(refused), len(applied))
+		}
+		refused, applied = refused[:5], applied[:5]
+		chunk := append(append([]simcloud.Object{onNode0[0]}, refused...), applied...)
+		if _, err := client.Insert(chunk); err == nil || !strings.Contains(err.Error(), "already indexed") {
+			t.Fatalf("insert of an already-stored entry: got %v, want a duplicate refusal", err)
+		}
+		if _, err := refClient.Insert(applied); err != nil {
+			t.Fatal(err)
+		}
+
+		srvs[1] = startWALServer(t, cfg, dir)
+		proxy.SetBackend(srvs[1].Addr())
+		if n := coord.ProbeDownNodes(context.Background()); n != 1 {
+			t.Fatalf("probe re-admitted %d nodes, want 1", n)
+		}
+		if got, want := srvs[1].Index().Size(), len(onNode0)+len(onNode1)+len(applied); got != want {
+			t.Fatalf("node 1 holds %d entries after re-admission, want %d", got, want)
+		}
+		checkFourKinds(t, "re-admitted", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+		srvs[2].Close()
+		checkFourKinds(t, "node 2 down", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+	})
+}
+
+// TestDeleteRacingJournaledInsert: at R=2 on three nodes, node 1 is down
+// when a chunk arrives holding entry a, owned by nodes 0 and 1, and entry c,
+// owned by nodes 2 and 0. While node 2's ack is held back — so the insert
+// is still in flight — a second client deletes a, which node 0 already
+// applied; the delete is journaled for node 1. Node 1's share of the insert
+// must replay before that delete, in arrival order: with node 0 killed after
+// re-admission, node 1 serves a's cell, and the cluster must answer like a
+// single server that got the same writes, without a.
+func TestDeleteRacingJournaledInsert(t *testing.T) {
+	leaktest.Check(t)
+	w := newWorld(t, 300)
+	ref := startServer(t, nodeConfig(false))
+	refClient := dial(t, ref.Addr(), w.key)
+	cfg := nodeConfig(true)
+	dir := t.TempDir()
+	srvs := []*server.Server{startServer(t, cfg), startWALServer(t, cfg, dir), startServer(t, cfg)}
+	proxy := startFaultProxy(t, srvs[1].Addr(), faultnet.Clean())
+	held := startRelay(t, srvs[2].Addr())
+	coord, err := cluster.New([]string{srvs[0].Addr(), proxy.Addr(), held.addr()},
+		cluster.Options{Replicas: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	client := dial(t, coord.Addr(), w.key)
+	deleter := dial(t, coord.Addr(), w.key)
+	for _, c := range []*core.EncryptedClient{refClient, client} {
+		if _, err := c.Insert(w.data.Objects[:200]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srvs[1].Close()
+	queries := []int{3, 123, 199}
+	checkFourKinds(t, "node 1 down", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+
+	// Cell p is owned by nodes p mod 3 and p+1 mod 3.
+	onNode0, _ := splitByHome(w, w.data.Objects[200:], 3, 0)
+	onNode2, _ := splitByHome(w, w.data.Objects[200:], 3, 2)
+	if len(onNode0) == 0 || len(onNode2) == 0 {
+		t.Fatal("no new entry of a cell homed on node 0 or node 2")
+	}
+	a, c := onNode0[0], onNode2[0]
+	before := srvs[0].Index().Size()
+	var once sync.Once
+	var hookErr error
+	del := func() {
+		once.Do(func() {
+			// Node 0 takes its share {a, c} alongside node 2.
+			for deadline := time.Now().Add(10 * time.Second); srvs[0].Index().Size() < before+2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					hookErr = fmt.Errorf("node 0 never applied its share: %d entries", srvs[0].Index().Size())
+					return
+				}
+			}
+			n, _, err := deleter.Delete([]simcloud.Object{a})
+			if err == nil && n != 1 {
+				err = fmt.Errorf("deleted %d entries, want 1", n)
+			}
+			hookErr = err
+		})
+	}
+	held.onAck.Store(&del)
+	_, err = client.Insert([]simcloud.Object{a, c})
+	held.onAck.Store(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hookErr != nil {
+		t.Fatalf("delete while the insert is in flight: %v", hookErr)
+	}
+	if _, err := refClient.Insert([]simcloud.Object{a, c}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := refClient.Delete([]simcloud.Object{a}); err != nil {
+		t.Fatal(err)
+	}
+
+	srvs[1] = startWALServer(t, cfg, dir)
+	proxy.SetBackend(srvs[1].Addr())
+	if n := coord.ProbeDownNodes(context.Background()); n != 1 {
+		t.Fatalf("probe re-admitted %d nodes, want 1", n)
+	}
+	checkFourKinds(t, "re-admitted", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+	srvs[0].Close()
+	checkFourKinds(t, "node 0 down", w, client, refClient, coord.Addr(), ref.Addr(), queries)
+}
+
 // TestConcurrentQueriesDuringKill: with R=2, queries racing a node kill
 // must neither error nor come back short — every cell always has a live
 // replica, and the coordinator reassigns read ownership mid-flight. Run
 // under -race in CI, this also exercises the journal/readmission locking.
 func TestConcurrentQueriesDuringKill(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	// Every pooled buffer is overwritten the moment it is released: a
 	// candidate view that outlived its frame would corrupt an answer here
 	// every time, not once in a while.
@@ -565,7 +813,7 @@ func (d delayAll) RuleFor(int) faultnet.Rule { return faultnet.Rule{Delay: time.
 // fail-over — and none may fail. The healthy nodes' links must not have
 // dialed past their idle cap.
 func TestInFlightReadsDuringKill(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	wire.PoisonBuffers(t)
 	w := newWorld(t, 1000)
 	ref := startServer(t, nodeConfig(false))

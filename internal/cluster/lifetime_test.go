@@ -15,6 +15,7 @@ import (
 
 	"simcloud/internal/cluster"
 	"simcloud/internal/core"
+	"simcloud/internal/leaktest"
 	"simcloud/internal/mindex"
 	"simcloud/internal/wire"
 )
@@ -227,7 +228,7 @@ func TestHostileNodeTwoWaveRead(t *testing.T) {
 			wire.BatchRankedResp{Results: [][]mindex.RankedCandidate{{cand(1), cand(2), cand(3)}}}.Encode(), "asked for 2"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			checkLeaks(t)
+			leaktest.Check(t)
 			script := func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte) {
 				if req, err := wire.DecodeBatchQueryReq(payload); typ == wire.MsgBatchQuery && err == nil && req.Counts {
 					return wire.MsgBatchCellCounts, tc.counts

@@ -17,12 +17,12 @@ import (
 // live subset, so ownership is reconstructible across node deaths and
 // re-admissions. Writes fan to every owner; an owner that is down (or dies
 // mid-delivery) has the operation journaled in arrival order and replayed
-// during re-admission, before the node is marked live again. Reads assign
-// every first-level cell to its first live owner and fan out as
-// pivot-filtered queries, so each entry is served by exactly one node no
-// matter how many replicas store it. A cell whose every owner is down is
-// refused, to reads and writes alike, until one is re-admitted (see
-// DESIGN.md §Replication).
+// during re-admission, before the node is marked live again — an insert
+// without the entries only a refusing owner held. Reads assign every
+// first-level cell to its first live owner and fan out as pivot-filtered
+// queries, so each entry is served by exactly one node no matter how many
+// replicas store it. A cell whose every owner is down is refused, to reads
+// and writes alike, until one is re-admitted (see DESIGN.md §Replication).
 
 // validatePerm rejects entry permutations that cannot be routed. Entries
 // arrive straight off the wire, so a hostile first element must become an
@@ -64,32 +64,27 @@ func noLiveReplica(p int32) error {
 	return fmt.Errorf("cluster: no live replica for pivot %d: %w", p, errNoLiveNodes)
 }
 
-// deliverOrJournal delivers one write operation to a replica, or journals
-// it for re-admission replay if the replica is down, and reports whether it
-// journaled. The down check happens under journalMu — the same lock readmit
-// holds when it drains the journal and marks the node live — so an
-// operation is either journaled while the node is still down (the drain
-// loop picks it up) or sent to a node whose journal is already empty; it can
-// never fall between. A live insert is one chunk (sendChunk), a live delete
-// one delete request (sendDelete); the journaled form is the same ResyncOp
-// either way, since re-admission replays through MsgResyncOps.
-func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.ResyncOp) (journaled bool, err error) {
-	var send func() error
-	switch op.Op {
-	case wire.ResyncInsert:
-		send = func() error { return c.sendChunk(ctx, n, op.Entries) }
-	case wire.ResyncDelete:
-		send = func() error {
-			_, err := c.sendDelete(ctx, n, op.Entries)
-			return err
-		}
-	default:
-		return false, fmt.Errorf("cluster: unknown journal op %d", op.Op)
-	}
+// journalOp is one entry of a node's re-sync journal. An insert is journaled
+// as a pending placeholder the moment its owner is found down — so it keeps
+// its arrival order against later writes, a delete of the same entry
+// included — and filled with its entries once the chunk's outcome is known;
+// readmit replays nothing at or past a pending op. A delete is journaled
+// complete.
+type journalOp struct {
+	op      wire.ResyncOp
+	pending bool
+}
+
+// deliverOrJournal delivers one write to a replica by calling send, or, if
+// the replica is down, appends op to its journal for re-admission replay,
+// and reports whether it journaled. The down check happens under journalMu —
+// the same lock readmit holds when it drains the journal and marks the node
+// live — so an operation is either journaled while the node is still down
+// (the drain loop picks it up) or sent to a node whose journal is already
+// empty; it can never fall between. A down replica is journaled even after
+// ctx ends: its co-owners may already hold the write.
+func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op *journalOp, send func() error) (journaled bool, err error) {
 	for {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("cluster: replica delivery aborted: %w", err)
-		}
 		c.journalMu.Lock()
 		if n.down.Load() {
 			c.journals[n.id] = append(c.journals[n.id], op)
@@ -97,21 +92,30 @@ func (c *Coordinator) deliverOrJournal(ctx context.Context, n *node, op wire.Res
 			return true, nil
 		}
 		c.journalMu.Unlock()
+		if err := ctx.Err(); err != nil {
+			return false, fmt.Errorf("cluster: replica delivery aborted: %w", err)
+		}
 		err := send()
 		if isNodeDown(err) {
-			c.opts.Logf("simcoord: %v; journaling %d entries for re-sync", err, len(op.Entries))
+			c.opts.Logf("simcoord: %v; journaling its share for re-sync", err)
 			continue // the down check now journals
 		}
 		return false, err
 	}
 }
 
-// insertReplicated fans each entry to all R owners of its first-level cell:
-// live owners synchronously, down owners via the re-sync journal. The chunk
-// is refused before any delivery if some entry has no live owner, and
+// insertReplicated fans each entry to all R owners of its first-level cell
+// in one wave: live owners get their share as one chunk, down owners (and
+// owners that die mid-delivery) a pending journal placeholder. Once the wave
+// is over, each placeholder is filled with the entries of its share that
+// some owner applied, or that no owner failed on — an entry only some owner
+// refused (say, `entry ID already indexed`) is left out, because replaying
+// it would leave one replica holding a write the others never took. The
+// chunk is refused before any delivery if some entry has no live owner, and
 // acknowledged only once some owner applied every entry — never on journal
-// entries alone. A refused chunk's journaled ops stay: like a single
-// server's dropped connection, an unacknowledged write has an unknown outcome.
+// entries alone. An entry whose every owner died mid-delivery stays
+// journaled: like a single server's dropped connection, an unacknowledged
+// write has an unknown outcome.
 func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Entry) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("cluster: insert aborted: %w", err)
@@ -129,19 +133,40 @@ func (c *Coordinator) insertReplicated(ctx context.Context, entries []mindex.Ent
 		}
 	}
 	applied := make([]bool, len(c.nodes))
+	failed := make([]bool, len(c.nodes))
+	held := make([]*journalOp, len(c.nodes))
 	err := c.pool.Run(len(c.nodes), func(i int) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
-		journaled, err := c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncInsert, Entries: groups[i]})
-		applied[i] = !journaled && err == nil
+		n, op := c.nodes[i], &journalOp{op: wire.ResyncOp{Op: wire.ResyncInsert}, pending: true}
+		journaled, err := c.deliverOrJournal(ctx, n, op, func() error { return c.sendChunk(ctx, n, groups[i]) })
+		if journaled {
+			held[i] = op
+		}
+		applied[i], failed[i] = !journaled && err == nil, err != nil
 		return err
 	})
+	by := func(outcome []bool) func(*node) bool { return func(n *node) bool { return outcome[n.id] } }
+	c.journalMu.Lock()
+	for i, op := range held {
+		if op == nil {
+			continue
+		}
+		for _, e := range groups[i] {
+			if owners := c.owners(e.Perm[0]); slices.ContainsFunc(owners, by(applied)) || !slices.ContainsFunc(owners, by(failed)) {
+				op.op.Entries = append(op.op.Entries, e)
+			}
+		}
+		op.pending = false
+	}
+	c.journalSettled.Broadcast()
+	c.journalMu.Unlock()
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
-		if !slices.ContainsFunc(c.owners(e.Perm[0]), func(n *node) bool { return applied[n.id] }) {
+		if !slices.ContainsFunc(c.owners(e.Perm[0]), by(applied)) {
 			return noLiveReplica(e.Perm[0])
 		}
 	}
@@ -212,7 +237,11 @@ func (c *Coordinator) deleteReplicated(ctx context.Context, refs []mindex.Entry)
 			if len(repGroups[i]) == 0 {
 				return nil
 			}
-			_, err := c.deliverOrJournal(ctx, c.nodes[i], wire.ResyncOp{Op: wire.ResyncDelete, Entries: repGroups[i]})
+			n, op := c.nodes[i], &journalOp{op: wire.ResyncOp{Op: wire.ResyncDelete, Entries: repGroups[i]}}
+			_, err := c.deliverOrJournal(ctx, n, op, func() error {
+				_, err := c.sendDelete(ctx, n, repGroups[i])
+				return err
+			})
 			return err
 		})
 		if err != nil {
@@ -291,15 +320,36 @@ func (c *Coordinator) readmit(ctx context.Context, n *node) error {
 			return fmt.Errorf("cluster: re-sync aborted: %w", err)
 		}
 		c.journalMu.Lock()
-		ops := c.journals[n.id]
-		if len(ops) == 0 {
+		j := c.journals[n.id]
+		if len(j) == 0 {
 			n.down.Store(false)
 			c.journalMu.Unlock()
 			ok = true
 			return nil
 		}
-		c.journals[n.id] = nil
+		settled := 0
+		for settled < len(j) && !j[settled].pending {
+			settled++
+		}
+		if settled == 0 {
+			// An insert in flight holds the journal head; its wave ends
+			// within a node round trip.
+			c.journalSettled.Wait()
+			c.journalMu.Unlock()
+			continue
+		}
+		batch := j[:settled:settled]
+		c.journals[n.id] = j[settled:]
 		c.journalMu.Unlock()
+		ops := make([]wire.ResyncOp, 0, len(batch))
+		for _, op := range batch {
+			if len(op.op.Entries) > 0 {
+				ops = append(ops, op.op)
+			}
+		}
+		if len(ops) == 0 {
+			continue
+		}
 		respType, _, err := n.roundTrip(ctx, wire.MsgResyncOps, wire.ResyncReq{Ops: ops}.Encode(), c.opts.NodeTimeout, new(wire.Buffer))
 		if err == nil && respType != wire.MsgAck {
 			err = fmt.Errorf("cluster: node %s: unexpected re-sync response %v", n.addr, respType)
@@ -308,7 +358,7 @@ func (c *Coordinator) readmit(ctx context.Context, n *node) error {
 			// Not applied (or not provably applied): put the batch back at
 			// the journal head so the next probe replays it in order.
 			c.journalMu.Lock()
-			c.journals[n.id] = append(ops, c.journals[n.id]...)
+			c.journals[n.id] = append(batch, c.journals[n.id]...)
 			c.journalMu.Unlock()
 			return err
 		}

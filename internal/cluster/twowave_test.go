@@ -18,6 +18,7 @@ import (
 	"simcloud"
 	"simcloud/internal/cluster"
 	"simcloud/internal/faultnet"
+	"simcloud/internal/leaktest"
 	"simcloud/internal/metric"
 	"simcloud/internal/pivot"
 	"simcloud/internal/wire"
@@ -27,13 +28,15 @@ import (
 // unchanged. Of the node's replies it counts the bytes (frame headers
 // included) and the candidates of ranked replies, and it runs onCounts, when
 // set, before it forwards a count reply — the point between a node's first
-// wave and the coordinator's second.
+// wave and the coordinator's second — and onAck, when set, before it
+// forwards an ingest-chunk ack.
 type relay struct {
 	ln         net.Listener
 	backend    string
 	replyBytes atomic.Int64
 	fetched    atomic.Int64
 	onCounts   atomic.Pointer[func()]
+	onAck      atomic.Pointer[func()]
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -106,6 +109,10 @@ func (r *relay) accept() {
 					if hook := r.onCounts.Load(); hook != nil {
 						(*hook)()
 					}
+				case wire.MsgIngestChunkAck:
+					if hook := r.onAck.Load(); hook != nil {
+						(*hook)()
+					}
 				}
 				if err := wire.WriteFrame(front, typ, payload); err != nil {
 					return
@@ -167,7 +174,7 @@ func cophirWorld(t *testing.T, n int) *testWorld {
 // the coordinator sends the client. A one-wave read, where every node ships
 // a full CandSize, sends about three times that.
 func TestApproxReadFetchesWinnersOnly(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	const live = 3000
 	w := cophirWorld(t, live)
 	ref := startServer(t, nodeConfig(false))
@@ -243,7 +250,7 @@ func approxRead(t *testing.T, addr string, w *testWorld, q metric.Vector, candSi
 // the reassigned owners of an R=2 cluster answers exactly as a healthy
 // single server does; once healed and re-admitted the node serves again.
 func TestApproxReadNodeKilledBetweenWaves(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	w := newWorld(t, 1500)
 	ref := startServer(t, nodeConfig(false))
 	if _, err := dial(t, ref.Addr(), w.key).Insert(w.data.Objects); err != nil {
@@ -299,7 +306,7 @@ func TestApproxReadNodeKilledBetweenWaves(t *testing.T) {
 // count wave and its fetch wave costs the read nothing but the deleted
 // entry — no error, and the deleted ID is not in the answer.
 func TestApproxReadDeleteBetweenWaves(t *testing.T) {
-	checkLeaks(t)
+	leaktest.Check(t)
 	w := newWorld(t, 1500)
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {

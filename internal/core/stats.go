@@ -88,7 +88,7 @@ type poolStatser interface {
 func CollectStats(s Searcher) Stats {
 	var out Stats
 	if es, ok := s.(engineStatser); ok {
-		out.Merge(EngineStatsOf(es.Engine()))
+		out = EngineStatsOf(es.Engine())
 	}
 	if ps, ok := s.(poolStatser); ok {
 		out.Pool = ps.PoolStats()
@@ -129,31 +129,4 @@ func EngineStatsOf(eng *engine.ShardedIndex) Stats {
 		}
 	}
 	return out
-}
-
-// Merge folds other's engine-side sections into s (summing counts, taking
-// maxima where the per-engine aggregation does) and adds the pool depths.
-// A gateway fronting several tenants uses it to report fleet totals next
-// to the per-tenant figures.
-func (s *Stats) Merge(other Stats) {
-	s.Engine.Shards += other.Engine.Shards
-	s.Engine.Live += other.Engine.Live
-	s.Engine.Dead += other.Engine.Dead
-	s.Engine.ShardLive = append(s.Engine.ShardLive, other.Engine.ShardLive...)
-	s.Engine.ShardDead = append(s.Engine.ShardDead, other.Engine.ShardDead...)
-	s.Tree.Leaves += other.Tree.Leaves
-	s.Tree.InnerNodes += other.Tree.InnerNodes
-	s.Tree.MaxDepth = max(s.Tree.MaxDepth, other.Tree.MaxDepth)
-	s.Tree.MaxBucket = max(s.Tree.MaxBucket, other.Tree.MaxBucket)
-	s.Tree.TotalBucket += other.Tree.TotalBucket
-	s.Cache.Hits += other.Cache.Hits
-	s.Cache.Misses += other.Cache.Misses
-	s.Ingest.Entries += other.Ingest.Entries
-	s.Ingest.Builds += other.Ingest.Builds
-	s.Ingest.Bytes += other.Ingest.Bytes
-	s.Pool.Idle += other.Pool.Idle
-	s.Pool.Leased += other.Pool.Leased
-	s.Pool.Peak += other.Pool.Peak
-	s.Pool.Dialed += other.Pool.Dialed
-	s.Pool.Discarded += other.Pool.Discarded
 }

@@ -14,8 +14,8 @@ import (
 // DemoTenant builds one self-contained tenant: an in-process DirectClient
 // over clustered data and pivots seeded per tenant, so different tenants
 // hold different collections under different secret keys. It backs simgate's
-// demo mode, simbench's self-hosted open-loop target, and the gateway tests
-// — anywhere a real tenant backend is wanted without external setup.
+// demo mode and the gateway tests — anywhere a real tenant backend is wanted
+// without external setup.
 func DemoTenant(name, apiKey string, seed uint64, n, dim, numPivots, maxLevel int) (Tenant, error) {
 	ds := dataset.Clustered(seed, n, dim, 5, metric.L2{})
 	rng := rand.New(rand.NewPCG(seed, 2012))

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"simcloud/internal/core"
+	"simcloud/internal/leaktest"
 	"simcloud/internal/stats"
 	"simcloud/internal/wire"
 )
@@ -78,6 +79,7 @@ func queryVec(dim int, seed float32) []float32 {
 // identical — IDs, distances, vectors — to what the tenant's backend
 // returns for the same Query through the Go Search API.
 func TestGatewayEquivalence(t *testing.T) {
+	leaktest.Check(t)
 	// Every pooled buffer is overwritten the moment it is released: a
 	// candidate view that outlived its frame would corrupt an answer here
 	// every time, not once in a while.
@@ -164,6 +166,7 @@ func assertSameResults(t *testing.T, got []SearchResult, want []core.Result) {
 }
 
 func TestGatewayAuth(t *testing.T) {
+	leaktest.Check(t)
 	srv, _ := demoGateway(t, Admission{})
 	req := SearchRequest{Kind: "knn", Vec: queryVec(6, 0), K: 1}
 
@@ -190,6 +193,7 @@ func TestGatewayAuth(t *testing.T) {
 }
 
 func TestGatewayRejectsMalformed(t *testing.T) {
+	leaktest.Check(t)
 	srv, _ := demoGateway(t, Admission{})
 	for name, body := range map[string]any{
 		"bad kind":  SearchRequest{Kind: "wat", Vec: queryVec(6, 0)},
@@ -274,6 +278,7 @@ func blockingGateway(t *testing.T, adm Admission, tenants ...string) (*httptest.
 // TestSaturationRefusal: past the hard inflight cap the gateway answers 429
 // with a Retry-After hint, and releases capacity cleanly afterwards.
 func TestSaturationRefusal(t *testing.T) {
+	leaktest.Check(t)
 	const cap = 4
 	srv, backend := blockingGateway(t, Admission{MaxInflight: cap, ShedStart: 0.999}, "t1")
 	req := SearchRequest{Kind: "approx-knn", Vec: queryVec(4, 0), K: 2}
@@ -330,6 +335,7 @@ func TestSaturationRefusal(t *testing.T) {
 // with 429 while tenant B's requests keep being served — one tenant's flood
 // cannot starve another's quota.
 func TestTenantRateIsolation(t *testing.T) {
+	leaktest.Check(t)
 	srv, backend := blockingGateway(t,
 		Admission{TenantQPS: 0.001, TenantBurst: 3}, "a", "b")
 	backend.release() // searches return immediately
@@ -365,6 +371,7 @@ func TestTenantRateIsolation(t *testing.T) {
 // CandSize (reported as degraded, never below K) as load grows, and 429
 // only past the hard cap.
 func TestShedDegradesBeforeRefusal(t *testing.T) {
+	leaktest.Check(t)
 	const cap = 8
 	srv, backend := blockingGateway(t, Admission{MaxInflight: cap, ShedStart: 0.25}, "t1")
 	const candFull = 100
@@ -448,6 +455,7 @@ func TestShedDegradesBeforeRefusal(t *testing.T) {
 // TestMetricsEndpoint scrapes /metrics after a known request mix and checks
 // the counters add up and render in Prometheus text shape.
 func TestMetricsEndpoint(t *testing.T) {
+	leaktest.Check(t)
 	srv, _ := demoGateway(t, Admission{})
 	req := SearchRequest{Kind: "approx-knn", Vec: queryVec(6, 2), K: 3}
 	for range 5 {
@@ -498,6 +506,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestStatsEndpoint checks /v1/stats serves the unified core.Stats shape.
 func TestStatsEndpoint(t *testing.T) {
+	leaktest.Check(t)
 	srv, _ := demoGateway(t, Admission{})
 	hreq, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/stats", nil)
 	hreq.Header.Set("X-API-Key", "t1-key")
@@ -527,6 +536,7 @@ func TestStatsEndpoint(t *testing.T) {
 // TestShedFactorBands pins the discrete shedding ladder with defaults:
 // 1 → 0.75 → 0.5 → 0.25 as inflight load crosses the three bands.
 func TestShedFactorBands(t *testing.T) {
+	leaktest.Check(t)
 	a := newAdmission(Admission{MaxInflight: 100})
 	for _, tc := range []struct {
 		inflight int64
@@ -542,6 +552,7 @@ func TestShedFactorBands(t *testing.T) {
 
 // TestTokenBucket pins refill arithmetic and the Retry-After computation.
 func TestTokenBucket(t *testing.T) {
+	leaktest.Check(t)
 	now := time.Unix(1000, 0)
 	b := newTokenBucket(10, 5) // 10 tokens/s, burst 5
 
@@ -574,6 +585,7 @@ func TestTokenBucket(t *testing.T) {
 
 // TestBatchCostsPerQueryTokens: a batch of n queries spends n tokens.
 func TestBatchCostsPerQueryTokens(t *testing.T) {
+	leaktest.Check(t)
 	srv, backend := blockingGateway(t, Admission{TenantQPS: 0.001, TenantBurst: 4}, "t1")
 	backend.release()
 	vec := queryVec(4, 0)
@@ -598,6 +610,7 @@ func TestBatchCostsPerQueryTokens(t *testing.T) {
 
 // TestConfigValidation pins the constructor's rejection of bad configs.
 func TestConfigValidation(t *testing.T) {
+	leaktest.Check(t)
 	backend := newBlockingSearcher()
 	for name, cfg := range map[string]Config{
 		"no tenants": {},
@@ -620,6 +633,7 @@ func TestConfigValidation(t *testing.T) {
 // happen, but counters must balance and nothing may fall through as an
 // unexpected status.
 func TestConcurrentMixedLoad(t *testing.T) {
+	leaktest.Check(t)
 	tenant, err := DemoTenant("t1", "t1-key", 7, 400, 6, 12, 8)
 	if err != nil {
 		t.Fatal(err)

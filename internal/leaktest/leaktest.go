@@ -1,4 +1,6 @@
-package cluster_test
+// Package leaktest asserts that a test leaves no descriptor or goroutine
+// behind.
+package leaktest
 
 import (
 	"os"
@@ -7,14 +9,13 @@ import (
 	"time"
 )
 
-// checkLeaks records the process's open descriptors and goroutines and, once
-// the test is done, waits up to 2 s for both to come back to that baseline:
-// every socket the test's coordinator, nodes, proxies and clients opened must
-// be closed again — node links pool several per node — and every goroutine
-// they started must have exited. Call it first in a test, so that its cleanup
-// runs after every other. It counts /proc/self/fd, so it checks on linux
-// only.
-func checkLeaks(t *testing.T) {
+// Check records the process's open descriptors and goroutines and, once the
+// test is done, waits up to 2 s for both to come back to that baseline:
+// every socket the test's servers, gateways, coordinators, proxies and
+// clients opened must be closed again, and every goroutine they started must
+// have exited. Call it first in a test, so that its cleanup runs after every
+// other. It counts /proc/self/fd, so it checks on linux only.
+func Check(t testing.TB) {
 	t.Helper()
 	if runtime.GOOS != "linux" {
 		return

@@ -113,8 +113,8 @@ func (s *Set) Distances(v metric.Vector) []float64 {
 }
 
 // DistancesInto is Distances writing into a caller-provided slice of length
-// N() — the allocation-free form query loops use (cmd/simbench workers
-// compute one pivot-distance row per query).
+// N() — the allocation-free form query loops use (one pivot-distance row
+// per query).
 func (s *Set) DistancesInto(dst []float64, v metric.Vector) []float64 {
 	if len(dst) != len(s.Pivots) {
 		panic(fmt.Sprintf("pivot: destination holds %d distances, need %d", len(dst), len(s.Pivots)))

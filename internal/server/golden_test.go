@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"simcloud/internal/leaktest"
 	"simcloud/internal/mindex"
 	"simcloud/internal/wal"
 	"simcloud/internal/wire"
@@ -25,6 +26,7 @@ const diskGolden = "3a1ee76f19d064f194d3e6fdda49e76b8e1fb69a82c94e55fc84bd07a9cc
 // tombstoned twin, updates and a compaction. How the server holds a bucket
 // in memory must not show in any of them.
 func TestDiskFilesGolden(t *testing.T) {
+	leaktest.Check(t)
 	dir := t.TempDir()
 	cfg := mindex.Config{
 		NumPivots: 8, MaxLevel: 4, BucketCapacity: 12, Shards: 2,

@@ -14,6 +14,7 @@ import (
 
 	"simcloud/internal/core"
 	"simcloud/internal/dataset"
+	"simcloud/internal/leaktest"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
 	"simcloud/internal/pivot"
@@ -105,12 +106,14 @@ func expectError(t *testing.T, conn net.Conn, typ wire.MsgType, payload []byte, 
 var downloadAll = wire.BatchQueryReq{Queries: []wire.BatchQuery{{Kind: wire.BatchAll}}}.Encode()
 
 func TestUnknownMessageType(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	expectError(t, conn, wire.MsgType(250), nil, "unsupported request")
 }
 
 func TestGarbagePayloadIsError(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// A malformed insert payload must produce an error, not kill the server.
@@ -123,6 +126,7 @@ func TestGarbagePayloadIsError(t *testing.T) {
 }
 
 func TestModeGuards(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	expectError(t, conn, wire.MsgIngestObjChunk,
@@ -141,6 +145,7 @@ func TestModeGuards(t *testing.T) {
 // error reply — one 13-byte query used to panic in the distance function
 // and take the whole process down — and the connection must stay usable.
 func TestPlainWrongDimensionIsError(t *testing.T) {
+	leaktest.Check(t)
 	srv := startPlainDim(t, 6)
 	conn := dial(t, srv)
 	short := metric.Vector{1}
@@ -168,6 +173,7 @@ func TestPlainWrongDimensionIsError(t *testing.T) {
 }
 
 func TestInvalidPermutationRejected(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// Duplicate elements: not a permutation.
@@ -186,6 +192,7 @@ func TestInvalidPermutationRejected(t *testing.T) {
 // retired it and its replacement, never mis-decoded as something else, and
 // the connection stays usable after each refusal.
 func TestRetiredMessagesRefused(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	refused := 0
@@ -287,6 +294,7 @@ func dropAnnotations(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
 // reports the exact count. Hostile references (empty or out-of-range
 // routing prefixes) must come back as error responses.
 func TestDeleteDispatch(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 
@@ -353,6 +361,7 @@ func TestDeleteDispatch(t *testing.T) {
 // list per key in request order, empty for an absent key; spaces are
 // disjoint; both deployments serve it.
 func TestBlobStore(t *testing.T) {
+	leaktest.Check(t)
 	for _, srv := range []*Server{startEncrypted(t), startPlain(t)} {
 		conn := dial(t, srv)
 		put := func(space uint8, items ...wire.Blob) {
@@ -444,6 +453,7 @@ func TestBlobStore(t *testing.T) {
 }
 
 func TestServerTimeReported(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	entry := mindex.Entry{ID: 1, Perm: []int32{0, 1, 2, 3, 4, 5}, Payload: []byte{1}}
@@ -462,6 +472,7 @@ func TestServerTimeReported(t *testing.T) {
 }
 
 func TestDroppedConnectionDoesNotKillServer(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// Write half a frame and hang up.
@@ -479,6 +490,7 @@ func TestDroppedConnectionDoesNotKillServer(t *testing.T) {
 }
 
 func TestCloseIdempotentAndRefusesNewWork(t *testing.T) {
+	leaktest.Check(t)
 	srv, err := NewEncrypted(testCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -499,6 +511,7 @@ func TestCloseIdempotentAndRefusesNewWork(t *testing.T) {
 }
 
 func TestAddrBeforeStart(t *testing.T) {
+	leaktest.Check(t)
 	srv, err := NewEncrypted(testCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -558,6 +571,7 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 //   - filtered ≡ a server holding only the allowed first-level cells;
 //   - download-all returns each allowed entry once, as ID and payload.
 func TestBatchQueryEquivalence(t *testing.T) {
+	leaktest.Check(t)
 	start := func(cfg mindex.Config, entries []mindex.Entry) (*Server, net.Conn) {
 		t.Helper()
 		srv, err := NewEncrypted(cfg)
@@ -707,6 +721,7 @@ func TestBatchQueryEquivalence(t *testing.T) {
 // files (the next read failed with "holds N entries, expected M"). All four
 // wire query kinds must answer as a server that never restarted.
 func TestDiskServerRestartBeforeSnapshot(t *testing.T) {
+	leaktest.Check(t)
 	entries := testEntries(120)
 	qDists := []float64{1, 2, 3, 4, 5, 6}
 	perm := []int32{2, 0, 1, 3, 4, 5}
@@ -815,6 +830,7 @@ func normalize(rcs []mindex.RankedCandidate) []mindex.RankedCandidate {
 // index, for a lone query and inside a batch, asked in promise order or in
 // bound order.
 func TestHostileCandSize(t *testing.T) {
+	leaktest.Check(t)
 	for _, populated := range []bool{false, true} {
 		srv := startEncrypted(t)
 		conn := dial(t, srv)
@@ -855,6 +871,7 @@ func TestHostileCandSize(t *testing.T) {
 // after one. Anything else is an error response naming the query, and the
 // connection stays usable.
 func TestHostileCursor(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	insertTestEntries(t, conn, 30)
@@ -884,6 +901,7 @@ func TestHostileCursor(t *testing.T) {
 // TestHostileAllowList: an allow-list naming a pivot the index does not
 // have is refused with an error response, whatever the query kind.
 func TestHostileAllowList(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	for _, allow := range [][]int32{{6}, {-1}, {0, 1 << 20}} {
@@ -902,6 +920,7 @@ func TestHostileAllowList(t *testing.T) {
 // TestBatchQueryErrors: invalid sub-queries fail the whole batch with an
 // error response naming the offending query.
 func TestBatchQueryErrors(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
@@ -916,6 +935,7 @@ func TestBatchQueryErrors(t *testing.T) {
 // included, which count what the index holds — and a count request for a
 // kind that does not trim to a candidate size is an error naming the query.
 func TestCellCountsDispatch(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	insertTestEntries(t, conn, 60)
@@ -963,6 +983,7 @@ func TestCellCountsDispatch(t *testing.T) {
 // TestShardedServer: a server over a sharded engine answers the protocol
 // exactly like the default single-shard one.
 func TestShardedServer(t *testing.T) {
+	leaktest.Check(t)
 	cfg := testCfg()
 	cfg.Shards = 4
 	srv, err := NewEncrypted(cfg)
@@ -995,6 +1016,7 @@ func TestShardedServer(t *testing.T) {
 // on a sharded server a negative shard index would otherwise panic the
 // process (remote DoS).
 func TestHostilePermutationInsert(t *testing.T) {
+	leaktest.Check(t)
 	cfg := testCfg()
 	cfg.Shards = 4
 	srv, err := NewEncrypted(cfg)
@@ -1021,6 +1043,7 @@ func TestHostilePermutationInsert(t *testing.T) {
 // must neither leak a connection nor deadlock — every accepted conn ends up
 // closed and the registry drains (the connMu hygiene regression test).
 func TestCloseRacingConnections(t *testing.T) {
+	leaktest.Check(t)
 	for round := range 20 {
 		srv, err := NewEncrypted(testCfg())
 		if err != nil {
@@ -1067,6 +1090,7 @@ func TestCloseRacingConnections(t *testing.T) {
 // TestStartAfterCloseRefused: a closed server must not come back to life
 // with a fresh listener that nothing will ever close.
 func TestStartAfterCloseRefused(t *testing.T) {
+	leaktest.Check(t)
 	srv, err := NewEncrypted(testCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -1082,6 +1106,7 @@ func TestStartAfterCloseRefused(t *testing.T) {
 // TestStartTwiceRefused: a second Start must not replace the listener and
 // connection registry of the first (leaked listener, orphaned conns).
 func TestStartTwiceRefused(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	addr := srv.Addr()
 	if err := srv.Start("127.0.0.1:0"); err == nil {
@@ -1099,6 +1124,7 @@ func TestStartTwiceRefused(t *testing.T) {
 }
 
 func TestPipelinedRequests(t *testing.T) {
+	leaktest.Check(t)
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// Send several requests back to back before reading any response; the

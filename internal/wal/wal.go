@@ -54,9 +54,11 @@ const (
 	// ingest path flushes before acknowledging end-of-stream, so a bulk
 	// load pays one fsync per window instead of one per chunk while the
 	// completion ack still promises stable storage. Between flushes a
-	// machine crash may lose up to a window of acknowledged chunks — the
-	// cluster coordinator's re-admission re-delivers them, exactly like
-	// the SyncNever tail.
+	// machine crash may lose up to a window of chunk-acknowledged appends,
+	// as it may lose the SyncNever tail. Nothing re-delivers them: the
+	// cluster coordinator journals only writes it failed to deliver. At
+	// R=1 they are lost; at R ≥ 2 a co-owner keeps them, and the replicas
+	// differ until they are re-synced.
 	SyncGroup
 )
 
