@@ -5,15 +5,18 @@ package simcloud
 // client — the deployment story the README documents.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -233,6 +236,120 @@ func TestCommandLineSnapshotRestart(t *testing.T) {
 	if !strings.Contains(out, "approx-knn: 3 results") || !strings.Contains(out, "id=8") {
 		t.Fatalf("post-restart query output: %s", out)
 	}
+}
+
+// TestCommandLineSnapshotUnderWrites: a SIGINT while clients are still
+// inserting must leave a disk server that restarts on the same paths and
+// holds every insert it acknowledged. The server stops serving before it
+// saves the snapshot and resets the log; saving first let a write land in
+// the bucket files after the snapshot took its version, and the restart
+// then refused the bucket file as corrupt (or the reset dropped the write).
+func TestCommandLineSnapshotUnderWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped with -short")
+	}
+	bins := buildTools(t)
+	work := t.TempDir()
+	const loaded, writers = 3000, 4
+	data := ClusteredData(21, loaded+writers*2000, 8, 5, L2())
+	key, err := GenerateKey(SelectPivots(21, data.Dist, data.Objects[:loaded], 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ClientOptions{MaxLevel: 4}
+	startSrv := func() (*exec.Cmd, string) {
+		addr := freePort(t)
+		var out strings.Builder
+		srv := exec.Command(filepath.Join(bins, "simserver"),
+			"-mode", "encrypted", "-addr", addr, "-pivots", "10", "-max-level", "4",
+			"-storage", "disk", "-disk-path", filepath.Join(work, "buckets"),
+			"-snapshot", filepath.Join(work, "index.snap"), "-wal-dir", filepath.Join(work, "wal"))
+		srv.Stdout, srv.Stderr = &out, &out
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			srv.Process.Kill()
+			srv.Wait()
+			if t.Failed() {
+				t.Logf("simserver on %s:\n%s", addr, out.String())
+			}
+		})
+		waitListening(t, addr)
+		return srv, addr
+	}
+
+	srv, addr := startSrv()
+	loader, err := DialEncrypted(addr, key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loader.Insert(data.Objects[:loaded]); err != nil {
+		t.Fatal(err)
+	}
+	loader.Close()
+
+	// Four clients insert one object per call until the server goes away.
+	var mu sync.Mutex
+	var acked []uint64
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := DialEncrypted(addr, key, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := loaded + w; i < len(data.Objects); i += writers {
+				if _, err := c.Insert(data.Objects[i : i+1]); err != nil {
+					return
+				}
+				mu.Lock()
+				acked = append(acked, data.Objects[i].ID)
+				mu.Unlock()
+			}
+		}()
+	}
+	time.Sleep(300 * time.Millisecond)
+	if err := srv.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Wait(); err != nil {
+		t.Fatalf("server exit: %v", err)
+	}
+	wg.Wait()
+	if len(acked) == 0 {
+		t.Fatal("no insert was acknowledged before the signal")
+	}
+
+	srv2, addr2 := startSrv()
+	client, err := DialEncrypted(addr2, key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	res, _, err := client.Search(context.Background(), Query{Kind: KindRange, Vec: data.Objects[0].Vec, Radius: math.MaxFloat32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[uint64]bool, len(res))
+	for _, r := range res {
+		have[r.ID] = true
+	}
+	for _, o := range data.Objects[:loaded] {
+		acked = append(acked, o.ID)
+	}
+	for _, id := range acked {
+		if !have[id] {
+			t.Fatalf("acknowledged object %d is missing after the restart (%d of %d acknowledged objects present)",
+				id, len(have), len(acked))
+		}
+	}
+	srv2.Process.Signal(os.Interrupt)
+	srv2.Wait()
 }
 
 func TestSimbenchTables1And2(t *testing.T) {

@@ -34,6 +34,9 @@
 // Down nodes are re-dialed every -reprobe interval and re-admitted after a
 // shape check and re-sync of the writes they missed; pair the nodes with
 // -wal-dir so a restarted node recovers its pre-crash state.
+//
+// SIGINT or SIGTERM answers the requests already read, for at most two
+// seconds, before the node links close.
 package main
 
 import (

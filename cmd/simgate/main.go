@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -37,6 +38,7 @@ import (
 	"simcloud/internal/core"
 	"simcloud/internal/gateway"
 	"simcloud/internal/secret"
+	"simcloud/internal/wire"
 )
 
 func main() {
@@ -100,7 +102,12 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\nsimgate: shutting down")
-	srv.Close()
+	// The drain of simserver and simcoord, with the same bound.
+	ctx, cancel := context.WithTimeout(context.Background(), wire.DrainTimeout)
+	defer cancel()
+	if srv.Shutdown(ctx) != nil {
+		srv.Close()
+	}
 }
 
 // buildTenants parses the -tenants spec and constructs each tenant's

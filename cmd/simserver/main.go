@@ -24,6 +24,10 @@
 // simcoord cluster (-replicas > 1) relies on when re-admitting it. The log
 // composes with -snapshot: a successful shutdown snapshot truncates the
 // log, so recovery is snapshot restore plus replay of the tail.
+//
+// SIGINT or SIGTERM shuts down in the order drain (answer the requests
+// already read, for at most two seconds) → snapshot → log reset → close, so
+// no write lands between the snapshot and the reset.
 package main
 
 import (
@@ -209,7 +213,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simserver: second signal, exiting without saving")
 		os.Exit(1)
 	}()
+	// Stop serving before saving, so the snapshot holds every acknowledged
+	// write and the log reset drops none.
 	exitCode := 0
+	if err := srv.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "simserver: stopping: %v\n", err)
+		exitCode = 1
+	}
 	if *snapshot != "" {
 		if err := srv.Index().SaveSnapshot(*snapshot); err != nil {
 			fmt.Fprintf(os.Stderr, "simserver: saving snapshot: %v\n", err)

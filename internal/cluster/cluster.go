@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,14 +121,11 @@ type Coordinator struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// connMu guards the client-facing listener and connection registry,
-	// exactly like internal/server: Start, accept-loop registration,
-	// deregistration and Close all synchronize here.
-	connMu sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	// front serves the clients with handle; its Cut ends the coordinator's
+	// lifetime once the drain is over (see Close).
+	front wire.Server
+	// probing tracks the re-probe loop.
+	probing sync.WaitGroup
 }
 
 // node is one federated simserver: its address, its link — the pooled
@@ -197,6 +193,14 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	}
 	c.journalSettled.L = &c.journalMu
 	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.front = wire.Server{
+		Handler: c.handle,
+		Logf:    o.Logf,
+		Cut: func() {
+			c.cancel()
+			c.closeNodes()
+		},
+	}
 	ok := false
 	defer func() {
 		if !ok {
@@ -231,7 +235,7 @@ func New(addrs []string, opts Options) (*Coordinator, error) {
 	// under the wire.MaxIdle a link keeps warm, so no lease dials twice.
 	c.pool = fanout.New(2 * len(c.nodes))
 	if o.ReprobeInterval > 0 {
-		c.wg.Add(1)
+		c.probing.Add(1)
 		go c.probeLoop(o.ReprobeInterval)
 	}
 	ok = true
@@ -353,87 +357,20 @@ func (c *Coordinator) Info() wire.HelloResp { return c.info }
 
 // Start begins listening for clients on addr (use "127.0.0.1:0" for an
 // ephemeral loopback port).
-func (c *Coordinator) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		ln.Close()
-		return errors.New("cluster: coordinator already closed")
-	}
-	if c.ln != nil {
-		c.connMu.Unlock()
-		ln.Close()
-		return errors.New("cluster: coordinator already started")
-	}
-	c.ln = ln
-	c.conns = make(map[net.Conn]struct{})
-	c.wg.Add(1)
-	c.connMu.Unlock()
-	go c.acceptLoop(ln)
-	return nil
-}
+func (c *Coordinator) Start(addr string) error { return c.front.Start(addr) }
 
 // Addr returns the client-facing listening address (valid after Start).
-func (c *Coordinator) Addr() string {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.ln == nil {
-		return ""
-	}
-	return c.ln.Addr().String()
-}
+func (c *Coordinator) Addr() string { return c.front.Addr() }
 
-func (c *Coordinator) acceptLoop(ln net.Listener) {
-	defer c.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		c.connMu.Lock()
-		if c.closed {
-			c.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		c.conns[conn] = struct{}{}
-		c.wg.Add(1)
-		c.connMu.Unlock()
-		go c.serveConn(conn)
-	}
-}
-
-// Close stops the listener, closes client connections, stops the fan-out
-// pool and disconnects from the nodes (the nodes themselves keep running).
-// Idempotent and safe against concurrent Start and in-flight requests.
+// Close stops serving clients and disconnects from the nodes, which keep
+// running. It drains first (wire.Server.Close), so a write in flight
+// reaches every owner rather than a journal. Then it cancels the lifetime
+// context and closes the node links BEFORE it waits for the handlers: one
+// blocked on a hung node (NodeTimeout 0) ends only when its socket dies.
+// Idempotent and safe against Start and requests in flight.
 func (c *Coordinator) Close() error {
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return nil
-	}
-	c.closed = true
-	ln := c.ln
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.connMu.Unlock()
-	// Cancel the lifetime context first: fan-out retry loops stop between
-	// waves and armed node round trips get interrupted.
-	c.cancel()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	// Close node links BEFORE waiting for the serve goroutines: a handler
-	// blocked mid-round-trip on a hung node (NodeTimeout 0) only unblocks
-	// when its node socket dies; waiting first would deadlock shutdown.
-	c.closeNodes()
-	c.wg.Wait()
+	err := c.front.Close()
+	c.probing.Wait()
 	// A probe racing the first closeNodes may have installed a fresh node
 	// link before observing the cancelled context; now that every goroutine
 	// has exited, close whatever is left.
@@ -448,35 +385,4 @@ func (c *Coordinator) closeNodes() {
 	for _, n := range c.nodes {
 		n.link.Load().Close()
 	}
-}
-
-func (c *Coordinator) serveConn(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		c.connMu.Lock()
-		delete(c.conns, conn)
-		c.connMu.Unlock()
-		conn.Close()
-	}()
-	for {
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return // client disconnected or sent garbage framing
-		}
-		if err := c.serve(conn, typ, payload); err != nil {
-			c.opts.Logf("simcoord: writing response to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
-}
-
-// serve answers one request. Candidate replies are assembled in a pooled
-// buffer that goes back to the pool once the client-ward write is done, so
-// an idle connection pins nothing and an outsized reply (a download-all) is
-// dropped rather than kept.
-func (c *Coordinator) serve(conn net.Conn, typ wire.MsgType, payload []byte) error {
-	out := wire.GetBuffer()
-	defer wire.PutBuffer(out)
-	respType, respPayload := c.dispatch(typ, payload, out)
-	return wire.WriteFrame(conn, respType, respPayload)
 }

@@ -8,8 +8,8 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"slices"
@@ -559,7 +559,7 @@ func TestKeyMismatchRejection(t *testing.T) {
 			MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
 		}.Encode()
 		v1 := stubNode(t, current[:len(current)-4])
-		_, err := cluster.New([]string{v1.Addr().String()}, cluster.Options{Logf: t.Logf})
+		_, err := cluster.New([]string{v1.Addr()}, cluster.Options{Logf: t.Logf})
 		speaks := fmt.Sprintf("speaks v%d", wire.ProtocolVersion)
 		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), speaks) {
 			t.Fatalf("want a refusal naming protocol v1 and %q, got %v", speaks, err)
@@ -575,41 +575,21 @@ func TestKeyMismatchRejection(t *testing.T) {
 	})
 }
 
-// stubNode listens as a node that answers hellos with the given raw payload
-// and, from the first other request on, never answers again: it swallows
-// everything until the peer hangs up.
-func stubNode(t *testing.T, hello []byte) net.Listener {
+// stubNode serves as a node that answers hellos with the given raw payload
+// and, from the first other request on, never answers on that connection
+// again: the request hangs until the test ends.
+func stubNode(t *testing.T, hello []byte) *wire.Server {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					typ, _, err := wire.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					if typ != wire.MsgHello {
-						io.Copy(io.Discard, conn) // hang: never answer
-						return
-					}
-					if err := wire.WriteFrame(conn, wire.MsgHelloAck, hello); err != nil {
-						return
-					}
-				}
-			}()
+	hang := make(chan struct{})
+	node := frameNode(t, func(typ wire.MsgType, _ []byte, _ time.Time, _ *wire.Buffer) (wire.MsgType, []byte, error) {
+		if typ != wire.MsgHello {
+			<-hang
+			return 0, nil, errors.New("stub node: test over")
 		}
-	}()
-	return ln
+		return wire.MsgHelloAck, hello, nil
+	})
+	t.Cleanup(func() { close(hang) }) // runs before the node's Close
+	return node
 }
 
 // TestCloseUnblocksHungNode: Close must terminate even while a request is
@@ -618,14 +598,14 @@ func stubNode(t *testing.T, hello []byte) net.Listener {
 // can unblock that read).
 func TestCloseUnblocksHungNode(t *testing.T) {
 	leaktest.Check(t)
-	ln := stubNode(t, wire.HelloResp{
+	node := stubNode(t, wire.HelloResp{
 		Version: wire.ProtocolVersion,
 		Mode:    wire.HelloModeEncrypted, NumPivots: testPivots,
 		MaxLevel: 8, BucketCapacity: testBucket,
 		Ranking: 1, EagerRootSplit: true, Shards: 1,
 	}.Encode())
 
-	coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
+	coord, err := cluster.New([]string{node.Addr()}, cluster.Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,28 +12,10 @@ import (
 	"simcloud/internal/wire"
 )
 
-// dispatch handles one client request and produces the response frame.
-// ServerNanos on responses covers everything that happened on the far side
-// of the client's connection — coordinator processing plus the node round
-// trips — matching what "server time" means to a client that cannot see
-// past its own socket.
-func (c *Coordinator) dispatch(typ wire.MsgType, payload []byte, out *wire.Buffer) (wire.MsgType, []byte) {
-	start := time.Now()
-	respType, resp, err := c.handle(typ, payload, start, out)
-	if err != nil {
-		return wire.MsgError, wire.ErrorResp{Msg: err.Error()}.Encode()
-	}
-	return respType, resp
-}
-
-func (c *Coordinator) serverNanos(start time.Time) uint64 {
-	return uint64(time.Since(start))
-}
-
-// handle serves one request. The candidate reply of a batch query is
-// assembled in out — the request's pooled response buffer (see serve) — and
-// the returned payload aliases it; every other reply is a small slice of its
-// own.
+// handle serves one client request: the coordinator's wire.Handler. Its
+// ServerNanos covers all the client cannot see past its socket: coordinator
+// work plus the node round trips. A batch query's candidate reply is
+// assembled in out and aliases it.
 func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, out *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
@@ -55,7 +37,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
-			Seq: req.Seq, ServerNanos: c.serverNanos(start),
+			Seq: req.Seq, ServerNanos: uint64(time.Since(start)),
 		}.Encode(), nil
 
 	case wire.MsgIngestEnd:
@@ -65,7 +47,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		if err := c.flushIngest(c.ctx); err != nil {
 			return 0, nil, err
 		}
-		return wire.MsgAck, wire.AckResp{ServerNanos: c.serverNanos(start)}.Encode(), nil
+		return wire.MsgAck, wire.AckResp{ServerNanos: uint64(time.Since(start))}.Encode(), nil
 
 	case wire.MsgDeleteEntries:
 		req, err := wire.DecodeDeleteEntriesReq(payload)
@@ -77,7 +59,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 			return 0, nil, err
 		}
 		return wire.MsgDeleteAck, wire.DeleteAckResp{
-			ServerNanos: c.serverNanos(start), Deleted: deleted,
+			ServerNanos: uint64(time.Since(start)), Deleted: deleted,
 		}.Encode(), nil
 
 	case wire.MsgBatchQuery:
@@ -91,7 +73,7 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time, 
 		if err := c.queryFan(c.ctx, req.Queries, out); err != nil {
 			return 0, nil, err
 		}
-		setServerNanos(out, c.serverNanos(start))
+		setServerNanos(out, uint64(time.Since(start)))
 		return wire.MsgBatchCandidates, out.B, nil
 	}
 	if err := wire.RetiredError(typ); err != nil {

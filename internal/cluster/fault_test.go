@@ -1007,3 +1007,49 @@ func TestConcurrentProbesKeepJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseDrainsInFlightWrite: at R=2, Close while an insert is fanning out
+// — node 0 has applied it, node 1's share is held in a faultnet delay —
+// must let the insert finish. The client gets its ack, and both owners hold
+// the entry: neither is cut from the write, marked down and left to a
+// journal that dies with the coordinator.
+func TestCloseDrainsInFlightWrite(t *testing.T) {
+	leaktest.Check(t)
+	w := newWorld(t, 50)
+	srvs := []*server.Server{startServer(t, nodeConfig(true)), startServer(t, nodeConfig(true))}
+	slow := startFaultProxy(t, srvs[1].Addr(), delayAll(300*time.Millisecond))
+	coord, err := cluster.New([]string{srvs[0].Addr(), slow.Addr()}, cluster.Options{Replicas: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	client := dial(t, coord.Addr(), w.key)
+
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := client.Insert(w.data.Objects[:1])
+		inserted <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srvs[0].Index().Size() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never applied the insert")
+		}
+	}
+	if srvs[1].Index().Size() != 0 {
+		t.Fatal("node 1 applied the insert before Close; the delay did not hold it")
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inserted; err != nil {
+		t.Fatalf("insert in flight at Close: %v", err)
+	}
+	for i, srv := range srvs {
+		if n := srv.Index().Size(); n != 1 {
+			t.Errorf("node %d holds %d entries after Close, want 1", i, n)
+		}
+	}
+}

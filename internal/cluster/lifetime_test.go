@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"simcloud/internal/cluster"
 	"simcloud/internal/core"
@@ -20,40 +21,29 @@ import (
 	"simcloud/internal/wire"
 )
 
-// scriptedNode listens as a node that answers hellos with the given shape
-// and every other request with whatever answer returns for it.
-func scriptedNode(t *testing.T, hello wire.HelloResp, answer func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte)) net.Listener {
+// frameNode serves handler on a loopback port as a stand-in node, closed
+// when the test ends.
+func frameNode(t *testing.T, handler wire.Handler) *wire.Server {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	srv := &wire.Server{Handler: handler}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					typ, payload, err := wire.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					respType, resp := wire.MsgHelloAck, hello.Encode()
-					if typ != wire.MsgHello {
-						respType, resp = answer(typ, payload)
-					}
-					if err := wire.WriteFrame(conn, respType, resp); err != nil {
-						return
-					}
-				}
-			}()
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// scriptedNode serves as a node that answers hellos with the given shape
+// and every other request with whatever answer returns for it.
+func scriptedNode(t *testing.T, hello wire.HelloResp, answer func(typ wire.MsgType, payload []byte) (wire.MsgType, []byte)) *wire.Server {
+	t.Helper()
+	return frameNode(t, func(typ wire.MsgType, payload []byte, _ time.Time, _ *wire.Buffer) (wire.MsgType, []byte, error) {
+		if typ == wire.MsgHello {
+			return wire.MsgHelloAck, hello.Encode(), nil
 		}
-	}()
-	return ln
+		respType, resp := answer(typ, payload)
+		return respType, resp, nil
+	})
 }
 
 // TestHostileNodeReplyIsAnErrorFrame: a node whose candidate replies are
@@ -81,10 +71,10 @@ func TestHostileNodeReplyIsAnErrorFrame(t *testing.T) {
 				Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
 				MaxLevel: 8, BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
 			}
-			ln := scriptedNode(t, hello, func(wire.MsgType, []byte) (wire.MsgType, []byte) {
+			node := scriptedNode(t, hello, func(wire.MsgType, []byte) (wire.MsgType, []byte) {
 				return wire.MsgBatchRankedCandidates, reply
 			})
-			coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
+			coord, err := cluster.New([]string{node.Addr()}, cluster.Options{Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +135,7 @@ func TestHostileNodeAckIsAnError(t *testing.T) {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
 			addrs := make([]string, replicas)
 			for i := range addrs {
-				addrs[i] = scriptedNode(t, hello, short).Addr().String()
+				addrs[i] = scriptedNode(t, hello, short).Addr()
 			}
 			coord, err := cluster.New(addrs, cluster.Options{Replicas: replicas, Logf: t.Logf})
 			if err != nil {
@@ -235,7 +225,7 @@ func TestHostileNodeTwoWaveRead(t *testing.T) {
 				}
 				return wire.MsgBatchRankedCandidates, tc.fetch
 			}
-			addrs := []string{scriptedNode(t, hello, script).Addr().String(), scriptedNode(t, hello, script).Addr().String()}
+			addrs := []string{scriptedNode(t, hello, script).Addr(), scriptedNode(t, hello, script).Addr()}
 			coord, err := cluster.New(addrs, cluster.Options{Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)

@@ -367,7 +367,7 @@ func (c *Coordinator) readmit(ctx context.Context, n *node) error {
 
 // probeLoop periodically retries down nodes until the coordinator closes.
 func (c *Coordinator) probeLoop(interval time.Duration) {
-	defer c.wg.Done()
+	defer c.probing.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {

@@ -47,15 +47,6 @@ type IngestStats struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (c CacheStats) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // Stats is the unified operational view of one Searcher backend. Which
 // sections carry data depends on the backend: an in-process DirectClient
 // (or anything else exposing its engine) fills Engine/Tree/Cache; a

@@ -19,9 +19,6 @@ import (
 // stores raw pivot distances.
 func (k *Key) Transform() *transform.Monotone { return k.distTransform }
 
-// SetTransform attaches a pre-fitted transformation to the key.
-func (k *Key) SetTransform(t *transform.Monotone) { k.distTransform = t }
-
 // FitTransform fits an equalizing distance transformation from a sample of
 // object–pivot distances and attaches it to the key. The jitter randomness
 // is derived deterministically from the key's cipher material, so re-fitting

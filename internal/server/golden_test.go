@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"simcloud/internal/leaktest"
 	"simcloud/internal/mindex"
@@ -64,8 +65,8 @@ func TestDiskFilesGolden(t *testing.T) {
 	var buf wire.Buffer
 	do := func(typ wire.MsgType, payload []byte) {
 		t.Helper()
-		if respType, resp := srv.dispatch(typ, payload, &buf); respType == wire.MsgError {
-			t.Fatalf("%v: %s", typ, resp)
+		if _, _, err := srv.handle(typ, payload, time.Now(), &buf); err != nil {
+			t.Fatalf("%v: %v", typ, err)
 		}
 	}
 	for at, i := 0, 0; at < len(entries); i++ {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"log"
 	"maps"
-	"net"
 	"sync"
 	"time"
 
@@ -83,15 +82,8 @@ type Server struct {
 	mu    sync.Mutex
 	blobs map[blobKey][][]byte // guarded by mu
 
-	// connMu guards the listener, the connection registry and the closed
-	// flag: Start, acceptLoop registration, serveConn deregistration and
-	// Close all synchronize here, so a Close racing a Start or a freshly
-	// accepted connection can neither leak a socket nor double-close.
-	connMu sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	front    wire.Server // serves the protocol with handle
+	closeEng sync.Once   // Close releases the engine once
 
 	// Logf receives connection-level failures; defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -108,35 +100,29 @@ func NewEncrypted(cfg mindex.Config) (*Server, error) {
 	return NewEncryptedWithEngine(eng), nil
 }
 
-// NewEncryptedWithIndex creates an encrypted-deployment server around an
-// existing single index — typically one restored from a snapshot after a
-// restart — wrapped as a 1-shard engine.
-func NewEncryptedWithIndex(idx *mindex.Index) *Server {
-	return NewEncryptedWithEngine(engine.Wrap(idx))
-}
-
 // NewEncryptedWithEngine creates an encrypted-deployment server around an
 // existing sharded engine.
 func NewEncryptedWithEngine(eng *engine.ShardedIndex) *Server {
-	return &Server{
+	s := &Server{
 		mode:  ModeEncrypted,
 		eng:   eng,
 		blobs: make(map[blobKey][][]byte),
 		Logf:  log.Printf,
 	}
+	s.front = wire.Server{
+		Handler: s.handle,
+		Logf:    func(format string, args ...any) { s.Logf(format, args...) },
+	}
+	return s
 }
 
 // NewPlain creates a plain-deployment server around b: it owns the pivot
 // set and computes all distances itself, and its responses report the
 // distance-computation time b measured.
 func NewPlain(b PlainBackend) *Server {
-	return &Server{
-		mode:  ModePlain,
-		eng:   b.Engine(),
-		plain: b,
-		blobs: make(map[blobKey][][]byte),
-		Logf:  log.Printf,
-	}
+	s := NewEncryptedWithEngine(b.Engine())
+	s.mode, s.plain = ModePlain, b
+	return s
 }
 
 // AttachWAL attaches a write-ahead log to an encrypted-deployment server:
@@ -166,137 +152,35 @@ func (s *Server) Index() *engine.ShardedIndex { return s.eng }
 
 // Start begins listening on addr (use "127.0.0.1:0" for an ephemeral
 // loopback port, the paper's measurement setup).
-func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		ln.Close()
-		return errors.New("server: already closed")
-	}
-	if s.ln != nil {
-		s.connMu.Unlock()
-		ln.Close()
-		return errors.New("server: already started")
-	}
-	s.ln = ln
-	s.conns = make(map[net.Conn]struct{})
-	// Add under the lock: a Close between Unlock and Add would reach
-	// wg.Wait with a zero counter while the Add races it (WaitGroup
-	// misuse), and could tear down the engine before acceptLoop is
-	// accounted for.
-	s.wg.Add(1)
-	s.connMu.Unlock()
-	go s.acceptLoop(ln)
-	return nil
-}
+func (s *Server) Start(addr string) error { return s.front.Start(addr) }
 
 // Addr returns the listening address (valid after Start).
-func (s *Server) Addr() string {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Server) Addr() string { return s.front.Addr() }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		// Register under the lock before serving: once Close holds connMu,
-		// either this connection is in the registry (Close closes it) or
-		// closed is already observed here (we close it) — never neither.
-		s.connMu.Lock()
-		if s.closed {
-			s.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.connMu.Unlock()
-		go s.serveConn(conn)
-	}
-}
+// Stop stops serving, after the drain wire.Server.Close describes, and
+// leaves the engine open: a snapshot saved after it holds exactly the
+// acknowledged writes.
+func (s *Server) Stop() error { return s.front.Close() }
 
-// Close stops the listener, closes open connections and releases the index.
-// It is idempotent and safe to call concurrently with Start, acceptLoop
-// registration and in-flight requests.
+// Close stops serving, as Stop does, and releases the engine, once. It is
+// safe against Start, Stop and requests in flight.
 func (s *Server) Close() error {
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	if cerr := s.eng.Close(); err == nil {
-		err = cerr
-	}
+	err := s.front.Close()
+	s.closeEng.Do(func() {
+		if cerr := s.eng.Close(); err == nil {
+			err = cerr
+		}
+	})
 	return err
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		conn.Close()
-	}()
-	// One pooled response buffer per connection: the hot query responses
-	// (candidate sets, batch results) encode into it via AppendTo, so the
-	// serving loop reuses a single payload allocation across requests.
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	for {
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return // client disconnected or sent garbage framing
-		}
-		respType, respPayload := s.dispatch(typ, payload, buf)
-		if err := wire.WriteFrame(conn, respType, respPayload); err != nil {
-			s.Logf("simcloud server: writing response to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
-}
-
-// dispatch handles one request and produces the response frame. Server time
-// is measured around the handler body only — framing and socket IO count as
-// communication time, matching the paper's decomposition.
-func (s *Server) dispatch(typ wire.MsgType, payload []byte, buf *wire.Buffer) (wire.MsgType, []byte) {
-	respType, resp, err := s.handle(typ, payload, time.Now(), buf)
-	if err != nil {
-		return wire.MsgError, wire.ErrorResp{Msg: err.Error()}.Encode()
-	}
-	return respType, resp
-}
-
-func (s *Server) serverNanos(start time.Time) uint64 {
-	return uint64(time.Since(start))
 }
 
 var errNeedEncrypted = errors.New("server: request requires the encrypted deployment")
 var errNeedPlain = errors.New("server: request requires the plain deployment")
 
+// handle answers one request: the server's wire.Handler. Server time is
+// measured from start, when the request finished arriving, so framing and
+// socket IO count as communication time, matching the paper's
+// decomposition. Candidate and count replies are encoded into buf.
 func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
@@ -327,7 +211,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			return 0, nil, err
 		}
 		return wire.MsgDeleteAck, wire.DeleteAckResp{
-			ServerNanos: s.serverNanos(start), Deleted: uint32(deleted),
+			ServerNanos: uint64(time.Since(start)), Deleted: uint32(deleted),
 		}.Encode(), nil
 
 	case wire.MsgBatchQuery:
@@ -357,7 +241,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			}
 		}
 		buf.Reset()
-		resp := wire.BatchRankedResp{ServerNanos: s.serverNanos(start), Results: results}
+		resp := wire.BatchRankedResp{ServerNanos: uint64(time.Since(start)), Results: results}
 		if req.Ranked {
 			resp.AppendTo(buf)
 			return wire.MsgBatchRankedCandidates, buf.B, nil
@@ -378,7 +262,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			return 0, nil, err
 		}
 		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
+			ServerNanos: uint64(time.Since(start)),
 			DistNanos:   uint64(costs.DistCompTime),
 			Results:     res,
 		}.Encode(), nil
@@ -396,7 +280,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			return 0, nil, err
 		}
 		return wire.MsgDeleteAck, wire.DeleteAckResp{
-			ServerNanos: s.serverNanos(start), Deleted: uint32(deleted),
+			ServerNanos: uint64(time.Since(start)), Deleted: uint32(deleted),
 		}.Encode(), nil
 
 	case wire.MsgPutBlobs:
@@ -405,7 +289,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			return 0, nil, err
 		}
 		s.putBlobs(req)
-		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
+		return wire.MsgAck, wire.AckResp{ServerNanos: uint64(time.Since(start))}.Encode(), nil
 
 	case wire.MsgGetBlobs:
 		req, err := wire.DecodeGetBlobsReq(payload)
@@ -418,7 +302,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			lists[i] = s.blobs[blobKey{req.Space, key}]
 		}
 		s.mu.Unlock()
-		return wire.MsgBlobs, wire.BlobsResp{ServerNanos: s.serverNanos(start), Lists: lists}.Encode(), nil
+		return wire.MsgBlobs, wire.BlobsResp{ServerNanos: uint64(time.Since(start)), Lists: lists}.Encode(), nil
 
 	case wire.MsgResyncOps:
 		if s.plain != nil {
@@ -433,7 +317,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 				return 0, nil, fmt.Errorf("server: resync op %d: %w", i, err)
 			}
 		}
-		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
+		return wire.MsgAck, wire.AckResp{ServerNanos: uint64(time.Since(start))}.Encode(), nil
 
 	case wire.MsgIngestChunk:
 		if s.plain != nil {
@@ -450,7 +334,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
-			Seq: req.Seq, ServerNanos: s.serverNanos(start),
+			Seq: req.Seq, ServerNanos: uint64(time.Since(start)),
 		}.Encode(), nil
 
 	case wire.MsgIngestObjChunk:
@@ -466,7 +350,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
-			Seq: req.Seq, ServerNanos: s.serverNanos(start), DistNanos: uint64(costs.DistCompTime),
+			Seq: req.Seq, ServerNanos: uint64(time.Since(start)), DistNanos: uint64(costs.DistCompTime),
 		}.Encode(), nil
 
 	case wire.MsgIngestEnd:
@@ -482,7 +366,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 				return 0, nil, err
 			}
 		}
-		return wire.MsgAck, wire.AckResp{ServerNanos: s.serverNanos(start)}.Encode(), nil
+		return wire.MsgAck, wire.AckResp{ServerNanos: uint64(time.Since(start))}.Encode(), nil
 	}
 	if err := wire.RetiredError(typ); err != nil {
 		return 0, nil, err
@@ -507,7 +391,7 @@ func (s *Server) cellCounts(queries []wire.BatchQuery, filter mindex.PivotFilter
 		}
 	}
 	buf.Reset()
-	wire.BatchCellCountsResp{ServerNanos: s.serverNanos(start), Results: results}.AppendTo(buf)
+	wire.BatchCellCountsResp{ServerNanos: uint64(time.Since(start)), Results: results}.AppendTo(buf)
 	return wire.MsgBatchCellCounts, buf.B, nil
 }
 

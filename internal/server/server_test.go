@@ -1041,7 +1041,7 @@ func TestHostilePermutationInsert(t *testing.T) {
 
 // TestCloseRacingConnections: Close racing fresh connection registration
 // must neither leak a connection nor deadlock — every accepted conn ends up
-// closed and the registry drains (the connMu hygiene regression test).
+// closed (wire's TestServerCloseRacingConnections checks the registry).
 func TestCloseRacingConnections(t *testing.T) {
 	leaktest.Check(t)
 	for round := range 20 {
@@ -1078,12 +1078,6 @@ func TestCloseRacingConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Wait()
-		srv.connMu.Lock()
-		leaked := len(srv.conns)
-		srv.connMu.Unlock()
-		if leaked != 0 {
-			t.Fatalf("round %d: %d connections leaked past Close", round, leaked)
-		}
 	}
 }
 

@@ -16,40 +16,20 @@ import (
 // payload back in a MsgAck.
 func echoPeer(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	srv := &Server{Handler: func(typ MsgType, payload []byte, _ time.Time, _ *Buffer) (MsgType, []byte, error) {
+		switch typ {
+		case MsgHello:
+			return MsgHelloAck, HelloResp{Version: ProtocolVersion}.Encode(), nil
+		case MsgDeleteObjects:
+			return 0, nil, errors.New("refused")
+		}
+		return MsgAck, payload, nil
+	}}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				for {
-					typ, payload, err := ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case MsgHello:
-						err = WriteFrame(conn, MsgHelloAck, HelloResp{Version: ProtocolVersion}.Encode())
-					case MsgDeleteObjects:
-						err = WriteFrame(conn, MsgError, ErrorResp{Msg: "refused"}.Encode())
-					default:
-						err = WriteFrame(conn, MsgAck, payload)
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr()
 }
 
 func echoLink(t *testing.T) *Link {
