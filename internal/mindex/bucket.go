@@ -104,14 +104,19 @@ func (b Bucket) nextOffset(n int) uint32 {
 // parseBucket validates img as the image of a bucket of count records —
 // whole records back to back, exactly count of them — and indexes it,
 // aliasing img. It is one ScanEntry pass, so it accepts exactly the images a
-// ScanEntry loop reads to the end without an error.
-func parseBucket(img []byte, count int) (Bucket, error) {
+// ScanEntry loop reads to the end without an error. The offset table is
+// built in offs' array when it has room (a search's scratch), in a new one
+// otherwise.
+func parseBucket(img []byte, count int, offs []uint32) (Bucket, error) {
 	if len(img) > math.MaxUint32 {
 		return Bucket{}, fmt.Errorf("%w: bucket image of %d bytes", ErrCodec, len(img))
 	}
 	// A record is at least 20 bytes, which bounds a count the image cannot
 	// hold; a right one sizes the table exactly.
-	offs := make([]uint32, 0, min(max(count, 0), len(img)/20))
+	if want := min(max(count, 0), len(img)/20); cap(offs) < want {
+		offs = make([]uint32, 0, want)
+	}
+	offs = offs[:0]
 	for rest := img; len(rest) > 0; {
 		if len(offs) == count {
 			return Bucket{}, fmt.Errorf("mindex: bucket image holds more than %d entries", count)

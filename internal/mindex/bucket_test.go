@@ -36,10 +36,19 @@ func FuzzBucketImage(f *testing.F) {
 			}
 		}
 		n := len(offs)
+		// A search's scratch table: stale offsets, room for any count.
+		stale := make([]uint32, n+1, n+8)
+		for i := range stale {
+			stale[i] = 0xdead
+		}
 		for _, count := range []int{n - 1, n, n + 1} {
-			b, err := parseBucket(img, count)
+			b, err := parseBucket(img, count, nil)
 			if want := whole && count == n; (err == nil) != want {
 				t.Fatalf("count %d of a %d-record image (whole %v): err %v", count, n, whole, err)
+			}
+			if r, rerr := parseBucket(img, count, stale); (rerr == nil) != (err == nil) ||
+				(err == nil && (!slices.Equal(r.offs, offs) || &r.offs[:1][0] != &stale[0])) {
+				t.Fatalf("count %d: parsing into a used table differs: err %v", count, rerr)
 			}
 			if err != nil {
 				continue

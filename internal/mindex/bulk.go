@@ -401,7 +401,7 @@ func (b *bulkTxn) split(n *node) error {
 	bl := b.pend[n]
 	oldIdx0, nOld := int32(len(b.batch)+len(b.old)), 0
 	if !bl.isNew {
-		old, err := t.ix.leafViewN(n, bl.oldN)
+		old, _, err := t.ix.leafViewN(n, bl.oldN, nil)
 		if err != nil {
 			// The leaf stays a consistent (overfull) leaf, exactly like a
 			// failed incremental split.

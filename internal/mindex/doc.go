@@ -57,7 +57,9 @@
 // write-ahead log's and the wire's. MemStore grows an image per bucket, the
 // DiskStore cache holds images, pins hold images, and every reader walks
 // EntryViews over them — the pivot filter reads the stored distances in
-// their little-endian form, a candidate is its record's view. Mutations
+// their little-endian form, a candidate is its record's view. A search
+// whose cache miss the budget cannot hold reads the file into its own
+// scratch image and copies out only the records it keeps. Mutations
 // move record spans and decode nothing; whole entries are decoded only by
 // callers that keep them (EntryView.Decode, Flat) and on ingest
 // (DecodeEntry).

@@ -206,6 +206,8 @@ type Index struct {
 	// pqPool recycles promise-queue backing arrays across searches so the
 	// steady-state query path allocates no traversal state (see search.go).
 	pqPool sync.Pool
+	// scratchPool recycles the disk searches' scratch (see searchScratch).
+	scratchPool sync.Pool
 }
 
 // readState is one published snapshot of the index. All reachable data —
@@ -442,41 +444,52 @@ func (ix *Index) checkEntry(e *Entry) error {
 //     the shared cell before touching the store, so a re-check of the pin
 //     must succeed.
 func (ix *Index) leafView(n *node) (Bucket, error) {
-	return ix.leafViewN(n, n.count)
+	b, _, err := ix.leafViewN(n, n.count, nil)
+	return b, err
 }
 
-// leafViewN is leafView for an explicit entry count at most n.count. The
-// bulk builder reads a touched leaf's pre-batch content with it: the node
-// clone's count already includes the batch entries the build has routed
-// here, but the store still holds only the pre-batch prefix.
-func (ix *Index) leafViewN(n *node, count int) (Bucket, error) {
+// leafViewN is the protocol of leafView for an explicit entry count at most
+// n.count. The bulk builder reads a touched leaf's pre-batch content with
+// it: the node clone's count already includes the batch entries the build
+// has routed here, but the store still holds only the pre-batch prefix.
+//
+// A search passes its scratch: a disk leaf that misses the cache and does
+// not fit its free budget is then read into sc's bucket and reported
+// transient — valid until the search's next read, so an entry kept from it
+// is copied out (searchScratch.keep). Pinned and memory leaves are never
+// transient.
+func (ix *Index) leafViewN(n *node, count int, sc *searchScratch) (Bucket, bool, error) {
 	if p := n.pin.v.Load(); p != nil {
-		return p.prefix(count), nil
+		return p.prefix(count), false, nil
 	}
-	b, era, err := viewVersioned(ix.store, n.bucket)
+	b, era, transient, err := viewVersioned(ix.store, n.bucket, sc)
 	if err == nil && era == n.era && b.Len() >= count {
-		return b.prefix(count), nil
+		return b.prefix(count), transient, nil
 	}
 	if p := n.pin.v.Load(); p != nil {
-		return p.prefix(count), nil
+		return p.prefix(count), false, nil
 	}
 	if err != nil {
-		return Bucket{}, err
+		return Bucket{}, false, err
 	}
-	return Bucket{}, fmt.Errorf("mindex: bucket %d content superseded with no pinned view", n.bucket)
+	return Bucket{}, false, fmt.Errorf("mindex: bucket %d content superseded with no pinned view", n.bucket)
 }
 
-// viewVersioned reads a bucket view together with its content era. Stores
-// without era tracking (MemStore — its leaves are eagerly pinned, so lazy
-// reads never reach it) report era 0.
-func viewVersioned(s BucketStore, id BucketID) (Bucket, uint64, error) {
-	if vv, ok := s.(interface {
-		ViewVersioned(BucketID) (Bucket, uint64, error)
-	}); ok {
-		return vv.ViewVersioned(id)
+// viewVersioned reads a bucket view together with its content era, a miss
+// into sc's bucket when the store is a DiskStore (see
+// DiskStore.ViewScratch). Other stores (MemStore — its leaves are eagerly
+// pinned, so lazy reads never reach it) report era 0.
+func viewVersioned(s BucketStore, id BucketID, sc *searchScratch) (Bucket, uint64, bool, error) {
+	ds, ok := s.(*DiskStore)
+	if !ok {
+		b, err := s.View(id)
+		return b, 0, false, err
 	}
-	b, err := s.View(id)
-	return b, 0, err
+	var scratch *Bucket
+	if sc != nil {
+		scratch = &sc.bucket
+	}
+	return ds.ViewScratch(id, scratch)
 }
 
 // Stats summarizes the tree shape, used by tooling and tests. Entries

@@ -8,9 +8,11 @@ package mindex
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"simcloud/internal/dataset"
 	"simcloud/internal/metric"
@@ -110,6 +112,88 @@ func TestQueryPathAllocs(t *testing.T) {
 			got := testing.AllocsPerRun(50, func() { tc.run(i); i++ })
 			if got > tc.max {
 				t.Errorf("%s: %.1f allocs/op, want <= %.0f", tc.name, got, tc.max)
+			}
+		})
+	}
+}
+
+// TestDiskSearchMissAllocs pins what a search's cache miss costs once the
+// budget has no room for the bucket, the regime of a collection far larger
+// than its cache: the file is read into the search's pooled scratch, so a
+// miss allocates the file name and its C string and nothing sized by the
+// bucket, and the search's bytes are what it keeps — the records copied
+// into its arena and the result — plus a fixed slack. A miss that allocated
+// its image (and an os.File) cost six allocations and every byte of every
+// leaf read. The index is TestQueryPathAllocs' collection, on disk with a
+// budget below one bucket.
+func TestDiskSearchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the pin holds for a warm scratch pool, which the race detector's sync.Pool does not keep")
+	}
+	entries, queries, qDists := perfEntries(3000, 12)
+	cfg := perfConfig(12)
+	cfg.Storage = StorageDisk
+	cfg.DiskPath = t.TempDir()
+	cfg.DiskCacheBytes = 1 << 10
+	ix, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.InsertBulk(entries); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		q    func(i int) Query
+	}{
+		{"range", func(i int) Query {
+			return Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists[i%len(qDists)]}, Radius: 3}
+		}},
+		{"bound-collect", func(i int) Query {
+			return Query{Kind: KindBound, ApproxQuery: queries[i%len(queries)], CandSize: 50}
+		}},
+	}
+	const runs = 64
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			kept := 0 // bytes of the records and the results the searches keep
+			search := func(i int) {
+				rcs, err := ix.Search(tc.q(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept += cap(rcs) * int(unsafe.Sizeof(RankedCandidate{}))
+				for _, rc := range rcs {
+					kept += len(rc.Entry.Record)
+				}
+			}
+			for i := range runs { // warm the pools
+				search(i)
+			}
+			kept = 0
+			_, misses0, _ := ix.CacheStats()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range runs {
+				search(i)
+			}
+			runtime.ReadMemStats(&after)
+			_, misses1, _ := ix.CacheStats()
+			allocs := float64(after.Mallocs-before.Mallocs) / runs
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			perMiss := float64(misses1-misses0) / runs
+			t.Logf("%.1f misses, %.1f allocs, %.0f B per search; kept %.0f B", perMiss, allocs, bytes, float64(kept)/runs)
+			if perMiss < 4 {
+				t.Fatalf("%.1f misses per search: the leaves were not cold", perMiss)
+			}
+			if allocs > 3*perMiss {
+				t.Errorf("%.1f allocs per search over %.1f misses: %.2f a miss, want <= 3", allocs, perMiss, allocs/perMiss)
+			}
+			// Slack: the result's growth before its final size, the bound
+			// heap, and the arena chunk ends a copy does not fill.
+			if limit := 2*float64(kept)/runs + 8<<10; bytes > limit {
+				t.Errorf("%.0f B per search, want <= %.0f (twice the %.0f B kept, plus 8 KiB)", bytes, limit, float64(kept)/runs)
 			}
 		})
 	}
@@ -562,13 +646,15 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDiskMissAllocs pins the cost of a cache miss, in allocations and in
-// bytes. The file is read into a buffer of exactly its length, which becomes
-// the image, and one ScanEntry pass builds the offset table, so a cold View
-// of a 45-entry bucket allocates the file name, what os.Open allocates, the
-// image and the table — where a decode into one block per field kind cost
-// four blocks more, and one DecodeEntry per entry 143 — and its bytes are
-// the file's plus four an entry: at most 1.1 × the file. (The entries are
+// TestDiskMissAllocs pins the cost of a cache miss on the owned path (View,
+// and a search's miss the free budget holds), in allocations and in bytes.
+// The file is read with three system calls into a buffer of exactly its
+// length, which becomes the image, and one ScanEntry pass builds the offset
+// table, so a cold View of a 45-entry bucket allocates the file name, its C
+// string, the image and the table — where os.Open cost two more, a decode
+// into one block per field kind four more, and one DecodeEntry per entry
+// 143 — and its bytes are the file's plus four an entry: at most 1.1 × the
+// file. (The entries are
 // sized so the file sits just under one of the allocator's size classes,
 // 16 KiB: the bound is on what the miss asks for, not on the rounding.)
 func TestDiskMissAllocs(t *testing.T) {
@@ -602,8 +688,8 @@ func TestDiskMissAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%d allocs, %d B per cold View (file %d B)", res.AllocsPerOp(), res.AllocedBytesPerOp(), file)
-	if got := res.AllocsPerOp(); got > 6 {
-		t.Errorf("cold View of a %d-entry bucket: %d allocs, want <= 6", len(entries), got)
+	if got := res.AllocsPerOp(); got > 4 {
+		t.Errorf("cold View of a %d-entry bucket: %d allocs, want <= 4", len(entries), got)
 	}
 	if got, limit := res.AllocedBytesPerOp(), int64(file*11/10); got > limit {
 		t.Errorf("cold View of a %d-entry bucket: %d B allocated, want <= %d (1.1 x the file's %d)", len(entries), got, limit, file)

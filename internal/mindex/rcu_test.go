@@ -2,6 +2,7 @@ package mindex
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,13 +18,24 @@ import (
 // entries with no duplicate IDs. Run under -race this also proves the
 // publication protocol establishes the necessary happens-before edges, for
 // both storage backends (memory pins leaf views eagerly; disk readers take
-// the era-checked store path with the pin fallback around Compact/purge).
+// the era-checked store path with the pin fallback around Compact/purge) —
+// and on disk with a cache budget below the data, where a search's misses
+// are read into its scratch and the entries it keeps copied out.
 func TestSnapshotConsistencyUnderChurn(t *testing.T) {
-	for _, storage := range []StorageKind{StorageMemory, StorageDisk} {
-		t.Run(storage.String(), func(t *testing.T) {
+	for _, in := range []struct {
+		name    string
+		storage StorageKind
+		cache   int
+	}{
+		{"memory", StorageMemory, 0},
+		{"disk", StorageDisk, 0},
+		{"disk-small-cache", StorageDisk, 4 << 10},
+	} {
+		storage := in.storage
+		t.Run(in.name, func(t *testing.T) {
 			cfg := Config{
 				NumPivots: 8, MaxLevel: 4, BucketCapacity: 6,
-				Storage: storage, Ranking: RankFootrule,
+				Storage: storage, Ranking: RankFootrule, DiskCacheBytes: in.cache,
 			}
 			if storage == StorageDisk {
 				cfg.DiskPath = t.TempDir()
@@ -35,12 +47,17 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 			defer ix.Close()
 			rng := rand.New(rand.NewPCG(99, uint64(storage)))
 			const baseSize = 400
-			if err := ix.InsertBulk(intDistEntries(rng, baseSize, 8)); err != nil {
+			base := intDistEntries(rng, baseSize, 8)
+			if err := ix.InsertBulk(base); err != nil {
 				t.Fatal(err)
 			}
 			churn := intDistEntries(rng, 64, 8)
 			for i := range churn {
 				churn[i].ID += 1 << 20
+			}
+			dists := make(map[uint64][]float64) // every entry's, by ID
+			for _, e := range append(slices.Clone(base), churn...) {
+				dists[e.ID] = e.Dists
 			}
 			queries := promiseTestQueries(rng, 8, 8, false)
 
@@ -77,16 +94,21 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 				}
 			}()
 
-			checkIDs := func(what string, ids []uint64) {
-				if len(ids) != baseSize && len(ids) != baseSize+1 {
-					t.Errorf("%s: %d entries, want %d or %d", what, len(ids), baseSize, baseSize+1)
+			// check also reads each entry's record, which must still be the
+			// entry's once the search has returned.
+			check := func(what string, entries []Entry) {
+				if len(entries) != baseSize && len(entries) != baseSize+1 {
+					t.Errorf("%s: %d entries, want %d or %d", what, len(entries), baseSize, baseSize+1)
 				}
-				seen := make(map[uint64]struct{}, len(ids))
-				for _, id := range ids {
-					if _, dup := seen[id]; dup {
-						t.Errorf("%s: duplicate ID %d", what, id)
+				seen := make(map[uint64]struct{}, len(entries))
+				for _, e := range entries {
+					if _, dup := seen[e.ID]; dup {
+						t.Errorf("%s: duplicate ID %d", what, e.ID)
 					}
-					seen[id] = struct{}{}
+					seen[e.ID] = struct{}{}
+					if !slices.Equal(e.Dists, dists[e.ID]) {
+						t.Errorf("%s: entry %d holds another entry's record", what, e.ID)
+					}
 				}
 			}
 
@@ -110,22 +132,14 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						ids := make([]uint64, len(cands))
-						for i := range cands {
-							ids[i] = cands[i].ID
-						}
-						checkIDs("approx", ids)
+						check("approx", cands)
 
 						all, err := ix.AllEntries()
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						ids = ids[:0]
-						for i := range all {
-							ids = append(ids, all[i].ID)
-						}
-						checkIDs("all-entries", ids)
+						check("all-entries", all)
 
 						live, dead := ix.Counts()
 						if live != baseSize && live != baseSize+1 {

@@ -233,6 +233,8 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 		return nil, fmt.Errorf("mindex: negative query radius %g", r)
 	}
 	st := ix.state.Load()
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
 	var out []RankedCandidate
 	var visit func(n *node) error
 	visit = func(n *node) error {
@@ -240,7 +242,7 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 			if n.live() == 0 {
 				return nil
 			}
-			b, err := ix.leafView(n)
+			b, transient, err := ix.leafViewN(n, n.count, sc)
 			if err != nil {
 				return err
 			}
@@ -265,7 +267,7 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 				if _, gone := st.tombstones[id]; gone {
 					continue
 				}
-				out = append(out, RankedCandidate{Entry: b.At(i)})
+				out = append(out, RankedCandidate{Entry: sc.keep(b.At(i), transient)})
 			}
 			return nil
 		}
@@ -447,6 +449,59 @@ func (ix *Index) putQueue(q *rankedQueue) {
 	ix.pqPool.Put(q)
 }
 
+// searchScratch is what a disk search reuses leaf after leaf: the bucket a
+// leaf that misses the cache is read into (see leafViewN), and the arena
+// the entries it keeps from such a leaf are copied to.
+type searchScratch struct {
+	bucket Bucket
+	// arena is the free tail of the chunk kept entries are copied into. A
+	// copy only ever goes past the ones before it, and a full chunk is
+	// replaced, never grown, so every candidate handed out stays valid: a
+	// pooled scratch carries its tail over to the next search.
+	arena []byte
+}
+
+// arenaChunk is the size of an arena chunk; a larger record gets one of its
+// own size.
+const arenaChunk = 64 << 10
+
+// getScratch hands out a search's scratch, recycled across searches;
+// putScratch returns it once the search holds no transient view. Memory
+// leaves are pinned, so a memory index's searches get none (nil, which
+// leafViewN reads as leafView).
+func (ix *Index) getScratch() *searchScratch {
+	if ix.eagerPin {
+		return nil
+	}
+	if v := ix.scratchPool.Get(); v != nil {
+		return v.(*searchScratch)
+	}
+	return new(searchScratch)
+}
+
+func (ix *Index) putScratch(sc *searchScratch) {
+	if sc != nil {
+		ix.scratchPool.Put(sc)
+	}
+}
+
+// keep returns a view a search keeps: a transient leaf's, whose record the
+// next leaf's read overwrites, copied into the arena; any other as it is.
+func (sc *searchScratch) keep(v EntryView, transient bool) EntryView {
+	if !transient {
+		return v
+	}
+	n := len(v.Record)
+	if len(sc.arena) < n {
+		sc.arena = make([]byte, max(arenaChunk, n))
+	}
+	rec := sc.arena[:n:n]
+	copy(rec, v.Record)
+	sc.arena = sc.arena[n:]
+	v.Record = rec
+	return v
+}
+
 // PrefixLess compares cell prefixes lexicographically, shorter first — the
 // deterministic tie-break used wherever cells of equal promise must be
 // ordered (the traversal queue here, and the cross-shard candidate merge in
@@ -552,6 +607,8 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 	pr := ix.newPromiser(q)
 	pq := ix.getQueue(st.root)
 	defer ix.putQueue(pq)
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
 	have := 0 // candidates collected, or counted
 	for pq.Len() > 0 && have < want {
 		item := pq.pop()
@@ -571,7 +628,7 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 				have += live
 				continue
 			}
-			b, err := ix.leafView(item.n)
+			b, transient, err := ix.leafViewN(item.n, item.n.count, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -592,7 +649,7 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 				if len(out) == cap(out) {
 					out = slices.Grow(out, b.Len()-i) // room for the rest of the cell at once
 				}
-				out = append(out, RankedCandidate{Entry: v, Promise: item.promise, Prefix: item.n.prefix})
+				out = append(out, RankedCandidate{Entry: sc.keep(v, transient), Promise: item.promise, Prefix: item.n.prefix})
 			}
 			if counted > 0 {
 				*runs = append(*runs, CellRun{Promise: item.promise, Prefix: item.n.prefix, Count: counted})
@@ -647,6 +704,8 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 	var fresh []BoundKey // a leaf's newly kept entries, for the share
 	pq := ix.getQueue(st.root)
 	defer ix.putQueue(pq)
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
 	for pq.Len() > 0 {
 		item := pq.pop()
 		if item.promise > limit() {
@@ -656,7 +715,7 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 			if item.n.live() == 0 {
 				continue
 			}
-			b, err := ix.leafView(item.n)
+			b, transient, err := ix.leafViewN(item.n, item.n.count, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -676,7 +735,7 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 				if filter != nil && len(item.n.prefix) == 0 && !filter.allowsView(&v) {
 					continue
 				}
-				it := boundItem{key: BoundKey{LB: lb, ID: id}, v: v}
+				it := boundItem{key: BoundKey{LB: lb, ID: id}, v: v, transient: transient}
 				if len(best) < want {
 					best.push(it)
 				} else if it.key.Compare(best[0].key) < 0 {
@@ -690,6 +749,13 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 			}
 			if len(fresh) > 0 {
 				share.offer(fresh)
+			}
+			// What a transient leaf left in the heap outlives its read: copy
+			// it out.
+			for i := 0; transient && i < len(best); i++ {
+				if best[i].transient {
+					best[i].v, best[i].transient = sc.keep(best[i].v, true), false
+				}
 			}
 			continue
 		}
@@ -719,10 +785,12 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 	return out, nil
 }
 
-// boundItem is one entry kept by collectBound: its key and its record.
+// boundItem is one entry kept by collectBound: its key and its record,
+// transient while the record is the current leaf's scratch read.
 type boundItem struct {
-	key BoundKey
-	v   EntryView
+	key       BoundKey
+	v         EntryView
+	transient bool
 }
 
 // boundHeap is a max-heap by bound key: its root is the worst entry kept.
@@ -813,6 +881,8 @@ func (s *BoundShare) offer(keys []BoundKey) {
 // leaf.
 func (ix *Index) all(filter PivotFilter) ([]RankedCandidate, error) {
 	st := ix.state.Load()
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
 	out := make([]RankedCandidate, 0, st.size)
 	var walk func(n *node) error
 	walk = func(n *node) error {
@@ -820,7 +890,7 @@ func (ix *Index) all(filter PivotFilter) ([]RankedCandidate, error) {
 			if n.live() == 0 {
 				return nil
 			}
-			b, err := ix.leafView(n)
+			b, transient, err := ix.leafViewN(n, n.count, sc)
 			if err != nil {
 				return err
 			}
@@ -829,7 +899,7 @@ func (ix *Index) all(filter PivotFilter) ([]RankedCandidate, error) {
 				if _, gone := st.tombstones[v.ID]; gone || !filter.allowsView(&v) {
 					continue
 				}
-				out = append(out, RankedCandidate{Entry: v})
+				out = append(out, RankedCandidate{Entry: sc.keep(v, transient)})
 			}
 			return nil
 		}

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // BucketID identifies a bucket within a BucketStore.
@@ -520,49 +521,73 @@ func (s *DiskStore) versionLocked(id BucketID) (bucketVersion, error) {
 // A cache miss does its I/O outside the mutex, so readers of one store do
 // not queue behind each other's system calls. Under the mutex: the closed /
 // unknown / virgin checks, the cache probe, the write of the bucket's
-// buffered appends, and a note of the bucket's version. Outside: open, one
-// read of exactly the recorded length into a
-// buffer of that size, close, and one ScanEntry pass that checks the count
-// and builds the offset table — the buffer is the image, nothing is
-// decoded. Under it again: the result is admitted only if the store is
-// still open and the version unchanged, which makes it the bucket's content
-// as of that second acquisition. Anything else — an append, a Replace, a
-// Free, a failed read or parse — is settled by readLocked, where an error
-// is final.
+// buffered appends, and a note of the bucket's version. Outside: the three
+// system calls and the one ScanEntry pass of readBucketFile — the buffer is
+// the image, nothing is decoded. Under it again: the result is admitted only
+// if the store is still open and the version unchanged, which makes it the
+// bucket's content as of that second acquisition. Anything else — an
+// append, a Replace, a Free, a failed read or parse — is settled by
+// readLocked, where an error is final.
 func (s *DiskStore) ViewVersioned(id BucketID) (Bucket, uint64, error) {
+	b, era, _, err := s.ViewScratch(id, nil)
+	return b, era, err
+}
+
+// ViewScratch is ViewVersioned for a search, which brings a scratch bucket
+// of its own. A hit returns the cached image, and so does a miss the free
+// budget holds: it is read into a new image and admitted, as ViewVersioned
+// admits it. Any other miss is read into scratch's arrays — grown when
+// short, and left in *scratch for the search's next read — is not admitted,
+// so a search never evicts, and is reported transient: the view is valid
+// until the next ViewScratch on the same scratch, and the caller keeps an
+// entry past that only by copying it. A nil scratch reads as
+// ViewVersioned.
+func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, uint64, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d, err := s.bucketLocked(id, "view of")
 	if err != nil {
-		return Bucket{}, 0, err
+		return Bucket{}, 0, false, err
 	}
 	if d.virgin {
-		return Bucket{}, d.era, nil // allocated, never written: empty, no file yet
+		return Bucket{}, d.era, false, nil // allocated, never written: empty, no file yet
 	}
 	if b, ok := s.cachedLocked(id); ok {
 		s.hits++
-		return b, d.era, nil
+		return b, d.era, false, nil
 	}
 	s.misses++ // one per read, however it ends
 	// Buffered appends must be in the file before it is read back.
 	if err := s.flushLocked(id); err != nil {
-		return Bucket{}, 0, err
+		return Bucket{}, 0, false, err
 	}
 	v := bucketVersion{d.count, d.size, d.era}
+	transient := scratch != nil && s.cacheBytes+cacheCharge(v.count, v.size) > s.cacheBudget
+	var into Bucket
+	if transient {
+		into = *scratch
+	}
 	path := s.path(id)
 	s.mu.Unlock()
-	b, err := readBucketFile(path, v.count, v.size)
+	b, err := readBucketFile(path, v.count, v.size, into)
 	s.mu.Lock()
+	if transient && err == nil {
+		*scratch = b // the arrays, grown or not, serve the search's next read
+	}
 	if now, verr := s.versionLocked(id); err != nil || verr != nil || now != v {
-		return s.readLocked(id)
+		b, era, err := s.readLocked(id)
+		return b, era, false, err
 	}
 	// Another reader may have missed on the same bucket and got here first:
 	// its image is the cached one, ours is dropped, the charge made once.
 	if winner, ok := s.cachedLocked(id); ok {
-		return winner, v.era, nil
+		return winner, v.era, false, nil
+	}
+	if transient {
+		return b, v.era, true, nil
 	}
 	s.insertCacheLocked(id, b, true)
-	return b, v.era, nil
+	return b, v.era, false, nil
 }
 
 // readLocked is the read with the mutex held throughout: the retry of a
@@ -582,7 +607,7 @@ func (s *DiskStore) readLocked(id BucketID) (Bucket, uint64, error) {
 	if err := s.flushLocked(id); err != nil {
 		return Bucket{}, 0, err
 	}
-	b, err := readBucketFile(s.path(id), d.count, d.size)
+	b, err := readBucketFile(s.path(id), d.count, d.size, Bucket{})
 	if err != nil {
 		return Bucket{}, 0, err
 	}
@@ -602,27 +627,48 @@ func (s *DiskStore) cachedLocked(id BucketID) (Bucket, bool) {
 }
 
 // readBucketFile reads the bucket file at path, which must hold exactly
-// count records in size bytes. It touches no store state and runs without
-// the store mutex: open, one read into a buffer of exactly the file's
-// length, close, and the ScanEntry pass of parseBucket — the buffer becomes
-// the image and the offset table is the only other allocation.
-func readBucketFile(path string, count, size int) (Bucket, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Bucket{}, err
+// count records in size bytes, into into's arrays when they have room and
+// into new ones otherwise. It touches no store state and runs without the
+// store mutex: three system calls — open, a read loop of exactly size bytes,
+// close — and the ScanEntry pass of parseBucket; the buffer becomes the
+// image. The raw calls skip what os.Open adds to a one-shot read: two fcntl,
+// a poller registration, the File and its finalizer. fd's type is whatever
+// syscall.Open returns, so the one source builds on every GOOS.
+func readBucketFile(path string, count, size int, into Bucket) (Bucket, error) {
+	img := into.img
+	if cap(img) < size {
+		img = make([]byte, size)
 	}
-	img := make([]byte, size)
-	_, err = io.ReadFull(f, img)
-	f.Close()
+	img = img[:size]
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return Bucket{}, fmt.Errorf("mindex: reading bucket file %s: %w", path, err)
+		return Bucket{}, &os.PathError{Op: "open", Path: path, Err: err}
 	}
-	b, err := parseBucket(img, count)
+	for n := 0; n < size; {
+		m, err := syscall.Read(fd, img[n:])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err == nil && m == 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			syscall.Close(fd)
+			return Bucket{}, fmt.Errorf("mindex: reading bucket file %s: %w", path, err)
+		}
+		n += m
+	}
+	syscall.Close(fd)
+	b, err := parseBucket(img, count, into.offs)
 	if err != nil {
 		return Bucket{}, fmt.Errorf("mindex: bucket file %s corrupted: %w", path, err)
 	}
 	return b, nil
 }
+
+// cacheCharge is what a bucket of count records in size bytes costs the
+// cache budget: its image, its offset table and the bookkeeping.
+func cacheCharge(count, size int) int { return cachedBucketOverhead + size + 4*count }
 
 // insertCacheLocked admits a bucket to the cache, charged its image and
 // offset table, evicting least recently used buckets until the byte budget
@@ -630,7 +676,7 @@ func readBucketFile(path string, count, size int) (Bucket, error) {
 // owned marks a bucket the store may keep as-is; a caller's bucket is
 // cloned, and only once it has actually been admitted.
 func (s *DiskStore) insertCacheLocked(id BucketID, b Bucket, owned bool) {
-	size := cachedBucketOverhead + len(b.img) + 4*len(b.offs)
+	size := cacheCharge(b.Len(), len(b.img))
 	if s.cacheBudget <= 0 || size > s.cacheBudget {
 		return
 	}
