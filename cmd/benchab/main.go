@@ -141,8 +141,9 @@ func runOnce(ctx context.Context, dir, workload string, seed uint64, seconds flo
 	cmd := exec.CommandContext(ctx, "bash", "benchmark/run.sh", "--workload", workload,
 		"--seed", strconv.FormatUint(seed, 10), "--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", tr)
 	cmd.Dir = dir
-	// Stopped, the run's children (its go build, say) may outlive the shell
-	// and hold its output open: stop waiting for them.
+	killGroup(cmd)
+	// Where the children cannot be killed with the shell, they may outlive
+	// it and hold its output open: stop waiting for them.
 	cmd.WaitDelay = 2 * time.Second
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr

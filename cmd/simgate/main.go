@@ -34,12 +34,18 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"simcloud/internal/core"
 	"simcloud/internal/gateway"
 	"simcloud/internal/secret"
 	"simcloud/internal/wire"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a peer that stalls mid-header does not hold a
+// connection and its goroutine for ever.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var (
@@ -84,7 +90,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simgate: %v\n", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: gw}
+	srv := &http.Server{Handler: gw, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := srv.Serve(ln); err != http.ErrServerClosed {
 			fmt.Fprintf(os.Stderr, "simgate: %v\n", err)

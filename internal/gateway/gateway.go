@@ -189,6 +189,30 @@ func shedQuery(q core.Query, shed float64) (core.Query, int, bool) {
 	return q, scaled, true
 }
 
+// maxBodyBytes caps a request body, and with it the size of a batch. A
+// query of 280 CoPhIR dimensions is about 1.1 KB of JSON, so the cap holds
+// a batch of about 3 800 of them. No client in this repository sends more
+// than four queries in a batch (the gateway's own tests); simbench's open
+// loop and the benchmark post single queries to /v1/search.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. On
+// failure it answers the request — 413 for a body over the cap, 400 for a
+// malformed one — and returns false.
+func (g *Gateway) decodeBody(w http.ResponseWriter, r *http.Request, t *tenant, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		g.writeError(w, t, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
+	default:
+		g.writeError(w, t, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	}
+	return false
+}
+
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	t := g.authenticate(r)
 	if t == nil {
@@ -196,8 +220,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.writeError(w, t, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !g.decodeBody(w, r, t, &req) {
 		return
 	}
 	q, err := req.toQuery()
@@ -243,8 +266,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.writeError(w, t, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !g.decodeBody(w, r, t, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

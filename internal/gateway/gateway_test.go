@@ -210,6 +210,37 @@ func TestGatewayRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsOversizedBody: a body over maxBodyBytes is answered
+// 413 on both query routes, before it is decoded, and the gateway keeps
+// serving.
+func TestGatewayRejectsOversizedBody(t *testing.T) {
+	leaktest.Check(t)
+	srv, _ := demoGateway(t, Admission{})
+	// Leading whitespace is valid JSON, so the decoder reads on to the cap.
+	body := strings.Repeat(" ", maxBodyBytes) + `{"kind":"knn","vec":[0,1,2,3,4,5],"k":3}`
+	for _, route := range []string{"/v1/search", "/v1/search/batch"} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+route, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-API-Key", "t1-key")
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errResp ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&errResp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(errResp.Error, "request body over") {
+			t.Errorf("%s: HTTP %d %q (%v), want 413 naming the cap", route, resp.StatusCode, errResp.Error, err)
+		}
+	}
+	var results SearchResponse
+	if code := postJSON(t, srv.Client(), srv.URL+"/v1/search", "t1-key", SearchRequest{Kind: "knn", Vec: queryVec(6, 0), K: 3}, &results); code != 200 {
+		t.Fatalf("query after the oversized bodies: HTTP %d", code)
+	}
+}
+
 // blockingSearcher is a fake backend whose searches park until released —
 // the saturation tests hold the gateway at an exact inflight level with it.
 type blockingSearcher struct {

@@ -70,9 +70,10 @@ type Config struct {
 	Storage StorageKind
 	// DiskPath is the bucket directory for StorageDisk.
 	DiskPath string
-	// DiskCacheBytes bounds the DiskStore read-through bucket cache (the
-	// LRU of bucket images that lets repeated queries skip re-reading bucket
-	// files): positive values set the budget in bytes,
+	// DiskCacheBytes bounds the DiskStore read-through bucket cache (bucket
+	// images, each admitted on a read while it fits the free budget and
+	// kept until its bucket changes, so repeated queries skip re-reading
+	// those files): positive values set the budget in bytes,
 	// 0 means DefaultDiskCacheBytes, negative disables the cache. Ignored
 	// for memory storage. internal/engine treats the budget as a
 	// whole-engine figure and divides it across shards. The cache never

@@ -7,6 +7,8 @@ package mindex
 // zero-copy reads return byte-identical candidate lists under churn.
 
 import (
+	"fmt"
+	"maps"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -252,9 +254,9 @@ func TestDiskCacheInvalidation(t *testing.T) {
 	}
 	expect("replace invalidates", []Entry{e3})
 	hitsBefore, missesBefore, _ := s.CacheStats()
-	expect("replace write-through", []Entry{e3}) // two reads, both hits
+	expect("cached after replace", []Entry{e3}) // two reads, both hits
 	if hits, misses, _ := s.CacheStats(); hits != hitsBefore+2 || misses != missesBefore {
-		t.Fatalf("replace should have refreshed the cache write-through: hits %d->%d misses %d->%d",
+		t.Fatalf("the read after replace should have cached the bucket: hits %d->%d misses %d->%d",
 			hitsBefore, hits, missesBefore, misses)
 	}
 
@@ -269,12 +271,15 @@ func TestDiskCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestDiskCacheBudget verifies the byte budget: a tiny budget forces
-// eviction, the charged bytes never exceed it, disabling drops everything,
-// and correctness is unaffected throughout. A cached bucket is charged the
-// bookkeeping overhead plus its image and offset table, whether a miss or
-// Replace's write-through admitted it (checkCacheCharges recomputes every
-// charge from the cached bucket).
+// TestDiskCacheBudget verifies the cache's one admission rule: a miss is
+// admitted only if it fits the free budget, and a cached bucket leaves only
+// when Append, Replace or Free changes it, SetCacheBudget empties the cache,
+// or the store closes. So the charged bytes never exceed the budget, a full
+// cache keeps what it holds across any read of a bucket that does not fit —
+// a mutator's View or a search's ViewScratch alike — a rewritten or grown
+// bucket is uncached until its next read, and correctness is unaffected
+// throughout (checkCacheCharges recomputes every charge from the cached
+// bucket).
 func TestDiskCacheBudget(t *testing.T) {
 	s, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -300,33 +305,44 @@ func TestDiskCacheBudget(t *testing.T) {
 			}
 		}
 	}
+	check := func(step string, id BucketID, got Bucket, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		es := entriesOf(got)
+		if len(es) != len(want[id]) {
+			t.Fatalf("%s bucket %d: %d entries, want %d", step, id, len(es), len(want[id]))
+		}
+		for i := range es {
+			if !entriesEqual(es[i], want[id][i]) {
+				t.Fatalf("%s bucket %d entry %d differs", step, id, i)
+			}
+		}
+		checkCacheCharges(t, s)
+	}
+	cached := func() map[BucketID]bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out := map[BucketID]bool{}
+		for id := range s.cache {
+			out[id] = true
+		}
+		return out
+	}
 	for round := range 3 {
 		for _, id := range ids {
-			got, err := viewEntries(s.View(id))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want[id]) {
-				t.Fatalf("round %d bucket %d: %d entries, want %d", round, id, len(got), len(want[id]))
-			}
-			for i := range got {
-				if !entriesEqual(got[i], want[id][i]) {
-					t.Fatalf("round %d bucket %d entry %d differs", round, id, i)
-				}
-			}
-			if _, _, bytes := s.CacheStats(); bytes > budget {
-				t.Fatalf("cache charged %d bytes, budget %d", bytes, budget)
-			}
-			checkCacheCharges(t, s)
+			b, err := s.View(id)
+			check(fmt.Sprintf("round %d", round), id, b, err)
 		}
-		// A rewritten bucket is cached write-through under the same formula.
+		// A rewritten bucket leaves the cache; its next read is a miss.
 		id := ids[round]
 		want[id] = want[id][:len(want[id])-1]
 		if err := s.Replace(id, bucketOf(want[id]...)); err != nil {
 			t.Fatal(err)
 		}
-		if _, cached := s.cache[id]; !cached {
-			t.Fatalf("round %d: Replace did not cache bucket %d write-through", round, id)
+		if cached()[id] {
+			t.Fatalf("round %d: Replace left bucket %d cached", round, id)
 		}
 		checkCacheCharges(t, s)
 	}
@@ -334,25 +350,84 @@ func TestDiskCacheBudget(t *testing.T) {
 	if misses == 0 {
 		t.Fatalf("budget churn should produce misses, got %d", misses)
 	}
-	// The round-robin scan above thrashes a tiny LRU (every reuse distance
-	// exceeds the budget), so hits come from re-reading the bucket that was
-	// just cached.
+
+	// Fill the free budget, then read a bucket that does not fit, as a
+	// mutator and as a search: both are served, neither is admitted, and
+	// every cached bucket stays.
+	for _, id := range ids {
+		b, err := s.View(id)
+		check("fill", id, b, err)
+	}
+	full := cached()
+	var out BucketID
+	for _, id := range ids {
+		if !full[id] {
+			out = id
+			break
+		}
+	}
+	if out == 0 || len(full) == 0 {
+		t.Fatalf("%d of %d buckets cached under a %d-byte budget; the test needs some in and some out", len(full), buckets, budget)
+	}
+	b, err := s.View(out)
+	check("mutator view past the budget", out, b, err)
+	var scratch Bucket
+	b, _, transient, err := s.ViewScratch(out, &scratch)
+	check("search view past the budget", out, b, err)
+	if !transient {
+		t.Fatalf("search view of bucket %d, which does not fit, is not transient", out)
+	}
+	if now := cached(); !maps.Equal(now, full) {
+		t.Fatalf("reads past the budget changed the cached set from %v to %v", full, now)
+	}
 	hitsBefore, _, _ := s.CacheStats()
-	if _, err := s.View(ids[0]); err != nil {
+	for id := range full {
+		if _, err := s.View(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, _, _ := s.CacheStats(); hits != hitsBefore+uint64(len(full)) {
+		t.Fatalf("re-reads of %d cached buckets made %d hits", len(full), hits-hitsBefore)
+	}
+
+	// Replace and Append drop a cached bucket; neither caches what it wrote.
+	var in BucketID
+	for id := range full {
+		in = id
+		break
+	}
+	want[in] = want[in][:len(want[in])-1]
+	if err := s.Replace(in, bucketOf(want[in]...)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.View(ids[0]); err != nil {
+	if cached()[in] {
+		t.Fatalf("Replace left bucket %d cached", in)
+	}
+	b, err = s.View(in) // fits the budget Replace freed
+	check("view after replace", in, b, err)
+	if !cached()[in] {
+		t.Fatalf("bucket %d not re-admitted after Replace", in)
+	}
+	e := randomEntry(rng, 9999)
+	want[in] = append(want[in], e)
+	if err := s.Append(in, bucketOf(e)); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _, _ := s.CacheStats(); hits < hitsBefore+1 {
-		t.Fatalf("consecutive views of one bucket produced no cache hit (hits %d -> %d)", hitsBefore, hits)
+	if cached()[in] {
+		t.Fatalf("Append left bucket %d cached", in)
+	}
+	checkCacheCharges(t, s)
+
+	// SetCacheBudget empties the cache, whatever the new budget.
+	s.SetCacheBudget(2 * budget)
+	if _, _, bytes := s.CacheStats(); bytes != 0 || len(cached()) != 0 {
+		t.Fatalf("SetCacheBudget left %d buckets cached, %d bytes charged", len(cached()), bytes)
 	}
 	s.SetCacheBudget(-1)
+	b, err = s.View(ids[0])
+	check("cache-disabled view", ids[0], b, err)
 	if _, _, bytes := s.CacheStats(); bytes != 0 {
 		t.Fatalf("disabled cache still charges %d bytes", bytes)
-	}
-	if got, err := s.View(ids[0]); err != nil || got.Len() != len(want[ids[0]]) {
-		t.Fatalf("cache-disabled view: %v, %d entries", err, got.Len())
 	}
 }
 

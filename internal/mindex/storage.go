@@ -141,10 +141,10 @@ func (s *MemStore) Close() error {
 // Config.DiskCacheBytes is 0.
 const DefaultDiskCacheBytes = 32 << 20
 
-// cachedBucketOverhead approximates the per-bucket bookkeeping cost charged
+// cacheEntryOverhead approximates the per-bucket bookkeeping cost charged
 // against the cache budget on top of the image and offset table (map entry,
-// LRU element, allocation headers).
-const cachedBucketOverhead = 128
+// allocation headers).
+const cacheEntryOverhead = 128
 
 // DiskStore keeps each bucket as a file holding its image — the records,
 // appended as they arrive — in a directory, with two bounded caches in front
@@ -152,11 +152,14 @@ const cachedBucketOverhead = 128
 //
 //   - a cache of open append handles (O_APPEND files), so bulk loading does
 //     not pay an open/close syscall pair per insert;
-//   - a byte-budget LRU cache of bucket images, read-through on View and
-//     invalidated by Append/Replace/Free, so a repeated-query workload
-//     against a static-or-slowly-churning index stops re-reading the same
-//     bucket files (the dominant cost of the paper's Tables 5–9 workload
-//     shape on disk storage).
+//   - a byte-budget cache of bucket images: a read that misses is admitted
+//     only if it fits the free budget, and an image leaves only when Append,
+//     Replace or Free changes its bucket, SetCacheBudget empties the cache,
+//     or the store closes. Nothing is evicted to make room, so a
+//     repeated-query workload against a static-or-slowly-churning index
+//     keeps the buckets it filled the budget with and stops re-reading those
+//     files (the dominant cost of the paper's Tables 5–9 workload shape on
+//     disk storage), and a mutator's read-back never displaces them.
 //
 // An append of several records — a split child, a bulk-built leaf — is one
 // write of their bytes, all or nothing. A one-record append, an
@@ -165,7 +168,7 @@ const cachedBucketOverhead = 128
 // a run of inserts costs one write, not one each. mu guards the
 // bookkeeping, the caches and every write to a bucket file. A read that
 // misses the cache holds it only for the map work on either side of the
-// file read (see ViewVersioned).
+// file read (see ViewScratch).
 type DiskStore struct {
 	mu  sync.Mutex
 	dir string
@@ -184,9 +187,9 @@ type DiskStore struct {
 	handleLRU *list.List
 	maxFDs    int
 
-	// Bucket-image cache, same LRU discipline with a byte budget.
-	cache       map[BucketID]*cachedBucket
-	cacheLRU    *list.List
+	// Bucket-image cache: cacheBytes is the sum of the cached buckets'
+	// cacheCharge, never above cacheBudget.
+	cache       map[BucketID]Bucket
 	cacheBytes  int
 	cacheBudget int
 	hits        uint64
@@ -199,7 +202,7 @@ type diskBucket struct {
 	size  int // bytes in the file: a miss reads exactly this many
 	// era counts content-destroying rewrites (Replace). Bucket IDs are never
 	// reused, so a (bucket, era) pair names one content lineage that only
-	// ever grows by appends; ViewVersioned hands the era out with the view
+	// ever grows by appends; ViewScratch hands the era out with the view
 	// so snapshot readers can detect a replacement that happened after their
 	// tree version was published (Index.leafView).
 	era uint64
@@ -225,12 +228,6 @@ type appendHandle struct {
 // writeBehind bounds an append handle's write-behind buffer.
 const writeBehind = 16 << 10
 
-type cachedBucket struct {
-	b     Bucket
-	bytes int
-	elem  *list.Element
-}
-
 // NewDiskStore creates a bucket store rooted at dir (created if missing)
 // with the default cache budget. Temporary files a crash left between
 // Replace's create and its rename are removed: nothing else ever names them.
@@ -255,8 +252,7 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 		buckets:     make(map[BucketID]*diskBucket),
 		open:        make(map[BucketID]*appendHandle),
 		handleLRU:   list.New(),
-		cache:       make(map[BucketID]*cachedBucket),
-		cacheLRU:    list.New(),
+		cache:       make(map[BucketID]Bucket),
 		cacheBudget: DefaultDiskCacheBytes,
 		maxFDs:      128,
 	}, nil
@@ -294,9 +290,9 @@ func ReopenDiskStore(dir string, counts map[BucketID]int, next BucketID) (*DiskS
 	return s, nil
 }
 
-// SetCacheBudget bounds the bucket-image cache: n > 0 sets the budget in
-// bytes, n == 0 restores the default, n < 0 disables the cache entirely.
-// Shrinking evicts immediately.
+// SetCacheBudget empties the bucket-image cache and bounds it anew: n > 0
+// sets the budget in bytes, n == 0 restores the default, n < 0 disables the
+// cache entirely.
 func (s *DiskStore) SetCacheBudget(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,9 +304,8 @@ func (s *DiskStore) SetCacheBudget(n int) {
 	default:
 		s.cacheBudget = n
 	}
-	for s.cacheBytes > s.cacheBudget && s.cacheLRU.Len() > 0 {
-		s.evictOneLocked()
-	}
+	clear(s.cache)
+	s.cacheBytes = 0
 }
 
 // CacheStats reports the bucket-image cache counters: read-through hits and
@@ -489,9 +484,9 @@ func (s *DiskStore) closeHandleLocked(id BucketID) error {
 }
 
 // View implements BucketStore (read-through, zero-copy: the returned bucket
-// is the cached image itself).
+// is the cached image itself when the bucket is cached).
 func (s *DiskStore) View(id BucketID) (Bucket, error) {
-	b, _, err := s.ViewVersioned(id)
+	b, _, _, err := s.ViewScratch(id, nil)
 	return b, err
 }
 
@@ -513,35 +508,30 @@ func (s *DiskStore) versionLocked(id BucketID) (bucketVersion, error) {
 	return bucketVersion{d.count, d.size, d.era}, nil
 }
 
-// ViewVersioned is View plus the bucket's content era, the two read
-// atomically. Snapshot readers compare the era against the one recorded in
+// ViewScratch is View plus the bucket's content era, the two read
+// atomically, for a caller that may bring a scratch bucket of its own (a
+// search). Snapshot readers compare the era against the one recorded in
 // their node version: a match proves the first n entries of the view are
 // exactly that version's content (appends only extend).
 //
-// A cache miss does its I/O outside the mutex, so readers of one store do
-// not queue behind each other's system calls. Under the mutex: the closed /
-// unknown / virgin checks, the cache probe, the write of the bucket's
-// buffered appends, and a note of the bucket's version. Outside: the three
-// system calls and the one ScanEntry pass of readBucketFile — the buffer is
-// the image, nothing is decoded. Under it again: the result is admitted only
-// if the store is still open and the version unchanged, which makes it the
-// bucket's content as of that second acquisition. Anything else — an
-// append, a Replace, a Free, a failed read or parse — is settled by
-// readLocked, where an error is final.
-func (s *DiskStore) ViewVersioned(id BucketID) (Bucket, uint64, error) {
-	b, era, _, err := s.ViewScratch(id, nil)
-	return b, era, err
-}
-
-// ViewScratch is ViewVersioned for a search, which brings a scratch bucket
-// of its own. A hit returns the cached image, and so does a miss the free
-// budget holds: it is read into a new image and admitted, as ViewVersioned
-// admits it. Any other miss is read into scratch's arrays — grown when
-// short, and left in *scratch for the search's next read — is not admitted,
-// so a search never evicts, and is reported transient: the view is valid
-// until the next ViewScratch on the same scratch, and the caller keeps an
-// entry past that only by copying it. A nil scratch reads as
-// ViewVersioned.
+// A hit returns the cached image. A miss does its I/O outside the mutex, so
+// readers of one store do not queue behind each other's system calls. Under
+// the mutex: the closed / unknown / virgin checks, the cache probe, the
+// write of the bucket's buffered appends, and a note of the bucket's
+// version. Outside: the three system calls and the one ScanEntry pass of
+// readBucketFile — the buffer is the image, nothing is decoded. Under it
+// again: the result stands only if the store is still open and the version
+// unchanged, which makes it the bucket's content as of that second
+// acquisition. Anything else — an append, a Replace, a Free, a failed read
+// or parse — is settled by readLocked, where an error is final.
+//
+// A miss is read into a new image and admitted if it fits the free budget;
+// nothing cached leaves to make room. Without a scratch, a miss that does
+// not fit is served as an image of the caller's own. With one, a miss that
+// does not fit is read into scratch's arrays instead — grown when short, and
+// left in *scratch for the search's next read — and reported transient: the
+// view is valid until the next ViewScratch on the same scratch, and the
+// caller keeps an entry past that only by copying it.
 func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, uint64, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,7 +542,7 @@ func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, uint64, b
 	if d.virgin {
 		return Bucket{}, d.era, false, nil // allocated, never written: empty, no file yet
 	}
-	if b, ok := s.cachedLocked(id); ok {
+	if b, ok := s.cache[id]; ok {
 		s.hits++
 		return b, d.era, false, nil
 	}
@@ -580,18 +570,18 @@ func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, uint64, b
 	}
 	// Another reader may have missed on the same bucket and got here first:
 	// its image is the cached one, ours is dropped, the charge made once.
-	if winner, ok := s.cachedLocked(id); ok {
+	if winner, ok := s.cache[id]; ok {
 		return winner, v.era, false, nil
 	}
 	if transient {
 		return b, v.era, true, nil
 	}
-	s.insertCacheLocked(id, b, true)
+	s.admitLocked(id, b)
 	return b, v.era, false, nil
 }
 
 // readLocked is the read with the mutex held throughout: the retry of a
-// ViewVersioned whose unlocked read could not be admitted. Nothing can move
+// ViewScratch whose unlocked read could not be admitted. Nothing can move
 // under it, so what it finds is the bucket, and an error is the bucket's.
 func (s *DiskStore) readLocked(id BucketID) (Bucket, uint64, error) {
 	d, err := s.bucketLocked(id, "view of")
@@ -601,7 +591,7 @@ func (s *DiskStore) readLocked(id BucketID) (Bucket, uint64, error) {
 	if d.virgin {
 		return Bucket{}, d.era, nil
 	}
-	if b, ok := s.cachedLocked(id); ok {
+	if b, ok := s.cache[id]; ok {
 		return b, d.era, nil
 	}
 	if err := s.flushLocked(id); err != nil {
@@ -611,19 +601,8 @@ func (s *DiskStore) readLocked(id BucketID) (Bucket, uint64, error) {
 	if err != nil {
 		return Bucket{}, 0, err
 	}
-	s.insertCacheLocked(id, b, true)
+	s.admitLocked(id, b)
 	return b, d.era, nil
-}
-
-// cachedLocked probes the image cache. The returned bucket is shared with
-// the cache.
-func (s *DiskStore) cachedLocked(id BucketID) (Bucket, bool) {
-	cb, ok := s.cache[id]
-	if !ok {
-		return Bucket{}, false
-	}
-	s.cacheLRU.MoveToBack(cb.elem)
-	return cb.b, true
 }
 
 // readBucketFile reads the bucket file at path, which must hold exactly
@@ -668,48 +647,29 @@ func readBucketFile(path string, count, size int, into Bucket) (Bucket, error) {
 
 // cacheCharge is what a bucket of count records in size bytes costs the
 // cache budget: its image, its offset table and the bookkeeping.
-func cacheCharge(count, size int) int { return cachedBucketOverhead + size + 4*count }
+func cacheCharge(count, size int) int { return cacheEntryOverhead + size + 4*count }
 
-// insertCacheLocked admits a bucket to the cache, charged its image and
-// offset table, evicting least recently used buckets until the byte budget
-// holds; buckets larger than the whole budget are served but never cached.
-// owned marks a bucket the store may keep as-is; a caller's bucket is
-// cloned, and only once it has actually been admitted.
-func (s *DiskStore) insertCacheLocked(id BucketID, b Bucket, owned bool) {
-	size := cacheCharge(b.Len(), len(b.img))
-	if s.cacheBudget <= 0 || size > s.cacheBudget {
-		return
+// admitLocked caches b, an image the store owns, if its charge fits the
+// free budget. A bucket that does not fit is served uncached: nothing already
+// cached leaves to make room.
+func (s *DiskStore) admitLocked(id BucketID, b Bucket) {
+	if c := cacheCharge(b.Len(), len(b.img)); s.cacheBytes+c <= s.cacheBudget {
+		s.cache[id] = b
+		s.cacheBytes += c
 	}
-	if !owned {
-		b = b.clone()
-	}
-	for s.cacheBytes+size > s.cacheBudget && s.cacheLRU.Len() > 0 {
-		s.evictOneLocked()
-	}
-	cb := &cachedBucket{b: b, bytes: size}
-	cb.elem = s.cacheLRU.PushBack(id)
-	s.cache[id] = cb
-	s.cacheBytes += size
-}
-
-func (s *DiskStore) evictOneLocked() {
-	s.dropCacheLocked(s.cacheLRU.Front().Value.(BucketID))
 }
 
 func (s *DiskStore) dropCacheLocked(id BucketID) {
-	cb, ok := s.cache[id]
-	if !ok {
-		return
+	if b, ok := s.cache[id]; ok {
+		s.cacheBytes -= cacheCharge(b.Len(), len(b.img))
+		delete(s.cache, id)
 	}
-	s.cacheLRU.Remove(cb.elem)
-	s.cacheBytes -= cb.bytes
-	delete(s.cache, id)
 }
 
 // Replace implements BucketStore. The bucket file is rewritten through a
 // temporary file and renamed into place, so a crash mid-rewrite leaves the
-// previous contents intact. The cache is refreshed write-through: the next
-// read of a just-compacted bucket should not pay a disk round trip.
+// previous contents intact. The bucket leaves the cache; its next read is a
+// miss.
 func (s *DiskStore) Replace(id BucketID, recs Bucket) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -747,7 +707,6 @@ func (s *DiskStore) Replace(id BucketID, recs Bucket) error {
 	}
 	d.count, d.size = recs.Len(), len(recs.img)
 	d.era++
-	s.insertCacheLocked(id, recs, false)
 	return nil
 }
 
@@ -803,7 +762,6 @@ func (s *DiskStore) Close() error {
 		}
 	}
 	s.cache = nil
-	s.cacheLRU = list.New()
 	s.cacheBytes = 0
 	return firstErr
 }

@@ -102,8 +102,9 @@ const (
 
 // DefaultDiskCacheBytes is the bucket-cache budget a disk-backed index gets
 // when Config.DiskCacheBytes is left 0: the server keeps up to this many
-// bytes of decoded leaf buckets in an LRU and serves repeated queries from
-// it instead of re-reading bucket files (set DiskCacheBytes negative to
+// bytes of leaf bucket images — each admitted on a read while it fits, kept
+// until its bucket changes — and serves repeated queries from them instead
+// of re-reading bucket files (set DiskCacheBytes negative to
 // disable, positive to size it explicitly; results are identical either
 // way — see DESIGN.md §Performance).
 const DefaultDiskCacheBytes = mindex.DefaultDiskCacheBytes
