@@ -22,7 +22,7 @@ func dial(addr string) (*wire.Link, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewCountingConn(conn), nil
+		return &wire.CountingConn{Conn: conn}, nil
 	})
 	if err := l.Warm(context.Background()); err != nil {
 		return nil, err

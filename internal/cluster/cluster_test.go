@@ -7,6 +7,7 @@ package cluster_test
 // rejection).
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -364,6 +365,166 @@ func TestClusterDelete(t *testing.T) {
 		if gone[r.ID] {
 			t.Fatalf("deleted entry %d still returned", r.ID)
 		}
+	}
+}
+
+// TestMoveThroughClient moves objects the way a client does: Delete the
+// old object, then Insert the new vector under the same ID. Every moved
+// object's closest pivot changes both modulo 4 and modulo 3, so it changes
+// shard on a 4-shard server and owners in an R=2 three-node cluster.
+// Afterwards exact answers equal brute force over the updated collection,
+// every ID is stored once per replica and the collection holds each once.
+func TestMoveThroughClient(t *testing.T) {
+	w := newWorld(t, 600)
+	objs := w.data.Objects
+	var olds, moved []simcloud.Object
+	for i := 0; i < len(objs) && len(olds) < 40; i += 15 {
+		from := cellOf(w, objs[i])
+		for j := i + 7; j < i+len(objs); j++ {
+			// A nudged copy of another object, so no two vectors tie.
+			v := slices.Clone(objs[j%len(objs)].Vec)
+			for d := range v {
+				v[d] += 0.01
+			}
+			if to := cellOf(w, simcloud.Object{Vec: v}); to%4 != from%4 && to%3 != from%3 {
+				olds = append(olds, objs[i])
+				moved = append(moved, simcloud.Object{ID: objs[i].ID, Vec: v})
+				break
+			}
+		}
+	}
+	if len(moved) < 30 {
+		t.Fatalf("only %d objects found a cell on another shard and owner", len(moved))
+	}
+	want := make(map[uint64]metric.Vector, len(objs))
+	for _, o := range objs {
+		want[o.ID] = o.Vec
+	}
+	for _, o := range moved {
+		want[o.ID] = o.Vec
+	}
+
+	type deployment struct {
+		addr   string
+		stored func() int // entries stored over every node and replica
+		copies int
+	}
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) deployment
+	}{
+		{"4-shard server", func(t *testing.T) deployment {
+			cfg := nodeConfig(false)
+			cfg.Shards = 4
+			srv := startServer(t, cfg)
+			return deployment{srv.Addr(), func() int { return srv.Index().Size() }, 1}
+		}},
+		{"R=2 three-node cluster", func(t *testing.T) deployment {
+			nodes := make([]*server.Server, 3)
+			addrs := make([]string, len(nodes))
+			for i := range nodes {
+				nodes[i] = startServer(t, nodeConfig(true))
+				addrs[i] = nodes[i].Addr()
+			}
+			coord, err := cluster.New(addrs, cluster.Options{Replicas: 2, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { coord.Close() })
+			stored := func() int {
+				n := 0
+				for _, s := range nodes {
+					n += s.Index().Size()
+				}
+				return n
+			}
+			return deployment{coord.Addr(), stored, 2}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dep := tc.start(t)
+			client, err := core.DialEncrypted(dep.addr, w.key, core.Options{StoreDists: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+			if _, err := client.Insert(objs); err != nil {
+				t.Fatal(err)
+			}
+			deleted, _, err := client.Delete(olds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deleted != len(olds) {
+				t.Fatalf("deleted %d of %d moved objects", deleted, len(olds))
+			}
+			if _, err := client.Insert(moved); err != nil {
+				t.Fatal(err)
+			}
+			if got := dep.stored(); got != dep.copies*len(objs) {
+				t.Fatalf("%d live entries stored, want %d × %d", got, dep.copies, len(objs))
+			}
+			if got := downloadAll(t, dep.addr, w); !sameCollection(got, want) {
+				t.Fatalf("download-all holds %d entries that differ from the updated collection of %d", len(got), len(want))
+			}
+
+			var queries []metric.Vector
+			for i := 0; i < len(moved); i += 4 {
+				queries = append(queries, moved[i].Vec, olds[i].Vec)
+			}
+			for qi, q := range queries {
+				brute := make([]core.Result, 0, len(want))
+				for id, v := range want {
+					brute = append(brute, core.Result{ID: id, Dist: w.data.Dist.Dist(q, v)})
+				}
+				slices.SortFunc(brute, func(a, b core.Result) int {
+					if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.ID, b.ID)
+				})
+				knn, _, err := search(client, core.Query{Kind: core.KindKNN, Vec: q, K: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(knn) != 10 {
+					t.Fatalf("query %d: k-NN returned %d results, want 10", qi, len(knn))
+				}
+				for r := range knn {
+					if knn[r].ID != brute[r].ID || knn[r].Dist != brute[r].Dist {
+						t.Fatalf("query %d rank %d: k-NN has %d at %g, brute force %d at %g",
+							qi, r, knn[r].ID, knn[r].Dist, brute[r].ID, brute[r].Dist)
+					}
+				}
+				const radius = 2.5
+				rng, _, err := search(client, core.Query{Kind: core.KindRange, Vec: q, Radius: radius})
+				if err != nil {
+					t.Fatal(err)
+				}
+				inRange := 0
+				for inRange < len(brute) && brute[inRange].Dist <= radius {
+					inRange++
+				}
+				got := make(map[uint64]float64, len(rng))
+				for _, r := range rng {
+					if _, dup := got[r.ID]; dup {
+						t.Fatalf("query %d: range answer holds %d twice", qi, r.ID)
+					}
+					got[r.ID] = r.Dist
+				}
+				if len(got) != inRange {
+					t.Fatalf("query %d: range answer has %d objects, brute force %d", qi, len(got), inRange)
+				}
+				for _, b := range brute[:inRange] {
+					if d, ok := got[b.ID]; !ok || d != b.Dist {
+						t.Fatalf("query %d: range answer lacks %d at %g", qi, b.ID, b.Dist)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -354,7 +354,7 @@ func TestModeMismatchIsRemoteError(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return wire.NewCountingConn(raw), nil
+		return &wire.CountingConn{Conn: raw}, nil
 	})}
 	defer pc.Close()
 	_, err := pc.Insert([]metric.Object{{ID: 1, Vec: metric.Vector{1, 2, 3, 4, 5, 6}}})

@@ -217,8 +217,7 @@ func nearestDist(tDists []float64) float64 {
 // records, per query, the minimal candidate budget at which the
 // promise-ranked candidate stream — the engine's answer to the client's own
 // approximate query over the whole collection — covers each of the true k
-// neighbors. Install the result with SetPredictor (and persist it with
-// kmeans.Predictor.Marshal).
+// neighbors. Install the result with SetPredictor.
 func (c *DirectClient) Calibrate(ctx context.Context, queries []metric.Vector, k int, levels []float64, bins int) (*kmeans.Predictor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: calibration k must be positive, got %d", k)

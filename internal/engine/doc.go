@@ -8,8 +8,8 @@
 // Search(mindex.Query) is the only read path: one fan-out body sends the
 // query — whatever its kind, with or without a first-level allow-list — to
 // every shard, and merge.Combine folds the per-shard answers by kind. The
-// per-kind methods (RangeByDists, ApproxCandidates, ApproxCandidatesRanked,
-// FirstCellCandidates, AllEntries) are one-line adapters over it.
+// flat methods (RangeByDists, ApproxCandidates, ApproxCandidatesRanked,
+// AllEntries) are one-line adapters over it for tools and tests.
 //
 // # Key invariant: routing and merge order
 //

@@ -195,28 +195,16 @@ func (s *ShardedIndex) fanOutOn(pool *fanout.Pool, fn func(i int) error) error {
 	return err
 }
 
-// Insert routes the entry to its shard. Entries for different shards can be
-// inserted concurrently without contending on a lock.
+// InsertBulk groups the batch by shard (preserving per-shard arrival order)
+// and inserts the groups in parallel through the worker pool. Entries for
+// different shards are inserted without contending on a lock.
 //
 // Entry IDs must be unique across the whole engine, but the duplicate
 // check (mindex.ErrDuplicateID) runs only inside the routed shard: a
 // duplicate whose permutation routes to a different shard — the object
 // moved in pivot space since its first insert — is not detected and would
-// leave two live records. Use Update whenever an ID may already be
-// indexed; it retires old copies on every shard.
-func (s *ShardedIndex) Insert(e mindex.Entry) error {
-	if s.closed.Load() {
-		return errClosed
-	}
-	i, err := s.route(e.Perm)
-	if err != nil {
-		return err
-	}
-	return s.shards[i].Insert(e)
-}
-
-// InsertBulk groups the batch by shard (preserving per-shard arrival order)
-// and inserts the groups in parallel through the worker pool.
+// leave two live records. A move is therefore a Delete routed by the old
+// permutation followed by an insert of the new entry.
 func (s *ShardedIndex) InsertBulk(entries []mindex.Entry) error {
 	if len(s.shards) == 1 {
 		if s.closed.Load() {
@@ -291,49 +279,6 @@ func (s *ShardedIndex) DeleteIDs(ids []uint64) (int, error) {
 		return s.maybeCompact(i)
 	})
 	return int(deleted.Load()), err
-}
-
-// Update replaces the entry carrying e.ID with e: the replacement is
-// upserted into its routed shard atomically (mindex.Index.Update holds
-// the shard lock across delete + insert, so within one shard no search
-// observes the entry absent and concurrent Updates serialize), and the
-// old record is then retired from every other shard — the object may have
-// moved in pivot space, landing the fresh entry elsewhere. An unknown ID
-// makes Update a plain insert. The replacement is fully validated before
-// anything is touched, and any failure leaves the previous record intact
-// (at worst old and new are briefly visible together while a reported
-// cleanup error is retried), so Update never destroys the entry it was
-// meant to replace. Concurrent Updates of the same ID whose replacements
-// route to different shards are not serialized against each other —
-// callers needing per-ID linearizability across shard moves must
-// serialize their own writers.
-func (s *ShardedIndex) Update(e mindex.Entry) error {
-	if s.closed.Load() {
-		return errClosed
-	}
-	i, err := s.route(e.Perm)
-	if err != nil {
-		return err
-	}
-	if err := s.shards[i].CheckEntry(e); err != nil {
-		return err
-	}
-	// Upsert the replacement first, then retire old copies on the other
-	// shards. A failure in the cleanup pass leaves the old copy briefly
-	// visible alongside the new one (and is reported) — transient
-	// duplication, never loss of the entry.
-	if err := s.shards[i].Update(e); err != nil {
-		return err
-	}
-	return s.fanOut(func(j int) error {
-		if j == i {
-			return nil
-		}
-		if _, err := s.shards[j].Delete([]uint64{e.ID}); err != nil {
-			return err
-		}
-		return s.maybeCompact(j)
-	})
 }
 
 // Compact compacts every shard: tombstoned entries are physically dropped
@@ -454,11 +399,6 @@ func (s *ShardedIndex) ApproxCandidates(q mindex.ApproxQuery, candSize int) ([]m
 // ApproxCandidatesRanked is a KindApprox Search over every cell.
 func (s *ShardedIndex) ApproxCandidatesRanked(q mindex.ApproxQuery, candSize int) ([]mindex.RankedCandidate, error) {
 	return s.Search(mindex.Query{Kind: mindex.KindApprox, ApproxQuery: q, CandSize: candSize})
-}
-
-// FirstCellCandidates is the flat form of a KindFirstCell Search.
-func (s *ShardedIndex) FirstCellCandidates(q mindex.ApproxQuery) ([]mindex.Entry, error) {
-	return mindex.Flat(s.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: q}))
 }
 
 // AllEntries returns every stored entry, shard by shard, decoded — the flat

@@ -163,11 +163,11 @@ func TestSingleShardMatchesBareIndex(t *testing.T) {
 		if !equalIDs(ids(gotApprox), ids(wantApprox)) {
 			t.Fatalf("approx order differs: %v vs %v", ids(gotApprox), ids(wantApprox))
 		}
-		wantFirst, err := bare.FirstCellCandidates(aq)
+		wantFirst, err := mindex.Flat(bare.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: aq}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotFirst, err := eng.FirstCellCandidates(aq)
+		gotFirst, err := mindex.Flat(eng.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: aq}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestConcurrentHammer(t *testing.T) {
 		go func() {
 			defer writerWg.Done()
 			for i := wr; i < len(w.entries); i += writers {
-				if err := eng.Insert(w.entries[i]); err != nil {
+				if err := eng.InsertBulk([]mindex.Entry{w.entries[i]}); err != nil {
 					errCh <- err
 					return
 				}
@@ -307,7 +307,7 @@ func TestConcurrentHammer(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if _, err := eng.FirstCellCandidates(aq); err != nil {
+				if _, err := eng.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: aq}); err != nil {
 					errCh <- err
 					return
 				}
@@ -511,7 +511,7 @@ func TestClosedEngine(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Insert(mindex.Entry{Perm: []int32{0, 1, 2, 3, 4}}); err == nil {
+	if err := eng.InsertBulk([]mindex.Entry{{Perm: []int32{0, 1, 2, 3, 4}}}); err == nil {
 		t.Fatal("insert after close succeeded")
 	}
 	if _, err := eng.RangeByDists(make([]float64, testPivots), 1); err == nil {
@@ -543,20 +543,20 @@ func TestInvalidEntryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.Insert(mindex.Entry{}); err == nil {
+	if err := eng.InsertBulk([]mindex.Entry{{}}); err == nil {
 		t.Fatal("empty permutation accepted")
 	}
 	if err := eng.InsertBulk([]mindex.Entry{{}}); err == nil {
 		t.Fatal("empty permutation accepted in bulk")
 	}
 	hostile := mindex.Entry{ID: 1, Perm: []int32{-1, 0, 1, 2, 3}}
-	if err := eng.Insert(hostile); err == nil {
+	if err := eng.InsertBulk([]mindex.Entry{hostile}); err == nil {
 		t.Fatal("negative Perm[0] accepted")
 	}
 	if err := eng.InsertBulk([]mindex.Entry{hostile}); err == nil {
 		t.Fatal("negative Perm[0] accepted in bulk")
 	}
-	if err := eng.Insert(mindex.Entry{ID: 2, Perm: []int32{testPivots, 0, 1, 2, 3}}); err == nil {
+	if err := eng.InsertBulk([]mindex.Entry{{ID: 2, Perm: []int32{testPivots, 0, 1, 2, 3}}}); err == nil {
 		t.Fatal("out-of-range Perm[0] accepted")
 	}
 }
@@ -596,8 +596,8 @@ func TestCloseRacingSearches(t *testing.T) {
 // --- Mutability ---------------------------------------------------------
 
 // mutationLog tracks what the surviving index contents should be after an
-// interleaving of inserts, deletes and updates: records in arrival order,
-// each either alive or superseded.
+// interleaving of inserts, deletes and moves: records in arrival order,
+// each either alive or deleted.
 type mutationLog struct {
 	records []mindex.Entry
 	dead    []bool
@@ -617,13 +617,6 @@ func (l *mutationLog) insert(e mindex.Entry) {
 func (l *mutationLog) delete(id uint64) {
 	l.dead[l.alive[id]] = true
 	delete(l.alive, id)
-}
-
-func (l *mutationLog) update(e mindex.Entry) {
-	if at, ok := l.alive[e.ID]; ok {
-		l.dead[at] = true
-	}
-	l.insert(e)
 }
 
 // survivors returns the live records in arrival order — the exact insert
@@ -652,7 +645,7 @@ func (l *mutationLog) randomLive(rng *rand.Rand) (uint64, bool) {
 }
 
 // TestMutationEquivalence is the headline guarantee of the mutable index:
-// after any interleaving of inserts, deletes, updates and compactions —
+// after any interleaving of inserts, deletes, moves and compactions —
 // ended by a full Compact — range candidate sets and ranked approximate
 // candidate lists are byte-identical to those of a fresh engine into which
 // only the surviving entries were inserted, in their original arrival
@@ -675,7 +668,7 @@ func TestMutationEquivalence(t *testing.T) {
 				case p < 0.55: // insert the next fresh entry
 					e := w.entries[next]
 					next++
-					if err := eng.Insert(e); err != nil {
+					if err := eng.InsertBulk([]mindex.Entry{e}); err != nil {
 						t.Fatal(err)
 					}
 					log.insert(e)
@@ -693,18 +686,23 @@ func TestMutationEquivalence(t *testing.T) {
 						t.Fatalf("step %d: deleted %d entries for a live ID", step, n)
 					}
 					log.delete(id)
-				case p < 0.92: // update: same ID, fresh pivot metadata (the object moved)
+				case p < 0.92: // move: same ID, fresh pivot metadata — a delete routed by the old perm, then an insert
 					id, ok := log.randomLive(rng)
 					if !ok || next >= len(w.entries) {
 						continue
 					}
 					donor := w.entries[next]
 					next++
+					old := mindex.Entry{ID: id, Perm: log.records[log.alive[id]].Perm}
+					if n, err := eng.Delete([]mindex.Entry{old}); err != nil || n != 1 {
+						t.Fatalf("step %d: move deleted %d entries: %v", step, n, err)
+					}
+					log.delete(id)
 					ne := mindex.Entry{ID: id, Perm: donor.Perm, Dists: donor.Dists}
-					if err := eng.Update(ne); err != nil {
+					if err := eng.InsertBulk([]mindex.Entry{ne}); err != nil {
 						t.Fatal(err)
 					}
-					log.update(ne)
+					log.insert(ne)
 				default: // interleaved compaction
 					if err := eng.Compact(); err != nil {
 						t.Fatal(err)
@@ -727,7 +725,7 @@ func TestMutationEquivalence(t *testing.T) {
 			}
 			defer fresh.Close()
 			for _, e := range log.survivors() {
-				if err := fresh.Insert(e); err != nil {
+				if err := fresh.InsertBulk([]mindex.Entry{e}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -761,11 +759,11 @@ func TestMutationEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d: approx candidate lists diverge", qi)
 				}
-				gotFC, err := eng.FirstCellCandidates(aq)
+				gotFC, err := mindex.Flat(eng.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: aq}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantFC, err := fresh.FirstCellCandidates(aq)
+				wantFC, err := mindex.Flat(fresh.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: aq}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -796,7 +794,7 @@ func TestMutationEquivalenceAutoCompact(t *testing.T) {
 		if rng.Float64() < 0.6 {
 			e := w.entries[next]
 			next++
-			if err := eng.Insert(e); err != nil {
+			if err := eng.InsertBulk([]mindex.Entry{e}); err != nil {
 				t.Fatal(err)
 			}
 			log.insert(e)
@@ -821,7 +819,7 @@ func TestMutationEquivalenceAutoCompact(t *testing.T) {
 	}
 	defer fresh.Close()
 	for _, e := range log.survivors() {
-		if err := fresh.Insert(e); err != nil {
+		if err := fresh.InsertBulk([]mindex.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -878,7 +876,7 @@ func TestMutationRaceHammer(t *testing.T) {
 			own := w.entries[m*perMutator : (m+1)*perMutator]
 			live := make([]mindex.Entry, 0, len(own))
 			for _, e := range own {
-				if err := eng.Insert(e); err != nil {
+				if err := eng.InsertBulk([]mindex.Entry{e}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -952,43 +950,5 @@ func TestMutationRaceHammer(t *testing.T) {
 	}
 	if eng.Dead() != 0 {
 		t.Fatalf("dead = %d after final compact", eng.Dead())
-	}
-}
-
-// TestUpdateRejectsInvalidReplacementWithoutDataLoss: an Update whose
-// replacement entry fails validation must leave the existing record
-// searchable — the old record may only be tombstoned after the new one is
-// known to be insertable.
-func TestUpdateRejectsInvalidReplacementWithoutDataLoss(t *testing.T) {
-	w := newWorld(t, 24, 300, 2)
-	eng, err := New(testCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.InsertBulk(w.entries); err != nil {
-		t.Fatal(err)
-	}
-	victim := w.entries[0]
-	// Valid routing prefix, but shorter than MaxLevel: route() passes,
-	// shard insert validation must fail — before the delete happens.
-	bad := mindex.Entry{ID: victim.ID, Perm: victim.Perm[:1]}
-	if err := eng.Update(bad); err == nil {
-		t.Fatal("invalid update accepted")
-	}
-	if eng.Size() != len(w.entries) {
-		t.Fatalf("size = %d after failed update, want %d", eng.Size(), len(w.entries))
-	}
-	qDists, _ := w.query(w.ds.Objects[0].Vec)
-	cands, err := eng.RangeByDists(qDists, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range cands {
-		found = found || e.ID == victim.ID
-	}
-	if !found {
-		t.Fatal("failed update destroyed the existing entry")
 	}
 }

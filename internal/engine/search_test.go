@@ -127,7 +127,7 @@ func checkFlatAdapters(t *testing.T, name string, eng *ShardedIndex, q mindex.Qu
 			}
 		}
 	case mindex.KindFirstCell:
-		got, err = eng.FirstCellCandidates(q.ApproxQuery)
+		got, err = mindex.Flat(eng.Search(mindex.Query{Kind: mindex.KindFirstCell, ApproxQuery: q.ApproxQuery}))
 	case mindex.KindAll:
 		got, err = eng.AllEntries()
 	}

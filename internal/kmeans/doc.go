@@ -26,6 +26,6 @@
 // mapping a query's distance to its nearest centroid to the candidate count
 // needed to hit a target recall, fit on a calibration sample (see
 // FitPredictor). It replaces the global CandSize constant per query via
-// Query.TargetRecall. The model (SIMKMODL) and the predictor (SIMKPRED)
-// each persist through a versioned codec; both are client-side state.
+// Query.TargetRecall. Both are client-side state: the model persists as
+// the key's pivot set, and the predictor is refitted in process.
 package kmeans

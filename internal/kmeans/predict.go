@@ -1,7 +1,6 @@
 package kmeans
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -239,94 +238,4 @@ func (p *Predictor) CandSize(targetRecall, d1 float64) int {
 		}
 	}
 	return p.Cand[li][b]
-}
-
-// Predictor codec: client-side state, persisted next to the model.
-//
-//	magic   [8]byte "SIMKPRED"
-//	version uint8 (1)
-//	k       uint32
-//	levels  uint16 | float64 × levels
-//	edges   uint16 | float64 × edges
-//	cand    uint32 × (levels × (edges+1))
-var predictorMagic = [8]byte{'S', 'I', 'M', 'K', 'P', 'R', 'E', 'D'}
-
-// ErrPredictor reports a malformed predictor blob.
-var ErrPredictor = errors.New("kmeans: invalid predictor")
-
-// Marshal encodes the predictor.
-func (p *Predictor) Marshal() ([]byte, error) {
-	if p.K <= 0 || len(p.Levels) == 0 || len(p.Cand) != len(p.Levels) {
-		return nil, fmt.Errorf("%w: inconsistent shape", ErrPredictor)
-	}
-	bins := len(p.Edges) + 1
-	buf := make([]byte, 0, 8+1+4+2+8*len(p.Levels)+2+8*len(p.Edges)+4*len(p.Levels)*bins)
-	buf = append(buf, predictorMagic[:]...)
-	buf = append(buf, 1) // version
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.K))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Levels)))
-	for _, r := range p.Levels {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Edges)))
-	for _, e := range p.Edges {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e))
-	}
-	for _, row := range p.Cand {
-		if len(row) != bins {
-			return nil, fmt.Errorf("%w: ragged candidate table", ErrPredictor)
-		}
-		for _, c := range row {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalPredictor decodes a predictor produced by Marshal.
-func UnmarshalPredictor(buf []byte) (*Predictor, error) {
-	if len(buf) < 8+1+4+2 || [8]byte(buf[:8]) != predictorMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrPredictor)
-	}
-	buf = buf[8:]
-	if buf[0] != 1 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrPredictor, buf[0])
-	}
-	buf = buf[1:]
-	p := &Predictor{K: int(binary.LittleEndian.Uint32(buf))}
-	buf = buf[4:]
-	nLevels := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if nLevels == 0 || len(buf) < 8*nLevels+2 {
-		return nil, fmt.Errorf("%w: truncated levels", ErrPredictor)
-	}
-	p.Levels = make([]float64, nLevels)
-	for i := range p.Levels {
-		p.Levels[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	nEdges := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < 8*nEdges {
-		return nil, fmt.Errorf("%w: truncated edges", ErrPredictor)
-	}
-	p.Edges = make([]float64, nEdges)
-	for i := range p.Edges {
-		p.Edges[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	bins := nEdges + 1
-	if p.K <= 0 || len(buf) != 4*nLevels*bins {
-		return nil, fmt.Errorf("%w: candidate table size mismatch", ErrPredictor)
-	}
-	p.Cand = make([][]int, nLevels)
-	for li := range p.Cand {
-		row := make([]int, bins)
-		for b := range row {
-			row[b] = int(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-		}
-		p.Cand[li] = row
-	}
-	return p, nil
 }

@@ -1,9 +1,7 @@
 package kmeans
 
 import (
-	"errors"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -160,59 +158,5 @@ func TestPredictorCandSizeLookup(t *testing.T) {
 		if got := p.CandSize(tc.target, tc.d1); got != tc.want {
 			t.Errorf("CandSize(%g, %g) = %d, want %d", tc.target, tc.d1, got, tc.want)
 		}
-	}
-}
-
-func TestPredictorCodecRoundTrip(t *testing.T) {
-	p, err := FitPredictor(synthCal(50, 5), 5, []float64{0.7, 0.9}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := UnmarshalPredictor(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, q) {
-		t.Fatalf("round trip changed the predictor:\n%+v\n%+v", p, q)
-	}
-}
-
-func TestPredictorCodecRejectsCorruption(t *testing.T) {
-	p, err := FitPredictor(synthCal(50, 5), 5, []float64{0.9}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(f func([]byte) []byte) []byte {
-		b := append([]byte(nil), buf...)
-		return f(b)
-	}
-	cases := map[string][]byte{
-		"bad magic":    mutate(func(b []byte) []byte { b[0] ^= 0xFF; return b }),
-		"bad version":  mutate(func(b []byte) []byte { b[8] = 9; return b }),
-		"truncated":    buf[:len(buf)-3],
-		"trailing":     append(append([]byte(nil), buf...), 0xAB),
-		"empty":        nil,
-		"short header": buf[:10],
-	}
-	for name, b := range cases {
-		if _, err := UnmarshalPredictor(b); !errors.Is(err, ErrPredictor) {
-			t.Errorf("%s: want ErrPredictor, got %v", name, err)
-		}
-	}
-
-	if _, err := (&Predictor{K: 0}).Marshal(); !errors.Is(err, ErrPredictor) {
-		t.Errorf("marshal of zero predictor: want ErrPredictor, got %v", err)
-	}
-	ragged := &Predictor{K: 5, Levels: []float64{0.9}, Edges: []float64{1}, Cand: [][]int{{10, 20, 30}}}
-	if _, err := ragged.Marshal(); !errors.Is(err, ErrPredictor) {
-		t.Errorf("marshal of ragged table: want ErrPredictor, got %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package kmeans
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -216,84 +215,4 @@ func normalize(v metric.Vector) {
 	for i := range v {
 		v[i] = float32(float64(v[i]) * inv)
 	}
-}
-
-// Model codec: a versioned binary format so a trained model persists next to
-// the secret key material it belongs with (the centroids are secrets — store
-// the file client-side).
-//
-//	magic    [8]byte "SIMKMODL"
-//	version  uint8 (1)
-//	distLen  uint16 | distance name bytes
-//	k, dim   uint32
-//	centroid float32 components, row-major
-var modelMagic = [8]byte{'S', 'I', 'M', 'K', 'M', 'O', 'D', 'L'}
-
-// ErrModel reports a malformed model blob.
-var ErrModel = errors.New("kmeans: invalid model")
-
-// Marshal encodes the model.
-func (m *Model) Marshal() ([]byte, error) {
-	if m.K() == 0 {
-		return nil, fmt.Errorf("%w: no centroids", ErrModel)
-	}
-	name := m.Dist.Name()
-	dim := len(m.Centroids[0])
-	buf := make([]byte, 0, 8+1+2+len(name)+8+4*m.K()*dim)
-	buf = append(buf, modelMagic[:]...)
-	buf = append(buf, 1) // version
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.K()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
-	for _, c := range m.Centroids {
-		if len(c) != dim {
-			return nil, fmt.Errorf("%w: ragged centroid dimensions", ErrModel)
-		}
-		for _, v := range c {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalModel decodes a model produced by Marshal. The distance function
-// is resolved by name through metric.ByName.
-func UnmarshalModel(buf []byte) (*Model, error) {
-	if len(buf) < 8+1+2 || [8]byte(buf[:8]) != modelMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrModel)
-	}
-	buf = buf[8:]
-	if buf[0] != 1 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrModel, buf[0])
-	}
-	buf = buf[1:]
-	nameLen := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if len(buf) < nameLen+8 {
-		return nil, fmt.Errorf("%w: truncated header", ErrModel)
-	}
-	dist, err := metric.ByName(string(buf[:nameLen]))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrModel, err)
-	}
-	buf = buf[nameLen:]
-	k := int(binary.LittleEndian.Uint32(buf))
-	dim := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	// Checked by division: 4·k·dim of two hostile uint32 header fields can
-	// wrap int and let an empty block through to a k-sized allocation.
-	if n := len(buf) / 4; k <= 0 || dim <= 0 || len(buf)%4 != 0 || n%k != 0 || n/k != dim {
-		return nil, fmt.Errorf("%w: centroid block size mismatch", ErrModel)
-	}
-	m := &Model{Dist: dist, Centroids: make([]metric.Vector, k)}
-	for j := range m.Centroids {
-		c := make(metric.Vector, dim)
-		for d := range c {
-			c[d] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-		}
-		m.Centroids[j] = c
-	}
-	return m, nil
 }

@@ -1,8 +1,6 @@
 package kmeans
 
 import (
-	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
 
@@ -156,67 +154,5 @@ func TestPivotSetMatchesCentroids(t *testing.T) {
 		if want := m.Dist.Dist(q, m.Centroids[j]); dists[j] != want {
 			t.Fatalf("pivot dist %d = %g, want %g", j, dists[j], want)
 		}
-	}
-}
-
-func TestModelCodecRoundTrip(t *testing.T) {
-	d := dataset.Clustered(6, 80, 5, 4, metric.L2{})
-	m, err := Train(TrainConfig{K: 4, Seed: 3, Dist: metric.L2{}}, d.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalModel(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dist.Name() != "L2" || got.K() != 4 {
-		t.Fatalf("decoded %s/%d", got.Dist.Name(), got.K())
-	}
-	for j := range m.Centroids {
-		if !m.Centroids[j].Equal(got.Centroids[j]) {
-			t.Fatalf("centroid %d lost in round trip", j)
-		}
-	}
-}
-
-func TestModelCodecRejectsCorruption(t *testing.T) {
-	d := dataset.Clustered(6, 40, 3, 2, metric.L2{})
-	m, err := Train(TrainConfig{K: 2, Seed: 3, Dist: metric.L2{}}, d.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := m.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"bad magic":   append([]byte("NOTMAGIC"), blob[8:]...),
-		"bad version": append(append([]byte{}, blob[:8]...), append([]byte{9}, blob[9:]...)...),
-		"truncated":   blob[:len(blob)-3],
-		"trailing":    append(append([]byte{}, blob...), 0),
-		"empty":       {},
-	}
-	for name, raw := range cases {
-		if _, err := UnmarshalModel(raw); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-}
-
-// overflowModelBlob is a 21-byte model header claiming k = dim = 2^31: the
-// centroid block size 4·k·dim wraps int to 0, matching its empty block.
-func overflowModelBlob() []byte {
-	b := append(modelMagic[:], 1, 2, 0, 'L', '2')
-	b = binary.LittleEndian.AppendUint32(b, 1<<31)
-	return binary.LittleEndian.AppendUint32(b, 1<<31)
-}
-
-func TestModelCodecRejectsOverflowingHeader(t *testing.T) {
-	if _, err := UnmarshalModel(overflowModelBlob()); !errors.Is(err, ErrModel) {
-		t.Fatalf("k = dim = 2^31 with no centroid block: err = %v, want ErrModel", err)
 	}
 }

@@ -258,24 +258,3 @@ func TestQuickNormOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCountingWrapper(t *testing.T) {
-	c := NewCounting(L1{})
-	a, b := Vector{1, 2}, Vector{3, 4}
-	want := (L1{}).Dist(a, b)
-	for range 5 {
-		if got := c.Dist(a, b); got != want {
-			t.Fatalf("counting changed value: %g vs %g", got, want)
-		}
-	}
-	if c.Count() != 5 {
-		t.Fatalf("count = %d, want 5", c.Count())
-	}
-	if c.Name() != "L1" {
-		t.Fatalf("name = %q", c.Name())
-	}
-	c.Reset()
-	if c.Count() != 0 {
-		t.Fatal("reset did not zero the counter")
-	}
-}

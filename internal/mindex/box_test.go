@@ -156,7 +156,7 @@ func checkRange(t *testing.T, phase string, ix *Index, queries [][]float64, filt
 }
 
 // TestBoxBoundsAndRangeEquivalence drives memory and disk indexes, alone and
-// as four eager-root shards, through insert, bulk insert, delete, update,
+// as four eager-root shards, through insert, bulk insert, delete, move,
 // compact and finally entries with a NaN distance and with no distances at
 // all, checking after every step that (a) no box bound exceeds an entry's
 // own bound and (b) the range traversal returns, list for list, what a
@@ -213,7 +213,7 @@ func TestBoxBoundsAndRangeEquivalence(t *testing.T) {
 				}
 				step("insert", func(ix *Index, mine []Entry) error {
 					for _, e := range mine {
-						if err := ix.Insert(e); err != nil {
+						if err := ix.InsertBulk([]Entry{e}); err != nil {
 							return err
 						}
 					}
@@ -232,7 +232,7 @@ func TestBoxBoundsAndRangeEquivalence(t *testing.T) {
 					_, err := ix.Delete(ids)
 					return err
 				}, victims)
-				// An update keeps the entry in its shard (same first pivot) and
+				// A move keeps the entry in its shard (same first pivot) and
 				// moves it within: it takes the distances of a neighbour.
 				var moved []Entry
 				for i := 1; i < 1400 && len(moved) < 60; i += 5 {
@@ -245,9 +245,9 @@ func TestBoxBoundsAndRangeEquivalence(t *testing.T) {
 						}
 					}
 				}
-				step("update", func(ix *Index, mine []Entry) error {
+				step("move", func(ix *Index, mine []Entry) error {
 					for _, e := range mine {
-						if err := ix.Update(e); err != nil {
+						if err := move(ix, e); err != nil {
 							return err
 						}
 					}

@@ -93,14 +93,14 @@ func TestMemDiskImagesEqual(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries[900:1000] {
-			if err := ix.Insert(e); err != nil {
+			if err := ix.InsertBulk([]Entry{e}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if _, err := ix.Delete(dead); err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.Insert(entries[0]); err != nil { // purges its tombstoned twin
+		if err := ix.InsertBulk([]Entry{entries[0]}); err != nil { // purges its tombstoned twin
 			t.Fatal(err)
 		}
 		if err := ix.Compact(); err != nil {

@@ -36,7 +36,7 @@ func benchIndexChurn(b *testing.B, cfg Config, n int) (*Index, []ApproxQuery, []
 	b.Cleanup(func() { ix.Close() })
 	for _, o := range ds.Objects {
 		dists := pv.Distances(o.Vec)
-		err := ix.Insert(Entry{ID: o.ID, Perm: pivot.Permutation(dists), Dists: dists})
+		err := ix.InsertBulk([]Entry{{ID: o.ID, Perm: pivot.Permutation(dists), Dists: dists}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkConcurrentSearchUnderChurn(b *testing.B) {
 			default:
 			}
 			e := churn[i%len(churn)]
-			if err := ix.Insert(e); err != nil {
+			if err := ix.InsertBulk([]Entry{e}); err != nil {
 				b.Error(err)
 				return
 			}
@@ -217,7 +217,7 @@ func BenchmarkConcurrentStatsUnderChurn(b *testing.B) {
 			default:
 			}
 			e := churn[i%len(churn)]
-			if err := ix.Insert(e); err != nil {
+			if err := ix.InsertBulk([]Entry{e}); err != nil {
 				b.Error(err)
 				return
 			}

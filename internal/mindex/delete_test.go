@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
-	"sync"
 	"testing"
 
 	"simcloud/internal/dataset"
@@ -101,7 +100,7 @@ func TestDeleteBasics(t *testing.T) {
 			t.Fatalf("approx surfaced deleted entry %d", e.ID)
 		}
 	}
-	first, err := ix.FirstCellCandidates(aq)
+	first, err := Flat(ix.Search(Query{Kind: KindFirstCell, ApproxQuery: aq}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestInsertDuplicateAndReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A live duplicate is rejected.
-	if err := ix.Insert(entries[10]); !errors.Is(err, ErrDuplicateID) {
+	if err := ix.InsertBulk([]Entry{entries[10]}); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate insert: got %v, want ErrDuplicateID", err)
 	}
 	// Re-inserting after a delete purges the dead twin: exactly one
@@ -142,7 +141,7 @@ func TestInsertDuplicateAndReinsert(t *testing.T) {
 	if _, err := ix.Delete([]uint64{entries[10].ID}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(entries[10]); err != nil {
+	if err := ix.InsertBulk([]Entry{entries[10]}); err != nil {
 		t.Fatalf("re-insert after delete: %v", err)
 	}
 	if ix.Size() != len(entries) || ix.Dead() != 0 {
@@ -152,6 +151,15 @@ func TestInsertDuplicateAndReinsert(t *testing.T) {
 	if st.TotalBucket != len(entries) {
 		t.Fatalf("buckets hold %d records, want %d (dead twin not purged)", st.TotalBucket, len(entries))
 	}
+}
+
+// move re-files the live entry carrying e.ID under e's pivot metadata the
+// way a client moves an object: a delete, then an insert.
+func move(ix *Index, e Entry) error {
+	if _, err := ix.Delete([]uint64{e.ID}); err != nil {
+		return err
+	}
+	return ix.InsertBulk([]Entry{e})
 }
 
 func TestUpdateMovesEntryAcrossCells(t *testing.T) {
@@ -164,7 +172,7 @@ func TestUpdateMovesEntryAcrossCells(t *testing.T) {
 	// searches must find the new record, never the old one.
 	moved := entries[1]
 	moved.ID = entries[0].ID
-	if err := ix.Update(moved); err != nil {
+	if err := move(ix, moved); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Size() != len(entries) {
@@ -180,38 +188,16 @@ func TestUpdateMovesEntryAcrossCells(t *testing.T) {
 		if e.ID == moved.ID {
 			seen++
 			if !reflect.DeepEqual(e.Perm, moved.Perm) {
-				t.Fatalf("search returned stale record for updated entry %d", e.ID)
+				t.Fatalf("search returned stale record for moved entry %d", e.ID)
 			}
 		}
 	}
 	if seen != 1 {
-		t.Fatalf("updated entry appeared %d times, want exactly once", seen)
+		t.Fatalf("moved entry appeared %d times, want exactly once", seen)
 	}
-	// Updating an unknown ID is a plain insert.
-	fresh := entries[2]
-	fresh.ID = 1 << 40
-	if err := ix.Update(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Size() != len(entries)+1 {
-		t.Fatalf("size after upsert = %d, want %d", ix.Size(), len(entries)+1)
-	}
-
-	// An invalid replacement must not destroy the entry it targets.
-	bad := Entry{ID: entries[5].ID, Perm: []int32{0}} // shorter than MaxLevel
-	if err := ix.Update(bad); err == nil {
-		t.Fatal("invalid update accepted")
-	}
-	cands, err = ix.RangeByDists(pv.Distances(objs[5].Vec), 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range cands {
-		found = found || e.ID == entries[5].ID
-	}
-	if !found {
-		t.Fatal("failed update destroyed the existing entry")
+	// The insert purged the dead twin: one physical record per ID.
+	if st := ix.TreeStats(); st.TotalBucket != len(entries) {
+		t.Fatalf("buckets hold %d records, want %d (dead twin not purged)", st.TotalBucket, len(entries))
 	}
 }
 
@@ -251,7 +237,7 @@ func TestCompactCanonical(t *testing.T) {
 		if gone[e.ID] {
 			continue
 		}
-		if err := fresh.Insert(e); err != nil {
+		if err := fresh.InsertBulk([]Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +294,7 @@ func TestCompactCanonical(t *testing.T) {
 	if ix.Size() != 0 || ix.Dead() != 0 {
 		t.Fatalf("emptied index reports %d live / %d dead", ix.Size(), ix.Dead())
 	}
-	if err := ix.Insert(entries[0]); err != nil {
+	if err := ix.InsertBulk([]Entry{entries[0]}); err != nil {
 		t.Fatalf("insert into compacted-empty index: %v", err)
 	}
 }
@@ -332,7 +318,7 @@ func TestDeleteCompactDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-insert one victim (exercises the disk Replace purge path).
-	if err := ix.Insert(entries[0]); err != nil {
+	if err := ix.InsertBulk([]Entry{entries[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Compact(); err != nil {
@@ -349,52 +335,5 @@ func TestDeleteCompactDisk(t *testing.T) {
 	}
 	if len(cands) != want {
 		t.Fatalf("post-compact range returned %d candidates, want %d", len(cands), want)
-	}
-}
-
-// TestConcurrentUpdatesSameID: Update is atomic under the index lock, so
-// racing Updates of one ID never trip over each other's tombstones
-// (spurious ErrDuplicateID) and always leave exactly one live record.
-func TestConcurrentUpdatesSameID(t *testing.T) {
-	entries, pv, objs := testEntries(t, 12, 200, 8)
-	ix := mustIndex(t, testConfig(8))
-	if err := ix.InsertBulk(entries); err != nil {
-		t.Fatal(err)
-	}
-	id := entries[0].ID
-	var wg sync.WaitGroup
-	for w := range 8 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 50 {
-				donor := entries[(w*50+i)%len(entries)]
-				e := Entry{ID: id, Perm: donor.Perm, Dists: donor.Dists}
-				if err := ix.Update(e); err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if ix.Size() != len(entries) {
-		t.Fatalf("size = %d, want %d", ix.Size(), len(entries))
-	}
-	cands, err := ix.RangeByDists(pv.Distances(objs[0].Vec), 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for _, e := range cands {
-		if e.ID == id {
-			seen++
-		}
-	}
-	if seen != 1 {
-		t.Fatalf("entry %d appears %d times after racing updates, want 1", id, seen)
 	}
 }

@@ -42,7 +42,7 @@
 // tombstone set — searches skip tombstoned entries immediately, so a
 // deleted entry is never observable in any result even though its record
 // still occupies its bucket. Entry IDs must be unique among live entries
-// (Insert returns ErrDuplicateID for a live duplicate and physically
+// (InsertBulk returns ErrDuplicateID for a live duplicate and physically
 // purges a dead twin on re-insert). Compact physically drops tombstoned
 // entries and merges cells that deletion left underfull; afterwards the
 // index is byte-identical to one freshly built from the surviving entries

@@ -189,7 +189,7 @@ func checkFlatAdapters(t *testing.T, name string, ix *Index, q Query, ranked []R
 			}
 		}
 	case KindFirstCell:
-		got, err = ix.FirstCellCandidates(q.ApproxQuery)
+		got, err = Flat(ix.Search(Query{Kind: KindFirstCell, ApproxQuery: q.ApproxQuery}))
 	case KindAll:
 		got, err = ix.AllEntries()
 	}
@@ -246,7 +246,7 @@ func checkCellCounts(t *testing.T, name string, counts func(Query) ([]CellRun, e
 	}
 }
 
-// TestCellCountsUnderChurn: after deletes and updates the counts still come
+// TestCellCountsUnderChurn: after deletes and moves the counts still come
 // from the tree's live bookkeeping alone, and still equal the Search result
 // cell by cell — tombstoned entries, moved entries and the unsplit root leaf
 // (whose filtered entries are counted one by one) included.
@@ -272,15 +272,15 @@ func TestCellCountsUnderChurn(t *testing.T) {
 		}
 		t.Cleanup(func() { ix.Close() })
 		for i, o := range ds.Objects[:shape.n] {
-			if err := ix.Insert(entry(uint64(i+1), o.Vec)); err != nil {
+			if err := ix.InsertBulk([]Entry{entry(uint64(i+1), o.Vec)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var gone []uint64
 		for i := range shape.n / 4 {
 			gone = append(gone, uint64(rng.IntN(shape.n)+1))
-			// An update moves an entry to the cell of another object.
-			if err := ix.Update(entry(uint64(i*3+1), ds.Objects[rng.IntN(len(ds.Objects))].Vec)); err != nil {
+			// A move re-files an entry in the cell of another object.
+			if err := move(ix, entry(uint64(i*3+1), ds.Objects[rng.IntN(len(ds.Objects))].Vec)); err != nil {
 				t.Fatal(err)
 			}
 		}

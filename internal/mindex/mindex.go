@@ -157,11 +157,12 @@ type Entry struct {
 // atomic pointer store. See DESIGN.md §Performance for the full protocol.
 //
 // The index is mutable: Delete marks entries dead through an ID-keyed
-// tombstone set (searches skip them immediately), Update replaces an
-// entry's record, and Compact physically drops tombstoned entries while
-// collapsing subtrees that deletion left underfull. Entry IDs must be
-// unique among live entries; Insert rejects a duplicate of a live ID and
-// physically purges the dead twin when re-inserting a tombstoned one.
+// tombstone set (searches skip them immediately), and Compact physically
+// drops tombstoned entries while collapsing subtrees that deletion left
+// underfull. Entry IDs must be unique among live entries; InsertBulk
+// rejects a duplicate of a live ID and physically purges the dead twin
+// when re-inserting a tombstoned one. There is no in-place update: an
+// entry that moves in pivot space is deleted and inserted again.
 type Index struct {
 	cfg     Config
 	store   BucketStore
@@ -398,16 +399,12 @@ func (ix *Index) Close() error {
 	return ix.store.Close()
 }
 
-// ErrDuplicateID reports an Insert whose entry ID is already live in the
-// index. Use Update to replace an existing entry.
+// ErrDuplicateID reports an inserted entry whose ID is already live in the
+// index. Delete the entry first to replace it.
 var ErrDuplicateID = errors.New("mindex: entry ID already indexed")
 
-// CheckEntry validates an entry's pivot-space metadata against the index
-// configuration without mutating anything — the same checks Insert
-// applies. Update runs it before tombstoning the entry it replaces, so an
-// invalid replacement cannot destroy the existing record.
-func (ix *Index) CheckEntry(e Entry) error { return ix.checkEntry(&e) }
-
+// checkEntry validates an entry's pivot-space metadata against the index
+// configuration without mutating anything.
 func (ix *Index) checkEntry(e *Entry) error {
 	if len(e.Perm) < ix.cfg.MaxLevel {
 		return fmt.Errorf("mindex: entry permutation has %d elements, need at least MaxLevel=%d",
@@ -521,7 +518,7 @@ func (ix *Index) CacheStats() (hits, misses uint64, ok bool) {
 }
 
 // IngestStats describes what the insert paths have accepted since the
-// index opened: entries admitted through Insert/InsertBulk, how many
+// index opened: entries admitted through InsertBulk, how many
 // batches took the bottom-up builder (see bulk.go), and the encoded bytes
 // those entries occupy in the bucket store. Counters start at zero on every
 // open — including a snapshot restore — so they measure this process's

@@ -51,7 +51,7 @@ func (ti *testIndex) insert(objs ...metric.Object) error {
 	for _, o := range objs {
 		dists := ti.pivots.Distances(o.Vec)
 		e := Entry{ID: o.ID, Perm: pivot.Permutation(dists), Dists: dists, Payload: secret.EncodeObject(o)}
-		if err := ti.idx.Insert(e); err != nil {
+		if err := ti.idx.InsertBulk([]Entry{e}); err != nil {
 			return err
 		}
 	}
@@ -155,16 +155,16 @@ func TestInsertValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if err := idx.Insert(Entry{ID: 1, Perm: []int32{0, 1}}); err == nil {
+	if err := idx.InsertBulk([]Entry{{ID: 1, Perm: []int32{0, 1}}}); err == nil {
 		t.Error("short permutation accepted")
 	}
-	if err := idx.Insert(Entry{ID: 1, Perm: []int32{0, 1, 2, 99}}); err == nil {
+	if err := idx.InsertBulk([]Entry{{ID: 1, Perm: []int32{0, 1, 2, 99}}}); err == nil {
 		t.Error("out-of-range permutation element accepted")
 	}
-	if err := idx.Insert(Entry{ID: 1, Perm: []int32{0, 1, 2, 3}, Dists: []float64{1}}); err == nil {
+	if err := idx.InsertBulk([]Entry{{ID: 1, Perm: []int32{0, 1, 2, 3}, Dists: []float64{1}}}); err == nil {
 		t.Error("wrong-length distance vector accepted")
 	}
-	if err := idx.Insert(Entry{ID: 1, Perm: []int32{0, 1, 2, 3}}); err != nil {
+	if err := idx.InsertBulk([]Entry{{ID: 1, Perm: []int32{0, 1, 2, 3}}}); err != nil {
 		t.Errorf("valid entry rejected: %v", err)
 	}
 	if idx.Size() != 1 {
@@ -412,7 +412,7 @@ func TestFirstCellCandidates(t *testing.T) {
 	q := objs[10].Vec
 	qd := p.pivots.Distances(q)
 	aq := ApproxQuery{Ranks: pivot.Ranks(pivot.Permutation(qd)), Dists: qd}
-	cands, err := p.idx.FirstCellCandidates(aq)
+	cands, err := Flat(p.idx.Search(Query{Kind: KindFirstCell, ApproxQuery: aq}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestEmptyIndexSearches(t *testing.T) {
 	if err != nil || len(cands) != 0 {
 		t.Fatalf("empty approx: %v, %d candidates", err, len(cands))
 	}
-	first, err := idx.FirstCellCandidates(ApproxQuery{Ranks: make([]int32, 6)})
+	first, err := Flat(idx.Search(Query{Kind: KindFirstCell, ApproxQuery: ApproxQuery{Ranks: make([]int32, 6)}}))
 	if err != nil || first != nil {
 		t.Fatalf("empty first cell: %v, %v", err, first)
 	}
@@ -469,7 +469,7 @@ func TestPermOnlyEntries(t *testing.T) {
 			dists[j] = rng.Float64() * 100
 		}
 		perm := pivot.Permutation(dists)
-		if err := idx.Insert(Entry{ID: uint64(i), Perm: perm}); err != nil {
+		if err := idx.InsertBulk([]Entry{{ID: uint64(i), Perm: perm}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -476,53 +476,6 @@ func (t *txn) delete(ids []uint64) (int, error) {
 	return deleted, nil
 }
 
-// resurrect undoes a tombstone set earlier in this transaction when the
-// entry is still physically present (Update's failed-insert recovery).
-func (t *txn) resurrect(id uint64) {
-	l, ok := t.loc[id]
-	if !ok {
-		return
-	}
-	if _, gone := t.tomb[id]; !gone {
-		return
-	}
-	path, err := t.pathTo(l.prefix)
-	if err != nil {
-		return
-	}
-	delete(t.tombMutable(), id)
-	for _, pn := range path {
-		pn.dead--
-	}
-	t.size++
-	t.dead--
-}
-
-// Insert adds an entry to the index. Inserting an ID that is live fails
-// with ErrDuplicateID; inserting an ID that is tombstoned first purges the
-// dead record, so at most one physical entry ever carries a given ID.
-func (ix *Index) Insert(e Entry) error {
-	if err := ix.CheckEntry(e); err != nil {
-		return err
-	}
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	if err := ix.ensureLoc(); err != nil {
-		return err
-	}
-	t := ix.begin()
-	err := t.insertEntry(&e)
-	// Publish even on error: the transaction is consistent after every
-	// store operation (a failed split, for instance, leaves a valid
-	// overfull leaf that the entry was appended to).
-	t.commit()
-	if err == nil {
-		ix.ingestEntries.Add(1)
-		ix.ingestBytes.Add(uint64(EncodedEntrySize(e)))
-	}
-	return err
-}
-
 // InsertBulk inserts a batch of entries under one transaction — the unit
 // the construction-phase experiments measure (bulk size 1,000 in the
 // paper). The batch is published as one snapshot, so concurrent readers see
@@ -556,7 +509,7 @@ func (ix *Index) InsertBulk(entries []Entry) error {
 func (ix *Index) insertBulkIncremental(entries []Entry) error {
 	t := ix.begin()
 	for i := range entries {
-		err := ix.CheckEntry(entries[i])
+		err := ix.checkEntry(&entries[i])
 		if err == nil {
 			err = t.insertEntry(&entries[i])
 		}
@@ -585,45 +538,6 @@ func (ix *Index) Delete(ids []uint64) (int, error) {
 	deleted, err := t.delete(ids)
 	t.commit()
 	return deleted, err
-}
-
-// Update replaces the entry carrying e.ID with e — the delete + re-insert
-// of a mutable similarity cloud, performed inside one transaction: the
-// single snapshot publication means no search ever observes the entry
-// absent, and concurrent Updates of the same ID serialize instead of
-// tripping over each other's tombstones. The old record (which may live in
-// a different cell when the object moved in pivot space) is tombstoned and
-// physically purged before the fresh entry is filed; an unknown ID makes
-// Update a plain insert. The replacement is validated first, so an invalid
-// e leaves the existing record untouched.
-func (ix *Index) Update(e Entry) error {
-	if err := ix.CheckEntry(e); err != nil {
-		return err
-	}
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	if err := ix.ensureLoc(); err != nil {
-		return err
-	}
-	t := ix.begin()
-	tombstoned, err := t.delete([]uint64{e.ID})
-	if err != nil {
-		t.commit()
-		return err
-	}
-	if err := t.insertEntry(&e); err != nil {
-		// Resurrect the old record when it is still physically present
-		// (the tombstone is pure bookkeeping until a purge or compaction
-		// touches the bucket), so a failed insert does not destroy the
-		// entry it was meant to replace.
-		if tombstoned == 1 {
-			t.resurrect(e.ID)
-		}
-		t.commit()
-		return err
-	}
-	t.commit()
-	return nil
 }
 
 // ensureLoc builds the entry-location map when it is missing (after a

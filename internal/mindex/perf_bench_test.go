@@ -33,7 +33,7 @@ func benchIndex(b *testing.B, cfg Config, n int) (*Index, []ApproxQuery, [][]flo
 	b.Cleanup(func() { ix.Close() })
 	for _, o := range ds.Objects {
 		dists := pv.Distances(o.Vec)
-		err := ix.Insert(Entry{ID: o.ID, Perm: pivot.Permutation(dists), Dists: dists})
+		err := ix.InsertBulk([]Entry{{ID: o.ID, Perm: pivot.Permutation(dists), Dists: dists}})
 		if err != nil {
 			b.Fatal(err)
 		}

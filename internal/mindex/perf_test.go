@@ -518,7 +518,7 @@ func TestDiskHandleLRUConsistency(t *testing.T) {
 // index, a disk-backed index with the read-through cache, and a disk-backed
 // index with the cache disabled must return byte-identical ranked candidate
 // lists, range candidate sets and first cells at every point of an
-// insert/delete/update/compact churn schedule. Run under -race in CI.
+// insert/delete/move/compact churn schedule. Run under -race in CI.
 func TestCacheEquivalenceUnderChurn(t *testing.T) {
 	entries, queries, qDists := perfEntries(1200, 10)
 	mk := func(tune func(*Config)) *Index {
@@ -630,12 +630,12 @@ func TestCacheEquivalenceUnderChurn(t *testing.T) {
 	}
 	apply("delete third", func(ix *Index) error { _, err := ix.Delete(dead); return err })
 	apply("insert more", func(ix *Index) error { return ix.InsertBulk(entries[800:]) })
-	apply("update batch", func(ix *Index) error {
+	apply("move batch", func(ix *Index) error {
 		for i := 801; i < 850; i++ {
 			e := entries[i]
 			e.Dists = entries[i-400].Dists
 			e.Perm = entries[i-400].Perm
-			if err := ix.Update(e); err != nil {
+			if err := move(ix, e); err != nil {
 				return err
 			}
 		}
@@ -646,7 +646,7 @@ func TestCacheEquivalenceUnderChurn(t *testing.T) {
 		for _, id := range dead[:50] {
 			for _, e := range entries {
 				if e.ID == id {
-					if err := ix.Insert(e); err != nil {
+					if err := ix.InsertBulk([]Entry{e}); err != nil {
 						return err
 					}
 					break
@@ -700,7 +700,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		}()
 	}
 	for i := 1000; i < len(entries); i++ {
-		if err := ix.Insert(entries[i]); err != nil {
+		if err := ix.InsertBulk([]Entry{entries[i]}); err != nil {
 			t.Error(err)
 			break
 		}

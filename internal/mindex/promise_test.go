@@ -68,7 +68,7 @@ func TestPromiseIncrementalMatchesReference(t *testing.T) {
 			}
 			defer ix.Close()
 			for _, e := range intDistEntries(rng, 1200, 12) {
-				if err := ix.Insert(e); err != nil {
+				if err := ix.InsertBulk([]Entry{e}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -75,7 +75,7 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 					default:
 					}
 					e := churn[i%len(churn)]
-					if err := ix.Insert(e); err != nil {
+					if err := ix.InsertBulk([]Entry{e}); err != nil {
 						t.Error(err)
 						return
 					}

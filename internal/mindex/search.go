@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"simcloud/internal/pivot"
 	"simcloud/internal/simd"
 )
 
@@ -203,12 +202,6 @@ func (ix *Index) ApproxCandidates(q ApproxQuery, candSize int) ([]Entry, error) 
 // ApproxCandidatesRanked is a KindApprox Search over the whole index.
 func (ix *Index) ApproxCandidatesRanked(q ApproxQuery, candSize int) ([]RankedCandidate, error) {
 	return ix.Search(Query{Kind: KindApprox, ApproxQuery: q, CandSize: candSize})
-}
-
-// FirstCellCandidates is the flat form of a KindFirstCell Search. An empty
-// index yields nil.
-func (ix *Index) FirstCellCandidates(q ApproxQuery) ([]Entry, error) {
-	return Flat(ix.Search(Query{Kind: KindFirstCell, ApproxQuery: q}))
 }
 
 // rangeByDists evaluates the server side of a precise range query
@@ -914,18 +907,4 @@ func (ix *Index) all(filter PivotFilter) ([]RankedCandidate, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// promise computes the cell-ordering key of Algorithm 4, line 3 ("next
-// promising Voronoi cell") under the configured strategy, from scratch in
-// O(prefix length). The traversals use the incremental promiser instead;
-// this remains the reference implementation their results are tested
-// against.
-func (ix *Index) promise(n *node, q ApproxQuery) float64 {
-	switch ix.cfg.Ranking {
-	case RankDistSum:
-		return pivot.DistSumPromise(q.Dists, n.prefix, ix.weights)
-	default:
-		return pivot.FootrulePromise(q.Ranks, n.prefix, ix.weights)
-	}
 }

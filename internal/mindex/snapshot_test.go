@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -112,11 +111,11 @@ func TestSnapshotSupportsFurtherInserts(t *testing.T) {
 	more := dataset.Clustered(63, 400, 5, 6, metric.L2{})
 	for _, o := range more.Objects {
 		dists := pv.Distances(o.Vec)
-		if err := idx.Insert(Entry{
+		if err := idx.InsertBulk([]Entry{{
 			ID:    o.ID + 10000,
 			Perm:  pivot.Permutation(dists),
 			Dists: dists,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,12 +201,12 @@ func TestSnapshotTombstoneRoundTrip(t *testing.T) {
 	liveID := ds.Objects[1].ID
 	dists := pv.Distances(ds.Objects[1].Vec)
 	dup := Entry{ID: liveID, Perm: pivot.Permutation(dists), Dists: dists}
-	if err := idx.Insert(dup); err == nil {
+	if err := idx.InsertBulk([]Entry{dup}); err == nil {
 		t.Fatal("restored index accepted a live duplicate ID")
 	}
 	reDists := pv.Distances(ds.Objects[0].Vec)
 	re := Entry{ID: ds.Objects[0].ID, Perm: pivot.Permutation(reDists), Dists: reDists}
-	if err := idx.Insert(re); err != nil {
+	if err := idx.InsertBulk([]Entry{re}); err != nil {
 		t.Fatalf("re-insert of tombstoned ID after restore: %v", err)
 	}
 	if n, err := idx.Delete([]uint64{liveID}); err != nil || n != 1 {
@@ -347,26 +346,6 @@ func TestSnapshotRejectsMissingBucketFiles(t *testing.T) {
 	}
 }
 
-func TestWriteDot(t *testing.T) {
-	p, _ := buildDisk(t, t.TempDir(), 67, 300)
-	defer p.idx.Close()
-	var b strings.Builder
-	if err := p.idx.WriteDot(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "digraph mindex {") || !strings.HasSuffix(out, "}\n") {
-		t.Fatalf("not a digraph:\n%.120s", out)
-	}
-	st := p.idx.TreeStats()
-	if got := strings.Count(out, "shape=box"); got != st.Leaves {
-		t.Fatalf("dot shows %d leaves, tree has %d", got, st.Leaves)
-	}
-	if got := strings.Count(out, "->"); got != st.Leaves+st.InnerNodes-1 {
-		t.Fatalf("dot shows %d edges, want %d", got, st.Leaves+st.InnerNodes-1)
-	}
-}
-
 // TestRestorePrewarmsLocMap pins the eager loc-map rebuild during restore:
 // LoadSnapshot walks the buckets up front, so the first post-restore
 // mutation pays a steady-state insert, not a whole-index rebuild. The
@@ -416,7 +395,7 @@ func TestRestorePrewarmsLocMap(t *testing.T) {
 	lat := make([]time.Duration, len(extra))
 	for i, e := range extra {
 		start := time.Now()
-		if err := ix2.Insert(e); err != nil {
+		if err := ix2.InsertBulk([]Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 		lat[i] = time.Since(start)

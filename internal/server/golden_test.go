@@ -24,7 +24,7 @@ const diskGolden = "3a1ee76f19d064f194d3e6fdda49e76b8e1fb69a82c94e55fc84bd07a9cc
 // file, the snapshot and the write-ahead log — for one seeded history:
 // inserts in batches the bulk builder takes and in batches it leaves to the
 // incremental path (splits included), deletes, re-inserts that purge a
-// tombstoned twin, updates and a compaction. How the server holds a bucket
+// tombstoned twin, moves and a compaction. How the server holds a bucket
 // in memory must not show in any of them.
 func TestDiskFilesGolden(t *testing.T) {
 	leaktest.Check(t)
@@ -84,9 +84,13 @@ func TestDiskFilesGolden(t *testing.T) {
 	}
 	eng := srv.Index()
 	for i := 1; i < 60; i += 11 {
+		// A move: a delete routed by the old permutation, then an insert.
 		e := entries[i]
 		e.Perm = entries[i+100].Perm
-		if err := eng.Update(e); err != nil {
+		if _, err := eng.Delete([]mindex.Entry{{ID: e.ID, Perm: entries[i].Perm}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.InsertBulk([]mindex.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -284,16 +284,12 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 }
 
 // CountingConn wraps a net.Conn and counts bytes in both directions — the
-// "communication cost" measure of the paper's evaluation.
+// "communication cost" measure of the paper's evaluation. Its zero counters
+// are ready: wrap with &CountingConn{Conn: conn}.
 type CountingConn struct {
 	net.Conn
 	read    atomic.Int64
 	written atomic.Int64
-}
-
-// NewCountingConn wraps conn.
-func NewCountingConn(conn net.Conn) *CountingConn {
-	return &CountingConn{Conn: conn}
 }
 
 // Read implements net.Conn.

@@ -129,7 +129,7 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			payload := bytes.Repeat([]byte{0xAB}, tc.payload)
 			var stub writeCounter
-			counting := NewCountingConn(&stub)
+			counting := &CountingConn{Conn: &stub}
 			if err := WriteFrame(counting, MsgAck, payload); err != nil {
 				t.Fatal(err)
 			}

@@ -75,7 +75,7 @@ func Dialer(addr string, timeout time.Duration, check func(HelloResp) error) fun
 		if err != nil {
 			return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 		}
-		conn := NewCountingConn(raw)
+		conn := &CountingConn{Conn: raw}
 		info, err := hello(ctx, conn)
 		if err == nil {
 			err = check(info)

@@ -410,7 +410,7 @@ func TestCountingConn(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	cc := NewCountingConn(client)
+	cc := &CountingConn{Conn: client}
 
 	done := make(chan error, 1)
 	go func() {
