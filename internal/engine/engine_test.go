@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -951,4 +952,115 @@ func TestMutationRaceHammer(t *testing.T) {
 	if eng.Dead() != 0 {
 		t.Fatalf("dead = %d after final compact", eng.Dead())
 	}
+}
+
+// TestInsertRejectsInvalidEntryWithoutDataLoss: an insert batch holding an
+// invalid entry fails, and the failure never costs a stored entry — a
+// move's insert half that is rejected must not take the rest of the
+// collection with it. Each kind of invalid entry is sent alone (the
+// entry-at-a-time path) and in the middle of a batch large enough for the
+// shards' builder path. The invalid entry is never stored, every entry
+// stored before keeps its content, and whatever part of the batch did land
+// is live exactly once with the content it was sent with.
+func TestInsertRejectsInvalidEntryWithoutDataLoss(t *testing.T) {
+	const stored = 300
+	w := newWorld(t, 29, stored+150, 1)
+	cfg := testCfg(4)
+	withPerm := func(e mindex.Entry, at int, p int32) mindex.Entry {
+		e.Perm = slices.Clone(e.Perm)
+		e.Perm[at] = p
+		return e
+	}
+	for _, tc := range []struct {
+		name string
+		bad  func(fresh mindex.Entry) []mindex.Entry
+	}{
+		{"short permutation", func(fresh mindex.Entry) []mindex.Entry {
+			fresh.Perm = fresh.Perm[:cfg.MaxLevel-1]
+			return []mindex.Entry{fresh}
+		}},
+		{"first element out of range", func(fresh mindex.Entry) []mindex.Entry {
+			return []mindex.Entry{withPerm(fresh, 0, testPivots)}
+		}},
+		{"later element out of range", func(fresh mindex.Entry) []mindex.Entry {
+			return []mindex.Entry{withPerm(fresh, 2, -1)}
+		}},
+		{"wrong distance count", func(fresh mindex.Entry) []mindex.Entry {
+			fresh.Dists = fresh.Dists[:3]
+			return []mindex.Entry{fresh}
+		}},
+		{"live duplicate ID", func(mindex.Entry) []mindex.Entry {
+			// Same permutation, so it routes to the shard holding the
+			// live record; other distances tell the two apart.
+			dup := w.entries[7]
+			dup.Dists = slices.Clone(dup.Dists)
+			dup.Dists[0]++
+			return []mindex.Entry{dup}
+		}},
+		{"ID twice in the batch", func(fresh mindex.Entry) []mindex.Entry {
+			twin := fresh
+			twin.Dists = slices.Clone(fresh.Dists)
+			twin.Dists[0]++
+			return []mindex.Entry{fresh, twin}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, shape := range []struct {
+				name  string
+				valid int // fresh valid entries around the invalid ones
+			}{{"alone", 0}, {"mid-batch", 140}} {
+				t.Run(shape.name, func(t *testing.T) {
+					eng, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer eng.Close()
+					if err := eng.InsertBulk(w.entries[:stored]); err != nil {
+						t.Fatal(err)
+					}
+					bad := tc.bad(w.entries[len(w.entries)-1]) // the last one is invalid
+					batch := slices.Concat(w.entries[stored:stored+shape.valid/2], bad,
+						w.entries[stored+shape.valid/2:stored+shape.valid])
+					if err := eng.InsertBulk(batch); err == nil {
+						t.Fatal("batch with an invalid entry accepted")
+					}
+
+					live, err := eng.AllEntries()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(live) != eng.Size() {
+						t.Fatalf("%d entries listed, Size reports %d", len(live), eng.Size())
+					}
+					sent := make(map[uint64][]mindex.Entry)
+					for _, e := range slices.Concat(w.entries[:stored], batch) {
+						sent[e.ID] = append(sent[e.ID], e)
+					}
+					got := make(map[uint64]mindex.Entry, len(live))
+					for _, e := range live {
+						if _, dup := got[e.ID]; dup {
+							t.Fatalf("ID %d live twice", e.ID)
+						}
+						got[e.ID] = e
+						if !slices.ContainsFunc(sent[e.ID], func(s mindex.Entry) bool { return sameEntry(s, e) }) {
+							t.Fatalf("live entry %d matches nothing that was sent", e.ID)
+						}
+						if sameEntry(e, bad[len(bad)-1]) {
+							t.Fatalf("the rejected entry %d is stored", e.ID)
+						}
+					}
+					for _, e := range w.entries[:stored] {
+						if g, ok := got[e.ID]; !ok || !sameEntry(g, e) {
+							t.Fatalf("stored entry %d lost or changed by the failed insert", e.ID)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// sameEntry reports whether a and b carry the same ID and pivot metadata.
+func sameEntry(a, b mindex.Entry) bool {
+	return a.ID == b.ID && slices.Equal(a.Perm, b.Perm) && slices.Equal(a.Dists, b.Dists)
 }

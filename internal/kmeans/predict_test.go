@@ -2,6 +2,9 @@ package kmeans
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -131,6 +134,34 @@ func TestFitPredictorClampsBinsToSamples(t *testing.T) {
 	}
 	if len(p.Edges) != 2 {
 		t.Fatalf("bins should clamp to the sample count: %d edges for 3 samples", len(p.Edges))
+	}
+}
+
+// TestFitPredictorIgnoresSampleOrder: the predictor is not persisted but
+// refitted in each process, so a refit over the same calibration queries
+// must give the same table whatever order they arrive in, and must leave
+// the samples as it found them.
+func TestFitPredictorIgnoresSampleOrder(t *testing.T) {
+	samples := synthCal(60, 5)
+	levels := []float64{0.6, 0.9}
+	want, err := FitPredictor(samples, 5, levels, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := slices.Clone(samples)
+	rand.New(rand.NewPCG(3, 4)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	kept := slices.Clone(shuffled)
+	got, err := FitPredictor(shuffled, 5, levels, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("refit over shuffled samples differs:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(shuffled, kept) {
+		t.Fatal("FitPredictor modified its samples")
 	}
 }
 

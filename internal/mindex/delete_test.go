@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"sync"
 	"testing"
 
 	"simcloud/internal/dataset"
@@ -335,5 +336,54 @@ func TestDeleteCompactDisk(t *testing.T) {
 	}
 	if len(cands) != want {
 		t.Fatalf("post-compact range returned %d candidates, want %d", len(cands), want)
+	}
+}
+
+// TestConcurrentMovesSameID: racing moves of one ID, each a Delete then an
+// InsertBulk, never leave the ID stored twice or lost. The index checks
+// duplicates over all its entries, so a mover whose delete found nothing
+// left to delete has its insert refused with ErrDuplicateID, and every
+// mover's last step is an insert: one live record remains.
+func TestConcurrentMovesSameID(t *testing.T) {
+	entries, pv, objs := testEntries(t, 12, 200, 8)
+	ix := mustIndex(t, testConfig(8))
+	if err := ix.InsertBulk(entries); err != nil {
+		t.Fatal(err)
+	}
+	id := entries[0].ID
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				donor := entries[(w*50+i)%len(entries)]
+				err := move(ix, Entry{ID: id, Perm: donor.Perm, Dists: donor.Dists})
+				if err != nil && !errors.Is(err, ErrDuplicateID) {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if ix.Size() != len(entries) {
+		t.Fatalf("size = %d, want %d", ix.Size(), len(entries))
+	}
+	cands, err := ix.RangeByDists(pv.Distances(objs[0].Vec), 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, e := range cands {
+		if e.ID == id {
+			seen++
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("entry %d appears %d times after racing moves, want 1", id, seen)
 	}
 }
