@@ -1,8 +1,8 @@
 // Command benchab measures a change against a base revision the way every
 // performance claim of this repository is shown: alternated pairs of
 // benchmark/run.sh on the two checkouts, then per metric each side's median
-// and quartiles, the pairs won, a sign test, the gain verdict and the
-// regression bound that BENCHMARK.json fixes.
+// and quartiles, the pairs won, a sign test, the Hodges–Lehmann shift, the
+// gain verdict and the regression bound that BENCHMARK.json fixes.
 //
 //	go run ./cmd/benchab -base HEAD~1 -workload exact_disk -pairs 10 -seed 4001 -out bench/history/BENCH_40.json
 //	go run ./cmd/benchab -input bench/history/BENCH_40.json
@@ -248,6 +248,24 @@ func signP(wins, losses int) float64 {
 	return min(1, 2*tail)
 }
 
+// hodgesLehmann is the Hodges–Lehmann estimate of the shift from base to
+// change: the median of every change−base difference over all pairs of one
+// run from each side — pairings across pairs included, so one odd run moves
+// it little — as a fraction of the base median (0 when that is 0 or a side
+// has no run).
+func hodgesLehmann(base, change []float64, baseMedian float64) float64 {
+	if len(base) == 0 || len(change) == 0 || baseMedian == 0 {
+		return 0
+	}
+	diffs := make([]float64, 0, len(base)*len(change))
+	for _, b := range base {
+		for _, c := range change {
+			diffs = append(diffs, c-b)
+		}
+	}
+	return summarize(diffs).med / math.Abs(baseMedian)
+}
+
 func lgamma(x int) float64 {
 	v, _ := math.Lgamma(float64(x))
 	return v
@@ -260,7 +278,8 @@ type comparison struct {
 	pairs              int
 	wins, losses, ties int
 	p                  float64
-	identical          bool // every pair read the same on both sides
+	hl                 float64 // Hodges–Lehmann shift, a fraction of the base median
+	identical          bool    // every pair read the same on both sides
 	gain               bool
 	bound              float64 // 0: none
 	boundVerdict       string  // within, EXCEEDS, unresolved, or "" without a bound
@@ -299,6 +318,7 @@ func compare(metric, unit string, base, change []float64, spec metricSpec, known
 		}
 	}
 	c.p = signP(c.wins, c.losses)
+	c.hl = hodgesLehmann(base, change, c.base.med)
 	if c.base.med != 0 {
 		c.relChange = (c.change.med - c.base.med) / math.Abs(c.base.med)
 	}
@@ -371,7 +391,7 @@ func render(w io.Writer, s *series, cs []comparison) {
 		fmt.Fprintf(w, "failed operations: base %v, change %v\n", s.failed[0], s.failed[1])
 	}
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "metric\tunit\tbase median\tbase q1–q3\tchange median\tchange q1–q3\tchange\twins/losses/ties\tsign p\tgain\tbound\t")
+	fmt.Fprintln(tw, "metric\tunit\tbase median\tbase q1–q3\tchange median\tchange q1–q3\tchange\twins/losses/ties\tsign p\tHL shift\tgain\tbound\t")
 	for _, c := range cs {
 		gain := "no"
 		if c.gain {
@@ -385,9 +405,9 @@ func render(w io.Writer, s *series, cs []comparison) {
 		if c.identical {
 			delta = "identical"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g–%.4g\t%.4g\t%.4g–%.4g\t%s\t%d/%d/%d\t%.3g\t%s\t%s\t\n",
+		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g–%.4g\t%.4g\t%.4g–%.4g\t%s\t%d/%d/%d\t%.3g\t%+.1f%%\t%s\t%s\t\n",
 			c.metric, c.unit, c.base.med, c.base.q1, c.base.q3, c.change.med, c.change.q1, c.change.q3,
-			delta, c.wins, c.losses, c.ties, c.p, gain, bound)
+			delta, c.wins, c.losses, c.ties, c.p, 100*c.hl, gain, bound)
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
@@ -413,8 +433,8 @@ func rows(s *series, cs []comparison) []row {
 			for i, v := range runs {
 				vals[i] = strconv.FormatFloat(v, 'g', 6, 64)
 			}
-			extra := fmt.Sprintf("%s; quartiles %.6g %.6g; runs %s; %s; wins %d, losses %d, ties %d, sign p %.3g",
-				s.note, st.q1, st.q3, strings.Join(vals, " "), failed(s.failed[k]), c.wins, c.losses, c.ties, c.p)
+			extra := fmt.Sprintf("%s; quartiles %.6g %.6g; runs %s; %s; wins %d, losses %d, ties %d, sign p %.3g, HL shift %+.2f%%",
+				s.note, st.q1, st.q3, strings.Join(vals, " "), failed(s.failed[k]), c.wins, c.losses, c.ties, c.p, 100*c.hl)
 			out = append(out, row{Name: s.label + "/" + c.metric + "/" + side, Value: st.med, Unit: c.unit, Extra: extra})
 		}
 	}

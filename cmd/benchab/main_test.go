@@ -130,6 +130,40 @@ func TestSignP(t *testing.T) {
 	}
 }
 
+// TestHodgesLehmann works the shift out by hand on small series: the median
+// of every change−base difference, as a fraction of the base median.
+func TestHodgesLehmann(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		base, change []float64
+		want         float64
+	}{
+		// Differences 9 8 7 / 10 9 8 / 11 10 9: median 9, base median 2.
+		{"shifted", []float64{1, 2, 3}, []float64{10, 11, 12}, 4.5},
+		// One wild change run moves the sample medians' gap but not the
+		// shift much: differences −1 −2 −3 / 0 −1 −2 / 97 96 95, median −1.
+		{"outlier", []float64{1, 2, 3}, []float64{0, 1, 98}, -0.5},
+		// Even count: differences 1 0 / 2 1, the median of four is 1.
+		{"even", []float64{2, 3}, []float64{3, 4}, 1.0 / 2.5},
+		{"no shift", []float64{5, 5, 5}, []float64{5, 5}, 0},
+		{"zero base", []float64{0, 0}, []float64{1, 2}, 0},
+		{"empty", nil, []float64{1}, 0},
+	} {
+		med := 0.0
+		if len(tc.base) > 0 {
+			med = summarize(tc.base).med
+		}
+		if got := hodgesLehmann(tc.base, tc.change, med); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: shift %g, want %g", tc.name, got, tc.want)
+		}
+	}
+	// compare carries it for every metric.
+	c := compare("m", "u", []float64{1, 2, 3}, []float64{10, 11, 12}, metricSpec{Better: "higher"}, false)
+	if c.hl != 4.5 {
+		t.Errorf("compare: shift %g, want 4.5", c.hl)
+	}
+}
+
 // TestExtract checks out HEAD the way a run checks out its base.
 func TestExtract(t *testing.T) {
 	if err := exec.Command("git", "-C", "../..", "rev-parse", "HEAD").Run(); err != nil {

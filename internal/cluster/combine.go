@@ -281,10 +281,15 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 			if limit >= 0 && len(res) > limit {
 				return fmt.Errorf("cluster: node returned %d candidates for query %d, asked for %d", len(res), qi, limit)
 			}
+			if iq.Kind == mindex.KindRange {
+				if err := checkPage(res, iq.Page); err != nil {
+					return fmt.Errorf("cluster: node range page for query %d: %w", qi, err)
+				}
+			}
 			cb.per[i] = res
 		}
 		winners := merge.Combine(iq, cb.per)
-		size := 12 // count and a bound trailer
+		size := 21 // count and the largest trailer
 		for i := range winners {
 			size += len(winners[i].Record)
 		}
@@ -293,15 +298,37 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 		for i := range winners {
 			out.B = append(out.B, winners[i].Record...)
 		}
-		if iq.Kind == mindex.KindBound {
-			// The flat reply's trailer (wire.BatchRankedResp.AppendFlatTo):
-			// the merged order's last bound, which the nodes sent as promises.
+		// The flat reply's trailers (wire.BatchRankedResp.AppendFlatTo),
+		// read off the merged order, whose bounds the nodes sent as
+		// promises: a bound page's last bound, a range page's Page.
+		switch iq.Kind {
+		case mindex.KindBound:
 			var lb float64
 			if len(winners) > 0 {
 				lb = winners[len(winners)-1].Promise
 			}
 			out.F64(lb)
+		case mindex.KindRange:
+			wire.AppendPage(out, wire.PageOf(winners))
 		}
+	}
+	return nil
+}
+
+// checkPage refuses a node's range page that no honest node sends: one out
+// of strict bound-key order — the merge needs each node's page sorted — or
+// one that goes on after its records reached the budget.
+func checkPage(res []wire.CandidateRef, budget int) error {
+	for i := range res {
+		if lb := res[i].Promise; lb != lb {
+			return fmt.Errorf("candidate %d with a NaN bound", i)
+		}
+		if i > 0 && (mindex.BoundKey{LB: res[i].Promise, ID: res[i].ID}).Compare(mindex.BoundKey{LB: res[i-1].Promise, ID: res[i-1].ID}) <= 0 {
+			return fmt.Errorf("candidates out of bound-key order at %d", i)
+		}
+	}
+	if end := mindex.PageEnd(res, budget); end < len(res) {
+		return fmt.Errorf("%d candidates over the page budget of %d B, which %d reach", len(res), budget, end)
 	}
 	return nil
 }

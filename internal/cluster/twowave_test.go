@@ -24,19 +24,24 @@ import (
 	"simcloud/internal/wire"
 )
 
-// relay forwards every frame between the coordinator and one node
-// unchanged. Of the node's replies it counts the bytes (frame headers
-// included) and the candidates of ranked replies, and it runs onCounts, when
-// set, before it forwards a count reply — the point between a node's first
-// wave and the coordinator's second — and onAck, when set, before it
-// forwards an ingest-chunk ack.
+// relay forwards every frame between the coordinator and one node (or a
+// client and the coordinator) unchanged. Of the replies it counts the bytes
+// (frame headers included), the largest frame and the candidates of ranked
+// replies, and it runs onCounts, when set, before it forwards a count reply
+// — the point between a node's first wave and the coordinator's second —
+// onAck, when set, before it forwards an ingest-chunk ack, and onPage, when
+// set, before it forwards a flat candidate reply — the point between two
+// pages of a client's read.
 type relay struct {
 	ln         net.Listener
 	backend    string
 	replyBytes atomic.Int64
+	maxReply   atomic.Int64
+	replies    atomic.Int64
 	fetched    atomic.Int64
 	onCounts   atomic.Pointer[func()]
 	onAck      atomic.Pointer[func()]
+	onPage     atomic.Pointer[func()]
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -60,6 +65,8 @@ func (r *relay) addr() string { return r.ln.Addr().String() }
 
 func (r *relay) reset() {
 	r.replyBytes.Store(0)
+	r.maxReply.Store(0)
+	r.replies.Store(0)
 	r.fetched.Store(0)
 }
 
@@ -97,7 +104,11 @@ func (r *relay) accept() {
 				if err != nil {
 					return
 				}
-				r.replyBytes.Add(int64(len(payload) + 5))
+				size := int64(len(payload) + 5)
+				r.replyBytes.Add(size)
+				r.replies.Add(1)
+				for m := r.maxReply.Load(); size > m && !r.maxReply.CompareAndSwap(m, size); m = r.maxReply.Load() {
+				}
 				switch typ {
 				case wire.MsgBatchRankedCandidates:
 					if m, err := wire.DecodeBatchRankedResp(payload); err == nil {
@@ -111,6 +122,10 @@ func (r *relay) accept() {
 					}
 				case wire.MsgIngestChunkAck:
 					if hook := r.onAck.Load(); hook != nil {
+						(*hook)()
+					}
+				case wire.MsgBatchCandidates:
+					if hook := r.onPage.Load(); hook != nil {
 						(*hook)()
 					}
 				}

@@ -160,42 +160,50 @@ func (c *DirectClient) Search(ctx context.Context, q Query) ([]Result, stats.Cos
 }
 
 func (c *DirectClient) searchOne(ctx context.Context, nq Query, costs *stats.Costs) ([]Result, error) {
-	qDists := c.queryDists(nq, costs)
-	if nq.TargetRecall > 0 {
-		// Normalization left CandSize 0 for the predictor to fill in from
-		// the query's transformed distance to its nearest pivot; without
-		// one, effCandSize falls back to the global default.
-		if p := c.pred.Load(); p != nil {
-			nq.CandSize = p.CandSize(nq.TargetRecall, nearestDist(c.key.TransformDists(qDists)))
-		}
-	}
-	if nq.Kind != KindKNN {
-		cands, err := c.engineCandidates(ctx, c.wireQuery(nq, qDists), costs)
-		if err != nil {
-			return nil, err
-		}
-		return c.finishQuery(nq, cands, costs)
-	}
-	k := c.startKNN(0, nq, qDists)
-	first, err := c.engineCandidates(ctx, k.first, costs)
+	out, err := c.search(ctx, []Query{nq}, costs)
 	if err != nil {
 		return nil, err
 	}
-	var last float64
-	if len(first) > 0 {
-		last = first[len(first)-1].Promise
-	}
-	next, more, err := c.nextKNN(&k, first, last, costs)
-	if err != nil {
-		return nil, err
-	}
-	var second rankedCands
-	if more {
-		if second, err = c.engineCandidates(ctx, next, costs); err != nil {
-			return nil, err
+	return out[0], nil
+}
+
+// search evaluates normalized queries through the paging loop (pages), each
+// wave one engine search per request.
+func (c *DirectClient) search(ctx context.Context, norm []Query, costs *stats.Costs) ([][]Result, error) {
+	ps := make([]pager, len(norm))
+	for i, nq := range norm {
+		qDists := c.queryDists(nq, costs)
+		if nq.TargetRecall > 0 {
+			// Normalization left CandSize 0 for the predictor to fill in from
+			// the query's transformed distance to its nearest pivot; without
+			// one, effCandSize falls back to the global default.
+			if p := c.pred.Load(); p != nil {
+				nq.CandSize = p.CandSize(nq.TargetRecall, nearestDist(c.key.TransformDists(qDists)))
+			}
 		}
+		ps[i] = c.startPager(nq, qDists)
 	}
-	return c.finishKNN(&k, second, costs)
+	return c.pages(ps, costs, func(wqs []wire.BatchQuery, _ []int, read func(int, reply) error) error {
+		for j, wq := range wqs {
+			cands, err := c.engineCandidates(ctx, wq, costs)
+			if err != nil {
+				return err
+			}
+			r := reply{cands: cands}
+			switch wq.Kind {
+			case wire.BatchBound:
+				if len(cands) > 0 {
+					r.bound = cands[len(cands)-1].Promise
+				}
+			case wire.BatchRange:
+				r.page = wire.PageOf(cands)
+			}
+			if err := read(j, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // nearestDist is the predictor's feature: the smallest (transformed)

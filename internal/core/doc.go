@@ -28,8 +28,13 @@
 //     candidate is shipped twice and a first pass whose last bound exceeds
 //     the range radius settles the query alone. Without distances the first
 //     pass is the footrule-ordered approximate k-NN. One composition (knn:
-//     startKNN, nextKNN, finishKNN) serves Search, SearchBatch's second
-//     wave and DirectClient.
+//     startKNN, nextKNN, finish) serves every backend.
+//   - Paging: a range answer — a range query, or a precise k-NN's second
+//     phase — comes in pages of at most wire.PageBytes of candidates (plus
+//     one), each resuming the server's bound order after the last key of
+//     the one before. One paging loop (pages) serves Search, SearchBatch's
+//     later waves and DirectClient: it refines each page as it arrives and
+//     releases the page's frame before asking for the next.
 //
 // # The unified query surface
 //

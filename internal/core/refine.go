@@ -25,6 +25,9 @@ import (
 type candidates interface {
 	count() int
 	at(i int) (id uint64, payload []byte)
+	// bytes is the size of the candidates' records as a reply ships them,
+	// what a range page's budget counts.
+	bytes() int
 }
 
 // rankedCands are candidates the embedded engine returned.
@@ -33,12 +36,28 @@ type rankedCands []mindex.RankedCandidate
 func (c rankedCands) count() int                { return len(c) }
 func (c rankedCands) at(i int) (uint64, []byte) { return c[i].Entry.ID, c[i].Entry.Payload() }
 
+func (c rankedCands) bytes() int {
+	n := 0
+	for i := range c {
+		n += c[i].Bytes()
+	}
+	return n
+}
+
 // refCands are candidates decoded by reference out of a response frame;
 // they are valid until the frame is released.
 type refCands []wire.CandidateRef
 
 func (c refCands) count() int                { return len(c) }
 func (c refCands) at(i int) (uint64, []byte) { return c[i].ID, c[i].Payload }
+
+func (c refCands) bytes() int {
+	n := 0
+	for i := range c {
+		n += c[i].Bytes()
+	}
+	return n
+}
 
 // refineChunk is how many candidates are decrypted before their distances
 // are computed. The two phases alternate chunk by chunk so that DecryptTime

@@ -83,23 +83,12 @@ func (c *EncryptedClient) Search(ctx context.Context, q Query) ([]Result, stats.
 	return out[0], costs, nil
 }
 
-// finishQuery applies the per-kind client-side epilogue to a candidate
-// set: refinement (partial when RefineLimit is set) down to the answer —
-// everything within the radius for range queries, the K nearest otherwise —
-// in distance order.
-func (c *coder) finishQuery(nq Query, cands candidates, costs *stats.Costs) ([]Result, error) {
-	if nq.Kind == KindRange {
-		return c.refine(nq.Vec, cands, 0, 0, nq.Radius, costs)
-	}
-	// KindApproxKNN, KindFirstCell
-	return c.refine(nq.Vec, cands, nq.RefineLimit, nq.K, 0, costs)
-}
-
 // knn is one precise k-NN query of Section 4.2 between its two phases —
 // the one composition every client backend runs, so the precision
 // guarantee cannot diverge between them. Phase one learns ρk, the K-th
 // smallest distance among its candidates, an upper bound on the true K-th
-// neighbor distance; phase two is the range query R(q, ρk).
+// neighbor distance; phase two is the range query R(q, ρk), read in pages
+// like any other.
 //
 // When entries carry pivot distances (Options.StoreDists) phase one asks
 // for the first CandSize entries in the server's bound order
@@ -112,7 +101,6 @@ func (c *coder) finishQuery(nq Query, cands candidates, costs *stats.Costs) ([]R
 // information, and phase one is the footrule-ordered approximate pass whose
 // candidates phase two ships again.
 type knn struct {
-	at     int // the query's index in its batch
 	nq     Query
 	qDists []float64
 	first  wire.BatchQuery // phase one, as sent
@@ -121,8 +109,8 @@ type knn struct {
 }
 
 // startKNN prepares a precise k-NN query and its phase one.
-func (c *coder) startKNN(at int, nq Query, qDists []float64) knn {
-	k := knn{at: at, nq: nq, qDists: qDists}
+func (c *coder) startKNN(nq Query, qDists []float64) *knn {
+	k := &knn{nq: nq, qDists: qDists}
 	if c.opts.StoreDists {
 		k.first = wire.BatchQuery{
 			Kind:     wire.BatchBound,
@@ -163,15 +151,11 @@ func (c *coder) nextKNN(k *knn, cands candidates, last float64, costs *stats.Cos
 	return next, true, nil
 }
 
-// finishKNN refines phase two's candidates against ρk and returns the K
-// nearest of them and of phase one's share, by (distance, ID). An ID phase
-// one already holds is dropped: only an update between the phases can
-// send one twice, and the answer stays phase one's snapshot.
-func (c *coder) finishKNN(k *knn, cands candidates, costs *stats.Costs) ([]Result, error) {
-	within, err := c.refine(k.nq.Vec, cands, 0, 0, k.rho, costs)
-	if err != nil {
-		return nil, err
-	}
+// finish returns the K nearest of phase one's share and of within, phase
+// two's answers, by (distance, ID). An ID phase one already holds is
+// dropped: only a move between the phases can send one twice, and the
+// answer stays phase one's snapshot.
+func (k *knn) finish(within []Result) []Result {
 	out := k.kept
 	for _, r := range within {
 		if !slices.ContainsFunc(k.kept, func(o Result) bool { return o.ID == r.ID }) {
@@ -179,16 +163,175 @@ func (c *coder) finishKNN(k *knn, cands candidates, costs *stats.Costs) ([]Resul
 		}
 	}
 	slices.SortFunc(out, compareResults)
-	return out[:min(len(out), k.nq.K)], nil
+	return out[:min(len(out), k.nq.K)]
+}
+
+// pager is one query on its way through its pages: wq is the request of its
+// next page. A range query is a run of BatchRange pages, each resuming the
+// bound order after the last key of the one before; a precise k-NN is its
+// phase one, then phase two's range pages; the approximate kinds are one
+// page.
+type pager struct {
+	nq     Query
+	wq     wire.BatchQuery
+	k      *knn     // a precise k-NN's phases
+	radius float64  // the radius range pages are refined against
+	within []Result // the range pages' answers so far
+	seen   map[uint64]struct{}
+	out    []Result // the answer, once the last page is in
+}
+
+// startPager prepares a normalized query's first request.
+func (c *coder) startPager(nq Query, qDists []float64) pager {
+	p := pager{nq: nq, radius: nq.Radius}
+	if nq.Kind == KindKNN {
+		p.k = c.startKNN(nq, qDists)
+		p.wq = p.k.first
+	} else {
+		p.wq = c.wireQuery(nq, qDists)
+	}
+	return p
+}
+
+// reply is the answer to one request of a wave as the paging loop reads
+// it: the candidates, valid only until the wave is released, and the
+// trailer of the request's kind.
+type reply struct {
+	cands candidates
+	bound float64   // a BatchBound page's last bound
+	page  wire.Page // a BatchRange page's trailer
+}
+
+// step refines the reply to p's request and reports whether p needs
+// another page, whose request is then p.wq.
+func (c *coder) step(p *pager, r reply, costs *stats.Costs) (bool, error) {
+	switch {
+	case p.wq.Kind == wire.BatchRange:
+		if r.page.Full {
+			if err := checkFull(p.wq.After, r); err != nil {
+				return false, err
+			}
+		}
+		got, err := c.refine(p.nq.Vec, r.cands, 0, 0, p.radius, costs)
+		if err != nil {
+			return false, err
+		}
+		p.addPage(got)
+		if r.page.Full {
+			last := r.page.Last
+			p.wq.After = &last
+			return true, nil
+		}
+		if p.k != nil {
+			p.out = p.k.finish(p.within)
+		} else {
+			slices.SortFunc(p.within, compareResults)
+			p.out = p.within
+		}
+		return false, nil
+	case p.k != nil:
+		next, more, err := c.nextKNN(p.k, r.cands, r.bound, costs)
+		if err != nil || !more {
+			p.out = p.k.finish(nil)
+			return false, err
+		}
+		p.wq, p.radius = next, p.k.rho
+		return true, nil
+	}
+	// The approximate kinds: refinement (partial when RefineLimit is set)
+	// down to the K nearest.
+	var err error
+	p.out, err = c.refine(p.nq.Vec, r.cands, p.nq.RefineLimit, p.nq.K, 0, costs)
+	return false, err
+}
+
+// checkFull refuses a page announced full that no honest server sends: one
+// whose records do not reach the page budget, whose last key is not its last
+// candidate's, or whose last key does not sort after the cursor it was asked
+// with — the order would not advance, and the reads would never end.
+func checkFull(after *mindex.BoundKey, r reply) error {
+	n := r.cands.count()
+	if n == 0 || r.cands.bytes() < wire.PageBytes {
+		return fmt.Errorf("core: a range page of %d candidates (%d B) announced full, under the page budget", n, r.cands.bytes())
+	}
+	if id, _ := r.cands.at(n - 1); id != r.page.Last.ID || (after != nil && r.page.Last.Compare(*after) <= 0) {
+		return fmt.Errorf("core: a full range page ends at key %+v, which does not follow its last candidate %d after the cursor", r.page.Last, id)
+	}
+	return nil
+}
+
+// addPage adds a range page's answers to those of the pages before it. Each
+// page resumes the order after the last key of the one before, so an ID
+// comes twice only when its object moved between the two reads; the first
+// read's answer is kept.
+func (p *pager) addPage(got []Result) {
+	if p.seen == nil && len(p.within) == 0 {
+		p.within = append(p.within, got...)
+		return
+	}
+	if p.seen == nil {
+		p.seen = make(map[uint64]struct{}, len(p.within)+len(got))
+		for _, r := range p.within {
+			p.seen[r.ID] = struct{}{}
+		}
+	}
+	for _, r := range got {
+		if _, dup := p.seen[r.ID]; !dup {
+			p.seen[r.ID] = struct{}{}
+			p.within = append(p.within, r)
+		}
+	}
+}
+
+// wave answers a wave of requests: it calls read with the reply to each
+// request, in order, while the reply's candidates are valid, and releases
+// what the wave holds before it returns. at maps a request's position to
+// its query's index, so an error names the query the caller knows.
+type wave func(wqs []wire.BatchQuery, at []int, read func(j int, r reply) error) error
+
+// pages runs the queries through their pages — the one paging loop of every
+// client backend. Each wave asks for the next page of every query whose
+// answer goes on, each reply is refined as it comes, and the wave's frames
+// are released before the next wave is sent, so a client holds one page
+// per query at a time.
+func (c *coder) pages(ps []pager, costs *stats.Costs, fetch wave) ([][]Result, error) {
+	at := make([]int, len(ps))
+	wqs := make([]wire.BatchQuery, len(ps))
+	for i := range ps {
+		at[i], wqs[i] = i, ps[i].wq
+	}
+	for len(at) > 0 {
+		var next []int
+		err := fetch(wqs, at, func(j int, r reply) error {
+			more, err := c.step(&ps[at[j]], r, costs)
+			if more {
+				next = append(next, at[j])
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		at, wqs = next, wqs[:0]
+		for _, i := range at {
+			wqs = append(wqs, ps[i].wq)
+		}
+	}
+	out := make([][]Result, len(ps))
+	for i := range ps {
+		out[i] = ps[i].out
+	}
+	return out, nil
 }
 
 // SearchBatch evaluates many queries in pipelined chunks of
 // Options.BatchChunk queries each, so the whole workload pays one
 // round-trip latency plus streaming instead of one round trip per query.
 // Kinds may be mixed freely; precise k-NN queries whose first phase does not
-// settle them add one extra pipelined wave. Results are per-query, in input
-// order, refined exactly like Search. ctx cancellation is checked between
-// chunks and interrupts blocked IO within one.
+// settle them, and range answers whose page is full, add pipelined waves.
+// Results are per-query, in input order, refined exactly like Search. ctx
+// cancellation is checked between chunks and interrupts blocked IO within
+// one.
 func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
@@ -212,68 +355,28 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	return out, costs, nil
 }
 
-// search evaluates normalized queries in one pipelined wave of every
-// query's (first) phase, then one of the precise k-NN phase twos still
-// needed.
+// search evaluates normalized queries in pipelined waves of their pages
+// (pages).
 func (c *EncryptedClient) search(ctx context.Context, norm []Query, costs *stats.Costs) ([][]Result, error) {
-	wqs := make([]wire.BatchQuery, len(norm))
-	var knns []knn
+	ps := make([]pager, len(norm))
 	for i, nq := range norm {
-		qDists := c.queryDists(nq, costs)
-		if nq.Kind == KindKNN {
-			knns = append(knns, c.startKNN(i, nq, qDists))
-			wqs[i] = knns[len(knns)-1].first
-			continue
-		}
-		wqs[i] = c.wireQuery(nq, qDists)
+		ps[i] = c.startPager(nq, c.queryDists(nq, costs))
 	}
-	// Both waves' response frames stay leased until the last refinement
-	// over them has returned: candidates are read out of the frames.
-	var wave1, wave2 flight
-	defer wave1.release()
-	defer wave2.release()
-	if err := c.batchCandidates(ctx, wqs, costs, func(i int) int { return i }, &wave1); err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(norm))
-	for i, nq := range norm {
-		if nq.Kind == KindKNN {
-			continue
+	return c.pages(ps, costs, func(wqs []wire.BatchQuery, at []int, read func(int, reply) error) error {
+		// The wave's response frames stay leased until the last refinement
+		// over them has returned: candidates are read out of the frames.
+		var fl flight
+		defer fl.release()
+		if err := c.batchCandidates(ctx, wqs, costs, func(j int) int { return at[j] }, &fl); err != nil {
+			return err
 		}
-		var err error
-		if out[i], err = c.finishQuery(nq, refCands(wave1.perQuery[i]), costs); err != nil {
-			return nil, err
-		}
-	}
-	pending := knns[:0] // the k-NN queries phase one did not settle
-	var second []wire.BatchQuery
-	for _, k := range knns {
-		next, more, err := c.nextKNN(&k, refCands(wave1.perQuery[k.at]), wave1.bounds[k.at], costs)
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			if out[k.at], err = c.finishKNN(&k, refCands(nil), costs); err != nil {
-				return nil, err
+		for j := range wqs {
+			if err := read(j, reply{cands: refCands(fl.perQuery[j]), bound: fl.bounds[j], page: fl.pages[j]}); err != nil {
+				return err
 			}
-			continue
 		}
-		pending = append(pending, k)
-		second = append(second, next)
-	}
-	if len(second) == 0 {
-		return out, nil
-	}
-	if err := c.batchCandidates(ctx, second, costs, func(j int) int { return pending[j].at }, &wave2); err != nil {
-		return nil, err
-	}
-	for j := range pending {
-		var err error
-		if out[pending[j].at], err = c.finishKNN(&pending[j], refCands(wave2.perQuery[j]), costs); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // flight is the answer to one batchCandidates exchange, held by reference:
@@ -285,6 +388,7 @@ type flight struct {
 	refs     []*wire.CandidateRefs // one by-reference decoding per frame
 	perQuery [][]wire.CandidateRef // one candidate set per wire query
 	bounds   []float64             // per wire query, its reply's bound trailer
+	pages    []wire.Page           // per wire query, its reply's page trailer
 }
 
 // candidateRefs recycles the by-reference decodings of response frames.
@@ -343,6 +447,7 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 		}
 		fl.perQuery = append(fl.perQuery, m.Results...)
 		fl.bounds = append(fl.bounds, m.Bounds...)
+		fl.pages = append(fl.pages, m.Pages...)
 	}
 	if len(fl.perQuery) != len(wqs) {
 		return fmt.Errorf("core: server returned %d batch results for %d queries", len(fl.perQuery), len(wqs))

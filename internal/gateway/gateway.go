@@ -1,12 +1,15 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"simcloud/internal/core"
@@ -126,16 +129,40 @@ func (g *Gateway) authenticate(r *http.Request) *tenant {
 	return g.tenantsByKey[key]
 }
 
-// writeJSON encodes v with the given status and records the code on the
-// tenant's counters (t may be nil before authentication succeeded).
+// jsonBufs recycles the buffers answers are encoded into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v and sends it with the given status in one write, its
+// Content-Length set, and records the code on the tenant's counters (t may
+// be nil before authentication succeeded). The status goes out only once
+// the answer has encoded: one that does not — a NaN or infinite distance —
+// is answered 500 with an ErrorResponse, never 200 with an empty body.
 func (g *Gateway) writeJSON(w http.ResponseWriter, t *tenant, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			jsonBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(ErrorResponse{Error: "encoding the answer: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 	if t != nil {
 		t.metrics.codes[codeSlot(code)].Add(1)
 	}
 }
+
+// maxPooledJSON is the largest answer buffer kept for reuse; a rare huge
+// answer's buffer is left to the collector.
+const maxPooledJSON = 1 << 20
 
 func (g *Gateway) writeError(w http.ResponseWriter, t *tenant, code int, msg string) {
 	g.writeJSON(w, t, code, ErrorResponse{Error: msg})

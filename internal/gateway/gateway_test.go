@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -726,5 +727,70 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	if total != 16*20 {
 		t.Fatalf("request counters sum to %d, want %d", total, 16*20)
+	}
+}
+
+// fixedSearcher is a fake backend that answers every query with the same
+// results.
+type fixedSearcher struct{ res []core.Result }
+
+func (f fixedSearcher) Search(context.Context, core.Query) ([]core.Result, stats.Costs, error) {
+	return f.res, stats.Costs{}, nil
+}
+
+func (f fixedSearcher) SearchBatch(_ context.Context, qs []core.Query) ([][]core.Result, stats.Costs, error) {
+	out := make([][]core.Result, len(qs))
+	for i := range out {
+		out[i] = f.res
+	}
+	return out, stats.Costs{}, nil
+}
+
+func (f fixedSearcher) Close() error { return nil }
+
+// TestAnswerThatDoesNotEncode: an answer JSON cannot carry — an infinite or
+// NaN distance — is a 500 with an ErrorResponse body for a search and for a
+// batch, not a 200 with an empty body; an answer that encodes is sent with
+// its Content-Length.
+func TestAnswerThatDoesNotEncode(t *testing.T) {
+	leaktest.Check(t)
+	for name, dist := range map[string]float64{"inf": math.Inf(1), "nan": math.NaN(), "finite": 1.5} {
+		t.Run(name, func(t *testing.T) {
+			backend := fixedSearcher{res: []core.Result{{ID: 3, Dist: dist}}}
+			gw, err := New(Config{Tenants: []Tenant{{Name: "t1", Key: "t1-key", Backend: backend}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(gw)
+			defer srv.Close()
+			q := SearchRequest{Kind: "approx-knn", Vec: queryVec(4, 0), K: 1}
+			for path, body := range map[string]any{"/v1/search": q, "/v1/search/batch": BatchRequest{Queries: []SearchRequest{q}}} {
+				blob, _ := json.Marshal(body)
+				req, _ := http.NewRequest(http.MethodPost, srv.URL+path, bytes.NewReader(blob))
+				req.Header.Set("X-API-Key", "t1-key")
+				resp, err := srv.Client().Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.ContentLength != int64(len(raw)) {
+					t.Fatalf("%s: Content-Length %d for a %d B body", path, resp.ContentLength, len(raw))
+				}
+				if name == "finite" {
+					if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"dist":1.5`) {
+						t.Fatalf("%s: HTTP %d %s", path, resp.StatusCode, raw)
+					}
+					continue
+				}
+				var e ErrorResponse
+				if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &e) != nil || !strings.Contains(e.Error, "unsupported value") {
+					t.Fatalf("%s: HTTP %d %q, want 500 with an ErrorResponse naming the value", path, resp.StatusCode, raw)
+				}
+			}
+		})
 	}
 }

@@ -38,6 +38,13 @@ type Keyed[T any] interface {
 	Rank() (promise float64, prefix []int32, id uint64)
 }
 
+// Candidate is a Keyed element whose shipped record size a range page's
+// budget counts (mindex.Sized).
+type Candidate[T any] interface {
+	Keyed[T]
+	Bytes() int
+}
+
 // compareCells is the (promise, prefix) order of two candidates' source
 // cells — the one implementation of it; callers add the source tie-break.
 func compareCells[T any, P Keyed[T]](a, b *T) int {
@@ -68,15 +75,19 @@ func compareBounds[T any, P Keyed[T]](a, b *T) int {
 // (promise, prefix, source). The result is fully deterministic for any
 // interleaving of sources, and for any input it is what a stable sort of the
 // concatenated lists by that key gives.
-func Ranked[T any, P Keyed[T]](per [][]T) []T { return ranked[T, P](per, -1, compareCells[T, P]) }
+func Ranked[T any, P Candidate[T]](per [][]T) []T {
+	return ranked[T, P](per, -1, 0, compareCells[T, P])
+}
 
 // ranked is the merge of per by compare (then source), cut to the first
-// limit elements (limit < 0 keeps all). Sources that arrive sorted — every
-// well-formed answer — are merged head by head, so only the elements kept
-// are ever moved and the merge stops at the limit. An unsorted source or a
-// NaN promise (a buggy node) falls back to a stable sort of positions by the
-// same key; elements are never swapped, whatever their size.
-func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) []T {
+// limit elements (limit < 0 keeps all) and, with a budget above 0, at the
+// first element whose record bytes reach it (mindex.PageEnd). Sources that
+// arrive sorted — every well-formed answer — are merged head by head, so
+// only the elements kept are ever moved and the merge stops at the cut. An
+// unsorted source or a NaN promise (a buggy node) falls back to a stable
+// sort of positions by the same key; elements are never swapped, whatever
+// their size.
+func ranked[T any, P Candidate[T]](per [][]T, limit, budget int, compare func(a, b *T) int) []T {
 	total := 0
 	sorted := true
 	for _, p := range per {
@@ -88,6 +99,14 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) 
 	}
 	if limit < 0 || limit > total {
 		limit = total
+	}
+	full := func(out []T) bool { return false }
+	if budget > 0 {
+		bytes := 0
+		full = func(out []T) bool {
+			bytes += P(&out[len(out)-1]).Bytes()
+			return bytes >= budget
+		}
 	}
 	out := make([]T, 0, limit)
 	if !sorted {
@@ -105,7 +124,9 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) 
 			return a.source - b.source
 		})
 		for _, o := range order[:limit] {
-			out = append(out, per[o.source][o.index])
+			if out = append(out, per[o.source][o.index]); full(out) {
+				break
+			}
 		}
 		return out
 	}
@@ -121,6 +142,14 @@ func ranked[T any, P Keyed[T]](per [][]T, limit int, compare func(a, b *T) int) 
 		// Everything of the cell at the winning head precedes the other
 		// heads as well: take the whole run in one go.
 		p, at := per[best], heads[best]
+		if budget > 0 {
+			// A page is cut element by element.
+			heads[best]++
+			if out = append(out, p[at]); full(out) {
+				break
+			}
+			continue
+		}
 		end := at + 1
 		for end < len(p) && len(out)+end-at < limit && compare(&p[at], &p[end]) == 0 {
 			end++
@@ -205,13 +234,21 @@ func BestCell[T any, P Keyed[T]](per [][]T) int {
 // candidate size; bound-ordered candidates merge by (bound, ID) and trim to
 // the candidate size — each source sent every entry of its own that is
 // among the union's first CandSize, so the cut is exactly those; first-cell
-// keeps BestCell.
-func Combine[T any, P Keyed[T]](q mindex.Query, per [][]T) []T {
+// keeps BestCell. A paged range (q.Page > 0) whose sources' records
+// together reach the budget merges by (bound, ID) and cuts the page there
+// (mindex.Page): a source's share of the merged page is a prefix of its own
+// bound order whose records, all but the last, stay under the budget, so
+// it lies within the source's own page.
+func Combine[T any, P Candidate[T]](q mindex.Query, per [][]T) []T {
 	switch q.Kind {
 	case mindex.KindApprox:
-		return ranked[T, P](per, max(q.CandSize, 0), compareCells[T, P])
+		return ranked[T, P](per, max(q.CandSize, 0), 0, compareCells[T, P])
 	case mindex.KindBound:
-		return ranked[T, P](per, max(q.CandSize, 0), compareBounds[T, P])
+		return ranked[T, P](per, max(q.CandSize, 0), 0, compareBounds[T, P])
+	case mindex.KindRange:
+		if q.Page > 0 && pageFull[T, P](per, q.Page) {
+			return ranked[T, P](per, -1, q.Page, compareBounds[T, P])
+		}
 	case mindex.KindFirstCell:
 		if best := BestCell[T, P](per); best >= 0 {
 			return per[best]
@@ -219,4 +256,17 @@ func Combine[T any, P Keyed[T]](q mindex.Query, per [][]T) []T {
 		return nil
 	}
 	return slices.Concat(per...)
+}
+
+// pageFull reports whether the sources' records together reach budget.
+func pageFull[T any, P Candidate[T]](per [][]T, budget int) bool {
+	total := 0
+	for _, p := range per {
+		for i := range p {
+			if total += P(&p[i]).Bytes(); total >= budget {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -14,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"simcloud/internal/pivot"
@@ -51,7 +50,7 @@ func referenceRange(t *testing.T, ix *Index, q []float64, r float64, filter Pivo
 				t.Fatal(err)
 			}
 			for _, e := range entriesOf(b) {
-				if _, gone := st.tombstones[e.ID]; gone {
+				if st.tombs.has(e.ID) {
 					continue
 				}
 				if filter != nil && len(n.prefix) == 0 && !(len(e.Perm) > 0 && filter.Allows(e.Perm[0])) {
@@ -296,16 +295,12 @@ func writeLegacySnapshot(t testing.TB, ix *Index, version byte) []byte {
 			dirty = 1
 		}
 		buf = append(buf, dirty)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.tombstones)))
-		dead := make([]uint64, 0, len(st.tombstones))
-		for id := range st.tombstones {
-			dead = append(dead, id)
-		}
-		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+		dead := st.tombs.ids()
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(dead)))
 		for _, id := range dead {
 			buf = binary.LittleEndian.AppendUint64(buf, id)
 		}
-	} else if len(st.tombstones) > 0 {
+	} else if st.tombs.n > 0 {
 		t.Fatal("a version-1 snapshot cannot carry tombstones")
 	}
 	var writeNode func(n *node)

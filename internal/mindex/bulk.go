@@ -226,11 +226,11 @@ func (ix *Index) bulkEligible(entries []Entry) bool {
 		return false
 	}
 	st := ix.state.Load()
-	if len(st.tombstones) > 0 {
+	if st.tombs.n > 0 {
 		// Re-inserting a tombstoned ID purges the dead twin in place —
 		// inherently incremental.
 		for i := range entries {
-			if _, gone := st.tombstones[entries[i].ID]; gone {
+			if st.tombs.has(entries[i].ID) {
 				return false
 			}
 		}
@@ -465,13 +465,13 @@ func (b *bulkTxn) split(n *node) error {
 		}
 		return cb
 	}
-	anyTomb := len(t.tomb) > 0
+	anyTomb := t.tombs.n > 0
 	file := func(idx int32) {
 		cb := childFor(b.key(idx, level))
 		cb.items = append(cb.items, idx)
 		cb.n.count++
 		if anyTomb {
-			if _, gone := t.tomb[b.id(idx)]; gone {
+			if t.tombs.has(b.id(idx)) {
 				cb.n.dead++
 			}
 		}

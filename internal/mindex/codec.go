@@ -76,6 +76,15 @@ func (v *EntryView) Dists() []byte { return v.Record[v.permEnd+2 : v.distsEnd : 
 // Payload is the ciphertext.
 func (v *EntryView) Payload() []byte { return v.Record[v.distsEnd+4 : v.payloadEnd : v.payloadEnd] }
 
+// CandidateBytes is the size of the entry's record as a query reply ships
+// it: the ID and the payload, with perm, dists and vec empty (AppendEntry of
+// an Entry holding only those two).
+func (v *EntryView) CandidateBytes() int { return candidateOverhead + v.payloadEnd - v.distsEnd - 4 }
+
+// candidateOverhead is the record bytes of a candidate besides its payload:
+// the ID, the three empty counts and the payload length.
+const candidateOverhead = 8 + 2 + 2 + 4 + 4
+
 // permEndOf and distsEndOf locate the end of a record's permutation and of
 // its distances from the counts in front of them: the record layout up to
 // the distances, which ScanEntry checks against its buffer and recordDists

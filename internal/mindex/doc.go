@@ -41,7 +41,9 @@
 // The index is mutable. Delete marks entries dead through an ID-keyed
 // tombstone set — searches skip tombstoned entries immediately, so a
 // deleted entry is never observable in any result even though its record
-// still occupies its bucket. Entry IDs must be unique among live entries
+// still occupies its bucket. The set is a persistent hash trie (tombSet), so
+// a delete copies the few trie nodes on its ID's path, not the set: its cost
+// does not grow with the tombstones a compaction has yet to clear. Entry IDs must be unique among live entries
 // (InsertBulk returns ErrDuplicateID for a live duplicate and physically
 // purges a dead twin on re-insert). Compact physically drops tombstoned
 // entries and merges cells that deletion left underfull; afterwards the

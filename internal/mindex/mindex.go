@@ -213,14 +213,14 @@ type Index struct {
 }
 
 // readState is one published snapshot of the index. All reachable data —
-// the node tree, the tombstone map, pinned bucket views — is immutable once
+// the node tree, the tombstone set, pinned bucket views — is immutable once
 // published; mutators clone what they change and publish a fresh readState.
 type readState struct {
 	root *node
 	size int // live entries
 	dead int // tombstoned entries still physically stored
-	// tombstones holds the IDs of deleted-but-not-yet-compacted entries.
-	tombstones map[uint64]struct{}
+	// tombs holds the IDs of deleted-but-not-yet-compacted entries.
+	tombs tombSet
 }
 
 // entryLoc locates one stored entry: its leaf cell prefix and the
@@ -370,7 +370,7 @@ func New(cfg Config) (*Index, error) {
 		return nil, err
 	}
 	root := &node{bucket: rootBucket, pin: &pinCell{}}
-	idx.state.Store(&readState{root: root, tombstones: make(map[uint64]struct{})})
+	idx.state.Store(&readState{root: root})
 	return idx, nil
 }
 

@@ -26,10 +26,9 @@ type txn struct {
 	root *node
 	size int
 	dead int
-	// tomb aliases the published tombstone map until tombMutable clones it
-	// (copy-on-write: most transactions never touch tombstones).
-	tomb      map[uint64]struct{}
-	tombOwned bool
+	// tombs starts as the published tombstone set; add and remove copy
+	// only the trie nodes on their ID's path (see tombSet).
+	tombs tombSet
 	// loc is the entry-location map this transaction maintains — the
 	// writer-private ix.loc for ordinary mutations, a fresh map for the
 	// Compact rebuild.
@@ -49,33 +48,20 @@ func (ix *Index) begin() *txn {
 	st := ix.state.Load()
 	ix.txnGen++
 	return &txn{
-		ix:   ix,
-		root: st.root,
-		size: st.size,
-		dead: st.dead,
-		tomb: st.tombstones,
-		loc:  ix.loc,
-		gen:  ix.txnGen,
+		ix:    ix,
+		root:  st.root,
+		size:  st.size,
+		dead:  st.dead,
+		tombs: st.tombs,
+		loc:   ix.loc,
+		gen:   ix.txnGen,
 	}
 }
 
 // commit publishes the transaction's state as the new snapshot. Everything
 // reachable from it is immutable from this moment on.
 func (t *txn) commit() {
-	t.ix.state.Store(&readState{root: t.root, size: t.size, dead: t.dead, tombstones: t.tomb})
-}
-
-// tombMutable returns a tombstone map the transaction owns and may mutate.
-func (t *txn) tombMutable() map[uint64]struct{} {
-	if !t.tombOwned {
-		m := make(map[uint64]struct{}, len(t.tomb)+1)
-		for id := range t.tomb {
-			m[id] = struct{}{}
-		}
-		t.tomb = m
-		t.tombOwned = true
-	}
-	return t.tomb
+	t.ix.state.Store(&readState{root: t.root, size: t.size, dead: t.dead, tombs: t.tombs})
 }
 
 // mutable returns a node the transaction owns: n itself when it was already
@@ -201,7 +187,7 @@ func (s *distScratch) of(v *EntryView) []float64 {
 // tombstoned twin, then file the entry.
 func (t *txn) insertEntry(e *Entry) error {
 	if _, ok := t.loc[e.ID]; ok {
-		if _, gone := t.tomb[e.ID]; !gone {
+		if !t.tombs.has(e.ID) {
 			return fmt.Errorf("%w: %d", ErrDuplicateID, e.ID)
 		}
 		if err := t.purge(e.ID); err != nil {
@@ -334,7 +320,7 @@ func (t *txn) split(n *node) error {
 		owner[i] = int32(ci)
 		c := made[ci].n
 		c.count++
-		if _, gone := t.tomb[v.ID]; gone {
+		if t.tombs.has(v.ID) {
 			c.dead++
 		}
 		c.updateBounds(t.ix.scratch.dists.of(&v))
@@ -442,7 +428,7 @@ func (t *txn) purge(id uint64) error {
 		}
 		t.dead -= removed
 	}
-	delete(t.tombMutable(), id)
+	t.tombs.remove(id, t.gen)
 	delete(t.loc, id)
 	t.ix.dirty = true
 	return nil
@@ -457,14 +443,14 @@ func (t *txn) delete(ids []uint64) (int, error) {
 		if !ok {
 			continue
 		}
-		if _, gone := t.tomb[id]; gone {
+		if t.tombs.has(id) {
 			continue
 		}
 		path, err := t.pathTo(l.prefix)
 		if err != nil {
 			return deleted, err
 		}
-		t.tombMutable()[id] = struct{}{}
+		t.tombs.add(id, t.gen)
 		for _, pn := range path {
 			pn.dead++
 		}
@@ -624,7 +610,7 @@ func (ix *Index) Compact() error {
 			olds = append(olds, oldLeaf{n: n, view: view})
 			for i := range view.Len() {
 				v := view.At(i)
-				if _, gone := st.tombstones[v.ID]; gone {
+				if st.tombs.has(v.ID) {
 					continue
 				}
 				live = append(live, seqEntry{v: v, seq: ix.loc[v.ID].seq})
@@ -653,12 +639,10 @@ func (ix *Index) Compact() error {
 	}
 	ix.txnGen++
 	b := &txn{
-		ix:   ix,
-		tomb: make(map[uint64]struct{}),
-		loc:  make(map[uint64]entryLoc, len(live)),
-		gen:  ix.txnGen,
+		ix:  ix,
+		loc: make(map[uint64]entryLoc, len(live)),
+		gen: ix.txnGen,
 	}
-	b.tombOwned = true
 	b.root = b.fresh(&node{bucket: rootBucket, pin: &pinCell{}})
 	for i := range live {
 		if err := b.insert(recordBucket(&live[i].v)); err != nil {

@@ -32,7 +32,7 @@ const (
 	KindAll
 	// KindBound collects the first CandSize live entries in bound order
 	// (see BoundKey) from the query's pivot distances (Dists) — the first
-	// page of a precise k-NN whose second page is a KindRange query resumed
+	// page of a precise k-NN whose later pages are KindRange queries resumed
 	// After the last of them.
 	KindBound
 )
@@ -47,9 +47,12 @@ type Query struct {
 	Radius   float64 // KindRange
 	CandSize int     // KindApprox, KindBound
 	// After, on a KindRange query, keeps only the entries whose bound key
-	// sorts after it: the keyset cursor that resumes a KindBound page. Nil
-	// keeps every entry.
+	// sorts after it: the keyset cursor that resumes a KindBound page or a
+	// full range page. Nil keeps every entry.
 	After *BoundKey
+	// Page, on a KindRange query, is the byte budget of one page of the
+	// answer (see PageEnd); 0 returns the whole answer.
+	Page int
 	// Allow restricts the search to first-level cells; nil allows all.
 	Allow PivotFilter
 	// Share pools a KindBound search's threshold across the indexes that
@@ -97,7 +100,7 @@ func entryBound(qDists []float64, dists []byte, limit float64) (float64, bool) {
 func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 	switch q.Kind {
 	case KindRange:
-		return ix.rangeByDists(q.Dists, q.Radius, q.After, q.Allow)
+		return ix.rangeByDists(q.Dists, q.Radius, q.After, q.Allow, q.Page)
 	case KindBound:
 		return ix.collectBound(q.Dists, q.CandSize, q.Allow, q.Share)
 	case KindApprox:
@@ -149,8 +152,8 @@ func (r *CellRun) Rank() (float64, []int32, uint64) { return r.Promise, r.Prefix
 // and prefix of its source cell. The annotations let a sharded engine merge
 // per-shard candidate streams into one globally promise-ordered list (ties
 // broken by prefix, then shard), reproducing the cell-visit discipline of
-// Algorithm 4 across index partitions. A KindBound candidate carries its
-// own bound key's LB as the promise and no prefix.
+// Algorithm 4 across index partitions. A KindBound or KindRange candidate
+// carries its own bound key's LB as the promise and no prefix.
 type RankedCandidate struct {
 	// Entry is the candidate's stored record as a view. Out of an index it
 	// aliases the immutable bucket image the search read: nothing is
@@ -165,6 +168,10 @@ type RankedCandidate struct {
 func (rc *RankedCandidate) Rank() (float64, []int32, uint64) {
 	return rc.Promise, rc.Prefix, rc.Entry.ID
 }
+
+// Bytes is the size of the record a reply ships for the candidate
+// (CandidateBytes) — what a range page's budget counts.
+func (rc *RankedCandidate) Bytes() int { return rc.Entry.CandidateBytes() }
 
 // Flat drops the ranking annotations of a Search result (passing its error
 // through) and decodes the candidates into whole entries, each field in an
@@ -216,9 +223,13 @@ func (ix *Index) ApproxCandidatesRanked(q ApproxQuery, candSize int) ([]RankedCa
 // authorized client in the encrypted one.
 //
 // A non-nil after restricts the answer to entries whose bound key sorts
-// after it, so that a KindBound page plus this range covers R(q, r) with
-// no entry in both.
-func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filter PivotFilter) ([]RankedCandidate, error) {
+// after it, so that a KindBound page, or the range pages before, plus this
+// range covers R(q, r) with no entry in both. Each candidate carries the LB
+// of its bound key as its promise. A page budget above 0 cuts the answer to
+// one page (Page): only when the candidates' records reach the budget are
+// they sorted by bound key and the page's worth kept, so an answer that fits
+// comes back in walk order, as a whole.
+func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filter PivotFilter, page int) ([]RankedCandidate, error) {
 	if len(qDists) != ix.cfg.NumPivots {
 		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
 	}
@@ -257,10 +268,10 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 						continue
 					}
 				}
-				if _, gone := st.tombstones[id]; gone {
+				if st.tombs.has(id) {
 					continue
 				}
-				out = append(out, RankedCandidate{Entry: sc.keep(b.At(i), transient)})
+				out = append(out, RankedCandidate{Entry: sc.keep(b.At(i), transient), Promise: lb})
 			}
 			return nil
 		}
@@ -284,7 +295,67 @@ func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filt
 	if err := visit(st.root); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return Page(out, page), nil
+}
+
+// Page cuts a range answer to its first page under budget: when the
+// candidates' records reach the budget, they are sorted by bound key and
+// PageEnd of them kept; otherwise, and when budget is 0, all of them stay,
+// in the order they came. A page is full — the bound order may go on past
+// its last key — exactly when its records reach the budget (PageFull).
+func Page(rcs []RankedCandidate, budget int) []RankedCandidate {
+	if !PageFull(rcs, budget) {
+		return rcs
+	}
+	SortBound(rcs)
+	return rcs[:PageEnd(rcs, budget)]
+}
+
+// SortBound puts bound-keyed candidates (KindBound, KindRange) in bound-key
+// order: the LB their promise carries, then the ID. A list already in it is
+// only checked.
+func SortBound(rcs []RankedCandidate) {
+	compare := func(a, b RankedCandidate) int {
+		return BoundKey{LB: a.Promise, ID: a.Entry.ID}.Compare(BoundKey{LB: b.Promise, ID: b.Entry.ID})
+	}
+	if !slices.IsSortedFunc(rcs, compare) {
+		slices.SortFunc(rcs, compare)
+	}
+}
+
+// Sized is a candidate whose shipped record size a page budget counts:
+// *RankedCandidate, and the wire's by-reference candidate.
+type Sized[T any] interface {
+	*T
+	Bytes() int
+}
+
+// PageEnd returns how many of the candidates, in the order given, one page
+// holds: records are taken until their bytes reach budget, so a page holds
+// at least one record and at most the budget plus one record.
+func PageEnd[T any, P Sized[T]](rcs []T, budget int) int {
+	total := 0
+	for i := range rcs {
+		if total += P(&rcs[i]).Bytes(); total >= budget {
+			return i + 1
+		}
+	}
+	return len(rcs)
+}
+
+// PageFull reports whether the candidates' records reach budget (> 0): a
+// range page that does is full, one that does not is the order's last.
+func PageFull[T any, P Sized[T]](rcs []T, budget int) bool {
+	if budget <= 0 {
+		return false
+	}
+	total := 0
+	for i := range rcs {
+		if total += P(&rcs[i]).Bytes(); total >= budget {
+			return true
+		}
+	}
+	return false
 }
 
 // pruneCell decides whether the child cell (reached from parent via
@@ -628,7 +699,7 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 			counted := 0
 			for i := 0; i < b.Len() && !(trim && have == want); i++ {
 				v := b.At(i)
-				if _, gone := st.tombstones[v.ID]; gone {
+				if st.tombs.has(v.ID) {
 					continue
 				}
 				if root && !filter.allowsView(&v) {
@@ -720,7 +791,7 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 				if above {
 					continue
 				}
-				if _, gone := st.tombstones[id]; gone {
+				if st.tombs.has(id) {
 					continue
 				}
 				v := b.At(i)
@@ -889,7 +960,7 @@ func (ix *Index) all(filter PivotFilter) ([]RankedCandidate, error) {
 			}
 			for i := range b.Len() {
 				v := b.At(i)
-				if _, gone := st.tombstones[v.ID]; gone || !filter.allowsView(&v) {
+				if st.tombs.has(v.ID) || !filter.allowsView(&v) {
 					continue
 				}
 				out = append(out, RankedCandidate{Entry: sc.keep(v, transient)})

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"simcloud/internal/pivot"
 )
@@ -95,7 +94,8 @@ func (ix *Index) writeSnapshot(path string, ds *DiskStore, st *readState) error 
 		f.Close()
 		return err
 	}
-	hdr := make([]byte, 0, 64+8*len(st.tombstones))
+	dead := st.tombs.ids() // ascending: a deterministic tombstone order
+	hdr := make([]byte, 0, 64+8*len(dead))
 	hdr = append(hdr, snapVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ix.cfg.NumPivots))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(ix.cfg.MaxLevel))
@@ -108,13 +108,7 @@ func (ix *Index) writeSnapshot(path string, ds *DiskStore, st *readState) error 
 		dirty = 1
 	}
 	hdr = append(hdr, dirty)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(st.tombstones)))
-	// Deterministic tombstone order: ascending ID.
-	dead := make([]uint64, 0, len(st.tombstones))
-	for id := range st.tombstones {
-		dead = append(dead, id)
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(dead)))
 	for _, id := range dead {
 		hdr = binary.LittleEndian.AppendUint64(hdr, id)
 	}
@@ -221,7 +215,7 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 	size := int(r.u64())
 	next := BucketID(r.u64())
 	dirty := false
-	tombstones := make(map[uint64]struct{})
+	var tombs tombSet
 	if version >= 2 {
 		dirty = r.u8() == 1
 		deadCount := int(r.u64())
@@ -229,10 +223,9 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 			return nil, fmt.Errorf("%w: implausible tombstone count", ErrSnapshot)
 		}
 		for range deadCount {
-			tombstones[r.u64()] = struct{}{}
-		}
-		if len(tombstones) != deadCount {
-			return nil, fmt.Errorf("%w: duplicate tombstone IDs", ErrSnapshot)
+			if !tombs.add(r.u64(), 0) {
+				return nil, fmt.Errorf("%w: duplicate tombstone IDs", ErrSnapshot)
+			}
 		}
 	}
 	if r.err != nil {
@@ -253,9 +246,9 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 	if r.err != nil || len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: trailing or missing bytes", ErrSnapshot)
 	}
-	if root.dead != len(tombstones) || root.count != size+root.dead {
+	if root.dead != tombs.n || root.count != size+root.dead {
 		return nil, fmt.Errorf("%w: entry counts disagree (tree %d/%d dead, header %d live + %d tombstones)",
-			ErrSnapshot, root.count, root.dead, size, len(tombstones))
+			ErrSnapshot, root.count, root.dead, size, tombs.n)
 	}
 	store, err := ReopenDiskStore(cfg.DiskPath, counts, next)
 	if err != nil {
@@ -269,10 +262,10 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 		dirty:   dirty,
 	}
 	ix.state.Store(&readState{
-		root:       root,
-		size:       size,
-		dead:       len(tombstones),
-		tombstones: tombstones,
+		root:  root,
+		size:  size,
+		dead:  tombs.n,
+		tombs: tombs,
 	})
 	// Pre-warm the entry-location map now, while the index is still
 	// private to this goroutine: ensureLoc walks every bucket, and paying

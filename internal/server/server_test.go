@@ -660,11 +660,17 @@ func TestBatchQueryEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameRanked(ranked[qi], asShipped(direct)) {
-						t.Fatalf("%s: wire answer (%d) != engine Search (%d)", qname, len(ranked[qi]), len(direct))
+					shipped := asShipped(direct)
+					if !sameRanked(flat[qi], dropAnnotations(shipped)) {
+						t.Fatalf("%s: flat answer is not engine Search's with annotations dropped", qname)
 					}
-					if !sameRanked(flat[qi], dropAnnotations(ranked[qi])) {
-						t.Fatalf("%s: flat answer is not the ranked one with annotations dropped", qname)
+					if q.Kind == wire.BatchRange {
+						// A ranked range page comes in bound-key order, which
+						// a coordinator merges its nodes' pages by.
+						mindex.SortBound(shipped)
+					}
+					if !sameRanked(ranked[qi], shipped) {
+						t.Fatalf("%s: wire answer (%d) != engine Search (%d)", qname, len(ranked[qi]), len(direct))
 					}
 					for _, form := range []bool{false, true} {
 						alone := batchQuery(t, conn, wire.BatchQueryReq{

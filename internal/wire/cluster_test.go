@@ -108,6 +108,64 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRangePageRoundTrip: a flat reply ends each BatchRange result in its
+// page trailer — full with the last candidate's bound key once the records
+// reach PageBytes, a lone zero byte otherwise — and both decoders read it
+// back; a flag byte other than 0 and 1, and a cut trailer, are refused.
+func TestRangePageRoundTrip(t *testing.T) {
+	cand := func(id uint64, lb float64, payload int) mindex.RankedCandidate {
+		return mindex.RankedCandidate{Promise: lb, Entry: mindex.ViewOf(mindex.Entry{
+			ID: id, Perm: []int32{1, 0}, Dists: []float64{1, 2}, Payload: make([]byte, payload)})}
+	}
+	half := PageBytes / 2
+	full := []mindex.RankedCandidate{cand(4, 0.25, half), cand(9, 0.5, half)} // 2 × (half + 20) B
+	short := []mindex.RankedCandidate{cand(3, 0.75, 10)}
+	justUnder := []mindex.RankedCandidate{cand(5, 0.1, half-20), cand(6, 0.2, half-21)} // PageBytes − 1 B
+	queries := []BatchQuery{{Kind: BatchRange}, {Kind: BatchRange}, {Kind: BatchRange}, {Kind: BatchBound}, {Kind: BatchRange}}
+	resp := BatchRankedResp{ServerNanos: 5, Results: [][]mindex.RankedCandidate{full, short, nil, short, justUnder}}
+	want := []Page{{Full: true, Last: mindex.BoundKey{LB: 0.5, ID: 9}}, {}, {}, {}, {}}
+	for i, rcs := range resp.Results {
+		if queries[i].Kind == BatchRange && PageOf(rcs) != want[i] {
+			t.Fatalf("PageOf(result %d) = %+v, want %+v", i, PageOf(rcs), want[i])
+		}
+	}
+	var b Buffer
+	resp.AppendFlatTo(&b, queries)
+	out, err := DecodeBatchQueryResp(b.B, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.Pages, want) || out.Bounds[3] != 0.75 || len(out.Results[0]) != 2 {
+		t.Fatalf("decoded pages %+v, bounds %v; want pages %+v and bound 0.75 on result 3", out.Pages, out.Bounds, want)
+	}
+	var refs CandidateRefs
+	if err := refs.DecodeFlat(b.B, queries); err != nil || !reflect.DeepEqual(refs.Pages, want) {
+		t.Fatalf("by-reference pages %+v (%v), want %+v", refs.Pages, err, want)
+	}
+	var lone Buffer
+	BatchRankedResp{Results: [][]mindex.RankedCandidate{short}}.AppendFlatTo(&lone, queries[:1])
+	if want := 8 + 4 + 4 + short[0].Bytes() + 1; len(lone.B) != want {
+		t.Fatalf("a short page's reply is %d B, want %d: its trailer is one byte", len(lone.B), want)
+	}
+	at := 8 + 4 + 4 + len(mindex.AppendEntry(nil, mindex.Entry{ID: 4, Payload: make([]byte, half)}))*2
+	if b.B[at] != 1 {
+		t.Fatalf("full page's flag byte is %d", b.B[at])
+	}
+	for _, cut := range []int{at + 1, at + 9} {
+		if _, err := DecodeBatchQueryResp(b.B[:cut], queries); err == nil {
+			t.Fatalf("reply cut at %d of %d bytes decoded", cut, len(b.B))
+		}
+	}
+	hostile := append([]byte(nil), b.B...)
+	hostile[at] = 2
+	if _, err := DecodeBatchQueryResp(hostile, queries); err == nil {
+		t.Fatal("page flag 2 accepted")
+	}
+	if err := refs.DecodeFlat(hostile, queries); err == nil {
+		t.Fatal("page flag 2 accepted by reference")
+	}
+}
+
 func TestBatchRankedRespHostileCount(t *testing.T) {
 	var b Buffer
 	b.U64(0)

@@ -61,6 +61,21 @@
 // always sent, and the cursor is a value the server computed itself, so the
 // pair reveals nothing the range query alone did not.
 //
+// Protocol version 7 reads that order in bounded pages. A BatchRange — a
+// range query, or a precise k-NN's resumed range — is answered one page at
+// a time: the qualifying entries with the smallest (bound, ID) keys, taken
+// until their candidate records reach PageBytes (a constant of the
+// protocol; at least one record, at most PageBytes plus one). The flat
+// result ends in a page trailer (Page): a flag byte, and for a full page
+// the key of its last candidate, which the next request sends back as its
+// After; a page that is not full is the last. A ranked range page — a node's
+// answer to its coordinator — carries each candidate's bound as its promise
+// in strict key order, so the coordinator merges the nodes' pages by key and
+// cuts at the same budget. Every later page repeats the query's own vector
+// and radius, and its cursor is a key the server computed itself, so the
+// pages reveal nothing beyond what the single reply revealed; no hop holds
+// more than a page of one query in a frame.
+//
 // A candidate of a query reply is an entry record holding the ID and the
 // payload and nothing else: perm, dists and vec are written with length
 // zero (appendCandidate). The index metadata has been used by the time an

@@ -27,7 +27,10 @@ type MsgType uint8
 // MsgIngestObjChunk), whose ack carries the server's distance time.
 // Version 6 added the count form of a ranked read (BatchQueryReq.Counts,
 // answered by MsgBatchCellCounts) and dropped AckResp's distance time.
-const ProtocolVersion = 6
+// Version 7 answers a BatchRange one page at a time (PageBytes): its flat
+// result ends in a page trailer (Page), and a ranked one comes in bound-key
+// order with each candidate's bound as its promise.
+const ProtocolVersion = 7
 
 // Protocol messages. Requests flow client→server, responses server→client.
 // The numbers are the wire encoding and never change; a retired message's

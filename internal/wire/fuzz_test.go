@@ -102,7 +102,7 @@ func recordWithVec() []byte {
 
 // boundQueries is a request of eight queries whose i-th is a BatchBound
 // query when bit i of mask is set (its flat reply result then carries a
-// bound trailer) and a range query otherwise.
+// bound trailer) and a range query otherwise (a page trailer).
 func boundQueries(mask uint8) []BatchQuery {
 	qs := make([]BatchQuery, 8)
 	for i := range qs {
@@ -117,7 +117,7 @@ func boundQueries(mask uint8) []BatchQuery {
 // FuzzDecodeRankedRefs: the by-reference reply decoders agree with the
 // copying ones on every input — both refuse it, or both report the same
 // candidates (and, on a flat reply to the bound queries mask names, the same
-// bounds).
+// bounds; to the range queries, the same pages).
 func FuzzDecodeRankedRefs(f *testing.F) {
 	ranked := BatchRankedResp{ServerNanos: 2, Results: [][]mindex.RankedCandidate{
 		{
@@ -138,6 +138,16 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 	ranked.AppendFlatTo(&bounded, boundQueries(0b011))
 	f.Add(bounded.B, uint8(0b011))
 	f.Add(bounded.B[:len(bounded.B)-3], uint8(0b111))
+	// Protocol v7's range pages: a full page, whose records reach
+	// PageBytes, then a short one — and the full page's trailer with a flag
+	// byte no encoder writes.
+	big := mindex.ViewOf(mindex.Entry{ID: 8, Payload: make([]byte, PageBytes)})
+	var paged Buffer
+	BatchRankedResp{Results: [][]mindex.RankedCandidate{{{Entry: big, Promise: 0.5}}, ranked.Results[0]}}.AppendFlatTo(&paged, boundQueries(0))
+	f.Add(paged.B, uint8(0))
+	bad := bytes.Clone(paged.B)
+	bad[8+4+4+len(big.Record)] = 2
+	f.Add(bad, uint8(0))
 	// TestBatchRankedRespHostileCount's payload: an absurd result count.
 	var hostile Buffer
 	hostile.U64(0)
@@ -198,7 +208,7 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 		}
 		if err == nil {
 			if refs.ServerNanos != flatWant.ServerNanos || len(refs.Results) != len(flatWant.Results) ||
-				len(refs.Bounds) != len(flatWant.Bounds) {
+				len(refs.Bounds) != len(flatWant.Bounds) || len(refs.Pages) != len(flatWant.Pages) {
 				t.Fatal("flat: header differs")
 			}
 			for qi, entries := range flatWant.Results {
@@ -207,6 +217,9 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 				}
 				if !sameFloat(refs.Bounds[qi], flatWant.Bounds[qi]) {
 					t.Fatalf("flat result %d: bound %v, want %v", qi, refs.Bounds[qi], flatWant.Bounds[qi])
+				}
+				if p, w := refs.Pages[qi], flatWant.Pages[qi]; p.Full != w.Full || p.Last.ID != w.Last.ID || !sameFloat(p.Last.LB, w.Last.LB) {
+					t.Fatalf("flat result %d: page %+v, want %+v", qi, p, w)
 				}
 				for i, e := range entries {
 					checkRef(t, refs.Results[qi][i], e)
@@ -332,6 +345,18 @@ func FuzzDecodeRequests(f *testing.F) {
 		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}}), Promise: 0.25}}, nil,
 	}}.AppendFlatTo(&boundFlat, boundQueries(0xFF))
 	f.Add(boundFlat.B)
+	// A range query read in pages: the request of a later page resumes the
+	// bound order after the last key of the one before (the cursor), and the
+	// reply to it ends in a page trailer, here a full page's.
+	f.Add(BatchQueryReq{Queries: []BatchQuery{
+		{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3, After: &mindex.BoundKey{LB: 0, ID: 1 << 40}},
+		{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3},
+	}}.Encode())
+	var pageFlat Buffer
+	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
+		{{Entry: mindex.ViewOf(mindex.Entry{ID: 2, Payload: make([]byte, PageBytes)}), Promise: 0.125}}, nil,
+	}}.AppendFlatTo(&pageFlat, boundQueries(0))
+	f.Add(pageFlat.B)
 	f.Add(DeleteEntriesReq{Refs: []mindex.Entry{
 		{ID: 7, Perm: []int32{1, 0, 2}},
 		{ID: 8, Perm: []int32{2, 1, 0}},
@@ -407,6 +432,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		}
 		_, _ = DecodeBatchQueryResp(data, nil)
 		_, _ = DecodeBatchQueryResp(data, boundQueries(0xFF))
+		_, _ = DecodeBatchQueryResp(data, boundQueries(0))
 		_, _ = DecodeDeleteEntriesReq(data)
 		_, _ = DecodeDeleteAckResp(data)
 		_, _ = DecodeHelloResp(data)

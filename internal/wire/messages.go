@@ -349,6 +349,63 @@ type BatchQuery struct {
 	After *mindex.BoundKey
 }
 
+// PageBytes is the byte budget of one page of a BatchRange answer, a
+// constant of the protocol: a page holds the qualifying entries with the
+// smallest bound keys, taken until their candidate records reach it — at
+// least one record, and at most PageBytes plus one (mindex.PageEnd). Every
+// server, and a coordinator asking its nodes, pages with this budget.
+const PageBytes = 1 << 20
+
+// Page is the trailer of a BatchRange result's flat reply. Full reports a
+// page whose records reached PageBytes — the order may go on past it, and
+// Last, its last candidate's bound key, is the cursor (BatchQuery.After)
+// that asks for the next page. A page that is not full is the last one.
+type Page struct {
+	Full bool
+	Last mindex.BoundKey
+}
+
+// PageOf is the trailer of a range page: an index's candidates, or a
+// coordinator's merge of its nodes' pages, each carrying its bound as its
+// promise.
+func PageOf[T any, P interface {
+	mindex.Sized[T]
+	Rank() (float64, []int32, uint64)
+}](rcs []T) Page {
+	if !mindex.PageFull[T, P](rcs, PageBytes) {
+		return Page{}
+	}
+	lb, _, id := P(&rcs[len(rcs)-1]).Rank()
+	return Page{Full: true, Last: mindex.BoundKey{LB: lb, ID: id}}
+}
+
+// AppendPage writes a page trailer: a flag byte, then for a full page its
+// last key.
+func AppendPage(b *Buffer, p Page) {
+	if !p.Full {
+		b.U8(0)
+		return
+	}
+	b.U8(1)
+	b.F64(p.Last.LB)
+	b.U64(p.Last.ID)
+}
+
+// readPage reads a page trailer; any flag but 0 and 1 is an error, so a
+// trailer has one encoding.
+func readPage(r *Reader) Page {
+	switch r.U8() {
+	case 0:
+		return Page{}
+	case 1:
+		return Page{Full: true, Last: mindex.BoundKey{LB: r.F64(), ID: r.U64()}}
+	}
+	if r.err == nil {
+		r.err = ErrCodec
+	}
+	return Page{}
+}
+
 // IndexQuery validates q against an index over numPivots pivots and
 // translates it into the index's query form, restricted to allow. It is the
 // one place a wire query kind is given its index meaning: the server's
@@ -364,6 +421,7 @@ func (q BatchQuery) IndexQuery(numPivots int, allow mindex.PivotFilter) (mindex.
 	switch q.Kind {
 	case BatchRange:
 		out.Kind = mindex.KindRange
+		out.Page = PageBytes
 	case BatchApproxPerm, BatchApproxDists:
 		out.Kind = mindex.KindApprox
 	case BatchFirstCell:
@@ -590,12 +648,31 @@ type BatchQueryResp struct {
 	// Bounds holds, parallel to Results, the bound of a BatchBound
 	// result's last candidate (0 for an empty result and for other kinds).
 	Bounds []float64
+	// Pages holds, parallel to Results, a BatchRange result's page trailer
+	// (the zero Page for other kinds).
+	Pages []Page
 }
 
-// boundTrailer reports whether the flat reply's result i carries a bound
-// after its candidates: exactly when query i of the request is BatchBound.
-func boundTrailer(queries []BatchQuery, i int) bool {
-	return i < len(queries) && queries[i].Kind == BatchBound
+// kindOf is the kind of query i of the request a flat reply answers (0
+// past its end), which says what trailer result i carries after its
+// candidates: a bound after a BatchBound result, a Page after a BatchRange
+// one, nothing after the others.
+func kindOf(queries []BatchQuery, i int) uint8 {
+	if i < len(queries) {
+		return queries[i].Kind
+	}
+	return 0
+}
+
+// readTrailer reads the trailer a flat result of the given kind carries.
+func readTrailer(r *Reader, kind uint8) (bound float64, page Page) {
+	switch kind {
+	case BatchBound:
+		bound = r.F64()
+	case BatchRange:
+		page = readPage(r)
+	}
+	return bound, page
 }
 
 // DecodeBatchQueryResp parses a BatchQueryResp payload, the answer to
@@ -613,17 +690,16 @@ func DecodeBatchQueryResp(p []byte, queries []BatchQuery) (BatchQueryResp, error
 	}
 	m.Results = make([][]mindex.Entry, 0, n)
 	m.Bounds = make([]float64, 0, n)
+	m.Pages = make([]Page, 0, n)
 	for i := range n {
 		entries := readEntries(r)
-		var bound float64
-		if boundTrailer(queries, i) {
-			bound = r.F64()
-		}
+		bound, page := readTrailer(r, kindOf(queries, i))
 		if r.err != nil {
 			break
 		}
 		m.Results = append(m.Results, entries)
 		m.Bounds = append(m.Bounds, bound)
+		m.Pages = append(m.Pages, page)
 	}
 	return m, r.Err()
 }

@@ -30,6 +30,10 @@ type CandidateRef struct {
 // (merge.Keyed).
 func (c *CandidateRef) Rank() (float64, []int32, uint64) { return c.Promise, c.Prefix, c.ID }
 
+// Bytes is the size of the candidate's record, what a range page's budget
+// counts (mindex.Sized).
+func (c *CandidateRef) Bytes() int { return len(c.Record) }
+
 // CandidateRefs is a candidate reply decoded by reference: one candidate
 // list per query, parallel to the request's query list. Decoding reuses the
 // value's storage, so a serving loop keeps one per source and allocates
@@ -37,9 +41,10 @@ func (c *CandidateRef) Rank() (float64, []int32, uint64) { return c.Promise, c.P
 type CandidateRefs struct {
 	ServerNanos uint64
 	Results     [][]CandidateRef
-	// Bounds is BatchQueryResp.Bounds of a flat reply; empty on a ranked
-	// one, whose candidates carry their bounds as promises.
+	// Bounds and Pages are BatchQueryResp's of a flat reply; empty on a
+	// ranked one, whose candidates carry their bounds as promises.
 	Bounds []float64
+	Pages  []Page
 
 	refs     []CandidateRef
 	ends     []int   // refs[ends[i-1]:ends[i]] is result i
@@ -60,7 +65,7 @@ func (m *CandidateRefs) DecodeFlat(p []byte, queries []BatchQuery) error {
 // the frame they point into for as long as the value sits in the pool.
 func (m *CandidateRefs) Reset() {
 	clear(m.refs)
-	m.Results, m.Bounds, m.refs, m.ends, m.prefixes = m.Results[:0], m.Bounds[:0], m.refs[:0], m.ends[:0], m.prefixes[:0]
+	m.Results, m.Bounds, m.Pages, m.refs, m.ends, m.prefixes = m.Results[:0], m.Bounds[:0], m.Pages[:0], m.refs[:0], m.ends[:0], m.prefixes[:0]
 }
 
 func (m *CandidateRefs) decode(p []byte, ranked bool, queries []BatchQuery) error {
@@ -118,11 +123,9 @@ func (m *CandidateRefs) decode(p []byte, ranked bool, queries []BatchQuery) erro
 			m.refs = append(m.refs, c)
 		}
 		if !ranked {
-			var bound float64
-			if boundTrailer(queries, qi) {
-				bound = r.F64()
-			}
+			bound, page := readTrailer(&r, kindOf(queries, qi))
 			m.Bounds = append(m.Bounds, bound)
+			m.Pages = append(m.Pages, page)
 		}
 		m.ends = append(m.ends, len(m.refs))
 	}
