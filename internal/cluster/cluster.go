@@ -11,11 +11,11 @@
 // wholly contained in each of its owners — at R = 1 the same cell-to-node
 // map the in-process engine uses for shards. Every read assigns each cell to
 // one live owner and fans out as a ranked, pivot-filtered MsgBatchQuery, and
-// the per-node answers are folded by merge.Combine — range results
-// concatenate, approximate candidate streams merge by the shared (promise,
-// prefix, source) order: one combine rule, two call sites (engine across
-// shards, coordinator across nodes) — so a multi-node cluster reproduces
-// the single-server candidate list exactly
+// the per-node answers are folded by merge.Combine — range and bound pages
+// merge by (bound, ID), approximate candidate streams by the shared
+// (promise, prefix, source) order: one combine rule, two call sites (engine
+// across shards, coordinator across nodes) — so a multi-node cluster
+// reproduces the single-server candidate list exactly
 // (see DESIGN.md §Distribution for the preconditions). An approximate read
 // answered by several nodes asks them for per-cell counts first, and then
 // fetches from each only its share of the merge's winners. The coordinator
@@ -317,8 +317,8 @@ func (n *node) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, ti
 }
 
 // alive returns the currently live nodes, in node-id order. The order
-// matters: it is the concatenation order for range results and the source
-// order for the ranked merge, so it must be deterministic.
+// matters: it is the source order of the ranked merge's tie-break and of a
+// download-all's concatenation, so it must be deterministic.
 func (c *Coordinator) alive() []*node {
 	out := make([]*node, 0, len(c.nodes))
 	for _, n := range c.nodes {

@@ -227,8 +227,8 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 }
 
 // readPlan is one read attempt's assignment: the nodes that answer it, in
-// node-id order — the concatenation order of exact results and the source
-// order of the ranked merge — and the first-level cells each one serves.
+// node-id order — the source order of the merge and of a download-all's
+// concatenation — and the first-level cells each one serves.
 type readPlan struct {
 	targets []*node
 	allow   [][]int32

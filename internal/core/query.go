@@ -126,8 +126,8 @@ func (q Query) normalized() (Query, error) {
 	}
 	switch q.Kind {
 	case KindRange:
-		if q.Radius < 0 {
-			return q, badQuery("range radius must be non-negative, got %g", q.Radius)
+		if !(q.Radius >= 0) { // a NaN radius too: it would bound nothing
+			return q, badQuery("range radius must be a non-negative number, got %g", q.Radius)
 		}
 		if q.RefineLimit != 0 {
 			return q, badQuery("RefineLimit applies to approximate queries only (kind %v)", q.Kind)

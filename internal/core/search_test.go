@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -262,6 +263,7 @@ func TestQueryValidation(t *testing.T) {
 		{},                           // no kind, no vector
 		{Kind: KindRange, Radius: 1}, // no vector
 		{Kind: KindRange, Vec: ds.Objects[0].Vec, Radius: -1},
+		{Kind: KindRange, Vec: ds.Objects[0].Vec, Radius: math.NaN()},
 		{Kind: KindKNN, Vec: ds.Objects[0].Vec}, // k missing
 		{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 3, CandSize: -1},
 		{Kind: KindApproxKNN, Vec: ds.Objects[0].Vec, K: 3, RefineLimit: -1},

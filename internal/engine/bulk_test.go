@@ -86,7 +86,7 @@ func TestBulkBuildShardEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameIDSet(ra, rb) {
+					if !reflect.DeepEqual(ra, rb) {
 						t.Fatal("range results differ")
 					}
 					aa, err := engBulk.ApproxCandidates(aq, 64)
@@ -176,26 +176,4 @@ func compareBucketDirs(t *testing.T, dirA, dirB string) {
 			t.Errorf("bucket file %s differs", rel)
 		}
 	}
-}
-
-// sameIDSet compares two entry lists as ID sets (multi-shard range results
-// concatenate in shard order, which is arrival-order independent but not
-// stable across builds of different shard groupings).
-func sameIDSet(a, b []mindex.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ids := make(map[uint64]int, len(a))
-	for _, e := range a {
-		ids[e.ID]++
-	}
-	for _, e := range b {
-		ids[e.ID]--
-	}
-	for _, n := range ids {
-		if n != 0 {
-			return false
-		}
-	}
-	return true
 }

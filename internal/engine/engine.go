@@ -321,11 +321,12 @@ func (s *ShardedIndex) Dead() int {
 
 // Search is the engine's one read entry point: the query fans out to every
 // shard (each first-level cell lives in exactly one) and merge.Combine folds
-// the per-shard answers by the query's kind — concatenation for the exact
-// kinds, the (promise, prefix, shard) merge trimmed to the candidate size for
-// approximate candidates, the (bound, ID) merge trimmed to the candidate size
-// for bound-ordered ones, the globally most promising cell for first-cell —
-// so the result is byte-identical to one unsharded index's. The annotations
+// the per-shard answers by the query's kind — the (bound, ID) merge for a
+// range, cut at its page budget, and for a bound page, trimmed to the
+// candidate size; the (promise, prefix, shard) merge trimmed to the
+// candidate size for approximate candidates; the globally most promising
+// cell for first-cell; concatenation for download-all — so the result is
+// byte-identical to one unsharded index's. The annotations
 // stay on, letting a cluster coordinator repeat exactly this combine across
 // nodes.
 func (s *ShardedIndex) Search(q mindex.Query) ([]mindex.RankedCandidate, error) {

@@ -11,10 +11,8 @@ import (
 // TestRangePagesAcrossShards: a range answer read in pages across 1 and 4
 // shards — each shard cutting its own page, merge.Combine merging the
 // shards' pages by bound key and cutting at the budget — holds every entry
-// of the whole answer once: each full page the next smallest keys of the
-// answer, and the last page the rest (the whole answer, in the unpaged
-// order, when it is the only page). Budgets from below one record to above
-// the answer, memory and disk.
+// of the whole answer once, in the whole answer's bound-key order. Budgets
+// from below one record to above the answer, memory and disk.
 func TestRangePagesAcrossShards(t *testing.T) {
 	w := newWorld(t, 44, 900, 4)
 	for i := range w.entries {
@@ -46,10 +44,8 @@ func TestRangePagesAcrossShards(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sorted := slices.Clone(whole)
-						mindex.SortBound(sorted)
 						for _, budget := range []int{1, 3000, 60000, 1 << 30} {
-							pages, err := readPages(eng, iq, budget, whole, sorted)
+							pages, err := readPages(eng, iq, budget, whole)
 							if err != nil {
 								t.Fatalf("q%d radius at %d, budget %d: %v", qi, at, budget, err)
 							}
@@ -68,11 +64,18 @@ func TestRangePagesAcrossShards(t *testing.T) {
 }
 
 // readPages reads iq page by page under budget and checks each page
-// against the whole answer and its bound-key order; it returns the number
-// of pages.
-func readPages(eng *ShardedIndex, iq mindex.Query, budget int, whole, sorted []mindex.RankedCandidate) (int, error) {
+// against the whole answer, which must be in bound-key order: each page is
+// the next run of its keys, cut where the records reach the budget, and the
+// page that is not full ends it. It returns the number of pages.
+func readPages(eng *ShardedIndex, iq mindex.Query, budget int, whole []mindex.RankedCandidate) (int, error) {
 	same := func(a, b mindex.RankedCandidate) bool {
 		return a.Entry.ID == b.Entry.ID && a.Promise == b.Promise && string(a.Entry.Record) == string(b.Entry.Record)
+	}
+	key := func(rc mindex.RankedCandidate) mindex.BoundKey {
+		return mindex.BoundKey{LB: rc.Promise, ID: rc.Entry.ID}
+	}
+	if !slices.IsSortedFunc(whole, func(a, b mindex.RankedCandidate) int { return key(a).Compare(key(b)) }) {
+		return 0, fmt.Errorf("the whole answer is not in bound-key order")
 	}
 	iq.Page = budget
 	for at, pages := 0, 0; ; pages++ {
@@ -83,24 +86,18 @@ func readPages(eng *ShardedIndex, iq mindex.Query, budget int, whole, sorted []m
 		if mindex.PageEnd(page, budget) != len(page) {
 			return pages, fmt.Errorf("page %d goes on after its records reach the budget", pages)
 		}
+		if at+len(page) > len(whole) || !slices.EqualFunc(page, whole[at:at+len(page)], same) {
+			return pages, fmt.Errorf("page %d is not the next %d keys of the answer", pages, len(page))
+		}
+		at += len(page)
 		if !mindex.PageFull(page, budget) {
-			rest := sorted[at:]
-			if pages == 0 {
-				rest = whole
-			} else {
-				page = slices.Clone(page)
-				mindex.SortBound(page)
-			}
-			if !slices.EqualFunc(page, rest, same) {
-				return pages, fmt.Errorf("last page %d holds %d candidates, not the %d left", pages, len(page), len(rest))
+			if at != len(whole) {
+				return pages, fmt.Errorf("last page %d leaves %d of %d candidates unread", pages, len(whole)-at, len(whole))
 			}
 			return pages + 1, nil
 		}
-		if at+len(page) > len(sorted) || !slices.EqualFunc(page, sorted[at:at+len(page)], same) {
-			return pages, fmt.Errorf("full page %d is not the next %d smallest keys of the answer", pages, len(page))
-		}
-		at += len(page)
 		last := page[len(page)-1]
-		iq.After = &mindex.BoundKey{LB: last.Promise, ID: last.Entry.ID}
+		k := key(last)
+		iq.After = &k
 	}
 }

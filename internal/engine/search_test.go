@@ -18,8 +18,10 @@ import (
 // holding only the allowed first-level cells — candidates, order and
 // annotations — the contract the replicated coordinator's per-owner read
 // assignment depends on; nil and allow-all are both compared against a full
-// copy, so they agree byte for byte; and the flat adapters are the Search
-// result with the annotations dropped.
+// copy, so they agree byte for byte; the flat adapters are the Search
+// result with the annotations dropped; and for every kind but download-all
+// the 4-shard engine answers list for list what the 1-shard engine does —
+// a range, resumed or paged, in bound-key order whatever the layout.
 func TestSearchEquivalence(t *testing.T) {
 	w := newWorld(t, 31, 1500, 20)
 	all := make([]int32, testPivots)
@@ -48,6 +50,7 @@ func TestSearchEquivalence(t *testing.T) {
 	}
 
 	for _, ranking := range []mindex.RankStrategy{mindex.RankFootrule, mindex.RankDistSum} {
+		unsharded := map[string][]mindex.RankedCandidate{} // the 1-shard answers
 		for _, shards := range []int{1, 4} {
 			cfg := testCfg(shards)
 			cfg.Ranking = ranking
@@ -70,6 +73,7 @@ func TestSearchEquivalence(t *testing.T) {
 					for kind, q := range map[string]mindex.Query{
 						"range":       {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0},
 						"range-after": {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0, After: &mindex.BoundKey{LB: 1, ID: 700}},
+						"range-page":  {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0, Page: 4096},
 						"approx":      {Kind: mindex.KindApprox, ApproxQuery: aq, CandSize: 200},
 						"bound":       {Kind: mindex.KindBound, ApproxQuery: aq, CandSize: 200},
 						"first-cell":  {Kind: mindex.KindFirstCell, ApproxQuery: aq},
@@ -92,6 +96,11 @@ func TestSearchEquivalence(t *testing.T) {
 						if allowName == "empty" && len(got) != 0 {
 							t.Fatalf("%s: empty allow-list returned %d candidates", name, len(got))
 						}
+						if at := fmt.Sprintf("%s/%s/q%d", allowName, kind, qi); shards == 1 {
+							unsharded[at] = got
+						} else if q.Kind != mindex.KindAll && (len(got) > 0 || len(unsharded[at]) > 0) && !reflect.DeepEqual(got, unsharded[at]) {
+							t.Fatalf("%s: answer (%d) != the 1-shard engine's (%d)", name, len(got), len(unsharded[at]))
+						}
 						if allowName == "nil" {
 							checkFlatAdapters(t, name, full, q, got)
 						}
@@ -109,8 +118,8 @@ func TestSearchEquivalence(t *testing.T) {
 // result with the annotations dropped.
 func checkFlatAdapters(t *testing.T, name string, eng *ShardedIndex, q mindex.Query, ranked []mindex.RankedCandidate) {
 	t.Helper()
-	if q.Kind == mindex.KindBound || q.After != nil {
-		return // the two pages of a precise k-NN have no flat adapter
+	if q.Kind == mindex.KindBound || q.After != nil || q.Page > 0 {
+		return // the pages of a precise k-NN or a range have no flat adapter
 	}
 	want, _ := mindex.Flat(ranked, nil)
 	var got []mindex.Entry

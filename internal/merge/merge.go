@@ -15,8 +15,9 @@
 // Voronoi routing, where every cell lives in exactly one partition, but
 // kept so the order is total no matter how callers partition). The merge is
 // stable: entries of one cell stay in bucket order. Bound-ordered
-// candidates (mindex.KindBound) carry their own pivot lower bound as the
-// promise and are ordered by (bound, ID) — mindex.BoundKey's order.
+// candidates (mindex.KindBound and mindex.KindRange) carry their own pivot
+// lower bound as the promise and are ordered by (bound, ID) —
+// mindex.BoundKey's order.
 package merge
 
 import (
@@ -227,18 +228,16 @@ func BestCell[T any, P Keyed[T]](per [][]T) int {
 
 // Combine folds the per-source answers to q into the answer one
 // unpartitioned index would give — the single combine rule behind the
-// engine's shard fan-out and the coordinator's node fan-out. The exact kinds
-// concatenate in source order (every first-level cell lives in exactly one
-// source, and all pruning bounds are per-cell), a range resumed after a
-// cursor included; approximate candidates merge by Ranked and trim to the
-// candidate size; bound-ordered candidates merge by (bound, ID) and trim to
-// the candidate size — each source sent every entry of its own that is
-// among the union's first CandSize, so the cut is exactly those; first-cell
-// keeps BestCell. A paged range (q.Page > 0) whose sources' records
-// together reach the budget merges by (bound, ID) and cuts the page there
-// (mindex.Page): a source's share of the merged page is a prefix of its own
-// bound order whose records, all but the last, stay under the budget, so
-// it lies within the source's own page.
+// engine's shard fan-out and the coordinator's node fan-out. Approximate
+// candidates merge by Ranked and trim to the candidate size; the two
+// bound-ordered kinds merge by (bound, ID): a KindBound answer trims to the
+// candidate size — each source sent every entry of its own that is among
+// the union's first CandSize, so the cut is exactly those — and a range
+// (q.Page > 0) cuts its page where the merged records reach the budget
+// (mindex.PageEnd): a source's share of the merged page is a prefix of its
+// own bound order whose records, all but the last, stay under the budget,
+// so it lies within the source's own page. First-cell keeps BestCell, and
+// KindAll concatenates in source order.
 func Combine[T any, P Candidate[T]](q mindex.Query, per [][]T) []T {
 	switch q.Kind {
 	case mindex.KindApprox:
@@ -246,9 +245,7 @@ func Combine[T any, P Candidate[T]](q mindex.Query, per [][]T) []T {
 	case mindex.KindBound:
 		return ranked[T, P](per, max(q.CandSize, 0), 0, compareBounds[T, P])
 	case mindex.KindRange:
-		if q.Page > 0 && pageFull[T, P](per, q.Page) {
-			return ranked[T, P](per, -1, q.Page, compareBounds[T, P])
-		}
+		return ranked[T, P](per, -1, max(q.Page, 0), compareBounds[T, P])
 	case mindex.KindFirstCell:
 		if best := BestCell[T, P](per); best >= 0 {
 			return per[best]
@@ -256,17 +253,4 @@ func Combine[T any, P Candidate[T]](q mindex.Query, per [][]T) []T {
 		return nil
 	}
 	return slices.Concat(per...)
-}
-
-// pageFull reports whether the sources' records together reach budget.
-func pageFull[T any, P Candidate[T]](per [][]T, budget int) bool {
-	total := 0
-	for _, p := range per {
-		for i := range p {
-			if total += P(&p[i]).Bytes(); total >= budget {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -19,9 +19,9 @@ import (
 	"simcloud/internal/pivot"
 )
 
-// hyperplaneBound is a test-local copy of cellLowerBound's hyperplane term:
-// the one bound of the traversal that is not implied by the per-entry
-// filter, so a reference traversal must apply it to produce the same lists.
+// hyperplaneBound is a test-local copy of planeBound: the one bound of
+// the traversal that is not implied by the per-entry filter, so a reference
+// traversal must apply it to produce the same lists.
 func hyperplaneBound(parentPrefix []int32, key int32, q []float64) float64 {
 	minOther := math.Inf(1)
 	for m, d := range q {
@@ -35,16 +35,21 @@ func hyperplaneBound(parentPrefix []int32, key int32, q []float64) float64 {
 	return max((q[key]-minOther)/2, 0)
 }
 
-// referenceRange is rangeByDists without the cell boxes: the same traversal
-// order, the hyperplane bound per cell, then tombstones, the allow-list and
-// the pivot filter per entry. boxOnly counts the cells the real traversal
-// skips and this one reads.
-func referenceRange(t *testing.T, ix *Index, q []float64, r float64, filter PivotFilter) (out []Entry, boxOnly int) {
+// referenceRange is Algorithm 3 without the cell boxes: a depth-first
+// traversal with the hyperplane bound per cell, then tombstones, the
+// allow-list and the pivot filter per entry, its answer sorted by bound key.
+// boxOnly counts the cells the real walk skips on their box and this one
+// reads; reads counts the leaves with live entries under neither bound —
+// those the real walk reads.
+func referenceRange(t *testing.T, ix *Index, q []float64, r float64, filter PivotFilter) (out []Entry, boxOnly, reads int) {
 	t.Helper()
 	st := ix.state.Load()
-	var visit func(n *node)
-	visit = func(n *node) {
+	var visit func(n *node, boxed bool)
+	visit = func(n *node, boxed bool) {
 		if n.isLeaf() {
+			if !boxed && n.live() > 0 {
+				reads++
+			}
 			b, err := ix.leafView(n)
 			if err != nil {
 				t.Fatal(err)
@@ -70,14 +75,22 @@ func referenceRange(t *testing.T, ix *Index, q []float64, r float64, filter Pivo
 			if hyperplaneBound(n.prefix, k.key, q) > r {
 				continue
 			}
-			if ix.pruneCell(k.n, k.key, n, q, r) {
+			pruned := boxed || (k.n.box != nil && k.n.box.lowerBound(q) > r)
+			if pruned && !boxed {
 				boxOnly++
 			}
-			visit(k.n)
+			visit(k.n, pruned)
 		}
 	}
-	visit(st.root)
-	return out, boxOnly
+	visit(st.root, false)
+	key := func(e Entry) BoundKey {
+		if e.Dists == nil {
+			return BoundKey{ID: e.ID}
+		}
+		return BoundKey{LB: pivot.LowerBound(q, e.Dists), ID: e.ID}
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return key(a).Compare(key(b)) })
+	return out, boxOnly, reads
 }
 
 // checkBoxes walks every cell of ix and checks property (a): a cell's box
@@ -126,18 +139,32 @@ func checkBoxes(t *testing.T, phase string, ix *Index, queries [][]float64) {
 	walk(ix.state.Load().root)
 }
 
-// checkRange checks property (b) on ix and returns how many cells the boxes
-// alone pruned.
+// checkRange checks property (b) on ix — the range walk returns, in bound-key
+// order, what the reference traversal returns, and on disk reads exactly
+// the leaves it reads — and returns how many cells the boxes alone pruned.
 func checkRange(t *testing.T, phase string, ix *Index, queries [][]float64, filter PivotFilter) int {
 	t.Helper()
 	pruned := 0
 	for qi, q := range queries {
 		for _, r := range []float64{0, 0.5, 2, 6} {
-			want, boxOnly := referenceRange(t, ix, q, r, filter)
+			want, boxOnly, reads := referenceRange(t, ix, q, r, filter)
 			pruned += boxOnly
 			got, err := Flat(ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: q}, Radius: r, Allow: filter}))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ds, ok := ix.store.(*DiskStore); ok {
+				// With the cache off every leaf the walk reads is a miss.
+				_, before, _ := ix.CacheStats()
+				ds.SetCacheBudget(-1)
+				if _, err := ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: q}, Radius: r, Allow: filter}); err != nil {
+					t.Fatal(err)
+				}
+				_, after, _ := ix.CacheStats()
+				ds.SetCacheBudget(ix.cfg.DiskCacheBytes)
+				if int(after-before) != reads {
+					t.Fatalf("%s q%d r=%g: the walk read %d leaves, the reference traversal %d", phase, qi, r, after-before, reads)
+				}
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%s q%d r=%g: %d candidates, reference traversal %d", phase, qi, r, len(got), len(want))

@@ -10,7 +10,9 @@
 // of minimum and maximum distances to every pivot) and filter individual
 // objects with the pivot-distance lower bound; approximate k-NN queries rank
 // cells by a promise value and collect a candidate set of a requested size
-// (Algorithms 3 and 4).
+// (Algorithms 3 and 4). A range query and the precise k-NN's bound-ordered
+// first page are one best-first walk (bounded), which returns its
+// candidates in bound-key order, cut at a count or a page's bytes.
 //
 // # Key invariant: pivot-space-only operation
 //
@@ -71,7 +73,9 @@
 // The cell tree's shape depends only on the final entry multiset (a cell
 // splits iff its count exceeds BucketCapacity), not on arrival order, and
 // bucket order within a cell is arrival order. Approximate candidates are
-// emitted cell by cell in (promise, prefix) order — the contract the
-// sharded engine and the cluster coordinator rely on when they merge
-// partitioned streams (internal/merge).
+// emitted cell by cell in (promise, prefix) order; range and bound-ordered
+// candidates in (bound, ID) order (BoundKey), a function of the entry and
+// the query alone, whatever the tree's shape — the contracts the sharded
+// engine and the cluster coordinator rely on when they merge partitioned
+// streams (internal/merge).
 package mindex

@@ -294,6 +294,9 @@ func TestRangeValidation(t *testing.T) {
 	if _, err := p.idx.RangeByDists(make([]float64, 6), -1); err == nil {
 		t.Error("negative radius accepted")
 	}
+	if _, err := p.idx.RangeByDists(make([]float64, 6), math.NaN()); err == nil {
+		t.Error("NaN radius accepted")
+	}
 }
 
 // Approximate k-NN recall must grow with the candidate-set size and reach

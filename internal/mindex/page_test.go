@@ -2,25 +2,27 @@ package mindex
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 )
 
 // checkRangePages reads the range query q page by page under budget through
-// search and checks the pages against the whole answer (q with no budget):
-// every page holds at least one record and stops at the first record whose
-// bytes reach the budget; a full page is the next smallest bound keys of the
-// answer, in key order; the page that is not full is the rest of the answer
-// — the whole of it, in the same order, when it is the first. So the pages
-// hold the answer once, and a page that is not full is the last one.
+// search and checks the pages against the whole answer (q with no budget),
+// which must be in bound-key order: every page holds at least one record
+// and stops at the first record whose bytes reach the budget, and each page
+// is the next run of the whole answer's keys, so the pages hold the answer
+// once, in its order, and a page that is not full is the last one.
 func checkRangePages(search func(Query) ([]RankedCandidate, error), q Query, budget int) (pages int, err error) {
 	q.Page = 0
 	whole, err := search(q)
 	if err != nil {
 		return 0, err
 	}
-	sorted := slices.Clone(whole)
-	SortBound(sorted)
+	if !slices.IsSortedFunc(whole, compareBound) {
+		return 0, fmt.Errorf("the whole answer is not in bound-key order")
+	}
 	q.Page = budget
 	for at := 0; ; pages++ {
 		page, err := search(q)
@@ -30,27 +32,23 @@ func checkRangePages(search func(Query) ([]RankedCandidate, error), q Query, bud
 		if PageEnd(page, budget) != len(page) {
 			return pages, fmt.Errorf("page %d goes on after its records reach the budget", pages)
 		}
+		if at+len(page) > len(whole) || !slices.EqualFunc(page, whole[at:at+len(page)], sameCandidate) {
+			return pages, fmt.Errorf("page %d is not the next %d keys of the answer", pages, len(page))
+		}
+		at += len(page)
 		if !PageFull(page, budget) {
-			rest := sorted[at:]
-			if pages == 0 {
-				rest = whole
-			} else {
-				page = slices.Clone(page)
-				SortBound(page)
-			}
-			if !slices.EqualFunc(page, rest, sameCandidate) {
-				return pages, fmt.Errorf("last page %d holds %d candidates, not the %d left", pages, len(page), len(rest))
+			if at != len(whole) {
+				return pages, fmt.Errorf("last page %d leaves %d of %d candidates unread", pages, len(whole)-at, len(whole))
 			}
 			return pages + 1, nil
 		}
-		if len(page) == 0 || at+len(page) > len(sorted) || !slices.EqualFunc(page, sorted[at:at+len(page)], sameCandidate) {
-			return pages, fmt.Errorf("full page %d is not the next %d smallest keys of the answer", pages, len(page))
-		}
-		at += len(page)
 		last := page[len(page)-1]
 		q.After = &BoundKey{LB: last.Promise, ID: last.Entry.ID}
 	}
 }
+
+// compareBound orders bound-keyed candidates by their keys.
+func compareBound(a, b RankedCandidate) int { return boundKeyOf(&a).Compare(boundKeyOf(&b)) }
 
 func sameCandidate(a, b RankedCandidate) bool {
 	return a.Entry.ID == b.Entry.ID && a.Promise == b.Promise && string(a.Entry.Record) == string(b.Entry.Record)
@@ -58,10 +56,10 @@ func sameCandidate(a, b RankedCandidate) bool {
 
 // TestRangePagesCoverRange: a range answer read in pages of any budget —
 // smaller than one record, a few records, most of the answer, or all of it
-// — holds every entry of the whole answer once, full pages in bound-key
-// order and a lone page in the walk's own order. Memory and disk storage,
-// entries all with distances or some without (their bound is 0, so a run of
-// them orders by ID alone), and payloads of varied size.
+// — holds every entry of the whole answer once, each page in bound-key
+// order. Memory and disk storage, entries all with distances or some
+// without (their bound is 0, so a run of them orders by ID alone), and
+// payloads of varied size.
 func TestRangePagesCoverRange(t *testing.T) {
 	const nPivots = 8
 	for _, storage := range []StorageKind{StorageMemory, StorageDisk} {
@@ -108,34 +106,100 @@ func TestRangePagesCoverRange(t *testing.T) {
 	}
 }
 
-// TestPageCut pins the cut itself: a page takes records in bound-key order
-// until their bytes reach the budget, so a record larger than the budget
-// is a page of its own, and an answer whose records stay under the budget
-// comes back whole and in the order given.
+// TestPageCut pins the cut itself through Search's pages: a page takes
+// records in bound-key order until their bytes reach the budget, so a
+// record larger than the budget is a page of its own, and an answer whose
+// records stay under the budget comes back whole, in the same order.
 func TestPageCut(t *testing.T) {
-	cand := func(id uint64, lb float64, payload int) RankedCandidate {
-		return RankedCandidate{Promise: lb, Entry: ViewOf(Entry{ID: id, Perm: []int32{0}, Payload: make([]byte, payload)})}
+	ix, err := New(Config{NumPivots: 2, MaxLevel: 2, BucketCapacity: 2, Storage: StorageMemory, Ranking: RankFootrule})
+	if err != nil {
+		t.Fatal(err)
 	}
-	one := cand(0, 0, 80)
-	rec := one.Bytes() // 100 B
-	in := []RankedCandidate{cand(5, 0.5, 80), cand(2, 0.5, 80), cand(9, 0.1, 80), cand(1, 0.9, 80)}
+	defer ix.Close()
+	// The query sits at distance 0 from pivot 0 and 10 from pivot 1, so an
+	// entry's bound is its distance to pivot 0.
+	var entries []Entry
+	for _, e := range []struct {
+		id uint64
+		lb float64
+	}{{5, 0.5}, {2, 0.5}, {9, 0.1}, {1, 0.9}} {
+		entries = append(entries, Entry{ID: e.id, Perm: []int32{0, 1}, Dists: []float64{e.lb, 10}, Payload: make([]byte, 80)})
+	}
+	if err := ix.InsertBulk(entries); err != nil {
+		t.Fatal(err)
+	}
+	v := ViewOf(entries[0])
+	rec := v.CandidateBytes() // 100 B
+	q := Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: []float64{0, 10}}, Radius: 1}
 	for _, tc := range []struct {
 		budget int
 		want   []uint64
 	}{
-		{0, []uint64{5, 2, 9, 1}},
-		{4*rec + 1, []uint64{5, 2, 9, 1}},
+		{0, []uint64{9, 2, 5, 1}},
+		{4*rec + 1, []uint64{9, 2, 5, 1}},
 		{4 * rec, []uint64{9, 2, 5, 1}},
 		{2*rec + 1, []uint64{9, 2, 5}},
 		{2 * rec, []uint64{9, 2}},
 		{1, []uint64{9}},
 	} {
-		got := Page(slices.Clone(in), tc.budget)
+		q.Page = tc.budget
+		got, err := ix.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !slices.Equal(candidateIDs(got), tc.want) {
 			t.Fatalf("budget %d: page %v, want %v", tc.budget, candidateIDs(got), tc.want)
 		}
 		if full := tc.budget > 0 && tc.budget <= 4*rec; PageFull(got, tc.budget) != full {
 			t.Fatalf("budget %d: PageFull %v, want %v", tc.budget, !full, full)
 		}
+	}
+}
+
+// TestRangePageCost: a page costs about one page, not the rest of the
+// answer. A permutation-only index (no stored distances, so nothing is
+// pruned and every entry qualifies) of 20 000 entries with 100 B payloads
+// is read in 64 KiB pages; each page's Search allocates under 1 MiB, where
+// collecting and sorting the whole rest of the answer cost about 4 MB.
+func TestRangePageCost(t *testing.T) {
+	const n, budget = 20000, 64 << 10
+	rng := rand.New(rand.NewPCG(45, 45))
+	entries := make([]Entry, n)
+	for i := range entries {
+		perm := make([]int32, 8)
+		for j, p := range rng.Perm(8) {
+			perm[j] = int32(p)
+		}
+		entries[i] = Entry{ID: uint64(i + 1), Perm: perm, Payload: make([]byte, 100)}
+	}
+	ix := mustIndex(t, testConfig(8))
+	if err := ix.InsertBulk(entries); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: make([]float64, 8)}, Radius: 1, Page: budget}
+	if _, err := ix.Search(q); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	const pages = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read := 0
+	for range pages {
+		page, err := ix.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !PageFull(page, budget) {
+			t.Fatalf("page after %d entries is not full", read)
+		}
+		read += len(page)
+		last := page[len(page)-1]
+		q.After = &BoundKey{LB: last.Promise, ID: last.Entry.ID}
+	}
+	runtime.ReadMemStats(&after)
+	perPage := (after.TotalAlloc - before.TotalAlloc) / pages
+	t.Logf("%d B allocated per page of %d entries", perPage, read/pages)
+	if perPage > 1<<20 {
+		t.Fatalf("%d B allocated per page, want <= 1 MiB", perPage)
 	}
 }

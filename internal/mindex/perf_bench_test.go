@@ -83,7 +83,8 @@ func BenchmarkQueryPathApprox(b *testing.B) {
 }
 
 // BenchmarkQueryPathRange measures the precise range query (Algorithm 3):
-// tree pruning via cellLowerBound plus pivot filtering of surviving leaves.
+// tree pruning by the box and hyperplane bounds plus pivot filtering of
+// surviving leaves, and the sort of the answer by bound key.
 func BenchmarkQueryPathRange(b *testing.B) {
 	ix, _, qDists := benchIndex(b, benchMemConfig(), 8000)
 	b.ReportAllocs()

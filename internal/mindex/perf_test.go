@@ -93,16 +93,17 @@ func TestQueryPathAllocs(t *testing.T) {
 		}},
 		{"bound-collect", 4, func(i int) {
 			// The bound-ordered first page of a precise k-NN at the
-			// client's default candidate size: the entry heap and the
-			// result (2 allocations), nothing per visited cell or entry —
-			// the cell queue is pooled.
+			// client's default candidate size: the entry heap, which
+			// becomes the result, and the keys its sort orders (2
+			// allocations), nothing per visited cell or entry — the cell
+			// queue is pooled.
 			if _, err := ix.Search(Query{Kind: KindBound, ApproxQuery: queries[i%len(queries)], CandSize: 200}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"range-pruned", 8, func(i int) {
-			// A tiny radius exercises the pruning machinery (cellLowerBound
-			// per child) with almost no leaf visits.
+			// A tiny radius exercises the pruning machinery (the box and
+			// hyperplane bounds per child) with almost no leaf visits.
 			if _, err := ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists[i%len(qDists)]}, Radius: 1e-9}); err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,8 @@ type QueryKind uint8
 // one of them.
 const (
 	// KindRange collects precise range candidates (Algorithm 3 of the
-	// paper) from the query's pivot distances (Dists) and Radius.
+	// paper) from the query's pivot distances (Dists) and Radius, in bound
+	// order — the walk of KindBound, cut at the Radius instead of a count.
 	KindRange QueryKind = iota + 1
 	// KindApprox collects promise-ordered approximate k-NN candidates
 	// (Algorithm 4), trimmed to CandSize.
@@ -100,9 +101,16 @@ func entryBound(qDists []float64, dists []byte, limit float64) (float64, bool) {
 func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 	switch q.Kind {
 	case KindRange:
-		return ix.rangeByDists(q.Dists, q.Radius, q.After, q.Allow, q.Page)
+		// A NaN radius is no radius: it compares false with every bound.
+		if !(q.Radius >= 0) {
+			return nil, fmt.Errorf("mindex: query radius %g is not a non-negative number", q.Radius)
+		}
+		return ix.bounded(q.Dists, q.Radius, q.After, kept{budget: max(q.Page, 0)}, q.Allow, nil)
 	case KindBound:
-		return ix.collectBound(q.Dists, q.CandSize, q.Allow, q.Share)
+		if q.CandSize <= 0 {
+			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
+		}
+		return ix.bounded(q.Dists, math.Inf(1), nil, kept{want: q.CandSize}, q.Allow, q.Share)
 	case KindApprox:
 		if q.CandSize <= 0 {
 			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
@@ -211,118 +219,6 @@ func (ix *Index) ApproxCandidatesRanked(q ApproxQuery, candSize int) ([]RankedCa
 	return ix.Search(Query{Kind: KindApprox, ApproxQuery: q, CandSize: candSize})
 }
 
-// rangeByDists evaluates the server side of a precise range query
-// (Algorithm 3 of the paper): given only the query's pivot-distance vector
-// and the radius, it prunes the Voronoi cell tree with metric constraints
-// and pivot-filters the surviving entries, returning the candidate set.
-//
-// Every returned entry is a possible member of R(q, r); every indexed object
-// within the radius is guaranteed to be returned (no false dismissals — the
-// applied bounds are true metric lower bounds). The caller refines by
-// computing real distances: the server in the plain deployment, the
-// authorized client in the encrypted one.
-//
-// A non-nil after restricts the answer to entries whose bound key sorts
-// after it, so that a KindBound page, or the range pages before, plus this
-// range covers R(q, r) with no entry in both. Each candidate carries the LB
-// of its bound key as its promise. A page budget above 0 cuts the answer to
-// one page (Page): only when the candidates' records reach the budget are
-// they sorted by bound key and the page's worth kept, so an answer that fits
-// comes back in walk order, as a whole.
-func (ix *Index) rangeByDists(qDists []float64, r float64, after *BoundKey, filter PivotFilter, page int) ([]RankedCandidate, error) {
-	if len(qDists) != ix.cfg.NumPivots {
-		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("mindex: negative query radius %g", r)
-	}
-	st := ix.state.Load()
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	var out []RankedCandidate
-	var visit func(n *node) error
-	visit = func(n *node) error {
-		if n.isLeaf() {
-			if n.live() == 0 {
-				return nil
-			}
-			b, transient, err := ix.leafViewN(n, n.count, sc)
-			if err != nil {
-				return err
-			}
-			for i := range b.Len() {
-				// Pivot filtering (Algorithm 3, lines 5–7): discard when the
-				// triangle-inequality lower bound exceeds the radius. It comes
-				// first because it drops most entries, and reads only the
-				// ID and the distances; the tombstone probe is a map lookup
-				// only the survivors pay.
-				id, dists := b.filterFields(i)
-				lb, above := entryBound(qDists, dists, r)
-				if above || (after != nil && (BoundKey{LB: lb, ID: id}).Compare(*after) <= 0) {
-					continue
-				}
-				// Only an unsplit root leaf mixes first-level cells; deeper
-				// leaves were filtered at the root's child table.
-				if filter != nil && len(n.prefix) == 0 {
-					if v := b.At(i); !filter.allowsView(&v) {
-						continue
-					}
-				}
-				if st.tombs.has(id) {
-					continue
-				}
-				out = append(out, RankedCandidate{Entry: sc.keep(b.At(i), transient), Promise: lb})
-			}
-			return nil
-		}
-		// The child table is sorted by key, so the candidate list is fully
-		// deterministic.
-		for i := range n.kids {
-			k := n.kids[i]
-			// A root child's key is its subtree's first-level cell.
-			if filter != nil && len(n.prefix) == 0 && !filter.Allows(k.key) {
-				continue
-			}
-			if ix.pruneCell(k.n, k.key, n, qDists, r) {
-				continue
-			}
-			if err := visit(k.n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := visit(st.root); err != nil {
-		return nil, err
-	}
-	return Page(out, page), nil
-}
-
-// Page cuts a range answer to its first page under budget: when the
-// candidates' records reach the budget, they are sorted by bound key and
-// PageEnd of them kept; otherwise, and when budget is 0, all of them stay,
-// in the order they came. A page is full — the bound order may go on past
-// its last key — exactly when its records reach the budget (PageFull).
-func Page(rcs []RankedCandidate, budget int) []RankedCandidate {
-	if !PageFull(rcs, budget) {
-		return rcs
-	}
-	SortBound(rcs)
-	return rcs[:PageEnd(rcs, budget)]
-}
-
-// SortBound puts bound-keyed candidates (KindBound, KindRange) in bound-key
-// order: the LB their promise carries, then the ID. A list already in it is
-// only checked.
-func SortBound(rcs []RankedCandidate) {
-	compare := func(a, b RankedCandidate) int {
-		return BoundKey{LB: a.Promise, ID: a.Entry.ID}.Compare(BoundKey{LB: b.Promise, ID: b.Entry.ID})
-	}
-	if !slices.IsSortedFunc(rcs, compare) {
-		slices.SortFunc(rcs, compare)
-	}
-}
-
 // Sized is a candidate whose shipped record size a page budget counts:
 // *RankedCandidate, and the wire's by-reference candidate.
 type Sized[T any] interface {
@@ -358,23 +254,6 @@ func PageFull[T any, P Sized[T]](rcs []T, budget int) bool {
 	return false
 }
 
-// pruneCell decides whether the child cell (reached from parent via
-// permutation element key) can be excluded from a range query of radius r.
-// Two true lower bounds are applied:
-//
-//   - Generalized-hyperplane: every object o in the cell has pivot p_key
-//     among its nearest pivots outside the parent prefix, so
-//     d(q,o) ≥ (d(q,p_key) − min_{m∉prefix} d(q,p_m)) / 2.
-//   - Box (range-pivot, over every pivot p): subtree objects satisfy
-//     lo_p ≤ d(o,p) ≤ hi_p, so d(q,o) ≥ d(q,p) − hi_p and
-//     d(q,o) ≥ lo_p − d(q,p). Its p = key term is the classic M-Index ball
-//     bound. Unlike the hyperplane bound it only prunes cells whose every
-//     entry the per-entry pivot filter would drop (see box.lowerBound), so
-//     it saves bucket reads and never changes a candidate list.
-func (ix *Index) pruneCell(child *node, key int32, parent *node, qDists []float64, r float64) bool {
-	return ix.cellLowerBound(child, key, parent, qDists) > r
-}
-
 // onPath reports whether pivot m lies on the cell path: in the parent's
 // prefix or equal to the child's key. Prefixes are at most MaxLevel (≤ the
 // pivot count, typically ≤ 8) elements, so a linear scan beats building a
@@ -392,33 +271,24 @@ func onPath(prefix []int32, key, m int32) bool {
 	return false
 }
 
-// cellLowerBound returns a lower bound on the distance from the query to any
-// object in the cell, combining the hyperplane and box constraints.
-func (ix *Index) cellLowerBound(child *node, key int32, parent *node, qDists []float64) float64 {
-	dq := qDists[key]
-	lb := 0.0
-	// Hyperplane bound against the closest other pivot not already used on
-	// the path (including key's siblings and all deeper pivots).
+// planeBound is the generalized-hyperplane lower bound on the distance from
+// the query to any object of the child cell reached from a parent with the
+// given prefix via permutation element key: every such object has p_key
+// among its nearest pivots outside the prefix, so
+// d(q,o) ≥ (d(q,p_key) − min_{m∉prefix} d(q,p_m)) / 2. Unlike the cell's
+// box bound it may exceed the pivot bound of the entries below (it bounds
+// d(q,o), not BoundKey.LB), so only a range's radius may prune on it.
+func planeBound(prefix []int32, key int32, qDists []float64) float64 {
 	minOther := math.Inf(1)
 	for m, d := range qDists {
-		if onPath(parent.prefix, key, int32(m)) {
-			continue
-		}
-		if d < minOther {
+		if !onPath(prefix, key, int32(m)) && d < minOther {
 			minOther = d
 		}
 	}
-	if !math.IsInf(minOther, 1) {
-		if hb := (dq - minOther) / 2; hb > lb {
-			lb = hb
-		}
+	if math.IsInf(minOther, 1) {
+		return 0
 	}
-	if child.box != nil {
-		if bb := child.box.lowerBound(qDists); bb > lb {
-			lb = bb
-		}
-	}
-	return lb
+	return (qDists[key] - minOther) / 2
 }
 
 // rankedNode is a cell-tree node queued by its promise value during the
@@ -732,40 +602,45 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 	return out, nil
 }
 
-// collectBound is the best-first traversal behind KindBound (pivot-based
-// k-NN, arXiv:2005.03468): cells leave a queue keyed by their box bound,
-// which never exceeds the bound of an entry below them (see box.lowerBound),
-// and entries enter a heap keeping the want smallest bound keys. Once the
-// heap is full and the next cell's bound exceeds the largest key kept, no
-// entry still queued can displace one, so the result is exactly the first
-// want live entries of a sort of all of them by bound key. A cell without a
-// box (the root, or one holding an entry without distances) is keyed 0.
-func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, share *BoundShare) ([]RankedCandidate, error) {
+// bounded is the one bound-ordered walk, behind KindBound and KindRange:
+// best-first over the cell tree (the pivot-based k-NN of arXiv:2005.03468,
+// whose range form is Algorithm 3). Cells leave a queue keyed by their box
+// bound, which never exceeds the bound key of an entry below them (see
+// box.lowerBound), and the entries they hold are filtered and handed to
+// keep, which holds the smallest bound keys so far up to its cut. The walk
+// stops once the next cell's bound exceeds the limit: the radius r (+Inf
+// for KindBound), the share's threshold, and — once keep is full — the
+// largest key kept, since no entry still queued could displace one. So the
+// answer is exactly a prefix, cut at keep's count or bytes, of a sort of
+// every qualifying entry by bound key, and it comes back in that order.
+//
+// A finite radius also skips a cell whose hyperplane bound (planeBound)
+// exceeds it; with the box bound that is Algorithm 3's pruning, so an
+// answer that is not cut reads exactly the leaves the paper's range query
+// reads. Every entry within the radius is returned (the bounds are true
+// metric lower bounds); the caller refines by computing real distances.
+//
+// A non-nil after keeps only entries whose bound key sorts after it: the
+// cursor that resumes a KindBound page, or a full range page, so the pages
+// of one order hold each entry once. A cell without a box (the root, or one
+// holding an entry without distances) is keyed 0.
+func (ix *Index) bounded(qDists []float64, r float64, after *BoundKey, keep kept, filter PivotFilter, share *BoundShare) ([]RankedCandidate, error) {
 	if len(qDists) != ix.cfg.NumPivots {
 		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
 	}
-	if want <= 0 {
-		return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", want)
-	}
 	st := ix.state.Load()
-	// want arrives straight off the wire; the index cannot return more than
-	// it holds, so that bounds the allocation.
-	want = min(want, st.size)
-	if want == 0 {
-		return nil, nil
-	}
-	best := make(boundHeap, 0, want)
-	// limit is the bound above which nothing collected from here on can
-	// make the answer: the worst bound kept once best is full, lowered by
-	// what the other indexes of the query have found.
-	limit := func() float64 {
-		l := share.threshold()
-		if len(best) == want {
-			l = min(l, best[0].key.LB)
+	if keep.want > 0 {
+		// want arrives straight off the wire; the index cannot return more
+		// than it holds, so that bounds the allocation.
+		keep.want = min(keep.want, st.size)
+		if keep.want == 0 {
+			return nil, nil
 		}
-		return l
+		keep.items = make([]RankedCandidate, 0, keep.want)
 	}
-	var fresh []BoundKey // a leaf's newly kept entries, for the share
+	finite := !math.IsInf(r, 1)
+	limit := func() float64 { return min(r, share.threshold(), keep.limit()) }
+	var fresh []BoundKey // a leaf's newly kept keys, for the share
 	pq := ix.getQueue(st.root)
 	defer ix.putQueue(pq)
 	sc := ix.getScratch()
@@ -775,118 +650,197 @@ func (ix *Index) collectBound(qDists []float64, want int, filter PivotFilter, sh
 		if item.promise > limit() {
 			break
 		}
-		if item.n.isLeaf() {
-			if item.n.live() == 0 {
+		n := item.n
+		// Only an unsplit root leaf mixes first-level cells; deeper leaves
+		// were filtered at the root's child table.
+		root := filter != nil && len(n.prefix) == 0
+		if n.isLeaf() {
+			if n.live() == 0 {
 				continue
 			}
-			b, transient, err := ix.leafViewN(item.n, item.n.count, sc)
+			b, transient, err := ix.leafViewN(n, n.count, sc)
 			if err != nil {
 				return nil, err
 			}
 			l := limit()
 			fresh = fresh[:0]
 			for i := range b.Len() {
+				// The pivot filter (Algorithm 3, lines 5–7) comes first: it
+				// drops most entries and reads only the ID and the distances.
 				id, dists := b.filterFields(i)
 				lb, above := entryBound(qDists, dists, l)
 				if above {
 					continue
 				}
+				key := BoundKey{LB: lb, ID: id}
+				if (after != nil && key.Compare(*after) <= 0) || !keep.admits(key) {
+					continue
+				}
+				if root {
+					if v := b.At(i); !filter.allowsView(&v) {
+						continue
+					}
+				}
 				if st.tombs.has(id) {
 					continue
 				}
-				v := b.At(i)
-				// Only an unsplit root leaf mixes first-level cells.
-				if filter != nil && len(item.n.prefix) == 0 && !filter.allowsView(&v) {
-					continue
-				}
-				it := boundItem{key: BoundKey{LB: lb, ID: id}, v: v, transient: transient}
-				if len(best) < want {
-					best.push(it)
-				} else if it.key.Compare(best[0].key) < 0 {
-					best.replaceTop(it)
-				} else {
-					continue
-				}
+				keep.add(RankedCandidate{Entry: sc.keep(b.At(i), transient), Promise: lb})
 				if share != nil {
-					fresh = append(fresh, it.key)
+					fresh = append(fresh, key)
 				}
 			}
 			if len(fresh) > 0 {
 				share.offer(fresh)
 			}
-			// What a transient leaf left in the heap outlives its read: copy
-			// it out.
-			for i := 0; transient && i < len(best); i++ {
-				if best[i].transient {
-					best[i].v, best[i].transient = sc.keep(best[i].v, true), false
-				}
-			}
 			continue
 		}
-		for i := range item.n.kids {
-			kid := item.n.kids[i]
-			if filter != nil && item.n.level() == 0 && !filter.Allows(kid.key) {
+		for i := range n.kids {
+			kid := n.kids[i]
+			// A root child's key is its subtree's first-level cell.
+			if root && !filter.Allows(kid.key) {
 				continue
 			}
 			lb := 0.0
 			if kid.n.box != nil {
 				lb = kid.n.box.lowerBound(qDists)
 			}
-			if lb > limit() {
+			if lb > limit() || (finite && planeBound(n.prefix, kid.key, qDists) > r) {
 				continue
 			}
 			pq.push(rankedNode{n: kid.n, promise: lb})
 		}
 	}
-	if len(best) == 0 {
+	if len(keep.items) == 0 {
 		return nil, nil
 	}
-	slices.SortFunc(best, func(a, b boundItem) int { return a.key.Compare(b.key) })
-	out := make([]RankedCandidate, len(best))
-	for i, b := range best {
-		out[i] = RankedCandidate{Entry: b.v, Promise: b.key.LB}
+	sortBound(keep.items)
+	return keep.items, nil
+}
+
+// sortBound sorts candidates by bound key. It sorts their keys and moves
+// each candidate once, cycle by cycle, into its place: a candidate is 88
+// bytes, and a sort would copy it at every swap and comparison.
+func sortBound(rcs []RankedCandidate) {
+	type keyAt struct {
+		key BoundKey
+		at  int
 	}
-	return out, nil
-}
-
-// boundItem is one entry kept by collectBound: its key and its record,
-// transient while the record is the current leaf's scratch read.
-type boundItem struct {
-	key       BoundKey
-	v         EntryView
-	transient bool
-}
-
-// boundHeap is a max-heap by bound key: its root is the worst entry kept.
-type boundHeap []boundItem
-
-func (h *boundHeap) push(it boundItem) {
-	*h = append(*h, it)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if s[i].key.Compare(s[parent].key) <= 0 {
-			break
+	order := make([]keyAt, len(rcs))
+	for i := range rcs {
+		order[i] = keyAt{boundKeyOf(&rcs[i]), i}
+	}
+	slices.SortFunc(order, func(a, b keyAt) int { return a.key.Compare(b.key) })
+	for i := range order {
+		if order[i].at < 0 {
+			continue
 		}
-		s[i], s[parent] = s[parent], s[i]
+		// Position j takes the candidate at order[j].at; follow the cycle
+		// through i, marking each position filled.
+		held, j := rcs[i], i
+		for {
+			from := order[j].at
+			order[j].at = -1
+			if from == i {
+				rcs[j] = held
+				break
+			}
+			rcs[j] = rcs[from]
+			j = from
+		}
+	}
+}
+
+// boundKeyOf is a bound-ordered candidate's key: the LB its promise
+// carries, then its ID.
+func boundKeyOf(rc *RankedCandidate) BoundKey { return BoundKey{LB: rc.Promise, ID: rc.Entry.ID} }
+
+// kept holds what a bound-ordered walk keeps: the candidates with the
+// smallest bound keys seen so far, cut at want of them (a KindBound page),
+// or where their records reach budget bytes (a range page, as PageEnd cuts
+// it), or not at all. They are a plain list until they reach the cut, and
+// from then on a max-heap by key that drops its worst candidate whenever
+// the rest reach the cut without it.
+type kept struct {
+	items  []RankedCandidate
+	want   int // 0: no count cut
+	budget int // 0: no byte cut
+	bytes  int // the records' bytes, under a budget
+	full   bool
+}
+
+// limit is the bound above which no entry can be kept: the worst kept once
+// the cut is reached, +Inf before.
+func (k *kept) limit() float64 {
+	if k.full {
+		return k.items[0].Promise
+	}
+	return math.Inf(1)
+}
+
+// admits reports whether an entry keyed key would be kept.
+func (k *kept) admits(key BoundKey) bool {
+	return !k.full || key.Compare(boundKeyOf(&k.items[0])) < 0
+}
+
+// add keeps rc, which admits let in.
+func (k *kept) add(rc RankedCandidate) {
+	if k.budget > 0 {
+		k.bytes += rc.Bytes()
+	}
+	switch {
+	case !k.full:
+		k.items = append(k.items, rc)
+		if k.full = (k.want > 0 && len(k.items) >= k.want) || (k.budget > 0 && k.bytes >= k.budget); k.full {
+			for i := len(k.items)/2 - 1; i >= 0; i-- {
+				k.down(i)
+			}
+		}
+	case k.budget == 0:
+		k.items[0] = rc
+		k.down(0)
+		return
+	default:
+		k.items = append(k.items, rc)
+		k.up(len(k.items) - 1)
+	}
+	// Under a budget the worst goes once the rest reach it without it.
+	for k.full && k.budget > 0 && k.bytes-k.items[0].Bytes() >= k.budget {
+		k.bytes -= k.items[0].Bytes()
+		last := len(k.items) - 1
+		k.items[0] = k.items[last]
+		k.items = k.items[:last]
+		k.down(0)
+	}
+}
+
+// greater orders the heap: the larger bound key first.
+func (k *kept) greater(i, j int) bool {
+	return boundKeyOf(&k.items[i]).Compare(boundKeyOf(&k.items[j])) > 0
+}
+
+func (k *kept) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.greater(i, parent) {
+			return
+		}
+		k.items[i], k.items[parent] = k.items[parent], k.items[i]
 		i = parent
 	}
 }
 
-// replaceTop overwrites the worst entry kept with it and restores the heap.
-func (h boundHeap) replaceTop(it boundItem) {
-	h[0] = it
-	for i := 0; ; {
+func (k *kept) down(i int) {
+	for {
 		worst := i
 		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(h) && h[c].key.Compare(h[worst].key) > 0 {
+			if c < len(k.items) && k.greater(c, worst) {
 				worst = c
 			}
 		}
 		if worst == i {
 			return
 		}
-		h[i], h[worst] = h[worst], h[i]
+		k.items[i], k.items[worst] = k.items[worst], k.items[i]
 		i = worst
 	}
 }
@@ -903,15 +857,14 @@ func (h boundHeap) replaceTop(it boundItem) {
 type BoundShare struct {
 	limit atomic.Uint64 // float64 bits of the threshold, +Inf until top is full
 	mu    sync.Mutex
-	top   boundHeap // keys only
-	want  int
+	top   kept // keys only: each candidate carries its key and nothing else
 }
 
 // NewBoundShare returns the share of a KindBound query asking for want
 // entries of indexes holding live entries between them.
 func NewBoundShare(want, live int) *BoundShare {
 	want = max(min(want, live), 0)
-	s := &BoundShare{top: make(boundHeap, 0, want), want: want}
+	s := &BoundShare{top: kept{items: make([]RankedCandidate, 0, want), want: want}}
 	s.limit.Store(math.Float64bits(math.Inf(1)))
 	return s
 }
@@ -929,16 +882,15 @@ func (s *BoundShare) threshold() float64 {
 func (s *BoundShare) offer(keys []BoundKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.top.want == 0 {
+		return
+	}
 	for _, k := range keys {
-		if len(s.top) < s.want {
-			s.top.push(boundItem{key: k})
-		} else if k.Compare(s.top[0].key) < 0 {
-			s.top.replaceTop(boundItem{key: k})
+		if s.top.admits(k) {
+			s.top.add(RankedCandidate{Entry: EntryView{ID: k.ID}, Promise: k.LB})
 		}
 	}
-	if len(s.top) == s.want && s.want > 0 {
-		s.limit.Store(math.Float64bits(s.top[0].key.LB))
-	}
+	s.limit.Store(math.Float64bits(s.top.limit()))
 }
 
 // all is the KindAll search: every live entry the filter allows, leaf by

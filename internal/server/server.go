@@ -239,10 +239,6 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, buf *
 			if err != nil {
 				return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
 			}
-			if req.Ranked && iq.Kind == mindex.KindRange {
-				// A coordinator merges the nodes' range pages by bound key.
-				mindex.SortBound(results[i])
-			}
 		}
 		buf.Reset()
 		resp := wire.BatchRankedResp{ServerNanos: uint64(time.Since(start)), Results: results}

@@ -664,11 +664,6 @@ func TestBatchQueryEquivalence(t *testing.T) {
 					if !sameRanked(flat[qi], dropAnnotations(shipped)) {
 						t.Fatalf("%s: flat answer is not engine Search's with annotations dropped", qname)
 					}
-					if q.Kind == wire.BatchRange {
-						// A ranked range page comes in bound-key order, which
-						// a coordinator merges its nodes' pages by.
-						mindex.SortBound(shipped)
-					}
 					if !sameRanked(ranked[qi], shipped) {
 						t.Fatalf("%s: wire answer (%d) != engine Search (%d)", qname, len(ranked[qi]), len(direct))
 					}

@@ -169,9 +169,9 @@ func readRanked(r *Reader) []mindex.RankedCandidate {
 // BatchRankedResp is the answer to a BatchQueryReq as the server holds it:
 // one ranked candidate set per query, parallel to the request's query list.
 // Range and bound queries (exact, no cell ranking) return their candidates
-// with their bounds as promises and a nil prefix — a ranked range page in
-// bound-key order (mindex.SortBound), so that a coordinator can merge the pages of
-// its nodes; first-cell queries return the winning cell's
+// with their bounds as promises and a nil prefix, in bound-key order as the
+// index answers them, so that a coordinator can merge the pages of its
+// nodes; first-cell queries return the winning cell's
 // entries, every one annotated with that cell's promise and prefix. AppendTo
 // keeps the annotations (MsgBatchRankedCandidates, for a Ranked request);
 // AppendFlatTo drops them (MsgBatchCandidates).
