@@ -384,10 +384,14 @@ func (ix *Index) putQueue(q *rankedQueue) {
 }
 
 // searchScratch is what a disk search reuses leaf after leaf: the bucket a
-// leaf that misses the cache is read into (see leafViewN), and the arena
-// the entries it keeps from such a leaf are copied to.
+// leaf that misses the cache is read into (see leafViewN), the candidates
+// held back from it, and the arena the entries it keeps from such a leaf
+// are copied to.
 type searchScratch struct {
 	bucket Bucket
+	// held is what a bound-ordered walk admits from such a leaf, until the
+	// leaf's end (see bounded).
+	held []RankedCandidate
 	// arena is the free tail of the chunk kept entries are copied into. A
 	// copy only ever goes past the ones before it, and a full chunk is
 	// replaced, never grown, so every candidate handed out stays valid: a
@@ -664,6 +668,13 @@ func (ix *Index) bounded(qDists []float64, r float64, after *BoundKey, keep kept
 			}
 			l := limit()
 			fresh = fresh[:0]
+			// What keep admits from a leaf read into the scratch enters at
+			// the leaf's end, in key order, once keep is full or when its
+			// cut is a count (CandSize, which the first leaves fill): each
+			// candidate is copied out of the read only as it is kept, and
+			// no later one of the leaf can then evict it. A range that
+			// never fills its page copies as it goes.
+			hold := transient && (keep.full || keep.want > 0)
 			for i := range b.Len() {
 				// The pivot filter (Algorithm 3, lines 5–7) comes first: it
 				// drops most entries and reads only the ID and the distances.
@@ -684,10 +695,29 @@ func (ix *Index) bounded(qDists []float64, r float64, after *BoundKey, keep kept
 				if st.tombs.has(id) {
 					continue
 				}
-				keep.add(RankedCandidate{Entry: sc.keep(b.At(i), transient), Promise: lb})
+				rc := RankedCandidate{Entry: b.At(i), Promise: lb}
+				if hold {
+					sc.held = append(sc.held, rc)
+					continue
+				}
+				rc.Entry = sc.keep(rc.Entry, transient)
+				keep.add(rc)
 				if share != nil {
 					fresh = append(fresh, key)
 				}
+			}
+			if hold {
+				slices.SortFunc(sc.held, func(a, b RankedCandidate) int { return boundKeyOf(&a).Compare(boundKeyOf(&b)) })
+				for _, rc := range sc.held {
+					if key := boundKeyOf(&rc); keep.admits(key) {
+						rc.Entry = sc.keep(rc.Entry, true)
+						keep.add(rc)
+						if share != nil {
+							fresh = append(fresh, key)
+						}
+					}
+				}
+				sc.held = sc.held[:0]
 			}
 			if len(fresh) > 0 {
 				share.offer(fresh)
