@@ -463,11 +463,12 @@ func BenchmarkShardedVsSingle(b *testing.B) {
 
 // BenchmarkBulkLoad measures bulk-ingest throughput at two layers.
 //
-// The engine group is in-core: the bottom-up builder (one InsertBulk call,
-// every shard group crosses the builder threshold) against the incremental
-// per-entry path (chunks below the threshold — the pre-PR InsertBulk
-// algorithm, kept as the builder's reference implementation). Both produce
-// byte-identical snapshots (TestBulkBuildShardEquivalence).
+// The engine group is in-core: one InsertBulk call of the whole collection
+// ("builder") against the same entries in 15-entry calls ("chunks=15", the
+// size of a small write's share of one shard). Both go through mindex's
+// write planner and produce byte-identical snapshots
+// (TestBulkBuildShardEquivalence); the planner against the entry-at-a-time
+// algorithm it replaced is mindex's BenchmarkBulkBuild.
 //
 // The pipeline group is end to end over loopback TCP with a WAL attached:
 // "batch" is the pre-PR ingest pipeline — stop-and-wait InsertContext
@@ -509,9 +510,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 		b.ReportMetric(float64(len(shardBenchEntries))*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 	}
 	for _, storage := range []mindex.StorageKind{mindex.StorageMemory, mindex.StorageDisk} {
-		// Chunks of 15 stay below mindex's builder threshold, so every entry
-		// takes the per-entry append/split path — the pre-builder baseline.
-		b.Run(fmt.Sprintf("engine/%s/incremental/shards=1", storage), func(b *testing.B) {
+		b.Run(fmt.Sprintf("engine/%s/chunks=15/shards=1", storage), func(b *testing.B) {
 			load(b, storage, 1, 15)
 		})
 		for _, shards := range []int{1, 4, 8} {

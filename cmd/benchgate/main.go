@@ -42,8 +42,9 @@
 //     CURRENT run, the median ns/op pooled over benchmarks matching
 //     -speedup-base must be at least F x the median pooled over those
 //     matching -speedup-new. This gates an in-run A/B pair — e.g. the
-//     bulk builder against the incremental ingest baseline measured in
-//     the same BenchmarkBulkLoad invocation — so, like -scale-limit, it
+//     write planner on one batch against the entry-at-a-time reference in
+//     15-entry batches, measured in the same BenchmarkBulkBuild
+//     invocation — so, like -scale-limit, it
 //     holds on any machine without a cross-machine baseline. Pick F below
 //     the committed headline ratio: both sides jitter on loaded CI
 //     runners, and the gate is for catching the optimization rotting

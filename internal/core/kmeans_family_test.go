@@ -109,8 +109,8 @@ func diffStreams(t *testing.T, stage string, qi int, kind string, cs int, got, w
 	}
 }
 
-// TestKMeansMatchesFlatCellReference: through insert (bulk and
-// incremental), delete, re-insert of deleted IDs, Compact and — on disk —
+// TestKMeansMatchesFlatCellReference: through insert (large batches and
+// single entries), delete, re-insert of deleted IDs, Compact and — on disk —
 // snapshot restore plus further inserts, the family's engine emits exactly
 // the flat cell table's candidate streams, with and without the key's
 // distance transform.

@@ -37,9 +37,9 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// IngestStats reports what the engine's insert paths have accepted since
-// it opened: entries admitted, how many batches took the bottom-up bulk
-// builder, and the encoded bytes those entries occupy in the bucket store.
+// IngestStats reports what the engine's inserts have accepted since it
+// opened: entries admitted, batches applied (one per shard a batch
+// reaches), and the encoded bytes those entries occupy in the bucket store.
 // Zero for networked backends (the engine lives on the remote server).
 type IngestStats struct {
 	Entries uint64 `json:"entries"`

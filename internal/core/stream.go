@@ -189,9 +189,8 @@ func (c *DirectClient) InsertStream(objs []metric.Object) (stats.Costs, error) {
 // embedded engine: in-process there is no wire to overlap, but preparing
 // and inserting in Options.BatchChunk-sized chunks bounds peak memory the
 // same way the networked stream does and keeps the surface drop-in
-// compatible across the backends. Chunks below the engine's bulk-build
-// threshold take the incremental path — arrival order, and therefore index
-// bytes, match a single InsertBulk of the whole batch either way.
+// compatible across the backends. Arrival order, and therefore index bytes,
+// match a single InsertBulk of the whole batch.
 func (c *DirectClient) InsertStreamContext(ctx context.Context, objs []metric.Object) (stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()

@@ -21,13 +21,13 @@ func mustEngine(t *testing.T, cfg mindex.Config) *ShardedIndex {
 	return eng
 }
 
-// TestBulkBuildShardEquivalence pins the bulk builder's byte-identity claim
-// at the engine level, across 1 and 4 shards on both storage backends: an
-// engine loaded by one InsertBulk call (each shard takes the bottom-up
-// builder path) is byte-identical on disk — snapshot files and bucket files
-// — to an engine fed the same entries in the same order through small
-// chunks, which stay below the builder threshold and take the incremental
-// path shard by shard.
+// TestBulkBuildShardEquivalence pins that the write planner gives one
+// batch and the same entries in 8-entry chunks the same result, across 1
+// and 4 shards on both storage backends: an engine loaded by one
+// InsertBulk call is byte-identical on disk — snapshot files and bucket
+// files — to an engine fed the same entries in the same order in chunks of
+// 8. The entries of a chunk reach each shard as one small build, so this is
+// the planner's arrival-order invariance across batch boundaries.
 func TestBulkBuildShardEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, storage := range []mindex.StorageKind{mindex.StorageMemory, mindex.StorageDisk} {
@@ -41,35 +41,33 @@ func TestBulkBuildShardEquivalence(t *testing.T) {
 				cfgA.Storage, cfgB.Storage = storage, storage
 				if storage == mindex.StorageDisk {
 					cfgA.DiskPath = filepath.Join(t.TempDir(), "bulk")
-					cfgB.DiskPath = filepath.Join(t.TempDir(), "incr")
+					cfgB.DiskPath = filepath.Join(t.TempDir(), "chunks")
 				}
 				engBulk := mustEngine(t, cfgA)
-				engIncr := mustEngine(t, cfgB)
+				engChunks := mustEngine(t, cfgB)
 
-				// One big batch: every shard's group crosses the builder
-				// threshold. Small chunks keep every shard incremental.
 				if err := engBulk.InsertBulk(w.entries); err != nil {
 					t.Fatal(err)
 				}
 				for off := 0; off < len(w.entries); off += 8 {
 					end := min(off+8, len(w.entries))
-					if err := engIncr.InsertBulk(w.entries[off:end]); err != nil {
+					if err := engChunks.InsertBulk(w.entries[off:end]); err != nil {
 						t.Fatal(err)
 					}
 				}
 
-				if engBulk.Size() != engIncr.Size() {
-					t.Fatalf("sizes differ: %d vs %d", engBulk.Size(), engIncr.Size())
+				if engBulk.Size() != engChunks.Size() {
+					t.Fatalf("sizes differ: %d vs %d", engBulk.Size(), engChunks.Size())
 				}
 				if storage == mindex.StorageDisk {
-					compareSnapshots(t, engBulk, engIncr, shards)
+					compareSnapshots(t, engBulk, engChunks, shards)
 					compareBucketDirs(t, cfgA.DiskPath, cfgB.DiskPath)
 				} else {
 					// Memory indexes have no snapshot codec; the per-shard
 					// tree statistics pin shape, counts and occupancy. The
-					// Builds counter records which path ran — the one field
-					// meant to differ between the two engines.
-					sa, sb := engBulk.Stats(), engIncr.Stats()
+					// Builds counter counts the batches applied — the one
+					// field meant to differ between the two engines.
+					sa, sb := engBulk.Stats(), engChunks.Stats()
 					sa.Ingest.Builds, sb.Ingest.Builds = 0, 0
 					if !reflect.DeepEqual(sa, sb) {
 						t.Errorf("engine stats differ:\n%+v\nvs\n%+v", sa, sb)
@@ -82,7 +80,7 @@ func TestBulkBuildShardEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rb, err := engIncr.RangeByDists(qDists, 3)
+					rb, err := engChunks.RangeByDists(qDists, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -93,7 +91,7 @@ func TestBulkBuildShardEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ab, err := engIncr.ApproxCandidates(aq, 64)
+					ab, err := engChunks.ApproxCandidates(aq, 64)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -199,12 +199,19 @@ func (s *ShardedIndex) fanOutOn(pool *fanout.Pool, fn func(i int) error) error {
 // and inserts the groups in parallel through the worker pool. Entries for
 // different shards are inserted without contending on a lock.
 //
+// A batch holding a malformed entry (mindex.Config.CheckEntry) or an ID
+// twice is refused before any shard writes, and a shard takes its group
+// whole or not at all. A live duplicate is found only inside the routed
+// shard, so on several shards the groups of the other shards still land
+// beside the refused one; making that all-or-nothing across shards is
+// open (ROADMAP, "every owner applies the same writes").
+//
 // Entry IDs must be unique across the whole engine, but the duplicate
-// check (mindex.ErrDuplicateID) runs only inside the routed shard: a
-// duplicate whose permutation routes to a different shard — the object
-// moved in pivot space since its first insert — is not detected and would
-// leave two live records. A move is therefore a Delete routed by the old
-// permutation followed by an insert of the new entry.
+// check against stored entries (mindex.ErrDuplicateID) runs only inside
+// the routed shard: a duplicate whose permutation routes to a different
+// shard — the object moved in pivot space since its first insert — is not
+// detected and would leave two live records. A move is therefore a Delete
+// routed by the old permutation followed by an insert of the new entry.
 func (s *ShardedIndex) InsertBulk(entries []mindex.Entry) error {
 	if len(s.shards) == 1 {
 		if s.closed.Load() {
@@ -213,12 +220,22 @@ func (s *ShardedIndex) InsertBulk(entries []mindex.Entry) error {
 		return s.shards[0].InsertBulk(entries)
 	}
 	groups := make([][]mindex.Entry, len(s.shards))
-	for _, e := range entries {
+	seen := make(map[uint64]struct{}, len(entries))
+	for n := range entries {
+		e := &entries[n]
+		err := s.cfg.CheckEntry(e)
+		if _, dup := seen[e.ID]; err == nil && dup {
+			err = fmt.Errorf("%w: %d", mindex.ErrDuplicateID, e.ID)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: insert entry %d: %w", n, err)
+		}
+		seen[e.ID] = struct{}{}
 		i, err := s.route(e.Perm)
 		if err != nil {
 			return err
 		}
-		groups[i] = append(groups[i], e)
+		groups[i] = append(groups[i], *e)
 	}
 	return s.fanOut(func(i int) error {
 		if len(groups[i]) == 0 {

@@ -955,13 +955,13 @@ func TestMutationRaceHammer(t *testing.T) {
 }
 
 // TestInsertRejectsInvalidEntryWithoutDataLoss: an insert batch holding an
-// invalid entry fails, and the failure never costs a stored entry — a
-// move's insert half that is rejected must not take the rest of the
-// collection with it. Each kind of invalid entry is sent alone (the
-// entry-at-a-time path) and in the middle of a batch large enough for the
-// shards' builder path. The invalid entry is never stored, every entry
-// stored before keeps its content, and whatever part of the batch did land
-// is live exactly once with the content it was sent with.
+// invalid entry fails, and the failure lands nothing — a move's insert half
+// that is rejected must neither take the rest of the collection with it
+// nor leave part of itself behind. Each kind of invalid entry is sent alone
+// and in the middle of a batch, on 1 and on 4 shards. The one exception is
+// a live duplicate on 4 shards: only the shard holding the live record
+// sees it, so the other shards' groups land; whatever did land is then
+// live exactly once with the content it was sent with.
 func TestInsertRejectsInvalidEntryWithoutDataLoss(t *testing.T) {
 	const stored = 300
 	w := newWorld(t, 29, stored+150, 1)
@@ -1004,13 +1004,13 @@ func TestInsertRejectsInvalidEntryWithoutDataLoss(t *testing.T) {
 			return []mindex.Entry{fresh, twin}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		for _, shards := range []int{1, 4} {
 			for _, shape := range []struct {
 				name  string
 				valid int // fresh valid entries around the invalid ones
 			}{{"alone", 0}, {"mid-batch", 140}} {
-				t.Run(shape.name, func(t *testing.T) {
-					eng, err := New(cfg)
+				t.Run(fmt.Sprintf("%s/shards=%d/%s", tc.name, shards, shape.name), func(t *testing.T) {
+					eng, err := New(testCfg(shards))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -1054,9 +1054,12 @@ func TestInsertRejectsInvalidEntryWithoutDataLoss(t *testing.T) {
 							t.Fatalf("stored entry %d lost or changed by the failed insert", e.ID)
 						}
 					}
+					if partial := shards > 1 && tc.name == "live duplicate ID"; !partial && len(live) != stored {
+						t.Fatalf("%d entries live after the refused batch, want the %d stored before", len(live), stored)
+					}
 				})
 			}
-		})
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func writeBackendHeader(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE simgate_cache_misses_total counter\n")
 	fmt.Fprintf(w, "# HELP simgate_ingest_entries_total Entries accepted by the backend's insert paths.\n")
 	fmt.Fprintf(w, "# TYPE simgate_ingest_entries_total counter\n")
-	fmt.Fprintf(w, "# HELP simgate_ingest_builds_total Bulk batches that took the bottom-up builder.\n")
+	fmt.Fprintf(w, "# HELP simgate_ingest_builds_total Insert batches applied, one per shard a batch reaches.\n")
 	fmt.Fprintf(w, "# TYPE simgate_ingest_builds_total counter\n")
 	fmt.Fprintf(w, "# HELP simgate_ingest_bytes_total Encoded bytes of accepted entries.\n")
 	fmt.Fprintf(w, "# TYPE simgate_ingest_bytes_total counter\n")

@@ -1,57 +1,56 @@
 package mindex
 
-// Bulk-ingest builder: the bottom-up construction path behind
-// Index.InsertBulk.
+// The write planner: the one code path that files entries into the cell
+// tree. Index.InsertBulk sends every batch through it, whatever its size,
+// and Compact rebuilds its survivors through it into a fresh root.
 //
-// The incremental insert path files one entry at a time: every entry is
+// The paper's insert (Figure 4) files one entry at a time: every entry is
 // appended to its leaf bucket the moment it arrives, so a leaf that later
 // overflows re-reads and re-appends its whole content once per split — an
-// entry that ends up at depth d has been encoded and written O(d) times,
-// and on memory storage every insert also re-pins the leaf's view. The
-// builder removes that churn: it first runs the incremental algorithm's
-// exact bookkeeping on path-copied nodes with every store operation
-// *deferred* (the simulation), then applies the net result — each entry is
-// appended exactly once, to the bucket of the leaf it finally lands in, and
-// buckets the incremental path would have created and later freed are
+// entry that ends up at depth d is encoded and written O(d) times, and on
+// memory storage every insert also re-pins the leaf's view. The planner
+// removes that churn: it first runs the entry-at-a-time algorithm's exact
+// bookkeeping on path-copied nodes with every store operation *deferred*
+// (the plan), then applies the net result — each entry is appended exactly
+// once, to the bucket of the leaf it finally lands in, and buckets the
+// entry-at-a-time algorithm would have created and later freed are
 // replayed as ghost allocations that only burn their ID.
 //
-// Invariants (pinned by TestBulkBuildEquivalence):
+// Invariants (pinned by TestBulkBuildEquivalence against the entry-at-a-time
+// reference kept in reference_test.go):
 //
 //   - Byte identity. The published snapshot — tree shape, per-node counts,
 //     dead counts and cell boxes, leaf bucket IDs, the store's allocation
 //     cursor, and every bucket's content order — is byte-identical (snapshot
-//     codec output) to what the incremental path produces for the same batch
-//     in the same arrival order. Bucket IDs match because the simulation
-//     records the exact sequence of Create calls the incremental path would
-//     issue and the apply phase replays it against the store's monotone
-//     cursor; boxes match because they are the min/max over the same entries.
+//     codec output) to what filing the same entries one at a time in the
+//     same arrival order produces. Bucket IDs match because the plan
+//     records the exact sequence of Create calls the entry-at-a-time
+//     algorithm would issue and the apply phase replays it against the
+//     store's monotone cursor; boxes match because they are the min/max
+//     over the same entries.
 //   - RCU discipline. Readers of previously published snapshots are
 //     untouched: appends to surviving pre-existing buckets strictly extend
 //     them (published counts cover a prefix), and a pre-existing leaf the
 //     build splits away has its old content pinned into the shared pin cell
-//     before its bucket is freed — the same point-of-no-return protocol as
-//     the incremental split.
-//   - All-or-nothing on store failure. A failed apply rolls back: buckets
-//     this build materialized are freed, pre-existing buckets that already
-//     received their batch suffix are rewritten to their pre-batch content
-//     (after pinning it), and the sequence cursor is rewound. The loc map
-//     needs no undo at all — the simulation never touches it (within-batch
-//     duplicates are caught by a batch-local ID set), and the one sweep
-//     that files the batch's records runs only after the apply phase can no
-//     longer fail. Nothing is published and the error is returned — unlike
-//     the incremental path there is no partial progress, because the store
-//     writes happen after the plan is complete. Ghost IDs stay burned (IDs
-//     are never reused, so a gap is harmless).
+//     before its bucket is freed.
+//   - All-or-nothing. InsertBulk validates the whole batch before the plan
+//     starts, so the plan files every entry unless a store read fails, and
+//     a failed plan leaves nothing behind but path-copied nodes nobody
+//     publishes. A failed apply rolls back: buckets this build materialized
+//     are freed, pre-existing buckets that already received their batch
+//     suffix are rewritten to their pre-batch content (after pinning it),
+//     and the sequence cursor is rewound. The loc map needs no undo at
+//     all — the plan never touches it, and the one sweep that files the
+//     batch's records runs only after the apply phase can no longer fail.
+//     Ghost IDs stay burned (IDs are never reused, so a gap is harmless).
 //
-// The batch falls back to the incremental path when it is too small to
-// amortize the plan, or when an entry re-inserts a tombstoned ID (the purge
-// protocol is inherently incremental).
+// The planner's bookkeeping (the leaf records, the node→record map, the
+// duplicate detector, split's key table, the descent path) lives on the
+// Index and is reused from call to call under wmu: a write of a dozen
+// entries would otherwise pay more for setting up the plan than for
+// filing the entries.
 
 import "fmt"
-
-// bulkMinBatch is the smallest batch routed through the builder; below it
-// the plan/apply split costs more than it saves.
-const bulkMinBatch = 16
 
 // ghostAllocator is implemented by stores whose bucket IDs come from a
 // monotone cursor: createGhost burns one ID without materializing a bucket.
@@ -84,33 +83,38 @@ const noLocSeq = ^uint64(0)
 
 // bulkFree is one pre-existing leaf the build split away: at apply time its
 // old content is pinned into the shared cell (for readers of previously
-// published snapshots) and its bucket freed — the same order the
-// incremental split uses.
+// published snapshots) and its bucket freed, in that order.
 type bulkFree struct {
 	pin    *pinCell
 	view   Bucket
 	bucket BucketID
 }
 
-// bulkTxn runs the simulation and the apply phase on top of an ordinary
-// mutation transaction.
-// idSet is the builder's within-batch duplicate detector: a flat
+// idSet is the batch validation's within-batch duplicate detector: a flat
 // open-addressing probe table (≤50% load, linear probing) over the batch's
-// IDs. It replaces per-entry provisional loc records — one cheap set op
-// per entry instead of a map assign, and an abort has nothing to clean up
-// because the set dies with the plan.
+// IDs — one cheap set op per entry instead of a map assign, on a table
+// reused from batch to batch.
 type idSet struct {
 	tab     []uint64
 	mask    uint64
 	hasZero bool
 }
 
-func newIDSet(n int) *idSet {
+// reset empties the set and sizes it for n IDs, reusing the table's array
+// when it is large enough.
+func (s *idSet) reset(n int) {
 	size := 16
 	for size < 2*n {
 		size <<= 1
 	}
-	return &idSet{tab: make([]uint64, size), mask: uint64(size - 1)}
+	if cap(s.tab) >= size {
+		s.tab = s.tab[:size]
+		clear(s.tab)
+	} else {
+		s.tab = make([]uint64, size)
+	}
+	s.mask = uint64(size - 1)
+	s.hasZero = false
 }
 
 // add inserts id and reports whether it was already present. Zero is a
@@ -134,51 +138,102 @@ func (s *idSet) add(id uint64) bool {
 	}
 }
 
+// bulkTxn runs the plan and the apply phase of one build on top of an
+// ordinary mutation transaction. One lives on the Index (Index.bulk) and
+// serves every build; begin and end bracket each use, under wmu.
 type bulkTxn struct {
 	t    *txn
 	pend map[*node]*bulkLeaf
+	// recs are the leaf records of every build so far, reused: the first
+	// used of them belong to the current build (see newLeaf).
+	recs []*bulkLeaf
+	used int
 	// leaves lists every touched leaf in first-touch order (deterministic
 	// apply order); entries whose node has since become internal are
 	// skipped at apply time.
 	leaves []*bulkLeaf
 	// events is the bucket allocation replay: one element per Create call
-	// the incremental path would issue, in issue order. An event whose node
-	// is still a leaf at apply time materializes a bucket; one whose node
-	// split again only burns the ID.
+	// the entry-at-a-time algorithm would issue, in issue order. An event
+	// whose node is still a leaf at apply time materializes a bucket; one
+	// whose node split again only burns the ID.
 	events []*bulkLeaf
 	frees  []bulkFree
 	seq0   uint64
 	path   []*node
 	// The arena is every entry the build moves, indexed batch first: index
 	// i < len(batch) is the caller's entry i (aliased, never mutated, and
-	// encoded once, when the apply phase writes it), the rest the pre-batch
-	// content of each leaf the build splits, old[i-len(batch)] — a view of
-	// the record where it lies, read as it is first needed and never
-	// decoded: the apply phase copies its span. Leaf item lists index into
-	// it. (Encoding the batch up front, so that the arena would hold views
-	// only, costs an image the size of the batch and a second copy of every
-	// record: it made BenchmarkBulkLoad's one-shot memory build a third
-	// slower, 17.0 → 22.7 ms on a 2-CPU Xeon container.)
+	// encoded once, when the apply phase writes it), the rest stored
+	// records, old[i-len(batch)]: a Compact's survivors, and the pre-batch
+	// content of each leaf the build splits — a view of the record where
+	// it lies, read as it is first needed and never decoded: the apply
+	// phase copies its span. Leaf item lists index into it. (Encoding the
+	// batch up front, so that the arena would hold views only, costs an
+	// image the size of the batch and a second copy of every record: it
+	// made BenchmarkBulkLoad's one-shot memory build a third slower, 17.0 →
+	// 22.7 ms on a 2-CPU Xeon container.)
 	batch []Entry
 	old   []EntryView
 	// oldSeqs carries the loc sequence numbers of old (noLocSeq for a
 	// tombstoned pre-existing entry, which has no loc record); a batch
-	// entry's seq is derived from its arena index instead. The
-	// simulation never writes loc — every filed entry's record lands in
-	// one sweep after the apply phase succeeds, so per-split re-filing
-	// never rewrites loc and an abort has nothing to undo there.
+	// entry's seq is derived from its arena index instead.
 	oldSeqs []uint64
 	// lastLeaf memoizes the most recent leafState result; invalidated when
 	// its node splits.
 	lastLeaf *bulkLeaf
 	// kidTab is split's key→child table, indexed by pivot key — O(1) where
-	// the incremental split linear-scans its kids. Cleared per split call.
+	// a scan of the kids would be linear. Cleared per split call.
 	kidTab []*bulkLeaf
+	// seen is InsertBulk's within-batch duplicate detector.
+	seen idSet
+}
+
+// begin opens a build of batch (nil for a Compact) on t.
+func (b *bulkTxn) begin(t *txn, batch []Entry) {
+	b.t = t
+	b.batch = batch
+	b.seq0 = t.ix.nextSeq
+	if b.pend == nil {
+		b.pend = make(map[*node]*bulkLeaf)
+	}
+}
+
+// end closes a build, successful or not: it empties the bookkeeping for the
+// next one and drops every reference into the tree and the store.
+func (b *bulkTxn) end() {
+	for _, bl := range b.recs[:b.used] {
+		bl.n = nil
+	}
+	b.used = 0
+	clear(b.pend)
+	clear(b.old)
+	clear(b.frees)
+	b.leaves, b.events, b.frees = b.leaves[:0], b.events[:0], b.frees[:0]
+	b.old, b.oldSeqs = b.old[:0], b.oldSeqs[:0]
+	b.t, b.batch, b.lastLeaf = nil, nil, nil
+}
+
+// newLeaf starts the deferred-work record of leaf n, on a reused record
+// when there is one. A leaf the build creates (isNew) gets its bucket at
+// apply time; a pre-existing one keeps its bucket, and its record must be
+// made before its count is incremented: oldN captures what the store holds.
+func (b *bulkTxn) newLeaf(n *node, isNew bool) *bulkLeaf {
+	if b.used == len(b.recs) {
+		b.recs = append(b.recs, &bulkLeaf{})
+	}
+	bl := b.recs[b.used]
+	b.used++
+	*bl = bulkLeaf{n: n, isNew: isNew, oldN: n.count, items: bl.items[:0]}
+	b.pend[n] = bl
+	b.leaves = append(b.leaves, bl)
+	if isNew {
+		b.events = append(b.events, bl)
+	}
+	return bl
 }
 
 // seqAt returns the loc sequence number of an arena index: batch entry i is
-// the i-th insert of the build, so its seq is derived; split content carries
-// its seq (or the tombstone sentinel) in oldSeqs.
+// the i-th insert of the build, so its seq is derived; a stored record
+// carries its seq (or the tombstone sentinel) in oldSeqs.
 func (b *bulkTxn) seqAt(i int32) uint64 {
 	if int(i) < len(b.batch) {
 		return b.seq0 + uint64(i)
@@ -219,32 +274,13 @@ func (b *bulkTxn) appendRecord(dst Bucket, i int32) Bucket {
 	return dst.appendView(&b.old[int(i)-len(b.batch)])
 }
 
-// bulkEligible reports whether the batch may take the builder path. Callers
-// hold wmu and have run ensureLoc.
-func (ix *Index) bulkEligible(entries []Entry) bool {
-	if len(entries) < bulkMinBatch {
-		return false
-	}
-	st := ix.state.Load()
-	if st.tombs.n > 0 {
-		// Re-inserting a tombstoned ID purges the dead twin in place —
-		// inherently incremental.
-		for i := range entries {
-			if st.tombs.has(entries[i].ID) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// insertBulkBuilt is the builder path of InsertBulk. Callers hold wmu, have
-// run ensureLoc, and have checked bulkEligible.
-func (ix *Index) insertBulkBuilt(entries []Entry) error {
+// build files a validated batch through the planner and publishes it, or
+// publishes nothing and returns the error. Callers hold wmu and have run
+// ensureLoc and checkBatch.
+func (ix *Index) build(entries []Entry) error {
 	t := ix.begin()
 	// The batch size is known up front — rebuild the loc map at its final
 	// capacity so the post-apply sweep doesn't rehash it a dozen times.
-	// Callers hold wmu.
 	if len(entries) > len(ix.loc) {
 		loc := make(map[uint64]entryLoc, len(ix.loc)+len(entries))
 		for id, l := range ix.loc {
@@ -253,45 +289,15 @@ func (ix *Index) insertBulkBuilt(entries []Entry) error {
 		ix.loc = loc
 		t.loc = loc
 	}
-	seen := newIDSet(len(entries))
-	b := &bulkTxn{
-		t:     t,
-		pend:  make(map[*node]*bulkLeaf, len(entries)/4),
-		seq0:  ix.nextSeq,
-		path:  make([]*node, 0, ix.cfg.MaxLevel+1),
-		batch: entries,
-	}
+	b := &ix.bulk
+	b.begin(t, entries)
+	defer b.end()
 	t.root = t.mutable(t.root)
-	var simErr error
-	accepted := len(entries)
-	// The simulation never writes loc (the sweep below is the only writer),
-	// so its population is fixed for the whole loop — empty means no
-	// pre-existing entry can collide and the lookup is skipped wholesale.
-	checkLoc := len(t.loc) > 0
 	for i := range entries {
-		err := ix.checkEntry(&entries[i])
-		if err == nil {
-			// bulkEligible excluded tombstoned twins, so a loc hit is a
-			// pre-existing live duplicate; the batch-local set catches a
-			// duplicate earlier in this same batch. Order matters: the
-			// set only records IDs that were actually accepted.
-			dup := false
-			if checkLoc {
-				_, dup = t.loc[entries[i].ID]
-			}
-			if dup || seen.add(entries[i].ID) {
-				err = fmt.Errorf("%w: %d", ErrDuplicateID, entries[i].ID)
-			}
-		}
-		if err == nil {
-			err = b.insert(int32(i))
-		}
-		if err != nil {
-			// Stop the plan here; the entries before i still build and
-			// publish, matching the incremental path's partial progress.
-			simErr = fmt.Errorf("mindex: bulk insert entry %d: %w", i, err)
-			accepted = i
-			break
+		if err := b.insert(int32(i)); err != nil {
+			// Only the plan's own path-copied nodes saw the batch.
+			ix.nextSeq = b.seq0
+			return fmt.Errorf("mindex: bulk insert entry %d: %w", i, err)
 		}
 	}
 	fatal, freeErr := b.apply()
@@ -299,8 +305,15 @@ func (ix *Index) insertBulkBuilt(entries []Entry) error {
 		// abort rewound the tree and the store; loc was never touched.
 		return fatal
 	}
-	// The deferred loc pass: every filed item gets its final leaf prefix in
-	// one sweep, now that the store can no longer force an abort.
+	b.fileLocs()
+	t.commit()
+	ix.recordIngest(entries)
+	return freeErr
+}
+
+// fileLocs is the deferred loc pass: every filed item gets its final leaf
+// prefix in one sweep, once the store can no longer force an abort.
+func (b *bulkTxn) fileLocs() {
 	for _, bl := range b.leaves {
 		if !bl.n.isLeaf() {
 			continue
@@ -310,42 +323,33 @@ func (ix *Index) insertBulkBuilt(entries []Entry) error {
 			if seq == noLocSeq {
 				continue
 			}
-			t.loc[b.id(idx)] = entryLoc{prefix: bl.n.prefix, seq: seq}
+			b.t.loc[b.id(idx)] = entryLoc{prefix: bl.n.prefix, seq: seq}
 		}
 	}
-	t.commit()
-	ix.recordIngest(entries, accepted, true)
-	if simErr != nil {
-		return simErr
-	}
-	return freeErr
 }
 
-// leafState returns (creating on first touch) the deferred-work record of a
-// pre-existing leaf. Must run before the leaf's count is incremented: oldN
-// captures what the store holds. The one-element memo short-circuits the
-// map for consecutive entries landing in the same leaf — the common case
-// for clustered batches.
+// leafState returns (creating on first touch) the deferred-work record of
+// a leaf. The one-element memo short-circuits the map for consecutive
+// entries landing in the same leaf — the common case for clustered batches.
 func (b *bulkTxn) leafState(n *node) *bulkLeaf {
 	if b.lastLeaf != nil && b.lastLeaf.n == n {
 		return b.lastLeaf
 	}
 	bl, ok := b.pend[n]
 	if !ok {
-		bl = &bulkLeaf{n: n, oldN: n.count}
-		b.pend[n] = bl
-		b.leaves = append(b.leaves, bl)
+		bl = b.newLeaf(n, false)
 	}
 	b.lastLeaf = bl
 	return bl
 }
 
-// insert mirrors txn.insert with the store operations deferred: descend by
-// the permutation prefix cloning the path, record the entry (as its arena
-// index) against its leaf, split on overflow. The bookkeeping (counts,
-// bounds, seq, size) is applied in exactly the incremental order, so the
-// resulting node fields are bit-identical; loc writes wait for the
-// post-apply sweep.
+// insert files arena entry idx into its leaf cell (the server side of the
+// paper's insert operation, Figure 4) with the store operations deferred:
+// descend by the permutation prefix cloning the path, record the entry (as
+// its arena index) against its leaf, split on overflow. The bookkeeping
+// (counts, bounds, seq, size) is applied in exactly the entry-at-a-time
+// order, so the resulting node fields are bit-identical; loc writes wait
+// for the post-apply sweep.
 func (b *bulkTxn) insert(idx int32) error {
 	t := b.t
 	n := t.root
@@ -361,10 +365,7 @@ func (b *bulkTxn) insert(idx int32) error {
 				box:    emptyBox(t.ix.cfg.NumPivots),
 			})
 			n.addKid(key, c)
-			bl := &bulkLeaf{n: c, isNew: true}
-			b.pend[c] = bl
-			b.leaves = append(b.leaves, bl)
-			b.events = append(b.events, bl)
+			b.newLeaf(c, true)
 		} else if m := t.mutable(c); m != c {
 			// Only re-wire the kid slot when mutable actually cloned;
 			// after the first hop through a child the pointer is stable.
@@ -391,10 +392,11 @@ func (b *bulkTxn) insert(idx int32) error {
 	return nil
 }
 
-// split mirrors txn.split on the plan: distribute the leaf's content (old
-// bucket prefix, then batch items, in content order) over children created
-// in key-first-occurrence order — the same order the incremental split
-// issues its Create calls — and mark a pre-existing source for
+// split turns an overflowing leaf into an internal node, redistributing its
+// content — old bucket prefix, then batch items, in content order — by the
+// next permutation element: the recursive Voronoi step. Children are
+// created in key-first-occurrence order, the order the entry-at-a-time
+// split issues its Create calls in, and a pre-existing source is marked for
 // pin-and-free. Only the old-content read touches the store.
 func (b *bulkTxn) split(n *node) error {
 	t := b.t
@@ -403,16 +405,13 @@ func (b *bulkTxn) split(n *node) error {
 	if !bl.isNew {
 		old, _, err := t.ix.leafViewN(n, bl.oldN, nil)
 		if err != nil {
-			// The leaf stays a consistent (overfull) leaf, exactly like a
-			// failed incremental split.
 			return err
 		}
 		nOld = old.Len()
 		// Add views of the pre-batch content to the arena, capturing each
 		// entry's seq once. A live pre-existing entry's seq comes from its loc
 		// record; a tombstoned one has no record and carries the sentinel
-		// (the loc sweep skips it, exactly like the incremental re-file
-		// loop does).
+		// (the loc sweep skips it).
 		for i := range nOld {
 			v := old.At(i)
 			b.old = append(b.old, v)
@@ -438,7 +437,7 @@ func (b *bulkTxn) split(n *node) error {
 			}
 		} else {
 			// Out-of-range pivot key (malformed stored entry): fall back to
-			// the scan the incremental split would effectively do.
+			// a scan of the kids made so far.
 			for i := range kids {
 				if kids[i].key == key {
 					return b.pend[kids[i].n]
@@ -450,10 +449,7 @@ func (b *bulkTxn) split(n *node) error {
 			pin:    &pinCell{},
 			box:    emptyBox(t.ix.cfg.NumPivots),
 		})
-		cb := &bulkLeaf{n: c, isNew: true}
-		b.pend[c] = cb
-		b.leaves = append(b.leaves, cb)
-		b.events = append(b.events, cb)
+		cb := b.newLeaf(c, true)
 		i := len(kids)
 		kids = append(kids, child{key: key, n: c})
 		for ; i > 0 && key < kids[i-1].key; i-- {
@@ -492,7 +488,9 @@ func (b *bulkTxn) split(n *node) error {
 	if b.lastLeaf == bl {
 		b.lastLeaf = nil
 	}
-	bl.items = nil
+	// A pathological split can put everything into one child (all objects
+	// share the next permutation element); recurse so capacity is restored
+	// where possible.
 	for i := range n.kids {
 		c := n.kids[i].n
 		if c.count > t.ix.cfg.BucketCapacity && c.level() < t.ix.cfg.MaxLevel {
@@ -508,12 +506,12 @@ func (b *bulkTxn) split(n *node) error {
 // aborted and rolled back the whole build (nothing may be published);
 // freeErr reports a failed Free of a split-away bucket — the built state is
 // fully consistent (the bucket merely leaks), so the caller publishes and
-// surfaces the error, like the incremental split does.
+// surfaces the error.
 func (b *bulkTxn) apply() (fatal, freeErr error) {
 	t := b.t
 	store := t.ix.store
 
-	// 1. Bucket allocation replay, in incremental Create order: surviving
+	// 1. Bucket allocation replay, in entry-at-a-time Create order: surviving
 	// leaves materialize, split-away intermediates only burn their ID.
 	for _, bl := range b.events {
 		if bl.n.isLeaf() {
@@ -568,8 +566,7 @@ func (b *bulkTxn) apply() (fatal, freeErr error) {
 // abort rolls the build back after a store failure: free what was
 // materialized, restore pre-existing buckets that already took their batch
 // suffix (pin first, so published readers never notice), and rewind the
-// sequence cursor. The caller deletes the batch's provisional loc records.
-// Returns cause for convenience.
+// sequence cursor. Returns cause for convenience.
 func (b *bulkTxn) abort(cause error, dirty []*bulkLeaf) error {
 	t := b.t
 	store := t.ix.store

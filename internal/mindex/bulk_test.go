@@ -8,13 +8,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"simcloud/internal/pivot"
 )
 
-// fingerprint captures everything the bulk builder must reproduce
+// fingerprint captures everything the planner must reproduce
 // bit-for-bit: the snapshot codec output of the tree (shape, counts, dead,
 // bounds, leaf bucket IDs), the store's allocation cursor, every bucket's
 // content in order, and the writer-private loc/seq bookkeeping.
@@ -60,12 +62,12 @@ func fingerprint(t *testing.T, ix *Index) string {
 
 // buildPair returns two empty indexes with identical configs (and, for
 // disk, separate directories).
-func buildPair(t *testing.T, cfg Config) (bulk, incr *Index) {
+func buildPair(t *testing.T, cfg Config) (bulk, ref *Index) {
 	t.Helper()
 	cfgA, cfgB := cfg, cfg
 	if cfg.Storage == StorageDisk {
 		cfgA.DiskPath = filepath.Join(t.TempDir(), "bulk")
-		cfgB.DiskPath = filepath.Join(t.TempDir(), "incr")
+		cfgB.DiskPath = filepath.Join(t.TempDir(), "ref")
 	}
 	return mustIndex(t, cfgA), mustIndex(t, cfgB)
 }
@@ -93,60 +95,100 @@ func bulkTestConfigs(nPivots int) map[string]Config {
 	return out
 }
 
-// TestBulkBuildEquivalence pins the tentpole claim: the builder path of
-// InsertBulk publishes a state byte-identical to the incremental path for
-// the same entries in the same arrival order — fresh builds and builds on
-// top of an existing tree with tombstones, on both storage backends.
+// writer is one side of an equivalence run: the planner (InsertBulk,
+// Compact) or the entry-at-a-time reference.
+type writer struct {
+	insert  func([]Entry) error
+	compact func() error
+}
+
+func plannerWriter(ix *Index) writer { return writer{ix.InsertBulk, ix.Compact} }
+
+func refWriter(ix *Index) writer {
+	return writer{
+		insert:  func(es []Entry) error { return refInsertBulk(ix, es) },
+		compact: func() error { return refCompact(ix) },
+	}
+}
+
+// inChunks inserts entries in batches of size n.
+func (w writer) inChunks(entries []Entry, n int) error {
+	for off := 0; off < len(entries); off += n {
+		if err := w.insert(entries[off:min(off+n, len(entries))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestBulkBuildEquivalence pins the planner's byte-identity claim: every
+// write it makes publishes a state byte-identical to the entry-at-a-time
+// reference for the same entries in the same arrival order — one large
+// batch, batches of 1 and of 15, a batch re-inserting tombstoned IDs, and a
+// Compact, each on a tree that already holds entries and tombstones, on
+// both storage backends with eager root split on and off.
 func TestBulkBuildEquivalence(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(w writer, pre, batch []Entry) error
+	}{
+		{"one batch", func(w writer, _, batch []Entry) error { return w.insert(batch) }},
+		{"batches of 1", func(w writer, _, batch []Entry) error { return w.inChunks(batch[:200], 1) }},
+		{"batches of 15", func(w writer, _, batch []Entry) error { return w.inChunks(batch, 15) }},
+		{"tombstoned twins", func(w writer, pre, batch []Entry) error {
+			// Re-insert some of the tombstoned entries (every 7th of pre)
+			// in the middle of the batch.
+			var twins []Entry
+			for i := 0; i < len(pre); i += 21 {
+				twins = append(twins, pre[i])
+			}
+			return w.insert(slices.Concat(batch[:300], twins, batch[300:]))
+		}},
+		{"compact", func(w writer, _, batch []Entry) error {
+			if err := w.insert(batch); err != nil {
+				return err
+			}
+			return w.compact()
+		}},
+	}
 	for name, cfg := range bulkTestConfigs(8) {
-		t.Run(name, func(t *testing.T) {
-			entries, _, _ := testEntries(t, 11, 2400, 8)
-			pre, batch := entries[:800], entries[800:]
+		for _, tc := range cases {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				entries, _, _ := testEntries(t, 11, 2400, 8)
+				pre, batch := entries[:800], entries[800:]
 
-			ixBulk, ixIncr := buildPair(t, cfg)
-			// Identical pre-state on both sides, built incrementally:
-			// some entries plus a few tombstones that stay outside the
-			// batch (tombstoned batch IDs take the incremental fallback).
-			var victims []uint64
-			for i := 0; i < len(pre); i += 7 {
-				victims = append(victims, pre[i].ID)
-			}
-			for _, ix := range []*Index{ixBulk, ixIncr} {
-				ix.wmu.Lock()
-				if err := ix.insertBulkIncremental(pre); err != nil {
-					ix.wmu.Unlock()
+				ixBulk, ixRef := buildPair(t, cfg)
+				// Identical pre-state on both sides, built by the
+				// reference: some entries plus a few tombstones.
+				var victims []uint64
+				for i := 0; i < len(pre); i += 7 {
+					victims = append(victims, pre[i].ID)
+				}
+				for _, ix := range []*Index{ixBulk, ixRef} {
+					if err := refInsertBulk(ix, pre); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ix.Delete(victims); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				if err := tc.run(plannerWriter(ixBulk), pre, batch); err != nil {
 					t.Fatal(err)
 				}
-				ix.wmu.Unlock()
-				if _, err := ix.Delete(victims); err != nil {
+				if err := tc.run(refWriter(ixRef), pre, batch); err != nil {
 					t.Fatal(err)
 				}
-			}
 
-			if len(batch) < bulkMinBatch {
-				t.Fatal("batch too small to exercise the builder")
-			}
-			if !ixBulk.bulkEligible(batch) {
-				t.Fatal("batch unexpectedly ineligible for the builder")
-			}
-			if err := ixBulk.InsertBulk(batch); err != nil {
-				t.Fatal(err)
-			}
-			ixIncr.wmu.Lock()
-			err := ixIncr.insertBulkIncremental(batch)
-			ixIncr.wmu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			got, want := fingerprint(t, ixBulk), fingerprint(t, ixIncr)
-			if got != want {
-				t.Errorf("bulk-built state differs from incremental:\nbulk: %.300s\nincr: %.300s", got, want)
-			}
-			if cfg.Storage == StorageDisk {
-				compareDiskState(t, ixBulk, ixIncr)
-			}
-		})
+				got, want := fingerprint(t, ixBulk), fingerprint(t, ixRef)
+				if got != want {
+					t.Errorf("planner state differs from the reference:\nplanner: %.300s\nref:     %.300s", got, want)
+				}
+				if cfg.Storage == StorageDisk {
+					compareDiskState(t, ixBulk, ixRef)
+				}
+			})
+		}
 	}
 }
 
@@ -203,70 +245,64 @@ func compareDiskState(t *testing.T, a, b *Index) {
 	}
 }
 
-// TestBulkBuildDuplicateStops verifies the builder matches the incremental
-// path when a batch entry duplicates a live ID: the prefix before the
-// duplicate publishes, the error names the entry, and the states agree.
+// TestBulkBuildDuplicateStops verifies a batch holding a duplicate ID —
+// twice in the batch, or already live in the index — publishes nothing:
+// the error names the entry, and the index is exactly what it was.
 func TestBulkBuildDuplicateStops(t *testing.T) {
-	entries, _, _ := testEntries(t, 5, 600, 8)
-	cfg := testConfig(8)
-	ixBulk, ixIncr := buildPair(t, cfg)
-
-	batch := make([]Entry, len(entries))
-	copy(batch, entries)
-	batch[400] = batch[100] // live duplicate mid-batch
-
-	errBulk := ixBulk.InsertBulk(batch)
-	ixIncr.wmu.Lock()
-	errIncr := ixIncr.insertBulkIncremental(batch)
-	ixIncr.wmu.Unlock()
-
-	if !errors.Is(errBulk, ErrDuplicateID) || !errors.Is(errIncr, ErrDuplicateID) {
-		t.Fatalf("errors = %v / %v, want ErrDuplicateID", errBulk, errIncr)
+	entries, _, _ := testEntries(t, 5, 900, 8)
+	ix := mustIndex(t, testConfig(8))
+	if err := ix.InsertBulk(entries[:300]); err != nil {
+		t.Fatal(err)
 	}
-	if errBulk.Error() != errIncr.Error() {
-		t.Errorf("error text differs: %q vs %q", errBulk, errIncr)
+	before := fingerprint(t, ix)
+	inBatch := slices.Clone(entries[300:])
+	inBatch[400] = inBatch[100]
+	live := slices.Clone(entries[300:])
+	live[400] = entries[7]
+	for name, batch := range map[string][]Entry{"in-batch": inBatch, "live": live} {
+		err := ix.InsertBulk(batch)
+		if !errors.Is(err, ErrDuplicateID) {
+			t.Fatalf("%s: error = %v, want ErrDuplicateID", name, err)
+		}
+		if want := "bulk insert entry 400:"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name the entry (%q)", name, err, want)
+		}
+		if fingerprint(t, ix) != before {
+			t.Errorf("%s: a refused batch changed the index", name)
+		}
 	}
-	if got, want := fingerprint(t, ixBulk), fingerprint(t, ixIncr); got != want {
-		t.Error("partial publish after duplicate differs between paths")
-	}
-	if ixBulk.Size() != 400 {
-		t.Errorf("size after duplicate stop = %d, want 400", ixBulk.Size())
+	if ix.Size() != 300 {
+		t.Errorf("size after refused batches = %d, want 300", ix.Size())
 	}
 }
 
 // TestBulkBuildTombstonedTwinFallsBack verifies a batch re-inserting a
-// tombstoned ID takes the incremental purge path and still matches the
-// reference result.
+// tombstoned ID: the planner purges the dead twin first and then builds
+// the batch, and the result equals the reference's.
 func TestBulkBuildTombstonedTwinFallsBack(t *testing.T) {
 	entries, _, _ := testEntries(t, 9, 400, 8)
 	cfg := testConfig(8)
-	ixBulk, ixIncr := buildPair(t, cfg)
-	for _, ix := range []*Index{ixBulk, ixIncr} {
-		ix.wmu.Lock()
-		if err := ix.insertBulkIncremental(entries[:200]); err != nil {
-			ix.wmu.Unlock()
+	ixBulk, ixRef := buildPair(t, cfg)
+	for _, ix := range []*Index{ixBulk, ixRef} {
+		if err := refInsertBulk(ix, entries[:200]); err != nil {
 			t.Fatal(err)
 		}
-		ix.wmu.Unlock()
 		if _, err := ix.Delete([]uint64{entries[50].ID}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	batch := append([]Entry{entries[50]}, entries[200:]...)
-	if ixBulk.bulkEligible(batch) {
-		t.Fatal("tombstoned twin should disqualify the builder path")
-	}
 	if err := ixBulk.InsertBulk(batch); err != nil {
 		t.Fatal(err)
 	}
-	ixIncr.wmu.Lock()
-	err := ixIncr.insertBulkIncremental(batch)
-	ixIncr.wmu.Unlock()
-	if err != nil {
+	if err := refInsertBulk(ixRef, batch); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fingerprint(t, ixBulk), fingerprint(t, ixIncr); got != want {
-		t.Error("tombstoned-twin batch differs between paths")
+	if got, want := fingerprint(t, ixBulk), fingerprint(t, ixRef); got != want {
+		t.Error("tombstoned-twin batch differs from the reference")
+	}
+	if live, dead := ixBulk.Counts(); live != 400 || dead != 0 {
+		t.Errorf("counts = %d live, %d dead; want 400, 0", live, dead)
 	}
 }
 
@@ -308,67 +344,83 @@ func stripCursor(fp string) string {
 var cursorRE = regexp.MustCompile(`next=\d+`)
 
 // TestBulkBuildAbortRollsBack injects store failures at every operation
-// index of the apply phase and verifies the abort restores the pre-batch
-// state exactly (modulo burned bucket IDs) — and that the index still
-// accepts the batch afterwards.
+// index of the apply phase — of an InsertBulk on a populated index, and of
+// a Compact — and verifies the abort restores the prior state exactly
+// (modulo burned bucket IDs), and that the index still takes the write
+// afterwards.
 func TestBulkBuildAbortRollsBack(t *testing.T) {
 	entries, _, _ := testEntries(t, 13, 900, 8)
 	pre, batch := entries[:300], entries[300:]
-
-	for failAt := 1; ; failAt++ {
-		cfg := testConfig(8)
-		ix := mustIndex(t, cfg)
-		ix.wmu.Lock()
-		if err := ix.insertBulkIncremental(pre); err != nil {
-			ix.wmu.Unlock()
-			t.Fatal(err)
-		}
-		ix.wmu.Unlock()
-		before := fingerprint(t, ix)
-
-		fs := &failStore{BucketStore: ix.store, failAt: failAt}
-		ix.store = fs
-		err := ix.InsertBulk(batch)
-		ix.store = fs.BucketStore
-		if err == nil {
-			// The apply phase issued fewer than failAt operations: the
-			// whole failure surface is covered. Sanity-check success.
-			if got := fingerprint(t, ix); got == before {
-				t.Fatal("successful bulk insert did not change the index")
+	var victims []uint64
+	for i := 0; i < len(entries); i += 3 {
+		victims = append(victims, entries[i].ID)
+	}
+	for _, w := range []struct {
+		name  string
+		setup func(ix *Index) error
+		write func(ix *Index) error
+	}{
+		{"insert", func(ix *Index) error { return ix.InsertBulk(pre) },
+			func(ix *Index) error { return ix.InsertBulk(batch) }},
+		{"compact", func(ix *Index) error {
+			if err := ix.InsertBulk(entries); err != nil {
+				return err
 			}
-			if failAt == 1 {
-				t.Fatal("failure injection never triggered")
+			_, err := ix.Delete(victims)
+			return err
+		}, func(ix *Index) error { return ix.Compact() }},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			for failAt := 1; ; failAt++ {
+				ix := mustIndex(t, testConfig(8))
+				if err := w.setup(ix); err != nil {
+					t.Fatal(err)
+				}
+				before := fingerprint(t, ix)
+
+				fs := &failStore{BucketStore: ix.store, failAt: failAt}
+				ix.store = fs
+				err := w.write(ix)
+				ix.store = fs.BucketStore
+				if err == nil {
+					// The apply phase issued fewer than failAt operations:
+					// the whole failure surface is covered. Sanity-check
+					// success.
+					if got := fingerprint(t, ix); got == before {
+						t.Fatal("successful write did not change the index")
+					}
+					if failAt == 1 {
+						t.Fatal("failure injection never triggered")
+					}
+					return
+				}
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("failAt=%d: unexpected error %v", failAt, err)
+				}
+				if got := fingerprint(t, ix); stripCursor(got) != stripCursor(before) {
+					t.Fatalf("failAt=%d: abort did not restore the prior state", failAt)
+				}
+				// The rolled-back index must take the write cleanly.
+				if err := w.write(ix); err != nil {
+					t.Fatalf("failAt=%d: retry after abort: %v", failAt, err)
+				}
+				ix.Close()
 			}
-			return
-		}
-		if !errors.Is(err, errInjected) {
-			t.Fatalf("failAt=%d: unexpected error %v", failAt, err)
-		}
-		if got := fingerprint(t, ix); stripCursor(got) != stripCursor(before) {
-			t.Fatalf("failAt=%d: abort did not restore the pre-batch state", failAt)
-		}
-		// The rolled-back index must accept the batch cleanly.
-		if err := ix.InsertBulk(batch); err != nil {
-			t.Fatalf("failAt=%d: retry after abort: %v", failAt, err)
-		}
-		ix.Close()
+		})
 	}
 }
 
 // TestBulkBuildSearchEquivalence double-checks the equivalence through the
-// public read path: range and approximate searches agree between a
-// bulk-built and an incrementally built index.
+// public read path: range and approximate searches agree between an index
+// the planner built and one the reference built.
 func TestBulkBuildSearchEquivalence(t *testing.T) {
 	entries, pv, objs := testEntries(t, 21, 1500, 8)
 	cfg := testConfig(8)
-	ixBulk, ixIncr := buildPair(t, cfg)
+	ixBulk, ixRef := buildPair(t, cfg)
 	if err := ixBulk.InsertBulk(entries); err != nil {
 		t.Fatal(err)
 	}
-	ixIncr.wmu.Lock()
-	err := ixIncr.insertBulkIncremental(entries)
-	ixIncr.wmu.Unlock()
-	if err != nil {
+	if err := refInsertBulk(ixRef, entries); err != nil {
 		t.Fatal(err)
 	}
 	for qi := 0; qi < 25; qi++ {
@@ -378,7 +430,7 @@ func TestBulkBuildSearchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := ixIncr.RangeByDists(dists, 3)
+		rb, err := ixRef.RangeByDists(dists, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +442,7 @@ func TestBulkBuildSearchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, err := ixIncr.ApproxCandidates(aq, 64)
+		ab, err := ixRef.ApproxCandidates(aq, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,9 @@
 // a delete copies the few trie nodes on its ID's path, not the set: its cost
 // does not grow with the tombstones a compaction has yet to clear. Entry IDs must be unique among live entries
 // (InsertBulk returns ErrDuplicateID for a live duplicate and physically
-// purges a dead twin on re-insert). Compact physically drops tombstoned
+// purges a dead twin on re-insert). One writer files entries, the planner
+// in bulk.go: every InsertBulk batch, which publishes whole or not at
+// all, and every Compact go through it. Compact physically drops tombstoned
 // entries and merges cells that deletion left underfull; afterwards the
 // index is byte-identical to one freshly built from the surviving entries
 // in arrival order (see DESIGN.md §Mutability), so churn never degrades

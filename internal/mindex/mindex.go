@@ -197,9 +197,11 @@ type Index struct {
 	dirty bool
 	// scratch is the mutators' reusable buffers.
 	scratch writeScratch
+	// bulk is the planner's bookkeeping, reused by every build.
+	bulk bulkTxn
 
-	// Ingest counters: entries accepted through the insert paths, builder-
-	// path batches, and the encoded bytes those entries occupy. Written by
+	// Ingest counters: entries accepted through InsertBulk, batches
+	// applied, and the encoded bytes those entries occupy. Written by
 	// mutators (under wmu), read lock-free by IngestStats.
 	ingestEntries atomic.Uint64
 	ingestBuilds  atomic.Uint64
@@ -403,20 +405,21 @@ func (ix *Index) Close() error {
 // index. Delete the entry first to replace it.
 var ErrDuplicateID = errors.New("mindex: entry ID already indexed")
 
-// checkEntry validates an entry's pivot-space metadata against the index
-// configuration without mutating anything.
-func (ix *Index) checkEntry(e *Entry) error {
-	if len(e.Perm) < ix.cfg.MaxLevel {
+// CheckEntry validates an entry's shape — its pivot-space metadata —
+// against the configuration: the one check every writer of an index with
+// this configuration applies before it writes anything.
+func (c *Config) CheckEntry(e *Entry) error {
+	if len(e.Perm) < c.MaxLevel {
 		return fmt.Errorf("mindex: entry permutation has %d elements, need at least MaxLevel=%d",
-			len(e.Perm), ix.cfg.MaxLevel)
+			len(e.Perm), c.MaxLevel)
 	}
 	for _, p := range e.Perm {
-		if p < 0 || int(p) >= ix.cfg.NumPivots {
-			return fmt.Errorf("mindex: permutation element %d out of range [0,%d)", p, ix.cfg.NumPivots)
+		if p < 0 || int(p) >= c.NumPivots {
+			return fmt.Errorf("mindex: permutation element %d out of range [0,%d)", p, c.NumPivots)
 		}
 	}
-	if e.Dists != nil && len(e.Dists) != ix.cfg.NumPivots {
-		return fmt.Errorf("mindex: entry has %d pivot distances, want %d", len(e.Dists), ix.cfg.NumPivots)
+	if e.Dists != nil && len(e.Dists) != c.NumPivots {
+		return fmt.Errorf("mindex: entry has %d pivot distances, want %d", len(e.Dists), c.NumPivots)
 	}
 	// The record counts both in 16 bits (see AppendEntry).
 	if len(e.Perm) > math.MaxUint16 || len(e.Dists) > math.MaxUint16 {
@@ -517,10 +520,10 @@ func (ix *Index) CacheStats() (hits, misses uint64, ok bool) {
 	return hits, misses, true
 }
 
-// IngestStats describes what the insert paths have accepted since the
-// index opened: entries admitted through InsertBulk, how many
-// batches took the bottom-up builder (see bulk.go), and the encoded bytes
-// those entries occupy in the bucket store. Counters start at zero on every
+// IngestStats describes what InsertBulk has accepted since the index
+// opened: entries admitted, batches applied (every batch that published,
+// each one build of the planner in bulk.go), and the encoded bytes those
+// entries occupy in the bucket store. Counters start at zero on every
 // open — including a snapshot restore — so they measure this process's
 // ingest work, not the collection's lifetime.
 type IngestStats struct {
@@ -538,20 +541,15 @@ func (ix *Index) IngestStats() IngestStats {
 	}
 }
 
-// recordIngest credits n accepted entries (the first n of entries) to the
-// ingest counters. Callers hold wmu.
-func (ix *Index) recordIngest(entries []Entry, n int, built bool) {
-	if built {
-		ix.ingestBuilds.Add(1)
-	}
-	if n <= 0 {
-		return
-	}
+// recordIngest credits an applied batch to the ingest counters. Callers
+// hold wmu.
+func (ix *Index) recordIngest(entries []Entry) {
 	var bytes uint64
-	for i := range n {
+	for i := range entries {
 		bytes += uint64(EncodedEntrySize(entries[i]))
 	}
-	ix.ingestEntries.Add(uint64(n))
+	ix.ingestBuilds.Add(1)
+	ix.ingestEntries.Add(uint64(len(entries)))
 	ix.ingestBytes.Add(bytes)
 }
 

@@ -3,13 +3,13 @@ package mindex
 // Mutation machinery for the RCU read path. Every mutator serializes on
 // Index.wmu, builds its changes on path-copied nodes inside a txn, and
 // publishes the result as a fresh immutable readState with one atomic
-// store. The txn keeps the under-construction state consistent after every
-// store operation, so a mutation that fails halfway can still publish
-// (partial but coherent) progress instead of corrupting the tree — e.g. a
-// failed split leaves a consistent overfull leaf behind.
+// store. Entries are filed by one writer, the planner in bulk.go, which
+// both InsertBulk and Compact go through; this file holds the transaction
+// itself, the batch validation, and the purge and delete steps. An insert
+// batch publishes whole or not at all; the purge of the tombstoned twins
+// it re-inserts publishes on its own before it, and changes no live entry.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -157,13 +157,12 @@ func (n *node) updateBounds(dists []float64) {
 }
 
 // writeScratch is the buffers the mutators reuse from call to call, all
-// guarded by Index.wmu: the record of the entry being inserted (see
-// encode), the content of a bucket being written — a split child, a purged
-// leaf's survivors, a bulk-built leaf — and the distances of the record
-// being filed. The stores copy what they keep.
+// guarded by Index.wmu: the content of a bucket being written — a purged
+// leaf's survivors, a built leaf — and the distances of the record being
+// filed. The stores copy what they keep.
 type writeScratch struct {
-	rec, content Bucket
-	dists        distScratch
+	content Bucket
+	dists   distScratch
 }
 
 // distScratch reads the distances a record stores for the box updates of a
@@ -181,201 +180,6 @@ func (s *distScratch) of(v *EntryView) []float64 {
 	*s = slices.Grow((*s)[:0], len(raw)/8)[:len(raw)/8]
 	simd.DecodeF64LE(*s, raw)
 	return *s
-}
-
-// insertEntry is the full insert protocol: reject live duplicates, purge a
-// tombstoned twin, then file the entry.
-func (t *txn) insertEntry(e *Entry) error {
-	if _, ok := t.loc[e.ID]; ok {
-		if !t.tombs.has(e.ID) {
-			return fmt.Errorf("%w: %d", ErrDuplicateID, e.ID)
-		}
-		if err := t.purge(e.ID); err != nil {
-			return err
-		}
-	}
-	return t.insert(t.encode(e))
-}
-
-// encode returns e's record as a one-record bucket, in the scratch.
-func (t *txn) encode(e *Entry) Bucket {
-	sc := &t.ix.scratch
-	sc.rec = sc.rec.reset().appendEntry(e)
-	return sc.rec
-}
-
-// firstRecord is the offset table of every one-record bucket made by
-// recordBucket; nothing writes to it.
-var firstRecord = [1]uint32{}
-
-// recordBucket is the one-record bucket of v's record, aliasing it.
-func recordBucket(v *EntryView) Bucket { return Bucket{img: v.Record, offs: firstRecord[:]} }
-
-// insert files the one record of rec into its leaf cell (the server side
-// of the paper's insert operation, Figure 4): descend by the permutation
-// prefix cloning the path, append to the leaf bucket, split on overflow.
-// Bookkeeping (counts, bounds, loc, size) is only touched after the append
-// succeeded, so a failed insert leaves the transaction state unchanged.
-func (t *txn) insert(rec Bucket) error {
-	e := rec.At(0)
-	t.root = t.mutable(t.root)
-	n := t.root
-	path := make([]*node, 0, t.ix.cfg.MaxLevel+1)
-	path = append(path, n)
-	for !n.isLeaf() {
-		key := e.permAt(n.level())
-		c := n.child(key)
-		if c == nil {
-			b, err := t.ix.store.Create()
-			if err != nil {
-				return err
-			}
-			c = t.fresh(&node{
-				prefix: appendPrefix(n.prefix, key),
-				bucket: b,
-				pin:    &pinCell{},
-				box:    emptyBox(t.ix.cfg.NumPivots),
-			})
-			n.addKid(key, c)
-		} else {
-			c = t.mutable(c)
-			n.setKid(key, c)
-		}
-		n = c
-		path = append(path, n)
-	}
-	if err := t.ix.store.Append(n.bucket, rec); err != nil {
-		return err
-	}
-	dists := t.ix.scratch.dists.of(&e)
-	for _, pn := range path {
-		pn.count++
-		pn.updateBounds(dists)
-	}
-	t.refreshPin(n)
-	t.loc[e.ID] = entryLoc{prefix: n.prefix, seq: t.ix.nextSeq}
-	t.ix.nextSeq++
-	t.size++
-	overflow := n.count > t.ix.cfg.BucketCapacity ||
-		(t.ix.cfg.EagerRootSplit && n.level() == 0)
-	if overflow && n.level() < t.ix.cfg.MaxLevel {
-		return t.split(n)
-	}
-	return nil
-}
-
-// split turns an overflowing leaf into an internal node, redistributing its
-// bucket by the next permutation element — the recursive Voronoi step. Each
-// record's span is copied to its child unread: the key comes from the
-// stored permutation, the box from the stored distances. The children are
-// fully built beside the leaf first, each written with one append; only
-// once they are complete is the old content pinned for published readers,
-// the old bucket freed and the leaf converted. A failure before that point
-// frees the half-built children and leaves a consistent overfull leaf.
-func (t *txn) split(n *node) error {
-	view, err := t.ix.leafView(n)
-	if err != nil {
-		return err
-	}
-	level := n.level()
-	// made lists the children in creation order — the order of their first
-	// entries, which is the order the store allocates their buckets in —
-	// and owner[i] is the child record i goes to.
-	type madeChild struct {
-		key int32
-		n   *node
-	}
-	var made []madeChild
-	owner := make([]int32, view.Len())
-	fail := func(err error) error {
-		for _, m := range made {
-			t.ix.store.Free(m.n.bucket)
-		}
-		return err
-	}
-	childFor := func(key int32) (int, error) {
-		for i := range made {
-			if made[i].key == key {
-				return i, nil
-			}
-		}
-		b, err := t.ix.store.Create()
-		if err != nil {
-			return 0, err
-		}
-		made = append(made, madeChild{key: key, n: t.fresh(&node{
-			prefix: appendPrefix(n.prefix, key),
-			bucket: b,
-			pin:    &pinCell{},
-			box:    emptyBox(t.ix.cfg.NumPivots),
-		})})
-		return len(made) - 1, nil
-	}
-	for i := range view.Len() {
-		v := view.At(i)
-		ci, err := childFor(v.permAt(level))
-		if err != nil {
-			return fail(err)
-		}
-		owner[i] = int32(ci)
-		c := made[ci].n
-		c.count++
-		if t.tombs.has(v.ID) {
-			c.dead++
-		}
-		c.updateBounds(t.ix.scratch.dists.of(&v))
-	}
-	kids := make([]child, len(made))
-	sc := &t.ix.scratch
-	for ci, m := range made {
-		sc.content = sc.content.reset()
-		for i, o := range owner {
-			if o == int32(ci) {
-				v := view.At(i)
-				sc.content = sc.content.appendView(&v)
-			}
-		}
-		if err := t.ix.store.Append(m.n.bucket, sc.content); err != nil {
-			return fail(err)
-		}
-		kids[ci] = child{key: m.key, n: m.n}
-	}
-	slices.SortFunc(kids, func(a, b child) int { return cmp.Compare(a.key, b.key) })
-	// Point of no return: pin the old content for readers of previously
-	// published versions of this leaf (they share the cell), then retire
-	// the bucket and convert the leaf.
-	full := view
-	n.pin.v.Store(&full)
-	freeErr := t.ix.store.Free(n.bucket)
-	n.kids = kids
-	n.bucket = 0
-	n.era = 0
-	n.pin = nil
-	for i := range n.kids {
-		t.refreshPin(n.kids[i].n)
-	}
-	for i := range view.Len() {
-		v := view.At(i)
-		if l, ok := t.loc[v.ID]; ok {
-			l.prefix = n.child(v.permAt(level)).prefix
-			t.loc[v.ID] = l
-		}
-	}
-	if freeErr != nil {
-		return freeErr
-	}
-	// A pathological split can put everything into one child (all objects
-	// share the next permutation element); recurse so capacity is restored
-	// where possible.
-	for i := range n.kids {
-		c := n.kids[i].n
-		if c.count > t.ix.cfg.BucketCapacity && c.level() < t.ix.cfg.MaxLevel {
-			if err := t.split(c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func appendPrefix(prefix []int32, key int32) []int32 {
@@ -467,46 +271,75 @@ func (t *txn) delete(ids []uint64) (int, error) {
 // paper). The batch is published as one snapshot, so concurrent readers see
 // it atomically.
 //
-// Batches of at least bulkMinBatch entries take the bottom-up builder path
-// (see bulk.go): the final tree is planned first and every entry is written
-// to the store exactly once, skipping the per-split re-append churn of the
-// incremental path. The published snapshot is byte-identical to the
-// incremental result for the same arrival order. Small batches — and
-// batches re-inserting tombstoned IDs, which need the purge protocol — use
-// the incremental path; on error there the entries inserted so far are
-// published and the failing entry reported, while the builder path is
-// all-or-nothing on store failure.
+// The whole batch is validated first: every entry's shape (Config.CheckEntry),
+// IDs unique within the batch, and no ID live in the index
+// (ErrDuplicateID). A batch that fails any check changes nothing. Entries
+// re-inserting a tombstoned ID then have their dead twins purged, and that
+// purge is published on its own. Last, the planner (see bulk.go) files the
+// batch: the final tree is planned first and every entry is written to the
+// store exactly once, and the batch publishes whole or, on a store
+// failure, not at all.
 func (ix *Index) InsertBulk(entries []Entry) error {
+	if len(entries) == 0 {
+		return nil
+	}
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
 	if err := ix.ensureLoc(); err != nil {
 		return err
 	}
-	if ix.bulkEligible(entries) {
-		return ix.insertBulkBuilt(entries)
+	twins, err := ix.checkBatch(entries)
+	if err != nil {
+		return err
 	}
-	return ix.insertBulkIncremental(entries)
+	if err := ix.purgeTwins(twins); err != nil {
+		return err
+	}
+	return ix.build(entries)
 }
 
-// insertBulkIncremental is the entry-at-a-time bulk path: every entry goes
-// through the full insert protocol (append, then split on overflow). It is
-// the reference implementation the builder path is equivalence-tested
-// against. Callers hold wmu and have run ensureLoc.
-func (ix *Index) insertBulkIncremental(entries []Entry) error {
-	t := ix.begin()
+// checkBatch validates a whole batch without writing anything and returns
+// the IDs whose tombstoned twins it re-inserts, in batch order. Callers hold
+// wmu and have run ensureLoc.
+func (ix *Index) checkBatch(entries []Entry) (twins []uint64, err error) {
+	tombs := &ix.state.Load().tombs
+	seen := &ix.bulk.seen
+	seen.reset(len(entries))
 	for i := range entries {
-		err := ix.checkEntry(&entries[i])
-		if err == nil {
-			err = t.insertEntry(&entries[i])
+		e := &entries[i]
+		err := ix.cfg.CheckEntry(e)
+		if err == nil && seen.add(e.ID) {
+			err = fmt.Errorf("%w: %d", ErrDuplicateID, e.ID)
+		}
+		if _, ok := ix.loc[e.ID]; err == nil && ok {
+			if tombs.has(e.ID) {
+				twins = append(twins, e.ID)
+			} else {
+				err = fmt.Errorf("%w: %d", ErrDuplicateID, e.ID)
+			}
 		}
 		if err != nil {
-			t.commit()
-			ix.recordIngest(entries, i, false)
-			return fmt.Errorf("mindex: bulk insert entry %d: %w", i, err)
+			return nil, fmt.Errorf("mindex: bulk insert entry %d: %w", i, err)
 		}
 	}
-	t.commit()
-	ix.recordIngest(entries, len(entries), false)
+	return twins, nil
+}
+
+// purgeTwins physically removes the tombstoned records a batch re-inserts
+// under their IDs, so a tombstone can never shadow the fresh record, and
+// publishes the result. A purge changes no live entry, so what was purged
+// before a failure publishes too. Callers hold wmu.
+func (ix *Index) purgeTwins(ids []uint64) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	t := ix.begin()
+	defer t.commit()
+	for _, id := range ids {
+		if err := t.purge(id); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -573,11 +406,14 @@ func (ix *Index) ensureLoc() error {
 // fresh index into which only the survivors were inserted (in their
 // original arrival order). A no-op on an index untouched by deletions.
 //
-// The rebuild happens entirely beside the published tree: readers keep
-// traversing the old snapshot until the one atomic publication at the end,
-// and the old leaves' bucket views are pinned before the old buckets are
-// freed, so even searches that started long before the compaction finish
-// on a complete, consistent image.
+// The rebuild is one build of the planner (see bulk.go) into a fresh root,
+// beside the published tree: the survivors are filed as views of their
+// stored records and each is written once. Readers keep traversing the old
+// snapshot until the one atomic publication at the end, and the old
+// leaves' bucket views are pinned before the old buckets are freed, so
+// even searches that started long before the compaction finish on a
+// complete, consistent image. A failed rebuild frees what it made and
+// leaves the index as it was.
 func (ix *Index) Compact() error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
@@ -629,27 +465,35 @@ func (ix *Index) Compact() error {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 
-	// Rebuild into fresh buckets beside the published tree, through the
-	// same insert machinery a fresh index would use. On any failure the
-	// new buckets are released (best effort) and nothing was published —
-	// the index is untouched.
-	rootBucket, err := ix.store.Create()
-	if err != nil {
-		return err
-	}
 	ix.txnGen++
-	b := &txn{
+	t := &txn{
 		ix:  ix,
 		loc: make(map[uint64]entryLoc, len(live)),
 		gen: ix.txnGen,
 	}
-	b.root = b.fresh(&node{bucket: rootBucket, pin: &pinCell{}})
+	t.root = t.fresh(&node{pin: &pinCell{}})
+	b := &ix.bulk
+	b.begin(t, nil)
+	defer b.end()
+	// The fresh root's bucket is the build's first allocation, as a fresh
+	// index's is; the survivors take new sequence numbers in their order.
+	b.newLeaf(t.root, true)
 	for i := range live {
-		if err := b.insert(recordBucket(&live[i].v)); err != nil {
-			ix.freeSubtreeBuckets(b.root)
+		b.old = append(b.old, live[i].v)
+		b.oldSeqs = append(b.oldSeqs, b.seq0+uint64(i))
+	}
+	for i := range live {
+		if err := b.insert(int32(i)); err != nil {
+			ix.nextSeq = b.seq0
 			return err
 		}
 	}
+	// A build into a fresh root splits no pre-existing leaf, so it has no
+	// Free to fail.
+	if fatal, _ := b.apply(); fatal != nil {
+		return fatal
+	}
+	b.fileLocs()
 	// Pin every old leaf's content for searches still traversing previous
 	// snapshots, publish the rebuilt tree, then retire the old buckets. A
 	// failing Free leaks the bucket but the rebuilt index is already fully
@@ -658,9 +502,9 @@ func (ix *Index) Compact() error {
 		o := olds[i]
 		o.n.pin.v.Store(&o.view)
 	}
-	ix.loc = b.loc
+	ix.loc = t.loc
 	ix.dirty = false
-	b.commit()
+	t.commit()
 	var firstErr error
 	for i := range olds {
 		if err := ix.store.Free(olds[i].n.bucket); err != nil && firstErr == nil {
@@ -668,20 +512,4 @@ func (ix *Index) Compact() error {
 		}
 	}
 	return firstErr
-}
-
-// freeSubtreeBuckets releases every bucket of a partially built subtree
-// during a Compact rollback; errors are ignored (best effort on an
-// already-failing path).
-func (ix *Index) freeSubtreeBuckets(n *node) {
-	if n == nil {
-		return
-	}
-	if n.isLeaf() {
-		ix.store.Free(n.bucket)
-		return
-	}
-	for i := range n.kids {
-		ix.freeSubtreeBuckets(n.kids[i].n)
-	}
 }

@@ -70,7 +70,7 @@ func (s *MemStore) Create() (BucketID, error) {
 }
 
 // createGhost burns one bucket ID without materializing a bucket — the
-// bulk builder's allocation replay for buckets the incremental insert path
+// write planner's allocation replay for buckets the entry-at-a-time insert
 // would have created and later freed (see bulk.go).
 func (s *MemStore) createGhost() error {
 	s.mu.Lock()
@@ -161,10 +161,10 @@ const cacheEntryOverhead = 128
 //     files (the dominant cost of the paper's Tables 5–9 workload shape on
 //     disk storage), and a mutator's read-back never displaces them.
 //
-// An append of several records — a split child, a bulk-built leaf — is one
-// write of their bytes, all or nothing. A one-record append, an
-// incremental insert, waits in its handle's write-behind buffer for the
-// bucket's next read, append, rewrite or free, or for the buffer to fill:
+// An append of several records, such as a built leaf's content, is one
+// write of their bytes, all or nothing. A one-record append, a write that files one entry
+// into a leaf, waits in its handle's write-behind buffer for the bucket's
+// next read, append, rewrite or free, or for the buffer to fill:
 // a run of inserts costs one write, not one each. mu guards the
 // bookkeeping, the caches and every write to a bucket file. A read that
 // misses the cache holds it only for the map work on either side of the
@@ -377,7 +377,7 @@ func (s *DiskStore) Create() (BucketID, error) {
 }
 
 // createGhost burns one bucket ID without creating a bucket file — the
-// bulk builder's allocation replay for buckets the incremental insert path
+// write planner's allocation replay for buckets the entry-at-a-time insert
 // would have created and later freed (see bulk.go).
 func (s *DiskStore) createGhost() error {
 	s.mu.Lock()

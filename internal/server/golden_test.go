@@ -22,10 +22,10 @@ const diskGolden = "3a1ee76f19d064f194d3e6fdda49e76b8e1fb69a82c94e55fc84bd07a9cc
 
 // TestDiskFilesGolden pins the bytes a disk server stores — every bucket
 // file, the snapshot and the write-ahead log — for one seeded history:
-// inserts in batches the bulk builder takes and in batches it leaves to the
-// incremental path (splits included), deletes, re-inserts that purge a
-// tombstoned twin, moves and a compaction. How the server holds a bucket
-// in memory must not show in any of them.
+// inserts in large batches and one entry at a time (splits included),
+// deletes, re-inserts that purge a tombstoned twin, moves and a
+// compaction. How the server holds a bucket in memory must not show in any
+// of them.
 func TestDiskFilesGolden(t *testing.T) {
 	leaktest.Check(t)
 	dir := t.TempDir()

@@ -804,6 +804,78 @@ func TestDiskServerRestartBeforeSnapshot(t *testing.T) {
 	}
 }
 
+// TestRefusedChunkLandsNothing: a WAL-backed server refuses an ingest
+// chunk whose last entry is malformed, and the refusal lands nothing. The
+// live index keeps its size, and a restart that replays the log holds
+// exactly the IDs the live server held: a refused chunk is not logged, so
+// an entry of it that the live index kept would be served until the
+// restart and lost by it.
+func TestRefusedChunkLandsNothing(t *testing.T) {
+	leaktest.Check(t)
+	entries := testEntries(120)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testCfg()
+			cfg.Shards = shards
+			walDir := t.TempDir()
+			start := func() (*Server, *wal.Log, net.Conn) {
+				t.Helper()
+				l, recs, err := wal.Open(walDir, wal.SyncNever)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := NewEncrypted(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv.Logf = func(string, ...any) {}
+				if err := wal.Replay(recs, srv.Index()); err != nil {
+					t.Fatal(err)
+				}
+				srv.AttachWAL(l)
+				if err := srv.Start("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close(); l.Close() })
+				return srv, l, dial(t, srv)
+			}
+			ids := func(srv *Server) []uint64 {
+				t.Helper()
+				all, err := srv.Index().AllEntries()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]uint64, len(all))
+				for i, e := range all {
+					out[i] = e.ID
+				}
+				slices.Sort(out)
+				return out
+			}
+
+			srv, l, conn := start()
+			insertEntries(t, conn, entries[:80])
+			chunk := slices.Clone(entries[80:])
+			chunk[39].Dists = chunk[39].Dists[:3]
+			expectError(t, conn, wire.MsgIngestChunk, wire.IngestChunkReq{Entries: chunk}.Encode(), "pivot distances")
+			if got := srv.Index().Size(); got != 80 {
+				t.Fatalf("size after the refused chunk = %d, want 80", got)
+			}
+			want := ids(srv)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restarted, _, _ := start()
+			if got := ids(restarted); !slices.Equal(got, want) {
+				t.Fatalf("restart holds %d IDs, the live server held %d", len(got), len(want))
+			}
+		})
+	}
+}
+
 // sameRanked compares candidate lists up to nil-versus-empty, which the
 // wire does not distinguish.
 func sameRanked(a, b []mindex.RankedCandidate) bool {
