@@ -471,19 +471,22 @@ func TestCommandLineGatewayPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Results []struct {
-			Iterations int64              `json:"iterations"`
-			Metrics    map[string]float64 `json:"metrics"`
-		} `json:"results"`
+	var rows []struct {
+		Name  string  `json:"name"`
+		Value float64 `json:"value"`
 	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
+	if err := json.Unmarshal(blob, &rows); err != nil {
 		t.Fatalf("openloop JSON: %v\n%s", err, blob)
 	}
-	if len(doc.Results) != 1 {
-		t.Fatalf("openloop JSON has %d results, want 1", len(doc.Results))
+	// One run: one row per figure, named .../<figure>.
+	m := map[string]float64{}
+	for _, r := range rows {
+		figure := r.Name[strings.LastIndex(r.Name, "/")+1:]
+		if _, dup := m[figure]; dup {
+			t.Fatalf("openloop JSON has two %s rows:\n%s", figure, blob)
+		}
+		m[figure] = r.Value
 	}
-	m := doc.Results[0].Metrics
 	if m["achieved_qps"] <= 0 {
 		t.Fatalf("achieved_qps %v, want > 0", m["achieved_qps"])
 	}

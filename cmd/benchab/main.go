@@ -25,10 +25,20 @@
 // extra shape of bench/history, every run listed in extra, replacing the
 // rows of the same series in an existing file; -input renders such a file
 // again, recorded runs included.
+//
+// -input also reads `go test -bench` output, told from a history file by
+// its content: it prints each benchmark's median per unit, -out records one
+// row per benchmark and unit (the median, and every run in extra), and the
+// gates CI runs on it — -scale-limit; -baseline with -alloc-slack and
+// -alloc-exclude; -speedup-base, -speedup-new and -speedup-min — exit 1 on
+// a failed check or on a gate that matched nothing:
+//
+//	go run ./cmd/benchab -input conc.txt -scale-limit 1.5 -baseline bench/BENCH_BASELINE_6.txt -alloc-slack 1.5 -alloc-exclude Churn
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,20 +57,16 @@ import (
 	"syscall"
 	"text/tabwriter"
 	"time"
+
+	"simcloud/internal/bench"
 )
 
 // metricSpec is one metric of BENCHMARK.json. Bound is 0 for a per-layer
 // metric, which has none.
 type metricSpec struct {
 	Name   string  `json:"name"`
-	Unit   string  `json:"unit"`
 	Better string  `json:"better"`
 	Bound  float64 `json:"bound"`
-}
-
-type benchSpec struct {
-	EndToEnd []metricSpec `json:"end_to_end"`
-	PerLayer []metricSpec `json:"per_layer"`
 }
 
 func loadSpec(path string) (map[string]metricSpec, []string, error) {
@@ -68,7 +74,10 @@ func loadSpec(path string) (map[string]metricSpec, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var s benchSpec
+	var s struct {
+		EndToEnd []metricSpec `json:"end_to_end"`
+		PerLayer []metricSpec `json:"per_layer"`
+	}
 	if err := json.Unmarshal(blob, &s); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -81,49 +90,39 @@ func loadSpec(path string) (map[string]metricSpec, []string, error) {
 	return specs, order, nil
 }
 
-// row is one line of a bench/history file.
-type row struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-	Extra string  `json:"extra"`
-}
+// The two sides of a series, and their names in history rows.
+const sideBase, sideChange = 0, 1
 
-// series is the runs of one A/B comparison: per metric, the base's and the
-// change's value of every pair, pair i of one side beside pair i of the
-// other.
+var sideNames = [2]string{"parent", "change"}
+
+// series is the runs of one A/B comparison: per side and metric the value
+// of every pair, pair i of one side beside pair i of the other.
 type series struct {
 	label   string
 	note    string // how the runs were made
 	metrics []string
 	units   map[string]string
-	base    map[string][]float64
-	change  map[string][]float64
-	failed  [2][]int // failed operations per run, base then change
+	runs    [2]map[string][]float64
+	failed  [2][]int // failed operations per run
 }
 
 func newSeries(label, note string) *series {
 	return &series{label: label, note: note, units: map[string]string{},
-		base: map[string][]float64{}, change: map[string][]float64{}}
+		runs: [2]map[string][]float64{{}, {}}}
 }
 
-func (s *series) add(change bool, metric, unit string, v float64) {
+func (s *series) add(side int, metric, unit string, v float64) {
 	if _, ok := s.units[metric]; !ok {
 		s.metrics = append(s.metrics, metric)
 		s.units[metric] = unit
 	}
-	if change {
-		s.change[metric] = append(s.change[metric], v)
-	} else {
-		s.base[metric] = append(s.base[metric], v)
-	}
+	s.runs[side][metric] = append(s.runs[side][metric], v)
 }
 
 // runResult is the last line of benchmark/run.sh.
 type runResult struct {
-	Correct   bool `json:"correct"`
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
+	Attempted int `json:"attempted"`
+	Failed    int `json:"failed"`
 	Metrics   map[string]struct {
 		Value float64 `json:"value"`
 		Unit  string  `json:"unit"`
@@ -134,10 +133,7 @@ type runResult struct {
 // with failed operations exits 1 and still reports them; a run that prints
 // no result is an error.
 func runOnce(ctx context.Context, dir, workload string, seed uint64, seconds float64, trace bool) (runResult, error) {
-	tr := "0"
-	if trace {
-		tr = "1"
-	}
+	tr := map[bool]string{false: "0", true: "1"}[trace]
 	cmd := exec.CommandContext(ctx, "bash", "benchmark/run.sh", "--workload", workload,
 		"--seed", strconv.FormatUint(seed, 10), "--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", tr)
 	cmd.Dir = dir
@@ -172,33 +168,22 @@ func extract(repo, rev, dir string) error {
 	return nil
 }
 
-// measure runs the pairs and collects every metric the runs print.
-func measure(ctx context.Context, base, change, workload string, pairs int, seed uint64, seconds float64, trace bool, s *series) error {
+// measure runs the pairs in the two checkouts, base's then change's, and
+// collects every metric the runs print.
+func measure(ctx context.Context, dirs [2]string, workload string, pairs int, seed uint64, seconds float64, trace bool, s *series) error {
 	for p := range pairs {
-		order := []bool{false, true}
-		if p%2 == 1 {
-			order = []bool{true, false}
-		}
-		for _, isChange := range order {
-			dir, side := base, "base"
-			if isChange {
-				dir, side = change, "change"
-			}
+		for _, side := range [2][2]int{{sideBase, sideChange}, {sideChange, sideBase}}[p%2] {
 			start := time.Now()
-			res, err := runOnce(ctx, dir, workload, seed+uint64(p), seconds, trace)
+			res, err := runOnce(ctx, dirs[side], workload, seed+uint64(p), seconds, trace)
 			if err != nil {
 				return err
 			}
 			for name, m := range res.Metrics {
-				s.add(isChange, name, m.Unit, m.Value)
+				s.add(side, name, m.Unit, m.Value)
 			}
-			i := 0
-			if isChange {
-				i = 1
-			}
-			s.failed[i] = append(s.failed[i], res.Failed)
+			s.failed[side] = append(s.failed[side], res.Failed)
 			fmt.Fprintf(os.Stderr, "benchab: pair %d/%d seed %d %-6s %d/%d operations failed, %.0f s\n",
-				p+1, pairs, seed+uint64(p), side, res.Failed, res.Attempted, time.Since(start).Seconds())
+				p+1, pairs, seed+uint64(p), [2]string{"base", "change"}[side], res.Failed, res.Attempted, time.Since(start).Seconds())
 		}
 	}
 	return nil
@@ -210,9 +195,6 @@ type stats struct{ q1, med, q3 float64 }
 
 func quantile(sorted []float64, p float64) float64 {
 	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
 	h := (float64(n) + 1) * p
 	switch {
 	case h <= 1:
@@ -225,13 +207,8 @@ func quantile(sorted []float64, p float64) float64 {
 }
 
 func summarize(runs []float64) stats {
-	s := slices.Clone(runs)
-	slices.Sort(s)
-	med := s[len(s)/2]
-	if len(s)%2 == 0 {
-		med = (s[len(s)/2-1] + s[len(s)/2]) / 2
-	}
-	return stats{quantile(s, 0.25), med, quantile(s, 0.75)}
+	s := slices.Sorted(slices.Values(runs))
+	return stats{quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75)}
 }
 
 // signP is the two-sided sign test: the chance of a split at least as
@@ -241,6 +218,7 @@ func signP(wins, losses int) float64 {
 	if n == 0 {
 		return 1
 	}
+	lgamma := func(x int) float64 { v, _ := math.Lgamma(float64(x)); return v }
 	tail := 0.0
 	for i := 0; i <= k; i++ {
 		tail += math.Exp(lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1) - float64(n)*math.Ln2)
@@ -264,11 +242,6 @@ func hodgesLehmann(base, change []float64, baseMedian float64) float64 {
 		}
 	}
 	return summarize(diffs).med / math.Abs(baseMedian)
-}
-
-func lgamma(x int) float64 {
-	v, _ := math.Lgamma(float64(x))
-	return v
 }
 
 // comparison is one metric of a series, judged.
@@ -351,27 +324,18 @@ func compare(metric, unit string, base, change []float64, spec metricSpec, known
 // compareAll judges every metric of a series, in BENCHMARK.json's order
 // first, then any others the runs printed.
 func compareAll(s *series, specs map[string]metricSpec, order []string) []comparison {
-	names := slices.Clone(s.metrics)
-	rank := map[string]int{}
-	for i, n := range order {
-		rank[n] = i
-	}
-	slices.SortStableFunc(names, func(a, b string) int {
-		ra, oka := rank[a]
-		rb, okb := rank[b]
-		switch {
-		case oka && okb:
-			return ra - rb
-		case oka:
-			return -1
-		case okb:
-			return 1
+	rank := func(n string) int {
+		if i := slices.Index(order, n); i >= 0 {
+			return i
 		}
-		return strings.Compare(a, b)
+		return len(order)
+	}
+	names := slices.SortedStableFunc(slices.Values(s.metrics), func(a, b string) int {
+		return cmp.Or(rank(a)-rank(b), strings.Compare(a, b))
 	})
 	var out []comparison
 	for _, n := range names {
-		b, c := s.base[n], s.change[n]
+		b, c := s.runs[sideBase][n], s.runs[sideChange][n]
 		if len(b) == 0 || len(c) == 0 {
 			continue
 		}
@@ -415,8 +379,8 @@ func render(w io.Writer, s *series, cs []comparison) {
 
 // rows renders a series as history rows: per metric a base and a change
 // row, the value the median, extra the runs in pair order.
-func rows(s *series, cs []comparison) []row {
-	var out []row
+func rows(s *series, cs []comparison) []bench.HistoryRow {
+	var out []bench.HistoryRow
 	failed := func(f []int) string {
 		if slices.ContainsFunc(f, func(n int) bool { return n != 0 }) {
 			return fmt.Sprintf("failed operations per run %v", f)
@@ -424,18 +388,15 @@ func rows(s *series, cs []comparison) []row {
 		return "failed operations 0 in every run"
 	}
 	for _, c := range cs {
-		for k, side := range [2]string{"parent", "change"} {
-			runs, st := s.base[c.metric], c.base
-			if k == 1 {
-				runs, st = s.change[c.metric], c.change
-			}
+		for side, st := range [2]stats{c.base, c.change} {
+			runs := s.runs[side][c.metric]
 			vals := make([]string, len(runs))
 			for i, v := range runs {
 				vals[i] = strconv.FormatFloat(v, 'g', 6, 64)
 			}
 			extra := fmt.Sprintf("%s; quartiles %.6g %.6g; runs %s; %s; wins %d, losses %d, ties %d, sign p %.3g, HL shift %+.2f%%",
-				s.note, st.q1, st.q3, strings.Join(vals, " "), failed(s.failed[k]), c.wins, c.losses, c.ties, c.p, 100*c.hl)
-			out = append(out, row{Name: s.label + "/" + c.metric + "/" + side, Value: st.med, Unit: c.unit, Extra: extra})
+				s.note, st.q1, st.q3, strings.Join(vals, " "), failed(s.failed[side]), c.wins, c.losses, c.ties, c.p, 100*c.hl)
+			out = append(out, bench.HistoryRow{Name: s.label + "/" + c.metric + "/" + sideNames[side], Value: st.med, Unit: c.unit, Extra: extra})
 		}
 	}
 	return out
@@ -446,29 +407,42 @@ var (
 	failedRE = regexp.MustCompile(`failed operations per run \[([0-9 ]*)\]`)
 )
 
-// readSeries parses a history file back into series: every row named
-// <label>/<metric>/parent or /change whose extra lists its runs. Rows
-// without runs (single traced figures, counts) are skipped.
-func readSeries(path string) ([]*series, error) {
+// readInput reads -input: a history file (a JSON list of rows) as its
+// series, anything else as `go test -bench` output.
+func readInput(path string) ([]*series, *goBench, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var rs []row
-	if err := json.Unmarshal(blob, &rs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var s []*series
+	var b *goBench
+	if bytes.HasPrefix(bytes.TrimSpace(blob), []byte("[")) {
+		var rs []bench.HistoryRow
+		if err = json.Unmarshal(blob, &rs); err == nil {
+			s, err = readSeries(rs)
+		}
+	} else {
+		b, err = parseBench(bytes.NewReader(blob))
 	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, b, nil
+}
+
+// readSeries parses history rows back into series: every row named
+// <label>/<metric>/parent or /change whose extra lists its runs. Rows
+// without runs (single traced figures, counts) and the rows of `go test
+// -bench` runs are skipped.
+func readSeries(rs []bench.HistoryRow) ([]*series, error) {
 	var out []*series
 	byLabel := map[string]*series{}
 	for _, r := range rs {
 		i := strings.LastIndex(r.Name, "/")
 		j := strings.Index(r.Name, "/")
-		side := r.Name[i+1:]
-		if i <= j || (side != "parent" && side != "change") {
-			continue
-		}
+		side := slices.Index(sideNames[:], r.Name[i+1:])
 		m := runsRE.FindStringSubmatch(r.Extra)
-		if m == nil {
+		if i <= j || side < 0 || m == nil {
 			continue
 		}
 		label, metric := r.Name[:j], r.Name[j+1:i]
@@ -482,30 +456,24 @@ func readSeries(path string) ([]*series, error) {
 		for _, f := range strings.Fields(m[1]) {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return nil, fmt.Errorf("%s: row %s: run %q: %w", path, r.Name, f, err)
+				return nil, fmt.Errorf("row %s: run %q: %w", r.Name, f, err)
 			}
-			s.add(side == "change", metric, r.Unit, v)
+			s.add(side, metric, r.Unit, v)
 		}
-		if fm := failedRE.FindStringSubmatch(r.Extra); fm != nil {
-			k := 0
-			if side == "change" {
-				k = 1
-			}
-			if s.failed[k] == nil {
-				for _, f := range strings.Fields(fm[1]) {
-					n, _ := strconv.Atoi(f)
-					s.failed[k] = append(s.failed[k], n)
-				}
+		if fm := failedRE.FindStringSubmatch(r.Extra); fm != nil && s.failed[side] == nil {
+			for _, f := range strings.Fields(fm[1]) {
+				n, _ := strconv.Atoi(f)
+				s.failed[side] = append(s.failed[side], n)
 			}
 		}
 	}
 	return out, nil
 }
 
-// writeRows writes rs to path, keeping the rows of an existing file that
-// belong to other series.
-func writeRows(path string, labels []string, rs []row) error {
-	var kept []row
+// writeRows writes rs to path, keeping the rows of an existing file but
+// those of the given series and those that rs replaces, by name and unit.
+func writeRows(path string, labels []string, rs []bench.HistoryRow) error {
+	var kept []bench.HistoryRow
 	if blob, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(blob, &kept); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
@@ -513,14 +481,15 @@ func writeRows(path string, labels []string, rs []row) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	kept = slices.DeleteFunc(kept, func(r row) bool {
-		return slices.ContainsFunc(labels, func(l string) bool { return strings.HasPrefix(r.Name, l+"/") })
+	kept = slices.DeleteFunc(kept, func(r bench.HistoryRow) bool {
+		return slices.ContainsFunc(labels, func(l string) bool { return strings.HasPrefix(r.Name, l+"/") }) ||
+			slices.ContainsFunc(rs, func(n bench.HistoryRow) bool { return n.Name == r.Name && n.Unit == r.Unit })
 	})
-	blob, err := json.MarshalIndent(append(kept, rs...), "", " ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := bench.WriteHistory(&buf, append(kept, rs...)); err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 func main() {
@@ -530,36 +499,66 @@ func main() {
 	seconds := flag.Float64("seconds", 40, "timed window of every run")
 	seed := flag.Uint64("seed", 4001, "seed of the first pair")
 	trace := flag.Bool("trace", false, "traced runs: per-layer metrics beside the end-to-end ones")
-	label := flag.String("label", "", "series name in the output rows (default: the workload)")
-	out := flag.String("out", "", "write the series' rows to this history file, replacing its rows of the same series")
-	input := flag.String("input", "", "render a recorded history file instead of running")
+	label := flag.String("label", "", "series name in the output rows of an A/B run (default: the workload)")
+	out := flag.String("out", "", "write the rows to this history file, replacing its rows of the same series or name")
+	input := flag.String("input", "", "render a recorded history file or go test -bench output instead of running")
+	var g gateFlags
+	flag.Float64Var(&g.scaleLimit, "scale-limit", 0, "gate: max ns/op at the most procs this machine has cores for / ns/op at the fewest (0 = off)")
+	flag.StringVar(&g.baseline, "baseline", "", "go test -bench output the -alloc-slack gate compares against")
+	flag.Float64Var(&g.allocSlack, "alloc-slack", 0, "gate: max allocs/op as a multiple of -baseline (0 = off)")
+	regexpVar := func(p **regexp.Regexp, name, usage string) {
+		flag.Func(name, usage, func(s string) (err error) { *p, err = regexp.Compile(s); return err })
+	}
+	regexpVar(&g.allocExclude, "alloc-exclude", "regexp of benchmark names the -alloc-slack gate skips")
+	regexpVar(&g.speedupBase, "speedup-base", "regexp of the slow side of the -speedup-min gate")
+	regexpVar(&g.speedupNew, "speedup-new", "regexp of the fast side of the -speedup-min gate")
+	flag.Float64Var(&g.speedupMin, "speedup-min", 0, "gate: min median ns/op of -speedup-base / that of -speedup-new (0 = off)")
 	flag.Parse()
-	if flag.NArg() > 0 || (*input == "") == (*base == "") || *pairs < 1 || *seconds <= 0 {
-		fmt.Fprintln(os.Stderr, "benchab: give -base <rev> to run pairs, or -input <file> to render one")
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, "benchab: "+msg)
 		flag.Usage()
 		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0 || (*input == "") == (*base == "") || *pairs < 1 || *seconds <= 0:
+		usage("give -base <rev> to run pairs, or -input <file> to render one")
+	case g.enabled() && *input == "":
+		usage("the gates read the go test -bench output given with -input")
+	case g.allocSlack > 0 && g.baseline == "":
+		usage("-alloc-slack needs -baseline")
+	case g.speedupMin > 0 && (g.speedupBase == nil || g.speedupNew == nil):
+		usage("-speedup-min needs -speedup-base and -speedup-new")
 	}
 	// An interrupt stops the run in flight, and run still removes the base
 	// checkout.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *base, *input, *out, *workload, *label, *pairs, *seed, *seconds, *trace); err != nil {
+	if err := run(ctx, *base, *input, *out, *workload, *label, *pairs, *seed, *seconds, *trace, g); err != nil {
 		fmt.Fprintf(os.Stderr, "benchab: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, base, input, out, workload, label string, pairs int, seed uint64, seconds float64, trace bool) error {
+func run(ctx context.Context, base, input, out, workload, label string, pairs int, seed uint64, seconds float64, trace bool, g gateFlags) error {
+	var all []*series
+	if input != "" {
+		s, b, err := readInput(input)
+		if err != nil {
+			return err
+		}
+		if b != nil {
+			return runBench(os.Stdout, b, out, g)
+		}
+		if g.enabled() {
+			return fmt.Errorf("%s is a history file: the gates read go test -bench output", input)
+		}
+		all = s
+	}
 	specs, order, err := loadSpec("BENCHMARK.json")
 	if err != nil {
 		return err
 	}
-	var all []*series
-	if input != "" {
-		if all, err = readSeries(input); err != nil {
-			return err
-		}
-	} else {
+	if input == "" {
 		change, err := os.Getwd()
 		if err != nil {
 			return err
@@ -575,10 +574,7 @@ func run(ctx context.Context, base, input, out, workload, label string, pairs in
 		if label == "" {
 			label = workload
 		}
-		tr := "0"
-		if trace {
-			tr = "1"
-		}
+		tr := map[bool]string{false: "0", true: "1"}[trace]
 		rev, err := exec.Command("git", "-C", change, "rev-parse", "--short", base).Output()
 		if err != nil {
 			return fmt.Errorf("resolving %s: %w", base, err)
@@ -586,12 +582,12 @@ func run(ctx context.Context, base, input, out, workload, label string, pairs in
 		note := fmt.Sprintf("base %s (%s); %d pairs of benchmark/run.sh --workload %s --seed %d+i --seconds %g --trace %s, base first in even pairs and change first in odd ones; %d CPUs, %s %s/%s",
 			strings.TrimSpace(string(rev)), base, pairs, workload, seed, seconds, tr, runtime.NumCPU(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
 		s := newSeries(label, note)
-		if err := measure(ctx, dir, change, workload, pairs, seed, seconds, trace, s); err != nil {
+		if err := measure(ctx, [2]string{dir, change}, workload, pairs, seed, seconds, trace, s); err != nil {
 			return err
 		}
 		all = append(all, s)
 	}
-	var rs []row
+	var rs []bench.HistoryRow
 	var labels []string
 	for _, s := range all {
 		cs := compareAll(s, specs, order)

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"simcloud/internal/bench"
 )
 
 // TestRecordedHistory re-renders BENCH_34.json, whose claim was worked out
@@ -17,7 +22,7 @@ func TestRecordedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := readSeries("../../bench/history/BENCH_34.json")
+	all, _, err := readInput("../../bench/history/BENCH_34.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,9 @@ func TestRecordedHistory(t *testing.T) {
 	}
 }
 
-// TestRowsRoundTrip writes a series as history rows and reads it back.
+// TestRowsRoundTrip writes a series as history rows and reads it back, and
+// then a `go test -bench` output into the same file: its rows carry every
+// run, and reading the file gives back the series alone.
 func TestRowsRoundTrip(t *testing.T) {
 	specs, order, err := loadSpec("../../BENCHMARK.json")
 	if err != nil {
@@ -79,8 +86,8 @@ func TestRowsRoundTrip(t *testing.T) {
 	s := newSeries("exact_disk", "a note")
 	for i := range 10 {
 		v := 300 + float64(i%3)
-		s.add(false, "query_sat_qps", "q/s", v)
-		s.add(true, "query_sat_qps", "q/s", v*1.5+float64(i))
+		s.add(sideBase, "query_sat_qps", "q/s", v)
+		s.add(sideChange, "query_sat_qps", "q/s", v*1.5+float64(i))
 		s.failed[0] = append(s.failed[0], 0)
 		s.failed[1] = append(s.failed[1], i%2)
 	}
@@ -88,7 +95,47 @@ func TestRowsRoundTrip(t *testing.T) {
 	if err := writeRows(path, []string{"exact_disk"}, rows(s, compareAll(s, specs, order))); err != nil {
 		t.Fatal(err)
 	}
-	back, err := readSeries(path)
+	gb, err := parseBench(strings.NewReader(benchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // the second write replaces the first's rows
+		if err := writeRows(path, nil, gb.rows()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []bench.HistoryRow
+	if err := json.Unmarshal(blob, &written); err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]key{}
+	for _, k := range gb.keys() {
+		byName[k.String()] = k
+	}
+	benchRows := 0
+	for _, r := range written {
+		k, ok := byName[r.Name]
+		if !ok {
+			continue
+		}
+		benchRows++
+		var runs []float64
+		for _, f := range strings.Fields(runsRE.FindStringSubmatch(r.Extra)[1]) {
+			v, _ := strconv.ParseFloat(f, 64)
+			runs = append(runs, v)
+		}
+		if want := gb.runs[k][r.Unit]; !slices.Equal(runs, want) || r.Value != median(want) {
+			t.Errorf("%s %s: %g of runs %v, parsed %v", r.Name, r.Unit, r.Value, runs, want)
+		}
+	}
+	if benchRows != 11 {
+		t.Errorf("%d rows of the go test -bench output, want one per benchmark and unit, 11", benchRows)
+	}
+	back, _, err := readInput(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +143,9 @@ func TestRowsRoundTrip(t *testing.T) {
 		t.Fatalf("read back %d series", len(back))
 	}
 	b := back[0]
-	if !slices.Equal(b.base["query_sat_qps"], s.base["query_sat_qps"]) ||
-		!slices.Equal(b.change["query_sat_qps"], s.change["query_sat_qps"]) {
-		t.Errorf("runs %v / %v, wrote %v / %v", b.base, b.change, s.base, s.change)
+	if !slices.Equal(b.runs[sideBase]["query_sat_qps"], s.runs[sideBase]["query_sat_qps"]) ||
+		!slices.Equal(b.runs[sideChange]["query_sat_qps"], s.runs[sideChange]["query_sat_qps"]) {
+		t.Errorf("runs %v, wrote %v", b.runs, s.runs)
 	}
 	if !slices.Equal(b.failed[1], s.failed[1]) {
 		t.Errorf("failed operations %v, wrote %v", b.failed[1], s.failed[1])
@@ -108,7 +155,9 @@ func TestRowsRoundTrip(t *testing.T) {
 		t.Errorf("%d wins, gain %v for a change 1.5x better in every pair", c.wins, c.gain)
 	}
 	// Three pairs are too few to claim anything, however they read.
-	b.base["query_sat_qps"], b.change["query_sat_qps"] = b.base["query_sat_qps"][:3], b.change["query_sat_qps"][:3]
+	for side := range b.runs {
+		b.runs[side]["query_sat_qps"] = b.runs[side]["query_sat_qps"][:3]
+	}
 	if c := compareAll(b, specs, order)[0]; c.gain {
 		t.Error("3 pairs read as a gain")
 	}

@@ -22,8 +22,8 @@
 // are offered at -qps whether or not earlier requests finished, and the
 // report gives achieved throughput plus p50/p99/p999 latency measured from
 // each request's scheduled arrival (queueing included — no coordinated
-// omission). -json FILE also writes the report machine-readably (same
-// document shape as cmd/benchjson; "-" for stdout):
+// omission). -json FILE also writes the report as bench/history rows, the
+// shape cmd/benchab records ("-" for stdout):
 //
 //	simbench -openloop -gateway http://127.0.0.1:8080 -apikey alice-key -qps 2000 -conns 16
 //
@@ -149,7 +149,7 @@ func run() int {
 			return 1
 		}
 		rep.Render(os.Stdout)
-		if err := writeJSON(*jsonOut, rep.JSONDocument()); err != nil {
+		if err := writeJSON(*jsonOut, rep.Rows()); err != nil {
 			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 			return 1
 		}
@@ -207,19 +207,22 @@ func run() int {
 	return 0
 }
 
-// writeJSON writes the open-loop report's machine-readable document to
-// path ("-" for stdout; empty writes nothing).
-func writeJSON(path string, doc *bench.JSONDocument) error {
+// writeJSON writes the open-loop report's rows to path ("-" for stdout;
+// empty writes nothing).
+func writeJSON(path string, rs []bench.HistoryRow) error {
 	switch path {
 	case "":
 		return nil
 	case "-":
-		return doc.Write(os.Stdout)
+		return bench.WriteHistory(os.Stdout, rs)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return doc.Write(f)
+	if err := bench.WriteHistory(f, rs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -8,57 +8,49 @@ import (
 	"time"
 )
 
-// The machine-readable open-loop artifact, in the same document shape
-// cmd/benchjson emits for `go test -bench` runs (goos/goarch header plus a
-// results list of name + iterations + metrics map), so CI uploads both
-// kinds of artifact through one downstream pipeline.
-
-// JSONResult is one measurement: a name, how many operations it covers and
-// its metrics. Mirrors benchjson's Result.
-type JSONResult struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+// HistoryRow is one line of a bench/history file, the one shape the tools
+// write: cmd/benchab's A/B series and `go test -bench` runs, and simbench
+// -openloop -json's report.
+type HistoryRow struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+	Extra string  `json:"extra"`
 }
 
-// JSONDocument is the emitted artifact. Mirrors benchjson's Document.
-type JSONDocument struct {
-	Goos    string       `json:"goos,omitempty"`
-	Goarch  string       `json:"goarch,omitempty"`
-	Results []JSONResult `json:"results"`
+// WriteHistory writes rs as an indented JSON list, as history files hold.
+func WriteHistory(w io.Writer, rs []HistoryRow) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(rs)
 }
 
-// Write writes the document as indented JSON.
-func (d *JSONDocument) Write(w io.Writer) error {
-	blob, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return err
+// Rows renders the open-loop report as history rows, one per figure, named
+// OpenLoop/qps=<offered>/conns=<n>/<figure>: offered and achieved rates, the
+// outcome counts, and the latency percentiles in milliseconds.
+func (r *OpenLoopReport) Rows() []HistoryRow {
+	name := fmt.Sprintf("OpenLoop/qps=%.0f/conns=%d/", r.OfferedQPS, r.Conns)
+	extra := fmt.Sprintf("open loop against %s for %s; %s/%s", r.Target, r.Duration.Round(time.Millisecond), runtime.GOOS, runtime.GOARCH)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	var out []HistoryRow
+	for _, f := range []struct {
+		name, unit string
+		v          float64
+	}{
+		{"offered_qps", "q/s", r.OfferedQPS},
+		{"achieved_qps", "q/s", r.Achieved},
+		{"sent", "count", float64(r.Sent)},
+		{"ok", "count", float64(r.OK)},
+		{"rejected", "count", float64(r.Rejected)},
+		{"errors", "count", float64(r.Errors)},
+		{"degraded", "count", float64(r.Degraded)},
+		{"p50_ms", "ms", ms(r.P50)},
+		{"p99_ms", "ms", ms(r.P99)},
+		{"p999_ms", "ms", ms(r.P999)},
+		{"max_ms", "ms", ms(r.Max)},
+		{"elapsed_ms", "ms", ms(r.Duration)},
+	} {
+		out = append(out, HistoryRow{Name: name + f.name, Value: f.v, Unit: f.unit, Extra: extra})
 	}
-	_, err = w.Write(append(blob, '\n'))
-	return err
+	return out
 }
-
-// JSONDocument renders the open-loop report machine-readably: offered and
-// achieved rates, the outcome counts, and the latency percentiles in
-// milliseconds.
-func (r *OpenLoopReport) JSONDocument() *JSONDocument {
-	return &JSONDocument{Goos: runtime.GOOS, Goarch: runtime.GOARCH, Results: []JSONResult{{
-		Name:       fmt.Sprintf("OpenLoop/qps=%.0f/conns=%d", r.OfferedQPS, r.Conns),
-		Iterations: r.Sent,
-		Metrics: map[string]float64{
-			"offered_qps":  r.OfferedQPS,
-			"achieved_qps": r.Achieved,
-			"ok":           float64(r.OK),
-			"rejected":     float64(r.Rejected),
-			"errors":       float64(r.Errors),
-			"degraded":     float64(r.Degraded),
-			"p50_ms":       ms(r.P50),
-			"p99_ms":       ms(r.P99),
-			"p999_ms":      ms(r.P999),
-			"max_ms":       ms(r.Max),
-			"elapsed_ms":   ms(r.Duration),
-		},
-	}}}
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

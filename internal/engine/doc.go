@@ -9,7 +9,11 @@
 // query — whatever its kind, with or without a first-level allow-list — to
 // every shard, and merge.Combine folds the per-shard answers by kind. The
 // flat methods (RangeByDists, ApproxCandidates, ApproxCandidatesRanked,
-// AllEntries) are one-line adapters over it for tools and tests.
+// AllEntries) are one-line adapters over it for tools and tests. The frozen
+// benchmark/ module calls them too: ApproxCandidates, ApproxCandidatesRanked
+// and RangeByDists here, and through Shard(i) mindex.Index's
+// ApproxCandidatesRanked and RangeByDists (benchmark/layers.go), so deleting
+// any of them breaks the benchmark's build.
 //
 // # Key invariant: routing and merge order
 //

@@ -37,7 +37,7 @@ var bulkBench struct {
 // planner in one InsertBulk call ("builder"), and the entry-at-a-time
 // reference (reference_test.go) in 15-entry batches — the algorithm every
 // batch under 16 entries took before the planner took every batch. CI
-// gates their in-run ratio (cmd/benchgate -speedup-min 2.2 on memory), so
+// gates their in-run ratio (cmd/benchab -speedup-min 2.2 on memory), so
 // the planner cannot rot back toward per-entry cost. The configuration is
 // the root BenchmarkBulkLoad's.
 func BenchmarkBulkBuild(b *testing.B) {

@@ -16,7 +16,7 @@ import (
 // distinct CoPhIR rows (560 KB, L2-resident), too many to memorise, which is
 // what refine and ingest feed the kernels in production. A kernel without
 // data-dependent branches reads the same on both; CI gates the ratio
-// (benchgate -speedup-base 'L1/repeat' -speedup-new 'L1/stream').
+// (benchab -speedup-base 'L1/repeat' -speedup-new 'L1/stream').
 var rowSets = []struct {
 	name string
 	rows int
