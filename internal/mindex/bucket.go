@@ -108,6 +108,16 @@ func (b Bucket) nextOffset(n int) uint32 {
 // built in offs' array when it has room (a search's scratch), in a new one
 // otherwise.
 func parseBucket(img []byte, count int, offs []uint32) (Bucket, error) {
+	b, err := parsePrefix(img, count, offs)
+	if err == nil && len(b.img) < len(img) {
+		return Bucket{}, fmt.Errorf("mindex: bucket image holds more than %d entries", count)
+	}
+	return b, err
+}
+
+// parsePrefix is parseBucket for an image that may run on past its first
+// count records: it indexes those and returns them, whatever follows.
+func parsePrefix(img []byte, count int, offs []uint32) (Bucket, error) {
 	if len(img) > math.MaxUint32 {
 		return Bucket{}, fmt.Errorf("%w: bucket image of %d bytes", ErrCodec, len(img))
 	}
@@ -117,10 +127,8 @@ func parseBucket(img []byte, count int, offs []uint32) (Bucket, error) {
 		offs = make([]uint32, 0, want)
 	}
 	offs = offs[:0]
-	for rest := img; len(rest) > 0; {
-		if len(offs) == count {
-			return Bucket{}, fmt.Errorf("mindex: bucket image holds more than %d entries", count)
-		}
+	rest := img
+	for len(offs) < count && len(rest) > 0 {
 		offs = append(offs, uint32(len(img)-len(rest)))
 		var err error
 		if _, rest, err = ScanEntry(rest); err != nil {
@@ -130,5 +138,5 @@ func parseBucket(img []byte, count int, offs []uint32) (Bucket, error) {
 	if len(offs) != count {
 		return Bucket{}, fmt.Errorf("mindex: bucket image holds %d entries, expected %d", len(offs), count)
 	}
-	return Bucket{img: img, offs: offs}, nil
+	return Bucket{img: img[:len(img)-len(rest)], offs: offs}, nil
 }

@@ -14,7 +14,7 @@ package mindex
 // (the plan), then applies the net result — each entry is appended exactly
 // once, to the bucket of the leaf it finally lands in, and buckets the
 // entry-at-a-time algorithm would have created and later freed are
-// replayed as ghost allocations that only burn their ID.
+// replayed as ghost allocations, a Create and a Free that only burn the ID.
 //
 // Invariants (pinned by TestBulkBuildEquivalence against the entry-at-a-time
 // reference kept in reference_test.go):
@@ -38,8 +38,8 @@ package mindex
 //     a failed plan leaves nothing behind but path-copied nodes nobody
 //     publishes. A failed apply rolls back: buckets this build materialized
 //     are freed, pre-existing buckets that already received their batch
-//     suffix are rewritten to their pre-batch content (after pinning it),
-//     and the sequence cursor is rewound. The loc map needs no undo at
+//     suffix are cut back to their pre-batch content, and the sequence
+//     cursor is rewound. The loc map needs no undo at
 //     all — the plan never touches it, and the one sweep that files the
 //     batch's records runs only after the apply phase can no longer fail.
 //     Ghost IDs stay burned (IDs are never reused, so a gap is harmless).
@@ -51,13 +51,6 @@ package mindex
 // filing the entries.
 
 import "fmt"
-
-// ghostAllocator is implemented by stores whose bucket IDs come from a
-// monotone cursor: createGhost burns one ID without materializing a bucket.
-// Stores without it get a Create+Free pair, which has the same net effect.
-type ghostAllocator interface {
-	createGhost() error
-}
 
 // bulkLeaf is the deferred store work for one leaf the build touches.
 type bulkLeaf struct {
@@ -482,7 +475,6 @@ func (b *bulkTxn) split(n *node) error {
 	}
 	n.kids = kids
 	n.bucket = 0
-	n.era = 0
 	n.pin = nil
 	delete(b.pend, n)
 	if b.lastLeaf == bl {
@@ -514,13 +506,13 @@ func (b *bulkTxn) apply() (fatal, freeErr error) {
 	// 1. Bucket allocation replay, in entry-at-a-time Create order: surviving
 	// leaves materialize, split-away intermediates only burn their ID.
 	for _, bl := range b.events {
-		if bl.n.isLeaf() {
-			id, err := store.Create()
-			if err != nil {
-				return b.abort(err, nil), nil
-			}
+		id, err := store.Create()
+		if err == nil && bl.n.isLeaf() {
 			bl.n.bucket = id
-		} else if err := ghostCreate(store); err != nil {
+		} else if err == nil {
+			err = store.Free(id) // a ghost: never written, so no file either
+		}
+		if err != nil {
 			return b.abort(err, nil), nil
 		}
 	}
@@ -564,9 +556,9 @@ func (b *bulkTxn) apply() (fatal, freeErr error) {
 }
 
 // abort rolls the build back after a store failure: free what was
-// materialized, restore pre-existing buckets that already took their batch
-// suffix (pin first, so published readers never notice), and rewind the
-// sequence cursor. Returns cause for convenience.
+// materialized, cut pre-existing buckets that already took their batch
+// suffix back to their pre-batch content, and rewind the sequence cursor.
+// Returns cause, joined with Index.broken when a cut failed.
 func (b *bulkTxn) abort(cause error, dirty []*bulkLeaf) error {
 	t := b.t
 	store := t.ix.store
@@ -577,30 +569,15 @@ func (b *bulkTxn) abort(cause error, dirty []*bulkLeaf) error {
 	}
 	for _, bl := range dirty {
 		// The bucket's first oldN entries are its pre-batch content
-		// (appends strictly extend). Pin them, then rewrite the bucket back
-		// to exactly that; the Replace bumps the content era, which sends
-		// published node versions to the pin.
-		v, err := store.View(bl.n.bucket)
-		if err != nil || v.Len() < bl.oldN {
-			continue // best effort; the store is already failing
+		// (appends strictly extend), and no published version counts past
+		// them, so dropping the suffix moves nothing a reader can see.
+		if err := store.Cut(bl.n.bucket, bl.oldN); err != nil {
+			t.ix.broken = fmt.Errorf("mindex: bucket %d not cut back (%w): the index takes no more entries until it is reopened", bl.n.bucket, err)
+			cause = fmt.Errorf("%w; %w", cause, t.ix.broken)
+			continue
 		}
-		old := v.prefix(bl.oldN)
-		bl.n.pin.v.Store(&old)
-		store.Replace(bl.n.bucket, old)
+		t.refreshPin(bl.n)
 	}
 	t.ix.nextSeq = b.seq0
 	return cause
-}
-
-// ghostCreate burns one bucket ID. Stores without the fast path pay a
-// Create+Free pair, which leaves the same net state.
-func ghostCreate(s BucketStore) error {
-	if g, ok := s.(ghostAllocator); ok {
-		return g.createGhost()
-	}
-	id, err := s.Create()
-	if err != nil {
-		return err
-	}
-	return s.Free(id)
 }

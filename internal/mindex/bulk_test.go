@@ -306,13 +306,48 @@ func TestBulkBuildTombstonedTwinFallsBack(t *testing.T) {
 	}
 }
 
-// failStore wraps a BucketStore and fails the nth create/append operation.
-// It deliberately implements neither ghostAllocator nor batchAppender, so
-// it also exercises the builder's interface fallbacks.
+// failStore wraps a BucketStore and fails the nth create/append operation,
+// and with failCuts every cut.
 type failStore struct {
 	BucketStore
-	ops    int
-	failAt int
+	ops        int
+	failAt     int
+	failCuts   bool
+	cutsFailed int
+}
+
+func (s *failStore) Cut(id BucketID, n int) error {
+	if s.failCuts {
+		s.cutsFailed++
+		return errInjected
+	}
+	return s.BucketStore.Cut(id, n)
+}
+
+// published is what readers see of ix: the tree and each leaf's counted
+// entries.
+func published(t *testing.T, ix *Index) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := writeNode(&out, ix.state.Load().root); err != nil {
+		t.Fatal(err)
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.isLeaf() {
+			b, err := ix.leafView(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Write(b.Bytes())
+			return
+		}
+		for i := range n.kids {
+			walk(n.kids[i].n)
+		}
+	}
+	walk(ix.state.Load().root)
+	return out.String()
 }
 
 var errInjected = errors.New("injected store failure")
@@ -355,30 +390,34 @@ func TestBulkBuildAbortRollsBack(t *testing.T) {
 	for i := 0; i < len(entries); i += 3 {
 		victims = append(victims, entries[i].ID)
 	}
+	insert := func(ix *Index) error { return ix.InsertBulk(pre) }
 	for _, w := range []struct {
-		name  string
-		setup func(ix *Index) error
-		write func(ix *Index) error
+		name     string
+		setup    func(ix *Index) error
+		write    func(ix *Index) error
+		failCuts bool // the rollback's cuts fail too
 	}{
-		{"insert", func(ix *Index) error { return ix.InsertBulk(pre) },
-			func(ix *Index) error { return ix.InsertBulk(batch) }},
+		{"insert", insert, func(ix *Index) error { return ix.InsertBulk(batch) }, false},
+		{"insert-cut-fails", insert, func(ix *Index) error { return ix.InsertBulk(batch) }, true},
 		{"compact", func(ix *Index) error {
 			if err := ix.InsertBulk(entries); err != nil {
 				return err
 			}
 			_, err := ix.Delete(victims)
 			return err
-		}, func(ix *Index) error { return ix.Compact() }},
+		}, func(ix *Index) error { return ix.Compact() }, false},
 	} {
 		t.Run(w.name, func(t *testing.T) {
+			cutsFailed := false
 			for failAt := 1; ; failAt++ {
 				ix := mustIndex(t, testConfig(8))
 				if err := w.setup(ix); err != nil {
 					t.Fatal(err)
 				}
 				before := fingerprint(t, ix)
+				seen := published(t, ix)
 
-				fs := &failStore{BucketStore: ix.store, failAt: failAt}
+				fs := &failStore{BucketStore: ix.store, failAt: failAt, failCuts: w.failCuts}
 				ix.store = fs
 				err := w.write(ix)
 				ix.store = fs.BucketStore
@@ -392,10 +431,27 @@ func TestBulkBuildAbortRollsBack(t *testing.T) {
 					if failAt == 1 {
 						t.Fatal("failure injection never triggered")
 					}
+					if w.failCuts && !cutsFailed {
+						t.Fatal("no rollback had a bucket to cut")
+					}
 					return
 				}
 				if !errors.Is(err, errInjected) {
 					t.Fatalf("failAt=%d: unexpected error %v", failAt, err)
+				}
+				if fs.cutsFailed > 0 {
+					// The suffix stays in the store, behind what the
+					// published tree counts: readers see the prior state,
+					// and no batch may append behind the suffix.
+					cutsFailed = true
+					if got := published(t, ix); got != seen {
+						t.Fatalf("failAt=%d: a failed cut changed what readers see", failAt)
+					}
+					if err := w.write(ix); err == nil || !strings.Contains(err.Error(), "no more entries") {
+						t.Fatalf("failAt=%d: write after a failed cut: %v, want a refusal", failAt, err)
+					}
+					ix.Close()
+					continue
 				}
 				if got := fingerprint(t, ix); stripCursor(got) != stripCursor(before) {
 					t.Fatalf("failAt=%d: abort did not restore the prior state", failAt)

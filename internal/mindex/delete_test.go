@@ -1,6 +1,7 @@
 package mindex
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"reflect"
@@ -151,6 +152,40 @@ func TestInsertDuplicateAndReinsert(t *testing.T) {
 	st := ix.TreeStats()
 	if st.TotalBucket != len(entries) {
 		t.Fatalf("buckets hold %d records, want %d (dead twin not purged)", st.TotalBucket, len(entries))
+	}
+
+	// On disk with the cache off, a reader holding a version from before a
+	// purge reads its leaf from the pin: the purge wrote the survivors to a
+	// fresh bucket and freed the one that version names.
+	cfg := testConfig(8)
+	cfg.Storage, cfg.DiskPath, cfg.DiskCacheBytes = StorageDisk, t.TempDir(), -1
+	ix = mustIndex(t, cfg)
+	if err := ix.InsertBulk(entries); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Delete([]uint64{entries[10].ID}); err != nil {
+		t.Fatal(err)
+	}
+	held := ix.state.Load().root
+	for _, key := range ix.loc[entries[10].ID].prefix {
+		held = held.child(key)
+	}
+	before, err := ix.leafView(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.InsertBulk([]Entry{entries[10]}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.store.View(held.bucket); err == nil {
+		t.Fatalf("bucket %d outlived the purge of its dead twin", held.bucket)
+	}
+	after, err := ix.leafView(held)
+	if err != nil {
+		t.Fatalf("a version from before the purge: %v", err)
+	}
+	if !bytes.Equal(after.Bytes(), before.Bytes()) || after.Len() != held.count {
+		t.Fatalf("a version from before the purge reads %d entries, it counts %d", after.Len(), held.count)
 	}
 }
 
@@ -318,7 +353,7 @@ func TestDeleteCompactDisk(t *testing.T) {
 	if _, err := ix.Delete(victims); err != nil {
 		t.Fatal(err)
 	}
-	// Re-insert one victim (exercises the disk Replace purge path).
+	// Re-insert one victim (exercises the disk purge path).
 	if err := ix.InsertBulk([]Entry{entries[0]}); err != nil {
 		t.Fatal(err)
 	}

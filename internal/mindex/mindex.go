@@ -195,6 +195,10 @@ type Index struct {
 	// from the canonical shape a fresh build of the surviving entries would
 	// have; Compact restores it.
 	dirty bool
+	// broken is set when a failed build could not cut a bucket back to its
+	// published count: InsertBulk refuses every batch from then on, which
+	// would append behind the leftover suffix. A reopen cuts it off.
+	broken error
 	// scratch is the mutators' reusable buffers.
 	scratch writeScratch
 	// bulk is the planner's bookkeeping, reused by every build.
@@ -237,12 +241,10 @@ type entryLoc struct {
 }
 
 // pinCell holds a pinned full bucket view shared by every node version of
-// one bucket content era (the span between content-destroying store
-// operations — Replace and Free; appends extend an era). Before a mutator
-// destroys a bucket's content it stores the full pre-destruction view here,
-// so readers of any previously published node version — all of which share
-// this cell and cut the view to their own count — keep a consistent bucket
-// image without locks. See Index.leafView.
+// one leaf bucket. Before a mutator frees a bucket it stores the bucket's
+// full view here, so readers of any previously published node version — all
+// of which share this cell and cut the view to their own count — keep a
+// consistent bucket image without locks. See Index.leafView.
 type pinCell struct {
 	v atomic.Pointer[Bucket]
 }
@@ -266,12 +268,7 @@ type node struct {
 	// traversals walk children in deterministic order with no sorting.
 	kids   []child
 	bucket BucketID
-	// era is the bucket content era this node was built against; a
-	// mismatch with the store's current era tells a reader the bucket was
-	// replaced after this node version was published and the pinned view
-	// must be used instead. Only meaningful for lazily read (disk) leaves.
-	era uint64
-	pin *pinCell
+	pin    *pinCell
 	// count/dead cover this subtree, tombstoned entries included in count.
 	count int
 	dead  int
@@ -436,14 +433,13 @@ func (c *Config) CheckEntry(e *Entry) error {
 //  1. A pinned view, when present, is authoritative: it was stored by the
 //     mutator that superseded this node version (or, for memory storage, by
 //     the mutation that built it) and covers at least n.count entries.
-//  2. Otherwise the bucket is read through the store. If the store's
-//     content era still matches the node's, only appends can have happened
-//     since this node version was current, and appends strictly extend a
-//     bucket — the first n.count entries are this version's content.
-//  3. On an era mismatch (or a store error, e.g. the bucket was freed), the
-//     destroying mutator is guaranteed to have pinned the old content into
-//     the shared cell before touching the store, so a re-check of the pin
-//     must succeed.
+//  2. Otherwise the bucket is read through the store. A bucket's content
+//     only grows — a Cut drops only records no published version counts —
+//     so the first n.count entries of what the store holds are this
+//     version's content.
+//  3. On a store error (the bucket was freed), the freeing mutator is
+//     guaranteed to have pinned the content into the shared cell before
+//     the Free, so a re-check of the pin must succeed.
 func (ix *Index) leafView(n *node) (Bucket, error) {
 	b, _, err := ix.leafViewN(n, n.count, nil)
 	return b, err
@@ -463,8 +459,8 @@ func (ix *Index) leafViewN(n *node, count int, sc *searchScratch) (Bucket, bool,
 	if p := n.pin.v.Load(); p != nil {
 		return p.prefix(count), false, nil
 	}
-	b, era, transient, err := viewVersioned(ix.store, n.bucket, sc)
-	if err == nil && era == n.era && b.Len() >= count {
+	b, transient, err := viewScratch(ix.store, n.bucket, sc)
+	if err == nil && b.Len() >= count {
 		return b.prefix(count), transient, nil
 	}
 	if p := n.pin.v.Load(); p != nil {
@@ -473,18 +469,17 @@ func (ix *Index) leafViewN(n *node, count int, sc *searchScratch) (Bucket, bool,
 	if err != nil {
 		return Bucket{}, false, err
 	}
-	return Bucket{}, false, fmt.Errorf("mindex: bucket %d content superseded with no pinned view", n.bucket)
+	return Bucket{}, false, fmt.Errorf("mindex: bucket %d holds %d entries, fewer than %d, with no pinned view", n.bucket, b.Len(), count)
 }
 
-// viewVersioned reads a bucket view together with its content era, a miss
-// into sc's bucket when the store is a DiskStore (see
-// DiskStore.ViewScratch). Other stores (MemStore — its leaves are eagerly
-// pinned, so lazy reads never reach it) report era 0.
-func viewVersioned(s BucketStore, id BucketID, sc *searchScratch) (Bucket, uint64, bool, error) {
+// viewScratch reads a bucket view, a miss into sc's bucket when the store
+// is a DiskStore (see DiskStore.ViewScratch). Other stores (MemStore — its
+// leaves are eagerly pinned, so lazy reads never reach it) go through View.
+func viewScratch(s BucketStore, id BucketID, sc *searchScratch) (Bucket, bool, error) {
 	ds, ok := s.(*DiskStore)
 	if !ok {
 		b, err := s.View(id)
-		return b, 0, false, err
+		return b, false, err
 	}
 	var scratch *Bucket
 	if sc != nil {

@@ -67,7 +67,7 @@ func (t *txn) commit() {
 // mutable returns a node the transaction owns: n itself when it was already
 // cloned (or created) by this transaction, otherwise a shallow path-copy
 // clone. The clone shares the pin cell with the original — they describe
-// the same bucket content era.
+// the same bucket.
 func (t *txn) mutable(n *node) *node {
 	if n.gen == t.gen {
 		return n
@@ -75,7 +75,6 @@ func (t *txn) mutable(n *node) *node {
 	c := &node{
 		prefix: n.prefix,
 		bucket: n.bucket,
-		era:    n.era,
 		pin:    n.pin,
 		count:  n.count,
 		dead:   n.dead,
@@ -189,10 +188,10 @@ func appendPrefix(prefix []int32, key int32) []int32 {
 	return out
 }
 
-// purge physically removes the tombstoned entry id from its bucket and
-// repairs the count/dead bookkeeping along its path. The old bucket content
-// is pinned for published readers before the Replace destroys it; the new
-// leaf version starts a fresh content era with its own cell.
+// purge physically removes the tombstoned entry id from its leaf and
+// repairs the count/dead bookkeeping along its path. The survivors go to a
+// fresh bucket with a cell of its own; the old one is pinned for published
+// readers, then freed (a failed Free leaks it, the purge stands).
 func (t *txn) purge(id uint64) error {
 	l := t.loc[id]
 	path, err := t.pathTo(l.prefix)
@@ -217,25 +216,33 @@ func (t *txn) purge(id uint64) error {
 		kept = kept.appendView(&v)
 	}
 	t.ix.scratch.content = kept
+	var freeErr error
 	if removed > 0 {
-		full := view
-		n.pin.v.Store(&full)
-		if err := t.ix.store.Replace(n.bucket, kept); err != nil {
+		store := t.ix.store
+		fresh, err := store.Create()
+		if err != nil {
 			return err
 		}
-		n.era++ // DiskStore.Replace bumped the store-side era in lockstep
-		n.pin = &pinCell{}
+		if err := store.Append(fresh, kept); err != nil {
+			store.Free(fresh) // best effort; the store is already failing
+			return err
+		}
+		full := view
+		n.pin.v.Store(&full)
+		old := n.bucket
+		n.bucket, n.pin = fresh, &pinCell{}
 		t.refreshPin(n)
 		for _, pn := range path {
 			pn.count -= removed
 			pn.dead -= removed
 		}
 		t.dead -= removed
+		freeErr = store.Free(old)
 	}
 	t.tombs.remove(id, t.gen)
 	delete(t.loc, id)
 	t.ix.dirty = true
-	return nil
+	return freeErr
 }
 
 // delete tombstones the given IDs; unknown or already-tombstoned IDs are
@@ -285,6 +292,9 @@ func (ix *Index) InsertBulk(entries []Entry) error {
 	}
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
+	if ix.broken != nil {
+		return ix.broken
+	}
 	if err := ix.ensureLoc(); err != nil {
 		return err
 	}

@@ -203,8 +203,8 @@ func TestDiskSearchMissAllocs(t *testing.T) {
 }
 
 // TestDiskCacheInvalidation drives the DiskStore read-through cache through
-// every invalidation edge: append, replace and free after a cached read
-// must serve fresh data, and the hit/miss counters must tick accordingly.
+// every invalidation edge: append, cut and free after a cached read must
+// serve fresh data, and the hit/miss counters must tick accordingly.
 func TestDiskCacheInvalidation(t *testing.T) {
 	s, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -250,16 +250,20 @@ func TestDiskCacheInvalidation(t *testing.T) {
 	}
 	expect("append invalidates", []Entry{e1, e2})
 
-	if err := s.Replace(id, bucketOf(e3)); err != nil {
+	if err := s.Cut(id, 1); err != nil {
 		t.Fatal(err)
 	}
-	expect("replace invalidates", []Entry{e3})
+	expect("cut invalidates", []Entry{e1})
 	hitsBefore, missesBefore, _ := s.CacheStats()
-	expect("cached after replace", []Entry{e3}) // two reads, both hits
+	expect("cached after cut", []Entry{e1}) // two reads, both hits
 	if hits, misses, _ := s.CacheStats(); hits != hitsBefore+2 || misses != missesBefore {
-		t.Fatalf("the read after replace should have cached the bucket: hits %d->%d misses %d->%d",
+		t.Fatalf("the read after cut should have cached the bucket: hits %d->%d misses %d->%d",
 			hitsBefore, hits, missesBefore, misses)
 	}
+	if err := s.Append(id, bucketOf(e3)); err != nil {
+		t.Fatal(err)
+	}
+	expect("append after cut", []Entry{e1, e3})
 
 	if err := s.Free(id); err != nil {
 		t.Fatal(err)
@@ -274,10 +278,10 @@ func TestDiskCacheInvalidation(t *testing.T) {
 
 // TestDiskCacheBudget verifies the cache's one admission rule: a miss is
 // admitted only if it fits the free budget, and a cached bucket leaves only
-// when Append, Replace or Free changes it, SetCacheBudget empties the cache,
+// when Append, Cut or Free changes it, SetCacheBudget empties the cache,
 // or the store closes. So the charged bytes never exceed the budget, a full
 // cache keeps what it holds across any read of a bucket that does not fit —
-// a mutator's View or a search's ViewScratch alike — a rewritten or grown
+// a mutator's View or a search's ViewScratch alike — a cut or grown
 // bucket is uncached until its next read, and correctness is unaffected
 // throughout (checkCacheCharges recomputes every charge from the cached
 // bucket).
@@ -336,14 +340,14 @@ func TestDiskCacheBudget(t *testing.T) {
 			b, err := s.View(id)
 			check(fmt.Sprintf("round %d", round), id, b, err)
 		}
-		// A rewritten bucket leaves the cache; its next read is a miss.
+		// A cut bucket leaves the cache; its next read is a miss.
 		id := ids[round]
 		want[id] = want[id][:len(want[id])-1]
-		if err := s.Replace(id, bucketOf(want[id]...)); err != nil {
+		if err := s.Cut(id, len(want[id])); err != nil {
 			t.Fatal(err)
 		}
 		if cached()[id] {
-			t.Fatalf("round %d: Replace left bucket %d cached", round, id)
+			t.Fatalf("round %d: Cut left bucket %d cached", round, id)
 		}
 		checkCacheCharges(t, s)
 	}
@@ -373,7 +377,7 @@ func TestDiskCacheBudget(t *testing.T) {
 	b, err := s.View(out)
 	check("mutator view past the budget", out, b, err)
 	var scratch Bucket
-	b, _, transient, err := s.ViewScratch(out, &scratch)
+	b, transient, err := s.ViewScratch(out, &scratch)
 	check("search view past the budget", out, b, err)
 	if !transient {
 		t.Fatalf("search view of bucket %d, which does not fit, is not transient", out)
@@ -391,23 +395,23 @@ func TestDiskCacheBudget(t *testing.T) {
 		t.Fatalf("re-reads of %d cached buckets made %d hits", len(full), hits-hitsBefore)
 	}
 
-	// Replace and Append drop a cached bucket; neither caches what it wrote.
+	// Cut and Append drop a cached bucket; neither caches what it wrote.
 	var in BucketID
 	for id := range full {
 		in = id
 		break
 	}
 	want[in] = want[in][:len(want[in])-1]
-	if err := s.Replace(in, bucketOf(want[in]...)); err != nil {
+	if err := s.Cut(in, len(want[in])); err != nil {
 		t.Fatal(err)
 	}
 	if cached()[in] {
-		t.Fatalf("Replace left bucket %d cached", in)
+		t.Fatalf("Cut left bucket %d cached", in)
 	}
-	b, err = s.View(in) // fits the budget Replace freed
-	check("view after replace", in, b, err)
+	b, err = s.View(in) // fits the budget Cut freed
+	check("view after cut", in, b, err)
 	if !cached()[in] {
-		t.Fatalf("bucket %d not re-admitted after Replace", in)
+		t.Fatalf("bucket %d not re-admitted after Cut", in)
 	}
 	e := randomEntry(rng, 9999)
 	want[in] = append(want[in], e)

@@ -18,7 +18,7 @@ import (
 // entries with no duplicate IDs. Run under -race this also proves the
 // publication protocol establishes the necessary happens-before edges, for
 // both storage backends (memory pins leaf views eagerly; disk readers take
-// the era-checked store path with the pin fallback around Compact/purge) —
+// the store path with the pin fallback around Compact/purge) —
 // and on disk with a cache budget below the data, where a search's misses
 // are read into its scratch and the entries it keeps copied out.
 func TestSnapshotConsistencyUnderChurn(t *testing.T) {

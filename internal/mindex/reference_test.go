@@ -171,7 +171,6 @@ func refSplit(t *txn, n *node) error {
 	freeErr := t.ix.store.Free(n.bucket)
 	n.kids = kids
 	n.bucket = 0
-	n.era = 0
 	n.pin = nil
 	for i := range n.kids {
 		t.refreshPin(n.kids[i].n)

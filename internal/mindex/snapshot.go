@@ -50,10 +50,11 @@ var ErrSnapshot = errors.New("mindex: invalid snapshot")
 // SaveSnapshot writes the index metadata to path. Only disk-backed indexes
 // can be snapshotted — a memory store loses its buckets with the process.
 // The file is written to a temporary sibling and renamed into place, so an
-// interrupted save never truncates an existing snapshot.
+// interrupted save never truncates an existing snapshot, which stays
+// loadable until this one is in place (see DiskStore.snapNext).
 func (ix *Index) SaveSnapshot(path string) error {
 	// Serialize with mutators: the writer-private dirty flag must describe
-	// the snapshot being persisted, and no mutation may replace or free
+	// the snapshot being persisted, and no mutation may allocate or free
 	// buckets between reading the tree and syncing the store.
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
@@ -79,8 +80,11 @@ func (ix *Index) SaveSnapshot(path string) error {
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
 		syncErr := dir.Sync()
 		dir.Close()
-		return syncErr
+		if syncErr != nil {
+			return syncErr
+		}
 	}
+	ds.snapshotSaved(ds.NextID())
 	return nil
 }
 
@@ -272,7 +276,8 @@ func LoadSnapshot(cfg Config, path string) (*Index, error) {
 	// that walk here keeps the first post-restore mutation as cheap as a
 	// steady-state one (it also primes the disk store's bucket cache for
 	// early queries). Before this ran eagerly, the first mutation after a
-	// restore stalled for the whole rebuild.
+	// restore stalled for the whole rebuild. The same read cuts each bucket
+	// file back to the count the snapshot names (see diskBucket.loose).
 	if err := ix.ensureLoc(); err != nil {
 		store.Close()
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 )
@@ -22,8 +21,11 @@ type BucketID uint64
 // form it has everywhere, its image (see Bucket).
 //
 // Implementations must be safe for concurrent use — lock-free searches View
-// buckets while mutators append, replace and free others (see
-// Index.leafView for the read protocol layered on top).
+// buckets while mutators append to, cut and free others (see Index.leafView
+// for the read protocol layered on top).
+//
+// A bucket only grows: content is retired whole (pinned, then freed), and
+// Cut drops only a tail no published version counts.
 type BucketStore interface {
 	// Create allocates a new empty bucket.
 	Create() (BucketID, error)
@@ -33,12 +35,12 @@ type BucketStore interface {
 	// View returns a bucket's content without copying: a read-only snapshot
 	// owned by the store, which callers may hold across later store
 	// mutations — an Append never rewrites the records a previously returned
-	// snapshot covers, and a Replace or Free swaps the image rather than
+	// snapshot covers, and a Cut or Free drops the image rather than
 	// mutating it.
 	View(id BucketID) (Bucket, error)
-	// Replace overwrites a bucket's content with recs (compaction and update
-	// purges rewrite buckets after dropping dead entries).
-	Replace(id BucketID, recs Bucket) error
+	// Cut keeps a bucket's first n records and drops the rest (a failed
+	// build's undo of the batch suffixes it appended).
+	Cut(id BucketID, n int) error
 	// Free releases a bucket (after a split has redistributed it).
 	Free(id BucketID) error
 	// Close releases all resources.
@@ -69,16 +71,6 @@ func (s *MemStore) Create() (BucketID, error) {
 	return id, nil
 }
 
-// createGhost burns one bucket ID without materializing a bucket — the
-// write planner's allocation replay for buckets the entry-at-a-time insert
-// would have created and later freed (see bulk.go).
-func (s *MemStore) createGhost() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	return nil
-}
-
 // Append implements BucketStore. Appending writes only past the end of the
 // image and the offset table (or relocates them), so snapshots previously
 // handed out by View stay valid: they cover a prefix the append never
@@ -106,15 +98,20 @@ func (s *MemStore) View(id BucketID) (Bucket, error) {
 	return b.prefix(b.Len()), nil
 }
 
-// Replace implements BucketStore. The replacement is copied into a fresh
-// image, so outstanding View snapshots keep the old contents.
-func (s *MemStore) Replace(id BucketID, recs Bucket) error {
+// Cut implements BucketStore. The bucket becomes a capped prefix of
+// itself, so its next append relocates instead of writing over records an
+// outstanding View still covers.
+func (s *MemStore) Cut(id BucketID, n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.buckets[id]; !ok {
-		return fmt.Errorf("mindex: replace of unknown bucket %d", id)
+	b, ok := s.buckets[id]
+	if !ok {
+		return fmt.Errorf("mindex: cut of unknown bucket %d", id)
 	}
-	s.buckets[id] = recs.clone()
+	if n < 0 || n > b.Len() {
+		return fmt.Errorf("mindex: cut of bucket %d to %d of its %d entries", id, n, b.Len())
+	}
+	s.buckets[id] = b.prefix(n)
 	return nil
 }
 
@@ -154,7 +151,7 @@ const cacheEntryOverhead = 128
 //     not pay an open/close syscall pair per insert;
 //   - a byte-budget cache of bucket images: a read that misses is admitted
 //     only if it fits the free budget, and an image leaves only when Append,
-//     Replace or Free changes its bucket, SetCacheBudget empties the cache,
+//     Cut or Free changes its bucket, SetCacheBudget empties the cache,
 //     or the store closes. Nothing is evicted to make room, so a
 //     repeated-query workload against a static-or-slowly-churning index
 //     keeps the buckets it filled the budget with and stops re-reading those
@@ -164,14 +161,13 @@ const cacheEntryOverhead = 128
 // An append of several records, such as a built leaf's content, is one
 // write of their bytes, all or nothing. A one-record append, a write that files one entry
 // into a leaf, waits in its handle's write-behind buffer for the bucket's
-// next read, append, rewrite or free, or for the buffer to fill:
+// next read, append, cut or free, or for the buffer to fill:
 // a run of inserts costs one write, not one each. mu guards the
 // bookkeeping, the caches and every write to a bucket file. A read that
 // misses the cache holds it only for the map work on either side of the
 // file read (see ViewScratch).
 type DiskStore struct {
-	mu  sync.Mutex
-	dir string
+	mu sync.Mutex
 	// filePrefix is dir + "/bucket-": path builds a name with one
 	// concatenation, a miss's only allocation before the open.
 	filePrefix string
@@ -194,27 +190,31 @@ type DiskStore struct {
 	cacheBudget int
 	hits        uint64
 	misses      uint64
+
+	// snapNext is the cursor of the last snapshot loaded or saved, which
+	// names buckets up to it. Free lists such a bucket in unlinks and keeps
+	// its file until the next snapshot is in place (snapshotSaved).
+	snapNext BucketID
+	unlinks  []BucketID
 }
 
 // diskBucket is the store's record of one allocated bucket.
 type diskBucket struct {
 	count int // records in the file
 	size  int // bytes in the file: a miss reads exactly this many
-	// era counts content-destroying rewrites (Replace). Bucket IDs are never
-	// reused, so a (bucket, era) pair names one content lineage that only
-	// ever grows by appends; ViewScratch hands the era out with the view
-	// so snapshot readers can detect a replacement that happened after their
-	// tree version was published (Index.leafView).
-	era uint64
+	cuts  int // Cuts so far: a Cut then an Append can restore count and size
 	// virgin marks a bucket whose file does not exist yet: Create only
 	// reserves the ID, and the file materializes on the first write (an
 	// open/close syscall pair per bucket saved — the dominant cost of a bulk
 	// build's allocation replay). A virgin bucket reads as empty, frees
 	// without touching the file system, and loses its virginity on the first
-	// Append/Replace. Whatever file a previous store on the same directory
-	// left under a virgin ID is not this bucket's content: the first write
-	// truncates it.
+	// Append. Whatever file a previous store on the same directory left under
+	// a virgin ID is not this bucket's content: the first write truncates it.
 	virgin bool
+	// loose marks a bucket reattached from a snapshot, whose file may hold
+	// records past its count (appended since, or torn by a crash): the first
+	// read cuts them off. They are the write-ahead log's to replay.
+	loose bool
 }
 
 type appendHandle struct {
@@ -229,25 +229,12 @@ type appendHandle struct {
 const writeBehind = 16 << 10
 
 // NewDiskStore creates a bucket store rooted at dir (created if missing)
-// with the default cache budget. Temporary files a crash left between
-// Replace's create and its rename are removed: nothing else ever names them.
+// with the default cache budget.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mindex: creating bucket directory: %w", err)
 	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("mindex: scanning bucket directory: %w", err)
-	}
-	for _, f := range files {
-		if name := f.Name(); strings.HasPrefix(name, bucketPrefix) && strings.HasSuffix(name, bucketExt+tmpExt) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("mindex: removing interrupted bucket rewrite: %w", err)
-			}
-		}
-	}
 	return &DiskStore{
-		dir:         dir,
 		filePrefix:  filepath.Join(dir, bucketPrefix),
 		buckets:     make(map[BucketID]*diskBucket),
 		open:        make(map[BucketID]*appendHandle),
@@ -262,7 +249,8 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 // restart, using the per-bucket entry counts and allocation cursor recorded
 // in an index snapshot. Every non-empty bucket's file must exist; an empty
 // bucket may legitimately have none (Create is lazy — the file materializes
-// on the first write), in which case it reattaches as virgin.
+// on the first write), in which case it reattaches as virgin. Any other
+// reattaches loose.
 func ReopenDiskStore(dir string, counts map[BucketID]int, next BucketID) (*DiskStore, error) {
 	s, err := NewDiskStore(dir)
 	if err != nil {
@@ -274,10 +262,10 @@ func ReopenDiskStore(dir string, counts map[BucketID]int, next BucketID) (*DiskS
 			return nil, fmt.Errorf("mindex: bucket %d beyond allocation cursor %d", id, next)
 		}
 		d := &diskBucket{count: count}
-		fi, err := os.Stat(s.path(id))
+		_, err := os.Stat(s.path(id))
 		switch {
 		case err == nil:
-			d.size = int(fi.Size())
+			d.loose = true
 		case os.IsNotExist(err) && count == 0:
 			d.virgin = true
 		default:
@@ -286,7 +274,7 @@ func ReopenDiskStore(dir string, counts map[BucketID]int, next BucketID) (*DiskS
 		}
 		s.buckets[id] = d
 	}
-	s.next = next
+	s.next, s.snapNext = next, next
 	return s, nil
 }
 
@@ -340,7 +328,6 @@ func (s *DiskStore) NextID() BucketID {
 const (
 	bucketPrefix = "bucket-"
 	bucketExt    = ".bin"
-	tmpExt       = ".tmp" // Replace writes path(id)+tmpExt and renames it into place
 )
 
 // path names a bucket's file: bucket-<id, zero-padded to nine digits>.bin.
@@ -376,19 +363,6 @@ func (s *DiskStore) Create() (BucketID, error) {
 	return s.next, nil
 }
 
-// createGhost burns one bucket ID without creating a bucket file — the
-// write planner's allocation replay for buckets the entry-at-a-time insert
-// would have created and later freed (see bulk.go).
-func (s *DiskStore) createGhost() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("mindex: disk store closed")
-	}
-	s.next++
-	return nil
-}
-
 // Append implements BucketStore. One record joins the handle's write-behind
 // buffer while it fits; anything else is written after the buffer, in one
 // write, all or nothing: a failed write cuts the file back to its recorded
@@ -400,6 +374,11 @@ func (s *DiskStore) Append(id BucketID, recs Bucket) error {
 	d, err := s.bucketLocked(id, "append to")
 	if err != nil || recs.Len() == 0 {
 		return err
+	}
+	if d.loose {
+		if _, err := s.readFileLocked(id, d); err != nil {
+			return err
+		}
 	}
 	h, err := s.writer(id, d)
 	if err != nil {
@@ -486,18 +465,16 @@ func (s *DiskStore) closeHandleLocked(id BucketID) error {
 // View implements BucketStore (read-through, zero-copy: the returned bucket
 // is the cached image itself when the bucket is cached).
 func (s *DiskStore) View(id BucketID) (Bucket, error) {
-	b, _, _, err := s.ViewScratch(id, nil)
+	b, _, err := s.ViewScratch(id, nil)
 	return b, err
 }
 
 // bucketVersion names one state of a bucket's content. Every mutator
-// changes it under the mutex — an append raises count and size, a Replace
-// raises era, neither ever falls back within a lineage — so a version that
-// reads the same at two lock acquisitions proves no mutation touched the
-// bucket in between.
+// changes it under the mutex — an append raises count and size, a cut
+// raises cuts — so a version that reads the same at two lock acquisitions
+// proves no mutation touched the bucket in between.
 type bucketVersion struct {
-	count, size int
-	era         uint64
+	count, size, cuts int
 }
 
 func (s *DiskStore) versionLocked(id BucketID) (bucketVersion, error) {
@@ -505,25 +482,22 @@ func (s *DiskStore) versionLocked(id BucketID) (bucketVersion, error) {
 	if err != nil {
 		return bucketVersion{}, err
 	}
-	return bucketVersion{d.count, d.size, d.era}, nil
+	return bucketVersion{d.count, d.size, d.cuts}, nil
 }
 
-// ViewScratch is View plus the bucket's content era, the two read
-// atomically, for a caller that may bring a scratch bucket of its own (a
-// search). Snapshot readers compare the era against the one recorded in
-// their node version: a match proves the first n entries of the view are
-// exactly that version's content (appends only extend).
-//
-// A hit returns the cached image. A miss does its I/O outside the mutex, so
-// readers of one store do not queue behind each other's system calls. Under
+// ViewScratch is View for a caller that may bring a scratch bucket of its
+// own (a search). A hit returns the cached image. A miss does its I/O
+// outside the mutex, so readers of one store do not queue behind each
+// other's system calls. Under
 // the mutex: the closed / unknown / virgin checks, the cache probe, the
 // write of the bucket's buffered appends, and a note of the bucket's
 // version. Outside: the three system calls and the one ScanEntry pass of
 // readBucketFile — the buffer is the image, nothing is decoded. Under it
 // again: the result stands only if the store is still open and the version
 // unchanged, which makes it the bucket's content as of that second
-// acquisition. Anything else — an append, a Replace, a Free, a failed read
-// or parse — is settled by readLocked, where an error is final.
+// acquisition. Anything else — an append, a cut, a Free, a failed read or
+// parse — is settled by readLocked, where an error is final, as is a loose
+// bucket's first read.
 //
 // A miss is read into a new image and admitted if it fits the free budget;
 // nothing cached leaves to make room. Without a scratch, a miss that does
@@ -532,26 +506,30 @@ func (s *DiskStore) versionLocked(id BucketID) (bucketVersion, error) {
 // left in *scratch for the search's next read — and reported transient: the
 // view is valid until the next ViewScratch on the same scratch, and the
 // caller keeps an entry past that only by copying it.
-func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, uint64, bool, error) {
+func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d, err := s.bucketLocked(id, "view of")
 	if err != nil {
-		return Bucket{}, 0, false, err
+		return Bucket{}, false, err
 	}
 	if d.virgin {
-		return Bucket{}, d.era, false, nil // allocated, never written: empty, no file yet
+		return Bucket{}, false, nil // allocated, never written: empty, no file yet
 	}
 	if b, ok := s.cache[id]; ok {
 		s.hits++
-		return b, d.era, false, nil
+		return b, false, nil
 	}
 	s.misses++ // one per read, however it ends
+	if d.loose {
+		b, err := s.readLocked(id)
+		return b, false, err
+	}
 	// Buffered appends must be in the file before it is read back.
 	if err := s.flushLocked(id); err != nil {
-		return Bucket{}, 0, false, err
+		return Bucket{}, false, err
 	}
-	v := bucketVersion{d.count, d.size, d.era}
+	v := bucketVersion{d.count, d.size, d.cuts}
 	transient := scratch != nil && s.cacheBytes+cacheCharge(v.count, v.size) > s.cacheBudget
 	var into Bucket
 	if transient {
@@ -565,44 +543,65 @@ func (s *DiskStore) ViewScratch(id BucketID, scratch *Bucket) (Bucket, uint64, b
 		*scratch = b // the arrays, grown or not, serve the search's next read
 	}
 	if now, verr := s.versionLocked(id); err != nil || verr != nil || now != v {
-		b, era, err := s.readLocked(id)
-		return b, era, false, err
+		b, err := s.readLocked(id)
+		return b, false, err
 	}
 	// Another reader may have missed on the same bucket and got here first:
 	// its image is the cached one, ours is dropped, the charge made once.
 	if winner, ok := s.cache[id]; ok {
-		return winner, v.era, false, nil
+		return winner, false, nil
 	}
 	if transient {
-		return b, v.era, true, nil
+		return b, true, nil
 	}
 	s.admitLocked(id, b)
-	return b, v.era, false, nil
+	return b, false, nil
 }
 
 // readLocked is the read with the mutex held throughout: the retry of a
 // ViewScratch whose unlocked read could not be admitted. Nothing can move
 // under it, so what it finds is the bucket, and an error is the bucket's.
-func (s *DiskStore) readLocked(id BucketID) (Bucket, uint64, error) {
+func (s *DiskStore) readLocked(id BucketID) (Bucket, error) {
 	d, err := s.bucketLocked(id, "view of")
-	if err != nil {
-		return Bucket{}, 0, err
-	}
-	if d.virgin {
-		return Bucket{}, d.era, nil
+	if err != nil || d.virgin {
+		return Bucket{}, err
 	}
 	if b, ok := s.cache[id]; ok {
-		return b, d.era, nil
+		return b, nil
 	}
-	if err := s.flushLocked(id); err != nil {
-		return Bucket{}, 0, err
-	}
-	b, err := readBucketFile(s.path(id), d.count, d.size, Bucket{})
+	b, err := s.readFileLocked(id, d)
 	if err != nil {
-		return Bucket{}, 0, err
+		return Bucket{}, err
 	}
 	s.admitLocked(id, b)
-	return b, d.era, nil
+	return b, nil
+}
+
+// readFileLocked reads a written bucket's file whole once the buffered
+// appends are in it. A loose bucket's file is cut back to its count: a
+// snapshot load thereby restores what the snapshot names in its one read.
+func (s *DiskStore) readFileLocked(id BucketID, d *diskBucket) (Bucket, error) {
+	path := s.path(id)
+	if !d.loose {
+		if err := s.flushLocked(id); err != nil {
+			return Bucket{}, err
+		}
+		return readBucketFile(path, d.count, d.size, Bucket{})
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		return Bucket{}, err
+	}
+	b, err := parsePrefix(img, d.count, nil)
+	if err != nil {
+		return Bucket{}, fmt.Errorf("mindex: bucket file %s corrupted: %w", path, err)
+	}
+	b = b.clone() // exactly sized, as the cache charges an image
+	if err := s.truncateLocked(id, d, b); err != nil {
+		return Bucket{}, err
+	}
+	d.loose = false
+	return b, nil
 }
 
 // readBucketFile reads the bucket file at path, which must hold exactly
@@ -666,69 +665,47 @@ func (s *DiskStore) dropCacheLocked(id BucketID) {
 	}
 }
 
-// Replace implements BucketStore. The bucket file is rewritten through a
-// temporary file and renamed into place, so a crash mid-rewrite leaves the
-// previous contents intact. The bucket leaves the cache; its next read is a
-// miss.
-func (s *DiskStore) Replace(id BucketID, recs Bucket) error {
+// Cut implements BucketStore: the file is truncated after record n (the
+// append handle stays, O_APPEND writes at the new end).
+func (s *DiskStore) Cut(id BucketID, n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, err := s.bucketLocked(id, "replace of")
+	d, err := s.bucketLocked(id, "cut of")
 	if err != nil {
 		return err
 	}
-	// Retire the append handle; its descriptor points at the old inode the
-	// rename below replaces.
-	if err := s.closeHandleLocked(id); err != nil {
+	if n < 0 || n > d.count {
+		return fmt.Errorf("mindex: cut of bucket %d to %d of its %d entries", id, n, d.count)
+	}
+	if n == d.count {
+		return nil
+	}
+	b, ok := s.cache[id]
+	if !ok {
+		b, err = s.readFileLocked(id, d)
+	}
+	if err == nil {
+		err = s.flushLocked(id)
+	}
+	if err != nil {
 		return err
 	}
+	return s.truncateLocked(id, d, b.prefix(n))
+}
+
+// truncateLocked cuts a bucket's file back to b, a prefix of its content.
+func (s *DiskStore) truncateLocked(id BucketID, d *diskBucket, b Bucket) error {
+	if err := os.Truncate(s.path(id), int64(len(b.img))); err != nil {
+		return err
+	}
+	d.count, d.size = b.Len(), len(b.img)
+	d.cuts++
 	s.dropCacheLocked(id)
-	tmp := s.path(id) + tmpExt
-	if err := writeFileSynced(tmp, recs.img); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, s.path(id)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d.virgin = false
-	// Make the rename itself durable: a purge that later stops being
-	// reflected in the tombstone set (snapshots persist after this) must
-	// not be undone by a power cut resurrecting the old bucket contents.
-	dir, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	syncErr := dir.Sync()
-	dir.Close()
-	if syncErr != nil {
-		return syncErr
-	}
-	d.count, d.size = recs.Len(), len(recs.img)
-	d.era++
 	return nil
 }
 
-// writeFileSynced creates path holding data and syncs it: the data reaches
-// stable storage before Replace's rename swaps it in — a power cut must
-// never swap a good bucket for a truncated one.
-func writeFileSynced(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Free implements BucketStore.
+// Free implements BucketStore. The file of a bucket the last snapshot
+// names stays until the next snapshot is in place (see snapNext).
 func (s *DiskStore) Free(id BucketID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -741,10 +718,28 @@ func (s *DiskStore) Free(id BucketID) error {
 	}
 	s.dropCacheLocked(id)
 	delete(s.buckets, id)
-	if d.virgin {
+	switch {
+	case d.virgin:
 		return nil // never materialized; nothing on disk to remove
+	case id <= s.snapNext:
+		s.unlinks = append(s.unlinks, id)
+		return nil
 	}
 	return os.Remove(s.path(id))
+}
+
+// snapshotSaved records a new snapshot in place, naming the buckets up to
+// next, and removes the files freed since the previous one. A file it
+// cannot remove is left behind: it only takes space, and the snapshot the
+// caller reports on is in place.
+func (s *DiskStore) snapshotSaved(next BucketID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snapNext = next
+	for _, id := range s.unlinks {
+		_ = os.Remove(s.path(id))
+	}
+	s.unlinks = s.unlinks[:0]
 }
 
 // Close implements BucketStore.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -239,6 +238,50 @@ func storeSuite(t *testing.T, mk func(t *testing.T) BucketStore) {
 			t.Fatal("double free succeeded")
 		}
 	})
+	t.Run("cut", func(t *testing.T) {
+		s := mk(t)
+		defer s.Close()
+		id, _ := s.Create()
+		rng := rand.New(rand.NewPCG(8, 8))
+		var want []Entry
+		for i := range 5 {
+			want = append(want, randomEntry(rng, uint64(i)))
+		}
+		if err := s.Append(id, bucketOf(want...)); err != nil {
+			t.Fatal(err)
+		}
+		held, err := s.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Cut(id, 6); err == nil {
+			t.Fatal("cut past the bucket's end succeeded")
+		}
+		if err := s.Cut(id, 2); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want[:2:2], randomEntry(rng, 9))
+		if err := s.Append(id, bucketOf(want[2])); err != nil {
+			t.Fatal(err)
+		}
+		got, err := viewEntries(s.View(id))
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("after cut and append: %d entries (%v), want %d", len(got), err, len(want))
+		}
+		for i := range want {
+			if !entriesEqual(got[i], want[i]) {
+				t.Fatalf("entry %d is not what was kept or appended", i)
+			}
+		}
+		// The cut dropped records no view may lose: one taken before still
+		// holds them.
+		if held.Len() != 5 || held.At(4).ID != 4 || held.At(2).ID != 2 {
+			t.Fatal("a view taken before the cut changed under it")
+		}
+		if err := s.Cut(12345, 0); err == nil {
+			t.Fatal("cut of an unknown bucket succeeded")
+		}
+	})
 	t.Run("unknown-bucket", func(t *testing.T) {
 		s := mk(t)
 		defer s.Close()
@@ -459,39 +502,90 @@ func TestDiskStoreFreshOnUsedDirectory(t *testing.T) {
 	}
 }
 
-// TestDiskStoreRemovesInterruptedReplace plants the temporary file a crash
-// between Replace's create and its rename leaves behind: nothing but Replace
-// ever names it, so opening the store (fresh or reattached) must remove it.
-func TestDiskStoreRemovesInterruptedReplace(t *testing.T) {
+// TestDiskStoreReopenKeepsSnapshot: a store reattached with a snapshot's
+// counts and cursor holds exactly what the snapshot names. A file grown
+// past its count since — whole records, then half of one, as a crash leaves
+// it — is cut back on its first read, and the next append follows the
+// counted records. A freed bucket the snapshot names keeps its file until
+// the next snapshot is saved; one allocated after it goes at once.
+func TestDiskStoreReopenKeepsSnapshot(t *testing.T) {
 	dir := t.TempDir()
+	rng := rand.New(rand.NewPCG(32, 32))
 	s, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := s.Create()
-	e := randomEntry(rand.New(rand.NewPCG(32, 32)), 7)
-	if err := s.Append(id, bucketOf(e)); err != nil {
-		t.Fatal(err)
+	grown, _ := s.Create()
+	freed, _ := s.Create()
+	var want []Entry
+	for i := range 5 {
+		e := randomEntry(rng, uint64(i))
+		want = append(want, e)
+		if err := s.Append(grown, bucketOf(e)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(freed, bucketOf(e)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	next := s.NextID()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tmp := s.path(id) + tmpExt
-	if err := os.WriteFile(tmp, []byte("half a rewrite"), 0o644); err != nil {
+	f, err := os.OpenFile(s.path(grown), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := ReopenDiskStore(dir, map[BucketID]int{id: 1}, next)
+	torn := EncodeEntry(randomEntry(rng, 99))
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	re, err := ReopenDiskStore(dir, map[BucketID]int{grown: 3, freed: 5}, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("%s survived the reopen (stat: %v)", filepath.Base(tmp), err)
+	got, err := viewEntries(re.View(grown))
+	if err != nil || len(got) != 3 {
+		t.Fatalf("reattached bucket: %d entries (%v), want the 3 counted", len(got), err)
 	}
-	got, err := viewEntries(re.View(id))
-	if err != nil || len(got) != 1 || !entriesEqual(got[0], e) {
-		t.Fatalf("bucket beside the removed temporary file: %d entries, %v", len(got), err)
+	if fi, err := os.Stat(re.path(grown)); err != nil || int(fi.Size()) != len(bucketOf(want[:3]...).img) {
+		t.Fatalf("reattached bucket file not cut back to its counted records (stat: %v)", err)
+	}
+	want = append(want[:3], randomEntry(rng, 7))
+	if err := re.Append(grown, bucketOf(want[3])); err != nil {
+		t.Fatal(err)
+	}
+	re.SetCacheBudget(-1) // read the file, not the cache
+	if got, err = viewEntries(re.View(grown)); err != nil || len(got) != len(want) {
+		t.Fatalf("after an append: %d entries (%v), want %d", len(got), err, len(want))
+	}
+	for i := range want {
+		if !entriesEqual(got[i], want[i]) {
+			t.Fatalf("entry %d is not what was counted or appended", i)
+		}
+	}
+
+	after, _ := re.Create()
+	if err := re.Append(after, bucketOf(want[0])); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []BucketID{freed, after} {
+		if err := re.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(re.path(after)); !os.IsNotExist(err) {
+		t.Fatalf("bucket %d, allocated after the snapshot, kept its file past its Free (stat: %v)", after, err)
+	}
+	if _, err := os.Stat(re.path(freed)); err != nil {
+		t.Fatalf("bucket %d, named by the snapshot, lost its file before the next one: %v", freed, err)
+	}
+	re.snapshotSaved(re.NextID())
+	if _, err := os.Stat(re.path(freed)); !os.IsNotExist(err) {
+		t.Fatalf("bucket %d kept its file past the next snapshot (stat: %v)", freed, err)
 	}
 }
 
@@ -540,13 +634,14 @@ func TestDiskStoreDamagedFile(t *testing.T) {
 	}
 }
 
-// versionedEntry is entry pos of the content sequence of (bucket, era) in
-// TestDiskStoreViewsBesideMutation: every field is a function of the three,
-// so a reader can check a view against the era it is labelled with without
-// sharing any state with the writer. Field sizes vary with pos, so a view
-// assembled from a torn read cannot pass; every seventh payload is large
-// enough to spill the 16 KiB append buffer mid-entry, which is what tears
-// the tail of a file under an unlocked reader.
+// versionedEntry is entry pos of bucket's content as written in era, the
+// number of cuts before the write, in TestDiskStoreViewsBesideMutation:
+// every field is a function of the three, and the three are in the ID, so a
+// reader can check a view without sharing any state with the writer. Field
+// sizes vary with pos, so a view assembled from a torn read cannot pass;
+// every seventh payload is large enough to spill the 16 KiB append buffer
+// mid-entry, which is what tears the tail of a file under an unlocked
+// reader.
 func versionedEntry(bucket BucketID, era uint64, pos int) Entry {
 	id := uint64(bucket)<<40 | era<<20 | uint64(pos)
 	rng := rand.New(rand.NewPCG(id, 33))
@@ -569,13 +664,14 @@ func versionedEntry(bucket BucketID, era uint64, pos int) Entry {
 
 // TestDiskStoreViewsBesideMutation is the store-level test of the read
 // protocol: readers loop ViewScratch over a few buckets while one writer
-// appends (one record or several), replaces, frees and resizes the cache.
-// Every view must be a whole-entry prefix of the content sequence of the era
-// it is labelled with — never torn, never another era's — and at least as
-// long as the bucket was when the read began and at most as long as it was
-// when the read returned. At the end the cache's byte count must equal the
-// charges of what it holds. Run under -race.
+// appends (one record or several), cuts, frees and resizes the cache. Every
+// view must be whole entries of its bucket, each written at its position
+// and none written before an entry it follows was — never torn — and
+// as long as the bucket was at some moment of the read. At the end every
+// bucket must hold what was written to it, and the cache's byte count must
+// equal the charges of what it holds. Run under -race.
 func TestDiskStoreViewsBesideMutation(t *testing.T) {
+	const ops = 1200
 	for _, tc := range []struct {
 		name    string
 		budgets []int // the writer cycles through them; one entry = never resized
@@ -592,20 +688,22 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 			defer s.Close()
 			s.SetCacheBudget(tc.budgets[0])
 
-			// What the writer publishes about a slot's current bucket. begun
-			// moves before a mutation, done after it: a view labelled with
-			// the era both name holds between done-before-the-read and
-			// begun-after-the-read entries.
+			// What the writer publishes about a slot: counts[k] is the
+			// slot's entry count after its k-th mutation, stored before
+			// begun moves to k, and done moves to k after it. A view of
+			// the slot holds as many entries as one of counts[done before
+			// the read .. begun after it].
 			type slot struct {
 				id          atomic.Uint64
-				begun, done atomic.Uint64 // era<<32 | count
+				begun, done atomic.Int64
+				counts      [ops + 1]atomic.Int64
 			}
-			pack := func(era uint64, count int) uint64 { return era<<32 | uint64(count) }
 			slots := make([]slot, 4)
 			type content struct {
-				id    BucketID
-				era   uint64
-				count int
+				id      BucketID
+				era     uint64
+				entries []Entry
+				muts    int64
 			}
 			state := make([]content, len(slots))
 			for i := range slots {
@@ -633,7 +731,7 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 						sl := &slots[i%len(slots)]
 						id := BucketID(sl.id.Load())
 						lo := sl.done.Load()
-						v, era, _, err := s.ViewScratch(id, nil)
+						v, _, err := s.ViewScratch(id, nil)
 						hi := sl.begun.Load()
 						if BucketID(sl.id.Load()) != id {
 							continue // freed around the read: an error or a last view, both fine
@@ -642,22 +740,20 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 							t.Errorf("view of live bucket %d: %v", id, err)
 							return
 						}
+						era := uint64(0)
 						for pos, e := range entriesOf(v) {
-							if !entriesEqual(e, versionedEntry(id, era, pos)) {
-								t.Errorf("bucket %d era %d: entry %d of a %d-entry view is not that era's", id, era, pos, v.Len())
+							if e.ID>>20&(1<<20-1) < era || !entriesEqual(e, versionedEntry(id, e.ID>>20&(1<<20-1), pos)) {
+								t.Errorf("bucket %d: entry %d of a %d-entry view is not one written there", id, pos, v.Len())
 								return
 							}
+							era = e.ID >> 20 & (1<<20 - 1)
 						}
-						if lo>>32 == era && v.Len() < int(uint32(lo)) {
-							t.Errorf("bucket %d era %d: view of %d entries, %d were stored before the read", id, era, v.Len(), uint32(lo))
-							return
+						fits := false
+						for k := lo; k <= hi; k++ {
+							fits = fits || int64(v.Len()) == sl.counts[k].Load()
 						}
-						if hi>>32 == era && v.Len() > int(uint32(hi)) {
-							t.Errorf("bucket %d era %d: view of %d entries, only %d stored after the read", id, era, v.Len(), uint32(hi))
-							return
-						}
-						if lo>>32 > era || hi>>32 < era {
-							t.Errorf("bucket %d: view labelled era %d, bucket was in era %d before and %d after", id, era, lo>>32, hi>>32)
+						if !fits {
+							t.Errorf("bucket %d: view of %d entries, a count it never had between mutations %d and %d", id, v.Len(), lo, hi)
 							return
 						}
 						views.Add(1)
@@ -666,24 +762,27 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 			}
 
 			rng := rand.New(rand.NewPCG(34, 34))
-			seq := func(c content, n int) []Entry {
-				out := make([]Entry, n)
-				for i := range out {
-					out[i] = versionedEntry(c.id, c.era, c.count+i)
-				}
-				return out
-			}
-			for op := 0; op < 1200 && !t.Failed(); op++ {
+			for op := 0; op < ops && !t.Failed(); op++ {
 				i := rng.IntN(len(slots))
 				c, sl := &state[i], &slots[i]
-				grow := func(n int, write func([]Entry) error) {
-					batch := seq(*c, n)
-					sl.begun.Store(pack(c.era, c.count+n))
-					if err := write(batch); err != nil {
+				// mutate publishes the count the slot will have, runs the
+				// mutation and publishes that it is done.
+				mutate := func(count int, write func() error) {
+					c.muts++
+					sl.counts[c.muts].Store(int64(count))
+					sl.begun.Store(c.muts)
+					if err := write(); err != nil {
 						t.Fatal(err)
 					}
-					c.count += n
-					sl.done.Store(pack(c.era, c.count))
+					sl.done.Store(c.muts)
+				}
+				grow := func(n int, write func([]Entry) error) {
+					batch := make([]Entry, n)
+					for j := range batch {
+						batch[j] = versionedEntry(c.id, c.era, len(c.entries)+j)
+					}
+					mutate(len(c.entries)+n, func() error { return write(batch) })
+					c.entries = append(c.entries, batch...)
 				}
 				switch k := rng.IntN(100); {
 				case k < 50:
@@ -691,32 +790,24 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 				case k < 80:
 					grow(1+rng.IntN(6), func(b []Entry) error { return s.Append(c.id, bucketOf(b...)) })
 				case k < 88:
-					next := content{id: c.id, era: c.era + 1}
-					keep := seq(next, rng.IntN(8))
-					sl.begun.Store(pack(next.era, len(keep)))
-					if err := s.Replace(c.id, bucketOf(keep...)); err != nil {
-						t.Fatal(err)
-					}
-					next.count = len(keep)
-					*c = next
-					sl.done.Store(pack(c.era, c.count))
+					n := rng.IntN(len(c.entries) + 1)
+					mutate(n, func() error { return s.Cut(c.id, n) })
+					c.entries = c.entries[:n]
+					c.era++
 				case k < 94:
 					// The successor is published before the old bucket goes,
-					// so a reader that still holds the old ID can tell. The
-					// order of the three stores matters: done falls to zero
-					// (the weakest lower bound, true of either bucket) before
-					// the new ID shows, and begun only after it, so a reader
-					// that sees the reset upper bound also sees the new ID in
-					// its re-check and never holds it against the old bucket.
+					// so a reader that still holds the old ID can tell; its
+					// count of 0 is true of the new bucket from the start.
 					id, err := s.Create()
 					if err != nil {
 						t.Fatal(err)
 					}
 					old := c.id
-					*c = content{id: id}
-					sl.done.Store(0)
-					sl.id.Store(uint64(id))
-					sl.begun.Store(0)
+					mutate(0, func() error {
+						sl.id.Store(uint64(id))
+						return nil
+					})
+					c.id, c.era, c.entries = id, 0, nil
 					if err := s.Free(old); err != nil {
 						t.Fatal(err)
 					}
@@ -731,9 +822,14 @@ func TestDiskStoreViewsBesideMutation(t *testing.T) {
 			}
 
 			for i, c := range state {
-				v, era, _, err := s.ViewScratch(c.id, nil)
-				if err != nil || era != c.era || v.Len() != c.count {
-					t.Fatalf("slot %d at rest: %d entries era %d (%v), want %d entries era %d", i, v.Len(), era, err, c.count, c.era)
+				got, err := viewEntries(s.View(c.id))
+				if err != nil || len(got) != len(c.entries) {
+					t.Fatalf("slot %d at rest: %d entries (%v), want %d", i, len(got), err, len(c.entries))
+				}
+				for j := range got {
+					if !entriesEqual(got[j], c.entries[j]) {
+						t.Fatalf("slot %d at rest: entry %d is not the one written", i, j)
+					}
 				}
 			}
 			checkCacheCharges(t, s)

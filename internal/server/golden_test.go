@@ -17,8 +17,11 @@ import (
 )
 
 // diskGolden is the digest of every file TestDiskFilesGolden's history
-// leaves behind, recorded when a bucket was still held decoded in memory.
-const diskGolden = "3a1ee76f19d064f194d3e6fdda49e76b8e1fb69a82c94e55fc84bd07a9cc6a18"
+// leaves behind. It was recorded when a bucket was still held decoded in
+// memory, and re-recorded once when a purge began writing its survivors to
+// a fresh bucket: that moved bucket IDs and the allocation cursor, and no
+// record, WAL or other snapshot byte.
+const diskGolden = "c16decf6f6fa3e5a55a9eecbc44b88f4ae897a03dcf456240adaf900cd2d8b63"
 
 // TestDiskFilesGolden pins the bytes a disk server stores — every bucket
 // file, the snapshot and the write-ahead log — for one seeded history:

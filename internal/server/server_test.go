@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"simcloud/internal/core"
 	"simcloud/internal/dataset"
+	"simcloud/internal/engine"
 	"simcloud/internal/leaktest"
 	"simcloud/internal/metric"
 	"simcloud/internal/mindex"
@@ -800,6 +802,106 @@ func TestDiskServerRestartBeforeSnapshot(t *testing.T) {
 				t.Fatalf("%v kind=%d: restarted server returned %d candidates, a never-restarted one %d",
 					ranking, q.Kind, len(got[qi]), len(want[qi]))
 			}
+		}
+	}
+}
+
+// TestDiskServerCrashAfterRestore is `simserver -storage disk -snapshot
+// -wal-dir` restored from a snapshot, written to, and killed before its next
+// snapshot. Since the restore its bucket files have grown past the counts
+// the snapshot records, and splits have freed buckets the snapshot names;
+// the restart must still load that snapshot and replay the log's tail onto
+// it, holding every entry ever acknowledged. (It used to refuse to start:
+// "bucket image holds more than 20 entries".)
+func TestDiskServerCrashAfterRestore(t *testing.T) {
+	leaktest.Check(t)
+	entries := testEntries(240)
+	cfg := testCfg()
+	cfg.Storage = mindex.StorageDisk
+	dir := t.TempDir()
+	cfg.DiskPath = filepath.Join(dir, "buckets")
+	snap, walDir := filepath.Join(dir, "snap"), filepath.Join(dir, "wal")
+	// open starts a server as simserver does: from the snapshot when there
+	// is one, then the log's replay.
+	open := func() (*Server, *wal.Log) {
+		t.Helper()
+		exists, err := engine.SnapshotExists(cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var srv *Server
+		if exists {
+			eng, err := engine.LoadSnapshot(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv = NewEncryptedWithEngine(eng)
+		} else if srv, err = NewEncrypted(cfg); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := wal.Open(walDir, wal.SyncAlways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Replay(recs, srv.Index()); err != nil {
+			t.Fatal(err)
+		}
+		srv.AttachWAL(l)
+		return srv, l
+	}
+	var buf wire.Buffer
+	insert := func(srv *Server, batch []mindex.Entry) {
+		t.Helper()
+		if _, _, err := srv.handle(wire.MsgIngestChunk, wire.IngestChunkReq{Entries: batch}.Encode(), time.Now(), &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, l := open()
+	for at := 0; at < 120; at += 40 {
+		insert(srv, entries[at:at+40])
+	}
+	if err := srv.Index().SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dead, deadLog := open()
+	for at := 120; at < 240; at += 8 {
+		insert(dead, entries[at:at+8])
+	}
+	// The process dies here: no snapshot, no Close, and the bucket store's
+	// buffered appends are lost with it. Its descriptors close only after
+	// the restart is checked.
+	srv, l = open()
+	defer func() {
+		srv.Close()
+		l.Close()
+		dead.Close()
+		deadLog.Close()
+	}()
+	all, err := srv.Index().AllEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint64][]byte, len(all))
+	for _, e := range all {
+		got[e.ID] = e.Payload
+	}
+	if len(all) != len(entries) || len(got) != len(entries) {
+		t.Fatalf("restart holds %d entries (%d distinct), want %d", len(all), len(got), len(entries))
+	}
+	for _, e := range entries {
+		if p, ok := got[e.ID]; !ok || !slices.Equal(p, e.Payload) {
+			t.Fatalf("restart holds entry %d as %v, stored %v", e.ID, p, e.Payload)
 		}
 	}
 }
