@@ -11,8 +11,8 @@
 // wholly contained in each of its owners — at R = 1 the same cell-to-node
 // map the in-process engine uses for shards. Every read assigns each cell to
 // one live owner and fans out as a ranked, pivot-filtered MsgBatchQuery, and
-// the per-node answers are folded by merge.Combine — range and bound pages
-// merge by (bound, ID), approximate candidate streams by the shared
+// the per-node answers are folded by merge.Combine — range pages merge by
+// (bound, ID), approximate candidate streams by the shared
 // (promise, prefix, source) order: one combine rule, two call sites (engine
 // across shards, coordinator across nodes) — so a multi-node cluster
 // reproduces the single-server candidate list exactly

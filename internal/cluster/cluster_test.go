@@ -953,9 +953,10 @@ func TestClusterAllKind(t *testing.T) {
 }
 
 // TestClusterBoundOrder: with stored pivot distances a precise k-NN's first
-// page is merged across nodes by (bound, ID) — under R=1 and under R=2's
-// one-owner-per-cell allow-lists — into exactly the single server's page,
-// last bound included, and the precise answers match it result for result.
+// page — a range of radius +Inf cut at its candidate size — is merged across
+// nodes by (bound, ID), under R=1 and under R=2's one-owner-per-cell
+// allow-lists, into exactly the single server's page, trailer included, and
+// the precise answers match it result for result.
 func TestClusterBoundOrder(t *testing.T) {
 	wire.PoisonBuffers(t)
 	w := newWorld(t, 1200)
@@ -969,7 +970,7 @@ func TestClusterBoundOrder(t *testing.T) {
 	if _, err := refClient.Insert(w.data.Objects); err != nil {
 		t.Fatal(err)
 	}
-	page := func(addr string, q wire.BatchQuery) ([]uint64, float64) {
+	page := func(addr string, q wire.BatchQuery) ([]uint64, wire.Page) {
 		respType, resp := rawRoundTrip(t, addr, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode())
 		if respType != wire.MsgBatchCandidates {
 			t.Fatalf("unexpected response %v", respType)
@@ -982,7 +983,7 @@ func TestClusterBoundOrder(t *testing.T) {
 		for i, e := range m.Results[0] {
 			ids[i] = e.ID
 		}
-		return ids, m.Bounds[0]
+		return ids, m.Pages[0]
 	}
 	for _, replicas := range []int{1, 2} {
 		addrs := make([]string, 3)
@@ -1007,12 +1008,12 @@ func TestClusterBoundOrder(t *testing.T) {
 		}
 		for _, qi := range []int{3, 456, 1011} {
 			q := w.data.Objects[qi].Vec
-			bound := wire.BatchQuery{Kind: wire.BatchBound, Dists: w.key.Pivots().Distances(q), CandSize: 150}
-			gotIDs, gotLB := page(coord.Addr(), bound)
-			wantIDs, wantLB := page(ref.Addr(), bound)
-			if !slices.Equal(gotIDs, wantIDs) || gotLB != wantLB {
-				t.Fatalf("R=%d query %d: bound page (%d, last bound %g) diverges from the single server's (%d, %g)",
-					replicas, qi, len(gotIDs), gotLB, len(wantIDs), wantLB)
+			bound := wire.BatchQuery{Kind: wire.BatchRange, Dists: w.key.Pivots().Distances(q), Radius: math.Inf(1), CandSize: 150}
+			gotIDs, gotPage := page(coord.Addr(), bound)
+			wantIDs, wantPage := page(ref.Addr(), bound)
+			if !slices.Equal(gotIDs, wantIDs) || gotPage != wantPage || !wantPage.Full || len(wantIDs) != 150 {
+				t.Fatalf("R=%d query %d: bound page (%d, %+v) diverges from the single server's (%d, %+v)",
+					replicas, qi, len(gotIDs), gotPage, len(wantIDs), wantPage)
 			}
 			knn := core.Query{Kind: core.KindKNN, Vec: q, K: 10}
 			want, _, err := search(refClient, knn)
@@ -1046,7 +1047,7 @@ func TestClusterHostileCandSize(t *testing.T) {
 		if got := approxCandidateIDs(t, coord.Addr(), w, w.data.Objects[0].Vec, int(candSize)); len(got) != len(w.data.Objects) {
 			t.Fatalf("candSize %d returned %d candidates, want all %d", candSize, len(got), len(w.data.Objects))
 		}
-		bound := wire.BatchQuery{Kind: wire.BatchBound, Dists: qDists, CandSize: candSize}
+		bound := wire.BatchQuery{Kind: wire.BatchRange, Dists: qDists, Radius: math.Inf(1), CandSize: candSize}
 		if got := candidateIDs(t, coord.Addr(), bound); len(got) != len(w.data.Objects) {
 			t.Fatalf("bound-ordered candSize %d returned %d candidates, want all %d", candSize, len(got), len(w.data.Objects))
 		}

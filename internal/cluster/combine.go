@@ -224,13 +224,14 @@ func (cb *combiner) release() {
 }
 
 // asked reports whether the reply answers query qi of the batch (iq) and,
-// for a kind trimmed to a candidate size, how many candidates the node was
-// asked for (-1: no limit).
+// for a query cut at a candidate size — an approximate query, or a range
+// that sets one — how many candidates the node was asked for (-1: no
+// limit).
 func (r *nodeReply) asked(qi int, iq mindex.Query) (sent bool, limit int) {
 	switch {
 	case iq.Kind == mindex.KindApprox && r.shares != nil:
 		return r.shares[qi] > 0, r.shares[qi]
-	case iq.Kind == mindex.KindApprox, iq.Kind == mindex.KindBound:
+	case iq.CandSize > 0:
 		return true, iq.CandSize
 	}
 	return true, -1
@@ -298,18 +299,10 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 		for i := range winners {
 			out.B = append(out.B, winners[i].Record...)
 		}
-		// The flat reply's trailers (wire.BatchRankedResp.AppendFlatTo),
-		// read off the merged order, whose bounds the nodes sent as
-		// promises: a bound page's last bound, a range page's Page.
-		switch iq.Kind {
-		case mindex.KindBound:
-			var lb float64
-			if len(winners) > 0 {
-				lb = winners[len(winners)-1].Promise
-			}
-			out.F64(lb)
-		case mindex.KindRange:
-			wire.AppendPage(out, wire.PageOf(winners))
+		// A range page's trailer (wire.BatchRankedResp.AppendFlatTo), read
+		// off the merged order, whose bounds the nodes sent as promises.
+		if iq.Kind == mindex.KindRange {
+			wire.AppendPage(out, wire.PageOf(winners, iq.CandSize))
 		}
 	}
 	return nil
@@ -317,7 +310,8 @@ func (cb *combiner) combine(iqs []mindex.Query, replies []nodeReply, out *wire.B
 
 // checkPage refuses a node's range page that no honest node sends: one out
 // of strict bound-key order — the merge needs each node's page sorted — or
-// one that goes on after its records reached the budget.
+// one that goes on after its records reached the budget. (combine has
+// already refused one past its candidate size.)
 func checkPage(res []wire.CandidateRef, budget int) error {
 	for i := range res {
 		if lb := res[i].Promise; lb != lb {

@@ -7,6 +7,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -102,7 +103,8 @@ func TestCombineBytesMatchReference(t *testing.T) {
 		"approx-perm":  {Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 5},
 		"approx-dists": {Kind: wire.BatchApproxDists, Dists: dists, CandSize: 5},
 		"first-cell":   {Kind: wire.BatchFirstCell, Perm: perm},
-		"bound":        {Kind: wire.BatchBound, Dists: dists, CandSize: 5},
+		"bound":        {Kind: wire.BatchRange, Dists: dists, Radius: math.Inf(1), CandSize: 5},
+		"bound-3":      {Kind: wire.BatchRange, Dists: dists, Radius: math.Inf(1), CandSize: 3},
 		"range-after":  {Kind: wire.BatchRange, Dists: dists, Radius: 1, After: &mindex.BoundKey{LB: 0.2, ID: 3}},
 	}
 	// Three sources' answers to one query, by shape. Each is sorted the way

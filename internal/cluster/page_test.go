@@ -94,96 +94,137 @@ func sameAnswer(got, want []core.Result) bool {
 // the trailer.
 const frameLimit = wire.PageBytes + 2048 + 12*(wire.PageBytes/1024+2) + 64
 
-// TestRangePageBounds: a permutation-only R=2 cluster of three nodes, one or
-// four shards a node, each node behind a counting relay and the client
-// behind one more. An exact k-NN and range queries equal brute force and
-// ship each candidate of the whole answer once — a range over everything,
-// which without stored distances the server cannot filter, in several
-// pages — and no reply frame at any hop exceeds a page plus one record. The same holds when
-// one node holds almost every qualifying entry. Every pooled buffer is
-// poisoned on release, so a page view outliving its frame corrupts an
-// answer every time.
+// TestRangePageBounds: an R=2 cluster of three nodes, one or four shards a
+// node, each node behind a counting relay and the client behind one more,
+// its entries permutation-only or with stored distances. An exact k-NN and
+// range queries equal brute force and ship each candidate of the whole
+// answer once — a range over everything, which without stored distances
+// the server cannot filter, in several pages; with them, a k-NN whose
+// candidate size asks for more records than a page holds; no reply frame at
+// any hop exceeds a page plus one record. The same holds when one node holds
+// almost every qualifying entry. Every pooled buffer is poisoned on release,
+// so a page view outliving its frame corrupts an answer every time.
 func TestRangePageBounds(t *testing.T) {
 	wire.PoisonBuffers(t)
 	const n = 2400
 	for _, skewed := range []bool{false, true} {
 		w := pageWorld(t, n, skewed)
 		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("skewed=%v/shards=%d", skewed, shards), func(t *testing.T) {
-				cfg := nodeConfig(true)
-				cfg.Shards = shards
-				backends := make([]string, 3)
-				for i := range backends {
-					backends[i] = startServer(t, cfg).Addr()
-				}
-				coord, nodeRelays := startRelayedCluster(t, backends, 2)
-				front := startRelay(t, coord.Addr())
-				client := dial(t, front.addr(), w.key)
-				if _, err := client.Insert(w.data.Objects); err != nil {
-					t.Fatal(err)
-				}
-				direct, err := core.NewDirect(cfg, w.key, core.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer direct.Close()
-				if _, err := direct.Insert(w.data.Objects); err != nil {
-					t.Fatal(err)
-				}
-				for _, qi := range []int{5, n / 2, n - 1} {
-					q := w.data.Objects[qi].Vec
-					radius := bruteAnswer(w.data.Dist, w.data.Objects, q, 60, 0)[59].Dist
-					for _, tc := range []struct {
-						name string
-						q    core.Query
-						want []core.Result
-					}{
-						{"knn", core.Query{Kind: core.KindKNN, Vec: q, K: 10}, bruteAnswer(w.data.Dist, w.data.Objects, q, 10, 0)},
-						{"range", core.Query{Kind: core.KindRange, Vec: q, Radius: radius}, bruteAnswer(w.data.Dist, w.data.Objects, q, 0, radius)},
-						{"range-all", core.Query{Kind: core.KindRange, Vec: q, Radius: math.MaxFloat32}, bruteAnswer(w.data.Dist, w.data.Objects, q, 0, math.MaxFloat32)},
-					} {
-						for _, r := range append(nodeRelays, front) {
-							r.reset()
-						}
-						got, costs, err := client.Search(context.Background(), tc.q)
-						if err != nil {
-							t.Fatalf("query %d %s: %v", qi, tc.name, err)
-						}
-						if !sameAnswer(got, tc.want) {
-							t.Fatalf("query %d %s: answer differs from brute force", qi, tc.name)
-						}
-						for i, r := range append(nodeRelays, front) {
-							if m := r.maxReply.Load(); m > frameLimit {
-								t.Fatalf("query %d %s: hop %d carried a %d B frame, over a page plus one record (%d B)", qi, tc.name, i, m, frameLimit)
-							}
-						}
-						inProcess, dcosts, err := direct.Search(context.Background(), tc.q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameAnswer(inProcess, tc.want) || dcosts.Candidates != costs.Candidates {
-							t.Fatalf("query %d %s: the in-process client shipped %d candidates, the cluster %d (answer equal %v)",
-								qi, tc.name, dcosts.Candidates, costs.Candidates, sameAnswer(inProcess, tc.want))
-						}
-						if tc.name == "knn" {
-							continue
-						}
-						// Every candidate of the whole answer, and each once.
-						dists := w.key.TransformDists(w.key.Pivots().Distances(q))
-						whole, err := direct.Engine().Search(mindex.Query{Kind: mindex.KindRange,
-							ApproxQuery: mindex.ApproxQuery{Dists: dists}, Radius: w.key.TransformRadius(tc.q.Radius)})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if costs.Candidates != int64(len(whole)) {
-							t.Fatalf("query %d %s: %d candidates shipped, the whole answer holds %d", qi, tc.name, costs.Candidates, len(whole))
-						}
-						if pages := front.replies.Load(); tc.name == "range-all" && (len(whole) != n || pages < 3) {
-							t.Fatalf("query %d %s: %d candidates in %d pages, want the collection in several", qi, tc.name, len(whole), pages)
-						}
+			for _, stored := range []bool{false, true} {
+				t.Run(fmt.Sprintf("skewed=%v/shards=%d/stored=%v", skewed, shards, stored), func(t *testing.T) {
+					checkPageBounds(t, w, shards, core.Options{StoreDists: stored})
+				})
+			}
+		}
+	}
+}
+
+// checkPageBounds is one deployment of TestRangePageBounds.
+func checkPageBounds(t *testing.T, w *testWorld, shards int, opts core.Options) {
+	n := len(w.data.Objects)
+	hops := func(relays []*relay, what string) {
+		t.Helper()
+		for i, r := range relays {
+			if m := r.maxReply.Load(); m > frameLimit {
+				t.Fatalf("%s: hop %d carried a %d B frame, over a page plus one record (%d B)", what, i, m, frameLimit)
+			}
+		}
+	}
+	cfg := nodeConfig(true)
+	cfg.Shards = shards
+	backends := make([]string, 3)
+	for i := range backends {
+		backends[i] = startServer(t, cfg).Addr()
+	}
+	coord, nodeRelays := startRelayedCluster(t, backends, 2)
+	front := startRelay(t, coord.Addr())
+	client, err := core.DialEncrypted(front.addr(), w.key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	if _, err := client.Insert(w.data.Objects); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.NewDirect(cfg, w.key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if _, err := direct.Insert(w.data.Objects); err != nil {
+		t.Fatal(err)
+	}
+	knnCand := 0
+	if opts.StoreDists {
+		knnCand = 1200
+	}
+	for _, qi := range []int{5, n / 2, n - 1} {
+		q := w.data.Objects[qi].Vec
+		radius := bruteAnswer(w.data.Dist, w.data.Objects, q, 60, 0)[59].Dist
+		for _, tc := range []struct {
+			name string
+			q    core.Query
+			want []core.Result
+		}{
+			// With stored distances the k-NN's first page is a range
+			// cut at knnCand candidates, ~1.4 MB of records: the page
+			// budget cuts it first. Without them it is an approximate
+			// read, which no byte budget cuts, so it asks the default.
+			{"knn", core.Query{Kind: core.KindKNN, Vec: q, K: 10, CandSize: knnCand}, bruteAnswer(w.data.Dist, w.data.Objects, q, 10, 0)},
+			{"range", core.Query{Kind: core.KindRange, Vec: q, Radius: radius}, bruteAnswer(w.data.Dist, w.data.Objects, q, 0, radius)},
+			{"range-all", core.Query{Kind: core.KindRange, Vec: q, Radius: math.MaxFloat32}, bruteAnswer(w.data.Dist, w.data.Objects, q, 0, math.MaxFloat32)},
+		} {
+			for _, r := range append(nodeRelays, front) {
+				r.reset()
+			}
+			got, costs, err := client.Search(context.Background(), tc.q)
+			if err != nil {
+				t.Fatalf("query %d %s: %v", qi, tc.name, err)
+			}
+			if !sameAnswer(got, tc.want) {
+				t.Fatalf("query %d %s: answer differs from brute force", qi, tc.name)
+			}
+			hops(append(nodeRelays, front), fmt.Sprintf("query %d %s", qi, tc.name))
+			inProcess, dcosts, err := direct.Search(context.Background(), tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameAnswer(inProcess, tc.want) || dcosts.Candidates != costs.Candidates {
+				t.Fatalf("query %d %s: the in-process client shipped %d candidates, the cluster %d (answer equal %v)",
+					qi, tc.name, dcosts.Candidates, costs.Candidates, sameAnswer(inProcess, tc.want))
+			}
+			dists := w.key.TransformDists(w.key.Pivots().Distances(q))
+			if tc.name == "knn" {
+				if knnCand > 0 {
+					// The first CandSize candidates' records pass a page, so
+					// only the byte cut kept the frames above within one.
+					first, err := direct.Engine().Search(mindex.Query{Kind: mindex.KindRange,
+						ApproxQuery: mindex.ApproxQuery{Dists: dists}, Radius: math.Inf(1), CandSize: knnCand})
+					if err != nil {
+						t.Fatal(err)
+					}
+					bytes := 0
+					for i := range first {
+						bytes += first[i].Bytes()
+					}
+					if bytes <= wire.PageBytes {
+						t.Fatalf("query %d knn: the first %d candidates hold %d B, not over a page", qi, knnCand, bytes)
 					}
 				}
-			})
+				continue
+			}
+			// Every candidate of the whole answer, and each once.
+			whole, err := direct.Engine().Search(mindex.Query{Kind: mindex.KindRange,
+				ApproxQuery: mindex.ApproxQuery{Dists: dists}, Radius: w.key.TransformRadius(tc.q.Radius)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if costs.Candidates != int64(len(whole)) {
+				t.Fatalf("query %d %s: %d candidates shipped, the whole answer holds %d", qi, tc.name, costs.Candidates, len(whole))
+			}
+			if pages := front.replies.Load(); tc.name == "range-all" && (len(whole) != n || pages < 3) {
+				t.Fatalf("query %d %s: %d candidates in %d pages, want the collection in several", qi, tc.name, len(whole), pages)
+			}
 		}
 	}
 }
@@ -191,7 +232,9 @@ func TestRangePageBounds(t *testing.T) {
 // TestHostileNodeRangePage: a node whose range page goes on after its
 // records reach the page budget, comes out of bound-key order, or carries a
 // NaN bound costs the client an error frame naming the fault; the
-// coordinator keeps serving and marks no node down.
+// coordinator keeps serving and marks no node down. That holds for a range
+// cut at its radius and for one cut at a candidate size (a precise k-NN's
+// first page).
 func TestHostileNodeRangePage(t *testing.T) {
 	hello := wire.HelloResp{
 		Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
@@ -210,46 +253,55 @@ func TestHostileNodeRangePage(t *testing.T) {
 		"repeated":    {[]mindex.RankedCandidate{cand(1, 0.5, 10), cand(1, 0.5, 10)}, "out of bound-key order"},
 		"nan-bound":   {[]mindex.RankedCandidate{cand(1, math.NaN(), 10)}, "NaN bound"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			leaktest.Check(t)
-			reply := wire.BatchRankedResp{Results: [][]mindex.RankedCandidate{tc.page}}.Encode()
-			script := func(wire.MsgType, []byte) (wire.MsgType, []byte) { return wire.MsgBatchRankedCandidates, reply }
-			addrs := []string{scriptedNode(t, hello, script).Addr(), scriptedNode(t, hello, script).Addr()}
-			coord, err := cluster.New(addrs, cluster.Options{Logf: t.Logf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := coord.Start("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
-			conn, err := net.Dial("tcp", coord.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			query := wire.BatchQueryReq{Queries: []wire.BatchQuery{
-				{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1},
-			}}.Encode()
-			for round := range 2 {
-				if err := wire.WriteFrame(conn, wire.MsgBatchQuery, query); err != nil {
-					t.Fatal(err)
-				}
-				typ, resp, err := wire.ReadFrame(conn)
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				if typ != wire.MsgError {
-					t.Fatalf("round %d: hostile page answered with %v, want an error frame", round, typ)
-				}
-				if m, _ := wire.DecodeErrorResp(resp); !strings.Contains(m.Msg, tc.want) {
-					t.Fatalf("round %d: error %q does not say %q", round, m.Msg, tc.want)
-				}
-			}
-			if live := coord.LiveNodes(); len(live) != 2 {
-				t.Fatalf("a hostile page marked a node down: live %v", live)
-			}
-		})
+		for read, q := range map[string]wire.BatchQuery{
+			"radius": {Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1},
+			"count":  {Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: math.Inf(1), CandSize: 4},
+		} {
+			t.Run(name+"/"+read, func(t *testing.T) {
+				checkHostilePage(t, hello, q, tc.page, tc.want)
+			})
+		}
+	}
+}
+
+// checkHostilePage is one case of TestHostileNodeRangePage: two scripted
+// nodes that answer q with page.
+func checkHostilePage(t *testing.T, hello wire.HelloResp, q wire.BatchQuery, page []mindex.RankedCandidate, want string) {
+	leaktest.Check(t)
+	reply := wire.BatchRankedResp{Results: [][]mindex.RankedCandidate{page}}.Encode()
+	script := func(wire.MsgType, []byte) (wire.MsgType, []byte) { return wire.MsgBatchRankedCandidates, reply }
+	addrs := []string{scriptedNode(t, hello, script).Addr(), scriptedNode(t, hello, script).Addr()}
+	coord, err := cluster.New(addrs, cluster.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	query := wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode()
+	for round := range 2 {
+		if err := wire.WriteFrame(conn, wire.MsgBatchQuery, query); err != nil {
+			t.Fatal(err)
+		}
+		typ, resp, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if typ != wire.MsgError {
+			t.Fatalf("round %d: hostile page answered with %v, want an error frame", round, typ)
+		}
+		if m, _ := wire.DecodeErrorResp(resp); !strings.Contains(m.Msg, want) {
+			t.Fatalf("round %d: error %q does not say %q", round, m.Msg, want)
+		}
+	}
+	if live := coord.LiveNodes(); len(live) != 2 {
+		t.Fatalf("a hostile page marked a node down: live %v", live)
 	}
 }
 

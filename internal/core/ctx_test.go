@@ -91,23 +91,23 @@ func newStalledServerHello(t *testing.T, hello []byte) *stalledServer {
 
 // TestDialRejectsProtocolMismatch: a server answering the hello in the
 // version-1 shape (no trailing version field) — or announcing any other
-// version, among them version 6, whose range replies carry no page trailer
-// and come whole — is refused at dial time with an error
+// version, among them version 7, whose precise k-NN's first page comes
+// whole in one frame — is refused at dial time with an error
 // naming both versions, not mis-decoded, and the socket is released.
 func TestDialRejectsProtocolMismatch(t *testing.T) {
 	key, _ := testKey(t)
 	current := wire.HelloResp{Version: wire.ProtocolVersion, Mode: wire.HelloModeEncrypted, NumPivots: testPivotCount}
-	if current.Version != 7 {
-		t.Fatalf("protocol version %d, want 7", current.Version)
+	if current.Version != 8 {
+		t.Fatalf("protocol version %d, want 8", current.Version)
 	}
 	older, newer := current, current
-	older.Version, newer.Version = 6, wire.ProtocolVersion+1
+	older.Version, newer.Version = 7, wire.ProtocolVersion+1
 	for name, tc := range map[string]struct {
 		hello []byte
 		peer  string
 	}{
 		"v1-shaped": {current.Encode()[:len(current.Encode())-4], "v1"},
-		"v6":        {older.Encode(), "v6"},
+		"v7":        {older.Encode(), "v7"},
 		"newer":     {newer.Encode(), fmt.Sprintf("v%d", newer.Version)},
 	} {
 		srv := newStalledServerHello(t, tc.hello)

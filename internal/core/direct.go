@@ -190,13 +190,8 @@ func (c *DirectClient) search(ctx context.Context, norm []Query, costs *stats.Co
 				return err
 			}
 			r := reply{cands: cands}
-			switch wq.Kind {
-			case wire.BatchBound:
-				if len(cands) > 0 {
-					r.bound = cands[len(cands)-1].Promise
-				}
-			case wire.BatchRange:
-				r.page = wire.PageOf(cands)
+			if wq.Kind == wire.BatchRange {
+				r.page = wire.PageOf(cands, int(wq.CandSize))
 			}
 			if err := read(j, r); err != nil {
 				return err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -90,22 +91,23 @@ func (c *EncryptedClient) Search(ctx context.Context, q Query) ([]Result, stats.
 // neighbor distance; phase two is the range query R(q, ρk), read in pages
 // like any other.
 //
-// When entries carry pivot distances (Options.StoreDists) phase one asks
-// for the first CandSize entries in the server's bound order
-// (wire.BatchBound), so ρk comes from the entries the server itself deems
-// nearest, and phase two resumes that order after the last of them (a keyset
-// cursor, wire.BatchQuery.After): the two phases never share a candidate,
-// and phase one's K nearest are part of the answer. Phase two is skipped
-// when phase one returned all the server holds or its last bound already
-// exceeds the phase-two radius. Without distances a bound carries no
-// information, and phase one is the footrule-ordered approximate pass whose
-// candidates phase two ships again.
+// When entries carry pivot distances (Options.StoreDists) phase one is the
+// first page of the server's bound order: a range of radius +Inf cut at
+// CandSize entries, so ρk comes from the entries the server itself deems
+// nearest, and phase two resumes that order after the page's last key (a
+// keyset cursor, wire.BatchQuery.After): the two phases never share a
+// candidate, and phase one's K nearest are part of the answer. Phase two is
+// skipped when the first page is not full (it holds all the server holds)
+// or its last bound already exceeds the phase-two radius. Without distances
+// a bound carries no information, and phase one is the footrule-ordered
+// approximate pass whose candidates phase two ships again.
 type knn struct {
 	nq     Query
 	qDists []float64
 	first  wire.BatchQuery // phase one, as sent
 	kept   []Result        // phase one's share of the answer
 	rho    float64         // ρk
+	second bool            // phase one is in: the pages are phase two's
 }
 
 // startKNN prepares a precise k-NN query and its phase one.
@@ -113,8 +115,9 @@ func (c *coder) startKNN(nq Query, qDists []float64) *knn {
 	k := &knn{nq: nq, qDists: qDists}
 	if c.opts.StoreDists {
 		k.first = wire.BatchQuery{
-			Kind:     wire.BatchBound,
+			Kind:     wire.BatchRange,
 			Dists:    c.key.TransformDists(qDists),
+			Radius:   math.Inf(1),
 			CandSize: uint32(effCandSize(nq)),
 		}
 	} else {
@@ -123,11 +126,11 @@ func (c *coder) startKNN(nq Query, qDists []float64) *knn {
 	return k
 }
 
-// nextKNN refines phase one's candidates — served in bound order, the last
-// with bound last — and returns phase two's query, or false when phase one
-// settled the answer.
-func (c *coder) nextKNN(k *knn, cands candidates, last float64, costs *stats.Costs) (wire.BatchQuery, bool, error) {
-	approx, err := c.refine(k.nq.Vec, cands, 0, k.nq.K, 0, costs)
+// nextKNN refines phase one's candidates and returns phase two's query, or
+// false when phase one settled the answer.
+func (c *coder) nextKNN(k *knn, r reply, costs *stats.Costs) (wire.BatchQuery, bool, error) {
+	k.second = true
+	approx, err := c.refine(k.nq.Vec, r.cands, 0, k.nq.K, 0, costs)
 	if err != nil {
 		return wire.BatchQuery{}, false, err
 	}
@@ -135,19 +138,17 @@ func (c *coder) nextKNN(k *knn, cands candidates, last float64, costs *stats.Cos
 	if len(approx) >= k.nq.K {
 		k.rho = approx[len(approx)-1].Dist
 	}
-	if k.first.Kind != wire.BatchBound {
+	if k.first.Kind != wire.BatchRange {
 		return c.wireQuery(Query{Kind: KindRange, Radius: k.rho}, k.qDists), true, nil
 	}
 	k.kept = approx
 	// The cursor and the radius both live in the server's (transformed)
 	// space, and phase one's entries were all those keyed up to the cursor.
 	next := wire.BatchQuery{Kind: wire.BatchRange, Dists: k.first.Dists, Radius: c.key.TransformRadius(k.rho)}
-	n := cands.count()
-	if n < int(k.first.CandSize) || last > next.Radius {
+	if !r.page.Full || r.page.Last.LB > next.Radius {
 		return wire.BatchQuery{}, false, nil
 	}
-	id, _ := cands.at(n - 1)
-	next.After = &mindex.BoundKey{LB: last, ID: id}
+	next.After = &r.page.Last
 	return next, true, nil
 }
 
@@ -194,24 +195,31 @@ func (c *coder) startPager(nq Query, qDists []float64) pager {
 }
 
 // reply is the answer to one request of a wave as the paging loop reads
-// it: the candidates, valid only until the wave is released, and the
-// trailer of the request's kind.
+// it: the candidates, valid only until the wave is released, and a
+// BatchRange page's trailer.
 type reply struct {
 	cands candidates
-	bound float64   // a BatchBound page's last bound
-	page  wire.Page // a BatchRange page's trailer
+	page  wire.Page
 }
 
 // step refines the reply to p's request and reports whether p needs
 // another page, whose request is then p.wq.
 func (c *coder) step(p *pager, r reply, costs *stats.Costs) (bool, error) {
-	switch {
-	case p.wq.Kind == wire.BatchRange:
-		if r.page.Full {
-			if err := checkFull(p.wq.After, r); err != nil {
-				return false, err
-			}
+	if p.wq.Kind == wire.BatchRange && r.page.Full {
+		if err := checkFull(p.wq, r); err != nil {
+			return false, err
 		}
+	}
+	switch {
+	case p.k != nil && !p.k.second:
+		next, more, err := c.nextKNN(p.k, r, costs)
+		if err != nil || !more {
+			p.out = p.k.finish(nil)
+			return false, err
+		}
+		p.wq, p.radius = next, p.k.rho
+		return true, nil
+	case p.wq.Kind == wire.BatchRange:
 		got, err := c.refine(p.nq.Vec, r.cands, 0, 0, p.radius, costs)
 		if err != nil {
 			return false, err
@@ -229,14 +237,6 @@ func (c *coder) step(p *pager, r reply, costs *stats.Costs) (bool, error) {
 			p.out = p.within
 		}
 		return false, nil
-	case p.k != nil:
-		next, more, err := c.nextKNN(p.k, r.cands, r.bound, costs)
-		if err != nil || !more {
-			p.out = p.k.finish(nil)
-			return false, err
-		}
-		p.wq, p.radius = next, p.k.rho
-		return true, nil
 	}
 	// The approximate kinds: refinement (partial when RefineLimit is set)
 	// down to the K nearest.
@@ -245,17 +245,16 @@ func (c *coder) step(p *pager, r reply, costs *stats.Costs) (bool, error) {
 	return false, err
 }
 
-// checkFull refuses a page announced full that no honest server sends: one
-// whose records do not reach the page budget, whose last key is not its last
-// candidate's, or whose last key does not sort after the cursor it was asked
-// with — the order would not advance, and the reads would never end.
-func checkFull(after *mindex.BoundKey, r reply) error {
+// checkFull refuses a page announced full in answer to q that no honest
+// server sends (wire.Page.CheckFull).
+func checkFull(q wire.BatchQuery, r reply) error {
 	n := r.cands.count()
-	if n == 0 || r.cands.bytes() < wire.PageBytes {
-		return fmt.Errorf("core: a range page of %d candidates (%d B) announced full, under the page budget", n, r.cands.bytes())
+	var last uint64
+	if n > 0 {
+		last, _ = r.cands.at(n - 1)
 	}
-	if id, _ := r.cands.at(n - 1); id != r.page.Last.ID || (after != nil && r.page.Last.Compare(*after) <= 0) {
-		return fmt.Errorf("core: a full range page ends at key %+v, which does not follow its last candidate %d after the cursor", r.page.Last, id)
+	if err := r.page.CheckFull(q, n, r.cands.bytes(), last); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -371,7 +370,7 @@ func (c *EncryptedClient) search(ctx context.Context, norm []Query, costs *stats
 			return err
 		}
 		for j := range wqs {
-			if err := read(j, reply{cands: refCands(fl.perQuery[j]), bound: fl.bounds[j], page: fl.pages[j]}); err != nil {
+			if err := read(j, reply{cands: refCands(fl.perQuery[j]), page: fl.pages[j]}); err != nil {
 				return err
 			}
 		}
@@ -387,7 +386,6 @@ type flight struct {
 	frames   []wire.Frame
 	refs     []*wire.CandidateRefs // one by-reference decoding per frame
 	perQuery [][]wire.CandidateRef // one candidate set per wire query
-	bounds   []float64             // per wire query, its reply's bound trailer
 	pages    []wire.Page           // per wire query, its reply's page trailer
 }
 
@@ -446,7 +444,6 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 			return fmt.Errorf("core: server returned more batch results than queries")
 		}
 		fl.perQuery = append(fl.perQuery, m.Results...)
-		fl.bounds = append(fl.bounds, m.Bounds...)
 		fl.pages = append(fl.pages, m.Pages...)
 	}
 	if len(fl.perQuery) != len(wqs) {

@@ -174,7 +174,7 @@ func TestPreciseKNNShipsEachCandidateOnce(t *testing.T) {
 		tq := key.TransformDists(key.Pivots().Distances(q))
 		for _, candSize := range []int{15, 60, 400} {
 			const k = 8
-			page1, err := eng.Search(mindex.Query{Kind: mindex.KindBound, ApproxQuery: mindex.ApproxQuery{Dists: tq}, CandSize: candSize})
+			page1, err := eng.Search(mindex.Query{Kind: mindex.KindRange, ApproxQuery: mindex.ApproxQuery{Dists: tq}, Radius: math.Inf(1), CandSize: candSize})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 	"simcloud/internal/transform"
 )
 
-// boundKeys sorts the live entries by bound key, the order a KindBound
+// boundKeys sorts the live entries by bound key, the order a count-cut range
 // answer is the prefix of.
 func boundKeys(live []mindex.Entry, qDists []float64) []mindex.BoundKey {
 	keys := make([]mindex.BoundKey, len(live))
@@ -138,8 +138,8 @@ func TestBoundOrderCursorCoversRange(t *testing.T) {
 										if err != nil {
 											t.Fatal(err)
 										}
-										page1, err := eng.Search(mindex.Query{Kind: mindex.KindBound,
-											ApproxQuery: mindex.ApproxQuery{Dists: qDists}, CandSize: candSize})
+										page1, err := eng.Search(mindex.Query{Kind: mindex.KindRange,
+											ApproxQuery: mindex.ApproxQuery{Dists: qDists}, Radius: math.Inf(1), CandSize: candSize})
 										if err != nil {
 											t.Fatal(err)
 										}

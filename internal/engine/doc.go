@@ -23,8 +23,8 @@
 // in exactly one shard. Because all M-Index pruning and filtering bounds
 // are evaluated per cell and per entry, each shard answers range queries
 // exactly over its partition, in (bound, ID) order, and the global range
-// result is the per-shard results merged by that key (cut at the page
-// budget of a paged range): no cross-shard re-filtering is ever needed for
+// result is the per-shard results merged by that key (cut at the candidate
+// size and the page budget of a cut range): no cross-shard re-filtering is ever needed for
 // correctness, and the order is the same however the cells are laid out.
 //
 // Approximate candidates are collected per shard in promise order and

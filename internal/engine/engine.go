@@ -339,11 +339,11 @@ func (s *ShardedIndex) Dead() int {
 // Search is the engine's one read entry point: the query fans out to every
 // shard (each first-level cell lives in exactly one) and merge.Combine folds
 // the per-shard answers by the query's kind — the (bound, ID) merge for a
-// range, cut at its page budget, and for a bound page, trimmed to the
-// candidate size; the (promise, prefix, shard) merge trimmed to the
-// candidate size for approximate candidates; the globally most promising
-// cell for first-cell; concatenation for download-all — so the result is
-// byte-identical to one unsharded index's. The annotations
+// range, cut at its candidate size and its page budget; the (promise,
+// prefix, shard) merge trimmed to the candidate size for approximate
+// candidates; the globally most promising cell for first-cell;
+// concatenation for download-all — so the result is byte-identical to one
+// unsharded index's. The annotations
 // stay on, letting a cluster coordinator repeat exactly this combine across
 // nodes.
 func (s *ShardedIndex) Search(q mindex.Query) ([]mindex.RankedCandidate, error) {
@@ -363,7 +363,7 @@ func (s *ShardedIndex) Search(q mindex.Query) ([]mindex.RankedCandidate, error) 
 		s.scratch.Put(perp)
 	}()
 	per := *perp
-	if q.Kind == mindex.KindBound && q.CandSize > 0 {
+	if q.Kind == mindex.KindRange && q.CandSize > 0 {
 		// The shards pool the threshold of their bound-ordered walks, so
 		// together they read about the cells one unsharded index would.
 		q.Share = mindex.NewBoundShare(q.CandSize, s.Size())

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -75,7 +76,8 @@ func TestSearchEquivalence(t *testing.T) {
 						"range-after": {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0, After: &mindex.BoundKey{LB: 1, ID: 700}},
 						"range-page":  {Kind: mindex.KindRange, ApproxQuery: aq, Radius: 2.0, Page: 4096},
 						"approx":      {Kind: mindex.KindApprox, ApproxQuery: aq, CandSize: 200},
-						"bound":       {Kind: mindex.KindBound, ApproxQuery: aq, CandSize: 200},
+						"bound":       {Kind: mindex.KindRange, ApproxQuery: aq, Radius: math.Inf(1), CandSize: 200},
+						"bound-page":  {Kind: mindex.KindRange, ApproxQuery: aq, Radius: math.Inf(1), CandSize: 200, Page: 4096},
 						"first-cell":  {Kind: mindex.KindFirstCell, ApproxQuery: aq},
 						"all":         {Kind: mindex.KindAll},
 					} {
@@ -118,7 +120,7 @@ func TestSearchEquivalence(t *testing.T) {
 // result with the annotations dropped.
 func checkFlatAdapters(t *testing.T, name string, eng *ShardedIndex, q mindex.Query, ranked []mindex.RankedCandidate) {
 	t.Helper()
-	if q.Kind == mindex.KindBound || q.After != nil || q.Page > 0 {
+	if q.Kind == mindex.KindRange && (q.CandSize > 0 || q.After != nil || q.Page > 0) {
 		return // the pages of a precise k-NN or a range have no flat adapter
 	}
 	want, _ := mindex.Flat(ranked, nil)

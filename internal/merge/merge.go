@@ -15,9 +15,8 @@
 // Voronoi routing, where every cell lives in exactly one partition, but
 // kept so the order is total no matter how callers partition). The merge is
 // stable: entries of one cell stay in bucket order. Bound-ordered
-// candidates (mindex.KindBound and mindex.KindRange) carry their own pivot
-// lower bound as the promise and are ordered by (bound, ID) —
-// mindex.BoundKey's order.
+// candidates (mindex.KindRange) carry their own pivot lower bound as the
+// promise and are ordered by (bound, ID) — mindex.BoundKey's order.
 package merge
 
 import (
@@ -229,23 +228,25 @@ func BestCell[T any, P Keyed[T]](per [][]T) int {
 // Combine folds the per-source answers to q into the answer one
 // unpartitioned index would give — the single combine rule behind the
 // engine's shard fan-out and the coordinator's node fan-out. Approximate
-// candidates merge by Ranked and trim to the candidate size; the two
-// bound-ordered kinds merge by (bound, ID): a KindBound answer trims to the
-// candidate size — each source sent every entry of its own that is among
-// the union's first CandSize, so the cut is exactly those — and a range
-// (q.Page > 0) cuts its page where the merged records reach the budget
-// (mindex.PageEnd): a source's share of the merged page is a prefix of its
-// own bound order whose records, all but the last, stay under the budget,
-// so it lies within the source's own page. First-cell keeps BestCell, and
-// KindAll concatenates in source order.
+// candidates merge by Ranked and trim to the candidate size. A range, the
+// one bound-ordered kind, merges by (bound, ID) and cuts where one index
+// would: at q.CandSize entries when that is set, and where the merged
+// records reach q.Page bytes when that is (mindex.PageEnd). Each source
+// sent every entry of its own among the union's first CandSize, and a
+// source's share of the merged page is a prefix of its own bound order
+// whose records, all but the last, stay under the budget, so both cuts lie
+// within what the sources sent. First-cell keeps BestCell, and KindAll
+// concatenates in source order.
 func Combine[T any, P Candidate[T]](q mindex.Query, per [][]T) []T {
 	switch q.Kind {
 	case mindex.KindApprox:
 		return ranked[T, P](per, max(q.CandSize, 0), 0, compareCells[T, P])
-	case mindex.KindBound:
-		return ranked[T, P](per, max(q.CandSize, 0), 0, compareBounds[T, P])
 	case mindex.KindRange:
-		return ranked[T, P](per, -1, max(q.Page, 0), compareBounds[T, P])
+		limit := -1
+		if q.CandSize > 0 {
+			limit = q.CandSize
+		}
+		return ranked[T, P](per, limit, max(q.Page, 0), compareBounds[T, P])
 	case mindex.KindFirstCell:
 		if best := BestCell[T, P](per); best >= 0 {
 			return per[best]

@@ -100,9 +100,9 @@ func TestBestCell(t *testing.T) {
 }
 
 // TestCombine: the combine rule follows the query kind — a range merges by
-// (bound, ID), its promise being the bound, and a paged one cuts at the
-// budget; download-all concatenates in source order, approximate
-// candidates merge and trim, first-cell keeps the best source's cell.
+// (bound, ID), its promise being the bound, and a cut one stops at its
+// candidate size or its budget, whichever comes first; download-all
+// concatenates in source order, approximate candidates merge and trim, first-cell keeps the best source's cell.
 func TestCombine(t *testing.T) {
 	per := [][]mindex.RankedCandidate{
 		{rc(1, 0.5, 1), rc(2, 0.7, 1, 0)},
@@ -116,6 +116,9 @@ func TestCombine(t *testing.T) {
 		{mindex.Query{Kind: mindex.KindRange}, []uint64{3, 4, 1, 5, 2}},
 		{mindex.Query{Kind: mindex.KindRange, Page: 1}, []uint64{3}},
 		{mindex.Query{Kind: mindex.KindAll}, []uint64{1, 2, 3, 4, 5}},
+		{mindex.Query{Kind: mindex.KindRange, CandSize: 3}, []uint64{3, 4, 1}},
+		{mindex.Query{Kind: mindex.KindRange, CandSize: 3, Page: 1}, []uint64{3}},
+		{mindex.Query{Kind: mindex.KindRange, CandSize: 1, Page: 1 << 20}, []uint64{3}},
 		{mindex.Query{Kind: mindex.KindApprox, CandSize: 4}, []uint64{3, 4, 1, 5}},
 		{mindex.Query{Kind: mindex.KindApprox, CandSize: 99}, []uint64{3, 4, 1, 5, 2}},
 		{mindex.Query{Kind: mindex.KindFirstCell}, []uint64{3, 4, 5}},

@@ -59,7 +59,7 @@ func newBoundWorld(t testing.TB, n, nPivots int, transformed, mixed bool) boundW
 }
 
 // bruteBoundOrder sorts the live entries by bound key — the definition a
-// KindBound answer is the prefix of.
+// range answer cut at a candidate size is the prefix of.
 func bruteBoundOrder(live []Entry, qDists []float64) []BoundKey {
 	keys := make([]BoundKey, len(live))
 	for i := range live {
@@ -96,7 +96,7 @@ func checkBoundCursor(ix boundSearcher, qDists []float64, candSize int, r float6
 	if err != nil {
 		return err
 	}
-	page1, err := ix.Search(Query{Kind: KindBound, ApproxQuery: ApproxQuery{Dists: qDists}, CandSize: candSize})
+	page1, err := ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists}, Radius: math.Inf(1), CandSize: candSize})
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,8 @@
 // holds; the non-encrypted baseline stores the object's plaintext encoding
 // in it and refines through internal/core like an authorized client, so
 // this package has no search that reads objects and no exact k-NN of its
-// own (the precise k-NN is core's bound page + range).
+// own (the precise k-NN is core's range of radius +Inf cut at a candidate
+// size, then the same order resumed after it).
 //
 // # Key invariant: a cell's box never out-prunes the per-entry filter
 //

@@ -2,6 +2,7 @@ package mindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -51,8 +52,8 @@ func searchCases(aq ApproxQuery, radius float64) map[string]Query {
 		"approx-1":    {Kind: KindApprox, ApproxQuery: aq, CandSize: 1},
 		"approx-40":   {Kind: KindApprox, ApproxQuery: aq, CandSize: 40},
 		"approx-300":  {Kind: KindApprox, ApproxQuery: aq, CandSize: 300},
-		"bound-1":     {Kind: KindBound, ApproxQuery: aq, CandSize: 1},
-		"bound-300":   {Kind: KindBound, ApproxQuery: aq, CandSize: 300},
+		"bound-1":     {Kind: KindRange, ApproxQuery: aq, Radius: math.Inf(1), CandSize: 1},
+		"bound-300":   {Kind: KindRange, ApproxQuery: aq, Radius: math.Inf(1), CandSize: 300},
 		"first-cell":  {Kind: KindFirstCell, ApproxQuery: aq},
 		"all":         {Kind: KindAll},
 	}
@@ -171,7 +172,7 @@ func TestSearchEquivalence(t *testing.T) {
 // result with the annotations dropped.
 func checkFlatAdapters(t *testing.T, name string, ix *Index, q Query, ranked []RankedCandidate) {
 	t.Helper()
-	if q.Kind == KindBound || q.After != nil {
+	if q.Kind == KindRange && q.CandSize > 0 || q.After != nil {
 		return // the two pages of a precise k-NN have no flat adapter
 	}
 	want, _ := Flat(ranked, nil)

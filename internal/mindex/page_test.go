@@ -2,10 +2,13 @@ package mindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
 	"testing"
+
+	"simcloud/internal/pivot"
 )
 
 // checkRangePages reads the range query q page by page under budget through
@@ -153,6 +156,86 @@ func TestPageCut(t *testing.T) {
 		if full := tc.budget > 0 && tc.budget <= 4*rec; PageFull(got, tc.budget) != full {
 			t.Fatalf("budget %d: PageFull %v, want %v", tc.budget, !full, full)
 		}
+	}
+}
+
+// TestRangeCountAndByteCut: a range cut at a candidate size and a page
+// budget at once is the prefix of a brute-force sort of the qualifying
+// entries by bound key that stops at whichever cut it reaches first — the
+// count, or the record that brings the bytes to the budget — resumed after
+// a cursor or not, with radius +Inf (a precise k-NN's first page) or finite.
+// Memory and disk storage, payloads of varied size.
+func TestRangeCountAndByteCut(t *testing.T) {
+	const nPivots = 8
+	for _, storage := range []StorageKind{StorageMemory, StorageDisk} {
+		t.Run(storage.String(), func(t *testing.T) {
+			w := newBoundWorld(t, 600, nPivots, false, false)
+			for i := range w.entries {
+				w.entries[i].Payload = make([]byte, i*37%300)
+			}
+			cfg := testConfig(nPivots)
+			cfg.Storage = storage
+			if storage == StorageDisk {
+				cfg.DiskPath = t.TempDir()
+			}
+			ix := mustIndex(t, cfg)
+			if err := ix.InsertBulk(w.entries); err != nil {
+				t.Fatal(err)
+			}
+			byCount, byBytes := 0, 0
+			for qi, qd := range w.queries {
+				order := bruteBoundOrder(w.entries, qd)
+				for _, radius := range []float64{math.Inf(1), order[300].LB} {
+					for _, after := range []*BoundKey{nil, &order[100]} {
+						for _, candSize := range []int{1, 7, 50, 400} {
+							for _, budget := range []int{1, 2000, 40000, 1 << 30} {
+								var want []uint64
+								bytes := 0
+								for _, e := range w.entries {
+									key := BoundKey{LB: pivot.LowerBound(qd, e.Dists), ID: e.ID}
+									if key.LB <= radius && (after == nil || key.Compare(*after) > 0) {
+										want = append(want, e.ID)
+									}
+								}
+								slices.SortFunc(want, func(a, b uint64) int {
+									return BoundKey{LB: pivot.LowerBound(qd, w.entries[a-1].Dists), ID: a}.Compare(
+										BoundKey{LB: pivot.LowerBound(qd, w.entries[b-1].Dists), ID: b})
+								})
+								for i, id := range want {
+									v := ViewOf(w.entries[id-1])
+									if bytes += v.CandidateBytes(); i+1 == candSize || bytes >= budget {
+										if i+1 == candSize && bytes < budget {
+											byCount++
+										} else {
+											byBytes++
+										}
+										want = want[:i+1]
+										break
+									}
+								}
+								got, err := ix.Search(Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qd},
+									Radius: radius, After: after, CandSize: candSize, Page: budget})
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !slices.Equal(candidateIDs(got), want) {
+									t.Fatalf("q%d radius %g after %v candSize %d budget %d: %d candidates %v, want %d %v",
+										qi, radius, after, candSize, budget, len(got), candidateIDs(got), len(want), want)
+								}
+								for _, rc := range got {
+									if lb := pivot.LowerBound(qd, w.entries[rc.Entry.ID-1].Dists); rc.Promise != lb {
+										t.Fatalf("candidate %d carries bound %g, want %g", rc.Entry.ID, rc.Promise, lb)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			if byCount == 0 || byBytes == 0 {
+				t.Fatalf("%d answers cut by count and %d by bytes, want both", byCount, byBytes)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ package mindex
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -97,7 +98,7 @@ func TestQueryPathAllocs(t *testing.T) {
 			// becomes the result, and the keys its sort orders (2
 			// allocations), nothing per visited cell or entry — the cell
 			// queue is pooled.
-			if _, err := ix.Search(Query{Kind: KindBound, ApproxQuery: queries[i%len(queries)], CandSize: 200}); err != nil {
+			if _, err := ix.Search(Query{Kind: KindRange, ApproxQuery: queries[i%len(queries)], Radius: math.Inf(1), CandSize: 200, Page: 1 << 20}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -154,7 +155,7 @@ func TestDiskSearchMissAllocs(t *testing.T) {
 			return Query{Kind: KindRange, ApproxQuery: ApproxQuery{Dists: qDists[i%len(qDists)]}, Radius: 3}
 		}},
 		{"bound-collect", func(i int) Query {
-			return Query{Kind: KindBound, ApproxQuery: queries[i%len(queries)], CandSize: 50}
+			return Query{Kind: KindRange, ApproxQuery: queries[i%len(queries)], Radius: math.Inf(1), CandSize: 50, Page: 1 << 20}
 		}},
 	}
 	const runs = 64

@@ -15,12 +15,15 @@ import (
 type QueryKind uint8
 
 // The index answers exactly these read primitives; everything else —
-// single or batched, ranked or flat, filtered or not — is a presentation of
-// one of them.
+// single or batched, ranked or flat, filtered or not, a page or a whole
+// answer — is a presentation of one of them.
 const (
-	// KindRange collects precise range candidates (Algorithm 3 of the
-	// paper) from the query's pivot distances (Dists) and Radius, in bound
-	// order — the walk of KindBound, cut at the Radius instead of a count.
+	// KindRange is the one bound-ordered read: the entries of Algorithm 3's
+	// range from the query's pivot distances (Dists), in bound order (see
+	// BoundKey), cut at the first it reaches of three limits — Radius (+Inf
+	// for none), CandSize entries and Page bytes. A precise k-NN's first
+	// page is a range of radius +Inf cut at CandSize, and its later pages
+	// resume the same order After the last of them.
 	KindRange QueryKind = iota + 1
 	// KindApprox collects promise-ordered approximate k-NN candidates
 	// (Algorithm 4), trimmed to CandSize.
@@ -31,33 +34,31 @@ const (
 	// KindAll returns every live entry (the trivial baseline's download,
 	// wire.BatchAll).
 	KindAll
-	// KindBound collects the first CandSize live entries in bound order
-	// (see BoundKey) from the query's pivot distances (Dists) — the first
-	// page of a precise k-NN whose later pages are KindRange queries resumed
-	// After the last of them.
-	KindBound
 )
 
 // Query is the one read request an index answers. ApproxQuery carries the
-// pivot-space view of the query object: Dists for KindRange and KindBound,
-// and whatever the configured ranking strategy needs for the two
-// promise-ranked kinds.
+// pivot-space view of the query object: Dists for KindRange, and whatever
+// the configured ranking strategy needs for the two promise-ranked kinds.
 type Query struct {
 	Kind QueryKind
 	ApproxQuery
-	Radius   float64 // KindRange
-	CandSize int     // KindApprox, KindBound
+	// Radius is a KindRange query's largest bound; +Inf keeps every entry.
+	Radius float64
+	// CandSize is a KindApprox query's candidate count and, on a KindRange
+	// query, the most entries one answer holds (0: no count cut).
+	CandSize int
 	// After, on a KindRange query, keeps only the entries whose bound key
-	// sorts after it: the keyset cursor that resumes a KindBound page or a
-	// full range page. Nil keeps every entry.
+	// sorts after it: the keyset cursor that resumes a full page. Nil keeps
+	// every entry.
 	After *BoundKey
 	// Page, on a KindRange query, is the byte budget of one page of the
-	// answer (see PageEnd); 0 returns the whole answer.
+	// answer (see PageEnd); 0 means no byte cut.
 	Page int
 	// Allow restricts the search to first-level cells; nil allows all.
 	Allow PivotFilter
-	// Share pools a KindBound search's threshold across the indexes that
-	// answer one query together (see BoundShare); nil for a lone index.
+	// Share pools the threshold of a KindRange search cut at CandSize across
+	// the indexes that answer one query together (see BoundShare); nil for a
+	// lone index.
 	Share *BoundShare
 }
 
@@ -105,12 +106,7 @@ func (ix *Index) Search(q Query) ([]RankedCandidate, error) {
 		if !(q.Radius >= 0) {
 			return nil, fmt.Errorf("mindex: query radius %g is not a non-negative number", q.Radius)
 		}
-		return ix.bounded(q.Dists, q.Radius, q.After, kept{budget: max(q.Page, 0)}, q.Allow, nil)
-	case KindBound:
-		if q.CandSize <= 0 {
-			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
-		}
-		return ix.bounded(q.Dists, math.Inf(1), nil, kept{want: q.CandSize}, q.Allow, q.Share)
+		return ix.bounded(q)
 	case KindApprox:
 		if q.CandSize <= 0 {
 			return nil, fmt.Errorf("mindex: candidate size must be positive, got %d", q.CandSize)
@@ -160,8 +156,8 @@ func (r *CellRun) Rank() (float64, []int32, uint64) { return r.Promise, r.Prefix
 // and prefix of its source cell. The annotations let a sharded engine merge
 // per-shard candidate streams into one globally promise-ordered list (ties
 // broken by prefix, then shard), reproducing the cell-visit discipline of
-// Algorithm 4 across index partitions. A KindBound or KindRange candidate
-// carries its own bound key's LB as the promise and no prefix.
+// Algorithm 4 across index partitions. A KindRange candidate carries its own
+// bound key's LB as the promise and no prefix.
 type RankedCandidate struct {
 	// Entry is the candidate's stored record as a view. Out of an index it
 	// aliases the immutable bucket image the search read: nothing is
@@ -606,17 +602,17 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 	return out, nil
 }
 
-// bounded is the one bound-ordered walk, behind KindBound and KindRange:
-// best-first over the cell tree (the pivot-based k-NN of arXiv:2005.03468,
-// whose range form is Algorithm 3). Cells leave a queue keyed by their box
-// bound, which never exceeds the bound key of an entry below them (see
-// box.lowerBound), and the entries they hold are filtered and handed to
-// keep, which holds the smallest bound keys so far up to its cut. The walk
-// stops once the next cell's bound exceeds the limit: the radius r (+Inf
-// for KindBound), the share's threshold, and — once keep is full — the
-// largest key kept, since no entry still queued could displace one. So the
-// answer is exactly a prefix, cut at keep's count or bytes, of a sort of
-// every qualifying entry by bound key, and it comes back in that order.
+// bounded is the one bound-ordered walk, the KindRange search: best-first
+// over the cell tree (the pivot-based k-NN of arXiv:2005.03468, whose range
+// form is Algorithm 3). Cells leave a queue keyed by their box bound, which
+// never exceeds the bound key of an entry below them (see box.lowerBound),
+// and the entries they hold are filtered and handed to keep, which holds the
+// smallest bound keys so far up to its cut. The walk stops once the next
+// cell's bound exceeds the limit: the radius, the share's threshold, and —
+// once keep is full — the largest key kept, since no entry still queued
+// could displace one. So the answer is exactly a prefix, cut at CandSize
+// entries or Page bytes, whichever comes first, of a sort of every
+// qualifying entry by bound key, and it comes back in that order.
 //
 // A finite radius also skips a cell whose hyperplane bound (planeBound)
 // exceeds it; with the box bound that is Algorithm 3's pruning, so an
@@ -624,15 +620,17 @@ func (ix *Index) collect(q ApproxQuery, want int, trim bool, filter PivotFilter,
 // reads. Every entry within the radius is returned (the bounds are true
 // metric lower bounds); the caller refines by computing real distances.
 //
-// A non-nil after keeps only entries whose bound key sorts after it: the
-// cursor that resumes a KindBound page, or a full range page, so the pages
-// of one order hold each entry once. A cell without a box (the root, or one
-// holding an entry without distances) is keyed 0.
-func (ix *Index) bounded(qDists []float64, r float64, after *BoundKey, keep kept, filter PivotFilter, share *BoundShare) ([]RankedCandidate, error) {
+// A non-nil After keeps only entries whose bound key sorts after it: the
+// cursor that resumes a full page, so the pages of one order hold each
+// entry once. A cell without a box (the root, or one holding an entry
+// without distances) is keyed 0.
+func (ix *Index) bounded(q Query) ([]RankedCandidate, error) {
+	qDists, r, after, filter, share := q.Dists, q.Radius, q.After, q.Allow, q.Share
 	if len(qDists) != ix.cfg.NumPivots {
 		return nil, fmt.Errorf("mindex: query has %d pivot distances, want %d", len(qDists), ix.cfg.NumPivots)
 	}
 	st := ix.state.Load()
+	keep := kept{want: max(q.CandSize, 0), budget: max(q.Page, 0)}
 	if keep.want > 0 {
 		// want arrives straight off the wire; the index cannot return more
 		// than it holds, so that bounds the allocation.
@@ -785,11 +783,11 @@ func sortBound(rcs []RankedCandidate) {
 func boundKeyOf(rc *RankedCandidate) BoundKey { return BoundKey{LB: rc.Promise, ID: rc.Entry.ID} }
 
 // kept holds what a bound-ordered walk keeps: the candidates with the
-// smallest bound keys seen so far, cut at want of them (a KindBound page),
-// or where their records reach budget bytes (a range page, as PageEnd cuts
-// it), or not at all. They are a plain list until they reach the cut, and
-// from then on a max-heap by key that drops its worst candidate whenever
-// the rest reach the cut without it.
+// smallest bound keys seen so far, cut at want of them or where their
+// records reach budget bytes (as PageEnd cuts them), whichever comes first,
+// or not at all. They are a plain list until they reach a cut, and from then
+// on a max-heap by key that drops its worst candidate whenever the rest
+// reach a cut without it.
 type kept struct {
 	items  []RankedCandidate
 	want   int // 0: no count cut
@@ -814,23 +812,30 @@ func (k *kept) admits(key BoundKey) bool {
 
 // add keeps rc, which admits let in.
 func (k *kept) add(rc RankedCandidate) {
+	size := 0
 	if k.budget > 0 {
-		k.bytes += rc.Bytes()
+		size = rc.Bytes()
 	}
 	switch {
 	case !k.full:
 		k.items = append(k.items, rc)
+		k.bytes += size
 		if k.full = (k.want > 0 && len(k.items) >= k.want) || (k.budget > 0 && k.bytes >= k.budget); k.full {
 			for i := len(k.items)/2 - 1; i >= 0; i-- {
 				k.down(i)
 			}
 		}
-	case k.budget == 0:
+	case len(k.items) == k.want:
+		// At the count cut rc takes the place of the worst.
+		if k.budget > 0 {
+			size -= k.items[0].Bytes()
+		}
+		k.bytes += size
 		k.items[0] = rc
 		k.down(0)
-		return
 	default:
 		k.items = append(k.items, rc)
+		k.bytes += size
 		k.up(len(k.items) - 1)
 	}
 	// Under a budget the worst goes once the rest reach it without it.
@@ -876,7 +881,7 @@ func (k *kept) down(i int) {
 }
 
 // BoundShare tracks the CandSize smallest bound keys that the indexes
-// answering one KindBound query together have collected so far. Once it
+// answering one KindRange query cut at CandSize have collected so far. Once it
 // holds CandSize keys their largest bound is a threshold no entry of the
 // union's first CandSize exceeds, and it only falls as better keys arrive,
 // so each index may skip any cell or entry bounded above it. With it every
@@ -890,8 +895,8 @@ type BoundShare struct {
 	top   kept // keys only: each candidate carries its key and nothing else
 }
 
-// NewBoundShare returns the share of a KindBound query asking for want
-// entries of indexes holding live entries between them.
+// NewBoundShare returns the share of a KindRange query cut at want entries,
+// over indexes holding live entries between them.
 func NewBoundShare(want, live int) *BoundShare {
 	want = max(min(want, live), 0)
 	s := &BoundShare{top: kept{items: make([]RankedCandidate, 0, want), want: want}}

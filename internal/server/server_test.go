@@ -256,9 +256,9 @@ func batchQuery(t *testing.T, conn net.Conn, req wire.BatchQueryReq) [][]mindex.
 	return out
 }
 
-// flatBounds sends req (flat) and returns its reply's per-query bound
-// trailers (0 for the queries that are not bound-ordered).
-func flatBounds(t *testing.T, conn net.Conn, req wire.BatchQueryReq) []float64 {
+// flatPages sends req (flat) and returns its reply's per-query page
+// trailers (the zero Page for the queries that are not ranges).
+func flatPages(t *testing.T, conn net.Conn, req wire.BatchQueryReq) []wire.Page {
 	t.Helper()
 	respType, resp := request(t, conn, wire.MsgBatchQuery, req.Encode())
 	if respType != wire.MsgBatchCandidates {
@@ -268,7 +268,7 @@ func flatBounds(t *testing.T, conn net.Conn, req wire.BatchQueryReq) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Bounds
+	return m.Pages
 }
 
 // asShipped is a Search result as a query reply carries it: each candidate's
@@ -598,7 +598,7 @@ func TestBatchQueryEquivalence(t *testing.T) {
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
 			{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: 15},
 			{Kind: wire.BatchFirstCell, Perm: perm},
-			{Kind: wire.BatchBound, Dists: qDists, CandSize: 12},
+			{Kind: wire.BatchRange, Dists: qDists, Radius: math.Inf(1), CandSize: 12},
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5, After: cursor},
 			{Kind: wire.BatchAll},
 		},
@@ -606,7 +606,7 @@ func TestBatchQueryEquivalence(t *testing.T) {
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5},
 			{Kind: wire.BatchApproxDists, Dists: qDists, CandSize: 10},
 			{Kind: wire.BatchFirstCell, Dists: qDists},
-			{Kind: wire.BatchBound, Dists: qDists, CandSize: 200},
+			{Kind: wire.BatchRange, Dists: qDists, Radius: math.Inf(1), CandSize: 200},
 			{Kind: wire.BatchRange, Dists: qDists, Radius: 5, After: cursor},
 			{Kind: wire.BatchAll},
 		},
@@ -631,13 +631,13 @@ func TestBatchQueryEquivalence(t *testing.T) {
 				if len(ranked) != len(queries) || len(flat) != len(queries) {
 					t.Fatalf("%s: %d ranked / %d flat results for %d queries", name, len(ranked), len(flat), len(queries))
 				}
-				for qi, lb := range flatBounds(t, conn, wire.BatchQueryReq{Queries: queries, Allow: ac.allow}) {
-					var want float64
-					if n := len(ranked[qi]); n > 0 && queries[qi].Kind == wire.BatchBound {
-						want = ranked[qi][n-1].Promise
+				for qi, page := range flatPages(t, conn, wire.BatchQueryReq{Queries: queries, Allow: ac.allow}) {
+					var want wire.Page
+					if queries[qi].Kind == wire.BatchRange {
+						want = wire.PageOf(ranked[qi], int(queries[qi].CandSize))
 					}
-					if lb != want {
-						t.Fatalf("%s: flat reply %d carries bound %g, want %g", name, qi, lb, want)
+					if page != want {
+						t.Fatalf("%s: flat reply %d carries page %+v, want %+v", name, qi, page, want)
 					}
 				}
 				filter, err := mindex.NewPivotFilter(cfg.NumPivots, ac.allow)
@@ -1018,7 +1018,7 @@ func TestHostileCandSize(t *testing.T) {
 		for _, candSize := range []uint32{1 << 31, math.MaxUint32} {
 			for _, hostile := range []wire.BatchQuery{
 				{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: candSize},
-				{Kind: wire.BatchBound, Dists: make([]float64, 6), CandSize: candSize},
+				{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: math.Inf(1), CandSize: candSize},
 			} {
 				for _, ranked := range []bool{false, true} {
 					lone := batchQuery(t, conn, wire.BatchQueryReq{Queries: []wire.BatchQuery{hostile}, Ranked: ranked})
@@ -1058,7 +1058,6 @@ func TestHostileCursor(t *testing.T) {
 		}}.Encode(), "batch query 1: cursor bound")
 	}
 	for _, q := range []wire.BatchQuery{
-		{Kind: wire.BatchBound, Dists: dists, CandSize: 4},
 		{Kind: wire.BatchApproxPerm, Perm: []int32{0, 1, 2, 3, 4, 5}, CandSize: 4},
 		{Kind: wire.BatchFirstCell, Perm: []int32{0, 1, 2, 3, 4, 5}},
 	} {
@@ -1147,7 +1146,7 @@ func TestCellCountsDispatch(t *testing.T) {
 	for _, q := range []wire.BatchQuery{
 		{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1},
 		{Kind: wire.BatchFirstCell, Perm: perm},
-		{Kind: wire.BatchBound, Dists: make([]float64, 6), CandSize: 4},
+		{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: math.Inf(1), CandSize: 4},
 		{Kind: wire.BatchAll},
 	} {
 		expectError(t, conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{queries[0], q}, Counts: true}.Encode(),

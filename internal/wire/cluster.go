@@ -168,8 +168,8 @@ func readRanked(r *Reader) []mindex.RankedCandidate {
 
 // BatchRankedResp is the answer to a BatchQueryReq as the server holds it:
 // one ranked candidate set per query, parallel to the request's query list.
-// Range and bound queries (exact, no cell ranking) return their candidates
-// with their bounds as promises and a nil prefix, in bound-key order as the
+// Range queries (exact, no cell ranking) return their candidates with
+// their bounds as promises and a nil prefix, in bound-key order as the
 // index answers them, so that a coordinator can merge the pages of its
 // nodes; first-cell queries return the winning cell's
 // entries, every one annotated with that cell's promise and prefix. AppendTo
@@ -190,10 +190,9 @@ func (m BatchRankedResp) AppendTo(b *Buffer) {
 }
 
 // AppendFlatTo appends the response to queries in BatchQueryResp form: the
-// same candidates with the annotations dropped; after a BatchBound result
-// the bound of its last candidate (0 when it has none) — the one annotation
-// the client needs, to resume the bound order after it; and after a
-// BatchRange result its page trailer (PageOf).
+// same candidates with the annotations dropped, and after a BatchRange
+// result its page trailer (PageOf) — the one annotation the client needs,
+// the key to resume the bound order after.
 func (m BatchRankedResp) AppendFlatTo(b *Buffer, queries []BatchQuery) {
 	b.U64(m.ServerNanos)
 	b.U32(uint32(len(m.Results)))
@@ -202,15 +201,8 @@ func (m BatchRankedResp) AppendFlatTo(b *Buffer, queries []BatchQuery) {
 		for i := range rcs {
 			appendCandidate(b, &rcs[i].Entry)
 		}
-		switch kindOf(queries, qi) {
-		case BatchBound:
-			var lb float64
-			if len(rcs) > 0 {
-				lb = rcs[len(rcs)-1].Promise
-			}
-			b.F64(lb)
-		case BatchRange:
-			AppendPage(b, PageOf(rcs))
+		if qi < len(queries) && queries[qi].Kind == BatchRange {
+			AppendPage(b, PageOf(rcs, int(queries[qi].CandSize)))
 		}
 	}
 }

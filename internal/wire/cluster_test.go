@@ -110,8 +110,9 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 
 // TestRangePageRoundTrip: a flat reply ends each BatchRange result in its
 // page trailer — full with the last candidate's bound key once the records
-// reach PageBytes, a lone zero byte otherwise — and both decoders read it
-// back; a flag byte other than 0 and 1, and a cut trailer, are refused.
+// reach PageBytes or the query's CandSize, a lone zero byte otherwise — and
+// other kinds' results in nothing; both decoders read it back, and a flag
+// byte other than 0 and 1, and a cut trailer, are refused.
 func TestRangePageRoundTrip(t *testing.T) {
 	cand := func(id uint64, lb float64, payload int) mindex.RankedCandidate {
 		return mindex.RankedCandidate{Promise: lb, Entry: mindex.ViewOf(mindex.Entry{
@@ -121,12 +122,14 @@ func TestRangePageRoundTrip(t *testing.T) {
 	full := []mindex.RankedCandidate{cand(4, 0.25, half), cand(9, 0.5, half)} // 2 × (half + 20) B
 	short := []mindex.RankedCandidate{cand(3, 0.75, 10)}
 	justUnder := []mindex.RankedCandidate{cand(5, 0.1, half-20), cand(6, 0.2, half-21)} // PageBytes − 1 B
-	queries := []BatchQuery{{Kind: BatchRange}, {Kind: BatchRange}, {Kind: BatchRange}, {Kind: BatchBound}, {Kind: BatchRange}}
-	resp := BatchRankedResp{ServerNanos: 5, Results: [][]mindex.RankedCandidate{full, short, nil, short, justUnder}}
-	want := []Page{{Full: true, Last: mindex.BoundKey{LB: 0.5, ID: 9}}, {}, {}, {}, {}}
+	queries := []BatchQuery{{Kind: BatchRange}, {Kind: BatchRange}, {Kind: BatchRange}, {Kind: BatchApproxPerm},
+		{Kind: BatchRange}, {Kind: BatchRange, CandSize: 1}, {Kind: BatchRange, CandSize: 3}}
+	resp := BatchRankedResp{ServerNanos: 5, Results: [][]mindex.RankedCandidate{full, short, nil, short, justUnder, short, full}}
+	want := []Page{{Full: true, Last: mindex.BoundKey{LB: 0.5, ID: 9}}, {}, {}, {}, {},
+		{Full: true, Last: mindex.BoundKey{LB: 0.75, ID: 3}}, {Full: true, Last: mindex.BoundKey{LB: 0.5, ID: 9}}}
 	for i, rcs := range resp.Results {
-		if queries[i].Kind == BatchRange && PageOf(rcs) != want[i] {
-			t.Fatalf("PageOf(result %d) = %+v, want %+v", i, PageOf(rcs), want[i])
+		if page := PageOf(rcs, int(queries[i].CandSize)); queries[i].Kind == BatchRange && page != want[i] {
+			t.Fatalf("PageOf(result %d) = %+v, want %+v", i, page, want[i])
 		}
 	}
 	var b Buffer
@@ -135,8 +138,8 @@ func TestRangePageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Pages, want) || out.Bounds[3] != 0.75 || len(out.Results[0]) != 2 {
-		t.Fatalf("decoded pages %+v, bounds %v; want pages %+v and bound 0.75 on result 3", out.Pages, out.Bounds, want)
+	if !reflect.DeepEqual(out.Pages, want) || len(out.Results[0]) != 2 || len(out.Results[3]) != 1 {
+		t.Fatalf("decoded pages %+v, want %+v", out.Pages, want)
 	}
 	var refs CandidateRefs
 	if err := refs.DecodeFlat(b.B, queries); err != nil || !reflect.DeepEqual(refs.Pages, want) {
@@ -163,6 +166,34 @@ func TestRangePageRoundTrip(t *testing.T) {
 	}
 	if err := refs.DecodeFlat(hostile, queries); err == nil {
 		t.Fatal("page flag 2 accepted by reference")
+	}
+}
+
+// TestPageCheckFull: a page announced full must hold records that reach
+// PageBytes or as many candidates as its query's CandSize, and end at a
+// key that is its last candidate's and follows the query's cursor.
+func TestPageCheckFull(t *testing.T) {
+	after := &mindex.BoundKey{LB: 0.5, ID: 9}
+	page := Page{Full: true, Last: mindex.BoundKey{LB: 0.5, ID: 10}}
+	for name, tc := range map[string]struct {
+		q      BatchQuery
+		n, b   int
+		last   uint64
+		refuse string
+	}{
+		"by-bytes":      {BatchQuery{Kind: BatchRange, After: after}, 3, PageBytes, 10, ""},
+		"by-count":      {BatchQuery{Kind: BatchRange, CandSize: 3, After: after}, 3, 60, 10, ""},
+		"under-both":    {BatchQuery{Kind: BatchRange, CandSize: 4}, 3, PageBytes - 1, 10, "under the page budget"},
+		"no-count-cut":  {BatchQuery{Kind: BatchRange}, 3, 60, 10, "under the page budget"},
+		"empty":         {BatchQuery{Kind: BatchRange, CandSize: 3}, 0, 0, 0, "under the page budget"},
+		"not-last":      {BatchQuery{Kind: BatchRange, CandSize: 3}, 3, 60, 11, "does not follow"},
+		"stalled":       {BatchQuery{Kind: BatchRange, CandSize: 3, After: &page.Last}, 3, 60, 10, "does not follow"},
+		"before-cursor": {BatchQuery{Kind: BatchRange, CandSize: 3, After: &mindex.BoundKey{LB: 0.75}}, 3, 60, 10, "does not follow"},
+	} {
+		err := page.CheckFull(tc.q, tc.n, tc.b, tc.last)
+		if tc.refuse == "" && err != nil || tc.refuse != "" && (err == nil || !strings.Contains(err.Error(), tc.refuse)) {
+			t.Errorf("%s: %v, want %q", name, err, tc.refuse)
+		}
 	}
 }
 

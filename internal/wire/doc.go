@@ -14,20 +14,21 @@
 // # One request per concept, stable numbers, a version
 //
 // The encrypted deployment has exactly one read request: MsgBatchQuery
-// carrying a BatchQueryReq — one or more BatchQuery values (range,
-// approximate by permutation or by distances, first cell, bound-ordered, and
-// all: the trivial baseline's download of every entry),
-// plus optional trailer fields: Ranked (keep each candidate's source-cell
-// promise and prefix on the reply) and Allow (restrict evaluation to listed
-// first-level cells; nil = all), which the cluster coordinator uses on the
+// carrying a BatchQueryReq — one or more BatchQuery values (range — the
+// one bound-ordered read, which is also a precise k-NN's first page —
+// approximate by permutation or by distances, first cell, and all: the
+// trivial baseline's download of every entry), plus optional trailer
+// fields: Ranked (keep each candidate's source-cell promise and prefix on
+// the reply) and Allow (restrict evaluation to listed first-level cells;
+// nil = all), which the cluster coordinator uses on the
 // node hop, and the range queries' keyset cursors (BatchQuery.After, as
 // query index, bound, ID). BatchQuery.IndexQuery is the single translation
 // of a wire query into the index's mindex.Query, and the one place a cursor
 // is checked: finite, non-negative, on a range query only. The flat reply
-// is the ranked one with the annotations dropped, except that a BatchBound
-// result carries its last candidate's bound after its candidates — the
-// cursor's bound, which the client cannot compute — so the flat decoders
-// take the request's query list.
+// is the ranked one with the annotations dropped, except that a BatchRange
+// result ends in a page trailer — whether the page is full, and the key of
+// its last candidate, whose bound the client cannot compute — so the flat
+// decoders take the request's query list.
 //
 // Protocol version 4 left one request per concept. Download-all became the
 // BatchAll kind, so a replicated coordinator restricts it with the same
@@ -54,7 +55,7 @@
 // its distance time, which nothing produced any more.
 //
 // The precise k-NN's two requests (protocol version 3) are the two pages of
-// one stateless order: BatchBound asks for the first CandSize entries by
+// one stateless order: the first asks for the first CandSize entries by
 // (pivot lower bound, ID), computed in the server's own (transformed)
 // space; a BatchRange with After resumes that order past the last of them.
 // The first page sends the same transformed distance vector the second has
@@ -76,14 +77,24 @@
 // pages reveal nothing beyond what the single reply revealed; no hop holds
 // more than a page of one query in a frame.
 //
+// Protocol version 8 left one bound-ordered read. A BatchRange carries a
+// candidate size beside its radius, and the radius may be +Inf: the answer
+// is cut at the first of the radius, CandSize entries and PageBytes, and a
+// page is Full when it reached either cut. A precise k-NN's first page is a
+// range of radius +Inf cut at its candidate size, so no bound-ordered reply
+// at any hop holds more than a page plus one record. The bound-ordered kind
+// (5) is gone; its kind byte decodes as an unknown kind. Download-all
+// (BatchAll) still answers in one frame.
+//
 // A candidate of a query reply is an entry record holding the ID and the
 // payload and nothing else: perm, dists and vec are written with length
 // zero (appendCandidate). The index metadata has been used by the time an
 // entry is a candidate — the server pruned, filtered and ranked with it, and
 // the refining client reads the ciphertext alone — so it is not shipped. The
 // layout is still mindex.AppendEntry's, so ScanEntry, CandidateRefs and the
-// coordinator's span relay all parse it unchanged. A BatchAll answer, the export path, is such records too: the
-// ID and the ciphertext of every entry, and no index metadata.
+// coordinator's span relay all parse it unchanged. A BatchAll answer, the
+// export path, is such records too: the ID and the ciphertext of every
+// entry, and no index metadata.
 //
 // Message numbers are explicit constants that never change; numbers of
 // retired messages stay reserved and are refused by name (RetiredError).

@@ -17,8 +17,8 @@ type MsgType uint8
 // exchange it in the hello handshake (HelloResp.Version) and refuse each
 // other on mismatch. Version 2 retired the per-kind single-query, ranked-
 // batch and filtered-envelope requests in favor of one read request,
-// MsgBatchQuery. Version 3 added the bound-ordered query (BatchBound, whose
-// flat reply carries a bound after its candidates) and the range query's
+// MsgBatchQuery. Version 3 added the bound-ordered query (kind 5, whose
+// flat reply carried a bound after its candidates) and the range query's
 // keyset cursor (BatchQuery.After). Version 4 left one request per concept:
 // download-all became a batch query kind (BatchAll), the EHI, FDH and
 // raw-data stores one keyed blob store (MsgPutBlobs, MsgGetBlobs), and the
@@ -30,7 +30,10 @@ type MsgType uint8
 // Version 7 answers a BatchRange one page at a time (PageBytes): its flat
 // result ends in a page trailer (Page), and a ranked one comes in bound-key
 // order with each candidate's bound as its promise.
-const ProtocolVersion = 7
+// Version 8 left one bound-ordered read: a BatchRange carries a candidate
+// size and takes radius +Inf, so a precise k-NN's first page is a range
+// page, and kind 5 is gone (it decodes as an unknown kind).
+const ProtocolVersion = 8
 
 // Protocol messages. Requests flow client→server, responses server→client.
 // The numbers are the wire encoding and never change; a retired message's
@@ -54,8 +57,8 @@ const (
 	// download-all.
 
 	// MsgBatchQuery is the one encrypted read request: a BatchQueryReq
-	// carrying one or more queries (range, approximate, first-cell, bound,
-	// all) in one frame, optionally restricted to a first-level allow-list
+	// carrying one or more queries (range, approximate, first-cell, all) in
+	// one frame, optionally restricted to a first-level allow-list
 	// and optionally asking for ranked replies. Answered with
 	// MsgBatchCandidates, or MsgBatchRankedCandidates when ranked.
 	MsgBatchQuery MsgType = 23

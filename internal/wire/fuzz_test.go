@@ -100,15 +100,15 @@ func recordWithVec() []byte {
 	return append(rec[:len(rec)-4], 1, 0, 0, 0, 0, 0, 0x40, 0x40)
 }
 
-// boundQueries is a request of eight queries whose i-th is a BatchBound
-// query when bit i of mask is set (its flat reply result then carries a
-// bound trailer) and a range query otherwise (a page trailer).
-func boundQueries(mask uint8) []BatchQuery {
+// pageQueries is a request of eight queries whose i-th is an approximate
+// query when bit i of mask is set (its flat reply result then carries no
+// trailer) and a range query otherwise (a page trailer).
+func pageQueries(mask uint8) []BatchQuery {
 	qs := make([]BatchQuery, 8)
 	for i := range qs {
 		qs[i].Kind = BatchRange
 		if mask&(1<<i) != 0 {
-			qs[i].Kind = BatchBound
+			qs[i].Kind = BatchApproxPerm
 		}
 	}
 	return qs
@@ -116,8 +116,8 @@ func boundQueries(mask uint8) []BatchQuery {
 
 // FuzzDecodeRankedRefs: the by-reference reply decoders agree with the
 // copying ones on every input — both refuse it, or both report the same
-// candidates (and, on a flat reply to the bound queries mask names, the same
-// bounds; to the range queries, the same pages).
+// candidates (and, on a flat reply to the range queries mask leaves, the
+// same pages).
 func FuzzDecodeRankedRefs(f *testing.F) {
 	ranked := BatchRankedResp{ServerNanos: 2, Results: [][]mindex.RankedCandidate{
 		{
@@ -132,18 +132,23 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 	var flat Buffer
 	ranked.AppendFlatTo(&flat, nil)
 	f.Add(flat.B, uint8(0))
-	// The flat reply with a bound trailer after results 0 and 1 — the second
-	// an empty bound result — and a truncated trailer.
-	var bounded Buffer
-	ranked.AppendFlatTo(&bounded, boundQueries(0b011))
-	f.Add(bounded.B, uint8(0b011))
-	f.Add(bounded.B[:len(bounded.B)-3], uint8(0b111))
+	// Protocol v8's page cut at a candidate size: result 0 holds the three
+	// candidates its query asks for, so its page is full, and result 1 is
+	// an empty page — then the same reply read with results 0 and 1 taken
+	// for approximate ones, and a truncated trailer.
+	var counted Buffer
+	cut := pageQueries(0)
+	cut[0].CandSize = 3
+	ranked.AppendFlatTo(&counted, cut)
+	f.Add(counted.B, uint8(0))
+	f.Add(counted.B, uint8(0b011))
+	f.Add(counted.B[:len(counted.B)-3], uint8(0b100))
 	// Protocol v7's range pages: a full page, whose records reach
 	// PageBytes, then a short one — and the full page's trailer with a flag
 	// byte no encoder writes.
 	big := mindex.ViewOf(mindex.Entry{ID: 8, Payload: make([]byte, PageBytes)})
 	var paged Buffer
-	BatchRankedResp{Results: [][]mindex.RankedCandidate{{{Entry: big, Promise: 0.5}}, ranked.Results[0]}}.AppendFlatTo(&paged, boundQueries(0))
+	BatchRankedResp{Results: [][]mindex.RankedCandidate{{{Entry: big, Promise: 0.5}}, ranked.Results[0]}}.AppendFlatTo(&paged, pageQueries(0))
 	f.Add(paged.B, uint8(0))
 	bad := bytes.Clone(paged.B)
 	bad[8+4+4+len(big.Record)] = 2
@@ -200,7 +205,7 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 			}
 		}
 
-		queries := boundQueries(mask)
+		queries := pageQueries(mask)
 		flatWant, err := DecodeBatchQueryResp(data, queries)
 		rerr = refs.DecodeFlat(data, queries)
 		if (err == nil) != (rerr == nil) {
@@ -208,15 +213,12 @@ func FuzzDecodeRankedRefs(f *testing.F) {
 		}
 		if err == nil {
 			if refs.ServerNanos != flatWant.ServerNanos || len(refs.Results) != len(flatWant.Results) ||
-				len(refs.Bounds) != len(flatWant.Bounds) || len(refs.Pages) != len(flatWant.Pages) {
+				len(refs.Pages) != len(flatWant.Pages) {
 				t.Fatal("flat: header differs")
 			}
 			for qi, entries := range flatWant.Results {
 				if len(refs.Results[qi]) != len(entries) {
 					t.Fatalf("flat result %d: %d candidates, want %d", qi, len(refs.Results[qi]), len(entries))
-				}
-				if !sameFloat(refs.Bounds[qi], flatWant.Bounds[qi]) {
-					t.Fatalf("flat result %d: bound %v, want %v", qi, refs.Bounds[qi], flatWant.Bounds[qi])
 				}
 				if p, w := refs.Pages[qi], flatWant.Pages[qi]; p.Full != w.Full || p.Last.ID != w.Last.ID || !sameFloat(p.Last.LB, w.Last.LB) {
 					t.Fatalf("flat result %d: page %+v, want %+v", qi, p, w)
@@ -285,13 +287,13 @@ func FuzzDecodeRequests(f *testing.F) {
 		{Kind: BatchRange, Dists: []float64{1}, Radius: 2},
 		{Kind: BatchApproxPerm, Perm: []int32{0, 1}, CandSize: 3},
 	}}.Encode())
-	// The two phases of a precise k-NN: a bound query (with a hostile
-	// candidate size), then a range query resumed after a cursor — and
-	// cursors the index must refuse: on a non-range query, with a NaN, an
-	// infinite or a negative bound, and a trailer naming a query twice or
+	// The two phases of a precise k-NN: a range of radius +Inf cut at a
+	// (hostile) candidate size, then a range query resumed after a cursor —
+	// and cursors the index must refuse: on a non-range query, with a NaN,
+	// an infinite or a negative bound, and a trailer naming a query twice or
 	// one past the end.
 	f.Add(BatchQueryReq{Queries: []BatchQuery{
-		{Kind: BatchBound, Dists: []float64{1, 2}, CandSize: 1 << 31},
+		{Kind: BatchRange, Dists: []float64{1, 2}, Radius: math.Inf(1), CandSize: 1 << 31},
 	}}.Encode())
 	after := BatchQueryReq{Ranked: true, Queries: []BatchQuery{
 		{Kind: BatchApproxPerm, Perm: []int32{1, 0}, CandSize: 2},
@@ -304,7 +306,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		}}.Encode())
 	}
 	f.Add(BatchQueryReq{Queries: []BatchQuery{
-		{Kind: BatchBound, Dists: []float64{1, 2}, CandSize: 4, After: &mindex.BoundKey{LB: 1, ID: 1}},
+		{Kind: BatchApproxDists, Dists: []float64{1, 2}, CandSize: 4, After: &mindex.BoundKey{LB: 1, ID: 1}},
 	}}.Encode())
 	f.Add(append(after[:len(after)-20], 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16))
 	f.Add(append(after[:len(after)-20], 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16))
@@ -320,12 +322,14 @@ func FuzzDecodeRequests(f *testing.F) {
 	f.Add(append(BatchQueryReq{Queries: lone}.Encode(), 2, 0xFF, 0xFF, 0xFF, 0x7F, 1, 0, 0, 0))
 	f.Add([]byte{1, 0, 0, 0, 99})
 	// Download-all is a query kind: alone, filtered, beside other kinds —
-	// and carrying a cursor, which IndexQuery must refuse.
+	// and carrying a cursor, which IndexQuery must refuse; then the kind
+	// byte of v7's bound query, now unknown.
 	all := []BatchQuery{{Kind: BatchAll}}
 	f.Add(BatchQueryReq{Queries: all}.Encode())
 	f.Add(BatchQueryReq{Queries: all, Ranked: true, Allow: []int32{2, 4}}.Encode())
 	f.Add(BatchQueryReq{Queries: append(lone, all[0], all[0])}.Encode())
 	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchAll, After: &mindex.BoundKey{LB: 1, ID: 2}}}}.Encode())
+	f.Add([]byte{1, 0, 0, 0, 5, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0x40, 4, 0, 0, 0})
 	// The count wave of a cluster read: approximate queries asking for cell
 	// runs, filtered as a replicated coordinator sends them, and the flag
 	// beside a range query, which the server must refuse.
@@ -340,11 +344,14 @@ func FuzzDecodeRequests(f *testing.F) {
 		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}})}},
 	}}.AppendFlatTo(&flat, nil)
 	f.Add(flat.B)
-	var boundFlat Buffer
+	// A precise k-NN's first page, full at its candidate size.
+	var countFlat Buffer
+	cut := pageQueries(0)
+	cut[0].CandSize = 1
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
 		{{Entry: mindex.ViewOf(mindex.Entry{ID: 1, Perm: []int32{0}}), Promise: 0.25}}, nil,
-	}}.AppendFlatTo(&boundFlat, boundQueries(0xFF))
-	f.Add(boundFlat.B)
+	}}.AppendFlatTo(&countFlat, cut)
+	f.Add(countFlat.B)
 	// A range query read in pages: the request of a later page resumes the
 	// bound order after the last key of the one before (the cursor), and the
 	// reply to it ends in a page trailer, here a full page's.
@@ -355,7 +362,7 @@ func FuzzDecodeRequests(f *testing.F) {
 	var pageFlat Buffer
 	BatchRankedResp{ServerNanos: 1, Results: [][]mindex.RankedCandidate{
 		{{Entry: mindex.ViewOf(mindex.Entry{ID: 2, Payload: make([]byte, PageBytes)}), Promise: 0.125}}, nil,
-	}}.AppendFlatTo(&pageFlat, boundQueries(0))
+	}}.AppendFlatTo(&pageFlat, pageQueries(0))
 	f.Add(pageFlat.B)
 	f.Add(DeleteEntriesReq{Refs: []mindex.Entry{
 		{ID: 7, Perm: []int32{1, 0, 2}},
@@ -431,8 +438,8 @@ func FuzzDecodeRequests(f *testing.F) {
 			}
 		}
 		_, _ = DecodeBatchQueryResp(data, nil)
-		_, _ = DecodeBatchQueryResp(data, boundQueries(0xFF))
-		_, _ = DecodeBatchQueryResp(data, boundQueries(0))
+		_, _ = DecodeBatchQueryResp(data, pageQueries(0xFF))
+		_, _ = DecodeBatchQueryResp(data, pageQueries(0))
 		_, _ = DecodeDeleteEntriesReq(data)
 		_, _ = DecodeDeleteAckResp(data)
 		_, _ = DecodeHelloResp(data)

@@ -314,7 +314,11 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("wire: server error: %
 // fields carry — a pivot permutation or a (transformed) pivot-distance
 // vector — and never the query object.
 const (
-	// BatchRange is a precise range query (pivot distances + radius).
+	// BatchRange is the one bound-ordered read (mindex.KindRange): pivot
+	// distances, a radius (+Inf for none) and a candidate size (0 for none).
+	// It is a range query, and a precise k-NN's first page (radius +Inf, cut
+	// at its candidate size) and resumed pages. Every answer is a page
+	// (PageBytes), and its flat reply ends in a Page trailer.
 	BatchRange uint8 = iota + 1
 	// BatchApproxPerm is an approximate k-NN candidate request under the
 	// footrule ranking (pivot permutation + candidate size).
@@ -326,14 +330,10 @@ const (
 	// permutation under the footrule ranking, the distance vector under
 	// distance-sum — exactly one of the two is non-empty.
 	BatchFirstCell
-	// BatchBound asks for the first CandSize entries in bound order (pivot
-	// distances + candidate size; mindex.KindBound) — the first page of a
-	// precise k-NN. Its flat reply carries the last candidate's bound after
-	// the candidates, the LB of the cursor that resumes it.
-	BatchBound
 	// BatchAll asks for every stored entry (mindex.KindAll) and carries no
-	// fields: the trivial baseline's download, and the export path.
-	BatchAll
+	// fields: the trivial baseline's download, and the export path. Kind 5,
+	// the bound-ordered query of versions 3 to 7, decodes as unknown.
+	BatchAll uint8 = 6
 )
 
 // BatchQuery is one encrypted read query: a tagged union over the query
@@ -341,9 +341,9 @@ const (
 type BatchQuery struct {
 	Kind     uint8
 	Perm     []int32   // BatchApproxPerm, BatchFirstCell (footrule)
-	Dists    []float64 // BatchRange, BatchApproxDists, BatchFirstCell (distsum), BatchBound
+	Dists    []float64 // BatchRange, BatchApproxDists, BatchFirstCell (distsum)
 	Radius   float64   // BatchRange
-	CandSize uint32    // BatchApproxPerm, BatchApproxDists, BatchBound
+	CandSize uint32    // BatchApproxPerm, BatchApproxDists, BatchRange (0: no count cut)
 	// After is a BatchRange's optional keyset cursor: only entries whose
 	// bound key sorts after it qualify (mindex.Query.After).
 	After *mindex.BoundKey
@@ -351,32 +351,50 @@ type BatchQuery struct {
 
 // PageBytes is the byte budget of one page of a BatchRange answer, a
 // constant of the protocol: a page holds the qualifying entries with the
-// smallest bound keys, taken until their candidate records reach it — at
-// least one record, and at most PageBytes plus one (mindex.PageEnd). Every
-// server, and a coordinator asking its nodes, pages with this budget.
+// smallest bound keys, taken until their candidate records reach it or
+// until there are CandSize of them — at least one record, and at most
+// PageBytes plus one (mindex.PageEnd). Every server, and a coordinator
+// asking its nodes, pages with this budget.
 const PageBytes = 1 << 20
 
 // Page is the trailer of a BatchRange result's flat reply. Full reports a
-// page whose records reached PageBytes — the order may go on past it, and
-// Last, its last candidate's bound key, is the cursor (BatchQuery.After)
-// that asks for the next page. A page that is not full is the last one.
+// page that reached a cut — its records reached PageBytes, or it holds the
+// query's CandSize entries — so the order may go on past it, and Last, its
+// last candidate's bound key, is the cursor (BatchQuery.After) that asks
+// for the next page. A page that is not full is the last one.
 type Page struct {
 	Full bool
 	Last mindex.BoundKey
 }
 
-// PageOf is the trailer of a range page: an index's candidates, or a
-// coordinator's merge of its nodes' pages, each carrying its bound as its
-// promise.
+// PageOf is the trailer of a range page cut at candSize entries (0: no
+// count cut): an index's candidates, or a coordinator's merge of its nodes'
+// pages, each carrying its bound as its promise.
 func PageOf[T any, P interface {
 	mindex.Sized[T]
 	Rank() (float64, []int32, uint64)
-}](rcs []T) Page {
-	if !mindex.PageFull[T, P](rcs, PageBytes) {
+}](rcs []T, candSize int) Page {
+	if !(candSize > 0 && len(rcs) >= candSize) && !mindex.PageFull[T, P](rcs, PageBytes) {
 		return Page{}
 	}
 	lb, _, id := P(&rcs[len(rcs)-1]).Rank()
 	return Page{Full: true, Last: mindex.BoundKey{LB: lb, ID: id}}
+}
+
+// CheckFull refuses a page announced full in answer to q that no honest
+// server sends: n candidates whose records (bytes) reach neither PageBytes
+// nor q's CandSize, a Last that is not the last candidate's (lastID) key, or
+// a Last that does not sort after q's cursor — the order would not advance,
+// and the reads would never end. A reader checks every full page with it
+// before asking for the next.
+func (p Page) CheckFull(q BatchQuery, n, bytes int, lastID uint64) error {
+	if n == 0 || (bytes < PageBytes && (q.CandSize == 0 || n < int(q.CandSize))) {
+		return fmt.Errorf("a range page of %d candidates (%d B) announced full, under the page budget and the candidate size %d", n, bytes, q.CandSize)
+	}
+	if lastID != p.Last.ID || (q.After != nil && p.Last.Compare(*q.After) <= 0) {
+		return fmt.Errorf("a full range page ends at key %+v, which does not follow its last candidate %d after the cursor", p.Last, lastID)
+	}
+	return nil
 }
 
 // AppendPage writes a page trailer: a flag byte, then for a full page its
@@ -426,8 +444,6 @@ func (q BatchQuery) IndexQuery(numPivots int, allow mindex.PivotFilter) (mindex.
 		out.Kind = mindex.KindApprox
 	case BatchFirstCell:
 		out.Kind = mindex.KindFirstCell
-	case BatchBound:
-		out.Kind = mindex.KindBound
 	case BatchAll:
 		out.Kind = mindex.KindAll
 	default:
@@ -508,10 +524,11 @@ func (m BatchQueryReq) Encode() []byte {
 		case BatchRange:
 			b.F64Slice(q.Dists)
 			b.F64(q.Radius)
+			b.U32(q.CandSize)
 		case BatchApproxPerm:
 			b.I32Slice(q.Perm)
 			b.U32(q.CandSize)
-		case BatchApproxDists, BatchBound:
+		case BatchApproxDists:
 			b.F64Slice(q.Dists)
 			b.U32(q.CandSize)
 		case BatchFirstCell:
@@ -578,10 +595,11 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 		case BatchRange:
 			q.Dists = r.F64Slice()
 			q.Radius = r.F64()
+			q.CandSize = r.U32()
 		case BatchApproxPerm:
 			q.Perm = r.I32Slice()
 			q.CandSize = r.U32()
-		case BatchApproxDists, BatchBound:
+		case BatchApproxDists:
 			q.Dists = r.F64Slice()
 			q.CandSize = r.U32()
 		case BatchFirstCell:
@@ -645,34 +663,18 @@ func readCursors(r *Reader, queries []BatchQuery) {
 type BatchQueryResp struct {
 	ServerNanos uint64
 	Results     [][]mindex.Entry
-	// Bounds holds, parallel to Results, the bound of a BatchBound
-	// result's last candidate (0 for an empty result and for other kinds).
-	Bounds []float64
 	// Pages holds, parallel to Results, a BatchRange result's page trailer
 	// (the zero Page for other kinds).
 	Pages []Page
 }
 
-// kindOf is the kind of query i of the request a flat reply answers (0
-// past its end), which says what trailer result i carries after its
-// candidates: a bound after a BatchBound result, a Page after a BatchRange
-// one, nothing after the others.
-func kindOf(queries []BatchQuery, i int) uint8 {
-	if i < len(queries) {
-		return queries[i].Kind
+// readTrailer reads the trailer of flat result i of the answer to queries:
+// a Page after a BatchRange result, nothing after the others.
+func readTrailer(r *Reader, queries []BatchQuery, i int) Page {
+	if i < len(queries) && queries[i].Kind == BatchRange {
+		return readPage(r)
 	}
-	return 0
-}
-
-// readTrailer reads the trailer a flat result of the given kind carries.
-func readTrailer(r *Reader, kind uint8) (bound float64, page Page) {
-	switch kind {
-	case BatchBound:
-		bound = r.F64()
-	case BatchRange:
-		page = readPage(r)
-	}
-	return bound, page
+	return Page{}
 }
 
 // DecodeBatchQueryResp parses a BatchQueryResp payload, the answer to
@@ -689,16 +691,14 @@ func DecodeBatchQueryResp(p []byte, queries []BatchQuery) (BatchQueryResp, error
 		return m, ErrCodec
 	}
 	m.Results = make([][]mindex.Entry, 0, n)
-	m.Bounds = make([]float64, 0, n)
 	m.Pages = make([]Page, 0, n)
 	for i := range n {
 		entries := readEntries(r)
-		bound, page := readTrailer(r, kindOf(queries, i))
+		page := readTrailer(r, queries, i)
 		if r.err != nil {
 			break
 		}
 		m.Results = append(m.Results, entries)
-		m.Bounds = append(m.Bounds, bound)
 		m.Pages = append(m.Pages, page)
 	}
 	return m, r.Err()

@@ -41,10 +41,9 @@ func (c *CandidateRef) Bytes() int { return len(c.Record) }
 type CandidateRefs struct {
 	ServerNanos uint64
 	Results     [][]CandidateRef
-	// Bounds and Pages are BatchQueryResp's of a flat reply; empty on a
-	// ranked one, whose candidates carry their bounds as promises.
-	Bounds []float64
-	Pages  []Page
+	// Pages is BatchQueryResp's of a flat reply; empty on a ranked one,
+	// whose candidates carry their bounds as promises.
+	Pages []Page
 
 	refs     []CandidateRef
 	ends     []int   // refs[ends[i-1]:ends[i]] is result i
@@ -65,7 +64,7 @@ func (m *CandidateRefs) DecodeFlat(p []byte, queries []BatchQuery) error {
 // the frame they point into for as long as the value sits in the pool.
 func (m *CandidateRefs) Reset() {
 	clear(m.refs)
-	m.Results, m.Bounds, m.Pages, m.refs, m.ends, m.prefixes = m.Results[:0], m.Bounds[:0], m.Pages[:0], m.refs[:0], m.ends[:0], m.prefixes[:0]
+	m.Results, m.Pages, m.refs, m.ends, m.prefixes = m.Results[:0], m.Pages[:0], m.refs[:0], m.ends[:0], m.prefixes[:0]
 }
 
 func (m *CandidateRefs) decode(p []byte, ranked bool, queries []BatchQuery) error {
@@ -123,9 +122,7 @@ func (m *CandidateRefs) decode(p []byte, ranked bool, queries []BatchQuery) erro
 			m.refs = append(m.refs, c)
 		}
 		if !ranked {
-			bound, page := readTrailer(&r, kindOf(queries, qi))
-			m.Bounds = append(m.Bounds, bound)
-			m.Pages = append(m.Pages, page)
+			m.Pages = append(m.Pages, readTrailer(&r, queries, qi))
 		}
 		m.ends = append(m.ends, len(m.refs))
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -204,6 +205,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 0.5},
 			{Kind: BatchApproxPerm, Perm: []int32{1, 0, 2}, CandSize: 40},
 			{Kind: BatchApproxDists, Dists: []float64{3}, CandSize: 7},
+			{Kind: BatchRange, Dists: []float64{0, 0}, Radius: math.Inf(1), CandSize: 9},
 			{Kind: BatchAll},
 		}}
 		out, err := DecodeBatchQueryReq(in.Encode())
@@ -219,8 +221,12 @@ func TestMessageRoundTrips(t *testing.T) {
 		if want := 4 + 1 + (4 + 3*4) + 4; len(lone) != want {
 			t.Fatalf("batch-of-one encodes to %d bytes, want %d", len(lone), want)
 		}
+		// A range carries its distances, its radius and its candidate size.
+		if rng := (BatchQueryReq{Queries: in.Queries[3:4]}).Encode(); len(rng) != 4+1+(4+2*8)+8+4 {
+			t.Fatalf("lone range encodes to %d bytes, want %d", len(rng), 4+1+(4+2*8)+8+4)
+		}
 		// A download of everything is a count and a kind byte.
-		if all := (BatchQueryReq{Queries: in.Queries[3:]}).Encode(); len(all) != 5 {
+		if all := (BatchQueryReq{Queries: in.Queries[4:]}).Encode(); len(all) != 5 {
 			t.Fatalf("lone BatchAll encodes to %d bytes, want 5", len(all))
 		}
 	})
@@ -262,16 +268,20 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("batch-query-unknown-kind", func(t *testing.T) {
-		var b Buffer
-		b.U32(1)
-		b.U8(99)
-		if _, err := DecodeBatchQueryReq(b.B); err == nil {
-			t.Fatal("unknown batch kind accepted")
+		// 5 was v7's bound kind.
+		for _, kind := range []uint8{5, 99} {
+			var b Buffer
+			b.U32(1)
+			b.U8(kind)
+			if _, err := DecodeBatchQueryReq(b.B); err == nil {
+				t.Fatalf("unknown batch kind %d accepted", kind)
+			}
 		}
 	})
 	t.Run("batch-candidates", func(t *testing.T) {
 		// The flat form is the ranked one with the annotations dropped —
-		// but for a bound query's last bound, which trails its candidates.
+		// but for a range query's page trailer, which follows its
+		// candidates: full when they reach its candidate size.
 		ranked := func(entries []mindex.Entry) []mindex.RankedCandidate {
 			rcs := make([]mindex.RankedCandidate, len(entries))
 			for i, e := range entries {
@@ -281,7 +291,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 		for name, queries := range map[string][]BatchQuery{
 			"approx": nil,
-			"bound":  {{Kind: BatchBound}, {Kind: BatchBound}, {Kind: BatchApproxPerm}},
+			"range":  {{Kind: BatchRange, CandSize: 2}, {Kind: BatchRange, CandSize: 2}, {Kind: BatchApproxPerm}},
 		} {
 			var b Buffer
 			BatchRankedResp{ServerNanos: 77, Results: [][]mindex.RankedCandidate{
@@ -297,16 +307,17 @@ func TestMessageRoundTrips(t *testing.T) {
 				len(out.Results[0]) != 2 || len(out.Results[1]) != 0 || out.Results[2][0].ID != 9 {
 				t.Fatalf("%s: round trip: %+v", name, out)
 			}
-			wantBounds := []float64{0, 0, 0}
-			if name == "bound" {
-				wantBounds[0] = 1.5 // the last of the two candidates; an empty result says 0
+			wantPages := []Page{{}, {}, {}}
+			if name == "range" {
+				// The last of the two candidates its candidate size asks for.
+				wantPages[0] = Page{Full: true, Last: mindex.BoundKey{LB: 1.5, ID: sampleEntries()[1].ID}}
 			}
-			if !slices.Equal(out.Bounds, wantBounds) {
-				t.Fatalf("%s: bounds %v, want %v", name, out.Bounds, wantBounds)
+			if !slices.Equal(out.Pages, wantPages) {
+				t.Fatalf("%s: pages %v, want %v", name, out.Pages, wantPages)
 			}
 			var refs CandidateRefs
-			if err := refs.DecodeFlat(b.B, queries); err != nil || !slices.Equal(refs.Bounds, wantBounds) {
-				t.Fatalf("%s: by-reference bounds %v (%v), want %v", name, refs.Bounds, err, wantBounds)
+			if err := refs.DecodeFlat(b.B, queries); err != nil || !slices.Equal(refs.Pages, wantPages) {
+				t.Fatalf("%s: by-reference pages %v (%v), want %v", name, refs.Pages, err, wantPages)
 			}
 		}
 	})
